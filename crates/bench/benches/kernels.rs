@@ -1,5 +1,7 @@
 //! Kernel throughput: per-backend MCUPS of the striped byte and 16-bit
-//! kernels, the tiered pipeline, and the profile-cache amortization.
+//! kernels, the tiered pipeline, the profile-cache amortization, and
+//! the lane-array inter-sequence kernel beside the tiered pipeline at a
+//! short- and a long-subject database shape.
 //!
 //! For every SIMD backend reachable on this host (AVX2 / NEON /
 //! portable / scalar — see `swdual_align::dispatch`), a full run scores
@@ -13,7 +15,9 @@
 //! Outputs of a full run (`cargo bench -p swdual-bench --bench kernels`):
 //!
 //! * `BENCH_kernels.json` at the workspace root (or `$SWDUAL_BENCH_DIR`):
-//!   per-backend MCUPS, ns/cell, speedups vs scalar, cache timings.
+//!   per-backend MCUPS, ns/cell, speedups vs scalar, cache timings, and
+//!   the `interseq` rows — the evidence ROADMAP item 2b decides on
+//!   (port `align::interseq` to the dispatched backends, or delete it).
 //! * One `kernels` entry appended to the `BENCH_trend.json` ledger
 //!   (ns/cell, lower is better) for `swdual diff --bench` to gate on.
 //!
@@ -21,29 +25,19 @@
 //! active backend (`backend: avx2`), runs every backend once for
 //! correctness, and skips the timed passes and file writes.
 
-use std::time::Instant;
 use swdual_align::dispatch::{Backend, QueryProfiles};
+use swdual_align::interseq::interseq_search;
 use swdual_align::profile_cache::ProfileCache;
 use swdual_align::scalar::gotoh_score;
 use swdual_align::tiered::{tiered_score, TierStats};
+use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
-use swdual_obs::trend::{TrendEntry, TrendLedger};
 
-/// Median ns/op over `samples` timed batches of `iters` calls each.
-fn measure<F: FnMut()>(samples: usize, iters: usize, mut op: F) -> f64 {
-    op(); // warm-up
-    let mut nanos: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            op();
-        }
-        nanos.push(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    nanos.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    nanos[nanos.len() / 2]
-}
+/// Database shapes for the inter-sequence comparison: equal residue
+/// totals, as many short subjects or as few long ones.
+const INTERSEQ_SHAPES: [(&str, usize, usize); 2] =
+    [("short_subjects", 640, 60), ("long_subjects", 32, 1200)];
 
 /// Per-backend timing results for one database pass (ns per pass).
 struct BackendResult {
@@ -106,6 +100,9 @@ fn main() {
             stats.escalated_scalar
         );
     }
+
+    assert_eq!(interseq_search(&query, &subjects, &scheme), expected);
+    println!("check/interseq  ok");
 
     if test_mode {
         // Smoke also covers the cache round trip.
@@ -184,9 +181,34 @@ fn main() {
         if lookup_ns > 0.0 { build_ns / lookup_ns } else { 0.0 }
     );
 
+    // ---- inter-sequence kernel vs the production ladder, by shape ----
+    // (name, subjects, subject_len, interseq ns/cell, tiered ns/cell)
+    let mut interseq_rows: Vec<(&str, usize, usize, f64, f64)> = Vec::new();
+    let profiles = QueryProfiles::build(&query, &scheme.matrix);
+    for (shape, n, len) in INTERSEQ_SHAPES {
+        let db = synthetic_database("shape", n, LengthModel::Fixed(len), 13);
+        let subjects: Vec<&[u8]> = db.iter().map(|s| s.codes()).collect();
+        let cells = (query.len() * n * len) as f64;
+        let tiered_ns = measure(samples, iters, || {
+            let mut stats = TierStats::default();
+            for s in &subjects {
+                std::hint::black_box(tiered_score(&profiles, s, &scheme, &mut stats));
+            }
+        });
+        // Two orders of magnitude slower: fewer passes.
+        let interseq_ns = measure(7, 1, || {
+            std::hint::black_box(interseq_search(&query, &subjects, &scheme));
+        });
+        println!(
+            "interseq/{shape}  ({n} x {len})  interseq {:8.1} MCUPS   tiered[{}] {:8.1} MCUPS",
+            cells / interseq_ns * 1e3,
+            Backend::active(),
+            cells / tiered_ns * 1e3,
+        );
+        interseq_rows.push((shape, n, len, interseq_ns / cells, tiered_ns / cells));
+    }
+
     // ---- BENCH_kernels.json ----
-    let out_dir = std::env::var("SWDUAL_BENCH_DIR")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string());
     let mut json = String::from("{\n  \"bench\": \"kernels\",\n  \"unit\": \"mcups\",\n");
     json.push_str(&format!(
         "  \"host_backend\": \"{}\",\n",
@@ -233,19 +255,22 @@ fn main() {
     json.push_str(&format!(
         "  \"profile_cache\": {{ \"build_ns\": {build_ns:.0}, \"cached_lookup_ns\": {lookup_ns:.0} }},\n"
     ));
-    json.push_str("  \"acceptance_striped8_speedup_floor\": 2.0\n}\n");
-    let path = format!("{}/BENCH_kernels.json", out_dir.trim_end_matches('/'));
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    json.push_str("  \"interseq\": {\n");
+    for (i, (shape, n, len, interseq, tiered)) in interseq_rows.iter().enumerate() {
+        let comma = if i + 1 < interseq_rows.len() { "," } else { "" };
+        json.push_str(&format!(
+            "    \"{shape}\": {{ \"subjects\": {n}, \"subject_len\": {len}, \"interseq_mcups\": {:.1}, \"tiered_mcups\": {:.1}, \"tiered_over_interseq\": {:.1} }}{comma}\n",
+            1e3 / interseq,
+            1e3 / tiered,
+            interseq / tiered,
+        ));
     }
+    json.push_str("  },\n");
+    json.push_str("  \"acceptance_striped8_speedup_floor\": 2.0\n}\n");
+    write_report("kernels", &json);
 
     // ---- trend ledger (ns/cell: lower is better, the diff gate's
     // polarity) ----
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(0.0);
     let mut pairs: Vec<(String, f64)> = Vec::new();
     for r in &results {
         pairs.push((
@@ -258,11 +283,9 @@ fn main() {
         ));
         pairs.push((format!("{}_tiered", r.backend), ns_per_cell(r.tiered_ns)));
     }
-    let pair_refs: Vec<(&str, f64)> = pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let entry = TrendEntry::new("kernels", stamp, "ns_per_cell", &pair_refs);
-    let trend_path = format!("{}/BENCH_trend.json", out_dir.trim_end_matches('/'));
-    match TrendLedger::append_to_file(std::path::Path::new(&trend_path), entry) {
-        Ok(()) => println!("appended kernels to {trend_path}"),
-        Err(e) => eprintln!("could not append to {trend_path}: {e}"),
+    for (shape, _, _, interseq, _) in &interseq_rows {
+        pairs.push((format!("interseq_{shape}"), *interseq));
     }
+    let pair_refs: Vec<(&str, f64)> = pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    append_trend("kernels", "ns_per_cell", &pair_refs);
 }

@@ -18,12 +18,11 @@
 //! `swdual diff --bench` compares (last two entries per bench) and can
 //! gate on.
 
-use std::time::Instant;
 use swdual_align::engine::{AlignEngine, PhaseTimings, StripedEngine};
+use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
 use swdual_obs::metrics::Metrics;
-use swdual_obs::trend::{TrendEntry, TrendLedger};
 use swdual_obs::{Obs, Track};
 
 /// Mirror of the worker's per-job instrumentation sequence (span +
@@ -105,21 +104,6 @@ fn profiled_job(
         }
     }
     scores.into_iter().max().unwrap_or(0)
-}
-
-/// Median ns/op over `samples` timed batches of `iters` calls each.
-fn measure<F: FnMut()>(samples: usize, iters: usize, mut op: F) -> f64 {
-    op(); // warm-up
-    let mut nanos: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            op();
-        }
-        nanos.push(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    nanos.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    nanos[nanos.len() / 2]
 }
 
 fn main() {
@@ -340,11 +324,7 @@ fn main() {
         ratio(profiled, baseline)
     ));
     json.push_str("  \"budget_profiling_over_traced\": 1.02\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_profile.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_report("profile", &json);
 
     // Record medians for later PRs to diff against.
     let ratio = results
@@ -378,30 +358,14 @@ fn main() {
         ratio2(median_of("job_traced_subscribed"), traced)
     ));
     json.push_str("  \"budget_bus_over_traced\": 1.02\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_report("obs", &json);
 
     // Append both benches to the trend ledger for `swdual diff --bench`.
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(0.0);
-    let trend_path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_trend.json"
-    ));
     for (bench_name, metrics) in [
         ("obs_overhead", &results),
         ("profile_overhead", &profile_results),
     ] {
         let pairs: Vec<(&str, f64)> = metrics.iter().map(|(n, v)| (*n, *v)).collect();
-        let entry = TrendEntry::new(bench_name, stamp, "ns_per_op", &pairs);
-        match TrendLedger::append_to_file(trend_path, entry) {
-            Ok(()) => println!("appended {bench_name} to {}", trend_path.display()),
-            Err(e) => eprintln!("could not append to {}: {e}", trend_path.display()),
-        }
+        append_trend(bench_name, "ns_per_op", &pairs);
     }
 }

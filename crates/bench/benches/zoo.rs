@@ -8,26 +8,10 @@
 //! entry to the `BENCH_trend.json` ledger, which `swdual diff --bench`
 //! compares and can gate on.
 
-use std::time::Instant;
+use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_gpusim::DeviceClass;
-use swdual_obs::trend::{TrendEntry, TrendLedger};
 use swdual_platform::run_zoo;
 use swdual_platform::workload::{DatabaseSpec, Workload};
-
-/// Median ns/op over `samples` timed batches of `iters` calls each.
-fn measure<F: FnMut()>(samples: usize, iters: usize, mut op: F) -> f64 {
-    op(); // warm-up
-    let mut nanos: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            op();
-        }
-        nanos.push(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    nanos.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    nanos[nanos.len() / 2]
-}
 
 fn main() {
     // `cargo bench -- --test` (CI smoke) only checks the benches run.
@@ -90,25 +74,9 @@ fn main() {
         json.push_str(&format!("    \"{name}\": {value:.3}{comma}\n"));
     }
     json.push_str("  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_zoo.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_report("zoo", &json);
 
     // Append to the trend ledger for `swdual diff --bench`.
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(0.0);
     let pairs: Vec<(&str, f64)> = metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let entry = TrendEntry::new("zoo", stamp, "mixed", &pairs);
-    let trend_path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_trend.json"
-    ));
-    match TrendLedger::append_to_file(trend_path, entry) {
-        Ok(()) => println!("appended zoo entry to {}", trend_path.display()),
-        Err(e) => eprintln!("could not append to {}: {e}", trend_path.display()),
-    }
+    append_trend("zoo", "mixed", &pairs);
 }

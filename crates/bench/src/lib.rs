@@ -11,12 +11,15 @@
 //!   DP knapsack, allocation-policy comparison, binary-search iteration
 //!   count.
 //! * [`render`] — plain-text and Markdown rendering of result rows.
+//! * [`ledger`] — the timing loop and `BENCH_*.json` / trend-ledger
+//!   writers shared by the benches.
 //!
 //! The `repro` binary exposes all of it:
 //! `cargo run --release -p swdual-bench --bin repro -- all`.
 
 pub mod ablation;
 pub mod execute;
+pub mod ledger;
 pub mod paper;
 pub mod render;
 pub mod tables;

@@ -193,7 +193,11 @@ fn explicit_class_list_and_gpu_count_conflicts_are_rejected() {
 /// The acceptance scenario: worker 1 (a CPU) straggles at 3× while its
 /// declared rate model is 2× optimistic. The static plan eats the full
 /// miscalibration; re-optimization detects the skew and re-plans the
-/// remainder, improving the modelled makespan by at least 15%.
+/// remainder, improving the modelled makespan by at least 15%. The
+/// straggler also sleeps 30 ms of wall time per job, so its wall
+/// completions trail the other workers' as its modelled ones do and the
+/// set of tasks still revocable at the first skew observation is not a
+/// thread race.
 #[test]
 fn reopt_improves_the_miscalibrated_straggler_by_fifteen_percent() {
     let dir = work_dir("reopt");
@@ -212,7 +216,7 @@ fn reopt_improves_the_miscalibrated_straggler_by_fifteen_percent() {
             .arg("--queries")
             .arg(&queries)
             .args(["--cpus", "2", "--gpus", "1", "--top", "3"])
-            .args(["--fault-plan", "1:straggle@0x3"])
+            .args(["--fault-plan", "1:straggle@30x3"])
             .args(["--prior-scale", "1:2.0"])
             .arg("--journal-out")
             .arg(journal);

@@ -11,13 +11,15 @@
 //!   `t₀ + Σ max(kernelᵢ, transferᵢ₊₁) + kernel_last`, the classic
 //!   pipeline formula.
 //!
-//! Both return exact scores (every chunk is really searched) and the
-//! modelled wall time, so tests can quantify the overlap win.
+//! Both return exact scores (every chunk is really searched, in place:
+//! chunks are borrowed runs of the database, and the device's one-entry
+//! profile cache builds the query's profiles once for all of them) and
+//! the modelled time, so tests can quantify the overlap win.
 
 use crate::device::GpuDevice;
 use crate::memory::MemoryError;
 use swdual_bio::seq::{Sequence, SequenceSet};
-use swdual_bio::{Alphabet, ScoringScheme};
+use swdual_bio::ScoringScheme;
 
 /// Result of a chunked search.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,16 +33,17 @@ pub struct ChunkedResult {
     pub chunks: usize,
 }
 
-/// Split `database` into pieces whose residue totals fit `chunk_bytes`.
-/// Sequences are never split; a single sequence larger than the chunk
-/// is an error.
+/// Split `database` into consecutive runs whose residue totals fit
+/// `chunk_bytes`. Sequences are never split; a single sequence larger
+/// than the chunk is an error. The runs borrow the database.
 pub fn split_into_chunks(
     database: &SequenceSet,
     chunk_bytes: u64,
-) -> Result<Vec<SequenceSet>, MemoryError> {
-    let mut chunks: Vec<SequenceSet> = Vec::new();
-    let mut current = SequenceSet::new(database.alphabet);
-    for seq in database {
+) -> Result<Vec<&[Sequence]>, MemoryError> {
+    let all = database.as_slice();
+    let mut chunks = Vec::new();
+    let (mut start, mut held) = (0, 0u64);
+    for (i, seq) in all.iter().enumerate() {
         let bytes = seq.len() as u64;
         if bytes > chunk_bytes {
             return Err(MemoryError::OutOfMemory {
@@ -48,43 +51,44 @@ pub fn split_into_chunks(
                 free: chunk_bytes,
             });
         }
-        if current.total_residues() + bytes > chunk_bytes && !current.is_empty() {
-            chunks.push(std::mem::replace(
-                &mut current,
-                SequenceSet::new(database.alphabet),
-            ));
+        if held + bytes > chunk_bytes && i > start {
+            chunks.push(&all[start..i]);
+            (start, held) = (i, 0);
         }
-        current.push(seq.clone()).expect("same alphabet");
+        held += bytes;
     }
-    if !current.is_empty() {
-        chunks.push(current);
+    if start < all.len() {
+        chunks.push(&all[start..]);
     }
     Ok(chunks)
 }
 
-/// Scores plus per-chunk kernel and transfer times.
-type ChunkTimings = (Vec<i32>, Vec<f64>, Vec<f64>);
+/// Scores, and each chunk's modelled `(transfer, kernel)` seconds.
+type Streamed = (Vec<i32>, Vec<(f64, f64)>);
 
-fn search_chunks(
+/// Stream `database` through the device in chunks of `share` of its
+/// memory.
+fn stream(
     device: &mut GpuDevice,
-    chunks: &[SequenceSet],
+    database: &SequenceSet,
     query: &[u8],
     scheme: &ScoringScheme,
     sort_chunks: bool,
-) -> Result<ChunkTimings, MemoryError> {
-    let mut scores = Vec::new();
-    let mut kernel_times = Vec::with_capacity(chunks.len());
-    let mut transfer_times = Vec::with_capacity(chunks.len());
-    for chunk in chunks {
+    share: f64,
+) -> Result<Streamed, MemoryError> {
+    let chunk_bytes = (device.memory().capacity() as f64 * share) as u64;
+    let mut scores = Vec::with_capacity(database.len());
+    let mut stages = Vec::new();
+    for chunk in split_into_chunks(database, chunk_bytes.max(1))? {
         let before = device.clock();
-        let resident = device.upload(chunk, sort_chunks)?;
-        transfer_times.push(device.clock() - before);
+        let resident = device.upload_slice(chunk, sort_chunks)?;
+        let transfer = device.clock() - before;
         let result = device.search(query, &resident, scheme);
-        kernel_times.push(result.kernel_seconds);
         scores.extend(result.scores);
+        stages.push((transfer, result.kernel_seconds));
         device.release(resident)?;
     }
-    Ok((scores, kernel_times, transfer_times))
+    Ok((scores, stages))
 }
 
 /// Serial chunked search: transfers and kernels strictly alternate.
@@ -96,15 +100,13 @@ pub fn chunked_search(
     sort_chunks: bool,
 ) -> Result<ChunkedResult, MemoryError> {
     // Leave a little headroom like a real allocator would.
-    let chunk_bytes = (device.memory().capacity() as f64 * 0.9) as u64;
-    let chunks = split_into_chunks(database, chunk_bytes.max(1))?;
-    let (scores, kernel_times, transfer_times) =
-        search_chunks(device, chunks.as_slice(), query, scheme, sort_chunks)?;
-    let seconds = kernel_times.iter().sum::<f64>() + transfer_times.iter().sum::<f64>();
+    let (scores, stages) = stream(device, database, query, scheme, sort_chunks, 0.9)?;
+    let kernels: f64 = stages.iter().map(|&(_, kernel)| kernel).sum();
+    let transfers: f64 = stages.iter().map(|&(transfer, _)| transfer).sum();
     Ok(ChunkedResult {
         scores,
-        seconds,
-        chunks: chunks.len(),
+        seconds: kernels + transfers,
+        chunks: stages.len(),
     })
 }
 
@@ -125,42 +127,19 @@ pub fn overlapped_search(
     scheme: &ScoringScheme,
     sort_chunks: bool,
 ) -> Result<ChunkedResult, MemoryError> {
-    let chunk_bytes = (device.memory().capacity() as f64 * 0.45) as u64;
-    let chunks = split_into_chunks(database, chunk_bytes.max(1))?;
-    let (scores, kernel_times, transfer_times) =
-        search_chunks(device, chunks.as_slice(), query, scheme, sort_chunks)?;
+    let (scores, stages) = stream(device, database, query, scheme, sort_chunks, 0.45)?;
     // Pipeline: first transfer exposed, then each kernel hides the next
     // transfer (or vice versa), final kernel exposed.
-    let mut seconds = transfer_times.first().copied().unwrap_or(0.0);
-    for (i, &kernel) in kernel_times.iter().enumerate() {
-        let next_transfer = transfer_times.get(i + 1).copied().unwrap_or(0.0);
+    let mut seconds = stages.first().map_or(0.0, |&(transfer, _)| transfer);
+    for (i, &(_, kernel)) in stages.iter().enumerate() {
+        let next_transfer = stages.get(i + 1).map_or(0.0, |&(transfer, _)| transfer);
         seconds += kernel.max(next_transfer);
     }
     Ok(ChunkedResult {
         scores,
         seconds,
-        chunks: chunks.len(),
+        chunks: stages.len(),
     })
-}
-
-/// Build a toy database of `n` sequences of `len` residues (helper for
-/// tests and examples).
-pub fn uniform_database(n: usize, len: usize, alphabet: Alphabet) -> SequenceSet {
-    let mut set = SequenceSet::new(alphabet);
-    let mut state = 0x5EEDu64;
-    for i in 0..n {
-        let residues: Vec<u8> = (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) % 20.min(alphabet.size() as u64 - 1)) as u8
-            })
-            .collect();
-        set.push(Sequence::from_codes(format!("u{i}"), alphabet, residues))
-            .expect("alphabet matches");
-    }
-    set
 }
 
 #[cfg(test)]
@@ -168,9 +147,29 @@ mod tests {
     use super::*;
     use crate::spec::DeviceSpec;
     use swdual_align::scalar::gotoh_score;
+    use swdual_bio::Alphabet;
 
     fn scheme() -> ScoringScheme {
         ScoringScheme::protein_default()
+    }
+
+    /// A toy database of `n` sequences of `len` residues.
+    fn uniform_database(n: usize, len: usize, alphabet: Alphabet) -> SequenceSet {
+        let mut set = SequenceSet::new(alphabet);
+        let mut state = 0x5EEDu64;
+        for i in 0..n {
+            let residues: Vec<u8> = (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((state >> 33) % 20.min(alphabet.size() as u64 - 1)) as u8
+                })
+                .collect();
+            set.push(Sequence::from_codes(format!("u{i}"), alphabet, residues))
+                .expect("alphabet matches");
+        }
+        set
     }
 
     #[test]
@@ -181,7 +180,7 @@ mod tests {
         assert_eq!(chunks.len(), 5);
         let mut ids = Vec::new();
         for c in &chunks {
-            assert!(c.total_residues() <= 200);
+            assert!(c.iter().map(|s| s.len()).sum::<usize>() <= 200);
             ids.extend(c.iter().map(|s| s.id.clone()));
         }
         let expected: Vec<String> = db.iter().map(|s| s.id.clone()).collect();

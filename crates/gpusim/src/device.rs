@@ -1,7 +1,11 @@
 //! The simulated GPU device: database residency, batched SW kernels,
 //! virtual clock and counters.
 //!
-//! Execution model (one kernel = one query against a resident database
+//! Two independent halves: a **timing model** that advances the
+//! *simulated* clock and a **functional scorer** that produces the
+//! scores in *host* time. Neither reads the other.
+//!
+//! Timing model (one kernel = one query against a resident database
 //! chunk, the CUDASW++ task shape):
 //!
 //! * Subjects are processed in **warps** of `warp_size` lanes running in
@@ -12,16 +16,18 @@
 //!   CUDASW++'s pre-sorted database) recovers most of that waste.
 //! * Padded cells are charged at the query-length-dependent effective
 //!   rate of [`DeviceSpec::effective_gcups`], plus a fixed kernel launch
-//!   latency.
-//! * Scores themselves are computed exactly with the inter-sequence
-//!   kernel of `swdual-align` (the algorithmic core CUDASW++'s SIMT
-//!   kernel implements per thread).
+//!   latency, by one function shared by prediction and execution over
+//!   the two residue totals [`GpuDevice::upload`] folds the residency to.
+//!
+//! Functional scorer: the host's fastest exact kernel — `swdual-align`'s
+//! runtime-dispatched tier ladder, the call a CPU worker makes — over
+//! the caller's sequences in place, in original database order.
 
 use crate::memory::{Allocation, DeviceMemory, MemoryError};
 use crate::spec::DeviceSpec;
 use serde::{Deserialize, Serialize};
-use swdual_align::interseq;
-use swdual_bio::seq::SequenceSet;
+use swdual_align::{tiered_score, ProfileCache, TierStats};
+use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
 use swdual_obs::{Obs, Track};
 
@@ -36,9 +42,9 @@ pub enum DeviceEvent {
     Transfer {
         /// Bytes moved over PCIe.
         bytes: u64,
-        /// Virtual-clock start time in seconds.
+        /// Simulated-clock start time in seconds.
         start: f64,
-        /// Modelled transfer duration in seconds.
+        /// Modelled transfer duration in simulated seconds.
         seconds: f64,
     },
     /// One kernel launch.
@@ -47,9 +53,9 @@ pub enum DeviceEvent {
         useful_cells: u64,
         /// Cells charged including warp padding.
         padded_cells: u64,
-        /// Virtual-clock start time in seconds.
+        /// Simulated-clock start time in seconds.
         start: f64,
-        /// Modelled kernel duration in seconds.
+        /// Modelled kernel duration in simulated seconds.
         seconds: f64,
     },
     /// The device failed (an injected fault fired). No further kernels
@@ -120,22 +126,23 @@ pub struct KernelResult {
     /// Exact local-alignment score per database sequence, in database
     /// order.
     pub scores: Vec<i32>,
-    /// Simulated execution time of the kernel in seconds.
+    /// Simulated execution time of the kernel in seconds (not the host
+    /// time the scores took to compute).
     pub kernel_seconds: f64,
 }
 
-/// A database resident in device memory.
+/// A database resident in device memory: a footprint for the timing
+/// model (all that survives of the device layout, sorted or not) and a
+/// borrow of the host sequences for the functional scorer.
 #[derive(Debug)]
-pub struct ResidentDb {
+pub struct ResidentDb<'a> {
     allocation: Allocation,
-    /// Encoded subjects in device order.
-    subjects: Vec<Vec<u8>>,
-    /// Mapping device order → original database index (identity when the
-    /// upload did not sort).
-    original_index: Vec<usize>,
+    /// The uploaded sequences, scored in place in original order.
+    subjects: &'a [Sequence],
+    footprint: Footprint,
 }
 
-impl ResidentDb {
+impl ResidentDb<'_> {
     /// Number of resident sequences.
     pub fn len(&self) -> usize {
         self.subjects.len()
@@ -144,6 +151,42 @@ impl ResidentDb {
     /// True when no sequences are resident.
     pub fn is_empty(&self) -> bool {
         self.subjects.is_empty()
+    }
+}
+
+/// What the timing model keeps of a residency: two residue totals,
+/// folded once from the subject lengths in device order.
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    /// Σ subject lengths.
+    total_residues: u64,
+    /// Σ over warps of lanes × longest lane.
+    padded_residues: u64,
+}
+
+impl Footprint {
+    fn of(lengths_in_device_order: &[usize], warp_size: usize) -> Footprint {
+        let padded = |warp: &[usize]| (warp.iter().copied().max().unwrap_or(0) * warp.len()) as u64;
+        Footprint {
+            total_residues: lengths_in_device_order.iter().map(|&l| l as u64).sum(),
+            padded_residues: lengths_in_device_order.chunks(warp_size).map(padded).sum(),
+        }
+    }
+
+    /// The timing model of one kernel launch: `(useful_cells,
+    /// padded_cells, simulated seconds)` for a query of `query_len`.
+    /// The only place kernel time is computed, so prediction and
+    /// execution cannot disagree.
+    fn kernel_cost(&self, spec: &DeviceSpec, query_len: usize) -> (u64, u64, f64) {
+        let useful_cells = self.total_residues * query_len as u64;
+        let padded_cells = self.padded_residues * query_len as u64;
+        let seconds = if query_len == 0 {
+            spec.kernel_launch_latency
+        } else {
+            let rate = spec.effective_gcups(query_len) * 1e9;
+            spec.kernel_launch_latency + padded_cells as f64 / rate
+        };
+        (useful_cells, padded_cells, seconds)
     }
 }
 
@@ -183,6 +226,9 @@ pub struct GpuDevice {
     /// (H2D / kernel / D2H) as causal lineage. `None` outside a task
     /// (e.g. the resident-database upload shared by all tasks).
     lineage_task: Option<usize>,
+    /// Query profiles of the task being served: chunked searches score
+    /// one query against many residencies and build them once.
+    profiles: ProfileCache,
 }
 
 impl GpuDevice {
@@ -203,6 +249,7 @@ impl GpuDevice {
             busy_kernel: 0.0,
             busy_transfer: 0.0,
             lineage_task: None,
+            profiles: ProfileCache::new(1),
         }
     }
 
@@ -264,10 +311,11 @@ impl GpuDevice {
     /// [`DeviceEvent::Fault`] to the event log and records an obs
     /// instant; every later call keeps failing without re-logging.
     pub fn check_fault(&mut self) -> Result<(), DeviceFault> {
+        let fault = DeviceFault {
+            after_kernels: self.kernels_launched,
+        };
         if self.failed {
-            return Err(DeviceFault {
-                after_kernels: self.kernels_launched,
-            });
+            return Err(fault);
         }
         match self.fail_after_kernels {
             Some(n) if self.kernels_launched >= n => {
@@ -282,9 +330,7 @@ impl GpuDevice {
                     &[("after_kernels", self.kernels_launched as f64)],
                 );
                 self.obs.counter("gpu_device_faults", 1.0);
-                Err(DeviceFault {
-                    after_kernels: self.kernels_launched,
-                })
+                Err(fault)
             }
             _ => Ok(()),
         }
@@ -360,32 +406,32 @@ impl GpuDevice {
 
     /// Upload a database to the device, charging the PCIe transfer to
     /// the clock. `sort_by_length` mimics CUDASW++'s pre-sorted database
-    /// layout, which minimises warp padding.
-    pub fn upload(
+    /// layout, which minimises warp padding. The residency borrows
+    /// `database`; nothing is copied on the host.
+    pub fn upload<'a>(
         &mut self,
-        database: &SequenceSet,
+        database: &'a SequenceSet,
         sort_by_length: bool,
-    ) -> Result<ResidentDb, MemoryError> {
-        let wall_start = self.obs.now();
-        let bytes: u64 = database.total_residues();
-        let allocation = self.memory.alloc(bytes)?;
+    ) -> Result<ResidentDb<'a>, MemoryError> {
+        self.upload_slice(database.as_slice(), sort_by_length)
+    }
 
-        let mut order: Vec<usize> = (0..database.len()).collect();
+    /// [`GpuDevice::upload`] of a contiguous run of a database (one
+    /// chunk of a streamed search).
+    pub(crate) fn upload_slice<'a>(
+        &mut self,
+        subjects: &'a [Sequence],
+        sort_by_length: bool,
+    ) -> Result<ResidentDb<'a>, MemoryError> {
+        let wall_start = self.obs.now();
+        let mut lengths: Vec<usize> = subjects.iter().map(|s| s.len()).collect();
         if sort_by_length {
             // Descending length: warps see near-equal neighbours.
-            order.sort_by(|&a, &b| {
-                database
-                    .get(b)
-                    .unwrap()
-                    .len()
-                    .cmp(&database.get(a).unwrap().len())
-                    .then(a.cmp(&b))
-            });
+            lengths.sort_unstable_by(|a, b| b.cmp(a));
         }
-        let subjects: Vec<Vec<u8>> = order
-            .iter()
-            .map(|&i| database.get(i).unwrap().residues.clone())
-            .collect();
+        let footprint = Footprint::of(&lengths, self.spec.warp_size);
+        let bytes = footprint.total_residues;
+        let allocation = self.memory.alloc(bytes)?;
 
         let t = self.spec.transfer_time(bytes);
         let start = self.clock;
@@ -411,7 +457,7 @@ impl GpuDevice {
         Ok(ResidentDb {
             allocation,
             subjects,
-            original_index: order,
+            footprint,
         })
     }
 
@@ -425,41 +471,23 @@ impl GpuDevice {
     /// processing-time estimates `p̄ⱼ` use exactly this function, so
     /// estimate and simulation agree by construction.
     pub fn predict_kernel_seconds(&self, query_len: usize, db: &ResidentDb) -> f64 {
-        Self::predict_with_spec(&self.spec, query_len, &db.subjects)
+        db.footprint.kernel_cost(&self.spec, query_len).2
     }
 
-    /// Prediction from lengths only (used by the platform model before
-    /// any device exists).
+    /// Prediction from lengths in device order, without a device.
     pub fn predict_from_lengths(
         spec: &DeviceSpec,
         query_len: usize,
         subject_lengths_sorted_desc: &[usize],
     ) -> f64 {
-        if query_len == 0 || subject_lengths_sorted_desc.is_empty() {
-            return spec.kernel_launch_latency;
-        }
-        let mut padded: u64 = 0;
-        for warp in subject_lengths_sorted_desc.chunks(spec.warp_size) {
-            let max_len = *warp.iter().max().unwrap() as u64;
-            padded += max_len * warp.len() as u64;
-        }
-        let padded_cells = padded * query_len as u64;
-        let rate = spec.effective_gcups(query_len) * 1e9;
-        spec.kernel_launch_latency + padded_cells as f64 / rate
+        Footprint::of(subject_lengths_sorted_desc, spec.warp_size)
+            .kernel_cost(spec, query_len)
+            .2
     }
 
-    fn predict_with_spec(spec: &DeviceSpec, query_len: usize, subjects: &[Vec<u8>]) -> f64 {
-        if query_len == 0 || subjects.is_empty() {
-            return spec.kernel_launch_latency;
-        }
-        let mut padded: u64 = 0;
-        for warp in subjects.chunks(spec.warp_size) {
-            let max_len = warp.iter().map(|s| s.len()).max().unwrap() as u64;
-            padded += max_len * warp.len() as u64;
-        }
-        let padded_cells = padded * query_len as u64;
-        let rate = spec.effective_gcups(query_len) * 1e9;
-        spec.kernel_launch_latency + padded_cells as f64 / rate
+    /// The scorer's profile-cache `(hits, misses)`; a miss is a build.
+    pub fn profile_lookups(&self) -> (u64, u64) {
+        (self.profiles.hits(), self.profiles.misses())
     }
 
     /// Fault-aware kernel launch: polls the injected fault first, then
@@ -479,7 +507,7 @@ impl GpuDevice {
     /// Launch one search kernel: `query` against the whole resident
     /// database. Returns exact scores (in the database's *original*
     /// order) and advances the virtual clock by the modelled kernel
-    /// time.
+    /// time, whatever the host took to produce them.
     pub fn search(
         &mut self,
         query: &[u8],
@@ -487,29 +515,16 @@ impl GpuDevice {
         scheme: &ScoringScheme,
     ) -> KernelResult {
         let wall_start = self.obs.now();
-        // Exact scores via the inter-sequence kernel (device order).
-        let refs: Vec<&[u8]> = db.subjects.iter().map(|s| s.as_slice()).collect();
-        let device_scores = interseq::interseq_search(query, &refs, scheme);
-
-        // Undo the residency permutation.
-        let mut scores = vec![0i32; db.subjects.len()];
-        for (device_pos, &orig) in db.original_index.iter().enumerate() {
-            scores[orig] = device_scores[device_pos];
-        }
-
-        // Timing model.
-        let kernel_seconds = Self::predict_with_spec(&self.spec, query.len(), &db.subjects);
-        let useful: u64 = db
+        // Functional scorer: host time.
+        let profiles = self.profiles.get_or_build(query, &scheme.matrix);
+        let mut tiers = TierStats::default();
+        let scores: Vec<i32> = db
             .subjects
             .iter()
-            .map(|s| s.len() as u64 * query.len() as u64)
-            .sum();
-        let mut padded: u64 = 0;
-        for warp in db.subjects.chunks(self.spec.warp_size) {
-            let max_len = warp.iter().map(|s| s.len()).max().unwrap_or(0) as u64;
-            padded += max_len * warp.len() as u64 * query.len() as u64;
-        }
-
+            .map(|s| tiered_score(&profiles, s.codes(), scheme, &mut tiers))
+            .collect();
+        // Timing model: simulated time, from lengths alone.
+        let (useful, padded, kernel_seconds) = db.footprint.kernel_cost(&self.spec, query.len());
         let start = self.clock;
         self.clock += kernel_seconds;
         self.kernels_launched += 1;
@@ -602,7 +617,6 @@ impl GpuDevice {
 mod tests {
     use super::*;
     use swdual_align::scalar::gotoh_score;
-    use swdual_bio::seq::Sequence;
     use swdual_bio::Alphabet;
 
     fn db(texts: &[&str]) -> SequenceSet {

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 pub struct Allocation(u64);
 
 /// Errors from the memory model.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryError {
     /// The requested size exceeds the remaining free memory.
     OutOfMemory {

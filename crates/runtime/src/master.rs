@@ -1223,7 +1223,8 @@ pub fn try_run_search(
                             private_tx[w] = None;
                             let reason = match f.reason {
                                 FailureReason::Crash => DEATH_CRASH,
-                                FailureReason::DeviceFault { .. } => DEATH_DEVICE,
+                                FailureReason::DeviceFault { .. }
+                                | FailureReason::DeviceMemory(_) => DEATH_DEVICE,
                             };
                             obs.instant(
                                 Track::Faults,
@@ -2146,8 +2147,8 @@ mod tests {
     // ---- online re-optimization tests ----
 
     /// The acceptance scenario: one GPU + two CPUs, where CPU worker 1
-    /// both straggles (modelled clock ×3, no wall delay) and declared a
-    /// 2× optimistic rate model. Returns (workers, miscalibrated
+    /// both straggles (modelled clock ×3) and declared a 2× optimistic
+    /// rate model. Returns (workers, miscalibrated
     /// config-with-reopt-choice closure inputs).
     fn miscalibrated_zoo() -> Vec<WorkerSpec> {
         vec![
@@ -2157,6 +2158,19 @@ mod tests {
         ]
     }
 
+    /// The straggler's factor inflates only its modelled clock; the
+    /// wall delay makes its *wall* completions trail the other workers'
+    /// too, so which tasks are still revocable when the skew is first
+    /// observed follows the modelled order instead of a thread race
+    /// (all workers score at the same host speed, the simulated device
+    /// included). It assumes a task takes well under 30 ms of wall time,
+    /// which holds on every backend in release builds and on the SIMD
+    /// backends in debug builds; the structural fix is a master that
+    /// re-plans on the modelled clock alone (ROADMAP item 4).
+    ///
+    /// Default (5 s) death deadlines, not `fault_config`'s 60 ms: nobody
+    /// dies silently here, and a straggler that sleeps must not be
+    /// mistaken for one that did.
     fn miscalibrated_config(reopt_enabled: bool, obs: Obs) -> RuntimeConfig {
         RuntimeConfig {
             obs,
@@ -2164,13 +2178,14 @@ mod tests {
                 enabled: reopt_enabled,
                 ..ReoptConfig::default()
             },
-            ..fault_config(FaultPlan::none().with(
+            faults: FaultPlan::none().with(
                 1,
                 WorkerFault::Straggler {
-                    delay_ms: 0,
+                    delay_ms: 30,
                     factor: 3.0,
                 },
-            ))
+            ),
+            ..RuntimeConfig::default()
         }
     }
 

@@ -1,6 +1,8 @@
 //! Message types of the master-slave protocol (paper Figure 6).
 
 use serde::{Deserialize, Serialize};
+use swdual_gpusim::memory::MemoryError;
+use swdual_gpusim::DeviceFault;
 
 /// One hit in a query's result list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,6 +107,23 @@ pub enum FailureReason {
         /// Kernels the device completed before failing.
         after_kernels: u64,
     },
+    /// The worker's GPU device cannot hold the database even in chunks
+    /// (one sequence is larger than a chunk of device memory).
+    DeviceMemory(MemoryError),
+}
+
+impl From<DeviceFault> for FailureReason {
+    fn from(fault: DeviceFault) -> Self {
+        FailureReason::DeviceFault {
+            after_kernels: fault.after_kernels,
+        }
+    }
+}
+
+impl From<MemoryError> for FailureReason {
+    fn from(error: MemoryError) -> Self {
+        FailureReason::DeviceMemory(error)
+    }
 }
 
 impl std::fmt::Display for FailureReason {
@@ -114,6 +133,7 @@ impl std::fmt::Display for FailureReason {
             FailureReason::DeviceFault { after_kernels } => {
                 write!(f, "device fault after {after_kernels} kernel(s)")
             }
+            FailureReason::DeviceMemory(error) => write!(f, "{error}"),
         }
     }
 }

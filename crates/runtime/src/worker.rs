@@ -490,13 +490,13 @@ pub fn worker_loop(
                 device.inject_fault_after_kernels(after_kernels);
             }
             let mut virt_clock = 0.0;
-            // Databases that fit stay resident across tasks (the
-            // CUDASW++ pattern); oversized ones fall back to the
-            // chunked streaming path per kernel. The fallback re-streams
-            // (and re-splits) the database for every task — the same
-            // cost the real tools pay when a database exceeds device
-            // memory, since chunks must be re-uploaded per kernel pass
-            // anyway; only the host-side split could be cached.
+            // The device is a timing model plus a functional scorer: its
+            // scores come from the same tiered host kernel the CPU arm
+            // runs (host time), its task time from the device's simulated
+            // clock alone. Databases that fit stay resident across tasks
+            // (the CUDASW++ pattern); oversized ones fall back to the
+            // chunked streaming path per kernel, re-streaming the
+            // database for every task as the real tools must.
             let resident = device.upload(&ctx.database, true).ok();
             for job in jobs.iter() {
                 if !knobs.pre_job(jobs_done, job, ctx.worker_id, &ctx.obs, &results) {
@@ -512,32 +512,35 @@ pub fn worker_loop(
                 // task they serve: the causal link from dispatch into
                 // device activity.
                 device.set_lineage(Some(job.task_id));
-                let computed = match &resident {
-                    Some(db) => device
-                        .try_search(query.codes(), db, &ctx.scheme)
-                        .map(|r| (r.scores, r.kernel_seconds)),
-                    None => device.check_fault().map(|()| {
-                        let r = swdual_gpusim::chunked::overlapped_search(
-                            &mut device,
-                            &ctx.database,
-                            query.codes(),
-                            &ctx.scheme,
-                            true,
-                        )
-                        .expect("chunked search handles oversized databases");
-                        (r.scores, r.seconds)
-                    }),
-                };
+                let computed = (|| -> Result<(Vec<i32>, f64), FailureReason> {
+                    match &resident {
+                        Some(db) => {
+                            let r = device.try_search(query.codes(), db, &ctx.scheme)?;
+                            Ok((r.scores, r.kernel_seconds))
+                        }
+                        None => {
+                            device.check_fault()?;
+                            let r = swdual_gpusim::chunked::overlapped_search(
+                                &mut device,
+                                &ctx.database,
+                                query.codes(),
+                                &ctx.scheme,
+                                true,
+                            )?;
+                            Ok((r.scores, r.seconds))
+                        }
+                    }
+                })();
                 let (scores, modelled) = match computed {
                     Ok((scores, modelled)) => (scores, modelled * knobs.straggle_factor),
-                    Err(fault) => {
-                        // The board died under us: report and exit. The
-                        // device itself already logged the fault event.
+                    Err(reason) => {
+                        // The board died under us, or cannot hold even
+                        // one chunk of this database: report and exit so
+                        // the master re-plans onto the survivors. (A
+                        // fault was already logged by the device itself.)
                         let _ = results.send(WorkerMsg::Failed(WorkerFailure {
                             worker_id: ctx.worker_id,
-                            reason: FailureReason::DeviceFault {
-                                after_kernels: fault.after_kernels,
-                            },
+                            reason,
                             in_flight: Some(job.task_id),
                         }));
                         return;
@@ -581,6 +584,7 @@ mod tests {
     use swdual_align::scalar::gotoh_score;
     use swdual_bio::seq::Sequence;
     use swdual_bio::Alphabet;
+    use swdual_gpusim::memory::MemoryError;
 
     fn tiny_db() -> SequenceSet {
         let mut set = SequenceSet::new(Alphabet::Protein);
@@ -734,6 +738,29 @@ mod tests {
         for r in &results {
             assert_eq!(r.scores, expected_scores(r.task_id));
             assert!(r.modelled_seconds > 0.0);
+        }
+    }
+
+    #[test]
+    fn gpu_worker_reports_an_unchunkable_database_instead_of_panicking() {
+        // 5 bytes of device memory: the 10-residue subjects exceed a
+        // chunk (0.45 × capacity), so not even streaming can serve the
+        // task. The worker must say so and name the task it held.
+        let msgs = run_msgs(WorkerSpec::gpu(DeviceSpec::toy(5)), None);
+        assert_eq!(msgs.len(), 1);
+        match &msgs[0] {
+            WorkerMsg::Failed(f) => {
+                assert_eq!(f.worker_id, 3);
+                assert_eq!(
+                    f.reason,
+                    FailureReason::DeviceMemory(MemoryError::OutOfMemory {
+                        requested: 10,
+                        free: 2
+                    })
+                );
+                assert_eq!(f.in_flight, Some(0));
+            }
+            other => panic!("expected failure, got {other:?}"),
         }
     }
 

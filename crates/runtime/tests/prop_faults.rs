@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use std::time::Duration;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::Alphabet;
+use swdual_gpusim::DeviceSpec;
 use swdual_runtime::master::AllocationPolicy;
 use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerSpec};
 
@@ -62,6 +63,34 @@ fn workers(cpus: usize, gpus: usize) -> Vec<WorkerSpec> {
         v.push(WorkerSpec::gpu_default());
     }
     v
+}
+
+/// A device too small for even one subject cannot stream the database.
+/// Its worker must fail loudly (`WorkerMsg::Failed`, not a thread
+/// panic the master waits a silent-death deadline for) and the master
+/// must finish the search on the surviving CPU with identical hits.
+#[test]
+fn unchunkable_device_hands_its_work_to_the_survivors() {
+    let db = database(12, 80, 41);
+    let queries = queries_from(&db, 5, 42);
+    let cpu_only = run_search(
+        db.clone(),
+        queries.clone(),
+        &workers(1, 0),
+        RuntimeConfig::default(),
+    );
+    // 0.45 × 100 B per chunk < one 80-residue subject.
+    let pool = vec![
+        WorkerSpec::cpu_default(),
+        WorkerSpec::gpu(DeviceSpec::toy(100)),
+    ];
+    let started = std::time::Instant::now();
+    let hybrid = run_search(db, queries, &pool, RuntimeConfig::default());
+    assert_eq!(hybrid.hits, cpu_only.hits);
+    assert_eq!(hybrid.worker_stats[1].tasks, 0, "the device served nothing");
+    assert_eq!(hybrid.worker_stats[0].tasks, 5);
+    // Recovery ran on the death notice, not on a silent-death timeout.
+    assert!(started.elapsed() < RuntimeConfig::default().min_job_timeout);
 }
 
 proptest! {
