@@ -27,18 +27,29 @@
 //!
 //! Faults are first-class: a [`FaultPlan`] injects deterministic worker
 //! crashes, GPU device failures and straggler slowdowns; the master
-//! detects deaths (explicitly or by deadline), re-plans orphaned tasks
-//! on the survivors and — because alignment scores are a pure function
-//! of the inputs — returns hits bit-identical to a fault-free run, or a
-//! typed [`SearchError`]. See [`faults`] and [`master::try_run_search`].
+//! detects deaths (explicitly or by deadline), re-plans what the dead
+//! worker held — together with everything still queued — on the
+//! survivors and, because alignment scores are a pure function of the
+//! inputs, returns hits bit-identical to a fault-free run, or a typed
+//! [`SearchError`]. See [`faults`] and [`master::try_run_search`].
 //!
-//! Online re-optimization ([`ReoptConfig`]) closes the loop the other
-//! way: observed per-task modelled/estimate ratios feed back into the
-//! estimator, and when a worker's species-relative slowdown outgrows
-//! the plan it is executing, the still-queued remainder is re-planned
-//! on the re-calibrated platform (`swdual-sched`'s weighted remainder
-//! scheduler). Off by default; disabled runs reproduce the static
-//! one-round planner bit for bit.
+//! Online re-optimization ([`ReoptConfig`]) is the same re-plan pulled
+//! by a different trigger: observed per-task modelled/estimate ratios
+//! give each worker a species-relative slowdown factor, and when one
+//! outgrows the plan it is executing, the still-queued remainder is
+//! re-planned on the re-calibrated platform (`swdual-sched`'s weighted
+//! remainder scheduler). Off by default; disabled runs reproduce the
+//! static one-round planner bit for bit.
+//!
+//! The master is a **pure core** plus a **thin shell** (see [`master`]).
+//! The core is a state machine — `step(input, now) -> actions` over
+//! completions, death notices, failed sends and clock ticks — that owns
+//! all run state and touches no thread, channel or clock; the shell
+//! spawns the workers and moves messages between them and the core.
+//! The core's deterministic simulator (`src/master/core/sim.rs`, run by
+//! `cargo test`) is the place concurrency bugs are hunted: it replays
+//! thousands of seeded interleavings on a virtual clock and checks the
+//! scheduling invariants after every step.
 
 pub mod estimator;
 pub mod faults;

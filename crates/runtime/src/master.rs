@@ -1,35 +1,56 @@
 //! The master: task generation, allocation, dispatch and result
 //! merging (paper Figure 6, left column) — plus fault tolerance.
 //!
-//! The fault-tolerant merge loop guarantees [`try_run_search`] always
-//! returns: every worker either answers, notifies its death, or blows a
-//! deadline derived from its own declared rate model; orphaned tasks
-//! are re-planned onto the survivors with the same dual-approximation
-//! allocator that produced the original schedule; and a bounded retry
-//! count converts pathological fault storms into a typed
-//! [`SearchError`] instead of a hang.
+//! The master is split in two. The **core** ([`core`]'s `MasterState`)
+//! owns every piece of run state — who is alive, each worker's queue
+//! and in-flight job, what is done, retry counts, dispatch lineage,
+//! calibration and deadlines — and advances it through one pure
+//! function, `step(input, now) -> actions`. The **shell**
+//! ([`try_run_search`]) is everything that touches the outside world:
+//! it spawns worker threads, collects registrations, draws the initial
+//! plan, then loops *receive (or time out) → `step` → perform the
+//! actions* over channels and the wall clock. Concurrency bugs are
+//! hunted in the core's deterministic simulator (`core::sim`: virtual
+//! clock, seeded event heap, thousands of interleavings per second),
+//! not by thread-timing luck; the threaded tests below check the shell
+//! wiring end to end.
+//!
+//! The merge loop guarantees [`try_run_search`] always returns: every
+//! worker either answers, notifies its death, or blows a deadline
+//! derived from its own declared rate model; whatever a dead worker
+//! held is re-planned, together with the rest of the revocable
+//! remainder, on the survivors; and a bounded retry count converts
+//! pathological fault storms into a typed [`SearchError`] instead of a
+//! hang.
 //!
 //! Faults never change results. Alignment scores are a pure function of
 //! (query, database, scheme), so any completion path — the original
 //! worker, a late straggler, a re-dispatched copy — produces the same
 //! score vector; the master dedups by task id and keeps the first.
 
+mod core;
+
+#[cfg(test)]
+use self::core::DEATH_TIMEOUT;
+use self::core::{Action, Input, MasterState};
+#[cfg(test)]
 use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
 use crate::faults::FaultPlan;
 use crate::messages::{
-    top_k_hits, FailureReason, Job, JobResult, QueryHits, Registration, WorkerMsg, WorkerStats,
+    top_k_hits, Job, JobResult, QueryHits, Registration, WorkerMsg, WorkerStats,
 };
 use crate::worker::{WorkerContext, WorkerSpec};
-use crossbeam::channel::{self, RecvTimeoutError};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use std::collections::VecDeque;
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_obs::{Obs, Track};
 use swdual_sched::binsearch::{dual_approx_schedule_observed, BinarySearchConfig};
 use swdual_sched::dual::KnapsackMethod;
-use swdual_sched::remainder::{reschedule_remainder, reschedule_remainder_weighted, WorkerFactors};
-use swdual_sched::schedule::{PeKind, Schedule};
+use swdual_sched::schedule::Schedule;
 use swdual_sched::{PlatformSpec, Task, TaskSet};
 
 /// How the master allocates tasks to workers.
@@ -239,28 +260,6 @@ impl SearchOutcome {
 /// platforms.
 const ABSENT_SPECIES_PENALTY: f64 = 1.0e6;
 
-// `reason` argument values on `worker_death` fault events.
-const DEATH_CRASH: f64 = 0.0;
-const DEATH_DEVICE: f64 = 1.0;
-const DEATH_TIMEOUT: f64 = 2.0;
-const DEATH_DISPATCH: f64 = 3.0;
-
-// Note on deadlines: modelled estimates describe the *paper's*
-// hardware; until the first completion calibrates this host, a deadline
-// derived from them alone can be arbitrarily wrong (a debug build chews
-// through a 5000-residue query orders of magnitude slower than the
-// modelled Tesla). Deadlines therefore never fire before the time a
-// 10-MCUPS host would need for the worker's largest pending task (the
-// [`COLD_HOST_CELLS_PER_SEC`] prior from `crate::estimator`) —
-// conservative enough that no real host, optimised or not, is
-// misdeclared dead, while tiny test workloads still detect silent
-// deaths within the configured floor.
-
-/// Largest per-worker slowdown factor re-optimization will believe.
-/// Bounds both the re-planned load skew and (via the threshold-growth
-/// trigger) the number of re-plans a pathological worker can cause.
-const MAX_REOPT_FACTOR: f64 = 32.0;
-
 /// Build the scheduler instance from the rate models the workers
 /// declared at registration.
 fn build_tasks(
@@ -290,43 +289,6 @@ fn build_tasks(
     )
 }
 
-/// Causal-lineage state of the dispatch pipeline: the global dispatch
-/// sequence, the current plan decision epoch (0 = initial schedule,
-/// bumped by every re-optimization round and every fault re-plan), and
-/// the modelled time the master has seen each worker complete so far —
-/// the worker-side virtual clock at hand-off, which the worker echoes
-/// back as the modelled dispatch timestamp of its execution span.
-struct DispatchState {
-    seq: u64,
-    decision: u64,
-    virt_done: Vec<f64>,
-}
-
-impl DispatchState {
-    fn new(workers: usize) -> DispatchState {
-        DispatchState {
-            seq: 0,
-            decision: 0,
-            virt_done: vec![0.0; workers],
-        }
-    }
-
-    /// Stamp lineage onto a job bound for worker `w` (or the shared
-    /// queue, `w = None`).
-    fn stamp(&mut self, t: usize, w: Option<usize>, obs: &Obs) -> Job {
-        let job = Job {
-            task_id: t,
-            query_index: t,
-            dispatch_seq: self.seq,
-            decision: self.decision,
-            dispatch_wall: obs.now(),
-            dispatch_virt: w.map_or(0.0, |w| self.virt_done[w]),
-        };
-        self.seq += 1;
-        job
-    }
-}
-
 /// Journal the `task_dispatch` causal edge of a *successfully sent*
 /// job: plan decision → dispatch, the parent link the explain module
 /// and the Chrome-trace flow arrows follow. `worker` is −1 when the
@@ -345,186 +307,297 @@ fn journal_dispatch(job: &Job, w: Option<usize>, obs: &Obs) {
     );
 }
 
-/// Mutable recovery state threaded through re-dispatch.
-struct Recovery<'a> {
-    tasks: &'a TaskSet,
-    is_gpu: &'a [bool],
-    alive: &'a mut Vec<bool>,
-    queue: &'a mut Vec<Vec<usize>>,
-    in_flight: &'a mut Vec<Option<usize>>,
-    private_tx: &'a mut Vec<Option<channel::Sender<Job>>>,
-    /// `Some` under self-scheduling: orphans go back to the shared
-    /// queue instead of a re-planned static schedule.
-    shared_tx: Option<&'a channel::Sender<Job>>,
-    done: &'a [bool],
-    retries: &'a mut Vec<usize>,
-    max_retries: usize,
-    completed: usize,
-    n_tasks: usize,
-    ds: &'a mut DispatchState,
-    obs: &'a Obs,
+/// The master's ends of the channels to and from its workers.
+struct Links {
+    /// Per-worker job queues (static policies); `None` once closed.
+    private_tx: Vec<Option<Sender<Job>>>,
+    /// The self-scheduling queue every worker drains.
+    shared_tx: Sender<Job>,
+    reg_rx: Receiver<Registration>,
+    msg_rx: Receiver<WorkerMsg>,
 }
 
-/// Keep the window-1 dispatch invariant for worker `w`: while it is
-/// alive and idle, pop the head of its master-held queue and send it
-/// (skipping tasks that completed elsewhere in the meantime). At most
-/// one job is ever in flight per worker, so everything still queued
-/// remains revocable by re-planning. Returns the worker's re-orphaned
-/// queue when it turns out to be dead at send time.
-#[allow(clippy::too_many_arguments)]
-fn feed_worker(
-    w: usize,
-    alive: &mut [bool],
-    queue: &mut [Vec<usize>],
-    in_flight: &mut [Option<usize>],
-    private_tx: &mut [Option<channel::Sender<Job>>],
-    done: &[bool],
-    ds: &mut DispatchState,
-    obs: &Obs,
-) -> Vec<usize> {
-    let mut orphans = Vec::new();
-    while alive[w] && in_flight[w].is_none() && !queue[w].is_empty() {
-        let t = queue[w].remove(0);
-        if done[t] {
-            continue;
-        }
-        let job = ds.stamp(t, Some(w), obs);
-        let sent = private_tx[w]
-            .as_ref()
-            .map(|tx| tx.send(job).is_ok())
-            .unwrap_or(false);
-        if sent {
-            in_flight[w] = Some(t);
-            journal_dispatch(&job, Some(w), obs);
+/// Phase 1 — spawn workers; each registers with the master before
+/// waiting for jobs (paper Figure 6: "Register with master" /
+/// "Register slaves").
+fn spawn_workers<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    workers: &[WorkerSpec],
+    database: &Arc<SequenceSet>,
+    queries: &Arc<SequenceSet>,
+    config: &RuntimeConfig,
+) -> Links {
+    let (reg_tx, reg_rx) = channel::unbounded::<Registration>();
+    let (msg_tx, msg_rx) = channel::unbounded::<WorkerMsg>();
+    let (shared_tx, shared_rx) = channel::unbounded::<Job>();
+    let shared_queue = matches!(config.policy, AllocationPolicy::SelfScheduling);
+    let mut private_tx = Vec::with_capacity(workers.len());
+    for (worker_id, spec) in workers.iter().enumerate() {
+        let job_rx = if shared_queue {
+            private_tx.push(None);
+            shared_rx.clone()
         } else {
-            // Dead at send: reclaim this task and the rest of its queue.
-            alive[w] = false;
-            private_tx[w] = None;
-            orphans.push(t);
-            orphans.append(&mut queue[w]);
-            obs.instant(
-                Track::Faults,
-                "worker_death",
-                &[("worker", w as f64), ("reason", DEATH_DISPATCH)],
-            );
-            obs.counter("workers_lost", 1.0);
-        }
+            let (tx, rx) = channel::unbounded::<Job>();
+            private_tx.push(Some(tx));
+            rx
+        };
+        let ctx = WorkerContext {
+            worker_id,
+            database: Arc::clone(database),
+            queries: Arc::clone(queries),
+            scheme: config.scheme.clone(),
+            obs: config.obs.clone(),
+            fault: config.faults.get(worker_id),
+        };
+        let (spec, msg_tx, reg_tx) = (spec.clone(), msg_tx.clone(), reg_tx.clone());
+        scope.spawn(move || {
+            crate::worker::worker_loop_registered(spec, ctx, Some(reg_tx), job_rx, msg_tx)
+        });
     }
-    orphans
-}
-
-/// Give orphaned tasks a new home. Static policies re-plan them with
-/// the dual approximation on the surviving platform (the recovery
-/// schedule shows up on [`Track::Recovered`] rows); self-scheduling
-/// pushes them back onto the shared queue. Survivors found dead while
-/// re-dispatching are declared dead and their load re-orphaned, until
-/// everything is placed, the platform is empty, or a task blows its
-/// retry budget.
-fn redispatch_orphans(cx: Recovery<'_>, orphans: Vec<usize>) -> Result<(), SearchError> {
-    let Recovery {
-        tasks,
-        is_gpu,
-        alive,
-        queue,
-        in_flight,
+    Links {
         private_tx,
         shared_tx,
-        done,
-        retries,
-        max_retries,
-        completed,
-        n_tasks,
-        ds,
-        obs,
-    } = cx;
-    let mut to_place = orphans;
-    loop {
-        to_place.retain(|&t| !done[t]);
-        to_place.sort_unstable();
-        to_place.dedup();
-        if to_place.is_empty() {
-            return Ok(());
-        }
-        for &t in &to_place {
-            retries[t] += 1;
-            if retries[t] > max_retries {
-                return Err(SearchError::RetriesExhausted {
-                    task_id: t,
-                    retries: retries[t],
-                });
-            }
-            obs.instant(
-                Track::Faults,
-                "task_redispatch",
-                &[("task", t as f64), ("retry", retries[t] as f64)],
-            );
-            obs.counter("tasks_redispatched", 1.0);
-        }
+        reg_rx,
+        msg_rx,
+    }
+}
 
-        if let Some(shared) = shared_tx {
-            ds.decision += 1;
-            for &t in &to_place {
-                let job = ds.stamp(t, None, obs);
-                if shared.send(job).is_err() {
-                    return Err(SearchError::AllWorkersDead {
-                        completed,
-                        total: n_tasks,
-                    });
-                }
-                journal_dispatch(&job, None, obs);
-            }
-            return Ok(());
+/// Phase 2 — collect registrations ("Register slaves") until everyone
+/// answered, every hello sender is gone (each worker either registered
+/// or died trying), or the deadline passed. Returns them in worker-id
+/// order, with who is alive; queues of workers that never registered
+/// are closed.
+fn collect_registrations(
+    links: &mut Links,
+    workers: &[WorkerSpec],
+    config: &RuntimeConfig,
+) -> (Vec<Registration>, Vec<bool>) {
+    let obs = &config.obs;
+    let mut registrations: Vec<Registration> = Vec::new();
+    let reg_deadline = Instant::now() + config.registration_timeout;
+    while registrations.len() < workers.len() {
+        match links.reg_rx.recv_deadline(reg_deadline) {
+            Ok(r) => registrations.push(r),
+            Err(_) => break, // deadline or disconnect
         }
-
-        // Static policies: re-plan the orphans on whoever survives.
-        let live_cpu: Vec<usize> = (0..alive.len())
-            .filter(|&w| alive[w] && !is_gpu[w])
-            .collect();
-        let live_gpu: Vec<usize> = (0..alive.len())
-            .filter(|&w| alive[w] && is_gpu[w])
-            .collect();
-        if live_cpu.is_empty() && live_gpu.is_empty() {
-            return Err(SearchError::AllWorkersDead {
-                completed,
-                total: n_tasks,
-            });
-        }
-        let platform = PlatformSpec::new(live_cpu.len(), live_gpu.len());
-        let plan = reschedule_remainder(tasks, &to_place, &platform, BinarySearchConfig::default());
-        // Each fault re-plan is its own decision in the causal lineage.
-        ds.decision += 1;
-        let mut per: Vec<Vec<(f64, usize)>> = vec![Vec::new(); alive.len()];
-        for p in &plan.placements {
-            let w = match p.pe.kind {
-                PeKind::Cpu => live_cpu[p.pe.index],
-                PeKind::Gpu => live_gpu[p.pe.index],
+    }
+    registrations.sort_by_key(|r| r.worker_id);
+    let mut alive = vec![false; workers.len()];
+    for r in &registrations {
+        alive[r.worker_id] = true;
+    }
+    for w in (0..workers.len()).filter(|&w| !alive[w]) {
+        // Dead at (or before) registration: close its queue so the
+        // thread — if it is somehow still there — exits.
+        links.private_tx[w] = None;
+        obs.instant(
+            Track::Faults,
+            "worker_lost_registration",
+            &[("worker", w as f64)],
+        );
+        obs.counter("workers_lost", 1.0);
+    }
+    // Journal who registered as what: the auditor uses these to
+    // attribute species (CPU/GPU) to worker tracks.
+    for r in &registrations {
+        obs.instant(
+            Track::Master,
+            "worker_registered",
+            &[
+                ("worker", r.worker_id as f64),
+                ("is_gpu", if r.is_gpu { 1.0 } else { 0.0 }),
+            ],
+        );
+    }
+    // Journal each worker's device class. Event args are numeric, so
+    // the class rides in the event name (`device_class:<name>`); the
+    // auditor parses it back out without the obs crate ever depending
+    // on the device zoo types.
+    if obs.is_enabled() {
+        for r in &registrations {
+            let class = match workers[r.worker_id].device_class_of() {
+                Some(c) => c.name(),
+                None if r.is_gpu => "custom",
+                None => "cpu",
             };
-            if obs.is_enabled() {
-                obs.virtual_span(
-                    Track::Recovered(w),
-                    &format!("task-{}", p.task),
-                    p.start,
-                    p.end - p.start,
-                    &[("task", p.task as f64), ("decision", ds.decision as f64)],
-                );
-            }
-            per[w].push((p.start, p.task));
+            obs.instant(
+                Track::Master,
+                &format!("device_class:{class}"),
+                &[("worker", r.worker_id as f64)],
+            );
         }
-        let mut next_round: Vec<usize> = Vec::new();
-        for (w, mut list) in per.into_iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            list.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            queue[w].extend(list.into_iter().map(|(_, t)| t));
-            // Window-1: only the head goes out now; the rest waits in
-            // the master-held queue. A survivor found dead at send time
-            // re-orphans its whole queue for the next round.
-            next_round.append(&mut feed_worker(
-                w, alive, queue, in_flight, private_tx, done, ds, obs,
-            ));
+    }
+    (registrations, alive)
+}
+
+/// The initial plan `policy` draws for `tasks` on `platform`; `None` for
+/// self-scheduling, which has no plan.
+fn initial_plan(
+    tasks: &TaskSet,
+    platform: &PlatformSpec,
+    policy: AllocationPolicy,
+    obs: &Obs,
+) -> Option<Schedule> {
+    let config = BinarySearchConfig::default();
+    match policy {
+        AllocationPolicy::DualApprox(method) => {
+            let config = BinarySearchConfig { method, ..config };
+            Some(dual_approx_schedule_observed(tasks, platform, config, obs).schedule)
         }
-        to_place = next_round;
+        AllocationPolicy::SelfScheduling => None,
+        AllocationPolicy::MultiRound { rounds } => Some(
+            swdual_sched::multiround::multi_round_schedule(tasks, platform, rounds, config),
+        ),
+    }
+}
+
+/// Phase 3 — allocate from the *declared* rate models of the workers
+/// that actually registered.
+fn allocate(
+    queries: &SequenceSet,
+    db_residues: u64,
+    registrations: &[Registration],
+    config: &RuntimeConfig,
+) -> (TaskSet, Option<Schedule>) {
+    let obs = &config.obs;
+    let t_allocate = obs.now();
+    let model_of = |gpu: bool| {
+        registrations
+            .iter()
+            .find(|r| r.is_gpu == gpu)
+            .map(|r| r.rate_model)
+    };
+    let gpus = registrations.iter().filter(|r| r.is_gpu).count();
+    let platform = PlatformSpec::new(registrations.len() - gpus, gpus);
+    let tasks = build_tasks(queries, db_residues, model_of(false), model_of(true));
+    // Journal the rate-model estimates per task: the auditor
+    // reconstructs acceleration ratios (p_cpu/p_gpu) from these to
+    // judge the knapsack's GPU-side ordering.
+    if obs.is_enabled() {
+        for t in tasks.iter() {
+            let qlen = queries.get(t.id).map_or(0, |q| q.len());
+            obs.instant(
+                Track::Master,
+                "task_model",
+                &[
+                    ("task", t.id as f64),
+                    ("p_cpu", t.p_cpu),
+                    ("p_gpu", t.p_gpu),
+                    ("query_len", qlen as f64),
+                    ("cells", qlen as f64 * db_residues as f64),
+                ],
+            );
+        }
+    }
+    let schedule = initial_plan(&tasks, &platform, config.policy, obs);
+    obs.span(
+        Track::Master,
+        "allocate",
+        t_allocate,
+        obs.now() - t_allocate,
+        None,
+        &[("tasks", tasks.len() as f64)],
+    );
+    (tasks, schedule)
+}
+
+/// The thin shell around the pure core: it owns the channels and the
+/// clock, feeds [`MasterState::step`] and performs what comes back.
+struct Shell<'a> {
+    state: MasterState,
+    links: Links,
+    obs: &'a Obs,
+    start: Instant,
+}
+
+impl Shell<'_> {
+    fn now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// Perform `actions` in order. A dispatch that cannot be delivered
+    /// is fed back to the core as [`Input::SendFailed`] and whatever
+    /// that yields joins the back of the line. Returns the search's
+    /// verdict once the core reaches one.
+    fn perform(&mut self, actions: Vec<Action>) -> Option<Result<(), SearchError>> {
+        let mut pending = VecDeque::from(actions);
+        while let Some(action) = pending.pop_front() {
+            match action {
+                Action::Dispatch { worker, mut job } => {
+                    job.dispatch_wall = self.obs.now();
+                    let tx = match worker {
+                        Some(w) => self.links.private_tx[w].as_ref(),
+                        None => Some(&self.links.shared_tx),
+                    };
+                    if tx.is_some_and(|tx| tx.send(job).is_ok()) {
+                        journal_dispatch(&job, worker, self.obs);
+                    } else {
+                        let now = self.now();
+                        pending.extend(self.state.step(Input::SendFailed(worker), now));
+                    }
+                }
+                Action::CloseQueue(w) => self.links.private_tx[w] = None,
+                Action::Finish => return Some(Ok(())),
+                Action::Abort(e) => return Some(Err(e)),
+            }
+        }
+        None
+    }
+
+    /// Phases 4 and 5 — dispatch the initial plan, then merge results
+    /// as they stream in: wait for a worker message, but never past the
+    /// next silent-death deadline nor longer than one `tick`; hand the
+    /// core what happened; do what it says.
+    fn run(
+        mut self,
+        schedule: Option<&Schedule>,
+        tick: Duration,
+    ) -> Result<Vec<JobResult>, SearchError> {
+        let obs = self.obs;
+        let t_dispatch = obs.now();
+        let now = self.now();
+        let initial = self.state.start(schedule, now);
+        let mut verdict = self.perform(initial);
+        obs.span(
+            Track::Master,
+            "dispatch",
+            t_dispatch,
+            obs.now() - t_dispatch,
+            None,
+            &[("tasks", self.state.total() as f64)],
+        );
+
+        let t_merge = obs.now();
+        let verdict = loop {
+            if let Some(verdict) = verdict {
+                break verdict;
+            }
+            // An infinite deadline (nobody busy) does not fit a Duration.
+            let until = (self.state.next_deadline() - self.now()).max(0.0);
+            let wait = tick.min(Duration::try_from_secs_f64(until).unwrap_or(tick));
+            let input = match self.links.msg_rx.recv_timeout(wait) {
+                Ok(WorkerMsg::Completed(r)) => Input::Completed(r),
+                Ok(WorkerMsg::Failed(f)) => Input::Failed(f),
+                Err(RecvTimeoutError::Timeout) => Input::Tick,
+                Err(RecvTimeoutError::Disconnected) => {
+                    // Every worker thread has exited with work still
+                    // outstanding.
+                    break Err(self.state.all_workers_dead());
+                }
+            };
+            let now = self.now();
+            let actions = self.state.step(input, now);
+            verdict = self.perform(actions);
+        };
+        obs.span(
+            Track::Master,
+            "merge",
+            t_merge,
+            obs.now() - t_merge,
+            None,
+            &[("results", self.state.completed() as f64)],
+        );
+        verdict.map(|()| self.state.into_results())
     }
 }
 
@@ -547,114 +620,22 @@ pub fn try_run_search(
     let database = Arc::new(database);
     let queries = Arc::new(queries);
     let db_residues = database.total_residues();
+    let cells: Vec<f64> = queries
+        .iter()
+        .map(|q| q.len() as f64 * db_residues as f64)
+        .collect();
     let total_cells: u64 = queries.iter().map(|q| q.len() as u64 * db_residues).sum();
-    let is_gpu: Vec<bool> = workers.iter().map(|w| w.is_gpu()).collect();
-
-    let (reg_tx, reg_rx) = channel::unbounded::<Registration>();
-    let (msg_tx, msg_rx) = channel::unbounded::<WorkerMsg>();
-    let shared_queue = matches!(config.policy, AllocationPolicy::SelfScheduling);
-    let (shared_tx, shared_rx) = channel::unbounded::<Job>();
-    let mut shared_tx = Some(shared_tx);
-    let mut private_tx: Vec<Option<channel::Sender<Job>>> = Vec::with_capacity(workers.len());
-
-    let obs = config.obs.clone();
+    let obs = &config.obs;
     let start = Instant::now();
-    let mut results: Vec<JobResult> = Vec::with_capacity(n_tasks);
-    let mut schedule: Option<Schedule> = None;
-    let mut error: Option<SearchError> = None;
 
-    std::thread::scope(|scope| {
-        // Phase 1 — spawn workers; each registers with the master
-        // before waiting for jobs (paper Figure 6: "Register with
-        // master" / "Register slaves").
+    // Every channel end the master holds lives inside the scope's
+    // closure, so all queues shut when it returns — on success and
+    // error alike — and the surviving worker threads drain out before
+    // the scope joins them.
+    let (results, schedule) = std::thread::scope(|scope| {
         let t_register = obs.now();
-        for (worker_id, spec) in workers.iter().enumerate() {
-            let job_rx = if shared_queue {
-                private_tx.push(None);
-                shared_rx.clone()
-            } else {
-                let (tx, rx) = channel::unbounded::<Job>();
-                private_tx.push(Some(tx));
-                rx
-            };
-            let ctx = WorkerContext {
-                worker_id,
-                database: Arc::clone(&database),
-                queries: Arc::clone(&queries),
-                scheme: config.scheme.clone(),
-                obs: obs.clone(),
-                fault: config.faults.get(worker_id),
-            };
-            let spec = spec.clone();
-            let msg_tx = msg_tx.clone();
-            let reg_tx = reg_tx.clone();
-            scope.spawn(move || {
-                crate::worker::worker_loop_registered(spec, ctx, Some(reg_tx), job_rx, msg_tx)
-            });
-        }
-        drop(reg_tx);
-        drop(msg_tx);
-        drop(shared_rx);
-
-        // Phase 2 — collect registrations ("Register slaves") until
-        // everyone answered, every hello sender is gone (each worker
-        // either registered or died trying), or the deadline passed.
-        let mut registrations: Vec<Registration> = Vec::new();
-        let reg_deadline = Instant::now() + config.registration_timeout;
-        while registrations.len() < workers.len() {
-            match reg_rx.recv_deadline(reg_deadline) {
-                Ok(r) => registrations.push(r),
-                Err(_) => break, // deadline or disconnect
-            }
-        }
-        registrations.sort_by_key(|r| r.worker_id);
-        let mut alive = vec![false; workers.len()];
-        for r in &registrations {
-            alive[r.worker_id] = true;
-        }
-        for w in 0..workers.len() {
-            if !alive[w] {
-                // Dead at (or before) registration: close its queue so
-                // the thread — if it is somehow still there — exits.
-                private_tx[w] = None;
-                obs.instant(
-                    Track::Faults,
-                    "worker_lost_registration",
-                    &[("worker", w as f64)],
-                );
-                obs.counter("workers_lost", 1.0);
-            }
-        }
-        // Journal who registered as what: the auditor uses these to
-        // attribute species (CPU/GPU) to worker tracks.
-        for r in &registrations {
-            obs.instant(
-                Track::Master,
-                "worker_registered",
-                &[
-                    ("worker", r.worker_id as f64),
-                    ("is_gpu", if r.is_gpu { 1.0 } else { 0.0 }),
-                ],
-            );
-        }
-        // Journal each worker's device class. Event args are numeric,
-        // so the class rides in the event name (`device_class:<name>`);
-        // the auditor parses it back out without the obs crate ever
-        // depending on the device zoo types.
-        if obs.is_enabled() {
-            for r in &registrations {
-                let class = match workers[r.worker_id].device_class_of() {
-                    Some(c) => c.name(),
-                    None if r.is_gpu => "custom",
-                    None => "cpu",
-                };
-                obs.instant(
-                    Track::Master,
-                    &format!("device_class:{class}"),
-                    &[("worker", r.worker_id as f64)],
-                );
-            }
-        }
+        let mut links = spawn_workers(scope, workers, &database, &queries, &config);
+        let (registrations, alive) = collect_registrations(&mut links, workers, &config);
         obs.span(
             Track::Master,
             "register",
@@ -671,746 +652,25 @@ pub fn try_run_search(
         metrics.gauge("tasks_total", &[], n_tasks as f64);
         metrics.gauge("queue_depth", &[], n_tasks as f64);
         if registrations.is_empty() {
-            error = Some(SearchError::NoWorkersRegistered);
+            return Err(SearchError::NoWorkersRegistered);
         }
 
-        if error.is_none() {
-            // Phase 3 — allocate from the *declared* rate models of
-            // the workers that actually registered.
-            let t_allocate = obs.now();
-            let cpu_model = registrations
-                .iter()
-                .find(|r| !r.is_gpu)
-                .map(|r| r.rate_model);
-            let gpu_model = registrations
-                .iter()
-                .find(|r| r.is_gpu)
-                .map(|r| r.rate_model);
-            let live_cpu: Vec<usize> = registrations
-                .iter()
-                .filter(|r| !r.is_gpu)
-                .map(|r| r.worker_id)
-                .collect();
-            let live_gpu: Vec<usize> = registrations
-                .iter()
-                .filter(|r| r.is_gpu)
-                .map(|r| r.worker_id)
-                .collect();
-            let platform = PlatformSpec::new(live_cpu.len(), live_gpu.len());
-            let tasks = build_tasks(&queries, db_residues, cpu_model, gpu_model);
-            // Journal the rate-model estimates per task: the auditor
-            // reconstructs acceleration ratios (p_cpu/p_gpu) from these
-            // to judge the knapsack's GPU-side ordering.
-            if obs.is_enabled() {
-                for t in tasks.iter() {
-                    let qlen = queries.get(t.id).map_or(0, |q| q.len());
-                    obs.instant(
-                        Track::Master,
-                        "task_model",
-                        &[
-                            ("task", t.id as f64),
-                            ("p_cpu", t.p_cpu),
-                            ("p_gpu", t.p_gpu),
-                            ("query_len", qlen as f64),
-                            ("cells", qlen as f64 * db_residues as f64),
-                        ],
-                    );
-                }
-            }
-            let planned: Option<Schedule> = match config.policy {
-                AllocationPolicy::DualApprox(method) => Some(
-                    dual_approx_schedule_observed(
-                        &tasks,
-                        &platform,
-                        BinarySearchConfig {
-                            method,
-                            ..BinarySearchConfig::default()
-                        },
-                        &obs,
-                    )
-                    .schedule,
-                ),
-                AllocationPolicy::SelfScheduling => None,
-                AllocationPolicy::MultiRound { rounds } => {
-                    Some(swdual_sched::multiround::multi_round_schedule(
-                        &tasks,
-                        &platform,
-                        rounds,
-                        BinarySearchConfig::default(),
-                    ))
-                }
-            };
-            obs.span(
-                Track::Master,
-                "allocate",
-                t_allocate,
-                obs.now() - t_allocate,
-                None,
-                &[("tasks", n_tasks as f64)],
-            );
-
-            // The planned schedule goes on its own modelled-clock
-            // tracks so exports can overlay plan against actual.
-            if obs.is_enabled() {
-                if let Some(s) = &planned {
-                    for p in &s.placements {
-                        let worker_id = match p.pe.kind {
-                            PeKind::Cpu => live_cpu[p.pe.index],
-                            PeKind::Gpu => live_gpu[p.pe.index],
-                        };
-                        obs.virtual_span(
-                            Track::Planned(worker_id),
-                            &format!("task-{}", p.task),
-                            p.start,
-                            p.end - p.start,
-                            &[("task", p.task as f64), ("decision", 0.0)],
-                        );
-                    }
-                }
-            }
-
-            // Phase 4 — dispatch. Static policies now run with a
-            // window of one: the master holds each worker's ordered
-            // task queue and keeps exactly one job in flight per
-            // worker, so every task still queued is revocable — the
-            // raw material for both orphan re-dispatch and online
-            // re-optimization. Self-scheduling keeps its shared queue.
-            let t_dispatch = obs.now();
-            let mut ds = DispatchState::new(workers.len());
-            let mut queue: Vec<Vec<usize>> = vec![Vec::new(); workers.len()];
-            let mut in_flight: Vec<Option<usize>> = vec![None; workers.len()];
-            let mut done = vec![false; n_tasks];
-            let mut retries = vec![0usize; n_tasks];
-            let mut completed = 0usize;
-            let mut initial_orphans: Vec<usize> = Vec::new();
-            match &planned {
-                Some(s) => {
-                    let mut jobs: Vec<Vec<(f64, usize)>> = vec![Vec::new(); workers.len()];
-                    for p in &s.placements {
-                        let worker_id = match p.pe.kind {
-                            PeKind::Cpu => live_cpu[p.pe.index],
-                            PeKind::Gpu => live_gpu[p.pe.index],
-                        };
-                        jobs[worker_id].push((p.start, p.task));
-                    }
-                    for (worker_id, mut list) in jobs.into_iter().enumerate() {
-                        list.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                        queue[worker_id].extend(list.into_iter().map(|(_, t)| t));
-                        initial_orphans.append(&mut feed_worker(
-                            worker_id,
-                            &mut alive,
-                            &mut queue,
-                            &mut in_flight,
-                            &mut private_tx,
-                            &done,
-                            &mut ds,
-                            &obs,
-                        ));
-                    }
-                }
-                None => {
-                    for task_id in 0..n_tasks {
-                        let job = ds.stamp(task_id, None, &obs);
-                        if shared_tx
-                            .as_ref()
-                            .expect("shared queue open")
-                            .send(job)
-                            .is_err()
-                        {
-                            error = Some(SearchError::AllWorkersDead {
-                                completed: 0,
-                                total: n_tasks,
-                            });
-                            break;
-                        }
-                        journal_dispatch(&job, None, &obs);
-                    }
-                }
-            }
-            schedule = planned;
-            obs.span(
-                Track::Master,
-                "dispatch",
-                t_dispatch,
-                obs.now() - t_dispatch,
-                None,
-                &[("tasks", n_tasks as f64)],
-            );
-
-            // Phase 5 — merge results as they stream in, watching for
-            // deaths (explicit or by deadline), re-dispatching orphans
-            // and — when enabled — re-optimizing the remaining plan.
-            let t_merge = obs.now();
-            // Largest observed wall-seconds per estimated-modelled-second:
-            // converts modelled estimates into wall deadlines as the run
-            // calibrates itself.
-            let mut wall_ratio = 0.0f64;
-            // Re-optimization state: per-worker maxima of the observed
-            // modelled-time/estimate ratio (the estimator's
-            // miscalibration as seen on the deterministic modelled
-            // clock), and the slowdown factor each worker's *current
-            // plan* was drawn with (1.0 = the original uniform prior).
-            let mut obs_ratio = vec![0.0f64; workers.len()];
-            let mut planned_factor = vec![1.0f64; workers.len()];
-            let mut reopt_rounds = 0usize;
-            let reopt = config.reopt;
-            // Slowest observed wall-seconds per alignment cell, seeded
-            // with the conservative cold-start prior. This bounds every
-            // deadline from below: the modelled-estimate path can be
-            // badly miscalibrated (modelled overhead dominates tiny
-            // tasks while wall time is compute-dominated), but "no host
-            // is slower than 10 MCUPS" always holds.
-            let mut secs_per_cell = 1.0 / COLD_HOST_CELLS_PER_SEC;
-            let floor = config.min_job_timeout.as_secs_f64();
-            let slack = config.job_timeout_slack;
-            let est_on = |w: usize, t: usize| {
-                let task = tasks.tasks()[t];
-                if is_gpu[w] {
-                    task.p_gpu
-                } else {
-                    task.p_cpu
-                }
-            };
-            let cells_of = |t: usize| {
-                queries
-                    .get(t)
-                    .map_or(0.0, |q| q.len() as f64 * db_residues as f64)
-            };
-            // The worker's whole obligation — the in-flight job plus
-            // its master-held queue — prices its deadline, exactly as
-            // the old all-upfront dispatch did. Re-optimization never
-            // touches this path: the floor below (cells at the
-            // conservative cold-host prior) holds whatever the
-            // re-calibrated planning factors say.
-            let timeout_for =
-                |w: usize, in_flight_w: Option<usize>, queue_w: &[usize], ratio: f64, spc: f64| {
-                    let mut est = 0.0f64;
-                    let mut max_cells = 0.0f64;
-                    for t in in_flight_w.into_iter().chain(queue_w.iter().copied()) {
-                        est = est.max(est_on(w, t));
-                        max_cells = max_cells.max(cells_of(t));
-                    }
-                    let modelled = job_deadline_seconds(est, ratio, slack, floor);
-                    Duration::from_secs_f64(modelled.max(slack * max_cells * spc))
-                };
-            let far_future = Instant::now() + Duration::from_secs(365 * 86_400);
-            let mut deadlines: Vec<Instant> = vec![far_future; workers.len()];
-            // Deadlines are wall-now-relative and recomputed on every
-            // merge-loop message — far too chatty to journal each. The
-            // watchdog only needs the timeout *magnitude* to judge
-            // silent-death proximity, so publish a `worker_deadline`
-            // instant when a worker's timeout changes by >10%.
-            let mut published_deadline: Vec<f64> = vec![0.0; workers.len()];
-            macro_rules! refresh_deadlines {
-                () => {
-                    for w in 0..workers.len() {
-                        deadlines[w] = if alive[w] && in_flight[w].is_some() {
-                            let timeout =
-                                timeout_for(w, in_flight[w], &queue[w], wall_ratio, secs_per_cell);
-                            let secs = timeout.as_secs_f64();
-                            if (secs - published_deadline[w]).abs() > 0.1 * published_deadline[w] {
-                                published_deadline[w] = secs;
-                                obs.instant(
-                                    Track::Master,
-                                    "worker_deadline",
-                                    &[("worker", w as f64), ("timeout", secs)],
-                                );
-                            }
-                            Instant::now() + timeout
-                        } else {
-                            far_future
-                        };
-                    }
-                };
-            }
-            // Online re-optimization: recompute species-relative
-            // slowdown factors from the observed modelled/estimate
-            // ratios; when some live worker's factor has grown past the
-            // threshold relative to the plan it is executing, pull every
-            // still-queued task back and re-plan them on the
-            // re-calibrated platform with the weighted remainder
-            // scheduler. The in-flight jobs (one per worker) stay where
-            // they are. A macro because it reworks half the merge
-            // loop's mutable state.
-            macro_rules! maybe_reoptimize {
-                () => {
-                    if reopt.enabled && !shared_queue && schedule.is_some() && error.is_none() {
-                        let live_cpu: Vec<usize> = (0..workers.len())
-                            .filter(|&w| alive[w] && !is_gpu[w])
-                            .collect();
-                        let live_gpu: Vec<usize> = (0..workers.len())
-                            .filter(|&w| alive[w] && is_gpu[w])
-                            .collect();
-                        // Species-relative factors: baseline is the
-                        // fastest same-species worker *with data*;
-                        // workers without data keep the honest prior.
-                        let factors_of = |ids: &[usize]| -> Vec<f64> {
-                            let baseline = ids
-                                .iter()
-                                .map(|&w| obs_ratio[w])
-                                .filter(|&r| r > 0.0)
-                                .fold(f64::INFINITY, f64::min);
-                            ids.iter()
-                                .map(|&w| {
-                                    if obs_ratio[w] > 0.0 && baseline.is_finite() && baseline > 0.0
-                                    {
-                                        (obs_ratio[w] / baseline).clamp(1.0, MAX_REOPT_FACTOR)
-                                    } else {
-                                        1.0
-                                    }
-                                })
-                                .collect()
-                        };
-                        let cpu_f = factors_of(&live_cpu);
-                        let gpu_f = factors_of(&live_gpu);
-                        let mut skew = 1.0f64;
-                        for (i, &w) in live_cpu.iter().enumerate() {
-                            skew = skew.max(cpu_f[i] / planned_factor[w]);
-                        }
-                        for (i, &w) in live_gpu.iter().enumerate() {
-                            skew = skew.max(gpu_f[i] / planned_factor[w]);
-                        }
-                        metrics.gauge("reopt_skew", &[], skew);
-                        let remaining: usize = (0..workers.len()).map(|w| queue[w].len()).sum();
-                        if skew >= reopt.threshold && remaining >= reopt.min_remaining {
-                            let mut remainder: Vec<usize> = Vec::with_capacity(remaining);
-                            for w in 0..workers.len() {
-                                remainder.append(&mut queue[w]);
-                            }
-                            remainder.retain(|&t| !done[t]);
-                            if !remainder.is_empty() {
-                                reopt_rounds += 1;
-                                obs.instant(
-                                    Track::Faults,
-                                    "reopt_replan",
-                                    &[
-                                        ("round", reopt_rounds as f64),
-                                        ("remaining", remainder.len() as f64),
-                                        ("skew", skew),
-                                    ],
-                                );
-                                obs.counter("reopt_replans", 1.0);
-                                metrics.gauge("reopt_rounds", &[], reopt_rounds as f64);
-                                ds.decision += 1;
-                                let wf = WorkerFactors::new(cpu_f.clone(), gpu_f.clone());
-                                let plan = reschedule_remainder_weighted(
-                                    &tasks,
-                                    &remainder,
-                                    &wf,
-                                    BinarySearchConfig::default(),
-                                );
-                                for (i, &w) in live_cpu.iter().enumerate() {
-                                    planned_factor[w] = cpu_f[i];
-                                }
-                                for (i, &w) in live_gpu.iter().enumerate() {
-                                    planned_factor[w] = gpu_f[i];
-                                }
-                                let mut per: Vec<Vec<(f64, usize)>> =
-                                    vec![Vec::new(); workers.len()];
-                                for p in &plan.placements {
-                                    let w = match p.pe.kind {
-                                        PeKind::Cpu => live_cpu[p.pe.index],
-                                        PeKind::Gpu => live_gpu[p.pe.index],
-                                    };
-                                    if obs.is_enabled() {
-                                        obs.virtual_span(
-                                            Track::Recovered(w),
-                                            &format!("task-{}", p.task),
-                                            p.start,
-                                            p.end - p.start,
-                                            &[
-                                                ("task", p.task as f64),
-                                                ("reopt", reopt_rounds as f64),
-                                                ("decision", ds.decision as f64),
-                                            ],
-                                        );
-                                    }
-                                    per[w].push((p.start, p.task));
-                                }
-                                let mut stranded: Vec<usize> = Vec::new();
-                                for (w, mut list) in per.into_iter().enumerate() {
-                                    if list.is_empty() {
-                                        continue;
-                                    }
-                                    list.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                                    queue[w].extend(list.into_iter().map(|(_, t)| t));
-                                    stranded.append(&mut feed_worker(
-                                        w,
-                                        &mut alive,
-                                        &mut queue,
-                                        &mut in_flight,
-                                        &mut private_tx,
-                                        &done,
-                                        &mut ds,
-                                        &obs,
-                                    ));
-                                }
-                                if !stranded.is_empty() {
-                                    let res = redispatch_orphans(
-                                        Recovery {
-                                            tasks: &tasks,
-                                            is_gpu: &is_gpu,
-                                            alive: &mut alive,
-                                            queue: &mut queue,
-                                            in_flight: &mut in_flight,
-                                            private_tx: &mut private_tx,
-                                            shared_tx: None,
-                                            done: &done,
-                                            retries: &mut retries,
-                                            max_retries: config.max_task_retries,
-                                            completed,
-                                            n_tasks,
-                                            ds: &mut ds,
-                                            obs: &obs,
-                                        },
-                                        stranded,
-                                    );
-                                    if let Err(e) = res {
-                                        error = Some(e);
-                                    }
-                                }
-                                refresh_deadlines!();
-                            }
-                        }
-                    }
-                };
-            }
-
-            refresh_deadlines!();
-            let mut last_activity = Instant::now();
-            let tick = (config.min_job_timeout / 8)
-                .min(Duration::from_millis(25))
-                .max(Duration::from_millis(1));
-
-            if error.is_none() && !initial_orphans.is_empty() {
-                let res = redispatch_orphans(
-                    Recovery {
-                        tasks: &tasks,
-                        is_gpu: &is_gpu,
-                        alive: &mut alive,
-                        queue: &mut queue,
-                        in_flight: &mut in_flight,
-                        private_tx: &mut private_tx,
-                        shared_tx: None,
-                        done: &done,
-                        retries: &mut retries,
-                        max_retries: config.max_task_retries,
-                        completed,
-                        n_tasks,
-                        ds: &mut ds,
-                        obs: &obs,
-                    },
-                    initial_orphans,
-                );
-                match res {
-                    Ok(()) => refresh_deadlines!(),
-                    Err(e) => error = Some(e),
-                }
-            }
-
-            while error.is_none() && completed < n_tasks {
-                match msg_rx.recv_timeout(tick) {
-                    Ok(WorkerMsg::Completed(r)) => {
-                        last_activity = Instant::now();
-                        let w = r.worker_id;
-                        if in_flight[w] == Some(r.task_id) {
-                            in_flight[w] = None;
-                        }
-                        queue[w].retain(|&t| t != r.task_id);
-                        // Advance the master's view of this worker's
-                        // modelled clock: the virtual timestamp its
-                        // *next* dispatch will carry.
-                        ds.virt_done[w] += r.modelled_seconds.max(0.0);
-                        // Calibrate against the *estimator's* modelled
-                        // time for this task — the same quantity the
-                        // deadlines below are computed from. (The
-                        // worker-reported modelled clock is a different
-                        // animal: GPU workers report kernel-only virtual
-                        // seconds, orders of magnitude away from both
-                        // the estimate and the wall clock.)
-                        let est = est_on(w, r.task_id);
-                        if est > 0.0 {
-                            wall_ratio = wall_ratio.max(r.wall_seconds / est);
-                            // Modelled/estimate ratio on the worker's own
-                            // deterministic clock feeds re-optimization.
-                            // Within one species the modelled clocks are
-                            // commensurable, so the *relative* spread of
-                            // these ratios is exactly the slowdown skew.
-                            if r.modelled_seconds > 0.0 {
-                                obs_ratio[w] = obs_ratio[w].max(r.modelled_seconds / est);
-                            }
-                        }
-                        let cells = cells_of(r.task_id);
-                        if cells > 0.0 {
-                            secs_per_cell = secs_per_cell.max(r.wall_seconds / cells);
-                        }
-                        if done[r.task_id] {
-                            // A straggler or an undetected-dead worker
-                            // finished a task someone else already
-                            // completed. Scores are identical by
-                            // construction; keep the first.
-                            obs.instant(
-                                Track::Faults,
-                                "duplicate_result",
-                                &[("task", r.task_id as f64), ("worker", w as f64)],
-                            );
-                            obs.counter("duplicate_results", 1.0);
-                        } else {
-                            done[r.task_id] = true;
-                            completed += 1;
-                            results.push(r);
-                            metrics.gauge("queue_depth", &[], (n_tasks - completed) as f64);
-                            metrics.gauge("tasks_completed", &[], completed as f64);
-                        }
-                        maybe_reoptimize!();
-                        if error.is_none() && !shared_queue {
-                            let stranded = feed_worker(
-                                w,
-                                &mut alive,
-                                &mut queue,
-                                &mut in_flight,
-                                &mut private_tx,
-                                &done,
-                                &mut ds,
-                                &obs,
-                            );
-                            if !stranded.is_empty() {
-                                let res = redispatch_orphans(
-                                    Recovery {
-                                        tasks: &tasks,
-                                        is_gpu: &is_gpu,
-                                        alive: &mut alive,
-                                        queue: &mut queue,
-                                        in_flight: &mut in_flight,
-                                        private_tx: &mut private_tx,
-                                        shared_tx: None,
-                                        done: &done,
-                                        retries: &mut retries,
-                                        max_retries: config.max_task_retries,
-                                        completed,
-                                        n_tasks,
-                                        ds: &mut ds,
-                                        obs: &obs,
-                                    },
-                                    stranded,
-                                );
-                                match res {
-                                    Ok(()) => refresh_deadlines!(),
-                                    Err(e) => error = Some(e),
-                                }
-                            }
-                        }
-                        if alive[w] {
-                            deadlines[w] = if in_flight[w].is_none() {
-                                far_future
-                            } else {
-                                Instant::now()
-                                    + timeout_for(
-                                        w,
-                                        in_flight[w],
-                                        &queue[w],
-                                        wall_ratio,
-                                        secs_per_cell,
-                                    )
-                            };
-                        }
-                    }
-                    Ok(WorkerMsg::Failed(f)) => {
-                        last_activity = Instant::now();
-                        let w = f.worker_id;
-                        if alive[w] {
-                            alive[w] = false;
-                            private_tx[w] = None;
-                            let reason = match f.reason {
-                                FailureReason::Crash => DEATH_CRASH,
-                                FailureReason::DeviceFault { .. }
-                                | FailureReason::DeviceMemory(_) => DEATH_DEVICE,
-                            };
-                            obs.instant(
-                                Track::Faults,
-                                "worker_death",
-                                &[("worker", w as f64), ("reason", reason)],
-                            );
-                            obs.counter("workers_lost", 1.0);
-                            let mut orphans: Vec<usize> = Vec::new();
-                            if let Some(t) = in_flight[w].take() {
-                                orphans.push(t);
-                            }
-                            orphans.append(&mut queue[w]);
-                            if let Some(t) = f.in_flight {
-                                if !orphans.contains(&t) {
-                                    orphans.push(t);
-                                }
-                            }
-                            let res = redispatch_orphans(
-                                Recovery {
-                                    tasks: &tasks,
-                                    is_gpu: &is_gpu,
-                                    alive: &mut alive,
-                                    queue: &mut queue,
-                                    in_flight: &mut in_flight,
-                                    private_tx: &mut private_tx,
-                                    shared_tx: if shared_queue {
-                                        shared_tx.as_ref()
-                                    } else {
-                                        None
-                                    },
-                                    done: &done,
-                                    retries: &mut retries,
-                                    max_retries: config.max_task_retries,
-                                    completed,
-                                    n_tasks,
-                                    ds: &mut ds,
-                                    obs: &obs,
-                                },
-                                orphans,
-                            );
-                            match res {
-                                Ok(()) => refresh_deadlines!(),
-                                Err(e) => error = Some(e),
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        let now = Instant::now();
-                        if shared_queue {
-                            // Self-scheduling: the master cannot know
-                            // which worker holds which task, so a
-                            // global stall re-queues everything not
-                            // done (duplicates are deduped on merge).
-                            let est = (0..n_tasks)
-                                .filter(|&t| !done[t])
-                                .map(|t| {
-                                    let task = tasks.tasks()[t];
-                                    let mut e = 0.0f64;
-                                    if (0..workers.len()).any(|w| alive[w] && !is_gpu[w]) {
-                                        e = e.max(task.p_cpu);
-                                    }
-                                    if (0..workers.len()).any(|w| alive[w] && is_gpu[w]) {
-                                        e = e.max(task.p_gpu);
-                                    }
-                                    e
-                                })
-                                .fold(0.0, f64::max);
-                            let max_cells = (0..n_tasks)
-                                .filter(|&t| !done[t])
-                                .map(cells_of)
-                                .fold(0.0, f64::max);
-                            let stall = Duration::from_secs_f64(
-                                job_deadline_seconds(est, wall_ratio, slack, floor)
-                                    .max(slack * max_cells * secs_per_cell),
-                            );
-                            if now.duration_since(last_activity) >= stall {
-                                obs.instant(
-                                    Track::Faults,
-                                    "stall_redispatch",
-                                    &[("outstanding", (n_tasks - completed) as f64)],
-                                );
-                                let orphans: Vec<usize> =
-                                    (0..n_tasks).filter(|&t| !done[t]).collect();
-                                let res = redispatch_orphans(
-                                    Recovery {
-                                        tasks: &tasks,
-                                        is_gpu: &is_gpu,
-                                        alive: &mut alive,
-                                        queue: &mut queue,
-                                        in_flight: &mut in_flight,
-                                        private_tx: &mut private_tx,
-                                        shared_tx: shared_tx.as_ref(),
-                                        done: &done,
-                                        retries: &mut retries,
-                                        max_retries: config.max_task_retries,
-                                        completed,
-                                        n_tasks,
-                                        ds: &mut ds,
-                                        obs: &obs,
-                                    },
-                                    orphans,
-                                );
-                                if let Err(e) = res {
-                                    error = Some(e);
-                                }
-                                last_activity = Instant::now();
-                            }
-                        } else {
-                            for w in 0..workers.len() {
-                                if error.is_some() {
-                                    break;
-                                }
-                                if alive[w] && in_flight[w].is_some() && now >= deadlines[w] {
-                                    alive[w] = false;
-                                    private_tx[w] = None;
-                                    obs.instant(
-                                        Track::Faults,
-                                        "worker_death",
-                                        &[("worker", w as f64), ("reason", DEATH_TIMEOUT)],
-                                    );
-                                    obs.counter("workers_lost", 1.0);
-                                    let mut orphans: Vec<usize> = Vec::new();
-                                    if let Some(t) = in_flight[w].take() {
-                                        orphans.push(t);
-                                    }
-                                    orphans.append(&mut queue[w]);
-                                    let res = redispatch_orphans(
-                                        Recovery {
-                                            tasks: &tasks,
-                                            is_gpu: &is_gpu,
-                                            alive: &mut alive,
-                                            queue: &mut queue,
-                                            in_flight: &mut in_flight,
-                                            private_tx: &mut private_tx,
-                                            shared_tx: None,
-                                            done: &done,
-                                            retries: &mut retries,
-                                            max_retries: config.max_task_retries,
-                                            completed,
-                                            n_tasks,
-                                            ds: &mut ds,
-                                            obs: &obs,
-                                        },
-                                        orphans,
-                                    );
-                                    match res {
-                                        Ok(()) => refresh_deadlines!(),
-                                        Err(e) => error = Some(e),
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // Every worker thread has exited with work
-                        // still outstanding.
-                        error = Some(SearchError::AllWorkersDead {
-                            completed,
-                            total: n_tasks,
-                        });
-                    }
-                }
-            }
-            obs.span(
-                Track::Master,
-                "merge",
-                t_merge,
-                obs.now() - t_merge,
-                None,
-                &[("results", completed as f64)],
-            );
-        }
-
-        // Shut every queue so surviving worker threads drain out and
-        // the scope join below completes — on success and error alike.
-        private_tx.clear();
-        shared_tx = None;
-    });
+        let (tasks, schedule) = allocate(&queries, db_residues, &registrations, &config);
+        let is_gpu = workers.iter().map(|w| w.is_gpu()).collect();
+        let shell = Shell {
+            state: MasterState::new(tasks, cells, is_gpu, alive, &config),
+            links,
+            obs,
+            start,
+        };
+        let tick = (config.min_job_timeout / 8)
+            .min(Duration::from_millis(25))
+            .max(Duration::from_millis(1));
+        let results = shell.run(schedule.as_ref(), tick)?;
+        Ok((results, schedule))
+    })?;
     let wall_seconds = start.elapsed().as_secs_f64();
-    if let Some(e) = error {
-        return Err(e);
-    }
-    debug_assert_eq!(results.len(), n_tasks, "every task reported exactly once");
 
-    // Per-query hits.
-    let mut hits: Vec<Option<QueryHits>> = vec![None; n_tasks];
     let mut stats: Vec<WorkerStats> = workers
         .iter()
         .enumerate()
@@ -1423,15 +683,17 @@ pub fn try_run_search(
             cells: 0,
         })
         .collect();
+    // The core merged every task exactly once; query order is task order.
+    let mut hits: Vec<QueryHits> = Vec::with_capacity(n_tasks);
     for r in &results {
-        hits[r.task_id] = Some(top_k_hits(r.task_id, &r.scores, config.top_k));
+        hits.push(top_k_hits(r.task_id, &r.scores, config.top_k));
         let s = &mut stats[r.worker_id];
         s.tasks += 1;
         s.busy_wall += r.wall_seconds;
         s.busy_modelled += r.modelled_seconds;
         s.cells += r.cells;
     }
-    let hits: Vec<QueryHits> = hits.into_iter().map(|h| h.expect("all merged")).collect();
+    hits.sort_unstable_by_key(|h| h.query_index);
     let modelled_makespan = stats.iter().map(|s| s.busy_modelled).fold(0.0, f64::max);
 
     Ok(SearchOutcome {
@@ -2337,6 +1599,54 @@ mod tests {
             },
         );
         assert_eq!(faulted.hits, healthy.hits);
+
+        // The fault re-plan keeps what re-optimization learned. With a
+        // healthy CPU (worker 3) beside the straggler and enough tasks
+        // for every CPU to hold a queue, the straggler's factor is seen
+        // on first completions; when worker 2 then dies, its orphans
+        // and the whole revocable remainder are split on that factor,
+        // so the straggler ends up with strictly less base work than
+        // the healthy CPU. (The simulator pins the re-plan itself:
+        // `a_fault_replan_remembers_the_calibration`.)
+        let database = db(18, 90);
+        let picks: Vec<usize> = (0..48).map(|i| i % 18).collect();
+        let queries = queries_from(&database, &picks);
+        let mut workers = miscalibrated_zoo();
+        workers.push(WorkerSpec::cpu_default());
+        let faulted = run_search(
+            database,
+            queries,
+            &workers,
+            RuntimeConfig {
+                reopt: ReoptConfig::enabled(),
+                ..fault_config(
+                    FaultPlan::none()
+                        .with(
+                            1,
+                            WorkerFault::Straggler {
+                                delay_ms: 0,
+                                factor: 3.0,
+                            },
+                        )
+                        .with(
+                            2,
+                            WorkerFault::Crash {
+                                after_jobs: 3,
+                                notify: true,
+                            },
+                        ),
+                )
+            },
+        );
+        let stats = &faulted.worker_stats;
+        assert_eq!(stats.iter().map(|s| s.tasks).sum::<usize>(), 48);
+        assert_eq!(stats[2].tasks, 3);
+        assert!(
+            stats[1].cells < stats[3].cells,
+            "straggler ran {} tasks, healthy CPU {}",
+            stats[1].tasks,
+            stats[3].tasks
+        );
     }
 
     #[test]

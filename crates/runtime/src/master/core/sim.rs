@@ -1,0 +1,690 @@
+//! Deterministic simulation of the master core: no threads, a virtual
+//! clock, and a seeded event heap whose ties are shuffled.
+//!
+//! Virtual workers have a species, a true slowdown factor and a fate.
+//! [`Sim::advance`] mirrors the shell's loop — wait for the next worker
+//! message, but no longer than one tick nor past the next deadline;
+//! `step`; perform the actions, feeding failed sends back — and checks
+//! the core's invariants after every step. This is where concurrency
+//! bugs in the master are hunted: thousands of interleavings of
+//! completions, notified and silent deaths, failed sends and deadline
+//! ticks run per second, and every failure replays from its seed.
+
+use super::super::initial_plan;
+use super::*;
+use crate::messages::{FailureReason, JobResult, WorkerFailure};
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+use std::time::Duration;
+use swdual_sched::binsearch::dual_approx_schedule;
+use swdual_sched::dual::KnapsackMethod;
+use swdual_sched::{PlatformSpec, Task};
+
+/// Virtual wall seconds per modelled second of work.
+const WALL_PER_MODELLED: f64 = 1e-3;
+/// `min_job_timeout` of every simulated run.
+const FLOOR: Duration = Duration::from_millis(60);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    Healthy,
+    /// Dies on picking up its `n`-th job (0-based) and says so.
+    Crash(usize),
+    /// Dies on picking up its `n`-th job and says nothing.
+    Vanish(usize),
+    /// Registered, then exited: the first send to it fails.
+    DeadAtSend,
+    NeverRegistered,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct VirtualWorker {
+    is_gpu: bool,
+    /// Multiplies both its modelled and its wall time per task.
+    slowdown: f64,
+    fate: Fate,
+}
+
+fn cpu(slowdown: f64, fate: Fate) -> VirtualWorker {
+    VirtualWorker {
+        is_gpu: false,
+        slowdown,
+        fate,
+    }
+}
+
+/// A worker → master message in flight.
+struct Event {
+    at: f64,
+    tie: u64,
+    msg: Input,
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Event) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Event {}
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Event) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Event {
+    fn cmp(&self, other: &Event) -> Ordering {
+        self.at.total_cmp(&other.at).then(self.tie.cmp(&other.tie))
+    }
+}
+
+struct Sim {
+    state: MasterState,
+    obs: Obs,
+    workers: Vec<VirtualWorker>,
+    /// Ground truth: the worker's thread has exited.
+    gone: Vec<bool>,
+    /// Ground truth: the task the worker is executing.
+    busy: Vec<Option<usize>>,
+    picked_up: Vec<usize>,
+    shared: VecDeque<Job>,
+    heap: BinaryHeap<Reverse<Event>>,
+    rng: TestRng,
+    now: f64,
+    tick: f64,
+    /// Virtual seconds the master spends per step. When messages
+    /// arrive faster than this, a backlog builds and the shell's
+    /// receive never times out.
+    step_cost: f64,
+    steps: usize,
+    // What the invariants remember between steps.
+    last_seq: Option<u64>,
+    journal_cursor: usize,
+    duplicates_delivered: usize,
+    /// When each worker was declared dead, and the deadline it had.
+    death_at: Vec<Option<(f64, f64)>>,
+}
+
+impl Sim {
+    fn new(
+        tasks: TaskSet,
+        workers: Vec<VirtualWorker>,
+        policy: AllocationPolicy,
+        reopt: ReoptConfig,
+        seed: u64,
+    ) -> Sim {
+        let obs = Obs::enabled();
+        let config = RuntimeConfig {
+            policy,
+            reopt,
+            obs: obs.clone(),
+            min_job_timeout: FLOOR,
+            ..RuntimeConfig::default()
+        };
+        // Cells sized so the cold-host floor stays below FLOOR until the
+        // run calibrates itself.
+        let cells = tasks.iter().map(|t| t.p_cpu * 1e4).collect();
+        let registered = |w: &VirtualWorker| w.fate != Fate::NeverRegistered;
+        let n = workers.len();
+        Sim {
+            state: MasterState::new(
+                tasks,
+                cells,
+                workers.iter().map(|w| w.is_gpu).collect(),
+                workers.iter().map(registered).collect(),
+                &config,
+            ),
+            obs,
+            gone: workers
+                .iter()
+                .map(|w| matches!(w.fate, Fate::NeverRegistered | Fate::DeadAtSend))
+                .collect(),
+            workers,
+            busy: vec![None; n],
+            picked_up: vec![0; n],
+            shared: VecDeque::new(),
+            heap: BinaryHeap::new(),
+            rng: TestRng::seed_from_u64(seed),
+            now: 0.0,
+            tick: (FLOOR / 8).as_secs_f64(),
+            step_cost: 0.0,
+            steps: 0,
+            last_seq: None,
+            journal_cursor: 0,
+            duplicates_delivered: 0,
+            death_at: vec![None; n],
+        }
+    }
+
+    /// The initial plan the shell would draw for the registered pool.
+    fn plan(&self, policy: AllocationPolicy) -> Option<Schedule> {
+        let (cpus, gpus) = self.state.live_by_species();
+        let platform = PlatformSpec::new(cpus.len(), gpus.len());
+        initial_plan(&self.state.tasks, &platform, policy, &Obs::disabled())
+    }
+
+    /// Dispatch the initial plan.
+    fn start(&mut self, schedule: Option<&Schedule>) -> Verdict {
+        let actions = self.state.start(schedule, self.now);
+        let verdict = self.perform(actions);
+        self.check_invariants(None, &verdict);
+        verdict
+    }
+
+    /// Run from `verdict` (as left by `start` or `advance`) to the end.
+    fn finish(&mut self, mut verdict: Verdict) -> Result<(), SearchError> {
+        loop {
+            if let Some(verdict) = verdict {
+                return verdict;
+            }
+            verdict = self.advance();
+        }
+    }
+
+    fn run(&mut self, schedule: Option<&Schedule>) -> Result<(), SearchError> {
+        let verdict = self.start(schedule);
+        self.finish(verdict)
+    }
+
+    /// One turn of the shell's loop on the virtual clock.
+    fn advance(&mut self) -> Verdict {
+        self.steps += 1;
+        assert!(self.steps < 50_000, "the run does not terminate");
+        let until_deadline = (self.state.next_deadline() - self.now).max(0.0);
+        let wake = self.now + self.tick.min(until_deadline);
+        let input = match self.heap.pop() {
+            Some(Reverse(event)) if event.at <= wake => {
+                self.now = self.now.max(event.at);
+                event.msg
+            }
+            // Every worker thread has exited: the channel disconnects.
+            None if self.gone.iter().all(|&g| g) => {
+                return Some(Err(self.state.all_workers_dead()));
+            }
+            later => {
+                self.heap.extend(later);
+                self.now = wake;
+                Input::Tick
+            }
+        };
+        let before = self.deliver(&input);
+        let actions = self.state.step(input, self.now);
+        let verdict = self.perform(actions);
+        self.check_invariants(Some(before), &verdict);
+        self.now += self.step_cost;
+        verdict
+    }
+
+    /// Mirror of the shell's `perform`, against virtual workers.
+    fn perform(&mut self, actions: Vec<Action>) -> Verdict {
+        let mut pending = VecDeque::from(actions);
+        while let Some(action) = pending.pop_front() {
+            match action {
+                Action::Dispatch { worker, job } => {
+                    assert!(
+                        self.last_seq.is_none_or(|s| job.dispatch_seq > s),
+                        "dispatch seq must strictly increase"
+                    );
+                    self.last_seq = Some(job.dispatch_seq);
+                    assert!(job.decision <= self.state.decision);
+                    let delivered = match worker {
+                        Some(w) => {
+                            assert!(self.state.alive[w], "dispatch to a dead worker");
+                            assert_eq!(self.state.in_flight[w], Some(job.task_id));
+                            !self.gone[w] && {
+                                assert_eq!(self.busy[w], None, "window of one");
+                                self.pick_up(w, job);
+                                true
+                            }
+                        }
+                        None => {
+                            self.shared.push_back(job);
+                            let anyone = self.gone.iter().any(|&g| !g);
+                            self.pump_shared();
+                            anyone
+                        }
+                    };
+                    if !delivered {
+                        pending.extend(self.state.step(Input::SendFailed(worker), self.now));
+                    }
+                }
+                Action::CloseQueue(w) => {
+                    assert!(!self.state.alive[w]);
+                    // A real worker finishes its current job, finds its
+                    // queue closed and exits.
+                    if self.busy[w].is_none() {
+                        self.gone[w] = true;
+                    }
+                }
+                Action::Finish => return Some(Ok(())),
+                Action::Abort(e) => return Some(Err(e)),
+            }
+        }
+        None
+    }
+
+    /// Idle live workers drain the shared queue in a shuffled order.
+    fn pump_shared(&mut self) {
+        let mut idle: Vec<usize> = (0..self.workers.len())
+            .filter(|&w| !self.gone[w] && self.busy[w].is_none())
+            .collect();
+        while !idle.is_empty() && !self.shared.is_empty() {
+            let w = idle.swap_remove(self.rng.next_u64() as usize % idle.len());
+            if let Some(job) = self.shared.pop_front() {
+                self.pick_up(w, job);
+            }
+        }
+    }
+
+    /// Worker `w` takes `job` off its queue and meets its fate.
+    fn pick_up(&mut self, w: usize, job: Job) {
+        let worker = self.workers[w];
+        let nth = self.picked_up[w];
+        self.picked_up[w] += 1;
+        let latency = self.rng.unit_f64() * 2e-4;
+        let tie = self.rng.next_u64();
+        let (at, msg) = match worker.fate {
+            Fate::Vanish(n) if n == nth => {
+                self.gone[w] = true;
+                return;
+            }
+            Fate::Crash(n) if n == nth => {
+                self.gone[w] = true;
+                let failure = WorkerFailure {
+                    worker_id: w,
+                    reason: FailureReason::Crash,
+                    in_flight: Some(job.task_id),
+                };
+                (self.now + latency, Input::Failed(failure))
+            }
+            _ => {
+                self.busy[w] = Some(job.task_id);
+                let modelled = self.state.estimate(w, job.task_id) * worker.slowdown;
+                let wall = modelled * WALL_PER_MODELLED;
+                let result = JobResult {
+                    task_id: job.task_id,
+                    worker_id: w,
+                    scores: Vec::new(),
+                    wall_seconds: wall,
+                    modelled_seconds: modelled,
+                    cells: 0,
+                };
+                (self.now + wall + latency, Input::Completed(result))
+            }
+        };
+        self.heap.push(Reverse(Event { at, tie, msg }));
+    }
+
+    /// The worker-side effects of `input` leaving its worker, and what
+    /// the invariants need to remember of the state before the step.
+    fn deliver(&mut self, input: &Input) -> Snapshot {
+        let completes = match input {
+            Input::Completed(r) => {
+                self.busy[r.worker_id] = None;
+                if self.state.done[r.task_id] {
+                    self.duplicates_delivered += 1;
+                }
+                if !self.state.alive[r.worker_id] {
+                    self.gone[r.worker_id] = true; // its queue is closed
+                }
+                Some((r.worker_id, r.task_id))
+            }
+            _ => None,
+        };
+        if completes.is_some() && self.state.shared_queue {
+            self.pump_shared();
+        }
+        Snapshot {
+            completes,
+            alive: self.state.alive.clone(),
+            in_flight: self.state.in_flight.clone(),
+            deadline: self.state.deadline.clone(),
+            decision: self.state.decision,
+        }
+    }
+
+    /// Everything that must hold between steps. After an abort the
+    /// state is whatever the failing transition left, so only live runs
+    /// are checked.
+    fn check_invariants(&mut self, before: Option<Snapshot>, verdict: &Verdict) {
+        if matches!(verdict, Some(Err(_))) {
+            return;
+        }
+        let s = &self.state;
+        let (n, workers) = (s.total(), s.alive.len());
+
+        // Every unfinished task is in exactly one place; the dead hold
+        // nothing; no task blew its retry budget and lived.
+        if !s.shared_queue {
+            let mut places = vec![0usize; n];
+            for w in 0..workers {
+                let held = s.in_flight[w].into_iter().chain(s.queue[w].iter().copied());
+                for t in held {
+                    assert!(s.alive[w], "dead worker {w} still holds task {t}");
+                    places[t] += 1;
+                }
+            }
+            for (t, &count) in places.iter().enumerate() {
+                assert!(
+                    s.done[t] || count == 1,
+                    "unfinished task {t} is in {count} places"
+                );
+            }
+        }
+        assert!(s.retries.iter().all(|&r| r <= s.max_retries + 1));
+        assert_eq!(s.completed(), s.done.iter().filter(|&&d| d).count());
+
+        // No silent death outlives its deadline by a step.
+        for w in 0..workers {
+            assert!(
+                s.deadline[w] > self.now,
+                "worker {w} is past its deadline {} at {}",
+                s.deadline[w],
+                self.now
+            );
+            assert_eq!(
+                s.deadline[w].is_finite(),
+                s.alive[w] && s.in_flight[w].is_some() && !s.shared_queue
+            );
+        }
+
+        let events = self.obs.events_since(self.journal_cursor);
+        self.journal_cursor += events.len();
+        let count = |name: &str| events.iter().filter(|e| e.name == name).count() as u64;
+        let Some(before) = before else { return };
+
+        for w in 0..workers {
+            // An in-flight job is never revoked: it leaves only by
+            // completing or with its worker.
+            if let Some(t) = before.in_flight[w] {
+                assert!(
+                    s.in_flight[w] == Some(t) || !s.alive[w] || before.completes == Some((w, t)),
+                    "task {t} was revoked from live worker {w}"
+                );
+            }
+            if before.alive[w] && !s.alive[w] {
+                self.death_at[w] = Some((self.now, before.deadline[w]));
+            }
+            assert!(before.alive[w] || !s.alive[w], "the dead stay dead");
+        }
+
+        // `decision` grows by exactly one per re-plan, and a re-plan
+        // needs a trigger: a death, a skew observation or a stall.
+        let replans = s.decision - before.decision;
+        let triggers = count("worker_death") + count("reopt_replan") + count("stall_redispatch");
+        assert!(
+            replans <= triggers,
+            "{replans} re-plans, {triggers} triggers"
+        );
+        if count("task_redispatch") + count("reopt_replan") > 0 {
+            assert!(replans >= 1, "a re-plan must open a new decision");
+        }
+        if !s.shared_queue {
+            let mut placed: Vec<u64> = events
+                .iter()
+                .filter(|e| matches!(e.track, Track::Recovered(_)))
+                .filter_map(decision_of)
+                .collect();
+            placed.dedup();
+            let expect: Vec<u64> = (before.decision + 1..=s.decision).collect();
+            assert_eq!(placed, expect, "one recovered plan per decision");
+        }
+    }
+
+    /// Checks that hold once the run has reached `verdict`.
+    fn check_verdict(&self, verdict: &Result<(), SearchError>) {
+        let s = &self.state;
+        match *verdict {
+            Ok(()) => {
+                let mut merged: Vec<usize> = s.results.iter().map(|r| r.task_id).collect();
+                merged.sort_unstable();
+                let all: Vec<usize> = (0..s.total()).collect();
+                assert_eq!(merged, all, "every task merged exactly once");
+                let counted = self
+                    .obs
+                    .counters()
+                    .iter()
+                    .find(|(name, _)| name == "duplicate_results")
+                    .map_or(0.0, |(_, v)| *v);
+                assert_eq!(counted as usize, self.duplicates_delivered);
+            }
+            Err(SearchError::AllWorkersDead { completed, total }) => {
+                assert_eq!((completed, total), (s.completed(), s.total()));
+                assert!(completed < total);
+                for w in 0..s.alive.len() {
+                    assert!(
+                        !s.alive[w] || self.gone[w],
+                        "worker {w} is alive and well, yet AllWorkersDead"
+                    );
+                }
+            }
+            Err(SearchError::RetriesExhausted { task_id, retries }) => {
+                assert_eq!(s.retries[task_id], retries);
+                assert!(retries > s.max_retries);
+            }
+            Err(e) => panic!("the core cannot fail with {e:?}"),
+        }
+    }
+
+    /// Modelled busy seconds of the busiest worker.
+    fn modelled_makespan(&self) -> f64 {
+        let mut busy = vec![0.0f64; self.workers.len()];
+        for r in &self.state.results {
+            busy[r.worker_id] += r.modelled_seconds;
+        }
+        busy.into_iter().fold(0.0, f64::max)
+    }
+}
+
+/// The plan decision a journaled span belongs to.
+fn decision_of(event: &swdual_obs::Event) -> Option<u64> {
+    let arg = event.args.iter().find(|(k, _)| k == "decision");
+    arg.map(|(_, d)| *d as u64)
+}
+
+/// `None` while the run is live.
+type Verdict = Option<Result<(), SearchError>>;
+
+struct Snapshot {
+    /// `(worker, task)` when the step's input is a completion.
+    completes: Option<(usize, usize)>,
+    alive: Vec<bool>,
+    in_flight: Vec<Option<usize>>,
+    deadline: Vec<f64>,
+    decision: u64,
+}
+
+/// `n` tasks with query-length-like spread: CPU seconds 2–40, GPU
+/// seconds 0.5–4.5 (acceleration grows with length).
+fn workload(n: usize, rng: &mut TestRng) -> TaskSet {
+    TaskSet::new(
+        (0..n)
+            .map(|id| {
+                let len = 16.0 + rng.unit_f64() * 4000.0;
+                Task::new(id, 1.8 + len * 0.01, 0.5 + len * 0.001)
+            })
+            .collect(),
+    )
+}
+
+fn policy_of(pick: usize) -> AllocationPolicy {
+    match pick % 3 {
+        0 => AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
+        1 => AllocationPolicy::MultiRound { rounds: 2 },
+        _ => AllocationPolicy::SelfScheduling,
+    }
+}
+
+fn reopt_of(enabled: bool) -> ReoptConfig {
+    ReoptConfig {
+        enabled,
+        threshold: 1.2,
+        min_remaining: 1,
+    }
+}
+
+/// A random pool of 1–5 workers with random slowdowns and fates.
+fn pool(rng: &mut TestRng, faulty: bool) -> Vec<VirtualWorker> {
+    let n = 1 + rng.next_u64() as usize % 5;
+    (0..n)
+        .map(|_| {
+            let is_gpu = rng.next_u64().is_multiple_of(3);
+            if !faulty {
+                return VirtualWorker {
+                    is_gpu,
+                    slowdown: 1.0,
+                    fate: Fate::Healthy,
+                };
+            }
+            // 20× is slow enough to be (wrongly) timed out and answer
+            // late, which is how duplicates arise.
+            let slowdown = [1.0, 1.0, 1.0, 2.0, 4.0, 20.0][rng.next_u64() as usize % 6];
+            let after = rng.next_u64() as usize % 4;
+            let fate = match rng.next_u64() % 10 {
+                0 => Fate::Crash(after),
+                1 => Fate::Vanish(after),
+                2 => Fate::DeadAtSend,
+                3 => Fate::NeverRegistered,
+                _ => Fate::Healthy,
+            };
+            VirtualWorker {
+                is_gpu,
+                slowdown,
+                fate,
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1200))]
+
+    /// Whatever the policy, pool, fault plan and interleaving, the core
+    /// keeps its invariants after every step and ends in `Finish` with
+    /// every task merged once, or in a truthful typed error.
+    #[test]
+    fn any_schedule_keeps_the_invariants(
+        seed in any::<u64>(),
+        n_tasks in 0usize..24,
+        policy in 0usize..3,
+        reopt in any::<bool>(),
+    ) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let workers = pool(&mut rng, true);
+        prop_assume!(workers.iter().any(|w| w.fate != Fate::NeverRegistered));
+        let policy = policy_of(policy);
+        let mut sim = Sim::new(workload(n_tasks, &mut rng), workers, policy, reopt_of(reopt), seed);
+        sim.step_cost = [0.0, 5e-4, 3e-3][rng.next_u64() as usize % 3];
+        let schedule = sim.plan(policy);
+        let verdict = sim.run(schedule.as_ref());
+        sim.check_verdict(&verdict);
+    }
+
+    /// A calibrated, fault-free pool executes the plan it was given: no
+    /// re-plan fires (re-optimization on or off) and the realised
+    /// modelled makespan is the planned one, within 2λ.
+    #[test]
+    fn fault_free_calibrated_pools_never_replan(
+        seed in any::<u64>(),
+        n_tasks in 1usize..24,
+        multi_round in any::<bool>(),
+        reopt in any::<bool>(),
+    ) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let workers = pool(&mut rng, false);
+        let tasks = workload(n_tasks, &mut rng);
+        let (gpus, n) = (workers.iter().filter(|w| w.is_gpu).count(), workers.len());
+        let first = dual_approx_schedule(
+            &tasks,
+            &PlatformSpec::new(n - gpus, gpus),
+            BinarySearchConfig::default(),
+        );
+        let policy = policy_of(multi_round as usize);
+        let mut sim = Sim::new(tasks, workers, policy, reopt_of(reopt), seed);
+        let schedule = sim.plan(policy).unwrap();
+        prop_assert_eq!(sim.run(Some(&schedule)), Ok(()));
+        prop_assert_eq!(sim.state.decision, 0);
+        prop_assert!(sim.state.alive.iter().all(|&a| a));
+        let realised = sim.modelled_makespan();
+        prop_assert!(realised <= schedule.makespan() * (1.0 + 1e-12));
+        if !multi_round {
+            prop_assert!(realised <= 2.0 * first.upper_bound);
+        }
+    }
+}
+
+/// Satellite regression: deadlines used to be examined only after a
+/// whole tick without any message, so survivors busy with sub-tick
+/// tasks hid a silent death until they ran dry. Here two healthy
+/// workers complete 2 ms tasks as fast as a master needing 1.5 ms per
+/// message can feed them — its receive never times out — while the
+/// third vanishes on its second job.
+#[test]
+fn a_silent_death_is_noticed_within_a_tick_of_its_deadline() {
+    let tasks = TaskSet::new((0..600).map(|id| Task::new(id, 2.0, 2.0)).collect());
+    let workers = vec![
+        cpu(1.0, Fate::Healthy),
+        cpu(1.0, Fate::Healthy),
+        cpu(1.0, Fate::Vanish(1)),
+    ];
+    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
+    let mut sim = Sim::new(tasks, workers, policy, ReoptConfig::default(), 7);
+    sim.step_cost = 1.5e-3;
+    let schedule = sim.plan(policy);
+    assert_eq!(sim.run(schedule.as_ref()), Ok(()));
+    let (died, deadline) = sim.death_at[2].expect("the vanished worker is declared dead");
+    assert!(
+        died <= deadline + sim.tick,
+        "declared dead at {died}, deadline was {deadline}"
+    );
+    // Long before the survivors ran their own 200-task queues dry,
+    // which is when the old quiet-tick check first got a look.
+    assert!(
+        died < 0.1 && sim.now > 0.4,
+        "died {died}, ended {}",
+        sim.now
+    );
+}
+
+/// Satellite regression: a fault re-plan used to spread the orphans
+/// uniformly and leave `planned_factor` stale, forgetting what
+/// re-optimization had learned. Observe a 4× CPU straggler, then kill
+/// another CPU: the straggler's share of the re-planned base seconds
+/// must be strictly below the healthy CPU's.
+#[test]
+fn a_fault_replan_remembers_the_calibration() {
+    let tasks = TaskSet::new((0..60).map(|id| Task::new(id, 2.0, 2.0)).collect());
+    let workers = vec![
+        cpu(1.0, Fate::Healthy),
+        cpu(4.0, Fate::Healthy),
+        cpu(1.0, Fate::Crash(6)),
+    ];
+    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
+    let mut sim = Sim::new(tasks, workers, policy, ReoptConfig::enabled(), 11);
+    let schedule = sim.plan(policy);
+    let mut verdict = sim.start(schedule.as_ref());
+    while verdict.is_none() && sim.state.alive[2] {
+        verdict = sim.advance();
+    }
+    assert!(verdict.is_none() && !sim.state.alive[2]);
+    assert_eq!(
+        sim.state.planned_factor[1], 4.0,
+        "the skew was observed first"
+    );
+    // Base seconds the death's re-plan placed on worker `w`.
+    let replanned = |w: usize| -> f64 {
+        let events = sim.obs.events();
+        let last_plan = events.iter().filter(|e| {
+            e.track == Track::Recovered(w) && decision_of(e) == Some(sim.state.decision)
+        });
+        last_plan.map(|e| e.virt_dur.unwrap_or(0.0)).sum::<f64>() / sim.state.planned_factor[w]
+    };
+    assert!(
+        2.0 * replanned(1) < replanned(0),
+        "straggler got {} base seconds, healthy CPU {}",
+        replanned(1),
+        replanned(0)
+    );
+    assert_eq!(sim.finish(verdict), Ok(()));
+}

@@ -11,6 +11,14 @@
 //! tasks as a standalone instance (the binary search and knapsack
 //! expect dense ids), schedule them on the reduced platform, and map
 //! the placements back to the original task ids.
+//!
+//! The runtime's master has one caller, its single re-plan transition,
+//! and it always goes through [`reschedule_remainder_weighted`]: a
+//! death re-plans that remainder on the survivors' current slowdown
+//! factors (uniform until re-optimization observes otherwise), and an
+//! observed speed skew re-plans everything not yet dispatched on the
+//! re-calibrated platform. [`reschedule_remainder`] is the species
+//! split both share.
 
 use crate::binsearch::{dual_approx_schedule, BinarySearchConfig};
 use crate::platform::PlatformSpec;
