@@ -23,7 +23,20 @@ use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
 use swdual_obs::metrics::Metrics;
-use swdual_obs::{Obs, Track};
+use swdual_obs::{EventBody, HostPhase, Obs, OptWorker, RunModel, Track};
+
+/// A job span carrying the task id alone, as the worker's did before
+/// lineage tagging — the shape every ledger point so far was taken on.
+fn bare_job(task: usize) -> EventBody {
+    EventBody::Job {
+        task,
+        cells: None,
+        seq: None,
+        decision: None,
+        queue_wait_wall: None,
+        queue_wait_modelled: None,
+    }
+}
 
 /// Mirror of the worker's per-job instrumentation sequence (span +
 /// counters + registry), shared with the allocation guard test.
@@ -33,11 +46,10 @@ fn per_job(obs: &Obs, metrics: &Metrics, worker_id: usize, task_id: usize) {
     if obs.is_enabled() {
         obs.span(
             Track::Worker(worker_id),
-            &format!("task-{task_id}"),
             wall_start,
             wall_end - wall_start,
             Some((0.0, 1.0)),
-            &[("task", task_id as f64)],
+            bare_job(task_id),
         );
     }
     obs.counter("jobs_completed", 1.0);
@@ -70,11 +82,10 @@ fn profiled_job(
     if obs.is_enabled() {
         obs.span(
             Track::Worker(0),
-            &format!("task-{task_id}"),
             wall_start,
             wall_end - wall_start,
             Some((0.0, 1.0)),
-            &[("task", task_id as f64)],
+            bare_job(task_id),
         );
     }
     if let Some(PhaseTimings {
@@ -84,21 +95,23 @@ fn profiled_job(
     }) = timings
     {
         let mut at = wall_start;
-        for (name, dur) in [
-            ("phase_profile_build", profile_build),
-            ("phase_dp_inner", dp_inner),
-            ("phase_traceback", traceback),
+        for (phase, dur) in [
+            (HostPhase::ProfileBuild, profile_build),
+            (HostPhase::DpInner, dp_inner),
+            (HostPhase::Traceback, traceback),
         ] {
             if dur <= 0.0 {
                 continue;
             }
             obs.span(
                 Track::Worker(0),
-                name,
                 at,
                 dur,
                 Some((at, dur)),
-                &[("task", task_id as f64)],
+                EventBody::Phase {
+                    phase,
+                    task: task_id,
+                },
             );
             at += dur;
         }
@@ -206,40 +219,37 @@ fn main() {
             let w = t % workers;
             obs.instant(
                 Track::Master,
-                "task_model",
-                &[
-                    ("task", t as f64),
-                    ("p_cpu", 1.0),
-                    ("p_gpu", 0.25),
-                    ("query_len", 120.0),
-                    ("cells", 120_000.0),
-                ],
+                EventBody::TaskModel {
+                    task: t,
+                    p_cpu: 1.0,
+                    p_gpu: 0.25,
+                    query_len: Some(120),
+                    cells: Some(120_000.0),
+                },
             );
             obs.instant(
                 Track::Master,
-                "task_dispatch",
-                &[
-                    ("task", t as f64),
-                    ("worker", w as f64),
-                    ("seq", t as f64),
-                    ("decision", 0.0),
-                    ("virt", virt[w]),
-                ],
+                EventBody::TaskDispatch {
+                    task: t,
+                    worker: OptWorker(Some(w)),
+                    seq: t as u64,
+                    decision: 0,
+                    virt: virt[w],
+                },
             );
             obs.span(
                 Track::Worker(w),
-                &format!("task-{t}"),
                 virt[w] * 1e-6,
                 1e-6,
                 Some((virt[w], 1.0)),
-                &[
-                    ("task", t as f64),
-                    ("cells", 120_000.0),
-                    ("seq", t as f64),
-                    ("decision", 0.0),
-                    ("queue_wait_wall", 0.0),
-                    ("queue_wait_modelled", 0.0),
-                ],
+                EventBody::Job {
+                    task: t,
+                    cells: Some(120_000.0),
+                    seq: Some(t as u64),
+                    decision: Some(0),
+                    queue_wait_wall: Some(0.0),
+                    queue_wait_modelled: Some(0.0),
+                },
             );
             virt[w] += 1.0;
         }
@@ -248,7 +258,8 @@ fn main() {
     bench(
         "explain_fold_256_tasks",
         measure(samples.min(11), iters / 1000 + 1, || {
-            std::hint::black_box(swdual_obs::explain::explain_obs(&lineage));
+            let model = RunModel::from_obs(&lineage);
+            std::hint::black_box(swdual_obs::explain::explain(&model));
         }),
     );
 

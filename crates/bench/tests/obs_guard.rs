@@ -7,7 +7,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use swdual_obs::{Obs, Track};
+use swdual_obs::{EventBody, HostPhase, Obs, Track};
 
 struct CountingAllocator;
 
@@ -45,25 +45,33 @@ fn per_job_hot_path(obs: &Obs, worker_id: usize, task_id: usize) {
     if obs.is_enabled() {
         obs.span(
             Track::Worker(worker_id),
-            &format!("task-{task_id}"),
             wall_start,
             wall_end - wall_start,
             Some((0.0, 1.0)),
-            &[("task", task_id as f64)],
+            EventBody::Job {
+                task: task_id,
+                cells: Some(1000.0),
+                seq: Some(0),
+                decision: Some(0),
+                queue_wait_wall: Some(0.0),
+                queue_wait_modelled: Some(0.0),
+            },
         );
     }
     if phased {
         // Phase spans mirroring `record_phase_spans`; never reached on
         // the disabled path, but kept so the guard measures the same
         // instruction sequence the worker runs.
-        for name in ["phase_profile_build", "phase_dp_inner", "phase_traceback"] {
+        for phase in HostPhase::ALL {
             obs.span(
                 Track::Worker(worker_id),
-                name,
                 wall_start,
                 wall_end - wall_start,
                 Some((0.0, 0.5)),
-                &[("task", task_id as f64)],
+                EventBody::Phase {
+                    phase,
+                    task: task_id,
+                },
             );
         }
     }

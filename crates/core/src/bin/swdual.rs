@@ -211,6 +211,12 @@ fn read_input(path: &str) -> Result<String, String> {
     }
 }
 
+/// Read a journal argument and fold it into the model every report
+/// is a view of.
+fn read_model(path: &str) -> Result<swdual_obs::RunModel, String> {
+    swdual_obs::RunModel::from_journal(&read_input(path)?).map_err(|e| format!("{path}: {e}"))
+}
+
 fn load_set(path: &str) -> Result<SequenceSet, String> {
     if path.ends_with(".sqb") {
         let mut file = sqb::SqbFile::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -536,9 +542,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if json && text {
         return Err("--json and --text are mutually exclusive".into());
     }
-    let contents = read_input(path)?;
-    let report =
-        swdual_obs::analysis::analyze_journal(&contents).map_err(|e| format!("{path}: {e}"))?;
+    let report = swdual_obs::analysis::analyze(&read_model(path)?);
     let rendered = if json {
         report.to_json()
     } else {
@@ -595,9 +599,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     if json && text {
         return Err("--json and --text are mutually exclusive".into());
     }
-    let contents = read_input(path)?;
-    let report =
-        swdual_obs::explain::explain_journal(&contents).map_err(|e| format!("{path}: {e}"))?;
+    let report = swdual_obs::explain::explain(&read_model(path)?);
     let rendered = match premise {
         Some(spec) => {
             let spec = swdual_core::whatif::WhatIf::parse(spec)?;
@@ -666,10 +668,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         "usage: swdual profile EVENTS.jsonl [--flame OUT.folded] [--speedscope OUT.json] \
          [--roofline] [--json] [-o FILE]",
     )?;
-    let contents = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let events =
-        swdual_obs::analysis::parse_journal(&contents).map_err(|e| format!("{path}: {e}"))?;
-    let profile = swdual_obs::profile::Profile::from_events(&events);
+    let profile = swdual_obs::profile::Profile::from_model(&read_model(path)?);
     if let Some(out) = flame {
         let folded = swdual_obs::export::flamegraph_folded(
             &profile,
@@ -697,16 +696,16 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Print the dashboard for the watchdog's current fold. On a TTY the
+/// Print the dashboard for the watchdog's current model. On a TTY the
 /// screen is cleared so `top` redraws in place; piped output gets the
 /// frames sequentially, separated by a blank line.
-fn draw_dashboard(status: &swdual_obs::watch::WatchStatus) {
+fn draw_dashboard(dog: &swdual_obs::watch::Watchdog) {
     use std::io::IsTerminal;
     if std::io::stdout().is_terminal() {
         print!("\x1b[2J\x1b[H");
-        outln!("{}", swdual_core::live::render_dashboard(status));
+        outln!("{}", swdual_core::live::render_dashboard(dog));
     } else {
-        outln!("{}\n", swdual_core::live::render_dashboard(status));
+        outln!("{}\n", swdual_core::live::render_dashboard(dog));
     }
 }
 
@@ -761,7 +760,7 @@ fn top_follow_socket(
                             dirty = true;
                         }
                     } else {
-                        swdual_obs::journal::validate_header(trimmed)
+                        swdual_obs::journal::journal_schema(trimmed)
                             .map_err(|e| format!("live stream: {e}"))?;
                         header_seen = true;
                     }
@@ -780,12 +779,12 @@ fn top_follow_socket(
             Err(e) => return Err(format!("live stream: {e}")),
         }
         if dirty && last_draw.is_none_or(|t| t.elapsed() >= refresh) {
-            draw_dashboard(&dog.status());
+            draw_dashboard(&dog);
             dirty = false;
             last_draw = Some(std::time::Instant::now());
         }
     }
-    draw_dashboard(&dog.status());
+    draw_dashboard(&dog);
     eprintln!("top: stream ended");
     Ok(())
 }
@@ -825,13 +824,12 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     // and render the end-of-run dashboard.
     if source == "-" || std::path::Path::new(source).is_file() {
         let contents = read_input(source)?;
-        let events =
-            swdual_obs::journal::parse_journal(&contents).map_err(|e| format!("{source}: {e}"))?;
         let mut dog = swdual_obs::watch::Watchdog::new(swdual_obs::watch::WatchConfig::default());
-        for event in &events {
-            dog.observe(event);
-        }
-        draw_dashboard(&dog.status());
+        swdual_obs::journal::read_journal(&contents, |event| {
+            dog.observe(&event);
+        })
+        .map_err(|e| format!("{source}: {e}"))?;
+        draw_dashboard(&dog);
         return Ok(());
     }
 
@@ -856,14 +854,14 @@ fn render_event_line(event: &swdual_obs::Event) -> String {
             "{:9.3}s  {:<14} {} (+{:.3}s)",
             event.wall_start,
             event.track.label(),
-            event.name,
+            event.name(),
             event.wall_dur
         ),
         swdual_obs::EventKind::Instant => format!(
             "{:9.3}s  {:<14} {}",
             event.wall_start,
             event.track.label(),
-            event.name
+            event.name()
         ),
     }
 }
@@ -874,10 +872,8 @@ fn tail_emit(trimmed: &str, alerts_only: bool) {
     let Ok(event) = swdual_obs::journal::parse_event_line(trimmed) else {
         return; // tolerate torn writes while following
     };
-    if event.is_alert() {
-        for alert in swdual_obs::watch::alerts_from_events(std::slice::from_ref(&event)) {
-            outln!("{}", swdual_core::live::render_alert_line(&alert));
-        }
+    if let Some(alert) = swdual_obs::watch::Alert::from_event(&event) {
+        outln!("{}", swdual_core::live::render_alert_line(&alert));
     } else if !alerts_only {
         outln!("{}", render_event_line(&event));
     }
@@ -921,7 +917,7 @@ fn cmd_tail(args: &[String]) -> Result<(), String> {
         if header_seen {
             tail_emit(trimmed, alerts_only);
         } else {
-            swdual_obs::journal::validate_header(trimmed).map_err(|e| format!("{source}: {e}"))?;
+            swdual_obs::journal::journal_schema(trimmed).map_err(|e| format!("{source}: {e}"))?;
             header_seen = true;
         }
         Ok(())
@@ -1052,10 +1048,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
                 )
             }
         };
-        let base = std::fs::read_to_string(base_path).map_err(|e| format!("{base_path}: {e}"))?;
-        let head = std::fs::read_to_string(head_path).map_err(|e| format!("{head_path}: {e}"))?;
-        swdual_obs::diff::diff_journals(&base, &head, &opts)
-            .map_err(|e| format!("{base_path} vs {head_path}: {e}"))?
+        swdual_obs::diff::diff_models(&read_model(base_path)?, &read_model(head_path)?, &opts)
     };
     let rendered = if json {
         report.to_json()

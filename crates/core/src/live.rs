@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use swdual_obs::export::{journal_event_line, journal_header};
-use swdual_obs::watch::{record_alert, Alert, WatchConfig, WatchStatus, Watchdog};
+use swdual_obs::watch::{record_alert, Alert, WatchConfig, Watchdog};
 use swdual_obs::Obs;
 
 /// Poll slice for the driver loops: short enough that alerts land
@@ -54,7 +54,7 @@ impl WatchdogDriver {
                     for event in &buf {
                         for alert in dog.observe(event) {
                             record_alert(&recorder, &alert);
-                            eprintln!("watchdog: [{}] {}", alert.kind.label(), alert.message);
+                            eprintln!("watchdog: [{}] {}", alert.kind.label(), alert.message());
                         }
                     }
                     if stopping {
@@ -197,7 +197,7 @@ fn stream_client(stream: std::os::unix::net::UnixStream, obs: Obs, stop: Arc<Ato
     let _ = stream.set_nonblocking(false);
     let mut out = std::io::BufWriter::new(stream);
     // Streaming header: the final event count is unknowable up front;
-    // validate_header checks the schema only.
+    // journal_schema checks the schema only.
     if writeln!(out, "{}", journal_header(0)).is_err() {
         return;
     }
@@ -223,36 +223,31 @@ fn stream_client(stream: std::os::unix::net::UnixStream, obs: Obs, stop: Arc<Ato
     }
 }
 
-/// Render the watchdog's fold as a terminal dashboard: run header,
+/// Render the watchdog's model as a terminal dashboard: run header,
 /// per-worker utilization bars with queue depth and observed/estimate
-/// ratio, then active alerts. Pure string rendering — `swdual top`
-/// redraws it, tests assert on it.
-pub fn render_dashboard(status: &WatchStatus) -> String {
+/// ratio, then the alerts it fired. Pure string rendering — `swdual
+/// top` redraws it, tests assert on it.
+pub fn render_dashboard(dog: &Watchdog) -> String {
+    let model = dog.model();
     let mut out = String::new();
     out.push_str(&format!(
         "swdual top · wall {:7.3}s · tasks {}/{}",
-        status.wall, status.tasks_done, status.tasks_total
+        model.wall,
+        model.done.len(),
+        model.tasks.len()
     ));
-    if status.has_bound {
-        out.push_str(&format!(
-            " · modelled makespan {:.3}s / 2\u{3bb} {:.3}s",
-            status.running_makespan,
-            2.0 * status.lambda
-        ));
-    } else {
-        out.push_str(&format!(
-            " · modelled makespan {:.3}s",
-            status.running_makespan
-        ));
+    out.push_str(&format!(" · modelled makespan {:.3}s", model.makespan));
+    if model.lambda > 0.0 {
+        out.push_str(&format!(" / 2\u{3bb} {:.3}s", model.two_lambda_bound()));
     }
-    if status.eta_modelled > 0.0 {
-        out.push_str(&format!(" · ETA {:.3}s (modelled)", status.eta_modelled));
+    if model.eta_modelled() > 0.0 {
+        out.push_str(&format!(" · ETA {:.3}s (modelled)", model.eta_modelled()));
     }
     out.push('\n');
 
-    for w in &status.workers {
-        let util = if status.wall > 0.0 {
-            (w.busy_wall / status.wall).clamp(0.0, 1.0)
+    for (id, w) in &model.workers {
+        let util = if model.wall > 0.0 {
+            (w.busy_wall / model.wall).clamp(0.0, 1.0)
         } else {
             0.0
         };
@@ -260,22 +255,21 @@ pub fn render_dashboard(status: &WatchStatus) -> String {
         let bar: String = std::iter::repeat_n('#', filled)
             .chain(std::iter::repeat_n('-', 20 - filled))
             .collect();
-        let species = if w.is_gpu { "gpu" } else { "cpu" };
+        let species = if w.is_gpu() { "gpu" } else { "cpu" };
         let state = if w.dead { " DEAD" } else { "" };
         out.push_str(&format!(
-            "  worker {:<3} [{species}] [{bar}] {:3.0}% · q {:<2} · ratio {:4.2} · {} job(s){state}\n",
-            w.worker,
+            "  worker {id:<3} [{species}] [{bar}] {:3.0}% · q {:<2} · ratio {:4.2} · {} job(s){state}\n",
             util * 100.0,
-            w.queue_depth,
-            w.ratio,
+            w.outstanding.len(),
+            w.observed_ratio(),
             w.jobs,
         ));
     }
 
-    if !status.alerts.is_empty() {
+    if !dog.alerts().is_empty() {
         out.push_str("alerts:\n");
-        for alert in &status.alerts {
-            out.push_str(&format!("  [{}] {}\n", alert.kind.label(), alert.message));
+        for alert in dog.alerts() {
+            out.push_str(&format!("  [{}] {}\n", alert.kind.label(), alert.message()));
         }
     }
     out
@@ -287,45 +281,55 @@ pub fn render_alert_line(alert: &Alert) -> String {
         "alert[{}] @ {:.3}s {}",
         alert.kind.label(),
         alert.wall,
-        alert.message
+        alert.message()
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swdual_obs::Track;
+    use swdual_obs::{Event, EventBody, EventKind, OptWorker, Track};
+
+    fn estimate(task: usize) -> EventBody {
+        EventBody::TaskModel {
+            task,
+            p_cpu: 1.0,
+            p_gpu: 1.0,
+            query_len: None,
+            cells: None,
+        }
+    }
+
+    fn job(task: usize) -> EventBody {
+        EventBody::Job {
+            task,
+            cells: None,
+            seq: None,
+            decision: None,
+            queue_wait_wall: None,
+            queue_wait_modelled: None,
+        }
+    }
 
     #[test]
     fn watchdog_driver_journals_alerts_from_live_events() {
         let obs = Obs::enabled();
         let driver = WatchdogDriver::start(&obs, WatchConfig::default());
         // A straggling worker: estimate 1.0, observed 3.0.
+        obs.instant(Track::Master, estimate(0));
         obs.instant(
             Track::Master,
-            "task_model",
-            &[("task", 0.0), ("p_cpu", 1.0), ("p_gpu", 1.0)],
+            EventBody::TaskDispatch {
+                task: 0,
+                worker: OptWorker(Some(0)),
+                seq: 0,
+                decision: 0,
+                virt: 0.0,
+            },
         );
-        obs.instant(
-            Track::Master,
-            "task_dispatch",
-            &[
-                ("task", 0.0),
-                ("worker", 0.0),
-                ("seq", 0.0),
-                ("decision", 0.0),
-            ],
-        );
-        obs.span(
-            Track::Worker(0),
-            "task-0",
-            0.0,
-            0.01,
-            Some((0.0, 3.0)),
-            &[("task", 0.0)],
-        );
+        obs.span(Track::Worker(0), 0.0, 0.01, Some((0.0, 3.0)), job(0));
         driver.finish();
-        let alerts = swdual_obs::watch::alerts_from_events(&obs.events());
+        let alerts = swdual_obs::RunModel::from_obs(&obs).alerts;
         assert!(
             alerts
                 .iter()
@@ -355,25 +359,25 @@ mod tests {
         use std::io::BufRead;
 
         let obs = Obs::enabled();
-        obs.instant(Track::Master, "early", &[]);
+        obs.instant(Track::Master, EventBody::other("early"));
         let dir = std::env::temp_dir().join(format!("swdual-live-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let sock = dir.join("t.sock");
         let stream = LiveStream::start(&obs, sock.to_str().unwrap()).expect("bind");
-        obs.instant(Track::Master, "mid", &[]);
+        obs.instant(Track::Master, EventBody::other("mid"));
 
         // Connect after events already exist: the cursor catches up.
         let client = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
-        obs.instant(Track::Worker(1), "late", &[]);
+        obs.instant(Track::Worker(1), EventBody::other("late"));
         std::thread::sleep(Duration::from_millis(50));
         stream.finish(); // writers drain to EOF
 
         let reader = std::io::BufReader::new(client);
         let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
-        swdual_obs::journal::validate_header(&lines[0]).expect("streamed header validates");
+        swdual_obs::journal::journal_schema(&lines[0]).expect("streamed header validates");
         let doc = lines.join("\n");
         let events = swdual_obs::journal::parse_journal(&doc).expect("streamed journal parses");
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<_> = events.iter().map(Event::name).collect();
         assert_eq!(names, vec!["early", "mid", "late"]);
         // Socket file unlinked on finish.
         assert!(!sock.exists());
@@ -383,35 +387,31 @@ mod tests {
     #[test]
     fn dashboard_renders_bars_and_alerts() {
         let mut dog = Watchdog::new(WatchConfig::default());
-        for event in [
-            swdual_obs::Event {
-                track: Track::Master,
-                name: "task_model".into(),
-                kind: swdual_obs::EventKind::Instant,
-                wall_start: 0.0,
-                wall_dur: 0.0,
-                virt_start: None,
-                virt_dur: None,
-                args: vec![
-                    ("task".to_string(), 0.0),
-                    ("p_cpu".to_string(), 1.0),
-                    ("p_gpu".to_string(), 1.0),
-                ],
-            },
-            swdual_obs::Event {
-                track: Track::Worker(0),
-                name: "task-0".into(),
-                kind: swdual_obs::EventKind::Span,
-                wall_start: 0.0,
-                wall_dur: 0.5,
-                virt_start: Some(0.0),
-                virt_dur: Some(3.0),
-                args: vec![("task".to_string(), 0.0)],
-            },
-        ] {
-            dog.observe(&event);
-        }
-        let text = render_dashboard(&dog.status());
+        let event = |track, kind, wall_dur, virt, body| Event {
+            track,
+            kind,
+            wall_start: 0.0,
+            wall_dur,
+            virt_start: virt,
+            virt_dur: virt.map(|_| 3.0),
+            body,
+            extra: Vec::new(),
+        };
+        dog.observe(&event(
+            Track::Master,
+            EventKind::Instant,
+            0.0,
+            None,
+            estimate(0),
+        ));
+        dog.observe(&event(
+            Track::Worker(0),
+            EventKind::Span,
+            0.5,
+            Some(0.0),
+            job(0),
+        ));
+        let text = render_dashboard(&dog);
         assert!(text.contains("tasks 1/1"), "{text}");
         assert!(text.contains("worker 0"), "{text}");
         assert!(text.contains('#'), "{text}");

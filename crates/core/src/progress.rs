@@ -176,7 +176,10 @@ mod tests {
         obs.metrics().gauge("tasks_total", &[], 1.0);
         let reporter = ProgressReporter::start(&obs, Duration::from_millis(5));
         // Bus traffic is what wakes the redraw path now.
-        obs.instant(swdual_obs::Track::Master, "tick", &[]);
+        obs.instant(
+            swdual_obs::Track::Master,
+            swdual_obs::EventBody::other("tick"),
+        );
         std::thread::sleep(Duration::from_millis(15));
         reporter.finish();
     }
@@ -196,7 +199,10 @@ mod tests {
         // After finish, the reporter's tap is closed: publishing keeps
         // working and drops nothing against the dead subscription.
         for _ in 0..10 {
-            obs.instant(swdual_obs::Track::Master, "after", &[]);
+            obs.instant(
+                swdual_obs::Track::Master,
+                swdual_obs::EventBody::other("after"),
+            );
         }
         assert_eq!(obs.bus_dropped_events(), 0);
     }

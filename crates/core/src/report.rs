@@ -1,7 +1,8 @@
 //! Search reports: results plus accounting, with human-readable
 //! rendering ("present them to the user", paper Figure 6).
 
-use swdual_obs::Obs;
+use std::sync::OnceLock;
+use swdual_obs::{Obs, RunModel};
 use swdual_runtime::{QueryHits, SearchOutcome, WorkerStats};
 use swdual_sched::schedule::Schedule;
 
@@ -12,6 +13,9 @@ pub struct SearchReport {
     database_ids: Vec<String>,
     query_ids: Vec<String>,
     obs: Obs,
+    /// The recorder's events folded once, on first use; every view
+    /// below reads it.
+    model: OnceLock<RunModel>,
 }
 
 impl SearchReport {
@@ -26,6 +30,7 @@ impl SearchReport {
             database_ids,
             query_ids,
             obs: Obs::disabled(),
+            model: OnceLock::new(),
         }
     }
 
@@ -33,7 +38,16 @@ impl SearchReport {
     /// have events to draw from.
     pub fn with_obs(mut self, obs: Obs) -> SearchReport {
         self.obs = obs;
+        self.model = OnceLock::new();
         self
+    }
+
+    /// The run model every view below derives from: the recorder's
+    /// events as they stood at the first call, folded in place (the
+    /// search is over by the time a report exists). Empty when tracing
+    /// was off.
+    pub fn model(&self) -> &RunModel {
+        self.model.get_or_init(|| RunModel::from_obs(&self.obs))
     }
 
     /// Ranked hits per query.
@@ -141,7 +155,7 @@ impl SearchReport {
     /// imbalance, latency quantiles, planned-vs-actual skew, GPU
     /// ordering quality. Empty report when tracing was off.
     pub fn analysis(&self) -> swdual_obs::analysis::RunReport {
-        swdual_obs::analysis::analyze_obs(&self.obs)
+        swdual_obs::analysis::analyze(self.model())
     }
 
     /// Fold the recorded events into the unified [`Profile`]: collapsed
@@ -154,7 +168,7 @@ impl SearchReport {
     ///
     /// [`Profile`]: swdual_obs::profile::Profile
     pub fn profile(&self) -> swdual_obs::profile::Profile {
-        swdual_obs::profile::Profile::from_obs(&self.obs)
+        swdual_obs::profile::Profile::from_model(self.model())
     }
 
     /// Explain the run causally: the true critical path on both
@@ -167,17 +181,16 @@ impl SearchReport {
     ///
     /// [`ReplayInput`]: swdual_obs::explain::ReplayInput
     pub fn explain(&self) -> swdual_obs::explain::ExplainReport {
-        swdual_obs::explain::explain_obs(&self.obs)
+        swdual_obs::explain::explain(self.model())
     }
 
-    /// The watchdog alerts journaled during the run
-    /// (`alert_*` fault-track instants folded back into typed
-    /// [`Alert`](swdual_obs::watch::Alert)s, in firing order). Empty
+    /// The watchdog alerts journaled during the run, in firing order
+    /// (see [`Alert`](swdual_obs::watch::Alert)). Empty
     /// when the run was not watched — enable with
     /// [`SearchBuilder::watchdog`](crate::engine::SearchBuilder::watchdog)
     /// — or when nothing tripped.
     pub fn alerts(&self) -> Vec<swdual_obs::watch::Alert> {
-        swdual_obs::watch::alerts_from_events(&self.obs.events())
+        self.model().alerts.clone()
     }
 
     /// Compare this run against a baseline run: every audited metric
@@ -192,7 +205,7 @@ impl SearchReport {
             include_profile: true,
             ..Default::default()
         };
-        swdual_obs::diff::diff_obs(baseline.obs(), &self.obs, &opts)
+        swdual_obs::diff::diff_models(baseline.model(), self.model(), &opts)
     }
 
     /// Render the hit lists like a classic search tool report.

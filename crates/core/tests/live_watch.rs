@@ -44,11 +44,13 @@ fn straggler_alert_arrives_on_the_live_bus_before_the_run_completes() {
         let run_done = Arc::clone(&run_done);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut seen: Option<(swdual_obs::Event, bool)> = None;
+            let mut seen: Option<(swdual_obs::watch::Alert, bool)> = None;
             loop {
                 for event in subscriber.drain() {
-                    if seen.is_none() && event.name == "alert_straggler" {
-                        seen = Some((event, run_done.load(Ordering::SeqCst)));
+                    let alert = swdual_obs::watch::Alert::from_event(&event)
+                        .filter(|a| a.kind == swdual_obs::watch::AlertKind::Straggler);
+                    if let (None, Some(alert)) = (&seen, alert) {
+                        seen = Some((alert, run_done.load(Ordering::SeqCst)));
                     }
                 }
                 if stop.load(Ordering::SeqCst) {
@@ -72,16 +74,12 @@ fn straggler_alert_arrives_on_the_live_bus_before_the_run_completes() {
     stop.store(true, Ordering::SeqCst);
     let (seen, dropped) = poller.join().expect("poller thread");
 
-    let (event, done_when_seen) = seen.expect("straggler alert must reach the live subscriber");
+    let (alert, done_when_seen) = seen.expect("straggler alert must reach the live subscriber");
     assert!(
         !done_when_seen,
         "alert must be observed live, before the run completed"
     );
-    assert!(
-        event.args.iter().any(|(k, v)| k == "worker" && *v == 0.0),
-        "alert must name worker 0: {:?}",
-        event.args
-    );
+    assert_eq!(alert.worker, Some(0), "alert must name worker 0: {alert:?}");
     assert_eq!(dropped, 0, "default subscriber capacity must not drop");
 
     // The report surfaces the same alerts post-hoc.

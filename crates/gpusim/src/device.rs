@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use swdual_align::{tiered_score, ProfileCache, TierStats};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
-use swdual_obs::{Obs, Track};
+use swdual_obs::{EventBody, Obs, Track};
 
 /// One entry in the device's event log.
 ///
@@ -260,13 +260,6 @@ impl GpuDevice {
         self.lineage_task = task;
     }
 
-    /// Append the lineage tag, when one is set, to a span's args.
-    fn with_lineage(&self, args: &mut Vec<(&str, f64)>) {
-        if let Some(t) = self.lineage_task {
-            args.push(("task", t as f64));
-        }
-    }
-
     /// Update the per-device registry series: kernel/transfer time
     /// histograms were just fed one value; refresh the occupancy
     /// gauges (fraction of the device's virtual clock spent in kernels
@@ -326,8 +319,9 @@ impl GpuDevice {
                 });
                 self.obs.instant(
                     Track::Device(self.obs_device_id),
-                    "device_fault",
-                    &[("after_kernels", self.kernels_launched as f64)],
+                    EventBody::DeviceFault {
+                        after_kernels: self.kernels_launched,
+                    },
                 );
                 self.obs.counter("gpu_device_faults", 1.0);
                 Err(fault)
@@ -346,13 +340,12 @@ impl GpuDevice {
         self.obs_device_id = device_id;
         self.obs.instant(
             Track::Device(device_id),
-            "device_spec",
-            &[
-                ("peak_gcups", self.spec.peak_gcups),
-                ("pcie_bytes_per_sec", self.spec.pcie_bytes_per_sec),
-                ("kernel_launch_latency", self.spec.kernel_launch_latency),
-                ("warp_size", self.spec.warp_size as f64),
-            ],
+            EventBody::DeviceSpec {
+                peak_gcups: self.spec.peak_gcups,
+                pcie_bytes_per_sec: self.spec.pcie_bytes_per_sec,
+                kernel_launch_latency: self.spec.kernel_launch_latency,
+                warp_size: self.spec.warp_size,
+            },
         );
     }
 
@@ -441,15 +434,15 @@ impl GpuDevice {
             start,
             seconds: t,
         });
-        let mut args = vec![("bytes", bytes as f64)];
-        self.with_lineage(&mut args);
         self.obs.span(
             Track::Device(self.obs_device_id),
-            "h2d_transfer",
             wall_start,
             self.obs.now() - wall_start,
             Some((start, t)),
-            &args,
+            EventBody::H2d {
+                bytes: bytes as f64,
+                task: self.lineage_task,
+            },
         );
         self.obs.counter("gpu_bytes_h2d", bytes as f64);
         self.busy_transfer += t;
@@ -535,19 +528,18 @@ impl GpuDevice {
             seconds: kernel_seconds,
         });
         let wall_dur = self.obs.now() - wall_start;
-        let mut args = vec![
-            ("useful_cells", useful as f64),
-            ("padded_cells", padded as f64),
-            ("query_len", query.len() as f64),
-        ];
-        self.with_lineage(&mut args);
+        let task = self.lineage_task;
         self.obs.span(
             Track::Device(self.obs_device_id),
-            "kernel",
             wall_start,
             wall_dur,
             Some((start, kernel_seconds)),
-            &args,
+            EventBody::Kernel {
+                useful_cells: useful as f64,
+                padded_cells: padded as f64,
+                query_len: query.len(),
+                task,
+            },
         );
         if self.obs.is_profiling() {
             // CUPTI-style phase attribution: the modelled kernel time
@@ -563,23 +555,19 @@ impl GpuDevice {
                 0.0
             };
             let track = Track::Device(self.obs_device_id);
-            let mut phase_args = Vec::new();
-            self.with_lineage(&mut phase_args);
             self.obs.span(
                 track,
-                "kernel_launch",
                 wall_start,
                 wall_dur * launch_frac,
                 Some((start, launch)),
-                &phase_args,
+                EventBody::KernelLaunch { task },
             );
             self.obs.span(
                 track,
-                "kernel_compute",
                 wall_start + wall_dur * launch_frac,
                 wall_dur * (1.0 - launch_frac),
                 Some((start + launch, compute)),
-                &phase_args,
+                EventBody::KernelCompute { task },
             );
             // Score readback. The simulator models it as overlapped
             // async readback from pinned memory, so it is recorded for
@@ -587,18 +575,18 @@ impl GpuDevice {
             // device clock — profiling must never perturb the modelled
             // timing the scheduler's bounds are checked against.
             let d2h_bytes = 4.0 * scores.len() as f64;
-            let mut d2h_args = vec![("bytes", d2h_bytes)];
-            self.with_lineage(&mut d2h_args);
             self.obs.span(
                 track,
-                "d2h_transfer",
                 wall_start + wall_dur,
                 0.0,
                 Some((
                     start + kernel_seconds,
                     self.spec.transfer_time(d2h_bytes as u64),
                 )),
-                &d2h_args,
+                EventBody::D2h {
+                    bytes: d2h_bytes,
+                    task,
+                },
             );
         }
         self.obs.counter("gpu_kernels", 1.0);
@@ -801,35 +789,29 @@ mod tests {
         assert_eq!(clock_off, clock_on);
 
         // Unprofiled runs carry no phase detail.
-        assert!(events_off.iter().all(|e| !e.is_profile_detail()));
-        // Profiled runs carry launch, compute and the overlapped D2H.
-        for name in ["kernel_launch", "kernel_compute", "d2h_transfer"] {
-            assert!(
-                events_on.iter().any(|e| e.name == name),
-                "missing {name} span"
-            );
-        }
-        // Launch + compute tile the kernel span exactly.
-        let virt = |name: &str| {
-            events_on
-                .iter()
-                .find(|e| e.name == name)
-                .and_then(|e| e.virt_dur)
-                .unwrap()
+        assert!(events_off.iter().all(|e| !e.body.is_profile_detail()));
+        // Profiled runs carry launch, compute and the overlapped D2H;
+        // launch + compute tile the kernel span exactly.
+        let virt = |is: fn(&EventBody) -> bool| {
+            let span = events_on.iter().find(|e| is(&e.body));
+            span.and_then(|e| e.virt_dur).expect("span is journaled")
         };
-        assert!((virt("kernel_launch") + virt("kernel_compute") - virt("kernel")).abs() < 1e-15);
+        let launch = virt(|b| matches!(b, EventBody::KernelLaunch { .. }));
+        let compute = virt(|b| matches!(b, EventBody::KernelCompute { .. }));
+        let kernel = virt(|b| matches!(b, EventBody::Kernel { .. }));
+        assert!((launch + compute - kernel).abs() < 1e-15);
+        virt(|b| matches!(b, EventBody::D2h { .. }));
         // The spec instant announces the roofline parameters, and the
         // kernel span names its query length.
-        let spec = events_on
-            .iter()
-            .find(|e| e.name == "device_spec")
-            .expect("device_spec instant");
-        assert!(spec.args.iter().any(|(k, _)| k == "peak_gcups"));
-        let kernel = events_on.iter().find(|e| e.name == "kernel").unwrap();
-        assert!(kernel
-            .args
-            .iter()
-            .any(|(k, v)| k == "query_len" && *v == query.len() as f64));
+        let spec = DeviceSpec::tesla_c2050();
+        assert!(events_on.iter().any(|e| matches!(
+            e.body,
+            EventBody::DeviceSpec { peak_gcups, .. } if peak_gcups == spec.peak_gcups
+        )));
+        assert!(events_on.iter().any(|e| matches!(
+            e.body,
+            EventBody::Kernel { query_len, .. } if query_len == query.len()
+        )));
     }
 
     #[test]
@@ -848,17 +830,12 @@ mod tests {
 
         let live = sub.drain();
         assert_eq!(sub.dropped(), 0);
-        let device_names: Vec<&str> = live
-            .iter()
-            .filter(|e| matches!(e.track, Track::Device(3)))
-            .map(|e| e.name.as_str())
-            .collect();
-        for name in ["h2d_transfer", "kernel"] {
-            assert!(device_names.contains(&name), "missing live {name} span");
-        }
+        let on_device = || live.iter().filter(|e| e.track == Track::Device(3));
+        assert!(on_device().any(|e| matches!(e.body, EventBody::H2d { .. })));
+        assert!(on_device().any(|e| matches!(e.body, EventBody::Kernel { .. })));
         // The live feed mirrors the journal exactly when nothing drops.
-        let journal: Vec<String> = obs.events().iter().map(|e| e.name.clone()).collect();
-        let seen: Vec<String> = live.iter().map(|e| e.name.clone()).collect();
+        let journal: Vec<String> = obs.events().iter().map(|e| e.name().into_owned()).collect();
+        let seen: Vec<String> = live.iter().map(|e| e.name().into_owned()).collect();
         assert_eq!(seen, journal);
     }
 

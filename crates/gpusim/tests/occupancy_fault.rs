@@ -73,5 +73,5 @@ fn occupancy_gauges_freeze_after_device_fault() {
     let events = obs.events();
     let new_events = &events[events_before..];
     assert_eq!(new_events.len(), 1);
-    assert_eq!(new_events[0].name, "device_fault");
+    assert_eq!(new_events[0].name(), "device_fault");
 }

@@ -1,10 +1,11 @@
 //! Post-run schedule auditor: fold a journal into a [`RunReport`].
 //!
 //! The dual-approximation master promises makespan ≤ 2·λ; this module
-//! checks what a *specific run* actually delivered. It consumes either
-//! a live recorder ([`analyze_obs`]) or a JSON-lines journal written by
-//! [`export::journal_jsonl`](crate::export::journal_jsonl)
-//! ([`analyze_journal`]) and reports:
+//! checks what a *specific run* actually delivered. It reads a
+//! [`RunModel`] — folded from a live recorder or from a JSON-lines
+//! journal written by
+//! [`export::journal_jsonl`](crate::export::journal_jsonl) — and
+//! reports:
 //!
 //! * achieved makespan on both clocks, against λ and the 2λ bound;
 //! * per-worker busy time, utilization and the load-imbalance ratio;
@@ -17,17 +18,15 @@
 //!
 //! Journals start with a `{"schema":"swdual-journal/2",...}` header
 //! line (the previous `swdual-journal/1` still parses); anything else
-//! is rejected with a typed [`AnalysisError`] instead of garbage
+//! is rejected with a typed [`JournalError`] instead of garbage
 //! output.
 
-use crate::{Event, EventKind, Obs, Track};
+use crate::model::{ratio_or, Exec, RunModel, Worker};
+use crate::Event;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-// The schema tag, the header check and the line parser live in
-// [`crate::journal`], shared with the profiler and the differ; the
-// historical `analysis::` names keep working.
-pub use crate::journal::{parse_journal, JournalError as AnalysisError, JOURNAL_SCHEMA};
+use crate::journal::JOURNAL_SCHEMA;
 
 /// One worker's share of the run.
 #[derive(Debug, Clone, Serialize)]
@@ -190,245 +189,82 @@ pub struct RunReport {
     pub alerts: Vec<FaultCount>,
 }
 
-fn arg(event: &Event, key: &str) -> Option<f64> {
-    event.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-}
-
-/// Fold a recorded event stream into a [`RunReport`].
-pub fn analyze_obs(obs: &Obs) -> RunReport {
-    analyze_events(&obs.events())
-}
-
-/// Parse and fold a JSON-lines journal (with schema header) into a
-/// [`RunReport`].
-pub fn analyze_journal(journal: &str) -> Result<RunReport, AnalysisError> {
-    let events = parse_journal(journal)?;
-    Ok(analyze_events(&events))
-}
-
-/// The fold itself: one pass over events, then derived quantities.
+/// Fold an event stream and audit it.
 pub fn analyze_events(events: &[Event]) -> RunReport {
-    // Per-worker accumulation from actual job spans.
-    struct Acc {
-        is_gpu: bool,
-        tasks: usize,
-        busy_wall: f64,
-        busy_modelled: f64,
-        cells: f64,
-        queue_wait_wall: f64,
-        queue_wait_modelled: f64,
-    }
-    let mut workers: BTreeMap<usize, Acc> = BTreeMap::new();
-    fn acc(workers: &mut BTreeMap<usize, Acc>, w: usize) -> &mut Acc {
-        workers.entry(w).or_insert(Acc {
-            is_gpu: false,
-            tasks: 0,
-            busy_wall: 0.0,
-            busy_modelled: 0.0,
-            cells: 0.0,
-            queue_wait_wall: 0.0,
-            queue_wait_modelled: 0.0,
-        })
-    }
+    analyze(&RunModel::from_events(events))
+}
 
-    let mut wall_durations: Vec<f64> = Vec::new();
-    let mut modelled_durations: Vec<f64> = Vec::new();
-    let mut wall_lo = f64::INFINITY;
-    let mut wall_hi = f64::NEG_INFINITY;
-    let mut modelled_makespan = 0.0f64;
-    let mut critical: Option<(f64, i64, i64)> = None; // (end, task, worker)
-    let mut planned_makespan = 0.0f64;
-    // task → (planned completion, actual completion) on the modelled clock
-    let mut planned_end: BTreeMap<i64, f64> = BTreeMap::new();
-    let mut actual_end: BTreeMap<i64, f64> = BTreeMap::new();
-    // task → planned species (true = GPU)
-    let mut planned_on_gpu: BTreeMap<i64, bool> = BTreeMap::new();
-    let mut model: BTreeMap<i64, (f64, f64)> = BTreeMap::new(); // task → (p_cpu, p_gpu)
-    let mut registered_gpu: BTreeMap<usize, bool> = BTreeMap::new();
-    let mut device_classes: BTreeMap<usize, String> = BTreeMap::new();
-    let mut moved: Vec<i64> = Vec::new();
-    let mut faults: BTreeMap<String, usize> = BTreeMap::new();
-    let mut alerts: BTreeMap<String, usize> = BTreeMap::new();
-    let mut done_tasks: Vec<i64> = Vec::new();
-    let mut lambda = 0.0f64;
-    let mut lower_bound = 0.0f64;
-    let mut iterations = 0usize;
-    let mut has_bound = false;
+/// The audit: everything below is derived from the model's facts.
+pub fn analyze(model: &RunModel) -> RunReport {
+    let jobs = &model.jobs;
+    let wall_makespan = model.wall_makespan();
+    let modelled_makespan = model.makespan;
+    let two_lambda_bound = model.two_lambda_bound();
 
-    let task_of = |event: &Event| -> i64 {
-        arg(event, "task")
-            .map(|t| t as i64)
-            .or_else(|| {
-                event
-                    .name
-                    .strip_prefix("task-")
-                    .and_then(|s| s.parse().ok())
-            })
-            .unwrap_or(-1)
-    };
-
-    for event in events {
-        match event.track {
-            Track::Worker(w) if event.kind == EventKind::Span => {
-                // Profiling phase spans subdivide a task span that is
-                // itself in the journal; counting them again would
-                // inflate busy time and the latency quantiles.
-                if event.is_profile_detail() {
-                    continue;
-                }
-                let a = acc(&mut workers, w);
-                a.tasks += 1;
-                a.busy_wall += event.wall_dur;
-                a.cells += arg(event, "cells").unwrap_or(0.0);
-                a.queue_wait_wall += arg(event, "queue_wait_wall").unwrap_or(0.0);
-                a.queue_wait_modelled += arg(event, "queue_wait_modelled").unwrap_or(0.0);
-                wall_durations.push(event.wall_dur);
-                wall_lo = wall_lo.min(event.wall_start);
-                wall_hi = wall_hi.max(event.wall_start + event.wall_dur);
-                let task = task_of(event);
-                done_tasks.push(task);
-                if let (Some(vs), Some(vd)) = (event.virt_start, event.virt_dur) {
-                    let a = acc(&mut workers, w);
-                    a.busy_modelled += vd;
-                    modelled_durations.push(vd);
-                    let end = vs + vd;
-                    actual_end
-                        .entry(task)
-                        .and_modify(|e| *e = e.max(end))
-                        .or_insert(end);
-                    modelled_makespan = modelled_makespan.max(end);
-                    if critical.map(|(e, ..)| end > e).unwrap_or(true) {
-                        critical = Some((end, task, w as i64));
-                    }
-                }
-            }
-            Track::Planned(w) => {
-                if let (Some(vs), Some(vd)) = (event.virt_start, event.virt_dur) {
-                    let end = vs + vd;
-                    planned_makespan = planned_makespan.max(end);
-                    let task = task_of(event);
-                    planned_end
-                        .entry(task)
-                        .and_modify(|e| *e = e.max(end))
-                        .or_insert(end);
-                    if let Some(&gpu) = registered_gpu.get(&w) {
-                        planned_on_gpu.insert(task, gpu);
-                    }
-                }
-            }
-            Track::Recovered(_) => {
-                moved.push(task_of(event));
-            }
-            Track::Faults => {
-                if let Some(kind) = event.name.strip_prefix("alert_") {
-                    *alerts.entry(kind.replace('_', "-")).or_insert(0) += 1;
-                } else {
-                    *faults.entry(event.name.clone()).or_insert(0) += 1;
-                }
-            }
-            Track::Scheduler if event.name == "binsearch_done" => {
-                has_bound = true;
-                lambda = arg(event, "lambda")
-                    .or_else(|| arg(event, "upper_bound"))
-                    .unwrap_or(0.0);
-                lower_bound = arg(event, "lower_bound").unwrap_or(0.0);
-                iterations = arg(event, "iterations").unwrap_or(0.0) as usize;
-            }
-            Track::Master if event.name == "worker_registered" => {
-                if let Some(w) = arg(event, "worker") {
-                    registered_gpu.insert(w as usize, arg(event, "is_gpu") == Some(1.0));
-                }
-            }
-            Track::Master if event.name.starts_with("device_class:") => {
-                if let Some(w) = arg(event, "worker") {
-                    device_classes
-                        .insert(w as usize, event.name["device_class:".len()..].to_string());
-                }
-            }
-            Track::Master if event.name == "task_model" => {
-                if let Some(t) = arg(event, "task") {
-                    model.insert(
-                        t as i64,
-                        (
-                            arg(event, "p_cpu").unwrap_or(0.0),
-                            arg(event, "p_gpu").unwrap_or(0.0),
-                        ),
-                    );
-                }
-            }
-            _ => {}
+    // The critical job: the first to reach the latest modelled end.
+    let mut critical: Option<(f64, &Exec)> = None;
+    // task → latest actual completion on the modelled clock
+    let mut actual_end: BTreeMap<usize, f64> = BTreeMap::new();
+    for (exec, (start, dur)) in jobs.iter().filter_map(|e| e.virt.map(|v| (e, v))) {
+        let end = start + dur;
+        let latest = actual_end.entry(exec.task).or_insert(end);
+        *latest = latest.max(end);
+        if critical.is_none_or(|(e, _)| end > e) {
+            critical = Some((end, exec));
         }
     }
 
-    // Registration marks workers (and their species) even when they
-    // never ran a job — they still count toward balance.
-    for (&w, &gpu) in &registered_gpu {
-        acc(&mut workers, w).is_gpu = gpu;
-    }
-
-    let wall_makespan = if wall_hi > wall_lo {
-        wall_hi - wall_lo
-    } else {
-        0.0
-    };
-    let two_lambda_bound = 2.0 * lambda;
-    let bound_holds = has_bound && modelled_makespan <= two_lambda_bound * (1.0 + 1e-9) + 1e-12;
-
-    let n_workers = workers.len().max(1);
-    let mean_busy = workers.values().map(|a| a.busy_modelled).sum::<f64>() / n_workers as f64;
+    let workers: Vec<(usize, &Worker)> = model.participants().collect();
+    let mean_busy =
+        workers.iter().map(|(_, w)| w.busy_modelled).sum::<f64>() / workers.len().max(1) as f64;
     let max_busy = workers
-        .values()
-        .map(|a| a.busy_modelled)
+        .iter()
+        .map(|(_, w)| w.busy_modelled)
         .fold(0.0, f64::max);
-    let load_imbalance = if mean_busy > 0.0 {
-        max_busy / mean_busy
-    } else {
-        1.0
-    };
-
+    let load_imbalance = ratio_or(1.0, max_busy, mean_busy);
     let worker_audits: Vec<WorkerAudit> = workers
         .iter()
-        .map(|(&worker, a)| WorkerAudit {
+        .map(|&(worker, w)| WorkerAudit {
             worker,
-            is_gpu: a.is_gpu,
-            device_class: device_classes.get(&worker).cloned().unwrap_or_default(),
-            tasks: a.tasks,
-            busy_wall: a.busy_wall,
-            busy_modelled: a.busy_modelled,
-            utilization_wall: if wall_makespan > 0.0 {
-                a.busy_wall / wall_makespan
-            } else {
-                0.0
-            },
-            utilization_modelled: if modelled_makespan > 0.0 {
-                a.busy_modelled / modelled_makespan
-            } else {
-                0.0
-            },
-            mcups: if a.busy_wall > 0.0 {
-                a.cells / a.busy_wall / 1e6
-            } else {
-                0.0
-            },
-            queue_wait_wall: a.queue_wait_wall,
-            queue_wait_modelled: a.queue_wait_modelled,
+            is_gpu: w.is_gpu(),
+            device_class: w.class.clone(),
+            tasks: w.jobs,
+            busy_wall: w.busy_wall,
+            busy_modelled: w.busy_modelled,
+            utilization_wall: ratio_or(0.0, w.busy_wall, wall_makespan),
+            utilization_modelled: ratio_or(0.0, w.busy_modelled, modelled_makespan),
+            mcups: ratio_or(0.0, w.cells, w.busy_wall) / 1e6,
+            queue_wait_wall: w.queue_wait_wall,
+            queue_wait_modelled: w.queue_wait_modelled,
         })
         .collect();
 
-    // Skew: tasks with both a planned and an actual completion.
-    let mut abs_skews: Vec<(f64, i64)> = Vec::new();
-    for (task, planned) in &planned_end {
-        if let Some(actual) = actual_end.get(task) {
-            abs_skews.push(((actual - planned).abs(), *task));
+    // The initial plan: latest planned completion per task, and the
+    // species of the worker each task was (last) planned on.
+    let mut planned_makespan = 0.0f64;
+    let mut planned_end: BTreeMap<usize, f64> = BTreeMap::new();
+    let mut planned_on_gpu: BTreeMap<usize, bool> = BTreeMap::new();
+    for p in model.placements.iter().filter(|p| !p.recovered) {
+        planned_makespan = planned_makespan.max(p.end);
+        let latest = planned_end.entry(p.task).or_insert(p.end);
+        *latest = latest.max(p.end);
+        if let Some(gpu) = model.workers.get(&p.worker).and_then(|w| w.registered) {
+            planned_on_gpu.insert(p.task, gpu);
         }
     }
+
+    // Skew: tasks with both a planned and an actual completion.
+    let abs_skews: Vec<(f64, usize)> = planned_end
+        .iter()
+        .filter_map(|(task, planned)| Some(((actual_end.get(task)? - planned).abs(), *task)))
+        .collect();
     let skew = if abs_skews.is_empty() {
         SkewStats::default()
     } else {
         let (max_abs, max_task) =
-            abs_skews.iter().cloned().fold(
+            abs_skews.iter().fold(
                 (0.0, -1),
-                |best, (s, t)| if s > best.0 { (s, t) } else { best },
+                |best, &(s, t)| if s > best.0 { (s, t as i64) } else { best },
             );
         SkewStats {
             tasks_compared: abs_skews.len(),
@@ -440,24 +276,16 @@ pub fn analyze_events(events: &[Event]) -> RunReport {
 
     // Acceleration-ratio ordering: every planned (GPU task, CPU task)
     // pair should have ratio(gpu) ≥ ratio(cpu).
-    let ratio = |t: i64| -> Option<f64> {
-        let (p_cpu, p_gpu) = model.get(&t)?;
-        if *p_gpu > 0.0 {
-            Some(p_cpu / p_gpu)
-        } else {
-            None
-        }
+    let ratios = |on_gpu: bool| -> Vec<f64> {
+        planned_on_gpu
+            .iter()
+            .filter(|(_, gpu)| **gpu == on_gpu)
+            .filter_map(|(t, _)| model.tasks.get(t))
+            .filter(|t| t.p_gpu > 0.0)
+            .map(|t| t.p_cpu / t.p_gpu)
+            .collect()
     };
-    let gpu_ratios: Vec<f64> = planned_on_gpu
-        .iter()
-        .filter(|(_, gpu)| **gpu)
-        .filter_map(|(t, _)| ratio(*t))
-        .collect();
-    let cpu_ratios: Vec<f64> = planned_on_gpu
-        .iter()
-        .filter(|(_, gpu)| !**gpu)
-        .filter_map(|(t, _)| ratio(*t))
-        .collect();
+    let (gpu_ratios, cpu_ratios) = (ratios(true), ratios(false));
     let pairs = gpu_ratios.len() * cpu_ratios.len();
     let gpu_ordering_quality = if pairs == 0 {
         1.0
@@ -469,42 +297,52 @@ pub fn analyze_events(events: &[Event]) -> RunReport {
         good as f64 / pairs as f64
     };
 
-    done_tasks.sort_unstable();
-    done_tasks.dedup();
-    moved.sort_unstable();
-    moved.dedup();
+    let moved: BTreeSet<usize> = model
+        .placements
+        .iter()
+        .filter(|p| p.recovered)
+        .map(|p| p.task)
+        .collect();
+    let mut alerts: BTreeMap<&str, usize> = BTreeMap::new();
+    for alert in &model.alerts {
+        *alerts.entry(alert.kind.label()).or_insert(0) += 1;
+    }
+    let count = |(name, count): (&str, usize)| FaultCount {
+        name: name.to_string(),
+        count,
+    };
 
     RunReport {
         schema: JOURNAL_SCHEMA.to_string(),
-        tasks: done_tasks.len(),
+        tasks: model.done.len(),
         workers: worker_audits,
         wall_makespan,
         modelled_makespan,
         planned_makespan,
-        lambda,
-        lower_bound,
+        lambda: model.lambda,
+        lower_bound: model.lower_bound,
         two_lambda_bound,
-        has_bound,
-        bound_holds,
+        has_bound: model.has_bound,
+        bound_holds: model.bound_holds(),
         bound_margin: two_lambda_bound - modelled_makespan,
-        binsearch_iterations: iterations,
+        binsearch_iterations: model.binsearch_iterations,
         load_imbalance,
-        critical_task: critical.map(|(_, t, _)| t).unwrap_or(-1),
-        critical_worker: critical.map(|(_, _, w)| w).unwrap_or(-1),
-        wall_latency: LatencyStats::from_durations(wall_durations),
-        modelled_latency: LatencyStats::from_durations(modelled_durations),
+        critical_task: critical.map_or(-1, |(_, e)| e.task as i64),
+        critical_worker: critical.map_or(-1, |(_, e)| e.worker as i64),
+        wall_latency: LatencyStats::from_durations(jobs.iter().map(|e| e.wall_dur).collect()),
+        modelled_latency: LatencyStats::from_durations(
+            jobs.iter().filter_map(|e| Some(e.virt?.1)).collect(),
+        ),
         skew,
         gpu_ordering_quality,
         moved_tasks: moved.len(),
-        reopt_replans: faults.get("reopt_replan").copied().unwrap_or(0),
-        faults: faults
-            .into_iter()
-            .map(|(name, count)| FaultCount { name, count })
+        reopt_replans: model.reopt_replans,
+        faults: model
+            .faults
+            .iter()
+            .map(|(name, n)| count((name, *n)))
             .collect(),
-        alerts: alerts
-            .into_iter()
-            .map(|(name, count)| FaultCount { name, count })
-            .collect(),
+        alerts: alerts.into_iter().map(count).collect(),
     }
 }
 
@@ -652,81 +490,76 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalError;
+    use crate::testkit::{
+        death, estimate, job, job_placed_by, lambda_found, placed, redispatch, registered,
+    };
+    use crate::{AlertKind, EventBody, Obs, OptWorker, Track};
+
+    fn analyze_obs(obs: &Obs) -> RunReport {
+        analyze(&RunModel::from_obs(obs))
+    }
+
+    fn analyze_journal(journal: &str) -> Result<RunReport, JournalError> {
+        RunModel::from_journal(journal).map(|model| analyze(&model))
+    }
 
     /// A hand-built run: 2 workers (0 = CPU, 1 = GPU), 3 tasks, a plan
     /// and a λ.
     fn sample_obs() -> Obs {
         let obs = Obs::enabled();
-        obs.instant(
-            Track::Master,
-            "worker_registered",
-            &[("worker", 0.0), ("is_gpu", 0.0)],
-        );
-        obs.instant(
-            Track::Master,
-            "worker_registered",
-            &[("worker", 1.0), ("is_gpu", 1.0)],
-        );
+        obs.instant(Track::Master, registered(0, false));
+        obs.instant(Track::Master, registered(1, true));
         for (t, p_cpu, p_gpu) in [(0, 8.0, 2.0), (1, 6.0, 2.0), (2, 3.0, 2.5)] {
-            obs.instant(
-                Track::Master,
-                "task_model",
-                &[("task", t as f64), ("p_cpu", p_cpu), ("p_gpu", p_gpu)],
-            );
+            obs.instant(Track::Master, estimate(t, p_cpu, p_gpu));
         }
-        obs.instant(
-            Track::Scheduler,
-            "binsearch_done",
-            &[
-                ("iterations", 12.0),
-                ("lower_bound", 3.5),
-                ("upper_bound", 4.0),
-                ("makespan", 4.0),
-                ("lambda", 4.0),
-                ("two_lambda_bound", 8.0),
-            ],
-        );
+        obs.instant(Track::Scheduler, lambda_found(4.0, 3.5, 12));
         // Plan: tasks 0 and 1 on the GPU, task 2 on the CPU.
-        obs.virtual_span(Track::Planned(1), "task-0", 0.0, 2.0, &[("task", 0.0)]);
-        obs.virtual_span(Track::Planned(1), "task-1", 2.0, 2.0, &[("task", 1.0)]);
-        obs.virtual_span(Track::Planned(0), "task-2", 0.0, 3.0, &[("task", 2.0)]);
+        obs.virtual_span(Track::Planned(1), 0.0, 2.0, placed(0));
+        obs.virtual_span(Track::Planned(1), 2.0, 2.0, placed(1));
+        obs.virtual_span(Track::Planned(0), 0.0, 3.0, placed(2));
         // Actual: GPU slightly late on task 1, CPU on plan.
-        obs.span(
-            Track::Worker(1),
-            "task-0",
-            0.1,
-            0.2,
-            Some((0.0, 2.0)),
-            &[("task", 0.0), ("cells", 2.0e6)],
-        );
-        obs.span(
-            Track::Worker(1),
-            "task-1",
-            0.3,
-            0.3,
-            Some((2.0, 2.5)),
-            &[("task", 1.0), ("cells", 2.0e6)],
-        );
+        let gpu = Track::Worker(1);
+        obs.span(gpu, 0.1, 0.2, Some((0.0, 2.0)), job(0, Some(2.0e6)));
+        obs.span(gpu, 0.3, 0.3, Some((2.0, 2.5)), job(1, Some(2.0e6)));
         obs.span(
             Track::Worker(0),
-            "task-2",
             0.1,
             0.4,
             Some((0.0, 3.0)),
-            &[("task", 2.0), ("cells", 1.0e6)],
+            job(2, Some(1.0e6)),
         );
         obs
+    }
+
+    fn class(worker: usize, class: &str) -> EventBody {
+        EventBody::DeviceClass {
+            worker,
+            class: class.to_string(),
+        }
+    }
+
+    fn alert(kind: AlertKind, worker: Option<usize>, value: f64) -> EventBody {
+        EventBody::Alert {
+            kind,
+            worker: OptWorker(worker),
+            value,
+            threshold: 2.0,
+        }
     }
 
     #[test]
     fn device_classes_and_replans_are_reported() {
         let obs = sample_obs();
-        obs.instant(Track::Master, "device_class:cpu", &[("worker", 0.0)]);
-        obs.instant(Track::Master, "device_class:bioseal", &[("worker", 1.0)]);
+        obs.instant(Track::Master, class(0, "cpu"));
+        obs.instant(Track::Master, class(1, "bioseal"));
         obs.instant(
             Track::Faults,
-            "reopt_replan",
-            &[("round", 1.0), ("remaining", 2.0), ("skew", 3.0)],
+            EventBody::ReoptReplan {
+                round: 1,
+                remaining: 2,
+                skew: 3.0,
+            },
         );
         let r = analyze_obs(&obs);
         assert_eq!(r.workers[0].device_class, "cpu");
@@ -796,30 +629,14 @@ mod tests {
     #[test]
     fn ordering_quality_flags_inverted_placements() {
         let obs = Obs::enabled();
-        obs.instant(
-            Track::Master,
-            "worker_registered",
-            &[("worker", 0.0), ("is_gpu", 0.0)],
-        );
-        obs.instant(
-            Track::Master,
-            "worker_registered",
-            &[("worker", 1.0), ("is_gpu", 1.0)],
-        );
+        obs.instant(Track::Master, registered(0, false));
+        obs.instant(Track::Master, registered(1, true));
         // Task 0 barely accelerated, task 1 strongly accelerated —
         // but the plan puts 0 on the GPU and 1 on the CPU.
-        obs.instant(
-            Track::Master,
-            "task_model",
-            &[("task", 0.0), ("p_cpu", 2.0), ("p_gpu", 1.9)],
-        );
-        obs.instant(
-            Track::Master,
-            "task_model",
-            &[("task", 1.0), ("p_cpu", 10.0), ("p_gpu", 1.0)],
-        );
-        obs.virtual_span(Track::Planned(1), "task-0", 0.0, 1.9, &[("task", 0.0)]);
-        obs.virtual_span(Track::Planned(0), "task-1", 0.0, 10.0, &[("task", 1.0)]);
+        obs.instant(Track::Master, estimate(0, 2.0, 1.9));
+        obs.instant(Track::Master, estimate(1, 10.0, 1.0));
+        obs.virtual_span(Track::Planned(1), 0.0, 1.9, placed(0));
+        obs.virtual_span(Track::Planned(0), 0.0, 10.0, placed(1));
         let r = analyze_obs(&obs);
         assert_eq!(r.gpu_ordering_quality, 0.0);
     }
@@ -831,19 +648,16 @@ mod tests {
         let headerless: String = journal.lines().skip(1).collect::<Vec<_>>().join("\n");
         assert_eq!(
             analyze_journal(&headerless).unwrap_err(),
-            AnalysisError::MissingHeader
+            JournalError::MissingHeader
         );
-        assert_eq!(
-            analyze_journal("").unwrap_err(),
-            AnalysisError::EmptyJournal
-        );
+        assert_eq!(analyze_journal("").unwrap_err(), JournalError::EmptyJournal);
     }
 
     #[test]
     fn wrong_schema_is_rejected_with_its_name() {
         let journal = "{\"schema\":\"swdual-journal/99\",\"events\":0}\n";
         match analyze_journal(journal).unwrap_err() {
-            AnalysisError::SchemaMismatch { found, expected } => {
+            JournalError::SchemaMismatch { found, expected } => {
                 assert_eq!(found, "swdual-journal/99");
                 assert!(expected.contains(JOURNAL_SCHEMA), "{expected}");
                 assert!(expected.contains("swdual-journal/1"), "{expected}");
@@ -856,7 +670,7 @@ mod tests {
     fn malformed_line_reports_its_number() {
         let journal = format!("{{\"schema\":\"{JOURNAL_SCHEMA}\",\"events\":1}}\nnot json\n");
         match analyze_journal(&journal).unwrap_err() {
-            AnalysisError::Malformed { line, .. } => assert_eq!(line, 2),
+            JournalError::Malformed { line, .. } => assert_eq!(line, 2),
             other => panic!("expected malformed, got {other:?}"),
         }
     }
@@ -864,42 +678,32 @@ mod tests {
     #[test]
     fn fault_and_recovery_events_are_counted() {
         let obs = Obs::enabled();
-        obs.instant(Track::Faults, "worker_death", &[("worker", 1.0)]);
-        obs.instant(Track::Faults, "task_redispatch", &[("task", 2.0)]);
-        obs.instant(Track::Faults, "task_redispatch", &[("task", 3.0)]);
-        obs.virtual_span(Track::Recovered(0), "task-2", 0.0, 1.0, &[("task", 2.0)]);
-        obs.virtual_span(Track::Recovered(0), "task-3", 1.0, 1.0, &[("task", 3.0)]);
+        obs.instant(Track::Faults, death(1));
+        obs.instant(Track::Faults, redispatch(2));
+        obs.instant(Track::Faults, redispatch(3));
+        obs.virtual_span(Track::Recovered(0), 0.0, 1.0, placed(2));
+        obs.virtual_span(Track::Recovered(0), 1.0, 1.0, placed(3));
         let r = analyze_obs(&obs);
         assert_eq!(r.moved_tasks, 2);
-        let deaths = r.faults.iter().find(|f| f.name == "worker_death").unwrap();
-        assert_eq!(deaths.count, 1);
-        let redispatch = r
-            .faults
-            .iter()
-            .find(|f| f.name == "task_redispatch")
-            .unwrap();
-        assert_eq!(redispatch.count, 2);
+        let count = |fault: EventBody| {
+            let counted = r.faults.iter().find(|f| f.name == fault.name());
+            counted.map_or(0, |f| f.count)
+        };
+        assert_eq!(count(death(1)), 1);
+        assert_eq!(count(redispatch(0)), 2);
     }
 
     #[test]
     fn alert_instants_are_counted_apart_from_faults() {
-        let obs = crate::Obs::enabled();
-        obs.instant(Track::Faults, "worker_death", &[("worker", 0.0)]);
-        obs.instant(
-            Track::Faults,
-            "alert_straggler",
-            &[("worker", 1.0), ("value", 3.0), ("threshold", 2.0)],
-        );
-        obs.instant(
-            Track::Faults,
-            "alert_straggler",
-            &[("worker", 2.0), ("value", 2.2), ("threshold", 2.0)],
-        );
-        obs.instant(Track::Faults, "alert_bound_at_risk", &[("value", 1.9)]);
+        let obs = Obs::enabled();
+        obs.instant(Track::Faults, death(0));
+        obs.instant(Track::Faults, alert(AlertKind::Straggler, Some(1), 3.0));
+        obs.instant(Track::Faults, alert(AlertKind::Straggler, Some(2), 2.2));
+        obs.instant(Track::Faults, alert(AlertKind::BoundAtRisk, None, 1.9));
         let r = analyze_obs(&obs);
         // Alerts never pollute the fault counts…
         assert_eq!(r.faults.len(), 1);
-        assert_eq!(r.faults[0].name, "worker_death");
+        assert_eq!(r.faults[0].name, death(0).name());
         // …and surface under their own heading, kinds hyphenated.
         let straggler = r.alerts.iter().find(|a| a.name == "straggler").unwrap();
         assert_eq!(straggler.count, 2);
@@ -952,11 +756,7 @@ mod tests {
         // utilization and MCUPS divide by zero-ish quantities.
         let obs = Obs::enabled();
         for w in 0..2 {
-            obs.instant(
-                Track::Master,
-                "worker_registered",
-                &[("worker", w as f64), ("is_gpu", 0.0)],
-            );
+            obs.instant(Track::Master, registered(w, false));
         }
         let r = analyze_obs(&obs);
         assert_eq!(r.workers.len(), 2);
@@ -972,21 +772,16 @@ mod tests {
     #[test]
     fn profiling_detail_spans_do_not_double_count_busy_time() {
         let obs = Obs::enabled();
+        obs.span(Track::Worker(0), 0.0, 1.0, Some((0.0, 2.0)), job(0, None));
         obs.span(
             Track::Worker(0),
-            "task-0",
-            0.0,
-            1.0,
-            Some((0.0, 2.0)),
-            &[("task", 0.0)],
-        );
-        obs.span(
-            Track::Worker(0),
-            "phase_dp_inner",
             0.0,
             0.9,
             Some((0.0, 1.8)),
-            &[("task", 0.0)],
+            EventBody::Phase {
+                phase: crate::HostPhase::DpInner,
+                task: 0,
+            },
         );
         let r = analyze_obs(&obs);
         let w = &r.workers[0];
@@ -1015,23 +810,17 @@ mod tests {
         let obs = Obs::enabled();
         obs.span(
             Track::Worker(0),
-            "task-0",
             0.2,
             1.0,
             Some((0.0, 2.0)),
-            &[("task", 0.0), ("queue_wait_wall", 0.2)],
+            job_placed_by(0, None, Some(0), Some((0.2, 0.0))),
         );
         obs.span(
             Track::Worker(0),
-            "task-1",
             1.5,
             1.0,
             Some((2.0, 2.0)),
-            &[
-                ("task", 1.0),
-                ("queue_wait_wall", 0.3),
-                ("queue_wait_modelled", 0.5),
-            ],
+            job_placed_by(1, None, Some(0), Some((0.3, 0.5))),
         );
         let r = analyze_obs(&obs);
         let w = &r.workers[0];
@@ -1050,22 +839,8 @@ mod tests {
         // strictly-greater comparison keeps the first one seen, so the
         // answer is deterministic under journal order.
         let obs = Obs::enabled();
-        obs.span(
-            Track::Worker(0),
-            "task-0",
-            0.0,
-            1.0,
-            Some((0.0, 3.0)),
-            &[("task", 0.0)],
-        );
-        obs.span(
-            Track::Worker(1),
-            "task-1",
-            0.0,
-            1.0,
-            Some((1.0, 2.0)),
-            &[("task", 1.0)],
-        );
+        obs.span(Track::Worker(0), 0.0, 1.0, Some((0.0, 3.0)), job(0, None));
+        obs.span(Track::Worker(1), 0.0, 1.0, Some((1.0, 2.0)), job(1, None));
         let r = analyze_obs(&obs);
         assert!((r.modelled_makespan - 3.0).abs() < 1e-12);
         assert_eq!(r.critical_task, 0);
@@ -1075,22 +850,8 @@ mod tests {
     #[test]
     fn zero_duration_spans_do_not_corrupt_the_report() {
         let obs = Obs::enabled();
-        obs.span(
-            Track::Worker(0),
-            "task-0",
-            0.5,
-            0.0,
-            Some((1.0, 0.0)),
-            &[("task", 0.0)],
-        );
-        obs.span(
-            Track::Worker(0),
-            "task-1",
-            0.5,
-            0.2,
-            Some((1.0, 0.5)),
-            &[("task", 1.0)],
-        );
+        obs.span(Track::Worker(0), 0.5, 0.0, Some((1.0, 0.0)), job(0, None));
+        obs.span(Track::Worker(0), 0.5, 0.2, Some((1.0, 0.5)), job(1, None));
         let r = analyze_obs(&obs);
         assert_eq!(r.tasks, 2);
         assert!((r.modelled_makespan - 1.5).abs() < 1e-12);

@@ -206,17 +206,22 @@ impl Drop for BusSubscriber {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Obs, Track};
+    use crate::testkit::job;
+    use crate::{EventBody, Obs, Track};
 
     #[test]
     fn subscriber_sees_events_in_journal_order() {
         let obs = Obs::enabled();
-        obs.instant(Track::Master, "before", &[]);
+        obs.instant(Track::Master, EventBody::other("before"));
         let sub = obs.subscribe();
-        obs.instant(Track::Master, "a", &[]);
-        obs.span(Track::Worker(0), "task-0", 0.0, 1.0, Some((0.0, 1.0)), &[]);
-        obs.instant(Track::Faults, "b", &[]);
-        let names: Vec<String> = sub.drain().into_iter().map(|e| e.name).collect();
+        obs.instant(Track::Master, EventBody::other("a"));
+        obs.span(Track::Worker(0), 0.0, 1.0, Some((0.0, 1.0)), job(0, None));
+        obs.instant(Track::Faults, EventBody::other("b"));
+        let names: Vec<String> = sub
+            .drain()
+            .into_iter()
+            .map(|e| e.name().into_owned())
+            .collect();
         // Only events published after subscribing arrive, in order.
         assert_eq!(names, vec!["a", "task-0", "b"]);
         assert_eq!(sub.dropped(), 0);
@@ -227,15 +232,19 @@ mod tests {
         let obs = Obs::enabled();
         let sub = obs.subscribe_with_capacity(2);
         for i in 0..5 {
-            obs.instant(Track::Master, &format!("e{i}"), &[]);
+            obs.instant(Track::Master, EventBody::other(&format!("e{i}")));
         }
-        let names: Vec<String> = sub.drain().into_iter().map(|e| e.name).collect();
+        let names: Vec<String> = sub
+            .drain()
+            .into_iter()
+            .map(|e| e.name().into_owned())
+            .collect();
         // Oldest pending survive; the overflow was dropped, not queued.
         assert_eq!(names, vec!["e0", "e1"]);
         assert_eq!(sub.dropped(), 3);
         assert_eq!(obs.bus_dropped_events(), 3);
         // Draining frees capacity again.
-        obs.instant(Track::Master, "late", &[]);
+        obs.instant(Track::Master, EventBody::other("late"));
         assert_eq!(sub.drain().len(), 1);
         assert_eq!(sub.dropped(), 3);
     }
@@ -244,13 +253,13 @@ mod tests {
     fn dropping_the_subscriber_closes_the_tap() {
         let obs = Obs::enabled();
         let sub = obs.subscribe();
-        obs.instant(Track::Master, "seen", &[]);
+        obs.instant(Track::Master, EventBody::other("seen"));
         assert_eq!(sub.pending(), 1);
         drop(sub);
         // The publisher sweeps the closed tap on the next event and
         // keeps recording normally.
-        obs.instant(Track::Master, "unseen", &[]);
-        obs.instant(Track::Master, "unseen2", &[]);
+        obs.instant(Track::Master, EventBody::other("unseen"));
+        obs.instant(Track::Master, EventBody::other("unseen2"));
         assert_eq!(obs.event_count(), 3);
         assert_eq!(obs.bus_dropped_events(), 0);
     }
@@ -260,7 +269,7 @@ mod tests {
         let obs = Obs::disabled();
         let sub = obs.subscribe();
         assert!(!sub.is_live());
-        obs.instant(Track::Master, "nothing", &[]);
+        obs.instant(Track::Master, EventBody::other("nothing"));
         assert!(sub.drain().is_empty());
         assert!(sub.try_recv().is_none());
         assert_eq!(sub.dropped(), 0);
@@ -273,8 +282,8 @@ mod tests {
         let obs = Obs::enabled();
         let a = obs.subscribe();
         let b = obs.subscribe_with_capacity(1);
-        obs.instant(Track::Master, "x", &[]);
-        obs.instant(Track::Master, "y", &[]);
+        obs.instant(Track::Master, EventBody::other("x"));
+        obs.instant(Track::Master, EventBody::other("y"));
         assert_eq!(a.drain().len(), 2);
         assert_eq!(b.drain().len(), 1); // capacity 1: second dropped
         assert_eq!(b.dropped(), 1);
@@ -290,14 +299,7 @@ mod tests {
                 let handle = obs.clone();
                 scope.spawn(move || {
                     for j in 0..100 {
-                        handle.span(
-                            Track::Worker(w),
-                            &format!("job-{j}"),
-                            0.0,
-                            0.1,
-                            None,
-                            &[("w", w as f64)],
-                        );
+                        handle.span(Track::Worker(w), 0.0, 0.1, None, job(j, None));
                     }
                 });
             }
@@ -305,12 +307,12 @@ mod tests {
         let journal: Vec<(String, String)> = obs
             .events()
             .iter()
-            .map(|e| (e.track.label(), e.name.clone()))
+            .map(|e| (e.track.label(), e.name().into_owned()))
             .collect();
         let seen: Vec<(String, String)> = sub
             .drain()
             .into_iter()
-            .map(|e| (e.track.label(), e.name))
+            .map(|e| (e.track.label(), e.name().into_owned()))
             .collect();
         // Nothing dropped at this capacity, so the streams are equal —
         // publication happens under the journal's own ordering lock.

@@ -33,11 +33,10 @@
 //! run diffed against itself is all-NEUTRAL with zero deltas — both
 //! properties are proptested in `tests/prop_diff.rs`.
 
-use crate::analysis::{analyze_events, RunReport};
-use crate::journal::{parse_journal, JournalError};
+use crate::analysis::{analyze, LatencyStats, RunReport, WorkerAudit};
 use crate::metrics::HISTOGRAM_GAMMA;
-use crate::profile::Profile;
-use crate::{Event, Obs};
+use crate::model::{ratio_or, RunModel};
+use crate::profile::{DeviceProfile, Profile};
 use serde::Serialize;
 use std::collections::BTreeSet;
 
@@ -288,23 +287,16 @@ pub fn classify(
 
 use Tolerance::{Exact, Quantile, Wall};
 
-/// Diff two folded [`RunReport`]s.
-pub fn diff_reports(base: &RunReport, head: &RunReport, opts: &DiffOptions) -> DiffReport {
+/// Diff two runs: audit both (and, with
+/// [`DiffOptions::include_profile`], stack both) and compare.
+pub fn diff_models(base: &RunModel, head: &RunModel, opts: &DiffOptions) -> DiffReport {
     let mut b = DiffBuilder::new(opts);
-    fold_run_reports(&mut b, base, head);
-    finish(b, Vec::new())
-}
-
-/// Diff two event streams: fold both into [`RunReport`]s (and, with
-/// [`DiffOptions::include_profile`], [`Profile`]s) and compare.
-pub fn diff_events(base: &[Event], head: &[Event], opts: &DiffOptions) -> DiffReport {
-    let mut b = DiffBuilder::new(opts);
-    fold_run_reports(&mut b, &analyze_events(base), &analyze_events(head));
+    fold_run_reports(&mut b, &analyze(base), &analyze(head));
     let flips = if opts.include_profile {
         fold_profiles(
             &mut b,
-            &Profile::from_events(base),
-            &Profile::from_events(head),
+            &Profile::from_model(base),
+            &Profile::from_model(head),
         )
     } else {
         Vec::new()
@@ -312,20 +304,99 @@ pub fn diff_events(base: &[Event], head: &[Event], opts: &DiffOptions) -> DiffRe
     finish(b, flips)
 }
 
-/// Diff two live recorders.
-pub fn diff_obs(base: &Obs, head: &Obs, opts: &DiffOptions) -> DiffReport {
-    diff_events(&base.events(), &head.events(), opts)
+/// How a compared quantity is read off either side.
+type Read<T> = fn(&T) -> f64;
+
+/// One compared quantity: its name, its reader, whether lower is
+/// better, and how its delta is judged.
+type Row<T> = (&'static str, Read<T>, bool, Tolerance);
+
+/// Busy-weighted aggregate throughput (MCUPS).
+fn mcups(r: &RunReport) -> f64 {
+    let busy: f64 = r.workers.iter().map(|w| w.busy_wall).sum();
+    let cells: f64 = r.workers.iter().map(|w| w.mcups * w.busy_wall).sum();
+    ratio_or(0.0, cells, busy)
 }
 
-/// Diff two JSON-lines journals (validating both headers).
-pub fn diff_journals(
-    base: &str,
-    head: &str,
-    opts: &DiffOptions,
-) -> Result<DiffReport, JournalError> {
-    let base = parse_journal(base)?;
-    let head = parse_journal(head)?;
-    Ok(diff_events(&base, &head, opts))
+const RUN_ROWS: [Row<RunReport>; 3] = [
+    ("makespan.wall", |r| r.wall_makespan, true, Wall),
+    ("makespan.modelled", |r| r.modelled_makespan, true, Exact),
+    ("makespan.planned", |r| r.planned_makespan, true, Exact),
+];
+
+const BOUND_ROWS: [Row<RunReport>; 5] = [
+    ("bound.lambda", |r| r.lambda, true, Exact),
+    ("bound.two_lambda", |r| r.two_lambda_bound, true, Exact),
+    ("bound.margin", |r| r.bound_margin, false, Exact),
+    (
+        "bound.holds",
+        |r| f64::from(u8::from(r.bound_holds)),
+        false,
+        Exact,
+    ),
+    (
+        "bound.binsearch_iterations",
+        |r| r.binsearch_iterations as f64,
+        true,
+        Exact,
+    ),
+];
+
+const BALANCE_ROWS: [Row<RunReport>; 5] = [
+    ("balance.load_imbalance", |r| r.load_imbalance, true, Exact),
+    ("balance.moved_tasks", |r| r.moved_tasks as f64, true, Exact),
+    (
+        "ordering.gpu_quality",
+        |r| r.gpu_ordering_quality,
+        false,
+        Exact,
+    ),
+    ("skew.mean_abs", |r| r.skew.mean_abs, true, Exact),
+    ("skew.max_abs", |r| r.skew.max_abs, true, Exact),
+];
+
+const LATENCY_ROWS: [(&str, Read<LatencyStats>); 5] = [
+    ("p50", |l| l.p50),
+    ("p95", |l| l.p95),
+    ("p99", |l| l.p99),
+    ("max", |l| l.max),
+    ("mean", |l| l.mean),
+];
+
+const WORKER_ROWS: [Row<WorkerAudit>; 4] = [
+    ("busy_modelled", |w| w.busy_modelled, true, Exact),
+    (
+        "utilization_modelled",
+        |w| w.utilization_modelled,
+        false,
+        Exact,
+    ),
+    ("utilization_wall", |w| w.utilization_wall, false, Wall),
+    ("mcups", |w| w.mcups, false, Wall),
+];
+
+/// Per-device busy-time accounting — all on the device's virtual
+/// clock, hence exact.
+const DEVICE_ROWS: [Row<DeviceProfile>; 8] = [
+    ("kernel_seconds", |d| d.kernel_seconds, true, Exact),
+    ("launch_seconds", |d| d.launch_seconds, true, Exact),
+    ("transfer_seconds", |d| d.transfer_seconds, true, Exact),
+    ("busy_seconds", |d| d.busy_seconds, true, Exact),
+    ("idle_seconds", |d| d.idle_seconds, true, Exact),
+    ("bytes_h2d", |d| d.bytes_h2d, true, Exact),
+    ("achieved_gcups", |d| d.achieved_gcups(), false, Exact),
+    ("warp_efficiency", |d| d.warp_efficiency(), false, Exact),
+];
+
+impl DiffBuilder<'_> {
+    /// Compare `base` and `head` on every row, naming each metric
+    /// `{prefix}{row name}`.
+    fn push_rows<T>(&mut self, prefix: &str, rows: &[Row<T>], base: &T, head: &T) {
+        for &(name, read, lower_is_better, tolerance) in rows {
+            let name = format!("{prefix}{name}");
+            self.push(name, read(base), read(head), lower_is_better, tolerance);
+        }
+    }
 }
 
 fn fold_run_reports(b: &mut DiffBuilder<'_>, base: &RunReport, head: &RunReport) {
@@ -344,27 +415,7 @@ fn fold_run_reports(b: &mut DiffBuilder<'_>, base: &RunReport, head: &RunReport)
         ));
     }
 
-    b.push(
-        "makespan.wall",
-        base.wall_makespan,
-        head.wall_makespan,
-        true,
-        Wall,
-    );
-    b.push(
-        "makespan.modelled",
-        base.modelled_makespan,
-        head.modelled_makespan,
-        true,
-        Exact,
-    );
-    b.push(
-        "makespan.planned",
-        base.planned_makespan,
-        head.planned_makespan,
-        true,
-        Exact,
-    );
+    b.push_rows("", &RUN_ROWS, base, head);
     if base.has_bound || head.has_bound {
         if base.has_bound != head.has_bound {
             b.warn(
@@ -373,72 +424,9 @@ fn fold_run_reports(b: &mut DiffBuilder<'_>, base: &RunReport, head: &RunReport)
                     .to_string(),
             );
         }
-        b.push("bound.lambda", base.lambda, head.lambda, true, Exact);
-        b.push(
-            "bound.two_lambda",
-            base.two_lambda_bound,
-            head.two_lambda_bound,
-            true,
-            Exact,
-        );
-        b.push(
-            "bound.margin",
-            base.bound_margin,
-            head.bound_margin,
-            false,
-            Exact,
-        );
-        b.push(
-            "bound.holds",
-            if base.bound_holds { 1.0 } else { 0.0 },
-            if head.bound_holds { 1.0 } else { 0.0 },
-            false,
-            Exact,
-        );
-        b.push(
-            "bound.binsearch_iterations",
-            base.binsearch_iterations as f64,
-            head.binsearch_iterations as f64,
-            true,
-            Exact,
-        );
+        b.push_rows("", &BOUND_ROWS, base, head);
     }
-    b.push(
-        "balance.load_imbalance",
-        base.load_imbalance,
-        head.load_imbalance,
-        true,
-        Exact,
-    );
-    b.push(
-        "balance.moved_tasks",
-        base.moved_tasks as f64,
-        head.moved_tasks as f64,
-        true,
-        Exact,
-    );
-    b.push(
-        "ordering.gpu_quality",
-        base.gpu_ordering_quality,
-        head.gpu_ordering_quality,
-        false,
-        Exact,
-    );
-    b.push(
-        "skew.mean_abs",
-        base.skew.mean_abs,
-        head.skew.mean_abs,
-        true,
-        Exact,
-    );
-    b.push(
-        "skew.max_abs",
-        base.skew.max_abs,
-        head.skew.max_abs,
-        true,
-        Exact,
-    );
-
+    b.push_rows("", &BALANCE_ROWS, base, head);
     for (clock, tol, bl, hl) in [
         ("wall", Quantile, &base.wall_latency, &head.wall_latency),
         (
@@ -448,53 +436,22 @@ fn fold_run_reports(b: &mut DiffBuilder<'_>, base: &RunReport, head: &RunReport)
             &head.modelled_latency,
         ),
     ] {
-        b.push(format!("latency.{clock}.p50"), bl.p50, hl.p50, true, tol);
-        b.push(format!("latency.{clock}.p95"), bl.p95, hl.p95, true, tol);
-        b.push(format!("latency.{clock}.p99"), bl.p99, hl.p99, true, tol);
-        b.push(format!("latency.{clock}.max"), bl.max, hl.max, true, tol);
-        b.push(format!("latency.{clock}.mean"), bl.mean, hl.mean, true, tol);
-    }
-
-    // Aggregate throughput over busy wall time (MCUPS), then the
-    // per-worker view for workers present on both sides.
-    let mcups = |r: &RunReport| {
-        let busy: f64 = r.workers.iter().map(|w| w.busy_wall).sum();
-        let cells: f64 = r.workers.iter().map(|w| w.mcups * w.busy_wall).sum();
-        if busy > 0.0 {
-            cells / busy
-        } else {
-            0.0
+        for (name, read) in LATENCY_ROWS {
+            b.push(
+                format!("latency.{clock}.{name}"),
+                read(bl),
+                read(hl),
+                true,
+                tol,
+            );
         }
-    };
+    }
     b.push("throughput.mcups", mcups(base), mcups(head), false, Wall);
 
+    // The per-worker view, for workers present on both sides.
     for bw in &base.workers {
         match head.workers.iter().find(|hw| hw.worker == bw.worker) {
-            Some(hw) => {
-                let w = bw.worker;
-                b.push(
-                    format!("worker.{w}.busy_modelled"),
-                    bw.busy_modelled,
-                    hw.busy_modelled,
-                    true,
-                    Exact,
-                );
-                b.push(
-                    format!("worker.{w}.utilization_modelled"),
-                    bw.utilization_modelled,
-                    hw.utilization_modelled,
-                    false,
-                    Exact,
-                );
-                b.push(
-                    format!("worker.{w}.utilization_wall"),
-                    bw.utilization_wall,
-                    hw.utilization_wall,
-                    false,
-                    Wall,
-                );
-                b.push(format!("worker.{w}.mcups"), bw.mcups, hw.mcups, false, Wall);
-            }
+            Some(hw) => b.push_rows(&format!("worker.{}.", bw.worker), &WORKER_ROWS, bw, hw),
             None => b.warn(format!("worker {} only exists in the baseline", bw.worker)),
         }
     }
@@ -560,8 +517,6 @@ fn fold_profiles(b: &mut DiffBuilder<'_>, base: &Profile, head: &Profile) -> Vec
         b.push(format!("phase.{name}.modelled"), bm, hm, true, Wall);
     }
 
-    // Per-device busy-time accounting — all on the device's virtual
-    // clock, hence exact.
     let mut flips = Vec::new();
     for bd in &base.devices {
         let Some(hd) = head.devices.iter().find(|hd| hd.device == bd.device) else {
@@ -569,63 +524,7 @@ fn fold_profiles(b: &mut DiffBuilder<'_>, base: &Profile, head: &Profile) -> Vec
             continue;
         };
         let d = bd.device;
-        b.push(
-            format!("device.{d}.kernel_seconds"),
-            bd.kernel_seconds,
-            hd.kernel_seconds,
-            true,
-            Exact,
-        );
-        b.push(
-            format!("device.{d}.launch_seconds"),
-            bd.launch_seconds,
-            hd.launch_seconds,
-            true,
-            Exact,
-        );
-        b.push(
-            format!("device.{d}.transfer_seconds"),
-            bd.transfer_seconds,
-            hd.transfer_seconds,
-            true,
-            Exact,
-        );
-        b.push(
-            format!("device.{d}.busy_seconds"),
-            bd.busy_seconds,
-            hd.busy_seconds,
-            true,
-            Exact,
-        );
-        b.push(
-            format!("device.{d}.idle_seconds"),
-            bd.idle_seconds,
-            hd.idle_seconds,
-            true,
-            Exact,
-        );
-        b.push(
-            format!("device.{d}.bytes_h2d"),
-            bd.bytes_h2d,
-            hd.bytes_h2d,
-            true,
-            Exact,
-        );
-        b.push(
-            format!("device.{d}.achieved_gcups"),
-            bd.achieved_gcups(),
-            hd.achieved_gcups(),
-            false,
-            Exact,
-        );
-        b.push(
-            format!("device.{d}.warp_efficiency"),
-            bd.warp_efficiency(),
-            hd.warp_efficiency(),
-            false,
-            Exact,
-        );
-
+        b.push_rows(&format!("device.{d}."), &DEVICE_ROWS, bd, hd);
         if bd.verdict() != hd.verdict() {
             flips.push(flip(d, "device", 0, 0, bd.verdict(), hd.verdict()));
         }
@@ -804,38 +703,24 @@ impl DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Track;
+    use crate::testkit::{death, job, lambda_found, placed, redispatch, registered};
+    use crate::{Obs, Track};
+
+    fn diff_obs(base: &Obs, head: &Obs, opts: &DiffOptions) -> DiffReport {
+        diff_models(&RunModel::from_obs(base), &RunModel::from_obs(head), opts)
+    }
 
     fn sample_obs(scale: f64) -> Obs {
         let obs = Obs::enabled();
-        obs.instant(
-            Track::Master,
-            "worker_registered",
-            &[("worker", 0.0), ("is_gpu", 0.0)],
-        );
-        obs.instant(
-            Track::Scheduler,
-            "binsearch_done",
-            &[
-                ("iterations", 8.0),
-                ("lower_bound", 1.5 * scale),
-                ("lambda", 2.0 * scale),
-            ],
-        );
-        obs.virtual_span(
-            Track::Planned(0),
-            "task-0",
-            0.0,
-            2.0 * scale,
-            &[("task", 0.0)],
-        );
+        obs.instant(Track::Master, registered(0, false));
+        obs.instant(Track::Scheduler, lambda_found(2.0 * scale, 1.5 * scale, 8));
+        obs.virtual_span(Track::Planned(0), 0.0, 2.0 * scale, placed(0));
         obs.span(
             Track::Worker(0),
-            "task-0",
             0.1,
             0.2,
             Some((0.0, 2.0 * scale)),
-            &[("task", 0.0), ("cells", 1.0e6)],
+            job(0, Some(1.0e6)),
         );
         obs
     }
@@ -927,9 +812,9 @@ mod tests {
     fn fault_counts_are_unioned_and_flagged() {
         let base = sample_obs(1.0);
         let head = sample_obs(1.0);
-        head.instant(Track::Faults, "worker_death", &[("worker", 0.0)]);
-        head.instant(Track::Faults, "task_redispatch", &[("task", 0.0)]);
-        head.instant(Track::Faults, "task_redispatch", &[("task", 1.0)]);
+        head.instant(Track::Faults, death(0));
+        head.instant(Track::Faults, redispatch(0));
+        head.instant(Track::Faults, redispatch(1));
         let report = diff_obs(&base, &head, &DiffOptions::default());
         let find = |name: &str| report.metrics.iter().find(|m| m.name == name).unwrap();
         assert_eq!(find("fault.total").head, 3.0);
@@ -942,14 +827,7 @@ mod tests {
     fn incomparable_runs_are_flagged_not_rejected() {
         let base = sample_obs(1.0);
         let head = sample_obs(1.0);
-        head.span(
-            Track::Worker(1),
-            "task-1",
-            0.4,
-            0.2,
-            Some((0.0, 1.0)),
-            &[("task", 1.0)],
-        );
+        head.span(Track::Worker(1), 0.4, 0.2, Some((0.0, 1.0)), job(1, None));
         let report = diff_obs(&base, &head, &DiffOptions::default());
         assert!(!report.comparable);
         assert!(!report.warnings.is_empty());
@@ -962,8 +840,8 @@ mod tests {
         let head = sample_obs(2.0);
         let bj = crate::export::journal_jsonl(&base);
         let hj = crate::export::journal_jsonl(&head);
-        let from_journals =
-            diff_journals(&bj, &hj, &DiffOptions::default()).expect("journals diff");
+        let fold = |journal: &str| RunModel::from_journal(journal).expect("journal folds");
+        let from_journals = diff_models(&fold(&bj), &fold(&hj), &DiffOptions::default());
         let from_obs = diff_obs(&base, &head, &DiffOptions::default());
         assert_eq!(from_journals.to_json(), from_obs.to_json());
     }

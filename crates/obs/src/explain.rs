@@ -27,10 +27,11 @@
 //! dispatch edges, no decision ids, transfer and queue wait fold into
 //! compute and imbalance. The report says so instead of guessing.
 
-use crate::journal::{journal_schema, parse_journal, JournalError, JOURNAL_SCHEMA};
-use crate::{Event, EventKind, Obs, Track};
+use crate::journal::{JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1};
+use crate::model::{self, ratio_or, RunModel, Worker};
+use crate::Event;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Query-length bucket boundaries (residues): short / medium / long.
 const BUCKETS: [(&str, usize, usize); 3] = [
@@ -254,230 +255,129 @@ pub struct ExplainReport {
     pub replay: ReplayInput,
 }
 
-fn arg(event: &Event, key: &str) -> Option<f64> {
-    event.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-}
-
-/// One executed job span, flattened for path walking and blame.
-struct Exec {
-    worker: usize,
-    task: i64,
-    wall_start: f64,
-    wall_end: f64,
+/// One executed job span that has modelled times, as the path walk
+/// and the blame split see it.
+struct Exec<'a> {
+    job: &'a model::Exec,
     virt_start: f64,
     virt_end: f64,
-    decision: u64,
-    queue_wait_wall: f64,
-    queue_wait_modelled: f64,
     /// Re-executed duplicate of a task that also ran elsewhere.
     is_recovery: bool,
 }
 
-/// Explain a live recorder's events (assumes the current schema).
-pub fn explain_obs(obs: &Obs) -> ExplainReport {
-    explain_events(&obs.events(), JOURNAL_SCHEMA)
+/// Fold an event stream (current schema) and explain it.
+pub fn explain_events(events: &[Event]) -> ExplainReport {
+    explain(&RunModel::from_events(events))
 }
 
-/// Parse a JSON-lines journal and explain it. v1 journals produce a
-/// degraded (but valid) explanation.
-pub fn explain_journal(journal: &str) -> Result<ExplainReport, JournalError> {
-    let first = journal.lines().next().ok_or(JournalError::EmptyJournal)?;
-    let schema = journal_schema(first)?;
-    let events = parse_journal(journal)?;
-    Ok(explain_events(&events, schema))
-}
-
-/// The fold itself: build the causal facts, walk the critical path,
-/// partition the makespan.
-pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
-    // ---- Pass 1: gather the raw facts. -------------------------------
-    let mut execs: Vec<Exec> = Vec::new();
-    let mut registered_gpu: BTreeMap<usize, bool> = BTreeMap::new();
-    let mut device_classes: BTreeMap<usize, String> = BTreeMap::new();
-    let mut model: BTreeMap<i64, (f64, f64, usize, f64)> = BTreeMap::new(); // p_cpu, p_gpu, qlen, cells
-    let mut h2d: BTreeMap<i64, f64> = BTreeMap::new();
-    let mut faulted: Vec<usize> = Vec::new();
-    let mut saw_dispatch = false;
-    let mut lambda = 0.0f64;
-    let mut has_bound = false;
-
-    let task_of = |event: &Event| -> i64 {
-        arg(event, "task")
-            .map(|t| t as i64)
-            .or_else(|| {
-                event
-                    .name
-                    .strip_prefix("task-")
-                    .and_then(|s| s.parse().ok())
+/// The explanation: walk the critical path, partition the makespan.
+pub fn explain(model: &RunModel) -> ExplainReport {
+    let mut execs: Vec<Exec> = model
+        .jobs
+        .iter()
+        .filter_map(|job| {
+            let (virt_start, virt_dur) = job.virt?;
+            Some(Exec {
+                job,
+                virt_start,
+                virt_end: virt_start + virt_dur,
+                is_recovery: false,
             })
-            .unwrap_or(-1)
-    };
-
-    for event in events {
-        match event.track {
-            Track::Worker(w) if event.kind == EventKind::Span => {
-                if event.is_profile_detail() {
-                    continue;
-                }
-                let (vs, vd) = match (event.virt_start, event.virt_dur) {
-                    (Some(s), Some(d)) => (s, d),
-                    _ => continue,
-                };
-                execs.push(Exec {
-                    worker: w,
-                    task: task_of(event),
-                    wall_start: event.wall_start,
-                    wall_end: event.wall_start + event.wall_dur,
-                    virt_start: vs,
-                    virt_end: vs + vd,
-                    decision: arg(event, "decision").unwrap_or(0.0) as u64,
-                    queue_wait_wall: arg(event, "queue_wait_wall").unwrap_or(0.0),
-                    queue_wait_modelled: arg(event, "queue_wait_modelled").unwrap_or(0.0),
-                    is_recovery: false,
-                });
-            }
-            Track::Device(_) if event.kind == EventKind::Span && event.name == "h2d_transfer" => {
-                if let (Some(t), Some(vd)) = (arg(event, "task"), event.virt_dur) {
-                    *h2d.entry(t as i64).or_insert(0.0) += vd;
-                }
-            }
-            // Watchdog alerts are commentary about the run; they may
-            // name a worker without that worker having faulted, so
-            // they must not feed the fault fold.
-            Track::Faults if !event.is_alert() => {
-                if let Some(w) = arg(event, "worker") {
-                    faulted.push(w as usize);
-                }
-            }
-            Track::Scheduler if event.name == "binsearch_done" => {
-                has_bound = true;
-                lambda = arg(event, "lambda")
-                    .or_else(|| arg(event, "upper_bound"))
-                    .unwrap_or(0.0);
-            }
-            Track::Master if event.kind == EventKind::Instant => match event.name.as_str() {
-                "worker_registered" => {
-                    if let Some(w) = arg(event, "worker") {
-                        registered_gpu.insert(w as usize, arg(event, "is_gpu") == Some(1.0));
-                    }
-                }
-                "task_dispatch" => saw_dispatch = true,
-                "task_model" => {
-                    if let Some(t) = arg(event, "task") {
-                        model.insert(
-                            t as i64,
-                            (
-                                arg(event, "p_cpu").unwrap_or(0.0),
-                                arg(event, "p_gpu").unwrap_or(0.0),
-                                arg(event, "query_len").unwrap_or(0.0) as usize,
-                                arg(event, "cells").unwrap_or(0.0),
-                            ),
-                        );
-                    }
-                }
-                name if name.starts_with("device_class:") => {
-                    if let Some(w) = arg(event, "worker") {
-                        device_classes
-                            .insert(w as usize, name["device_class:".len()..].to_string());
-                    }
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-    }
+        })
+        .collect();
+    let is_gpu = |w: usize| model.workers.get(&w).is_some_and(|s| s.is_gpu());
+    let h2d = &model.h2d_by_task;
+    let (lambda, has_bound) = (model.lambda, model.has_bound);
 
     // Mark duplicate executions of a task (everything but its last
     // finisher) as fault-recovery re-execution.
-    let mut last_end: BTreeMap<i64, f64> = BTreeMap::new();
+    let mut last_end: BTreeMap<usize, f64> = BTreeMap::new();
     for e in &execs {
-        last_end
-            .entry(e.task)
-            .and_modify(|v| *v = v.max(e.virt_end))
-            .or_insert(e.virt_end);
+        let latest = last_end.entry(e.job.task).or_insert(e.virt_end);
+        *latest = latest.max(e.virt_end);
     }
-    let mut counted: BTreeMap<i64, bool> = BTreeMap::new();
+    let mut counted: BTreeSet<usize> = BTreeSet::new();
     for e in execs.iter_mut() {
-        let is_last = (e.virt_end - last_end[&e.task]).abs() < 1e-12;
-        let already = counted.get(&e.task).copied().unwrap_or(false);
-        if is_last && !already {
-            counted.insert(e.task, true);
-        } else {
-            e.is_recovery = true;
-        }
+        let is_last = (e.virt_end - last_end[&e.job.task]).abs() < 1e-12;
+        e.is_recovery = !(is_last && counted.insert(e.job.task));
     }
 
-    let degraded = schema != JOURNAL_SCHEMA || !saw_dispatch;
-
-    // ---- Makespans and bounds. ---------------------------------------
-    let modelled_makespan = execs.iter().map(|e| e.virt_end).fold(0.0, f64::max);
-    let wall_lo = execs
-        .iter()
-        .map(|e| e.wall_start)
-        .fold(f64::INFINITY, f64::min);
-    let wall_hi = execs
-        .iter()
-        .map(|e| e.wall_end)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let wall_makespan = if wall_hi > wall_lo {
-        wall_hi - wall_lo
+    let schema = if model.v1 {
+        JOURNAL_SCHEMA_V1
     } else {
-        0.0
+        JOURNAL_SCHEMA
     };
-    let two_lambda_bound = 2.0 * lambda;
-    let bound_holds = has_bound && modelled_makespan <= two_lambda_bound * (1.0 + 1e-9) + 1e-12;
-    let decisions = execs.iter().map(|e| e.decision).max().map_or(0, |d| d + 1);
+    let degraded = model.v1 || !model.saw_dispatch;
+    let modelled_makespan = model.makespan;
+    let wall_makespan = model.wall_makespan();
+    let decisions = execs
+        .iter()
+        .map(|e| e.job.decision)
+        .max()
+        .map_or(0, |d| d + 1);
 
     // ---- Critical paths (both clocks). -------------------------------
     let virt_eps = 1e-9 * modelled_makespan.max(1.0);
     let wall_eps = (0.01 * wall_makespan).max(1e-4);
     let critical_path = walk_path(&execs, |e| e.virt_start, |e| e.virt_end, virt_eps);
-    let critical_path_wall = walk_path(&execs, |e| e.wall_start, |e| e.wall_end, wall_eps);
+    let critical_path_wall = walk_path(
+        &execs,
+        |e| e.job.wall_start,
+        |e| e.job.wall_start + e.job.wall_dur,
+        wall_eps,
+    );
     let critical_lead_in = critical_path.first().map_or(0.0, |s| s.start);
 
     // ---- Per-worker blame: partition [0, M] per machine. -------------
-    // Worker universe: everyone registered plus everyone with a span.
-    let mut worker_ids: Vec<usize> = registered_gpu.keys().copied().collect();
-    for e in &execs {
-        if !worker_ids.contains(&e.worker) {
-            worker_ids.push(e.worker);
-        }
-    }
-    worker_ids.sort_unstable();
+    let workers: Vec<(usize, &Worker)> = model.participants().collect();
 
     // Observed slowdown ratio per worker: busy / estimated, species
     // priced by the task model.
     let mut ratios: BTreeMap<usize, f64> = BTreeMap::new();
-    for &w in &worker_ids {
-        let is_gpu = registered_gpu.get(&w).copied().unwrap_or(false);
+    for &(w, state) in &workers {
         let mut busy = 0.0;
         let mut est = 0.0;
-        for e in execs.iter().filter(|e| e.worker == w && !e.is_recovery) {
-            if let Some(&(p_cpu, p_gpu, ..)) = model.get(&e.task) {
-                let p = if is_gpu { p_gpu } else { p_cpu };
+        for e in execs.iter().filter(|e| e.job.worker == w && !e.is_recovery) {
+            if let Some(t) = model.tasks.get(&e.job.task) {
+                let p = if state.is_gpu() { t.p_gpu } else { t.p_cpu };
                 if p > 0.0 {
                     busy += e.virt_end - e.virt_start;
                     est += p;
                 }
             }
         }
-        ratios.insert(w, if est > 0.0 { busy / est } else { 0.0 });
+        ratios.insert(w, ratio_or(0.0, busy, est));
     }
     // Species baseline: the best (smallest positive) observed ratio.
     let species_baseline = |gpu: bool| -> f64 {
-        worker_ids
+        workers
             .iter()
-            .filter(|w| registered_gpu.get(w).copied().unwrap_or(false) == gpu)
-            .map(|w| ratios[w])
+            .filter(|(_, state)| state.is_gpu() == gpu)
+            .map(|(w, _)| ratios[w])
             .filter(|r| *r > 0.0)
             .fold(f64::INFINITY, f64::min)
     };
     let baselines = (species_baseline(false), species_baseline(true));
+    // The share of a worker's useful time in excess of what the best
+    // same-species worker would have needed.
+    let straggle_share = |w: usize| {
+        let baseline = if is_gpu(w) { baselines.1 } else { baselines.0 };
+        let ratio = ratios[&w];
+        if ratio > 0.0 && baseline.is_finite() && ratio > baseline {
+            1.0 - baseline / ratio
+        } else {
+            0.0
+        }
+    };
+    // Modelled H2D seconds inside a `dur`-long span, if a GPU ran it.
+    let transfer_in = |e: &Exec, dur: f64| {
+        let tagged = h2d.get(&e.job.task).filter(|_| is_gpu(e.job.worker));
+        tagged.map_or(0.0, |t| t.clamp(0.0, dur))
+    };
 
     let mut worker_blame: Vec<WorkerBlame> = Vec::new();
-    for &w in &worker_ids {
-        let is_gpu = registered_gpu.get(&w).copied().unwrap_or(false);
-        let mut spans: Vec<&Exec> = execs.iter().filter(|e| e.worker == w).collect();
+    for &(w, state) in &workers {
+        let mut spans: Vec<&Exec> = execs.iter().filter(|e| e.job.worker == w).collect();
         spans.sort_by(|a, b| a.virt_start.total_cmp(&b.virt_start));
 
         let mut b = Blame::default();
@@ -488,9 +388,9 @@ pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
                 // A gap before a span: first the measured queue wait,
                 // then re-plan overhead if a re-plan placed the span,
                 // else plain imbalance.
-                let qw = e.queue_wait_modelled.clamp(0.0, gap);
+                let qw = e.job.queue_wait_modelled.clamp(0.0, gap);
                 b.queue_wait += qw;
-                if e.decision > 0 {
+                if e.job.decision > 0 {
                     b.replan += gap - qw;
                 } else {
                     b.imbalance += gap - qw;
@@ -500,11 +400,7 @@ pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
             if e.is_recovery {
                 b.recovery += dur;
             } else {
-                let transfer = if is_gpu {
-                    h2d.get(&e.task).copied().unwrap_or(0.0).clamp(0.0, dur)
-                } else {
-                    0.0
-                };
+                let transfer = transfer_in(e, dur);
                 b.transfer += transfer;
                 b.compute += dur - transfer;
             }
@@ -512,23 +408,16 @@ pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
         }
         b.imbalance += (modelled_makespan - cursor).max(0.0);
 
-        // Straggle: the part of useful busy time in excess of what the
-        // best same-species worker would have needed.
-        let ratio = ratios[&w];
-        let baseline = if is_gpu { baselines.1 } else { baselines.0 };
-        if ratio > 0.0 && baseline.is_finite() && ratio > baseline {
-            let busy_useful = b.compute + b.transfer;
-            let excess = (busy_useful * (1.0 - baseline / ratio)).clamp(0.0, b.compute);
-            b.straggle += excess;
-            b.compute -= excess;
-        }
+        let excess = ((b.compute + b.transfer) * straggle_share(w)).clamp(0.0, b.compute);
+        b.straggle += excess;
+        b.compute -= excess;
 
         worker_blame.push(WorkerBlame {
             worker: w,
-            is_gpu,
-            device_class: device_classes.get(&w).cloned().unwrap_or_default(),
+            is_gpu: state.is_gpu(),
+            device_class: state.class.clone(),
             tasks: spans.len(),
-            ratio,
+            ratio: ratios[&w],
             blame: b,
         });
     }
@@ -541,15 +430,11 @@ pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
         blame.add(&wb.blame);
     }
     let blame = blame.scaled(1.0 / m as f64);
-    let blame_percent = if modelled_makespan > 0.0 {
-        blame.scaled(100.0 / modelled_makespan)
-    } else {
-        Blame::default()
-    };
+    let blame_percent = blame.scaled(ratio_or(0.0, 100.0, modelled_makespan));
 
     // ---- Query-length buckets (busy side only). ----------------------
     let mut buckets: Vec<BucketBlame> = Vec::new();
-    if model.values().any(|&(.., qlen, _)| qlen > 0) {
+    if model.tasks.values().any(|t| t.query_len > 0) {
         for (label, lo, hi) in BUCKETS {
             let mut bb = BucketBlame {
                 label: label.to_string(),
@@ -562,31 +447,20 @@ pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
             };
             let mut qw_sum = 0.0;
             for e in &execs {
-                let qlen = model.get(&e.task).map_or(0, |&(.., q, _)| q);
+                let qlen = model.tasks.get(&e.job.task).map_or(0, |t| t.query_len);
                 if qlen < lo || qlen >= hi {
                     continue;
                 }
                 bb.tasks += 1;
                 let dur = (e.virt_end - e.virt_start).max(0.0);
                 bb.busy += dur;
-                qw_sum += e.queue_wait_wall;
+                qw_sum += e.job.queue_wait_wall;
                 if e.is_recovery {
                     bb.blame.recovery += dur;
                 } else {
-                    let gpu = registered_gpu.get(&e.worker).copied().unwrap_or(false);
-                    let transfer = if gpu {
-                        h2d.get(&e.task).copied().unwrap_or(0.0).clamp(0.0, dur)
-                    } else {
-                        0.0
-                    };
-                    let ratio = ratios[&e.worker];
-                    let baseline = if gpu { baselines.1 } else { baselines.0 };
+                    let transfer = transfer_in(e, dur);
                     let useful = dur - transfer;
-                    let excess = if ratio > 0.0 && baseline.is_finite() && ratio > baseline {
-                        (useful * (1.0 - baseline / ratio)).clamp(0.0, useful)
-                    } else {
-                        0.0
-                    };
+                    let excess = (useful * straggle_share(e.job.worker)).clamp(0.0, useful);
                     bb.blame.transfer += transfer;
                     bb.blame.straggle += excess;
                     bb.blame.compute += useful - excess;
@@ -601,58 +475,45 @@ pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
 
     // ---- Replay input. -----------------------------------------------
     let mut replay_tasks: Vec<ReplayTask> = Vec::new();
-    for (&t, &(p_cpu, p_gpu, qlen, cells)) in &model {
-        if t < 0 {
-            continue;
-        }
-        let exec = execs.iter().rfind(|e| e.task == t && !e.is_recovery);
+    for (&t, estimate) in &model.tasks {
+        let exec = execs.iter().rfind(|e| e.job.task == t && !e.is_recovery);
         replay_tasks.push(ReplayTask {
-            id: t as usize,
-            p_cpu,
-            p_gpu,
-            query_len: qlen,
-            cells,
-            worker: exec.map_or(-1, |e| e.worker as i64),
+            id: t,
+            p_cpu: estimate.p_cpu,
+            p_gpu: estimate.p_gpu,
+            query_len: estimate.query_len,
+            cells: estimate.cells,
+            worker: exec.map_or(-1, |e| e.job.worker as i64),
             observed_modelled: exec.map_or(0.0, |e| e.virt_end - e.virt_start),
         });
     }
-    faulted.sort_unstable();
-    faulted.dedup();
-    let replay_workers: Vec<ReplayWorker> = worker_ids
+    let replay_workers: Vec<ReplayWorker> = workers
         .iter()
-        .map(|&w| ReplayWorker {
+        .map(|&(w, state)| ReplayWorker {
             id: w,
-            is_gpu: registered_gpu.get(&w).copied().unwrap_or(false),
-            device_class: device_classes.get(&w).cloned().unwrap_or_default(),
+            is_gpu: state.is_gpu(),
+            device_class: state.class.clone(),
             ratio: ratios[&w],
-            faulted: faulted.contains(&w),
+            faulted: model.faulted.contains(&w),
         })
         .collect();
-    let gpu_busy: f64 = worker_blame
-        .iter()
-        .filter(|wb| wb.is_gpu)
-        .map(|wb| wb.blame.compute + wb.blame.transfer + wb.blame.straggle)
-        .sum();
-    let gpu_h2d: f64 = worker_blame
-        .iter()
-        .filter(|wb| wb.is_gpu)
-        .map(|wb| wb.blame.transfer)
-        .sum();
+    let gpus = || {
+        worker_blame
+            .iter()
+            .filter(|wb| wb.is_gpu)
+            .map(|wb| &wb.blame)
+    };
+    let gpu_busy: f64 = gpus().map(|b| b.compute + b.transfer + b.straggle).sum();
+    let gpu_h2d: f64 = gpus().map(|b| b.transfer).sum();
     let replay = ReplayInput {
         tasks: replay_tasks,
         workers: replay_workers,
-        gpu_transfer_fraction: if gpu_busy > 0.0 {
-            gpu_h2d / gpu_busy
-        } else {
-            0.0
-        },
+        gpu_transfer_fraction: ratio_or(0.0, gpu_h2d, gpu_busy),
         lambda,
         modelled_makespan,
     };
 
-    let mut done: Vec<i64> = execs.iter().map(|e| e.task).collect();
-    done.sort_unstable();
-    done.dedup();
+    let done: BTreeSet<usize> = execs.iter().map(|e| e.job.task).collect();
 
     ExplainReport {
         schema: schema.to_string(),
@@ -660,9 +521,9 @@ pub fn explain_events(events: &[Event], schema: &str) -> ExplainReport {
         wall_makespan,
         modelled_makespan,
         lambda,
-        two_lambda_bound,
+        two_lambda_bound: model.two_lambda_bound(),
         has_bound,
-        bound_holds,
+        bound_holds: model.bound_holds(),
         decisions,
         tasks: done.len(),
         critical_path,
@@ -705,7 +566,7 @@ fn walk_path(
         let pred = execs
             .iter()
             .enumerate()
-            .filter(|(i, e)| *i != cur && e.worker == execs[cur].worker)
+            .filter(|(i, e)| *i != cur && e.job.worker == execs[cur].job.worker)
             .filter(|(_, e)| end(e) < end(&execs[cur]) && end(e) <= start(&execs[cur]) + eps)
             .max_by(|a, b| end(a.1).total_cmp(&end(b.1)));
         match pred {
@@ -722,12 +583,12 @@ fn walk_path(
         .map(|(k, &i)| {
             let e = &execs[i];
             CriticalStep {
-                task: e.task,
-                worker: e.worker,
+                task: e.job.task as i64,
+                worker: e.job.worker,
                 start: start(e),
                 end: end(e),
                 edge: if k == 0 { "dispatch" } else { "chain" }.to_string(),
-                decision: e.decision,
+                decision: e.job.decision,
             }
         })
         .collect()
@@ -844,107 +705,75 @@ impl ExplainReport {
 mod tests {
     use super::*;
     use crate::journal::JOURNAL_SCHEMA_V1;
+    use crate::testkit::{dispatched, job, job_placed_by, lambda_found, registered};
+    use crate::{EventBody, Obs, Track};
+
+    fn explain_obs(obs: &Obs) -> ExplainReport {
+        explain(&RunModel::from_obs(obs))
+    }
 
     /// Two CPU workers, one GPU; worker 1 straggles 2×; task 3 is a
     /// re-planned hand-off with queue wait; task 4 runs on the GPU
     /// with an H2D transfer span.
     fn lineage_obs() -> Obs {
         let obs = Obs::enabled();
-        for (w, gpu) in [(0usize, 0.0), (1, 0.0), (2, 1.0)] {
-            obs.instant(
-                Track::Master,
-                "worker_registered",
-                &[("worker", w as f64), ("is_gpu", gpu)],
-            );
+        for (w, gpu) in [(0, false), (1, false), (2, true)] {
+            obs.instant(Track::Master, registered(w, gpu));
         }
-        obs.instant(Track::Master, "device_class:c2050", &[("worker", 2.0)]);
-        for (t, p_cpu, p_gpu, qlen) in [
-            (0.0, 2.0, 0.5, 80.0),
-            (1.0, 2.0, 0.5, 150.0),
-            (2.0, 2.0, 0.5, 150.0),
-            (3.0, 0.25, 0.4, 400.0),
-            (4.0, 4.0, 1.0, 400.0),
+        obs.instant(
+            Track::Master,
+            EventBody::DeviceClass {
+                worker: 2,
+                class: "c2050".to_string(),
+            },
+        );
+        for (task, p_cpu, p_gpu, qlen) in [
+            (0, 2.0, 0.5, 80),
+            (1, 2.0, 0.5, 150),
+            (2, 2.0, 0.5, 150),
+            (3, 0.25, 0.4, 400),
+            (4, 4.0, 1.0, 400),
         ] {
             obs.instant(
                 Track::Master,
-                "task_model",
-                &[
-                    ("task", t),
-                    ("p_cpu", p_cpu),
-                    ("p_gpu", p_gpu),
-                    ("query_len", qlen),
-                    ("cells", qlen * 1e4),
-                ],
+                EventBody::TaskModel {
+                    task,
+                    p_cpu,
+                    p_gpu,
+                    query_len: Some(qlen),
+                    cells: Some(qlen as f64 * 1e4),
+                },
             );
         }
-        obs.instant(
-            Track::Scheduler,
-            "binsearch_done",
-            &[("lambda", 4.2), ("iterations", 9.0), ("lower_bound", 3.0)],
-        );
+        obs.instant(Track::Scheduler, lambda_found(4.2, 3.0, 9));
         for t in 0..5 {
-            obs.instant(
-                Track::Master,
-                "task_dispatch",
-                &[("task", t as f64), ("seq", t as f64), ("decision", 0.0)],
-            );
+            obs.instant(Track::Master, dispatched(t, 0));
         }
+        let initial = |task| job_placed_by(task, None, Some(0), None);
         // Worker 0 (on estimate): tasks 0 then 1, back to back.
-        obs.span(
-            Track::Worker(0),
-            "task-0",
-            0.01,
-            0.02,
-            Some((0.0, 2.0)),
-            &[("task", 0.0), ("decision", 0.0)],
-        );
-        obs.span(
-            Track::Worker(0),
-            "task-1",
-            0.03,
-            0.02,
-            Some((2.0, 2.0)),
-            &[("task", 1.0), ("decision", 0.0)],
-        );
+        obs.span(Track::Worker(0), 0.01, 0.02, Some((0.0, 2.0)), initial(0));
+        obs.span(Track::Worker(0), 0.03, 0.02, Some((2.0, 2.0)), initial(1));
         // Worker 1 (2× straggler): task 2, then a re-planned task 3
         // after a modelled gap with measured queue wait.
+        obs.span(Track::Worker(1), 0.01, 0.05, Some((0.0, 4.0)), initial(2));
         obs.span(
             Track::Worker(1),
-            "task-2",
-            0.01,
-            0.05,
-            Some((0.0, 4.0)),
-            &[("task", 2.0), ("decision", 0.0)],
-        );
-        obs.span(
-            Track::Worker(1),
-            "task-3",
             0.07,
             0.02,
             Some((4.5, 0.5)),
-            &[
-                ("task", 3.0),
-                ("decision", 1.0),
-                ("queue_wait_modelled", 0.2),
-                ("queue_wait_wall", 0.01),
-            ],
+            job_placed_by(3, None, Some(1), Some((0.01, 0.2))),
         );
         // Worker 2 (GPU): task 4 with an H2D transfer inside it.
-        obs.span(
-            Track::Worker(2),
-            "task-4",
-            0.01,
-            0.03,
-            Some((0.0, 1.0)),
-            &[("task", 4.0), ("decision", 0.0)],
-        );
+        obs.span(Track::Worker(2), 0.01, 0.03, Some((0.0, 1.0)), initial(4));
         obs.span(
             Track::Device(0),
-            "h2d_transfer",
             0.011,
             0.001,
             Some((0.0, 0.25)),
-            &[("task", 4.0)],
+            EventBody::H2d {
+                bytes: 1e6,
+                task: Some(4),
+            },
         );
         obs
     }
@@ -1013,32 +842,11 @@ mod tests {
     fn contiguous_chains_walk_back_to_their_root() {
         let obs = Obs::enabled();
         // Worker 0: two contiguous tasks ending last.
-        obs.span(
-            Track::Worker(0),
-            "task-0",
-            0.0,
-            0.1,
-            Some((0.0, 3.0)),
-            &[("task", 0.0)],
-        );
-        obs.span(
-            Track::Worker(0),
-            "task-1",
-            0.1,
-            0.1,
-            Some((3.0, 3.0)),
-            &[("task", 1.0)],
-        );
+        obs.span(Track::Worker(0), 0.0, 0.1, Some((0.0, 3.0)), job(0, None));
+        obs.span(Track::Worker(0), 0.1, 0.1, Some((3.0, 3.0)), job(1, None));
         // Worker 1: one long task that is NOT the last finisher.
-        obs.span(
-            Track::Worker(1),
-            "task-2",
-            0.0,
-            0.2,
-            Some((0.0, 5.9)),
-            &[("task", 2.0)],
-        );
-        let naive = crate::analysis::analyze_obs(&obs);
+        obs.span(Track::Worker(1), 0.0, 0.2, Some((0.0, 5.9)), job(2, None));
+        let naive = crate::analysis::analyze(&RunModel::from_obs(&obs));
         let r = explain_obs(&obs);
         assert_eq!(naive.critical_task, 1);
         let tasks: Vec<i64> = r.critical_path.iter().map(|s| s.task).collect();
@@ -1052,23 +860,9 @@ mod tests {
     fn duplicate_executions_count_as_recovery() {
         let obs = Obs::enabled();
         // Task 0 runs twice: once on the dying worker 0, again on 1.
-        obs.span(
-            Track::Worker(0),
-            "task-0",
-            0.0,
-            0.1,
-            Some((0.0, 1.0)),
-            &[("task", 0.0)],
-        );
-        obs.span(
-            Track::Worker(1),
-            "task-0",
-            0.2,
-            0.1,
-            Some((0.0, 1.5)),
-            &[("task", 0.0)],
-        );
-        let r = explain_events(&obs.events(), JOURNAL_SCHEMA);
+        obs.span(Track::Worker(0), 0.0, 0.1, Some((0.0, 1.0)), job(0, None));
+        obs.span(Track::Worker(1), 0.2, 0.1, Some((0.0, 1.5)), job(0, None));
+        let r = explain_events(&obs.events());
         let w0 = r.worker_blame.iter().find(|w| w.worker == 0).unwrap();
         assert!((w0.blame.recovery - 1.0).abs() < 1e-12, "{:?}", w0.blame);
         let w1 = r.worker_blame.iter().find(|w| w.worker == 1).unwrap();
@@ -1087,7 +881,7 @@ mod tests {
              \"wall_start\":0.0,\"wall_dur\":1.0,\"virt_start\":0.0,\"virt_dur\":3.0,\
              \"args\":{{\"task\":1.0}}}}\n"
         );
-        let r = explain_journal(&journal).expect("v1 explains");
+        let r = explain(&RunModel::from_journal(&journal).expect("v1 folds"));
         assert!(r.degraded);
         assert_eq!(r.schema, JOURNAL_SCHEMA_V1);
         assert!((r.blame.total() - r.modelled_makespan).abs() < 1e-9);
@@ -1099,14 +893,7 @@ mod tests {
     #[test]
     fn v2_without_dispatches_is_also_degraded() {
         let obs = Obs::enabled();
-        obs.span(
-            Track::Worker(0),
-            "task-0",
-            0.0,
-            0.1,
-            Some((0.0, 1.0)),
-            &[("task", 0.0)],
-        );
+        obs.span(Track::Worker(0), 0.0, 0.1, Some((0.0, 1.0)), job(0, None));
         assert!(explain_obs(&obs).degraded);
         assert!(!explain_obs(&lineage_obs()).degraded);
     }
@@ -1151,7 +938,7 @@ mod tests {
 
     #[test]
     fn empty_events_yield_a_quiet_report() {
-        let r = explain_events(&[], JOURNAL_SCHEMA);
+        let r = explain_events(&[]);
         assert_eq!(r.tasks, 0);
         assert!(r.critical_path.is_empty());
         assert_eq!(r.blame.total(), 0.0);

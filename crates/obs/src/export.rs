@@ -18,32 +18,29 @@
 //!   format, carrying the wall and modelled clocks as two sampled
 //!   profiles over a shared frame table.
 
+use crate::event::task_name;
 use crate::profile::{Profile, ProfileClock};
-use crate::{Event, EventKind, Obs, Track};
+use crate::{Event, EventBody, EventKind, Obs, Track};
 use serde::Value;
 
 /// Microseconds in the trace's time unit per second of ours.
 const TRACE_US: f64 = 1.0e6;
 
 fn args_value(event: &Event) -> Value {
-    Value::Object(
-        event
-            .args
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Float(*v)))
-            .collect(),
-    )
+    let mut fields = Vec::new();
+    event.for_each_arg(|key, value| fields.push((key.to_string(), Value::Float(value))));
+    Value::Object(fields)
 }
 
 /// Render the journal schema header line (no trailing newline):
 /// `{"schema":"swdual-journal/2","events":N}`. Streaming writers that
 /// cannot know the final count up front pass 0 —
-/// [`crate::journal::validate_header`] checks the schema only.
+/// [`crate::journal::journal_schema`] checks the schema only.
 pub fn journal_header(events: usize) -> String {
     serde_json::to_string(&Value::Object(vec![
         (
             "schema".to_string(),
-            Value::Str(crate::analysis::JOURNAL_SCHEMA.to_string()),
+            Value::Str(crate::journal::JOURNAL_SCHEMA.to_string()),
         ),
         ("events".to_string(), Value::UInt(events as u64)),
     ]))
@@ -57,7 +54,7 @@ pub fn journal_header(events: usize) -> String {
 pub fn journal_event_line(event: &Event) -> String {
     let mut fields = vec![
         ("track".to_string(), Value::Str(event.track.label())),
-        ("name".to_string(), Value::Str(event.name.clone())),
+        ("name".to_string(), Value::Str(event.name().into_owned())),
         (
             "kind".to_string(),
             Value::Str(
@@ -75,30 +72,32 @@ pub fn journal_event_line(event: &Event) -> String {
         fields.push(("virt_start".to_string(), Value::Float(vs)));
         fields.push(("virt_dur".to_string(), Value::Float(vd)));
     }
-    if !event.args.is_empty() {
-        fields.push(("args".to_string(), args_value(event)));
+    let args = args_value(event);
+    if args.as_object().is_some_and(|fields| !fields.is_empty()) {
+        fields.push(("args".to_string(), args));
     }
     serde_json::to_string(&Value::Object(fields)).expect("journal event serialises")
 }
 
 /// Render all events as JSON lines: a schema header, then one event
 /// per line. The header line
-/// `{"schema":"swdual-journal/1","events":N}` lets
-/// [`analysis::analyze_journal`](crate::analysis::analyze_journal)
-/// reject incompatible journals with a typed error instead of garbage
-/// output. A disabled recorder renders an empty journal (no header).
+/// `{"schema":"swdual-journal/2","events":N}` lets
+/// [`RunModel::from_journal`](crate::RunModel::from_journal) reject
+/// incompatible journals with a typed error instead of garbage output.
+/// A disabled recorder renders an empty journal (no header).
 pub fn journal_jsonl(obs: &Obs) -> String {
     let mut out = String::new();
     if !obs.is_enabled() {
         return out;
     }
-    let events = obs.events();
-    out.push_str(&journal_header(events.len()));
-    out.push('\n');
-    for event in events {
-        out.push_str(&journal_event_line(&event));
+    obs.with_events(|events| {
+        out.push_str(&journal_header(events.len()));
         out.push('\n');
-    }
+        for event in events {
+            out.push_str(&journal_event_line(event));
+            out.push('\n');
+        }
+    });
     out
 }
 
@@ -197,146 +196,103 @@ pub fn metrics_text(obs: &Obs) -> String {
     // Profiling detail spans subdivide coarser spans already counted,
     // so they are excluded from the busy aggregates.
     let mut tracks: Vec<(Track, f64, f64, u64)> = Vec::new();
-    for event in obs.events() {
-        if event.kind != EventKind::Span || event.is_profile_detail() {
-            continue;
-        }
-        let entry = match tracks.iter_mut().find(|(t, ..)| *t == event.track) {
-            Some(entry) => entry,
-            None => {
-                tracks.push((event.track, 0.0, 0.0, 0));
-                tracks.last_mut().expect("just pushed")
+    obs.with_events(|events| {
+        for event in events {
+            if event.kind != EventKind::Span || event.body.is_profile_detail() {
+                continue;
             }
-        };
-        entry.1 += event.wall_dur;
-        entry.2 += event.virt_dur.unwrap_or(0.0);
-        entry.3 += 1;
-    }
+            let entry = match tracks.iter_mut().find(|(t, ..)| *t == event.track) {
+                Some(entry) => entry,
+                None => {
+                    tracks.push((event.track, 0.0, 0.0, 0));
+                    tracks.last_mut().expect("just pushed")
+                }
+            };
+            entry.1 += event.wall_dur;
+            entry.2 += event.virt_dur.unwrap_or(0.0);
+            entry.3 += 1;
+        }
+    });
     tracks.sort_by_key(|(t, ..)| *t);
-    if !tracks.is_empty() {
-        help_and_type(
-            &mut out,
+    type TrackValue = fn(&(Track, f64, f64, u64)) -> String;
+    let families: [(&str, &str, &str, TrackValue); 3] = [
+        (
             "swdual_track_busy_wall_seconds",
             "gauge",
             "Wall-clock busy seconds per track.",
-        );
-        for (track, wall, _, _) in &tracks {
-            out.push_str(&format!(
-                "swdual_track_busy_wall_seconds{{track=\"{}\"}} {}\n",
-                escape_label(&track.label()),
-                wall
-            ));
-        }
-        help_and_type(
-            &mut out,
+            |t| t.1.to_string(),
+        ),
+        (
             "swdual_track_busy_modelled_seconds",
             "gauge",
             "Modelled-clock busy seconds per track.",
-        );
-        for (track, _, virt, _) in &tracks {
-            out.push_str(&format!(
-                "swdual_track_busy_modelled_seconds{{track=\"{}\"}} {}\n",
-                escape_label(&track.label()),
-                virt
-            ));
-        }
-        help_and_type(
-            &mut out,
+            |t| t.2.to_string(),
+        ),
+        (
             "swdual_track_spans_total",
             "counter",
             "Spans recorded per track.",
-        );
-        for (track, _, _, spans) in &tracks {
+            |t| t.3.to_string(),
+        ),
+    ];
+    for (name, kind, help, value) in families {
+        if tracks.is_empty() {
+            break;
+        }
+        help_and_type(&mut out, name, kind, help);
+        for track in &tracks {
             out.push_str(&format!(
-                "swdual_track_spans_total{{track=\"{}\"}} {}\n",
-                escape_label(&track.label()),
-                spans
+                "{name}{{track=\"{}\"}} {}\n",
+                escape_label(&track.0.label()),
+                value(track)
             ));
         }
     }
 
-    // Live-metrics registry: gauges, labelled counters, histograms.
+    // Live-metrics registry: labelled counters, gauges, histograms.
+    // Series arrive sorted by name, so a family's HELP/TYPE header is
+    // due whenever the name changes.
     let snapshot = obs.metrics().snapshot();
+    let mut last_name = String::new();
+    let mut family = |out: &mut String, name: &str, kind: &str, what: &str| {
+        if name != last_name {
+            let help = format!("{what} from the live-metrics registry.");
+            help_and_type(out, name, kind, &help);
+            last_name = name.to_string();
+        }
+    };
 
-    let labelled: Vec<_> = snapshot
+    for (key, value) in snapshot
         .counters
         .iter()
         .filter(|(k, _)| !k.labels.is_empty())
-        .collect();
-    let mut last_name = String::new();
-    for (key, value) in labelled {
+    {
         let name = format!("swdual_{}_total", sanitize_metric(&key.name));
-        if name != last_name {
-            help_and_type(
-                &mut out,
-                &name,
-                "counter",
-                "Labelled counter from the live-metrics registry.",
-            );
-            last_name = name.clone();
-        }
+        family(&mut out, &name, "counter", "Labelled counter");
         out.push_str(&format!("{}{} {}\n", name, label_block(&key.labels), value));
     }
-
-    let mut last_name = String::new();
     for (key, value) in &snapshot.gauges {
         let name = format!("swdual_{}", sanitize_metric(&key.name));
-        if name != last_name {
-            help_and_type(
-                &mut out,
-                &name,
-                "gauge",
-                "Gauge from the live-metrics registry.",
-            );
-            last_name = name.clone();
-        }
+        family(&mut out, &name, "gauge", "Gauge");
         out.push_str(&format!("{}{} {}\n", name, label_block(&key.labels), value));
     }
-
-    let mut last_name = String::new();
     for (key, histogram) in &snapshot.histograms {
         let name = format!("swdual_{}", sanitize_metric(&key.name));
-        if name != last_name {
-            help_and_type(
-                &mut out,
-                &name,
-                "histogram",
-                "Log-bucketed histogram from the live-metrics registry.",
-            );
-            last_name = name.clone();
-        }
+        family(&mut out, &name, "histogram", "Log-bucketed histogram");
+        let bucket = |le: String, count: u64| {
+            let mut labels = key.labels.clone();
+            labels.push(("le".to_string(), le));
+            format!("{name}_bucket{} {count}\n", label_block(&labels))
+        };
         let mut cumulative = 0u64;
         for (upper, count) in &histogram.buckets {
             cumulative += count;
-            let mut labels = key.labels.clone();
-            labels.push(("le".to_string(), format!("{upper}")));
-            out.push_str(&format!(
-                "{}_bucket{} {}\n",
-                name,
-                label_block(&labels),
-                cumulative
-            ));
+            out.push_str(&bucket(format!("{upper}"), cumulative));
         }
-        let mut labels = key.labels.clone();
-        labels.push(("le".to_string(), "+Inf".to_string()));
-        out.push_str(&format!(
-            "{}_bucket{} {}\n",
-            name,
-            label_block(&labels),
-            histogram.count
-        ));
-        out.push_str(&format!(
-            "{}_sum{} {}\n",
-            name,
-            label_block(&key.labels),
-            histogram.sum
-        ));
-        out.push_str(&format!(
-            "{}_count{} {}\n",
-            name,
-            label_block(&key.labels),
-            histogram.count
-        ));
+        out.push_str(&bucket("+Inf".to_string(), histogram.count));
+        let labels = label_block(&key.labels);
+        out.push_str(&format!("{name}_sum{labels} {}\n", histogram.sum));
+        out.push_str(&format!("{name}_count{labels} {}\n", histogram.count));
     }
 
     out
@@ -375,26 +331,32 @@ fn meta_event(pid: u64, tid: Option<u64>, which: &str, label: &str) -> Value {
     Value::Object(fields)
 }
 
-fn complete_event(pid: u64, tid: u64, event: &Event, start: f64, dur: f64) -> Value {
+/// A complete slice (`ph` X) when the event has a duration on the row's
+/// clock, else a thread-scoped instant (`ph` i).
+fn slice_event(pid: u64, tid: u64, event: &Event, start: f64, dur: Option<f64>) -> Value {
+    let (ph, shape) = match dur {
+        Some(dur) => ("X", ("dur", Value::Float(dur * TRACE_US))),
+        None => ("i", ("s", Value::Str("t".to_string()))),
+    };
     Value::Object(vec![
-        ("ph".to_string(), Value::Str("X".to_string())),
+        ("ph".to_string(), Value::Str(ph.to_string())),
         ("pid".to_string(), Value::UInt(pid)),
         ("tid".to_string(), Value::UInt(tid)),
-        ("name".to_string(), Value::Str(event.name.clone())),
+        ("name".to_string(), Value::Str(event.name().into_owned())),
         ("ts".to_string(), Value::Float(start * TRACE_US)),
-        ("dur".to_string(), Value::Float(dur * TRACE_US)),
+        (shape.0.to_string(), shape.1),
         ("args".to_string(), args_value(event)),
     ])
 }
 
 /// A flow event (`ph` ∈ {s, t, f}) tying causally-linked trace points
 /// together with a shared id; the viewer draws arrows along them.
-fn flow_event(ph: &str, pid: u64, tid: u64, ts: f64, task: i64) -> Value {
+fn flow_event(ph: &str, pid: u64, tid: u64, ts: f64, task: usize) -> Value {
     let mut fields = vec![
         ("ph".to_string(), Value::Str(ph.to_string())),
         ("cat".to_string(), Value::Str("lineage".to_string())),
-        ("id".to_string(), Value::UInt(task.max(0) as u64)),
-        ("name".to_string(), Value::Str(format!("task-{task}"))),
+        ("id".to_string(), Value::UInt(task as u64)),
+        ("name".to_string(), Value::Str(task_name(task))),
         ("pid".to_string(), Value::UInt(pid)),
         ("tid".to_string(), Value::UInt(tid)),
         ("ts".to_string(), Value::Float(ts * TRACE_US)),
@@ -406,18 +368,6 @@ fn flow_event(ph: &str, pid: u64, tid: u64, ts: f64, task: i64) -> Value {
     Value::Object(fields)
 }
 
-fn instant_event(pid: u64, tid: u64, event: &Event) -> Value {
-    Value::Object(vec![
-        ("ph".to_string(), Value::Str("i".to_string())),
-        ("pid".to_string(), Value::UInt(pid)),
-        ("tid".to_string(), Value::UInt(tid)),
-        ("name".to_string(), Value::Str(event.name.clone())),
-        ("ts".to_string(), Value::Float(event.wall_start * TRACE_US)),
-        ("s".to_string(), Value::Str("t".to_string())),
-        ("args".to_string(), args_value(event)),
-    ])
-}
-
 /// Render the event stream as Chrome-trace JSON.
 ///
 /// The returned document has a single `traceEvents` array. Load it in
@@ -426,7 +376,10 @@ fn instant_event(pid: u64, tid: u64, event: &Event) -> Value {
 /// row, so slippage between the scheduler's plan and what the workers
 /// actually did is visible at a glance.
 pub fn chrome_trace(obs: &Obs) -> String {
-    let events = obs.events();
+    obs.with_events(chrome_trace_of)
+}
+
+fn chrome_trace_of(events: &[Event]) -> String {
     let mut trace: Vec<Value> = vec![
         meta_event(PID_WALL, None, "process_name", "wall clock"),
         meta_event(PID_MODELLED, None, "process_name", "modelled execution"),
@@ -434,61 +387,31 @@ pub fn chrome_trace(obs: &Obs) -> String {
         meta_event(PID_RECOVERED, None, "process_name", "recovered schedule"),
     ];
 
-    // Name each (pid, tid) row after its track.
+    // Planned and re-planned placements live on the modelled clock
+    // only, each on its own process; everything else is a wall-clock
+    // slice (or instant) and, when it has modelled times, a modelled
+    // one. A (pid, tid) row is named after its track when first used.
     let mut named: Vec<(u64, u64)> = Vec::new();
-    for event in &events {
+    for event in events {
         let tid = trace_tid(event.track);
-        let pids: &[u64] = match event.track {
-            Track::Planned(_) => &[PID_PLANNED],
-            Track::Recovered(_) => &[PID_RECOVERED],
-            _ => &[PID_WALL, PID_MODELLED],
+        let virt = event.virt_start.zip(event.virt_dur);
+        let wall_dur = (event.kind == EventKind::Span).then_some(event.wall_dur);
+        let rows = match event.track {
+            Track::Planned(_) => [virt.map(|(s, d)| (PID_PLANNED, s, Some(d))), None],
+            Track::Recovered(_) => [virt.map(|(s, d)| (PID_RECOVERED, s, Some(d))), None],
+            _ => [
+                Some((PID_WALL, event.wall_start, wall_dur)),
+                virt.filter(|_| wall_dur.is_some())
+                    .map(|(s, d)| (PID_MODELLED, s, Some(d))),
+            ],
         };
-        for &pid in pids {
+        for (pid, start, dur) in rows.into_iter().flatten() {
             if !named.contains(&(pid, tid)) {
                 named.push((pid, tid));
-                trace.push(meta_event(
-                    pid,
-                    Some(tid),
-                    "thread_name",
-                    &event.track.label(),
-                ));
+                let label = event.track.label();
+                trace.push(meta_event(pid, Some(tid), "thread_name", &label));
             }
-        }
-    }
-
-    for event in &events {
-        let tid = trace_tid(event.track);
-        match event.track {
-            Track::Planned(_) => {
-                // Planned placements live on the modelled clock only.
-                if let (Some(vs), Some(vd)) = (event.virt_start, event.virt_dur) {
-                    trace.push(complete_event(PID_PLANNED, tid, event, vs, vd));
-                }
-            }
-            Track::Recovered(_) => {
-                // Re-planned placements likewise: modelled clock only,
-                // on their own process row.
-                if let (Some(vs), Some(vd)) = (event.virt_start, event.virt_dur) {
-                    trace.push(complete_event(PID_RECOVERED, tid, event, vs, vd));
-                }
-            }
-            _ => match event.kind {
-                EventKind::Span => {
-                    trace.push(complete_event(
-                        PID_WALL,
-                        tid,
-                        event,
-                        event.wall_start,
-                        event.wall_dur,
-                    ));
-                    if let (Some(vs), Some(vd)) = (event.virt_start, event.virt_dur) {
-                        trace.push(complete_event(PID_MODELLED, tid, event, vs, vd));
-                    }
-                }
-                EventKind::Instant => {
-                    trace.push(instant_event(PID_WALL, tid, event));
-                }
-            },
+            trace.push(slice_event(pid, tid, event, start, dur));
         }
     }
 
@@ -496,53 +419,32 @@ pub fn chrome_trace(obs: &Obs) -> String {
     // recovered) placement → task_dispatch instant(s) → actual
     // execution. One flow per task id; journals without lineage
     // (v1, self-scheduling) simply contribute fewer arrows.
-    let task_arg = |event: &Event| -> Option<i64> {
-        event
-            .args
-            .iter()
-            .find(|(k, _)| k == "task")
-            .map(|(_, v)| *v as i64)
-            .or_else(|| {
-                event
-                    .name
-                    .strip_prefix("task-")
-                    .and_then(|s| s.parse().ok())
-            })
-    };
-    let mut started: Vec<i64> = Vec::new();
-    for event in &events {
+    let mut started: Vec<usize> = Vec::new();
+    for event in events {
         let tid = trace_tid(event.track);
-        match event.track {
-            Track::Planned(_) | Track::Recovered(_) => {
-                if let (Some(task), Some(vs)) = (task_arg(event), event.virt_start) {
-                    if !started.contains(&task) {
-                        started.push(task);
-                        let pid = if matches!(event.track, Track::Planned(_)) {
-                            PID_PLANNED
-                        } else {
-                            PID_RECOVERED
-                        };
-                        trace.push(flow_event("s", pid, tid, vs, task));
-                    }
-                }
-            }
-            Track::Master if event.name == "task_dispatch" => {
-                if let Some(task) = task_arg(event) {
-                    let ph = if started.contains(&task) {
-                        "t"
+        match (&event.body, event.track) {
+            (&EventBody::Placement { task, .. }, Track::Planned(_) | Track::Recovered(_)) => {
+                if let (Some(vs), false) = (event.virt_start, started.contains(&task)) {
+                    started.push(task);
+                    let pid = if matches!(event.track, Track::Planned(_)) {
+                        PID_PLANNED
                     } else {
-                        started.push(task);
-                        "s"
+                        PID_RECOVERED
                     };
-                    trace.push(flow_event(ph, PID_WALL, tid, event.wall_start, task));
+                    trace.push(flow_event("s", pid, tid, vs, task));
                 }
             }
-            Track::Worker(_) if event.kind == EventKind::Span && !event.is_profile_detail() => {
-                if let Some(task) = task_arg(event) {
-                    if started.contains(&task) {
-                        trace.push(flow_event("f", PID_WALL, tid, event.wall_start, task));
-                    }
-                }
+            (&EventBody::TaskDispatch { task, .. }, _) => {
+                let ph = if started.contains(&task) {
+                    "t"
+                } else {
+                    started.push(task);
+                    "s"
+                };
+                trace.push(flow_event(ph, PID_WALL, tid, event.wall_start, task));
+            }
+            (&EventBody::Job { task, .. }, _) if started.contains(&task) => {
+                trace.push(flow_event("f", PID_WALL, tid, event.wall_start, task));
             }
             _ => {}
         }
@@ -564,11 +466,7 @@ pub fn chrome_trace(obs: &Obs) -> String {
 pub fn flamegraph_folded(profile: &Profile, clock: ProfileClock) -> String {
     let mut out = String::new();
     for stack in &profile.stacks {
-        let weight = match clock {
-            ProfileClock::Wall => stack.wall,
-            ProfileClock::Modelled => stack.modelled,
-        };
-        let micros = (weight * 1e6).round() as u64;
+        let micros = (stack.weight(clock) * 1e6).round() as u64;
         if micros == 0 {
             continue;
         }
@@ -610,10 +508,7 @@ pub fn speedscope_json(profile: &Profile) -> String {
         let mut weights: Vec<Value> = Vec::new();
         let mut total = 0.0;
         for stack in &profile.stacks {
-            let weight = match clock {
-                ProfileClock::Wall => stack.wall,
-                ProfileClock::Modelled => stack.modelled,
-            };
+            let weight = stack.weight(clock);
             if weight <= 0.0 {
                 continue;
             }
@@ -664,20 +559,33 @@ pub fn speedscope_json(profile: &Profile) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{death, dispatched, job, job_placed_by, placed};
+    use crate::HostPhase;
 
     fn sample_obs() -> Obs {
         let obs = Obs::enabled();
-        obs.span(Track::Master, "allocate", 0.0, 0.2, None, &[]);
+        obs.span(
+            Track::Master,
+            0.0,
+            0.2,
+            None,
+            EventBody::Allocate { tasks: 1 },
+        );
         obs.span(
             Track::Worker(0),
-            "task-0",
             0.2,
             1.0,
             Some((0.0, 1.1)),
-            &[("cells", 42.0)],
+            job(0, Some(42.0)),
         );
-        obs.virtual_span(Track::Planned(0), "task-0", 0.0, 1.0, &[]);
-        obs.instant(Track::Scheduler, "lambda", &[("value", 0.7)]);
+        obs.virtual_span(Track::Planned(0), 0.0, 1.0, placed(0));
+        obs.instant(
+            Track::Scheduler,
+            EventBody::Other {
+                name: "lambda".to_string(),
+                args: vec![("value".to_string(), 0.7)],
+            },
+        );
         obs.counter("cells", 42.0);
         obs
     }
@@ -690,7 +598,7 @@ mod tests {
         let header: Value = serde_json::from_str(lines[0]).expect("header parses");
         assert_eq!(
             header.get("schema").and_then(Value::as_str),
-            Some(crate::analysis::JOURNAL_SCHEMA)
+            Some(crate::journal::JOURNAL_SCHEMA)
         );
         assert_eq!(header.get("events").and_then(Value::as_u64), Some(4));
         for line in &lines[1..] {
@@ -792,9 +700,9 @@ mod tests {
 
         // Saturate a tiny subscriber: the counter reflects the drops.
         let sub = obs.subscribe_with_capacity(1);
-        obs.instant(Track::Master, "x", &[]);
-        obs.instant(Track::Master, "y", &[]);
-        obs.instant(Track::Master, "z", &[]);
+        obs.instant(Track::Master, EventBody::other("x"));
+        obs.instant(Track::Master, EventBody::other("y"));
+        obs.instant(Track::Master, EventBody::other("z"));
         drop(sub);
         assert!(metrics_text(&obs).contains("\nswdual_bus_dropped_events 2\n"));
 
@@ -824,7 +732,7 @@ mod tests {
             doc.push('\n');
             let parsed = crate::journal::parse_journal(&doc).expect("fragment parses");
             assert_eq!(parsed.len(), 1);
-            assert_eq!(parsed[0].name, event.name);
+            assert_eq!(parsed[0].body, event.body);
             assert_eq!(parsed[0].track, event.track);
         }
     }
@@ -886,8 +794,8 @@ mod tests {
     #[test]
     fn recovered_spans_get_their_own_process() {
         let obs = Obs::enabled();
-        obs.virtual_span(Track::Recovered(1), "task-4", 0.5, 1.5, &[("task", 4.0)]);
-        obs.instant(Track::Faults, "worker_dead", &[("worker", 0.0)]);
+        obs.virtual_span(Track::Recovered(1), 0.5, 1.5, placed(4));
+        obs.instant(Track::Faults, death(0));
         let trace = chrome_trace(&obs);
         let value: Value = serde_json::from_str(&trace).expect("trace parses");
         let events = value
@@ -912,7 +820,7 @@ mod tests {
         // The fault instant lands on the wall-clock process.
         assert!(events.iter().any(|e| {
             e.get("ph").and_then(Value::as_str) == Some("i")
-                && e.get("name").and_then(Value::as_str) == Some("worker_dead")
+                && e.get("name").and_then(Value::as_str) == Some(&*death(0).name())
         }));
         // And the journal names both.
         let journal = journal_jsonl(&obs);
@@ -927,36 +835,17 @@ mod tests {
         // worker 1. The trace must carry a single flow (id 0): "s" at
         // the plan, "t" steps at both dispatches, "f" at the execution.
         let obs = Obs::enabled();
-        obs.virtual_span(Track::Planned(0), "task-0", 0.0, 2.0, &[("task", 0.0)]);
-        obs.instant(
-            Track::Master,
-            "task_dispatch",
-            &[
-                ("task", 0.0),
-                ("worker", 0.0),
-                ("seq", 0.0),
-                ("decision", 0.0),
-            ],
-        );
-        obs.instant(Track::Faults, "worker_death", &[("worker", 0.0)]);
-        obs.virtual_span(Track::Recovered(1), "task-0", 0.5, 2.0, &[("task", 0.0)]);
-        obs.instant(
-            Track::Master,
-            "task_dispatch",
-            &[
-                ("task", 0.0),
-                ("worker", 1.0),
-                ("seq", 1.0),
-                ("decision", 1.0),
-            ],
-        );
+        obs.virtual_span(Track::Planned(0), 0.0, 2.0, placed(0));
+        obs.instant(Track::Master, dispatched(0, 0));
+        obs.instant(Track::Faults, death(0));
+        obs.virtual_span(Track::Recovered(1), 0.5, 2.0, placed(0));
+        obs.instant(Track::Master, dispatched(0, 1));
         obs.span(
             Track::Worker(1),
-            "task-0",
             0.3,
             0.2,
             Some((0.5, 2.0)),
-            &[("task", 0.0), ("decision", 1.0)],
+            job_placed_by(0, None, Some(1), None),
         );
         let trace = chrome_trace(&obs);
         let value: Value = serde_json::from_str(&trace).expect("trace parses");
@@ -1006,56 +895,45 @@ mod tests {
     fn profiled_obs() -> Obs {
         let obs = Obs::enabled();
         obs.set_profiling(true);
+        let cpu = Track::Worker(0);
+        let phase = |phase| EventBody::Phase { phase, task: 0 };
+        obs.span(cpu, 0.0, 1.0, Some((0.0, 2.0)), job(0, None));
         obs.span(
-            Track::Worker(0),
-            "task-0",
-            0.0,
-            1.0,
-            Some((0.0, 2.0)),
-            &[("task", 0.0)],
-        );
-        obs.span(
-            Track::Worker(0),
-            "phase_profile_build",
+            cpu,
             0.0,
             0.25,
             Some((0.0, 0.5)),
-            &[("task", 0.0)],
+            phase(HostPhase::ProfileBuild),
         );
-        obs.span(
-            Track::Worker(0),
-            "phase_dp_inner",
-            0.25,
-            0.7,
-            Some((0.5, 1.4)),
-            &[("task", 0.0)],
-        );
+        obs.span(cpu, 0.25, 0.7, Some((0.5, 1.4)), phase(HostPhase::DpInner));
         obs.span(
             Track::Device(1),
-            "h2d_transfer",
             0.0,
             0.01,
             Some((0.0, 0.5)),
-            &[("bytes", 1e6)],
+            EventBody::H2d {
+                bytes: 1e6,
+                task: None,
+            },
         );
         obs.span(
             Track::Device(1),
-            "kernel",
             0.01,
             0.02,
             Some((0.5, 1.0)),
-            &[
-                ("useful_cells", 1e9),
-                ("padded_cells", 1.25e9),
-                ("query_len", 200.0),
-            ],
+            EventBody::Kernel {
+                useful_cells: 1e9,
+                padded_cells: 1.25e9,
+                query_len: 200,
+                task: None,
+            },
         );
         obs
     }
 
     #[test]
     fn folded_stacks_are_semicolon_frames_and_integer_micros() {
-        let profile = Profile::from_obs(&profiled_obs());
+        let profile = Profile::from_events(&profiled_obs().events());
         let folded = flamegraph_folded(&profile, ProfileClock::Wall);
         let lines: Vec<&str> = folded.lines().collect();
         assert!(!lines.is_empty());
@@ -1086,7 +964,7 @@ mod tests {
 
     #[test]
     fn speedscope_document_parses_and_reconciles() {
-        let profile = Profile::from_obs(&profiled_obs());
+        let profile = Profile::from_events(&profiled_obs().events());
         let doc = speedscope_json(&profile);
         let value: Value = serde_json::from_str(&doc).expect("speedscope JSON parses");
         assert_eq!(

@@ -182,8 +182,9 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{parse_journal, validate_header};
-    use crate::{Obs, Track};
+    use crate::journal::{journal_schema, parse_journal};
+    use crate::testkit::{death, job};
+    use crate::{EventBody, Obs, Track};
 
     #[test]
     fn ring_keeps_the_newest_events() {
@@ -191,9 +192,13 @@ mod tests {
         let flight = FlightRecorder::new(3);
         obs.attach_flight(&flight);
         for i in 0..10 {
-            obs.instant(Track::Master, &format!("e{i}"), &[]);
+            obs.instant(Track::Master, EventBody::other(&format!("e{i}")));
         }
-        let names: Vec<String> = flight.events().into_iter().map(|e| e.name).collect();
+        let names: Vec<String> = flight
+            .events()
+            .into_iter()
+            .map(|e| e.name().into_owned())
+            .collect();
         assert_eq!(names, vec!["e7", "e8", "e9"]);
         assert_eq!(flight.len(), 3);
         assert_eq!(flight.seen(), 10);
@@ -207,21 +212,15 @@ mod tests {
         let obs = Obs::enabled();
         let flight = FlightRecorder::new(8);
         obs.attach_flight(&flight);
-        obs.span(
-            Track::Worker(1),
-            "task-3",
-            0.1,
-            0.4,
-            Some((0.0, 0.5)),
-            &[("task", 3.0), ("cells", 99.0)],
-        );
-        obs.instant(Track::Faults, "worker_death", &[("worker", 0.0)]);
+        let ran = job(3, Some(99.0));
+        obs.span(Track::Worker(1), 0.1, 0.4, Some((0.0, 0.5)), ran.clone());
+        obs.instant(Track::Faults, death(0));
         let dump = flight.dump_jsonl();
         let first = dump.lines().next().expect("header line");
-        validate_header(first).expect("crash fragment header validates");
+        journal_schema(first).expect("crash fragment header validates");
         let events = parse_journal(&dump).expect("crash fragment parses");
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name, "task-3");
+        assert_eq!(events[0].body, ran);
         assert_eq!(events[0].track, Track::Worker(1));
         assert_eq!(events[1].track, Track::Faults);
     }

@@ -6,7 +6,7 @@
 //! schema tag, the header check and the line parser so the three
 //! consumers cannot drift apart on what a valid journal is.
 
-use crate::{Event, EventKind, Track};
+use crate::{Event, EventBody, EventKind, Track};
 use serde::Value;
 
 /// Schema tag this build *writes* (and reads): v2 adds causal lineage
@@ -78,16 +78,11 @@ fn supported_list() -> String {
         .join(" and ")
 }
 
-/// Validate a journal's first line as a schema header. Accepts every
-/// tag in [`SUPPORTED_SCHEMAS`] (currently v2 and v1); anything else
-/// is a [`JournalError::SchemaMismatch`] naming all supported tags.
-pub fn validate_header(first_line: &str) -> Result<(), JournalError> {
-    journal_schema(first_line).map(|_| ())
-}
-
-/// Validate a journal's first line and return which supported schema
-/// tag it declared — consumers that degrade on v1 (explain) branch on
-/// this.
+/// Validate a journal's first line as a schema header and return
+/// which tag of [`SUPPORTED_SCHEMAS`] (currently v2 and v1) it declared
+/// — consumers that degrade on v1 (explain) branch on this. Anything
+/// else is a [`JournalError::SchemaMismatch`] naming every supported
+/// tag.
 pub fn journal_schema(first_line: &str) -> Result<&'static str, JournalError> {
     let header: Value =
         serde_json::from_str(first_line).map_err(|_| JournalError::MissingHeader)?;
@@ -107,18 +102,26 @@ pub fn journal_schema(first_line: &str) -> Result<&'static str, JournalError> {
 
 /// Parse a journal back into events, validating the schema header.
 pub fn parse_journal(journal: &str) -> Result<Vec<Event>, JournalError> {
+    let mut events = Vec::new();
+    read_journal(journal, |event| events.push(event))?;
+    Ok(events)
+}
+
+/// Validate the header, then hand every event line to `sink` in file
+/// order. Returns the schema tag the journal declared.
+pub fn read_journal(
+    journal: &str,
+    mut sink: impl FnMut(Event),
+) -> Result<&'static str, JournalError> {
     let mut lines = journal.lines().enumerate();
     let (_, header) = lines.next().ok_or(JournalError::EmptyJournal)?;
-    validate_header(header)?;
-
-    let mut events = Vec::new();
+    let schema = journal_schema(header)?;
     for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
+        if !line.trim().is_empty() {
+            sink(parse_event_line_at(line, idx + 1)?);
         }
-        events.push(parse_event_line_at(line, idx + 1)?);
     }
-    Ok(events)
+    Ok(schema)
 }
 
 /// Parse one journal event line (anything after the header). Streaming
@@ -127,6 +130,17 @@ pub fn parse_journal(journal: &str) -> Result<Vec<Event>, JournalError> {
 /// document on every read.
 pub fn parse_event_line(line: &str) -> Result<Event, JournalError> {
     parse_event_line_at(line, 0)
+}
+
+/// A number a journal can mean: zero, or a magnitude in
+/// `1e-30..=1e30` (seconds, cells, bytes, rates and ids all sit well
+/// inside). Anything else — non-finite, a 1e300 from a hand edit, a
+/// denormal — is dropped like a missing key, so no product or ratio
+/// of a few journal numbers can overflow and downstream utilization /
+/// throughput / quantile math never renders NaN or inf.
+fn quantity(value: &Value) -> Option<f64> {
+    let v = value.as_f64()?;
+    (v == 0.0 || (1e-30..=1e30).contains(&v.abs())).then_some(v + 0.0)
 }
 
 fn parse_event_line_at(line: &str, line_no: usize) -> Result<Event, JournalError> {
@@ -151,31 +165,28 @@ fn parse_event_line_at(line: &str, line_no: usize) -> Result<Event, JournalError
         Some("instant") => EventKind::Instant,
         _ => return Err(malformed("missing or unknown \"kind\"")),
     };
-    // Non-finite numbers (hand-edited or truncated journals) are
-    // dropped rather than propagated, so downstream utilization /
-    // imbalance / quantile math never renders NaN or inf.
-    let num = |key: &str| {
-        value
-            .get(key)
-            .and_then(Value::as_f64)
-            .filter(|v| v.is_finite())
-    };
+    let num = |key: &str| value.get(key).and_then(quantity);
     let args = match value.get("args").and_then(Value::as_object) {
         Some(fields) => fields
             .iter()
-            .filter_map(|(k, v)| v.as_f64().filter(|v| v.is_finite()).map(|v| (k.clone(), v)))
+            .filter_map(|(k, v)| quantity(v).map(|v| (k.clone(), v)))
             .collect(),
         None => Vec::new(),
     };
+    let (body, extra) = EventBody::decode(track, kind, name, args);
+    // Durations cannot be negative, and an event is on the modelled
+    // clock with a start and a duration or not at all (the writer
+    // emits both or neither).
+    let virt = num("virt_start").zip(num("virt_dur"));
     Ok(Event {
         track,
-        name,
         kind,
         wall_start: num("wall_start").unwrap_or(0.0),
-        wall_dur: num("wall_dur").unwrap_or(0.0),
-        virt_start: num("virt_start"),
-        virt_dur: num("virt_dur"),
-        args,
+        wall_dur: num("wall_dur").unwrap_or(0.0).max(0.0),
+        virt_start: virt.map(|(start, _)| start),
+        virt_dur: virt.map(|(_, dur)| dur.max(0.0)),
+        body,
+        extra,
     })
 }
 
@@ -186,7 +197,7 @@ mod tests {
     #[test]
     fn header_validation_accepts_the_current_schema() {
         assert!(
-            validate_header(&format!("{{\"schema\":\"{JOURNAL_SCHEMA}\",\"events\":3}}")).is_ok()
+            journal_schema(&format!("{{\"schema\":\"{JOURNAL_SCHEMA}\",\"events\":3}}")).is_ok()
         );
         assert_eq!(
             journal_schema(&format!("{{\"schema\":\"{JOURNAL_SCHEMA}\"}}")).unwrap(),
@@ -198,7 +209,7 @@ mod tests {
     fn header_validation_accepts_v1_journals() {
         // Back-compat contract: journals written by older builds keep
         // parsing after the v2 schema bump.
-        assert!(validate_header(&format!(
+        assert!(journal_schema(&format!(
             "{{\"schema\":\"{JOURNAL_SCHEMA_V1}\",\"events\":3}}"
         ))
         .is_ok());
@@ -225,11 +236,11 @@ mod tests {
     #[test]
     fn header_validation_rejects_non_headers() {
         assert_eq!(
-            validate_header("not json").unwrap_err(),
+            journal_schema("not json").unwrap_err(),
             JournalError::MissingHeader
         );
         assert_eq!(
-            validate_header("{\"events\":3}").unwrap_err(),
+            journal_schema("{\"events\":3}").unwrap_err(),
             JournalError::MissingHeader
         );
     }
@@ -239,7 +250,7 @@ mod tests {
         // Every consumer (analyze/profile/diff) funnels through this
         // helper, so the message must carry both the found and the
         // supported tag — this is the regression test for that contract.
-        let err = validate_header("{\"schema\":\"swdual-journal/99\"}").unwrap_err();
+        let err = journal_schema("{\"schema\":\"swdual-journal/99\"}").unwrap_err();
         assert_eq!(
             err,
             JournalError::SchemaMismatch {

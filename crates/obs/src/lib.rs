@@ -23,17 +23,21 @@
 pub mod analysis;
 pub mod bus;
 pub mod diff;
+pub mod event;
 pub mod explain;
 pub mod export;
 pub mod flight;
 pub mod journal;
 pub mod metrics;
+pub mod model;
 pub mod profile;
 pub mod trend;
 pub mod watch;
 
 pub use bus::BusSubscriber;
+pub use event::{AlertKind, Event, EventBody, EventKind, HostPhase, OptWorker};
 pub use flight::FlightRecorder;
+pub use model::RunModel;
 
 use metrics::Metrics;
 use std::collections::BTreeMap;
@@ -98,62 +102,6 @@ impl Track {
     }
 }
 
-/// Span (has duration) or instant (point in time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// An interval with a start and a duration.
-    Span,
-    /// A point event; durations are zero.
-    Instant,
-}
-
-/// One recorded event.
-#[derive(Debug, Clone)]
-pub struct Event {
-    /// Timeline the event belongs to.
-    pub track: Track,
-    /// Event name (e.g. phase, task or kernel identifier).
-    pub name: String,
-    /// Span or instant.
-    pub kind: EventKind,
-    /// Wall-clock start, seconds since recorder creation.
-    pub wall_start: f64,
-    /// Wall-clock duration in seconds (zero for instants).
-    pub wall_dur: f64,
-    /// Modelled-clock start in seconds, when the event has one.
-    pub virt_start: Option<f64>,
-    /// Modelled-clock duration in seconds, when the event has one.
-    pub virt_dur: Option<f64>,
-    /// Free-form numeric annotations.
-    pub args: Vec<(String, f64)>,
-}
-
-impl Event {
-    /// Whether this is a profiling *detail* span that subdivides time
-    /// already covered by a coarser span: worker `phase_*` spans live
-    /// inside their task span, `kernel_launch`/`kernel_compute` inside
-    /// the `kernel` span, and `d2h_transfer` is overlapped readback
-    /// that never advances the device clock. Busy-time folds (the
-    /// auditor, per-track metric aggregates) must skip these or the
-    /// same seconds are counted twice; the profiler is their consumer.
-    pub fn is_profile_detail(&self) -> bool {
-        self.name.starts_with("phase_")
-            || matches!(
-                self.name.as_str(),
-                "kernel_launch" | "kernel_compute" | "d2h_transfer"
-            )
-    }
-
-    /// Whether this is a watchdog alert instant (`alert_*` on the
-    /// faults track). Alerts are commentary *about* the run, not part
-    /// of it: the fault auditor counts them separately, the causal
-    /// explainer ignores them, and the watchdog itself skips them to
-    /// avoid feedback loops.
-    pub fn is_alert(&self) -> bool {
-        self.track == Track::Faults && self.name.starts_with("alert_")
-    }
-}
-
 struct Inner {
     origin: Instant,
     events: Mutex<Vec<Event>>,
@@ -167,6 +115,31 @@ struct Inner {
     /// flight-recorder rings. Publication happens under the events
     /// lock, so subscribers observe journal order.
     bus: bus::Bus,
+}
+
+impl Inner {
+    fn record(
+        &self,
+        track: Track,
+        kind: EventKind,
+        wall: (f64, f64),
+        virt: Option<(f64, f64)>,
+        body: EventBody,
+    ) {
+        let event = Event {
+            track,
+            kind,
+            wall_start: wall.0,
+            wall_dur: wall.1,
+            virt_start: virt.map(|(start, _)| start),
+            virt_dur: virt.map(|(_, dur)| dur),
+            body,
+            extra: Vec::new(),
+        };
+        let mut events = self.events.lock().expect("obs events lock");
+        self.bus.publish(&event);
+        events.push(event);
+    }
 }
 
 /// Handle to a recorder; cheap to clone and share across threads.
@@ -243,60 +216,26 @@ impl Obs {
     pub fn span(
         &self,
         track: Track,
-        name: &str,
         wall_start: f64,
         wall_dur: f64,
         virt: Option<(f64, f64)>,
-        args: &[(&str, f64)],
+        body: EventBody,
     ) {
         let Some(inner) = &self.0 else { return };
-        let event = Event {
-            track,
-            name: name.to_string(),
-            kind: EventKind::Span,
-            wall_start,
-            wall_dur,
-            virt_start: virt.map(|(s, _)| s),
-            virt_dur: virt.map(|(_, d)| d),
-            args: args.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        };
-        let mut events = inner.events.lock().expect("obs events lock");
-        inner.bus.publish(&event);
-        events.push(event);
+        inner.record(track, EventKind::Span, (wall_start, wall_dur), virt, body);
     }
 
     /// Record a span that exists only on the modelled clock (e.g. a
     /// planned placement). It is pinned at wall time zero.
-    pub fn virtual_span(
-        &self,
-        track: Track,
-        name: &str,
-        virt_start: f64,
-        virt_dur: f64,
-        args: &[(&str, f64)],
-    ) {
-        if self.0.is_none() {
-            return;
-        }
-        self.span(track, name, 0.0, 0.0, Some((virt_start, virt_dur)), args);
+    pub fn virtual_span(&self, track: Track, virt_start: f64, virt_dur: f64, body: EventBody) {
+        self.span(track, 0.0, 0.0, Some((virt_start, virt_dur)), body);
     }
 
     /// Record a point event at the current wall time.
-    pub fn instant(&self, track: Track, name: &str, args: &[(&str, f64)]) {
+    pub fn instant(&self, track: Track, body: EventBody) {
         let Some(inner) = &self.0 else { return };
-        let event = Event {
-            track,
-            name: name.to_string(),
-            kind: EventKind::Instant,
-            wall_start: inner.origin.elapsed().as_secs_f64(),
-            wall_dur: 0.0,
-            virt_start: None,
-            virt_dur: None,
-            args: args.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        };
-        let mut events = inner.events.lock().expect("obs events lock");
-        inner.bus.publish(&event);
-        events.push(event);
+        let now = inner.origin.elapsed().as_secs_f64();
+        inner.record(track, EventKind::Instant, (now, 0.0), None, body);
     }
 
     /// Open a bounded live subscription on this recorder's event bus
@@ -354,12 +293,19 @@ impl Obs {
         inner.metrics.counter(name, &[], delta);
     }
 
-    /// Snapshot of all recorded events, in recording order.
-    pub fn events(&self) -> Vec<Event> {
+    /// Run `f` over the recorded events, in recording order, without
+    /// copying them. The buffer is locked for the duration: recording
+    /// threads wait, so `f` should fold and return.
+    pub(crate) fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
         match &self.0 {
-            Some(inner) => inner.events.lock().expect("obs events lock").clone(),
-            None => Vec::new(),
+            Some(inner) => f(&inner.events.lock().expect("obs events lock")),
+            None => f(&[]),
         }
+    }
+
+    /// Snapshot (a deep copy) of all recorded events.
+    pub fn events(&self) -> Vec<Event> {
+        self.with_events(<[Event]>::to_vec)
     }
 
     /// Snapshot of the events recorded at or after index `start`, in
@@ -367,16 +313,12 @@ impl Obs {
     /// writer) page through the retained journal with a cursor instead
     /// of holding a bounded subscription they might overflow.
     pub fn events_since(&self, start: usize) -> Vec<Event> {
-        match &self.0 {
-            Some(inner) => {
-                let events = inner.events.lock().expect("obs events lock");
-                events
-                    .get(start..)
-                    .map(<[Event]>::to_vec)
-                    .unwrap_or_default()
-            }
-            None => Vec::new(),
-        }
+        self.with_events(|events| {
+            events
+                .get(start..)
+                .map(<[Event]>::to_vec)
+                .unwrap_or_default()
+        })
     }
 
     /// Snapshot of all counters, sorted by name.
@@ -395,10 +337,7 @@ impl Obs {
 
     /// Number of recorded events.
     pub fn event_count(&self) -> usize {
-        match &self.0 {
-            Some(inner) => inner.events.lock().expect("obs events lock").len(),
-            None => 0,
-        }
+        self.with_events(<[Event]>::len)
     }
 }
 
@@ -418,8 +357,8 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let obs = Obs::disabled();
-        obs.span(Track::Master, "phase", 0.0, 1.0, None, &[]);
-        obs.instant(Track::Scheduler, "tick", &[("lambda", 0.5)]);
+        obs.span(Track::Master, 0.0, 1.0, None, EventBody::other("phase"));
+        obs.instant(Track::Scheduler, EventBody::other("tick"));
         obs.counter("cells", 100.0);
         assert!(!obs.is_enabled());
         assert_eq!(obs.event_count(), 0);
@@ -436,24 +375,18 @@ mod tests {
     #[test]
     fn enabled_records_spans_and_counters() {
         let obs = Obs::enabled();
-        obs.span(
-            Track::Worker(2),
-            "task-0",
-            0.5,
-            1.5,
-            Some((0.0, 2.0)),
-            &[("cells", 64.0)],
-        );
-        obs.virtual_span(Track::Planned(2), "task-0", 0.0, 2.0, &[]);
+        let job = testkit::job(0, Some(64.0));
+        obs.span(Track::Worker(2), 0.5, 1.5, Some((0.0, 2.0)), job.clone());
+        obs.virtual_span(Track::Planned(2), 0.0, 2.0, testkit::placed(0));
         obs.counter("cells", 64.0);
         obs.counter("cells", 36.0);
 
         let events = obs.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].track, Track::Worker(2));
-        assert_eq!(events[0].name, "task-0");
+        assert_eq!(events[0].name(), "task-0");
         assert_eq!(events[0].virt_dur, Some(2.0));
-        assert_eq!(events[0].args, vec![("cells".to_string(), 64.0)]);
+        assert_eq!(events[0].body, job);
         assert_eq!(events[1].track, Track::Planned(2));
         assert_eq!(obs.counters(), vec![("cells".to_string(), 100.0)]);
     }
@@ -462,7 +395,7 @@ mod tests {
     fn clones_share_the_buffer() {
         let obs = Obs::enabled();
         let other = obs.clone();
-        other.instant(Track::Master, "from-clone", &[]);
+        other.instant(Track::Master, EventBody::other("from-clone"));
         assert_eq!(obs.event_count(), 1);
     }
 
@@ -474,7 +407,7 @@ mod tests {
                 let handle = obs.clone();
                 scope.spawn(move || {
                     for j in 0..25 {
-                        handle.span(Track::Worker(w), &format!("job-{j}"), 0.0, 0.1, None, &[]);
+                        handle.span(Track::Worker(w), 0.0, 0.1, None, testkit::job(j, None));
                         handle.counter("jobs", 1.0);
                     }
                 });
@@ -554,5 +487,122 @@ mod tests {
         let a = obs.now();
         let b = obs.now();
         assert!(b >= a);
+    }
+}
+
+/// Short spellings of the events the in-crate tests record most.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use crate::{Event, EventBody, EventKind, OptWorker, Track};
+
+    /// A job span body without lineage args (what a v1 build wrote).
+    pub fn job(task: usize, cells: Option<f64>) -> EventBody {
+        job_placed_by(task, cells, None, None)
+    }
+
+    /// A job span body placed by `decision` after `queue_wait` seconds
+    /// `(wall, modelled)`.
+    pub fn job_placed_by(
+        task: usize,
+        cells: Option<f64>,
+        decision: Option<u64>,
+        queue_wait: Option<(f64, f64)>,
+    ) -> EventBody {
+        EventBody::Job {
+            task,
+            cells,
+            seq: decision.map(|_| task as u64),
+            decision,
+            queue_wait_wall: queue_wait.map(|(wall, _)| wall),
+            queue_wait_modelled: queue_wait.map(|(_, modelled)| modelled),
+        }
+    }
+
+    pub fn placed(task: usize) -> EventBody {
+        EventBody::Placement {
+            task,
+            decision: None,
+        }
+    }
+
+    pub fn registered(worker: usize, is_gpu: bool) -> EventBody {
+        EventBody::WorkerRegistered { worker, is_gpu }
+    }
+
+    pub fn estimate(task: usize, p_cpu: f64, p_gpu: f64) -> EventBody {
+        EventBody::TaskModel {
+            task,
+            p_cpu,
+            p_gpu,
+            query_len: None,
+            cells: None,
+        }
+    }
+
+    pub fn dispatched(task: usize, worker: usize) -> EventBody {
+        EventBody::TaskDispatch {
+            task,
+            worker: OptWorker(Some(worker)),
+            seq: task as u64,
+            decision: 0,
+            virt: 0.0,
+        }
+    }
+
+    /// The bisection's verdict with λ as its upper bound.
+    pub fn lambda_found(lambda: f64, lower_bound: f64, iterations: usize) -> EventBody {
+        EventBody::BinsearchDone {
+            iterations,
+            lower_bound,
+            upper_bound: lambda,
+            makespan: lambda,
+            lambda: Some(lambda),
+            two_lambda_bound: Some(2.0 * lambda),
+            decision: None,
+        }
+    }
+
+    pub fn death(worker: usize) -> EventBody {
+        EventBody::WorkerDeath {
+            worker,
+            reason: 0.0,
+        }
+    }
+
+    pub fn redispatch(task: usize) -> EventBody {
+        EventBody::TaskRedispatch { task, retry: 1 }
+    }
+
+    /// A bare instant event at `wall`, for feeding folds directly.
+    pub fn instant(track: Track, wall: f64, body: EventBody) -> Event {
+        Event {
+            track,
+            kind: EventKind::Instant,
+            wall_start: wall,
+            wall_dur: 0.0,
+            virt_start: None,
+            virt_dur: None,
+            body,
+            extra: Vec::new(),
+        }
+    }
+
+    /// A bare span event, for feeding folds directly.
+    pub fn span(
+        track: Track,
+        wall: (f64, f64),
+        virt: Option<(f64, f64)>,
+        body: EventBody,
+    ) -> Event {
+        Event {
+            track,
+            kind: EventKind::Span,
+            wall_start: wall.0,
+            wall_dur: wall.1,
+            virt_start: virt.map(|(s, _)| s),
+            virt_dur: virt.map(|(_, d)| d),
+            body,
+            extra: Vec::new(),
+        }
     }
 }

@@ -45,7 +45,9 @@
 //! compute-bound verdict per query-length bucket, in the style of the
 //! SWAPHI / Knights-Landing SW papers the ISSUE cites.
 
-use crate::{Event, EventKind, Obs, Track};
+use crate::event::{task_name, D2H_TRANSFER, H2D_TRANSFER, KERNEL};
+use crate::model::{ratio_or, Clocked, RunModel};
+use crate::{Event, HostPhase};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -69,6 +71,25 @@ pub struct StackWeight {
     pub modelled: f64,
 }
 
+impl StackWeight {
+    fn new(root: String, frames: &[&str], self_time: Clocked) -> StackWeight {
+        let frames = frames.iter().map(|frame| frame.to_string());
+        StackWeight {
+            frames: std::iter::once(root).chain(frames).collect(),
+            wall: self_time.wall,
+            modelled: self_time.modelled,
+        }
+    }
+
+    /// Self seconds on `clock`.
+    pub fn weight(&self, clock: ProfileClock) -> f64 {
+        match clock {
+            ProfileClock::Wall => self.wall,
+            ProfileClock::Modelled => self.modelled,
+        }
+    }
+}
+
 /// Per-phase totals inside one worker.
 #[derive(Debug, Clone, Serialize)]
 pub struct PhaseTotal {
@@ -83,7 +104,7 @@ pub struct PhaseTotal {
 
 /// One worker's profile totals. `wall_total`/`modelled_total` equal the
 /// auditor's `busy_wall`/`busy_modelled` for the same journal.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct WorkerProfile {
     /// Worker id.
     pub worker: usize,
@@ -174,41 +195,24 @@ pub struct DeviceProfile {
 impl DeviceProfile {
     /// Fraction of charged cells that were useful.
     pub fn warp_efficiency(&self) -> f64 {
-        if self.padded_cells > 0.0 {
-            self.useful_cells / self.padded_cells
-        } else {
-            1.0
-        }
+        ratio_or(1.0, self.useful_cells, self.padded_cells)
     }
 
     /// Achieved throughput over useful cells, GCUPS on the modelled
     /// clock (0 when no kernel time).
     pub fn achieved_gcups(&self) -> f64 {
-        if self.kernel_seconds > 0.0 {
-            self.useful_cells / self.kernel_seconds / 1e9
-        } else {
-            0.0
-        }
+        ratio_or(0.0, self.useful_cells, self.kernel_seconds) / 1e9
     }
 
     /// Modelled throughput over *charged* (padded) cells — what the
     /// rate model says the silicon sustained.
     pub fn modelled_gcups(&self) -> f64 {
-        if self.kernel_seconds > 0.0 {
-            self.padded_cells / self.kernel_seconds / 1e9
-        } else {
-            0.0
-        }
+        ratio_or(0.0, self.padded_cells, self.kernel_seconds) / 1e9
     }
 
     /// Arithmetic intensity: useful cells per byte moved over PCIe.
     pub fn cells_per_byte(&self) -> f64 {
-        let bytes = self.bytes_h2d + self.bytes_d2h;
-        if bytes > 0.0 {
-            self.useful_cells / bytes
-        } else {
-            0.0
-        }
+        ratio_or(0.0, self.useful_cells, self.bytes_h2d + self.bytes_d2h)
     }
 
     /// Roofline attainable GCUPS: `min(peak, intensity · bandwidth)`.
@@ -255,22 +259,6 @@ pub struct Profile {
     pub modelled_makespan: f64,
 }
 
-/// Worker phase-span names the fold understands (recorded by the
-/// runtime workers when profiling is on).
-const WORKER_PHASES: [&str; 3] = ["profile_build", "dp_inner", "traceback"];
-
-fn arg(event: &Event, key: &str) -> Option<f64> {
-    event.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-}
-
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
-    }
-}
-
 /// Merge span intervals into alternating busy/idle segments.
 fn fold_segments(mut intervals: Vec<(f64, f64)>) -> (Vec<TimelineSegment>, f64) {
     intervals.retain(|(s, e)| e > s);
@@ -309,188 +297,52 @@ fn fold_segments(mut intervals: Vec<(f64, f64)>) -> (Vec<TimelineSegment>, f64) 
 }
 
 impl Profile {
-    /// Fold a live recorder.
-    pub fn from_obs(obs: &Obs) -> Profile {
-        Profile::from_events(&obs.events())
+    /// Fold an event stream (e.g. one parsed back from a journal with
+    /// [`parse_journal`](crate::journal::parse_journal)) and stack it.
+    pub fn from_events(events: &[Event]) -> Profile {
+        Profile::from_model(&RunModel::from_events(events))
     }
 
-    /// Fold an event stream (e.g. one parsed back from a journal with
-    /// [`analysis::parse_journal`](crate::analysis::parse_journal)).
-    pub fn from_events(events: &[Event]) -> Profile {
+    /// Stack a run's jobs, phases and device spans.
+    pub fn from_model(model: &RunModel) -> Profile {
         // (worker, task) → (wall, modelled, modelled_end)
-        let mut tasks: BTreeMap<(usize, i64), (f64, f64, f64)> = BTreeMap::new();
-        // (worker, task, phase) → (wall, modelled)
-        let mut phases: BTreeMap<(usize, i64, String), (f64, f64)> = BTreeMap::new();
-
-        struct DevAcc {
-            kernels: usize,
-            transfers: usize,
-            kernel_wall: f64,
-            kernel_seconds: f64,
-            launch_wall: f64,
-            launch_seconds: f64,
-            compute_wall: f64,
-            compute_seconds: f64,
-            transfer_wall: f64,
-            transfer_seconds: f64,
-            d2h_wall: f64,
-            d2h_seconds: f64,
-            bytes_h2d: f64,
-            bytes_d2h: f64,
-            useful_cells: f64,
-            padded_cells: f64,
-            peak_gcups: f64,
-            pcie_bytes_per_sec: f64,
-            intervals: Vec<(f64, f64)>,
-            // query_len → (kernels, compute seconds, useful cells)
-            by_len: Vec<(usize, f64, f64)>,
+        let mut tasks: BTreeMap<(usize, usize), (f64, f64, f64)> = BTreeMap::new();
+        for e in &model.jobs {
+            let (virt_start, virt_dur) = e.virt.unwrap_or((0.0, 0.0));
+            let total = tasks.entry((e.worker, e.task)).or_insert((0.0, 0.0, 0.0));
+            total.0 += e.wall_dur;
+            total.1 += virt_dur;
+            total.2 = total.2.max(virt_start + virt_dur);
         }
-        let mut devices: BTreeMap<usize, DevAcc> = BTreeMap::new();
-        fn dev(devices: &mut BTreeMap<usize, DevAcc>, d: usize) -> &mut DevAcc {
-            devices.entry(d).or_insert(DevAcc {
-                kernels: 0,
-                transfers: 0,
-                kernel_wall: 0.0,
-                kernel_seconds: 0.0,
-                launch_wall: 0.0,
-                launch_seconds: 0.0,
-                compute_wall: 0.0,
-                compute_seconds: 0.0,
-                transfer_wall: 0.0,
-                transfer_seconds: 0.0,
-                d2h_wall: 0.0,
-                d2h_seconds: 0.0,
-                bytes_h2d: 0.0,
-                bytes_d2h: 0.0,
-                useful_cells: 0.0,
-                padded_cells: 0.0,
-                peak_gcups: 0.0,
-                pcie_bytes_per_sec: 0.0,
-                intervals: Vec::new(),
-                by_len: Vec::new(),
-            })
-        }
-
-        let task_of = |event: &Event| -> i64 {
-            arg(event, "task")
-                .map(|t| t as i64)
-                .or_else(|| {
-                    event
-                        .name
-                        .strip_prefix("task-")
-                        .and_then(|s| s.parse().ok())
-                })
-                .unwrap_or(-1)
-        };
-
-        for event in events {
-            match event.track {
-                Track::Worker(w) if event.kind == EventKind::Span => {
-                    let wall = finite(event.wall_dur).max(0.0);
-                    let virt = finite(event.virt_dur.unwrap_or(0.0)).max(0.0);
-                    let phase = WORKER_PHASES
-                        .iter()
-                        .find(|p| event.name == format!("phase_{p}"));
-                    if let Some(phase) = phase {
-                        let e = phases
-                            .entry((w, task_of(event), phase.to_string()))
-                            .or_insert((0.0, 0.0));
-                        e.0 += wall;
-                        e.1 += virt;
-                    } else {
-                        let end = finite(event.virt_start.unwrap_or(0.0)) + virt;
-                        let e = tasks.entry((w, task_of(event))).or_insert((0.0, 0.0, 0.0));
-                        e.0 += wall;
-                        e.1 += virt;
-                        e.2 = e.2.max(end);
-                    }
-                }
-                Track::Device(d) if event.kind == EventKind::Span => {
-                    let wall = finite(event.wall_dur).max(0.0);
-                    let virt = finite(event.virt_dur.unwrap_or(0.0)).max(0.0);
-                    let virt_start = finite(event.virt_start.unwrap_or(0.0));
-                    let a = dev(&mut devices, d);
-                    match event.name.as_str() {
-                        "kernel" => {
-                            a.kernels += 1;
-                            a.kernel_wall += wall;
-                            a.kernel_seconds += virt;
-                            a.useful_cells += arg(event, "useful_cells").unwrap_or(0.0);
-                            a.padded_cells += arg(event, "padded_cells").unwrap_or(0.0);
-                            a.intervals.push((virt_start, virt_start + virt));
-                            let len = arg(event, "query_len").unwrap_or(0.0) as usize;
-                            a.by_len
-                                .push((len, virt, arg(event, "useful_cells").unwrap_or(0.0)));
-                        }
-                        "kernel_launch" => {
-                            a.launch_wall += wall;
-                            a.launch_seconds += virt;
-                        }
-                        "kernel_compute" => {
-                            a.compute_wall += wall;
-                            a.compute_seconds += virt;
-                        }
-                        "h2d_transfer" => {
-                            a.transfers += 1;
-                            a.transfer_wall += wall;
-                            a.transfer_seconds += virt;
-                            a.bytes_h2d += arg(event, "bytes").unwrap_or(0.0);
-                            a.intervals.push((virt_start, virt_start + virt));
-                        }
-                        "d2h_transfer" => {
-                            a.d2h_wall += wall;
-                            a.d2h_seconds += virt;
-                            a.bytes_d2h += arg(event, "bytes").unwrap_or(0.0);
-                        }
-                        _ => {}
-                    }
-                }
-                Track::Device(d) if event.name == "device_spec" => {
-                    let a = dev(&mut devices, d);
-                    a.peak_gcups = arg(event, "peak_gcups").unwrap_or(0.0);
-                    a.pcie_bytes_per_sec = arg(event, "pcie_bytes_per_sec").unwrap_or(0.0);
-                }
-                _ => {}
-            }
-        }
+        let phases = &model.phases;
 
         // Build stacks. Worker: task self = task − Σ its phases.
         let mut stacks: Vec<StackWeight> = Vec::new();
         let mut worker_fold: BTreeMap<usize, WorkerProfile> = BTreeMap::new();
         for (&(w, task), &(wall, modelled, end)) in &tasks {
-            let task_frame = if task >= 0 {
-                format!("task-{task}")
-            } else {
-                "task".to_string()
-            };
-            let mut child_wall = 0.0;
-            let mut child_virt = 0.0;
-            for phase in WORKER_PHASES {
-                if let Some(&(pw, pv)) = phases.get(&(w, task, phase.to_string())) {
-                    child_wall += pw;
-                    child_virt += pv;
-                    stacks.push(StackWeight {
-                        frames: vec![format!("worker:{w}"), task_frame.clone(), phase.to_string()],
-                        wall: pw,
-                        modelled: pv,
-                    });
+            let root = || format!("worker:{w}");
+            let task_frame = task_name(task);
+            let mut children = Clocked::default();
+            for phase in HostPhase::ALL {
+                if let Some(&spent) = phases.get(&(w, task, phase)) {
+                    children.add(spent);
+                    let frames = [task_frame.as_str(), phase.label()];
+                    stacks.push(StackWeight::new(root(), &frames, spent));
                 }
             }
             // Phases may slightly over- or under-shoot the parent from
             // separate clock reads; the parent keeps the (clamped)
             // remainder so root totals always equal the span sums.
-            stacks.push(StackWeight {
-                frames: vec![format!("worker:{w}"), task_frame],
-                wall: (wall - child_wall).max(0.0),
-                modelled: (modelled - child_virt).max(0.0),
-            });
+            let span = Clocked { wall, modelled };
+            stacks.push(StackWeight::new(
+                root(),
+                &[&task_frame],
+                span.minus(children),
+            ));
+            let (child_wall, child_virt) = (children.wall, children.modelled);
             let wp = worker_fold.entry(w).or_insert(WorkerProfile {
                 worker: w,
-                tasks: 0,
-                wall_total: 0.0,
-                modelled_total: 0.0,
-                modelled_end: 0.0,
-                phases: Vec::new(),
+                ..WorkerProfile::default()
             });
             wp.tasks += 1;
             wp.wall_total += wall.max(child_wall);
@@ -498,17 +350,17 @@ impl Profile {
             wp.modelled_end = wp.modelled_end.max(end);
         }
         // Per-worker phase totals.
-        for (&(w, _, ref phase), &(pw, pv)) in &phases {
+        for (&(w, _, phase), spent) in phases {
             if let Some(wp) = worker_fold.get_mut(&w) {
-                match wp.phases.iter_mut().find(|p| &p.name == phase) {
+                match wp.phases.iter_mut().find(|p| p.name == phase.label()) {
                     Some(p) => {
-                        p.wall += pw;
-                        p.modelled += pv;
+                        p.wall += spent.wall;
+                        p.modelled += spent.modelled;
                     }
                     None => wp.phases.push(PhaseTotal {
-                        name: phase.clone(),
-                        wall: pw,
-                        modelled: pv,
+                        name: phase.label().to_string(),
+                        wall: spent.wall,
+                        modelled: spent.modelled,
                     }),
                 }
             }
@@ -519,74 +371,32 @@ impl Profile {
 
         // Device stacks + roofline fold.
         let mut device_fold: Vec<DeviceProfile> = Vec::new();
-        for (&d, a) in &devices {
-            let root = format!("device:{d}");
-            if a.transfers > 0 {
-                stacks.push(StackWeight {
-                    frames: vec![root.clone(), "h2d_transfer".to_string()],
-                    wall: a.transfer_wall,
-                    modelled: a.transfer_seconds,
-                });
-            }
-            if a.d2h_seconds > 0.0 || a.d2h_wall > 0.0 {
-                stacks.push(StackWeight {
-                    frames: vec![root.clone(), "d2h_transfer".to_string()],
-                    wall: a.d2h_wall,
-                    modelled: a.d2h_seconds,
-                });
-            }
-            if a.kernels > 0 {
-                let child_wall = a.launch_wall + a.compute_wall;
-                let child_virt = a.launch_seconds + a.compute_seconds;
-                if a.launch_seconds > 0.0 || a.launch_wall > 0.0 {
-                    stacks.push(StackWeight {
-                        frames: vec![root.clone(), "kernel".to_string(), "launch".to_string()],
-                        wall: a.launch_wall,
-                        modelled: a.launch_seconds,
-                    });
-                }
-                if a.compute_seconds > 0.0 || a.compute_wall > 0.0 {
-                    stacks.push(StackWeight {
-                        frames: vec![root.clone(), "kernel".to_string(), "compute".to_string()],
-                        wall: a.compute_wall,
-                        modelled: a.compute_seconds,
-                    });
-                }
-                stacks.push(StackWeight {
-                    frames: vec![root.clone(), "kernel".to_string()],
-                    wall: (a.kernel_wall - child_wall).max(0.0),
-                    modelled: (a.kernel_seconds - child_virt).max(0.0),
-                });
-            }
+        for (&d, a) in &model.devices {
+            // Zero-weight stacks are dropped below, so a device that
+            // never transferred or launched contributes no frames.
+            let mut stack = |frames: &[&str], self_time: Clocked| {
+                stacks.push(StackWeight::new(format!("device:{d}"), frames, self_time));
+            };
+            let mut kernel_phases = a.launch;
+            kernel_phases.add(a.compute);
+            stack(&[H2D_TRANSFER], a.h2d);
+            stack(&[D2H_TRANSFER], a.d2h);
+            stack(&[KERNEL, "launch"], a.launch);
+            stack(&[KERNEL, "compute"], a.compute);
+            stack(&[KERNEL], a.kernel.minus(kernel_phases));
 
             let (segments, idle_seconds) = fold_segments(a.intervals.clone());
-            let amortized_transfer = if a.kernels > 0 {
-                a.transfer_seconds / a.kernels as f64
-            } else {
-                0.0
-            };
+            let amortized_transfer = ratio_or(0.0, a.h2d.modelled, a.kernels as f64);
             // Power-of-two query-length buckets: 0–127, 128–255, … .
             let mut buckets: BTreeMap<usize, (usize, f64, f64)> = BTreeMap::new();
             for &(len, secs, cells) in &a.by_len {
-                let lo = if len < 128 {
-                    0
-                } else {
-                    let mut lo = 128usize;
-                    while lo * 2 <= len {
-                        lo *= 2;
-                    }
-                    lo
-                };
+                let lo = if len < 128 { 0 } else { 1 << len.ilog2() };
                 let b = buckets.entry(lo).or_insert((0, 0.0, 0.0));
                 b.0 += 1;
                 b.1 += secs;
                 b.2 += cells;
             }
-            let launch_per_kernel = if a.kernels > 0 {
-                a.launch_seconds / a.kernels as f64
-            } else {
-                0.0
-            };
+            let launch_per_kernel = ratio_or(0.0, a.launch.modelled, a.kernels as f64);
             let buckets: Vec<LengthBucket> = buckets
                 .iter()
                 .map(|(&lo, &(n, secs, cells))| {
@@ -597,7 +407,7 @@ impl Profile {
                         kernels: n,
                         mean_compute_seconds: mean_compute,
                         amortized_transfer_seconds: amortized_transfer,
-                        achieved_gcups: if secs > 0.0 { cells / secs / 1e9 } else { 0.0 },
+                        achieved_gcups: ratio_or(0.0, cells, secs) / 1e9,
                         verdict: if amortized_transfer > mean_compute {
                             "transfer-bound".to_string()
                         } else {
@@ -611,10 +421,10 @@ impl Profile {
                 device: d,
                 kernels: a.kernels,
                 transfers: a.transfers,
-                kernel_seconds: a.kernel_seconds,
-                launch_seconds: a.launch_seconds,
-                transfer_seconds: a.transfer_seconds,
-                busy_seconds: a.kernel_seconds + a.transfer_seconds,
+                kernel_seconds: a.kernel.modelled,
+                launch_seconds: a.launch.modelled,
+                transfer_seconds: a.h2d.modelled,
+                busy_seconds: a.kernel.modelled + a.h2d.modelled,
                 idle_seconds,
                 bytes_h2d: a.bytes_h2d,
                 bytes_d2h: a.bytes_d2h,
@@ -651,10 +461,7 @@ impl Profile {
         self.stacks
             .iter()
             .filter(|s| s.frames.first().map(String::as_str) == Some(frame))
-            .map(|s| match clock {
-                ProfileClock::Wall => s.wall,
-                ProfileClock::Modelled => s.modelled,
-            })
+            .map(|s| s.weight(clock))
             .sum()
     }
 
@@ -763,6 +570,8 @@ impl RooflineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::job;
+    use crate::{EventBody, Obs, Track};
 
     /// A hand-built profiled run: one CPU worker with phase spans, one
     /// device with kernel phases, transfers and a spec instant.
@@ -771,85 +580,66 @@ mod tests {
         obs.set_profiling(true);
         // Worker 0, task 0: 1.0 s wall / 2.0 s modelled, split into
         // phases 0.25/0.7 wall (self 0.05) and 0.5/1.4 modelled.
+        let cpu = Track::Worker(0);
+        let phase = |phase| EventBody::Phase { phase, task: 0 };
+        obs.span(cpu, 0.0, 1.0, Some((0.0, 2.0)), job(0, Some(1e6)));
         obs.span(
-            Track::Worker(0),
-            "task-0",
-            0.0,
-            1.0,
-            Some((0.0, 2.0)),
-            &[("task", 0.0), ("cells", 1e6)],
-        );
-        obs.span(
-            Track::Worker(0),
-            "phase_profile_build",
+            cpu,
             0.0,
             0.25,
             Some((0.0, 0.5)),
-            &[("task", 0.0)],
+            phase(HostPhase::ProfileBuild),
         );
-        obs.span(
-            Track::Worker(0),
-            "phase_dp_inner",
-            0.25,
-            0.7,
-            Some((0.5, 1.4)),
-            &[("task", 0.0)],
-        );
+        obs.span(cpu, 0.25, 0.7, Some((0.5, 1.4)), phase(HostPhase::DpInner));
         // Device 1: spec, one transfer, one kernel split into phases.
+        let device = Track::Device(1);
         obs.instant(
-            Track::Device(1),
-            "device_spec",
-            &[
-                ("peak_gcups", 10.0),
-                ("pcie_bytes_per_sec", 1.0e9),
-                ("kernel_launch_latency", 0.1),
-            ],
+            device,
+            EventBody::DeviceSpec {
+                peak_gcups: 10.0,
+                pcie_bytes_per_sec: 1.0e9,
+                kernel_launch_latency: 0.1,
+                warp_size: 32,
+            },
         );
         obs.span(
-            Track::Device(1),
-            "h2d_transfer",
+            device,
             0.0,
             0.01,
             Some((0.0, 0.5)),
-            &[("bytes", 5.0e8)],
+            EventBody::H2d {
+                bytes: 5.0e8,
+                task: None,
+            },
         );
         obs.span(
-            Track::Device(1),
-            "kernel",
+            device,
             0.01,
             0.02,
             Some((0.5, 1.0)),
-            &[
-                ("useful_cells", 4.0e9),
-                ("padded_cells", 5.0e9),
-                ("query_len", 300.0),
-            ],
+            EventBody::Kernel {
+                useful_cells: 4.0e9,
+                padded_cells: 5.0e9,
+                query_len: 300,
+                task: None,
+            },
         );
         obs.span(
-            Track::Device(1),
-            "kernel_launch",
+            device,
             0.01,
             0.0,
             Some((0.5, 0.1)),
-            &[],
+            EventBody::KernelLaunch { task: None },
         );
         obs.span(
-            Track::Device(1),
-            "kernel_compute",
+            device,
             0.01,
             0.02,
             Some((0.6, 0.9)),
-            &[],
+            EventBody::KernelCompute { task: None },
         );
         // GPU worker's own task span (device work seen as a job).
-        obs.span(
-            Track::Worker(1),
-            "task-1",
-            0.0,
-            0.03,
-            Some((0.0, 1.5)),
-            &[("task", 1.0)],
-        );
+        obs.span(Track::Worker(1), 0.0, 0.03, Some((0.0, 1.5)), job(1, None));
         obs.events()
     }
 
@@ -944,15 +734,8 @@ mod tests {
     fn unprofiled_journal_still_folds_task_level_stacks() {
         // Without phase spans (profiling off), tasks become leaves.
         let obs = Obs::enabled();
-        obs.span(
-            Track::Worker(2),
-            "task-7",
-            0.0,
-            0.5,
-            Some((0.0, 1.0)),
-            &[("task", 7.0)],
-        );
-        let p = Profile::from_obs(&obs);
+        obs.span(Track::Worker(2), 0.0, 0.5, Some((0.0, 1.0)), job(7, None));
+        let p = Profile::from_events(&obs.events());
         assert_eq!(p.stacks.len(), 1);
         assert_eq!(p.stacks[0].frames, vec!["worker:2", "task-7"]);
         assert!((p.root_total("worker:2", ProfileClock::Modelled) - 1.0).abs() < 1e-12);

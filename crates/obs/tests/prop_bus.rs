@@ -7,7 +7,7 @@
 //! drop counter — `received + dropped == published`, always.
 
 use proptest::prelude::*;
-use swdual_obs::{FlightRecorder, Obs, Track};
+use swdual_obs::{EventBody, FlightRecorder, Obs, Track};
 
 proptest! {
     #[test]
@@ -18,21 +18,21 @@ proptest! {
     ) {
         let obs = Obs::enabled();
         // Pre-subscribe traffic must never be delivered.
-        obs.instant(Track::Master, "pre", &[]);
+        obs.instant(Track::Master, EventBody::other("pre"));
         let sub = obs.subscribe_with_capacity(capacity);
 
         let mut received: Vec<String> = Vec::new();
         let mut published: Vec<String> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             if *op == 0 {
-                received.extend(sub.drain().into_iter().map(|e| e.name));
+                received.extend(sub.drain().into_iter().map(|e| e.name().into_owned()));
             } else {
                 let name = format!("e{i}");
-                obs.instant(Track::Master, &name, &[]);
+                obs.instant(Track::Master, EventBody::other(&name));
                 published.push(name);
             }
         }
-        received.extend(sub.drain().into_iter().map(|e| e.name));
+        received.extend(sub.drain().into_iter().map(|e| e.name().into_owned()));
 
         // Exact accounting: nothing is lost silently.
         prop_assert_eq!(
@@ -82,9 +82,9 @@ proptest! {
         let flight = FlightRecorder::new(capacity);
         obs.attach_flight(&flight);
         for i in 0..count {
-            obs.instant(Track::Worker(i % 3), &format!("e{i}"), &[]);
+            obs.instant(Track::Worker(i % 3), EventBody::other(&format!("e{i}")));
         }
-        let held: Vec<String> = flight.events().into_iter().map(|e| e.name).collect();
+        let held: Vec<String> = flight.events().into_iter().map(|e| e.name().into_owned()).collect();
         let expect: Vec<String> = (count.saturating_sub(capacity)..count)
             .map(|i| format!("e{i}"))
             .collect();

@@ -10,8 +10,12 @@
 //!    and "B improved vs A" are the same statement.
 
 use proptest::prelude::*;
-use swdual_obs::diff::{diff_obs, DiffClass, DiffOptions};
-use swdual_obs::{Obs, Track};
+use swdual_obs::diff::{diff_models, DiffClass, DiffOptions, DiffReport};
+use swdual_obs::{EventBody, Obs, RunModel, Track};
+
+fn diff_obs(base: &Obs, head: &Obs, opts: &DiffOptions) -> DiffReport {
+    diff_models(&RunModel::from_obs(base), &RunModel::from_obs(head), opts)
+}
 
 /// Build a synthetic run from generated job tuples:
 /// `(worker, wall_start, wall_dur, virt_dur, cells)` plus λ and an
@@ -25,41 +29,57 @@ fn build_obs(jobs: &[(usize, f64, f64, f64, f64)], lambda: f64, faults: usize) -
     {
         obs.instant(
             Track::Master,
-            "worker_registered",
-            &[("worker", w as f64), ("is_gpu", (w % 2) as f64)],
+            EventBody::WorkerRegistered {
+                worker: w,
+                is_gpu: w % 2 == 1,
+            },
         );
     }
     obs.instant(
         Track::Scheduler,
-        "binsearch_done",
-        &[
-            ("iterations", 7.0),
-            ("lower_bound", lambda / 2.0),
-            ("lambda", lambda),
-        ],
+        EventBody::BinsearchDone {
+            iterations: 7,
+            lower_bound: lambda / 2.0,
+            upper_bound: lambda,
+            makespan: lambda,
+            lambda: Some(lambda),
+            two_lambda_bound: Some(2.0 * lambda),
+            decision: Some(0),
+        },
     );
     let mut virt_clock: std::collections::BTreeMap<usize, f64> = Default::default();
     for (task, (w, wall_start, wall_dur, virt_dur, cells)) in jobs.iter().enumerate() {
         let vs = virt_clock.entry(*w).or_insert(0.0);
         obs.virtual_span(
             Track::Planned(*w),
-            &format!("task-{task}"),
             *vs,
             *virt_dur,
-            &[("task", task as f64)],
+            EventBody::Placement {
+                task,
+                decision: Some(0),
+            },
         );
         obs.span(
             Track::Worker(*w),
-            &format!("task-{task}"),
             *wall_start,
             *wall_dur,
             Some((*vs, *virt_dur)),
-            &[("task", task as f64), ("cells", *cells)],
+            EventBody::Job {
+                task,
+                cells: Some(*cells),
+                seq: None,
+                decision: None,
+                queue_wait_wall: None,
+                queue_wait_modelled: None,
+            },
         );
         *vs += virt_dur;
     }
     for i in 0..faults {
-        obs.instant(Track::Faults, "task_redispatch", &[("task", i as f64)]);
+        obs.instant(
+            Track::Faults,
+            EventBody::TaskRedispatch { task: i, retry: 1 },
+        );
     }
     obs
 }

@@ -10,9 +10,9 @@
 //!    not an estimate.
 
 use proptest::prelude::*;
-use swdual_obs::analysis::analyze_obs;
+use swdual_obs::analysis::analyze;
 use swdual_obs::metrics::{Metrics, HISTOGRAM_GAMMA};
-use swdual_obs::{Obs, Track};
+use swdual_obs::{EventBody, Obs, RunModel, Track};
 
 /// Exact order statistic with the same rank convention the histogram
 /// uses: rank = ceil(q * n), 1-based.
@@ -69,14 +69,20 @@ proptest! {
         for (i, (wall_start, wall_dur, virt_start, virt_dur, w)) in jobs.iter().enumerate() {
             obs.span(
                 Track::Worker(*w),
-                &format!("task-{i}"),
                 *wall_start,
                 *wall_dur,
                 Some((*virt_start, *virt_dur)),
-                &[("task", i as f64)],
+                EventBody::Job {
+                    task: i,
+                    cells: None,
+                    seq: None,
+                    decision: None,
+                    queue_wait_wall: None,
+                    queue_wait_modelled: None,
+                },
             );
         }
-        let report = analyze_obs(&obs);
+        let report = analyze(&RunModel::from_obs(&obs));
 
         // Same fold, straight from the events: the auditor must agree
         // bit-for-bit with the recorder's spans.

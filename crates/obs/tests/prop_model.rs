@@ -1,0 +1,319 @@
+//! Hostile-journal property tests: nothing a journal line can say may
+//! make a reader panic or render a non-number.
+//!
+//! Two generators. Arbitrary bytes exercise the line parser's error
+//! paths. Well-formed lines exercise everything behind it: every known
+//! event name on its own track or a wrong one, with its own arg keys
+//! present, missing or joined by a stranger, carrying small ids or
+//! values chosen to hurt — negative, fractional, 2^53 + 1, `u64::MAX`,
+//! ±1e300, overflowing to ±inf, `null`, a string — and the four clock
+//! fields drawn from the same pool, in any order of events. Each line
+//! goes through `parse_event_line` → `RunModel::observe` (and the
+//! watchdog) → every view's `to_json`/`to_text`.
+
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use swdual_obs::analysis::analyze;
+use swdual_obs::diff::{diff_models, DiffOptions};
+use swdual_obs::explain::explain;
+use swdual_obs::export::{flamegraph_folded, journal_event_line, speedscope_json};
+use swdual_obs::journal::parse_event_line;
+use swdual_obs::profile::{Profile, ProfileClock};
+use swdual_obs::watch::{WatchConfig, Watchdog};
+use swdual_obs::RunModel;
+
+/// (track, name, kind, arg keys) of every event the workspace records,
+/// plus a few near misses.
+const SHAPES: &[(&str, &str, &str, &[&str])] = &[
+    (
+        "master",
+        "worker_registered",
+        "instant",
+        &["worker", "is_gpu"],
+    ),
+    ("master", "device_class:c2050", "instant", &["worker"]),
+    ("master", "device_class:", "instant", &["worker"]),
+    (
+        "master",
+        "worker_deadline",
+        "instant",
+        &["worker", "timeout"],
+    ),
+    (
+        "master",
+        "task_model",
+        "instant",
+        &["task", "p_cpu", "p_gpu", "query_len", "cells"],
+    ),
+    (
+        "master",
+        "task_dispatch",
+        "instant",
+        &["task", "worker", "seq", "decision", "virt"],
+    ),
+    ("master", "register", "span", &["workers", "registered"]),
+    ("master", "allocate", "span", &["tasks"]),
+    ("master", "dispatch", "span", &["tasks"]),
+    ("master", "merge", "span", &["results"]),
+    (
+        "scheduler",
+        "dual_step",
+        "span",
+        &["iteration", "lambda", "lo", "hi", "feasible", "decision"],
+    ),
+    (
+        "scheduler",
+        "binsearch_done",
+        "instant",
+        &[
+            "iterations",
+            "lower_bound",
+            "upper_bound",
+            "makespan",
+            "lambda",
+            "two_lambda_bound",
+            "decision",
+        ],
+    ),
+    (
+        "scheduler",
+        "dual_step_no",
+        "instant",
+        &["lambda", "reason"],
+    ),
+    (
+        "scheduler",
+        "knapsack",
+        "instant",
+        &["lambda", "budget", "free", "forced_gpu", "picked_gpu"],
+    ),
+    (
+        "worker:0",
+        "task-0",
+        "span",
+        &[
+            "task",
+            "cells",
+            "seq",
+            "decision",
+            "queue_wait_wall",
+            "queue_wait_modelled",
+        ],
+    ),
+    ("worker:1", "task-1", "span", &["task", "cells"]),
+    ("worker:2", "task-2", "span", &["task"]),
+    ("worker:18446744073709551615", "task-3", "span", &["task"]),
+    ("worker:1", "task-18446744073709551615", "span", &["task"]),
+    ("worker:0", "phase_profile_build", "span", &["task"]),
+    ("worker:0", "phase_dp_inner", "span", &["task"]),
+    ("worker:1", "phase_traceback", "span", &["task"]),
+    ("worker:1", "phase_bogus", "span", &["task"]),
+    ("planned:0", "task-0", "span", &["task", "decision"]),
+    ("planned:1", "task-1", "span", &["task", "decision"]),
+    ("recovered:1", "task-0", "span", &["task", "decision"]),
+    (
+        "device:0",
+        "device_spec",
+        "instant",
+        &[
+            "peak_gcups",
+            "pcie_bytes_per_sec",
+            "kernel_launch_latency",
+            "warp_size",
+        ],
+    ),
+    ("device:0", "h2d_transfer", "span", &["bytes", "task"]),
+    (
+        "device:0",
+        "kernel",
+        "span",
+        &["useful_cells", "padded_cells", "query_len", "task"],
+    ),
+    ("device:0", "kernel_launch", "span", &["task"]),
+    ("device:0", "kernel_compute", "span", &["task"]),
+    ("device:7", "d2h_transfer", "span", &["bytes", "task"]),
+    ("device:0", "device_fault", "instant", &["after_kernels"]),
+    ("faults", "worker_lost_registration", "instant", &["worker"]),
+    (
+        "faults",
+        "worker_crash",
+        "instant",
+        &["worker", "task", "notified"],
+    ),
+    ("faults", "worker_death", "instant", &["worker", "reason"]),
+    ("faults", "task_redispatch", "instant", &["task", "retry"]),
+    ("faults", "stall_redispatch", "instant", &["outstanding"]),
+    ("faults", "duplicate_result", "instant", &["task", "worker"]),
+    (
+        "faults",
+        "reopt_replan",
+        "instant",
+        &["round", "remaining", "skew"],
+    ),
+    (
+        "faults",
+        "alert_straggler",
+        "instant",
+        &["worker", "value", "threshold"],
+    ),
+    (
+        "faults",
+        "alert_bound_at_risk",
+        "instant",
+        &["worker", "value", "threshold"],
+    ),
+    ("faults", "alert_bogus", "instant", &["worker"]),
+    ("faults", "mystery", "instant", &["worker"]),
+];
+
+/// JSON number (or not-a-number) tokens chosen to hurt.
+const HOSTILE: &[&str] = &[
+    "-1",
+    "-0.0",
+    "0.5",
+    "0.7",
+    "1e-9",
+    "1e-320",
+    "1e9",
+    "1e300",
+    "-1e300",
+    "9007199254740993",
+    "18446744073709551615",
+    "1e999",
+    "-1e999",
+    "null",
+    "\"text\"",
+];
+
+/// Consumes a stream of dice.
+struct Dice<'a>(std::slice::Iter<'a, u64>);
+
+impl Dice<'_> {
+    fn roll(&mut self, sides: usize) -> usize {
+        (self.0.next().copied().unwrap_or(0) % sides as u64) as usize
+    }
+
+    /// A small id or seconds value half the time, a hostile token
+    /// otherwise.
+    fn value(&mut self) -> String {
+        if self.roll(2) == 0 {
+            self.roll(4).to_string()
+        } else {
+            HOSTILE[self.roll(HOSTILE.len())].to_string()
+        }
+    }
+}
+
+/// One syntactically valid journal line built from `dice`.
+fn line(dice: &mut Dice<'_>) -> String {
+    let (own_track, name, kind, keys) = SHAPES[dice.roll(SHAPES.len())];
+    let track = if dice.roll(4) == 0 {
+        SHAPES[dice.roll(SHAPES.len())].0
+    } else {
+        own_track
+    };
+    let mut out = format!(
+        "{{\"track\":\"{track}\",\"name\":\"{name}\",\"kind\":\"{kind}\",\
+         \"wall_start\":{},\"wall_dur\":{}",
+        dice.value(),
+        dice.value()
+    );
+    if dice.roll(3) > 0 {
+        out += &format!(
+            ",\"virt_start\":{},\"virt_dur\":{}",
+            dice.value(),
+            dice.value()
+        );
+    }
+    let mut args: Vec<String> = Vec::new();
+    for key in keys {
+        if dice.roll(8) == 0 {
+            continue;
+        }
+        // A job or placement names its task twice; mostly agree.
+        let value = match name.strip_prefix("task-") {
+            Some(task) if *key == "task" && dice.roll(4) > 0 => task.to_string(),
+            _ => dice.value(),
+        };
+        args.push(format!("\"{key}\":{value}"));
+    }
+    if dice.roll(8) == 0 {
+        args.push(format!("\"future\":{}", dice.value()));
+    }
+    if !args.is_empty() {
+        out += &format!(",\"args\":{{{}}}", args.join(","));
+    }
+    out + "}"
+}
+
+fn assert_renders_numbers(what: &str, rendered: &str) -> Result<(), TestCaseError> {
+    // As whole words: "λ information" is allowed to contain "inf".
+    let mut words = rendered.split(|c: char| !c.is_alphanumeric());
+    prop_assert!(
+        !words.any(|w| w == "NaN" || w == "inf"),
+        "{what} rendered a non-number:\n{rendered}"
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_readers(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = parse_event_line(&text);
+        let _ = RunModel::from_journal(&text);
+        let with_header = format!("{{\"schema\":\"swdual-journal/2\"}}\n{text}");
+        let _ = RunModel::from_journal(&with_header);
+    }
+
+    #[test]
+    fn hostile_lines_fold_and_render_without_panics_or_non_numbers(
+        rolls in prop::collection::vec(any::<u64>(), 40..1200),
+    ) {
+        let mut dice = Dice(rolls.iter());
+        let mut model = RunModel::default();
+        let mut dog = Watchdog::new(WatchConfig::default());
+        while dice.0.len() > 0 {
+            let text = line(&mut dice);
+            let event = parse_event_line(&text);
+            prop_assert!(event.is_ok(), "generated line must parse: {text}");
+            let event = event.unwrap();
+            // Whatever was read writes back as a line that reads back
+            // the same.
+            let again = parse_event_line(&journal_event_line(&event)).ok();
+            prop_assert_eq!(again.as_ref(), Some(&event));
+            model.observe(&event);
+            for alert in dog.observe(&event) {
+                assert_renders_numbers("alert", &alert.message())?;
+            }
+        }
+        prop_assert_eq!(dog.model(), &model);
+
+        let report = analyze(&model);
+        assert_renders_numbers("analyze --json", &report.to_json())?;
+        assert_renders_numbers("analyze --text", &report.to_text())?;
+        let explained = explain(&model);
+        assert_renders_numbers("explain --json", &explained.to_json())?;
+        assert_renders_numbers("explain --text", &explained.to_text())?;
+        let profile = Profile::from_model(&model);
+        assert_renders_numbers("profile --json", &profile.to_json())?;
+        assert_renders_numbers("roofline --json", &profile.roofline().to_json())?;
+        assert_renders_numbers("roofline --text", &profile.roofline().to_text())?;
+        assert_renders_numbers("speedscope", &speedscope_json(&profile))?;
+        for clock in [ProfileClock::Wall, ProfileClock::Modelled] {
+            assert_renders_numbers("flamegraph", &flamegraph_folded(&profile, clock))?;
+        }
+        let opts = DiffOptions { include_profile: true, ..DiffOptions::default() };
+        let diff = diff_models(&RunModel::default(), &model, &opts);
+        assert_renders_numbers("diff --json", &diff.to_json())?;
+        assert_renders_numbers("diff --text", &diff.to_text())?;
+        for w in model.workers.values() {
+            prop_assert!(w.observed_ratio().is_finite());
+        }
+        prop_assert!(model.eta_modelled().is_finite());
+    }
+}

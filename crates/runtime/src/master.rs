@@ -47,7 +47,7 @@ use std::thread::Scope;
 use std::time::{Duration, Instant};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
-use swdual_obs::{Obs, Track};
+use swdual_obs::{EventBody, Obs, OptWorker, Track};
 use swdual_sched::binsearch::{dual_approx_schedule_observed, BinarySearchConfig};
 use swdual_sched::dual::KnapsackMethod;
 use swdual_sched::schedule::Schedule;
@@ -296,14 +296,13 @@ fn build_tasks(
 fn journal_dispatch(job: &Job, w: Option<usize>, obs: &Obs) {
     obs.instant(
         Track::Master,
-        "task_dispatch",
-        &[
-            ("task", job.task_id as f64),
-            ("worker", w.map_or(-1.0, |w| w as f64)),
-            ("seq", job.dispatch_seq as f64),
-            ("decision", job.decision as f64),
-            ("virt", job.dispatch_virt),
-        ],
+        EventBody::TaskDispatch {
+            task: job.task_id,
+            worker: OptWorker(w),
+            seq: job.dispatch_seq,
+            decision: job.decision,
+            virt: job.dispatch_virt,
+        },
     );
 }
 
@@ -392,8 +391,7 @@ fn collect_registrations(
         links.private_tx[w] = None;
         obs.instant(
             Track::Faults,
-            "worker_lost_registration",
-            &[("worker", w as f64)],
+            EventBody::WorkerLostRegistration { worker: w },
         );
         obs.counter("workers_lost", 1.0);
     }
@@ -402,17 +400,14 @@ fn collect_registrations(
     for r in &registrations {
         obs.instant(
             Track::Master,
-            "worker_registered",
-            &[
-                ("worker", r.worker_id as f64),
-                ("is_gpu", if r.is_gpu { 1.0 } else { 0.0 }),
-            ],
+            EventBody::WorkerRegistered {
+                worker: r.worker_id,
+                is_gpu: r.is_gpu,
+            },
         );
     }
-    // Journal each worker's device class. Event args are numeric, so
-    // the class rides in the event name (`device_class:<name>`); the
-    // auditor parses it back out without the obs crate ever depending
-    // on the device zoo types.
+    // Journal each worker's device class, by name: the obs crate never
+    // depends on the device zoo types.
     if obs.is_enabled() {
         for r in &registrations {
             let class = match workers[r.worker_id].device_class_of() {
@@ -422,8 +417,10 @@ fn collect_registrations(
             };
             obs.instant(
                 Track::Master,
-                &format!("device_class:{class}"),
-                &[("worker", r.worker_id as f64)],
+                EventBody::DeviceClass {
+                    worker: r.worker_id,
+                    class: class.to_string(),
+                },
             );
         }
     }
@@ -478,25 +475,23 @@ fn allocate(
             let qlen = queries.get(t.id).map_or(0, |q| q.len());
             obs.instant(
                 Track::Master,
-                "task_model",
-                &[
-                    ("task", t.id as f64),
-                    ("p_cpu", t.p_cpu),
-                    ("p_gpu", t.p_gpu),
-                    ("query_len", qlen as f64),
-                    ("cells", qlen as f64 * db_residues as f64),
-                ],
+                EventBody::TaskModel {
+                    task: t.id,
+                    p_cpu: t.p_cpu,
+                    p_gpu: t.p_gpu,
+                    query_len: Some(qlen),
+                    cells: Some(qlen as f64 * db_residues as f64),
+                },
             );
         }
     }
     let schedule = initial_plan(&tasks, &platform, config.policy, obs);
     obs.span(
         Track::Master,
-        "allocate",
         t_allocate,
         obs.now() - t_allocate,
         None,
-        &[("tasks", tasks.len() as f64)],
+        EventBody::Allocate { tasks: tasks.len() },
     );
     (tasks, schedule)
 }
@@ -560,11 +555,12 @@ impl Shell<'_> {
         let mut verdict = self.perform(initial);
         obs.span(
             Track::Master,
-            "dispatch",
             t_dispatch,
             obs.now() - t_dispatch,
             None,
-            &[("tasks", self.state.total() as f64)],
+            EventBody::Dispatch {
+                tasks: self.state.total(),
+            },
         );
 
         let t_merge = obs.now();
@@ -591,11 +587,12 @@ impl Shell<'_> {
         };
         obs.span(
             Track::Master,
-            "merge",
             t_merge,
             obs.now() - t_merge,
             None,
-            &[("results", self.state.completed() as f64)],
+            EventBody::Merge {
+                results: self.state.completed(),
+            },
         );
         verdict.map(|()| self.state.into_results())
     }
@@ -638,14 +635,13 @@ pub fn try_run_search(
         let (registrations, alive) = collect_registrations(&mut links, workers, &config);
         obs.span(
             Track::Master,
-            "register",
             t_register,
             obs.now() - t_register,
             None,
-            &[
-                ("workers", workers.len() as f64),
-                ("registered", registrations.len() as f64),
-            ],
+            EventBody::Register {
+                workers: workers.len(),
+                registered: registrations.len(),
+            },
         );
         let metrics = obs.metrics();
         metrics.gauge("workers_alive", &[], registrations.len() as f64);
@@ -991,28 +987,33 @@ mod tests {
         );
         let events = obs.events();
         // Every master phase appears exactly once.
-        for phase in ["register", "allocate", "dispatch", "merge"] {
-            let n = events
-                .iter()
-                .filter(|e| e.track == Track::Master && e.name == phase)
-                .count();
-            assert_eq!(n, 1, "phase {phase}");
+        type IsPhase = fn(&EventBody) -> bool;
+        let phases: [IsPhase; 4] = [
+            |b| matches!(b, EventBody::Register { .. }),
+            |b| matches!(b, EventBody::Allocate { .. }),
+            |b| matches!(b, EventBody::Dispatch { .. }),
+            |b| matches!(b, EventBody::Merge { .. }),
+        ];
+        for (i, is_phase) in phases.iter().enumerate() {
+            let n = events.iter().filter(|e| is_phase(&e.body)).count();
+            assert_eq!(n, 1, "phase {i}");
         }
         // Every dispatched task has an actual span on some worker track
         // and a planned span on the matching planned track.
         for task in 0..4usize {
-            let name = format!("task-{task}");
             let actual: Vec<usize> = events
                 .iter()
-                .filter_map(|e| match e.track {
-                    Track::Worker(w) if e.name == name => Some(w),
+                .filter_map(|e| match (e.track, &e.body) {
+                    (Track::Worker(w), EventBody::Job { task: t, .. }) if *t == task => Some(w),
                     _ => None,
                 })
                 .collect();
             let planned: Vec<usize> = events
                 .iter()
-                .filter_map(|e| match e.track {
-                    Track::Planned(w) if e.name == name => Some(w),
+                .filter_map(|e| match (e.track, &e.body) {
+                    (Track::Planned(w), EventBody::Placement { task: t, .. }) if *t == task => {
+                        Some(w)
+                    }
                     _ => None,
                 })
                 .collect();
@@ -1109,13 +1110,13 @@ mod tests {
         assert!(
             events
                 .iter()
-                .any(|e| e.track == Track::Faults && e.name == "worker_death"),
+                .any(|e| matches!(e.body, EventBody::WorkerDeath { .. })),
             "death must be recorded"
         );
         assert!(
             events
                 .iter()
-                .any(|e| e.track == Track::Faults && e.name == "task_redispatch"),
+                .any(|e| matches!(e.body, EventBody::TaskRedispatch { .. })),
             "re-dispatches must be recorded"
         );
         assert!(
@@ -1184,13 +1185,9 @@ mod tests {
         assert_eq!(faulted.hits, healthy.hits);
         assert_eq!(faulted.worker_stats[1].tasks, 0);
         // The death was found by deadline, not notification.
-        assert!(obs.events().iter().any(|e| {
-            e.track == Track::Faults
-                && e.name == "worker_death"
-                && e.args
-                    .iter()
-                    .any(|(k, v)| k == "reason" && *v == DEATH_TIMEOUT)
-        }));
+        assert!(obs.events().iter().any(
+            |e| matches!(e.body, EventBody::WorkerDeath { reason, .. } if reason == DEATH_TIMEOUT)
+        ));
     }
 
     #[test]
@@ -1242,7 +1239,7 @@ mod tests {
         assert!(obs
             .events()
             .iter()
-            .any(|e| e.track == Track::Faults && e.name == "worker_lost_registration"));
+            .any(|e| matches!(e.body, EventBody::WorkerLostRegistration { .. })));
     }
 
     #[test]
@@ -1481,7 +1478,9 @@ mod tests {
         );
         assert_eq!(on.hits, off.hits);
         assert!(
-            !obs.events().iter().any(|e| e.name == "reopt_replan"),
+            !obs.events()
+                .iter()
+                .any(|e| matches!(e.body, EventBody::ReoptReplan { .. })),
             "a calibrated run must not trigger re-planning"
         );
         // Same static plan executed either way.
@@ -1510,17 +1509,19 @@ mod tests {
         );
         assert_eq!(reopt.hits, healthy.hits, "re-planning must not change hits");
         let events = obs.events();
+        // Every re-plan is journaled with the skew that triggered it.
+        let skews: Vec<f64> = events
+            .iter()
+            .filter_map(|e| match e.body {
+                EventBody::ReoptReplan { skew, .. } if e.track == Track::Faults => Some(skew),
+                _ => None,
+            })
+            .collect();
         assert!(
-            events
-                .iter()
-                .any(|e| e.track == Track::Faults && e.name == "reopt_replan"),
+            !skews.is_empty(),
             "the 3x-slow 2x-overrated worker must trigger a re-plan"
         );
-        // Every re-plan is journaled with its round/remaining/skew args.
-        for e in events.iter().filter(|e| e.name == "reopt_replan") {
-            assert!(e.args.iter().any(|(k, _)| k == "round"));
-            assert!(e.args.iter().any(|(k, v)| k == "skew" && *v >= 1.5));
-        }
+        assert!(skews.iter().all(|skew| *skew >= 1.5), "{skews:?}");
         // All tasks ran exactly once in total accounting terms: no task
         // is double-counted by the re-plan (duplicates would inflate
         // the per-worker task counts beyond the query count unless a

@@ -21,7 +21,7 @@ use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
 use crate::messages::{FailureReason, Job, JobResult, WorkerFailure};
 use std::collections::VecDeque;
 use swdual_obs::metrics::Metrics;
-use swdual_obs::{Obs, Track};
+use swdual_obs::{EventBody, Obs, Track};
 use swdual_sched::binsearch::BinarySearchConfig;
 use swdual_sched::remainder::{reschedule_remainder_weighted, WorkerFactors};
 use swdual_sched::schedule::{PeKind, Schedule};
@@ -287,8 +287,7 @@ impl MasterState {
             // construction; keep the first.
             self.obs.instant(
                 Track::Faults,
-                "duplicate_result",
-                &[("task", t as f64), ("worker", w as f64)],
+                EventBody::DuplicateResult { task: t, worker: w },
             );
             self.obs.counter("duplicate_results", 1.0);
         } else {
@@ -348,8 +347,9 @@ impl MasterState {
             let undone: Vec<usize> = (0..self.tasks.len()).filter(|&t| !self.done[t]).collect();
             self.obs.instant(
                 Track::Faults,
-                "stall_redispatch",
-                &[("outstanding", undone.len() as f64)],
+                EventBody::StallRedispatch {
+                    outstanding: undone.len(),
+                },
             );
             self.last_activity = now;
             return self.replan(undone, now, out);
@@ -372,11 +372,8 @@ impl MasterState {
         self.alive[w] = false;
         self.deadline[w] = f64::INFINITY;
         out.push(Action::CloseQueue(w));
-        self.obs.instant(
-            Track::Faults,
-            "worker_death",
-            &[("worker", w as f64), ("reason", reason)],
-        );
+        self.obs
+            .instant(Track::Faults, EventBody::WorkerDeath { worker: w, reason });
         self.obs.counter("workers_lost", 1.0);
         let mut orphans: Vec<usize> = self.in_flight[w].take().into_iter().collect();
         orphans.extend(self.queue[w].drain(..));
@@ -408,12 +405,11 @@ impl MasterState {
         self.reopt_rounds += 1;
         self.obs.instant(
             Track::Faults,
-            "reopt_replan",
-            &[
-                ("round", self.reopt_rounds as f64),
-                ("remaining", remaining as f64),
-                ("skew", skew),
-            ],
+            EventBody::ReoptReplan {
+                round: self.reopt_rounds,
+                remaining,
+                skew,
+            },
         );
         self.obs.counter("reopt_replans", 1.0);
         self.metrics
@@ -446,8 +442,10 @@ impl MasterState {
             }
             self.obs.instant(
                 Track::Faults,
-                "task_redispatch",
-                &[("task", t as f64), ("retry", self.retries[t] as f64)],
+                EventBody::TaskRedispatch {
+                    task: t,
+                    retry: self.retries[t],
+                },
             );
             self.obs.counter("tasks_redispatched", 1.0);
         }
@@ -503,10 +501,12 @@ impl MasterState {
                 };
                 self.obs.virtual_span(
                     track,
-                    &format!("task-{}", p.task),
                     p.start,
                     p.end - p.start,
-                    &[("task", p.task as f64), ("decision", self.decision as f64)],
+                    EventBody::Placement {
+                        task: p.task,
+                        decision: Some(self.decision),
+                    },
                 );
             }
             per_worker[w].push((p.start, p.task));
@@ -630,8 +630,7 @@ impl MasterState {
                 self.published_deadline[w] = timeout;
                 self.obs.instant(
                     Track::Master,
-                    "worker_deadline",
-                    &[("worker", w as f64), ("timeout", timeout)],
+                    EventBody::WorkerDeadline { worker: w, timeout },
                 );
             }
             self.deadline[w] = now + timeout;

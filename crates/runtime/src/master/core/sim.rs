@@ -391,7 +391,9 @@ impl Sim {
 
         let events = self.obs.events_since(self.journal_cursor);
         self.journal_cursor += events.len();
-        let count = |name: &str| events.iter().filter(|e| e.name == name).count() as u64;
+        let count =
+            |is: fn(&EventBody) -> bool| events.iter().filter(|e| is(&e.body)).count() as u64;
+        let replanned = count(|b| matches!(b, EventBody::ReoptReplan { .. }));
         let Some(before) = before else { return };
 
         for w in 0..workers {
@@ -412,12 +414,14 @@ impl Sim {
         // `decision` grows by exactly one per re-plan, and a re-plan
         // needs a trigger: a death, a skew observation or a stall.
         let replans = s.decision - before.decision;
-        let triggers = count("worker_death") + count("reopt_replan") + count("stall_redispatch");
+        let triggers = count(|b| matches!(b, EventBody::WorkerDeath { .. }))
+            + replanned
+            + count(|b| matches!(b, EventBody::StallRedispatch { .. }));
         assert!(
             replans <= triggers,
             "{replans} re-plans, {triggers} triggers"
         );
-        if count("task_redispatch") + count("reopt_replan") > 0 {
+        if count(|b| matches!(b, EventBody::TaskRedispatch { .. })) + replanned > 0 {
             assert!(replans >= 1, "a re-plan must open a new decision");
         }
         if !s.shared_queue {
@@ -479,8 +483,10 @@ impl Sim {
 
 /// The plan decision a journaled span belongs to.
 fn decision_of(event: &swdual_obs::Event) -> Option<u64> {
-    let arg = event.args.iter().find(|(k, _)| k == "decision");
-    arg.map(|(_, d)| *d as u64)
+    match event.body {
+        EventBody::Placement { decision, .. } => decision,
+        _ => None,
+    }
 }
 
 /// `None` while the run is live.

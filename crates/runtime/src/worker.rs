@@ -24,7 +24,7 @@ use swdual_align::{ProfileCache, TierStats};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_gpusim::{DeviceClass, DeviceSpec, GpuDevice};
-use swdual_obs::{Obs, Track};
+use swdual_obs::{EventBody, HostPhase, Obs, Track};
 
 /// Worker species: which engine a worker actually runs.
 #[derive(Debug, Clone)]
@@ -183,7 +183,6 @@ fn record_job_span(
     modelled: f64,
     cells: u64,
 ) {
-    // Guarded so the disabled path never reaches the format! below.
     if !obs.is_enabled() {
         return;
     }
@@ -192,18 +191,17 @@ fn record_job_span(
     let queue_wait_modelled = (virt_start - job.dispatch_virt).max(0.0);
     obs.span(
         Track::Worker(worker_id),
-        &format!("task-{task_id}"),
         wall_start,
         wall_dur,
         Some((virt_start, modelled)),
-        &[
-            ("task", task_id as f64),
-            ("cells", cells as f64),
-            ("seq", job.dispatch_seq as f64),
-            ("decision", job.decision as f64),
-            ("queue_wait_wall", queue_wait_wall),
-            ("queue_wait_modelled", queue_wait_modelled),
-        ],
+        EventBody::Job {
+            task: task_id,
+            cells: Some(cells as f64),
+            seq: Some(job.dispatch_seq),
+            decision: Some(job.decision),
+            queue_wait_wall: Some(queue_wait_wall),
+            queue_wait_modelled: Some(queue_wait_modelled),
+        },
     );
     obs.counter("jobs_completed", 1.0);
     obs.counter("cells_computed", cells as f64);
@@ -244,16 +242,16 @@ fn record_phase_spans(
 ) {
     let wall_total = timings.total();
     let phases = [
-        ("phase_profile_build", timings.profile_build),
-        ("phase_dp_inner", timings.dp_inner),
-        ("phase_traceback", timings.traceback),
+        (HostPhase::ProfileBuild, timings.profile_build),
+        (HostPhase::DpInner, timings.dp_inner),
+        (HostPhase::Traceback, timings.traceback),
     ];
     let mut wall_at = wall_start;
     let mut virt_at = virt_start;
-    for (name, wall_dur) in phases {
+    for (phase, wall_dur) in phases {
         let virt_dur = if wall_total > 0.0 {
             modelled * wall_dur / wall_total
-        } else if name == "phase_dp_inner" {
+        } else if phase == HostPhase::DpInner {
             modelled
         } else {
             0.0
@@ -263,11 +261,13 @@ fn record_phase_spans(
         }
         obs.span(
             Track::Worker(worker_id),
-            name,
             wall_at,
             wall_dur,
             Some((virt_at, virt_dur)),
-            &[("task", task_id as f64)],
+            EventBody::Phase {
+                phase,
+                task: task_id,
+            },
         );
         wall_at += wall_dur;
         virt_at += virt_dur;
@@ -340,12 +340,11 @@ impl FaultKnobs {
         if self.crash_after == Some(jobs_done) {
             obs.instant(
                 Track::Faults,
-                "worker_crash",
-                &[
-                    ("worker", worker_id as f64),
-                    ("task", job.task_id as f64),
-                    ("notified", if self.crash_notify { 1.0 } else { 0.0 }),
-                ],
+                EventBody::WorkerCrash {
+                    worker: worker_id,
+                    task: job.task_id,
+                    notified: self.crash_notify,
+                },
             );
             obs.counter("faults_injected", 1.0);
             if self.crash_notify {
@@ -378,8 +377,9 @@ pub fn worker_loop_registered(
     if matches!(ctx.fault, Some(WorkerFault::CrashBeforeRegistration)) {
         ctx.obs.instant(
             Track::Faults,
-            "worker_crash_before_registration",
-            &[("worker", ctx.worker_id as f64)],
+            EventBody::WorkerCrashBeforeRegistration {
+                worker: ctx.worker_id,
+            },
         );
         ctx.obs.counter("faults_injected", 1.0);
         return; // dies without saying hello
@@ -880,10 +880,20 @@ mod tests {
         assert_eq!(results.len(), 1);
 
         let events = obs.events();
-        let task = events.iter().find(|e| e.name == "task-0").expect("task");
-        let phases: Vec<_> = events.iter().filter(|e| e.is_profile_detail()).collect();
+        let task = events
+            .iter()
+            .find(|e| matches!(e.body, EventBody::Job { task: 0, .. }))
+            .expect("task");
+        let phases: Vec<_> = events
+            .iter()
+            .filter(|e| e.body.is_profile_detail())
+            .collect();
         assert!(!phases.is_empty(), "profiling on must emit phase spans");
-        assert!(phases.iter().any(|e| e.name == "phase_dp_inner"));
+        let dp_inner = EventBody::Phase {
+            phase: HostPhase::DpInner,
+            task: 0,
+        };
+        assert!(phases.iter().any(|e| e.body == dp_inner));
         // Phase modelled durations tile the task's modelled time.
         let phase_virt: f64 = phases.iter().filter_map(|e| e.virt_dur).sum();
         assert!(
@@ -893,7 +903,7 @@ mod tests {
         );
         // And each phase names its task.
         for p in &phases {
-            assert!(p.args.iter().any(|(k, v)| k == "task" && *v == 0.0));
+            assert!(matches!(p.body, EventBody::Phase { task: 0, .. }));
         }
     }
 
@@ -914,7 +924,7 @@ mod tests {
         drop(job_tx);
         worker_loop(WorkerSpec::cpu_default(), ctx, job_rx, res_tx);
         let _ = res_rx.iter().count();
-        assert!(obs.events().iter().all(|e| !e.is_profile_detail()));
+        assert!(obs.events().iter().all(|e| !e.body.is_profile_detail()));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::Alphabet;
-use swdual_obs::journal::{parse_journal, validate_header};
+use swdual_obs::journal::{journal_schema, parse_journal};
 use swdual_obs::{FlightRecorder, Obs};
 use swdual_runtime::{run_search, RuntimeConfig, WorkerSpec};
 
@@ -88,7 +88,7 @@ fn panicking_worker_leaves_a_parseable_crash_fragment() {
         .unwrap_or_else(|e| panic!("crash fragment {} missing: {e}", crash.display()));
     let mut lines = text.lines();
     let header = lines.next().expect("fragment has a header line");
-    validate_header(header).expect("fragment header is a valid swdual-journal/2 header");
+    journal_schema(header).expect("fragment header is a valid swdual-journal/2 header");
     let events = parse_journal(&text).expect("fragment parses as a journal");
     assert!(
         !events.is_empty(),

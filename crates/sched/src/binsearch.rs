@@ -11,7 +11,7 @@ use crate::dual::{dual_step_observed, DualStepResult, KnapsackMethod};
 use crate::platform::PlatformSpec;
 use crate::schedule::Schedule;
 use crate::task::TaskSet;
-use swdual_obs::{Obs, Track};
+use swdual_obs::{EventBody, Obs, Track};
 
 /// Binary-search tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,16 +177,17 @@ pub fn dual_approx_schedule_observed_decision(
         .expect("dual step must succeed at the trivial upper bound");
     obs.span(
         Track::Scheduler,
-        "dual_step",
         start,
         obs.now() - start,
         None,
-        &[
-            ("iteration", 0.0),
-            ("lambda", hi),
-            ("feasible", 1.0),
-            ("decision", decision as f64),
-        ],
+        EventBody::BinsearchIter {
+            iteration: 0,
+            lambda: hi,
+            lo: None,
+            hi: None,
+            feasible: true,
+            decision: Some(decision),
+        },
     );
     let mut iterations = 1;
 
@@ -199,18 +200,17 @@ pub fn dual_approx_schedule_observed_decision(
         let feasible = !result.is_no();
         obs.span(
             Track::Scheduler,
-            "dual_step",
             start,
             obs.now() - start,
             None,
-            &[
-                ("iteration", iterations as f64),
-                ("lambda", mid),
-                ("lo", lo),
-                ("hi", hi),
-                ("feasible", if feasible { 1.0 } else { 0.0 }),
-                ("decision", decision as f64),
-            ],
+            EventBody::BinsearchIter {
+                iteration: iterations,
+                lambda: mid,
+                lo: Some(lo),
+                hi: Some(hi),
+                feasible,
+                decision: Some(decision),
+            },
         );
         iterations += 1;
         match result {
@@ -232,16 +232,15 @@ pub fn dual_approx_schedule_observed_decision(
     // achieved makespan against the bound.
     obs.instant(
         Track::Scheduler,
-        "binsearch_done",
-        &[
-            ("iterations", iterations as f64),
-            ("lower_bound", lo),
-            ("upper_bound", hi),
-            ("makespan", best.makespan()),
-            ("lambda", hi),
-            ("two_lambda_bound", 2.0 * hi),
-            ("decision", decision as f64),
-        ],
+        EventBody::BinsearchDone {
+            iterations,
+            lower_bound: lo,
+            upper_bound: hi,
+            makespan: best.makespan(),
+            lambda: Some(hi),
+            two_lambda_bound: Some(2.0 * hi),
+            decision: Some(decision),
+        },
     );
     obs.counter("sched_binsearch_iterations", iterations as f64);
 

@@ -26,7 +26,7 @@ use crate::knapsack::{dp_knapsack, greedy_knapsack, DpConfig};
 use crate::platform::PlatformSpec;
 use crate::schedule::{list_schedule, PeKind, Schedule};
 use crate::task::TaskSet;
-use swdual_obs::{Obs, Track};
+use swdual_obs::{EventBody, Obs, Track};
 
 /// Which knapsack the dual step uses.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -128,8 +128,10 @@ pub fn dual_step_observed(
     if let DualStepResult::No(reason) = &result {
         obs.instant(
             Track::Scheduler,
-            "dual_step_no",
-            &[("lambda", lambda), ("reason", reason.code())],
+            EventBody::DualStepNo {
+                lambda,
+                reason: reason.code(),
+            },
         );
         obs.counter("sched_no_certificates", 1.0);
     }
@@ -219,20 +221,16 @@ fn dual_step_inner(
 
     obs.instant(
         Track::Scheduler,
-        "knapsack",
-        &[
-            ("lambda", lambda),
-            ("budget", budget),
-            ("free", free.len() as f64),
-            ("forced_gpu", forced_gpu.len() as f64),
-            ("forced_cpu", forced_cpu.len() as f64),
-            ("picked_gpu", gpu_ids.len() as f64),
-            ("cpu_free_area", cpu_free_area),
-            (
-                "has_overflow_task",
-                if j_last.is_some() { 1.0 } else { 0.0 },
-            ),
-        ],
+        EventBody::Knapsack {
+            lambda,
+            budget,
+            free: free.len(),
+            forced_gpu: forced_gpu.len(),
+            forced_cpu: forced_cpu.len(),
+            picked_gpu: gpu_ids.len(),
+            cpu_free_area,
+            has_overflow_task: j_last.is_some(),
+        },
     );
     obs.counter("sched_knapsack_runs", 1.0);
 

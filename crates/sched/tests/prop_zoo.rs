@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use swdual_gpusim::DeviceClass;
-use swdual_obs::analysis::analyze_obs;
-use swdual_obs::{Obs, Track};
+use swdual_obs::analysis::analyze;
+use swdual_obs::{EventBody, Obs, RunModel, Track};
 use swdual_sched::binsearch::{dual_approx_schedule, BinarySearchConfig};
 use swdual_sched::schedule::PeKind;
 use swdual_sched::{PlatformSpec, Task, TaskSet};
@@ -107,42 +107,37 @@ proptest! {
         // GPU workers are ids 0..k (one per class), CPUs follow.
         let k = mix.len();
         let obs = Obs::enabled();
-        for (w, class) in mix.iter().enumerate() {
+        let classes = mix.iter().map(|c| c.name()).chain(std::iter::repeat_n("cpu", cpus));
+        for (worker, class) in classes.enumerate() {
+            obs.instant(Track::Master, EventBody::WorkerRegistered { worker, is_gpu: worker < k });
             obs.instant(
                 Track::Master,
-                "worker_registered",
-                &[("worker", w as f64), ("is_gpu", 1.0)],
+                EventBody::DeviceClass { worker, class: class.to_string() },
             );
-            obs.instant(
-                Track::Master,
-                &format!("device_class:{}", class.name()),
-                &[("worker", w as f64)],
-            );
-        }
-        for w in k..k + cpus {
-            obs.instant(
-                Track::Master,
-                "worker_registered",
-                &[("worker", w as f64), ("is_gpu", 0.0)],
-            );
-            obs.instant(Track::Master, "device_class:cpu", &[("worker", w as f64)]);
         }
         for (t, task) in tasks.tasks().iter().enumerate() {
             obs.instant(
                 Track::Master,
-                "task_model",
-                &[("task", t as f64), ("p_cpu", task.p_cpu), ("p_gpu", task.p_gpu)],
+                EventBody::TaskModel {
+                    task: t,
+                    p_cpu: task.p_cpu,
+                    p_gpu: task.p_gpu,
+                    query_len: None,
+                    cells: None,
+                },
             );
         }
         obs.instant(
             Track::Scheduler,
-            "binsearch_done",
-            &[
-                ("iterations", outcome.iterations as f64),
-                ("lower_bound", outcome.lower_bound),
-                ("upper_bound", outcome.upper_bound),
-                ("lambda", outcome.upper_bound),
-            ],
+            EventBody::BinsearchDone {
+                iterations: outcome.iterations,
+                lower_bound: outcome.lower_bound,
+                upper_bound: outcome.upper_bound,
+                makespan: outcome.schedule.makespan(),
+                lambda: Some(outcome.upper_bound),
+                two_lambda_bound: Some(2.0 * outcome.upper_bound),
+                decision: None,
+            },
         );
         // Planned spans at conservative times; actual spans replay each
         // GPU on its true class curve (≤ the conservative estimate).
@@ -157,23 +152,28 @@ proptest! {
             };
             obs.virtual_span(
                 Track::Planned(w),
-                &format!("task-{}", p.task),
                 p.start,
                 p.end - p.start,
-                &[("task", p.task as f64)],
+                EventBody::Placement { task: p.task, decision: None },
             );
             obs.span(
                 Track::Worker(w),
-                &format!("task-{}", p.task),
                 clock[w] * 1e-6,
                 actual * 1e-6,
                 Some((clock[w], actual)),
-                &[("task", p.task as f64), ("cells", (lens[p.task] as u64 * db) as f64)],
+                EventBody::Job {
+                    task: p.task,
+                    cells: Some((lens[p.task] as u64 * db) as f64),
+                    seq: None,
+                    decision: None,
+                    queue_wait_wall: None,
+                    queue_wait_modelled: None,
+                },
             );
             clock[w] += actual;
         }
 
-        let report = analyze_obs(&obs);
+        let report = analyze(&RunModel::from_obs(&obs));
         prop_assert!(report.has_bound);
         prop_assert!(
             report.bound_holds,
