@@ -1,18 +1,21 @@
 //! Runtime kernel dispatch: detect the host's vector ISA once, then
-//! route every striped score through the fastest bit-exact backend.
+//! route every score through the fastest bit-exact backend.
 //!
-//! The ladder, fastest first:
+//! The ladder, fastest first. The byte tier has two shapes — Farrar's
+//! striped kernel (lanes = query positions) and the inter-sequence
+//! kernel of [`crate::interseq`] (lanes = subjects); [`crate::tiered`]
+//! picks between them by query length:
 //!
-//! | backend   | ISA        | byte kernel      | word kernel      |
-//! |-----------|------------|------------------|------------------|
-//! | `avx2`    | x86-64 AVX2| 32 × u8 (256-bit)| 16 × i16 (256-bit)|
-//! | `neon`    | aarch64    | 16 × u8          | 8 × i16          |
-//! | `portable`| `std::simd`| 16 × u8          | 8 × i16          |
-//! | `scalar`  | any        | 16 × u8 arrays   | 8 × i16 arrays   |
+//! | backend   | ISA        | striped byte     | inter-sequence byte   | word kernel       |
+//! |-----------|------------|------------------|-----------------------|-------------------|
+//! | `avx2`    | x86-64 AVX2| 32 × u8 (256-bit)| 32 subjects × u8      | 16 × i16 (256-bit)|
+//! | `neon`    | aarch64    | 16 × u8          | 16 × u8 arrays        | 8 × i16           |
+//! | `portable`| `std::simd`| 16 × u8          | 16 × u8 arrays        | 8 × i16           |
+//! | `scalar`  | any        | 16 × u8 arrays   | 16 subjects × u8 arrays| 8 × i16 arrays   |
 //!
 //! `scalar` is the autovectorized lane-array code in [`crate::striped`] /
-//! [`crate::striped8`] — always available, and the oracle the property
-//! tests pin every other backend against. `portable` needs the
+//! [`crate::striped8`] / [`crate::interseq`] — always available, and the
+//! oracle the property tests pin every other backend against. `portable` needs the
 //! `portable-simd` cargo feature (nightly). Detection runs once per
 //! process ([`Backend::active`], a `OnceLock`); the env var
 //! `SWDUAL_KERNEL_BACKEND=scalar|avx2|neon|portable` overrides it, which
@@ -24,6 +27,7 @@
 //! maximum against the same limit.
 
 use crate::profile::StripedProfile;
+use crate::scratch::Scratch;
 use crate::striped8::ByteProfile;
 use crate::wide::{ByteProfileW, StripedProfileW};
 use std::sync::OnceLock;
@@ -135,7 +139,11 @@ impl std::fmt::Display for Backend {
 /// only when the backend consumes them. `byte` layouts are `None` when
 /// the matrix cannot be biased into a byte — every subject then starts
 /// at the 16-bit tier.
+///
+/// Non-exhaustive so that only [`QueryProfiles::build_for`] constructs
+/// a bundle: its availability check is what `score8`/`score16` rely on.
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct QueryProfiles {
     /// Backend these profiles were built for.
     pub backend: Backend,
@@ -159,7 +167,12 @@ impl QueryProfiles {
     }
 
     /// Build for an explicit backend (tests and benches iterate these).
+    ///
+    /// # Panics
+    /// When `backend` is not available on this host: the bundle's
+    /// `backend` tag is what licenses the ISA-specific kernels.
     pub fn build_for(backend: Backend, query: &[u8], matrix: &Matrix) -> QueryProfiles {
+        assert!(backend.is_available(), "backend {backend} is not available");
         let (wide16, wide8) = if backend.wants_wide_profiles() {
             (
                 Some(StripedProfileW::build(query, matrix)),
@@ -186,31 +199,41 @@ impl QueryProfiles {
         self.query.len() + narrow + wide
     }
 
-    /// Byte-tier score via this bundle's backend. `None` = the byte
-    /// range is unusable (unbiasable matrix or saturation): escalate.
+    /// Striped byte-tier score via this bundle's backend. `None` = the
+    /// byte range is unusable (unbiasable matrix or saturation):
+    /// escalate. The kernel keeps its `H`/`E` rows in `scratch`.
     #[inline]
-    pub fn score8(&self, subject: &[u8], scheme: &ScoringScheme) -> Option<i32> {
+    pub fn score8(
+        &self,
+        subject: &[u8],
+        scheme: &ScoringScheme,
+        scratch: &mut Scratch,
+    ) -> Option<i32> {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 let p = self.wide8.as_ref()?;
-                // Safety: Avx2 is only selectable when detected.
-                unsafe { crate::simd_avx2::striped8_score_profile_avx2(p, subject, scheme) }
+                let rows = &mut scratch.rows_avx2;
+                // SAFETY: `build_for` refuses a backend that is not
+                // available, so an `Avx2` bundle means AVX2 was detected.
+                unsafe { crate::simd_avx2::striped8_score_profile_avx2(p, subject, scheme, rows) }
             }
             #[cfg(target_arch = "aarch64")]
             Backend::Neon => {
                 let p = self.byte.as_ref()?;
-                // Safety: NEON is baseline on aarch64.
-                unsafe { crate::simd_neon::striped8_score_profile_neon(p, subject, scheme) }
+                let rows = &mut scratch.rows_neon8;
+                // SAFETY: NEON is baseline on aarch64.
+                unsafe { crate::simd_neon::striped8_score_profile_neon(p, subject, scheme, rows) }
             }
             #[cfg(feature = "portable-simd")]
             Backend::Portable => {
                 let p = self.byte.as_ref()?;
-                crate::simd_portable::striped8_score_profile_portable(p, subject, scheme)
+                let rows = &mut scratch.rows_simd8;
+                crate::simd_portable::striped8_score_profile_portable(p, subject, scheme, rows)
             }
             _ => {
                 let p = self.byte.as_ref()?;
-                crate::striped8::striped8_score_profile(p, subject, scheme)
+                crate::striped8::striped8_score_profile(p, subject, scheme, &mut scratch.rows8)
             }
         }
     }
@@ -218,26 +241,38 @@ impl QueryProfiles {
     /// 16-bit-tier score via this bundle's backend. `None` = possible
     /// `i16` saturation: escalate to the scalar kernel.
     #[inline]
-    pub fn score16(&self, subject: &[u8], scheme: &ScoringScheme) -> Option<i32> {
+    pub fn score16(
+        &self,
+        subject: &[u8],
+        scheme: &ScoringScheme,
+        scratch: &mut Scratch,
+    ) -> Option<i32> {
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 let p = self.wide16.as_ref()?;
-                // Safety: Avx2 is only selectable when detected.
-                unsafe { crate::simd_avx2::striped_score_profile_avx2(p, subject, scheme) }
+                let rows = &mut scratch.rows_avx2;
+                // SAFETY: `build_for` refuses a backend that is not
+                // available, so an `Avx2` bundle means AVX2 was detected.
+                unsafe { crate::simd_avx2::striped_score_profile_avx2(p, subject, scheme, rows) }
             }
             #[cfg(target_arch = "aarch64")]
             Backend::Neon => {
-                // Safety: NEON is baseline on aarch64.
-                unsafe {
-                    crate::simd_neon::striped_score_profile_neon(&self.striped, subject, scheme)
-                }
+                let (p, rows) = (&self.striped, &mut scratch.rows_neon16);
+                // SAFETY: NEON is baseline on aarch64.
+                unsafe { crate::simd_neon::striped_score_profile_neon(p, subject, scheme, rows) }
             }
             #[cfg(feature = "portable-simd")]
             Backend::Portable => {
-                crate::simd_portable::striped_score_profile_portable(&self.striped, subject, scheme)
+                let (p, rows) = (&self.striped, &mut scratch.rows_simd16);
+                crate::simd_portable::striped_score_profile_portable(p, subject, scheme, rows)
             }
-            _ => crate::striped::striped_score_profile(&self.striped, subject, scheme),
+            _ => crate::striped::striped_score_profile(
+                &self.striped,
+                subject,
+                scheme,
+                &mut scratch.rows16,
+            ),
         }
     }
 }
@@ -291,8 +326,17 @@ mod tests {
         let want = gotoh_score(&q, &s, &scheme);
         for backend in Backend::available() {
             let p = QueryProfiles::build_for(backend, &q, &scheme.matrix);
-            assert_eq!(p.score8(&s, &scheme), Some(want), "byte tier on {backend}");
-            assert_eq!(p.score16(&s, &scheme), Some(want), "word tier on {backend}");
+            let scratch = &mut Scratch::default();
+            assert_eq!(
+                p.score8(&s, &scheme, scratch),
+                Some(want),
+                "byte tier on {backend}"
+            );
+            assert_eq!(
+                p.score16(&s, &scheme, scratch),
+                Some(want),
+                "word tier on {backend}"
+            );
         }
     }
 

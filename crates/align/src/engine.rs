@@ -6,12 +6,11 @@
 //! or against a whole subject list; [`EngineKind`] selects the kernel
 //! dynamically (the runtime configures workers from it).
 
-use crate::dispatch::QueryProfiles;
-use crate::interseq;
+use crate::dispatch::Backend;
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
-use crate::striped;
-use crate::tiered::{tiered_score, TierStats};
+use crate::scratch::Scratch;
+use crate::tiered::{score_database_with, ByteShape, Subjects, TierStats};
 use crate::wavefront::{self, WavefrontConfig};
 use swdual_bio::ScoringScheme;
 
@@ -21,9 +20,13 @@ pub enum EngineKind {
     /// Scalar Gotoh reference kernel (also the SWPS3-class baseline:
     /// straightforward per-thread vector code, one comparison at a time).
     Scalar,
-    /// Farrar striped SIMD (STRIPED baseline).
+    /// The tier-ladder engine the workers run: byte lanes → 16-bit
+    /// lanes → scalar, the byte tier inter-sequence (SWIPE) for short
+    /// queries and Farrar-striped (STRIPED baseline) for long ones —
+    /// see [`crate::tiered::score_database`].
     Striped,
-    /// Inter-sequence SIMD (SWIPE baseline).
+    /// The same ladder with the byte tier forced inter-sequence at
+    /// every query length (the SWIPE ablation of Table II).
     InterSeq,
     /// Blocked wavefront, fine-grained parallel (Figure 2).
     Wavefront,
@@ -52,8 +55,8 @@ impl EngineKind {
     pub fn build(self) -> Box<dyn AlignEngine> {
         match self {
             EngineKind::Scalar => Box::new(ScalarEngine),
-            EngineKind::Striped => Box::new(StripedEngine),
-            EngineKind::InterSeq => Box::new(InterSeqEngine),
+            EngineKind::Striped => Box::new(LadderEngine::AUTO),
+            EngineKind::InterSeq => Box::new(LadderEngine::INTER_SEQ),
             EngineKind::Wavefront => Box::new(WavefrontEngine {
                 config: WavefrontConfig::default(),
             }),
@@ -73,9 +76,11 @@ impl std::fmt::Display for EngineKind {
 /// so the taxonomy stays stable once alignment reconstruction lands).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Seconds building the query profile (striped layout, etc.).
+    /// Seconds of per-query setup: the inter-sequence score tables and
+    /// any striped profile build or cache lookup.
     pub profile_build: f64,
-    /// Seconds in the DP recurrence itself.
+    /// Seconds in the DP recurrences: batch transposition, every tier's
+    /// kernel, escalations.
     pub dp_inner: f64,
     /// Seconds reconstructing alignments.
     pub traceback: f64,
@@ -148,6 +153,21 @@ pub trait AlignEngine: Send + Sync {
         };
         (scores, timings, stats)
     }
+
+    /// [`AlignEngine::score_many_cached`] for a caller that scores many
+    /// queries against one database — a worker: `db` carries what was
+    /// prepared once per database, `scratch` the kernels' reusable
+    /// working memory. Engines that need neither delegate.
+    fn score_database(
+        &self,
+        query: &[u8],
+        db: &Subjects<'_>,
+        scheme: &ScoringScheme,
+        cache: Option<&ProfileCache>,
+        _scratch: &mut Scratch,
+    ) -> (Vec<i32>, PhaseTimings, TierStats) {
+        self.score_many_cached(query, db.seqs(), scheme, cache)
+    }
 }
 
 /// Scalar Gotoh engine.
@@ -162,28 +182,40 @@ impl AlignEngine for ScalarEngine {
     }
 }
 
-/// Farrar striped engine, scoring through the runtime-dispatched SIMD
-/// backends and the SWIPE-style tier ladder: saturated byte lanes
-/// first, 16-bit lanes on saturation, scalar Gotoh last. Profiles are
-/// built once per `score_many` batch — or once per *process* when a
-/// [`ProfileCache`] is passed to
-/// [`AlignEngine::score_many_cached`].
-pub struct StripedEngine;
+/// The tier-ladder engine: byte lanes first, 16-bit lanes on
+/// saturation, scalar Gotoh last, on the runtime-dispatched SIMD
+/// backend ([`crate::tiered::score_database`]). Striped profiles are
+/// built only when a subject needs them — and once per *process* when a
+/// [`ProfileCache`] is passed. The slice-based entry points prepare a
+/// throwaway [`Subjects`] and [`Scratch`] per call.
+pub struct LadderEngine {
+    shape: ByteShape,
+}
 
-impl AlignEngine for StripedEngine {
+impl LadderEngine {
+    /// [`EngineKind::Striped`]: the byte-tier shape picked by query
+    /// length.
+    pub const AUTO: LadderEngine = LadderEngine {
+        shape: ByteShape::Auto,
+    };
+    /// [`EngineKind::InterSeq`]: the byte tier always inter-sequence.
+    pub const INTER_SEQ: LadderEngine = LadderEngine {
+        shape: ByteShape::InterSeq,
+    };
+}
+
+impl AlignEngine for LadderEngine {
     fn kind(&self) -> EngineKind {
-        EngineKind::Striped
+        match self.shape {
+            ByteShape::InterSeq => EngineKind::InterSeq,
+            ByteShape::Auto | ByteShape::Striped => EngineKind::Striped,
+        }
     }
     fn score(&self, query: &[u8], subject: &[u8], scheme: &ScoringScheme) -> i32 {
-        striped::striped_score_exact(query, subject, scheme)
+        self.score_many(query, &[subject], scheme)[0]
     }
     fn score_many(&self, query: &[u8], subjects: &[&[u8]], scheme: &ScoringScheme) -> Vec<i32> {
-        let profiles = QueryProfiles::build(query, &scheme.matrix);
-        let mut stats = TierStats::default();
-        subjects
-            .iter()
-            .map(|s| tiered_score(&profiles, s, scheme, &mut stats))
-            .collect()
+        self.score_many_cached(query, subjects, scheme, None).0
     }
     fn score_many_phased(
         &self,
@@ -201,46 +233,29 @@ impl AlignEngine for StripedEngine {
         scheme: &ScoringScheme,
         cache: Option<&ProfileCache>,
     ) -> (Vec<i32>, PhaseTimings, TierStats) {
-        // Same computation as `score_many`, with the profile stage (a
-        // cache lookup on a warm cache) timed separately from the
-        // per-subject tier ladder.
-        let start = std::time::Instant::now();
-        let profiles = match cache {
-            Some(cache) => cache.get_or_build(query, &scheme.matrix),
-            None => std::sync::Arc::new(QueryProfiles::build(query, &scheme.matrix)),
-        };
-        let profile_build = start.elapsed().as_secs_f64();
-        let start = std::time::Instant::now();
+        let db = Subjects::new(subjects.to_vec());
+        self.score_database(query, &db, scheme, cache, &mut Scratch::default())
+    }
+    fn score_database(
+        &self,
+        query: &[u8],
+        db: &Subjects<'_>,
+        scheme: &ScoringScheme,
+        cache: Option<&ProfileCache>,
+        scratch: &mut Scratch,
+    ) -> (Vec<i32>, PhaseTimings, TierStats) {
         let mut stats = TierStats::default();
-        let scores = subjects
-            .iter()
-            .map(|s| tiered_score(&profiles, s, scheme, &mut stats))
-            .collect();
-        (
-            scores,
-            PhaseTimings {
-                profile_build,
-                dp_inner: start.elapsed().as_secs_f64(),
-                traceback: 0.0,
-            },
-            stats,
-        )
-    }
-}
-
-/// Inter-sequence engine. `score` on a single pair degenerates to a
-/// one-lane batch; its strength is `score_many`.
-pub struct InterSeqEngine;
-
-impl AlignEngine for InterSeqEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::InterSeq
-    }
-    fn score(&self, query: &[u8], subject: &[u8], scheme: &ScoringScheme) -> i32 {
-        interseq::interseq_batch_exact(query, &[subject], scheme)[0]
-    }
-    fn score_many(&self, query: &[u8], subjects: &[&[u8]], scheme: &ScoringScheme) -> Vec<i32> {
-        interseq::interseq_search(query, subjects, scheme)
+        let (scores, timings) = score_database_with(
+            Backend::active(),
+            self.shape,
+            query,
+            db,
+            scheme,
+            cache,
+            scratch,
+            &mut stats,
+        );
+        (scores, timings, stats)
     }
 }
 
@@ -335,7 +350,7 @@ mod tests {
         let subs = subjects();
         let refs: Vec<&[u8]> = subs.iter().map(|s| s.as_slice()).collect();
         let cache = ProfileCache::default();
-        let engine = StripedEngine;
+        let engine = LadderEngine::AUTO;
         let plain = engine.score_many(&q, &refs, &scheme);
         let (first, _, stats) = engine.score_many_cached(&q, &refs, &scheme, Some(&cache));
         assert_eq!(first, plain);

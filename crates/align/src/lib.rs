@@ -13,11 +13,12 @@
 //! * [`profile`] — query profiles: the substitution matrix re-indexed by
 //!   query position, the layout trick shared by STRIPED, SWIPE and
 //!   CUDASW++.
-//! * [`striped`] — Farrar's striped vertical SIMD kernel [18]
-//!   (the STRIPED baseline), with saturating 16-bit lanes and scalar
-//!   recompute on overflow.
+//! * [`striped`] / [`striped8`] — Farrar's striped vertical SIMD kernel
+//!   [18] (the STRIPED baseline) in saturating 16-bit and biased byte
+//!   lanes, with escalation on overflow.
 //! * [`interseq`] — Rognes' inter-sequence SIMD kernel [9] (the SWIPE
-//!   baseline): one query against `LANES` database sequences at once.
+//!   baseline): one query against a vector's worth of database
+//!   sequences at once, in the same biased byte arithmetic.
 //! * [`wavefront`] — the fine-grained multi-PE parallelisation of
 //!   Figure 2: the DP matrix is cut into blocks and anti-diagonals of
 //!   blocks are computed in parallel (rayon), borders handed between
@@ -34,8 +35,18 @@
 //! On top of the kernels sits a runtime [`dispatch`] layer (detect the
 //! host ISA once, route through AVX2 / NEON / `std::simd` / scalar
 //! backends), a [`profile_cache`] that reuses built query profiles
-//! across jobs, and the [`tiered`] SWIPE-style pipeline (byte lanes →
-//! 16-bit lanes → scalar) that is the default database scoring path.
+//! across jobs, per-worker kernel working memory ([`scratch`]), and the
+//! [`tiered`] SWIPE-style pipeline that is the default database scoring
+//! path:
+//!
+//! | tier   | kernel                                   | lanes (AVX2 / NEON, portable, scalar) |
+//! |--------|------------------------------------------|----------------------------------------|
+//! | byte   | inter-sequence [`interseq`] *or* striped [`striped8`], picked per batch by fill and query length | 32 subjects or 32 × u8 / 16 × u8 (inter-sequence on lane arrays) |
+//! | 16-bit | striped [`striped`]                      | 16 × i16 / 8 × i16                     |
+//! | scalar | Gotoh [`scalar`]                         | —                                      |
+//!
+//! [`tiered::score_database`] is the one batch-level entry point; both
+//! byte-tier shapes escalate exactly the same subjects.
 
 #![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
@@ -49,6 +60,7 @@ pub mod par_search;
 pub mod profile;
 pub mod profile_cache;
 pub mod scalar;
+pub mod scratch;
 pub mod simd_avx2;
 pub mod simd_neon;
 pub mod simd_portable;
@@ -64,4 +76,5 @@ pub use dispatch::{Backend, QueryProfiles};
 pub use engine::{AlignEngine, EngineKind, PhaseTimings};
 pub use profile_cache::ProfileCache;
 pub use scalar::{gotoh_score, sw_linear_score};
-pub use tiered::{tiered_score, TierStats};
+pub use scratch::Scratch;
+pub use tiered::{score_database, tiered_score, Subjects, TierStats};

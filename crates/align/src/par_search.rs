@@ -37,10 +37,14 @@ pub fn par_score_many(
             subjects
                 .par_chunks(CHUNK)
                 .flat_map_iter(|chunk| {
-                    chunk.iter().map(|s| {
-                        striped_score_profile(&profile, s, scheme)
-                            .unwrap_or_else(|| gotoh_score(query, s, scheme))
-                    })
+                    let mut rows = Vec::new();
+                    chunk
+                        .iter()
+                        .map(|s| {
+                            striped_score_profile(&profile, s, scheme, &mut rows)
+                                .unwrap_or_else(|| gotoh_score(query, s, scheme))
+                        })
+                        .collect::<Vec<i32>>()
                 })
                 .collect()
         }

@@ -1,0 +1,169 @@
+//! Reusable kernel working memory.
+//!
+//! A database pass scores one query against thousands of subjects; the
+//! DP state of every kernel (`H`/`E` rows, the inter-sequence kernel's
+//! transposed residue columns) has the same shape for each of them. A
+//! worker owns one [`Scratch`] for its whole life and hands it to every
+//! call, so no kernel allocates per subject and the buffers stay warm
+//! in cache across batches and jobs.
+
+use crate::profile::LANES;
+use crate::striped8::LANES8;
+
+/// Cache-line size the byte buffers are aligned to, so a vector load
+/// never straddles two lines.
+const ALIGN: usize = 64;
+
+/// Per-worker kernel working memory. Buffers grow to the largest query
+/// and longest batch seen and are never shrunk; a buffer no kernel of
+/// the active backend uses stays unallocated.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// Inter-sequence kernel: a block of one batch's residues,
+    /// transposed to one vector of lanes per subject position.
+    columns: Vec<u8>,
+    /// Inter-sequence kernel: the column's score profile, then `H` and
+    /// `E` per query position.
+    state: Vec<u8>,
+    /// Striped rows of the lane-array byte kernel.
+    pub(crate) rows8: Vec<[u8; LANES8]>,
+    /// Striped rows of the lane-array 16-bit kernel.
+    pub(crate) rows16: Vec<[i16; LANES]>,
+    /// Striped rows of both AVX2 kernels.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) rows_avx2: Vec<std::arch::x86_64::__m256i>,
+    /// Striped rows of the NEON byte kernel.
+    #[cfg(target_arch = "aarch64")]
+    pub(crate) rows_neon8: Vec<std::arch::aarch64::uint8x16_t>,
+    /// Striped rows of the NEON 16-bit kernel.
+    #[cfg(target_arch = "aarch64")]
+    pub(crate) rows_neon16: Vec<std::arch::aarch64::int16x8_t>,
+    /// Striped rows of the `std::simd` byte kernel.
+    #[cfg(feature = "portable-simd")]
+    pub(crate) rows_simd8: Vec<std::simd::Simd<u8, LANES8>>,
+    /// Striped rows of the `std::simd` 16-bit kernel.
+    #[cfg(feature = "portable-simd")]
+    pub(crate) rows_simd16: Vec<std::simd::Simd<i16, LANES>>,
+}
+
+/// The inter-sequence kernel's working memory for one batch, `L` lanes
+/// wide. Contents are whatever the last batch left behind.
+pub(crate) struct InterseqBuffers<'a, const L: usize> {
+    /// One vector of residues per subject position.
+    pub columns: &'a mut [[u8; L]],
+    /// The current column's score profile, one vector per residue code.
+    pub profile: &'a mut [[u8; L]; 32],
+    /// `[H, E]` per query position.
+    pub state: &'a mut [[[u8; L]; 2]],
+    /// The kernel's copy of the query's 32-entry score rows.
+    pub rows: &'a mut [[u8; 32]; 32],
+}
+
+impl Scratch {
+    /// Buffers for a batch of `columns` subject positions against
+    /// `query_len` query positions.
+    ///
+    /// Profile, state and score rows share one allocation, in that
+    /// order, on purpose. At the top of every column the kernel loads
+    /// the score rows just after storing the last `H`/`E` rows, then
+    /// stores the profile just before loading the first ones; when such
+    /// a store and load agree in address bits 0–11 the CPU replays the
+    /// load ("4K aliasing"). With the three wherever the allocator and
+    /// the stack put them, that cost 30–40 % on the reference host in
+    /// an unlucky process and nothing in a lucky one. Laid out like
+    /// this, the rows sit just past the stores that precede their loads
+    /// and the profile just before the loads that follow its stores,
+    /// whatever the query length.
+    pub(crate) fn interseq<const L: usize>(
+        &mut self,
+        columns: usize,
+        query_len: usize,
+    ) -> InterseqBuffers<'_, L> {
+        let columns = aligned(&mut self.columns, columns * L)
+            .as_chunks_mut::<L>()
+            .0;
+        let (profile, rest) =
+            aligned(&mut self.state, (32 + query_len * 2) * L + 32 * 32).split_at_mut(32 * L);
+        let (state, rows) = rest.split_at_mut(query_len * 2 * L);
+        InterseqBuffers {
+            columns,
+            profile: profile
+                .as_chunks_mut::<L>()
+                .0
+                .try_into()
+                .expect("32 vectors were split off"),
+            state: state.as_chunks_mut::<L>().0.as_chunks_mut::<2>().0,
+            rows: rows
+                .as_chunks_mut::<32>()
+                .0
+                .try_into()
+                .expect("32 rows remain"),
+        }
+    }
+}
+
+/// A cache-line-aligned `len`-byte window of `buf`, growing it if
+/// needed.
+fn aligned(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if buf.len() < len + ALIGN {
+        buf.resize(len + ALIGN, 0);
+    }
+    let skip = buf.as_ptr().align_offset(ALIGN);
+    &mut buf[skip..skip + len]
+}
+
+/// The three striped rows (`h_store`, `h_load`, `e`) of `segments`
+/// vectors each, carved from one reusable buffer and initialised to
+/// `h0`, `h0` and `e0`.
+pub(crate) fn striped_rows<V: Copy>(
+    buf: &mut Vec<V>,
+    segments: usize,
+    h0: V,
+    e0: V,
+) -> (&mut [V], &mut [V], &mut [V]) {
+    buf.clear();
+    buf.resize(2 * segments, h0);
+    buf.resize(3 * segments, e0);
+    let (h_store, rest) = buf.split_at_mut(segments);
+    let (h_load, e) = rest.split_at_mut(segments);
+    (h_store, h_load, e)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn interseq_buffers_are_aligned_sized_and_reused() {
+        let mut scratch = Scratch::default();
+        let buffers = scratch.interseq::<32>(100, 45);
+        assert_eq!((buffers.columns.len(), buffers.state.len()), (100, 45));
+        assert_eq!(buffers.columns.as_ptr() as usize % ALIGN, 0);
+        assert_eq!(buffers.profile.as_ptr() as usize % ALIGN, 0);
+        assert_eq!(
+            buffers.rows.as_ptr() as usize,
+            buffers.state.as_ptr() as usize + 45 * 64,
+            "score rows directly after the last state row"
+        );
+        let grown = scratch.columns.len();
+        // A smaller batch fits in place.
+        let buffers = scratch.interseq::<16>(10, 3);
+        assert_eq!((buffers.columns.len(), buffers.state.len()), (10, 3));
+        assert_eq!(scratch.columns.len(), grown);
+    }
+
+    #[test]
+    fn striped_rows_are_initialised_per_call() {
+        let mut buf: Vec<i16> = Vec::new();
+        {
+            let (h_store, h_load, e) = striped_rows(&mut buf, 3, 0, -7);
+            assert_eq!((h_store.len(), h_load.len(), e.len()), (3, 3, 3));
+            h_store[0] = 9;
+            e[2] = 9;
+        }
+        let (h_store, h_load, e) = striped_rows(&mut buf, 2, 0, -7);
+        assert_eq!(h_store, [0, 0]);
+        assert_eq!(h_load, [0, 0]);
+        assert_eq!(e, [-7, -7]);
+    }
+}

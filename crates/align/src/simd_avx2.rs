@@ -8,6 +8,10 @@
 //! the 128-bit lane boundary, so the one-element shift uses the
 //! `vperm2i128` + `vpalignr` idiom.
 //!
+//! The inter-sequence byte kernel ([`crate::interseq`]) gets its AVX2
+//! instantiation here too: the [`ByteLanes`] operations on `__m256i`,
+//! with the 32-entry score lookup as two `vpshufb`.
+//!
 //! Safety: every `unsafe` kernel is `#[target_feature(enable = "avx2")]`
 //! and only reachable through [`crate::dispatch`], which verifies AVX2
 //! with `is_x86_feature_detected!` before handing these functions out.
@@ -17,7 +21,9 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::wide::{ByteProfileW, StripedProfileW};
+use crate::interseq::{batch_body, ByteLanes, Tables};
+use crate::scratch::{striped_rows, InterseqBuffers};
+use crate::wide::{ByteProfileW, StripedProfileW, LANES8W};
 use std::arch::x86_64::*;
 use swdual_bio::ScoringScheme;
 
@@ -27,6 +33,9 @@ const NEG: i16 = i16::MIN / 2;
 /// Shift all 32 byte lanes up by one (lane `l` receives lane `l-1`),
 /// inserting 0 into lane 0 — `_mm_slli_si128(v, 1)` extended across the
 /// 128-bit boundary.
+///
+/// # Safety
+/// Requires AVX2.
 #[inline(always)]
 unsafe fn shift1_u8(a: __m256i) -> __m256i {
     // [0, a_low]: the low 128 get zeroed, the high 128 get a's low half.
@@ -35,6 +44,9 @@ unsafe fn shift1_u8(a: __m256i) -> __m256i {
 }
 
 /// Shift all 16 word lanes up by one, inserting `FILL` into lane 0.
+///
+/// # Safety
+/// Requires AVX2.
 #[inline(always)]
 unsafe fn shift1_i16<const FILL: i16>(a: __m256i) -> __m256i {
     let carry = _mm256_permute2x128_si256(a, a, 0x08);
@@ -47,17 +59,25 @@ unsafe fn shift1_i16<const FILL: i16>(a: __m256i) -> __m256i {
 }
 
 /// Horizontal max of 32 unsigned byte lanes.
+///
+/// # Safety
+/// Requires AVX2.
 #[inline(always)]
 unsafe fn hmax_u8(a: __m256i) -> u8 {
     let mut buf = [0u8; 32];
+    // SAFETY: `buf` is exactly the 32 bytes the unaligned store writes.
     _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, a);
     buf.iter().copied().max().unwrap_or(0)
 }
 
 /// Horizontal max of 16 signed word lanes.
+///
+/// # Safety
+/// Requires AVX2.
 #[inline(always)]
 unsafe fn hmax_i16(a: __m256i) -> i16 {
     let mut buf = [0i16; 16];
+    // SAFETY: `buf` is exactly the 32 bytes the unaligned store writes.
     _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, a);
     buf.iter().copied().max().unwrap_or(i16::MIN)
 }
@@ -73,6 +93,7 @@ pub unsafe fn striped8_score_profile_avx2(
     profile: &ByteProfileW,
     subject: &[u8],
     scheme: &ScoringScheme,
+    rows: &mut Vec<__m256i>,
 ) -> Option<i32> {
     if profile.query_len == 0 || subject.is_empty() {
         return Some(0);
@@ -87,9 +108,7 @@ pub unsafe fn striped8_score_profile_avx2(
     let vext = _mm256_set1_epi8(ext as i8);
     let vbias = _mm256_set1_epi8(profile.bias as i8);
 
-    let mut h_store: Vec<__m256i> = vec![zero; seg];
-    let mut h_load: Vec<__m256i> = vec![zero; seg];
-    let mut e: Vec<__m256i> = vec![zero; seg];
+    let (mut h_store, mut h_load, e) = striped_rows(rows, seg, zero, zero);
     let mut vmax_acc = zero;
 
     for &s in subject {
@@ -99,6 +118,7 @@ pub unsafe fn striped8_score_profile_avx2(
         std::mem::swap(&mut h_store, &mut h_load);
 
         for v in 0..seg {
+            // SAFETY: `prof[v]` is a 32-byte profile vector.
             let pv = _mm256_loadu_si256(prof[v].as_ptr() as *const __m256i);
             // H = max(diag + score, E, F); unsigned floor is the 0 clamp.
             vh = _mm256_subs_epu8(_mm256_adds_epu8(vh, pv), vbias);
@@ -136,9 +156,7 @@ pub unsafe fn striped8_score_profile_avx2(
     }
 
     let best = hmax_u8(vmax_acc);
-    // Identical guard to the portable byte kernel.
-    let limit = 255u16 - (scheme.matrix.max_score().max(0) as u16 + profile.bias as u16);
-    if best as u16 >= limit {
+    if best >= profile.limit {
         None
     } else {
         Some(best as i32)
@@ -156,6 +174,7 @@ pub unsafe fn striped_score_profile_avx2(
     profile: &StripedProfileW,
     subject: &[u8],
     scheme: &ScoringScheme,
+    rows: &mut Vec<__m256i>,
 ) -> Option<i32> {
     if profile.query_len == 0 || subject.is_empty() {
         return Some(0);
@@ -170,9 +189,7 @@ pub unsafe fn striped_score_profile_avx2(
     let vopen = _mm256_set1_epi16(open);
     let vext = _mm256_set1_epi16(ext);
 
-    let mut h_store: Vec<__m256i> = vec![zero; seg];
-    let mut h_load: Vec<__m256i> = vec![zero; seg];
-    let mut e: Vec<__m256i> = vec![vneg; seg];
+    let (mut h_store, mut h_load, e) = striped_rows(rows, seg, zero, vneg);
     let mut vmax_acc = zero;
 
     for &s in subject {
@@ -182,6 +199,7 @@ pub unsafe fn striped_score_profile_avx2(
         std::mem::swap(&mut h_store, &mut h_load);
 
         for v in 0..seg {
+            // SAFETY: `prof[v]` is a 32-byte profile vector.
             let pv = _mm256_loadu_si256(prof[v].as_ptr() as *const __m256i);
             vh = _mm256_adds_epi16(vh, pv);
             vh = _mm256_max_epi16(vh, e[v]);
@@ -226,6 +244,72 @@ pub unsafe fn striped_score_profile_avx2(
     }
 }
 
+/// The AVX2 instantiation of the inter-sequence kernel's lane
+/// operations: 32 subjects per vector.
+impl ByteLanes<LANES8W> for __m256i {
+    #[inline(always)]
+    unsafe fn splat(x: u8) -> Self {
+        _mm256_set1_epi8(x as i8)
+    }
+    #[inline(always)]
+    unsafe fn load(src: &[u8; LANES8W]) -> Self {
+        // SAFETY: `src` is exactly the 32 bytes the unaligned load reads.
+        _mm256_loadu_si256(src.as_ptr() as *const __m256i)
+    }
+    #[inline(always)]
+    unsafe fn store(self, dst: &mut [u8; LANES8W]) {
+        // SAFETY: `dst` is exactly the 32 bytes the unaligned store writes.
+        _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, self)
+    }
+    #[inline(always)]
+    unsafe fn adds(self, other: Self) -> Self {
+        _mm256_adds_epu8(self, other)
+    }
+    #[inline(always)]
+    unsafe fn subs(self, other: Self) -> Self {
+        _mm256_subs_epu8(self, other)
+    }
+    #[inline(always)]
+    unsafe fn max(self, other: Self) -> Self {
+        _mm256_max_epu8(self, other)
+    }
+    /// Two `vpshufb`, one per 16-entry half of `row`, each with the
+    /// lanes that belong to the other half forced to 0 (index bit 7
+    /// set), OR-ed together. The index vectors depend on `idx` alone,
+    /// so the compiler hoists them out of the per-residue loop.
+    #[inline(always)]
+    unsafe fn lookup32(row: &[u8; 32], idx: Self) -> Self {
+        // SAFETY: each half of `row` is the 16 bytes its load reads.
+        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(row.as_ptr() as *const __m128i));
+        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(row[16..].as_ptr() as *const __m128i));
+        // Bit 4 of each index (set for codes 16..=31) moved to bit 7;
+        // indices are below 32, so the 16-bit shift leaks no bits
+        // between bytes.
+        let upper = _mm256_and_si256(_mm256_slli_epi16::<3>(idx), _mm256_set1_epi8(-128));
+        let in_lo = _mm256_shuffle_epi8(lo, _mm256_or_si256(idx, upper));
+        let in_hi = _mm256_shuffle_epi8(
+            hi,
+            _mm256_or_si256(idx, _mm256_xor_si256(upper, _mm256_set1_epi8(-128))),
+        );
+        _mm256_or_si256(in_lo, in_hi)
+    }
+}
+
+/// One inter-sequence batch on AVX2 (see
+/// [`crate::interseq::batch_body`]).
+///
+/// # Safety
+/// Requires AVX2 (checked by the dispatcher).
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn interseq8_batch_avx2(
+    query: &[u8],
+    tables: &Tables,
+    buffers: InterseqBuffers<'_, LANES8W>,
+    best: [u8; LANES8W],
+) -> [u8; LANES8W] {
+    batch_body::<__m256i, LANES8W>(query, tables, buffers, best)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +346,8 @@ mod tests {
             let q = pseudo_random(20 + (seed as usize * 29) % 180, seed);
             let s = pseudo_random(15 + (seed as usize * 41) % 220, seed + 100);
             let p = ByteProfileW::build(&q, &scheme.matrix).unwrap();
-            let got = unsafe { striped8_score_profile_avx2(&p, &s, &scheme) };
+            // SAFETY: the test returned early unless AVX2 was detected.
+            let got = unsafe { striped8_score_profile_avx2(&p, &s, &scheme, &mut Vec::new()) };
             assert_eq!(
                 got,
                 crate::striped8::striped8_score(&q, &s, &scheme),
@@ -284,7 +369,8 @@ mod tests {
             let q = pseudo_random(20 + (seed as usize * 37) % 300, seed);
             let s = pseudo_random(15 + (seed as usize * 53) % 300, seed + 7);
             let p = StripedProfileW::build(&q, &scheme.matrix);
-            let got = unsafe { striped_score_profile_avx2(&p, &s, &scheme) };
+            // SAFETY: the test returned early unless AVX2 was detected.
+            let got = unsafe { striped_score_profile_avx2(&p, &s, &scheme, &mut Vec::new()) };
             assert_eq!(got, crate::striped::striped_score(&q, &s, &scheme));
             assert_eq!(got, Some(gotoh_score(&q, &s, &scheme)), "seed {seed}");
         }
@@ -303,11 +389,13 @@ mod tests {
             let p16 = StripedProfileW::build(&q, &scheme.matrix);
             let want = gotoh_score(&q, &s, &scheme);
             assert_eq!(
-                unsafe { striped8_score_profile_avx2(&p8, &s, &scheme) },
+                // SAFETY: the test returned early unless AVX2 was detected.
+                unsafe { striped8_score_profile_avx2(&p8, &s, &scheme, &mut Vec::new()) },
                 Some(want)
             );
             assert_eq!(
-                unsafe { striped_score_profile_avx2(&p16, &s, &scheme) },
+                // SAFETY: the test returned early unless AVX2 was detected.
+                unsafe { striped_score_profile_avx2(&p16, &s, &scheme, &mut Vec::new()) },
                 Some(want)
             );
         }
@@ -324,13 +412,15 @@ mod tests {
         let w60 = vec![Alphabet::Protein.encode_byte(b'W').unwrap(); 60];
         let p8 = ByteProfileW::build(&w60, &scheme.matrix).unwrap();
         assert_eq!(
-            unsafe { striped8_score_profile_avx2(&p8, &w60, &scheme) },
+            // SAFETY: the test returned early unless AVX2 was detected.
+            unsafe { striped8_score_profile_avx2(&p8, &w60, &scheme, &mut Vec::new()) },
             None
         );
         let w3000 = vec![Alphabet::Protein.encode_byte(b'W').unwrap(); 3000];
         let p16 = StripedProfileW::build(&w3000, &scheme.matrix);
         assert_eq!(
-            unsafe { striped_score_profile_avx2(&p16, &w3000, &scheme) },
+            // SAFETY: the test returned early unless AVX2 was detected.
+            unsafe { striped_score_profile_avx2(&p16, &w3000, &scheme, &mut Vec::new()) },
             None
         );
     }
@@ -350,11 +440,13 @@ mod tests {
         let p8 = ByteProfileW::build(&q, &scheme.matrix).unwrap();
         let p16 = StripedProfileW::build(&q, &scheme.matrix);
         assert_eq!(
-            unsafe { striped8_score_profile_avx2(&p8, &s, &scheme) },
+            // SAFETY: the test returned early unless AVX2 was detected.
+            unsafe { striped8_score_profile_avx2(&p8, &s, &scheme, &mut Vec::new()) },
             Some(want)
         );
         assert_eq!(
-            unsafe { striped_score_profile_avx2(&p16, &s, &scheme) },
+            // SAFETY: the test returned early unless AVX2 was detected.
+            unsafe { striped_score_profile_avx2(&p16, &s, &scheme, &mut Vec::new()) },
             Some(want)
         );
     }

@@ -16,6 +16,7 @@
 #![cfg(target_arch = "aarch64")]
 
 use crate::profile::StripedProfile;
+use crate::scratch::striped_rows;
 use crate::striped8::ByteProfile;
 use std::arch::aarch64::*;
 use swdual_bio::ScoringScheme;
@@ -32,6 +33,7 @@ pub unsafe fn striped8_score_profile_neon(
     profile: &ByteProfile,
     subject: &[u8],
     scheme: &ScoringScheme,
+    rows: &mut Vec<uint8x16_t>,
 ) -> Option<i32> {
     if profile.query_len == 0 || subject.is_empty() {
         return Some(0);
@@ -45,9 +47,7 @@ pub unsafe fn striped8_score_profile_neon(
     let vext = vdupq_n_u8(ext);
     let vbias = vdupq_n_u8(profile.bias);
 
-    let mut h_store: Vec<uint8x16_t> = vec![zero; seg];
-    let mut h_load: Vec<uint8x16_t> = vec![zero; seg];
-    let mut e: Vec<uint8x16_t> = vec![zero; seg];
+    let (mut h_store, mut h_load, e) = striped_rows(rows, seg, zero, zero);
     let mut vmax_acc = zero;
 
     for &s in subject {
@@ -58,6 +58,7 @@ pub unsafe fn striped8_score_profile_neon(
         std::mem::swap(&mut h_store, &mut h_load);
 
         for v in 0..seg {
+            // SAFETY: `prof[v]` is a 16-byte profile vector.
             let pv = vld1q_u8(prof[v].as_ptr());
             vh = vqsubq_u8(vqaddq_u8(vh, pv), vbias);
             vh = vmaxq_u8(vh, e[v]);
@@ -91,8 +92,7 @@ pub unsafe fn striped8_score_profile_neon(
     }
 
     let best = vmaxvq_u8(vmax_acc);
-    let limit = 255u16 - (scheme.matrix.max_score().max(0) as u16 + profile.bias as u16);
-    if best as u16 >= limit {
+    if best >= profile.limit {
         None
     } else {
         Some(best as i32)
@@ -109,6 +109,7 @@ pub unsafe fn striped_score_profile_neon(
     profile: &StripedProfile,
     subject: &[u8],
     scheme: &ScoringScheme,
+    rows: &mut Vec<int16x8_t>,
 ) -> Option<i32> {
     if profile.query_len == 0 || subject.is_empty() {
         return Some(0);
@@ -122,9 +123,7 @@ pub unsafe fn striped_score_profile_neon(
     let vopen = vdupq_n_s16(open);
     let vext = vdupq_n_s16(ext);
 
-    let mut h_store: Vec<int16x8_t> = vec![zero; seg];
-    let mut h_load: Vec<int16x8_t> = vec![zero; seg];
-    let mut e: Vec<int16x8_t> = vec![vneg; seg];
+    let (mut h_store, mut h_load, e) = striped_rows(rows, seg, zero, vneg);
     let mut vmax_acc = zero;
 
     for &s in subject {
@@ -134,6 +133,7 @@ pub unsafe fn striped_score_profile_neon(
         std::mem::swap(&mut h_store, &mut h_load);
 
         for v in 0..seg {
+            // SAFETY: `prof[v]` is an 8-word profile vector.
             let pv = vld1q_s16(prof[v].as_ptr());
             vh = vqaddq_s16(vh, pv);
             vh = vmaxq_s16(vh, e[v]);

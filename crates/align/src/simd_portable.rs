@@ -14,6 +14,7 @@
 #![cfg(feature = "portable-simd")]
 
 use crate::profile::{StripedProfile, LANES};
+use crate::scratch::striped_rows;
 use crate::striped8::{ByteProfile, LANES8};
 use std::simd::cmp::{SimdOrd, SimdPartialOrd};
 use std::simd::num::SimdUint;
@@ -46,6 +47,7 @@ pub fn striped8_score_profile_portable(
     profile: &ByteProfile,
     subject: &[u8],
     scheme: &ScoringScheme,
+    rows: &mut Vec<Simd<u8, LANES8>>,
 ) -> Option<i32> {
     if profile.query_len == 0 || subject.is_empty() {
         return Some(0);
@@ -56,9 +58,7 @@ pub fn striped8_score_profile_portable(
     let bias = V8::splat(profile.bias);
     let zero = V8::splat(0);
 
-    let mut h_store: Vec<V8> = vec![zero; seg];
-    let mut h_load: Vec<V8> = vec![zero; seg];
-    let mut e: Vec<V8> = vec![zero; seg];
+    let (mut h_store, mut h_load, e) = striped_rows(rows, seg, zero, zero);
     let mut vmax_acc = zero;
 
     for &s in subject {
@@ -97,8 +97,7 @@ pub fn striped8_score_profile_portable(
     }
 
     let best = vmax_acc.reduce_max();
-    let limit = 255u16 - (scheme.matrix.max_score().max(0) as u16 + profile.bias as u16);
-    if best as u16 >= limit {
+    if best >= profile.limit {
         None
     } else {
         Some(best as i32)
@@ -111,6 +110,7 @@ pub fn striped_score_profile_portable(
     profile: &StripedProfile,
     subject: &[u8],
     scheme: &ScoringScheme,
+    rows: &mut Vec<Simd<i16, LANES>>,
 ) -> Option<i32> {
     use std::simd::num::SimdInt;
     if profile.query_len == 0 || subject.is_empty() {
@@ -122,9 +122,7 @@ pub fn striped_score_profile_portable(
     let zero = V16::splat(0);
     let neg = V16::splat(NEG);
 
-    let mut h_store: Vec<V16> = vec![zero; seg];
-    let mut h_load: Vec<V16> = vec![zero; seg];
-    let mut e: Vec<V16> = vec![neg; seg];
+    let (mut h_store, mut h_load, e) = striped_rows(rows, seg, zero, neg);
     let mut vmax_acc = zero;
 
     for &s in subject {

@@ -25,6 +25,7 @@
 
 use crate::profile::{StripedProfile, LANES};
 use crate::scalar::gotoh_score;
+use crate::scratch::striped_rows;
 use swdual_bio::ScoringScheme;
 
 type V = [i16; LANES];
@@ -40,29 +41,17 @@ fn splat(x: i16) -> V {
 
 #[inline(always)]
 fn vmax(a: V, b: V) -> V {
-    let mut out = [0i16; LANES];
-    for l in 0..LANES {
-        out[l] = a[l].max(b[l]);
-    }
-    out
+    std::array::from_fn(|l| a[l].max(b[l]))
 }
 
 #[inline(always)]
 fn vadds(a: V, b: V) -> V {
-    let mut out = [0i16; LANES];
-    for l in 0..LANES {
-        out[l] = a[l].saturating_add(b[l]);
-    }
-    out
+    std::array::from_fn(|l| a[l].saturating_add(b[l]))
 }
 
 #[inline(always)]
 fn vsubs_scalar(a: V, b: i16) -> V {
-    let mut out = [0i16; LANES];
-    for l in 0..LANES {
-        out[l] = a[l].saturating_sub(b);
-    }
-    out
+    std::array::from_fn(|l| a[l].saturating_sub(b))
 }
 
 /// Shift lanes up by one (lane `l` receives lane `l-1`), inserting
@@ -94,11 +83,12 @@ fn hmax(a: V) -> i16 {
 ///
 /// Returns `None` when the score approaches the `i16` ceiling and the
 /// result may have saturated; callers should recompute with
-/// [`gotoh_score`].
+/// [`gotoh_score`]. `rows` is the kernel's reusable `H`/`E` storage.
 pub fn striped_score_profile(
     profile: &StripedProfile,
     subject: &[u8],
     scheme: &ScoringScheme,
+    rows: &mut Vec<[i16; LANES]>,
 ) -> Option<i32> {
     if profile.query_len == 0 || subject.is_empty() {
         return Some(0);
@@ -107,9 +97,7 @@ pub fn striped_score_profile(
     let open = (scheme.gap_open + scheme.gap_extend) as i16;
     let ext = scheme.gap_extend as i16;
 
-    let mut h_store: Vec<V> = vec![splat(0); seg];
-    let mut h_load: Vec<V> = vec![splat(0); seg];
-    let mut e: Vec<V> = vec![splat(NEG); seg];
+    let (mut h_store, mut h_load, e) = striped_rows(rows, seg, splat(0), splat(NEG));
     let mut vmax_acc = splat(0);
 
     for &s in subject {
@@ -168,7 +156,7 @@ pub fn striped_score_profile(
 /// Striped Gotoh score; builds the profile internally.
 pub fn striped_score(query: &[u8], subject: &[u8], scheme: &ScoringScheme) -> Option<i32> {
     let profile = StripedProfile::build(query, &scheme.matrix);
-    striped_score_profile(&profile, subject, scheme)
+    striped_score_profile(&profile, subject, scheme, &mut Vec::new())
 }
 
 /// Striped score with automatic scalar fallback on 16-bit overflow —
@@ -190,7 +178,7 @@ pub fn striped_score_exact_profile(
     scheme: &ScoringScheme,
 ) -> i32 {
     debug_assert_eq!(profile.query_len, query.len());
-    striped_score_profile(profile, subject, scheme)
+    striped_score_profile(profile, subject, scheme, &mut Vec::new())
         .unwrap_or_else(|| gotoh_score(query, subject, scheme))
 }
 
@@ -294,7 +282,7 @@ mod tests {
         for s in [&b"MKVLAT"[..], b"GGARNDCEQ", b"WYHPSTMKV", b"AAAA"] {
             let s = prot(s);
             assert_eq!(
-                striped_score_profile(&profile, &s, &scheme).unwrap(),
+                striped_score_profile(&profile, &s, &scheme, &mut Vec::new()).unwrap(),
                 gotoh_score(&q, &s, &scheme)
             );
         }

@@ -15,6 +15,7 @@
 //! beat the fresh-start 0 that the clamp grants anyway.
 
 use crate::profile::{StripedProfile, LANES};
+use crate::scratch::striped_rows;
 use crate::striped::striped_score_exact_profile;
 use swdual_bio::matrix::Matrix;
 use swdual_bio::ScoringScheme;
@@ -79,6 +80,23 @@ fn hmax(a: V8) -> u8 {
     m
 }
 
+/// The byte tier's view of a matrix: `(bias, limit)`. Scores are stored
+/// as `s + bias` with `bias = −min(s)`; a best score ≥ `limit` may have
+/// saturated (an add saturates only when `H + max + bias` would pass
+/// 255) and must escalate. `None` when the matrix range cannot be
+/// biased into a byte — every subject then starts at the 16-bit tier.
+/// Every byte kernel, striped or inter-sequence, takes both values from
+/// here, so all of them escalate on exactly the same subjects.
+pub fn byte_range(matrix: &Matrix) -> Option<(u8, u8)> {
+    let min = matrix.min_score();
+    let max = matrix.max_score();
+    if min < -120 || max > 120 || (max - min) >= 250 {
+        return None;
+    }
+    let bias = (-min).max(0);
+    Some((bias as u8, (255 - (max.max(0) + bias)) as u8))
+}
+
 /// Striped byte-layout query profile: biased unsigned scores,
 /// position `v + l·segments` in lane `l` of vector `v`; padding lanes
 /// hold 0 (the most negative biased value), so they can never grow.
@@ -90,6 +108,8 @@ pub struct ByteProfile {
     pub segments: usize,
     /// The bias added to every score (= −min matrix score).
     pub bias: u8,
+    /// Saturation guard (see [`byte_range`]).
+    pub limit: u8,
     scores: Vec<V8>,
     alphabet_size: usize,
 }
@@ -101,12 +121,7 @@ impl ByteProfile {
     /// byte (|min| + max ≥ 255), in which case callers go straight to
     /// the 16-bit kernel.
     pub fn build(query: &[u8], matrix: &Matrix) -> Option<ByteProfile> {
-        let min = matrix.min_score();
-        let max = matrix.max_score();
-        if min < -120 || max > 120 || (max - min) >= 250 {
-            return None;
-        }
-        let bias = (-min).max(0) as u8;
+        let (bias, limit) = byte_range(matrix)?;
         let query_len = query.len();
         let segments = query_len.div_ceil(LANES8).max(1);
         let alphabet_size = matrix.size();
@@ -128,6 +143,7 @@ impl ByteProfile {
             query_len,
             segments,
             bias,
+            limit,
             scores,
             alphabet_size,
         })
@@ -141,11 +157,13 @@ impl ByteProfile {
 }
 
 /// Byte-kernel score from a prebuilt profile. `None` = saturated (or
-/// too close to saturation to trust); escalate to 16-bit.
+/// too close to saturation to trust); escalate to 16-bit. `rows` is the
+/// kernel's reusable `H`/`E` storage.
 pub fn striped8_score_profile(
     profile: &ByteProfile,
     subject: &[u8],
     scheme: &ScoringScheme,
+    rows: &mut Vec<[u8; LANES8]>,
 ) -> Option<i32> {
     if profile.query_len == 0 || subject.is_empty() {
         return Some(0);
@@ -156,9 +174,7 @@ pub fn striped8_score_profile(
     let ext = scheme.gap_extend.min(255) as u8;
     let bias = profile.bias;
 
-    let mut h_store: Vec<V8> = vec![splat(0); seg];
-    let mut h_load: Vec<V8> = vec![splat(0); seg];
-    let mut e: Vec<V8> = vec![splat(0); seg];
+    let (mut h_store, mut h_load, e) = striped_rows(rows, seg, splat(0), splat(0));
     let mut vmax_acc = splat(0);
 
     for &s in subject {
@@ -197,10 +213,7 @@ pub fn striped8_score_profile(
     }
 
     let best = hmax(vmax_acc);
-    // Saturation guard: an add saturates only when H + biased-profile
-    // would pass 255, i.e. H ≥ 255 − (max + bias).
-    let limit = 255u16 - (scheme.matrix.max_score().max(0) as u16 + bias as u16);
-    if best as u16 >= limit {
+    if best >= profile.limit {
         None
     } else {
         Some(best as i32)
@@ -211,7 +224,7 @@ pub fn striped8_score_profile(
 /// byte range is insufficient (saturation or un-biasable matrix).
 pub fn striped8_score(query: &[u8], subject: &[u8], scheme: &ScoringScheme) -> Option<i32> {
     let profile = ByteProfile::build(query, &scheme.matrix)?;
-    striped8_score_profile(&profile, subject, scheme)
+    striped8_score_profile(&profile, subject, scheme, &mut Vec::new())
 }
 
 /// The full dual-precision pipeline: byte kernel, then 16-bit striped,
@@ -224,7 +237,7 @@ pub fn striped8_score_exact(query: &[u8], subject: &[u8], scheme: &ScoringScheme
     let byte = ByteProfile::build(query, &scheme.matrix);
     if let Some(s) = byte
         .as_ref()
-        .and_then(|p| striped8_score_profile(p, subject, scheme))
+        .and_then(|p| striped8_score_profile(p, subject, scheme, &mut Vec::new()))
     {
         return s;
     }
@@ -246,7 +259,8 @@ pub fn striped8_score_exact_profiles(
     subject: &[u8],
     scheme: &ScoringScheme,
 ) -> i32 {
-    if let Some(s) = byte.and_then(|p| striped8_score_profile(p, subject, scheme)) {
+    if let Some(s) = byte.and_then(|p| striped8_score_profile(p, subject, scheme, &mut Vec::new()))
+    {
         return s;
     }
     striped_score_exact_profile(word, query, subject, scheme)
@@ -385,10 +399,11 @@ mod tests {
         let scheme = ScoringScheme::protein_default();
         let q = pseudo_random(90, 9);
         let profile = ByteProfile::build(&q, &scheme.matrix).unwrap();
+        let mut rows = Vec::new();
         for seed in 20..28u64 {
             let s = pseudo_random(70, seed);
             assert_eq!(
-                striped8_score_profile(&profile, &s, &scheme).unwrap(),
+                striped8_score_profile(&profile, &s, &scheme, &mut rows).unwrap(),
                 gotoh_score(&q, &s, &scheme)
             );
         }

@@ -8,15 +8,31 @@
 //! in bytes, so the pipeline's throughput is essentially byte-kernel
 //! throughput with an escalation tax proportional to the hit rate.
 //!
-//! Every tier scores through the same [`QueryProfiles`] bundle, so the
-//! per-query profile work is paid once (and, with
-//! [`crate::profile_cache::ProfileCache`], once per *process* rather
-//! than once per job). [`TierStats`] counts how many subjects each tier
-//! resolved; the runtime workers export those counts to `obs::metrics`
-//! so a schedule report can show the escalation rate.
+//! [`score_database`] is the one batch-level entry point — the CPU
+//! worker, the simulated device's functional scorer and the engines all
+//! score a query against a database through it. It picks the byte
+//! tier's *shape* per batch of subjects: the inter-sequence kernel
+//! ([`crate::interseq`], many subjects per vector) when the batch fills
+//! its lanes well enough for the query's length
+//! ([`Backend::interseq_min_fill`], measured), Farrar's striped kernel
+//! otherwise. Both shapes share one bias and one saturation limit, so they
+//! escalate exactly the same subjects and [`TierStats`] does not depend
+//! on the pick. Escalations run the striped 16-bit kernel from a
+//! [`QueryProfiles`] bundle that is built (or fetched from the
+//! [`ProfileCache`]) only when first needed.
+//!
+//! [`TierStats`] counts how many subjects each tier resolved; the
+//! runtime workers export those counts to `obs::metrics` so a schedule
+//! report can show the escalation rate.
 
-use crate::dispatch::QueryProfiles;
+use crate::dispatch::{Backend, QueryProfiles};
+use crate::engine::PhaseTimings;
+use crate::interseq::{Tables, MAX_LANES};
+use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
+use crate::scratch::Scratch;
+use std::sync::Arc;
+use std::time::Instant;
 use swdual_bio::ScoringScheme;
 
 /// Where each subject of a batch was resolved.
@@ -42,26 +58,275 @@ impl TierStats {
     }
 }
 
-/// Score one subject through the tier ladder. Always returns the exact
-/// Gotoh local-alignment score; `stats` records which tier resolved it.
+/// Score one subject through the striped tier ladder. Always returns
+/// the exact Gotoh local-alignment score; `stats` records which tier
+/// resolved it.
 #[inline]
 pub fn tiered_score(
     profiles: &QueryProfiles,
     subject: &[u8],
     scheme: &ScoringScheme,
+    scratch: &mut Scratch,
     stats: &mut TierStats,
 ) -> i32 {
     stats.subjects += 1;
-    if let Some(score) = profiles.score8(subject, scheme) {
+    if let Some(score) = profiles.score8(subject, scheme, scratch) {
         stats.byte_resolved += 1;
         return score;
     }
-    if let Some(score) = profiles.score16(subject, scheme) {
+    escalate(profiles, subject, scheme, scratch, stats)
+}
+
+/// The ladder above the byte tier: 16-bit lanes, then scalar.
+fn escalate(
+    profiles: &QueryProfiles,
+    subject: &[u8],
+    scheme: &ScoringScheme,
+    scratch: &mut Scratch,
+    stats: &mut TierStats,
+) -> i32 {
+    if let Some(score) = profiles.score16(subject, scheme, scratch) {
         stats.escalated_16 += 1;
         return score;
     }
     stats.escalated_scalar += 1;
     gotoh_score(&profiles.query, subject, scheme)
+}
+
+/// A database as one worker scores it: the borrowed subjects plus the
+/// order the inter-sequence kernel visits them in (longest first, so a
+/// batch's lanes end close together). The order is computed here, once
+/// per worker or device residency — never per job.
+#[derive(Debug, Clone, Default)]
+pub struct Subjects<'a> {
+    seqs: Vec<&'a [u8]>,
+    by_length: Vec<u32>,
+}
+
+impl<'a> Subjects<'a> {
+    /// Take `seqs` and sort their indices by length.
+    ///
+    /// # Panics
+    /// On more than `u32::MAX` subjects.
+    pub fn new(seqs: Vec<&'a [u8]>) -> Subjects<'a> {
+        let count = u32::try_from(seqs.len()).expect("at most u32::MAX subjects");
+        let mut by_length: Vec<u32> = (0..count).collect();
+        by_length.sort_by_key(|&i| std::cmp::Reverse(seqs[i as usize].len()));
+        Subjects { seqs, by_length }
+    }
+
+    /// The subjects, in the order they were given.
+    pub fn seqs(&self) -> &[&'a [u8]] {
+        &self.seqs
+    }
+
+    /// Number of subjects.
+    pub fn len(&self) -> usize {
+        self.seqs.len()
+    }
+
+    /// True when there is nothing to score.
+    pub fn is_empty(&self) -> bool {
+        self.seqs.is_empty()
+    }
+}
+
+impl<'a> FromIterator<&'a [u8]> for Subjects<'a> {
+    fn from_iter<I: IntoIterator<Item = &'a [u8]>>(iter: I) -> Self {
+        Subjects::new(iter.into_iter().collect())
+    }
+}
+
+/// Which shape the byte tier runs. Production callers always pass
+/// `Auto`; the forced shapes exist for the `kernels` bench's sweep, the
+/// property tests and the `EngineKind::InterSeq` ablation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ByteShape {
+    /// Per batch, whichever shape [`Backend::interseq_min_fill`] says
+    /// is cheaper: a batch too ragged or too empty to pay for its
+    /// padding sends its longest subject through the striped ladder and
+    /// the window slides on. One rule covers the long outliers at the
+    /// head of the length order, the part-empty batch at its tail, and
+    /// longer queries, for which only fuller batches pay.
+    Auto,
+    /// Farrar's striped kernel for every subject.
+    Striped,
+    /// The inter-sequence kernel for every batch, however ragged.
+    InterSeq,
+}
+
+impl Backend {
+    /// The pick rule of [`ByteShape::Auto`]: the smallest *fill* — real
+    /// residues over `lanes × longest` cells — at which a batch is
+    /// cheaper inter-sequence than through the striped kernel, for a
+    /// query of `query_len`; `None` when the byte tier should not run
+    /// inter-sequence at all.
+    ///
+    /// The inter-sequence kernel's rate per cell barely depends on the
+    /// query; the striped kernel's climbs with it (fewer padding lanes,
+    /// lazy-F amortised over more segments). So the break-even fill
+    /// rises with query length: measured on the reference AVX2 host it
+    /// is 0.30 at 30 residues and grows by 0.075 per doubling (0.45 at
+    /// 120, 0.68 at 1000 — EXPERIMENTS.md, "Byte-tier shape"; the
+    /// `sweep` section of `BENCH_kernels.json` checks the pick against
+    /// both forced shapes at every point). From 2048 residues the
+    /// striped kernel is within 10 % even on full batches while the
+    /// inter-sequence `H`/`E` state (64 B per query residue) outgrows
+    /// 128 KB, so there the pick is striped outright. The lane-array
+    /// kernels break even at 0.45 whatever the query.
+    pub fn interseq_min_fill(self, query_len: usize) -> Option<f64> {
+        match self {
+            Backend::Avx2 if query_len >= 2048 => None,
+            Backend::Avx2 => {
+                let doublings = (query_len.max(30) as f64 / 30.0).log2();
+                Some(0.30 + 0.075 * doublings)
+            }
+            Backend::Scalar => Some(0.45),
+            // No instantiation of their own and no measurement.
+            Backend::Neon | Backend::Portable => None,
+        }
+    }
+}
+
+/// The query's striped profiles, built (or fetched from the cache) on
+/// first use: a job the inter-sequence byte tier resolves completely
+/// never pays for them.
+struct LazyProfiles<'a> {
+    backend: Backend,
+    query: &'a [u8],
+    scheme: &'a ScoringScheme,
+    cache: Option<&'a ProfileCache>,
+    built: Option<Arc<QueryProfiles>>,
+    seconds: f64,
+}
+
+impl LazyProfiles<'_> {
+    fn get(&mut self) -> &QueryProfiles {
+        let LazyProfiles {
+            backend,
+            query,
+            scheme,
+            cache,
+            built,
+            seconds,
+        } = self;
+        built.get_or_insert_with(|| {
+            let start = Instant::now();
+            let profiles = match cache {
+                Some(cache) => cache.get_or_build_for(*backend, query, &scheme.matrix),
+                None => Arc::new(QueryProfiles::build_for(*backend, query, &scheme.matrix)),
+            };
+            *seconds += start.elapsed().as_secs_f64();
+            profiles
+        })
+    }
+}
+
+/// Score `query` against every subject of `db` on the active backend,
+/// the byte-tier shape picked automatically. Scores are exact and in
+/// the subjects' original order; `stats` gains one count per subject.
+/// `profile_build` covers the inter-sequence tables and any striped
+/// profile build or cache lookup, `dp_inner` everything else.
+pub fn score_database(
+    query: &[u8],
+    db: &Subjects<'_>,
+    scheme: &ScoringScheme,
+    cache: Option<&ProfileCache>,
+    scratch: &mut Scratch,
+    stats: &mut TierStats,
+) -> (Vec<i32>, PhaseTimings) {
+    score_database_with(
+        Backend::active(),
+        ByteShape::Auto,
+        query,
+        db,
+        scheme,
+        cache,
+        scratch,
+        stats,
+    )
+}
+
+/// [`score_database`] on an explicit backend with an explicit byte-tier
+/// shape.
+#[allow(clippy::too_many_arguments)]
+pub fn score_database_with(
+    backend: Backend,
+    shape: ByteShape,
+    query: &[u8],
+    db: &Subjects<'_>,
+    scheme: &ScoringScheme,
+    cache: Option<&ProfileCache>,
+    scratch: &mut Scratch,
+    stats: &mut TierStats,
+) -> (Vec<i32>, PhaseTimings) {
+    let start = Instant::now();
+    let min_fill = match shape {
+        ByteShape::Striped => None,
+        ByteShape::InterSeq => Some(0.0),
+        ByteShape::Auto => backend.interseq_min_fill(query.len()),
+    };
+    let inter_sequence =
+        min_fill.and_then(|fill| Tables::build(query, scheme).map(|tables| (tables, fill)));
+    let tables_seconds = start.elapsed().as_secs_f64();
+    let mut profiles = LazyProfiles {
+        backend,
+        query,
+        scheme,
+        cache,
+        built: None,
+        seconds: 0.0,
+    };
+
+    let seqs = db.seqs();
+    let mut scores = vec![0i32; seqs.len()];
+    match inter_sequence {
+        None => {
+            let profiles = profiles.get();
+            for (score, subject) in scores.iter_mut().zip(seqs) {
+                *score = tiered_score(profiles, subject, scheme, scratch, stats);
+            }
+        }
+        Some((tables, min_fill)) => {
+            let lanes = backend.interseq_lanes();
+            let mut batch: Vec<&[u8]> = Vec::with_capacity(lanes);
+            let mut best = [0u8; MAX_LANES];
+            let mut rest = db.by_length.as_slice();
+            while let Some(&longest) = rest.first() {
+                let ids = &rest[..lanes.min(rest.len())];
+                let residues: usize = ids.iter().map(|&i| seqs[i as usize].len()).sum();
+                let cells = lanes * seqs[longest as usize].len();
+                if (residues as f64) < min_fill * cells as f64 {
+                    let subject = seqs[longest as usize];
+                    scores[longest as usize] =
+                        tiered_score(profiles.get(), subject, scheme, scratch, stats);
+                    rest = &rest[1..];
+                    continue;
+                }
+                batch.clear();
+                batch.extend(ids.iter().map(|&i| seqs[i as usize]));
+                backend.interseq8(query, &tables, &batch, scratch, &mut best);
+                for (&i, &lane_best) in ids.iter().zip(&best) {
+                    stats.subjects += 1;
+                    scores[i as usize] = if lane_best < tables.limit {
+                        stats.byte_resolved += 1;
+                        lane_best as i32
+                    } else {
+                        escalate(profiles.get(), seqs[i as usize], scheme, scratch, stats)
+                    };
+                }
+                rest = &rest[ids.len()..];
+            }
+        }
+    }
+
+    let profile_build = tables_seconds + profiles.seconds;
+    let timings = PhaseTimings {
+        profile_build,
+        dp_inner: (start.elapsed().as_secs_f64() - profile_build).max(0.0),
+        traceback: 0.0,
+    };
+    (scores, timings)
 }
 
 #[cfg(test)]
@@ -81,7 +346,7 @@ mod tests {
         let s = prot(b"MKWVTFISLLLLFSSAYSRGVFRR");
         let p = QueryProfiles::build(&q, &scheme.matrix);
         let mut stats = TierStats::default();
-        let got = tiered_score(&p, &s, &scheme, &mut stats);
+        let got = tiered_score(&p, &s, &scheme, &mut Scratch::default(), &mut stats);
         assert_eq!(got, gotoh_score(&q, &s, &scheme));
         assert_eq!(stats.subjects, 1);
         assert_eq!(stats.byte_resolved, 1);
@@ -97,7 +362,7 @@ mod tests {
         let q = prot(&vec![b'W'; 400]);
         let p = QueryProfiles::build(&q, &scheme.matrix);
         let mut stats = TierStats::default();
-        let got = tiered_score(&p, &q, &scheme, &mut stats);
+        let got = tiered_score(&p, &q, &scheme, &mut Scratch::default(), &mut stats);
         assert_eq!(got, 4400);
         assert_eq!(stats.escalated_16, 1);
         assert_eq!(stats.escalated_scalar, 0);
@@ -111,7 +376,7 @@ mod tests {
         let q = prot(&vec![b'W'; 3100]);
         let p = QueryProfiles::build(&q, &scheme.matrix);
         let mut stats = TierStats::default();
-        let got = tiered_score(&p, &q, &scheme, &mut stats);
+        let got = tiered_score(&p, &q, &scheme, &mut Scratch::default(), &mut stats);
         assert_eq!(got, 3100 * 11);
         assert_eq!(stats.escalated_scalar, 1);
         assert_eq!(stats.byte_resolved, 0);
@@ -128,7 +393,7 @@ mod tests {
         let p = QueryProfiles::build(&q, &scheme.matrix);
         assert!(p.byte.is_none());
         let mut stats = TierStats::default();
-        let got = tiered_score(&p, &q, &scheme, &mut stats);
+        let got = tiered_score(&p, &q, &scheme, &mut Scratch::default(), &mut stats);
         assert_eq!(got, gotoh_score(&q, &q, &scheme));
         assert_eq!(stats.escalated_16, 1);
     }
@@ -168,7 +433,7 @@ mod tests {
             let mut stats = TierStats::default();
             for s in &subjects {
                 assert_eq!(
-                    tiered_score(&p, s, &scheme, &mut stats),
+                    tiered_score(&p, s, &scheme, &mut Scratch::default(), &mut stats),
                     gotoh_score(&q, s, &scheme),
                     "backend {backend}"
                 );

@@ -81,6 +81,8 @@ pub struct ByteProfileW {
     pub segments: usize,
     /// The bias added to every score.
     pub bias: u8,
+    /// Saturation guard (see [`crate::striped8::byte_range`]).
+    pub limit: u8,
     /// Alphabet size.
     pub alphabet_size: usize,
     scores: Vec<[u8; LANES8W]>,
@@ -91,12 +93,7 @@ impl ByteProfileW {
     /// cannot be biased into a byte (same rule as the narrow profile, so
     /// every backend escalates on exactly the same matrices).
     pub fn build(query: &[u8], matrix: &Matrix) -> Option<ByteProfileW> {
-        let min = matrix.min_score();
-        let max = matrix.max_score();
-        if min < -120 || max > 120 || (max - min) >= 250 {
-            return None;
-        }
-        let bias = (-min).max(0) as u8;
+        let (bias, limit) = crate::striped8::byte_range(matrix)?;
         let query_len = query.len();
         let segments = query_len.div_ceil(LANES8W).max(1);
         let alphabet_size = matrix.size();
@@ -116,6 +113,7 @@ impl ByteProfileW {
             query_len,
             segments,
             bias,
+            limit,
             alphabet_size,
             scores,
         })

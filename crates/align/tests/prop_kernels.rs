@@ -7,12 +7,12 @@ use proptest::prelude::*;
 use swdual_align::banded::{banded_gotoh_score, bandwidth_for};
 use swdual_align::dispatch::{Backend, QueryProfiles};
 use swdual_align::engine::EngineKind;
-use swdual_align::interseq::interseq_batch_exact;
 use swdual_align::scalar::{gotoh_score, sw_linear_score};
 use swdual_align::striped::striped_score_exact;
-use swdual_align::tiered::{tiered_score, TierStats};
+use swdual_align::tiered::{score_database_with, tiered_score, ByteShape, Subjects, TierStats};
 use swdual_align::traceback::{self, Mode};
 use swdual_align::wavefront::{wavefront_score, WavefrontConfig};
+use swdual_align::Scratch;
 use swdual_bio::{Alphabet, Matrix, ScoringScheme};
 
 /// Random protein residues (codes 0..20, the unambiguous amino acids).
@@ -67,10 +67,21 @@ proptest! {
         subjects in prop::collection::vec(residues(120), 0..8),
         sch in scheme(),
     ) {
-        let refs: Vec<&[u8]> = subjects.iter().map(|s| s.as_slice()).collect();
-        let got = interseq_batch_exact(&q, &refs, &sch);
-        for (l, s) in refs.iter().enumerate() {
-            prop_assert_eq!(got[l], gotoh_score(&q, s, &sch), "lane {}", l);
+        let db: Subjects = subjects.iter().map(|s| s.as_slice()).collect();
+        for backend in Backend::available() {
+            let (got, _) = score_database_with(
+                backend,
+                ByteShape::InterSeq,
+                &q,
+                &db,
+                &sch,
+                None,
+                &mut Scratch::default(),
+                &mut TierStats::default(),
+            );
+            for (l, s) in subjects.iter().enumerate() {
+                prop_assert_eq!(got[l], gotoh_score(&q, s, &sch), "{} lane {}", backend, l);
+            }
         }
     }
 
@@ -282,9 +293,10 @@ proptest! {
         s in residues(160),
         sch in scheme(),
     ) {
+        let scratch = &mut Scratch::default();
         let oracle = QueryProfiles::build_for(Backend::Scalar, &q, &sch.matrix);
-        let want8 = oracle.score8(&s, &sch);
-        let want16 = oracle.score16(&s, &sch);
+        let want8 = oracle.score8(&s, &sch, scratch);
+        let want16 = oracle.score16(&s, &sch, scratch);
         // The oracle's word tier itself must match the Gotoh reference
         // whenever it does not saturate.
         if let Some(w) = want16 {
@@ -292,8 +304,8 @@ proptest! {
         }
         for backend in Backend::available() {
             let p = QueryProfiles::build_for(backend, &q, &sch.matrix);
-            prop_assert_eq!(p.score8(&s, &sch), want8, "byte tier, backend {}", backend);
-            prop_assert_eq!(p.score16(&s, &sch), want16, "word tier, backend {}", backend);
+            prop_assert_eq!(p.score8(&s, &sch, scratch), want8, "byte tier, backend {}", backend);
+            prop_assert_eq!(p.score16(&s, &sch, scratch), want16, "word tier, backend {}", backend);
         }
     }
 
@@ -303,13 +315,14 @@ proptest! {
         s in residues(160),
         sch in blosum_scheme(),
     ) {
+        let scratch = &mut Scratch::default();
         let oracle = QueryProfiles::build_for(Backend::Scalar, &q, &sch.matrix);
-        let want8 = oracle.score8(&s, &sch);
-        let want16 = oracle.score16(&s, &sch);
+        let want8 = oracle.score8(&s, &sch, scratch);
+        let want16 = oracle.score16(&s, &sch, scratch);
         for backend in Backend::available() {
             let p = QueryProfiles::build_for(backend, &q, &sch.matrix);
-            prop_assert_eq!(p.score8(&s, &sch), want8, "byte tier, backend {}", backend);
-            prop_assert_eq!(p.score16(&s, &sch), want16, "word tier, backend {}", backend);
+            prop_assert_eq!(p.score8(&s, &sch, scratch), want8, "byte tier, backend {}", backend);
+            prop_assert_eq!(p.score16(&s, &sch, scratch), want16, "word tier, backend {}", backend);
         }
     }
 
@@ -322,13 +335,14 @@ proptest! {
         // High-magnitude scores: byte profiles are often rejected
         // outright and 16-bit saturation is reachable; the saturation
         // *signal* must also agree across backends.
+        let scratch = &mut Scratch::default();
         let oracle = QueryProfiles::build_for(Backend::Scalar, &q, &sch.matrix);
-        let want8 = oracle.score8(&s, &sch);
-        let want16 = oracle.score16(&s, &sch);
+        let want8 = oracle.score8(&s, &sch, scratch);
+        let want16 = oracle.score16(&s, &sch, scratch);
         for backend in Backend::available() {
             let p = QueryProfiles::build_for(backend, &q, &sch.matrix);
-            prop_assert_eq!(p.score8(&s, &sch), want8, "byte tier, backend {}", backend);
-            prop_assert_eq!(p.score16(&s, &sch), want16, "word tier, backend {}", backend);
+            prop_assert_eq!(p.score8(&s, &sch, scratch), want8, "byte tier, backend {}", backend);
+            prop_assert_eq!(p.score16(&s, &sch, scratch), want16, "word tier, backend {}", backend);
         }
     }
 
@@ -343,7 +357,7 @@ proptest! {
             let mut stats = TierStats::default();
             for s in &subjects {
                 prop_assert_eq!(
-                    tiered_score(&p, s, &sch, &mut stats),
+                    tiered_score(&p, s, &sch, &mut Scratch::default(), &mut stats),
                     gotoh_score(&q, s, &sch),
                     "backend {}", backend
                 );
@@ -355,4 +369,216 @@ proptest! {
             );
         }
     }
+}
+
+// ---- batch-level scoring: `score_database` ----------------------------
+//
+// The one entry point the workers and the simulated device score a
+// database through must return the Gotoh score of every subject *and*
+// resolve each in the tier the per-subject striped ladder would have —
+// whichever shape the byte tier runs, on every backend. Escalation
+// counts are journaled and benchmark-gated, so "same scores" is not
+// enough.
+
+/// Residues over the whole protein alphabet: ambiguity codes and `*`
+/// (code `size − 1`) included.
+fn any_residues(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(0u8..24, 0..max_len)
+}
+
+/// 0…70 subjects — no batch, single-lane, partial and several full
+/// batches on every backend — of wildly uneven lengths: a quarter
+/// empty, a quarter a few residues, the rest up to 60 or, repeated,
+/// 240. (Sizes are kept small: tier-1 runs these unoptimised.)
+fn uneven_subjects() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let subject = (0u8..8, any_residues(60)).prop_map(|(kind, s)| match kind {
+        0 | 1 => Vec::new(),
+        2 | 3 => s[..s.len().min(5)].to_vec(),
+        4 => s.repeat(4),
+        _ => s,
+    });
+    prop::collection::vec(subject, 0..71)
+}
+
+/// What the per-subject striped ladder returns and counts.
+fn striped_ladder(
+    backend: Backend,
+    q: &[u8],
+    subjects: &[Vec<u8>],
+    sch: &ScoringScheme,
+) -> (Vec<i32>, TierStats) {
+    let p = QueryProfiles::build_for(backend, q, &sch.matrix);
+    let mut stats = TierStats::default();
+    let scratch = &mut Scratch::default();
+    let scores = subjects
+        .iter()
+        .map(|s| tiered_score(&p, s, sch, scratch, &mut stats))
+        .collect();
+    (scores, stats)
+}
+
+/// Every backend × every byte-tier shape against Gotoh and the
+/// per-subject ladder.
+fn assert_database_exact(
+    q: &[u8],
+    subjects: &[Vec<u8>],
+    sch: &ScoringScheme,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let want: Vec<i32> = subjects.iter().map(|s| gotoh_score(q, s, sch)).collect();
+    let db: Subjects = subjects.iter().map(|s| s.as_slice()).collect();
+    // One scratch across every call: leftovers of one batch, shape or
+    // lane width must never leak into the next.
+    let scratch = &mut Scratch::default();
+    for backend in Backend::available() {
+        let (ladder, ladder_stats) = striped_ladder(backend, q, subjects, sch);
+        prop_assert_eq!(&ladder, &want, "striped ladder on {}", backend);
+        for shape in [ByteShape::Auto, ByteShape::Striped, ByteShape::InterSeq] {
+            let mut stats = TierStats::default();
+            let (got, _) =
+                score_database_with(backend, shape, q, &db, sch, None, scratch, &mut stats);
+            prop_assert_eq!(&got, &want, "{:?} on {}", shape, backend);
+            prop_assert_eq!(stats, ladder_stats, "tiers of {:?} on {}", shape, backend);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn score_database_exact_on_blosum(
+        q in any_residues(90),
+        subjects in uneven_subjects(),
+        sch in blosum_scheme(),
+    ) {
+        assert_database_exact(&q, &subjects, &sch)?;
+    }
+
+    #[test]
+    fn score_database_exact_on_arbitrary_schemes(
+        q in residues(90),
+        subjects in uneven_subjects(),
+        sch in scheme(),
+    ) {
+        assert_database_exact(&q, &subjects, &sch)?;
+    }
+
+    #[test]
+    fn score_database_exact_when_bytes_saturate(
+        q in dna_residues(60),
+        subjects in prop::collection::vec(dna_residues(80), 0..40),
+        sch in adversarial_scheme(),
+    ) {
+        // Rewards of 60–160: many matrices cannot be biased into a byte
+        // at all (the inter-sequence tier must stand aside), the rest
+        // saturate within a few matches.
+        assert_database_exact(&q, &subjects, &sch)?;
+    }
+}
+
+#[test]
+fn score_database_handles_empty_query_and_empty_database() {
+    let sch = ScoringScheme::protein_default();
+    let subjects = vec![vec![3u8; 40], vec![], vec![7u8; 9]];
+    assert_database_exact(&[], &subjects, &sch).unwrap();
+    assert_database_exact(&[3u8; 20], &[], &sch).unwrap();
+}
+
+#[test]
+fn score_database_exact_on_long_queries() {
+    // Long enough that `Auto` sends ragged batches striped and keeps
+    // near-uniform ones inter-sequence: 40 subjects of 60–99 residues
+    // plus outliers at both ends.
+    let sch = ScoringScheme::protein_default();
+    let residue = |i: usize| ((i * 7 + i / 13) % 20) as u8;
+    let q: Vec<u8> = (0..500).map(residue).collect();
+    let mut subjects: Vec<Vec<u8>> = (0..40)
+        .map(|n| (n..n + 60 + n).map(residue).collect())
+        .collect();
+    subjects.push((5..405).map(residue).collect());
+    subjects.push(vec![]);
+    subjects.push(q[100..130].to_vec());
+    assert_database_exact(&q, &subjects, &sch).unwrap();
+}
+
+/// A run of `mid` identical residues scores past a byte but inside 16
+/// bits, a run of `long` past 16 bits. Among 34 ordinary subjects
+/// exactly those two must escalate, to exactly those tiers, and no
+/// lane beside them — under every shape on every backend.
+fn assert_saturating_lanes_escalate_alone(
+    sch: &ScoringScheme,
+    residue: u8,
+    mid: usize,
+    long: usize,
+) {
+    let q = vec![residue; long];
+    let mut subjects: Vec<Vec<u8>> = (0..34usize)
+        .map(|n| (0..10 + 2 * n).map(|i| ((i * 11 + n) % 17) as u8).collect())
+        .collect();
+    subjects.insert(13, vec![residue; mid]);
+    subjects.insert(30, vec![residue; long]);
+    assert_database_exact(&q, &subjects, sch).unwrap();
+    let (scores, stats) = striped_ladder(Backend::active(), &q, &subjects, sch);
+    let per_match = sch.matrix.score(residue, residue) as usize;
+    assert_eq!(scores[13] as usize, mid * per_match);
+    assert_eq!(scores[30] as usize, long * per_match);
+    assert_eq!(
+        (
+            stats.byte_resolved,
+            stats.escalated_16,
+            stats.escalated_scalar
+        ),
+        (34, 1, 1)
+    );
+}
+
+#[test]
+fn saturating_lanes_escalate_alone() {
+    // +100 per match: 30 matches = 3 000, 340 = 34 000 > i16::MAX.
+    let sch = ScoringScheme::new(Matrix::match_mismatch(Alphabet::Protein, 100, -4), 10, 2);
+    assert_saturating_lanes_escalate_alone(&sch, 17, 30, 340);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "3100 × 3100 cells per tier, backend and shape: a minute unoptimised"
+)]
+fn w400_and_w3100_escalate_alone_on_blosum() {
+    // BLOSUM62 W–W = 11: 400 W = 4 400, 3 100 W = 34 100 > i16::MAX.
+    let w = Alphabet::Protein.encode_byte(b'W').unwrap();
+    assert_saturating_lanes_escalate_alone(&ScoringScheme::protein_default(), w, 400, 3100);
+}
+
+#[test]
+fn unbiasable_matrix_takes_the_sixteen_bit_path() {
+    // |min| > 120 cannot be biased into a byte: no inter-sequence
+    // tables, no byte profile, every subject starts at 16 bits — under
+    // every shape, without panicking. (An alphabet of more than 31
+    // letters is refused by the same `Tables::build` check, but no
+    // `Alphabet` that large exists to build a matrix over.)
+    let m = Matrix::match_mismatch(Alphabet::Dna, 5, -200);
+    let sch = ScoringScheme::new(m, 10, 2);
+    let q: Vec<u8> = (0..40).map(|i| (i % 4) as u8).collect();
+    let subjects: Vec<Vec<u8>> = (0..35)
+        .map(|n| (0..n * 3).map(|i| ((i + n) % 5) as u8).collect())
+        .collect();
+    assert_database_exact(&q, &subjects, &sch).unwrap();
+    let (_, stats) = striped_ladder(Backend::active(), &q, &subjects, &sch);
+    assert_eq!(stats.byte_resolved, 0);
+}
+
+#[test]
+fn a_score_exactly_at_the_limit_escalates_under_every_shape() {
+    // +5/−5: bias 5, limit 255 − (5 + 5) = 245 = 49 matches. 48
+    // matches resolve in bytes, 49 sit exactly on the guard and must
+    // escalate — in the inter-sequence kernel as in the striped one.
+    let sch = ScoringScheme::new(Matrix::match_mismatch(Alphabet::Protein, 5, -5), 10, 2);
+    let q = vec![2u8; 60];
+    let subjects: Vec<Vec<u8>> = (46..53).map(|len| vec![2u8; len]).collect();
+    assert_database_exact(&q, &subjects, &sch).unwrap();
+    let (scores, stats) = striped_ladder(Backend::active(), &q, &subjects, &sch);
+    assert_eq!(scores, [230, 235, 240, 245, 250, 255, 260]);
+    assert_eq!((stats.byte_resolved, stats.escalated_16), (3, 4));
 }

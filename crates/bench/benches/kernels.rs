@@ -1,7 +1,7 @@
 //! Kernel throughput: per-backend MCUPS of the striped byte and 16-bit
-//! kernels, the tiered pipeline, the profile-cache amortization, and
-//! the lane-array inter-sequence kernel beside the tiered pipeline at a
-//! short- and a long-subject database shape.
+//! kernels, the tiered pipeline, the profile-cache amortization, and a
+//! query-length sweep of the byte tier's two shapes (striped vs
+//! inter-sequence) through `score_database`.
 //!
 //! For every SIMD backend reachable on this host (AVX2 / NEON /
 //! portable / scalar — see `swdual_align::dispatch`), a full run scores
@@ -16,8 +16,11 @@
 //!
 //! * `BENCH_kernels.json` at the workspace root (or `$SWDUAL_BENCH_DIR`):
 //!   per-backend MCUPS, ns/cell, speedups vs scalar, cache timings, and
-//!   the `interseq` rows — the evidence ROADMAP item 2b decides on
-//!   (port `align::interseq` to the dispatched backends, or delete it).
+//!   the `sweep` section: query lengths 30 … 5000 against a
+//!   UniProt-shaped subject set and a 64-sequence one, byte tier forced
+//!   striped, forced inter-sequence, and picked automatically, per
+//!   backend — where the constants of `Backend::interseq_min_fill`
+//!   (`align::tiered`'s pick rule) come from.
 //! * One `kernels` entry appended to the `BENCH_trend.json` ledger
 //!   (ns/cell, lower is better) for `swdual diff --bench` to gate on.
 //!
@@ -26,18 +29,52 @@
 //! correctness, and skips the timed passes and file writes.
 
 use swdual_align::dispatch::{Backend, QueryProfiles};
-use swdual_align::interseq::interseq_search;
 use swdual_align::profile_cache::ProfileCache;
 use swdual_align::scalar::gotoh_score;
-use swdual_align::tiered::{tiered_score, TierStats};
+use swdual_align::tiered::{score_database_with, tiered_score, ByteShape, Subjects, TierStats};
+use swdual_align::Scratch;
 use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
 
-/// Database shapes for the inter-sequence comparison: equal residue
-/// totals, as many short subjects or as few long ones.
-const INTERSEQ_SHAPES: [(&str, usize, usize); 2] =
-    [("short_subjects", 640, 60), ("long_subjects", 32, 1200)];
+/// Query lengths of the byte-tier shape sweep.
+const SWEEP_QUERY_LENS: [usize; 8] = [30, 60, 120, 250, 500, 1000, 2000, 5000];
+
+/// Subject sets of the sweep, both with the paper's UniProt length
+/// distribution (gamma, mean 362): enough sequences that batches fill,
+/// and the 64 of the `tiny_tasks` benchmark workload, where they do not.
+const SWEEP_SETS: [(&str, usize); 2] = [("uniprot", 1024), ("tiny64", 64)];
+
+/// The three byte-tier shapes timed at every sweep point.
+const SWEEP_SHAPES: [ByteShape; 3] = [ByteShape::Striped, ByteShape::InterSeq, ByteShape::Auto];
+
+/// Alternating timing rounds per sweep point.
+const SWEEP_ROUNDS: usize = 13;
+
+/// One sweep point: ns per cell with the byte tier forced striped,
+/// forced inter-sequence, and picked by `score_database`.
+struct SweepPoint {
+    query_len: usize,
+    ns_per_cell: [f64; 3],
+}
+
+/// One subject set's sweep: `(name, subjects, one point per query length)`.
+type SweepSet = (&'static str, usize, Vec<SweepPoint>);
+
+/// One database pass through `score_database_with`.
+fn pass(
+    backend: Backend,
+    shape: ByteShape,
+    query: &[u8],
+    db: &Subjects,
+    scheme: &ScoringScheme,
+    scratch: &mut Scratch,
+) -> (Vec<i32>, TierStats) {
+    let mut stats = TierStats::default();
+    let (scores, _) =
+        score_database_with(backend, shape, query, db, scheme, None, scratch, &mut stats);
+    (scores, stats)
+}
 
 /// Per-backend timing results for one database pass (ns per pass).
 struct BackendResult {
@@ -83,12 +120,14 @@ fn main() {
         .iter()
         .map(|s| gotoh_score(&query, s, &scheme))
         .collect();
+    let db_plan = Subjects::new(subjects.clone());
+    let mut scratch = Scratch::default();
     for backend in Backend::available() {
         let profiles = QueryProfiles::build_for(backend, &query, &scheme.matrix);
         let mut stats = TierStats::default();
         let got: Vec<i32> = subjects
             .iter()
-            .map(|s| tiered_score(&profiles, s, &scheme, &mut stats))
+            .map(|s| tiered_score(&profiles, s, &scheme, &mut scratch, &mut stats))
             .collect();
         assert_eq!(got, expected, "backend {backend} diverged from scalar");
         println!(
@@ -99,10 +138,22 @@ fn main() {
             stats.escalated_16,
             stats.escalated_scalar
         );
+        // The inter-sequence byte tier: same scores, same tier counts.
+        let (got, inter) = pass(
+            backend,
+            ByteShape::InterSeq,
+            &query,
+            &db_plan,
+            &scheme,
+            &mut scratch,
+        );
+        assert_eq!(got, expected, "interseq8 on {backend} diverged from scalar");
+        assert_eq!(inter, stats, "interseq8 on {backend} escalated differently");
+        println!(
+            "check/interseq8  ok ({backend}, {} subjects per vector)",
+            backend.interseq_lanes()
+        );
     }
-
-    assert_eq!(interseq_search(&query, &subjects, &scheme), expected);
-    println!("check/interseq  ok");
 
     if test_mode {
         // Smoke also covers the cache round trip.
@@ -128,20 +179,26 @@ fn main() {
         // byte kernel.
         let striped8_ns = measure(samples, iters, || {
             for s in &subjects {
-                std::hint::black_box(profiles.score8(s, &scheme));
+                std::hint::black_box(profiles.score8(s, &scheme, &mut scratch));
             }
         });
         // 16-bit tier only.
         let striped16_ns = measure(samples, iters, || {
             for s in &subjects {
-                std::hint::black_box(profiles.score16(s, &scheme));
+                std::hint::black_box(profiles.score16(s, &scheme, &mut scratch));
             }
         });
-        // The production path: byte → 16-bit → scalar ladder.
+        // The striped ladder: byte → 16-bit → scalar.
         let tiered_ns = measure(samples, iters, || {
             let mut stats = TierStats::default();
             for s in &subjects {
-                std::hint::black_box(tiered_score(&profiles, s, &scheme, &mut stats));
+                std::hint::black_box(tiered_score(
+                    &profiles,
+                    s,
+                    &scheme,
+                    &mut scratch,
+                    &mut stats,
+                ));
             }
         });
 
@@ -181,31 +238,72 @@ fn main() {
         if lookup_ns > 0.0 { build_ns / lookup_ns } else { 0.0 }
     );
 
-    // ---- inter-sequence kernel vs the production ladder, by shape ----
-    // (name, subjects, subject_len, interseq ns/cell, tiered ns/cell)
-    let mut interseq_rows: Vec<(&str, usize, usize, f64, f64)> = Vec::new();
-    let profiles = QueryProfiles::build(&query, &scheme.matrix);
-    for (shape, n, len) in INTERSEQ_SHAPES {
-        let db = synthetic_database("shape", n, LengthModel::Fixed(len), 13);
-        let subjects: Vec<&[u8]> = db.iter().map(|s| s.codes()).collect();
-        let cells = (query.len() * n * len) as f64;
-        let tiered_ns = measure(samples, iters, || {
-            let mut stats = TierStats::default();
-            for s in &subjects {
-                std::hint::black_box(tiered_score(&profiles, s, &scheme, &mut stats));
+    // ---- byte-tier shape sweep: striped vs inter-sequence vs auto ----
+    // sweep[backend][set] = one point per query length.
+    let mut sweep: Vec<(Backend, Vec<SweepSet>)> = Vec::new();
+    for backend in Backend::available() {
+        let mut sets = Vec::new();
+        for (set, n) in SWEEP_SETS {
+            let db = synthetic_database("sweep", n, LengthModel::protein_database(362.0), 13);
+            let plan: Subjects = db.iter().map(|s| s.codes()).collect();
+            let residues = db.total_residues() as f64;
+            let mut points = Vec::new();
+            for query_len in SWEEP_QUERY_LENS {
+                let qset = synthetic_database("q", 1, LengthModel::Fixed(query_len), 14);
+                let query = qset.get(0).expect("query generated").codes();
+                let cells = residues * query_len as f64;
+                // ~1e8 cells per timed sample, whatever the point's size.
+                let iters = ((1e8 / cells) as usize).clamp(1, 500);
+                let want = pass(
+                    backend,
+                    SWEEP_SHAPES[0],
+                    query,
+                    &plan,
+                    &scheme,
+                    &mut scratch,
+                );
+                for shape in SWEEP_SHAPES {
+                    let got = pass(backend, shape, query, &plan, &scheme, &mut scratch);
+                    assert_eq!(
+                        got, want,
+                        "{shape:?} on {backend} at query length {query_len}"
+                    );
+                }
+                // The three shapes are compared with each other, so they
+                // are timed in alternation and each keeps its fastest
+                // round: drift on a shared host then hits all alike.
+                let mut ns_per_cell = [f64::INFINITY; 3];
+                for _ in 0..SWEEP_ROUNDS {
+                    for (best, shape) in ns_per_cell.iter_mut().zip(SWEEP_SHAPES) {
+                        let start = std::time::Instant::now();
+                        for _ in 0..iters {
+                            std::hint::black_box(pass(
+                                backend,
+                                shape,
+                                query,
+                                &plan,
+                                &scheme,
+                                &mut scratch,
+                            ));
+                        }
+                        let ns = start.elapsed().as_nanos() as f64 / iters as f64;
+                        *best = best.min(ns / cells);
+                    }
+                }
+                println!(
+                    "sweep/{backend}/{set}  q={query_len:<5} striped {:8.1} MCUPS   interseq {:8.1} MCUPS   auto {:8.1} MCUPS",
+                    1e3 / ns_per_cell[0],
+                    1e3 / ns_per_cell[1],
+                    1e3 / ns_per_cell[2],
+                );
+                points.push(SweepPoint {
+                    query_len,
+                    ns_per_cell,
+                });
             }
-        });
-        // Two orders of magnitude slower: fewer passes.
-        let interseq_ns = measure(7, 1, || {
-            std::hint::black_box(interseq_search(&query, &subjects, &scheme));
-        });
-        println!(
-            "interseq/{shape}  ({n} x {len})  interseq {:8.1} MCUPS   tiered[{}] {:8.1} MCUPS",
-            cells / interseq_ns * 1e3,
-            Backend::active(),
-            cells / tiered_ns * 1e3,
-        );
-        interseq_rows.push((shape, n, len, interseq_ns / cells, tiered_ns / cells));
+            sets.push((set, n, points));
+        }
+        sweep.push((backend, sets));
     }
 
     // ---- BENCH_kernels.json ----
@@ -255,15 +353,45 @@ fn main() {
     json.push_str(&format!(
         "  \"profile_cache\": {{ \"build_ns\": {build_ns:.0}, \"cached_lookup_ns\": {lookup_ns:.0} }},\n"
     ));
-    json.push_str("  \"interseq\": {\n");
-    for (i, (shape, n, len, interseq, tiered)) in interseq_rows.iter().enumerate() {
-        let comma = if i + 1 < interseq_rows.len() { "," } else { "" };
+    json.push_str("  \"sweep\": {\n");
+    for (i, (backend, sets)) in sweep.iter().enumerate() {
+        // Where striped first catches up on the set whose batches fill.
+        let measured = sets[0]
+            .2
+            .iter()
+            .find(|p| p.ns_per_cell[0] <= p.ns_per_cell[1])
+            .map_or("null".to_string(), |p| p.query_len.to_string());
         json.push_str(&format!(
-            "    \"{shape}\": {{ \"subjects\": {n}, \"subject_len\": {len}, \"interseq_mcups\": {:.1}, \"tiered_mcups\": {:.1}, \"tiered_over_interseq\": {:.1} }}{comma}\n",
-            1e3 / interseq,
-            1e3 / tiered,
-            interseq / tiered,
+            "    \"{backend}\": {{\n      \"lanes\": {}, \"striped_first_ahead_at\": {measured},\n",
+            backend.interseq_lanes(),
         ));
+        for (j, (set, n, points)) in sets.iter().enumerate() {
+            json.push_str(&format!(
+                "      \"{set}\": {{ \"subjects\": {n}, \"points\": [\n"
+            ));
+            for (k, p) in points.iter().enumerate() {
+                let [striped, interseq, auto] = p.ns_per_cell.map(|ns| 1e3 / ns);
+                json.push_str(&format!(
+                    "        {{ \"query_len\": {}, \"min_fill\": {}, \"striped_mcups\": {striped:.1}, \"interseq_mcups\": {interseq:.1}, \"auto_mcups\": {auto:.1}, \"auto_over_best\": {:.3} }}{}\n",
+                    p.query_len,
+                    backend
+                        .interseq_min_fill(p.query_len)
+                        .map_or("null".to_string(), |fill| format!("{fill:.2}")),
+                    auto / striped.max(interseq),
+                    if k + 1 < points.len() { "," } else { "" },
+                ));
+            }
+            json.push_str(if j + 1 < sets.len() {
+                "      ] },\n"
+            } else {
+                "      ] }\n"
+            });
+        }
+        json.push_str(if i + 1 < sweep.len() {
+            "    },\n"
+        } else {
+            "    }\n"
+        });
     }
     json.push_str("  },\n");
     json.push_str("  \"acceptance_striped8_speedup_floor\": 2.0\n}\n");
@@ -283,8 +411,15 @@ fn main() {
         ));
         pairs.push((format!("{}_tiered", r.backend), ns_per_cell(r.tiered_ns)));
     }
-    for (shape, _, _, interseq, _) in &interseq_rows {
-        pairs.push((format!("interseq_{shape}"), *interseq));
+    for (backend, sets) in &sweep {
+        for (set, _, points) in sets {
+            for p in points {
+                pairs.push((
+                    format!("{backend}_auto_{set}_q{}", p.query_len),
+                    p.ns_per_cell[2],
+                ));
+            }
+        }
     }
     let pair_refs: Vec<(&str, f64)> = pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     append_trend("kernels", "ns_per_cell", &pair_refs);

@@ -18,7 +18,7 @@
 //! `swdual diff --bench` compares (last two entries per bench) and can
 //! gate on.
 
-use swdual_align::engine::{AlignEngine, PhaseTimings, StripedEngine};
+use swdual_align::engine::{AlignEngine, LadderEngine, PhaseTimings};
 use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
@@ -65,7 +65,7 @@ fn per_job(obs: &Obs, metrics: &Metrics, worker_id: usize, task_id: usize) {
 /// the task span, then the phase spans that subdivide it.
 fn profiled_job(
     obs: &Obs,
-    engine: &StripedEngine,
+    engine: &LadderEngine,
     query: &[u8],
     subjects: &[&[u8]],
     scheme: &ScoringScheme,
@@ -274,7 +274,7 @@ fn main() {
     let chunk: Vec<&[u8]> = db.iter().map(|s| s.residues.as_slice()).collect();
     let query = db.get(0).expect("non-empty db").residues.clone();
     let scheme = ScoringScheme::protein_default();
-    let engine = StripedEngine;
+    let engine = LadderEngine::AUTO;
 
     let mut profile_results: Vec<(&str, f64)> = Vec::new();
     let mut job_bench = |name: &'static str, obs: Obs, profiling: bool| {

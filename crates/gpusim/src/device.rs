@@ -26,7 +26,7 @@
 use crate::memory::{Allocation, DeviceMemory, MemoryError};
 use crate::spec::DeviceSpec;
 use serde::{Deserialize, Serialize};
-use swdual_align::{tiered_score, ProfileCache, TierStats};
+use swdual_align::{score_database, ProfileCache, Scratch, Subjects, TierStats};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
 use swdual_obs::{EventBody, Obs, Track};
@@ -137,8 +137,10 @@ pub struct KernelResult {
 #[derive(Debug)]
 pub struct ResidentDb<'a> {
     allocation: Allocation,
-    /// The uploaded sequences, scored in place in original order.
-    subjects: &'a [Sequence],
+    /// The uploaded sequences, scored in place; the host kernel's
+    /// length order is kept with the residency, not recomputed per
+    /// kernel.
+    subjects: Subjects<'a>,
     footprint: Footprint,
 }
 
@@ -229,6 +231,8 @@ pub struct GpuDevice {
     /// Query profiles of the task being served: chunked searches score
     /// one query against many residencies and build them once.
     profiles: ProfileCache,
+    /// The functional scorer's kernel working memory.
+    scratch: Scratch,
 }
 
 impl GpuDevice {
@@ -250,6 +254,7 @@ impl GpuDevice {
             busy_transfer: 0.0,
             lineage_task: None,
             profiles: ProfileCache::new(1),
+            scratch: Scratch::default(),
         }
     }
 
@@ -449,7 +454,7 @@ impl GpuDevice {
         self.update_device_metrics("device_h2d_seconds", t);
         Ok(ResidentDb {
             allocation,
-            subjects,
+            subjects: subjects.iter().map(|s| s.codes()).collect(),
             footprint,
         })
     }
@@ -479,6 +484,8 @@ impl GpuDevice {
     }
 
     /// The scorer's profile-cache `(hits, misses)`; a miss is a build.
+    /// A kernel looks the striped profiles up only when its byte tier
+    /// runs striped or a subject escalates.
     pub fn profile_lookups(&self) -> (u64, u64) {
         (self.profiles.hits(), self.profiles.misses())
     }
@@ -508,14 +515,15 @@ impl GpuDevice {
         scheme: &ScoringScheme,
     ) -> KernelResult {
         let wall_start = self.obs.now();
-        // Functional scorer: host time.
-        let profiles = self.profiles.get_or_build(query, &scheme.matrix);
-        let mut tiers = TierStats::default();
-        let scores: Vec<i32> = db
-            .subjects
-            .iter()
-            .map(|s| tiered_score(&profiles, s.codes(), scheme, &mut tiers))
-            .collect();
+        // Functional scorer: host time, the CPU worker's call.
+        let (scores, _) = score_database(
+            query,
+            &db.subjects,
+            scheme,
+            Some(&self.profiles),
+            &mut self.scratch,
+            &mut TierStats::default(),
+        );
         // Timing model: simulated time, from lengths alone.
         let (useful, padded, kernel_seconds) = db.footprint.kernel_cost(&self.spec, query.len());
         let start = self.clock;

@@ -116,7 +116,9 @@ fn a_four_chunk_search_builds_the_query_profiles_once() {
     let subjects: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i % 20; 50]).collect();
     let database = sequence_set(&subjects);
     let query = &[9u8; 80];
-    // 0.9 × 223 B = 200 B per chunk: four 50-residue subjects each.
+    // 0.9 × 223 B = 200 B per chunk: four 50-residue subjects each —
+    // too few to fill an inter-sequence vector, so every chunk goes
+    // through the striped ladder and looks the query's profiles up.
     let mut device = GpuDevice::new(DeviceSpec::toy(223));
     let scheme = ScoringScheme::protein_default();
     let result = chunked_search(&mut device, &database, query, &scheme, true).unwrap();

@@ -20,7 +20,7 @@ use crossbeam::channel::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 use swdual_align::engine::{EngineKind, PhaseTimings};
-use swdual_align::{ProfileCache, TierStats};
+use swdual_align::{ProfileCache, Scratch, Subjects, TierStats};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_gpusim::{DeviceClass, DeviceSpec, GpuDevice};
@@ -75,10 +75,11 @@ impl WorkerSpec {
         }
     }
 
-    /// The paper's CPU worker: a SWIPE-class vector kernel. Since the
-    /// kernel-dispatch sprint this is the striped engine's tiered
-    /// pipeline (byte lanes → 16-bit lanes → scalar) on the fastest
-    /// SIMD backend the host supports.
+    /// The paper's CPU worker: a SWIPE-class vector kernel — the tier
+    /// ladder (byte lanes → 16-bit lanes → scalar) on the fastest SIMD
+    /// backend the host supports, the byte tier inter-sequence for
+    /// short queries and striped for long ones
+    /// (`swdual_align::tiered::score_database`).
     pub fn cpu_default() -> WorkerSpec {
         WorkerSpec::cpu(EngineKind::Striped)
     }
@@ -414,7 +415,10 @@ pub fn worker_loop(
     match spec.kind {
         WorkerKind::Cpu { engine } => {
             let engine = engine.build();
-            let db_refs: Vec<&[u8]> = ctx.database.iter().map(|s| s.codes()).collect();
+            // Prepared once per worker, not per job: the subjects' length
+            // order and the kernels' working memory.
+            let subjects: Subjects = ctx.database.iter().map(|s| s.codes()).collect();
+            let mut scratch = Scratch::default();
             let model = WorkerRateModel::cpu_swipe();
             // Per-worker profile cache: jobs that share a query (chunked
             // databases, repeated searches) reuse the built profiles, so
@@ -431,15 +435,16 @@ pub fn worker_loop(
                     .expect("query index in range");
                 let wall_start = ctx.obs.now();
                 let start = Instant::now();
-                // The cached path is the default: it serves profiles
-                // from the per-worker cache and reports phase timings
-                // plus tier-resolution counts at the cost of two clock
+                // Serves striped profiles from the per-worker cache
+                // (when the job needs any) and reports phase timings
+                // plus tier-resolution counts at the cost of a few clock
                 // reads per job. Scores are identical to `score_many`.
-                let (scores, timings, tier_stats) = engine.score_many_cached(
+                let (scores, timings, tier_stats) = engine.score_database(
                     query.codes(),
-                    &db_refs,
+                    &subjects,
                     &ctx.scheme,
                     Some(&profile_cache),
+                    &mut scratch,
                 );
                 let timings = ctx.obs.is_profiling().then_some(timings);
                 let wall = start.elapsed().as_secs_f64();
