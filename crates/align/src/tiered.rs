@@ -169,14 +169,17 @@ impl Backend {
     /// is 0.30 at 30 residues and grows by 0.075 per doubling (0.45 at
     /// 120, 0.68 at 1000 — EXPERIMENTS.md, "Byte-tier shape"; the
     /// `sweep` section of `BENCH_kernels.json` checks the pick against
-    /// both forced shapes at every point). From 2048 residues the
-    /// striped kernel is within 10 % even on full batches while the
-    /// inter-sequence `H`/`E` state (64 B per query residue) outgrows
-    /// 128 KB, so there the pick is striped outright. The lane-array
-    /// kernels break even at 0.45 whatever the query.
+    /// both forced shapes at every point). From 1024 residues the pick
+    /// is striped outright: the inter-sequence `H`/`E` state (64 B per
+    /// query residue) has left L1 for L2, one thread on a quiet host
+    /// still measures it 7–11 % ahead on full batches, but two workers
+    /// end to end are level with the striped kernel and their rate
+    /// swings twice as far from run to run (`cpu_long`, EXPERIMENTS.md,
+    /// "Run-to-run spread"). The lane-array kernels break even at 0.45
+    /// whatever the query.
     pub fn interseq_min_fill(self, query_len: usize) -> Option<f64> {
         match self {
-            Backend::Avx2 if query_len >= 2048 => None,
+            Backend::Avx2 if query_len >= 1024 => None,
             Backend::Avx2 => {
                 let doublings = (query_len.max(30) as f64 / 30.0).log2();
                 Some(0.30 + 0.075 * doublings)
@@ -220,6 +223,27 @@ impl LazyProfiles<'_> {
             profiles
         })
     }
+}
+
+/// Ask for `subject`'s cache lines ahead of the batch that reads them.
+///
+/// The length order scatters a batch over the database, so transposing
+/// it opens up to `lanes` cold streams at once, and on a database that
+/// outgrows L2 their misses cost a fifth of a short query's time — more
+/// when the memory system is busy. Requested one batch ahead, the lines
+/// arrive while the current batch computes. A hint only: backends
+/// without one skip it.
+#[inline]
+fn prefetch(subject: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in subject.chunks(64) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
+        // SAFETY: a prefetch cannot fault and changes no architectural
+        // state; SSE is part of the x86_64 baseline.
+        unsafe { _mm_prefetch::<_MM_HINT_T1>(line.as_ptr() as *const i8) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = subject;
 }
 
 /// Score `query` against every subject of `db` on the active backend,
@@ -305,6 +329,9 @@ pub fn score_database_with(
                 }
                 batch.clear();
                 batch.extend(ids.iter().map(|&i| seqs[i as usize]));
+                for &i in rest[ids.len()..].iter().take(lanes) {
+                    prefetch(seqs[i as usize]);
+                }
                 backend.interseq8(query, &tables, &batch, scratch, &mut best);
                 for (&i, &lane_best) in ids.iter().zip(&best) {
                     stats.subjects += 1;

@@ -16,9 +16,9 @@
 use crate::estimator::WorkerRateModel;
 use crate::faults::WorkerFault;
 use crate::messages::{FailureReason, Job, JobResult, WorkerFailure, WorkerMsg};
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use swdual_align::engine::{EngineKind, PhaseTimings};
 use swdual_align::{ProfileCache, Scratch, Subjects, TierStats};
 use swdual_bio::seq::SequenceSet;
@@ -399,6 +399,33 @@ pub fn worker_loop_registered(
     worker_loop(spec, ctx, jobs, results)
 }
 
+/// How long a worker polls its job queue before it parks on it.
+///
+/// The master feeds one job at a time, so between two jobs a worker
+/// waits for the master to merge its result and send the next one — a
+/// few microseconds. Parking for that idles the CPU, and how long an
+/// idle CPU takes to wake is the host's business: on the reference VM it
+/// moved `tiny_tasks` searches between 0.41 and 0.64 s from one run to
+/// the next. Polling across the gap keeps the hand-over inside the
+/// process; a queue that stays empty this long is a real wait, and the
+/// worker parks as before.
+const POLL_BEFORE_PARK: Duration = Duration::from_micros(100);
+
+/// The next job, or `None` once the master has closed the queue.
+fn next_job(jobs: &Receiver<Job>) -> Option<Job> {
+    let start = Instant::now();
+    loop {
+        match jobs.try_recv() {
+            Ok(job) => return Some(job),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if start.elapsed() < POLL_BEFORE_PARK => {
+                std::hint::spin_loop()
+            }
+            Err(TryRecvError::Empty) => return jobs.recv().ok(),
+        }
+    }
+}
+
 /// Run a worker loop until the job channel closes (no registration
 /// step; used by tests that drive workers directly).
 pub fn worker_loop(
@@ -425,7 +452,7 @@ pub fn worker_loop(
             // profile_build collapses to a lookup after the first job.
             let profile_cache = ProfileCache::default();
             let mut virt_clock = 0.0;
-            for job in jobs.iter() {
+            while let Some(job) = next_job(&jobs) {
                 if !knobs.pre_job(jobs_done, job, ctx.worker_id, &ctx.obs, &results) {
                     return;
                 }
@@ -503,7 +530,7 @@ pub fn worker_loop(
             // chunked streaming path per kernel, re-streaming the
             // database for every task as the real tools must.
             let resident = device.upload(&ctx.database, true).ok();
-            for job in jobs.iter() {
+            while let Some(job) = next_job(&jobs) {
                 if !knobs.pre_job(jobs_done, job, ctx.worker_id, &ctx.obs, &results) {
                     return;
                 }

@@ -100,7 +100,12 @@ pub mod channel {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender: wake all blocked receivers so they can
-                // observe the disconnect.
+                // observe the disconnect. A receiver checks `senders`
+                // and starts to wait under the queue lock; passing
+                // through the lock first puts this wake-up after any
+                // receiver that has already made the check, which
+                // would otherwise sleep through the only one it gets.
+                drop(self.shared.queue.lock());
                 self.shared.ready.notify_all();
             }
         }
@@ -211,6 +216,8 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use super::channel;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use std::thread;
 
     #[test]
@@ -287,6 +294,46 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             Err(channel::RecvTimeoutError::Disconnected)
         );
+    }
+
+    #[test]
+    fn recv_racing_the_last_sender_drop_always_wakes() {
+        // A receiver that has seen a live sender but not yet started to
+        // wait must still get the disconnect's wake-up. Both sides
+        // reach the race at a jittered moment; a lost wake-up shows as
+        // a receiver that never reports back.
+        use std::time::{Duration, Instant};
+        let spin = |ns: u64| {
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_nanos(ns) {
+                std::hint::spin_loop();
+            }
+        };
+        for round in 0..20_000u64 {
+            let (tx, rx) = channel::unbounded::<u32>();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            // A spinning rendezvous: a parked one would release the two
+            // sides microseconds apart, wider than the race.
+            let arrived = Arc::new(AtomicUsize::new(0));
+            let rendezvous = |arrived: &AtomicUsize| {
+                arrived.fetch_add(1, Ordering::AcqRel);
+                while arrived.load(Ordering::Acquire) < 2 {
+                    std::hint::spin_loop();
+                }
+            };
+            let theirs = Arc::clone(&arrived);
+            let h = thread::spawn(move || {
+                rendezvous(&theirs);
+                spin(round * 37 % 2000);
+                done_tx.send(rx.recv()).unwrap();
+            });
+            rendezvous(&arrived);
+            spin(round * 53 % 2000);
+            drop(tx);
+            let got = done_rx.recv_timeout(Duration::from_secs(5));
+            assert_eq!(got, Ok(Err(channel::RecvError)), "round {round}");
+            h.join().unwrap();
+        }
     }
 
     #[test]
