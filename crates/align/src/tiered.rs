@@ -33,7 +33,7 @@ use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
 use std::sync::Arc;
 use std::time::Instant;
-use swdual_bio::ScoringScheme;
+use swdual_bio::{ScoringScheme, Sequence, SequenceSet, SqbImage};
 
 /// Where each subject of a batch was resolved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -129,11 +129,29 @@ impl<'a> Subjects<'a> {
     pub fn is_empty(&self) -> bool {
         self.seqs.is_empty()
     }
+
+    /// The subjects' lengths, longest first.
+    pub fn lengths_longest_first(&self) -> impl Iterator<Item = usize> + '_ {
+        self.by_length.iter().map(|&i| self.seqs[i as usize].len())
+    }
 }
 
 impl<'a> FromIterator<&'a [u8]> for Subjects<'a> {
     fn from_iter<I: IntoIterator<Item = &'a [u8]>>(iter: I) -> Self {
         Subjects::new(iter.into_iter().collect())
+    }
+}
+
+/// The residues of a database image, borrowed in place.
+impl<'a> From<&'a SqbImage> for Subjects<'a> {
+    fn from(database: &'a SqbImage) -> Self {
+        database.records().map(|record| record.residues()).collect()
+    }
+}
+
+impl<'a> From<&'a SequenceSet> for Subjects<'a> {
+    fn from(database: &'a SequenceSet) -> Self {
+        database.iter().map(Sequence::codes).collect()
     }
 }
 

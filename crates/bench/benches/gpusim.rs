@@ -22,6 +22,7 @@
 
 use swdual_align::dispatch::Backend;
 use swdual_align::scalar::gotoh_score;
+use swdual_align::Subjects;
 use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
@@ -61,8 +62,14 @@ fn main() {
                 .collect()
         };
         assert_eq!(device.search(query, &resident, &scheme).scores, oracle(&db));
-        let chunked = chunked_search(&mut chunk_device(), &uniform, query, &scheme, true)
-            .expect("every subject fits a chunk");
+        let chunked = chunked_search(
+            &mut chunk_device(),
+            &Subjects::from(&uniform),
+            query,
+            &scheme,
+            true,
+        )
+        .expect("every subject fits a chunk");
         assert_eq!(chunked.chunks, 4);
         assert_eq!(chunked.scores, oracle(&uniform));
     }
@@ -86,7 +93,9 @@ fn main() {
     let chunked_ns = measure(samples, iters, || {
         let mut device = chunk_device();
         for q in &queries {
-            std::hint::black_box(chunked_search(&mut device, &uniform, q, &scheme, true).unwrap());
+            std::hint::black_box(
+                chunked_search(&mut device, &Subjects::from(&uniform), q, &scheme, true).unwrap(),
+            );
         }
     });
 

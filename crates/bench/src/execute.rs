@@ -8,9 +8,10 @@
 //! GCUPS for this host.
 
 use crate::render::{Report, Row};
+use std::sync::Arc;
 use swdual_align::engine::EngineKind;
 use swdual_align::scalar::gotoh_score;
-use swdual_bio::ScoringScheme;
+use swdual_bio::{ScoringScheme, SequenceSet, SqbImage};
 use swdual_core::SearchBuilder;
 use swdual_datagen::{queries_from_database, scaled_database, MutationProfile};
 use swdual_runtime::AllocationPolicy;
@@ -51,6 +52,11 @@ pub struct ExecuteOutcome {
     pub cells: u64,
 }
 
+/// The generated database as the image the searches share.
+fn database_image(database: &SequenceSet) -> Arc<SqbImage> {
+    Arc::new(SqbImage::from_set(database).expect("datagen ids fit SQB's 65 535-byte field"))
+}
+
 /// Run the reduced-scale end-to-end experiment.
 pub fn execute_reduced(config: ExecuteConfig) -> ExecuteOutcome {
     // Synthetic UniProt slice with paper-like length distribution.
@@ -85,7 +91,8 @@ pub fn execute_reduced(config: ExecuteConfig) -> ExecuteOutcome {
         }
     }
 
-    // Real runtime across worker mixes.
+    // Real runtime across worker mixes, all on one database image.
+    let image = database_image(&database);
     let mut rows = Vec::new();
     let mut reference_hits = None;
     for (label, cpus, gpus) in [
@@ -95,7 +102,7 @@ pub fn execute_reduced(config: ExecuteConfig) -> ExecuteOutcome {
         ("2 CPU + 2 GPU", 2, 2),
     ] {
         let report = SearchBuilder::new()
-            .database(database.clone())
+            .database_image(Arc::clone(&image))
             .queries(queries.clone())
             .hybrid_workers(cpus, gpus)
             .policy(AllocationPolicy::DualApprox(KnapsackMethod::Greedy))
@@ -151,7 +158,7 @@ pub fn execute_traced(config: ExecuteConfig) -> swdual_core::SearchReport {
         config.seed + 1,
     );
     SearchBuilder::new()
-        .database(database)
+        .database_image(database_image(&database))
         .queries(queries)
         .hybrid_workers(1, 1)
         .policy(AllocationPolicy::DualApprox(KnapsackMethod::Greedy))
@@ -188,9 +195,10 @@ pub fn execute_fault_demo(config: ExecuteConfig, fault_seed: u64) -> FaultDemoOu
         &MutationProfile::homolog(),
         config.seed + 1,
     );
+    let image = database_image(&database);
     let build = || {
         SearchBuilder::new()
-            .database(database.clone())
+            .database_image(Arc::clone(&image))
             .queries(queries.clone())
             .hybrid_workers(2, 2)
             .policy(AllocationPolicy::DualApprox(KnapsackMethod::Greedy))

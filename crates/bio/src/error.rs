@@ -20,6 +20,10 @@ pub enum BioError {
     MalformedSqb(String),
     /// Version field of an SQB file is not supported by this build.
     UnsupportedSqbVersion(u16),
+    /// A record or database cannot be written as SQB: another alphabet,
+    /// a residue code outside it, an id or description over 65 535
+    /// bytes, more than `u32::MAX` residues.
+    UnencodableSqb(String),
     /// An underlying I/O failure.
     Io(std::io::Error),
     /// A sequence set was empty where at least one record is required.
@@ -36,9 +40,13 @@ impl fmt::Display for BioError {
             ),
             BioError::MalformedFasta(msg) => write!(f, "malformed FASTA: {msg}"),
             BioError::MalformedSqb(msg) => write!(f, "malformed SQB file: {msg}"),
-            BioError::UnsupportedSqbVersion(v) => {
-                write!(f, "unsupported SQB format version {v}")
-            }
+            BioError::UnsupportedSqbVersion(v) => write!(
+                f,
+                "unsupported SQB format version {v} (this build reads version {}; \
+                 re-run `swdual convert` on the source FASTA)",
+                crate::sqb::VERSION
+            ),
+            BioError::UnencodableSqb(msg) => write!(f, "cannot write as SQB: {msg}"),
             BioError::Io(e) => write!(f, "I/O error: {e}"),
             BioError::EmptySet => write!(f, "sequence set is empty"),
         }

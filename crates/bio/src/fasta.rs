@@ -10,6 +10,7 @@
 use crate::alphabet::Alphabet;
 use crate::error::BioError;
 use crate::seq::{Sequence, SequenceSet};
+use crate::sqb::SqbImage;
 use std::io::{BufRead, Write};
 
 /// How to treat residues outside the target alphabet.
@@ -165,19 +166,37 @@ pub fn parse_with_policy(
     Ok(set)
 }
 
+/// A streaming reader over a FASTA file on disk.
+fn file_reader(
+    path: impl AsRef<std::path::Path>,
+    alphabet: Alphabet,
+    policy: ResiduePolicy,
+) -> Result<FastaReader<std::io::BufReader<std::fs::File>>, BioError> {
+    let file = std::fs::File::open(path)?;
+    Ok(FastaReader::new(std::io::BufReader::new(file), alphabet).with_policy(policy))
+}
+
 /// Load a FASTA file from disk.
 pub fn read_file(
     path: impl AsRef<std::path::Path>,
     alphabet: Alphabet,
     policy: ResiduePolicy,
 ) -> Result<SequenceSet, BioError> {
-    let file = std::fs::File::open(path)?;
-    let reader = FastaReader::new(std::io::BufReader::new(file), alphabet).with_policy(policy);
     let mut set = SequenceSet::new(alphabet);
-    for record in reader {
+    for record in file_reader(path, alphabet, policy)? {
         set.push(record?)?;
     }
     Ok(set)
+}
+
+/// Load a FASTA file from disk as a database image, encoding record by
+/// record: the whole set is never held as owned sequences.
+pub fn read_image(
+    path: impl AsRef<std::path::Path>,
+    alphabet: Alphabet,
+    policy: ResiduePolicy,
+) -> Result<SqbImage, BioError> {
+    SqbImage::from_records(alphabet, file_reader(path, alphabet, policy)?)
 }
 
 /// Width at which [`write`] wraps residue lines (the conventional 60).

@@ -6,10 +6,9 @@
 //! * [`alphabet`] — DNA / RNA / protein alphabets and residue encoding,
 //! * [`seq`] — the owned [`Sequence`] record type and borrowed views,
 //! * [`fasta`] — a streaming FASTA reader/writer ([17] in the paper),
-//! * [`fai`] — `.fai`-style FASTA random access (the indexed-text
-//!   alternative the paper's SQB format is argued against),
 //! * [`sqb`] — the paper's custom *binary database format* with an index
-//!   allowing random access to any sequence (paper §IV, last paragraphs),
+//!   allowing random access to any sequence (paper §IV, last paragraphs);
+//!   [`SqbImage`] is the checked, borrowed view the search runs on,
 //! * [`matrix`] — substitution matrices (BLOSUM / PAM families plus simple
 //!   match/mismatch scoring as in the paper's Figure 1 example),
 //! * [`stats`] — residue-composition and cell-update (CUPS) accounting.
@@ -20,7 +19,6 @@
 
 pub mod alphabet;
 pub mod error;
-pub mod fai;
 pub mod fasta;
 pub mod karlin;
 pub mod matrix;
@@ -33,3 +31,4 @@ pub use alphabet::Alphabet;
 pub use error::BioError;
 pub use matrix::{Matrix, ScoringScheme};
 pub use seq::{Sequence, SequenceSet};
+pub use sqb::SqbImage;

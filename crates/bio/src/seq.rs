@@ -121,16 +121,18 @@ impl SequenceSet {
     }
 
     /// Create a set from sequences; all must share `alphabet`.
+    /// The vector becomes the set's storage as it is.
     pub fn from_sequences(alphabet: Alphabet, sequences: Vec<Sequence>) -> Result<Self, BioError> {
         let mut set = SequenceSet::new(alphabet);
-        for s in sequences {
-            set.push(s)?;
+        for s in &sequences {
+            set.admit(s)?;
         }
+        set.sequences = sequences;
         Ok(set)
     }
 
-    /// Append a sequence. Fails if its alphabet differs from the set's.
-    pub fn push(&mut self, sequence: Sequence) -> Result<(), BioError> {
+    /// Count `sequence` in, or refuse it for its alphabet.
+    fn admit(&mut self, sequence: &Sequence) -> Result<(), BioError> {
         if sequence.alphabet != self.alphabet {
             return Err(BioError::MalformedFasta(format!(
                 "sequence {:?} has alphabet {:?}, set expects {:?}",
@@ -138,6 +140,12 @@ impl SequenceSet {
             )));
         }
         self.total_residues += sequence.len() as u64;
+        Ok(())
+    }
+
+    /// Append a sequence. Fails if its alphabet differs from the set's.
+    pub fn push(&mut self, sequence: Sequence) -> Result<(), BioError> {
+        self.admit(&sequence)?;
         self.sequences.push(sequence);
         Ok(())
     }

@@ -2,9 +2,10 @@
 //! SQB round-trips must be lossless for arbitrary inputs.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use swdual_bio::alphabet::Alphabet;
 use swdual_bio::seq::{Sequence, SequenceSet};
-use swdual_bio::{fasta, sqb};
+use swdual_bio::{fasta, sqb, SqbImage};
 
 /// Strategy: residue text over a given alphabet (canonical letters only).
 fn residue_text(alphabet: Alphabet, max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -33,6 +34,55 @@ fn protein_set(max_seqs: usize, max_len: usize) -> impl Strategy<Value = Sequenc
     })
 }
 
+/// What both readers promise of any input: a typed error, or views that
+/// stay inside the image and add up to the header's totals — and the
+/// owned decode agrees with the borrowed one record for record.
+fn check_reader(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let owned = sqb::decode(bytes);
+    let Ok(image) = SqbImage::from_bytes(bytes.to_vec()) else {
+        // The streaming decode checks names per record, the image per
+        // block; neither accepts what the other refuses.
+        prop_assert!(owned.is_err());
+        return Ok(());
+    };
+    let header = image.header();
+    prop_assert_eq!(header.file_len, bytes.len() as u64);
+    prop_assert_eq!(image.records().len() as u64, header.n_sequences);
+    let inside = image.as_bytes().as_ptr_range();
+    let (mut residues, mut names) = (0u64, 0u64);
+    for record in image.records() {
+        for part in [
+            record.residues(),
+            record.id().as_bytes(),
+            record.description().as_bytes(),
+        ] {
+            let part = part.as_ptr_range();
+            prop_assert!(inside.start <= part.start && part.end <= inside.end);
+        }
+        prop_assert!(record
+            .residues()
+            .iter()
+            .all(|&c| (c as usize) < header.alphabet.size()));
+        residues += record.len() as u64;
+        names += (record.id().len() + record.description().len()) as u64;
+    }
+    prop_assert_eq!(residues, header.total_residues);
+    prop_assert_eq!(names, header.names_len);
+    prop_assert!(
+        owned.is_ok(),
+        "the image opened, the decode failed: {:?}",
+        owned.err()
+    );
+    let owned = owned.unwrap();
+    prop_assert_eq!(owned.len(), image.len());
+    for (seq, record) in owned.iter().zip(image.records()) {
+        prop_assert_eq!(seq.id.as_str(), record.id());
+        prop_assert_eq!(seq.description.as_str(), record.description());
+        prop_assert_eq!(seq.codes(), record.residues());
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn encode_decode_roundtrip(text in residue_text(Alphabet::Protein, 400)) {
@@ -53,35 +103,87 @@ proptest! {
 
     #[test]
     fn sqb_roundtrip(set in protein_set(12, 300)) {
-        let bytes = sqb::encode(&set);
+        let bytes = sqb::encode(&set).unwrap();
         let back = sqb::decode(&bytes).unwrap();
         prop_assert_eq!(back, set);
     }
 
     #[test]
+    fn sqb_image_roundtrips_every_set(set in protein_set(12, 300)) {
+        // Includes the empty set and empty sequences: `protein_set`
+        // draws both.
+        let image = SqbImage::from_bytes(sqb::encode(&set).unwrap()).unwrap();
+        prop_assert_eq!(image.len(), set.len());
+        prop_assert_eq!(image.total_residues(), set.total_residues());
+        prop_assert_eq!(image.alphabet(), set.alphabet);
+        for (record, seq) in image.records().zip(&set) {
+            prop_assert_eq!(record.id(), seq.id.as_str());
+            prop_assert_eq!(record.description(), seq.description.as_str());
+            prop_assert_eq!(record.residues(), seq.codes());
+        }
+        prop_assert_eq!(image, SqbImage::from_set(&set).unwrap());
+    }
+
+    #[test]
     fn sqb_random_access_agrees_with_full_decode(set in protein_set(12, 300), seed in any::<u64>()) {
-        let bytes = sqb::encode(&set);
-        let slice = sqb::SqbSlice::new(&bytes).unwrap();
-        prop_assert_eq!(slice.len(), set.len());
+        let bytes = sqb::encode(&set).unwrap();
+        let mut file = sqb::SqbFile::from_seekable(std::io::Cursor::new(&bytes)).unwrap();
+        let image = SqbImage::from_bytes(bytes.clone()).unwrap();
+        prop_assert_eq!(file.len(), set.len());
+        prop_assert_eq!(image.len(), set.len());
         if !set.is_empty() {
             let i = (seed % set.len() as u64) as usize;
-            let seq = slice.read_sequence(i).unwrap();
-            prop_assert_eq!(&seq, set.get(i).unwrap());
-            prop_assert_eq!(slice.residue_len(i), Some(set.get(i).unwrap().len() as u32));
+            let expected = set.get(i).unwrap();
+            prop_assert_eq!(&file.read_sequence(i).unwrap(), expected);
+            prop_assert_eq!(file.residue_len(i), Some(expected.len() as u32));
+            let record = image.get(i).unwrap();
+            prop_assert_eq!(record.id(), expected.id.as_str());
+            prop_assert_eq!(record.residues(), expected.codes());
         }
+        prop_assert!(image.get(set.len()).is_none());
     }
 
     #[test]
     fn sqb_never_panics_on_corrupt_input(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        // Arbitrary bytes: decode must return an error, never panic.
-        let _ = sqb::decode(&bytes);
-        // Also corrupt a valid file at one position.
-        let set = SequenceSet::new(Alphabet::Protein);
-        let mut valid = sqb::encode(&set);
-        if !bytes.is_empty() && !valid.is_empty() {
-            let pos = bytes[0] as usize % valid.len();
-            valid[pos] ^= 0xA5;
-            let _ = sqb::decode(&valid);
+        // Arbitrary bytes, also behind a valid magic and version: a
+        // typed error or a sound image, never a panic.
+        check_reader(&bytes)?;
+        let mut prefixed = b"SQB1\x02\x00".to_vec();
+        prefixed.extend_from_slice(&bytes);
+        check_reader(&prefixed)?;
+    }
+
+    #[test]
+    fn sqb_truncated_at_any_block_boundary_is_an_error(set in protein_set(6, 60)) {
+        let valid = sqb::encode(&set).unwrap();
+        let header = *SqbImage::from_bytes(valid.clone()).unwrap().header();
+        let boundaries = [
+            0,
+            sqb::HEADER_LEN as u64,
+            header.names_offset,
+            header.index_offset,
+            header.file_len - 1,
+        ];
+        for cut in boundaries.into_iter().filter(|&cut| cut < header.file_len) {
+            for cut in [cut.saturating_sub(1), cut, (cut + 1).min(header.file_len - 1)] {
+                let cut = cut as usize;
+                prop_assert!(SqbImage::from_bytes(valid[..cut].to_vec()).is_err(), "cut {}", cut);
+                prop_assert!(sqb::decode(&valid[..cut]).is_err(), "cut {}", cut);
+            }
+        }
+    }
+
+    #[test]
+    fn sqb_single_bit_flips_are_errors_or_sound_images(
+        set in protein_set(6, 60),
+        flips in prop::collection::vec(any::<u64>(), 1..32),
+    ) {
+        let valid = sqb::encode(&set).unwrap();
+        for flip in flips {
+            let mut bytes = valid.clone();
+            let bit = flip % (8 * bytes.len() as u64);
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            check_reader(&bytes)?;
         }
     }
 

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use swdual_bio::karlin;
 use swdual_bio::stats::LengthStats;
-use swdual_bio::{fasta, sqb, Alphabet, Matrix, ScoringScheme, SequenceSet};
+use swdual_bio::{fasta, sqb, Alphabet, Matrix, ScoringScheme, SequenceSet, SqbImage};
 use swdual_core::{ProgressReporter, SearchBuilder};
 use swdual_datagen::{synthetic_database, LengthModel};
 use swdual_gpusim::DeviceClass;
@@ -227,6 +227,17 @@ fn load_set(path: &str) -> Result<SequenceSet, String> {
     }
 }
 
+/// The database of a search: an `.sqb` file is read into its image as
+/// it is, anything else is parsed as FASTA and encoded to one.
+fn load_database(path: &str) -> Result<SqbImage, String> {
+    if path.ends_with(".sqb") {
+        SqbImage::open(path)
+    } else {
+        fasta::read_image(path, Alphabet::Protein, fasta::ResiduePolicy::Lossy)
+    }
+    .map_err(|e| format!("{path}: {e}"))
+}
+
 fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
     let db_path = flags.get("db").ok_or("--db is required")?;
     let q_path = flags.get("queries").ok_or("--queries is required")?;
@@ -279,7 +290,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
         return Err("need at least one worker (--cpus/--gpus)".into());
     }
 
-    let database = load_set(db_path)?;
+    let database = load_database(db_path)?;
     let queries = load_set(q_path)?;
     let db_residues = database.total_residues();
     let zoo_label = if gpus == 0 {
@@ -364,7 +375,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
         flight.install_panic_hook(&crash_dir);
     }
     let mut builder = SearchBuilder::new()
-        .database(database)
+        .database_image(database)
         .queries(queries)
         .workers(workers)
         .scheme(scheme)

@@ -1,10 +1,11 @@
 //! The search builder: configure and launch a hybrid database search.
 
 use crate::report::SearchReport;
+use std::sync::Arc;
 use swdual_bio::error::BioError;
 use swdual_bio::fasta::ResiduePolicy;
 use swdual_bio::seq::SequenceSet;
-use swdual_bio::{Alphabet, ScoringScheme};
+use swdual_bio::{Alphabet, ScoringScheme, SqbImage};
 use swdual_gpusim::DeviceClass;
 use swdual_obs::Obs;
 use swdual_runtime::{
@@ -16,7 +17,7 @@ use swdual_sched::dual::KnapsackMethod;
 /// Builder for one database search — the programmatic equivalent of the
 /// paper's command line ("Receive parameters" in Figure 6).
 pub struct SearchBuilder {
-    database: Option<SequenceSet>,
+    database: Option<Arc<SqbImage>>,
     queries: Option<SequenceSet>,
     scheme: ScoringScheme,
     workers: Vec<WorkerSpec>,
@@ -59,32 +60,35 @@ impl SearchBuilder {
         }
     }
 
-    /// Set the database to search.
-    pub fn database(mut self, database: SequenceSet) -> Self {
-        self.database = Some(database);
+    /// Set the database to search: a checked SQB image, which the
+    /// workers score in place and the report resolves ids from. Every
+    /// other way of naming a database comes through here.
+    pub fn database_image(mut self, database: impl Into<Arc<SqbImage>>) -> Self {
+        self.database = Some(database.into());
         self
     }
 
+    /// Set the database from an in-memory set, encoded to an image.
+    /// Fails on a record SQB cannot hold (an id over 65 535 bytes).
+    pub fn database(self, database: SequenceSet) -> Result<Self, BioError> {
+        Ok(self.database_image(SqbImage::from_set(&database)?))
+    }
+
     /// Load the database from a FASTA file (lossy residue handling,
-    /// like production tools).
+    /// like production tools), encoded record by record to an image.
     pub fn database_fasta(
-        mut self,
+        self,
         path: impl AsRef<std::path::Path>,
         alphabet: Alphabet,
     ) -> Result<Self, BioError> {
-        self.database = Some(swdual_bio::fasta::read_file(
-            path,
-            alphabet,
-            ResiduePolicy::Lossy,
-        )?);
-        Ok(self)
+        let image = swdual_bio::fasta::read_image(path, alphabet, ResiduePolicy::Lossy)?;
+        Ok(self.database_image(image))
     }
 
-    /// Load the database from an SQB binary file (the paper's format).
-    pub fn database_sqb(mut self, path: impl AsRef<std::path::Path>) -> Result<Self, BioError> {
-        let mut file = swdual_bio::sqb::SqbFile::open(path)?;
-        self.database = Some(file.read_all()?);
-        Ok(self)
+    /// Load the database from an SQB binary file (the paper's format):
+    /// one read, one check, nothing decoded.
+    pub fn database_sqb(self, path: impl AsRef<std::path::Path>) -> Result<Self, BioError> {
+        Ok(self.database_image(SqbImage::open(path)?))
     }
 
     /// Set the query set.
@@ -272,7 +276,7 @@ impl SearchBuilder {
         self
     }
 
-    fn into_config_and_sets(self) -> (SequenceSet, SequenceSet, Vec<WorkerSpec>, RuntimeConfig) {
+    fn into_config_and_sets(self) -> (Arc<SqbImage>, SequenceSet, Vec<WorkerSpec>, RuntimeConfig) {
         let database = self.database.expect("database not set");
         let queries = self.queries.expect("queries not set");
         let mut config = RuntimeConfig {
@@ -312,7 +316,6 @@ impl SearchBuilder {
         let live = self.live.take();
         let (database, queries, workers, config) = self.into_config_and_sets();
         let obs = config.obs.clone();
-        let db_meta: Vec<String> = database.iter().map(|s| s.id.clone()).collect();
         let query_meta: Vec<String> = queries.iter().map(|s| s.id.clone()).collect();
         let live_stream = live.and_then(|path| match crate::live::LiveStream::start(&obs, &path) {
             Ok(stream) => Some(stream),
@@ -322,7 +325,7 @@ impl SearchBuilder {
             }
         });
         let watchdog = watch.map(|cfg| crate::live::WatchdogDriver::start(&obs, cfg));
-        let outcome = try_run_search(database, queries, &workers, config);
+        let outcome = try_run_search(Arc::clone(&database), queries, &workers, config);
         // Drivers finish (final drain / client EOF) whether the run
         // succeeded or not — a failed run is exactly when the alerts
         // and the streamed journal matter most.
@@ -333,7 +336,7 @@ impl SearchBuilder {
             stream.finish();
         }
         let outcome = outcome?;
-        Ok(SearchReport::new(outcome, db_meta, query_meta).with_obs(obs))
+        Ok(SearchReport::new(outcome, database, query_meta).with_obs(obs))
     }
 
     /// Launch the search.
@@ -365,6 +368,7 @@ mod tests {
         let (db, q) = demo_sets();
         let report = SearchBuilder::new()
             .database(db)
+            .unwrap()
             .queries(q)
             .hybrid_workers(1, 1)
             .top_k(3)
@@ -381,6 +385,7 @@ mod tests {
         let (db, q) = demo_sets();
         let report = SearchBuilder::new()
             .database(db)
+            .unwrap()
             .queries(q)
             .policy(AllocationPolicy::SelfScheduling)
             .run();
@@ -399,11 +404,13 @@ mod tests {
         let (db, q) = demo_sets();
         let healthy = SearchBuilder::new()
             .database(db.clone())
+            .unwrap()
             .queries(q.clone())
             .hybrid_workers(1, 1)
             .run();
         let faulted = SearchBuilder::new()
             .database(db)
+            .unwrap()
             .queries(q)
             .hybrid_workers(1, 1)
             .fault_plan("0:device@1".parse().unwrap())
@@ -418,6 +425,7 @@ mod tests {
         let run = |seed| {
             SearchBuilder::new()
                 .database(db.clone())
+                .unwrap()
                 .queries(q.clone())
                 .hybrid_workers(2, 1)
                 .fault_seed(seed)
@@ -439,12 +447,14 @@ mod tests {
         let (db, q) = demo_sets();
         let baseline = SearchBuilder::new()
             .database(db.clone())
+            .unwrap()
             .queries(q.clone())
             .hybrid_workers(1, 1)
             .run();
         for class in DeviceClass::ALL {
             let report = SearchBuilder::new()
                 .database(db.clone())
+                .unwrap()
                 .queries(q.clone())
                 .zoo_workers(1, &[class])
                 .run();
@@ -458,6 +468,7 @@ mod tests {
         // identical hits.
         let mixed = SearchBuilder::new()
             .database(db)
+            .unwrap()
             .queries(q)
             .zoo_workers(2, &[DeviceClass::Knl, DeviceClass::Bioseal])
             .prior_scales(&[(2, 2.0)])
@@ -471,6 +482,7 @@ mod tests {
         let (db, q) = demo_sets();
         let err = SearchBuilder::new()
             .database(db)
+            .unwrap()
             .queries(q)
             .workers(vec![WorkerSpec::cpu_default()])
             .fault_plan("0:crash@0".parse().unwrap())
@@ -491,18 +503,38 @@ mod tests {
         swdual_bio::sqb::write_file(&db, &sqb_path).unwrap();
         swdual_bio::fasta::write_file(&q, &q_path).unwrap();
 
+        // Three ways to name the same database, one image behind each:
+        // hits, ids, rendered report and the modelled clock agree on a
+        // CPU + simulated-GPU pool.
         let report_fasta = SearchBuilder::new()
             .database_fasta(&fasta_path, Alphabet::Protein)
             .unwrap()
             .queries_fasta(&q_path, Alphabet::Protein)
             .unwrap()
+            .hybrid_workers(1, 1)
             .run();
         let report_sqb = SearchBuilder::new()
             .database_sqb(&sqb_path)
             .unwrap()
-            .queries(q)
+            .queries(q.clone())
+            .hybrid_workers(1, 1)
             .run();
-        assert_eq!(report_fasta.hits(), report_sqb.hits());
+        let report_set = SearchBuilder::new()
+            .database(db.clone())
+            .unwrap()
+            .queries(q)
+            .hybrid_workers(1, 1)
+            .run();
+        assert!(!report_set.hits().is_empty());
+        for other in [&report_fasta, &report_sqb] {
+            assert_eq!(other.database(), report_set.database());
+            assert_eq!(other.hits(), report_set.hits());
+            assert_eq!(other.render_hits(10), report_set.render_hits(10));
+            assert_eq!(other.modelled_makespan(), report_set.modelled_makespan());
+        }
+        for (i, seq) in db.iter().enumerate() {
+            assert_eq!(report_sqb.database_id(i), seq.id);
+        }
         std::fs::remove_file(&fasta_path).ok();
         std::fs::remove_file(&sqb_path).ok();
         std::fs::remove_file(&q_path).ok();

@@ -30,6 +30,7 @@
 //!
 //! let report = SearchBuilder::new()
 //!     .database(database)
+//!     .expect("generated ids fit the database image")
 //!     .queries(queries)
 //!     .workers(vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()])
 //!     .top_k(5)

@@ -1,7 +1,8 @@
 //! Search reports: results plus accounting, with human-readable
 //! rendering ("present them to the user", paper Figure 6).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+use swdual_bio::SqbImage;
 use swdual_obs::{Obs, RunModel};
 use swdual_runtime::{QueryHits, SearchOutcome, WorkerStats};
 use swdual_sched::schedule::Schedule;
@@ -10,7 +11,9 @@ use swdual_sched::schedule::Schedule;
 #[derive(Debug, Clone)]
 pub struct SearchReport {
     outcome: SearchOutcome,
-    database_ids: Vec<String>,
+    /// The database the search ran on; ids are read from it when a hit
+    /// is rendered, never copied out.
+    database: Arc<SqbImage>,
     query_ids: Vec<String>,
     obs: Obs,
     /// The recorder's events folded once, on first use; every view
@@ -19,15 +22,16 @@ pub struct SearchReport {
 }
 
 impl SearchReport {
-    /// Wrap a runtime outcome with id metadata.
+    /// Wrap a runtime outcome with the database it searched and the
+    /// query ids.
     pub fn new(
         outcome: SearchOutcome,
-        database_ids: Vec<String>,
+        database: Arc<SqbImage>,
         query_ids: Vec<String>,
     ) -> SearchReport {
         SearchReport {
             outcome,
-            database_ids,
+            database,
             query_ids,
             obs: Obs::disabled(),
             model: OnceLock::new(),
@@ -90,9 +94,24 @@ impl SearchReport {
         self.outcome.wall_gcups()
     }
 
+    /// The database the search ran on.
+    pub fn database(&self) -> &SqbImage {
+        &self.database
+    }
+
     /// Id of a database sequence.
+    ///
+    /// # Panics
+    /// When `index` is not a record of the database, as an out-of-range
+    /// slice index does.
     pub fn database_id(&self, index: usize) -> &str {
-        &self.database_ids[index]
+        match self.database.get(index) {
+            Some(record) => record.id(),
+            None => panic!(
+                "database index {index} out of range for {} records",
+                self.database.len()
+            ),
+        }
     }
 
     /// Id of a query.
@@ -216,7 +235,8 @@ impl SearchReport {
             for hit in qh.hits.iter().take(per_query) {
                 out.push_str(&format!(
                     "  {:>8}  score {}\n",
-                    self.database_ids[hit.db_index], hit.score
+                    self.database_id(hit.db_index),
+                    hit.score
                 ));
             }
         }
@@ -256,7 +276,7 @@ mod tests {
     fn report() -> SearchReport {
         let db = synthetic_database("db", 12, LengthModel::Fixed(60), 5);
         let q = queries_from_database(&db, 2, 1, usize::MAX, &MutationProfile::homolog(), 6);
-        SearchBuilder::new().database(db).queries(q).run()
+        SearchBuilder::new().database(db).unwrap().queries(q).run()
     }
 
     #[test]
@@ -296,7 +316,12 @@ mod tests {
     fn observed_report_exports_nonempty_timeline_and_metrics() {
         let db = synthetic_database("db", 12, LengthModel::Fixed(60), 5);
         let q = queries_from_database(&db, 2, 1, usize::MAX, &MutationProfile::homolog(), 6);
-        let r = SearchBuilder::new().database(db).queries(q).observe().run();
+        let r = SearchBuilder::new()
+            .database(db)
+            .unwrap()
+            .queries(q)
+            .observe()
+            .run();
         assert!(r.obs().is_enabled());
         assert!(r.obs().event_count() > 0);
 
@@ -353,6 +378,7 @@ mod tests {
         let q = queries_from_database(&db, 2, 1, usize::MAX, &MutationProfile::homolog(), 6);
         let r = SearchBuilder::new()
             .database(db)
+            .unwrap()
             .queries(q)
             .profile(true)
             .run();
@@ -404,7 +430,12 @@ mod tests {
     fn unprofiled_run_has_task_level_profile_only() {
         let db = synthetic_database("db", 12, LengthModel::Fixed(60), 5);
         let q = queries_from_database(&db, 2, 1, usize::MAX, &MutationProfile::homolog(), 6);
-        let r = SearchBuilder::new().database(db).queries(q).observe().run();
+        let r = SearchBuilder::new()
+            .database(db)
+            .unwrap()
+            .queries(q)
+            .observe()
+            .run();
         assert!(!r.obs().is_profiling());
         let profile = r.profile();
         assert!(!profile.stacks.is_empty(), "task stacks from tracing alone");
@@ -421,7 +452,12 @@ mod tests {
     fn explained_report_blames_the_whole_makespan() {
         let db = synthetic_database("db", 12, LengthModel::Fixed(60), 5);
         let q = queries_from_database(&db, 3, 1, usize::MAX, &MutationProfile::homolog(), 6);
-        let r = SearchBuilder::new().database(db).queries(q).observe().run();
+        let r = SearchBuilder::new()
+            .database(db)
+            .unwrap()
+            .queries(q)
+            .observe()
+            .run();
         let e = r.explain();
         assert!(!e.degraded, "live runs carry full lineage");
         assert!(e.modelled_makespan > 0.0);

@@ -63,6 +63,7 @@ fn straggler_alert_arrives_on_the_live_bus_before_the_run_completes() {
 
     let report = SearchBuilder::new()
         .database(database)
+        .unwrap()
         .queries(queries)
         .workers(vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()])
         .top_k(3)

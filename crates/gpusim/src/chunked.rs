@@ -12,13 +12,14 @@
 //!   pipeline formula.
 //!
 //! Both return exact scores (every chunk is really searched, in place:
-//! chunks are borrowed runs of the database, and the device's one-entry
-//! profile cache builds the query's profiles once for all of them) and
-//! the modelled time, so tests can quantify the overlap win.
+//! chunks are runs of the database's borrowed residue slices, and the
+//! device's one-entry profile cache builds the query's profiles once
+//! for all of them) and the modelled time, so tests can quantify the
+//! overlap win.
 
 use crate::device::GpuDevice;
 use crate::memory::MemoryError;
-use swdual_bio::seq::{Sequence, SequenceSet};
+use swdual_align::Subjects;
 use swdual_bio::ScoringScheme;
 
 /// Result of a chunked search.
@@ -36,11 +37,11 @@ pub struct ChunkedResult {
 /// Split `database` into consecutive runs whose residue totals fit
 /// `chunk_bytes`. Sequences are never split; a single sequence larger
 /// than the chunk is an error. The runs borrow the database.
-pub fn split_into_chunks(
-    database: &SequenceSet,
+pub fn split_into_chunks<'s, 'a>(
+    database: &'s Subjects<'a>,
     chunk_bytes: u64,
-) -> Result<Vec<&[Sequence]>, MemoryError> {
-    let all = database.as_slice();
+) -> Result<Vec<&'s [&'a [u8]]>, MemoryError> {
+    let all = database.seqs();
     let mut chunks = Vec::new();
     let (mut start, mut held) = (0, 0u64);
     for (i, seq) in all.iter().enumerate() {
@@ -70,7 +71,7 @@ type Streamed = (Vec<i32>, Vec<(f64, f64)>);
 /// memory.
 fn stream(
     device: &mut GpuDevice,
-    database: &SequenceSet,
+    database: &Subjects<'_>,
     query: &[u8],
     scheme: &ScoringScheme,
     sort_chunks: bool,
@@ -81,7 +82,7 @@ fn stream(
     let mut stages = Vec::new();
     for chunk in split_into_chunks(database, chunk_bytes.max(1))? {
         let before = device.clock();
-        let resident = device.upload_slice(chunk, sort_chunks)?;
+        let resident = device.upload(chunk.iter().copied().collect::<Subjects>(), sort_chunks)?;
         let transfer = device.clock() - before;
         let result = device.search(query, &resident, scheme);
         scores.extend(result.scores);
@@ -94,7 +95,7 @@ fn stream(
 /// Serial chunked search: transfers and kernels strictly alternate.
 pub fn chunked_search(
     device: &mut GpuDevice,
-    database: &SequenceSet,
+    database: &Subjects<'_>,
     query: &[u8],
     scheme: &ScoringScheme,
     sort_chunks: bool,
@@ -122,7 +123,7 @@ pub fn chunked_search(
 /// pick one clock — the runtime reports `seconds`.
 pub fn overlapped_search(
     device: &mut GpuDevice,
-    database: &SequenceSet,
+    database: &Subjects<'_>,
     query: &[u8],
     scheme: &ScoringScheme,
     sort_chunks: bool,
@@ -147,6 +148,7 @@ mod tests {
     use super::*;
     use crate::spec::DeviceSpec;
     use swdual_align::scalar::gotoh_score;
+    use swdual_bio::seq::{Sequence, SequenceSet};
     use swdual_bio::Alphabet;
 
     fn scheme() -> ScoringScheme {
@@ -175,22 +177,23 @@ mod tests {
     #[test]
     fn splitting_respects_chunk_size_and_order() {
         let db = uniform_database(20, 50, Alphabet::Protein);
-        let chunks = split_into_chunks(&db, 200).unwrap();
+        let subjects = Subjects::from(&db);
+        let chunks = split_into_chunks(&subjects, 200).unwrap();
         // 50 residues each, 200-residue chunks -> 4 sequences per chunk.
         assert_eq!(chunks.len(), 5);
-        let mut ids = Vec::new();
         for c in &chunks {
             assert!(c.iter().map(|s| s.len()).sum::<usize>() <= 200);
-            ids.extend(c.iter().map(|s| s.id.clone()));
         }
-        let expected: Vec<String> = db.iter().map(|s| s.id.clone()).collect();
-        assert_eq!(ids, expected);
+        // The runs are the database's own slices, in its order.
+        let rejoined: Vec<*const u8> = chunks.concat().iter().map(|s| s.as_ptr()).collect();
+        let expected: Vec<*const u8> = db.iter().map(|s| s.codes().as_ptr()).collect();
+        assert_eq!(rejoined, expected);
     }
 
     #[test]
     fn oversized_single_sequence_is_an_error() {
         let db = uniform_database(1, 500, Alphabet::Protein);
-        assert!(split_into_chunks(&db, 100).is_err());
+        assert!(split_into_chunks(&Subjects::from(&db), 100).is_err());
     }
 
     #[test]
@@ -200,7 +203,8 @@ mod tests {
         let mut device = GpuDevice::new(DeviceSpec::toy(260));
         let query = uniform_database(1, 80, Alphabet::Protein);
         let query = query.get(0).unwrap().codes().to_vec();
-        let result = chunked_search(&mut device, &db, &query, &scheme(), true).unwrap();
+        let result =
+            chunked_search(&mut device, &Subjects::from(&db), &query, &scheme(), true).unwrap();
         assert!(result.chunks > 1, "database must not fit in one chunk");
         assert_eq!(result.scores.len(), 24);
         for (i, seq) in db.iter().enumerate() {
@@ -225,11 +229,25 @@ mod tests {
         let query = query.get(0).unwrap().codes().to_vec();
 
         let mut serial_dev = GpuDevice::new(spec.clone());
-        let serial = chunked_search(&mut serial_dev, &db, &query, &scheme(), true).unwrap();
+        let serial = chunked_search(
+            &mut serial_dev,
+            &Subjects::from(&db),
+            &query,
+            &scheme(),
+            true,
+        )
+        .unwrap();
         let mut big = spec.clone();
         big.global_memory = 2000;
         let mut overlap_dev = GpuDevice::new(big);
-        let overlap = overlapped_search(&mut overlap_dev, &db, &query, &scheme(), true).unwrap();
+        let overlap = overlapped_search(
+            &mut overlap_dev,
+            &Subjects::from(&db),
+            &query,
+            &scheme(),
+            true,
+        )
+        .unwrap();
 
         assert_eq!(serial.scores, overlap.scores);
         assert_eq!(serial.chunks, overlap.chunks);
@@ -250,7 +268,8 @@ mod tests {
         let db = uniform_database(4, 20, Alphabet::Protein);
         let mut device = GpuDevice::new(DeviceSpec::toy(10_000));
         let query = vec![0u8; 30];
-        let result = chunked_search(&mut device, &db, &query, &scheme(), false).unwrap();
+        let result =
+            chunked_search(&mut device, &Subjects::from(&db), &query, &scheme(), false).unwrap();
         assert_eq!(result.chunks, 1);
         assert_eq!(result.scores.len(), 4);
     }
@@ -260,7 +279,7 @@ mod tests {
         let db = uniform_database(30, 40, Alphabet::Protein);
         let mut device = GpuDevice::new(DeviceSpec::toy(300));
         let query = vec![1u8; 50];
-        chunked_search(&mut device, &db, &query, &scheme(), true).unwrap();
+        chunked_search(&mut device, &Subjects::from(&db), &query, &scheme(), true).unwrap();
         assert_eq!(device.memory().used(), 0);
         // Peak usage stayed within one chunk (90% of capacity).
         assert!(device.memory().peak() <= 270);

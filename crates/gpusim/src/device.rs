@@ -27,7 +27,6 @@ use crate::memory::{Allocation, DeviceMemory, MemoryError};
 use crate::spec::DeviceSpec;
 use serde::{Deserialize, Serialize};
 use swdual_align::{score_database, ProfileCache, Scratch, Subjects, TierStats};
-use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
 use swdual_obs::{EventBody, Obs, Track};
 
@@ -167,12 +166,24 @@ struct Footprint {
 }
 
 impl Footprint {
-    fn of(lengths_in_device_order: &[usize], warp_size: usize) -> Footprint {
-        let padded = |warp: &[usize]| (warp.iter().copied().max().unwrap_or(0) * warp.len()) as u64;
-        Footprint {
-            total_residues: lengths_in_device_order.iter().map(|&l| l as u64).sum(),
-            padded_residues: lengths_in_device_order.chunks(warp_size).map(padded).sum(),
+    fn of(lengths_in_device_order: impl IntoIterator<Item = usize>, warp_size: usize) -> Footprint {
+        let mut footprint = Footprint {
+            total_residues: 0,
+            padded_residues: 0,
+        };
+        // The warp being filled: its lanes and its longest lane.
+        let (mut lanes, mut longest) = (0, 0);
+        for len in lengths_in_device_order {
+            footprint.total_residues += len as u64;
+            lanes += 1;
+            longest = longest.max(len);
+            if lanes == warp_size {
+                footprint.padded_residues += (longest * lanes) as u64;
+                (lanes, longest) = (0, 0);
+            }
         }
+        footprint.padded_residues += (longest * lanes) as u64;
+        footprint
     }
 
     /// The timing model of one kernel launch: `(useful_cells,
@@ -404,30 +415,26 @@ impl GpuDevice {
 
     /// Upload a database to the device, charging the PCIe transfer to
     /// the clock. `sort_by_length` mimics CUDASW++'s pre-sorted database
-    /// layout, which minimises warp padding. The residency borrows
-    /// `database`; nothing is copied on the host.
+    /// layout, which minimises warp padding. The residency borrows the
+    /// residues `database` borrows — an [`SqbImage`](swdual_bio::SqbImage),
+    /// a [`SequenceSet`](swdual_bio::SequenceSet) or one chunk of either —
+    /// and takes every length from their slices; nothing is copied on
+    /// the host.
     pub fn upload<'a>(
         &mut self,
-        database: &'a SequenceSet,
-        sort_by_length: bool,
-    ) -> Result<ResidentDb<'a>, MemoryError> {
-        self.upload_slice(database.as_slice(), sort_by_length)
-    }
-
-    /// [`GpuDevice::upload`] of a contiguous run of a database (one
-    /// chunk of a streamed search).
-    pub(crate) fn upload_slice<'a>(
-        &mut self,
-        subjects: &'a [Sequence],
+        database: impl Into<Subjects<'a>>,
         sort_by_length: bool,
     ) -> Result<ResidentDb<'a>, MemoryError> {
         let wall_start = self.obs.now();
-        let mut lengths: Vec<usize> = subjects.iter().map(|s| s.len()).collect();
-        if sort_by_length {
-            // Descending length: warps see near-equal neighbours.
-            lengths.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        let footprint = Footprint::of(&lengths, self.spec.warp_size);
+        let subjects = database.into();
+        let warp_size = self.spec.warp_size;
+        let footprint = if sort_by_length {
+            // Descending length: warps see near-equal neighbours. The
+            // order is the one the host kernel batches in.
+            Footprint::of(subjects.lengths_longest_first(), warp_size)
+        } else {
+            Footprint::of(subjects.seqs().iter().map(|s| s.len()), warp_size)
+        };
         let bytes = footprint.total_residues;
         let allocation = self.memory.alloc(bytes)?;
 
@@ -454,7 +461,7 @@ impl GpuDevice {
         self.update_device_metrics("device_h2d_seconds", t);
         Ok(ResidentDb {
             allocation,
-            subjects: subjects.iter().map(|s| s.codes()).collect(),
+            subjects,
             footprint,
         })
     }
@@ -478,7 +485,7 @@ impl GpuDevice {
         query_len: usize,
         subject_lengths_sorted_desc: &[usize],
     ) -> f64 {
-        Footprint::of(subject_lengths_sorted_desc, spec.warp_size)
+        Footprint::of(subject_lengths_sorted_desc.iter().copied(), spec.warp_size)
             .kernel_cost(spec, query_len)
             .2
     }
@@ -613,6 +620,7 @@ impl GpuDevice {
 mod tests {
     use super::*;
     use swdual_align::scalar::gotoh_score;
+    use swdual_bio::seq::{Sequence, SequenceSet};
     use swdual_bio::Alphabet;
 
     fn db(texts: &[&str]) -> SequenceSet {

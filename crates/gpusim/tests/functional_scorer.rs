@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use swdual_align::scalar::gotoh_score;
+use swdual_align::Subjects;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, ScoringScheme};
 use swdual_gpusim::chunked::{chunked_search, overlapped_search};
@@ -49,9 +50,23 @@ fn check_every_entry_point(subjects: &[Vec<u8>], query: &[u8], sort: bool) -> Re
     let longest = subjects.iter().map(|s| s.len()).max().unwrap_or(0) as u64;
     let capacity = (database.total_residues() / 3).max(longest * 100 / 45 + 2);
     let mut device = GpuDevice::new(DeviceSpec::toy(capacity));
-    let serial = chunked_search(&mut device, &database, query, &scheme, sort).unwrap();
+    let serial = chunked_search(
+        &mut device,
+        &Subjects::from(&database),
+        query,
+        &scheme,
+        sort,
+    )
+    .unwrap();
     let mut device = GpuDevice::new(DeviceSpec::toy(capacity));
-    let overlapped = overlapped_search(&mut device, &database, query, &scheme, sort).unwrap();
+    let overlapped = overlapped_search(
+        &mut device,
+        &Subjects::from(&database),
+        query,
+        &scheme,
+        sort,
+    )
+    .unwrap();
 
     for (name, scores) in [
         ("search", &resident_scores),
@@ -121,13 +136,27 @@ fn a_four_chunk_search_builds_the_query_profiles_once() {
     // through the striped ladder and looks the query's profiles up.
     let mut device = GpuDevice::new(DeviceSpec::toy(223));
     let scheme = ScoringScheme::protein_default();
-    let result = chunked_search(&mut device, &database, query, &scheme, true).unwrap();
+    let result = chunked_search(
+        &mut device,
+        &Subjects::from(&database),
+        query,
+        &scheme,
+        true,
+    )
+    .unwrap();
     assert_eq!(result.chunks, 4);
     let (hits, misses) = device.profile_lookups();
     assert_eq!((hits, misses), (3, 1), "one build, three reuses");
 
     // The next task evicts it: the cache holds one query.
     let other = vec![3u8; 40];
-    chunked_search(&mut device, &database, &other, &scheme, true).unwrap();
+    chunked_search(
+        &mut device,
+        &Subjects::from(&database),
+        &other,
+        &scheme,
+        true,
+    )
+    .unwrap();
     assert_eq!(device.profile_lookups(), (6, 2));
 }

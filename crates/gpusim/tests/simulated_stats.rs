@@ -4,6 +4,7 @@
 //! whose device still scored through the lane-array inter-sequence
 //! kernel; every one must reproduce bit for bit.
 
+use swdual_align::Subjects;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, ScoringScheme};
 use swdual_gpusim::chunked::{chunked_search, overlapped_search};
@@ -107,13 +108,27 @@ fn streamed_search_times_equal_the_parent_commit_bit_for_bit() {
     let query = vec![7u8; 144];
 
     let mut device = GpuDevice::new(DeviceSpec::toy(20_000));
-    let serial = chunked_search(&mut device, &database, &query, &scheme, true).unwrap();
+    let serial = chunked_search(
+        &mut device,
+        &Subjects::from(&database),
+        &query,
+        &scheme,
+        true,
+    )
+    .unwrap();
     assert_eq!(serial.chunks, 3);
     assert_eq!(serial.seconds.to_bits(), 0x3f8931eb3d2de674);
     assert_eq!(device.clock().to_bits(), 0x3f8931eb3d2de676);
 
     let mut device = GpuDevice::new(DeviceSpec::toy(20_000));
-    let overlapped = overlapped_search(&mut device, &database, &query, &scheme, false).unwrap();
+    let overlapped = overlapped_search(
+        &mut device,
+        &Subjects::from(&database),
+        &query,
+        &scheme,
+        false,
+    )
+    .unwrap();
     assert_eq!(overlapped.chunks, 6);
     assert_eq!(overlapped.seconds.to_bits(), 0x3f9243a7fe13f533);
     assert_eq!(device.clock().to_bits(), 0x3f924dcf744f90bf);

@@ -43,10 +43,11 @@ use crate::worker::{WorkerContext, WorkerSpec};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::thread::Scope;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
+use swdual_bio::SqbImage;
 use swdual_obs::{EventBody, Obs, OptWorker, Track};
 use swdual_sched::binsearch::{dual_approx_schedule_observed, BinarySearchConfig};
 use swdual_sched::dual::KnapsackMethod;
@@ -322,15 +323,16 @@ struct Links {
 fn spawn_workers<'scope>(
     scope: &'scope Scope<'scope, '_>,
     workers: &[WorkerSpec],
-    database: &Arc<SequenceSet>,
+    database: &Arc<SqbImage>,
     queries: &Arc<SequenceSet>,
     config: &RuntimeConfig,
-) -> Links {
+) -> (Links, Vec<ScopedJoinHandle<'scope, ()>>) {
     let (reg_tx, reg_rx) = channel::unbounded::<Registration>();
     let (msg_tx, msg_rx) = channel::unbounded::<WorkerMsg>();
     let (shared_tx, shared_rx) = channel::unbounded::<Job>();
     let shared_queue = matches!(config.policy, AllocationPolicy::SelfScheduling);
     let mut private_tx = Vec::with_capacity(workers.len());
+    let mut threads = Vec::with_capacity(workers.len());
     for (worker_id, spec) in workers.iter().enumerate() {
         let job_rx = if shared_queue {
             private_tx.push(None);
@@ -349,16 +351,17 @@ fn spawn_workers<'scope>(
             fault: config.faults.get(worker_id),
         };
         let (spec, msg_tx, reg_tx) = (spec.clone(), msg_tx.clone(), reg_tx.clone());
-        scope.spawn(move || {
+        threads.push(scope.spawn(move || {
             crate::worker::worker_loop_registered(spec, ctx, Some(reg_tx), job_rx, msg_tx)
-        });
+        }));
     }
-    Links {
+    let links = Links {
         private_tx,
         shared_tx,
         reg_rx,
         msg_rx,
-    }
+    };
+    (links, threads)
 }
 
 /// Phase 2 — collect registrations ("Register slaves") until everyone
@@ -604,8 +607,11 @@ impl Shell<'_> {
 /// re-planned on the survivors, results are deduplicated by task id,
 /// and the search either completes with exactly the hits a fault-free
 /// run produces or returns a typed [`SearchError`]. It cannot hang.
+///
+/// `database` is the checked image every worker scores in place; the
+/// caller keeps its own handle to resolve the ids of the hits.
 pub fn try_run_search(
-    database: SequenceSet,
+    database: Arc<SqbImage>,
     queries: SequenceSet,
     workers: &[WorkerSpec],
     config: RuntimeConfig,
@@ -614,7 +620,6 @@ pub fn try_run_search(
         return Err(SearchError::NoWorkers);
     }
     let n_tasks = queries.len();
-    let database = Arc::new(database);
     let queries = Arc::new(queries);
     let db_residues = database.total_residues();
     let cells: Vec<f64> = queries
@@ -631,7 +636,7 @@ pub fn try_run_search(
     // the scope joins them.
     let (results, schedule) = std::thread::scope(|scope| {
         let t_register = obs.now();
-        let mut links = spawn_workers(scope, workers, &database, &queries, &config);
+        let (mut links, threads) = spawn_workers(scope, workers, &database, &queries, &config);
         let (registrations, alive) = collect_registrations(&mut links, workers, &config);
         obs.span(
             Track::Master,
@@ -662,8 +667,18 @@ pub fn try_run_search(
         let tick = (config.min_job_timeout / 8)
             .min(Duration::from_millis(25))
             .max(Duration::from_millis(1));
-        let results = shell.run(schedule.as_ref(), tick)?;
-        Ok((results, schedule))
+        let results = shell.run(schedule.as_ref(), tick);
+        // `run` dropped the queues, so the workers are on their way
+        // out. Wait for the threads themselves: the scope only waits
+        // for their closures, and a thread still exiting holds its
+        // allocator arena — the next search's workers would be given
+        // fresh ones, each keeping a worker's freed memory.
+        for thread in threads {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Ok((results?, schedule))
     })?;
     let wall_seconds = start.elapsed().as_secs_f64();
 
@@ -712,7 +727,7 @@ pub fn try_run_search(
 /// retry budget exhausted) or a query/database is inconsistent with
 /// the scheme's alphabet.
 pub fn run_search(
-    database: SequenceSet,
+    database: Arc<SqbImage>,
     queries: SequenceSet,
     workers: &[WorkerSpec],
     config: RuntimeConfig,
@@ -732,6 +747,11 @@ mod tests {
 
     fn db(n: usize, len: usize) -> SequenceSet {
         swdual_datagen_stub::database(n, len)
+    }
+
+    /// The set as the database image a search takes.
+    fn image(set: &SequenceSet) -> Arc<SqbImage> {
+        Arc::new(SqbImage::from_set(set).unwrap())
     }
 
     // Minimal local generator to avoid a dev-dependency cycle with
@@ -780,7 +800,12 @@ mod tests {
             WorkerSpec::cpu_default(),
             WorkerSpec::gpu_default(),
         ];
-        let outcome = run_search(database, queries, &workers, RuntimeConfig::default());
+        let outcome = run_search(
+            image(&database),
+            queries,
+            &workers,
+            RuntimeConfig::default(),
+        );
         assert_eq!(outcome.hits.len(), 4);
         // Each query is an exact copy of a database entry: its top hit
         // must be that entry.
@@ -799,13 +824,13 @@ mod tests {
         let queries = queries_from(&database, &[0, 5, 9]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
         let a = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let b = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {
@@ -828,7 +853,7 @@ mod tests {
             vec![WorkerSpec::gpu_default(), WorkerSpec::gpu_default()],
         ] {
             let outcome = run_search(
-                database.clone(),
+                image(&database),
                 queries.clone(),
                 &workers,
                 RuntimeConfig::default(),
@@ -850,7 +875,12 @@ mod tests {
             WorkerSpec::gpu_default(),
             WorkerSpec::gpu_default(),
         ];
-        let outcome = run_search(database, queries, &workers, RuntimeConfig::default());
+        let outcome = run_search(
+            image(&database),
+            queries,
+            &workers,
+            RuntimeConfig::default(),
+        );
         let tasks: usize = outcome.worker_stats.iter().map(|s| s.tasks).sum();
         assert_eq!(tasks, 5);
         let cells: u64 = outcome.worker_stats.iter().map(|s| s.cells).sum();
@@ -872,13 +902,13 @@ mod tests {
         let queries = queries_from(&database, &[2, 6, 10, 14]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
         let one = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let multi = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {
@@ -897,7 +927,7 @@ mod tests {
         let database = db(30, 50);
         let queries = queries_from(&database, &[7]);
         let outcome = run_search(
-            database,
+            image(&database),
             queries,
             &[WorkerSpec::cpu_default()],
             RuntimeConfig {
@@ -918,7 +948,7 @@ mod tests {
     fn no_workers_panics() {
         let database = db(2, 10);
         let queries = queries_from(&database, &[0]);
-        let _ = run_search(database, queries, &[], RuntimeConfig::default());
+        let _ = run_search(image(&database), queries, &[], RuntimeConfig::default());
     }
 
     #[test]
@@ -926,7 +956,7 @@ mod tests {
         let database = db(2, 10);
         let queries = queries_from(&database, &[0]);
         assert_eq!(
-            try_run_search(database, queries, &[], RuntimeConfig::default()).unwrap_err(),
+            try_run_search(image(&database), queries, &[], RuntimeConfig::default()).unwrap_err(),
             SearchError::NoWorkers
         );
     }
@@ -977,7 +1007,7 @@ mod tests {
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
         let obs = Obs::enabled();
         let outcome = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {
@@ -1053,7 +1083,7 @@ mod tests {
         let database = db(4, 20);
         let queries = SequenceSet::new(Alphabet::Protein);
         let outcome = run_search(
-            database,
+            image(&database),
             queries,
             &[WorkerSpec::cpu_default()],
             RuntimeConfig::default(),
@@ -1085,14 +1115,14 @@ mod tests {
         let queries = queries_from(&database, &[1, 5, 9, 13, 17]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
         let healthy = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let obs = Obs::enabled();
         let faulted = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {
@@ -1133,13 +1163,13 @@ mod tests {
         let queries = queries_from(&database, &[0, 4, 8, 12]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
         let healthy = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let faulted = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             fault_config(FaultPlan::none().with(
@@ -1161,14 +1191,14 @@ mod tests {
         let queries = queries_from(&database, &[0, 4, 8, 12]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
         let healthy = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let obs = Obs::enabled();
         let faulted = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {
@@ -1196,13 +1226,13 @@ mod tests {
         let queries = queries_from(&database, &[0, 3, 6]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
         let healthy = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let faulted = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             fault_config(FaultPlan::none().with(
@@ -1225,7 +1255,7 @@ mod tests {
         let workers = vec![WorkerSpec::gpu_default(), WorkerSpec::cpu_default()];
         let obs = Obs::enabled();
         let outcome = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {
@@ -1253,13 +1283,13 @@ mod tests {
             WorkerSpec::gpu_default(),
         ];
         let healthy = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let faulted = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             fault_config(
@@ -1277,7 +1307,7 @@ mod tests {
         let database = db(8, 40);
         let queries = queries_from(&database, &[0, 2]);
         let err = try_run_search(
-            database,
+            image(&database),
             queries,
             &[WorkerSpec::cpu_default()],
             fault_config(FaultPlan::none().with(
@@ -1303,7 +1333,7 @@ mod tests {
         let database = db(8, 40);
         let queries = queries_from(&database, &[0]);
         let err = try_run_search(
-            database,
+            image(&database),
             queries,
             &[WorkerSpec::cpu_default()],
             fault_config(FaultPlan::none().with(0, WorkerFault::CrashBeforeRegistration)),
@@ -1321,7 +1351,7 @@ mod tests {
         let database = db(8, 40);
         let queries = queries_from(&database, &[1]);
         let err = try_run_search(
-            database,
+            image(&database),
             queries,
             &[WorkerSpec::cpu_default()],
             RuntimeConfig {
@@ -1351,13 +1381,13 @@ mod tests {
         let queries = queries_from(&database, &[0, 4, 8, 12]);
         let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
         let healthy = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let faulted = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {
@@ -1386,7 +1416,7 @@ mod tests {
             WorkerSpec::gpu_default(),
         ];
         let healthy = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
@@ -1394,7 +1424,7 @@ mod tests {
         for seed in [1u64, 7, 23] {
             let plan = FaultPlan::seeded(seed, workers.len());
             let faulted = run_search(
-                database.clone(),
+                image(&database),
                 queries.clone(),
                 &workers,
                 fault_config(plan.clone()),
@@ -1460,14 +1490,14 @@ mod tests {
             WorkerSpec::cpu_default(),
         ];
         let off = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let obs = Obs::enabled();
         let on = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {
@@ -1495,14 +1525,14 @@ mod tests {
         let queries = queries_from(&database, &[0, 2, 5, 8, 11, 14, 17, 20]);
         let workers = miscalibrated_zoo();
         let healthy = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let obs = Obs::enabled();
         let reopt = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             miscalibrated_config(true, obs.clone()),
@@ -1539,13 +1569,13 @@ mod tests {
         let queries = queries_from(&database, &[0, 2, 5, 8, 11, 14, 17, 20]);
         let workers = miscalibrated_zoo();
         let static_run = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             miscalibrated_config(false, Obs::disabled()),
         );
         let reopt_run = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             miscalibrated_config(true, Obs::disabled()),
@@ -1569,13 +1599,13 @@ mod tests {
         let queries = queries_from(&database, &[0, 3, 6, 9, 12, 15]);
         let workers = miscalibrated_zoo();
         let healthy = run_search(
-            database.clone(),
+            image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
         let faulted = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {
@@ -1615,7 +1645,7 @@ mod tests {
         let mut workers = miscalibrated_zoo();
         workers.push(WorkerSpec::cpu_default());
         let faulted = run_search(
-            database,
+            image(&database),
             queries,
             &workers,
             RuntimeConfig {

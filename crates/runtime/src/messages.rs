@@ -190,15 +190,39 @@ impl WorkerStats {
     }
 }
 
-/// Reduce a full score vector to the top-`k` hits.
+/// Rank order of hits: descending score, ties by ascending db index.
+/// Total over distinct db indices, so any selection by it is unique.
+fn by_rank(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+    b.score.cmp(&a.score).then(a.db_index.cmp(&b.db_index))
+}
+
+/// Reduce a full score vector to the top-`k` hits in one pass: at most
+/// `2k` candidates are held, cut back to the best `k` by selection
+/// whenever they fill up, and only the final `k` are sorted.
 pub fn top_k_hits(query_index: usize, scores: &[i32], k: usize) -> QueryHits {
-    let mut hits: Vec<Hit> = scores
-        .iter()
-        .enumerate()
-        .map(|(db_index, &score)| Hit { db_index, score })
-        .collect();
-    hits.sort_by(|a, b| b.score.cmp(&a.score).then(a.db_index.cmp(&b.db_index)));
-    hits.truncate(k);
+    let room = k.saturating_mul(2);
+    let mut hits: Vec<Hit> = Vec::with_capacity(room.min(scores.len()));
+    let keep_best = |hits: &mut Vec<Hit>| {
+        if (1..hits.len()).contains(&k) {
+            hits.select_nth_unstable_by(k - 1, by_rank);
+        }
+        hits.truncate(k);
+    };
+    // Once `k` hits are held, the score a later one must beat: the scan
+    // is in database order, so an equal score ranks after all of them.
+    let mut floor = None;
+    for (db_index, &score) in scores.iter().enumerate() {
+        if floor.is_some_and(|floor| score <= floor) {
+            continue;
+        }
+        hits.push(Hit { db_index, score });
+        if hits.len() >= room {
+            keep_best(&mut hits);
+            floor = hits.last().map(|worst| worst.score);
+        }
+    }
+    keep_best(&mut hits);
+    hits.sort_unstable_by(by_rank);
     QueryHits { query_index, hits }
 }
 
@@ -277,6 +301,29 @@ mod tests {
         );
         // And the selection is stable across repeated reductions.
         assert_eq!(top_k_hits(0, &scores, 2), h);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn selection_agrees_with_a_full_sort(
+            // Few distinct scores, so ties straddle every cut-off.
+            scores in proptest::prop::collection::vec(-2i32..3, 0..60),
+        ) {
+            let n = scores.len();
+            let mut sorted: Vec<Hit> = scores
+                .iter()
+                .enumerate()
+                .map(|(db_index, &score)| Hit { db_index, score })
+                .collect();
+            sorted.sort_by(|a, b| b.score.cmp(&a.score).then(a.db_index.cmp(&b.db_index)));
+            for k in [0, 1, n.saturating_sub(1), n, n + 3] {
+                proptest::prop_assert_eq!(
+                    &top_k_hits(0, &scores, k).hits[..],
+                    &sorted[..k.min(n)],
+                    "n={} k={}", n, k
+                );
+            }
+        }
     }
 
     #[test]

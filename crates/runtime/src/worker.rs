@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use swdual_align::engine::{EngineKind, PhaseTimings};
 use swdual_align::{ProfileCache, Scratch, Subjects, TierStats};
 use swdual_bio::seq::SequenceSet;
-use swdual_bio::ScoringScheme;
+use swdual_bio::{ScoringScheme, SqbImage};
 use swdual_gpusim::{DeviceClass, DeviceSpec, GpuDevice};
 use swdual_obs::{EventBody, HostPhase, Obs, Track};
 
@@ -147,8 +147,9 @@ impl WorkerSpec {
 pub struct WorkerContext {
     /// Worker id assigned at registration.
     pub worker_id: usize,
-    /// The database (shared, already encoded).
-    pub database: Arc<SequenceSet>,
+    /// The database: one checked image shared by every worker, scored
+    /// in place.
+    pub database: Arc<SqbImage>,
     /// The query set (shared).
     pub queries: Arc<SequenceSet>,
     /// Scoring parameters.
@@ -444,7 +445,7 @@ pub fn worker_loop(
             let engine = engine.build();
             // Prepared once per worker, not per job: the subjects' length
             // order and the kernels' working memory.
-            let subjects: Subjects = ctx.database.iter().map(|s| s.codes()).collect();
+            let subjects = Subjects::from(&*ctx.database);
             let mut scratch = Scratch::default();
             let model = WorkerRateModel::cpu_swipe();
             // Per-worker profile cache: jobs that share a query (chunked
@@ -526,10 +527,13 @@ pub fn worker_loop(
             // scores come from the same tiered host kernel the CPU arm
             // runs (host time), its task time from the device's simulated
             // clock alone. Databases that fit stay resident across tasks
-            // (the CUDASW++ pattern); oversized ones fall back to the
-            // chunked streaming path per kernel, re-streaming the
-            // database for every task as the real tools must.
-            let resident = device.upload(&ctx.database, true).ok();
+            // (the CUDASW++ pattern, `Ok`); oversized ones stay on the
+            // host (`Err`) and fall back to the chunked streaming path
+            // per kernel, re-streaming the database for every task as
+            // the real tools must.
+            let residency = device
+                .upload(&*ctx.database, true)
+                .map_err(|_| Subjects::from(&*ctx.database));
             while let Some(job) = next_job(&jobs) {
                 if !knobs.pre_job(jobs_done, job, ctx.worker_id, &ctx.obs, &results) {
                     return;
@@ -545,16 +549,16 @@ pub fn worker_loop(
                 // device activity.
                 device.set_lineage(Some(job.task_id));
                 let computed = (|| -> Result<(Vec<i32>, f64), FailureReason> {
-                    match &resident {
-                        Some(db) => {
+                    match &residency {
+                        Ok(db) => {
                             let r = device.try_search(query.codes(), db, &ctx.scheme)?;
                             Ok((r.scores, r.kernel_seconds))
                         }
-                        None => {
+                        Err(on_host) => {
                             device.check_fault()?;
                             let r = swdual_gpusim::chunked::overlapped_search(
                                 &mut device,
-                                &ctx.database,
+                                on_host,
                                 query.codes(),
                                 &ctx.scheme,
                                 true,
@@ -648,7 +652,7 @@ mod tests {
         let (res_tx, res_rx) = channel::unbounded();
         let ctx = WorkerContext {
             worker_id: 3,
-            database: Arc::new(tiny_db()),
+            database: Arc::new(SqbImage::from_set(&tiny_db()).unwrap()),
             queries: Arc::new(tiny_queries()),
             scheme: ScoringScheme::protein_default(),
             obs: Obs::disabled(),
@@ -899,7 +903,7 @@ mod tests {
         obs.set_profiling(true);
         let ctx = WorkerContext {
             worker_id: 0,
-            database: Arc::new(tiny_db()),
+            database: Arc::new(SqbImage::from_set(&tiny_db()).unwrap()),
             queries: Arc::new(tiny_queries()),
             scheme: ScoringScheme::protein_default(),
             obs: obs.clone(),
@@ -946,7 +950,7 @@ mod tests {
         let obs = Obs::enabled(); // tracing on, profiling off
         let ctx = WorkerContext {
             worker_id: 0,
-            database: Arc::new(tiny_db()),
+            database: Arc::new(SqbImage::from_set(&tiny_db()).unwrap()),
             queries: Arc::new(tiny_queries()),
             scheme: ScoringScheme::protein_default(),
             obs: obs.clone(),
@@ -966,7 +970,7 @@ mod tests {
         let obs = Obs::enabled();
         let ctx = WorkerContext {
             worker_id: 7,
-            database: Arc::new(tiny_db()),
+            database: Arc::new(SqbImage::from_set(&tiny_db()).unwrap()),
             queries: Arc::new(tiny_queries()),
             scheme: ScoringScheme::protein_default(),
             obs: obs.clone(),

@@ -10,10 +10,15 @@
 use std::path::PathBuf;
 use std::time::Duration;
 use swdual_bio::seq::{Sequence, SequenceSet};
-use swdual_bio::Alphabet;
+use swdual_bio::{Alphabet, SqbImage};
 use swdual_obs::journal::{journal_schema, parse_journal};
 use swdual_obs::{FlightRecorder, Obs};
 use swdual_runtime::{run_search, RuntimeConfig, WorkerSpec};
+
+/// The set as the database image a search takes.
+fn image(set: &SequenceSet) -> std::sync::Arc<SqbImage> {
+    SqbImage::from_set(set).unwrap().into()
+}
 
 fn database(n: usize, len: usize, seed: u64) -> SequenceSet {
     let mut set = SequenceSet::new(Alphabet::Protein);
@@ -71,7 +76,7 @@ fn panicking_worker_leaves_a_parseable_crash_fragment() {
         min_job_timeout: Duration::from_millis(60),
         ..RuntimeConfig::default()
     };
-    let _ = run_search(db, queries, &workers, config);
+    let _ = run_search(image(&db), queries, &workers, config);
     assert!(flight.seen() > 0, "run should have recorded events");
 
     flight.install_panic_hook(&fallback);

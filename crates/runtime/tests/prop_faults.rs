@@ -12,10 +12,15 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use swdual_bio::seq::{Sequence, SequenceSet};
-use swdual_bio::Alphabet;
+use swdual_bio::{Alphabet, SqbImage};
 use swdual_gpusim::DeviceSpec;
 use swdual_runtime::master::AllocationPolicy;
 use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerSpec};
+
+/// The set as the database image a search takes.
+fn image(set: &SequenceSet) -> std::sync::Arc<SqbImage> {
+    SqbImage::from_set(set).unwrap().into()
+}
 
 fn database(n: usize, len: usize, seed: u64) -> SequenceSet {
     let mut set = SequenceSet::new(Alphabet::Protein);
@@ -74,7 +79,7 @@ fn unchunkable_device_hands_its_work_to_the_survivors() {
     let db = database(12, 80, 41);
     let queries = queries_from(&db, 5, 42);
     let cpu_only = run_search(
-        db.clone(),
+        image(&db),
         queries.clone(),
         &workers(1, 0),
         RuntimeConfig::default(),
@@ -85,7 +90,7 @@ fn unchunkable_device_hands_its_work_to_the_survivors() {
         WorkerSpec::gpu(DeviceSpec::toy(100)),
     ];
     let started = std::time::Instant::now();
-    let hybrid = run_search(db, queries, &pool, RuntimeConfig::default());
+    let hybrid = run_search(image(&db), queries, &pool, RuntimeConfig::default());
     assert_eq!(hybrid.hits, cpu_only.hits);
     assert_eq!(hybrid.worker_stats[1].tasks, 0, "the device served nothing");
     assert_eq!(hybrid.worker_stats[0].tasks, 5);
@@ -119,7 +124,7 @@ proptest! {
         };
 
         let healthy = run_search(
-            db.clone(),
+            image(&db),
             queries.clone(),
             &pool,
             RuntimeConfig {
@@ -132,7 +137,7 @@ proptest! {
         // can always finish the workload.
         let plan = FaultPlan::seeded(fault_seed, pool.len());
         let faulted = run_search(
-            db,
+            image(&db),
             queries,
             &pool,
             RuntimeConfig {

@@ -11,11 +11,16 @@
 
 use proptest::prelude::*;
 use swdual_bio::seq::{Sequence, SequenceSet};
-use swdual_bio::Alphabet;
+use swdual_bio::{Alphabet, SqbImage};
 use swdual_runtime::master::ReoptConfig;
 use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerFault, WorkerSpec};
 use swdual_sched::binsearch::BinarySearchConfig;
 use swdual_sched::{reschedule_remainder_weighted, Task, TaskSet, WorkerFactors};
+
+/// The set as the database image a search takes.
+fn image(set: &SequenceSet) -> std::sync::Arc<SqbImage> {
+    SqbImage::from_set(set).unwrap().into()
+}
 
 fn database(n: usize, len: usize, seed: u64) -> SequenceSet {
     let mut set = SequenceSet::new(Alphabet::Protein);
@@ -123,7 +128,7 @@ proptest! {
 
         // Static, fault-free, well-calibrated reference.
         let reference = run_search(
-            db.clone(),
+            image(&db),
             queries.clone(),
             &static_pool,
             RuntimeConfig::default(),
@@ -133,7 +138,7 @@ proptest! {
         // an aggressive threshold so re-planning actually triggers.
         let pool = miscalibrated_pool(cpus, gpus, fault_seed);
         let reopt = run_search(
-            db,
+            image(&db),
             queries,
             &pool,
             RuntimeConfig {

@@ -5,9 +5,14 @@
 
 use std::time::Duration;
 use swdual_bio::seq::{Sequence, SequenceSet};
-use swdual_bio::Alphabet;
+use swdual_bio::{Alphabet, SqbImage};
 use swdual_obs::{Obs, Track};
 use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerFault, WorkerSpec};
+
+/// The set as the database image a search takes.
+fn image(set: &SequenceSet) -> std::sync::Arc<SqbImage> {
+    SqbImage::from_set(set).unwrap().into()
+}
 
 fn database(n: usize, len: usize, seed: u64) -> SequenceSet {
     let mut set = SequenceSet::new(Alphabet::Protein);
@@ -62,7 +67,7 @@ fn fault_run_trace_has_recovered_and_device_track_groups() {
         min_job_timeout: Duration::from_millis(60),
         ..RuntimeConfig::default()
     };
-    let _ = run_search(db, queries, &workers, config);
+    let _ = run_search(image(&db), queries, &workers, config);
 
     let events = obs.events();
     assert!(events

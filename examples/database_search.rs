@@ -26,6 +26,7 @@ fn main() {
 
     let report = SearchBuilder::new()
         .database(database)
+        .expect("generated ids fit the database image")
         .queries(queries)
         .hybrid_workers(2, 2) // 2 CPU + 2 simulated GPU workers
         .top_k(5)

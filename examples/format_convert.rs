@@ -3,8 +3,9 @@
 //! §IV: FASTA files cannot be read at arbitrary positions, so SWDUAL
 //! introduces a binary format with an index. This example writes a
 //! synthetic database as FASTA, converts it to SQB, and demonstrates
-//! random access: reading one record without touching the rest, with
-//! sizes known before allocation.
+//! both readers: the checked image a search borrows its residues from,
+//! and random access on disk — one record without touching the rest,
+//! with sizes known before allocation.
 //!
 //! Run with: `cargo run --release --example format_convert`
 
@@ -33,25 +34,35 @@ fn main() {
         sqb_bytes
     );
 
-    // Random access: jump straight to record 742.
-    let mut file = sqb::SqbFile::open(&sqb_path).expect("open SQB");
+    // The whole database as the search holds it: one read, one check,
+    // nothing decoded. Sizes come from the header, records are views.
+    let image = sqb::SqbImage::open(&sqb_path).expect("open SQB image");
     println!(
         "SQB header: {} sequences, {} residues, alphabet {:?}",
-        file.header().n_sequences,
-        file.header().total_residues,
-        file.header().alphabet
+        image.header().n_sequences,
+        image.header().total_residues,
+        image.header().alphabet
     );
-    // "The memory allocation process is simplified due to the fact that
-    // all the sequences sizes are known beforehand":
+    let view = image.get(742).expect("record 742 exists");
+    println!(
+        "record 742: id {:?}, {} residues, borrowed from the image",
+        view.id(),
+        view.len()
+    );
+
+    // Random access on disk: jump straight to record 742 without
+    // reading the rest. "The memory allocation process is simplified due
+    // to the fact that all the sequences sizes are known beforehand":
+    let mut file = sqb::SqbFile::open(&sqb_path).expect("open SQB");
     let len_before_read = file.residue_len(742).expect("record 742 exists");
     let record = file.read_sequence(742).expect("read record 742");
     println!(
-        "record 742: id {:?}, {} residues (index said {} before reading)",
-        record.id,
+        "record 742 from disk: {} residues (index said {} before reading)",
         record.len(),
         len_before_read
     );
     assert_eq!(record.len() as u32, len_before_read);
+    assert_eq!(record.codes(), view.residues());
     println!(
         "first 60 residues: {}",
         &record.text()[..record.len().min(60)]

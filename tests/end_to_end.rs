@@ -85,6 +85,7 @@ fn hits_invariant_across_policies_and_workers() {
     for (policy, workers) in configs {
         let report = SearchBuilder::new()
             .database(database.clone())
+            .unwrap()
             .queries(queries.clone())
             .workers(workers.clone())
             .policy(policy)
@@ -108,10 +109,12 @@ fn scheme_changes_change_scores() {
     let queries = queries_from_database(&database, 2, 50, 5000, &MutationProfile::homolog(), 99);
     let default = SearchBuilder::new()
         .database(database.clone())
+        .unwrap()
         .queries(queries.clone())
         .run();
     let harsher = SearchBuilder::new()
         .database(database)
+        .unwrap()
         .queries(queries)
         .scheme(ScoringScheme::new(
             swdual_repro::bio::Matrix::blosum62().clone(),
@@ -135,6 +138,7 @@ fn worker_accounting_adds_up() {
     let queries = queries_from_database(&database, 5, 50, 5000, &MutationProfile::homolog(), 13);
     let report = SearchBuilder::new()
         .database(database.clone())
+        .unwrap()
         .queries(queries)
         .hybrid_workers(2, 2)
         .run();

@@ -38,12 +38,14 @@ proptest! {
         prop_assume!(gpus + cpus >= 1);
         let reference = SearchBuilder::new()
             .database(db.clone())
+            .unwrap()
             .queries(queries.clone())
             .workers(vec![WorkerSpec::cpu_default()])
             .top_k(1000)
             .run();
         let mixed = SearchBuilder::new()
             .database(db)
+            .unwrap()
             .queries(queries)
             .hybrid_workers(cpus.max(if gpus == 0 { 1 } else { 0 }), gpus)
             .top_k(1000)
@@ -58,6 +60,7 @@ proptest! {
     ) {
         let report = SearchBuilder::new()
             .database(db.clone())
+            .unwrap()
             .queries(queries.clone())
             .hybrid_workers(1, 1)
             .policy(AllocationPolicy::SelfScheduling)
@@ -83,6 +86,7 @@ proptest! {
         let queries = db.clone();
         let report = SearchBuilder::new()
             .database(db)
+            .unwrap()
             .queries(queries.clone())
             .hybrid_workers(1, 1)
             .top_k(1)

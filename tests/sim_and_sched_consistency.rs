@@ -96,6 +96,7 @@ fn runtime_allocation_matches_scheduler_split() {
     let queries = queries_from_database(&database, 8, 50, 5000, &MutationProfile::homolog(), 32);
     let report = SearchBuilder::new()
         .database(database)
+        .unwrap()
         .queries(queries)
         .hybrid_workers(2, 2)
         .run();
