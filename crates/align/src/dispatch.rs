@@ -10,16 +10,14 @@
 //! |-----------|------------|------------------|-----------------------|-------------------|
 //! | `avx2`    | x86-64 AVX2| 32 × u8 (256-bit)| 32 subjects × u8      | 16 × i16 (256-bit)|
 //! | `neon`    | aarch64    | 16 × u8          | 16 × u8 arrays        | 8 × i16           |
-//! | `portable`| `std::simd`| 16 × u8          | 16 × u8 arrays        | 8 × i16           |
 //! | `scalar`  | any        | 16 × u8 arrays   | 16 subjects × u8 arrays| 8 × i16 arrays   |
 //!
 //! `scalar` is the autovectorized lane-array code in [`crate::striped`] /
 //! [`crate::striped8`] / [`crate::interseq`] — always available, and the
-//! oracle the property tests pin every other backend against. `portable` needs the
-//! `portable-simd` cargo feature (nightly). Detection runs once per
-//! process ([`Backend::active`], a `OnceLock`); the env var
-//! `SWDUAL_KERNEL_BACKEND=scalar|avx2|neon|portable` overrides it, which
-//! CI uses to force the fallback path on hosts that would dispatch wide.
+//! oracle the property tests pin every other backend against. Detection
+//! runs once per process ([`Backend::active`], a `OnceLock`); the env var
+//! `SWDUAL_KERNEL_BACKEND=scalar|avx2|neon` overrides it, which CI uses
+//! to force the fallback path on hosts that would dispatch wide.
 //!
 //! All backends return bit-identical `Option<i32>` results: the striped
 //! interleave changes which DP cells share a register, never the
@@ -43,8 +41,6 @@ pub enum Backend {
     Avx2,
     /// 128-bit NEON intrinsics (aarch64 baseline).
     Neon,
-    /// `std::simd` (`portable-simd` feature, nightly toolchains).
-    Portable,
 }
 
 impl Backend {
@@ -54,7 +50,6 @@ impl Backend {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
             Backend::Neon => "neon",
-            Backend::Portable => "portable",
         }
     }
 
@@ -64,7 +59,6 @@ impl Backend {
             "scalar" => Some(Backend::Scalar),
             "avx2" => Some(Backend::Avx2),
             "neon" => Some(Backend::Neon),
-            "portable" => Some(Backend::Portable),
             _ => None,
         }
     }
@@ -78,21 +72,15 @@ impl Backend {
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2 => false,
             Backend::Neon => cfg!(target_arch = "aarch64"),
-            Backend::Portable => cfg!(feature = "portable-simd"),
         }
     }
 
     /// Every backend usable on this host, fastest first, `Scalar` last.
     pub fn available() -> Vec<Backend> {
-        [
-            Backend::Avx2,
-            Backend::Neon,
-            Backend::Portable,
-            Backend::Scalar,
-        ]
-        .into_iter()
-        .filter(|b| b.is_available())
-        .collect()
+        [Backend::Avx2, Backend::Neon, Backend::Scalar]
+            .into_iter()
+            .filter(|b| b.is_available())
+            .collect()
     }
 
     /// Resolve the backend an override string (usually the
@@ -134,8 +122,8 @@ impl std::fmt::Display for Backend {
 }
 
 /// The profile bundle one backend scores a query with: the narrow
-/// layouts always (they are the 16-bit/byte inputs of the scalar, NEON
-/// and portable backends *and* the escalation oracle), the wide layouts
+/// layouts always (they are the 16-bit/byte inputs of the scalar and
+/// NEON backends *and* the escalation oracle), the wide layouts
 /// only when the backend consumes them. `byte` layouts are `None` when
 /// the matrix cannot be biased into a byte — every subject then starts
 /// at the 16-bit tier.
@@ -225,12 +213,6 @@ impl QueryProfiles {
                 // SAFETY: NEON is baseline on aarch64.
                 unsafe { crate::simd_neon::striped8_score_profile_neon(p, subject, scheme, rows) }
             }
-            #[cfg(feature = "portable-simd")]
-            Backend::Portable => {
-                let p = self.byte.as_ref()?;
-                let rows = &mut scratch.rows_simd8;
-                crate::simd_portable::striped8_score_profile_portable(p, subject, scheme, rows)
-            }
             _ => {
                 let p = self.byte.as_ref()?;
                 crate::striped8::striped8_score_profile(p, subject, scheme, &mut scratch.rows8)
@@ -262,11 +244,6 @@ impl QueryProfiles {
                 // SAFETY: NEON is baseline on aarch64.
                 unsafe { crate::simd_neon::striped_score_profile_neon(p, subject, scheme, rows) }
             }
-            #[cfg(feature = "portable-simd")]
-            Backend::Portable => {
-                let (p, rows) = (&self.striped, &mut scratch.rows_simd16);
-                crate::simd_portable::striped_score_profile_portable(p, subject, scheme, rows)
-            }
             _ => crate::striped::striped_score_profile(
                 &self.striped,
                 subject,
@@ -297,12 +274,7 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for b in [
-            Backend::Scalar,
-            Backend::Avx2,
-            Backend::Neon,
-            Backend::Portable,
-        ] {
+        for b in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
             assert_eq!(Backend::from_name(b.name()), Some(b));
             assert_eq!(Backend::from_name(&b.name().to_uppercase()), Some(b));
         }
@@ -315,6 +287,8 @@ mod tests {
         // Unknown or unavailable names fall back to detection.
         let detected = Backend::resolve(None);
         assert_eq!(Backend::resolve(Some("not-an-isa")), detected);
+        // A name retired from the vocabulary behaves like any unknown one.
+        assert_eq!(Backend::resolve(Some("portable")), Backend::available()[0]);
         assert!(detected.is_available());
     }
 

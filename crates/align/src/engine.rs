@@ -11,7 +11,6 @@ use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
 use crate::tiered::{score_database_with, ByteShape, Subjects, TierStats};
-use crate::wavefront::{self, WavefrontConfig};
 use swdual_bio::ScoringScheme;
 
 /// Which kernel an engine uses.
@@ -28,17 +27,14 @@ pub enum EngineKind {
     /// The same ladder with the byte tier forced inter-sequence at
     /// every query length (the SWIPE ablation of Table II).
     InterSeq,
-    /// Blocked wavefront, fine-grained parallel (Figure 2).
-    Wavefront,
 }
 
 impl EngineKind {
     /// All kinds, for exhaustive testing/benching.
-    pub const ALL: [EngineKind; 4] = [
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::Scalar,
         EngineKind::Striped,
         EngineKind::InterSeq,
-        EngineKind::Wavefront,
     ];
 
     /// Stable display name.
@@ -47,7 +43,6 @@ impl EngineKind {
             EngineKind::Scalar => "scalar",
             EngineKind::Striped => "striped",
             EngineKind::InterSeq => "interseq",
-            EngineKind::Wavefront => "wavefront",
         }
     }
 
@@ -57,9 +52,6 @@ impl EngineKind {
             EngineKind::Scalar => Box::new(ScalarEngine),
             EngineKind::Striped => Box::new(LadderEngine::AUTO),
             EngineKind::InterSeq => Box::new(LadderEngine::INTER_SEQ),
-            EngineKind::Wavefront => Box::new(WavefrontEngine {
-                config: WavefrontConfig::default(),
-            }),
         }
     }
 }
@@ -72,8 +64,8 @@ impl std::fmt::Display for EngineKind {
 
 /// Wall-clock seconds a `score_many` call spent in each host phase.
 /// The profiler's phase taxonomy for CPU workers: query-profile setup,
-/// the DP inner loop, and traceback (zero in score-only searches, kept
-/// so the taxonomy stays stable once alignment reconstruction lands).
+/// the DP inner loop, and traceback (always zero: the search is
+/// score-only; the field stays because recorded journals carry it).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Seconds of per-query setup: the inter-sequence score tables and
@@ -82,7 +74,7 @@ pub struct PhaseTimings {
     /// Seconds in the DP recurrences: batch transposition, every tier's
     /// kernel, escalations.
     pub dp_inner: f64,
-    /// Seconds reconstructing alignments.
+    /// Always zero; see the type's documentation.
     pub traceback: f64,
 }
 
@@ -112,32 +104,11 @@ pub trait AlignEngine: Send + Sync {
     }
 
     /// Like [`AlignEngine::score_many`] but also reports where the wall
-    /// time went. The default attributes everything to the DP inner
-    /// loop; engines with a separable setup stage (striped profile
-    /// construction) override this to split it out. Scores MUST equal
-    /// `score_many`'s — profiling never changes results.
-    fn score_many_phased(
-        &self,
-        query: &[u8],
-        subjects: &[&[u8]],
-        scheme: &ScoringScheme,
-    ) -> (Vec<i32>, PhaseTimings) {
-        let start = std::time::Instant::now();
-        let scores = self.score_many(query, subjects, scheme);
-        (
-            scores,
-            PhaseTimings {
-                dp_inner: start.elapsed().as_secs_f64(),
-                ..PhaseTimings::default()
-            },
-        )
-    }
-
-    /// Like [`AlignEngine::score_many_phased`], but profile setup may be
-    /// served from `cache` and the per-tier resolution counts are
-    /// returned. Engines without cacheable setup (or without a tier
-    /// ladder) delegate to the phased path and report every subject as
-    /// scalar-resolved. Scores MUST equal `score_many`'s.
+    /// time went and how many subjects each tier resolved; profile
+    /// setup may be served from `cache`. The default, for engines with
+    /// neither cacheable setup nor a tier ladder, puts all time in the
+    /// DP inner loop and every subject in the scalar tier. Scores MUST
+    /// equal `score_many`'s — profiling never changes results.
     fn score_many_cached(
         &self,
         query: &[u8],
@@ -145,7 +116,12 @@ pub trait AlignEngine: Send + Sync {
         scheme: &ScoringScheme,
         _cache: Option<&ProfileCache>,
     ) -> (Vec<i32>, PhaseTimings, TierStats) {
-        let (scores, timings) = self.score_many_phased(query, subjects, scheme);
+        let start = std::time::Instant::now();
+        let scores = self.score_many(query, subjects, scheme);
+        let timings = PhaseTimings {
+            dp_inner: start.elapsed().as_secs_f64(),
+            ..PhaseTimings::default()
+        };
         let stats = TierStats {
             subjects: subjects.len() as u64,
             escalated_scalar: subjects.len() as u64,
@@ -217,15 +193,6 @@ impl AlignEngine for LadderEngine {
     fn score_many(&self, query: &[u8], subjects: &[&[u8]], scheme: &ScoringScheme) -> Vec<i32> {
         self.score_many_cached(query, subjects, scheme, None).0
     }
-    fn score_many_phased(
-        &self,
-        query: &[u8],
-        subjects: &[&[u8]],
-        scheme: &ScoringScheme,
-    ) -> (Vec<i32>, PhaseTimings) {
-        let (scores, timings, _) = self.score_many_cached(query, subjects, scheme, None);
-        (scores, timings)
-    }
     fn score_many_cached(
         &self,
         query: &[u8],
@@ -256,22 +223,6 @@ impl AlignEngine for LadderEngine {
             &mut stats,
         );
         (scores, timings, stats)
-    }
-}
-
-/// Blocked-wavefront engine (fine-grained parallelism inside one
-/// comparison).
-pub struct WavefrontEngine {
-    /// Block partition used for every comparison.
-    pub config: WavefrontConfig,
-}
-
-impl AlignEngine for WavefrontEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Wavefront
-    }
-    fn score(&self, query: &[u8], subject: &[u8], scheme: &ScoringScheme) -> i32 {
-        wavefront::wavefront_score(query, subject, scheme, self.config)
     }
 }
 
@@ -318,7 +269,6 @@ mod tests {
         assert_eq!(EngineKind::Scalar.name(), "scalar");
         assert_eq!(EngineKind::Striped.to_string(), "striped");
         assert_eq!(EngineKind::InterSeq.name(), "interseq");
-        assert_eq!(EngineKind::Wavefront.name(), "wavefront");
     }
 
     #[test]
@@ -330,7 +280,7 @@ mod tests {
         for kind in EngineKind::ALL {
             let engine = kind.build();
             let plain = engine.score_many(&q, &refs, &scheme);
-            let (phased, timings) = engine.score_many_phased(&q, &refs, &scheme);
+            let (phased, timings, _) = engine.score_many_cached(&q, &refs, &scheme, None);
             assert_eq!(phased, plain, "engine {kind}: profiling changed scores");
             assert!(timings.profile_build >= 0.0);
             assert!(timings.dp_inner >= 0.0);
@@ -339,7 +289,7 @@ mod tests {
         }
         // The striped engine is the one that actually splits out a
         // profile-build phase; the default lumps everything in dp_inner.
-        let (_, scalar) = ScalarEngine.score_many_phased(&q, &refs, &scheme);
+        let (_, scalar, _) = ScalarEngine.score_many_cached(&q, &refs, &scheme, None);
         assert_eq!(scalar.profile_build, 0.0);
     }
 

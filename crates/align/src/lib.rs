@@ -6,10 +6,6 @@
 //! * [`scalar`] — reference implementations: linear-gap Smith-Waterman
 //!   (paper Eq. 1) and the Gotoh affine-gap recurrences (Eqs. 2–4).
 //!   Every other kernel is property-tested against these.
-//! * [`traceback`] — full-matrix alignment with traceback, producing an
-//!   [`alignment::Alignment`] like the paper's Figure 1 (local, global
-//!   and semi-global modes).
-//! * [`banded`] — banded Gotoh for bounded-divergence comparisons.
 //! * [`profile`] — query profiles: the substitution matrix re-indexed by
 //!   query position, the layout trick shared by STRIPED, SWIPE and
 //!   CUDASW++.
@@ -19,12 +15,11 @@
 //! * [`interseq`] — Rognes' inter-sequence SIMD kernel [9] (the SWIPE
 //!   baseline): one query against a vector's worth of database
 //!   sequences at once, in the same biased byte arithmetic.
-//! * [`wavefront`] — the fine-grained multi-PE parallelisation of
-//!   Figure 2: the DP matrix is cut into blocks and anti-diagonals of
-//!   blocks are computed in parallel (rayon), borders handed between
-//!   neighbours.
 //! * [`engine`] — a common [`engine::AlignEngine`] trait plus the
 //!   database-search drivers the workers run.
+//!
+//! The search is coarse-grained and score-only, as in the paper (§II-C):
+//! Figure 2's fine-grained scheme and alignment output are not built.
 //!
 //! All kernels consume residues already encoded by `swdual-bio` and score
 //! with a [`swdual_bio::ScoringScheme`]. Scores are `i32` end-to-end;
@@ -33,13 +28,12 @@
 //! exactly how SWIPE and STRIPED handle the same problem.
 //!
 //! On top of the kernels sits a runtime [`dispatch`] layer (detect the
-//! host ISA once, route through AVX2 / NEON / `std::simd` / scalar
-//! backends), a [`profile_cache`] that reuses built query profiles
+//! host ISA once, route through AVX2 / NEON / scalar backends), a [`profile_cache`] that reuses built query profiles
 //! across jobs, per-worker kernel working memory ([`scratch`]), and the
 //! [`tiered`] SWIPE-style pipeline that is the default database scoring
 //! path:
 //!
-//! | tier   | kernel                                   | lanes (AVX2 / NEON, portable, scalar) |
+//! | tier   | kernel                                   | lanes (AVX2 / NEON, scalar)            |
 //! |--------|------------------------------------------|----------------------------------------|
 //! | byte   | inter-sequence [`interseq`] *or* striped [`striped8`], picked per batch by fill and query length | 32 subjects or 32 × u8 / 16 × u8 (inter-sequence on lane arrays) |
 //! | 16-bit | striped [`striped`]                      | 16 × i16 / 8 × i16                     |
@@ -48,30 +42,20 @@
 //! [`tiered::score_database`] is the one batch-level entry point; both
 //! byte-tier shapes escalate exactly the same subjects.
 
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
-
-pub mod alignment;
-pub mod banded;
 pub mod dispatch;
 pub mod engine;
 pub mod interseq;
-pub mod linspace;
-pub mod par_search;
 pub mod profile;
 pub mod profile_cache;
 pub mod scalar;
 pub mod scratch;
 pub mod simd_avx2;
 pub mod simd_neon;
-pub mod simd_portable;
 pub mod striped;
 pub mod striped8;
 pub mod tiered;
-pub mod traceback;
-pub mod wavefront;
 pub mod wide;
 
-pub use alignment::{AlignOp, Alignment};
 pub use dispatch::{Backend, QueryProfiles};
 pub use engine::{AlignEngine, EngineKind, PhaseTimings};
 pub use profile_cache::ProfileCache;

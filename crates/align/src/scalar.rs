@@ -99,46 +99,6 @@ pub fn gotoh_score(query: &[u8], subject: &[u8], scheme: &ScoringScheme) -> i32 
     best
 }
 
-/// Gotoh score together with the end coordinates `(i, j)` (1-based, in
-/// query/subject order) of the best-scoring cell — the starting point for
-/// a traceback or a banded re-alignment.
-pub fn gotoh_score_with_end(
-    query: &[u8],
-    subject: &[u8],
-    scheme: &ScoringScheme,
-) -> (i32, usize, usize) {
-    if query.is_empty() || subject.is_empty() {
-        return (0, 0, 0);
-    }
-    let gs = scheme.gap_open;
-    let ge = scheme.gap_extend;
-    let n = subject.len();
-    const NEG_BOUND: i32 = i32::MIN / 4;
-    let mut h_prev = vec![0i32; n + 1];
-    let mut h_cur = vec![0i32; n + 1];
-    let mut f = vec![NEG_BOUND; n + 1];
-    let mut best = 0i32;
-    let (mut bi, mut bj) = (0usize, 0usize);
-
-    for (i, &q) in query.iter().enumerate() {
-        let row = scheme.matrix.row(q);
-        let mut e = NEG_BOUND;
-        for (j, &s) in subject.iter().enumerate() {
-            e = (e.max(h_cur[j] - gs)) - ge;
-            f[j + 1] = (f[j + 1].max(h_prev[j + 1] - gs)) - ge;
-            let h = (h_prev[j] + row[s as usize]).max(e).max(f[j + 1]).max(0);
-            h_cur[j + 1] = h;
-            if h > best {
-                best = h;
-                bi = i + 1;
-                bj = j + 1;
-            }
-        }
-        std::mem::swap(&mut h_prev, &mut h_cur);
-    }
-    (best, bi, bj)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,18 +190,6 @@ mod tests {
         let a = prot(b"MKVLATGGARNDCEQ");
         let b = prot(b"KVTAGGWYNDC");
         assert_eq!(gotoh_score(&a, &b, &scheme), gotoh_score(&b, &a, &scheme));
-    }
-
-    #[test]
-    fn with_end_reports_maximum_cell() {
-        let m = Matrix::match_mismatch(Alphabet::Dna, 1, -1);
-        let scheme = ScoringScheme::new(m, 0, 2);
-        // Best local region is the common TTGTC; ends at query pos 7 ("ACTTGTC"),
-        // subject pos 6 ("ATTGTC").
-        let (score, qi, sj) = gotoh_score_with_end(&dna(b"ACTTGTCCG"), &dna(b"ATTGTCAG"), &scheme);
-        assert_eq!(score, 5);
-        assert_eq!(qi, 7);
-        assert_eq!(sj, 6);
     }
 
     #[test]

@@ -38,12 +38,6 @@ pub struct Scratch {
     /// Striped rows of the NEON 16-bit kernel.
     #[cfg(target_arch = "aarch64")]
     pub(crate) rows_neon16: Vec<std::arch::aarch64::int16x8_t>,
-    /// Striped rows of the `std::simd` byte kernel.
-    #[cfg(feature = "portable-simd")]
-    pub(crate) rows_simd8: Vec<std::simd::Simd<u8, LANES8>>,
-    /// Striped rows of the `std::simd` 16-bit kernel.
-    #[cfg(feature = "portable-simd")]
-    pub(crate) rows_simd16: Vec<std::simd::Simd<i16, LANES>>,
 }
 
 /// The inter-sequence kernel's working memory for one batch, `L` lanes

@@ -204,7 +204,7 @@ impl Backend {
             }
             Backend::Scalar => Some(0.45),
             // No instantiation of their own and no measurement.
-            Backend::Neon | Backend::Portable => None,
+            Backend::Neon => None,
         }
     }
 }

@@ -1,17 +1,12 @@
 //! Property tests: every kernel must agree exactly with the scalar Gotoh
-//! reference on arbitrary sequences and arbitrary scoring schemes, and
-//! tracebacks must reconstruct alignments whose recomputed score equals
-//! the reported score.
+//! reference on arbitrary sequences and arbitrary scoring schemes.
 
 use proptest::prelude::*;
-use swdual_align::banded::{banded_gotoh_score, bandwidth_for};
 use swdual_align::dispatch::{Backend, QueryProfiles};
 use swdual_align::engine::EngineKind;
 use swdual_align::scalar::{gotoh_score, sw_linear_score};
 use swdual_align::striped::striped_score_exact;
 use swdual_align::tiered::{score_database_with, tiered_score, ByteShape, Subjects, TierStats};
-use swdual_align::traceback::{self, Mode};
-use swdual_align::wavefront::{wavefront_score, WavefrontConfig};
 use swdual_align::Scratch;
 use swdual_bio::{Alphabet, Matrix, ScoringScheme};
 
@@ -86,107 +81,12 @@ proptest! {
     }
 
     #[test]
-    fn wavefront_agrees_with_scalar(
-        q in residues(150),
-        s in residues(150),
-        sch in scheme(),
-        br in 1usize..40,
-        bc in 1usize..40,
-    ) {
-        let cfg = WavefrontConfig { block_rows: br, block_cols: bc };
-        prop_assert_eq!(
-            wavefront_score(&q, &s, &sch, cfg),
-            gotoh_score(&q, &s, &sch)
-        );
-    }
-
-    #[test]
     fn all_engines_agree(q in residues(60), s in residues(90), sch in blosum_scheme()) {
         let expected = gotoh_score(&q, &s, &sch);
         for kind in EngineKind::ALL {
             let engine = kind.build();
             prop_assert_eq!(engine.score(&q, &s, &sch), expected, "engine {}", kind);
         }
-    }
-
-    #[test]
-    fn local_traceback_score_matches_and_rescoares(
-        q in residues(80),
-        s in residues(80),
-        sch in scheme(),
-    ) {
-        let aln = traceback::local(&q, &s, &sch);
-        prop_assert_eq!(aln.score, gotoh_score(&q, &s, &sch));
-        prop_assert!(aln.is_consistent());
-        prop_assert_eq!(aln.rescore(&q, &s, &sch), aln.score);
-        // Local alignments never start or end with a gap column.
-        if let (Some(first), Some(last)) = (aln.ops.first(), aln.ops.last()) {
-            prop_assert!(first.consumes_query() && first.consumes_subject());
-            prop_assert!(last.consumes_query() && last.consumes_subject());
-        }
-    }
-
-    #[test]
-    fn global_traceback_spans_everything(
-        q in residues(60),
-        s in residues(60),
-        sch in blosum_scheme(),
-    ) {
-        let aln = traceback::global(&q, &s, &sch);
-        prop_assert!(aln.is_consistent());
-        prop_assert_eq!(aln.query_start, 0);
-        prop_assert_eq!(aln.query_end, q.len());
-        prop_assert_eq!(aln.subject_start, 0);
-        prop_assert_eq!(aln.subject_end, s.len());
-        prop_assert_eq!(aln.rescore(&q, &s, &sch), aln.score);
-    }
-
-    #[test]
-    fn semiglobal_traceback_consumes_query(
-        q in residues(50),
-        s in residues(70),
-        sch in blosum_scheme(),
-    ) {
-        let aln = traceback::align(&q, &s, &sch, Mode::SemiGlobal);
-        prop_assert!(aln.is_consistent());
-        if !q.is_empty() {
-            prop_assert_eq!(aln.query_start, 0);
-            prop_assert_eq!(aln.query_end, q.len());
-            prop_assert_eq!(aln.rescore(&q, &s, &sch), aln.score);
-        }
-        // Semi-global ≥ global: end gaps are free.
-        let global = traceback::global(&q, &s, &sch);
-        prop_assert!(aln.score >= global.score);
-    }
-
-    #[test]
-    fn local_dominates_other_modes(
-        q in residues(50),
-        s in residues(50),
-        sch in blosum_scheme(),
-    ) {
-        // The best local score is >= any anchored variant's score.
-        let local = gotoh_score(&q, &s, &sch);
-        let global = traceback::global(&q, &s, &sch);
-        let semi = traceback::align(&q, &s, &sch, Mode::SemiGlobal);
-        prop_assert!(local >= global.score.max(0).min(local)); // trivial guard
-        prop_assert!(local >= semi.score || local == 0 && semi.score <= 0);
-        prop_assert!(semi.score >= global.score);
-    }
-
-    #[test]
-    fn banded_is_lower_bound_and_converges(
-        q in residues(70),
-        s in residues(70),
-        sch in blosum_scheme(),
-        bw in 0usize..16,
-    ) {
-        let full = gotoh_score(&q, &s, &sch);
-        let banded = banded_gotoh_score(&q, &s, &sch, bw, 0);
-        prop_assert!(banded <= full);
-        // Full-width band equals the unbanded kernel.
-        let wide = bandwidth_for(q.len(), s.len(), q.len().max(s.len()));
-        prop_assert_eq!(banded_gotoh_score(&q, &s, &sch, wide, 0), full);
     }
 
     #[test]
@@ -207,33 +107,6 @@ proptest! {
             swdual_align::striped8::striped8_score_exact(&q, &s, &sch),
             gotoh_score(&q, &s, &sch)
         );
-    }
-
-    #[test]
-    fn linear_space_global_matches_full_traceback(
-        q in residues(70),
-        s in residues(70),
-        sch in scheme(),
-    ) {
-        let full = traceback::global(&q, &s, &sch);
-        let lin = swdual_align::linspace::global_linear_space(&q, &s, &sch);
-        prop_assert_eq!(lin.score, full.score);
-        prop_assert!(lin.is_consistent());
-        prop_assert_eq!(lin.rescore(&q, &s, &sch), lin.score);
-    }
-
-    #[test]
-    fn linear_space_local_matches_scalar(
-        q in residues(70),
-        s in residues(70),
-        sch in blosum_scheme(),
-    ) {
-        let lin = swdual_align::linspace::local_linear_space(&q, &s, &sch);
-        prop_assert_eq!(lin.score, gotoh_score(&q, &s, &sch));
-        prop_assert!(lin.is_consistent());
-        if !lin.is_empty() {
-            prop_assert_eq!(lin.rescore(&q, &s, &sch), lin.score);
-        }
     }
 
     #[test]

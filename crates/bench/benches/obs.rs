@@ -73,7 +73,7 @@ fn profiled_job(
 ) -> i32 {
     let wall_start = obs.now();
     let (scores, timings) = if obs.is_profiling() {
-        let (scores, timings) = engine.score_many_phased(query, subjects, scheme);
+        let (scores, timings, _) = engine.score_many_cached(query, subjects, scheme, None);
         (scores, Some(timings))
     } else {
         (engine.score_many(query, subjects, scheme), None)

@@ -19,7 +19,7 @@ pub fn measure<F: FnMut()>(samples: usize, iters: usize, mut op: F) -> f64 {
         }
         nanos.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
-    nanos.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    nanos.sort_by(f64::total_cmp);
     nanos[nanos.len() / 2]
 }
 

@@ -25,7 +25,6 @@ pub mod matrix;
 pub mod seq;
 pub mod sqb;
 pub mod stats;
-pub mod translate;
 
 pub use alphabet::Alphabet;
 pub use error::BioError;

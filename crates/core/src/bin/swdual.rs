@@ -1,33 +1,8 @@
 //! `swdual` — command-line interface to the hybrid search engine.
 //!
-//! Mirrors the paper's tool shape (Table I shows each baseline's CLI):
-//!
-//! ```text
-//! swdual search   --db DB.(fasta|sqb) --queries Q.fasta
-//!                 [--cpus N] [--gpus N] [--device-class SPEC]
-//!                 [--prior-scale W:F[,W:F...]]
-//!                 [--reopt] [--reopt-threshold F] [--reopt-min-remaining N]
-//!                 [--policy dual|dual-dp|self]
-//!                 [--top K] [--gap-open N] [--gap-extend N] [--evalues]
-//!                 [--trace-out TRACE.json] [--metrics-out METRICS.prom]
-//!                 [--journal-out EVENTS.jsonl] [--progress] [--profile]
-//!                 [--watchdog] [--live-socket PATH]
-//!                 [--fault-plan SPEC | --fault-seed N]
-//!                 [--job-timeout-slack F] [--min-job-timeout-ms MS]
-//! swdual analyze  EVENTS.jsonl [--json|--text] [-o FILE]
-//! swdual explain  EVENTS.jsonl [--what-if SPEC] [--json|--text] [-o FILE]
-//! swdual profile  EVENTS.jsonl [--flame OUT.folded] [--speedscope OUT.json]
-//!                 [--roofline] [--json] [-o FILE]
-//! swdual top      SOCKET|EVENTS.jsonl [--refresh-ms MS]
-//! swdual tail     EVENTS.jsonl [--follow] [--alerts-only]
-//! swdual diff     BASE.jsonl HEAD.jsonl [--profile] [--json|--text]
-//!                 [--threshold PCT] [--fail-on-regression] [--exact-only]
-//!                 [-o FILE]
-//! swdual diff     --bench [LEDGER.json] [--bench-name NAME] ...
-//! swdual convert  --input DB.fasta --output DB.sqb
-//! swdual generate --sequences N --mean-len L --output DB.fasta [--seed S]
-//! swdual info     --db DB.(fasta|sqb)
-//! ```
+//! Mirrors the paper's tool shape (Table I shows each baseline's CLI).
+//! [`SUBCOMMANDS`] is the one list of subcommands and of what each
+//! accepts; `swdual help` prints it.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -52,11 +27,57 @@ macro_rules! outln {
     }};
 }
 
-fn usage() -> &'static str {
-    "swdual — hybrid CPU+GPU Smith-Waterman database search (SWDUAL reproduction)
+/// One subcommand: what it accepts after its name, and what runs it.
+struct Subcommand {
+    /// The subcommand's lines of the `USAGE` block, after `swdual `.
+    /// These declare its name and its flags ([`Subcommand::flags`]).
+    synopsis: &'static str,
+    /// How many positional arguments.
+    positionals: std::ops::RangeInclusive<usize>,
+    /// Whether `-` (stdin) is a positional argument.
+    dash: bool,
+    run: fn(&Args) -> Result<(), String>,
+}
 
-USAGE:
-  swdual search   --db FILE --queries FILE [--cpus N] [--gpus N]
+/// The name of a flag as written: `--name` without its dashes, and
+/// `-o` for `out`.
+fn flag_name(written: &str) -> Option<&str> {
+    match written {
+        "-o" => Some("out"),
+        _ => written.strip_prefix("--"),
+    }
+}
+
+impl Subcommand {
+    fn name(&self) -> &'static str {
+        self.synopsis.split_whitespace().next().unwrap_or_default()
+    }
+
+    /// Every flag the synopsis names and whether it takes a value: one
+    /// does when the synopsis follows it with a word, not with `]`, `|`
+    /// or a bracketed positional.
+    fn flags(&self) -> Vec<(&'static str, bool)> {
+        let words: Vec<&str> = self.synopsis.split_whitespace().collect();
+        let mut flags = Vec::new();
+        for (i, word) in words.iter().enumerate() {
+            for flag in word.split(['[', ']', '|']) {
+                let Some(name) = flag_name(flag) else {
+                    continue;
+                };
+                let valued = word.ends_with(flag)
+                    && words
+                        .get(i + 1)
+                        .is_some_and(|next| !next.starts_with(['[', '|', '-', '.']));
+                flags.push((name, valued));
+            }
+        }
+        flags
+    }
+}
+
+static SUBCOMMANDS: [Subcommand; 10] = [
+    Subcommand {
+        synopsis: "search   --db FILE --queries FILE [--cpus N] [--gpus N]
                   [--device-class SPEC] [--prior-scale W:F[,W:F...]]
                   [--reopt] [--reopt-threshold F] [--reopt-min-remaining N]
                   [--policy dual|dual-dp|self] [--top K]
@@ -65,21 +86,80 @@ USAGE:
                   [--journal-out EVENTS.jsonl] [--progress] [--profile]
                   [--watchdog] [--live-socket PATH]
                   [--fault-plan SPEC | --fault-seed N]
-                  [--job-timeout-slack F] [--min-job-timeout-ms MS]
-  swdual analyze  EVENTS.jsonl [--json|--text] [-o FILE]
-  swdual explain  EVENTS.jsonl [--what-if SPEC] [--json|--text] [-o FILE]
-  swdual profile  EVENTS.jsonl [--flame OUT.folded] [--speedscope OUT.json]
-                  [--roofline] [--json] [-o FILE]
-  swdual top      SOCKET|EVENTS.jsonl [--refresh-ms MS]
-  swdual tail     EVENTS.jsonl [--follow] [--alerts-only]
-  swdual diff     BASE.jsonl HEAD.jsonl [--profile] [--json|--text]
+                  [--job-timeout-slack F] [--min-job-timeout-ms MS]",
+        positionals: 0..=0,
+        dash: false,
+        run: cmd_search,
+    },
+    Subcommand {
+        synopsis: "analyze  EVENTS.jsonl [--json|--text] [-o FILE]",
+        positionals: 1..=1,
+        dash: true,
+        run: cmd_analyze,
+    },
+    Subcommand {
+        synopsis: "explain  EVENTS.jsonl [--what-if SPEC] [--json|--text] [-o FILE]",
+        positionals: 1..=1,
+        dash: true,
+        run: cmd_explain,
+    },
+    Subcommand {
+        synopsis: "profile  EVENTS.jsonl [--flame OUT.folded] [--speedscope OUT.json]
+                  [--roofline] [--json] [-o FILE]",
+        positionals: 1..=1,
+        dash: false,
+        run: cmd_profile,
+    },
+    Subcommand {
+        synopsis: "top      SOCKET|EVENTS.jsonl [--refresh-ms MS]",
+        positionals: 1..=1,
+        dash: true,
+        run: cmd_top,
+    },
+    Subcommand {
+        synopsis: "tail     EVENTS.jsonl [--follow] [--alerts-only]",
+        positionals: 1..=1,
+        dash: true,
+        run: cmd_tail,
+    },
+    Subcommand {
+        synopsis: "diff     BASE.jsonl HEAD.jsonl [--profile] [--json|--text]
                   [--threshold PCT] [--fail-on-regression] [--exact-only]
                   [-o FILE]
-  swdual diff     --bench [LEDGER.json] [--bench-name NAME] ...
-  swdual convert  --input FILE.fasta --output FILE.sqb
-  swdual generate --sequences N --mean-len L --output FILE [--seed S]
-  swdual info     --db FILE
+  swdual diff     --bench [LEDGER.json] [--bench-name NAME] ...",
+        positionals: 0..=2,
+        dash: false,
+        run: cmd_diff,
+    },
+    Subcommand {
+        synopsis: "convert  --input FILE.fasta --output FILE.sqb",
+        positionals: 0..=0,
+        dash: false,
+        run: cmd_convert,
+    },
+    Subcommand {
+        synopsis: "generate --sequences N --mean-len L --output FILE [--seed S]",
+        positionals: 0..=0,
+        dash: false,
+        run: cmd_generate,
+    },
+    Subcommand {
+        synopsis: "info     --db FILE",
+        positionals: 0..=0,
+        dash: false,
+        run: cmd_info,
+    },
+];
 
+fn usage() -> String {
+    let mut text = String::from(
+        "swdual — hybrid CPU+GPU Smith-Waterman database search (SWDUAL reproduction)\n\nUSAGE:\n",
+    );
+    for subcommand in &SUBCOMMANDS {
+        text.push_str(&format!("  swdual {}\n", subcommand.synopsis));
+    }
+    text.push_str(
+        "
 Database/query files may be FASTA (.fasta/.fa) or SQB (.sqb). The
 journal readers (`analyze`, `explain`, `tail`) accept `-` to read the
 journal from stdin.
@@ -168,33 +248,105 @@ as long as one worker survives):
   --fault-plan SPEC    explicit plan, e.g. \"1:crash@2,2:device@0\"
                        (noreg | crash@N | vanish@N | device@K | straggle@MSxF)
   --fault-seed N       derive a pseudo-random plan from seed N
-                       (always spares at least one worker)"
+                       (always spares at least one worker)",
+    );
+    text
 }
 
-/// Parse `--key value` pairs after the subcommand.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {:?}", args[i]))?;
-        // Boolean flags.
-        if matches!(
-            key,
-            "evalues" | "progress" | "json" | "text" | "profile" | "reopt" | "watchdog"
-        ) {
-            flags.insert(key.to_string(), "true".to_string());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("flag --{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
+/// An argument list outside what a [`Subcommand`] accepts.
+struct ArgError<'a> {
+    subcommand: &'static Subcommand,
+    problem: ArgProblem<'a>,
+}
+
+enum ArgProblem<'a> {
+    UnknownFlag(&'a str),
+    MissingValue(&'a str),
+    Positionals(usize),
+}
+
+impl From<ArgError<'_>> for String {
+    fn from(e: ArgError<'_>) -> String {
+        let problem = match e.problem {
+            ArgProblem::UnknownFlag(flag) => format!("unknown flag {flag:?}"),
+            ArgProblem::MissingValue(flag) => format!("flag {flag} needs a value"),
+            ArgProblem::Positionals(n) => format!("{n} positional argument(s) given"),
+        };
+        format!("{problem}\nusage: swdual {}", e.subcommand.synopsis)
     }
-    Ok(flags)
+}
+
+/// The arguments of one subcommand, checked against what it accepts.
+struct Args<'a> {
+    subcommand: &'static Subcommand,
+    /// Flag name (without the dashes) to its value; `""` for a switch.
+    flags: HashMap<&'static str, &'a str>,
+    positionals: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Check `args` against what `subcommand` accepts. A flag given
+    /// twice keeps its last value.
+    fn parse(args: &'a [String], subcommand: &'static Subcommand) -> Result<Self, ArgError<'a>> {
+        let fail = |problem| {
+            Err(ArgError {
+                subcommand,
+                problem,
+            })
+        };
+        let flags = subcommand.flags();
+        let mut parsed = Args {
+            subcommand,
+            flags: HashMap::new(),
+            positionals: Vec::new(),
+        };
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with('-') || (arg == "-" && subcommand.dash) {
+                parsed.positionals.push(arg);
+                continue;
+            }
+            let name = flag_name(arg);
+            match flags.iter().find(|(known, _)| Some(*known) == name) {
+                Some(&(switch, false)) => parsed.flags.insert(switch, ""),
+                Some(&(flag, true)) => match rest.next() {
+                    Some(value) => parsed.flags.insert(flag, value),
+                    None => return fail(ArgProblem::MissingValue(arg)),
+                },
+                None => return fail(ArgProblem::UnknownFlag(arg)),
+            };
+        }
+        if !subcommand.positionals.contains(&parsed.positionals.len()) {
+            return fail(ArgProblem::Positionals(parsed.positionals.len()));
+        }
+        Ok(parsed)
+    }
+
+    /// Was this flag given?
+    fn has(&self, flag: &str) -> bool {
+        self.flags.contains_key(flag)
+    }
+
+    /// The value of a valued flag, if given.
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.flags.get(flag).copied()
+    }
+
+    /// The value of a flag the subcommand cannot run without.
+    fn required(&self, flag: &str) -> Result<&'a str, String> {
+        self.get(flag)
+            .ok_or_else(|| format!("--{flag} is required"))
+    }
+
+    /// The value of a numeric flag, if given.
+    fn number<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{flag} needs a number, got {v:?}"))
+            })
+            .transpose()
+    }
 }
 
 /// Read a journal argument: `-` means stdin, anything else is a file.
@@ -227,6 +379,16 @@ fn load_set(path: &str) -> Result<SequenceSet, String> {
     }
 }
 
+/// Write a set in the format its file name asks for.
+fn write_set(set: &SequenceSet, path: &str) -> Result<(), String> {
+    if path.ends_with(".sqb") {
+        sqb::write_file(set, path)
+    } else {
+        fasta::write_file(set, path)
+    }
+    .map_err(|e| e.to_string())
+}
+
 /// The database of a search: an `.sqb` file is read into its image as
 /// it is, anything else is parsed as FASTA and encoded to one.
 fn load_database(path: &str) -> Result<SqbImage, String> {
@@ -238,32 +400,22 @@ fn load_database(path: &str) -> Result<SqbImage, String> {
     .map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
-    let db_path = flags.get("db").ok_or("--db is required")?;
-    let q_path = flags.get("queries").ok_or("--queries is required")?;
-    let cpus: usize = flags
-        .get("cpus")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| "--cpus"))?;
-    let gpus: usize = flags
-        .get("gpus")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| "--gpus"))?;
-    let top: usize = flags
-        .get("top")
-        .map_or(Ok(10), |v| v.parse().map_err(|_| "--top"))?;
-    let gap_open: i32 = flags
-        .get("gap-open")
-        .map_or(Ok(10), |v| v.parse().map_err(|_| "--gap-open"))?;
-    let gap_extend: i32 = flags
-        .get("gap-extend")
-        .map_or(Ok(2), |v| v.parse().map_err(|_| "--gap-extend"))?;
-    let policy = match flags.get("policy").map(String::as_str).unwrap_or("dual") {
+fn cmd_search(flags: &Args) -> Result<(), String> {
+    let db_path = flags.required("db")?;
+    let q_path = flags.required("queries")?;
+    let cpus: usize = flags.number("cpus")?.unwrap_or(1);
+    let gpus: usize = flags.number("gpus")?.unwrap_or(1);
+    let top: usize = flags.number("top")?.unwrap_or(10);
+    let gap_open: i32 = flags.number("gap-open")?.unwrap_or(10);
+    let gap_extend: i32 = flags.number("gap-extend")?.unwrap_or(2);
+    let policy = match flags.get("policy").unwrap_or("dual") {
         "dual" => AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
         "dual-dp" => AllocationPolicy::DualApprox(KnapsackMethod::Dp(DpConfig::default())),
         "self" => AllocationPolicy::SelfScheduling,
         other => return Err(format!("unknown policy {other:?} (dual|dual-dp|self)")),
     };
     // Device zoo: which class each simulated GPU worker belongs to.
-    let gpu_classes: Vec<DeviceClass> = match flags.get("device-class").map(String::as_str) {
+    let gpu_classes: Vec<DeviceClass> = match flags.get("device-class") {
         None => vec![DeviceClass::C2050; gpus],
         Some("mixed") => DeviceClass::ALL.to_vec(),
         Some(spec) => {
@@ -274,7 +426,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
             if list.len() == 1 {
                 vec![list[0]; gpus.max(1)]
             } else {
-                if flags.contains_key("gpus") && gpus != list.len() {
+                if flags.has("gpus") && gpus != list.len() {
                     return Err(format!(
                         "--gpus {} conflicts with the {}-entry --device-class list",
                         gpus,
@@ -341,9 +493,9 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
     let trace_out = flags.get("trace-out");
     let metrics_out = flags.get("metrics-out");
     let journal_out = flags.get("journal-out");
-    let progress = flags.contains_key("progress");
-    let profile = flags.contains_key("profile");
-    let watchdog = flags.contains_key("watchdog");
+    let progress = flags.has("progress");
+    let profile = flags.has("profile");
+    let watchdog = flags.has("watchdog");
     let live_socket = flags.get("live-socket");
     let observe = trace_out.is_some()
         || metrics_out.is_some()
@@ -382,7 +534,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
         .policy(policy)
         .top_k(top)
         .observability(obs.clone());
-    match (flags.get("fault-plan"), flags.get("fault-seed")) {
+    match (flags.get("fault-plan"), flags.number::<u64>("fault-seed")?) {
         (Some(_), Some(_)) => {
             return Err("--fault-plan and --fault-seed are mutually exclusive".into())
         }
@@ -392,35 +544,28 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
             builder = builder.fault_plan(plan);
         }
         (None, Some(seed)) => {
-            let seed: u64 = seed.parse().map_err(|_| "--fault-seed")?;
             let plan = FaultPlan::seeded(seed, cpus + gpus);
             eprintln!("faults: seed {seed} -> plan `{plan}`");
             builder = builder.fault_seed(seed);
         }
         (None, None) => {}
     }
-    if let Some(slack) = flags.get("job-timeout-slack") {
-        let slack: f64 = slack.parse().map_err(|_| "--job-timeout-slack")?;
+    if let Some(slack) = flags.number("job-timeout-slack")? {
         builder = builder.job_timeout_slack(slack);
     }
-    if let Some(ms) = flags.get("min-job-timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| "--min-job-timeout-ms")?;
+    if let Some(ms) = flags.number("min-job-timeout-ms")? {
         builder = builder.min_job_timeout(std::time::Duration::from_millis(ms));
     }
-    if flags.contains_key("reopt")
-        || flags.contains_key("reopt-threshold")
-        || flags.contains_key("reopt-min-remaining")
-    {
+    if flags.has("reopt") || flags.has("reopt-threshold") || flags.has("reopt-min-remaining") {
         let mut reopt = ReoptConfig::enabled();
-        if let Some(v) = flags.get("reopt-threshold") {
-            reopt.threshold = v
-                .parse::<f64>()
-                .ok()
-                .filter(|t| *t >= 1.0)
-                .ok_or("--reopt-threshold must be a number >= 1")?;
+        if let Some(threshold) = flags.number::<f64>("reopt-threshold")? {
+            if threshold.is_nan() || threshold < 1.0 {
+                return Err("--reopt-threshold must be a number >= 1".into());
+            }
+            reopt.threshold = threshold;
         }
-        if let Some(v) = flags.get("reopt-min-remaining") {
-            reopt.min_remaining = v.parse().map_err(|_| "--reopt-min-remaining")?;
+        if let Some(n) = flags.number("reopt-min-remaining")? {
+            reopt.min_remaining = n;
         }
         eprintln!(
             "reopt: on (threshold x{}, min remaining {})",
@@ -438,7 +583,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
     }
     if let Some(path) = live_socket {
         eprintln!("live: streaming journal on {path}");
-        builder = builder.live(path.clone());
+        builder = builder.live(path);
     }
     let reporter =
         progress.then(|| ProgressReporter::start(&obs, std::time::Duration::from_millis(250)));
@@ -464,7 +609,7 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
         eprintln!("journal: wrote JSON-lines events to {path}");
     }
 
-    let evalues = flags.contains_key("evalues");
+    let evalues = flags.has("evalues");
     let stats = karlin::gapped_params(gap_open, gap_extend);
     if evalues && stats.is_none() {
         eprintln!(
@@ -503,6 +648,15 @@ fn cmd_search(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Whether a report renders as JSON; `--json` and `--text` exclude
+/// each other.
+fn json_not_text(args: &Args) -> Result<bool, String> {
+    if args.has("json") && args.has("text") {
+        return Err("--json and --text are mutually exclusive".into());
+    }
+    Ok(args.has("json"))
+}
+
 /// Deliver a rendered report: to `out` when given, stdout otherwise.
 fn emit(rendered: &str, out: Option<&str>, what: &str) -> Result<(), String> {
     match out {
@@ -516,102 +670,26 @@ fn emit(rendered: &str, out: Option<&str>, what: &str) -> Result<(), String> {
 }
 
 /// `swdual analyze EVENTS.jsonl [--json|--text] [-o FILE]` — audit a
-/// recorded journal against the scheduler's promises. Takes one
-/// positional path, so it parses its own arguments.
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let mut path: Option<&str> = None;
-    let mut json = false;
-    let mut text = false;
-    let mut out: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--text" => text = true,
-            "-o" | "--out" => {
-                out = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| format!("flag {} needs a value", args[i]))?,
-                );
-                i += 1;
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!(
-                    "unknown analyze flag {other:?} (--json|--text|-o FILE)"
-                ))
-            }
-            other => {
-                if path.is_some() {
-                    return Err("analyze takes exactly one journal path".into());
-                }
-                path = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let path = path.ok_or("usage: swdual analyze EVENTS.jsonl|- [--json|--text] [-o FILE]")?;
-    if json && text {
-        return Err("--json and --text are mutually exclusive".into());
-    }
-    let report = swdual_obs::analysis::analyze(&read_model(path)?);
+/// recorded journal against the scheduler's promises.
+fn cmd_analyze(args: &Args) -> Result<(), String> {
+    let json = json_not_text(args)?;
+    let report = swdual_obs::analysis::analyze(&read_model(args.positionals[0])?);
     let rendered = if json {
         report.to_json()
     } else {
         report.to_text()
     };
-    emit(&rendered, out, "analyze")
+    emit(&rendered, args.get("out"), "analyze")
 }
 
 /// `swdual explain EVENTS.jsonl [--what-if SPEC] [--json|--text]
 /// [-o FILE]` — reconstruct a run's causal lineage: critical path,
 /// blame attribution over the modelled makespan, and (with
 /// `--what-if`) a counterfactual replay of the recorded schedule.
-/// Takes one positional path, so it parses its own arguments (like
-/// `analyze`).
-fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let mut path: Option<&str> = None;
-    let mut premise: Option<&str> = None;
-    let mut json = false;
-    let mut text = false;
-    let mut out: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--text" => text = true,
-            "--what-if" | "-o" | "--out" => {
-                let key = args[i].clone();
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("flag {key} needs a value"))?;
-                if key == "--what-if" {
-                    premise = Some(value);
-                } else {
-                    out = Some(value);
-                }
-                i += 1;
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!(
-                    "unknown explain flag {other:?} (--what-if SPEC|--json|--text|-o FILE)"
-                ))
-            }
-            other => {
-                if path.is_some() {
-                    return Err("explain takes exactly one journal path".into());
-                }
-                path = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let path = path
-        .ok_or("usage: swdual explain EVENTS.jsonl|- [--what-if SPEC] [--json|--text] [-o FILE]")?;
-    if json && text {
-        return Err("--json and --text are mutually exclusive".into());
-    }
-    let report = swdual_obs::explain::explain(&read_model(path)?);
-    let rendered = match premise {
+fn cmd_explain(args: &Args) -> Result<(), String> {
+    let json = json_not_text(args)?;
+    let report = swdual_obs::explain::explain(&read_model(args.positionals[0])?);
+    let rendered = match args.get("what-if") {
         Some(spec) => {
             let spec = swdual_core::whatif::WhatIf::parse(spec)?;
             let answer = swdual_core::whatif::what_if(&report.replay, &spec)?;
@@ -629,57 +707,16 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             }
         }
     };
-    emit(&rendered, out, "explain")
+    emit(&rendered, args.get("out"), "explain")
 }
 
 /// `swdual profile EVENTS.jsonl [--flame OUT] [--speedscope OUT]
 /// [--roofline] [--json] [-o FILE]` — fold a journal into flamegraph /
-/// speedscope / roofline views. Takes one positional path, so it
-/// parses its own arguments (like `analyze`).
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let mut path: Option<&str> = None;
-    let mut flame: Option<&str> = None;
-    let mut speedscope: Option<&str> = None;
-    let mut roofline = false;
-    let mut json = false;
-    let mut out: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--roofline" => roofline = true,
-            "--json" => json = true,
-            "--flame" | "--speedscope" | "-o" | "--out" => {
-                let key = args[i].clone();
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("flag {key} needs a value"))?;
-                match key.as_str() {
-                    "--flame" => flame = Some(value),
-                    "--speedscope" => speedscope = Some(value),
-                    _ => out = Some(value),
-                }
-                i += 1;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!(
-                    "unknown profile flag {other:?} \
-                     (--flame|--speedscope|--roofline|--json|-o FILE)"
-                ))
-            }
-            other => {
-                if path.is_some() {
-                    return Err("profile takes exactly one journal path".into());
-                }
-                path = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let path = path.ok_or(
-        "usage: swdual profile EVENTS.jsonl [--flame OUT.folded] [--speedscope OUT.json] \
-         [--roofline] [--json] [-o FILE]",
-    )?;
-    let profile = swdual_obs::profile::Profile::from_model(&read_model(path)?);
+/// speedscope / roofline views.
+fn cmd_profile(args: &Args) -> Result<(), String> {
+    let (flame, speedscope, out) = (args.get("flame"), args.get("speedscope"), args.get("out"));
+    let (roofline, json) = (args.has("roofline"), args.has("json"));
+    let profile = swdual_obs::profile::Profile::from_model(&read_model(args.positionals[0])?);
     if let Some(out) = flame {
         let folded = swdual_obs::export::flamegraph_folded(
             &profile,
@@ -804,32 +841,9 @@ fn top_follow_socket(
 /// per-worker dashboard. A Unix-socket source (a `--live-socket`
 /// search) is followed until the run ends; a journal file (or `-`)
 /// renders the run's final state once.
-fn cmd_top(args: &[String]) -> Result<(), String> {
-    let mut source: Option<&str> = None;
-    let mut refresh_ms: u64 = 250;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--refresh-ms" => {
-                refresh_ms = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--refresh-ms needs a millisecond count")?;
-                i += 1;
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!("unknown top flag {other:?} (--refresh-ms MS)"));
-            }
-            other => {
-                if source.is_some() {
-                    return Err("top takes exactly one source".into());
-                }
-                source = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let source = source.ok_or("usage: swdual top SOCKET|EVENTS.jsonl [--refresh-ms MS]")?;
+fn cmd_top(args: &Args) -> Result<(), String> {
+    let source = args.positionals[0];
+    let refresh_ms: u64 = args.number("refresh-ms")?.unwrap_or(250);
 
     // A regular file (or stdin) is a recorded journal: fold it whole
     // and render the end-of-run dashboard.
@@ -893,32 +907,11 @@ fn tail_emit(trimmed: &str, alerts_only: bool) {
 /// `swdual tail EVENTS.jsonl [--follow] [--alerts-only]` — stream a
 /// journal (or stdin with `-`) line by line; `--follow` keeps reading
 /// as the file grows, `--alerts-only` filters to watchdog alerts.
-fn cmd_tail(args: &[String]) -> Result<(), String> {
+fn cmd_tail(args: &Args) -> Result<(), String> {
     use std::io::BufRead;
 
-    let mut source: Option<&str> = None;
-    let mut follow = false;
-    let mut alerts_only = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--follow" => follow = true,
-            "--alerts-only" => alerts_only = true,
-            other if other.starts_with('-') && other != "-" => {
-                return Err(format!(
-                    "unknown tail flag {other:?} (--follow|--alerts-only)"
-                ));
-            }
-            other => {
-                if source.is_some() {
-                    return Err("tail takes exactly one journal path".into());
-                }
-                source = Some(other);
-            }
-        }
-        i += 1;
-    }
-    let source = source.ok_or("usage: swdual tail EVENTS.jsonl|- [--follow] [--alerts-only]")?;
+    let source = args.positionals[0];
+    let (follow, alerts_only) = (args.has("follow"), args.has("alerts-only"));
 
     let mut header_seen = false;
     let mut handle_line = |trimmed: &str| -> Result<(), String> {
@@ -975,61 +968,14 @@ fn cmd_tail(args: &[String]) -> Result<(), String> {
 /// `swdual diff BASE.jsonl HEAD.jsonl [...]` / `swdual diff --bench
 /// [LEDGER.json]` — compare two runs (or the last two entries of each
 /// bench in the trend ledger) and optionally gate on regressions.
-/// Returns the process exit code so `--fail-on-regression` can fail
-/// the build after still printing the full report.
-fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut bench = false;
-    let mut bench_name: Option<&str> = None;
-    let mut profile = false;
-    let mut json = false;
-    let mut text = false;
-    let mut out: Option<&str> = None;
-    let mut fail_on_regression = false;
-    let mut exact_only = false;
-    let mut threshold: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bench" => bench = true,
-            "--profile" => profile = true,
-            "--json" => json = true,
-            "--text" => text = true,
-            "--fail-on-regression" => fail_on_regression = true,
-            "--exact-only" => exact_only = true,
-            "--bench-name" | "--threshold" | "-o" | "--out" => {
-                let key = args[i].clone();
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("flag {key} needs a value"))?;
-                match key.as_str() {
-                    "--bench-name" => bench_name = Some(value.as_str()),
-                    "--threshold" => {
-                        threshold = Some(
-                            value
-                                .parse()
-                                .map_err(|_| "--threshold must be a percentage")?,
-                        )
-                    }
-                    _ => out = Some(value.as_str()),
-                }
-                i += 1;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!(
-                    "unknown diff flag {other:?} (--bench|--bench-name NAME|--profile|\
-                     --json|--text|--threshold PCT|--fail-on-regression|--exact-only|-o FILE)"
-                ))
-            }
-            other => paths.push(other),
-        }
-        i += 1;
-    }
-    if json && text {
-        return Err("--json and --text are mutually exclusive".into());
-    }
+/// `--fail-on-regression` fails the build with an error after the full
+/// report has been printed.
+fn cmd_diff(args: &Args) -> Result<(), String> {
+    let paths = &args.positionals;
+    let json = json_not_text(args)?;
+    let threshold: Option<f64> = args.number("threshold")?;
     let mut opts = swdual_obs::diff::DiffOptions {
-        include_profile: profile,
+        include_profile: args.has("profile"),
         ..Default::default()
     };
     if let Some(pct) = threshold {
@@ -1038,7 +984,8 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
         }
         opts.wall_tolerance = pct / 100.0;
     }
-    let report = if bench {
+    let bench_name = args.get("bench-name");
+    let report = if args.has("bench") {
         if paths.len() > 1 {
             return Err("diff --bench takes at most one ledger path".into());
         }
@@ -1052,11 +999,10 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
         let (base_path, head_path) = match paths.as_slice() {
             [base, head] => (*base, *head),
             _ => {
-                return Err(
-                    "usage: swdual diff BASE.jsonl HEAD.jsonl [--profile] [--json|--text] \
-                     [--threshold PCT] [--fail-on-regression] [--exact-only] [-o FILE]"
-                        .into(),
-                )
+                return Err(String::from(ArgError {
+                    subcommand: args.subcommand,
+                    problem: ArgProblem::Positionals(paths.len()),
+                }))
             }
         };
         swdual_obs::diff::diff_models(&read_model(base_path)?, &read_model(head_path)?, &opts)
@@ -1066,16 +1012,16 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     } else {
         report.to_text()
     };
-    emit(&rendered, out, "diff")?;
-    if fail_on_regression {
+    emit(&rendered, args.get("out"), "diff")?;
+    if args.has("fail-on-regression") {
+        let exact_only = args.has("exact-only");
         let regressed = report.regressions(exact_only);
         if !regressed.is_empty() {
-            eprintln!(
+            return Err(format!(
                 "diff: FAIL — {} regressed metric(s): {}",
                 regressed.len(),
                 regressed.join(", ")
-            );
-            return Ok(ExitCode::FAILURE);
+            ));
         }
         let lane = if exact_only {
             "modelled-clock lane clean"
@@ -1084,18 +1030,14 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
         };
         eprintln!("diff: PASS — {lane}");
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
-fn cmd_convert(flags: HashMap<String, String>) -> Result<(), String> {
-    let input = flags.get("input").ok_or("--input is required")?;
-    let output = flags.get("output").ok_or("--output is required")?;
+fn cmd_convert(flags: &Args) -> Result<(), String> {
+    let input = flags.required("input")?;
+    let output = flags.required("output")?;
     let set = load_set(input)?;
-    if output.ends_with(".sqb") {
-        sqb::write_file(&set, output).map_err(|e| e.to_string())?;
-    } else {
-        fasta::write_file(&set, output).map_err(|e| e.to_string())?;
-    }
+    write_set(&set, output)?;
     outln!(
         "converted {} sequences ({} residues): {input} -> {output}",
         set.len(),
@@ -1104,27 +1046,15 @@ fn cmd_convert(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(flags: &Args) -> Result<(), String> {
     let n: usize = flags
-        .get("sequences")
-        .ok_or("--sequences is required")?
-        .parse()
-        .map_err(|_| "--sequences must be a number")?;
-    let mean: f64 = flags
-        .get("mean-len")
-        .ok_or("--mean-len is required")?
-        .parse()
-        .map_err(|_| "--mean-len must be a number")?;
-    let output = flags.get("output").ok_or("--output is required")?;
-    let seed: u64 = flags
-        .get("seed")
-        .map_or(Ok(2014), |v| v.parse().map_err(|_| "--seed"))?;
+        .number("sequences")?
+        .ok_or("--sequences is required")?;
+    let mean: f64 = flags.number("mean-len")?.ok_or("--mean-len is required")?;
+    let output = flags.required("output")?;
+    let seed: u64 = flags.number("seed")?.unwrap_or(2014);
     let set = synthetic_database("synth", n, LengthModel::protein_database(mean), seed);
-    if output.ends_with(".sqb") {
-        sqb::write_file(&set, output).map_err(|e| e.to_string())?;
-    } else {
-        fasta::write_file(&set, output).map_err(|e| e.to_string())?;
-    }
+    write_set(&set, output)?;
     outln!(
         "generated {} sequences ({} residues) -> {output}",
         set.len(),
@@ -1133,8 +1063,8 @@ fn cmd_generate(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(flags: HashMap<String, String>) -> Result<(), String> {
-    let path = flags.get("db").ok_or("--db is required")?;
+fn cmd_info(flags: &Args) -> Result<(), String> {
+    let path = flags.required("db")?;
     let set = load_set(path)?;
     outln!("file:      {path}");
     outln!("alphabet:  {:?}", set.alphabet);
@@ -1155,52 +1085,19 @@ fn cmd_info(flags: HashMap<String, String>) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         eprintln!("{}", usage());
         return ExitCode::from(2);
     };
-    // `analyze`, `explain`, `profile`, `diff`, `top` and `tail` take
-    // positional journal paths and parse their own arguments; every other command
-    // uses `--key value` flags. `diff` picks its own exit code so
-    // `--fail-on-regression` can fail the build after printing the
-    // report.
-    if matches!(
-        cmd.as_str(),
-        "analyze" | "explain" | "profile" | "diff" | "top" | "tail"
-    ) {
-        let result = match cmd.as_str() {
-            "analyze" => cmd_analyze(&args[1..]).map(|()| ExitCode::SUCCESS),
-            "explain" => cmd_explain(&args[1..]).map(|()| ExitCode::SUCCESS),
-            "profile" => cmd_profile(&args[1..]).map(|()| ExitCode::SUCCESS),
-            "top" => cmd_top(&args[1..]).map(|()| ExitCode::SUCCESS),
-            "tail" => cmd_tail(&args[1..]).map(|()| ExitCode::SUCCESS),
-            _ => cmd_diff(&args[1..]),
-        };
-        return match result {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        outln!("{}", usage());
+        return ExitCode::SUCCESS;
     }
-    let flags = match parse_flags(&args[1..]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
-            return ExitCode::from(2);
-        }
-    };
-    let result = match cmd.as_str() {
-        "search" => cmd_search(flags),
-        "convert" => cmd_convert(flags),
-        "generate" => cmd_generate(flags),
-        "info" => cmd_info(flags),
-        "help" | "--help" | "-h" => {
-            outln!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
+    let result = match SUBCOMMANDS.iter().find(|c| c.name() == name) {
+        Some(subcommand) => Args::parse(&args[1..], subcommand)
+            .map_err(String::from)
+            .and_then(|args| (subcommand.run)(&args)),
+        None => Err(format!("unknown command {name:?}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -1208,5 +1105,109 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sub(name: &str) -> &'static Subcommand {
+        SUBCOMMANDS.iter().find(|c| c.name() == name).unwrap()
+    }
+
+    /// The flags a synopsis declares, split into (switches, valued).
+    fn declared(name: &str) -> (Vec<&str>, Vec<&str>) {
+        let (valued, switches): (Vec<_>, Vec<_>) = sub(name).flags().into_iter().partition(|f| f.1);
+        let names = |list: Vec<(&'static str, bool)>| list.into_iter().map(|f| f.0).collect();
+        (names(switches), names(valued))
+    }
+
+    #[test]
+    fn every_synopsis_declares_exactly_its_flags() {
+        let (switches, valued) = declared("search");
+        assert_eq!(
+            switches,
+            ["reopt", "evalues", "progress", "profile", "watchdog"]
+        );
+        assert_eq!(
+            valued,
+            [
+                "db",
+                "queries",
+                "cpus",
+                "gpus",
+                "device-class",
+                "prior-scale",
+                "reopt-threshold",
+                "reopt-min-remaining",
+                "policy",
+                "top",
+                "gap-open",
+                "gap-extend",
+                "trace-out",
+                "metrics-out",
+                "journal-out",
+                "live-socket",
+                "fault-plan",
+                "fault-seed",
+                "job-timeout-slack",
+                "min-job-timeout-ms",
+            ]
+        );
+        let expect = |name, switches: &[&str], valued: &[&str]| {
+            assert_eq!(declared(name), (switches.to_vec(), valued.to_vec()));
+        };
+        expect("analyze", &["json", "text"], &["out"]);
+        expect("explain", &["json", "text"], &["what-if", "out"]);
+        expect(
+            "profile",
+            &["roofline", "json"],
+            &["flame", "speedscope", "out"],
+        );
+        expect("top", &[], &["refresh-ms"]);
+        expect("tail", &["follow", "alerts-only"], &[]);
+        expect(
+            "diff",
+            &[
+                "profile",
+                "json",
+                "text",
+                "fail-on-regression",
+                "exact-only",
+                "bench",
+            ],
+            &["threshold", "out", "bench-name"],
+        );
+        expect("convert", &[], &["input", "output"]);
+        expect(
+            "generate",
+            &[],
+            &["sequences", "mean-len", "output", "seed"],
+        );
+        expect("info", &[], &["db"]);
+    }
+
+    #[test]
+    fn arguments_outside_the_vocabulary_are_typed_errors() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let problem = |list: &[&str], name| match Args::parse(&args(list), sub(name)) {
+            Ok(_) => "accepted".to_string(),
+            Err(e) => String::from(e),
+        };
+        assert!(problem(&["--bogus", "1"], "info")
+            .starts_with("unknown flag \"--bogus\"\nusage: swdual info"));
+        assert!(problem(&["--cpu", "8"], "search").starts_with("unknown flag \"--cpu\""));
+        assert!(problem(&["-"], "profile").starts_with("unknown flag \"-\""));
+        assert!(problem(&["a", "-o"], "analyze").starts_with("flag -o needs a value"));
+        assert!(problem(&[], "tail").starts_with("0 positional argument(s) given"));
+        assert!(problem(&["a", "b", "c"], "diff").starts_with("3 positional argument(s) given"));
+
+        let list = args(&["-", "--out", "x", "--json", "-o", "y"]);
+        let parsed =
+            Args::parse(&list, sub("analyze")).unwrap_or_else(|e| panic!("{}", String::from(e)));
+        assert_eq!(parsed.positionals, ["-"]);
+        assert!(parsed.has("json") && !parsed.has("text"));
+        assert_eq!(parsed.get("out"), Some("y"), "the last value wins");
     }
 }

@@ -112,6 +112,40 @@ fn bad_usage_exits_nonzero() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
 
+/// Every subcommand rejects a flag outside its vocabulary by name —
+/// `--cpu 8` for `--cpus 8` must not run on the default pool — and a
+/// valued flag that ends the line without its value.
+#[test]
+fn unknown_flags_and_missing_values_are_rejected_by_every_subcommand() {
+    let rejected = |args: &[&str], named: &str| {
+        let out = swdual().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(err.contains(named), "{args:?} must name {named}: {err}");
+        assert!(err.contains(&format!("usage: swdual {}", args[0])), "{err}");
+    };
+    for subcommand in [
+        "search", "analyze", "explain", "profile", "top", "tail", "diff", "convert", "generate",
+        "info",
+    ] {
+        rejected(
+            &[subcommand, "x.jsonl", "--bogus-flag", "1"],
+            "--bogus-flag",
+        );
+    }
+    rejected(
+        &["search", "--db", "a", "--queries", "b", "--cpu", "8"],
+        "--cpu",
+    );
+    rejected(&["generate", "--sequences", "5", "--output"], "--output");
+    rejected(&["analyze", "x.jsonl", "-o"], "-o");
+    rejected(
+        &["diff", "a.jsonl", "b.jsonl", "--threshold"],
+        "--threshold",
+    );
+    rejected(&["top", "x.jsonl", "--refresh-ms"], "--refresh-ms");
+}
+
 #[test]
 fn help_succeeds() {
     let out = swdual().arg("help").output().unwrap();

@@ -5,6 +5,7 @@
 //! online re-optimization improving the modelled makespan by ≥ 15%
 //! over the static plan, via `swdual diff`.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -48,22 +49,32 @@ fn analyze_json(journal: &Path) -> serde_json::Value {
         .expect("analyze --json emits valid JSON")
 }
 
-fn worker_classes(report: &serde_json::Value) -> Vec<(bool, String)> {
+/// The set of device classes the audit names for GPU workers.
+fn gpu_classes(report: &serde_json::Value) -> BTreeSet<String> {
     report
         .get("workers")
         .and_then(|w| w.as_array())
         .expect("workers array")
         .iter()
+        .filter(|w| w.get("is_gpu").and_then(|v| v.as_bool()).unwrap())
         .map(|w| {
-            (
-                w.get("is_gpu").and_then(|v| v.as_bool()).unwrap(),
-                w.get("device_class")
-                    .and_then(|v| v.as_str())
-                    .unwrap()
-                    .to_string(),
-            )
+            w.get("device_class")
+                .and_then(|v| v.as_str())
+                .unwrap()
+                .to_string()
         })
         .collect()
+}
+
+/// The journal carries the scheduler's λ and the 2λ guarantee HOLDS.
+fn assert_bound_holds(report: &serde_json::Value, what: &str) {
+    for field in ["has_bound", "bound_holds"] {
+        assert_eq!(
+            report.get(field).and_then(|v| v.as_bool()),
+            Some(true),
+            "{field} must be true for {what}"
+        );
+    }
 }
 
 #[test]
@@ -92,15 +103,11 @@ fn every_zoo_class_searches_cleanly_and_holds_the_two_lambda_bound() {
         );
 
         let report = analyze_json(&journal);
+        assert_bound_holds(&report, class);
         assert_eq!(
-            report.get("bound_holds").and_then(|v| v.as_bool()),
-            Some(true),
-            "2λ must HOLD for class {class}"
-        );
-        let classes = worker_classes(&report);
-        assert!(
-            classes.iter().any(|(gpu, name)| *gpu && name == class),
-            "audit must name the GPU's class {class}: {classes:?}"
+            gpu_classes(&report),
+            BTreeSet::from([class.to_string()]),
+            "audit must name exactly the GPU's class"
         );
 
         // The human-readable audit names the class too.
@@ -140,18 +147,12 @@ fn mixed_zoo_runs_one_gpu_per_class_and_holds_the_bound() {
     assert!(search.status.success(), "mixed search failed: {search:?}");
 
     let report = analyze_json(&journal);
+    assert_bound_holds(&report, "the mixed zoo");
     assert_eq!(
-        report.get("bound_holds").and_then(|v| v.as_bool()),
-        Some(true),
-        "2λ must HOLD on the mixed zoo"
+        gpu_classes(&report),
+        ["c2050", "phi", "knl", "bioseal"].map(String::from).into(),
+        "mixed zoo must field exactly one GPU class of each kind"
     );
-    let classes = worker_classes(&report);
-    for class in ["c2050", "phi", "knl", "bioseal"] {
-        assert!(
-            classes.iter().any(|(gpu, name)| *gpu && name == class),
-            "mixed zoo must field a {class} GPU: {classes:?}"
-        );
-    }
 }
 
 #[test]

@@ -39,7 +39,7 @@ pub fn optimal_schedule(tasks: &TaskSet, platform: &PlatformSpec) -> Option<Sche
     order.sort_by(|&a, &b| {
         let ta = tasks.tasks()[a].min_time();
         let tb = tasks.tasks()[b].min_time();
-        tb.partial_cmp(&ta).unwrap()
+        tb.total_cmp(&ta)
     });
 
     // Seed the upper bound with a greedy earliest-finish assignment.
@@ -57,7 +57,7 @@ pub fn optimal_schedule(tasks: &TaskSet, platform: &PlatformSpec) -> Option<Sche
                 };
                 (slot, seed_loads[slot] + dur)
             })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap();
         seed_loads[slot] = finish;
         seed_assign[tid] = slot;

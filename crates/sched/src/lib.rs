@@ -29,7 +29,6 @@
 pub mod binsearch;
 pub mod dual;
 pub mod exact;
-pub mod gantt_svg;
 pub mod knapsack;
 pub mod metrics;
 pub mod multiround;

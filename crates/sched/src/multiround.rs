@@ -50,7 +50,7 @@ pub fn multi_round_schedule(
         // Append each machine's batch placements after its current load,
         // preserving the batch-internal order.
         let mut batch = outcome.schedule.placements;
-        batch.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
+        batch.sort_by(|a, b| a.start.total_cmp(&b.start));
         for p in batch {
             let offset = loads.entry(p.pe).or_insert(0.0);
             let gid = chunk_ids[p.task];

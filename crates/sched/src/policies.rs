@@ -44,7 +44,7 @@ pub fn self_scheduling(tasks: &TaskSet, platform: &PlatformSpec) -> Schedule {
         let (slot, _) = loads
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).unwrap().then(a.0.cmp(&b.0)))
+            .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1).then(a.0.cmp(&b.0)))
             .expect("at least one PE");
         let (pe, start) = loads[slot];
         let dur = match pe.kind {
@@ -154,7 +154,7 @@ pub fn lpt_single_kind(tasks: &TaskSet, platform: &PlatformSpec, kind: PeKind) -
             PeKind::Cpu => (ta.p_cpu, tb.p_cpu),
             PeKind::Gpu => (ta.p_gpu, tb.p_gpu),
         };
-        pb.partial_cmp(&pa).unwrap().then(a.cmp(&b))
+        pb.total_cmp(&pa).then(a.cmp(&b))
     });
     let (placements, _) = crate::schedule::list_schedule(&ids, tasks, kind, count);
     Schedule { placements }
@@ -175,7 +175,7 @@ pub fn heft_lite(tasks: &TaskSet, platform: &PlatformSpec) -> Schedule {
         let tb = &tasks.tasks()[b];
         let ma = 0.5 * (ta.p_cpu + ta.p_gpu);
         let mb = 0.5 * (tb.p_cpu + tb.p_gpu);
-        mb.partial_cmp(&ma).unwrap().then(a.cmp(&b))
+        mb.total_cmp(&ma).then(a.cmp(&b))
     });
 
     let mut placements = Vec::with_capacity(tasks.len());
@@ -191,7 +191,7 @@ pub fn heft_lite(tasks: &TaskSet, platform: &PlatformSpec) -> Schedule {
                 };
                 (slot, load + dur)
             })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
             .expect("at least one PE");
         let (pe, start) = loads[slot];
         placements.push(Placement {

@@ -339,7 +339,7 @@ mod tests {
                 .filter(|p| p.pe == PeId::cpu(idx))
                 .map(|p| (p.start, p.end))
                 .collect();
-            spans.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            spans.sort_by(|a, b| a.0.total_cmp(&b.0));
             for w in spans.windows(2) {
                 assert!(w[0].1 <= w[1].0 + 1e-12);
             }

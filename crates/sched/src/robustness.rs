@@ -69,7 +69,7 @@ pub fn replay_static(schedule: &Schedule, actual: &ActualTimes) -> Schedule {
     }
     let mut placements = Vec::with_capacity(schedule.placements.len());
     for (pe, mut list) in by_pe {
-        list.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
+        list.sort_by(|a, b| a.start.total_cmp(&b.start));
         let mut clock = 0.0;
         for p in list {
             let dur = actual.duration(p.task, pe.kind);
@@ -102,7 +102,7 @@ pub fn replay_self_scheduling(
         let (slot, _) = loads
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).unwrap().then(a.0.cmp(&b.0)))
+            .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1).then(a.0.cmp(&b.0)))
             .expect("at least one PE");
         let (pe, start) = loads[slot];
         let dur = actual.duration(t.id, pe.kind);

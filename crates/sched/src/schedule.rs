@@ -244,7 +244,7 @@ impl Schedule {
                 .push((p.start, p.end, p.task));
         }
         for (pe, mut intervals) in by_pe {
-            intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
             for w in intervals.windows(2) {
                 if w[0].1 > w[1].0 + 1e-9 {
                     return Err(format!("tasks {} and {} overlap on {}", w[0].2, w[1].2, pe));
@@ -310,7 +310,7 @@ pub fn list_schedule(
         let (pe_idx, _) = loads
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
+            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
             .expect("count > 0");
         let task = &tasks.tasks()[id];
         let dur = match kind {

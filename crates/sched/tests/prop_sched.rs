@@ -1,14 +1,17 @@
 //! Property tests for the dual-approximation scheduler: the 2λ
-//! guarantee, NO-answer soundness, knapsack invariants and schedule
+//! guarantee (per step, and against the exact optimum of small
+//! instances), NO-answer soundness, knapsack invariants and schedule
 //! validity for every policy on arbitrary instances.
 
 use proptest::prelude::*;
 use swdual_sched::binsearch::{dual_approx_schedule, lower_bound, BinarySearchConfig};
 use swdual_sched::dual::{dual_step, DualStepResult, KnapsackMethod};
+use swdual_sched::exact::optimal_schedule;
 use swdual_sched::knapsack::{greedy_knapsack, DpConfig};
 use swdual_sched::policies;
+use swdual_sched::robustness::{replay_static, ActualTimes};
 use swdual_sched::schedule::PeKind;
-use swdual_sched::{PlatformSpec, TaskSet};
+use swdual_sched::{PlatformSpec, Task, TaskSet};
 
 /// Random task set: GPU time in (0.1, 5.0), acceleration in (0.2, 12) —
 /// includes GPU-averse tasks (acceleration < 1).
@@ -151,6 +154,37 @@ proptest! {
     }
 
     #[test]
+    fn guarantees_hold_against_the_exact_optimum(
+        tasks in task_set(10),
+        m in 1usize..4,
+        k in 1usize..4,
+    ) {
+        // The 2·OPT and 3/2·OPT guarantees against the branch-and-bound
+        // optimum itself, not a lower bound on it. A NO is only ever
+        // answered below OPT, so the search ends with `hi ≤ OPT/(1 − ε)`,
+        // ε its relative precision.
+        let pf = PlatformSpec::new(m, k);
+        let opt = optimal_schedule(&tasks, &pf).expect("nine tasks at most").makespan();
+        let greedy = BinarySearchConfig::default();
+        let eps = greedy.relative_precision;
+        let found = dual_approx_schedule(&tasks, &pf, greedy).schedule.makespan();
+        prop_assert!(found >= opt - 1e-9, "greedy {found} beats the optimum {opt}");
+        prop_assert!(found <= 2.0 * opt / (1.0 - eps) + 1e-9, "greedy {found} > 2 x {opt}");
+
+        // The DP rounds each GPU time up to a grid cell, so it may also
+        // refuse a λ up to `1/(1 − n/resolution)` above OPT (`DpConfig`).
+        let dp = DpConfig::default();
+        let rounding = 1.0 - tasks.len() as f64 / dp.resolution as f64;
+        let config = BinarySearchConfig { method: KnapsackMethod::Dp(dp), ..greedy };
+        let found = dual_approx_schedule(&tasks, &pf, config).schedule.makespan();
+        prop_assert!(found >= opt - 1e-9, "DP {found} beats the optimum {opt}");
+        prop_assert!(
+            found <= 1.5 * opt / ((1.0 - eps) * rounding) + 1e-9,
+            "DP {found} > 3/2 x {opt}"
+        );
+    }
+
+    #[test]
     fn lower_bound_is_actually_a_lower_bound(tasks in task_set(25), pf in platform()) {
         // No policy can beat the lower bound.
         let lb = lower_bound(&tasks, &pf);
@@ -162,5 +196,27 @@ proptest! {
             prop_assert!(sched.makespan() >= lb - 1e-9,
                 "makespan {} < lower bound {}", sched.makespan(), lb);
         }
+    }
+}
+
+/// `TaskSet::new` validates nothing and `TaskSet` deserialises, so a NaN
+/// time can reach every comparator; it must sort somewhere, not panic.
+#[test]
+fn a_nan_time_is_ordered_not_a_panic() {
+    let mut list: Vec<Task> = (0..6)
+        .map(|id| Task::new(id, 2.0 + id as f64, 1.0))
+        .collect();
+    list[3].p_gpu = f64::NAN;
+    let tasks = TaskSet::new(list);
+    let pf = PlatformSpec::new(2, 2);
+    for schedule in [
+        policies::self_scheduling(&tasks, &pf),
+        policies::heft_lite(&tasks, &pf),
+    ] {
+        assert_eq!(schedule.placements.len(), tasks.len());
+        let replayed = replay_static(&schedule, &ActualTimes::exact(&tasks));
+        assert_eq!(replayed.placements.len(), tasks.len());
+        // Whether a NaN interval validates is not the point; returning is.
+        let _ = replayed.validate(&tasks, &pf);
     }
 }
