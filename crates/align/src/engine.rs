@@ -63,9 +63,8 @@ impl std::fmt::Display for EngineKind {
 }
 
 /// Wall-clock seconds a `score_many` call spent in each host phase.
-/// The profiler's phase taxonomy for CPU workers: query-profile setup,
-/// the DP inner loop, and traceback (always zero: the search is
-/// score-only; the field stays because recorded journals carry it).
+/// The profiler's phase taxonomy for CPU workers: query-profile setup
+/// and the DP inner loop (the search is score-only).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Seconds of per-query setup: the inter-sequence score tables and
@@ -74,14 +73,12 @@ pub struct PhaseTimings {
     /// Seconds in the DP recurrences: batch transposition, every tier's
     /// kernel, escalations.
     pub dp_inner: f64,
-    /// Always zero; see the type's documentation.
-    pub traceback: f64,
 }
 
 impl PhaseTimings {
     /// Total seconds across all phases.
     pub fn total(&self) -> f64 {
-        self.profile_build + self.dp_inner + self.traceback
+        self.profile_build + self.dp_inner
     }
 }
 
@@ -284,7 +281,6 @@ mod tests {
             assert_eq!(phased, plain, "engine {kind}: profiling changed scores");
             assert!(timings.profile_build >= 0.0);
             assert!(timings.dp_inner >= 0.0);
-            assert_eq!(timings.traceback, 0.0, "score-only search");
             assert!(timings.total() >= timings.dp_inner);
         }
         // The striped engine is the one that actually splits out a

@@ -5,52 +5,12 @@
 //! the alphabet. The DP inner loop then reads scores sequentially instead
 //! of doing a two-level matrix lookup — the memory-layout trick shared by
 //! STRIPED [18], SWIPE [9] and CUDASW++ [7], all of which the paper
-//! builds on. Two layouts are provided:
-//!
-//! * [`QueryProfile`] — plain sequential layout, `profile[r]` is the
-//!   score of matching each query position against residue `r`.
-//! * [`StripedProfile`] — Farrar's striped layout: query positions are
-//!   interleaved across SIMD lanes so that lane `l` of vector `v` holds
-//!   position `v + l·segment_len`. See [`crate::striped`].
+//! builds on. [`StripedProfile`] is Farrar's striped layout: query
+//! positions are interleaved across SIMD lanes so that lane `l` of
+//! vector `v` holds position `v + l·segment_len`. See
+//! [`crate::striped`].
 
 use swdual_bio::matrix::Matrix;
-
-/// Plain (sequential-layout) query profile.
-#[derive(Debug, Clone)]
-pub struct QueryProfile {
-    /// Query length.
-    pub query_len: usize,
-    /// Alphabet size (number of rows).
-    pub alphabet_size: usize,
-    /// Row-major: `scores[r * query_len + i] = S(query[i], r)`.
-    scores: Vec<i32>,
-}
-
-impl QueryProfile {
-    /// Build the profile of `query` (encoded residues) under `matrix`.
-    pub fn build(query: &[u8], matrix: &Matrix) -> QueryProfile {
-        let query_len = query.len();
-        let alphabet_size = matrix.size();
-        let mut scores = vec![0i32; alphabet_size * query_len];
-        for r in 0..alphabet_size {
-            let dst = &mut scores[r * query_len..(r + 1) * query_len];
-            for (i, &q) in query.iter().enumerate() {
-                dst[i] = matrix.score(q, r as u8);
-            }
-        }
-        QueryProfile {
-            query_len,
-            alphabet_size,
-            scores,
-        }
-    }
-
-    /// Scores of every query position against residue `r`.
-    #[inline]
-    pub fn row(&self, r: u8) -> &[i32] {
-        &self.scores[r as usize * self.query_len..(r as usize + 1) * self.query_len]
-    }
-}
 
 /// Number of SIMD lanes used by the portable vector kernels. Eight 16-bit
 /// lanes correspond to one SSE2 `__m128i` of `i16` — the configuration
@@ -127,28 +87,6 @@ mod tests {
 
     fn prot(t: &[u8]) -> Vec<u8> {
         Alphabet::Protein.encode(t).unwrap()
-    }
-
-    #[test]
-    fn plain_profile_matches_matrix() {
-        let m = Matrix::blosum62();
-        let q = prot(b"MKVLAT");
-        let p = QueryProfile::build(&q, m);
-        assert_eq!(p.query_len, 6);
-        for r in 0..m.size() as u8 {
-            let row = p.row(r);
-            for (i, &qc) in q.iter().enumerate() {
-                assert_eq!(row[i], m.score(qc, r), "r={r} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn plain_profile_empty_query() {
-        let m = Matrix::blosum62();
-        let p = QueryProfile::build(&[], m);
-        assert_eq!(p.query_len, 0);
-        assert!(p.row(0).is_empty());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! [`QueryProfiles`] bundle that is built (or fetched from the
 //! [`ProfileCache`]) only when first needed.
 //!
-//! [`TierStats`] counts how many subjects each tier resolved; the
-//! runtime workers export those counts to `obs::metrics` so a schedule
-//! report can show the escalation rate.
+//! [`TierStats`] counts how many subjects each tier resolved; each
+//! runtime worker journals its totals when its queue closes, so the
+//! escalation rate can be read back from a journal.
 
 use crate::dispatch::{Backend, QueryProfiles};
 use crate::engine::PhaseTimings;
@@ -369,7 +369,6 @@ pub fn score_database_with(
     let timings = PhaseTimings {
         profile_build,
         dp_inner: (start.elapsed().as_secs_f64() - profile_build).max(0.0),
-        traceback: 0.0,
     };
     (scores, timings)
 }

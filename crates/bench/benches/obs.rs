@@ -1,5 +1,5 @@
-//! Observability overhead: the per-job instrumentation path and the
-//! live-metrics registry, enabled vs disabled.
+//! Observability overhead: the per-job instrumentation path, enabled
+//! vs disabled, and the fold every view reads.
 //!
 //! The disabled recorder is the default for every search, so its cost
 //! is the price *all* users pay; the enabled cost bounds what `--trace`
@@ -22,7 +22,6 @@ use swdual_align::engine::{AlignEngine, LadderEngine, PhaseTimings};
 use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
-use swdual_obs::metrics::Metrics;
 use swdual_obs::{EventBody, HostPhase, Obs, OptWorker, RunModel, Track};
 
 /// A job span carrying the task id alone, as the worker's did before
@@ -38,9 +37,11 @@ fn bare_job(task: usize) -> EventBody {
     }
 }
 
-/// Mirror of the worker's per-job instrumentation sequence (span +
-/// counters + registry), shared with the allocation guard test.
-fn per_job(obs: &Obs, metrics: &Metrics, worker_id: usize, task_id: usize) {
+/// Mirror of the worker's per-job instrumentation: one span. The
+/// allocation guard test drives the same sequence.
+fn per_job(obs: &Obs, worker_id: usize, task_id: usize) {
+    // Opaque, as a worker's recorder is: or the disabled loop folds away.
+    let obs = std::hint::black_box(obs);
     let wall_start = obs.now();
     let wall_end = obs.now();
     if obs.is_enabled() {
@@ -52,12 +53,6 @@ fn per_job(obs: &Obs, metrics: &Metrics, worker_id: usize, task_id: usize) {
             bare_job(task_id),
         );
     }
-    obs.counter("jobs_completed", 1.0);
-    obs.counter("cells_computed", 1000.0);
-    let labels = [("worker", "0")];
-    metrics.observe("job_wall_seconds", &labels, wall_end - wall_start);
-    metrics.counter("worker_jobs", &labels, 1.0);
-    metrics.gauge("worker_mcups", &labels, 1.0);
 }
 
 /// Mirror of the CPU worker's per-job path with profiling hooks (see
@@ -91,14 +86,12 @@ fn profiled_job(
     if let Some(PhaseTimings {
         profile_build,
         dp_inner,
-        traceback,
     }) = timings
     {
         let mut at = wall_start;
         for (phase, dur) in [
             (HostPhase::ProfileBuild, profile_build),
             (HostPhase::DpInner, dp_inner),
-            (HostPhase::Traceback, traceback),
         ] {
             if dur <= 0.0 {
                 continue;
@@ -131,77 +124,21 @@ fn main() {
     };
 
     let disabled = Obs::disabled();
-    let disabled_metrics = disabled.metrics().for_shard(0);
     let mut task = 0usize;
     bench(
         "per_job_disabled",
         measure(samples, iters, || {
             task = task.wrapping_add(1);
-            per_job(&disabled, &disabled_metrics, task % 4, task);
+            per_job(&disabled, task % 4, task);
         }),
     );
 
     let enabled = Obs::enabled();
-    let enabled_metrics = enabled.metrics().for_shard(0);
     bench(
         "per_job_enabled",
         measure(samples, iters, || {
             task = task.wrapping_add(1);
-            per_job(&enabled, &enabled_metrics, task % 4, task);
-        }),
-    );
-
-    // Same path with a live-bus subscriber attached. The small queue
-    // saturates immediately, so steady state is the drop-accounting
-    // path — the cost a run pays when `swdual top` (or any tap) can't
-    // keep up, which the never-backpressure guarantee caps.
-    let subscribed = Obs::enabled();
-    let bus_tap = subscribed.subscribe_with_capacity(64);
-    let subscribed_metrics = subscribed.metrics().for_shard(0);
-    bench(
-        "per_job_subscribed",
-        measure(samples, iters, || {
-            task = task.wrapping_add(1);
-            per_job(&subscribed, &subscribed_metrics, task % 4, task);
-        }),
-    );
-    drop(bus_tap);
-
-    bench(
-        "registry_observe_disabled",
-        measure(samples, iters, || {
-            disabled_metrics.observe("job_wall_seconds", &[("worker", "0")], 0.5);
-        }),
-    );
-    bench(
-        "registry_observe_enabled",
-        measure(samples, iters, || {
-            enabled_metrics.observe("job_wall_seconds", &[("worker", "0")], 0.5);
-        }),
-    );
-    bench(
-        "registry_counter_enabled",
-        measure(samples, iters, || {
-            enabled_metrics.counter("worker_jobs", &[("worker", "0")], 1.0);
-        }),
-    );
-
-    // Snapshot cost over a populated registry (16 shards, mixed kinds).
-    let populated = Metrics::enabled();
-    for shard in 0..16 {
-        let h = populated.for_shard(shard);
-        let worker = shard.to_string();
-        let labels = [("worker", worker.as_str())];
-        for i in 0..64 {
-            h.observe("job_wall_seconds", &labels, 1e-3 * (i + 1) as f64);
-            h.counter("worker_jobs", &labels, 1.0);
-            h.gauge("worker_mcups", &labels, i as f64);
-        }
-    }
-    bench(
-        "registry_snapshot",
-        measure(samples.min(11), iters / 100 + 1, || {
-            std::hint::black_box(populated.snapshot());
+            per_job(&enabled, task % 4, task);
         }),
     );
 
@@ -290,12 +227,6 @@ fn main() {
     job_bench("job_baseline", Obs::disabled(), false);
     job_bench("job_profiling_disabled", Obs::enabled(), false);
     job_bench("job_profiling_enabled", Obs::enabled(), true);
-    // Traced job with a saturated bus subscriber attached: the bus
-    // acceptance budget is ≤ 2% over the traced job without one.
-    let subscribed_job_obs = Obs::enabled();
-    let job_bus_tap = subscribed_job_obs.subscribe_with_capacity(64);
-    job_bench("job_traced_subscribed", subscribed_job_obs, false);
-    drop(job_bus_tap);
 
     if test_mode {
         return;
@@ -350,7 +281,6 @@ fn main() {
         )
         .map(|(e, d)| if d > 0.0 { e / d } else { 0.0 })
         .unwrap_or(0.0);
-    let ratio2 = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
     let mut json = String::from("{\n  \"bench\": \"obs_overhead\",\n  \"unit\": \"ns_per_op\",\n");
     json.push_str("  \"medians\": {\n");
     for (i, (name, ns)) in results.iter().enumerate() {
@@ -359,16 +289,8 @@ fn main() {
     }
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"enabled_over_disabled_per_job\": {ratio:.2},\n"
+        "  \"enabled_over_disabled_per_job\": {ratio:.2}\n}}\n"
     ));
-    // Bus-publish overhead: the realistic traced job with a saturated
-    // subscriber attached vs without, under the same 2% budget the
-    // profiler answers to.
-    json.push_str(&format!(
-        "  \"bus_subscriber_over_traced\": {:.4},\n",
-        ratio2(median_of("job_traced_subscribed"), traced)
-    ));
-    json.push_str("  \"budget_bus_over_traced\": 1.02\n}\n");
     write_report("obs", &json);
 
     // Append both benches to the trend ledger for `swdual diff --bench`.

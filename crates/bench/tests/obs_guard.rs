@@ -34,8 +34,8 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// The shape of the worker's per-job instrumentation (see
 /// `swdual_runtime::worker`): clock reads bracketing the compute, then
-/// a guarded span + counters + live-metrics registry updates. With a
-/// disabled recorder this entire sequence must not allocate.
+/// a guarded span. With a disabled recorder this entire sequence must
+/// not allocate.
 fn per_job_hot_path(obs: &Obs, worker_id: usize, task_id: usize) {
     let wall_start = obs.now();
     // The profiler gate the worker consults before choosing the phased
@@ -75,15 +75,6 @@ fn per_job_hot_path(obs: &Obs, worker_id: usize, task_id: usize) {
             );
         }
     }
-    obs.counter("jobs_completed", 1.0);
-    obs.counter("cells_computed", 1000.0);
-    // The registry side of the per-job path: a disabled registry must
-    // early-return before touching shards or building keys.
-    let metrics = obs.metrics().for_shard(worker_id);
-    let labels = [("worker", "0")];
-    metrics.observe("job_wall_seconds", &labels, wall_end - wall_start);
-    metrics.counter("worker_jobs", &labels, 1.0);
-    metrics.gauge("worker_mcups", &labels, 1.0);
 }
 
 #[test]
@@ -103,24 +94,21 @@ fn disabled_obs_hot_path_allocates_nothing() {
         "disabled tracing must be allocation-free in the per-job path"
     );
 
-    // The live-bus surface on a disabled recorder is equally free:
-    // subscribing yields an inert handle and the per-job path (which
-    // now also publishes to the bus inside `span`) stays at zero.
+    // Following a disabled recorder is equally free: what the progress
+    // line, the watchdog and the live socket do each poll — page the
+    // journal from a cursor — finds nothing and allocates nothing.
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let tap = disabled.subscribe();
-    assert!(!tap.is_live());
-    assert!(tap.try_recv().is_none());
-    assert_eq!(tap.dropped(), 0);
-    assert_eq!(disabled.bus_dropped_events(), 0);
     for task in 0..1_000usize {
         per_job_hot_path(&disabled, task % 4, task);
+        assert!(disabled.events_since(0).is_empty());
+        assert!(disabled.events_since(task).is_empty());
     }
-    drop(tap);
+    assert_eq!(disabled.event_count(), 0);
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "disabled bus subscribe/poll must be allocation-free"
+        "polling a disabled recorder's journal must be allocation-free"
     );
 
     // A disabled recorder also refuses to turn profiling on — the
@@ -153,7 +141,7 @@ fn disabled_obs_hot_path_allocates_nothing() {
     per_job_hot_path(&profiled, 0, 7);
     assert_eq!(
         profiled.event_count(),
-        4,
-        "task span + three phase spans when profiling"
+        1 + HostPhase::ALL.len(),
+        "task span + one span per phase when profiling"
     );
 }

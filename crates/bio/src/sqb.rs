@@ -757,17 +757,6 @@ impl<W: Write + Seek> SqbWriter<W> {
     }
 }
 
-/// Convert a FASTA document (bytes) to SQB bytes — the "convert format"
-/// step both master and workers perform in the paper's Figure 6.
-pub fn convert_fasta(
-    fasta_bytes: &[u8],
-    alphabet: Alphabet,
-    policy: crate::fasta::ResiduePolicy,
-) -> Result<Vec<u8>, BioError> {
-    let set = crate::fasta::parse_with_policy(fasta_bytes, alphabet, policy)?;
-    encode(&set)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1207,21 +1196,5 @@ mod tests {
         let image = SqbImage::from_records(Alphabet::Protein, vec![Ok(&ok), Ok(&ok)]).unwrap();
         assert_eq!(image.len(), 2);
         assert_eq!(image.get(1).unwrap().id(), "a");
-    }
-
-    #[test]
-    fn convert_fasta_to_sqb() {
-        let fasta = b">a desc here\nMKVL\nAT\n>b\nGG\n";
-        let bytes = convert_fasta(
-            fasta,
-            Alphabet::Protein,
-            crate::fasta::ResiduePolicy::Strict,
-        )
-        .unwrap();
-        let set = decode(&bytes).unwrap();
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.get(0).unwrap().text(), "MKVLAT");
-        assert_eq!(set.get(0).unwrap().description, "desc here");
-        assert_eq!(set.get(1).unwrap().text(), "GG");
     }
 }

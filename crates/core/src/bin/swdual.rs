@@ -515,8 +515,6 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
     // Crash-surviving flight recorder: the last events are dumped to
     // CRASH-<pid>.jsonl if the process panics mid-search.
     if observe {
-        let flight = swdual_obs::FlightRecorder::new(swdual_obs::flight::DEFAULT_FLIGHT_CAPACITY);
-        obs.attach_flight(&flight);
         let crash_dir = journal_out
             .and_then(|p| std::path::Path::new(p).parent())
             .filter(|p| !p.as_os_str().is_empty())
@@ -524,7 +522,7 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
                 || std::path::PathBuf::from("."),
                 std::path::Path::to_path_buf,
             );
-        flight.install_panic_hook(&crash_dir);
+        swdual_obs::flight::install_panic_hook(&obs, &crash_dir);
     }
     let mut builder = SearchBuilder::new()
         .database_image(database)

@@ -208,11 +208,11 @@ impl SearchBuilder {
     }
 
     /// Watch the run with the incremental anomaly watchdog
-    /// ([`swdual_obs::watch`]): a background thread folds the live
-    /// event bus and journals typed `alert_*` events (straggler,
+    /// ([`swdual_obs::watch`]): a background thread follows the
+    /// growing journal and journals typed `alert_*` events (straggler,
     /// bound-at-risk, worker-dead, queue-stall, reopt-fired) the
     /// moment they trip. Implies an enabled recorder; read the results
-    /// live via [`Obs::subscribe`] or post-hoc via
+    /// live via [`Obs::events_since`] or post-hoc via
     /// [`SearchReport::alerts`](crate::report::SearchReport::alerts).
     pub fn watchdog(mut self, cfg: swdual_obs::watch::WatchConfig) -> Self {
         self.watch = Some(cfg);

@@ -1,12 +1,14 @@
 //! In-process live observability drivers: the watchdog thread that
-//! turns bus events into journaled alerts while the search runs, the
-//! `--live-socket` journal streamer `swdual top` connects to, and the
-//! terminal dashboard renderer shared by `top` and `tail`.
+//! turns the growing journal into journaled alerts while the search
+//! runs, the `--live-socket` journal streamer `swdual top` connects to,
+//! and the terminal dashboard renderer shared by `top` and `tail`.
 //!
 //! Both drivers are amenities in the same sense as progress
-//! reporting: they ride the event bus / journal cursor, never the
-//! search's data path, and a failure to start them degrades the run
-//! to "not watched" instead of aborting it.
+//! reporting: each follows the journal with its own cursor
+//! ([`Obs::events_since`]), never the search's data path, and a failure
+//! to start them degrades the run to "not watched" instead of aborting
+//! it. A cursor over the retained journal cannot drop an event, so a
+//! descheduled driver sees late, never wrong.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -23,11 +25,12 @@ use swdual_obs::Obs;
 /// within ~10 ms of the event that tripped them.
 const SLICE: Duration = Duration::from_millis(10);
 
-/// Background thread folding the live bus through an incremental
-/// [`Watchdog`]: every alert it trips is journaled (`alert_<kind>`
-/// fault instants), counted (`swdual_alerts_total{kind=...}`), echoed
-/// to stderr, and — because journaling goes through the same recorder
-/// — broadcast to every other bus subscriber, live.
+/// Background thread folding the journal, as it grows, through an
+/// incremental [`Watchdog`]: every alert it trips is journaled
+/// (`alert_<kind>` fault instants, which is where the export's
+/// `swdual_alerts_total{kind=...}` counts them), echoed to stderr, and
+/// — because journaling goes through the same recorder — seen by every
+/// other follower of the journal, live.
 pub struct WatchdogDriver {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
@@ -35,10 +38,9 @@ pub struct WatchdogDriver {
 
 impl WatchdogDriver {
     /// Start watching `obs` with `cfg` thresholds. No-op on a disabled
-    /// recorder (the subscription is inert). Spawn failure degrades to
+    /// recorder (its journal stays empty). Spawn failure degrades to
     /// an unwatched run, mirroring the progress reporter.
     pub fn start(obs: &Obs, cfg: WatchConfig) -> WatchdogDriver {
-        let subscriber = obs.subscribe();
         let recorder = obs.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
@@ -46,20 +48,19 @@ impl WatchdogDriver {
             .name("swdual-watchdog".into())
             .spawn(move || {
                 let mut dog = Watchdog::new(cfg);
-                let mut buf = Vec::new();
                 loop {
                     let stopping = stop_flag.load(Ordering::Relaxed);
-                    buf.clear();
-                    subscriber.drain_into(&mut buf);
-                    for event in &buf {
+                    // The model's event count is the cursor; the alerts
+                    // journaled below come back in the next batch.
+                    for event in &recorder.events_since(dog.model().events) {
                         for alert in dog.observe(event) {
                             record_alert(&recorder, &alert);
                             eprintln!("watchdog: [{}] {}", alert.kind.label(), alert.message());
                         }
                     }
                     if stopping {
-                        // One final drain happened above; anything the
-                        // run publishes after finish() is post-hoc.
+                        // One final poll happened above; anything the
+                        // run records after finish() is post-hoc.
                         break;
                     }
                     std::thread::sleep(SLICE);
@@ -70,7 +71,7 @@ impl WatchdogDriver {
         WatchdogDriver { stop, handle }
     }
 
-    /// Stop after a final drain, so alerts tripped by the run's last
+    /// Stop after a final poll, so alerts tripped by the run's last
     /// events are still journaled before the report is built.
     pub fn finish(mut self) {
         self.shutdown();
@@ -286,11 +287,11 @@ pub fn render_alert_line(alert: &Alert) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use swdual_obs::{Event, EventBody, EventKind, OptWorker, Track};
 
-    fn estimate(task: usize) -> EventBody {
+    pub(crate) fn estimate(task: usize) -> EventBody {
         EventBody::TaskModel {
             task,
             p_cpu: 1.0,
@@ -300,7 +301,7 @@ mod tests {
         }
     }
 
-    fn job(task: usize) -> EventBody {
+    pub(crate) fn job(task: usize) -> EventBody {
         EventBody::Job {
             task,
             cells: None,
@@ -336,13 +337,25 @@ mod tests {
                 .any(|a| a.kind == swdual_obs::watch::AlertKind::Straggler && a.worker == Some(0)),
             "{alerts:?}"
         );
-        // And the metrics registry counted it under the kind label.
-        assert_eq!(
-            obs.metrics()
-                .snapshot()
-                .counter_value("alerts", &[("kind", "straggler")]),
-            Some(1.0)
-        );
+    }
+
+    #[test]
+    fn watchdog_driver_misses_nothing_in_a_burst() {
+        // 3 000 workers each straggle once, recorded faster than the
+        // driver polls: every one must be named by exactly one alert.
+        // (A 4 096-event drop-newest subscription lost the tail here.)
+        const WORKERS: usize = 3_000;
+        let obs = Obs::enabled();
+        let driver = WatchdogDriver::start(&obs, WatchConfig::default());
+        for w in 0..WORKERS {
+            obs.instant(Track::Master, estimate(w));
+            obs.span(Track::Worker(w), 0.0, 0.01, Some((0.0, 3.0)), job(w));
+        }
+        driver.finish();
+        let alerts = swdual_obs::RunModel::from_obs(&obs).alerts;
+        let mut named: Vec<usize> = alerts.iter().filter_map(|a| a.worker).collect();
+        named.sort_unstable();
+        assert_eq!(named, (0..WORKERS).collect::<Vec<_>>());
     }
 
     #[test]

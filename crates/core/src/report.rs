@@ -157,10 +157,10 @@ impl SearchReport {
         swdual_obs::export::chrome_trace(&self.obs)
     }
 
-    /// Prometheus-style text metrics aggregated from the recorded
-    /// events and counters.
+    /// Prometheus-style text metrics: a view of the run's folded
+    /// journal, so `metrics_text` of the written journal is this text.
     pub fn metrics(&self) -> String {
-        swdual_obs::export::metrics_text(&self.obs)
+        swdual_obs::export::metrics_text(self.model())
     }
 
     /// JSON-lines journal: a schema header line followed by one event
@@ -342,14 +342,13 @@ mod tests {
         assert_eq!(journal.lines().count(), r.obs().event_count() + 1);
 
         let audit = r.analysis();
-        let jobs = r
-            .obs()
-            .counters()
-            .into_iter()
-            .find(|(name, _)| name == "jobs_completed")
-            .map(|(_, v)| v)
-            .expect("jobs_completed counter");
-        assert_eq!(audit.tasks as f64, jobs);
+        let jobs = format!(
+            "swdual_counter{{name=\"jobs_completed\"}} {}\n",
+            audit.tasks
+        );
+        assert!(metrics.contains(&jobs), "{metrics}");
+        let replayed = RunModel::from_journal(&journal).unwrap();
+        assert_eq!(swdual_obs::export::metrics_text(&replayed), metrics);
         assert!(audit.modelled_makespan > 0.0);
         assert!(audit.has_bound);
         assert!(audit.bound_holds, "2λ bound must hold on a healthy run");

@@ -232,9 +232,6 @@ pub struct GpuDevice {
     fail_after_kernels: Option<u64>,
     kernels_launched: u64,
     failed: bool,
-    // Virtual-clock busy accumulators feeding the occupancy gauges.
-    busy_kernel: f64,
-    busy_transfer: f64,
     /// Task currently being served, stamped onto every stage span
     /// (H2D / kernel / D2H) as causal lineage. `None` outside a task
     /// (e.g. the resident-database upload shared by all tasks).
@@ -261,8 +258,6 @@ impl GpuDevice {
             fail_after_kernels: None,
             kernels_launched: 0,
             failed: false,
-            busy_kernel: 0.0,
-            busy_transfer: 0.0,
             lineage_task: None,
             profiles: ProfileCache::new(1),
             scratch: Scratch::default(),
@@ -274,33 +269,6 @@ impl GpuDevice {
     /// journal's dispatch → H2D → kernel → D2H causal chain.
     pub fn set_lineage(&mut self, task: Option<usize>) {
         self.lineage_task = task;
-    }
-
-    /// Update the per-device registry series: kernel/transfer time
-    /// histograms were just fed one value; refresh the occupancy
-    /// gauges (fraction of the device's virtual clock spent in kernels
-    /// / transfers).
-    fn update_device_metrics(&self, histogram: &str, seconds: f64) {
-        let metrics = self.obs.metrics();
-        if !metrics.is_enabled() {
-            return;
-        }
-        let metrics = metrics.for_shard(self.obs_device_id);
-        let device = self.obs_device_id.to_string();
-        let labels = [("device", device.as_str())];
-        metrics.observe(histogram, &labels, seconds);
-        if self.clock > 0.0 {
-            metrics.gauge(
-                "device_kernel_occupancy",
-                &labels,
-                self.busy_kernel / self.clock,
-            );
-            metrics.gauge(
-                "device_transfer_occupancy",
-                &labels,
-                self.busy_transfer / self.clock,
-            );
-        }
     }
 
     /// Inject a deterministic fault: the device fails once `n` kernels
@@ -339,7 +307,6 @@ impl GpuDevice {
                         after_kernels: self.kernels_launched,
                     },
                 );
-                self.obs.counter("gpu_device_faults", 1.0);
                 Err(fault)
             }
             _ => Ok(()),
@@ -456,9 +423,6 @@ impl GpuDevice {
                 task: self.lineage_task,
             },
         );
-        self.obs.counter("gpu_bytes_h2d", bytes as f64);
-        self.busy_transfer += t;
-        self.update_device_metrics("device_h2d_seconds", t);
         Ok(ResidentDb {
             allocation,
             subjects,
@@ -604,10 +568,6 @@ impl GpuDevice {
                 },
             );
         }
-        self.obs.counter("gpu_kernels", 1.0);
-        self.obs.counter("gpu_useful_cells", useful as f64);
-        self.busy_kernel += kernel_seconds;
-        self.update_device_metrics("device_kernel_seconds", kernel_seconds);
 
         KernelResult {
             scores,
@@ -796,7 +756,7 @@ mod tests {
             dev.attach_obs(obs.clone(), 0);
             let resident = dev.upload(&database, true).unwrap();
             dev.search(&query, &resident, &ScoringScheme::protein_default());
-            (dev.clock(), obs.events())
+            (dev.clock(), obs.events_since(0))
         };
         let (clock_off, events_off) = run(false);
         let (clock_on, events_on) = run(true);
@@ -831,12 +791,13 @@ mod tests {
     }
 
     #[test]
-    fn device_activity_reaches_a_live_bus_subscriber() {
-        // The device publishes through the shared `Obs`, so a bus
-        // subscriber attached before the kernel runs must see the
-        // Device-track spans live, in journal order.
+    fn device_activity_reaches_a_live_follower() {
+        // The device records through the shared `Obs`, so a follower
+        // whose cursor was taken before the kernel ran must see the
+        // Device-track spans, in journal order.
         let obs = Obs::enabled();
-        let sub = obs.subscribe();
+        obs.instant(Track::Master, EventBody::other("before"));
+        let cursor = obs.event_count();
         let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
         dev.attach_obs(obs.clone(), 3);
         let database = db(&["MKVLATGGAR", "MKVL", "GGARMKVLATAAAA"]);
@@ -844,15 +805,12 @@ mod tests {
         let query = Alphabet::Protein.encode(b"MKVLAT").unwrap();
         dev.search(&query, &resident, &scheme());
 
-        let live = sub.drain();
-        assert_eq!(sub.dropped(), 0);
+        let live = obs.events_since(cursor);
         let on_device = || live.iter().filter(|e| e.track == Track::Device(3));
         assert!(on_device().any(|e| matches!(e.body, EventBody::H2d { .. })));
         assert!(on_device().any(|e| matches!(e.body, EventBody::Kernel { .. })));
-        // The live feed mirrors the journal exactly when nothing drops.
-        let journal: Vec<String> = obs.events().iter().map(|e| e.name().into_owned()).collect();
-        let seen: Vec<String> = live.iter().map(|e| e.name().into_owned()).collect();
-        assert_eq!(seen, journal);
+        // The live feed is the journal from the cursor on.
+        assert_eq!(live, obs.events_since(0)[cursor..]);
     }
 
     #[test]

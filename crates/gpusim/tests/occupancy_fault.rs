@@ -6,7 +6,7 @@
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, ScoringScheme};
 use swdual_gpusim::{DeviceEvent, DeviceSpec, GpuDevice};
-use swdual_obs::Obs;
+use swdual_obs::{Obs, RunModel};
 
 fn database(texts: &[&str]) -> SequenceSet {
     let mut set = SequenceSet::new(Alphabet::Protein);
@@ -34,17 +34,20 @@ fn occupancy_gauges_freeze_after_device_fault() {
     dev.try_search(&query, &resident, &scheme).unwrap();
 
     let gauges = |obs: &Obs| {
-        let snap = obs.metrics().snapshot();
-        (
-            snap.gauge_value("device_kernel_occupancy", &[("device", "0")]),
-            snap.gauge_value("device_transfer_occupancy", &[("device", "0")]),
-        )
+        let text = swdual_obs::export::metrics_text(&RunModel::from_obs(obs));
+        let gauge = |name: &str| {
+            let series = format!("swdual_device_{name}_occupancy{{device=\"0\"}} ");
+            let line = text.lines().find_map(|l| l.strip_prefix(&series));
+            line.map(|value| value.parse::<f64>().unwrap())
+        };
+        (gauge("kernel"), gauge("transfer"))
     };
     let clock_before = dev.clock();
     let busy_before = dev.stats().busy_seconds;
     let kernels_before = dev.stats().kernels;
     let (kernel_occ_before, transfer_occ_before) = gauges(&obs);
     assert!(kernel_occ_before.is_some() && transfer_occ_before.is_some());
+    assert!((kernel_occ_before.unwrap() + transfer_occ_before.unwrap() - 1.0).abs() < 1e-12);
     let events_before = obs.event_count();
 
     // The fault fires; every subsequent launch keeps failing.
@@ -70,7 +73,7 @@ fn occupancy_gauges_freeze_after_device_fault() {
 
     // The only obs traffic after the fault is the single fault instant:
     // dead devices emit no kernel or transfer spans.
-    let events = obs.events();
+    let events = obs.events_since(0);
     let new_events = &events[events_before..];
     assert_eq!(new_events.len(), 1);
     assert_eq!(new_events[0].name(), "device_fault");

@@ -81,7 +81,8 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    fn from_durations(mut durations: Vec<f64>) -> LatencyStats {
+    /// Exact order statistics of `durations` (rank `⌈q·n⌉`).
+    pub fn from_durations(mut durations: Vec<f64>) -> LatencyStats {
         if durations.is_empty() {
             return LatencyStats::default();
         }

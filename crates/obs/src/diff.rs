@@ -21,8 +21,8 @@
 //! * [`Tolerance::Wall`] — wall-clock metrics, subject to host noise;
 //!   compared with a relative tolerance (default 5%, CLI
 //!   `--threshold`).
-//! * [`Tolerance::Quantile`] — latency-quantile metrics. Quantiles
-//!   read back through the live registry are log-bucketed with
+//! * [`Tolerance::Quantile`] — latency-quantile metrics. The
+//!   Prometheus export reports latencies in log buckets of
 //!   `γ = 2^(1/4)` ([`HISTOGRAM_GAMMA`]), so two faithful observers
 //!   can disagree by up to one bucket's relative width; the tolerance
 //!   is widened to at least `γ − 1 ≈ 18.9%` so a diff never flags a
@@ -34,7 +34,7 @@
 //! properties are proptested in `tests/prop_diff.rs`.
 
 use crate::analysis::{analyze, LatencyStats, RunReport, WorkerAudit};
-use crate::metrics::HISTOGRAM_GAMMA;
+use crate::export::HISTOGRAM_GAMMA;
 use crate::model::{ratio_or, RunModel};
 use crate::profile::{DeviceProfile, Profile};
 use serde::Serialize;

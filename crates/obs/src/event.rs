@@ -118,16 +118,10 @@ pub enum HostPhase {
     ProfileBuild,
     /// The DP loop proper.
     DpInner,
-    /// Alignment reconstruction.
-    Traceback,
 }
 
 impl HostPhase {
-    pub const ALL: [HostPhase; 3] = [
-        HostPhase::ProfileBuild,
-        HostPhase::DpInner,
-        HostPhase::Traceback,
-    ];
+    pub const ALL: [HostPhase; 2] = [HostPhase::ProfileBuild, HostPhase::DpInner];
 
     /// The profile frame this phase is reported as.
     pub fn label(&self) -> &'static str {
@@ -138,7 +132,6 @@ impl HostPhase {
         match self {
             HostPhase::ProfileBuild => "phase_profile_build",
             HostPhase::DpInner => "phase_dp_inner",
-            HostPhase::Traceback => "phase_traceback",
         }
     }
 }
@@ -415,6 +408,13 @@ vocabulary! {
     }
     /// `phase_{phase}`: a host phase subdividing a job span.
     Phase: Worker(_), Span Prefix("phase_"), { phase: HostPhase, task: usize }
+    /// What a CPU worker's kernels did over the whole run, recorded
+    /// once when its queue closes: where the tier ladder resolved its
+    /// subjects and how its profile cache fared.
+    WorkerTotals: Worker(_), Instant "worker_totals", {
+        subjects: u64, byte_resolved: u64, escalated_16: u64, escalated_scalar: u64,
+        profile_cache_hits: u64, profile_cache_misses: u64
+    }
     /// `task-{task}` on a planned or recovered track: where a plan
     /// decision put the task, on the modelled clock.
     Placement: Planned(_) | Recovered(_), Span TASK, { task: usize, decision: Option<u64> }

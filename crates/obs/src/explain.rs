@@ -862,7 +862,7 @@ mod tests {
         // Task 0 runs twice: once on the dying worker 0, again on 1.
         obs.span(Track::Worker(0), 0.0, 0.1, Some((0.0, 1.0)), job(0, None));
         obs.span(Track::Worker(1), 0.2, 0.1, Some((0.0, 1.5)), job(0, None));
-        let r = explain_events(&obs.events());
+        let r = explain_events(&obs.events_since(0));
         let w0 = r.worker_blame.iter().find(|w| w.worker == 0).unwrap();
         assert!((w0.blame.recovery - 1.0).abs() < 1e-12, "{:?}", w0.blame);
         let w1 = r.worker_blame.iter().find(|w| w.worker == 1).unwrap();

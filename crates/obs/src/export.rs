@@ -4,8 +4,9 @@
 //!
 //! * [`journal_jsonl`] — one JSON object per line per event, in
 //!   recording order; the raw material for ad-hoc analysis.
-//! * [`metrics_text`] — Prometheus-style text exposition: aggregate
-//!   counters plus busy-time/event-count gauges derived per track.
+//! * [`metrics_text`] — Prometheus-style text exposition of a
+//!   [`RunModel`]: run-wide counts, per-track busy time, per-worker
+//!   and per-device series, log-bucketed latency histograms.
 //! * [`chrome_trace`] — Chrome-trace (Perfetto / `chrome://tracing`)
 //!   JSON. Three synthetic processes separate the clocks: pid 1 holds
 //!   wall-clock spans, pid 2 holds modelled-clock *actual* execution,
@@ -19,9 +20,11 @@
 //!   profiles over a shared frame table.
 
 use crate::event::task_name;
+use crate::model::{Device, Exec, KernelTotals, TrackBusy};
 use crate::profile::{Profile, ProfileClock};
-use crate::{Event, EventBody, EventKind, Obs, Track};
+use crate::{Event, EventBody, EventKind, Obs, RunModel, Track};
 use serde::Value;
+use std::collections::BTreeMap;
 
 /// Microseconds in the trace's time unit per second of ours.
 const TRACE_US: f64 = 1.0e6;
@@ -101,201 +104,236 @@ pub fn journal_jsonl(obs: &Obs) -> String {
     out
 }
 
-/// Restrict a metric name to the Prometheus charset
-/// `[a-zA-Z0-9_:]` (everything else becomes `_`).
-fn sanitize_metric(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
+/// Number of log buckets per histogram.
+pub const HISTOGRAM_BUCKETS: usize = 256;
+
+/// Smallest resolvable histogram value (seconds): one nanosecond.
+pub const HISTOGRAM_MIN: f64 = 1e-9;
+
+/// Bucket growth factor `2^(1/4)`: four buckets per doubling, so a
+/// bucket's upper bound over-states any value in it by less than 19%.
+/// 256 buckets reach `1e-9 · γ^255 ≈ 1.5e10` seconds — far beyond any
+/// run.
+pub const HISTOGRAM_GAMMA: f64 = 1.189_207_115_002_721;
+
+/// Bucket index for a value: 0 holds everything at or below
+/// [`HISTOGRAM_MIN`]; bucket `i` covers `(MIN·γ^(i-1), MIN·γ^i]`.
+pub fn bucket_index(value: f64) -> usize {
+    if value <= HISTOGRAM_MIN {
+        return 0;
+    }
+    let raw = (value / HISTOGRAM_MIN).ln() / HISTOGRAM_GAMMA.ln();
+    // ceil with a nudge against `ln` round-off putting an exact bucket
+    // boundary into the bucket above.
+    let idx = (raw - 1e-9).ceil() as i64;
+    idx.clamp(0, HISTOGRAM_BUCKETS as i64 - 1) as usize
 }
 
-/// Escape a label *value* per the Prometheus text exposition format:
-/// backslash, double quote and newline.
-fn escape_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
+/// Upper bound of bucket `i` (its representative value).
+pub fn bucket_upper(index: usize) -> f64 {
+    HISTOGRAM_MIN * HISTOGRAM_GAMMA.powi(index as i32)
+}
+
+/// `# HELP` text of the families whose name says it all.
+const FOLDED: &str = "Folded from the journal.";
+
+/// The Prometheus text being built. Every family is `swdual_{name}`,
+/// introduced by its `# HELP` / `# TYPE` pair; a family without samples
+/// is left out.
+struct Exposition(String);
+
+impl Exposition {
+    /// One family of plain samples, each `(label value, sample value)`
+    /// under the label `key` (no label block when `key` is empty).
+    /// Label values are track labels, ids and names from this crate's
+    /// own vocabularies: nothing in them needs escaping.
+    fn family<L: std::fmt::Display>(
+        &mut self,
+        name: &str,
+        kind: &str,
+        help: &str,
+        key: &str,
+        samples: impl IntoIterator<Item = (L, f64)>,
+    ) {
+        let mut samples = samples.into_iter().peekable();
+        if samples.peek().is_some() {
+            self.0 += &format!("# HELP swdual_{name} {help}\n# TYPE swdual_{name} {kind}\n");
         }
-    }
-    out
-}
-
-/// Render a `{k="v",...}` label block ("" when no labels).
-fn label_block(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let inner: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", sanitize_metric(k), escape_label(v)))
-        .collect();
-    format!("{{{}}}", inner.join(","))
-}
-
-fn help_and_type(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} {kind}\n"));
-}
-
-/// Render counters, per-track aggregates and the live-metrics registry
-/// (gauges and log-bucketed histograms) in Prometheus text format.
-///
-/// Output ordering is stable: fixed section order, series sorted by
-/// name then labels inside each section. Label values are escaped per
-/// the exposition format.
-pub fn metrics_text(obs: &Obs) -> String {
-    let mut out = String::new();
-
-    help_and_type(
-        &mut out,
-        "swdual_events_total",
-        "counter",
-        "Events recorded in the journal.",
-    );
-    out.push_str(&format!("swdual_events_total {}\n", obs.event_count()));
-
-    help_and_type(
-        &mut out,
-        "swdual_bus_dropped_events",
-        "counter",
-        "Events dropped by saturated live-bus subscriber queues.",
-    );
-    out.push_str(&format!(
-        "swdual_bus_dropped_events {}\n",
-        obs.bus_dropped_events()
-    ));
-
-    let counters = obs.counters();
-    if !counters.is_empty() {
-        help_and_type(
-            &mut out,
-            "swdual_counter",
-            "counter",
-            "Aggregate counters from the event recorder.",
-        );
-        for (name, value) in &counters {
-            out.push_str(&format!(
-                "swdual_counter{{name=\"{}\"}} {}\n",
-                escape_label(name),
-                value
-            ));
-        }
-    }
-
-    // Busy seconds and span counts per track, on both clocks.
-    // Profiling detail spans subdivide coarser spans already counted,
-    // so they are excluded from the busy aggregates.
-    let mut tracks: Vec<(Track, f64, f64, u64)> = Vec::new();
-    obs.with_events(|events| {
-        for event in events {
-            if event.kind != EventKind::Span || event.body.is_profile_detail() {
-                continue;
-            }
-            let entry = match tracks.iter_mut().find(|(t, ..)| *t == event.track) {
-                Some(entry) => entry,
-                None => {
-                    tracks.push((event.track, 0.0, 0.0, 0));
-                    tracks.last_mut().expect("just pushed")
-                }
+        for (label, value) in samples {
+            let labels = match key {
+                "" => String::new(),
+                _ => format!("{{{key}=\"{label}\"}}"),
             };
-            entry.1 += event.wall_dur;
-            entry.2 += event.virt_dur.unwrap_or(0.0);
-            entry.3 += 1;
+            self.0 += &format!("swdual_{name}{labels} {value}\n");
         }
-    });
-    tracks.sort_by_key(|(t, ..)| *t);
-    type TrackValue = fn(&(Track, f64, f64, u64)) -> String;
-    let families: [(&str, &str, &str, TrackValue); 3] = [
+    }
+
+    /// One histogram family of `(label value, observation)` pairs: per
+    /// label value the non-empty log buckets as cumulative counts,
+    /// `+Inf`, `_sum` and `_count`. Non-finite observations are not
+    /// observations.
+    fn histograms(&mut self, name: &str, key: &str, observed: impl Iterator<Item = (usize, f64)>) {
+        let mut series: BTreeMap<usize, (Vec<u64>, f64)> = BTreeMap::new();
+        for (id, value) in observed.filter(|(_, v)| v.is_finite()) {
+            let empty = || (vec![0; HISTOGRAM_BUCKETS], 0.0);
+            let (buckets, sum) = series.entry(id).or_insert_with(empty);
+            buckets[bucket_index(value)] += 1;
+            *sum += value;
+        }
+        if !series.is_empty() {
+            self.0 += &format!("# HELP swdual_{name} {FOLDED}\n# TYPE swdual_{name} histogram\n");
+        }
+        for (id, (buckets, sum)) in &series {
+            let mut count = 0;
+            for (i, n) in buckets.iter().enumerate().filter(|(_, n)| **n > 0) {
+                count += n;
+                let le = bucket_upper(i);
+                self.0 += &format!("swdual_{name}_bucket{{{key}=\"{id}\",le=\"{le}\"}} {count}\n");
+            }
+            self.0 += &format!("swdual_{name}_bucket{{{key}=\"{id}\",le=\"+Inf\"}} {count}\n");
+            self.0 += &format!("swdual_{name}_sum{{{key}=\"{id}\"}} {sum}\n");
+            self.0 += &format!("swdual_{name}_count{{{key}=\"{id}\"}} {count}\n");
+        }
+    }
+}
+
+/// Render a run's numbers in Prometheus text format. Everything here is
+/// a view of the [`RunModel`]: a recorder and the journal it wrote
+/// render the same bytes, and a run can be re-rendered from its journal
+/// alone.
+///
+/// Output ordering is stable: fixed family order, series in ascending
+/// track, worker, device or kind order inside each family.
+pub fn metrics_text(model: &RunModel) -> String {
+    let mut out = Exposition(String::new());
+    let events = [("", model.events as f64)];
+    let help = "Events recorded in the journal.";
+    out.family("events_total", "counter", help, "", events);
+
+    // Run-wide counts; one that never moved is left out.
+    let fault = |name: &str| model.faults.get(name).copied().unwrap_or(0) as f64;
+    let (workers, devices) = (model.workers.values(), model.devices.values());
+    let injected = fault("worker_crash") + fault("worker_crash_before_registration");
+    let counters = [
+        ("cells_computed", workers.map(|w| w.cells).sum()),
+        ("duplicate_results", fault("duplicate_result")),
+        ("faults_injected", injected),
+        ("gpu_bytes_h2d", devices.clone().map(|d| d.bytes_h2d).sum()),
         (
-            "swdual_track_busy_wall_seconds",
-            "gauge",
-            "Wall-clock busy seconds per track.",
-            |t| t.1.to_string(),
+            "gpu_device_faults",
+            devices.clone().map(|d| d.faults as f64).sum(),
         ),
         (
-            "swdual_track_busy_modelled_seconds",
-            "gauge",
-            "Modelled-clock busy seconds per track.",
-            |t| t.2.to_string(),
+            "gpu_kernels",
+            devices.clone().map(|d| d.kernels as f64).sum(),
         ),
+        ("gpu_useful_cells", devices.map(|d| d.useful_cells).sum()),
+        ("jobs_completed", model.jobs.len() as f64),
+        ("reopt_replans", model.reopt_replans as f64),
+        ("sched_binsearch_iterations", model.dual_steps as f64),
+        ("sched_knapsack_runs", model.knapsack_runs as f64),
+        ("sched_no_certificates", model.no_certificates as f64),
+        ("tasks_redispatched", fault("task_redispatch")),
         (
-            "swdual_track_spans_total",
-            "counter",
-            "Spans recorded per track.",
-            |t| t.3.to_string(),
+            "workers_lost",
+            fault("worker_death") + fault("worker_lost_registration"),
         ),
     ];
-    for (name, kind, help, value) in families {
-        if tracks.is_empty() {
-            break;
-        }
-        help_and_type(&mut out, name, kind, help);
-        for track in &tracks {
-            out.push_str(&format!(
-                "{name}{{track=\"{}\"}} {}\n",
-                escape_label(&track.0.label()),
-                value(track)
-            ));
-        }
+    let moved = counters.into_iter().filter(|(_, value)| *value > 0.0);
+    let help = "Run-wide counts folded from the journal.";
+    out.family("counter", "counter", help, "name", moved);
+
+    // Span count and busy seconds per track, on both clocks.
+    type TrackValue = fn(&TrackBusy) -> f64;
+    let per_track: [(&str, &str, TrackValue); 3] = [
+        ("track_busy_wall_seconds", "gauge", |t| t.busy.wall),
+        ("track_busy_modelled_seconds", "gauge", |t| t.busy.modelled),
+        ("track_spans_total", "counter", |t| t.spans as f64),
+    ];
+    for (name, kind, value) in per_track {
+        let tracks = model
+            .tracks
+            .iter()
+            .map(|(t, busy)| (t.label(), value(busy)));
+        out.family(name, kind, FOLDED, "track", tracks);
     }
 
-    // Live-metrics registry: labelled counters, gauges, histograms.
-    // Series arrive sorted by name, so a family's HELP/TYPE header is
-    // due whenever the name changes.
-    let snapshot = obs.metrics().snapshot();
-    let mut last_name = String::new();
-    let mut family = |out: &mut String, name: &str, kind: &str, what: &str| {
-        if name != last_name {
-            let help = format!("{what} from the live-metrics registry.");
-            help_and_type(out, name, kind, &help);
-            last_name = name.to_string();
-        }
-    };
+    let mut alerts: BTreeMap<&str, f64> = BTreeMap::new();
+    for alert in &model.alerts {
+        *alerts.entry(alert.kind.label()).or_default() += 1.0;
+    }
+    out.family("alerts_total", "counter", FOLDED, "kind", alerts);
 
-    for (key, value) in snapshot
-        .counters
-        .iter()
-        .filter(|(k, _)| !k.labels.is_empty())
-    {
-        let name = format!("swdual_{}_total", sanitize_metric(&key.name));
-        family(&mut out, &name, "counter", "Labelled counter");
-        out.push_str(&format!("{}{} {}\n", name, label_block(&key.labels), value));
-    }
-    for (key, value) in &snapshot.gauges {
-        let name = format!("swdual_{}", sanitize_metric(&key.name));
-        family(&mut out, &name, "gauge", "Gauge");
-        out.push_str(&format!("{}{} {}\n", name, label_block(&key.labels), value));
-    }
-    for (key, histogram) in &snapshot.histograms {
-        let name = format!("swdual_{}", sanitize_metric(&key.name));
-        family(&mut out, &name, "histogram", "Log-bucketed histogram");
-        let bucket = |le: String, count: u64| {
-            let mut labels = key.labels.clone();
-            labels.push(("le".to_string(), le));
-            format!("{name}_bucket{} {count}\n", label_block(&labels))
-        };
-        let mut cumulative = 0u64;
-        for (upper, count) in &histogram.buckets {
-            cumulative += count;
-            out.push_str(&bucket(format!("{upper}"), cumulative));
-        }
-        out.push_str(&bucket("+Inf".to_string(), histogram.count));
-        let labels = label_block(&key.labels);
-        out.push_str(&format!("{name}_sum{labels} {}\n", histogram.sum));
-        out.push_str(&format!("{name}_count{labels} {}\n", histogram.count));
+    // Where the run as a whole stands, once it has been planned.
+    let progress = [
+        ("tasks_total", model.tasks.len()),
+        ("tasks_completed", model.done.len()),
+        ("queue_depth", model.queue_depth()),
+        ("workers_alive", model.workers_alive()),
+    ];
+    for (name, value) in progress {
+        let planned = (!model.tasks.is_empty()).then_some(("", value as f64));
+        out.family(name, "gauge", FOLDED, "", planned);
     }
 
-    out
+    // Per worker: the cells it computed, and what its kernels and
+    // profile cache did.
+    let ran = model.workers.iter().filter(|(_, w)| w.jobs > 0);
+    let cells = ran.map(|(id, w)| (id, w.cells));
+    out.family("worker_cells_total", "counter", FOLDED, "worker", cells);
+    type KernelValue = fn(&KernelTotals) -> u64;
+    let per_kernel: [(&str, &str, KernelValue); 6] = [
+        ("kernel_subjects_total", "counter", |k| k.subjects),
+        ("kernel_byte_resolved_total", "counter", |k| k.byte_resolved),
+        ("kernel_escalated_16_total", "counter", |k| k.escalated_16),
+        ("kernel_escalated_scalar_total", "counter", |k| {
+            k.escalated_scalar
+        }),
+        ("profile_cache_hits", "gauge", |k| k.profile_cache_hits),
+        ("profile_cache_misses", "gauge", |k| k.profile_cache_misses),
+    ];
+    for (name, kind, value) in per_kernel {
+        let closed = model
+            .workers
+            .iter()
+            .filter_map(|(id, w)| Some((id, w.kernels?)));
+        let totals = closed.map(|(id, k)| (id, value(&k) as f64));
+        out.family(name, kind, FOLDED, "worker", totals);
+    }
+
+    // Per device: the share of its clock spent in kernels and uploads.
+    type DeviceValue = fn(&Device) -> f64;
+    let per_device: [(&str, DeviceValue); 2] = [
+        ("device_kernel_occupancy", |d| d.kernel.modelled),
+        ("device_transfer_occupancy", |d| d.h2d.modelled),
+    ];
+    for (name, seconds) in per_device {
+        let clock = |d: &Device| d.kernel.modelled + d.h2d.modelled;
+        let started = model.devices.iter().filter(|(_, d)| clock(d) > 0.0);
+        let shares = started.map(|(id, d)| (id, seconds(d) / clock(d)));
+        out.family(name, "gauge", FOLDED, "device", shares);
+    }
+
+    // Latency distributions, bucketed from the jobs and kernels the
+    // model keeps.
+    type JobValue = fn(&Exec) -> f64;
+    let per_job: [(&str, JobValue); 4] = [
+        ("job_wall_seconds", |e| e.wall_dur),
+        ("job_modelled_seconds", |e| {
+            e.virt.map_or(0.0, |(_, dur)| dur)
+        }),
+        ("queue_wait_wall_seconds", |e| e.queue_wait_wall),
+        ("queue_wait_modelled_seconds", |e| e.queue_wait_modelled),
+    ];
+    for (name, value) in per_job {
+        let jobs = model.jobs.iter().map(|e| (e.worker, value(e)));
+        out.histograms(name, "worker", jobs);
+    }
+    let kernels = model.devices.iter();
+    let kernels = kernels.flat_map(|(id, d)| d.by_len.iter().map(|k| (*id, k.1)));
+    out.histograms("device_kernel_seconds", "device", kernels);
+
+    out.0
 }
 
 /// Process ids separating the four timelines in the trace viewer.
@@ -586,8 +624,11 @@ mod tests {
                 args: vec![("value".to_string(), 0.7)],
             },
         );
-        obs.counter("cells", 42.0);
         obs
+    }
+
+    fn metrics_of(obs: &Obs) -> String {
+        metrics_text(&RunModel::from_obs(obs))
     }
 
     #[test]
@@ -612,9 +653,12 @@ mod tests {
 
     #[test]
     fn metrics_include_counters_and_track_aggregates() {
-        let metrics = metrics_text(&sample_obs());
+        let metrics = metrics_of(&sample_obs());
         assert!(metrics.contains("swdual_events_total 4"));
-        assert!(metrics.contains("swdual_counter{name=\"cells\"} 42"));
+        assert!(metrics.contains("swdual_counter{name=\"cells_computed\"} 42"));
+        assert!(metrics.contains("swdual_counter{name=\"jobs_completed\"} 1"));
+        // A count that never moved is not a series.
+        assert!(!metrics.contains("workers_lost"));
         assert!(metrics.contains("swdual_track_busy_wall_seconds{track=\"worker:0\"} 1"));
         assert!(metrics.contains("swdual_track_busy_modelled_seconds{track=\"worker:0\"} 1.1"));
         assert!(metrics.contains("swdual_track_spans_total{track=\"master\"} 1"));
@@ -623,15 +667,24 @@ mod tests {
     #[test]
     fn metrics_format_regression() {
         // Exact shape of the exposition format: every series preceded
-        // by # HELP and # TYPE, stable ordering, escaped label values,
+        // by # HELP and # TYPE, stable ordering,
         // histograms with cumulative buckets, +Inf, _sum and _count.
         let obs = sample_obs();
-        let m = obs.metrics();
-        m.gauge("queue_depth", &[], 3.0);
-        m.observe("job_wall_seconds", &[("worker", "0")], 0.010);
-        m.observe("job_wall_seconds", &[("worker", "0")], 0.020);
-        m.counter("worker_jobs", &[("worker", "a\"b\\c\nd")], 2.0);
-        let text = metrics_text(&obs);
+        obs.instant(Track::Master, crate::testkit::estimate(0, 1.0, 1.0));
+        obs.instant(Track::Master, crate::testkit::estimate(1, 1.0, 1.0));
+        obs.instant(Track::Master, crate::testkit::registered(0, false));
+        obs.span(Track::Worker(0), 1.2, 0.010, None, job(1, Some(8.0)));
+        obs.span(Track::Worker(0), 1.3, 0.020, None, job(1, Some(8.0)));
+        let totals = EventBody::WorkerTotals {
+            subjects: 12,
+            byte_resolved: 11,
+            escalated_16: 1,
+            escalated_scalar: 0,
+            profile_cache_hits: 2,
+            profile_cache_misses: 1,
+        };
+        obs.instant(Track::Worker(0), totals);
+        let text = metrics_of(&obs);
         let lines: Vec<&str> = text.lines().collect();
 
         // Every non-comment metric family is introduced by HELP + TYPE.
@@ -639,7 +692,8 @@ mod tests {
             "swdual_events_total",
             "swdual_counter",
             "swdual_track_busy_wall_seconds",
-            "swdual_worker_jobs_total",
+            "swdual_worker_cells_total",
+            "swdual_kernel_byte_resolved_total",
             "swdual_queue_depth",
             "swdual_job_wall_seconds",
         ] {
@@ -654,15 +708,21 @@ mod tests {
                 "TYPE must follow HELP for {family}"
             );
         }
+        for line in lines.iter().filter(|l| !l.starts_with('#')) {
+            let family = line.split(['{', ' ']).next().unwrap();
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| family.strip_suffix(suffix))
+                .unwrap_or(family);
+            assert!(text.contains(&format!("# TYPE {family} ")), "{line}");
+        }
 
-        // Label-value escaping: backslash, quote and newline.
-        assert!(
-            text.contains("swdual_worker_jobs_total{worker=\"a\\\"b\\\\c\\nd\"} 2"),
-            "escaped label value missing in:\n{text}"
-        );
-
-        // Gauge section.
-        assert!(text.contains("swdual_queue_depth 3"));
+        // Gauges of the run as a whole, and of a worker's kernels.
+        assert!(text.contains("\nswdual_tasks_total 2\n"));
+        assert!(text.contains("\nswdual_queue_depth 0\n"));
+        assert!(text.contains("\nswdual_workers_alive 1\n"));
+        assert!(text.contains("swdual_kernel_byte_resolved_total{worker=\"0\"} 11"));
+        assert!(text.contains("swdual_profile_cache_hits{worker=\"0\"} 2"));
 
         // Histogram: cumulative buckets end at +Inf == _count.
         let bucket_lines: Vec<&str> = lines
@@ -670,12 +730,12 @@ mod tests {
             .filter(|l| l.starts_with("swdual_job_wall_seconds_bucket"))
             .copied()
             .collect();
-        assert!(bucket_lines.len() >= 3, "two buckets plus +Inf");
+        assert!(bucket_lines.len() >= 4, "three buckets plus +Inf");
         let last = bucket_lines.last().unwrap();
         assert!(last.contains("le=\"+Inf\""));
-        assert!(last.ends_with(" 2"));
-        assert!(text.contains("swdual_job_wall_seconds_count{worker=\"0\"} 2"));
-        assert!(text.contains("swdual_job_wall_seconds_sum{worker=\"0\"} 0.03"));
+        assert!(last.ends_with(" 3"));
+        assert!(text.contains("swdual_job_wall_seconds_count{worker=\"0\"} 3"));
+        assert!(text.contains("swdual_job_wall_seconds_sum{worker=\"0\"} 1.03"));
         // Cumulative counts are non-decreasing.
         let counts: Vec<u64> = bucket_lines
             .iter()
@@ -683,36 +743,34 @@ mod tests {
             .collect();
         assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
 
-        // Stable ordering: rendering twice gives identical text.
-        assert_eq!(text, metrics_text(&obs));
+        // Stable ordering: rendering twice gives identical text, and so
+        // does rendering the journal the recorder wrote.
+        assert_eq!(text, metrics_of(&obs));
+        let journal = RunModel::from_journal(&journal_jsonl(&obs)).unwrap();
+        assert_eq!(text, metrics_text(&journal));
     }
 
     #[test]
-    fn metrics_expose_bus_drops_and_alert_counters() {
-        // Format regression for the live-observability series: the bus
-        // drop counter is always present (0 when nothing dropped), and
-        // watchdog alerts surface as swdual_alerts_total{kind=...}.
+    fn metrics_count_alerts_by_kind() {
+        // Watchdog alerts surface as swdual_alerts_total{kind=...},
+        // counted from the journaled alert instants.
         let obs = sample_obs();
-        let text = metrics_text(&obs);
-        assert!(text.contains("# HELP swdual_bus_dropped_events "), "{text}");
-        assert!(text.contains("# TYPE swdual_bus_dropped_events counter"));
-        assert!(text.contains("\nswdual_bus_dropped_events 0\n"));
-
-        // Saturate a tiny subscriber: the counter reflects the drops.
-        let sub = obs.subscribe_with_capacity(1);
-        obs.instant(Track::Master, EventBody::other("x"));
-        obs.instant(Track::Master, EventBody::other("y"));
-        obs.instant(Track::Master, EventBody::other("z"));
-        drop(sub);
-        assert!(metrics_text(&obs).contains("\nswdual_bus_dropped_events 2\n"));
-
-        // Alert counters ride the labelled-counter section with the
-        // exact family name the satellite requires.
-        obs.metrics()
-            .counter("alerts", &[("kind", "straggler")], 1.0);
-        obs.metrics()
-            .counter("alerts", &[("kind", "worker-dead")], 2.0);
-        let text = metrics_text(&obs);
+        assert!(!metrics_of(&obs).contains("swdual_alerts_total"));
+        for (kind, worker) in [
+            (crate::AlertKind::Straggler, Some(0)),
+            (crate::AlertKind::WorkerDead, Some(1)),
+            (crate::AlertKind::WorkerDead, Some(2)),
+        ] {
+            let alert = crate::watch::Alert {
+                kind,
+                worker,
+                wall: 0.0,
+                value: 3.0,
+                threshold: 2.0,
+            };
+            crate::watch::record_alert(&obs, &alert);
+        }
+        let text = metrics_of(&obs);
         assert!(
             text.contains("# TYPE swdual_alerts_total counter"),
             "{text}"
@@ -722,9 +780,39 @@ mod tests {
     }
 
     #[test]
+    fn bucket_index_respects_boundaries() {
+        assert_eq!(bucket_index(0.0), 0);
+        assert_eq!(bucket_index(HISTOGRAM_MIN), 0);
+        assert_eq!(bucket_index(f64::MAX), HISTOGRAM_BUCKETS - 1);
+        for i in 1..HISTOGRAM_BUCKETS {
+            let upper = bucket_upper(i);
+            assert_eq!(bucket_index(upper), i, "upper bound of bucket {i}");
+            // Just above a boundary lands in the next bucket.
+            if i + 1 < HISTOGRAM_BUCKETS {
+                assert_eq!(bucket_index(upper * 1.0001), i + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_bucket_bound_overstates_by_less_than_gamma() {
+        // Any value above the floor sits in a bucket whose upper bound
+        // is at least the value and less than γ times it.
+        let mut value = 1.7e-9;
+        while value < 1e4 {
+            let upper = bucket_upper(bucket_index(value));
+            assert!(
+                upper >= value * (1.0 - 1e-9) && upper <= value * HISTOGRAM_GAMMA * (1.0 + 1e-9),
+                "value {value} in bucket ≤ {upper}"
+            );
+            value *= 1.037;
+        }
+    }
+
+    #[test]
     fn journal_event_line_round_trips_through_the_parser() {
         let obs = sample_obs();
-        for event in obs.events() {
+        for event in obs.events_since(0) {
             let line = journal_event_line(&event);
             let mut doc = journal_header(1);
             doc.push('\n');
@@ -780,7 +868,7 @@ mod tests {
     fn disabled_obs_exports_are_empty_but_valid() {
         let obs = Obs::disabled();
         assert!(journal_jsonl(&obs).is_empty());
-        assert!(metrics_text(&obs).contains("swdual_events_total 0"));
+        assert!(metrics_of(&obs).contains("swdual_events_total 0"));
         let value: Value = serde_json::from_str(&chrome_trace(&obs)).expect("empty trace parses");
         assert_eq!(
             value
@@ -933,7 +1021,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_are_semicolon_frames_and_integer_micros() {
-        let profile = Profile::from_events(&profiled_obs().events());
+        let profile = Profile::from_events(&profiled_obs().events_since(0));
         let folded = flamegraph_folded(&profile, ProfileClock::Wall);
         let lines: Vec<&str> = folded.lines().collect();
         assert!(!lines.is_empty());
@@ -964,7 +1052,7 @@ mod tests {
 
     #[test]
     fn speedscope_document_parses_and_reconciles() {
-        let profile = Profile::from_events(&profiled_obs().events());
+        let profile = Profile::from_events(&profiled_obs().events_since(0));
         let doc = speedscope_json(&profile);
         let value: Value = serde_json::from_str(&doc).expect("speedscope JSON parses");
         assert_eq!(

@@ -15,32 +15,33 @@
 //! tracing is off. Enabled recorders share one `Arc`'d buffer and may
 //! be cloned freely across threads.
 //!
+//! That buffer — the retained journal — is the recorder's only store,
+//! and [`Obs::events_since`] its only live feed: a follower (the
+//! progress line, the watchdog, the `--live-socket` streamer) keeps a
+//! cursor into the journal and folds what is new into a [`RunModel`],
+//! so it can fall behind but never miss an event. Every number a report
+//! or an export shows is a view of that model.
+//!
 //! Exports live in [`export`]: a JSON-lines journal, a
-//! Prometheus-style text snapshot, and a Chrome-trace (Perfetto) JSON
-//! timeline that overlays the planned schedule against actual
-//! per-worker execution.
+//! Prometheus-style text rendering of the model, and a Chrome-trace
+//! (Perfetto) JSON timeline that overlays the planned schedule against
+//! actual per-worker execution.
 
 pub mod analysis;
-pub mod bus;
 pub mod diff;
 pub mod event;
 pub mod explain;
 pub mod export;
 pub mod flight;
 pub mod journal;
-pub mod metrics;
 pub mod model;
 pub mod profile;
 pub mod trend;
 pub mod watch;
 
-pub use bus::BusSubscriber;
 pub use event::{AlertKind, Event, EventBody, EventKind, HostPhase, OptWorker};
-pub use flight::FlightRecorder;
 pub use model::RunModel;
 
-use metrics::Metrics;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -105,16 +106,10 @@ impl Track {
 struct Inner {
     origin: Instant,
     events: Mutex<Vec<Event>>,
-    counters: Mutex<BTreeMap<String, f64>>,
-    metrics: Metrics,
     /// Whether CUPTI-style phase profiling is on. Tracing can run
     /// without profiling; profiling implies tracing (the phase spans go
     /// through the same event buffer).
     profiling: AtomicBool,
-    /// Live broadcast of recorded events to in-process subscribers and
-    /// flight-recorder rings. Publication happens under the events
-    /// lock, so subscribers observe journal order.
-    bus: bus::Bus,
 }
 
 impl Inner {
@@ -136,9 +131,7 @@ impl Inner {
             body,
             extra: Vec::new(),
         };
-        let mut events = self.events.lock().expect("obs events lock");
-        self.bus.publish(&event);
-        events.push(event);
+        self.events.lock().expect("obs events lock").push(event);
     }
 }
 
@@ -155,17 +148,13 @@ impl Obs {
         Obs(None)
     }
 
-    /// A live recorder; its wall clock starts now. Carries a live
-    /// [`Metrics`] registry reachable via [`Obs::metrics`]. Profiling
-    /// is off until [`Obs::set_profiling`] switches it on.
+    /// A live recorder; its wall clock starts now. Profiling is off
+    /// until [`Obs::set_profiling`] switches it on.
     pub fn enabled() -> Obs {
         Obs(Some(Arc::new(Inner {
             origin: Instant::now(),
             events: Mutex::new(Vec::new()),
-            counters: Mutex::new(BTreeMap::new()),
-            metrics: Metrics::enabled(),
             profiling: AtomicBool::new(false),
-            bus: bus::Bus::default(),
         })))
     }
 
@@ -185,15 +174,6 @@ impl Obs {
         match &self.0 {
             Some(inner) => inner.profiling.load(Ordering::Relaxed),
             None => false,
-        }
-    }
-
-    /// The live-metrics registry carried by this recorder. Disabled
-    /// when the recorder is.
-    pub fn metrics(&self) -> Metrics {
-        match &self.0 {
-            Some(inner) => inner.metrics.clone(),
-            None => Metrics::disabled(),
         }
     }
 
@@ -238,61 +218,6 @@ impl Obs {
         inner.record(track, EventKind::Instant, (now, 0.0), None, body);
     }
 
-    /// Open a bounded live subscription on this recorder's event bus
-    /// with the default capacity
-    /// ([`bus::DEFAULT_SUBSCRIBER_CAPACITY`]). On a disabled recorder
-    /// the returned subscriber is inert and nothing is allocated.
-    pub fn subscribe(&self) -> BusSubscriber {
-        self.subscribe_with_capacity(bus::DEFAULT_SUBSCRIBER_CAPACITY)
-    }
-
-    /// Open a bounded live subscription holding at most `capacity`
-    /// pending events. When the queue is full the publisher drops the
-    /// new event for this subscriber (accounted in
-    /// [`BusSubscriber::dropped`] and [`Obs::bus_dropped_events`])
-    /// rather than blocking the recording path.
-    pub fn subscribe_with_capacity(&self, capacity: usize) -> BusSubscriber {
-        match &self.0 {
-            Some(inner) => BusSubscriber::live(inner.bus.subscribe(capacity)),
-            None => BusSubscriber::disabled(),
-        }
-    }
-
-    /// Attach a [`FlightRecorder`] ring so it shadows every event
-    /// recorded from now on (overwrite-oldest, never drops the
-    /// newest). No-op on a disabled recorder.
-    pub fn attach_flight(&self, flight: &FlightRecorder) {
-        if let Some(inner) = &self.0 {
-            inner.bus.attach_ring(flight.ring());
-        }
-    }
-
-    /// Total events dropped across all bus subscribers because their
-    /// queues were full. Exported as `swdual_bus_dropped_events`.
-    pub fn bus_dropped_events(&self) -> u64 {
-        match &self.0 {
-            Some(inner) => inner.bus.dropped_total(),
-            None => 0,
-        }
-    }
-
-    /// Add `delta` to the named aggregate counter. Mirrored into the
-    /// live registry so every journal counter also appears in metric
-    /// snapshots.
-    pub fn counter(&self, name: &str, delta: f64) {
-        let Some(inner) = &self.0 else { return };
-        {
-            let mut counters = inner.counters.lock().expect("obs counters lock");
-            match counters.get_mut(name) {
-                Some(v) => *v += delta,
-                None => {
-                    counters.insert(name.to_string(), delta);
-                }
-            }
-        }
-        inner.metrics.counter(name, &[], delta);
-    }
-
     /// Run `f` over the recorded events, in recording order, without
     /// copying them. The buffer is locked for the duration: recording
     /// threads wait, so `f` should fold and return.
@@ -303,15 +228,10 @@ impl Obs {
         }
     }
 
-    /// Snapshot (a deep copy) of all recorded events.
-    pub fn events(&self) -> Vec<Event> {
-        self.with_events(<[Event]>::to_vec)
-    }
-
     /// Snapshot of the events recorded at or after index `start`, in
-    /// recording order. Lets pull-based streamers (the `--live-socket`
-    /// writer) page through the retained journal with a cursor instead
-    /// of holding a bounded subscription they might overflow.
+    /// recording order: the live feed. A follower keeps `start` as its
+    /// cursor and advances it by what it got, so however far it falls
+    /// behind the writers it sees every event exactly once.
     pub fn events_since(&self, start: usize) -> Vec<Event> {
         self.with_events(|events| {
             events
@@ -319,20 +239,6 @@ impl Obs {
                 .map(<[Event]>::to_vec)
                 .unwrap_or_default()
         })
-    }
-
-    /// Snapshot of all counters, sorted by name.
-    pub fn counters(&self) -> Vec<(String, f64)> {
-        match &self.0 {
-            Some(inner) => inner
-                .counters
-                .lock()
-                .expect("obs counters lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     /// Number of recorded events.
@@ -359,11 +265,9 @@ mod tests {
         let obs = Obs::disabled();
         obs.span(Track::Master, 0.0, 1.0, None, EventBody::other("phase"));
         obs.instant(Track::Scheduler, EventBody::other("tick"));
-        obs.counter("cells", 100.0);
         assert!(!obs.is_enabled());
         assert_eq!(obs.event_count(), 0);
-        assert!(obs.events().is_empty());
-        assert!(obs.counters().is_empty());
+        assert!(obs.events_since(0).is_empty());
         assert_eq!(obs.now(), 0.0);
     }
 
@@ -373,22 +277,22 @@ mod tests {
     }
 
     #[test]
-    fn enabled_records_spans_and_counters() {
+    fn enabled_records_spans_and_pages_them_from_a_cursor() {
         let obs = Obs::enabled();
         let job = testkit::job(0, Some(64.0));
         obs.span(Track::Worker(2), 0.5, 1.5, Some((0.0, 2.0)), job.clone());
         obs.virtual_span(Track::Planned(2), 0.0, 2.0, testkit::placed(0));
-        obs.counter("cells", 64.0);
-        obs.counter("cells", 36.0);
 
-        let events = obs.events();
+        let events = obs.events_since(0);
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].track, Track::Worker(2));
         assert_eq!(events[0].name(), "task-0");
         assert_eq!(events[0].virt_dur, Some(2.0));
         assert_eq!(events[0].body, job);
         assert_eq!(events[1].track, Track::Planned(2));
-        assert_eq!(obs.counters(), vec![("cells".to_string(), 100.0)]);
+        assert_eq!(obs.events_since(1), events[1..]);
+        assert!(obs.events_since(2).is_empty());
+        assert!(obs.events_since(9).is_empty());
     }
 
     #[test]
@@ -408,13 +312,11 @@ mod tests {
                 scope.spawn(move || {
                     for j in 0..25 {
                         handle.span(Track::Worker(w), 0.0, 0.1, None, testkit::job(j, None));
-                        handle.counter("jobs", 1.0);
                     }
                 });
             }
         });
         assert_eq!(obs.event_count(), 100);
-        assert_eq!(obs.counters(), vec![("jobs".to_string(), 100.0)]);
     }
 
     #[test]
@@ -444,21 +346,6 @@ mod tests {
         assert_eq!(Track::from_label("worker"), None);
         assert_eq!(Track::from_label("worker:x"), None);
         assert_eq!(Track::from_label("submarine:1"), None);
-    }
-
-    #[test]
-    fn counters_mirror_into_the_registry() {
-        let obs = Obs::enabled();
-        obs.counter("cells", 42.0);
-        obs.counter("cells", 8.0);
-        let snap = obs.metrics().snapshot();
-        assert_eq!(snap.counter_value("cells", &[]), Some(50.0));
-    }
-
-    #[test]
-    fn disabled_obs_has_disabled_metrics() {
-        assert!(!Obs::disabled().metrics().is_enabled());
-        assert!(Obs::enabled().metrics().is_enabled());
     }
 
     #[test]

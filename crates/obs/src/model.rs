@@ -15,7 +15,7 @@
 //! Sums are accumulated in event order and the views keep that order,
 //! so a journal folds to the same bytes on every read.
 
-use crate::event::{Event, EventBody, HostPhase};
+use crate::event::{Event, EventBody, EventKind, HostPhase};
 use crate::journal::{read_journal, JournalError, JOURNAL_SCHEMA_V1};
 use crate::watch::Alert;
 use crate::{Obs, Track};
@@ -76,6 +76,24 @@ pub struct Worker {
     pub outstanding: Vec<usize>,
     /// Wall time of its last dispatch or completion.
     pub last_activity_wall: f64,
+    /// What its kernels did over the run, once its queue has closed
+    /// (CPU workers only).
+    pub kernels: Option<KernelTotals>,
+}
+
+/// A CPU worker's cumulative tier-ladder and profile-cache counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct KernelTotals {
+    /// Subjects scored.
+    pub subjects: u64,
+    /// Resolved by the saturated byte kernel.
+    pub byte_resolved: u64,
+    /// Escalated to (and resolved by) the 16-bit kernel.
+    pub escalated_16: u64,
+    /// Escalated all the way to the scalar kernel.
+    pub escalated_scalar: u64,
+    pub profile_cache_hits: u64,
+    pub profile_cache_misses: u64,
 }
 
 impl Worker {
@@ -156,11 +174,21 @@ impl Clocked {
     }
 }
 
+/// Spans on one track and the time they cover (profile detail aside,
+/// which subdivides spans already counted).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TrackBusy {
+    pub spans: usize,
+    pub busy: Clocked,
+}
+
 /// Span accumulators of one simulated device.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Device {
     pub kernels: usize,
     pub transfers: usize,
+    /// Injected faults that fired.
+    pub faults: usize,
     pub kernel: Clocked,
     pub launch: Clocked,
     pub compute: Clocked,
@@ -210,6 +238,7 @@ impl Device {
                 self.intervals.push(span);
                 self.by_len.push((query_len, dur.modelled, useful_cells));
             }
+            EventBody::DeviceFault { .. } => self.faults += 1,
             EventBody::KernelLaunch { .. } => self.launch.add(dur),
             EventBody::KernelCompute { .. } => self.compute.add(dur),
             EventBody::D2h { bytes, .. } => {
@@ -226,6 +255,10 @@ impl Device {
 pub struct RunModel {
     /// The journal declared the previous schema, which has no lineage.
     pub v1: bool,
+    /// Events folded, alerts included.
+    pub events: usize,
+    /// Span count and busy time per track.
+    pub tracks: BTreeMap<Track, TrackBusy>,
     /// Latest wall time observed (alerts aside).
     pub wall: f64,
     /// Final λ of the binary search (`upper_bound` when the journal
@@ -235,6 +268,11 @@ pub struct RunModel {
     pub lower_bound: f64,
     /// Binary-search iterations spent.
     pub binsearch_iterations: usize,
+    /// Dual-approximation steps over every plan and re-plan, the
+    /// knapsack splits they ran and the λ guesses they refused.
+    pub dual_steps: usize,
+    pub knapsack_runs: usize,
+    pub no_certificates: usize,
     /// Whether the scheduler journaled a λ at all.
     pub has_bound: bool,
     /// Latest modelled job completion seen.
@@ -322,6 +360,17 @@ impl RunModel {
         }
     }
 
+    /// Tasks planned for and not yet completed by anyone.
+    pub fn queue_depth(&self) -> usize {
+        self.tasks.len().saturating_sub(self.done.len())
+    }
+
+    /// Workers that registered and have not been declared dead.
+    pub fn workers_alive(&self) -> usize {
+        let registered = self.workers.values().filter(|w| w.registered.is_some());
+        registered.filter(|w| !w.dead).count()
+    }
+
     /// The guarantee the dual approximation gives: 2·λ.
     pub fn two_lambda_bound(&self) -> f64 {
         2.0 * self.lambda
@@ -344,6 +393,7 @@ impl RunModel {
     /// Fold one event.
     pub fn observe(&mut self, event: &Event) -> Step {
         use EventBody as B;
+        self.events += 1;
         // Alerts are commentary about the run, not part of it: they
         // are kept, but never move the clock or count as faults.
         if let Some(alert) = Alert::from_event(event) {
@@ -361,6 +411,11 @@ impl RunModel {
             modelled: virt.map_or(0.0, |(_, d)| d),
         };
         let span = virt.map_or((0.0, 0.0), |(s, d)| (s, s + d));
+        if event.kind == EventKind::Span && !event.body.is_profile_detail() {
+            let track = self.tracks.entry(event.track).or_default();
+            track.spans += 1;
+            track.busy.add(dur);
+        }
         // The worker or device an event's track names, if it names one.
         let unit = match event.track {
             Track::Worker(id) | Track::Planned(id) | Track::Recovered(id) | Track::Device(id) => id,
@@ -408,6 +463,23 @@ impl RunModel {
             }
             B::Phase { phase, task } => {
                 self.phases.entry((unit, task, phase)).or_default().add(dur);
+            }
+            B::WorkerTotals {
+                subjects,
+                byte_resolved,
+                escalated_16,
+                escalated_scalar,
+                profile_cache_hits,
+                profile_cache_misses,
+            } => {
+                self.worker(unit).kernels = Some(KernelTotals {
+                    subjects,
+                    byte_resolved,
+                    escalated_16,
+                    escalated_scalar,
+                    profile_cache_hits,
+                    profile_cache_misses,
+                });
             }
             B::Placement { task, .. } if virt.is_some() => self.placements.push(Placement {
                 worker: unit,
@@ -461,6 +533,9 @@ impl RunModel {
                     state.last_activity_wall = state.last_activity_wall.max(wall);
                 }
             }
+            B::BinsearchIter { .. } => self.dual_steps += 1,
+            B::Knapsack { .. } => self.knapsack_runs += 1,
+            B::DualStepNo { .. } => self.no_certificates += 1,
             B::BinsearchDone {
                 iterations,
                 lower_bound,

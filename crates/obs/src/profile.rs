@@ -1,10 +1,10 @@
 //! CUPTI-style profiling: fold a recorded event stream into a unified
 //! [`Profile`].
 //!
-//! The tracing layer (PR 1) answers *when* things ran; the metrics
-//! layer (PR 3) answers *how often and how long on average*. This
+//! The journal answers *when* things ran; `metrics_text` answers *how
+//! often and how long on average*. This
 //! module answers *where the time went inside a task*: per-job host
-//! phases (profile build, DP inner loop, traceback) and per-kernel
+//! phases (profile build, DP inner loop) and per-kernel
 //! device phases (launch latency, compute, H2D/D2H transfer), folded
 //! into collapsed stacks with **two weights per stack** — wall-clock
 //! seconds and modelled-clock seconds — so one profile serves both the
@@ -17,9 +17,6 @@
 //! worker:W;task-T                      ← self = task minus its phases
 //! worker:W;task-T;profile_build        ← striped query-profile setup
 //! worker:W;task-T;dp_inner             ← the DP loop proper
-//! worker:W;task-T;traceback            ← alignment reconstruction (0 in
-//!                                        score-only searches, kept so
-//!                                        the taxonomy is stable)
 //! device:D;h2d_transfer                ← PCIe uploads
 //! device:D;d2h_transfer                ← score readback (overlapped,
 //!                                        not on the device clock)
@@ -93,8 +90,8 @@ impl StackWeight {
 /// Per-phase totals inside one worker.
 #[derive(Debug, Clone, Serialize)]
 pub struct PhaseTotal {
-    /// Phase name (`profile_build`, `dp_inner`, `traceback`, or `task`
-    /// for unattributed self time).
+    /// Phase name (`profile_build`, `dp_inner`, or `task` for
+    /// unattributed self time).
     pub name: String,
     /// Wall seconds across all of the worker's jobs.
     pub wall: f64,
@@ -640,7 +637,7 @@ mod tests {
         );
         // GPU worker's own task span (device work seen as a job).
         obs.span(Track::Worker(1), 0.0, 0.03, Some((0.0, 1.5)), job(1, None));
-        obs.events()
+        obs.events_since(0)
     }
 
     #[test]
@@ -735,7 +732,7 @@ mod tests {
         // Without phase spans (profiling off), tasks become leaves.
         let obs = Obs::enabled();
         obs.span(Track::Worker(2), 0.0, 0.5, Some((0.0, 1.0)), job(7, None));
-        let p = Profile::from_events(&obs.events());
+        let p = Profile::from_events(&obs.events_since(0));
         assert_eq!(p.stacks.len(), 1);
         assert_eq!(p.stacks[0].frames, vec!["worker:2", "task-7"]);
         assert!((p.root_total("worker:2", ProfileClock::Modelled) - 1.0).abs() < 1e-12);

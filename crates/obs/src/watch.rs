@@ -2,8 +2,9 @@
 //! event, judged against thresholds after each one, emitting typed
 //! [`Alert`]s while the run is still going.
 //!
-//! Feed every event from a [`BusSubscriber`](crate::BusSubscriber)
-//! (or a replayed journal) through [`Watchdog::observe`]; it returns
+//! Feed every event of a run — paged live with
+//! [`Obs::events_since`], or replayed from a journal — through
+//! [`Watchdog::observe`]; it returns
 //! the alerts that observation tripped. Dashboards (`swdual top`) read
 //! [`Watchdog::model`] — λ and the running modelled makespan against
 //! the paper's 2λ bound, per-worker queue depth and observed/estimate
@@ -24,8 +25,8 @@
 //!   observed skew crossed the re-optimization threshold.
 //!
 //! Alerts are journaled as [`EventBody::Alert`] instants on the faults
-//! track and counted as `swdual_alerts_total{kind=...}` in the metrics
-//! registry; see [`record_alert`]. The model keeps journaled alerts
+//! track (see [`record_alert`]), which is where the export's
+//! `swdual_alerts_total{kind=...}` counts them. The model keeps journaled alerts
 //! apart from the run's facts, so replaying the watchdog's own output
 //! through it trips nothing.
 
@@ -129,10 +130,9 @@ impl Alert {
     }
 }
 
-/// Journal an alert as an instant on the faults track and bump
-/// `swdual_alerts_total{kind=...}` in the metrics registry. The instant
-/// goes through the normal recording path, so live bus subscribers see
-/// it too.
+/// Journal an alert as an instant on the faults track. The instant
+/// goes through the normal recording path, so every follower of the
+/// journal sees it too.
 pub fn record_alert(obs: &Obs, alert: &Alert) {
     obs.instant(
         Track::Faults,
@@ -143,8 +143,6 @@ pub fn record_alert(obs: &Obs, alert: &Alert) {
             threshold: alert.threshold,
         },
     );
-    obs.metrics()
-        .counter("alerts", &[("kind", alert.kind.label())], 1.0);
 }
 
 /// A [`RunModel`], thresholds, and which alarms already rang. Create
@@ -480,16 +478,10 @@ mod tests {
         assert_eq!(back[1].worker, None);
         assert!(back[1].message().contains("1.900s"), "{back:?}");
 
-        // And the metrics registry counted them by kind.
-        let snap = obs.metrics().snapshot();
-        assert_eq!(
-            snap.counter_value("alerts", &[("kind", "straggler")]),
-            Some(1.0)
-        );
-        assert_eq!(
-            snap.counter_value("alerts", &[("kind", "bound-at-risk")]),
-            Some(1.0)
-        );
+        // And the export counts them by kind, from the journal.
+        let text = crate::export::metrics_text(&RunModel::from_obs(&obs));
+        assert!(text.contains("swdual_alerts_total{kind=\"straggler\"} 1\n"));
+        assert!(text.contains("swdual_alerts_total{kind=\"bound-at-risk\"} 1\n"));
     }
 
     #[test]
@@ -505,7 +497,7 @@ mod tests {
             threshold: 2.0,
         };
         record_alert(&obs, &straggler);
-        let mut alert_event = obs.events().remove(0);
+        let mut alert_event = obs.events_since(0).remove(0);
         // Not even the silence an alert's late timestamp would imply.
         alert_event.wall_start = 60.0;
         assert!(dog.observe(&alert_event).is_empty());

@@ -10,17 +10,24 @@
 //! fields drawn from the same pool, in any order of events. Each line
 //! goes through `parse_event_line` → `RunModel::observe` (and the
 //! watchdog) → every view's `to_json`/`to_text`.
+//!
+//! The same lines, recorded, check the recorder's one store: a live
+//! recorder and the journal it writes fold to one model and render one
+//! Prometheus text, and a follower paging the journal with a cursor
+//! folds that model too, however far behind the writers it falls.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use swdual_obs::analysis::analyze;
 use swdual_obs::diff::{diff_models, DiffOptions};
 use swdual_obs::explain::explain;
-use swdual_obs::export::{flamegraph_folded, journal_event_line, speedscope_json};
+use swdual_obs::export::{
+    flamegraph_folded, journal_event_line, journal_jsonl, metrics_text, speedscope_json,
+};
 use swdual_obs::journal::parse_event_line;
 use swdual_obs::profile::{Profile, ProfileClock};
 use swdual_obs::watch::{WatchConfig, Watchdog};
-use swdual_obs::RunModel;
+use swdual_obs::{Event, EventBody, EventKind, Obs, RunModel, Track};
 
 /// (track, name, kind, arg keys) of every event the workspace records,
 /// plus a few near misses.
@@ -108,6 +115,19 @@ const SHAPES: &[(&str, &str, &str, &[&str])] = &[
     ("worker:0", "phase_dp_inner", "span", &["task"]),
     ("worker:1", "phase_traceback", "span", &["task"]),
     ("worker:1", "phase_bogus", "span", &["task"]),
+    (
+        "worker:1",
+        "worker_totals",
+        "instant",
+        &[
+            "subjects",
+            "byte_resolved",
+            "escalated_16",
+            "escalated_scalar",
+            "profile_cache_hits",
+            "profile_cache_misses",
+        ],
+    ),
     ("planned:0", "task-0", "span", &["task", "decision"]),
     ("planned:1", "task-1", "span", &["task", "decision"]),
     ("recovered:1", "task-0", "span", &["task", "decision"]),
@@ -246,6 +266,20 @@ fn line(dice: &mut Dice<'_>) -> String {
     out + "}"
 }
 
+/// Record a parsed event the way its producer would have.
+fn record(obs: &Obs, event: &Event) {
+    match event.kind {
+        EventKind::Span => obs.span(
+            event.track,
+            event.wall_start,
+            event.wall_dur,
+            event.virt_start.zip(event.virt_dur),
+            event.body.clone(),
+        ),
+        EventKind::Instant => obs.instant(event.track, event.body.clone()),
+    }
+}
+
 fn assert_renders_numbers(what: &str, rendered: &str) -> Result<(), TestCaseError> {
     // As whole words: "λ information" is allowed to contain "inf".
     let mut words = rendered.split(|c: char| !c.is_alphanumeric());
@@ -316,4 +350,127 @@ proptest! {
         }
         prop_assert!(model.eta_modelled().is_finite());
     }
+
+    #[test]
+    fn a_recorder_and_its_journal_render_the_same_metrics(
+        rolls in prop::collection::vec(any::<u64>(), 40..1200),
+    ) {
+        let mut dice = Dice(rolls.iter());
+        let obs = Obs::enabled();
+        while dice.0.len() > 0 {
+            record(&obs, &parse_event_line(&line(&mut dice)).unwrap());
+        }
+        let live = RunModel::from_obs(&obs);
+        let replayed = RunModel::from_journal(&journal_jsonl(&obs)).unwrap();
+        prop_assert_eq!(metrics_text(&live), metrics_text(&replayed));
+        prop_assert_eq!(&live, &replayed);
+        prop_assert_eq!(live.events, obs.event_count());
+        assert_renders_numbers("metrics", &metrics_text(&live))?;
+    }
+
+    #[test]
+    fn auditor_makespan_matches_recorder_spans(
+        jobs in prop::collection::vec(
+            (0.0..10.0f64, 0.001..5.0f64, 0.0..10.0f64, 0.001..5.0f64, 0..4usize),
+            1..24,
+        ),
+    ) {
+        let obs = Obs::enabled();
+        for (i, (wall_start, wall_dur, virt_start, virt_dur, w)) in jobs.iter().enumerate() {
+            obs.span(
+                Track::Worker(*w),
+                *wall_start,
+                *wall_dur,
+                Some((*virt_start, *virt_dur)),
+                job(i),
+            );
+        }
+        let report = analyze(&RunModel::from_obs(&obs));
+
+        // Same fold, straight from the events: the auditor must agree
+        // bit-for-bit with the recorder's spans.
+        let mut wall_lo = f64::INFINITY;
+        let mut wall_hi = f64::NEG_INFINITY;
+        let mut modelled = 0.0f64;
+        for e in obs.events_since(0) {
+            wall_lo = wall_lo.min(e.wall_start);
+            wall_hi = wall_hi.max(e.wall_start + e.wall_dur);
+            if let (Some(s), Some(d)) = (e.virt_start, e.virt_dur) {
+                modelled = modelled.max(s + d);
+            }
+        }
+        prop_assert_eq!(report.wall_makespan, wall_hi - wall_lo);
+        prop_assert_eq!(report.modelled_makespan, modelled);
+        prop_assert_eq!(report.tasks, jobs.len());
+
+        // Worker busy time is additive over that worker's spans.
+        for audit in &report.workers {
+            let busy: f64 = jobs
+                .iter()
+                .filter(|(.., w)| *w == audit.worker)
+                .map(|(_, wall_dur, ..)| *wall_dur)
+                .sum();
+            prop_assert!(
+                (audit.busy_wall - busy).abs() < 1e-9,
+                "worker {} busy {} != {}", audit.worker, audit.busy_wall, busy
+            );
+        }
+    }
+}
+
+fn job(task: usize) -> EventBody {
+    EventBody::Job {
+        task,
+        cells: Some(1e3),
+        seq: None,
+        decision: None,
+        queue_wait_wall: Some(1e-4),
+        queue_wait_modelled: None,
+    }
+}
+
+/// The parent's watchdog and progress line drained a 4 096-event
+/// drop-newest subscription; a descheduled follower lost `Job` events
+/// and folded a model with work forever outstanding. A cursor over the
+/// retained journal cannot drop: the follower below only starts reading
+/// once the writers are 5 000 events ahead of it.
+#[test]
+fn a_follower_far_behind_the_writers_still_folds_the_whole_run() {
+    const WRITERS: usize = 4;
+    const JOBS_EACH: usize = 3_000;
+    let obs = Obs::enabled();
+    let mut followed = RunModel::default();
+    let mut cursor = 0;
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let obs = obs.clone();
+            scope.spawn(move || {
+                for j in 0..JOBS_EACH {
+                    let task = w * JOBS_EACH + j;
+                    let dispatched = EventBody::TaskDispatch {
+                        task,
+                        worker: swdual_obs::OptWorker(Some(w)),
+                        seq: task as u64,
+                        decision: 0,
+                        virt: 0.0,
+                    };
+                    obs.instant(Track::Master, dispatched);
+                    obs.span(Track::Worker(w), 0.0, 1e-3, Some((0.0, 1.0)), job(task));
+                }
+            });
+        }
+        while obs.event_count() < 5_000 {
+            std::thread::yield_now();
+        }
+        while cursor < 2 * WRITERS * JOBS_EACH {
+            let batch = obs.events_since(cursor);
+            cursor += batch.len();
+            batch.iter().for_each(|event| {
+                followed.observe(event);
+            });
+        }
+    });
+    assert_eq!(followed, RunModel::from_obs(&obs));
+    assert_eq!(followed.jobs.len(), WRITERS * JOBS_EACH);
+    assert!(followed.workers.values().all(|w| w.outstanding.is_empty()));
 }

@@ -118,6 +118,22 @@ fn names_that_carry_data_keep_their_wire_form() {
 }
 
 #[test]
+fn a_retired_name_reads_as_an_unknown_one() {
+    // Builds before the traceback phase was dropped could write this
+    // line (none ever did: the phase was always zero and zero phases
+    // are skipped). It is kept verbatim, and no fold reads it.
+    let stale = round_trip(
+        "{\"track\":\"worker:1\",\"name\":\"phase_traceback\",\"kind\":\"span\",\
+         \"wall_start\":0.5,\"wall_dur\":0.25,\"virt_start\":0,\"virt_dur\":1.5,\
+         \"args\":{\"task\":3}}",
+    );
+    assert!(matches!(stale.body, EventBody::Other { .. }));
+    let mut model = RunModel::default();
+    model.observe(&stale);
+    assert!(model.phases.is_empty());
+}
+
+#[test]
 fn is_gpu_is_decoded_one_way() {
     // The three folds used to read this flag as `== 1`, `== 1` and
     // `> 0.5`; a 0.7 was a CPU to the auditor and a GPU to the

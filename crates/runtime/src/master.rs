@@ -396,7 +396,6 @@ fn collect_registrations(
             Track::Faults,
             EventBody::WorkerLostRegistration { worker: w },
         );
-        obs.counter("workers_lost", 1.0);
     }
     // Journal who registered as what: the auditor uses these to
     // attribute species (CPU/GPU) to worker tracks.
@@ -648,10 +647,6 @@ pub fn try_run_search(
                 registered: registrations.len(),
             },
         );
-        let metrics = obs.metrics();
-        metrics.gauge("workers_alive", &[], registrations.len() as f64);
-        metrics.gauge("tasks_total", &[], n_tasks as f64);
-        metrics.gauge("queue_depth", &[], n_tasks as f64);
         if registrations.is_empty() {
             return Err(SearchError::NoWorkersRegistered);
         }
@@ -1015,7 +1010,7 @@ mod tests {
                 ..RuntimeConfig::default()
             },
         );
-        let events = obs.events();
+        let events = obs.events_since(0);
         // Every master phase appears exactly once.
         type IsPhase = fn(&EventBody) -> bool;
         let phases: [IsPhase; 4] = [
@@ -1073,6 +1068,7 @@ mod tests {
             let spans = events
                 .iter()
                 .filter(|e| e.track == Track::Worker(stats.worker_id))
+                .filter(|e| matches!(e.body, EventBody::Job { .. }))
                 .count();
             assert_eq!(spans, stats.tasks, "worker {} span count", stats.worker_id);
         }
@@ -1136,7 +1132,7 @@ mod tests {
         // The GPU completed exactly its one kernel before dying.
         assert_eq!(faulted.worker_stats[1].tasks, 1);
         assert_eq!(faulted.worker_stats[0].tasks, 4);
-        let events = obs.events();
+        let events = obs.events_since(0);
         assert!(
             events
                 .iter()
@@ -1215,7 +1211,7 @@ mod tests {
         assert_eq!(faulted.hits, healthy.hits);
         assert_eq!(faulted.worker_stats[1].tasks, 0);
         // The death was found by deadline, not notification.
-        assert!(obs.events().iter().any(
+        assert!(obs.events_since(0).iter().any(
             |e| matches!(e.body, EventBody::WorkerDeath { reason, .. } if reason == DEATH_TIMEOUT)
         ));
     }
@@ -1267,7 +1263,7 @@ mod tests {
         assert_eq!(outcome.hits[1].hits[0].db_index, 7);
         assert_eq!(outcome.worker_stats[0].tasks, 0);
         assert!(obs
-            .events()
+            .events_since(0)
             .iter()
             .any(|e| matches!(e.body, EventBody::WorkerLostRegistration { .. })));
     }
@@ -1508,7 +1504,7 @@ mod tests {
         );
         assert_eq!(on.hits, off.hits);
         assert!(
-            !obs.events()
+            !obs.events_since(0)
                 .iter()
                 .any(|e| matches!(e.body, EventBody::ReoptReplan { .. })),
             "a calibrated run must not trigger re-planning"
@@ -1538,7 +1534,7 @@ mod tests {
             miscalibrated_config(true, obs.clone()),
         );
         assert_eq!(reopt.hits, healthy.hits, "re-planning must not change hits");
-        let events = obs.events();
+        let events = obs.events_since(0);
         // Every re-plan is journaled with the skew that triggered it.
         let skews: Vec<f64> = events
             .iter()

@@ -20,7 +20,6 @@ use super::{AllocationPolicy, ReoptConfig, RuntimeConfig, SearchError};
 use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
 use crate::messages::{FailureReason, Job, JobResult, WorkerFailure};
 use std::collections::VecDeque;
-use swdual_obs::metrics::Metrics;
 use swdual_obs::{EventBody, Obs, Track};
 use swdual_sched::binsearch::BinarySearchConfig;
 use swdual_sched::remainder::{reschedule_remainder_weighted, WorkerFactors};
@@ -91,7 +90,6 @@ pub(super) struct MasterState {
     floor: f64,
     slack: f64,
     obs: Obs,
-    metrics: Metrics,
 
     alive: Vec<bool>,
     queue: Vec<VecDeque<usize>>,
@@ -149,7 +147,6 @@ impl MasterState {
             floor: config.min_job_timeout.as_secs_f64(),
             slack: config.job_timeout_slack,
             obs: config.obs.clone(),
-            metrics: config.obs.metrics(),
             alive,
             queue: vec![VecDeque::new(); workers],
             in_flight: vec![None; workers],
@@ -289,14 +286,9 @@ impl MasterState {
                 Track::Faults,
                 EventBody::DuplicateResult { task: t, worker: w },
             );
-            self.obs.counter("duplicate_results", 1.0);
         } else {
             self.done[t] = true;
             self.results.push(r);
-            let (n, completed) = (self.tasks.len(), self.results.len());
-            self.metrics
-                .gauge("queue_depth", &[], (n - completed) as f64);
-            self.metrics.gauge("tasks_completed", &[], completed as f64);
         }
         if self.shared_queue {
             return Ok(());
@@ -374,7 +366,6 @@ impl MasterState {
         out.push(Action::CloseQueue(w));
         self.obs
             .instant(Track::Faults, EventBody::WorkerDeath { worker: w, reason });
-        self.obs.counter("workers_lost", 1.0);
         let mut orphans: Vec<usize> = self.in_flight[w].take().into_iter().collect();
         orphans.extend(self.queue[w].drain(..));
         orphans.retain(|&t| !self.done[t]);
@@ -393,7 +384,6 @@ impl MasterState {
             .filter(|&w| self.alive[w])
             .map(|w| self.factor(w) / self.planned_factor[w])
             .fold(1.0, f64::max);
-        self.metrics.gauge("reopt_skew", &[], skew);
         if skew < self.reopt.threshold {
             return Ok(());
         }
@@ -411,9 +401,6 @@ impl MasterState {
                 skew,
             },
         );
-        self.obs.counter("reopt_replans", 1.0);
-        self.metrics
-            .gauge("reopt_rounds", &[], self.reopt_rounds as f64);
         self.replan(Vec::new(), now, out)
     }
 
@@ -447,7 +434,6 @@ impl MasterState {
                     retry: self.retries[t],
                 },
             );
-            self.obs.counter("tasks_redispatched", 1.0);
         }
         self.decision += 1;
         if self.shared_queue {

@@ -445,13 +445,9 @@ impl Sim {
                 merged.sort_unstable();
                 let all: Vec<usize> = (0..s.total()).collect();
                 assert_eq!(merged, all, "every task merged exactly once");
-                let counted = self
-                    .obs
-                    .counters()
-                    .iter()
-                    .find(|(name, _)| name == "duplicate_results")
-                    .map_or(0.0, |(_, v)| *v);
-                assert_eq!(counted as usize, self.duplicates_delivered);
+                let journaled = swdual_obs::RunModel::from_obs(&self.obs).faults;
+                let counted = journaled.get("duplicate_result").copied().unwrap_or(0);
+                assert_eq!(counted, self.duplicates_delivered);
             }
             Err(SearchError::AllWorkersDead { completed, total }) => {
                 assert_eq!((completed, total), (s.completed(), s.total()));
@@ -680,7 +676,7 @@ fn a_fault_replan_remembers_the_calibration() {
     );
     // Base seconds the death's re-plan placed on worker `w`.
     let replanned = |w: usize| -> f64 {
-        let events = sim.obs.events();
+        let events = sim.obs.events_since(0);
         let last_plan = events.iter().filter(|e| {
             e.track == Track::Recovered(w) && decision_of(e) == Some(sim.state.decision)
         });

@@ -205,26 +205,10 @@ fn record_job_span(
             queue_wait_modelled: Some(queue_wait_modelled),
         },
     );
-    obs.counter("jobs_completed", 1.0);
-    obs.counter("cells_computed", cells as f64);
-    // Live registry: job-latency histograms on both clocks plus a
-    // running MCUPS gauge, per worker, on the worker's own shard.
-    let metrics = obs.metrics().for_shard(worker_id);
-    let worker = worker_id.to_string();
-    let labels = [("worker", worker.as_str())];
-    metrics.observe("job_wall_seconds", &labels, wall_dur);
-    metrics.observe("job_modelled_seconds", &labels, modelled);
-    metrics.observe("queue_wait_wall_seconds", &labels, queue_wait_wall);
-    metrics.observe("queue_wait_modelled_seconds", &labels, queue_wait_modelled);
-    metrics.counter("worker_jobs", &labels, 1.0);
-    metrics.counter("worker_cells", &labels, cells as f64);
-    if wall_dur > 0.0 {
-        metrics.gauge("worker_mcups", &labels, cells as f64 / wall_dur / 1e6);
-    }
 }
 
 /// Record the host phase spans of one CPU job (profile build, DP inner
-/// loop, traceback) under its task span.
+/// loop) under its task span.
 ///
 /// Attribution rules: phase spans tile the job sequentially on both
 /// clocks. Wall durations are the measured [`PhaseTimings`]; modelled
@@ -246,7 +230,6 @@ fn record_phase_spans(
     let phases = [
         (HostPhase::ProfileBuild, timings.profile_build),
         (HostPhase::DpInner, timings.dp_inner),
-        (HostPhase::Traceback, timings.traceback),
     ];
     let mut wall_at = wall_start;
     let mut virt_at = virt_start;
@@ -274,28 +257,6 @@ fn record_phase_spans(
         wall_at += wall_dur;
         virt_at += virt_dur;
     }
-}
-
-/// Export one job's tier-resolution counts and the profile-cache state
-/// to the live metrics registry (no-op when tracing is disabled).
-fn record_kernel_metrics(obs: &Obs, worker_id: usize, stats: &TierStats, cache: &ProfileCache) {
-    if !obs.is_enabled() {
-        return;
-    }
-    let metrics = obs.metrics().for_shard(worker_id);
-    let worker = worker_id.to_string();
-    let labels = [("worker", worker.as_str())];
-    metrics.counter("kernel_subjects", &labels, stats.subjects as f64);
-    metrics.counter("kernel_byte_resolved", &labels, stats.byte_resolved as f64);
-    metrics.counter("kernel_escalated_16", &labels, stats.escalated_16 as f64);
-    metrics.counter(
-        "kernel_escalated_scalar",
-        &labels,
-        stats.escalated_scalar as f64,
-    );
-    // Cumulative gauges: the cache counts since worker start.
-    metrics.gauge("profile_cache_hits", &labels, cache.hits() as f64);
-    metrics.gauge("profile_cache_misses", &labels, cache.misses() as f64);
 }
 
 /// The crash/straggler knobs a worker consults per job, pre-split from
@@ -348,7 +309,6 @@ impl FaultKnobs {
                     notified: self.crash_notify,
                 },
             );
-            obs.counter("faults_injected", 1.0);
             if self.crash_notify {
                 let _ = results.send(WorkerMsg::Failed(WorkerFailure {
                     worker_id,
@@ -383,7 +343,6 @@ pub fn worker_loop_registered(
                 worker: ctx.worker_id,
             },
         );
-        ctx.obs.counter("faults_injected", 1.0);
         return; // dies without saying hello
     }
     if let Some(reg) = registration {
@@ -452,6 +411,7 @@ pub fn worker_loop(
             // databases, repeated searches) reuse the built profiles, so
             // profile_build collapses to a lookup after the first job.
             let profile_cache = ProfileCache::default();
+            let mut tiers = TierStats::default();
             let mut virt_clock = 0.0;
             while let Some(job) = next_job(&jobs) {
                 if !knobs.pre_job(jobs_done, job, ctx.worker_id, &ctx.obs, &results) {
@@ -500,7 +460,7 @@ pub fn worker_loop(
                         timings,
                     );
                 }
-                record_kernel_metrics(&ctx.obs, ctx.worker_id, &tier_stats, &profile_cache);
+                tiers.merge(&tier_stats);
                 virt_clock += modelled;
                 jobs_done += 1;
                 let send = results.send(WorkerMsg::Completed(JobResult {
@@ -515,6 +475,18 @@ pub fn worker_loop(
                     break; // master went away
                 }
             }
+            // The queue closed: what this worker's kernels did in total.
+            ctx.obs.instant(
+                Track::Worker(ctx.worker_id),
+                EventBody::WorkerTotals {
+                    subjects: tiers.subjects,
+                    byte_resolved: tiers.byte_resolved,
+                    escalated_16: tiers.escalated_16,
+                    escalated_scalar: tiers.escalated_scalar,
+                    profile_cache_hits: profile_cache.hits(),
+                    profile_cache_misses: profile_cache.misses(),
+                },
+            );
         }
         WorkerKind::Gpu { device } => {
             let mut device = GpuDevice::new(device);
@@ -915,7 +887,7 @@ mod tests {
         let results: Vec<WorkerMsg> = res_rx.iter().collect();
         assert_eq!(results.len(), 1);
 
-        let events = obs.events();
+        let events = obs.events_since(0);
         let task = events
             .iter()
             .find(|e| matches!(e.body, EventBody::Job { task: 0, .. }))
@@ -960,7 +932,10 @@ mod tests {
         drop(job_tx);
         worker_loop(WorkerSpec::cpu_default(), ctx, job_rx, res_tx);
         let _ = res_rx.iter().count();
-        assert!(obs.events().iter().all(|e| !e.body.is_profile_detail()));
+        assert!(obs
+            .events_since(0)
+            .iter()
+            .all(|e| !e.body.is_profile_detail()));
     }
 
     #[test]
@@ -991,28 +966,22 @@ mod tests {
                 other => panic!("expected completion, got {other:?}"),
             }
         }
-        let snap = obs.metrics().snapshot();
-        let labels = [("worker", "7")];
-        let subjects = snap.counter_value("kernel_subjects", &labels).unwrap();
-        assert_eq!(subjects, (3 * tiny_db().len()) as f64);
-        let byte = snap
-            .counter_value("kernel_byte_resolved", &labels)
-            .unwrap_or(0.0);
-        let esc16 = snap
-            .counter_value("kernel_escalated_16", &labels)
-            .unwrap_or(0.0);
-        let scalar = snap
-            .counter_value("kernel_escalated_scalar", &labels)
-            .unwrap_or(0.0);
-        assert_eq!(byte + esc16 + scalar, subjects, "tiers partition subjects");
+        let model = swdual_obs::RunModel::from_obs(&obs);
+        let totals = model.workers[&7].kernels.expect("totals at queue close");
+        assert_eq!(totals.subjects, (3 * tiny_db().len()) as u64);
+        assert_eq!(
+            totals.byte_resolved + totals.escalated_16 + totals.escalated_scalar,
+            totals.subjects,
+            "tiers partition subjects"
+        );
         assert!(
-            snap.gauge_value("profile_cache_hits", &labels).unwrap() >= 2.0,
+            totals.profile_cache_hits >= 2,
             "jobs 2 and 3 reuse job 1's profiles"
         );
-        assert_eq!(
-            snap.gauge_value("profile_cache_misses", &labels).unwrap(),
-            1.0
-        );
+        assert_eq!(totals.profile_cache_misses, 1);
+        // One instant per worker, after its last job.
+        let last = obs.events_since(0).pop().expect("events");
+        assert!(matches!(last.body, EventBody::WorkerTotals { .. }));
     }
 
     #[test]

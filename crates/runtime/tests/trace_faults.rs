@@ -69,7 +69,7 @@ fn fault_run_trace_has_recovered_and_device_track_groups() {
     };
     let _ = run_search(image(&db), queries, &workers, config);
 
-    let events = obs.events();
+    let events = obs.events_since(0);
     assert!(events
         .iter()
         .any(|e| matches!(e.track, Track::Recovered(_))));

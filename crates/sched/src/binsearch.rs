@@ -242,7 +242,6 @@ pub fn dual_approx_schedule_observed_decision(
             decision: Some(decision),
         },
     );
-    obs.counter("sched_binsearch_iterations", iterations as f64);
 
     BinarySearchOutcome {
         schedule: best,

@@ -133,7 +133,6 @@ pub fn dual_step_observed(
                 reason: reason.code(),
             },
         );
-        obs.counter("sched_no_certificates", 1.0);
     }
     result
 }
@@ -232,7 +231,6 @@ fn dual_step_inner(
             has_overflow_task: j_last.is_some(),
         },
     );
-    obs.counter("sched_knapsack_runs", 1.0);
 
     // Step 3: CPU area check (constraint C1).
     let w_c = forced_cpu_area + cpu_free_area;
