@@ -11,6 +11,7 @@ use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
 use crate::tiered::{score_database_with, ByteShape, Subjects, TierStats};
+use std::ops::Range;
 use swdual_bio::ScoringScheme;
 
 /// Which kernel an engine uses.
@@ -129,17 +130,21 @@ pub trait AlignEngine: Send + Sync {
 
     /// [`AlignEngine::score_many_cached`] for a caller that scores many
     /// queries against one database — a worker: `db` carries what was
-    /// prepared once per database, `scratch` the kernels' reusable
-    /// working memory. Engines that need neither delegate.
+    /// prepared once per database, `slice` the positions of its length
+    /// order this job covers, `scratch` the kernels' reusable working
+    /// memory. Scores come back in the slice's order. Engines that need
+    /// none of it delegate.
     fn score_database(
         &self,
         query: &[u8],
         db: &Subjects<'_>,
+        slice: Range<usize>,
         scheme: &ScoringScheme,
         cache: Option<&ProfileCache>,
         _scratch: &mut Scratch,
     ) -> (Vec<i32>, PhaseTimings, TierStats) {
-        self.score_many_cached(query, db.seqs(), scheme, cache)
+        let subjects: Vec<&[u8]> = db.in_order(slice).collect();
+        self.score_many_cached(query, &subjects, scheme, cache)
     }
 }
 
@@ -198,12 +203,21 @@ impl AlignEngine for LadderEngine {
         cache: Option<&ProfileCache>,
     ) -> (Vec<i32>, PhaseTimings, TierStats) {
         let db = Subjects::new(subjects.to_vec());
-        self.score_database(query, &db, scheme, cache, &mut Scratch::default())
+        let (scores, timings, stats) = self.score_database(
+            query,
+            &db,
+            db.whole(),
+            scheme,
+            cache,
+            &mut Scratch::default(),
+        );
+        (db.in_database_order(&scores), timings, stats)
     }
     fn score_database(
         &self,
         query: &[u8],
         db: &Subjects<'_>,
+        slice: Range<usize>,
         scheme: &ScoringScheme,
         cache: Option<&ProfileCache>,
         scratch: &mut Scratch,
@@ -214,6 +228,7 @@ impl AlignEngine for LadderEngine {
             self.shape,
             query,
             db,
+            slice,
             scheme,
             cache,
             scratch,

@@ -424,17 +424,23 @@ mod tests {
             assert_eq!(got[3], 0, "{backend}");
             // The ladder above recovers the flagged lanes exactly.
             let mut stats = TierStats::default();
+            let db = Subjects::new(subjects.to_vec());
             let (exact, _) = score_database_with(
                 backend,
                 ByteShape::InterSeq,
                 &w,
-                &Subjects::new(subjects.to_vec()),
+                &db,
+                db.whole(),
                 &scheme,
                 None,
                 &mut Scratch::default(),
                 &mut stats,
             );
-            assert_eq!(exact, [660, 231, 242, 0], "{backend}");
+            assert_eq!(
+                db.in_database_order(&exact),
+                [660, 231, 242, 0],
+                "{backend}"
+            );
             assert_eq!((stats.byte_resolved, stats.escalated_16), (2, 2));
         }
     }
@@ -463,12 +469,13 @@ mod tests {
                 ByteShape::InterSeq,
                 &q,
                 &db,
+                db.whole(),
                 &scheme,
                 None,
                 &mut Scratch::default(),
                 &mut TierStats::default(),
             );
-            assert_eq!(got, want, "{backend}");
+            assert_eq!(db.in_database_order(&got), want, "{backend}");
         }
     }
 

@@ -10,7 +10,8 @@
 //!
 //! [`score_database`] is the one batch-level entry point — the CPU
 //! worker, the simulated device's functional scorer and the engines all
-//! score a query against a database through it. It picks the byte
+//! score a query against a database, or a slice of its length order,
+//! through it. It picks the byte
 //! tier's *shape* per batch of subjects: the inter-sequence kernel
 //! ([`crate::interseq`], many subjects per vector) when the batch fills
 //! its lanes well enough for the query's length
@@ -31,6 +32,7 @@ use crate::interseq::{Tables, MAX_LANES};
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 use swdual_bio::{ScoringScheme, Sequence, SequenceSet, SqbImage};
@@ -93,18 +95,24 @@ fn escalate(
     gotoh_score(&profiles.query, subject, scheme)
 }
 
-/// A database as one worker scores it: the borrowed subjects plus the
-/// order the inter-sequence kernel visits them in (longest first, so a
-/// batch's lanes end close together). The order is computed here, once
-/// per worker or device residency — never per job.
+/// A database as the search scores it: the borrowed subjects, the order
+/// the inter-sequence kernel visits them in (longest first, so a batch's
+/// lanes end close together) and the residues that precede each position
+/// of that order. Built once per search and borrowed by every worker and
+/// device residency; a *slice* — the unit a job scores — is a range of
+/// positions of the length order.
 #[derive(Debug, Clone, Default)]
 pub struct Subjects<'a> {
     seqs: Vec<&'a [u8]>,
     by_length: Vec<u32>,
+    /// `residues_before[p]`: residues of the first `p` subjects of the
+    /// length order (one entry more than there are subjects).
+    residues_before: Vec<u64>,
 }
 
 impl<'a> Subjects<'a> {
-    /// Take `seqs` and sort their indices by length.
+    /// Take `seqs`, sort their indices by length and sum the lengths
+    /// along that order.
     ///
     /// # Panics
     /// On more than `u32::MAX` subjects.
@@ -112,7 +120,18 @@ impl<'a> Subjects<'a> {
         let count = u32::try_from(seqs.len()).expect("at most u32::MAX subjects");
         let mut by_length: Vec<u32> = (0..count).collect();
         by_length.sort_by_key(|&i| std::cmp::Reverse(seqs[i as usize].len()));
-        Subjects { seqs, by_length }
+        let mut residues_before = Vec::with_capacity(seqs.len() + 1);
+        let mut held = 0u64;
+        residues_before.push(held);
+        for &i in &by_length {
+            held += seqs[i as usize].len() as u64;
+            residues_before.push(held);
+        }
+        Subjects {
+            seqs,
+            by_length,
+            residues_before,
+        }
     }
 
     /// The subjects, in the order they were given.
@@ -130,9 +149,87 @@ impl<'a> Subjects<'a> {
         self.seqs.is_empty()
     }
 
-    /// The subjects' lengths, longest first.
-    pub fn lengths_longest_first(&self) -> impl Iterator<Item = usize> + '_ {
-        self.by_length.iter().map(|&i| self.seqs[i as usize].len())
+    /// The length order: database indices, longest subject first, ties
+    /// in database order.
+    pub fn order(&self) -> &[u32] {
+        &self.by_length
+    }
+
+    /// The slice that is the whole database.
+    pub fn whole(&self) -> Range<usize> {
+        0..self.seqs.len()
+    }
+
+    /// Residues of all subjects.
+    pub fn total_residues(&self) -> u64 {
+        self.residues_before[self.seqs.len()]
+    }
+
+    /// Residues of the subjects of `slice`: a difference of two prefix
+    /// sums.
+    ///
+    /// # Panics
+    /// When `slice` is not a range of positions of the length order.
+    pub fn residues_in(&self, slice: Range<usize>) -> u64 {
+        self.residues_before[slice.end] - self.residues_before[slice.start]
+    }
+
+    /// The subjects of `slice`, in the length order.
+    ///
+    /// # Panics
+    /// When `slice` is not a range of positions of the length order.
+    pub fn in_order(&self, slice: Range<usize>) -> impl Iterator<Item = &'a [u8]> + '_ {
+        self.by_length[slice].iter().map(|&i| self.seqs[i as usize])
+    }
+
+    /// The position, a multiple of `align` or the end of the order, whose
+    /// preceding residues come closest to `fraction` of the total: where
+    /// a slice boundary falls. Zero maps to the first position and one
+    /// to the end whatever the lengths.
+    pub fn cut_at(&self, fraction: f64, align: usize) -> usize {
+        let n = self.seqs.len();
+        if fraction <= 0.0 {
+            return 0;
+        }
+        if fraction >= 1.0 {
+            return n;
+        }
+        let align = align.max(1);
+        let target = fraction * self.total_residues() as f64;
+        let after = self
+            .residues_before
+            .partition_point(|&r| (r as f64) < target);
+        let below = after.saturating_sub(1) / align * align;
+        let above = (below + align).min(n);
+        let miss = |p: usize| (self.residues_before[p] as f64 - target).abs();
+        if miss(above) < miss(below) {
+            above
+        } else {
+            below
+        }
+    }
+
+    /// The share of all residues that precedes `position` of the length
+    /// order — the inverse of [`Subjects::cut_at`] on its own results.
+    pub fn fraction_before(&self, position: usize) -> f64 {
+        match self.total_residues() {
+            0 => 0.0,
+            total => self.residues_before[position] as f64 / total as f64,
+        }
+    }
+
+    /// Scores of the whole database in the length order, put back in
+    /// the order the subjects were given.
+    ///
+    /// # Panics
+    /// When `in_length_order` is not one score per subject.
+    pub fn in_database_order(&self, in_length_order: &[i32]) -> Vec<i32> {
+        assert_eq!(in_length_order.len(), self.seqs.len());
+        let mut scores = vec![0i32; in_length_order.len()];
+        for (&i, &score) in self.by_length.iter().zip(in_length_order) {
+            scores[i as usize] = score;
+        }
+        scores
     }
 }
 
@@ -264,14 +361,20 @@ fn prefetch(subject: &[u8]) {
     let _ = subject;
 }
 
-/// Score `query` against every subject of `db` on the active backend,
-/// the byte-tier shape picked automatically. Scores are exact and in
-/// the subjects' original order; `stats` gains one count per subject.
+/// Score `query` against the subjects of `slice` — a range of positions
+/// of `db`'s length order, [`Subjects::whole`] for all of it — on the
+/// active backend, the byte-tier shape picked automatically. Scores are
+/// exact and in the slice's order: `scores[j]` belongs to subject
+/// `db.order()[slice.start + j]`. `stats` gains one count per subject.
 /// `profile_build` covers the inter-sequence tables and any striped
 /// profile build or cache lookup, `dp_inner` everything else.
+///
+/// # Panics
+/// When `slice` is not a range of positions of the length order.
 pub fn score_database(
     query: &[u8],
     db: &Subjects<'_>,
+    slice: Range<usize>,
     scheme: &ScoringScheme,
     cache: Option<&ProfileCache>,
     scratch: &mut Scratch,
@@ -282,6 +385,7 @@ pub fn score_database(
         ByteShape::Auto,
         query,
         db,
+        slice,
         scheme,
         cache,
         scratch,
@@ -297,6 +401,7 @@ pub fn score_database_with(
     shape: ByteShape,
     query: &[u8],
     db: &Subjects<'_>,
+    slice: Range<usize>,
     scheme: &ScoringScheme,
     cache: Option<&ProfileCache>,
     scratch: &mut Scratch,
@@ -321,46 +426,47 @@ pub fn score_database_with(
     };
 
     let seqs = db.seqs();
-    let mut scores = vec![0i32; seqs.len()];
+    let order = &db.by_length[slice];
+    let mut scores = vec![0i32; order.len()];
     match inter_sequence {
         None => {
             let profiles = profiles.get();
-            for (score, subject) in scores.iter_mut().zip(seqs) {
-                *score = tiered_score(profiles, subject, scheme, scratch, stats);
+            for (score, &i) in scores.iter_mut().zip(order) {
+                *score = tiered_score(profiles, seqs[i as usize], scheme, scratch, stats);
             }
         }
         Some((tables, min_fill)) => {
             let lanes = backend.interseq_lanes();
             let mut batch: Vec<&[u8]> = Vec::with_capacity(lanes);
             let mut best = [0u8; MAX_LANES];
-            let mut rest = db.by_length.as_slice();
-            while let Some(&longest) = rest.first() {
-                let ids = &rest[..lanes.min(rest.len())];
+            // `order[at..]` is still to score.
+            let mut at = 0;
+            while let Some(&longest) = order.get(at) {
+                let ids = &order[at..(at + lanes).min(order.len())];
                 let residues: usize = ids.iter().map(|&i| seqs[i as usize].len()).sum();
                 let cells = lanes * seqs[longest as usize].len();
                 if (residues as f64) < min_fill * cells as f64 {
                     let subject = seqs[longest as usize];
-                    scores[longest as usize] =
-                        tiered_score(profiles.get(), subject, scheme, scratch, stats);
-                    rest = &rest[1..];
+                    scores[at] = tiered_score(profiles.get(), subject, scheme, scratch, stats);
+                    at += 1;
                     continue;
                 }
                 batch.clear();
                 batch.extend(ids.iter().map(|&i| seqs[i as usize]));
-                for &i in rest[ids.len()..].iter().take(lanes) {
+                for &i in order[at + ids.len()..].iter().take(lanes) {
                     prefetch(seqs[i as usize]);
                 }
                 backend.interseq8(query, &tables, &batch, scratch, &mut best);
-                for (&i, &lane_best) in ids.iter().zip(&best) {
+                for ((score, &i), &lane_best) in scores[at..].iter_mut().zip(ids).zip(&best) {
                     stats.subjects += 1;
-                    scores[i as usize] = if lane_best < tables.limit {
+                    *score = if lane_best < tables.limit {
                         stats.byte_resolved += 1;
                         lane_best as i32
                     } else {
                         escalate(profiles.get(), seqs[i as usize], scheme, scratch, stats)
                     };
                 }
-                rest = &rest[ids.len()..];
+                at += ids.len();
             }
         }
     }

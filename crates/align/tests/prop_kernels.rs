@@ -69,11 +69,13 @@ proptest! {
                 ByteShape::InterSeq,
                 &q,
                 &db,
+                db.whole(),
                 &sch,
                 None,
                 &mut Scratch::default(),
                 &mut TierStats::default(),
             );
+            let got = db.in_database_order(&got);
             for (l, s) in subjects.iter().enumerate() {
                 prop_assert_eq!(got[l], gotoh_score(&q, s, &sch), "{} lane {}", backend, l);
             }
@@ -306,11 +308,32 @@ fn assert_database_exact(
         let (ladder, ladder_stats) = striped_ladder(backend, q, subjects, sch);
         prop_assert_eq!(&ladder, &want, "striped ladder on {}", backend);
         for shape in [ByteShape::Auto, ByteShape::Striped, ByteShape::InterSeq] {
+            let mut score = |slice: std::ops::Range<usize>, stats: &mut TierStats| {
+                score_database_with(backend, shape, q, &db, slice, sch, None, scratch, stats).0
+            };
             let mut stats = TierStats::default();
-            let (got, _) =
-                score_database_with(backend, shape, q, &db, sch, None, scratch, &mut stats);
-            prop_assert_eq!(&got, &want, "{:?} on {}", shape, backend);
+            let whole = score(db.whole(), &mut stats);
+            prop_assert_eq!(
+                &db.in_database_order(&whole),
+                &want,
+                "{:?} on {}",
+                shape,
+                backend
+            );
             prop_assert_eq!(stats, ladder_stats, "tiers of {:?} on {}", shape, backend);
+            // Cut anywhere, the slices score and resolve as the whole.
+            let cut = db.cut_at(0.4, 1);
+            let mut stats = TierStats::default();
+            let mut sliced = score(0..cut, &mut stats);
+            sliced.extend(score(cut..db.len(), &mut stats));
+            prop_assert_eq!(&sliced, &whole, "{:?} on {} cut at {}", shape, backend, cut);
+            prop_assert_eq!(
+                stats,
+                ladder_stats,
+                "sliced tiers of {:?} on {}",
+                shape,
+                backend
+            );
         }
     }
     Ok(())

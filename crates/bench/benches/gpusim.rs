@@ -64,7 +64,7 @@ fn main() {
         assert_eq!(device.search(query, &resident, &scheme).scores, oracle(&db));
         let chunked = chunked_search(
             &mut chunk_device(),
-            &Subjects::from(&uniform),
+            Subjects::from(&uniform).seqs(),
             query,
             &scheme,
             true,
@@ -94,7 +94,14 @@ fn main() {
         let mut device = chunk_device();
         for q in &queries {
             std::hint::black_box(
-                chunked_search(&mut device, &Subjects::from(&uniform), q, &scheme, true).unwrap(),
+                chunked_search(
+                    &mut device,
+                    Subjects::from(&uniform).seqs(),
+                    q,
+                    &scheme,
+                    true,
+                )
+                .unwrap(),
             );
         }
     });

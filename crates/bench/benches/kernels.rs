@@ -61,7 +61,8 @@ struct SweepPoint {
 /// One subject set's sweep: `(name, subjects, one point per query length)`.
 type SweepSet = (&'static str, usize, Vec<SweepPoint>);
 
-/// One database pass through `score_database_with`.
+/// One database pass through `score_database_with`, scores in the
+/// length order.
 fn pass(
     backend: Backend,
     shape: ByteShape,
@@ -71,8 +72,10 @@ fn pass(
     scratch: &mut Scratch,
 ) -> (Vec<i32>, TierStats) {
     let mut stats = TierStats::default();
-    let (scores, _) =
-        score_database_with(backend, shape, query, db, scheme, None, scratch, &mut stats);
+    let whole = db.whole();
+    let (scores, _) = score_database_with(
+        backend, shape, query, db, whole, scheme, None, scratch, &mut stats,
+    );
     (scores, stats)
 }
 
@@ -147,7 +150,11 @@ fn main() {
             &scheme,
             &mut scratch,
         );
-        assert_eq!(got, expected, "interseq8 on {backend} diverged from scalar");
+        assert_eq!(
+            db_plan.in_database_order(&got),
+            expected,
+            "interseq8 on {backend} diverged from scalar"
+        );
         assert_eq!(inter, stats, "interseq8 on {backend} escalated differently");
         println!(
             "check/interseq8  ok ({backend}, {} subjects per vector)",

@@ -1,7 +1,9 @@
 //! The scheduler itself: the paper claims `O(n log n)` per
 //! binary-search step for the greedy variant; this bench measures the
 //! real cost of one step and of the full binary search across instance
-//! sizes, plus the DP variant's overhead, in ns per task.
+//! sizes, plus the DP variant's overhead and the divisible-tail pass
+//! that follows the plan (`tail_split_*`: one call on the search's
+//! schedule, handed over by clone), in ns per task.
 //!
 //! Outputs of a full run (`cargo bench -p swdual-bench --bench scheduler`):
 //!
@@ -19,7 +21,7 @@ use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_sched::binsearch::{dual_approx_schedule, lower_bound, BinarySearchConfig};
 use swdual_sched::dual::{dual_step, KnapsackMethod};
 use swdual_sched::knapsack::DpConfig;
-use swdual_sched::{PlatformSpec, Task, TaskSet};
+use swdual_sched::{split_tail, PlatformSpec, SliceOverhead, Task, TaskSet};
 
 const SIZES: [usize; 3] = [40, 400, 4000];
 
@@ -41,6 +43,9 @@ fn instance(n: usize) -> TaskSet {
             .collect(),
     )
 }
+
+/// What the runtime's workers declare per task.
+const OVERHEAD: SliceOverhead = SliceOverhead { cpu: 1.8, gpu: 1.8 };
 
 fn dp512() -> BinarySearchConfig {
     BinarySearchConfig {
@@ -67,6 +72,12 @@ fn main() {
         let found = dual_approx_schedule(tasks, &wide, BinarySearchConfig::default());
         found.schedule.validate(tasks, &wide).expect("valid search");
         assert!(found.schedule.makespan() <= 2.0 * found.upper_bound * (1.0 + 1e-9));
+        // The tail cut: a valid schedule of the cut instance, never
+        // longer than the one it was cut from — so still within 2λ.
+        let cut = split_tail(tasks, found.schedule.clone(), &wide, OVERHEAD, |f| f);
+        cut.schedule.validate(&cut.tasks, &wide).expect("valid cut");
+        assert!(cut.schedule.makespan() <= found.schedule.makespan());
+        assert!(cut.tasks.len() - tasks.len() <= wide.total() * wide.total());
     }
     for config in [BinarySearchConfig::default(), dp512()] {
         let found = dual_approx_schedule(&instances[0], &narrow, config);
@@ -103,6 +114,13 @@ fn main() {
             ));
         });
         record(format!("binary_search_full_{n}"), n, ns);
+    }
+    for (tasks, &n) in instances.iter().zip(&SIZES) {
+        let planned = dual_approx_schedule(tasks, &wide, BinarySearchConfig::default()).schedule;
+        let ns = measure(15, (40_000 / n).max(1), || {
+            black_box(split_tail(tasks, planned.clone(), &wide, OVERHEAD, |f| f));
+        });
+        record(format!("tail_split_{n}"), n, ns);
     }
     for (name, config) in [
         ("knapsack_greedy_40", BinarySearchConfig::default()),

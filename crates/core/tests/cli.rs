@@ -98,6 +98,83 @@ fn full_cli_workflow() {
     }
 }
 
+/// A single query scales with `--cpus`: the plan cuts its one task along
+/// the database, both workers report cells, and the hits are those of
+/// one worker scoring everything.
+#[test]
+fn one_query_is_cut_over_both_cpus_and_keeps_its_hits() {
+    let fasta = tmp("cut_db.fasta");
+    let sqb = tmp("cut_db.sqb");
+    let query = tmp("cut_q.fasta");
+    let run = |args: &[&str]| {
+        let out = swdual().args(args).output().expect("run swdual");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // More than one 128-subject block, so there is somewhere to cut.
+    run(&["generate", "--sequences", "400", "--mean-len", "90"]
+        .iter()
+        .chain(&["--output", fasta.to_str().unwrap(), "--seed", "4"])
+        .copied()
+        .collect::<Vec<_>>());
+    run(&[
+        "convert",
+        "--input",
+        fasta.to_str().unwrap(),
+        "--output",
+        sqb.to_str().unwrap(),
+    ]);
+    let db_text = std::fs::read_to_string(&fasta).unwrap();
+    let seventh = db_text.split('>').nth(7).expect("400 records");
+    std::fs::write(&query, format!(">{seventh}")).unwrap();
+
+    let search = |cpus: &str| {
+        let metrics = tmp(&format!("cut_metrics_{cpus}.txt"));
+        let stdout = run(&[
+            "search",
+            "--db",
+            sqb.to_str().unwrap(),
+            "--queries",
+            query.to_str().unwrap(),
+            "--cpus",
+            cpus,
+            "--gpus",
+            "0",
+            "--top",
+            "8",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        std::fs::remove_file(&metrics).ok();
+        let cells: Vec<u64> = text
+            .lines()
+            .filter(|l| l.starts_with("swdual_worker_cells_total{"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        let hits = stdout.split("\nworker ").next().unwrap().to_string();
+        (hits, cells)
+    };
+    let (one_hits, one_cells) = search("1");
+    let (two_hits, two_cells) = search("2");
+    assert!(one_hits.contains("Query synth_6:"), "{one_hits}");
+    assert_eq!(
+        one_hits.lines().count(),
+        9,
+        "a header and eight hits: {one_hits}"
+    );
+    assert_eq!(two_hits, one_hits);
+    assert_eq!(one_cells.len(), 1);
+    assert_eq!(two_cells.len(), 2);
+    assert!(two_cells.iter().all(|&cells| cells > 0), "{two_cells:?}");
+    assert_eq!(two_cells.iter().sum::<u64>(), one_cells[0]);
+
+    for f in [&fasta, &sqb, &query] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
 #[test]
 fn bad_usage_exits_nonzero() {
     let out = swdual().arg("search").output().unwrap(); // missing --db

@@ -11,8 +11,10 @@
 //!   `t₀ + Σ max(kernelᵢ, transferᵢ₊₁) + kernel_last`, the classic
 //!   pipeline formula.
 //!
-//! Both return exact scores (every chunk is really searched, in place:
-//! chunks are runs of the database's borrowed residue slices, and the
+//! Both take the sequences to stream as a list — a whole database in
+//! its own order, or the subjects of one slice of its length order — and
+//! return exact scores in the list's order (every chunk is really
+//! searched, in place: chunks are runs of the borrowed residue slices, and the
 //! device's one-entry profile cache builds the query's profiles once
 //! for all of them) and the modelled time, so tests can quantify the
 //! overlap win.
@@ -25,7 +27,7 @@ use swdual_bio::ScoringScheme;
 /// Result of a chunked search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkedResult {
-    /// Exact scores in original database order.
+    /// Exact scores in the order of the sequences given.
     pub scores: Vec<i32>,
     /// Modelled total seconds (transfers + kernels, with or without
     /// overlap).
@@ -34,14 +36,13 @@ pub struct ChunkedResult {
     pub chunks: usize,
 }
 
-/// Split `database` into consecutive runs whose residue totals fit
+/// Split `all` into consecutive runs whose residue totals fit
 /// `chunk_bytes`. Sequences are never split; a single sequence larger
-/// than the chunk is an error. The runs borrow the database.
+/// than the chunk is an error. The runs borrow the list.
 pub fn split_into_chunks<'s, 'a>(
-    database: &'s Subjects<'a>,
+    all: &'s [&'a [u8]],
     chunk_bytes: u64,
 ) -> Result<Vec<&'s [&'a [u8]]>, MemoryError> {
-    let all = database.seqs();
     let mut chunks = Vec::new();
     let (mut start, mut held) = (0, 0u64);
     for (i, seq) in all.iter().enumerate() {
@@ -71,7 +72,7 @@ type Streamed = (Vec<i32>, Vec<(f64, f64)>);
 /// memory.
 fn stream(
     device: &mut GpuDevice,
-    database: &Subjects<'_>,
+    database: &[&[u8]],
     query: &[u8],
     scheme: &ScoringScheme,
     sort_chunks: bool,
@@ -95,7 +96,7 @@ fn stream(
 /// Serial chunked search: transfers and kernels strictly alternate.
 pub fn chunked_search(
     device: &mut GpuDevice,
-    database: &Subjects<'_>,
+    database: &[&[u8]],
     query: &[u8],
     scheme: &ScoringScheme,
     sort_chunks: bool,
@@ -123,7 +124,7 @@ pub fn chunked_search(
 /// pick one clock — the runtime reports `seconds`.
 pub fn overlapped_search(
     device: &mut GpuDevice,
-    database: &Subjects<'_>,
+    database: &[&[u8]],
     query: &[u8],
     scheme: &ScoringScheme,
     sort_chunks: bool,
@@ -178,7 +179,7 @@ mod tests {
     fn splitting_respects_chunk_size_and_order() {
         let db = uniform_database(20, 50, Alphabet::Protein);
         let subjects = Subjects::from(&db);
-        let chunks = split_into_chunks(&subjects, 200).unwrap();
+        let chunks = split_into_chunks(subjects.seqs(), 200).unwrap();
         // 50 residues each, 200-residue chunks -> 4 sequences per chunk.
         assert_eq!(chunks.len(), 5);
         for c in &chunks {
@@ -193,7 +194,7 @@ mod tests {
     #[test]
     fn oversized_single_sequence_is_an_error() {
         let db = uniform_database(1, 500, Alphabet::Protein);
-        assert!(split_into_chunks(&Subjects::from(&db), 100).is_err());
+        assert!(split_into_chunks(Subjects::from(&db).seqs(), 100).is_err());
     }
 
     #[test]
@@ -203,8 +204,14 @@ mod tests {
         let mut device = GpuDevice::new(DeviceSpec::toy(260));
         let query = uniform_database(1, 80, Alphabet::Protein);
         let query = query.get(0).unwrap().codes().to_vec();
-        let result =
-            chunked_search(&mut device, &Subjects::from(&db), &query, &scheme(), true).unwrap();
+        let result = chunked_search(
+            &mut device,
+            Subjects::from(&db).seqs(),
+            &query,
+            &scheme(),
+            true,
+        )
+        .unwrap();
         assert!(result.chunks > 1, "database must not fit in one chunk");
         assert_eq!(result.scores.len(), 24);
         for (i, seq) in db.iter().enumerate() {
@@ -231,7 +238,7 @@ mod tests {
         let mut serial_dev = GpuDevice::new(spec.clone());
         let serial = chunked_search(
             &mut serial_dev,
-            &Subjects::from(&db),
+            Subjects::from(&db).seqs(),
             &query,
             &scheme(),
             true,
@@ -242,7 +249,7 @@ mod tests {
         let mut overlap_dev = GpuDevice::new(big);
         let overlap = overlapped_search(
             &mut overlap_dev,
-            &Subjects::from(&db),
+            Subjects::from(&db).seqs(),
             &query,
             &scheme(),
             true,
@@ -268,8 +275,14 @@ mod tests {
         let db = uniform_database(4, 20, Alphabet::Protein);
         let mut device = GpuDevice::new(DeviceSpec::toy(10_000));
         let query = vec![0u8; 30];
-        let result =
-            chunked_search(&mut device, &Subjects::from(&db), &query, &scheme(), false).unwrap();
+        let result = chunked_search(
+            &mut device,
+            Subjects::from(&db).seqs(),
+            &query,
+            &scheme(),
+            false,
+        )
+        .unwrap();
         assert_eq!(result.chunks, 1);
         assert_eq!(result.scores.len(), 4);
     }
@@ -279,7 +292,14 @@ mod tests {
         let db = uniform_database(30, 40, Alphabet::Protein);
         let mut device = GpuDevice::new(DeviceSpec::toy(300));
         let query = vec![1u8; 50];
-        chunked_search(&mut device, &Subjects::from(&db), &query, &scheme(), true).unwrap();
+        chunked_search(
+            &mut device,
+            Subjects::from(&db).seqs(),
+            &query,
+            &scheme(),
+            true,
+        )
+        .unwrap();
         assert_eq!(device.memory().used(), 0);
         // Peak usage stayed within one chunk (90% of capacity).
         assert!(device.memory().peak() <= 270);

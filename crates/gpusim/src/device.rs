@@ -17,15 +17,19 @@
 //! * Padded cells are charged at the query-length-dependent effective
 //!   rate of [`DeviceSpec::effective_gcups`], plus a fixed kernel launch
 //!   latency, by one function shared by prediction and execution over
-//!   the two residue totals [`GpuDevice::upload`] folds the residency to.
+//!   two residue totals: of the whole residency, or of the slice of its
+//!   length order a kernel covers (a difference of prefix sums either
+//!   way).
 //!
 //! Functional scorer: the host's fastest exact kernel — `swdual-align`'s
 //! runtime-dispatched tier ladder, the call a CPU worker makes — over
-//! the caller's sequences in place, in original database order.
+//! the caller's sequences in place.
 
 use crate::memory::{Allocation, DeviceMemory, MemoryError};
 use crate::spec::DeviceSpec;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::ops::Range;
 use swdual_align::{score_database, ProfileCache, Scratch, Subjects, TierStats};
 use swdual_bio::ScoringScheme;
 use swdual_obs::{EventBody, Obs, Track};
@@ -122,25 +126,31 @@ impl DeviceStats {
 /// Result of one simulated kernel launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelResult {
-    /// Exact local-alignment score per database sequence, in database
-    /// order.
+    /// Exact local-alignment score per sequence: in database order from
+    /// [`GpuDevice::search`], in the slice's order from
+    /// [`GpuDevice::search_slice`].
     pub scores: Vec<i32>,
     /// Simulated execution time of the kernel in seconds (not the host
     /// time the scores took to compute).
     pub kernel_seconds: f64,
 }
 
-/// A database resident in device memory: a footprint for the timing
-/// model (all that survives of the device layout, sorted or not) and a
-/// borrow of the host sequences for the functional scorer.
+/// A database resident in device memory: what the timing model needs of
+/// the device layout (sorted or not) and the host sequences, owned or
+/// borrowed from the search, for the functional scorer.
 #[derive(Debug)]
 pub struct ResidentDb<'a> {
     allocation: Allocation,
-    /// The uploaded sequences, scored in place; the host kernel's
-    /// length order is kept with the residency, not recomputed per
-    /// kernel.
-    subjects: Subjects<'a>,
-    footprint: Footprint,
+    /// The uploaded sequences, scored in place, with the length order
+    /// and its residue prefix sums.
+    subjects: Cow<'a, Subjects<'a>>,
+    /// The device layout is the length order (else the order given).
+    sorted: bool,
+    /// Lanes of a warp of the device it is resident on.
+    warp_size: usize,
+    /// `padded_before[w]`: lanes × longest lane summed over the first
+    /// `w` warps of the device layout.
+    padded_before: Vec<u64>,
 }
 
 impl ResidentDb<'_> {
@@ -153,10 +163,30 @@ impl ResidentDb<'_> {
     pub fn is_empty(&self) -> bool {
         self.subjects.is_empty()
     }
+
+    /// What a kernel over `slice` of the length order is charged for.
+    /// The whole residency, and any slice of a sorted one that starts
+    /// and ends on warp boundaries, is a difference of prefix sums; any
+    /// other slice packs its own warps from its first subject.
+    fn footprint(&self, slice: Range<usize>) -> Footprint {
+        let (n, warp_size) = (self.subjects.len(), self.warp_size);
+        let on_warps = slice.start.is_multiple_of(warp_size)
+            && (slice.end.is_multiple_of(warp_size) || slice.end == n);
+        if slice == (0..n) || (self.sorted && on_warps) {
+            let warps = slice.start / warp_size..slice.end.div_ceil(warp_size);
+            Footprint {
+                total_residues: self.subjects.residues_in(slice),
+                padded_residues: self.padded_before[warps.end] - self.padded_before[warps.start],
+            }
+        } else {
+            let lengths = self.subjects.in_order(slice).map(<[u8]>::len);
+            Footprint::of(lengths, warp_size).0
+        }
+    }
 }
 
-/// What the timing model keeps of a residency: two residue totals,
-/// folded once from the subject lengths in device order.
+/// What the timing model charges a kernel for: two residue totals of
+/// the subjects it covers.
 #[derive(Debug, Clone, Copy)]
 struct Footprint {
     /// Σ subject lengths.
@@ -166,11 +196,18 @@ struct Footprint {
 }
 
 impl Footprint {
-    fn of(lengths_in_device_order: impl IntoIterator<Item = usize>, warp_size: usize) -> Footprint {
+    /// The footprint of subjects packed `warp_size` to a warp in the
+    /// order given, and the padded residues before each warp boundary
+    /// (a leading zero, then one running total per warp).
+    fn of(
+        lengths_in_device_order: impl IntoIterator<Item = usize>,
+        warp_size: usize,
+    ) -> (Footprint, Vec<u64>) {
         let mut footprint = Footprint {
             total_residues: 0,
             padded_residues: 0,
         };
+        let mut padded_before = vec![0];
         // The warp being filled: its lanes and its longest lane.
         let (mut lanes, mut longest) = (0, 0);
         for len in lengths_in_device_order {
@@ -179,11 +216,15 @@ impl Footprint {
             longest = longest.max(len);
             if lanes == warp_size {
                 footprint.padded_residues += (longest * lanes) as u64;
+                padded_before.push(footprint.padded_residues);
                 (lanes, longest) = (0, 0);
             }
         }
-        footprint.padded_residues += (longest * lanes) as u64;
-        footprint
+        if lanes > 0 {
+            footprint.padded_residues += (longest * lanes) as u64;
+            padded_before.push(footprint.padded_residues);
+        }
+        (footprint, padded_before)
     }
 
     /// The timing model of one kernel launch: `(useful_cells,
@@ -386,19 +427,38 @@ impl GpuDevice {
     /// residues `database` borrows — an [`SqbImage`](swdual_bio::SqbImage),
     /// a [`SequenceSet`](swdual_bio::SequenceSet) or one chunk of either —
     /// and takes every length from their slices; nothing is copied on
-    /// the host.
+    /// the host. It owns the length order built here: a search that has
+    /// one already hands it to [`GpuDevice::upload_shared`].
     pub fn upload<'a>(
         &mut self,
         database: impl Into<Subjects<'a>>,
         sort_by_length: bool,
     ) -> Result<ResidentDb<'a>, MemoryError> {
+        self.make_resident(Cow::Owned(database.into()), sort_by_length)
+    }
+
+    /// [`GpuDevice::upload`] of subjects whose length order the caller
+    /// keeps: the residency borrows it and sorts nothing.
+    pub fn upload_shared<'a>(
+        &mut self,
+        subjects: &'a Subjects<'a>,
+        sort_by_length: bool,
+    ) -> Result<ResidentDb<'a>, MemoryError> {
+        self.make_resident(Cow::Borrowed(subjects), sort_by_length)
+    }
+
+    fn make_resident<'a>(
+        &mut self,
+        subjects: Cow<'a, Subjects<'a>>,
+        sort_by_length: bool,
+    ) -> Result<ResidentDb<'a>, MemoryError> {
         let wall_start = self.obs.now();
-        let subjects = database.into();
-        let warp_size = self.spec.warp_size;
-        let footprint = if sort_by_length {
+        let warp_size = self.spec.warp_size.max(1);
+        let (footprint, padded_before) = if sort_by_length {
             // Descending length: warps see near-equal neighbours. The
             // order is the one the host kernel batches in.
-            Footprint::of(subjects.lengths_longest_first(), warp_size)
+            let lengths = subjects.in_order(subjects.whole()).map(<[u8]>::len);
+            Footprint::of(lengths, warp_size)
         } else {
             Footprint::of(subjects.seqs().iter().map(|s| s.len()), warp_size)
         };
@@ -426,7 +486,9 @@ impl GpuDevice {
         Ok(ResidentDb {
             allocation,
             subjects,
-            footprint,
+            sorted: sort_by_length,
+            warp_size,
+            padded_before,
         })
     }
 
@@ -440,7 +502,8 @@ impl GpuDevice {
     /// processing-time estimates `p̄ⱼ` use exactly this function, so
     /// estimate and simulation agree by construction.
     pub fn predict_kernel_seconds(&self, query_len: usize, db: &ResidentDb) -> f64 {
-        db.footprint.kernel_cost(&self.spec, query_len).2
+        let whole = db.footprint(db.subjects.whole());
+        whole.kernel_cost(&self.spec, query_len).2
     }
 
     /// Prediction from lengths in device order, without a device.
@@ -449,9 +512,9 @@ impl GpuDevice {
         query_len: usize,
         subject_lengths_sorted_desc: &[usize],
     ) -> f64 {
-        Footprint::of(subject_lengths_sorted_desc.iter().copied(), spec.warp_size)
-            .kernel_cost(spec, query_len)
-            .2
+        let lengths = subject_lengths_sorted_desc.iter().copied();
+        let (footprint, _) = Footprint::of(lengths, spec.warp_size.max(1));
+        footprint.kernel_cost(spec, query_len).2
     }
 
     /// The scorer's profile-cache `(hits, misses)`; a miss is a build.
@@ -485,18 +548,39 @@ impl GpuDevice {
         db: &ResidentDb,
         scheme: &ScoringScheme,
     ) -> KernelResult {
+        let mut result = self.search_slice(query, db, db.subjects.whole(), scheme);
+        result.scores = db.subjects.in_database_order(&result.scores);
+        result
+    }
+
+    /// Launch one search kernel over `slice` of the resident database's
+    /// length order — the unit a runtime job covers. Scores come back in
+    /// the slice's order; the clock advances by the modelled time of a
+    /// kernel over just those subjects.
+    ///
+    /// # Panics
+    /// When `slice` is not a range of positions of the length order.
+    pub fn search_slice(
+        &mut self,
+        query: &[u8],
+        db: &ResidentDb,
+        slice: Range<usize>,
+        scheme: &ScoringScheme,
+    ) -> KernelResult {
         let wall_start = self.obs.now();
         // Functional scorer: host time, the CPU worker's call.
         let (scores, _) = score_database(
             query,
             &db.subjects,
+            slice.clone(),
             scheme,
             Some(&self.profiles),
             &mut self.scratch,
             &mut TierStats::default(),
         );
         // Timing model: simulated time, from lengths alone.
-        let (useful, padded, kernel_seconds) = db.footprint.kernel_cost(&self.spec, query.len());
+        let footprint = db.footprint(slice);
+        let (useful, padded, kernel_seconds) = footprint.kernel_cost(&self.spec, query.len());
         let start = self.clock;
         self.clock += kernel_seconds;
         self.kernels_launched += 1;
@@ -826,5 +910,79 @@ mod tests {
         let long = dev.predict_kernel_seconds(1000, &resident);
         let launch = dev.spec().kernel_launch_latency;
         assert!(long - launch < 10.0 * (short - launch));
+    }
+
+    /// The kernels the device has launched: `(useful, padded)` cells.
+    fn kernel_cells(dev: &GpuDevice) -> Vec<(u64, u64)> {
+        let cells = |e: &DeviceEvent| match *e {
+            DeviceEvent::Kernel {
+                useful_cells,
+                padded_cells,
+                ..
+            } => Some((useful_cells, padded_cells)),
+            _ => None,
+        };
+        dev.events().iter().filter_map(cells).collect()
+    }
+
+    #[test]
+    fn a_sliced_kernel_scores_and_charges_its_own_subjects() {
+        // Ten subjects of lengths 12, 11, … 3 on a 4-lane device: warps
+        // of the length order are [12 11 10 9] [8 7 6 5] [4 3].
+        let texts: Vec<String> = (3..13)
+            .map(|len| "MKVLATGGARND"[..len].to_string())
+            .collect();
+        let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
+        let database = db(&refs);
+        let subjects = Subjects::from(&database);
+        let query = Alphabet::Protein.encode(b"MKVLAT").unwrap();
+        let mut dev = GpuDevice::new(DeviceSpec::toy(10_000));
+        let resident = dev.upload_shared(&subjects, true).unwrap();
+        let whole = dev.search_slice(&query, &resident, 0..10, &scheme());
+        assert_eq!(
+            subjects.in_database_order(&whole.scores),
+            dev.search(&query, &resident, &scheme()).scores
+        );
+
+        // Cut on warp boundaries, the slices are the whole: scores,
+        // useful and padded cells, and all but a launch of the time.
+        let head = dev.search_slice(&query, &resident, 0..4, &scheme());
+        let tail = dev.search_slice(&query, &resident, 4..10, &scheme());
+        assert_eq!([&head.scores[..], &tail.scores[..]].concat(), whole.scores);
+        let cells = kernel_cells(&dev);
+        assert_eq!(cells[0], (6 * 75, 6 * (48 + 32 + 8)));
+        assert_eq!(cells[2], (6 * 42, 6 * 48));
+        assert_eq!(cells[3], (6 * 33, 6 * (32 + 8)));
+        let launch = dev.spec().kernel_launch_latency;
+        let sliced = head.kernel_seconds + tail.kernel_seconds;
+        assert!((sliced - launch - whole.kernel_seconds).abs() < 1e-15);
+
+        // Cut anywhere else, a slice packs its own warps from its first
+        // subject: [11 10 9 8] [7 6].
+        let ragged = dev.search_slice(&query, &resident, 1..7, &scheme());
+        assert_eq!(ragged.scores, whole.scores[1..7]);
+        assert_eq!(kernel_cells(&dev)[4], (6 * 51, 6 * (44 + 14)));
+        // And an empty slice is a launch and nothing else.
+        let empty = dev.search_slice(&query, &resident, 4..4, &scheme());
+        assert!(empty.scores.is_empty());
+        assert_eq!(empty.kernel_seconds, launch);
+    }
+
+    #[test]
+    fn a_shared_order_gives_the_residency_an_owned_one_gives() {
+        let database = db(&["MKVLATGGAR", "MK", "GGARMKVLAT", "WWWW", "MKVLA"]);
+        let subjects = Subjects::from(&database);
+        let query = Alphabet::Protein.encode(b"MKVLAT").unwrap();
+        for sort in [true, false] {
+            let mut owned = GpuDevice::new(DeviceSpec::toy(10_000));
+            let mut shared = GpuDevice::new(DeviceSpec::toy(10_000));
+            let a = owned.upload(&database, sort).unwrap();
+            let b = shared.upload_shared(&subjects, sort).unwrap();
+            assert_eq!(
+                owned.search(&query, &a, &scheme()),
+                shared.search(&query, &b, &scheme())
+            );
+            assert_eq!(owned.events(), shared.events());
+        }
     }
 }

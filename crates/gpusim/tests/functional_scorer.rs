@@ -52,7 +52,7 @@ fn check_every_entry_point(subjects: &[Vec<u8>], query: &[u8], sort: bool) -> Re
     let mut device = GpuDevice::new(DeviceSpec::toy(capacity));
     let serial = chunked_search(
         &mut device,
-        &Subjects::from(&database),
+        Subjects::from(&database).seqs(),
         query,
         &scheme,
         sort,
@@ -61,7 +61,7 @@ fn check_every_entry_point(subjects: &[Vec<u8>], query: &[u8], sort: bool) -> Re
     let mut device = GpuDevice::new(DeviceSpec::toy(capacity));
     let overlapped = overlapped_search(
         &mut device,
-        &Subjects::from(&database),
+        Subjects::from(&database).seqs(),
         query,
         &scheme,
         sort,
@@ -138,7 +138,7 @@ fn a_four_chunk_search_builds_the_query_profiles_once() {
     let scheme = ScoringScheme::protein_default();
     let result = chunked_search(
         &mut device,
-        &Subjects::from(&database),
+        Subjects::from(&database).seqs(),
         query,
         &scheme,
         true,
@@ -152,7 +152,7 @@ fn a_four_chunk_search_builds_the_query_profiles_once() {
     let other = vec![3u8; 40];
     chunked_search(
         &mut device,
-        &Subjects::from(&database),
+        Subjects::from(&database).seqs(),
         &other,
         &scheme,
         true,

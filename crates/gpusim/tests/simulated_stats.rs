@@ -110,7 +110,7 @@ fn streamed_search_times_equal_the_parent_commit_bit_for_bit() {
     let mut device = GpuDevice::new(DeviceSpec::toy(20_000));
     let serial = chunked_search(
         &mut device,
-        &Subjects::from(&database),
+        Subjects::from(&database).seqs(),
         &query,
         &scheme,
         true,
@@ -123,7 +123,7 @@ fn streamed_search_times_equal_the_parent_commit_bit_for_bit() {
     let mut device = GpuDevice::new(DeviceSpec::toy(20_000));
     let overlapped = overlapped_search(
         &mut device,
-        &Subjects::from(&database),
+        Subjects::from(&database).seqs(),
         &query,
         &scheme,
         false,

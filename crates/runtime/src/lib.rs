@@ -2,7 +2,9 @@
 //!
 //! Implements the paper's Figure 6 with real OS threads: a **master**
 //! that loads the sequences, builds the task list (one task = one query
-//! against the whole database), allocates tasks to workers through a
+//! against the whole database — or against a slice of it, when the
+//! plan's divisible-tail pass cuts the critical task, see [`master`]),
+//! allocates tasks to workers through a
 //! pluggable policy, and merges results; and **workers** (slaves) that
 //! register, receive tasks, execute them with their engine and stream
 //! results back.

@@ -23,21 +23,28 @@
 //! pathological fault storms into a typed [`SearchError`] instead of a
 //! hang.
 //!
+//! A task is a query against a *slice* of the database's length order —
+//! the whole order unless the plan's post-pass
+//! ([`swdual_sched::split_tail`]) cut the critical worker's task along
+//! the database because the declared rate models said the planned
+//! makespan would strictly fall. A worker answers a task with the best
+//! `top_k` hits of its slice; the master folds the slices of a query.
+//!
 //! Faults never change results. Alignment scores are a pure function of
 //! (query, database, scheme), so any completion path — the original
 //! worker, a late straggler, a re-dispatched copy — produces the same
-//! score vector; the master dedups by task id and keeps the first.
+//! hits; the master dedups by task id and keeps the first.
 
 mod core;
 
 #[cfg(test)]
 use self::core::DEATH_TIMEOUT;
-use self::core::{Action, Input, MasterState};
+use self::core::{Action, Input, MasterState, Unit};
 #[cfg(test)]
 use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
 use crate::faults::FaultPlan;
 use crate::messages::{
-    top_k_hits, Job, JobResult, QueryHits, Registration, WorkerMsg, WorkerStats,
+    top_k, Hit, Job, JobResult, QueryHits, Registration, WorkerMsg, WorkerStats,
 };
 use crate::worker::{WorkerContext, WorkerSpec};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
@@ -45,6 +52,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
+use swdual_align::Subjects;
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_bio::SqbImage;
@@ -52,7 +60,7 @@ use swdual_obs::{EventBody, Obs, OptWorker, Track};
 use swdual_sched::binsearch::{dual_approx_schedule_observed, BinarySearchConfig};
 use swdual_sched::dual::KnapsackMethod;
 use swdual_sched::schedule::Schedule;
-use swdual_sched::{PlatformSpec, Task, TaskSet};
+use swdual_sched::{split_tail, Part, PlatformSpec, SliceOverhead, SplitPlan, Task, TaskSet};
 
 /// How the master allocates tasks to workers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -261,33 +269,40 @@ impl SearchOutcome {
 /// platforms.
 const ABSENT_SPECIES_PENALTY: f64 = 1.0e6;
 
+/// Slice boundaries fall on multiples of this many positions of the
+/// length order (or at its end): a multiple of every kernel's batch and
+/// every zoo device's warp, so a slice is batched and padded exactly as
+/// the same subjects are in an uncut run.
+const SLICE_ALIGN: usize = 128;
+
 /// Build the scheduler instance from the rate models the workers
-/// declared at registration.
+/// declared at registration: one task per query against the whole
+/// database.
 fn build_tasks(
     queries: &SequenceSet,
     db_residues: u64,
     cpu_model: Option<crate::estimator::WorkerRateModel>,
     gpu_model: Option<crate::estimator::WorkerRateModel>,
-) -> TaskSet {
-    TaskSet::new(
-        queries
-            .iter()
-            .enumerate()
-            .map(|(id, q)| {
-                let cpu = cpu_model.map(|m| m.task_seconds(q.len(), db_residues));
-                let gpu = gpu_model.map(|m| m.task_seconds(q.len(), db_residues));
-                // With a species absent, derive a prohibitive but
-                // finite time from the species that is present.
-                let (p_cpu, p_gpu) = match (cpu, gpu) {
-                    (Some(c), Some(g)) => (c, g),
-                    (Some(c), None) => (c, c * ABSENT_SPECIES_PENALTY),
-                    (None, Some(g)) => (g * ABSENT_SPECIES_PENALTY, g),
-                    (None, None) => unreachable!("at least one worker species registers"),
-                };
-                Task::new(id, p_cpu, p_gpu)
-            })
-            .collect(),
-    )
+) -> Result<TaskSet, SearchError> {
+    // A model may declare no overhead and the database may be empty:
+    // the scheduler still needs a positive time.
+    let seconds = |m: crate::estimator::WorkerRateModel, len| {
+        m.task_seconds(len, db_residues).max(f64::MIN_POSITIVE)
+    };
+    let tasks = queries.iter().enumerate().map(|(id, q)| {
+        let cpu = cpu_model.map(|m| seconds(m, q.len()));
+        let gpu = gpu_model.map(|m| seconds(m, q.len()));
+        // With a species absent, derive a prohibitive but finite time
+        // from the species that is present.
+        let (p_cpu, p_gpu) = match (cpu, gpu) {
+            (Some(c), Some(g)) => (c, g),
+            (Some(c), None) => (c, c * ABSENT_SPECIES_PENALTY),
+            (None, Some(g)) => (g * ABSENT_SPECIES_PENALTY, g),
+            (None, None) => return Err(SearchError::NoWorkersRegistered),
+        };
+        Ok(Task::new(id, p_cpu, p_gpu))
+    });
+    tasks.collect::<Result<_, _>>().map(TaskSet::new)
 }
 
 /// Journal the `task_dispatch` causal edge of a *successfully sent*
@@ -323,7 +338,7 @@ struct Links {
 fn spawn_workers<'scope>(
     scope: &'scope Scope<'scope, '_>,
     workers: &[WorkerSpec],
-    database: &Arc<SqbImage>,
+    database: &'scope Subjects<'scope>,
     queries: &Arc<SequenceSet>,
     config: &RuntimeConfig,
 ) -> (Links, Vec<ScopedJoinHandle<'scope, ()>>) {
@@ -344,9 +359,10 @@ fn spawn_workers<'scope>(
         };
         let ctx = WorkerContext {
             worker_id,
-            database: Arc::clone(database),
+            database,
             queries: Arc::clone(queries),
             scheme: config.scheme.clone(),
+            top_k: config.top_k,
             obs: config.obs.clone(),
             fault: config.faults.get(worker_id),
         };
@@ -429,37 +445,55 @@ fn collect_registrations(
     (registrations, alive)
 }
 
-/// The initial plan `policy` draws for `tasks` on `platform`; `None` for
+/// The initial plan `policy` draws for `tasks` on `platform`, its
+/// divisible tail cut ([`split_tail`]: `overhead` prices a piece, `snap`
+/// moves a cut to where the database can be cut); `None` for
 /// self-scheduling, which has no plan.
 fn initial_plan(
     tasks: &TaskSet,
     platform: &PlatformSpec,
     policy: AllocationPolicy,
+    overhead: SliceOverhead,
+    snap: impl Fn(f64) -> f64,
     obs: &Obs,
-) -> Option<Schedule> {
+) -> Option<SplitPlan> {
     let config = BinarySearchConfig::default();
-    match policy {
+    let whole = match policy {
         AllocationPolicy::DualApprox(method) => {
             let config = BinarySearchConfig { method, ..config };
-            Some(dual_approx_schedule_observed(tasks, platform, config, obs).schedule)
+            dual_approx_schedule_observed(tasks, platform, config, obs).schedule
         }
-        AllocationPolicy::SelfScheduling => None,
-        AllocationPolicy::MultiRound { rounds } => Some(
-            swdual_sched::multiround::multi_round_schedule(tasks, platform, rounds, config),
-        ),
-    }
+        AllocationPolicy::SelfScheduling => return None,
+        AllocationPolicy::MultiRound { rounds } => {
+            swdual_sched::multiround::multi_round_schedule(tasks, platform, rounds, config)
+        }
+    };
+    Some(split_tail(tasks, whole, platform, overhead, snap))
+}
+
+/// What allocation hands the core: the tasks, the work behind each, and
+/// the static plan when the policy draws one.
+struct Allocation {
+    tasks: TaskSet,
+    units: Vec<Unit>,
+    schedule: Option<Schedule>,
 }
 
 /// Phase 3 — allocate from the *declared* rate models of the workers
-/// that actually registered.
+/// that actually registered: one task per query, the policy's plan, and
+/// then the plan's divisible tail — the critical worker's task cut along
+/// the database wherever those models say the planned makespan strictly
+/// falls (nowhere, when loads already differ by less than a per-task
+/// overhead).
 fn allocate(
     queries: &SequenceSet,
-    db_residues: u64,
+    database: &Subjects<'_>,
     registrations: &[Registration],
     config: &RuntimeConfig,
-) -> (TaskSet, Option<Schedule>) {
+) -> Result<Allocation, SearchError> {
     let obs = &config.obs;
     let t_allocate = obs.now();
+    let db_residues = database.total_residues();
     let model_of = |gpu: bool| {
         registrations
             .iter()
@@ -468,26 +502,53 @@ fn allocate(
     };
     let gpus = registrations.iter().filter(|r| r.is_gpu).count();
     let platform = PlatformSpec::new(registrations.len() - gpus, gpus);
-    let tasks = build_tasks(queries, db_residues, model_of(false), model_of(true));
+    let whole = build_tasks(queries, db_residues, model_of(false), model_of(true))?;
+    // A slice pays its species' whole declared overhead; a species
+    // nobody registered takes none.
+    let overhead_of = |gpu: bool| model_of(gpu).map_or(f64::INFINITY, |m| m.per_task_overhead);
+    let overhead = SliceOverhead {
+        cpu: overhead_of(false),
+        gpu: overhead_of(true),
+    };
+    let cut_at = |fraction: f64| database.cut_at(fraction, SLICE_ALIGN);
+    let snap = |fraction: f64| database.fraction_before(cut_at(fraction));
+    let plan = initial_plan(&whole, &platform, config.policy, overhead, snap, obs);
+    let (tasks, parts, schedule) = match plan {
+        Some(plan) => (plan.tasks, plan.parts, Some(plan.schedule)),
+        None => {
+            let uncut = (0..whole.len()).map(Part::whole).collect();
+            (whole, uncut, None)
+        }
+    };
+    // What each task asks of a worker: its query (a piece's is its
+    // parent's) against its share of the length order.
+    let unit_of = |part: &Part| {
+        let slice = cut_at(part.lo)..cut_at(part.hi);
+        let query_len = queries.get(part.parent).map_or(0, |q| q.len());
+        Unit {
+            query_index: part.parent,
+            cells: query_len as f64 * database.residues_in(slice.clone()) as f64,
+            slice: slice.into(),
+        }
+    };
+    let units: Vec<Unit> = parts.iter().map(unit_of).collect();
     // Journal the rate-model estimates per task: the auditor
     // reconstructs acceleration ratios (p_cpu/p_gpu) from these to
     // judge the knapsack's GPU-side ordering.
     if obs.is_enabled() {
-        for t in tasks.iter() {
-            let qlen = queries.get(t.id).map_or(0, |q| q.len());
+        for (task, unit) in tasks.iter().zip(&units) {
             obs.instant(
                 Track::Master,
                 EventBody::TaskModel {
-                    task: t.id,
-                    p_cpu: t.p_cpu,
-                    p_gpu: t.p_gpu,
-                    query_len: Some(qlen),
-                    cells: Some(qlen as f64 * db_residues as f64),
+                    task: task.id,
+                    p_cpu: task.p_cpu,
+                    p_gpu: task.p_gpu,
+                    query_len: queries.get(unit.query_index).map(|q| q.len()),
+                    cells: Some(unit.cells),
                 },
             );
         }
     }
-    let schedule = initial_plan(&tasks, &platform, config.policy, obs);
     obs.span(
         Track::Master,
         t_allocate,
@@ -495,7 +556,11 @@ fn allocate(
         None,
         EventBody::Allocate { tasks: tasks.len() },
     );
-    (tasks, schedule)
+    Ok(Allocation {
+        tasks,
+        units,
+        schedule,
+    })
 }
 
 /// The thin shell around the pure core: it owns the channels and the
@@ -618,13 +683,12 @@ pub fn try_run_search(
     if workers.is_empty() {
         return Err(SearchError::NoWorkers);
     }
-    let n_tasks = queries.len();
+    let n_queries = queries.len();
     let queries = Arc::new(queries);
-    let db_residues = database.total_residues();
-    let cells: Vec<f64> = queries
-        .iter()
-        .map(|q| q.len() as f64 * db_residues as f64)
-        .collect();
+    // The length order and its prefix sums: built once, borrowed by the
+    // allocator and every worker.
+    let subjects = Subjects::from(&*database);
+    let db_residues = subjects.total_residues();
     let total_cells: u64 = queries.iter().map(|q| q.len() as u64 * db_residues).sum();
     let obs = &config.obs;
     let start = Instant::now();
@@ -633,9 +697,9 @@ pub fn try_run_search(
     // closure, so all queues shut when it returns — on success and
     // error alike — and the surviving worker threads drain out before
     // the scope joins them.
-    let (results, schedule) = std::thread::scope(|scope| {
+    let (results, query_of, schedule) = std::thread::scope(|scope| {
         let t_register = obs.now();
-        let (mut links, threads) = spawn_workers(scope, workers, &database, &queries, &config);
+        let (mut links, threads) = spawn_workers(scope, workers, &subjects, &queries, &config);
         let (registrations, alive) = collect_registrations(&mut links, workers, &config);
         obs.span(
             Track::Master,
@@ -651,10 +715,11 @@ pub fn try_run_search(
             return Err(SearchError::NoWorkersRegistered);
         }
 
-        let (tasks, schedule) = allocate(&queries, db_residues, &registrations, &config);
+        let allocation = allocate(&queries, &subjects, &registrations, &config)?;
+        let query_of: Vec<usize> = allocation.units.iter().map(|u| u.query_index).collect();
         let is_gpu = workers.iter().map(|w| w.is_gpu()).collect();
         let shell = Shell {
-            state: MasterState::new(tasks, cells, is_gpu, alive, &config),
+            state: MasterState::new(allocation.tasks, allocation.units, is_gpu, alive, &config),
             links,
             obs,
             start,
@@ -662,7 +727,7 @@ pub fn try_run_search(
         let tick = (config.min_job_timeout / 8)
             .min(Duration::from_millis(25))
             .max(Duration::from_millis(1));
-        let results = shell.run(schedule.as_ref(), tick);
+        let results = shell.run(allocation.schedule.as_ref(), tick);
         // `run` dropped the queues, so the workers are on their way
         // out. Wait for the threads themselves: the scope only waits
         // for their closures, and a thread still exiting holds its
@@ -673,7 +738,7 @@ pub fn try_run_search(
                 std::panic::resume_unwind(panic);
             }
         }
-        Ok((results?, schedule))
+        Ok((results?, query_of, allocation.schedule))
     })?;
     let wall_seconds = start.elapsed().as_secs_f64();
 
@@ -689,17 +754,23 @@ pub fn try_run_search(
             cells: 0,
         })
         .collect();
-    // The core merged every task exactly once; query order is task order.
-    let mut hits: Vec<QueryHits> = Vec::with_capacity(n_tasks);
-    for r in &results {
-        hits.push(top_k_hits(r.task_id, &r.scores, config.top_k));
+    // The core merged every task exactly once. A query's hits are the
+    // best `top_k` of what its tasks — one, unless it was cut — found.
+    let mut found: Vec<Vec<Hit>> = vec![Vec::new(); n_queries];
+    for r in results {
         let s = &mut stats[r.worker_id];
         s.tasks += 1;
         s.busy_wall += r.wall_seconds;
         s.busy_modelled += r.modelled_seconds;
         s.cells += r.cells;
+        found[query_of[r.task_id]].extend(r.hits);
     }
-    hits.sort_unstable_by_key(|h| h.query_index);
+    let hits = found.into_iter().enumerate();
+    let hits = hits.map(|(query_index, found)| QueryHits {
+        query_index,
+        hits: top_k(found, config.top_k),
+    });
+    let hits: Vec<QueryHits> = hits.collect();
     let modelled_makespan = stats.iter().map(|s| s.busy_modelled).fold(0.0, f64::max);
 
     Ok(SearchOutcome {
@@ -969,7 +1040,7 @@ mod tests {
             (Some(crate::estimator::WorkerRateModel::cpu_swipe()), None),
             (None, Some(crate::estimator::WorkerRateModel::gpu_tesla())),
         ] {
-            let tasks = build_tasks(&queries, db_residues, cpu, gpu);
+            let tasks = build_tasks(&queries, db_residues, cpu, gpu).unwrap();
             let mut area = 0.0;
             for t in tasks.iter() {
                 assert!(t.p_cpu.is_finite() && t.p_cpu > 0.0);

@@ -18,7 +18,7 @@
 
 use super::{AllocationPolicy, ReoptConfig, RuntimeConfig, SearchError};
 use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
-use crate::messages::{FailureReason, Job, JobResult, WorkerFailure};
+use crate::messages::{DbSlice, FailureReason, Job, JobResult, WorkerFailure};
 use std::collections::VecDeque;
 use swdual_obs::{EventBody, Obs, Track};
 use swdual_sched::binsearch::BinarySearchConfig;
@@ -75,13 +75,22 @@ pub(super) enum Action {
     Abort(SearchError),
 }
 
+/// What a task asks of a worker: which query against which slice of the
+/// database, and the DP cells that is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct Unit {
+    pub(super) query_index: usize,
+    pub(super) slice: DbSlice,
+    pub(super) cells: f64,
+}
+
 /// All state of one search run. Times are seconds since the search
 /// started; a worker's `deadline` is infinite unless it is alive with a
 /// job in flight.
 pub(super) struct MasterState {
     tasks: TaskSet,
-    /// DP cells per task.
-    cells: Vec<f64>,
+    /// The work behind each task id.
+    units: Vec<Unit>,
     is_gpu: Vec<bool>,
     shared_queue: bool,
     reopt: ReoptConfig,
@@ -128,10 +137,10 @@ pub(super) struct MasterState {
 
 impl MasterState {
     /// State before the first dispatch. `alive[w]` says whether worker
-    /// `w` registered; `cells[t]` is task `t`'s DP cell count.
+    /// `w` registered; `units[t]` is the work of task `t`.
     pub(super) fn new(
         tasks: TaskSet,
-        cells: Vec<f64>,
+        units: Vec<Unit>,
         is_gpu: Vec<bool>,
         alive: Vec<bool>,
         config: &RuntimeConfig,
@@ -139,7 +148,7 @@ impl MasterState {
         let (n, workers) = (tasks.len(), alive.len());
         MasterState {
             tasks,
-            cells,
+            units,
             is_gpu,
             shared_queue: matches!(config.policy, AllocationPolicy::SelfScheduling),
             reopt: config.reopt,
@@ -200,7 +209,7 @@ impl MasterState {
             Input::Completed(r) => self.on_completed(r, now, &mut out),
             Input::Failed(f) => {
                 let reason = match f.reason {
-                    FailureReason::Crash => DEATH_CRASH,
+                    FailureReason::Crash | FailureReason::InvalidJob => DEATH_CRASH,
                     FailureReason::DeviceFault { .. } | FailureReason::DeviceMemory(_) => {
                         DEATH_DEVICE
                     }
@@ -275,12 +284,12 @@ impl MasterState {
                 self.obs_ratio[w] = self.obs_ratio[w].max(r.modelled_seconds / est);
             }
         }
-        if self.cells[t] > 0.0 {
-            self.secs_per_cell = self.secs_per_cell.max(r.wall_seconds / self.cells[t]);
+        if self.units[t].cells > 0.0 {
+            self.secs_per_cell = self.secs_per_cell.max(r.wall_seconds / self.units[t].cells);
         }
         if self.done[t] {
             // A straggler or an undetected-dead worker finished a task
-            // someone else already completed. Scores are identical by
+            // someone else already completed. Hits are identical by
             // construction; keep the first.
             self.obs.instant(
                 Track::Faults,
@@ -529,7 +538,8 @@ impl MasterState {
     fn stamp(&mut self, t: usize, w: Option<usize>) -> Job {
         let job = Job {
             task_id: t,
-            query_index: t,
+            query_index: self.units[t].query_index,
+            slice: self.units[t].slice,
             dispatch_seq: self.seq,
             decision: self.decision,
             dispatch_wall: 0.0,
@@ -588,7 +598,7 @@ impl MasterState {
     /// — prices its deadline.
     fn timeout(&self, w: usize) -> f64 {
         let pending = self.in_flight[w].iter().chain(&self.queue[w]);
-        self.grant(pending.map(|&t| (self.estimate(w, t), self.cells[t])))
+        self.grant(pending.map(|&t| (self.estimate(w, t), self.units[t].cells)))
     }
 
     /// Self-scheduling: how long the whole platform may stay silent,
@@ -600,7 +610,7 @@ impl MasterState {
             let task = self.tasks.tasks()[t];
             let on_cpu = if cpus.is_empty() { 0.0 } else { task.p_cpu };
             let on_gpu = if gpus.is_empty() { 0.0 } else { task.p_gpu };
-            (on_cpu.max(on_gpu), self.cells[t])
+            (on_cpu.max(on_gpu), self.units[t].cells)
         }))
     }
 

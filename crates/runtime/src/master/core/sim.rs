@@ -1,6 +1,9 @@
 //! Deterministic simulation of the master core: no threads, a virtual
 //! clock, and a seeded event heap whose ties are shuffled.
 //!
+//! The run's tasks are what the shell's allocator would hand the core:
+//! the policy's plan with its divisible tail cut, so a task may be a
+//! slice of a query's database pass — to the core, just another id.
 //! Virtual workers have a species, a true slowdown factor and a fate.
 //! [`Sim::advance`] mirrors the shell's loop — wait for the next worker
 //! message, but no longer than one tick nor past the next deadline;
@@ -20,12 +23,14 @@ use std::collections::BinaryHeap;
 use std::time::Duration;
 use swdual_sched::binsearch::dual_approx_schedule;
 use swdual_sched::dual::KnapsackMethod;
-use swdual_sched::{PlatformSpec, Task};
+use swdual_sched::{Part, PlatformSpec, SliceOverhead, Task};
 
 /// Virtual wall seconds per modelled second of work.
 const WALL_PER_MODELLED: f64 = 1e-3;
 /// `min_job_timeout` of every simulated run.
 const FLOOR: Duration = Duration::from_millis(60);
+/// The indivisible seconds of every task of [`workload`], per species.
+const OVERHEAD: SliceOverhead = SliceOverhead { cpu: 1.8, gpu: 0.5 };
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Fate {
@@ -81,6 +86,10 @@ impl Ord for Event {
 
 struct Sim {
     state: MasterState,
+    /// The initial plan (none under self-scheduling) and what each of
+    /// its tasks stands for.
+    schedule: Option<Schedule>,
+    parts: Vec<Part>,
     obs: Obs,
     workers: Vec<VirtualWorker>,
     /// Ground truth: the worker's thread has exited.
@@ -122,19 +131,40 @@ impl Sim {
             min_job_timeout: FLOOR,
             ..RuntimeConfig::default()
         };
-        // Cells sized so the cold-host floor stays below FLOOR until the
-        // run calibrates itself.
-        let cells = tasks.iter().map(|t| t.p_cpu * 1e4).collect();
         let registered = |w: &VirtualWorker| w.fate != Fate::NeverRegistered;
+        let pool = workers.iter().filter(|w| registered(w));
+        let gpus = pool.clone().filter(|w| w.is_gpu).count();
+        let platform = PlatformSpec::new(pool.count() - gpus, gpus);
+        // What the shell would draw for the registered pool; any
+        // fraction of a task can be cut.
+        let plan = initial_plan(&tasks, &platform, policy, OVERHEAD, |f| f, &Obs::disabled());
+        let (tasks, parts, schedule) = match plan {
+            Some(plan) => (plan.tasks, plan.parts, Some(plan.schedule)),
+            None => {
+                let whole = (0..tasks.len()).map(Part::whole).collect();
+                (tasks, whole, None)
+            }
+        };
+        // Cells sized so the cold-host floor stays below FLOOR until the
+        // run calibrates itself; a part's share of a million positions.
+        let position = |fraction: f64| (fraction * 1e6) as usize;
+        let unit_of = |(task, part): (&Task, &Part)| Unit {
+            query_index: part.parent,
+            slice: (position(part.lo)..position(part.hi)).into(),
+            cells: task.p_cpu * 1e4,
+        };
+        let units = tasks.iter().zip(&parts).map(unit_of).collect();
         let n = workers.len();
         Sim {
             state: MasterState::new(
                 tasks,
-                cells,
+                units,
                 workers.iter().map(|w| w.is_gpu).collect(),
                 workers.iter().map(registered).collect(),
                 &config,
             ),
+            schedule,
+            parts,
             obs,
             gone: workers
                 .iter()
@@ -157,16 +187,9 @@ impl Sim {
         }
     }
 
-    /// The initial plan the shell would draw for the registered pool.
-    fn plan(&self, policy: AllocationPolicy) -> Option<Schedule> {
-        let (cpus, gpus) = self.state.live_by_species();
-        let platform = PlatformSpec::new(cpus.len(), gpus.len());
-        initial_plan(&self.state.tasks, &platform, policy, &Obs::disabled())
-    }
-
     /// Dispatch the initial plan.
-    fn start(&mut self, schedule: Option<&Schedule>) -> Verdict {
-        let actions = self.state.start(schedule, self.now);
+    fn start(&mut self) -> Verdict {
+        let actions = self.state.start(self.schedule.as_ref(), self.now);
         let verdict = self.perform(actions);
         self.check_invariants(None, &verdict);
         verdict
@@ -182,8 +205,8 @@ impl Sim {
         }
     }
 
-    fn run(&mut self, schedule: Option<&Schedule>) -> Result<(), SearchError> {
-        let verdict = self.start(schedule);
+    fn run(&mut self) -> Result<(), SearchError> {
+        let verdict = self.start();
         self.finish(verdict)
     }
 
@@ -228,6 +251,9 @@ impl Sim {
                     );
                     self.last_seq = Some(job.dispatch_seq);
                     assert!(job.decision <= self.state.decision);
+                    // A job names what its task stands for.
+                    let unit = self.state.units[job.task_id];
+                    assert_eq!((job.query_index, job.slice), (unit.query_index, unit.slice));
                     let delivered = match worker {
                         Some(w) => {
                             assert!(self.state.alive[w], "dispatch to a dead worker");
@@ -305,7 +331,7 @@ impl Sim {
                 let result = JobResult {
                     task_id: job.task_id,
                     worker_id: w,
-                    scores: Vec::new(),
+                    hits: Vec::new(),
                     wall_seconds: wall,
                     modelled_seconds: modelled,
                     cells: 0,
@@ -445,6 +471,17 @@ impl Sim {
                 merged.sort_unstable();
                 let all: Vec<usize> = (0..s.total()).collect();
                 assert_eq!(merged, all, "every task merged exactly once");
+                // ... and the tasks of a query are its database pass,
+                // cut or not, exactly once.
+                let mut shares: Vec<&Part> = self.parts.iter().collect();
+                shares.sort_by(|a, b| a.parent.cmp(&b.parent).then(a.lo.total_cmp(&b.lo)));
+                for query in shares.chunk_by(|a, b| a.parent == b.parent) {
+                    assert_eq!(query[0].lo, 0.0);
+                    assert_eq!(query[query.len() - 1].hi, 1.0);
+                    assert!(query
+                        .windows(2)
+                        .all(|w| w[0].hi == w[1].lo && w[0].lo < w[0].hi));
+                }
                 let journaled = swdual_obs::RunModel::from_obs(&self.obs).faults;
                 let counted = journaled.get("duplicate_result").copied().unwrap_or(0);
                 assert_eq!(counted, self.duplicates_delivered);
@@ -578,8 +615,7 @@ proptest! {
         let policy = policy_of(policy);
         let mut sim = Sim::new(workload(n_tasks, &mut rng), workers, policy, reopt_of(reopt), seed);
         sim.step_cost = [0.0, 5e-4, 3e-3][rng.next_u64() as usize % 3];
-        let schedule = sim.plan(policy);
-        let verdict = sim.run(schedule.as_ref());
+        let verdict = sim.run();
         sim.check_verdict(&verdict);
     }
 
@@ -604,13 +640,15 @@ proptest! {
         );
         let policy = policy_of(multi_round as usize);
         let mut sim = Sim::new(tasks, workers, policy, reopt_of(reopt), seed);
-        let schedule = sim.plan(policy).unwrap();
-        prop_assert_eq!(sim.run(Some(&schedule)), Ok(()));
+        prop_assert_eq!(sim.run(), Ok(()));
+        let schedule = sim.schedule.as_ref().unwrap();
         prop_assert_eq!(sim.state.decision, 0);
         prop_assert!(sim.state.alive.iter().all(|&a| a));
         let realised = sim.modelled_makespan();
         prop_assert!(realised <= schedule.makespan() * (1.0 + 1e-12));
         if !multi_round {
+            // Cutting the tail never costs the plan anything.
+            prop_assert!(schedule.makespan() <= first.schedule.makespan());
             prop_assert!(realised <= 2.0 * first.upper_bound);
         }
     }
@@ -633,8 +671,7 @@ fn a_silent_death_is_noticed_within_a_tick_of_its_deadline() {
     let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
     let mut sim = Sim::new(tasks, workers, policy, ReoptConfig::default(), 7);
     sim.step_cost = 1.5e-3;
-    let schedule = sim.plan(policy);
-    assert_eq!(sim.run(schedule.as_ref()), Ok(()));
+    assert_eq!(sim.run(), Ok(()));
     let (died, deadline) = sim.death_at[2].expect("the vanished worker is declared dead");
     assert!(
         died <= deadline + sim.tick,
@@ -664,8 +701,7 @@ fn a_fault_replan_remembers_the_calibration() {
     ];
     let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
     let mut sim = Sim::new(tasks, workers, policy, ReoptConfig::enabled(), 11);
-    let schedule = sim.plan(policy);
-    let mut verdict = sim.start(schedule.as_ref());
+    let mut verdict = sim.start();
     while verdict.is_none() && sim.state.alive[2] {
         verdict = sim.advance();
     }
@@ -689,4 +725,50 @@ fn a_fault_replan_remembers_the_calibration() {
         replanned(0)
     );
     assert_eq!(sim.finish(verdict), Ok(()));
+}
+
+/// To the fault path a slice is one more task id. Three equal tasks on
+/// two CPUs: the plan cuts one and queues the piece cut off (task 3)
+/// behind the whole task of the less loaded worker — which crashes
+/// picking the piece up. The survivor runs it, and every share of every
+/// query is still merged exactly once.
+#[test]
+fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
+    let tasks = || TaskSet::new((0..3).map(|id| Task::new(id, 11.8, 5.0)).collect());
+    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
+    let healthy = vec![cpu(1.0, Fate::Healthy); 2];
+    let planned = Sim::new(tasks(), healthy.clone(), policy, ReoptConfig::default(), 5);
+    assert_eq!(planned.state.total(), 4, "one task is cut in two");
+    let cut_off = planned.parts[3];
+    assert!(cut_off.lo > 0.0 && cut_off.hi == 1.0);
+    let schedule = planned.schedule.as_ref().unwrap();
+    let holder = schedule
+        .placements
+        .iter()
+        .find(|p| p.task == 3)
+        .unwrap()
+        .pe
+        .index;
+
+    let mut workers = healthy;
+    workers[holder].fate = Fate::Crash(1);
+    let mut sim = Sim::new(tasks(), workers, policy, ReoptConfig::default(), 5);
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    assert!(!sim.state.alive[holder]);
+    let events = sim.obs.events_since(0);
+    let redispatched = |e: &swdual_obs::Event| match e.body {
+        EventBody::TaskRedispatch { task, .. } => Some(task),
+        _ => None,
+    };
+    let redispatched: Vec<usize> = events.iter().filter_map(redispatched).collect();
+    assert_eq!(redispatched, vec![3], "only the slice lost its worker");
+    let slice = sim.state.results.iter().find(|r| r.task_id == 3).unwrap();
+    assert_eq!(slice.worker_id, 1 - holder, "the survivor ran the slice");
+    // The survivor's realised load: its own share of the plan plus the
+    // slice, which costs it what the plan said it would cost the dead.
+    let survivor = schedule.pe_finish(swdual_sched::PeId::cpu(1 - holder));
+    let expected = survivor + sim.state.estimate(1 - holder, 3);
+    assert!((sim.modelled_makespan() - expected).abs() < 1e-9);
 }

@@ -38,8 +38,36 @@ pub struct Registration {
     pub rate_model: crate::estimator::WorkerRateModel,
 }
 
+/// A contiguous run of positions of the database's length order
+/// (longest subject first): the part of the database one task covers.
+/// The whole order for an uncut task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DbSlice {
+    /// First position covered.
+    pub start: usize,
+    /// One past the last position covered.
+    pub end: usize,
+}
+
+impl From<std::ops::Range<usize>> for DbSlice {
+    fn from(positions: std::ops::Range<usize>) -> DbSlice {
+        DbSlice {
+            start: positions.start,
+            end: positions.end,
+        }
+    }
+}
+
+impl DbSlice {
+    /// The positions as a range, when they are one of an order of
+    /// `subjects` positions.
+    pub fn checked(self, subjects: usize) -> Option<std::ops::Range<usize>> {
+        (self.start <= self.end && self.end <= subjects).then_some(self.start..self.end)
+    }
+}
+
 /// A task sent from master to a worker: compare query `query_index`
-/// against the whole database.
+/// against `slice` of the database.
 ///
 /// Carries its causal lineage: which plan decision placed it, when the
 /// master handed it over (both clocks), and a global dispatch sequence
@@ -47,10 +75,13 @@ pub struct Registration {
 /// journal's dispatch → queue-wait → exec chain is reconstructible.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
-    /// Task id (equals the query index in SWDUAL).
+    /// Task id (the query index, unless the plan cut the query's task:
+    /// then the pieces cut off carry ids past the last query).
     pub task_id: usize,
     /// Query to compare.
     pub query_index: usize,
+    /// The subjects to compare it with.
+    pub slice: DbSlice,
     /// Global dispatch order (0-based across all workers).
     pub dispatch_seq: u64,
     /// Plan decision that placed this dispatch: 0 is the initial
@@ -67,10 +98,11 @@ pub struct Job {
 impl Job {
     /// A job with empty lineage (decision 0, dispatched at time zero) —
     /// the form tests and self-contained drivers use.
-    pub fn new(task_id: usize, query_index: usize) -> Self {
+    pub fn new(task_id: usize, query_index: usize, slice: DbSlice) -> Self {
         Job {
             task_id,
             query_index,
+            slice,
             dispatch_seq: 0,
             decision: 0,
             dispatch_wall: 0.0,
@@ -86,8 +118,9 @@ pub struct JobResult {
     pub task_id: usize,
     /// Worker that executed it.
     pub worker_id: usize,
-    /// Scores against every database sequence, in database order.
-    pub scores: Vec<i32>,
+    /// The best `top_k` hits among the subjects of the job's slice,
+    /// ranked.
+    pub hits: Vec<Hit>,
     /// Real seconds the worker spent computing.
     pub wall_seconds: f64,
     /// Modelled seconds (virtual device time for GPU workers, modelled
@@ -110,6 +143,9 @@ pub enum FailureReason {
     /// The worker's GPU device cannot hold the database even in chunks
     /// (one sequence is larger than a chunk of device memory).
     DeviceMemory(MemoryError),
+    /// The worker was handed a job that names a query or a database
+    /// slice it does not have.
+    InvalidJob,
 }
 
 impl From<DeviceFault> for FailureReason {
@@ -134,6 +170,7 @@ impl std::fmt::Display for FailureReason {
                 write!(f, "device fault after {after_kernels} kernel(s)")
             }
             FailureReason::DeviceMemory(error) => write!(f, "{error}"),
+            FailureReason::InvalidJob => write!(f, "job names a query or slice out of range"),
         }
     }
 }
@@ -196,34 +233,48 @@ fn by_rank(a: &Hit, b: &Hit) -> std::cmp::Ordering {
     b.score.cmp(&a.score).then(a.db_index.cmp(&b.db_index))
 }
 
-/// Reduce a full score vector to the top-`k` hits in one pass: at most
-/// `2k` candidates are held, cut back to the best `k` by selection
-/// whenever they fill up, and only the final `k` are sorted.
-pub fn top_k_hits(query_index: usize, scores: &[i32], k: usize) -> QueryHits {
+/// The best `k` of `candidates` (distinct db indices, in any order),
+/// ranked, in one pass: at most `2k` are held, cut back to the best `k`
+/// by selection whenever they fill up, and only the final `k` are
+/// sorted. Workers reduce a slice's scores with it and the master folds
+/// the slices of one query with it; the best `k` of a union are among
+/// the best `k` of its parts, so both give the hits of the whole.
+pub fn top_k(candidates: impl IntoIterator<Item = Hit>, k: usize) -> Vec<Hit> {
+    let candidates = candidates.into_iter();
     let room = k.saturating_mul(2);
-    let mut hits: Vec<Hit> = Vec::with_capacity(room.min(scores.len()));
+    let mut hits: Vec<Hit> = Vec::with_capacity(room.min(candidates.size_hint().0));
     let keep_best = |hits: &mut Vec<Hit>| {
         if (1..hits.len()).contains(&k) {
             hits.select_nth_unstable_by(k - 1, by_rank);
         }
         hits.truncate(k);
     };
-    // Once `k` hits are held, the score a later one must beat: the scan
-    // is in database order, so an equal score ranks after all of them.
-    let mut floor = None;
-    for (db_index, &score) in scores.iter().enumerate() {
-        if floor.is_some_and(|floor| score <= floor) {
+    // Once `k` hits are held, the worst of them: a later candidate must
+    // rank before it to matter.
+    let mut floor: Option<Hit> = None;
+    for hit in candidates {
+        if floor.is_some_and(|floor| by_rank(&hit, &floor).is_ge()) {
             continue;
         }
-        hits.push(Hit { db_index, score });
+        hits.push(hit);
         if hits.len() >= room {
             keep_best(&mut hits);
-            floor = hits.last().map(|worst| worst.score);
+            floor = hits.last().copied();
         }
     }
     keep_best(&mut hits);
     hits.sort_unstable_by(by_rank);
-    QueryHits { query_index, hits }
+    hits
+}
+
+/// Reduce a full score vector, in database order, to the top-`k` hits.
+pub fn top_k_hits(query_index: usize, scores: &[i32], k: usize) -> QueryHits {
+    let candidates = scores.iter().enumerate();
+    let candidates = candidates.map(|(db_index, &score)| Hit { db_index, score });
+    QueryHits {
+        query_index,
+        hits: top_k(candidates, k),
+    }
 }
 
 #[cfg(test)]
@@ -303,7 +354,71 @@ mod tests {
         assert_eq!(top_k_hits(0, &scores, 2), h);
     }
 
+    fn hit(db_index: usize, score: i32) -> Hit {
+        Hit { db_index, score }
+    }
+
+    #[test]
+    fn a_tie_visited_out_of_index_order_still_breaks_by_index() {
+        // A length-ordered slice visits db indices in any order. Once
+        // k = 1 hits are held (two candidates fill the room), the floor
+        // is (7, 5); (2, 5) ties on score, arrives later and outranks it.
+        // The parent's early-out dropped every later equal score.
+        let visited = [hit(7, 5), hit(9, 1), hit(2, 5), hit(4, 5)];
+        assert_eq!(top_k(visited, 1), vec![hit(2, 5)]);
+        assert_eq!(top_k(visited, 2), vec![hit(2, 5), hit(4, 5)]);
+    }
+
+    #[test]
+    fn a_tie_straddling_a_slice_boundary_merges_like_the_whole() {
+        // Indices 0..6 all tie but one; the length order visits
+        // 3, 5, 0 in the first slice and 4, 1, 2 in the second.
+        let first = [hit(3, 8), hit(5, 8), hit(0, 8)];
+        let second = [hit(4, 8), hit(1, 9), hit(2, 8)];
+        let whole = top_k(first.into_iter().chain(second), 3);
+        assert_eq!(whole, vec![hit(1, 9), hit(0, 8), hit(2, 8)]);
+        for k in 0..7 {
+            let merged = top_k(top_k(first, k).into_iter().chain(top_k(second, k)), k);
+            assert_eq!(merged, top_k(first.into_iter().chain(second), k), "k={k}");
+        }
+    }
+
+    #[test]
+    fn a_slice_is_a_range_of_the_order_or_nothing() {
+        assert_eq!(DbSlice { start: 2, end: 5 }.checked(5), Some(2..5));
+        assert_eq!(DbSlice { start: 0, end: 0 }.checked(0), Some(0..0));
+        assert_eq!(DbSlice { start: 2, end: 6 }.checked(5), None);
+        assert_eq!(DbSlice { start: 4, end: 3 }.checked(5), None);
+    }
+
     proptest::proptest! {
+        #[test]
+        fn selection_agrees_with_a_full_sort_in_any_visiting_order(
+            // Few distinct scores, so ties straddle every cut-off.
+            scores in proptest::prop::collection::vec(-2i32..3, 0..60),
+            rotate in 0usize..60,
+            reverse in proptest::prelude::any::<bool>(),
+        ) {
+            let mut visited: Vec<Hit> = scores
+                .iter()
+                .enumerate()
+                .map(|(db_index, &score)| Hit { db_index, score })
+                .collect();
+            let mut sorted = visited.clone();
+            sorted.sort_by(|a, b| b.score.cmp(&a.score).then(a.db_index.cmp(&b.db_index)));
+            visited.rotate_left(rotate % scores.len().max(1));
+            if reverse {
+                visited.reverse();
+            }
+            for k in [0, 1, 2, scores.len() / 2, scores.len() + 3] {
+                proptest::prop_assert_eq!(
+                    &top_k(visited.iter().copied(), k)[..],
+                    &sorted[..k.min(scores.len())],
+                    "k={}", k
+                );
+            }
+        }
+
         #[test]
         fn selection_agrees_with_a_full_sort(
             // Few distinct scores, so ties straddle every cut-off.

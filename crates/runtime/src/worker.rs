@@ -15,14 +15,15 @@
 
 use crate::estimator::WorkerRateModel;
 use crate::faults::WorkerFault;
-use crate::messages::{FailureReason, Job, JobResult, WorkerFailure, WorkerMsg};
+use crate::messages::{top_k, FailureReason, Hit, Job, JobResult, WorkerFailure, WorkerMsg};
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swdual_align::engine::{EngineKind, PhaseTimings};
 use swdual_align::{ProfileCache, Scratch, Subjects, TierStats};
-use swdual_bio::seq::SequenceSet;
-use swdual_bio::{ScoringScheme, SqbImage};
+use swdual_bio::seq::{Sequence, SequenceSet};
+use swdual_bio::ScoringScheme;
 use swdual_gpusim::{DeviceClass, DeviceSpec, GpuDevice};
 use swdual_obs::{EventBody, HostPhase, Obs, Track};
 
@@ -144,16 +145,19 @@ impl WorkerSpec {
 }
 
 /// Everything a worker needs to execute tasks.
-pub struct WorkerContext {
+pub struct WorkerContext<'a> {
     /// Worker id assigned at registration.
     pub worker_id: usize,
-    /// The database: one checked image shared by every worker, scored
-    /// in place.
-    pub database: Arc<SqbImage>,
+    /// The database: the residues of one checked image, its length
+    /// order and that order's residue prefix sums, built once per search
+    /// and borrowed by every worker.
+    pub database: &'a Subjects<'a>,
     /// The query set (shared).
     pub queries: Arc<SequenceSet>,
     /// Scoring parameters.
     pub scheme: ScoringScheme,
+    /// Hits a job reports: the best this many of its slice.
+    pub top_k: usize,
     /// Event recorder; disabled by default. When disabled, the per-job
     /// hot path below records nothing, takes no locks and allocates
     /// nothing for tracing.
@@ -325,13 +329,47 @@ impl FaultKnobs {
     }
 }
 
+impl WorkerContext<'_> {
+    /// The query and the positions of the length order `job` names, or
+    /// — having told the master this worker gives up on it — `None`. A
+    /// job from a confused or hostile master must not index out of
+    /// bounds.
+    fn inputs_of(
+        &self,
+        job: &Job,
+        results: &Sender<WorkerMsg>,
+    ) -> Option<(&Sequence, Range<usize>)> {
+        let query = self.queries.get(job.query_index);
+        let inputs = query.zip(job.slice.checked(self.database.len()));
+        if inputs.is_none() {
+            let _ = results.send(WorkerMsg::Failed(WorkerFailure {
+                worker_id: self.worker_id,
+                reason: FailureReason::InvalidJob,
+                in_flight: Some(job.task_id),
+            }));
+        }
+        inputs
+    }
+
+    /// The ranked hits a job reports for `scores` of `slice`, which are
+    /// in the slice's order.
+    fn hits_of(&self, slice: Range<usize>, scores: &[i32]) -> Vec<Hit> {
+        let subjects = self.database.order()[slice].iter();
+        let candidates = subjects.zip(scores).map(|(&subject, &score)| Hit {
+            db_index: subject as usize,
+            score,
+        });
+        top_k(candidates, self.top_k)
+    }
+}
+
 /// Run a worker loop until the job channel closes, registering with the
 /// master first when a registration channel is supplied (the paper's
 /// Figure 6 "Register with master" step). This is the body of each
 /// worker thread; it is public so tests can drive workers synchronously.
 pub fn worker_loop_registered(
     spec: WorkerSpec,
-    ctx: WorkerContext,
+    ctx: WorkerContext<'_>,
     registration: Option<Sender<crate::messages::Registration>>,
     jobs: Receiver<Job>,
     results: Sender<WorkerMsg>,
@@ -390,7 +428,7 @@ fn next_job(jobs: &Receiver<Job>) -> Option<Job> {
 /// step; used by tests that drive workers directly).
 pub fn worker_loop(
     spec: WorkerSpec,
-    ctx: WorkerContext,
+    ctx: WorkerContext<'_>,
     jobs: Receiver<Job>,
     results: Sender<WorkerMsg>,
 ) {
@@ -402,9 +440,8 @@ pub fn worker_loop(
     match spec.kind {
         WorkerKind::Cpu { engine } => {
             let engine = engine.build();
-            // Prepared once per worker, not per job: the subjects' length
-            // order and the kernels' working memory.
-            let subjects = Subjects::from(&*ctx.database);
+            // Prepared once per worker, not per job: the kernels' working
+            // memory.
             let mut scratch = Scratch::default();
             let model = WorkerRateModel::cpu_swipe();
             // Per-worker profile cache: jobs that share a query (chunked
@@ -417,10 +454,9 @@ pub fn worker_loop(
                 if !knobs.pre_job(jobs_done, job, ctx.worker_id, &ctx.obs, &results) {
                     return;
                 }
-                let query = ctx
-                    .queries
-                    .get(job.query_index)
-                    .expect("query index in range");
+                let Some((query, slice)) = ctx.inputs_of(&job, &results) else {
+                    return;
+                };
                 let wall_start = ctx.obs.now();
                 let start = Instant::now();
                 // Serves striped profiles from the per-worker cache
@@ -429,16 +465,19 @@ pub fn worker_loop(
                 // reads per job. Scores are identical to `score_many`.
                 let (scores, timings, tier_stats) = engine.score_database(
                     query.codes(),
-                    &subjects,
+                    ctx.database,
+                    slice.clone(),
                     &ctx.scheme,
                     Some(&profile_cache),
                     &mut scratch,
                 );
+                let hits = ctx.hits_of(slice.clone(), &scores);
                 let timings = ctx.obs.is_profiling().then_some(timings);
                 let wall = start.elapsed().as_secs_f64();
-                let cells = query.len() as u64 * ctx.database.total_residues();
-                let modelled = model.task_seconds(query.len(), ctx.database.total_residues())
-                    * knobs.straggle_factor;
+                // A slice is charged for its own residues.
+                let residues = ctx.database.residues_in(slice);
+                let cells = query.len() as u64 * residues;
+                let modelled = model.task_seconds(query.len(), residues) * knobs.straggle_factor;
                 record_job_span(
                     &ctx.obs,
                     ctx.worker_id,
@@ -466,7 +505,7 @@ pub fn worker_loop(
                 let send = results.send(WorkerMsg::Completed(JobResult {
                     task_id: job.task_id,
                     worker_id: ctx.worker_id,
-                    scores,
+                    hits,
                     wall_seconds: wall,
                     modelled_seconds: modelled,
                     cells,
@@ -499,21 +538,18 @@ pub fn worker_loop(
             // scores come from the same tiered host kernel the CPU arm
             // runs (host time), its task time from the device's simulated
             // clock alone. Databases that fit stay resident across tasks
-            // (the CUDASW++ pattern, `Ok`); oversized ones stay on the
-            // host (`Err`) and fall back to the chunked streaming path
-            // per kernel, re-streaming the database for every task as
-            // the real tools must.
-            let residency = device
-                .upload(&*ctx.database, true)
-                .map_err(|_| Subjects::from(&*ctx.database));
+            // (the CUDASW++ pattern), borrowing the search's length
+            // order; oversized ones stay on the host and fall back to
+            // the chunked streaming path per kernel, re-streaming the
+            // job's subjects for every task as the real tools must.
+            let residency = device.upload_shared(ctx.database, true).ok();
             while let Some(job) = next_job(&jobs) {
                 if !knobs.pre_job(jobs_done, job, ctx.worker_id, &ctx.obs, &results) {
                     return;
                 }
-                let query = ctx
-                    .queries
-                    .get(job.query_index)
-                    .expect("query index in range");
+                let Some((query, slice)) = ctx.inputs_of(&job, &results) else {
+                    return;
+                };
                 let wall_start = ctx.obs.now();
                 let start = Instant::now();
                 // Tag the device's stage spans (H2D/kernel/D2H) with the
@@ -521,16 +557,19 @@ pub fn worker_loop(
                 // device activity.
                 device.set_lineage(Some(job.task_id));
                 let computed = (|| -> Result<(Vec<i32>, f64), FailureReason> {
+                    device.check_fault()?;
                     match &residency {
-                        Ok(db) => {
-                            let r = device.try_search(query.codes(), db, &ctx.scheme)?;
+                        Some(db) => {
+                            let r =
+                                device.search_slice(query.codes(), db, slice.clone(), &ctx.scheme);
                             Ok((r.scores, r.kernel_seconds))
                         }
-                        Err(on_host) => {
-                            device.check_fault()?;
+                        None => {
+                            let on_host: Vec<&[u8]> =
+                                ctx.database.in_order(slice.clone()).collect();
                             let r = swdual_gpusim::chunked::overlapped_search(
                                 &mut device,
-                                on_host,
+                                &on_host,
                                 query.codes(),
                                 &ctx.scheme,
                                 true,
@@ -555,8 +594,9 @@ pub fn worker_loop(
                     }
                 };
                 device.set_lineage(None);
+                let hits = ctx.hits_of(slice.clone(), &scores);
                 let wall = start.elapsed().as_secs_f64();
-                let cells = query.len() as u64 * ctx.database.total_residues();
+                let cells = query.len() as u64 * ctx.database.residues_in(slice);
                 record_job_span(
                     &ctx.obs,
                     ctx.worker_id,
@@ -572,7 +612,7 @@ pub fn worker_loop(
                 let send = results.send(WorkerMsg::Completed(JobResult {
                     task_id: job.task_id,
                     worker_id: ctx.worker_id,
-                    scores,
+                    hits,
                     wall_seconds: wall,
                     modelled_seconds: modelled,
                     cells,
@@ -588,10 +628,11 @@ pub fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::{top_k_hits, DbSlice};
     use crossbeam::channel;
     use swdual_align::scalar::gotoh_score;
     use swdual_bio::seq::Sequence;
-    use swdual_bio::Alphabet;
+    use swdual_bio::{Alphabet, SqbImage};
     use swdual_gpusim::memory::MemoryError;
 
     fn tiny_db() -> SequenceSet {
@@ -619,22 +660,42 @@ mod tests {
         set
     }
 
-    fn run_msgs(spec: WorkerSpec, fault: Option<WorkerFault>) -> Vec<WorkerMsg> {
+    /// More than `tiny_db` holds: a job's hits are all its scores.
+    const TOP_K: usize = 10;
+    /// Every position of `tiny_db`'s length order.
+    const WHOLE: DbSlice = DbSlice { start: 0, end: 4 };
+
+    /// Run worker `worker_id` over `jobs` against `tiny_db`.
+    fn run_jobs(
+        spec: WorkerSpec,
+        worker_id: usize,
+        fault: Option<WorkerFault>,
+        obs: &Obs,
+        jobs: &[Job],
+    ) -> Vec<WorkerMsg> {
         let (job_tx, job_rx) = channel::unbounded();
         let (res_tx, res_rx) = channel::unbounded();
+        let image = SqbImage::from_set(&tiny_db()).unwrap();
         let ctx = WorkerContext {
-            worker_id: 3,
-            database: Arc::new(SqbImage::from_set(&tiny_db()).unwrap()),
+            worker_id,
+            database: &Subjects::from(&image),
             queries: Arc::new(tiny_queries()),
             scheme: ScoringScheme::protein_default(),
-            obs: Obs::disabled(),
+            top_k: TOP_K,
+            obs: obs.clone(),
             fault,
         };
-        job_tx.send(Job::new(0, 0)).unwrap();
-        job_tx.send(Job::new(1, 1)).unwrap();
+        for &job in jobs {
+            job_tx.send(job).unwrap();
+        }
         drop(job_tx);
         worker_loop(spec, ctx, job_rx, res_tx);
         res_rx.iter().collect()
+    }
+
+    fn run_msgs(spec: WorkerSpec, fault: Option<WorkerFault>) -> Vec<WorkerMsg> {
+        let jobs = [Job::new(0, 0, WHOLE), Job::new(1, 1, WHOLE)];
+        run_jobs(spec, 3, fault, &Obs::disabled(), &jobs)
     }
 
     fn run_one(spec: WorkerSpec) -> Vec<JobResult> {
@@ -647,13 +708,16 @@ mod tests {
             .collect()
     }
 
-    fn expected_scores(query_index: usize) -> Vec<i32> {
+    /// Every subject of `tiny_db` with its Gotoh score, ranked.
+    fn expected_hits(query_index: usize) -> Vec<Hit> {
         let db = tiny_db();
         let q = tiny_queries();
         let scheme = ScoringScheme::protein_default();
-        db.iter()
+        let scores: Vec<i32> = db
+            .iter()
             .map(|d| gotoh_score(q.get(query_index).unwrap().codes(), d.codes(), &scheme))
-            .collect()
+            .collect();
+        top_k_hits(query_index, &scores, TOP_K).hits
     }
 
     #[test]
@@ -662,7 +726,7 @@ mod tests {
         assert_eq!(results.len(), 2);
         for r in &results {
             assert_eq!(r.worker_id, 3);
-            assert_eq!(r.scores, expected_scores(r.task_id));
+            assert_eq!(r.hits, expected_hits(r.task_id));
             assert!(r.cells > 0);
             assert!(r.modelled_seconds > 0.0);
         }
@@ -673,7 +737,7 @@ mod tests {
         let results = run_one(WorkerSpec::gpu_default());
         assert_eq!(results.len(), 2);
         for r in &results {
-            assert_eq!(r.scores, expected_scores(r.task_id));
+            assert_eq!(r.hits, expected_hits(r.task_id));
             // Virtual kernel time is tiny but positive.
             assert!(r.modelled_seconds > 0.0);
         }
@@ -697,7 +761,7 @@ mod tests {
             let results = run_one(spec);
             assert_eq!(results.len(), 2, "class {class}");
             for r in &results {
-                assert_eq!(r.scores, expected_scores(r.task_id), "class {class}");
+                assert_eq!(r.hits, expected_hits(r.task_id), "class {class}");
                 assert!(r.modelled_seconds > 0.0);
             }
         }
@@ -719,7 +783,7 @@ mod tests {
         let b = run_one(bragger);
         assert_eq!(h.len(), b.len());
         for (x, y) in h.iter().zip(&b) {
-            assert_eq!(x.scores, y.scores);
+            assert_eq!(x.hits, y.hits);
             assert_eq!(x.modelled_seconds, y.modelled_seconds);
         }
         // Degenerate scales fall back to honest.
@@ -744,7 +808,7 @@ mod tests {
         let results = run_one(spec);
         assert_eq!(results.len(), 2);
         for r in &results {
-            assert_eq!(r.scores, expected_scores(r.task_id));
+            assert_eq!(r.hits, expected_hits(r.task_id));
             assert!(r.modelled_seconds > 0.0);
         }
     }
@@ -778,7 +842,7 @@ mod tests {
             let results = run_one(WorkerSpec::cpu(engine));
             assert_eq!(results.len(), 2, "engine {engine}");
             for r in &results {
-                assert_eq!(r.scores, expected_scores(r.task_id), "engine {engine}");
+                assert_eq!(r.hits, expected_hits(r.task_id), "engine {engine}");
             }
         }
     }
@@ -856,7 +920,7 @@ mod tests {
         for (m, h) in msgs.iter().zip(&healthy) {
             match m {
                 WorkerMsg::Completed(r) => {
-                    assert_eq!(r.scores, h.scores, "straggling must not change scores");
+                    assert_eq!(r.hits, h.hits, "straggling must not change hits");
                     assert!(
                         (r.modelled_seconds - 3.0 * h.modelled_seconds).abs()
                             <= 1e-9 * h.modelled_seconds
@@ -869,22 +933,10 @@ mod tests {
 
     #[test]
     fn profiled_cpu_worker_emits_phase_spans_that_tile_the_task() {
-        let (job_tx, job_rx) = channel::unbounded();
-        let (res_tx, res_rx) = channel::unbounded();
         let obs = Obs::enabled();
         obs.set_profiling(true);
-        let ctx = WorkerContext {
-            worker_id: 0,
-            database: Arc::new(SqbImage::from_set(&tiny_db()).unwrap()),
-            queries: Arc::new(tiny_queries()),
-            scheme: ScoringScheme::protein_default(),
-            obs: obs.clone(),
-            fault: None,
-        };
-        job_tx.send(Job::new(0, 0)).unwrap();
-        drop(job_tx);
-        worker_loop(WorkerSpec::cpu(EngineKind::Striped), ctx, job_rx, res_tx);
-        let results: Vec<WorkerMsg> = res_rx.iter().collect();
+        let spec = WorkerSpec::cpu(EngineKind::Striped);
+        let results = run_jobs(spec, 0, None, &obs, &[Job::new(0, 0, WHOLE)]);
         assert_eq!(results.len(), 1);
 
         let events = obs.events_since(0);
@@ -917,21 +969,9 @@ mod tests {
 
     #[test]
     fn unprofiled_worker_emits_no_phase_spans() {
-        let (job_tx, job_rx) = channel::unbounded();
-        let (res_tx, res_rx) = channel::unbounded();
         let obs = Obs::enabled(); // tracing on, profiling off
-        let ctx = WorkerContext {
-            worker_id: 0,
-            database: Arc::new(SqbImage::from_set(&tiny_db()).unwrap()),
-            queries: Arc::new(tiny_queries()),
-            scheme: ScoringScheme::protein_default(),
-            obs: obs.clone(),
-            fault: None,
-        };
-        job_tx.send(Job::new(0, 0)).unwrap();
-        drop(job_tx);
-        worker_loop(WorkerSpec::cpu_default(), ctx, job_rx, res_tx);
-        let _ = res_rx.iter().count();
+        let spec = WorkerSpec::cpu_default();
+        run_jobs(spec, 0, None, &obs, &[Job::new(0, 0, WHOLE)]);
         assert!(obs
             .events_since(0)
             .iter()
@@ -940,29 +980,15 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_the_profile_cache_and_export_tier_metrics() {
-        let (job_tx, job_rx) = channel::unbounded();
-        let (res_tx, res_rx) = channel::unbounded();
         let obs = Obs::enabled();
-        let ctx = WorkerContext {
-            worker_id: 7,
-            database: Arc::new(SqbImage::from_set(&tiny_db()).unwrap()),
-            queries: Arc::new(tiny_queries()),
-            scheme: ScoringScheme::protein_default(),
-            obs: obs.clone(),
-            fault: None,
-        };
-        // Three jobs, two of them for the same query: the second and
-        // third lookups of query 0's profiles must be cache hits.
-        for (task_id, query_index) in [(0, 0), (1, 0), (2, 0)] {
-            job_tx.send(Job::new(task_id, query_index)).unwrap();
-        }
-        drop(job_tx);
-        worker_loop(WorkerSpec::cpu_default(), ctx, job_rx, res_tx);
-        let results: Vec<WorkerMsg> = res_rx.iter().collect();
+        // Three jobs for the same query: the second and third lookups of
+        // query 0's profiles must be cache hits.
+        let jobs = [0, 1, 2].map(|task_id| Job::new(task_id, 0, WHOLE));
+        let results = run_jobs(WorkerSpec::cpu_default(), 7, None, &obs, &jobs);
         assert_eq!(results.len(), 3);
         for m in &results {
             match m {
-                WorkerMsg::Completed(r) => assert_eq!(r.scores, expected_scores(0)),
+                WorkerMsg::Completed(r) => assert_eq!(r.hits, expected_hits(0)),
                 other => panic!("expected completion, got {other:?}"),
             }
         }
@@ -991,5 +1017,90 @@ mod tests {
             Some(WorkerFault::CrashBeforeRegistration),
         );
         assert!(msgs.is_empty());
+    }
+
+    #[test]
+    fn slices_are_scored_alone_and_charged_for_their_own_residues() {
+        // tiny_db's length order is d0, d1 (10 residues), d2 (7), d3 (3):
+        // cut it after the two long ones.
+        let head = DbSlice { start: 0, end: 2 };
+        let tail = DbSlice { start: 2, end: 4 };
+        let empty = DbSlice { start: 2, end: 2 };
+        for spec in [WorkerSpec::cpu_default(), WorkerSpec::gpu_default()] {
+            let whole = &run_one(spec.clone())[0];
+            let jobs = [
+                Job::new(0, 0, head),
+                Job::new(5, 0, tail),
+                Job::new(6, 0, empty),
+            ];
+            let msgs = run_jobs(spec.clone(), 3, None, &Obs::disabled(), &jobs);
+            let parts: Vec<&JobResult> = msgs
+                .iter()
+                .map(|m| match m {
+                    WorkerMsg::Completed(r) => r,
+                    other => panic!("expected completion, got {other:?}"),
+                })
+                .collect();
+            let ids = |r: &JobResult| r.hits.iter().map(|h| h.db_index).collect::<Vec<_>>();
+            assert_eq!(ids(parts[0]).len(), 2);
+            assert!(ids(parts[0]).iter().all(|&i| i < 2), "the head is d0, d1");
+            assert!(ids(parts[1]).iter().all(|&i| i >= 2), "the tail is d2, d3");
+            let merged = top_k(parts.iter().flat_map(|r| r.hits.clone()), TOP_K);
+            assert_eq!(merged, whole.hits, "{}", spec.description());
+            assert_eq!(parts[0].cells, 6 * 20);
+            assert_eq!(parts[1].cells, 6 * 10);
+            assert_eq!(parts[0].cells + parts[1].cells, whole.cells);
+            // An empty slice is a job like any other: no hits, no cells,
+            // the fixed part of the modelled time.
+            assert!(parts[2].hits.is_empty());
+            assert_eq!(parts[2].cells, 0);
+            assert!(parts[2].modelled_seconds > 0.0);
+            for part in &parts[..2] {
+                assert!(part.modelled_seconds < whole.modelled_seconds);
+                assert!(part.modelled_seconds > parts[2].modelled_seconds);
+            }
+        }
+    }
+
+    #[test]
+    fn a_job_out_of_range_fails_the_job_without_panicking() {
+        let beyond = DbSlice { start: 2, end: 9 };
+        let backwards = DbSlice { start: 3, end: 1 };
+        for spec in [WorkerSpec::cpu_default(), WorkerSpec::gpu_default()] {
+            for bad in [
+                Job::new(4, 0, beyond),
+                Job::new(4, 0, backwards),
+                Job::new(4, 2, WHOLE), // there are two queries
+            ] {
+                let jobs = [Job::new(0, 0, WHOLE), bad, Job::new(1, 1, WHOLE)];
+                let msgs = run_jobs(spec.clone(), 3, None, &Obs::disabled(), &jobs);
+                assert_eq!(msgs.len(), 2, "{bad:?}: the worker gives up at the bad job");
+                assert!(matches!(&msgs[0], WorkerMsg::Completed(r) if r.task_id == 0));
+                match &msgs[1] {
+                    WorkerMsg::Failed(f) => {
+                        assert_eq!(f.reason, FailureReason::InvalidJob);
+                        assert_eq!((f.worker_id, f.in_flight), (3, Some(4)));
+                    }
+                    other => panic!("expected failure, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_slice_streams_through_an_oversized_device_too() {
+        // 25 bytes of device memory: the worker streams the job's
+        // subjects in chunks, slice or whole.
+        let spec = WorkerSpec::gpu(DeviceSpec::toy(25));
+        let jobs = [
+            Job::new(0, 0, DbSlice { start: 0, end: 2 }),
+            Job::new(1, 0, DbSlice { start: 2, end: 4 }),
+        ];
+        let msgs = run_jobs(spec, 3, None, &Obs::disabled(), &jobs);
+        let hits = msgs.iter().flat_map(|m| match m {
+            WorkerMsg::Completed(r) => r.hits.clone(),
+            other => panic!("expected completion, got {other:?}"),
+        });
+        assert_eq!(top_k(hits, TOP_K), expected_hits(0));
     }
 }

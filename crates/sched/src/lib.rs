@@ -19,6 +19,9 @@
 //!   compares against: self-scheduling [10], equal-power [11],
 //!   proportional-power [12], plus LPT and a HEFT-flavoured insertion
 //!   heuristic.
+//! * [`split`] — the divisible tail: after the static plan, cut the
+//!   critical element's largest task along its divisible part when the
+//!   rate models say the planned makespan strictly falls.
 //! * [`metrics`] — makespan, idle time, utilisation, lower bounds.
 //!
 //! Everything here is pure scheduling: processing times in, schedule
@@ -37,6 +40,7 @@ pub mod policies;
 pub mod remainder;
 pub mod robustness;
 pub mod schedule;
+pub mod split;
 pub mod task;
 
 pub use binsearch::{
@@ -46,4 +50,5 @@ pub use dual::{dual_step, dual_step_observed, DualStepResult, KnapsackMethod};
 pub use platform::PlatformSpec;
 pub use remainder::{reschedule_remainder, reschedule_remainder_weighted, WorkerFactors};
 pub use schedule::{Assignment, PeId, PeKind, Schedule};
+pub use split::{split_tail, Part, SliceOverhead, SplitPlan};
 pub use task::{Task, TaskSet};

@@ -11,7 +11,7 @@ use swdual_sched::knapsack::{greedy_knapsack, DpConfig};
 use swdual_sched::policies;
 use swdual_sched::robustness::{replay_static, ActualTimes};
 use swdual_sched::schedule::PeKind;
-use swdual_sched::{PlatformSpec, Task, TaskSet};
+use swdual_sched::{split_tail, PlatformSpec, SliceOverhead, SplitPlan, Task, TaskSet};
 
 /// Random task set: GPU time in (0.1, 5.0), acceleration in (0.2, 12) —
 /// includes GPU-averse tasks (acceleration < 1).
@@ -196,6 +196,144 @@ proptest! {
             prop_assert!(sched.makespan() >= lb - 1e-9,
                 "makespan {} < lower bound {}", sched.makespan(), lb);
         }
+    }
+}
+
+/// Per-piece overheads from nothing to more than any task of
+/// [`task_set`] takes, and a species that takes no piece at all.
+fn overhead() -> impl Strategy<Value = SliceOverhead> {
+    let seconds = || prop::sample::select(vec![0.0, 0.05, 0.7, 1.8, 6.0, 70.0, f64::INFINITY]);
+    (seconds(), seconds()).prop_map(|(cpu, gpu)| SliceOverhead { cpu, gpu })
+}
+
+/// The grid cut points may fall on: any fraction, or multiples of 1/n.
+fn snap_to(cells: usize) -> impl Fn(f64) -> f64 {
+    move |f| match cells {
+        0 => f,
+        n => (f * n as f64).round() / n as f64,
+    }
+}
+
+/// What must hold of any cut plan against the plan it was cut from.
+fn check_split(
+    tasks: &TaskSet,
+    pf: &PlatformSpec,
+    before: f64,
+    overhead: SliceOverhead,
+    plan: &SplitPlan,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert!(plan.schedule.validate(&plan.tasks, pf).is_ok());
+    prop_assert!(
+        plan.schedule.makespan() <= before,
+        "the pass raised the makespan"
+    );
+    prop_assert_eq!(plan.parts.len(), plan.tasks.len());
+    prop_assert!(plan.tasks.len() >= tasks.len());
+    // At most one cut per processing element, each adding at most one
+    // piece per other element.
+    prop_assert!(plan.tasks.len() <= tasks.len() + pf.total() * pf.total());
+    // The pieces of every task tile [0, 1), and the first keeps its id.
+    let mut by_parent: Vec<Vec<(f64, f64)>> = vec![Vec::new(); tasks.len()];
+    for (id, part) in plan.parts.iter().enumerate() {
+        prop_assert!(part.lo < part.hi, "task {} is an empty piece", id);
+        by_parent[part.parent].push((part.lo, part.hi));
+    }
+    for (parent, pieces) in by_parent.iter_mut().enumerate() {
+        prop_assert_eq!(plan.parts[parent].parent, parent);
+        pieces.sort_by(|a, b| a.0.total_cmp(&b.0));
+        prop_assert_eq!(pieces[0].0, 0.0);
+        prop_assert_eq!(pieces[pieces.len() - 1].1, 1.0);
+        prop_assert!(pieces.windows(2).all(|w| w[0].1 == w[1].0));
+        // An uncut task is the task it was, bit for bit; the pieces of a
+        // cut one cost its time plus one overhead per extra piece.
+        let (whole, cut) = (tasks.tasks()[parent], plan.tasks.tasks()[parent]);
+        if pieces.len() == 1 {
+            prop_assert_eq!(whole, cut);
+        } else if overhead.cpu <= whole.p_cpu {
+            let of_parent = plan.parts.iter().zip(plan.tasks.iter());
+            let spent: f64 = of_parent
+                .filter(|(p, _)| p.parent == parent)
+                .map(|(_, t)| t.p_cpu)
+                .sum();
+            let priced = whole.p_cpu + overhead.cpu * (pieces.len() - 1) as f64;
+            prop_assert!(
+                (spent - priced).abs() <= 1e-9 * priced,
+                "{} vs {}",
+                spent,
+                priced
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn the_tail_split_never_hurts_and_tiles_what_it_cuts(
+        tasks in task_set(24),
+        pf in platform(),
+        overhead in overhead(),
+        grid in prop::sample::select(vec![0usize, 1, 7, 1000]),
+    ) {
+        let found = dual_approx_schedule(&tasks, &pf, BinarySearchConfig::default());
+        let before = found.schedule.makespan();
+        let plan = split_tail(&tasks, found.schedule.clone(), &pf, overhead, snap_to(grid));
+        check_split(&tasks, &pf, before, overhead, &plan)?;
+        // 2λ survives: the pass only ever lowers the makespan.
+        prop_assert!(plan.schedule.makespan() <= 2.0 * found.upper_bound + 1e-6);
+        // The identity when no cut strictly helps, and idempotent on
+        // what it returns when one did... for the tasks it left whole.
+        if plan.tasks.len() == tasks.len() {
+            prop_assert_eq!(&plan.schedule, &found.schedule);
+            prop_assert_eq!(&plan.tasks, &tasks);
+        } else {
+            prop_assert!(plan.schedule.makespan() < before);
+        }
+        // Where nothing can be cut, nothing is.
+        let rigid = SliceOverhead { cpu: f64::INFINITY, gpu: f64::INFINITY };
+        let kept = split_tail(&tasks, found.schedule.clone(), &pf, rigid, snap_to(grid));
+        prop_assert_eq!(&kept.schedule, &found.schedule);
+        let nowhere = split_tail(&tasks, found.schedule.clone(), &pf, overhead, f64::round);
+        prop_assert_eq!(&nowhere.schedule, &found.schedule);
+    }
+
+    #[test]
+    fn the_tail_split_cuts_every_policy_s_plan_validly(
+        tasks in task_set(16),
+        pf in platform(),
+        overhead in overhead(),
+    ) {
+        // The pass assumes nothing of where the plan came from: gaps,
+        // any order of placements, a species left empty.
+        for sched in [
+            policies::self_scheduling(&tasks, &pf),
+            policies::equal_power_split(&tasks, &pf),
+            policies::lpt_single_kind(&tasks, &pf, PeKind::Cpu),
+            policies::lpt_single_kind(&tasks, &pf, PeKind::Gpu),
+        ] {
+            let before = sched.makespan();
+            let plan = split_tail(&tasks, sched, &pf, overhead, snap_to(0));
+            check_split(&tasks, &pf, before, overhead, &plan)?;
+        }
+    }
+
+    #[test]
+    fn a_cut_plan_still_holds_two_opt_against_the_exact_optimum(
+        tasks in task_set(9),
+        m in 1usize..4,
+        k in 1usize..4,
+        overhead in overhead(),
+    ) {
+        // OPT schedules whole tasks; the cut plan may beat it, and never
+        // loses the guarantee the uncut plan had against it.
+        let pf = PlatformSpec::new(m, k);
+        let opt = optimal_schedule(&tasks, &pf).expect("nine tasks at most").makespan();
+        let config = BinarySearchConfig::default();
+        let found = dual_approx_schedule(&tasks, &pf, config).schedule;
+        let cut = split_tail(&tasks, found, &pf, overhead, snap_to(0)).schedule.makespan();
+        prop_assert!(cut <= 2.0 * opt / (1.0 - config.relative_precision) + 1e-9, "{cut} > 2 x {opt}");
     }
 }
 
