@@ -7,6 +7,7 @@
 //! dynamically (the runtime configures workers from it).
 
 use crate::dispatch::Backend;
+use crate::interseq::SharedStreams;
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
@@ -71,8 +72,8 @@ pub struct PhaseTimings {
     /// Seconds of per-query setup: the inter-sequence score tables and
     /// any striped profile build or cache lookup.
     pub profile_build: f64,
-    /// Seconds in the DP recurrences: batch transposition, every tier's
-    /// kernel, escalations.
+    /// Seconds in the DP recurrences: laying out the inter-sequence
+    /// stream, every tier's kernel, escalations.
     pub dp_inner: f64,
 }
 
@@ -131,9 +132,11 @@ pub trait AlignEngine: Send + Sync {
     /// [`AlignEngine::score_many_cached`] for a caller that scores many
     /// queries against one database — a worker: `db` carries what was
     /// prepared once per database, `slice` the positions of its length
-    /// order this job covers, `scratch` the kernels' reusable working
+    /// order this job covers, `streams` the inter-sequence streams the
+    /// search's jobs share, `scratch` the kernels' reusable working
     /// memory. Scores come back in the slice's order. Engines that need
     /// none of it delegate.
+    #[allow(clippy::too_many_arguments)]
     fn score_database(
         &self,
         query: &[u8],
@@ -141,6 +144,7 @@ pub trait AlignEngine: Send + Sync {
         slice: Range<usize>,
         scheme: &ScoringScheme,
         cache: Option<&ProfileCache>,
+        _streams: Option<&SharedStreams>,
         _scratch: &mut Scratch,
     ) -> (Vec<i32>, PhaseTimings, TierStats) {
         let subjects: Vec<&[u8]> = db.in_order(slice).collect();
@@ -209,6 +213,7 @@ impl AlignEngine for LadderEngine {
             db.whole(),
             scheme,
             cache,
+            None,
             &mut Scratch::default(),
         );
         (db.in_database_order(&scores), timings, stats)
@@ -220,6 +225,7 @@ impl AlignEngine for LadderEngine {
         slice: Range<usize>,
         scheme: &ScoringScheme,
         cache: Option<&ProfileCache>,
+        streams: Option<&SharedStreams>,
         scratch: &mut Scratch,
     ) -> (Vec<i32>, PhaseTimings, TierStats) {
         let mut stats = TierStats::default();
@@ -231,6 +237,7 @@ impl AlignEngine for LadderEngine {
             slice,
             scheme,
             cache,
+            streams,
             scratch,
             &mut stats,
         );

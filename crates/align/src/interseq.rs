@@ -1,47 +1,71 @@
-//! Inter-sequence byte kernel (`interseq8`) — Rognes' SWIPE scheme [9].
+//! Inter-sequence byte kernel (`interseq8`) — Rognes' SWIPE scheme [9],
+//! with its lanes refilled.
 //!
 //! Where Farrar's kernel vectorises *within* one comparison (lanes =
 //! query positions), SWIPE vectorises *across* comparisons: lane `l` of
-//! every vector belongs to subject `l` of the current batch. All lanes
-//! run the plain Gotoh recurrences independently — no lazy-F loop, no
-//! padding of the query to a lane multiple, no striped query profile —
-//! which is what makes it the faster shape on short queries.
+//! every vector scores one subject while the other lanes score others.
+//! All lanes run the plain Gotoh recurrences independently — no lazy-F
+//! loop, no padding of the query to a lane multiple, no striped query
+//! profile — which is what makes it the faster shape on short queries.
+//!
+//! **One stream per job, lanes refilled.** A job scores the subjects of
+//! its slice as one *stream* of residue columns, one vector of lanes per
+//! column. The subjects are dealt out in the length order, longest
+//! first: the lane that frees first — the lowest such lane on a tie —
+//! takes the next subject at the column where its last one ended. Each
+//! hand-over is a [`Start`]: before scoring that column the kernel
+//! harvests the lane's maximum for the subject it finished, zeroes the
+//! lane's running maximum and its `H`/`E` column, and carries on with
+//! the same recurrences. No lane idles until the lineup runs dry, so a
+//! stream pads only its last columns.
+//!
+//! **Two sources, one kernel.** Per job, [`Cursors`] lay the next
+//! [`BLOCK`] columns out in the worker's [`Scratch`] as the kernel
+//! reaches them. A [`Stream`] holds all columns and starts of a slice at
+//! once, laid out by the same cursors as one block that spans the whole
+//! stream, so the two sources agree byte for byte. [`SharedStreams`]
+//! builds one per slice that more jobs score than there are workers,
+//! before the jobs run, and lends it to every job that scores the slice
+//! whole, so such a slice is laid out once per search instead of once
+//! per job.
 //!
 //! **Score profile.** The substitution scores a column needs depend on
-//! the batch's residues at that position, so the profile is built per
+//! the stream's residues at that position, so the profile is built per
 //! column: for each *distinct* query residue `a`, one vector
 //! `dprof[a][l] = score(a, column[l]) + bias`, looked up from the
 //! 32-entry row [`Tables::rows`]`[a]` (two 16-entry `pshufb` tables on
-//! AVX2). Residue code [`PAD`] fills the lanes of subjects that have
-//! already ended; its table entry is biased 0, i.e. a true score of
-//! `−bias`, so a finished lane can only decay.
+//! AVX2). Residue code [`PAD`] fills the lanes that have no subject left;
+//! its table entry is biased 0, i.e. a true score of `−bias`, so such a
+//! lane can only decay.
 //!
 //! **Same escalations as the striped byte kernel.** Arithmetic is the
 //! striped kernel's: unsigned, biased, saturating, with the same `bias`
 //! and the same guard `limit` ([`crate::striped8::byte_range`]). An add
 //! can only saturate when its `H` input is already ≥ `limit`, so while
 //! every cell is below `limit` both kernels compute exact values, and
-//! the first cell to reach it is computed exactly by both. A lane's
-//! maximum is therefore ≥ `limit` here iff the striped kernel's is:
-//! the two shapes escalate the same subjects, whatever the order they
-//! visit cells in.
+//! the first cell to reach it is computed exactly by both. A subject's
+//! maximum is therefore ≥ `limit` here iff the striped kernel's is: the
+//! two shapes escalate the same subjects, whatever lane or column a
+//! subject lands on.
 //!
 //! The kernel body is written once over [`ByteLanes`]; the AVX2
-//! instantiation runs 32 subjects per vector, the lane-array one (the
+//! instantiation runs 32 lanes per vector, the lane-array one (the
 //! oracle, and what every backend without an instantiation of its own
 //! runs) 16.
 
 use crate::dispatch::Backend;
 use crate::scratch::{InterseqBuffers, Scratch};
 use crate::striped8::byte_range;
+use crate::tiered::Subjects;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
+use std::sync::OnceLock;
 use swdual_bio::ScoringScheme;
 
-/// Residue code of an exhausted lane. Alphabets must leave it free
+/// Residue code of a lane with no subject. Alphabets must leave it free
 /// (size ≤ 31).
 pub const PAD: u8 = 31;
-
-/// Most lanes any backend runs.
-pub const MAX_LANES: usize = 32;
 
 /// What the kernel needs of one (query, scheme) pair. Built per job:
 /// a few hundred table reads, not worth caching.
@@ -121,6 +145,8 @@ pub(crate) trait ByteLanes<const L: usize>: Copy {
 pub(crate) const ARRAY_LANES: usize = 16;
 
 /// The portable lane-array instantiation (autovectorised).
+// SAFETY: every method is plain safe Rust; the `unsafe` is the trait's
+// contract, which these need nothing of.
 impl ByteLanes<ARRAY_LANES> for [u8; ARRAY_LANES] {
     #[inline(always)]
     unsafe fn splat(x: u8) -> Self {
@@ -152,34 +178,347 @@ impl ByteLanes<ARRAY_LANES> for [u8; ARRAY_LANES] {
     }
 }
 
-/// One block of a batch's columns: `query` against the `L` subjects laid
-/// out in `buffers.columns` (lane `l` of `columns[j]` = residue `j` of
-/// subject `l`, or [`PAD`]), scored from `buffers.rows`, continuing from
-/// the DP state the previous block left. Returns each lane's maximum
-/// `H` so far, given the maxima `best` before this block.
+/// Where a lane takes its next subject: before column `column` of the
+/// stream is scored, lane `lane` gives up the subject it held and starts
+/// subject `subject` (a position of the stream's lineup).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Start {
+    pub column: usize,
+    pub lane: usize,
+    pub subject: usize,
+}
+
+/// The subjects a stream deals out, in the order it deals them: `order`
+/// indexes `seqs`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lineup<'s> {
+    pub seqs: &'s [&'s [u8]],
+    pub order: &'s [u32],
+}
+
+impl<'s> Lineup<'s> {
+    fn get(&self, subject: usize) -> Option<&'s [u8]> {
+        let &i = self.order.get(subject)?;
+        self.seqs.get(i as usize).copied()
+    }
+
+    /// The number of columns of the lineup's stream on `lanes` lanes.
+    pub fn columns(&self, lanes: usize) -> usize {
+        let mut dealer = Dealer::new(lanes);
+        while dealer.deal_before(self, usize::MAX).is_some() {}
+        dealer.end
+    }
+}
+
+/// Deals a lineup out to lanes: the lane that frees first — the lowest
+/// such lane on a tie — takes the next subject.
+#[derive(Debug)]
+struct Dealer {
+    /// `(column, lane)`: where each lane's current subject ends.
+    free_at: BinaryHeap<Reverse<(usize, usize)>>,
+    /// The next subject of the lineup.
+    next: usize,
+    /// The column where the last lane to free frees.
+    end: usize,
+}
+
+impl Dealer {
+    fn new(lanes: usize) -> Dealer {
+        Dealer {
+            free_at: (0..lanes).map(|lane| Reverse((0, lane))).collect(),
+            next: 0,
+            end: 0,
+        }
+    }
+
+    /// The next start, unless the lineup is dealt out or it would fall
+    /// on or after column `before`.
+    fn deal_before(&mut self, lineup: &Lineup<'_>, before: usize) -> Option<Start> {
+        let len = lineup.get(self.next)?.len();
+        let mut lane_free = self.free_at.peek_mut()?;
+        let Reverse((column, lane)) = *lane_free;
+        if column >= before {
+            return None;
+        }
+        *lane_free = Reverse((column + len, lane));
+        self.end = self.end.max(column + len);
+        let start = Start {
+            column,
+            lane,
+            subject: self.next,
+        };
+        self.next += 1;
+        Some(start)
+    }
+}
+
+/// Columns laid out and scored at a time per job: 8 KB of residues at
+/// 32 lanes, so the block stays in L1 beside the DP state and the
+/// scratch does not grow with the stream.
+const BLOCK: usize = 256;
+
+/// The per-job source: lane cursors that lay a lineup's stream out one
+/// block of columns at a time.
+struct Cursors<'s, const L: usize> {
+    lineup: Lineup<'s>,
+    dealer: Dealer,
+    /// The subject each lane holds and the column it started at.
+    holds: [Option<(usize, usize)>; L],
+    /// The starts of the next block, dealt ahead.
+    ahead: Vec<Start>,
+    /// The first column of the next block.
+    first: usize,
+}
+
+impl<'s, const L: usize> Cursors<'s, L> {
+    fn new(lineup: Lineup<'s>) -> Self {
+        Cursors {
+            lineup,
+            dealer: Dealer::new(L),
+            holds: [None; L],
+            ahead: Vec::new(),
+            first: 0,
+        }
+    }
+
+    /// Lay the next block out in `columns` (at most that many columns)
+    /// and its starts in `starts`; returns the block's first column and
+    /// its width, which is 0 once the stream has ended. The block after
+    /// it is dealt ahead, and the residues its starts load are asked for.
+    fn next_block(&mut self, columns: &mut [[u8; L]], starts: &mut Vec<Start>) -> (usize, usize) {
+        let first = self.first;
+        let next = first + columns.len();
+        starts.clear();
+        starts.append(&mut self.ahead);
+        while let Some(start) = self.dealer.deal_before(&self.lineup, next) {
+            starts.push(start);
+        }
+        while let Some(start) = self.dealer.deal_before(&self.lineup, next + columns.len()) {
+            prefetch(self.lineup.get(start.subject).unwrap_or_default());
+            self.ahead.push(start);
+        }
+        // Whatever was dealt ahead starts past this block, so its lane
+        // runs on to the block's last column either way.
+        let width = self.dealer.end.saturating_sub(first).min(columns.len());
+        let columns = &mut columns[..width];
+        columns.fill([PAD; L]);
+        // What lanes still hold from earlier blocks, then what starts in
+        // this one: a lane's next subject begins where the last ended.
+        for (lane, held) in self.holds.iter().enumerate() {
+            if let &Some((subject, column)) = held {
+                let residues = self.lineup.get(subject).unwrap_or_default();
+                place(
+                    columns,
+                    0,
+                    lane,
+                    residues.get(first - column..).unwrap_or_default(),
+                );
+            }
+        }
+        for start in starts.iter() {
+            let residues = self.lineup.get(start.subject).unwrap_or_default();
+            place(columns, start.column - first, start.lane, residues);
+            self.holds[start.lane] = Some((start.subject, start.column));
+        }
+        self.first += width;
+        (first, width)
+    }
+}
+
+/// Ask for `subject`'s cache lines a block before the kernel reads them.
+///
+/// The length order scatters a stream's subjects over the database, so
+/// a block's starts open cold streams, and on a database that outgrows
+/// L2 their misses cost a fifth of a short query's time — more when the
+/// memory system is busy. Requested a block ahead, the lines arrive
+/// while the current block computes. A hint only: backends without one
+/// skip it.
+#[inline]
+fn prefetch(subject: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in subject.chunks(64) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
+        // SAFETY: a prefetch cannot fault and changes no architectural
+        // state; SSE is part of the x86_64 baseline.
+        unsafe { _mm_prefetch::<_MM_HINT_T1>(line.as_ptr() as *const i8) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = subject;
+}
+
+/// Write `residues` into lane `lane` of `columns` from column `at` on,
+/// as far as the block reaches.
+fn place<const L: usize>(columns: &mut [[u8; L]], at: usize, lane: usize, residues: &[u8]) {
+    let columns = columns.get_mut(at..).unwrap_or_default();
+    for (column, &residue) in columns.iter_mut().zip(residues) {
+        column[lane] = residue;
+    }
+}
+
+/// The shared source: every column and start of a lineup's stream.
+#[derive(Debug)]
+pub(crate) struct Stream {
+    lanes: usize,
+    /// One vector of lanes per column, flattened.
+    columns: Vec<u8>,
+    starts: Vec<Start>,
+}
+
+impl Stream {
+    /// Lay `lineup`'s stream on `L` lanes out whole: the per-job
+    /// cursors' layout, as one block.
+    fn build<const L: usize>(lineup: Lineup<'_>) -> Stream {
+        let mut columns = vec![[PAD; L]; lineup.columns(L)];
+        let mut starts = Vec::new();
+        Cursors::<L>::new(lineup).next_block(&mut columns, &mut starts);
+        Stream {
+            lanes: L,
+            columns: columns.into_flattened(),
+            starts,
+        }
+    }
+}
+
+/// The streams of the slices many jobs of one search score, each laid
+/// out once and lent to every job that scores its slice whole.
+#[derive(Debug, Default)]
+pub struct SharedStreams {
+    /// By slice start and end; set once, by [`Self::share`].
+    streams: OnceLock<HashMap<(usize, usize), Stream>>,
+}
+
+impl SharedStreams {
+    /// Lay out the stream of each slice of `db` that more
+    /// inter-sequence jobs score than there are `workers` to score them:
+    /// some worker would otherwise lay the same stream out twice. `jobs`
+    /// are the search's `(query length, slice)` pairs; a job is
+    /// inter-sequence when `backend` runs its query's byte tier that way
+    /// at all ([`Backend::interseq_min_fill`]). Only the first call
+    /// counts.
+    ///
+    /// The streams are built here, on the caller's thread, before any
+    /// job runs: built by whichever worker came first they would land in
+    /// that thread's allocator arena, and over a run of searches each
+    /// worker's arena would keep a freed copy.
+    pub fn share(
+        &self,
+        backend: Backend,
+        db: &Subjects<'_>,
+        jobs: impl IntoIterator<Item = (usize, Range<usize>)>,
+        workers: usize,
+    ) {
+        let mut jobs_on: HashMap<(usize, usize), usize> = HashMap::new();
+        for (query_len, slice) in jobs {
+            if backend.interseq_min_fill(query_len).is_some() {
+                *jobs_on.entry((slice.start, slice.end)).or_default() += 1;
+            }
+        }
+        let shared = jobs_on.into_iter().filter(|&(_, jobs)| jobs > workers);
+        let streams = shared.filter_map(|((start, end), _)| {
+            let lineup = Lineup {
+                seqs: db.seqs(),
+                order: db.order().get(start..end)?,
+            };
+            Some(((start, end), backend.interseq_stream(lineup)))
+        });
+        let _ = self.streams.set(streams.collect());
+    }
+
+    /// The stream of all of `slice` on `lanes` lanes, if it is shared.
+    pub(crate) fn get(&self, slice: &Range<usize>, lanes: usize) -> Option<&Stream> {
+        let stream = self.streams.get()?.get(&(slice.start, slice.end))?;
+        (stream.lanes == lanes).then_some(stream)
+    }
+}
+
+/// A block of a stream as the kernel scores it: `columns` are columns
+/// `first..` of the stream, `starts` the starts that fall among them.
+pub(crate) struct Block<'a, const L: usize> {
+    pub first: usize,
+    pub columns: &'a [[u8; L]],
+    pub starts: &'a [Start],
+}
+
+/// What the kernel carries from block to block besides the DP state:
+/// each lane's running maximum and the subject it holds.
+pub(crate) struct Harvest<const L: usize> {
+    best: [u8; L],
+    holds: [Option<usize>; L],
+}
+
+impl<const L: usize> Harvest<L> {
+    fn new() -> Self {
+        Harvest {
+            best: [0; L],
+            holds: [None; L],
+        }
+    }
+
+    /// Hand `start.lane` over: record the maximum of the subject it held,
+    /// and clear its maximum and its `H`/`E` column for the next.
+    #[inline]
+    fn start(&mut self, start: &Start, state: &mut [[[u8; L]; 2]], maxima: &mut [u8]) {
+        let lane = start.lane;
+        if let Some(held) = self.holds[lane] {
+            maxima[held] = self.best[lane];
+        }
+        self.best[lane] = 0;
+        self.holds[lane] = Some(start.subject);
+        for [h, e] in state {
+            h[lane] = 0;
+            e[lane] = 0;
+        }
+    }
+
+    /// The stream has ended: record what every lane still holds.
+    fn finish(self, maxima: &mut [u8]) {
+        for (held, best) in self.holds.into_iter().zip(self.best) {
+            if let Some(held) = held {
+                maxima[held] = best;
+            }
+        }
+    }
+}
+
+/// One block of a stream: `query` against `block.columns`, scored from
+/// `buffers.rows`, continuing from the DP state and the `harvest` the
+/// previous block left. A start hands its lane over before its column
+/// is scored; each finished subject's maximum `H` goes to
+/// `maxima[subject]`.
 ///
 /// # Safety
 /// `V`'s instruction set must be available on the running CPU.
 #[inline(always)]
-pub(crate) unsafe fn batch_body<V: ByteLanes<L>, const L: usize>(
+pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
     query: &[u8],
     tables: &Tables,
+    block: Block<'_, L>,
     buffers: InterseqBuffers<'_, L>,
-    mut best: [u8; L],
-) -> [u8; L] {
+    harvest: &mut Harvest<L>,
+    maxima: &mut [u8],
+) {
     let InterseqBuffers {
-        columns,
         profile: dprof,
         state,
         rows,
     } = buffers;
     debug_assert_eq!(state.len(), query.len());
+    // SAFETY (every `V` operation below): the caller guarantees `V`'s
+    // instruction set; the operations touch only the references passed.
     let zero = V::splat(0);
     let bias = V::splat(tables.bias);
     let open = V::splat(tables.open);
     let ext = V::splat(tables.ext);
-    let mut lane_best = V::load(&best);
-    for column in columns.iter() {
+    let mut lane_best = V::load(&harvest.best);
+    let mut starts = block.starts.iter().peekable();
+    for (at, column) in (block.first..).zip(block.columns) {
+        if starts.peek().is_some_and(|start| start.column == at) {
+            lane_best.store(&mut harvest.best);
+            while let Some(start) = starts.next_if(|start| start.column == at) {
+                harvest.start(start, state, maxima);
+            }
+            lane_best = V::load(&harvest.best);
+        }
         let residues = V::load(column);
         for &a in &tables.present {
             V::lookup32(&rows[a as usize & 31], residues).store(&mut dprof[a as usize & 31]);
@@ -202,108 +541,128 @@ pub(crate) unsafe fn batch_body<V: ByteLanes<L>, const L: usize>(
             f = f.subs(ext).max(h_open);
         }
     }
-    lane_best.store(&mut best);
-    best
+    lane_best.store(&mut harvest.best);
 }
 
-/// Columns transposed and scored at a time: 8 KB of residues at 32
-/// lanes, so the block stays in L1 beside the DP state and the scratch
-/// does not grow with the longest subject.
-const BLOCK: usize = 256;
+/// [`refill_body`] instantiated for one backend.
+type RefillFn<const L: usize> =
+    unsafe fn(&[u8], &Tables, Block<'_, L>, InterseqBuffers<'_, L>, &mut Harvest<L>, &mut [u8]);
 
-/// Lay positions `start..` of `subjects` (at most `L`) out as residue
-/// columns, one vector per position: [`PAD`] where a subject has ended
-/// or a lane is unused.
-fn transpose<const L: usize>(subjects: &[&[u8]], start: usize, columns: &mut [[u8; L]]) {
-    columns.fill([PAD; L]);
-    let flat = columns.as_flattened_mut();
-    for (lane, subject) in subjects.iter().enumerate() {
-        let residues = subject.get(start..).unwrap_or_default();
-        for (slot, &residue) in flat.iter_mut().skip(lane).step_by(L).zip(residues) {
-            *slot = residue;
-        }
-    }
-}
-
-/// [`batch_body`] instantiated for one backend.
-type BatchFn<const L: usize> =
-    unsafe fn(&[u8], &Tables, InterseqBuffers<'_, L>, [u8; L]) -> [u8; L];
-
-fn batch_lanes<const L: usize>(
-    run: BatchFn<L>,
+fn refill_array(
     query: &[u8],
     tables: &Tables,
-    subjects: &[&[u8]],
-    scratch: &mut Scratch,
-    best: &mut [u8; MAX_LANES],
-) {
-    let longest = subjects.iter().map(|s| s.len()).max().unwrap_or(0);
-    let buffers = scratch.interseq::<L>(longest.min(BLOCK), query.len());
-    buffers.state.fill([[0; L]; 2]);
-    *buffers.rows = tables.rows;
-    let mut lanes = [0u8; L];
-    for start in (0..longest).step_by(BLOCK) {
-        let buffers = scratch.interseq::<L>((longest - start).min(BLOCK), query.len());
-        transpose(subjects, start, buffers.columns);
-        // SAFETY: `run` is `batch_body` instantiated for the backend
-        // `interseq8` matched on, after asserting that backend
-        // available — for AVX2, detected on this CPU.
-        lanes = unsafe { run(query, tables, buffers, lanes) };
-    }
-    best[..L].copy_from_slice(&lanes);
-}
-
-fn batch_array(
-    query: &[u8],
-    tables: &Tables,
+    block: Block<'_, ARRAY_LANES>,
     buffers: InterseqBuffers<'_, ARRAY_LANES>,
-    best: [u8; ARRAY_LANES],
-) -> [u8; ARRAY_LANES] {
+    harvest: &mut Harvest<ARRAY_LANES>,
+    maxima: &mut [u8],
+) {
     // SAFETY: the lane-array operations are plain Rust; they need no
     // instruction set.
-    unsafe { batch_body::<[u8; ARRAY_LANES], ARRAY_LANES>(query, tables, buffers, best) }
+    unsafe {
+        refill_body::<[u8; ARRAY_LANES], ARRAY_LANES>(
+            query, tables, block, buffers, harvest, maxima,
+        )
+    }
+}
+
+/// Score the stream of `lineup` through `kernel`: the `shared` one, or
+/// else one laid out block by block in `scratch`.
+///
+/// # Safety
+/// `kernel`'s instruction set must be available on the running CPU.
+unsafe fn score_stream<const L: usize>(
+    kernel: RefillFn<L>,
+    query: &[u8],
+    tables: &Tables,
+    lineup: Lineup<'_>,
+    shared: Option<&Stream>,
+    scratch: &mut Scratch,
+    maxima: &mut [u8],
+) {
+    let mut harvest = Harvest::<L>::new();
+    let (_, buffers) = scratch.interseq::<L>(0, query.len());
+    buffers.state.fill([[0; L]; 2]);
+    *buffers.rows = tables.rows;
+    if let Some(stream) = shared {
+        let block = Block {
+            first: 0,
+            columns: stream.columns.as_chunks::<L>().0,
+            starts: &stream.starts,
+        };
+        // SAFETY: the caller guarantees `kernel`'s instruction set.
+        kernel(query, tables, block, buffers, &mut harvest, maxima);
+    } else {
+        let mut cursors = Cursors::<L>::new(lineup);
+        let mut starts = Vec::new();
+        loop {
+            let (columns, buffers) = scratch.interseq::<L>(BLOCK, query.len());
+            let (first, width) = cursors.next_block(columns, &mut starts);
+            if width == 0 {
+                break;
+            }
+            let block = Block {
+                first,
+                columns: &columns[..width],
+                starts: &starts,
+            };
+            // SAFETY: as above.
+            kernel(query, tables, block, buffers, &mut harvest, maxima);
+        }
+    }
+    harvest.finish(maxima);
 }
 
 impl Backend {
-    /// Subjects per vector of this backend's [`interseq8`].
+    /// Lanes per vector of this backend's inter-sequence kernel on this
+    /// host.
     pub fn interseq_lanes(self) -> usize {
         match self {
-            Backend::Avx2 => crate::wide::LANES8W,
+            Backend::Avx2 if self.is_available() => crate::wide::LANES8W,
             _ => ARRAY_LANES,
         }
     }
 
-    /// The inter-sequence byte kernel: `query` against at most
-    /// [`Backend::interseq_lanes`] subjects at once, with the `tables`
-    /// built for that query. Writes each subject's maximum `H` to
-    /// `best[lane]`; a value ≥ [`Tables::limit`] may have saturated and
-    /// must escalate, anything below is the exact score.
-    ///
-    /// # Panics
-    /// On more subjects than lanes, or a backend this host lacks.
-    pub fn interseq8(
+    /// The stream of `lineup` laid out whole on
+    /// [`Backend::interseq_lanes`] lanes.
+    fn interseq_stream(self, lineup: Lineup<'_>) -> Stream {
+        match self {
+            Backend::Avx2 if self.is_available() => {
+                Stream::build::<{ crate::wide::LANES8W }>(lineup)
+            }
+            _ => Stream::build::<ARRAY_LANES>(lineup),
+        }
+    }
+
+    /// The inter-sequence byte kernel: `query` against the stream of
+    /// `lineup` on [`Backend::interseq_lanes`] lanes, with the `tables`
+    /// built for that query — the `shared` stream when there is one.
+    /// Writes each subject's maximum `H` to `maxima[subject]`; a value ≥
+    /// [`Tables::limit`] may have saturated and must escalate, anything
+    /// below is the exact score.
+    pub(crate) fn interseq8(
         self,
         query: &[u8],
         tables: &Tables,
-        subjects: &[&[u8]],
+        lineup: Lineup<'_>,
+        shared: Option<&Stream>,
         scratch: &mut Scratch,
-        best: &mut [u8; MAX_LANES],
+        maxima: &mut [u8],
     ) {
-        assert!(self.is_available(), "backend {self} is not available");
-        assert!(subjects.len() <= self.interseq_lanes());
         match self {
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => batch_lanes::<{ crate::wide::LANES8W }>(
-                crate::simd_avx2::interseq8_batch_avx2,
-                query,
-                tables,
-                subjects,
-                scratch,
-                best,
-            ),
+            Backend::Avx2 if self.is_available() => {
+                let kernel = crate::simd_avx2::refill_avx2;
+                // SAFETY: the guard just detected AVX2 on this CPU.
+                unsafe { score_stream(kernel, query, tables, lineup, shared, scratch, maxima) }
+            }
             // NEON and `std::simd` have no instantiation yet (none could
             // be measured on this host); they run the lane arrays.
-            _ => batch_lanes::<ARRAY_LANES>(batch_array, query, tables, subjects, scratch, best),
+            _ => {
+                // SAFETY: the lane arrays need no instruction set.
+                unsafe {
+                    score_stream(refill_array, query, tables, lineup, shared, scratch, maxima)
+                }
+            }
         }
     }
 }
@@ -312,14 +671,17 @@ impl Backend {
 mod tests {
     use super::*;
     use crate::scalar::gotoh_score;
-    use crate::tiered::{score_database_with, ByteShape, Subjects, TierStats};
+    use crate::tiered::{score_database_with, ByteShape, TierStats};
+    use proptest::prelude::*;
     use swdual_bio::{Alphabet, Matrix};
 
     fn prot(t: &[u8]) -> Vec<u8> {
         Alphabet::Protein.encode(t).unwrap()
     }
 
-    /// One raw batch: each lane's maximum, before any escalation.
+    /// Each subject's raw maximum, before any escalation, with the
+    /// subjects dealt out in the order given — from both sources, which
+    /// must agree.
     fn lane_maxima(
         backend: Backend,
         q: &[u8],
@@ -327,12 +689,22 @@ mod tests {
         scheme: &ScoringScheme,
     ) -> Vec<u8> {
         let tables = Tables::build(q, scheme).unwrap();
-        let mut best = [0u8; MAX_LANES];
-        backend.interseq8(q, &tables, subjects, &mut Scratch::default(), &mut best);
-        best[..subjects.len()].to_vec()
+        let order: Vec<u32> = (0..subjects.len() as u32).collect();
+        let lineup = Lineup {
+            seqs: subjects,
+            order: &order,
+        };
+        let mut per_job = vec![0u8; subjects.len()];
+        let scratch = &mut Scratch::default();
+        backend.interseq8(q, &tables, lineup, None, scratch, &mut per_job);
+        let mut shared = vec![0u8; subjects.len()];
+        let stream = backend.interseq_stream(lineup);
+        backend.interseq8(q, &tables, lineup, Some(&stream), scratch, &mut shared);
+        assert_eq!(per_job, shared, "{backend}: the two sources disagree");
+        per_job
     }
 
-    /// Every backend's raw batch must equal Gotoh (all scores here fit
+    /// Every backend's raw stream must equal Gotoh (all scores here fit
     /// a byte).
     fn assert_batch_exact(q: &[u8], subjects: &[Vec<u8>], scheme: &ScoringScheme) {
         let refs: Vec<&[u8]> = subjects.iter().map(|s| s.as_slice()).collect();
@@ -345,28 +717,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_batch_agrees_with_scalar() {
-        // Every lane of each backend's vector in use.
-        let scheme = ScoringScheme::protein_default();
-        let q = prot(b"MKWVTFISLLFLFSSAYSRG");
-        let subjects: Vec<Vec<u8>> = (0..MAX_LANES)
+    /// `n` rotations of `q`, 4 to 20 residues long.
+    fn rotations(q: &[u8], n: usize) -> Vec<Vec<u8>> {
+        (0..n)
             .map(|i| {
-                let mut s = q.clone();
+                let mut s = q.to_vec();
                 s.rotate_left(i % q.len());
                 s.truncate(4 + i % 17);
                 s
             })
-            .collect();
-        let refs: Vec<&[u8]> = subjects.iter().map(|s| s.as_slice()).collect();
-        for backend in Backend::available() {
-            let batch = &refs[..backend.interseq_lanes()];
-            let want: Vec<u8> = batch
-                .iter()
-                .map(|s| gotoh_score(&q, s, &scheme) as u8)
-                .collect();
-            assert_eq!(lane_maxima(backend, &q, batch, &scheme), want, "{backend}");
-        }
+            .collect()
+    }
+
+    #[test]
+    fn full_batch_agrees_with_scalar() {
+        // Every lane of each backend's vector in use, then refilled.
+        let scheme = ScoringScheme::protein_default();
+        let q = prot(b"MKWVTFISLLFLFSSAYSRG");
+        assert_batch_exact(&q, &rotations(&q, crate::wide::LANES8W), &scheme);
+        assert_batch_exact(&q, &rotations(&q, 3 * crate::wide::LANES8W + 5), &scheme);
     }
 
     #[test]
@@ -374,6 +743,10 @@ mod tests {
         let scheme = ScoringScheme::protein_default();
         let q = prot(b"MKVLAT");
         assert_batch_exact(&q, &[q.clone(), vec![], prot(b"W")], &scheme);
+        // Empty subjects amid and after the others, and nothing else.
+        assert_batch_exact(&q, &[vec![], q.clone(), vec![], vec![]], &scheme);
+        assert_batch_exact(&q, &[vec![], vec![]], &scheme);
+        assert_batch_exact(&q, &[], &scheme);
     }
 
     #[test]
@@ -395,18 +768,29 @@ mod tests {
     }
 
     #[test]
-    fn empty_query_scores_all_zero() {
+    fn refilled_lanes_start_from_a_clean_column() {
+        // A perfect match hands its lane to a subject that only scores
+        // if it does not inherit the match's `H`/`E` state or maximum —
+        // on block edges too: 600 columns, 40 lanes' worth of subjects.
         let scheme = ScoringScheme::protein_default();
-        assert_batch_exact(&[], &[prot(b"MKVLAT")], &scheme);
+        let q = prot(b"WWWWCCCC");
+        let mut subjects = vec![prot(&[b'A'; 600])];
+        for i in 0..40 {
+            subjects.push(if i % 2 == 0 {
+                q.clone()
+            } else {
+                prot(b"AAAAAAW")
+            });
+            subjects.push(prot(&vec![b'G'; 200 + 13 * i]));
+        }
+        subjects.sort_by_key(|s| std::cmp::Reverse(s.len()));
+        assert_batch_exact(&q, &subjects, &scheme);
     }
 
     #[test]
-    #[should_panic]
-    fn oversized_batch_panics() {
+    fn empty_query_scores_all_zero() {
         let scheme = ScoringScheme::protein_default();
-        let s = prot(b"M");
-        let refs: Vec<&[u8]> = vec![&s; MAX_LANES + 1];
-        lane_maxima(Backend::active(), &s, &refs, &scheme);
+        assert_batch_exact(&[], &[prot(b"MKVLAT")], &scheme);
     }
 
     #[test]
@@ -422,7 +806,7 @@ mod tests {
             assert_eq!(got[1], 231, "{backend}: last trustworthy rung");
             assert!(got[2] >= tables.limit, "{backend}: 242 must escalate");
             assert_eq!(got[3], 0, "{backend}");
-            // The ladder above recovers the flagged lanes exactly.
+            // The ladder above recovers the flagged subjects exactly.
             let mut stats = TierStats::default();
             let db = Subjects::new(subjects.to_vec());
             let (exact, _) = score_database_with(
@@ -432,6 +816,7 @@ mod tests {
                 &db,
                 db.whole(),
                 &scheme,
+                None,
                 None,
                 &mut Scratch::default(),
                 &mut stats,
@@ -449,7 +834,8 @@ mod tests {
     fn search_batches_whole_database() {
         let scheme = ScoringScheme::protein_default();
         let q = prot(b"MKVLATGGARND");
-        // 70 subjects: 3 AVX2 batches (32+32+6), 5 lane-array ones.
+        // 70 subjects: two refills of every AVX2 lane, four of every
+        // lane-array one.
         let subjects: Vec<Vec<u8>> = (0..70)
             .map(|i| {
                 let mut v = q.clone();
@@ -471,6 +857,7 @@ mod tests {
                 &db,
                 db.whole(),
                 &scheme,
+                None,
                 None,
                 &mut Scratch::default(),
                 &mut TierStats::default(),
@@ -500,5 +887,151 @@ mod tests {
         assert!(Tables::build(&q, &dna).is_some());
         // Code 5 is outside the 5-letter DNA alphabet.
         assert!(Tables::build(&[0, 5], &dna).is_none());
+    }
+
+    /// The per-job cursors' blocks, end to end.
+    fn laid_out_by_cursors<const L: usize>(lineup: Lineup<'_>) -> (Vec<u8>, Vec<Start>) {
+        let mut cursors = Cursors::<L>::new(lineup);
+        let (mut columns, mut starts) = (Vec::new(), Vec::new());
+        let mut block = [[0u8; L]; BLOCK];
+        let mut block_starts = Vec::new();
+        loop {
+            let (first, width) = cursors.next_block(&mut block, &mut block_starts);
+            if width == 0 {
+                break;
+            }
+            assert_eq!(first * L, columns.len(), "blocks are contiguous");
+            columns.extend(block[..width].as_flattened());
+            assert!(block_starts.iter().all(|s| s.column < first + width));
+            starts.extend(&block_starts);
+        }
+        (columns, starts)
+    }
+
+    fn assert_sources_lay_out_alike<const L: usize>(lengths: &[usize]) {
+        let seqs: Vec<Vec<u8>> = lengths
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (0..n).map(|k| ((i + k) % 20) as u8).collect())
+            .collect();
+        let refs: Vec<&[u8]> = seqs.iter().map(Vec::as_slice).collect();
+        let db = Subjects::new(refs);
+        let lineup = Lineup {
+            seqs: db.seqs(),
+            order: db.order(),
+        };
+        let stream = Stream::build::<L>(lineup);
+        let (columns, starts) = laid_out_by_cursors::<L>(lineup);
+        assert_eq!(columns, stream.columns, "{L} lanes: columns");
+        assert_eq!(starts, stream.starts, "{L} lanes: starts");
+        assert_eq!(lineup.columns(L) * L, columns.len());
+        // The oracle: each subject in the length order goes to the lane
+        // that frees first, the lowest on a tie, and is written down that
+        // lane from there. Empty subjects at the very end start where the
+        // stream ends: the kernel never reaches them, and they keep 0.
+        let mut free_at = [0usize; L];
+        let mut want = vec![PAD; columns.len()];
+        let mut want_starts = Vec::new();
+        for subject in 0..lengths.len() {
+            let lane = (0..L).min_by_key(|&l| (free_at[l], l)).unwrap();
+            let column = free_at[lane];
+            let residues = lineup.get(subject).unwrap();
+            for (k, &r) in residues.iter().enumerate() {
+                want[(column + k) * L + lane] = r;
+            }
+            if column * L < columns.len() {
+                want_starts.push(Start {
+                    column,
+                    lane,
+                    subject,
+                });
+            }
+            free_at[lane] += residues.len();
+        }
+        assert_eq!(columns, want, "{L} lanes: columns against the oracle");
+        assert_eq!(starts, want_starts, "{L} lanes: starts against the oracle");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cursors_and_builder_lay_out_the_same_stream(
+            lengths in prop::collection::vec(
+                // Empty, short, and long enough to cross block edges.
+                (0u8..4, 0usize..700).prop_map(|(kind, n)| match kind {
+                    0 => 0,
+                    1 | 2 => n % 40,
+                    _ => n,
+                }),
+                0..90,
+            ),
+        ) {
+            assert_sources_lay_out_alike::<16>(&lengths);
+            assert_sources_lay_out_alike::<32>(&lengths);
+        }
+    }
+
+    #[test]
+    fn no_count_of_subjects_makes_a_stream_panic() {
+        for lengths in [
+            vec![],
+            vec![0; 5],
+            vec![0; 100],
+            vec![3; 100],
+            vec![BLOCK; 33],
+        ] {
+            assert_sources_lay_out_alike::<16>(&lengths);
+            assert_sources_lay_out_alike::<32>(&lengths);
+        }
+    }
+
+    #[test]
+    fn a_slice_is_shared_when_more_jobs_score_it_than_there_are_workers() {
+        let backend = Backend::Scalar;
+        let seqs: Vec<Vec<u8>> = (0..20).map(|i| vec![1; i]).collect();
+        let db: Subjects = seqs.iter().map(Vec::as_slice).collect();
+        let streams = SharedStreams::default();
+        assert!(
+            streams.get(&(0..10), 16).is_none(),
+            "nothing is shared before the rule ran"
+        );
+        let jobs = [
+            (30, 0..10),
+            (30, 0..10),
+            (40, 0..10),
+            (30, 10..20),
+            (30, 10..20),
+        ];
+        streams.share(backend, &db, jobs, 2);
+        let stream = streams.get(&(0..10), 16).unwrap();
+        let order = &db.order()[0..10];
+        let lineup = Lineup {
+            seqs: db.seqs(),
+            order,
+        };
+        assert_eq!(stream.columns.len(), lineup.columns(16) * 16);
+        assert!(
+            streams.get(&(0..10), 32).is_none(),
+            "laid out on other lanes"
+        );
+        assert!(
+            streams.get(&(10..20), 16).is_none(),
+            "two jobs on two workers"
+        );
+        assert!(streams.get(&(0..20), 16).is_none());
+        // Only the first call counts, and a slice outside the database
+        // is never shared.
+        streams.share(backend, &db, vec![(30, 10..20); 3], 1);
+        assert!(streams.get(&(10..20), 16).is_none());
+        let streams = SharedStreams::default();
+        streams.share(backend, &db, vec![(30, 15..40); 3], 1);
+        assert!(streams.get(&(15..40), 16).is_none());
+        // Queries the byte tier never runs inter-sequence do not count.
+        if Backend::Avx2.is_available() {
+            let streams = SharedStreams::default();
+            streams.share(Backend::Avx2, &db, [(2000, 0..10), (2000, 0..10)], 1);
+            assert!(streams.get(&(0..10), 32).is_none());
+        }
     }
 }

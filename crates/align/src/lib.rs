@@ -14,7 +14,8 @@
 //!   lanes, with escalation on overflow.
 //! * [`interseq`] — Rognes' inter-sequence SIMD kernel [9] (the SWIPE
 //!   baseline): one query against a vector's worth of database
-//!   sequences at once, in the same biased byte arithmetic.
+//!   sequences at once, each lane taking the next sequence as soon as
+//!   its own ends, in the same biased byte arithmetic.
 //! * [`engine`] — a common [`engine::AlignEngine`] trait plus the
 //!   database-search drivers the workers run.
 //!
@@ -35,12 +36,12 @@
 //!
 //! | tier   | kernel                                   | lanes (AVX2 / NEON, scalar)            |
 //! |--------|------------------------------------------|----------------------------------------|
-//! | byte   | inter-sequence [`interseq`] *or* striped [`striped8`], picked per batch by fill and query length | 32 subjects or 32 × u8 / 16 × u8 (inter-sequence on lane arrays) |
+//! | byte   | inter-sequence [`interseq`] stream *or* striped [`striped8`], picked at the stream's head by fill and query length | 32 lanes or 32 × u8 / 16 × u8 (inter-sequence on lane arrays) |
 //! | 16-bit | striped [`striped`]                      | 16 × i16 / 8 × i16                     |
 //! | scalar | Gotoh [`scalar`]                         | —                                      |
 //!
-//! [`tiered::score_database`] is the one batch-level entry point; both
-//! byte-tier shapes escalate exactly the same subjects.
+//! [`tiered::score_database`] is the one database-level entry point;
+//! both byte-tier shapes escalate exactly the same subjects.
 
 pub mod dispatch;
 pub mod engine;
@@ -58,6 +59,7 @@ pub mod wide;
 
 pub use dispatch::{Backend, QueryProfiles};
 pub use engine::{AlignEngine, EngineKind, PhaseTimings};
+pub use interseq::SharedStreams;
 pub use profile_cache::ProfileCache;
 pub use scalar::{gotoh_score, sw_linear_score};
 pub use scratch::Scratch;

@@ -2,10 +2,10 @@
 //!
 //! A database pass scores one query against thousands of subjects; the
 //! DP state of every kernel (`H`/`E` rows, the inter-sequence kernel's
-//! transposed residue columns) has the same shape for each of them. A
+//! block of residue columns) has the same shape for each of them. A
 //! worker owns one [`Scratch`] for its whole life and hands it to every
 //! call, so no kernel allocates per subject and the buffers stay warm
-//! in cache across batches and jobs.
+//! in cache across blocks and jobs.
 
 use crate::profile::LANES;
 use crate::striped8::LANES8;
@@ -15,12 +15,12 @@ use crate::striped8::LANES8;
 const ALIGN: usize = 64;
 
 /// Per-worker kernel working memory. Buffers grow to the largest query
-/// and longest batch seen and are never shrunk; a buffer no kernel of
+/// and widest block seen and are never shrunk; a buffer no kernel of
 /// the active backend uses stays unallocated.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Inter-sequence kernel: a block of one batch's residues,
-    /// transposed to one vector of lanes per subject position.
+    /// Inter-sequence kernel: a block of a job's stream, one vector of
+    /// lanes per column.
     columns: Vec<u8>,
     /// Inter-sequence kernel: the column's score profile, then `H` and
     /// `E` per query position.
@@ -40,11 +40,9 @@ pub struct Scratch {
     pub(crate) rows_neon16: Vec<std::arch::aarch64::int16x8_t>,
 }
 
-/// The inter-sequence kernel's working memory for one batch, `L` lanes
-/// wide. Contents are whatever the last batch left behind.
+/// The inter-sequence kernel's DP working memory, `L` lanes wide.
+/// Contents are whatever the last call left behind.
 pub(crate) struct InterseqBuffers<'a, const L: usize> {
-    /// One vector of residues per subject position.
-    pub columns: &'a mut [[u8; L]],
     /// The current column's score profile, one vector per residue code.
     pub profile: &'a mut [[u8; L]; 32],
     /// `[H, E]` per query position.
@@ -54,7 +52,7 @@ pub(crate) struct InterseqBuffers<'a, const L: usize> {
 }
 
 impl Scratch {
-    /// Buffers for a batch of `columns` subject positions against
+    /// A block of `columns` stream columns, and the DP buffers for
     /// `query_len` query positions.
     ///
     /// Profile, state and score rows share one allocation, in that
@@ -72,15 +70,14 @@ impl Scratch {
         &mut self,
         columns: usize,
         query_len: usize,
-    ) -> InterseqBuffers<'_, L> {
+    ) -> (&mut [[u8; L]], InterseqBuffers<'_, L>) {
         let columns = aligned(&mut self.columns, columns * L)
             .as_chunks_mut::<L>()
             .0;
         let (profile, rest) =
             aligned(&mut self.state, (32 + query_len * 2) * L + 32 * 32).split_at_mut(32 * L);
         let (state, rows) = rest.split_at_mut(query_len * 2 * L);
-        InterseqBuffers {
-            columns,
+        let buffers = InterseqBuffers {
             profile: profile
                 .as_chunks_mut::<L>()
                 .0
@@ -92,7 +89,8 @@ impl Scratch {
                 .0
                 .try_into()
                 .expect("32 rows remain"),
-        }
+        };
+        (columns, buffers)
     }
 }
 
@@ -130,9 +128,9 @@ mod tests {
     #[test]
     fn interseq_buffers_are_aligned_sized_and_reused() {
         let mut scratch = Scratch::default();
-        let buffers = scratch.interseq::<32>(100, 45);
-        assert_eq!((buffers.columns.len(), buffers.state.len()), (100, 45));
-        assert_eq!(buffers.columns.as_ptr() as usize % ALIGN, 0);
+        let (columns, buffers) = scratch.interseq::<32>(100, 45);
+        assert_eq!((columns.len(), buffers.state.len()), (100, 45));
+        assert_eq!(columns.as_ptr() as usize % ALIGN, 0);
         assert_eq!(buffers.profile.as_ptr() as usize % ALIGN, 0);
         assert_eq!(
             buffers.rows.as_ptr() as usize,
@@ -140,9 +138,9 @@ mod tests {
             "score rows directly after the last state row"
         );
         let grown = scratch.columns.len();
-        // A smaller batch fits in place.
-        let buffers = scratch.interseq::<16>(10, 3);
-        assert_eq!((buffers.columns.len(), buffers.state.len()), (10, 3));
+        // A smaller block fits in place.
+        let (columns, buffers) = scratch.interseq::<16>(10, 3);
+        assert_eq!((columns.len(), buffers.state.len()), (10, 3));
         assert_eq!(scratch.columns.len(), grown);
     }
 

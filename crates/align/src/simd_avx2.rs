@@ -10,7 +10,8 @@
 //!
 //! The inter-sequence byte kernel ([`crate::interseq`]) gets its AVX2
 //! instantiation here too: the [`ByteLanes`] operations on `__m256i`,
-//! with the 32-entry score lookup as two `vpshufb`.
+//! with the 32-entry score lookup as two `vpshufb`, and the refilled
+//! stream's block body over them ([`refill_avx2`]).
 //!
 //! Safety: every `unsafe` kernel is `#[target_feature(enable = "avx2")]`
 //! and only reachable through [`crate::dispatch`], which verifies AVX2
@@ -21,7 +22,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::interseq::{batch_body, ByteLanes, Tables};
+use crate::interseq::{refill_body, Block, ByteLanes, Harvest, Tables};
 use crate::scratch::{striped_rows, InterseqBuffers};
 use crate::wide::{ByteProfileW, StripedProfileW, LANES8W};
 use std::arch::x86_64::*;
@@ -245,7 +246,9 @@ pub unsafe fn striped_score_profile_avx2(
 }
 
 /// The AVX2 instantiation of the inter-sequence kernel's lane
-/// operations: 32 subjects per vector.
+/// operations: 32 lanes per vector.
+// SAFETY: every method is AVX2 intrinsics alone; the trait's contract
+// makes each caller guarantee AVX2 on the running CPU.
 impl ByteLanes<LANES8W> for __m256i {
     #[inline(always)]
     unsafe fn splat(x: u8) -> Self {
@@ -295,19 +298,23 @@ impl ByteLanes<LANES8W> for __m256i {
     }
 }
 
-/// One inter-sequence batch on AVX2 (see
-/// [`crate::interseq::batch_body`]).
+/// One block of an inter-sequence stream on AVX2 (see
+/// [`crate::interseq::refill_body`]).
 ///
 /// # Safety
 /// Requires AVX2 (checked by the dispatcher).
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn interseq8_batch_avx2(
+pub(crate) unsafe fn refill_avx2(
     query: &[u8],
     tables: &Tables,
+    block: Block<'_, LANES8W>,
     buffers: InterseqBuffers<'_, LANES8W>,
-    best: [u8; LANES8W],
-) -> [u8; LANES8W] {
-    batch_body::<__m256i, LANES8W>(query, tables, buffers, best)
+    harvest: &mut Harvest<LANES8W>,
+    maxima: &mut [u8],
+) {
+    // SAFETY: this function's own `avx2` feature is what the `__m256i`
+    // lane operations require.
+    refill_body::<__m256i, LANES8W>(query, tables, block, buffers, harvest, maxima)
 }
 
 #[cfg(test)]

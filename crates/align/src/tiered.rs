@@ -8,19 +8,20 @@
 //! in bytes, so the pipeline's throughput is essentially byte-kernel
 //! throughput with an escalation tax proportional to the hit rate.
 //!
-//! [`score_database`] is the one batch-level entry point — the CPU
+//! [`score_database`] is the one database-level entry point — the CPU
 //! worker, the simulated device's functional scorer and the engines all
 //! score a query against a database, or a slice of its length order,
-//! through it. It picks the byte
-//! tier's *shape* per batch of subjects: the inter-sequence kernel
-//! ([`crate::interseq`], many subjects per vector) when the batch fills
-//! its lanes well enough for the query's length
-//! ([`Backend::interseq_min_fill`], measured), Farrar's striped kernel
-//! otherwise. Both shapes share one bias and one saturation limit, so they
-//! escalate exactly the same subjects and [`TierStats`] does not depend
-//! on the pick. Escalations run the striped 16-bit kernel from a
-//! [`QueryProfiles`] bundle that is built (or fetched from the
-//! [`ProfileCache`]) only when first needed.
+//! through it. It picks the byte tier's *shape* once per job, at the
+//! head of the slice: the slice is one refilled inter-sequence stream
+//! ([`crate::interseq`], many subjects per vector), except that head
+//! subjects go through Farrar's striped kernel one by one for as long as
+//! the stream of the rest would fill too few of its cells for the
+//! query's length ([`Backend::interseq_min_fill`], measured). Both shapes
+//! share one bias and one saturation limit, so they escalate exactly the
+//! same subjects and [`TierStats`] does not depend on the pick.
+//! Escalations run the striped 16-bit kernel from a [`QueryProfiles`]
+//! bundle that is built (or fetched from the [`ProfileCache`]) only when
+//! first needed.
 //!
 //! [`TierStats`] counts how many subjects each tier resolved; each
 //! runtime worker journals its totals when its queue closes, so the
@@ -28,7 +29,7 @@
 
 use crate::dispatch::{Backend, QueryProfiles};
 use crate::engine::PhaseTimings;
-use crate::interseq::{Tables, MAX_LANES};
+use crate::interseq::{Lineup, SharedStreams, Tables};
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
@@ -37,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use swdual_bio::{ScoringScheme, Sequence, SequenceSet, SqbImage};
 
-/// Where each subject of a batch was resolved.
+/// Where each subject of a job was resolved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Subjects scored in total.
@@ -51,7 +52,7 @@ pub struct TierStats {
 }
 
 impl TierStats {
-    /// Merge another batch's counts into this one.
+    /// Merge another job's counts into this one.
     pub fn merge(&mut self, other: &TierStats) {
         self.subjects += other.subjects;
         self.byte_resolved += other.byte_resolved;
@@ -96,9 +97,9 @@ fn escalate(
 }
 
 /// A database as the search scores it: the borrowed subjects, the order
-/// the inter-sequence kernel visits them in (longest first, so a batch's
-/// lanes end close together) and the residues that precede each position
-/// of that order. Built once per search and borrowed by every worker and
+/// the inter-sequence kernel deals them to its lanes in (longest first,
+/// so the lanes of a stream end close together) and the residues that
+/// precede each position of that order. Built once per search and borrowed by every worker and
 /// device residency; a *slice* — the unit a job scores — is a range of
 /// positions of the length order.
 #[derive(Debug, Clone, Default)]
@@ -257,22 +258,22 @@ impl<'a> From<&'a SequenceSet> for Subjects<'a> {
 /// property tests and the `EngineKind::InterSeq` ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByteShape {
-    /// Per batch, whichever shape [`Backend::interseq_min_fill`] says
-    /// is cheaper: a batch too ragged or too empty to pay for its
-    /// padding sends its longest subject through the striped ladder and
-    /// the window slides on. One rule covers the long outliers at the
-    /// head of the length order, the part-empty batch at its tail, and
-    /// longer queries, for which only fuller batches pay.
+    /// Once per job, at the head of the stream: while the stream would
+    /// fill fewer of its cells than [`Backend::interseq_min_fill`] asks,
+    /// its head subject goes through the striped ladder instead. One rule
+    /// covers long outliers at the head of the length order, slices too
+    /// small to fill the lanes, and longer queries, for which only
+    /// fuller streams pay.
     Auto,
     /// Farrar's striped kernel for every subject.
     Striped,
-    /// The inter-sequence kernel for every batch, however ragged.
+    /// The inter-sequence stream for every subject, however ragged.
     InterSeq,
 }
 
 impl Backend {
     /// The pick rule of [`ByteShape::Auto`]: the smallest *fill* — real
-    /// residues over `lanes × longest` cells — at which a batch is
+    /// residues over `lanes × columns` cells — at which a stream is
     /// cheaper inter-sequence than through the striped kernel, for a
     /// query of `query_len`; `None` when the byte tier should not run
     /// inter-sequence at all.
@@ -287,7 +288,7 @@ impl Backend {
     /// both forced shapes at every point). From 1024 residues the pick
     /// is striped outright: the inter-sequence `H`/`E` state (64 B per
     /// query residue) has left L1 for L2, one thread on a quiet host
-    /// still measures it 7–11 % ahead on full batches, but two workers
+    /// still measured it 7–11 % ahead on full batches, but two workers
     /// end to end are level with the striped kernel and their rate
     /// swings twice as far from run to run (`cpu_long`, EXPERIMENTS.md,
     /// "Run-to-run spread"). The lane-array kernels break even at 0.45
@@ -340,25 +341,27 @@ impl LazyProfiles<'_> {
     }
 }
 
-/// Ask for `subject`'s cache lines ahead of the batch that reads them.
-///
-/// The length order scatters a batch over the database, so transposing
-/// it opens up to `lanes` cold streams at once, and on a database that
-/// outgrows L2 their misses cost a fifth of a short query's time — more
-/// when the memory system is busy. Requested one batch ahead, the lines
-/// arrive while the current batch computes. A hint only: backends
-/// without one skip it.
-#[inline]
-fn prefetch(subject: &[u8]) {
-    #[cfg(target_arch = "x86_64")]
-    for line in subject.chunks(64) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
-        // SAFETY: a prefetch cannot fault and changes no architectural
-        // state; SSE is part of the x86_64 baseline.
-        unsafe { _mm_prefetch::<_MM_HINT_T1>(line.as_ptr() as *const i8) };
+/// Whether the stream of the subjects at `positions` of `db`'s length
+/// order, dealt to `lanes` lanes, fills at least `min_fill` of its cells
+/// with residues. A stream is at least as long as its longest subject
+/// and as `residues / lanes`, and at most their sum (Graham's bound for
+/// list scheduling); those settle most slices without dealing any out.
+fn fills(db: &Subjects<'_>, positions: Range<usize>, lanes: usize, min_fill: f64) -> bool {
+    let residues = db.residues_in(positions.clone()) as f64;
+    let longest = db.in_order(positions.clone()).next().map_or(0, <[u8]>::len) as f64;
+    let per_lane = residues / lanes as f64;
+    let fills = |columns: f64| residues >= min_fill * lanes as f64 * columns;
+    if fills(per_lane + longest) {
+        return true;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = subject;
+    if !fills(per_lane.max(longest)) {
+        return false;
+    }
+    let lineup = Lineup {
+        seqs: db.seqs(),
+        order: &db.order()[positions],
+    };
+    fills(lineup.columns(lanes) as f64)
 }
 
 /// Score `query` against the subjects of `slice` — a range of positions
@@ -367,7 +370,8 @@ fn prefetch(subject: &[u8]) {
 /// exact and in the slice's order: `scores[j]` belongs to subject
 /// `db.order()[slice.start + j]`. `stats` gains one count per subject.
 /// `profile_build` covers the inter-sequence tables and any striped
-/// profile build or cache lookup, `dp_inner` everything else.
+/// profile build or cache lookup, `dp_inner` everything else. The
+/// inter-sequence stream is laid out for this job alone.
 ///
 /// # Panics
 /// When `slice` is not a range of positions of the length order.
@@ -388,13 +392,15 @@ pub fn score_database(
         slice,
         scheme,
         cache,
+        None,
         scratch,
         stats,
     )
 }
 
 /// [`score_database`] on an explicit backend with an explicit byte-tier
-/// shape.
+/// shape, taking the inter-sequence stream from `streams` when they
+/// share the slice's and no head subject was peeled striped.
 #[allow(clippy::too_many_arguments)]
 pub fn score_database_with(
     backend: Backend,
@@ -404,6 +410,7 @@ pub fn score_database_with(
     slice: Range<usize>,
     scheme: &ScoringScheme,
     cache: Option<&ProfileCache>,
+    streams: Option<&SharedStreams>,
     scratch: &mut Scratch,
     stats: &mut TierStats,
 ) -> (Vec<i32>, PhaseTimings) {
@@ -426,7 +433,7 @@ pub fn score_database_with(
     };
 
     let seqs = db.seqs();
-    let order = &db.by_length[slice];
+    let order = &db.by_length[slice.clone()];
     let mut scores = vec![0i32; order.len()];
     match inter_sequence {
         None => {
@@ -437,36 +444,30 @@ pub fn score_database_with(
         }
         Some((tables, min_fill)) => {
             let lanes = backend.interseq_lanes();
-            let mut batch: Vec<&[u8]> = Vec::with_capacity(lanes);
-            let mut best = [0u8; MAX_LANES];
-            // `order[at..]` is still to score.
-            let mut at = 0;
-            while let Some(&longest) = order.get(at) {
-                let ids = &order[at..(at + lanes).min(order.len())];
-                let residues: usize = ids.iter().map(|&i| seqs[i as usize].len()).sum();
-                let cells = lanes * seqs[longest as usize].len();
-                if (residues as f64) < min_fill * cells as f64 {
-                    let subject = seqs[longest as usize];
-                    scores[at] = tiered_score(profiles.get(), subject, scheme, scratch, stats);
-                    at += 1;
-                    continue;
-                }
-                batch.clear();
-                batch.extend(ids.iter().map(|&i| seqs[i as usize]));
-                for &i in order[at + ids.len()..].iter().take(lanes) {
-                    prefetch(seqs[i as usize]);
-                }
-                backend.interseq8(query, &tables, &batch, scratch, &mut best);
-                for ((score, &i), &lane_best) in scores[at..].iter_mut().zip(ids).zip(&best) {
-                    stats.subjects += 1;
-                    *score = if lane_best < tables.limit {
-                        stats.byte_resolved += 1;
-                        lane_best as i32
-                    } else {
-                        escalate(profiles.get(), seqs[i as usize], scheme, scratch, stats)
-                    };
-                }
-                at += ids.len();
+            let mut peeled = 0;
+            while peeled < order.len()
+                && !fills(db, slice.start + peeled..slice.end, lanes, min_fill)
+            {
+                let subject = seqs[order[peeled] as usize];
+                scores[peeled] = tiered_score(profiles.get(), subject, scheme, scratch, stats);
+                peeled += 1;
+            }
+            let order = &order[peeled..];
+            let lineup = Lineup { seqs, order };
+            // A shared stream holds the whole slice.
+            let shared = streams
+                .filter(|_| peeled == 0)
+                .and_then(|s| s.get(&slice, lanes));
+            let mut maxima = vec![0u8; order.len()];
+            backend.interseq8(query, &tables, lineup, shared, scratch, &mut maxima);
+            for ((score, &i), &best) in scores[peeled..].iter_mut().zip(order).zip(&maxima) {
+                stats.subjects += 1;
+                *score = if best < tables.limit {
+                    stats.byte_resolved += 1;
+                    best as i32
+                } else {
+                    escalate(profiles.get(), seqs[i as usize], scheme, scratch, stats)
+                };
             }
         }
     }

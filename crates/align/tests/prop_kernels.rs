@@ -2,12 +2,13 @@
 //! reference on arbitrary sequences and arbitrary scoring schemes.
 
 use proptest::prelude::*;
+use std::ops::Range;
 use swdual_align::dispatch::{Backend, QueryProfiles};
 use swdual_align::engine::EngineKind;
 use swdual_align::scalar::{gotoh_score, sw_linear_score};
 use swdual_align::striped::striped_score_exact;
 use swdual_align::tiered::{score_database_with, tiered_score, ByteShape, Subjects, TierStats};
-use swdual_align::Scratch;
+use swdual_align::{Scratch, SharedStreams};
 use swdual_bio::{Alphabet, Matrix, ScoringScheme};
 
 /// Random protein residues (codes 0..20, the unambiguous amino acids).
@@ -71,6 +72,7 @@ proptest! {
                 &db,
                 db.whole(),
                 &sch,
+                None,
                 None,
                 &mut Scratch::default(),
                 &mut TierStats::default(),
@@ -246,14 +248,14 @@ proptest! {
     }
 }
 
-// ---- batch-level scoring: `score_database` ----------------------------
+// ---- database-level scoring: `score_database` -------------------------
 //
 // The one entry point the workers and the simulated device score a
 // database through must return the Gotoh score of every subject *and*
 // resolve each in the tier the per-subject striped ladder would have —
-// whichever shape the byte tier runs, on every backend. Escalation
-// counts are journaled and benchmark-gated, so "same scores" is not
-// enough.
+// whichever shape the byte tier runs, whichever source its stream comes
+// from, on every backend. Escalation counts are journaled and
+// benchmark-gated, so "same scores" is not enough.
 
 /// Residues over the whole protein alphabet: ambiguity codes and `*`
 /// (code `size − 1`) included.
@@ -261,10 +263,11 @@ fn any_residues(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..24, 0..max_len)
 }
 
-/// 0…70 subjects — no batch, single-lane, partial and several full
-/// batches on every backend — of wildly uneven lengths: a quarter
-/// empty, a quarter a few residues, the rest up to 60 or, repeated,
-/// 240. (Sizes are kept small: tier-1 runs these unoptimised.)
+/// 0…70 subjects — none, one lane, fewer than the lanes and several
+/// refills of each on every backend — of wildly uneven lengths: a
+/// quarter empty, a quarter a few residues, the rest up to 60 or,
+/// repeated, 240. (Sizes are kept small: tier-1 runs these
+/// unoptimised.)
 fn uneven_subjects() -> impl Strategy<Value = Vec<Vec<u8>>> {
     let subject = (0u8..8, any_residues(60)).prop_map(|(kind, s)| match kind {
         0 | 1 => Vec::new(),
@@ -292,8 +295,25 @@ fn striped_ladder(
     (scores, stats)
 }
 
-/// Every backend × every byte-tier shape against Gotoh and the
-/// per-subject ladder.
+/// Streams that share `slices`: each is scored by two jobs, on one
+/// worker.
+fn sharing(
+    backend: Backend,
+    db: &Subjects<'_>,
+    query_len: usize,
+    slices: &[Range<usize>],
+) -> SharedStreams {
+    let streams = SharedStreams::default();
+    let jobs = slices
+        .iter()
+        .flat_map(|s| [(query_len, s.clone()), (query_len, s.clone())]);
+    streams.share(backend, db, jobs, 1);
+    streams
+}
+
+/// Every backend × every byte-tier shape × both stream sources against
+/// Gotoh and the per-subject ladder, on the whole database and cut in
+/// two at 40 % of its residues.
 fn assert_database_exact(
     q: &[u8],
     subjects: &[Vec<u8>],
@@ -301,39 +321,68 @@ fn assert_database_exact(
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let want: Vec<i32> = subjects.iter().map(|s| gotoh_score(q, s, sch)).collect();
     let db: Subjects = subjects.iter().map(|s| s.as_slice()).collect();
-    // One scratch across every call: leftovers of one batch, shape or
+    let cut = db.cut_at(0.4, 1);
+    let slices = [db.whole(), 0..cut, cut..db.len()];
+    // One scratch across every call: leftovers of one stream, shape or
     // lane width must never leak into the next.
     let scratch = &mut Scratch::default();
     for backend in Backend::available() {
         let (ladder, ladder_stats) = striped_ladder(backend, q, subjects, sch);
         prop_assert_eq!(&ladder, &want, "striped ladder on {}", backend);
+        let shared = sharing(backend, &db, q.len(), &slices);
         for shape in [ByteShape::Auto, ByteShape::Striped, ByteShape::InterSeq] {
-            let mut score = |slice: std::ops::Range<usize>, stats: &mut TierStats| {
-                score_database_with(backend, shape, q, &db, slice, sch, None, scratch, stats).0
-            };
-            let mut stats = TierStats::default();
-            let whole = score(db.whole(), &mut stats);
-            prop_assert_eq!(
-                &db.in_database_order(&whole),
-                &want,
-                "{:?} on {}",
-                shape,
-                backend
-            );
-            prop_assert_eq!(stats, ladder_stats, "tiers of {:?} on {}", shape, backend);
-            // Cut anywhere, the slices score and resolve as the whole.
-            let cut = db.cut_at(0.4, 1);
-            let mut stats = TierStats::default();
-            let mut sliced = score(0..cut, &mut stats);
-            sliced.extend(score(cut..db.len(), &mut stats));
-            prop_assert_eq!(&sliced, &whole, "{:?} on {} cut at {}", shape, backend, cut);
-            prop_assert_eq!(
-                stats,
-                ladder_stats,
-                "sliced tiers of {:?} on {}",
-                shape,
-                backend
-            );
+            for streams in [None, Some(&shared)] {
+                let mut score = |slice: Range<usize>, stats: &mut TierStats| {
+                    score_database_with(
+                        backend, shape, q, &db, slice, sch, None, streams, scratch, stats,
+                    )
+                    .0
+                };
+                let source = if streams.is_some() {
+                    "shared"
+                } else {
+                    "per job"
+                };
+                let mut stats = TierStats::default();
+                let whole = score(db.whole(), &mut stats);
+                prop_assert_eq!(
+                    &db.in_database_order(&whole),
+                    &want,
+                    "{:?} on {}, {}",
+                    shape,
+                    backend,
+                    source
+                );
+                prop_assert_eq!(
+                    stats,
+                    ladder_stats,
+                    "tiers of {:?} on {}, {}",
+                    shape,
+                    backend,
+                    source
+                );
+                // Cut anywhere, the slices score and resolve as the whole.
+                let mut stats = TierStats::default();
+                let mut sliced = score(0..cut, &mut stats);
+                sliced.extend(score(cut..db.len(), &mut stats));
+                prop_assert_eq!(
+                    &sliced,
+                    &whole,
+                    "{:?} on {}, {}, cut at {}",
+                    shape,
+                    backend,
+                    source,
+                    cut
+                );
+                prop_assert_eq!(
+                    stats,
+                    ladder_stats,
+                    "sliced tiers of {:?} on {}, {}",
+                    shape,
+                    backend,
+                    source
+                );
+            }
         }
     }
     Ok(())
@@ -373,19 +422,82 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn both_sources_exact_on_a_slice_that_starts_mid_order(
+        q in residues(60),
+        subjects in uneven_subjects(),
+        bounds in (0usize..71, 0usize..71),
+        sch in blosum_scheme(),
+    ) {
+        let db: Subjects = subjects.iter().map(|s| s.as_slice()).collect();
+        let (a, b) = (bounds.0.min(db.len()), bounds.1.min(db.len()));
+        let slice = a.min(b)..a.max(b);
+        let ids = &db.order()[slice.clone()];
+        let want: Vec<i32> = ids.iter().map(|&i| gotoh_score(&q, db.seqs()[i as usize], &sch)).collect();
+        let in_slice: Vec<Vec<u8>> = ids.iter().map(|&i| db.seqs()[i as usize].to_vec()).collect();
+        for backend in Backend::available() {
+            let (_, ladder_stats) = striped_ladder(backend, &q, &in_slice, &sch);
+            let shared = sharing(backend, &db, q.len(), std::slice::from_ref(&slice));
+            for streams in [None, Some(&shared)] {
+                let mut stats = TierStats::default();
+                let (got, _) = score_database_with(
+                    backend,
+                    ByteShape::InterSeq,
+                    &q,
+                    &db,
+                    slice.clone(),
+                    &sch,
+                    None,
+                    streams,
+                    &mut Scratch::default(),
+                    &mut stats,
+                );
+                prop_assert_eq!(&got, &want, "{} {:?}, shared: {}", backend, slice, streams.is_some());
+                prop_assert_eq!(stats, ladder_stats, "tiers on {}", backend);
+            }
+        }
+    }
+}
+
+#[test]
+fn refills_land_on_block_edges() {
+    // Every lane but the first frees at column 256, the edge of the
+    // per-job source's first block, and the 600-residue head runs across
+    // two edges; a third of the subjects score exactly at the byte
+    // limit (+5/−5: 49 matches = 245) and must escalate.
+    let sch = ScoringScheme::new(Matrix::match_mismatch(Alphabet::Protein, 5, -5), 10, 2);
+    let q = vec![2u8; 60];
+    let mut subjects = vec![vec![3u8; 600]];
+    for n in 0..70usize {
+        let mut s = vec![(n % 20) as u8; 256];
+        if n % 3 == 0 {
+            s[100..149].fill(2);
+        }
+        subjects.push(s);
+    }
+    subjects.extend((0..40).map(|n| vec![2u8; n]));
+    assert_database_exact(&q, &subjects, &sch).unwrap();
+    let (_, stats) = striped_ladder(Backend::active(), &q, &subjects, &sch);
+    assert!(stats.escalated_16 >= 24, "{stats:?}");
+}
+
 #[test]
 fn score_database_handles_empty_query_and_empty_database() {
     let sch = ScoringScheme::protein_default();
     let subjects = vec![vec![3u8; 40], vec![], vec![7u8; 9]];
     assert_database_exact(&[], &subjects, &sch).unwrap();
     assert_database_exact(&[3u8; 20], &[], &sch).unwrap();
+    assert_database_exact(&[3u8; 20], &[vec![], vec![]], &sch).unwrap();
 }
 
 #[test]
 fn score_database_exact_on_long_queries() {
-    // Long enough that `Auto` sends ragged batches striped and keeps
-    // near-uniform ones inter-sequence: 40 subjects of 60–99 residues
-    // plus outliers at both ends.
+    // Long enough that `Auto` peels the long head subjects striped and
+    // keeps the near-uniform rest inter-sequence: 40 subjects of 60–99
+    // residues plus outliers at both ends.
     let sch = ScoringScheme::protein_default();
     let residue = |i: usize| ((i * 7 + i / 13) % 20) as u8;
     let q: Vec<u8> = (0..500).map(residue).collect();

@@ -18,9 +18,11 @@
 //!   per-backend MCUPS, ns/cell, speedups vs scalar, cache timings, and
 //!   the `sweep` section: query lengths 30 … 5000 against a
 //!   UniProt-shaped subject set and a 64-sequence one, byte tier forced
-//!   striped, forced inter-sequence, and picked automatically, per
-//!   backend — where the constants of `Backend::interseq_min_fill`
-//!   (`align::tiered`'s pick rule) come from.
+//!   striped, forced inter-sequence (one refilled stream per pass, laid
+//!   out by the pass itself as a job that shares no stream does), and
+//!   picked automatically, per backend — where the constants of
+//!   `Backend::interseq_min_fill` (`align::tiered`'s pick rule) come
+//!   from.
 //! * One `kernels` entry appended to the `BENCH_trend.json` ledger
 //!   (ns/cell, lower is better) for `swdual diff --bench` to gate on.
 //!
@@ -41,8 +43,9 @@ use swdual_datagen::{synthetic_database, LengthModel};
 const SWEEP_QUERY_LENS: [usize; 8] = [30, 60, 120, 250, 500, 1000, 2000, 5000];
 
 /// Subject sets of the sweep, both with the paper's UniProt length
-/// distribution (gamma, mean 362): enough sequences that batches fill,
-/// and the 64 of the `tiny_tasks` benchmark workload, where they do not.
+/// distribution (gamma, mean 362): enough sequences that the stream's
+/// lanes stay full, and the 64 of the `tiny_tasks` benchmark workload,
+/// whose longest subject holds the stream well past the rest.
 const SWEEP_SETS: [(&str, usize); 2] = [("uniprot", 1024), ("tiny64", 64)];
 
 /// The three byte-tier shapes timed at every sweep point.
@@ -74,7 +77,7 @@ fn pass(
     let mut stats = TierStats::default();
     let whole = db.whole();
     let (scores, _) = score_database_with(
-        backend, shape, query, db, whole, scheme, None, scratch, &mut stats,
+        backend, shape, query, db, whole, scheme, None, None, scratch, &mut stats,
     );
     (scores, stats)
 }
@@ -362,7 +365,7 @@ fn main() {
     ));
     json.push_str("  \"sweep\": {\n");
     for (i, (backend, sets)) in sweep.iter().enumerate() {
-        // Where striped first catches up on the set whose batches fill.
+        // Where striped first catches up on the set whose stream fills.
         let measured = sets[0]
             .2
             .iter()

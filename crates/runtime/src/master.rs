@@ -52,7 +52,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
-use swdual_align::Subjects;
+use swdual_align::{Backend, SharedStreams, Subjects};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_bio::SqbImage;
@@ -270,9 +270,10 @@ impl SearchOutcome {
 const ABSENT_SPECIES_PENALTY: f64 = 1.0e6;
 
 /// Slice boundaries fall on multiples of this many positions of the
-/// length order (or at its end): a multiple of every kernel's batch and
-/// every zoo device's warp, so a slice is batched and padded exactly as
-/// the same subjects are in an uncut run.
+/// length order (or at its end): a multiple of every zoo device's warp,
+/// so a device batches and pads a slice's subjects exactly as it does
+/// in an uncut run. (The CPU kernel's stream deals a slice's subjects
+/// to its lanes afresh, wherever the slice starts.)
 const SLICE_ALIGN: usize = 128;
 
 /// Build the scheduler instance from the rate models the workers
@@ -339,6 +340,7 @@ fn spawn_workers<'scope>(
     scope: &'scope Scope<'scope, '_>,
     workers: &[WorkerSpec],
     database: &'scope Subjects<'scope>,
+    streams: &'scope SharedStreams,
     queries: &Arc<SequenceSet>,
     config: &RuntimeConfig,
 ) -> (Links, Vec<ScopedJoinHandle<'scope, ()>>) {
@@ -360,6 +362,7 @@ fn spawn_workers<'scope>(
         let ctx = WorkerContext {
             worker_id,
             database,
+            streams,
             queries: Arc::clone(queries),
             scheme: config.scheme.clone(),
             top_k: config.top_k,
@@ -686,8 +689,11 @@ pub fn try_run_search(
     let n_queries = queries.len();
     let queries = Arc::new(queries);
     // The length order and its prefix sums: built once, borrowed by the
-    // allocator and every worker.
+    // allocator and every worker. Beside them, the inter-sequence streams
+    // of the slices that more jobs score than there are CPU workers —
+    // which slices, the allocation decides.
     let subjects = Subjects::from(&*database);
+    let streams = SharedStreams::default();
     let db_residues = subjects.total_residues();
     let total_cells: u64 = queries.iter().map(|q| q.len() as u64 * db_residues).sum();
     let obs = &config.obs;
@@ -699,7 +705,8 @@ pub fn try_run_search(
     // the scope joins them.
     let (results, query_of, schedule) = std::thread::scope(|scope| {
         let t_register = obs.now();
-        let (mut links, threads) = spawn_workers(scope, workers, &subjects, &queries, &config);
+        let (mut links, threads) =
+            spawn_workers(scope, workers, &subjects, &streams, &queries, &config);
         let (registrations, alive) = collect_registrations(&mut links, workers, &config);
         obs.span(
             Track::Master,
@@ -716,6 +723,12 @@ pub fn try_run_search(
         }
 
         let allocation = allocate(&queries, &subjects, &registrations, &config)?;
+        let cpu_workers = registrations.iter().filter(|r| !r.is_gpu).count();
+        let jobs = allocation.units.iter().map(|unit| {
+            let query_len = queries.get(unit.query_index).map_or(0, |q| q.len());
+            (query_len, unit.slice.start..unit.slice.end)
+        });
+        streams.share(Backend::active(), &subjects, jobs, cpu_workers);
         let query_of: Vec<usize> = allocation.units.iter().map(|u| u.query_index).collect();
         let is_gpu = workers.iter().map(|w| w.is_gpu()).collect();
         let shell = Shell {

@@ -21,7 +21,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swdual_align::engine::{EngineKind, PhaseTimings};
-use swdual_align::{ProfileCache, Scratch, Subjects, TierStats};
+use swdual_align::{ProfileCache, Scratch, SharedStreams, Subjects, TierStats};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
 use swdual_gpusim::{DeviceClass, DeviceSpec, GpuDevice};
@@ -152,6 +152,9 @@ pub struct WorkerContext<'a> {
     /// order and that order's residue prefix sums, built once per search
     /// and borrowed by every worker.
     pub database: &'a Subjects<'a>,
+    /// The inter-sequence streams of the slices the search shares, lent
+    /// to every CPU worker.
+    pub streams: &'a SharedStreams,
     /// The query set (shared).
     pub queries: Arc<SequenceSet>,
     /// Scoring parameters.
@@ -469,6 +472,7 @@ pub fn worker_loop(
                     slice.clone(),
                     &ctx.scheme,
                     Some(&profile_cache),
+                    Some(ctx.streams),
                     &mut scratch,
                 );
                 let hits = ctx.hits_of(slice.clone(), &scores);
@@ -679,6 +683,7 @@ mod tests {
         let ctx = WorkerContext {
             worker_id,
             database: &Subjects::from(&image),
+            streams: &SharedStreams::default(),
             queries: Arc::new(tiny_queries()),
             scheme: ScoringScheme::protein_default(),
             top_k: TOP_K,
