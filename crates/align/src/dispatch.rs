@@ -9,15 +9,15 @@
 //! | backend   | ISA        | striped byte     | inter-sequence byte   | word kernel       |
 //! |-----------|------------|------------------|-----------------------|-------------------|
 //! | `avx2`    | x86-64 AVX2| 32 × u8 (256-bit)| 32 subjects × u8      | 16 × i16 (256-bit)|
-//! | `neon`    | aarch64    | 16 × u8          | 16 × u8 arrays        | 8 × i16           |
 //! | `scalar`  | any        | 16 × u8 arrays   | 16 subjects × u8 arrays| 8 × i16 arrays   |
 //!
 //! `scalar` is the autovectorized lane-array code in [`crate::striped`] /
 //! [`crate::striped8`] / [`crate::interseq`] — always available, and the
-//! oracle the property tests pin every other backend against. Detection
-//! runs once per process ([`Backend::active`], a `OnceLock`); the env var
-//! `SWDUAL_KERNEL_BACKEND=scalar|avx2|neon` overrides it, which CI uses
-//! to force the fallback path on hosts that would dispatch wide.
+//! oracle the property tests pin every other backend against, and what
+//! every host without AVX2 (aarch64 included) runs. Detection runs once
+//! per process ([`Backend::active`], a `OnceLock`); the env var
+//! `SWDUAL_KERNEL_BACKEND=scalar|avx2` overrides it, which CI uses to
+//! force the fallback path on hosts that would dispatch wide.
 //!
 //! All backends return bit-identical `Option<i32>` results: the striped
 //! interleave changes which DP cells share a register, never the
@@ -39,8 +39,6 @@ pub enum Backend {
     Scalar,
     /// 256-bit AVX2 intrinsics (x86-64, runtime-detected).
     Avx2,
-    /// 128-bit NEON intrinsics (aarch64 baseline).
-    Neon,
 }
 
 impl Backend {
@@ -49,7 +47,6 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         }
     }
 
@@ -58,7 +55,6 @@ impl Backend {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Backend::Scalar),
             "avx2" => Some(Backend::Avx2),
-            "neon" => Some(Backend::Neon),
             _ => None,
         }
     }
@@ -71,13 +67,12 @@ impl Backend {
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2 => false,
-            Backend::Neon => cfg!(target_arch = "aarch64"),
         }
     }
 
     /// Every backend usable on this host, fastest first, `Scalar` last.
     pub fn available() -> Vec<Backend> {
-        [Backend::Avx2, Backend::Neon, Backend::Scalar]
+        [Backend::Avx2, Backend::Scalar]
             .into_iter()
             .filter(|b| b.is_available())
             .collect()
@@ -122,8 +117,8 @@ impl std::fmt::Display for Backend {
 }
 
 /// The profile bundle one backend scores a query with: the narrow
-/// layouts always (they are the 16-bit/byte inputs of the scalar and
-/// NEON backends *and* the escalation oracle), the wide layouts
+/// layouts always (they are the 16-bit/byte inputs of the scalar
+/// backend *and* the escalation oracle), the wide layouts
 /// only when the backend consumes them. `byte` layouts are `None` when
 /// the matrix cannot be biased into a byte — every subject then starts
 /// at the 16-bit tier.
@@ -206,13 +201,6 @@ impl QueryProfiles {
                 // available, so an `Avx2` bundle means AVX2 was detected.
                 unsafe { crate::simd_avx2::striped8_score_profile_avx2(p, subject, scheme, rows) }
             }
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => {
-                let p = self.byte.as_ref()?;
-                let rows = &mut scratch.rows_neon8;
-                // SAFETY: NEON is baseline on aarch64.
-                unsafe { crate::simd_neon::striped8_score_profile_neon(p, subject, scheme, rows) }
-            }
             _ => {
                 let p = self.byte.as_ref()?;
                 crate::striped8::striped8_score_profile(p, subject, scheme, &mut scratch.rows8)
@@ -237,12 +225,6 @@ impl QueryProfiles {
                 // SAFETY: `build_for` refuses a backend that is not
                 // available, so an `Avx2` bundle means AVX2 was detected.
                 unsafe { crate::simd_avx2::striped_score_profile_avx2(p, subject, scheme, rows) }
-            }
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => {
-                let (p, rows) = (&self.striped, &mut scratch.rows_neon16);
-                // SAFETY: NEON is baseline on aarch64.
-                unsafe { crate::simd_neon::striped_score_profile_neon(p, subject, scheme, rows) }
             }
             _ => crate::striped::striped_score_profile(
                 &self.striped,
@@ -274,7 +256,7 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for b in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+        for b in [Backend::Scalar, Backend::Avx2] {
             assert_eq!(Backend::from_name(b.name()), Some(b));
             assert_eq!(Backend::from_name(&b.name().to_uppercase()), Some(b));
         }
@@ -287,8 +269,11 @@ mod tests {
         // Unknown or unavailable names fall back to detection.
         let detected = Backend::resolve(None);
         assert_eq!(Backend::resolve(Some("not-an-isa")), detected);
-        // A name retired from the vocabulary behaves like any unknown one.
-        assert_eq!(Backend::resolve(Some("portable")), Backend::available()[0]);
+        // Names retired from the vocabulary behave like any unknown one.
+        for retired in ["portable", "neon"] {
+            assert_eq!(Backend::from_name(retired), None);
+            assert_eq!(Backend::resolve(Some(retired)), detected);
+        }
         assert!(detected.is_available());
     }
 

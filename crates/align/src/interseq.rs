@@ -655,8 +655,7 @@ impl Backend {
                 // SAFETY: the guard just detected AVX2 on this CPU.
                 unsafe { score_stream(kernel, query, tables, lineup, shared, scratch, maxima) }
             }
-            // NEON and `std::simd` have no instantiation yet (none could
-            // be measured on this host); they run the lane arrays.
+            // Every other host runs the lane arrays.
             _ => {
                 // SAFETY: the lane arrays need no instruction set.
                 unsafe {

@@ -29,12 +29,12 @@
 //! exactly how SWIPE and STRIPED handle the same problem.
 //!
 //! On top of the kernels sits a runtime [`dispatch`] layer (detect the
-//! host ISA once, route through AVX2 / NEON / scalar backends), a [`profile_cache`] that reuses built query profiles
-//! across jobs, per-worker kernel working memory ([`scratch`]), and the
-//! [`tiered`] SWIPE-style pipeline that is the default database scoring
-//! path:
+//! host ISA once, route through AVX2 or scalar lane-array backends), a
+//! [`profile_cache`] that reuses built query profiles across jobs,
+//! per-worker kernel working memory ([`scratch`]), and the [`tiered`]
+//! SWIPE-style pipeline that is the default database scoring path:
 //!
-//! | tier   | kernel                                   | lanes (AVX2 / NEON, scalar)            |
+//! | tier   | kernel                                   | lanes (AVX2, scalar)                   |
 //! |--------|------------------------------------------|----------------------------------------|
 //! | byte   | inter-sequence [`interseq`] stream *or* striped [`striped8`], picked at the stream's head by fill and query length | 32 lanes or 32 × u8 / 16 × u8 (inter-sequence on lane arrays) |
 //! | 16-bit | striped [`striped`]                      | 16 × i16 / 8 × i16                     |
@@ -51,7 +51,6 @@ pub mod profile_cache;
 pub mod scalar;
 pub mod scratch;
 pub mod simd_avx2;
-pub mod simd_neon;
 pub mod striped;
 pub mod striped8;
 pub mod tiered;

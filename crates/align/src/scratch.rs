@@ -32,12 +32,6 @@ pub struct Scratch {
     /// Striped rows of both AVX2 kernels.
     #[cfg(target_arch = "x86_64")]
     pub(crate) rows_avx2: Vec<std::arch::x86_64::__m256i>,
-    /// Striped rows of the NEON byte kernel.
-    #[cfg(target_arch = "aarch64")]
-    pub(crate) rows_neon8: Vec<std::arch::aarch64::uint8x16_t>,
-    /// Striped rows of the NEON 16-bit kernel.
-    #[cfg(target_arch = "aarch64")]
-    pub(crate) rows_neon16: Vec<std::arch::aarch64::int16x8_t>,
 }
 
 /// The inter-sequence kernel's DP working memory, `L` lanes wide.

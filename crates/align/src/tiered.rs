@@ -301,8 +301,6 @@ impl Backend {
                 Some(0.30 + 0.075 * doublings)
             }
             Backend::Scalar => Some(0.45),
-            // No instantiation of their own and no measurement.
-            Backend::Neon => None,
         }
     }
 }

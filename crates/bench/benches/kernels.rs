@@ -3,8 +3,8 @@
 //! query-length sweep of the byte tier's two shapes (striped vs
 //! inter-sequence) through `score_database`.
 //!
-//! For every SIMD backend reachable on this host (AVX2 / NEON /
-//! portable / scalar — see `swdual_align::dispatch`), a full run scores
+//! For every SIMD backend reachable on this host (AVX2 / scalar — see
+//! `swdual_align::dispatch`), a full run scores
 //! one 400-residue query against a 128 × ~300 protein database chunk
 //! through each kernel tier and reports million cell updates per second
 //! (MCUPS). The scalar lane-array backend is the baseline every other

@@ -9,7 +9,7 @@ use std::process::ExitCode;
 use swdual_bio::karlin;
 use swdual_bio::stats::LengthStats;
 use swdual_bio::{fasta, sqb, Alphabet, Matrix, ScoringScheme, SequenceSet, SqbImage};
-use swdual_core::{ProgressReporter, SearchBuilder};
+use swdual_core::SearchBuilder;
 use swdual_datagen::{synthetic_database, LengthModel};
 use swdual_gpusim::DeviceClass;
 use swdual_runtime::{AllocationPolicy, FaultPlan, ReoptConfig, WorkerSpec};
@@ -84,7 +84,7 @@ static SUBCOMMANDS: [Subcommand; 10] = [
                   [--gap-open N] [--gap-extend N] [--evalues]
                   [--trace-out TRACE.json] [--metrics-out METRICS.prom]
                   [--journal-out EVENTS.jsonl] [--progress] [--profile]
-                  [--watchdog] [--live-socket PATH]
+                  [--watchdog]
                   [--fault-plan SPEC | --fault-seed N]
                   [--job-timeout-slack F] [--min-job-timeout-ms MS]",
         positionals: 0..=0,
@@ -111,7 +111,7 @@ static SUBCOMMANDS: [Subcommand; 10] = [
         run: cmd_profile,
     },
     Subcommand {
-        synopsis: "top      SOCKET|EVENTS.jsonl [--refresh-ms MS]",
+        synopsis: "top      EVENTS.jsonl [--refresh-ms MS]",
         positionals: 1..=1,
         dash: true,
         run: cmd_top,
@@ -165,26 +165,24 @@ journal readers (`analyze`, `explain`, `tail`) accept `-` to read the
 journal from stdin.
 
 Watching a run live:
+  --journal-out FILE   write the journal as the search runs: whole lines,
+                       flushed every 10 ms, so a run that panics or is
+                       killed leaves a file every journal reader accepts
   --watchdog           run the incremental anomaly watchdog during the
                        search: straggler / bound-at-risk / worker-dead
                        / queue-stall / re-opt alerts are journaled as
                        alert_* fault instants, counted in
                        swdual_alerts_total{kind=...}, and echoed to
                        stderr as they fire
-  --live-socket PATH   stream the growing journal over a Unix domain
-                       socket; `swdual top PATH` renders it as a live
-                       dashboard, `nc -U PATH` taps the raw JSONL
-  swdual top SRC       live per-worker dashboard (utilization bars,
+  --progress           print a progress line on stderr as the run goes
+  swdual top FILE      live per-worker dashboard (utilization bars,
                        queue depths, observed/estimate ratio, ETA,
-                       active alerts) from a live socket or a recorded
-                       journal file
-  swdual tail SRC      follow a journal file (or stdin) line by line;
+                       active alerts) of a journal file, followed as it
+                       grows until the run's merge; a finished journal
+                       renders once
+  swdual tail FILE     print a journal file (or stdin) line by line;
+                       --follow keeps reading as it grows,
                        --alerts-only prints just the watchdog alerts
-
-A search with observability enabled also arms the flight recorder: on
-a panic, the last events are dumped to CRASH-<pid>.jsonl (next to
---journal-out, else the working directory; $SWDUAL_CRASH_DIR
-overrides) — `swdual explain CRASH-<pid>.jsonl` folds the fragment.
 
 `swdual analyze` audits a `--journal-out` journal: achieved makespan
 vs the dual-approximation λ and its 2λ guarantee, per-worker
@@ -419,10 +417,7 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
         None => vec![DeviceClass::C2050; gpus],
         Some("mixed") => DeviceClass::ALL.to_vec(),
         Some(spec) => {
-            let list: Vec<DeviceClass> = spec
-                .split(',')
-                .map(|s| s.trim().parse())
-                .collect::<Result<_, _>>()?;
+            let list = DeviceClass::parse_list(spec)?;
             if list.len() == 1 {
                 vec![list[0]; gpus.max(1)]
             } else {
@@ -493,45 +488,21 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
     let trace_out = flags.get("trace-out");
     let metrics_out = flags.get("metrics-out");
     let journal_out = flags.get("journal-out");
-    let progress = flags.has("progress");
-    let profile = flags.has("profile");
-    let watchdog = flags.has("watchdog");
-    let live_socket = flags.get("live-socket");
-    let observe = trace_out.is_some()
-        || metrics_out.is_some()
-        || journal_out.is_some()
-        || progress
-        || profile
-        || watchdog
-        || live_socket.is_some();
-    let obs = if observe {
-        swdual_obs::Obs::enabled()
-    } else {
-        swdual_obs::Obs::disabled()
-    };
-    // Phase/kernel-level detail spans; the journal then feeds
-    // `swdual profile`.
-    obs.set_profiling(profile);
-    // Crash-surviving flight recorder: the last events are dumped to
-    // CRASH-<pid>.jsonl if the process panics mid-search.
-    if observe {
-        let crash_dir = journal_out
-            .and_then(|p| std::path::Path::new(p).parent())
-            .filter(|p| !p.as_os_str().is_empty())
-            .map_or_else(
-                || std::path::PathBuf::from("."),
-                std::path::Path::to_path_buf,
-            );
-        swdual_obs::flight::install_panic_hook(&obs, &crash_dir);
-    }
     let mut builder = SearchBuilder::new()
         .database_image(database)
         .queries(queries)
         .workers(workers)
         .scheme(scheme)
         .policy(policy)
-        .top_k(top)
-        .observability(obs.clone());
+        .top_k(top);
+    if trace_out.is_some() || metrics_out.is_some() {
+        builder = builder.observe();
+    }
+    // Phase/kernel-level detail spans; the journal then feeds
+    // `swdual profile`.
+    builder = builder
+        .profile(flags.has("profile"))
+        .progress(flags.has("progress"));
     match (flags.get("fault-plan"), flags.number::<u64>("fault-seed")?) {
         (Some(_), Some(_)) => {
             return Err("--fault-plan and --fault-seed are mutually exclusive".into())
@@ -571,7 +542,7 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
         );
         builder = builder.reopt(reopt);
     }
-    if watchdog {
+    if flags.has("watchdog") {
         let cfg = swdual_obs::watch::WatchConfig::default();
         eprintln!(
             "watchdog: on (straggler x{}, bound risk at {}x2\u{3bb})",
@@ -579,20 +550,14 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
         );
         builder = builder.watchdog(cfg);
     }
-    if let Some(path) = live_socket {
-        eprintln!("live: streaming journal on {path}");
-        builder = builder.live(path);
+    if let Some(path) = journal_out {
+        builder = builder
+            .journal_out(path)
+            .map_err(|e| format!("{path}: {e}"))?;
     }
-    let reporter =
-        progress.then(|| ProgressReporter::start(&obs, std::time::Duration::from_millis(250)));
-    let result = builder.try_run();
-    if let Some(reporter) = reporter {
-        reporter.finish();
-    }
-    let report = match result {
-        Ok(report) => report,
-        Err(e) => return Err(format!("search failed: {e}")),
-    };
+    let report = builder
+        .try_run()
+        .map_err(|e| format!("search failed: {e}"))?;
 
     if let Some(path) = trace_out {
         std::fs::write(path, report.timeline()).map_err(|e| format!("{path}: {e}"))?;
@@ -603,7 +568,6 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
         eprintln!("metrics: wrote Prometheus text to {path}");
     }
     if let Some(path) = journal_out {
-        std::fs::write(path, report.journal()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("journal: wrote JSON-lines events to {path}");
     }
 
@@ -755,100 +719,63 @@ fn draw_dashboard(dog: &swdual_obs::watch::Watchdog) {
     }
 }
 
-/// Connect to a live socket, retrying briefly so `swdual top` can be
-/// launched in the same breath as (or just before) the search that
-/// binds it.
-#[cfg(unix)]
-fn connect_live(path: &str) -> Result<std::os::unix::net::UnixStream, String> {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-    loop {
-        match std::os::unix::net::UnixStream::connect(path) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => {
-                if std::time::Instant::now() >= deadline {
-                    return Err(format!(
-                        "{path}: {e} (is the search running with --live-socket?)"
-                    ));
-                }
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
+/// How often a follower of a growing journal file looks for more.
+const FOLLOW_POLL: std::time::Duration = std::time::Duration::from_millis(50);
+
+/// A journal file read line by line as it grows (`tail --follow`'s
+/// reader, shared by `swdual tail` and `swdual top`). A line counts once
+/// its newline is written; until then its start waits in `pending`.
+struct Tail {
+    source: String,
+    reader: std::io::BufReader<std::fs::File>,
+    pending: Vec<u8>,
+}
+
+impl Tail {
+    fn open(source: &str) -> Result<Tail, String> {
+        let file = std::fs::File::open(source).map_err(|e| format!("{source}: {e}"))?;
+        Ok(Tail {
+            source: source.to_string(),
+            reader: std::io::BufReader::new(file),
+            pending: Vec::new(),
+        })
+    }
+
+    /// The next whole line, or `None` at the end of what is written so
+    /// far.
+    fn next_line(&mut self) -> Result<Option<String>, String> {
+        use std::io::BufRead;
+        self.reader
+            .read_until(b'\n', &mut self.pending)
+            .map_err(|e| format!("{}: {e}", self.source))?;
+        if self.pending.last() != Some(&b'\n') {
+            return Ok(None);
         }
+        let line = String::from_utf8_lossy(&self.pending).into_owned();
+        self.pending.clear();
+        Ok(Some(line))
+    }
+
+    /// What follows the last newline: a line its writer has not
+    /// finished, or a file's last line that has no newline.
+    fn rest(&self) -> String {
+        String::from_utf8_lossy(&self.pending).into_owned()
     }
 }
 
-/// Follow a live socket: fold each streamed journal line through the
-/// watchdog, redraw every `refresh`, final frame on EOF.
-#[cfg(unix)]
-fn top_follow_socket(
-    stream: std::os::unix::net::UnixStream,
-    refresh: std::time::Duration,
-) -> Result<(), String> {
-    use std::io::BufRead;
-
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_millis(50)))
-        .map_err(|e| format!("live stream: {e}"))?;
-    let mut reader = std::io::BufReader::new(stream);
-    let mut dog = swdual_obs::watch::Watchdog::new(swdual_obs::watch::WatchConfig::default());
-    let mut line = String::new();
-    let mut header_seen = false;
-    let mut dirty = true;
-    let mut last_draw: Option<std::time::Instant> = None;
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // clean EOF: the run ended and we caught up
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    if header_seen {
-                        if let Ok(event) = swdual_obs::journal::parse_event_line(trimmed) {
-                            dog.observe(&event);
-                            dirty = true;
-                        }
-                    } else {
-                        swdual_obs::journal::journal_schema(trimmed)
-                            .map_err(|e| format!("live stream: {e}"))?;
-                        header_seen = true;
-                    }
-                }
-                line.clear();
-            }
-            // Timeout slice with no new events (a partial line, if
-            // any, stays buffered in `line` and completes next read).
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(format!("live stream: {e}")),
-        }
-        if dirty && last_draw.is_none_or(|t| t.elapsed() >= refresh) {
-            draw_dashboard(&dog);
-            dirty = false;
-            last_draw = Some(std::time::Instant::now());
-        }
-    }
-    draw_dashboard(&dog);
-    eprintln!("top: stream ended");
-    Ok(())
-}
-
-/// `swdual top SOCKET|EVENTS.jsonl [--refresh-ms MS]` — live
-/// per-worker dashboard. A Unix-socket source (a `--live-socket`
-/// search) is followed until the run ends; a journal file (or `-`)
-/// renders the run's final state once.
+/// `swdual top EVENTS.jsonl [--refresh-ms MS]` — live per-worker
+/// dashboard. A journal file is followed as it grows, redrawn at most
+/// every `--refresh-ms`, until the master's `merge` span — which every
+/// run that reaches dispatch records, even one that fails — and what
+/// was written with it; a finished journal therefore renders once.
+/// Stdin (`-`) is read to its end and rendered once.
 fn cmd_top(args: &Args) -> Result<(), String> {
     let source = args.positionals[0];
     let refresh_ms: u64 = args.number("refresh-ms")?.unwrap_or(250);
-
-    // A regular file (or stdin) is a recorded journal: fold it whole
-    // and render the end-of-run dashboard.
-    if source == "-" || std::path::Path::new(source).is_file() {
-        let contents = read_input(source)?;
-        let mut dog = swdual_obs::watch::Watchdog::new(swdual_obs::watch::WatchConfig::default());
-        swdual_obs::journal::read_journal(&contents, |event| {
+    let refresh = std::time::Duration::from_millis(refresh_ms.max(1));
+    let mut dog = swdual_obs::watch::Watchdog::new(swdual_obs::watch::WatchConfig::default());
+    if source == "-" {
+        swdual_obs::journal::read_journal(&read_input(source)?, |event| {
             dog.observe(&event);
         })
         .map_err(|e| format!("{source}: {e}"))?;
@@ -856,18 +783,39 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    #[cfg(unix)]
-    {
-        let stream = connect_live(source)?;
-        top_follow_socket(stream, std::time::Duration::from_millis(refresh_ms.max(1)))
+    let mut tail = Tail::open(source)?;
+    let (mut header_seen, mut merged, mut dirty) = (false, false, false);
+    let mut drawn: Option<std::time::Instant> = None;
+    loop {
+        let Some(line) = tail.next_line()? else {
+            if merged {
+                break;
+            }
+            if dirty && drawn.is_none_or(|t| t.elapsed() >= refresh) {
+                draw_dashboard(&dog);
+                dirty = false;
+                drawn = Some(std::time::Instant::now());
+            }
+            std::thread::sleep(FOLLOW_POLL.min(refresh));
+            continue;
+        };
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        if !header_seen {
+            swdual_obs::journal::journal_schema(line).map_err(|e| format!("{source}: {e}"))?;
+            header_seen = true;
+            continue;
+        }
+        let event =
+            swdual_obs::journal::parse_event_line(line).map_err(|e| format!("{source}: {e}"))?;
+        merged |= matches!(event.body, swdual_obs::EventBody::Merge { .. });
+        dog.observe(&event);
+        dirty = true;
     }
-    #[cfg(not(unix))]
-    {
-        let _ = refresh_ms;
-        Err(format!(
-            "{source}: live sockets need a Unix platform; pass a journal file instead"
-        ))
-    }
+    draw_dashboard(&dog);
+    Ok(())
 }
 
 /// One compact `swdual tail` line per journal event.
@@ -893,7 +841,7 @@ fn render_event_line(event: &swdual_obs::Event) -> String {
 /// paths): alerts always, other events unless `--alerts-only`.
 fn tail_emit(trimmed: &str, alerts_only: bool) {
     let Ok(event) = swdual_obs::journal::parse_event_line(trimmed) else {
-        return; // tolerate torn writes while following
+        return; // a file's torn last line, cut short by a killed writer
     };
     if let Some(alert) = swdual_obs::watch::Alert::from_event(&event) {
         outln!("{}", swdual_core::live::render_alert_line(&alert));
@@ -934,31 +882,12 @@ fn cmd_tail(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let file = std::fs::File::open(source).map_err(|e| format!("{source}: {e}"))?;
-    let mut reader = std::io::BufReader::new(file);
-    let mut line = String::new();
+    let mut tail = Tail::open(source)?;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                if !follow {
-                    return Ok(());
-                }
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            }
-            Ok(_) => {
-                if follow && !line.ends_with('\n') {
-                    // Torn tail while the writer is mid-line: back off
-                    // until the newline lands, then re-read the line.
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    reader
-                        .seek_relative(-(line.len() as i64))
-                        .map_err(|e| format!("{source}: {e}"))?;
-                    continue;
-                }
-                handle_line(line.trim())?;
-            }
-            Err(e) => return Err(format!("{source}: {e}")),
+        match tail.next_line()? {
+            Some(line) => handle_line(line.trim())?,
+            None if follow => std::thread::sleep(FOLLOW_POLL),
+            None => return handle_line(tail.rest().trim()),
         }
     }
 }
@@ -1146,7 +1075,6 @@ mod tests {
                 "trace-out",
                 "metrics-out",
                 "journal-out",
-                "live-socket",
                 "fault-plan",
                 "fault-seed",
                 "job-timeout-slack",

@@ -1,5 +1,11 @@
 //! The search builder: configure and launch a hybrid database search.
+//!
+//! A search with a sink — [`SearchBuilder::journal_out`],
+//! [`SearchBuilder::watchdog`], [`SearchBuilder::progress`] — runs one
+//! journal follower thread beside it ([`crate::live`]); one without runs
+//! none.
 
+use crate::live::{Follower, Sinks};
 use crate::report::SearchReport;
 use std::sync::Arc;
 use swdual_bio::error::BioError;
@@ -28,8 +34,7 @@ pub struct SearchBuilder {
     job_timeout_slack: Option<f64>,
     min_job_timeout: Option<std::time::Duration>,
     reopt: Option<ReoptConfig>,
-    watch: Option<swdual_obs::watch::WatchConfig>,
-    live: Option<String>,
+    sinks: Sinks,
 }
 
 impl Default for SearchBuilder {
@@ -55,8 +60,7 @@ impl SearchBuilder {
             job_timeout_slack: None,
             min_job_timeout: None,
             reopt: None,
-            watch: None,
-            live: None,
+            sinks: Sinks::default(),
         }
     }
 
@@ -208,23 +212,33 @@ impl SearchBuilder {
     }
 
     /// Watch the run with the incremental anomaly watchdog
-    /// ([`swdual_obs::watch`]): a background thread follows the
-    /// growing journal and journals typed `alert_*` events (straggler,
+    /// ([`swdual_obs::watch`]): the journal follower folds the growing
+    /// journal and journals typed `alert_*` events (straggler,
     /// bound-at-risk, worker-dead, queue-stall, reopt-fired) the
     /// moment they trip. Implies an enabled recorder; read the results
     /// live via [`Obs::events_since`] or post-hoc via
     /// [`SearchReport::alerts`](crate::report::SearchReport::alerts).
     pub fn watchdog(mut self, cfg: swdual_obs::watch::WatchConfig) -> Self {
-        self.watch = Some(cfg);
+        self.sinks.watchdog = Some(cfg);
         self
     }
 
-    /// Stream the growing journal over a Unix socket at `path` while
-    /// the search runs, for `swdual top <path>` or any line reader.
-    /// Implies an enabled recorder. Stream setup failure degrades the
-    /// run to "not watched" (with a stderr note) rather than aborting.
-    pub fn live(mut self, path: impl Into<String>) -> Self {
-        self.live = Some(path.into());
+    /// Write the journal to `path` as the search runs: a header, then
+    /// whole event lines, flushed every 10 ms, so a run that panics or
+    /// is killed leaves a file every journal reader accepts. After the
+    /// run the file holds exactly [`SearchReport::journal`]. Implies an
+    /// enabled recorder. The file is created here, so a bad path fails
+    /// before any work.
+    pub fn journal_out(mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
+        self.sinks.journal = Some(std::fs::File::create(path)?);
+        Ok(self)
+    }
+
+    /// Print a progress line on stderr while the search runs: tasks
+    /// done, queue depth, live workers and job latency quantiles.
+    /// Implies an enabled recorder.
+    pub fn progress(mut self, on: bool) -> Self {
+        self.sinks.progress = on;
         self
     }
 
@@ -307,33 +321,22 @@ impl SearchBuilder {
     /// Still panics when the database or query set was never set —
     /// those are caller bugs, not runtime conditions.
     pub fn try_run(mut self) -> Result<SearchReport, SearchError> {
-        // Live watching needs a recorder; switch one on if the caller
-        // asked to watch but left observability off.
-        if (self.watch.is_some() || self.live.is_some()) && !self.obs.is_enabled() {
+        // The follower pages a recorder; switch one on if the caller
+        // asked for a sink but left observability off.
+        let sinks = std::mem::take(&mut self.sinks);
+        if !sinks.is_empty() && !self.obs.is_enabled() {
             self.obs = Obs::enabled();
         }
-        let watch = self.watch.take();
-        let live = self.live.take();
         let (database, queries, workers, config) = self.into_config_and_sets();
         let obs = config.obs.clone();
         let query_meta: Vec<String> = queries.iter().map(|s| s.id.clone()).collect();
-        let live_stream = live.and_then(|path| match crate::live::LiveStream::start(&obs, &path) {
-            Ok(stream) => Some(stream),
-            Err(e) => {
-                eprintln!("live: disabled ({e})");
-                None
-            }
-        });
-        let watchdog = watch.map(|cfg| crate::live::WatchdogDriver::start(&obs, cfg));
+        // Finished whether the run succeeded or not — a failed run is
+        // exactly when its journal matters most — and dropped, with the
+        // same final pages, if the search panics.
+        let follower = Follower::start(&obs, sinks);
         let outcome = try_run_search(Arc::clone(&database), queries, &workers, config);
-        // Drivers finish (final drain / client EOF) whether the run
-        // succeeded or not — a failed run is exactly when the alerts
-        // and the streamed journal matter most.
-        if let Some(driver) = watchdog {
-            driver.finish();
-        }
-        if let Some(stream) = live_stream {
-            stream.finish();
+        if let Some(follower) = follower {
+            follower.finish();
         }
         let outcome = outcome?;
         Ok(SearchReport::new(outcome, database, query_meta).with_obs(obs))

@@ -64,8 +64,7 @@ pub use swdual_runtime as runtime;
 pub use swdual_sched as sched;
 
 pub use engine::SearchBuilder;
-pub use live::{LiveStream, WatchdogDriver};
-pub use progress::ProgressReporter;
+pub use live::{Follower, Sinks};
 pub use report::SearchReport;
 
 /// The common imports of a SWDUAL application.

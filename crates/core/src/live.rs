@@ -1,226 +1,155 @@
-//! In-process live observability drivers: the watchdog thread that
-//! turns the growing journal into journaled alerts while the search
-//! runs, the `--live-socket` journal streamer `swdual top` connects to,
-//! and the terminal dashboard renderer shared by `top` and `tail`.
+//! The journal follower: one thread, one cursor over the recorder's
+//! journal ([`Obs::events_since`]), and up to three sinks it hands each
+//! new page to — the journal file, the anomaly watchdog and the progress
+//! line. Also the terminal renderers `swdual top` and `tail` share.
 //!
-//! Both drivers are amenities in the same sense as progress
-//! reporting: each follows the journal with its own cursor
-//! ([`Obs::events_since`]), never the search's data path, and a failure
-//! to start them degrades the run to "not watched" instead of aborting
-//! it. A cursor over the retained journal cannot drop an event, so a
-//! descheduled driver sees late, never wrong.
+//! The follower writes the `--journal-out` file as the run goes: a
+//! header, then whole event lines, flushed every 10-ms slice. A run that
+//! panics or is killed therefore leaves a file every journal reader
+//! accepts, and `swdual top FILE` can watch a run from outside the
+//! process by following that file. The watchdog journals its alerts
+//! through the same recorder, so they come back on the next page and
+//! reach the file too.
+//!
+//! The follower is an amenity: it never touches the search's data path,
+//! and a failure to start it degrades the run to "not watched" instead
+//! of aborting it. A cursor over the retained journal cannot drop an
+//! event, so a descheduled follower sees late, never wrong.
 
+use std::fs::File;
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::progress::Progress;
 use swdual_obs::export::{journal_event_line, journal_header};
 use swdual_obs::watch::{record_alert, Alert, WatchConfig, Watchdog};
 use swdual_obs::Obs;
 
-/// Poll slice for the driver loops: short enough that alerts land
-/// within ~10 ms of the event that tripped them.
+/// Poll slice of the follower: short enough that alerts land within
+/// ~10 ms of the event that tripped them.
 const SLICE: Duration = Duration::from_millis(10);
 
-/// Background thread folding the journal, as it grows, through an
-/// incremental [`Watchdog`]: every alert it trips is journaled
-/// (`alert_<kind>` fault instants, which is where the export's
-/// `swdual_alerts_total{kind=...}` counts them), echoed to stderr, and
-/// — because journaling goes through the same recorder — seen by every
-/// other follower of the journal, live.
-pub struct WatchdogDriver {
+/// What the follower feeds.
+#[derive(Debug, Default)]
+pub struct Sinks {
+    /// The journal file (`--journal-out`).
+    pub journal: Option<File>,
+    /// The incremental anomaly watchdog (`--watchdog`). Every alert it
+    /// trips is journaled (`alert_<kind>` fault instants, which is where
+    /// the export's `swdual_alerts_total{kind=...}` counts them) and
+    /// echoed to stderr.
+    pub watchdog: Option<WatchConfig>,
+    /// The `--progress` line on stderr.
+    pub progress: bool,
+}
+
+impl Sinks {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.journal.is_none() && self.watchdog.is_none() && !self.progress
+    }
+}
+
+/// The follower thread. Stops on [`Follower::finish`] or drop — also
+/// while a panic unwinds — after paging until one page comes back
+/// empty, so the alerts of its last poll are written too.
+pub struct Follower {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
-impl WatchdogDriver {
-    /// Start watching `obs` with `cfg` thresholds. No-op on a disabled
-    /// recorder (its journal stays empty). Spawn failure degrades to
-    /// an unwatched run, mirroring the progress reporter.
-    pub fn start(obs: &Obs, cfg: WatchConfig) -> WatchdogDriver {
-        let recorder = obs.clone();
+impl Follower {
+    /// Start following `obs` into `sinks`. No thread starts when there
+    /// is no sink or the recorder is disabled (its journal stays empty).
+    pub fn start(obs: &Obs, sinks: Sinks) -> Option<Follower> {
+        if sinks.is_empty() || !obs.is_enabled() {
+            return None;
+        }
+        let obs = obs.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
-            .name("swdual-watchdog".into())
-            .spawn(move || {
-                let mut dog = Watchdog::new(cfg);
-                loop {
-                    let stopping = stop_flag.load(Ordering::Relaxed);
-                    // The model's event count is the cursor; the alerts
-                    // journaled below come back in the next batch.
-                    for event in &recorder.events_since(dog.model().events) {
-                        for alert in dog.observe(event) {
-                            record_alert(&recorder, &alert);
-                            eprintln!("watchdog: [{}] {}", alert.kind.label(), alert.message());
-                        }
-                    }
-                    if stopping {
-                        // One final poll happened above; anything the
-                        // run records after finish() is post-hoc.
-                        break;
-                    }
-                    std::thread::sleep(SLICE);
-                }
-            })
-            .map_err(|e| eprintln!("watchdog: disabled ({e})"))
-            .ok();
-        WatchdogDriver { stop, handle }
+            .name("swdual-follower".into())
+            .spawn(move || follow(&obs, sinks, &stop_flag))
+            .map_err(|e| eprintln!("follower: disabled ({e})"))
+            .ok()?;
+        Some(Follower {
+            stop,
+            handle: Some(handle),
+        })
     }
 
-    /// Stop after a final poll, so alerts tripped by the run's last
-    /// events are still journaled before the report is built.
+    /// Stop after the final pages and wait for the thread.
     pub fn finish(mut self) {
         self.shutdown();
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // Pairs with the follower's Acquire load: a follower that sees
+        // the flag pages everything recorded before it was set.
+        self.stop.store(true, Ordering::Release);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
     }
 }
 
-impl Drop for WatchdogDriver {
+impl Drop for Follower {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-/// Streams the growing journal over a Unix domain socket so `swdual
-/// top <socket>` (or any line reader) can watch a run from outside
-/// the process. Each connected client receives a schema header and
-/// then every event from the beginning of the run, in journal order,
-/// via a per-client cursor over [`Obs::events_since`] — late joiners
-/// catch up, and a slow client never drops events or slows the run.
-pub struct LiveStream {
-    stop: Arc<AtomicBool>,
-    path: PathBuf,
-    acceptor: Option<JoinHandle<()>>,
-    writers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl LiveStream {
-    /// Bind `path` (an existing stale socket file is replaced) and
-    /// start accepting clients.
-    #[cfg(unix)]
-    pub fn start(obs: &Obs, path: &str) -> std::io::Result<LiveStream> {
-        use std::os::unix::net::UnixListener;
-
-        let path_buf = PathBuf::from(path);
-        let _ = std::fs::remove_file(&path_buf);
-        let listener = UnixListener::bind(&path_buf)?;
-        listener.set_nonblocking(true)?;
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let writers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let stop_flag = Arc::clone(&stop);
-        let writer_pool = Arc::clone(&writers);
-        let recorder = obs.clone();
-        let acceptor = std::thread::Builder::new()
-            .name("swdual-live-accept".into())
-            .spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let client_obs = recorder.clone();
-                        let client_stop = Arc::clone(&stop_flag);
-                        if let Ok(handle) = std::thread::Builder::new()
-                            .name("swdual-live-writer".into())
-                            .spawn(move || stream_client(stream, client_obs, client_stop))
-                        {
-                            writer_pool.lock().expect("live writer pool").push(handle);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if stop_flag.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        std::thread::sleep(SLICE);
-                    }
-                    Err(_) => break,
-                }
-            })
-            .map_err(|e| eprintln!("live: acceptor disabled ({e})"))
-            .ok();
-
-        Ok(LiveStream {
-            stop,
-            path: path_buf,
-            acceptor,
-            writers,
-        })
-    }
-
-    #[cfg(not(unix))]
-    pub fn start(_obs: &Obs, _path: &str) -> std::io::Result<LiveStream> {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "--live-socket requires Unix domain sockets",
-        ))
-    }
-
-    /// Stop accepting, let every connected client drain to the end of
-    /// the journal (they see EOF), join all threads, unlink the
-    /// socket.
-    pub fn finish(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.writers.lock().expect("live writer pool"));
-        for handle in handles {
-            let _ = handle.join();
-        }
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-impl Drop for LiveStream {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Pump one client: header first, then journal lines from a cursor.
-/// Exits when the client hangs up or when the run stopped and the
-/// cursor caught up (clean EOF for the client).
-#[cfg(unix)]
-fn stream_client(stream: std::os::unix::net::UnixStream, obs: Obs, stop: Arc<AtomicBool>) {
-    let _ = stream.set_nonblocking(false);
-    let mut out = std::io::BufWriter::new(stream);
-    // Streaming header: the final event count is unknowable up front;
-    // journal_schema checks the schema only.
-    if writeln!(out, "{}", journal_header(0)).is_err() {
-        return;
-    }
-    let mut cursor = 0usize;
+fn follow(obs: &Obs, sinks: Sinks, stop: &AtomicBool) {
+    let mut file = sinks.journal;
+    let mut dog = sinks.watchdog.map(Watchdog::new);
+    let mut progress = sinks.progress.then(Progress::new);
+    let mut lines = format!("{}\n", journal_header());
+    let mut cursor = 0;
     loop {
-        let batch = obs.events_since(cursor);
-        if batch.is_empty() {
-            if out.flush().is_err() {
-                return;
+        let stopping = stop.load(Ordering::Acquire);
+        // One page per slice. The last slice pages until a page comes
+        // back empty: the alerts the watchdog journals on the run's last
+        // events come back on the next page, and reach the file too.
+        loop {
+            let page = obs.events_since(cursor);
+            cursor += page.len();
+            for event in &page {
+                if file.is_some() {
+                    lines.push_str(&journal_event_line(event));
+                    lines.push('\n');
+                }
+                for alert in dog.iter_mut().flat_map(|dog| dog.observe(event)) {
+                    record_alert(obs, &alert);
+                    eprintln!("watchdog: [{}] {}", alert.kind.label(), alert.message());
+                }
+                if let Some(progress) = &mut progress {
+                    progress.observe(event);
+                }
             }
-            if stop.load(Ordering::Relaxed) {
-                return; // caught up after the run ended: clean EOF
+            if page.is_empty() || !stopping {
+                break;
             }
-            std::thread::sleep(SLICE);
-            continue;
         }
-        cursor += batch.len();
-        for event in &batch {
-            if writeln!(out, "{}", journal_event_line(event)).is_err() {
-                return;
+        // One write per slice, of whole lines only.
+        if let Some(Err(e)) = file.as_mut().map(|f| f.write_all(lines.as_bytes())) {
+            eprintln!("journal: write failed ({e}); the file ends here");
+            file = None;
+        }
+        lines.clear();
+        if let Some(progress) = &mut progress {
+            if stopping {
+                progress.draw();
+            } else {
+                progress.tick();
             }
         }
+        if stopping {
+            return;
+        }
+        std::thread::sleep(SLICE);
     }
 }
 
@@ -312,10 +241,17 @@ pub(crate) mod tests {
         }
     }
 
+    fn watchdog() -> Sinks {
+        Sinks {
+            watchdog: Some(WatchConfig::default()),
+            ..Sinks::default()
+        }
+    }
+
     #[test]
     fn watchdog_driver_journals_alerts_from_live_events() {
         let obs = Obs::enabled();
-        let driver = WatchdogDriver::start(&obs, WatchConfig::default());
+        let follower = Follower::start(&obs, watchdog()).expect("a sink starts a thread");
         // A straggling worker: estimate 1.0, observed 3.0.
         obs.instant(Track::Master, estimate(0));
         obs.instant(
@@ -329,7 +265,7 @@ pub(crate) mod tests {
             },
         );
         obs.span(Track::Worker(0), 0.0, 0.01, Some((0.0, 3.0)), job(0));
-        driver.finish();
+        follower.finish();
         let alerts = swdual_obs::RunModel::from_obs(&obs).alerts;
         assert!(
             alerts
@@ -342,16 +278,16 @@ pub(crate) mod tests {
     #[test]
     fn watchdog_driver_misses_nothing_in_a_burst() {
         // 3 000 workers each straggle once, recorded faster than the
-        // driver polls: every one must be named by exactly one alert.
+        // follower polls: every one must be named by exactly one alert.
         // (A 4 096-event drop-newest subscription lost the tail here.)
         const WORKERS: usize = 3_000;
         let obs = Obs::enabled();
-        let driver = WatchdogDriver::start(&obs, WatchConfig::default());
+        let follower = Follower::start(&obs, watchdog()).expect("a sink starts a thread");
         for w in 0..WORKERS {
             obs.instant(Track::Master, estimate(w));
             obs.span(Track::Worker(w), 0.0, 0.01, Some((0.0, 3.0)), job(w));
         }
-        driver.finish();
+        follower.finish();
         let alerts = swdual_obs::RunModel::from_obs(&obs).alerts;
         let mut named: Vec<usize> = alerts.iter().filter_map(|a| a.worker).collect();
         named.sort_unstable();
@@ -361,40 +297,9 @@ pub(crate) mod tests {
     #[test]
     fn watchdog_driver_on_disabled_obs_is_inert() {
         let obs = Obs::disabled();
-        let driver = WatchdogDriver::start(&obs, WatchConfig::default());
-        driver.finish();
+        assert!(Follower::start(&obs, watchdog()).is_none());
+        assert!(Follower::start(&Obs::enabled(), Sinks::default()).is_none());
         assert_eq!(obs.event_count(), 0);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn live_stream_serves_the_whole_journal_to_a_late_client() {
-        use std::io::BufRead;
-
-        let obs = Obs::enabled();
-        obs.instant(Track::Master, EventBody::other("early"));
-        let dir = std::env::temp_dir().join(format!("swdual-live-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let sock = dir.join("t.sock");
-        let stream = LiveStream::start(&obs, sock.to_str().unwrap()).expect("bind");
-        obs.instant(Track::Master, EventBody::other("mid"));
-
-        // Connect after events already exist: the cursor catches up.
-        let client = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
-        obs.instant(Track::Worker(1), EventBody::other("late"));
-        std::thread::sleep(Duration::from_millis(50));
-        stream.finish(); // writers drain to EOF
-
-        let reader = std::io::BufReader::new(client);
-        let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
-        swdual_obs::journal::journal_schema(&lines[0]).expect("streamed header validates");
-        let doc = lines.join("\n");
-        let events = swdual_obs::journal::parse_journal(&doc).expect("streamed journal parses");
-        let names: Vec<_> = events.iter().map(Event::name).collect();
-        assert_eq!(names, vec!["early", "mid", "late"]);
-        // Socket file unlinked on finish.
-        assert!(!sock.exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,116 +1,65 @@
-//! Live progress reporting for long searches.
+//! The `--progress` line of a long search.
 //!
-//! [`ProgressReporter`] runs a small background thread that follows
-//! the recorder's journal with a cursor ([`Obs::events_since`]) and
-//! folds what is new into a [`RunModel`] — the model `swdual top`
-//! renders from. It redraws its one-line stderr status when new events
-//! arrived (debounced to the configured interval) and on a 1 s
-//! heartbeat even when nothing happens, so a stalled run is still
-//! visibly alive. The reporter never touches the search's data path,
-//! and a cursor cannot lose events: if the reporter lags, it catches
-//! up on its next poll.
+//! [`Progress`] is one sink of the journal follower ([`crate::live`]):
+//! it folds each new event into a [`RunModel`] — the model `swdual top`
+//! renders from — and redraws its one-line stderr status when new events
+//! arrived (at most once per 250 ms) and on a 1 s heartbeat even when
+//! nothing happens, so a stalled run is still visibly alive.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use swdual_obs::analysis::LatencyStats;
-use swdual_obs::{Obs, RunModel};
+use swdual_obs::{Event, RunModel};
+
+/// Redraw at most this often while new events arrive.
+const INTERVAL: Duration = Duration::from_millis(250);
 
 /// Heartbeat: redraw at least this often even with no new events.
 const HEARTBEAT: Duration = Duration::from_secs(1);
 
-/// Background thread printing progress lines as the journal grows. Stops
-/// (and joins) on [`ProgressReporter::finish`] or drop.
-pub struct ProgressReporter {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+/// The progress line: the run so far, and when it was last drawn.
+pub(crate) struct Progress {
+    model: RunModel,
+    pending: bool,
+    drawn: Instant,
 }
 
-impl ProgressReporter {
-    /// Start reporting from `obs`. `interval` is the redraw debounce:
-    /// new events trigger a redraw at most once per interval; a 1 s
-    /// heartbeat fires regardless. The thread is a no-op when
-    /// observability is disabled. Progress is an amenity: if the
-    /// thread cannot be spawned (resource exhaustion), the search
-    /// proceeds without it instead of aborting.
-    pub fn start(obs: &Obs, interval: Duration) -> ProgressReporter {
-        let obs = obs.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("swdual-progress".into())
-            .spawn(move || run(obs, interval, stop_flag))
-            .map_err(|e| eprintln!("progress: disabled ({e})"))
-            .ok();
-        ProgressReporter { stop, handle }
-    }
-
-    /// Stop the reporter and wait for its thread to exit. Prints one
-    /// final line so the last state is always visible.
-    pub fn finish(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+impl Progress {
+    pub(crate) fn new() -> Progress {
+        Progress {
+            model: RunModel::default(),
+            pending: false,
+            drawn: Instant::now(),
         }
     }
-}
 
-impl Drop for ProgressReporter {
-    fn drop(&mut self) {
-        self.shutdown();
+    /// Fold one new event.
+    pub(crate) fn observe(&mut self, event: &Event) {
+        self.model.observe(event);
+        self.pending = true;
     }
-}
 
-fn run(obs: Obs, interval: Duration, stop: Arc<AtomicBool>) {
-    if !obs.is_enabled() {
-        return;
-    }
-    // Sleep in short slices so finish() never blocks a full interval.
-    let slice = Duration::from_millis(20)
-        .min(interval)
-        .max(Duration::from_millis(1));
-    let heartbeat = HEARTBEAT.max(interval);
-    let mut since_draw = Duration::ZERO;
-    let mut pending = false;
-    let mut model = RunModel::default();
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(slice);
-        since_draw += slice;
-        pending |= follow(&obs, &mut model);
-        let due = (pending && since_draw >= interval) || since_draw >= heartbeat;
-        if due {
-            since_draw = Duration::ZERO;
-            pending = false;
-            if let Some(line) = catch_tick(|| render_line(&model)) {
-                eprintln!("{line}");
-            }
+    /// Redraw when due: new events once the interval has passed, or
+    /// the heartbeat.
+    pub(crate) fn tick(&mut self) {
+        let since = self.drawn.elapsed();
+        if (self.pending && since >= INTERVAL) || since >= HEARTBEAT {
+            self.draw();
         }
     }
-    // Final line: the run just ended, show where it landed.
-    follow(&obs, &mut model);
-    if let Some(line) = catch_tick(|| render_line(&model)) {
-        eprintln!("{line}");
-    }
-}
 
-/// Fold what the journal gained since the last call — the model's
-/// event count is the cursor. Says whether there was anything.
-fn follow(obs: &Obs, model: &mut RunModel) -> bool {
-    let batch = obs.events_since(model.events);
-    for event in &batch {
-        model.observe(event);
+    /// Print the line now (also the final line, where the run landed).
+    pub(crate) fn draw(&mut self) {
+        self.pending = false;
+        self.drawn = Instant::now();
+        if let Some(line) = catch_tick(|| render_line(&self.model)) {
+            eprintln!("{line}");
+        }
     }
-    !batch.is_empty()
 }
 
 /// Run one tick's renderer. A panic while rendering must not kill the
-/// reporter thread — the tick is skipped and the next one retries.
+/// follower thread — the tick is skipped and the next one retries.
 fn catch_tick(render: impl FnOnce() -> Option<String>) -> Option<String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(render)).unwrap_or(None)
 }
@@ -143,7 +92,8 @@ pub(crate) fn render_line(model: &RunModel) -> Option<String> {
 mod tests {
     use super::*;
     use crate::live::tests::{estimate, job};
-    use swdual_obs::{EventBody, Track};
+    use crate::live::{Follower, Sinks};
+    use swdual_obs::{EventBody, Obs, Track};
 
     #[test]
     fn render_line_needs_a_task_total() {
@@ -174,21 +124,27 @@ mod tests {
         assert!(line.contains("job p50 2.0 ms / p95 4.0 ms"), "{line}");
     }
 
+    fn progress() -> Sinks {
+        Sinks {
+            progress: true,
+            ..Sinks::default()
+        }
+    }
+
     #[test]
     fn reporter_starts_and_finishes_cleanly() {
         let obs = Obs::enabled();
         obs.instant(Track::Master, estimate(0));
-        let reporter = ProgressReporter::start(&obs, Duration::from_millis(5));
+        let follower = Follower::start(&obs, progress()).expect("a sink starts a thread");
         // New events are what wakes the redraw path.
         obs.instant(Track::Master, EventBody::other("tick"));
-        std::thread::sleep(Duration::from_millis(15));
-        reporter.finish();
+        std::thread::sleep(std::time::Duration::from_millis(15));
+        follower.finish();
     }
 
     #[test]
     fn disabled_obs_reporter_is_a_no_op() {
-        let reporter = ProgressReporter::start(&Obs::disabled(), Duration::from_millis(1));
-        reporter.finish();
+        assert!(Follower::start(&Obs::disabled(), progress()).is_none());
     }
 
     #[test]

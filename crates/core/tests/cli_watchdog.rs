@@ -78,7 +78,7 @@ fn watchdog_reports_the_straggler_everywhere() {
         ],
     );
 
-    // Fired live, during the run (the driver echoes as it fires).
+    // Fired live, during the run (the follower echoes as it fires).
     assert!(
         stderr.contains("watchdog: [straggler] worker 0"),
         "{stderr}"

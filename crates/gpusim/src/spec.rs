@@ -222,6 +222,12 @@ impl DeviceClass {
         }
     }
 
+    /// Parse a comma list of class names (the `--device-class` list
+    /// grammar): one entry per GPU worker.
+    pub fn parse_list(spec: &str) -> Result<Vec<DeviceClass>, String> {
+        spec.split(',').map(str::parse).collect()
+    }
+
     /// The kernel-level device description the simulator runs with.
     pub fn spec(&self) -> DeviceSpec {
         match self {

@@ -36,24 +36,22 @@ fn args_value(event: &Event) -> Value {
 }
 
 /// Render the journal schema header line (no trailing newline):
-/// `{"schema":"swdual-journal/2","events":N}`. Streaming writers that
-/// cannot know the final count up front pass 0 —
-/// [`crate::journal::journal_schema`] checks the schema only.
-pub fn journal_header(events: usize) -> String {
-    serde_json::to_string(&Value::Object(vec![
-        (
-            "schema".to_string(),
-            Value::Str(crate::journal::JOURNAL_SCHEMA.to_string()),
-        ),
-        ("events".to_string(), Value::UInt(events as u64)),
-    ]))
+/// `{"schema":"swdual-journal/2"}`. It carries no event count, so a
+/// writer that streams the journal as it grows writes the same bytes as
+/// one that renders it at the end; [`crate::journal::journal_schema`]
+/// still reads headers that carry one.
+pub fn journal_header() -> String {
+    serde_json::to_string(&Value::Object(vec![(
+        "schema".to_string(),
+        Value::Str(crate::journal::JOURNAL_SCHEMA.to_string()),
+    )]))
     .expect("journal header serialises")
 }
 
 /// Render one event as a journal JSON line (no trailing newline).
-/// This is the single serialisation used by [`journal_jsonl`], the
-/// flight recorder's crash dump and the live socket streamer, so every
-/// producer emits lines [`crate::journal::parse_journal`] accepts.
+/// This is the single serialisation used by [`journal_jsonl`] and the
+/// journal file a watched search writes as it runs, so every producer
+/// emits lines [`crate::journal::parse_journal`] accepts.
 pub fn journal_event_line(event: &Event) -> String {
     let mut fields = vec![
         ("track".to_string(), Value::Str(event.track.label())),
@@ -83,8 +81,7 @@ pub fn journal_event_line(event: &Event) -> String {
 }
 
 /// Render all events as JSON lines: a schema header, then one event
-/// per line. The header line
-/// `{"schema":"swdual-journal/2","events":N}` lets
+/// per line. The header line `{"schema":"swdual-journal/2"}` lets
 /// [`RunModel::from_journal`](crate::RunModel::from_journal) reject
 /// incompatible journals with a typed error instead of garbage output.
 /// A disabled recorder renders an empty journal (no header).
@@ -94,7 +91,7 @@ pub fn journal_jsonl(obs: &Obs) -> String {
         return out;
     }
     obs.with_events(|events| {
-        out.push_str(&journal_header(events.len()));
+        out.push_str(&journal_header());
         out.push('\n');
         for event in events {
             out.push_str(&journal_event_line(event));
@@ -641,7 +638,7 @@ mod tests {
             header.get("schema").and_then(Value::as_str),
             Some(crate::journal::JOURNAL_SCHEMA)
         );
-        assert_eq!(header.get("events").and_then(Value::as_u64), Some(4));
+        assert_eq!(header.get("events"), None);
         for line in &lines[1..] {
             let value: Value = serde_json::from_str(line).expect("journal line parses");
             assert!(value.get("track").is_some());
@@ -814,7 +811,7 @@ mod tests {
         let obs = sample_obs();
         for event in obs.events_since(0) {
             let line = journal_event_line(&event);
-            let mut doc = journal_header(1);
+            let mut doc = journal_header();
             doc.push('\n');
             doc.push_str(&line);
             doc.push('\n');

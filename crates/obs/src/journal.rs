@@ -109,25 +109,34 @@ pub fn parse_journal(journal: &str) -> Result<Vec<Event>, JournalError> {
 
 /// Validate the header, then hand every event line to `sink` in file
 /// order. Returns the schema tag the journal declared.
+///
+/// A writer killed mid-line (SIGKILL while the journal file grows)
+/// leaves a last line without its newline: that line is skipped when it
+/// does not parse. Any other malformed line is an error.
 pub fn read_journal(
     journal: &str,
     mut sink: impl FnMut(Event),
 ) -> Result<&'static str, JournalError> {
-    let mut lines = journal.lines().enumerate();
+    let mut lines = journal.lines().enumerate().peekable();
     let (_, header) = lines.next().ok_or(JournalError::EmptyJournal)?;
     let schema = journal_schema(header)?;
-    for (idx, line) in lines {
-        if !line.trim().is_empty() {
-            sink(parse_event_line_at(line, idx + 1)?);
+    let torn = !journal.ends_with('\n');
+    while let Some((idx, line)) = lines.next() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match parse_event_line_at(line, idx + 1) {
+            Ok(event) => sink(event),
+            Err(_) if torn && lines.peek().is_none() => {}
+            Err(e) => return Err(e),
         }
     }
     Ok(schema)
 }
 
 /// Parse one journal event line (anything after the header). Streaming
-/// consumers — `swdual top`/`tail` following a socket or a growing
-/// file — decode line by line instead of re-parsing the whole
-/// document on every read.
+/// consumers — `swdual top`/`tail` following a growing file — decode
+/// line by line instead of re-parsing the whole document on every read.
 pub fn parse_event_line(line: &str) -> Result<Event, JournalError> {
     parse_event_line_at(line, 0)
 }
@@ -263,6 +272,25 @@ mod tests {
         // Truly unknown schemas name *both* supported versions.
         assert!(text.contains(JOURNAL_SCHEMA), "{text}");
         assert!(text.contains(JOURNAL_SCHEMA_V1), "{text}");
+    }
+
+    #[test]
+    fn a_torn_last_line_is_skipped_but_a_malformed_whole_line_is_not() {
+        let header = format!("{{\"schema\":\"{JOURNAL_SCHEMA}\"}}");
+        let event = "{\"track\":\"master\",\"name\":\"x\",\"kind\":\"instant\"}";
+        let torn = format!("{header}\n{event}\n{{\"track\":\"mas");
+        assert_eq!(parse_journal(&torn).unwrap().len(), 1);
+        // A last line that parses is kept, newline or not.
+        assert_eq!(
+            parse_journal(&format!("{header}\n{event}")).unwrap().len(),
+            1
+        );
+        let malformed = format!("{header}\n{{\"track\":\"mas\n{event}\n");
+        assert!(matches!(
+            parse_journal(&malformed),
+            Err(JournalError::Malformed { line: 2, .. })
+        ));
+        assert!(parse_journal(&format!("{torn}\n")).is_err());
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! be cloned freely across threads.
 //!
 //! That buffer — the retained journal — is the recorder's only store,
-//! and [`Obs::events_since`] its only live feed: a follower (the
-//! progress line, the watchdog, the `--live-socket` streamer) keeps a
-//! cursor into the journal and folds what is new into a [`RunModel`],
-//! so it can fall behind but never miss an event. Every number a report
-//! or an export shows is a view of that model.
+//! and [`Obs::events_since`] its only live feed: the one follower a
+//! watched search runs keeps a cursor into the journal and hands what
+//! is new to the journal file, the watchdog and the progress line, so it
+//! can fall behind but never miss an event. Every number a report or an
+//! export shows is a view of the [`RunModel`] folded from it.
 //!
 //! Exports live in [`export`]: a JSON-lines journal, a
 //! Prometheus-style text rendering of the model, and a Chrome-trace
@@ -32,7 +32,6 @@ pub mod diff;
 pub mod event;
 pub mod explain;
 pub mod export;
-pub mod flight;
 pub mod journal;
 pub mod model;
 pub mod profile;
@@ -43,7 +42,7 @@ pub use event::{AlertKind, Event, EventBody, EventKind, HostPhase, OptWorker};
 pub use model::RunModel;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Which timeline an event belongs to.
@@ -113,6 +112,13 @@ struct Inner {
 }
 
 impl Inner {
+    /// The journal, read through a poisoned lock. A panic under the lock
+    /// cannot leave the buffer half-pushed, and a follower finishing the
+    /// journal file while the process unwinds must still see every event.
+    fn events(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn record(
         &self,
         track: Track,
@@ -131,7 +137,7 @@ impl Inner {
             body,
             extra: Vec::new(),
         };
-        self.events.lock().expect("obs events lock").push(event);
+        self.events().push(event);
     }
 }
 
@@ -223,7 +229,7 @@ impl Obs {
     /// threads wait, so `f` should fold and return.
     pub(crate) fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
         match &self.0 {
-            Some(inner) => f(&inner.events.lock().expect("obs events lock")),
+            Some(inner) => f(&inner.events()),
             None => f(&[]),
         }
     }
@@ -317,6 +323,25 @@ mod tests {
             }
         });
         assert_eq!(obs.event_count(), 100);
+    }
+
+    #[test]
+    fn a_panic_under_the_journal_lock_loses_no_event() {
+        let obs = Obs::enabled();
+        obs.instant(Track::Master, EventBody::other("before"));
+        let panicked = std::thread::scope(|scope| {
+            let fold = scope.spawn(|| obs.with_events(|_| panic!("fold panicked")));
+            fold.join().is_err()
+        });
+        assert!(panicked);
+        // The lock is poisoned now; recording and paging read through it.
+        obs.instant(Track::Master, EventBody::other("after"));
+        let names: Vec<_> = obs
+            .events_since(0)
+            .iter()
+            .map(|e| e.name().into_owned())
+            .collect();
+        assert_eq!(names, ["before", "after"]);
     }
 
     #[test]

@@ -228,8 +228,12 @@ impl FaultPlan {
                 let factor: f64 = factor
                     .parse()
                     .map_err(|_| format!("bad factor `{factor}`"))?;
-                if factor.is_nan() || factor < 1.0 {
-                    return Err(format!("straggle factor {factor} must be >= 1"));
+                // An infinite factor would make the modelled makespan
+                // infinite, which no journal can carry.
+                if !(factor.is_finite() && factor >= 1.0) {
+                    return Err(format!(
+                        "straggle factor {factor} must be a finite number >= 1"
+                    ));
                 }
                 Ok(WorkerFault::Straggler { delay_ms, factor })
             }
@@ -336,6 +340,19 @@ mod tests {
         assert!(FaultPlan::parse("0:straggle@10").is_err());
         assert!(FaultPlan::parse("0:straggle@10x0.5").is_err());
         assert!(FaultPlan::parse("0:crash@1,0:vanish@2").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_straggle_factors() {
+        for factor in ["inf", "-inf", "infinity", "NaN", "1e309"] {
+            let spec = format!("0:straggle@0x{factor}");
+            let err = FaultPlan::parse(&spec).unwrap_err();
+            assert!(
+                err.contains("must be a finite number >= 1"),
+                "{spec}: {err}"
+            );
+        }
+        assert!(FaultPlan::parse("0:straggle@0x1e308").is_ok());
     }
 
     #[test]
