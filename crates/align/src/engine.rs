@@ -11,7 +11,7 @@ use crate::interseq::SharedStreams;
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
-use crate::tiered::{score_database_with, ByteShape, Subjects, TierStats};
+use crate::tiered::{score_database_with, score_run_with, ByteShape, Subjects, TierStats};
 use std::ops::Range;
 use swdual_bio::ScoringScheme;
 
@@ -150,6 +150,34 @@ pub trait AlignEngine: Send + Sync {
         let subjects: Vec<&[u8]> = db.in_order(slice).collect();
         self.score_many_cached(query, &subjects, scheme, cache)
     }
+
+    /// [`AlignEngine::score_database`] for a worker's *run*: each of
+    /// `queries` against the same `slice`, scores per query in the
+    /// slice's order, one [`PhaseTimings`] and one [`TierStats`] for the
+    /// run. The default scores the queries one by one.
+    #[allow(clippy::too_many_arguments)]
+    fn score_run(
+        &self,
+        queries: &[&[u8]],
+        db: &Subjects<'_>,
+        slice: Range<usize>,
+        scheme: &ScoringScheme,
+        cache: Option<&ProfileCache>,
+        streams: Option<&SharedStreams>,
+        scratch: &mut Scratch,
+    ) -> (Vec<Vec<i32>>, PhaseTimings, TierStats) {
+        let mut timings = PhaseTimings::default();
+        let mut stats = TierStats::default();
+        let scores = queries.iter().map(|query| {
+            let (scores, own, tiers) =
+                self.score_database(query, db, slice.clone(), scheme, cache, streams, scratch);
+            timings.profile_build += own.profile_build;
+            timings.dp_inner += own.dp_inner;
+            stats.merge(&tiers);
+            scores
+        });
+        (scores.collect(), timings, stats)
+    }
 }
 
 /// Scalar Gotoh engine.
@@ -238,6 +266,37 @@ impl AlignEngine for LadderEngine {
             scheme,
             cache,
             streams,
+            scratch,
+            &mut stats,
+        );
+        (scores, timings, stats)
+    }
+    /// A run of one task is a one-query job; a longer one is scored
+    /// transposed ([`score_run_with`]), whichever shape the engine gives
+    /// one-query jobs: both shapes score and escalate alike.
+    fn score_run(
+        &self,
+        queries: &[&[u8]],
+        db: &Subjects<'_>,
+        slice: Range<usize>,
+        scheme: &ScoringScheme,
+        cache: Option<&ProfileCache>,
+        streams: Option<&SharedStreams>,
+        scratch: &mut Scratch,
+    ) -> (Vec<Vec<i32>>, PhaseTimings, TierStats) {
+        if let [query] = queries {
+            let (scores, timings, stats) =
+                self.score_database(query, db, slice, scheme, cache, streams, scratch);
+            return (vec![scores], timings, stats);
+        }
+        let mut stats = TierStats::default();
+        let (scores, timings) = score_run_with(
+            Backend::active(),
+            queries,
+            db,
+            slice,
+            scheme,
+            cache,
             scratch,
             &mut stats,
         );

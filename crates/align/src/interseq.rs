@@ -29,6 +29,15 @@
 //! whole, so such a slice is laid out once per search instead of once
 //! per job.
 //!
+//! **Either side can be the stream.** Under a symmetric matrix the
+//! local score of (q, s) is that of (s, q), so the kernel does not care
+//! which side plays the query: a worker's *run* of short queries on one
+//! slice lays the queries out as the stream, longest first, and runs
+//! each subject down the rows with the subject's own [`Tables`]
+//! ([`crate::tiered::score_run_with`]). The run's residues stay within
+//! one [`BLOCK`] of lanes, since that stream is walked whole once per
+//! subject.
+//!
 //! **Score profile.** The substitution scores a column needs depend on
 //! the stream's residues at that position, so the profile is built per
 //! column: for each *distinct* query residue `a`, one vector
@@ -204,10 +213,25 @@ impl<'s> Lineup<'s> {
 
     /// The number of columns of the lineup's stream on `lanes` lanes.
     pub fn columns(&self, lanes: usize) -> usize {
-        let mut dealer = Dealer::new(lanes);
-        while dealer.deal_before(self, usize::MAX).is_some() {}
-        dealer.end
+        let lengths = (0..).map_while(|subject| self.get(subject).map(<[u8]>::len));
+        stream_columns(lengths, lanes)
     }
+}
+
+/// The number of columns of a stream on `lanes` lanes that deals out
+/// subjects of `lengths`, in that order: where the lane that frees last
+/// frees, each subject going to the lane that frees first.
+pub(crate) fn stream_columns(lengths: impl IntoIterator<Item = usize>, lanes: usize) -> usize {
+    let mut free_at: BinaryHeap<Reverse<usize>> = (0..lanes).map(|_| Reverse(0)).collect();
+    let mut end = 0;
+    for len in lengths {
+        let Some(mut lane) = free_at.peek_mut() else {
+            break;
+        };
+        lane.0 += len;
+        end = end.max(lane.0);
+    }
+    end
 }
 
 /// Deals a lineup out to lanes: the lane that frees first — the lowest
@@ -254,8 +278,9 @@ impl Dealer {
 
 /// Columns laid out and scored at a time per job: 8 KB of residues at
 /// 32 lanes, so the block stays in L1 beside the DP state and the
-/// scratch does not grow with the stream.
-const BLOCK: usize = 256;
+/// scratch does not grow with the stream. A transposed run's stream is
+/// walked whole once per subject, so its queries hold at most one block.
+pub(crate) const BLOCK: usize = 256;
 
 /// The per-job source: lane cursors that lay a lineup's stream out one
 /// block of columns at a time.
@@ -624,7 +649,7 @@ impl Backend {
 
     /// The stream of `lineup` laid out whole on
     /// [`Backend::interseq_lanes`] lanes.
-    fn interseq_stream(self, lineup: Lineup<'_>) -> Stream {
+    pub(crate) fn interseq_stream(self, lineup: Lineup<'_>) -> Stream {
         match self {
             Backend::Avx2 if self.is_available() => {
                 Stream::build::<{ crate::wide::LANES8W }>(lineup)

@@ -23,16 +23,27 @@
 //! bundle that is built (or fetched from the [`ProfileCache`]) only when
 //! first needed.
 //!
+//! [`score_run_with`] is the entry point for a CPU worker's *run*: its
+//! next tasks on one slice, scored transposed — the queries as the
+//! stream, each subject down the rows — when they fill the lanes better
+//! than the slice's subjects do. The master forms runs with one pure
+//! pick, [`Backend::run_length`], from [`Backend::joins_runs`],
+//! [`Backend::slice_fill`] and the [`transposes`] check on the scheme;
+//! the worker never re-decides. Each pair escalates on the same byte
+//! maximum, through its query's striped ladder, so scores and
+//! [`TierStats`] are those of one-query jobs.
+//!
 //! [`TierStats`] counts how many subjects each tier resolved; each
 //! runtime worker journals its totals when its queue closes, so the
 //! escalation rate can be read back from a journal.
 
 use crate::dispatch::{Backend, QueryProfiles};
 use crate::engine::PhaseTimings;
-use crate::interseq::{Lineup, SharedStreams, Tables};
+use crate::interseq::{stream_columns, Lineup, SharedStreams, Tables, BLOCK, PAD};
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
+use crate::striped8::byte_range;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -303,6 +314,88 @@ impl Backend {
             Backend::Scalar => Some(0.45),
         }
     }
+
+    /// Query residues one transposed run may hold: one [`BLOCK`] of
+    /// lanes. A run's stream is walked whole once per subject, so it
+    /// stays in L1 like one block of a slice's stream does.
+    pub fn run_residues(self) -> usize {
+        BLOCK * self.interseq_lanes()
+    }
+
+    /// Whether `query` may join a transposed run under a scheme that
+    /// [`transposes`]: its byte tier runs inter-sequence at all
+    /// ([`Backend::interseq_min_fill`]) and its residues are in the
+    /// matrix's alphabet — together, [`Tables::build`] accepts it.
+    pub fn joins_runs(self, query: &[u8], scheme: &ScoringScheme) -> bool {
+        self.interseq_min_fill(query.len()).is_some() && in_alphabet(query, scheme)
+    }
+
+    /// The fill of the stream of `slice` of `db` on this backend's lanes:
+    /// residues over `lanes × columns` cells, 0 for an empty stream.
+    pub fn slice_fill(self, db: &Subjects<'_>, slice: Range<usize>) -> f64 {
+        let lineup = Lineup {
+            seqs: db.seqs(),
+            order: &db.order()[slice.clone()],
+        };
+        fill(
+            db.residues_in(slice) as usize,
+            lineup.columns(self.interseq_lanes()),
+            self,
+        )
+    }
+
+    /// The run pick: how many of a worker's next tasks on one slice, given
+    /// as their queries' lengths, head first, each accepted by
+    /// [`Backend::joins_runs`], form one transposed run — the longest
+    /// prefix whose residues stay within [`Backend::run_residues`], when
+    /// its queries, longest first, fill more of their stream's cells than
+    /// the slice's own stream does (`slice_fill`, from
+    /// [`Backend::slice_fill`]); otherwise the head alone. Only a
+    /// symmetric scoring matrix may be scored transposed: the caller
+    /// checks that.
+    pub fn run_length(self, slice_fill: f64, query_lens: impl IntoIterator<Item = usize>) -> usize {
+        let mut lens = Vec::new();
+        let mut residues = 0;
+        for len in query_lens {
+            if !lens.is_empty() && residues + len > self.run_residues() {
+                break;
+            }
+            residues += len;
+            lens.push(len);
+        }
+        if lens.len() < 2 {
+            return lens.len();
+        }
+        lens.sort_unstable_by(|a, b| b.cmp(a));
+        let columns = stream_columns(lens.iter().copied(), self.interseq_lanes());
+        if fill(residues, columns, self) > slice_fill {
+            lens.len()
+        } else {
+            1
+        }
+    }
+}
+
+/// Whether `scheme` lets a run be scored transposed at all: its matrix
+/// is symmetric, so the local score of (q, s) is that of (s, q), and the
+/// inter-sequence tables can be built for it. Check once per search.
+pub fn transposes(scheme: &ScoringScheme) -> bool {
+    let matrix = &scheme.matrix;
+    matrix.is_symmetric() && byte_range(matrix).is_some() && matrix.size() <= PAD as usize
+}
+
+/// Whether every residue of `query` is in `scheme`'s alphabet.
+fn in_alphabet(query: &[u8], scheme: &ScoringScheme) -> bool {
+    query.iter().all(|&q| (q as usize) < scheme.matrix.size())
+}
+
+/// Residues over the cells of a stream of `columns` columns on
+/// `backend`'s lanes; 0 for an empty stream.
+fn fill(residues: usize, columns: usize, backend: Backend) -> f64 {
+    match columns * backend.interseq_lanes() {
+        0 => 0.0,
+        cells => residues as f64 / cells as f64,
+    }
 }
 
 /// The query's striped profiles, built (or fetched from the cache) on
@@ -317,7 +410,23 @@ struct LazyProfiles<'a> {
     seconds: f64,
 }
 
-impl LazyProfiles<'_> {
+impl<'a> LazyProfiles<'a> {
+    fn new(
+        backend: Backend,
+        query: &'a [u8],
+        scheme: &'a ScoringScheme,
+        cache: Option<&'a ProfileCache>,
+    ) -> Self {
+        LazyProfiles {
+            backend,
+            query,
+            scheme,
+            cache,
+            built: None,
+            seconds: 0.0,
+        }
+    }
+
     fn get(&mut self) -> &QueryProfiles {
         let LazyProfiles {
             backend,
@@ -421,14 +530,7 @@ pub fn score_database_with(
     let inter_sequence =
         min_fill.and_then(|fill| Tables::build(query, scheme).map(|tables| (tables, fill)));
     let tables_seconds = start.elapsed().as_secs_f64();
-    let mut profiles = LazyProfiles {
-        backend,
-        query,
-        scheme,
-        cache,
-        built: None,
-        seconds: 0.0,
-    };
+    let mut profiles = LazyProfiles::new(backend, query, scheme, cache);
 
     let seqs = db.seqs();
     let order = &db.by_length[slice.clone()];
@@ -471,6 +573,111 @@ pub fn score_database_with(
     }
 
     let profile_build = tables_seconds + profiles.seconds;
+    let timings = PhaseTimings {
+        profile_build,
+        dp_inner: (start.elapsed().as_secs_f64() - profile_build).max(0.0),
+    };
+    (scores, timings)
+}
+
+/// Score a transposed *run*: each of `queries` against the subjects of
+/// `slice` of `db`, with scores for each query exactly as
+/// [`score_database_with`] gives them (`scores[k][j]` belongs to query
+/// `k` and subject `db.order()[slice.start + j]`) and `stats` gaining
+/// one count per pair, as one-query jobs would.
+///
+/// The local score of (q, s) equals that of (s, q) under a symmetric
+/// matrix, so a run of short queries can fill the lanes that a few
+/// subjects leave empty. The queries, longest first, are laid out once
+/// as one refilled stream; each subject, with its own [`Tables`], runs
+/// down the rows of the unchanged inter-sequence kernel against it.
+/// Subject and query tables share one bias and one saturation limit, so
+/// a pair whose byte maximum reaches that limit is exactly a pair the
+/// query's own pass would escalate, and it escalates through that
+/// query's striped ladder in the original orientation, as does every
+/// pair of a subject whose residues the tables refuse. A query the
+/// tables refuse, or every query of a scheme that does not
+/// [`transposes`], is scored through its own [`ByteShape::Auto`] pass.
+#[allow(clippy::too_many_arguments)]
+pub fn score_run_with(
+    backend: Backend,
+    queries: &[&[u8]],
+    db: &Subjects<'_>,
+    slice: Range<usize>,
+    scheme: &ScoringScheme,
+    cache: Option<&ProfileCache>,
+    scratch: &mut Scratch,
+    stats: &mut TierStats,
+) -> (Vec<Vec<i32>>, PhaseTimings) {
+    let start = Instant::now();
+    let transposed = transposes(scheme);
+    let (mut in_stream, alone): (Vec<u32>, Vec<u32>) = (0..queries.len() as u32)
+        .partition(|&k| transposed && in_alphabet(queries[k as usize], scheme));
+    in_stream.sort_by_key(|&k| std::cmp::Reverse(queries[k as usize].len()));
+    let lineup = Lineup {
+        seqs: queries,
+        order: &in_stream,
+    };
+    let stream = backend.interseq_stream(lineup);
+    let mut profiles: Vec<LazyProfiles> = queries
+        .iter()
+        .map(|query| LazyProfiles::new(backend, query, scheme, cache))
+        .collect();
+    let mut profile_build = 0.0;
+
+    let seqs = db.seqs();
+    let order = &db.by_length[slice.clone()];
+    let mut scores = vec![vec![0i32; order.len()]; queries.len()];
+    let mut maxima = vec![0u8; in_stream.len()];
+    for (j, &i) in order.iter().enumerate() {
+        let subject = seqs[i as usize];
+        let built = Instant::now();
+        let tables = Tables::build(subject, scheme);
+        profile_build += built.elapsed().as_secs_f64();
+        let Some(tables) = tables else {
+            for &k in &in_stream {
+                let profiles = profiles[k as usize].get();
+                scores[k as usize][j] = tiered_score(profiles, subject, scheme, scratch, stats);
+            }
+            continue;
+        };
+        maxima.fill(0);
+        backend.interseq8(
+            subject,
+            &tables,
+            lineup,
+            Some(&stream),
+            scratch,
+            &mut maxima,
+        );
+        for (&k, &best) in in_stream.iter().zip(&maxima) {
+            stats.subjects += 1;
+            scores[k as usize][j] = if best < tables.limit {
+                stats.byte_resolved += 1;
+                best as i32
+            } else {
+                escalate(profiles[k as usize].get(), subject, scheme, scratch, stats)
+            };
+        }
+    }
+    profile_build += profiles.iter().map(|p| p.seconds).sum::<f64>();
+
+    for k in alone.into_iter().map(|k| k as usize) {
+        let (own, timings) = score_database_with(
+            backend,
+            ByteShape::Auto,
+            queries[k],
+            db,
+            slice.clone(),
+            scheme,
+            cache,
+            None,
+            scratch,
+            stats,
+        );
+        scores[k] = own;
+        profile_build += timings.profile_build;
+    }
     let timings = PhaseTimings {
         profile_build,
         dp_inner: (start.elapsed().as_secs_f64() - profile_build).max(0.0),

@@ -7,7 +7,9 @@ use swdual_align::dispatch::{Backend, QueryProfiles};
 use swdual_align::engine::EngineKind;
 use swdual_align::scalar::{gotoh_score, sw_linear_score};
 use swdual_align::striped::striped_score_exact;
-use swdual_align::tiered::{score_database_with, tiered_score, ByteShape, Subjects, TierStats};
+use swdual_align::tiered::{
+    score_database_with, score_run_with, tiered_score, transposes, ByteShape, Subjects, TierStats,
+};
 use swdual_align::{Scratch, SharedStreams};
 use swdual_bio::{Alphabet, Matrix, ScoringScheme};
 
@@ -589,4 +591,238 @@ fn a_score_exactly_at_the_limit_escalates_under_every_shape() {
     let (scores, stats) = striped_ladder(Backend::active(), &q, &subjects, &sch);
     assert_eq!(scores, [230, 235, 240, 245, 250, 255, 260]);
     assert_eq!((stats.byte_resolved, stats.escalated_16), (3, 4));
+}
+
+// ---- transposed runs ------------------------------------------------------
+// A CPU worker scores a run of queries on one slice transposed: the
+// queries become the stream and each subject runs down the rows. Every
+// query must get exactly what its own one-query job gives it, and every
+// pair must resolve in the tier the job resolves it in.
+
+/// Every backend, the whole database and both sides of a cut at 40 % of
+/// its residues: the run against one-query jobs, which the tests above
+/// hold to Gotoh and the striped ladder.
+fn assert_run_exact(
+    queries: &[Vec<u8>],
+    subjects: &[Vec<u8>],
+    sch: &ScoringScheme,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let db: Subjects = subjects.iter().map(|s| s.as_slice()).collect();
+    let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+    let cut = db.cut_at(0.4, 1);
+    // One scratch across every call, as a worker keeps one.
+    let scratch = &mut Scratch::default();
+    for backend in Backend::available() {
+        for slice in [db.whole(), 0..cut, cut..db.len()] {
+            let mut job_stats = TierStats::default();
+            let jobs: Vec<Vec<i32>> = refs
+                .iter()
+                .map(|q| {
+                    let (scores, _) = score_database_with(
+                        backend,
+                        ByteShape::Auto,
+                        q,
+                        &db,
+                        slice.clone(),
+                        sch,
+                        None,
+                        None,
+                        scratch,
+                        &mut job_stats,
+                    );
+                    scores
+                })
+                .collect();
+            let mut run_stats = TierStats::default();
+            let (run, _) = score_run_with(
+                backend,
+                &refs,
+                &db,
+                slice.clone(),
+                sch,
+                None,
+                scratch,
+                &mut run_stats,
+            );
+            prop_assert_eq!(&run, &jobs, "run on {} over {:?}", backend, slice);
+            prop_assert_eq!(run_stats, job_stats, "tiers of the run on {}", backend);
+        }
+    }
+    Ok(())
+}
+
+/// 0–16 queries, a few of them empty.
+fn run_queries(residues: impl Strategy<Value = Vec<u8>>) -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let query = (0u8..10, residues).prop_map(|(kind, q)| if kind == 0 { Vec::new() } else { q });
+    prop::collection::vec(query, 0..16)
+}
+
+/// 0…40 subjects of uneven lengths, as [`uneven_subjects`] but fewer:
+/// each is scored once per query, twice (run and jobs).
+fn run_subjects() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let subject = (0u8..8, any_residues(50)).prop_map(|(kind, s)| match kind {
+        0 => Vec::new(),
+        1 | 2 => s[..s.len().min(5)].to_vec(),
+        3 => s.repeat(3),
+        _ => s,
+    });
+    prop::collection::vec(subject, 0..41)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn a_run_scores_as_one_query_jobs_on_blosum(
+        queries in run_queries(any_residues(50)),
+        subjects in run_subjects(),
+        sch in blosum_scheme(),
+    ) {
+        assert_run_exact(&queries, &subjects, &sch)?;
+    }
+
+    #[test]
+    fn a_run_scores_as_one_query_jobs_on_arbitrary_schemes(
+        queries in run_queries(residues(50)),
+        subjects in run_subjects(),
+        sch in scheme(),
+    ) {
+        assert_run_exact(&queries, &subjects, &sch)?;
+    }
+
+    #[test]
+    fn a_run_scores_as_one_query_jobs_when_bytes_saturate(
+        queries in run_queries(dna_residues(60)),
+        subjects in prop::collection::vec(dna_residues(80), 0..30),
+        sch in adversarial_scheme(),
+    ) {
+        // Some matrices cannot be biased into a byte (no run is scored
+        // transposed), the rest saturate within a few matches: those
+        // pairs escalate through their query's striped ladder.
+        assert_run_exact(&queries, &subjects, &sch)?;
+    }
+
+    #[test]
+    fn a_run_under_an_asymmetric_matrix_scores_each_query_alone(
+        queries in run_queries(dna_residues(40)),
+        subjects in prop::collection::vec(dna_residues(60), 0..30),
+        scores in prop::collection::vec(-6i32..7, 25..26),
+        gaps in (0i32..10, 0i32..4),
+    ) {
+        let m = Matrix::from_scores("asymmetric", Alphabet::Dna, scores);
+        let sch = ScoringScheme::new(m, gaps.0, gaps.1);
+        prop_assert_eq!(transposes(&sch), sch.matrix.is_symmetric());
+        assert_run_exact(&queries, &subjects, &sch)?;
+    }
+}
+
+#[test]
+fn a_run_escalates_exactly_the_pairs_its_jobs_escalate() {
+    // BLOSUM62 W–W = 11 with a limit of 240: 22 W's against 22 or more
+    // saturate a byte, 21 against 21 do not. Queries and subjects of 15–
+    // 34 W's, among ordinary residues, put both kinds of pair in one
+    // run on both sides of the limit.
+    let sch = ScoringScheme::protein_default();
+    let w = Alphabet::Protein.encode_byte(b'W').unwrap();
+    let mixed = |n: usize| -> Vec<u8> { (0..n).map(|i| ((i * 7 + n) % 20) as u8).collect() };
+    let queries: Vec<Vec<u8>> = (15..35)
+        .map(|n| if n % 3 == 0 { mixed(n) } else { vec![w; n] })
+        .collect();
+    let subjects: Vec<Vec<u8>> = (0..40)
+        .map(|n| {
+            if n % 4 == 0 {
+                vec![w; 10 + n]
+            } else {
+                mixed(20 + n)
+            }
+        })
+        .collect();
+    assert_run_exact(&queries, &subjects, &sch).unwrap();
+    let db: Subjects = subjects.iter().map(|s| s.as_slice()).collect();
+    let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+    let mut stats = TierStats::default();
+    let scratch = &mut Scratch::default();
+    score_run_with(
+        Backend::active(),
+        &refs,
+        &db,
+        db.whole(),
+        &sch,
+        None,
+        scratch,
+        &mut stats,
+    );
+    assert!(
+        stats.escalated_16 > 0 && stats.byte_resolved > 0,
+        "{stats:?}"
+    );
+    assert_eq!(stats.subjects, (queries.len() * subjects.len()) as u64);
+
+    // +5/−5: limit 245 = 49 matches. Pairs of 46–52 identical residues
+    // score 5 × the shorter one, so some sit exactly on the guard and
+    // must escalate in the run as in their jobs.
+    let sch = ScoringScheme::new(Matrix::match_mismatch(Alphabet::Protein, 5, -5), 10, 2);
+    let queries: Vec<Vec<u8>> = (46..53).map(|len| vec![2u8; len]).collect();
+    let subjects: Vec<Vec<u8>> = (40..60).map(|len| vec![2u8; len]).collect();
+    assert_run_exact(&queries, &subjects, &sch).unwrap();
+}
+
+#[test]
+fn the_run_pick_takes_runs_that_fill_better_than_their_slice() {
+    for backend in Backend::available() {
+        let lanes = backend.interseq_lanes();
+        let bound = backend.run_residues();
+        assert_eq!(bound, 256 * lanes);
+        // Enough 40-residue queries fill every lane; against a slice
+        // that fills more, or fills fully, the head goes alone.
+        let lens = vec![40; 4 * lanes];
+        assert_eq!(backend.run_length(0.5, lens.clone()), lens.len());
+        assert_eq!(backend.run_length(1.0, lens.clone()), 1);
+        // The bound holds a block of lanes, whatever follows.
+        let many = vec![40; 2 * bound / 40];
+        assert_eq!(backend.run_length(0.0, many), bound / 40);
+        // One short query per lane but one long one fills poorly.
+        let ragged: Vec<usize> = std::iter::once(1000).chain(vec![10; lanes]).collect();
+        assert_eq!(backend.run_length(0.2, ragged), 1);
+        // A head alone, or longer than the bound, is its own run.
+        assert_eq!(backend.run_length(0.0, [30]), 1);
+        assert_eq!(backend.run_length(0.0, [bound + 1, 30]), 1);
+        assert_eq!(backend.run_length(0.0, std::iter::empty()), 0);
+    }
+}
+
+#[test]
+fn a_slice_fill_is_its_residues_over_its_stream_cells() {
+    let seqs: Vec<Vec<u8>> = (0..40).map(|i| vec![1u8; 10 + i]).collect();
+    let db: Subjects = seqs.iter().map(Vec::as_slice).collect();
+    for backend in Backend::available() {
+        let lanes = backend.interseq_lanes();
+        let fill = backend.slice_fill(&db, db.whole());
+        assert!(fill > 0.0 && fill <= 1.0, "{fill}");
+        // One subject holds one lane of the stream.
+        let one = backend.slice_fill(&db, 0..1);
+        assert!((one - 1.0 / lanes as f64).abs() < 1e-12);
+        assert_eq!(backend.slice_fill(&db, 3..3), 0.0);
+    }
+}
+
+#[test]
+fn only_queries_of_the_byte_tier_join_runs() {
+    let sch = ScoringScheme::protein_default();
+    assert!(transposes(&sch));
+    for backend in Backend::available() {
+        assert!(backend.joins_runs(&[3; 40], &sch));
+        assert!(backend.joins_runs(&[], &sch));
+        let long = vec![3u8; 2000];
+        assert_eq!(
+            backend.joins_runs(&long, &sch),
+            backend.interseq_min_fill(long.len()).is_some()
+        );
+        assert!(
+            !backend.joins_runs(&[3, 24], &sch),
+            "code 24 is outside the alphabet"
+        );
+    }
+    let unbiasable = ScoringScheme::new(Matrix::match_mismatch(Alphabet::Dna, 5, -200), 10, 2);
+    assert!(!transposes(&unbiasable));
 }

@@ -22,7 +22,11 @@
 //!   out by the pass itself as a job that shares no stream does), and
 //!   picked automatically, per backend — where the constants of
 //!   `Backend::interseq_min_fill` (`align::tiered`'s pick rule) come
-//!   from.
+//!   from — and the `transposed` section: the `tiny_tasks` shape, 2 048
+//!   queries of 30–60 residues against the 64-subject set, scored as
+//!   one-query jobs on the slice's shared stream and as the transposed
+//!   runs a CPU worker is sent (`score_run_with`, runs cut by
+//!   `Backend::run_length`), per backend.
 //! * One `kernels` entry appended to the `BENCH_trend.json` ledger
 //!   (ns/cell, lower is better) for `swdual diff --bench` to gate on.
 //!
@@ -33,11 +37,13 @@
 use swdual_align::dispatch::{Backend, QueryProfiles};
 use swdual_align::profile_cache::ProfileCache;
 use swdual_align::scalar::gotoh_score;
-use swdual_align::tiered::{score_database_with, tiered_score, ByteShape, Subjects, TierStats};
-use swdual_align::Scratch;
+use swdual_align::tiered::{
+    score_database_with, score_run_with, tiered_score, ByteShape, Subjects, TierStats,
+};
+use swdual_align::{Scratch, SharedStreams};
 use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
-use swdual_datagen::{synthetic_database, LengthModel};
+use swdual_datagen::{random_queries, synthetic_database, LengthModel};
 
 /// Query lengths of the byte-tier shape sweep.
 const SWEEP_QUERY_LENS: [usize; 8] = [30, 60, 120, 250, 500, 1000, 2000, 5000];
@@ -53,6 +59,26 @@ const SWEEP_SHAPES: [ByteShape; 3] = [ByteShape::Striped, ByteShape::InterSeq, B
 
 /// Alternating timing rounds per sweep point.
 const SWEEP_ROUNDS: usize = 13;
+
+/// Queries of the transposed leg, and the rounds it alternates its two
+/// paths over.
+const RUN_QUERIES: usize = 2048;
+const RUN_ROUNDS: usize = 5;
+
+/// The queries' lengths cut into runs as the master cuts a worker's
+/// queue: each run is what [`Backend::run_length`] takes of the rest.
+fn runs_of(backend: Backend, slice_fill: f64, lens: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let mut runs = Vec::new();
+    let mut at = 0;
+    while at < lens.len() {
+        let n = backend
+            .run_length(slice_fill, lens[at..].iter().copied())
+            .max(1);
+        runs.push(at..at + n);
+        at += n;
+    }
+    runs
+}
 
 /// One sweep point: ns per cell with the byte tier forced striped,
 /// forced inter-sequence, and picked by `score_database`.
@@ -162,6 +188,38 @@ fn main() {
         println!(
             "check/interseq8  ok ({backend}, {} subjects per vector)",
             backend.interseq_lanes()
+        );
+        // Transposed: the queries of a run are the stream, each subject
+        // runs down the rows — every pair's maximum is still Gotoh's.
+        let run_set = random_queries(24, 30, 60, 15);
+        let run: Vec<&[u8]> = run_set.iter().map(|q| q.codes()).collect();
+        let mut run_stats = TierStats::default();
+        let (got, _) = score_run_with(
+            backend,
+            &run,
+            &db_plan,
+            db_plan.whole(),
+            &scheme,
+            None,
+            &mut scratch,
+            &mut run_stats,
+        );
+        for (q, scores) in run.iter().zip(&got) {
+            let want: Vec<i32> = subjects
+                .iter()
+                .map(|s| gotoh_score(q, s, &scheme))
+                .collect();
+            assert_eq!(
+                db_plan.in_database_order(scores),
+                want,
+                "interseq8_run on {backend} diverged from scalar"
+            );
+        }
+        assert_eq!(run_stats.subjects, (run.len() * subjects.len()) as u64);
+        println!(
+            "check/interseq8_run  ok ({backend}, {} queries per stream, {} escalated)",
+            run.len(),
+            run_stats.escalated_16 + run_stats.escalated_scalar
         );
     }
 
@@ -316,6 +374,85 @@ fn main() {
         sweep.push((backend, sets));
     }
 
+    // ---- transposed runs at the `tiny_tasks` shape ----
+    // transposed[backend] = (GCUPS as one-query jobs, GCUPS as runs, runs).
+    let mut transposed: Vec<(Backend, f64, f64, usize)> = Vec::new();
+    let tiny = synthetic_database("sweep", 64, LengthModel::protein_database(362.0), 13);
+    let tiny: Subjects = tiny.iter().map(|s| s.codes()).collect();
+    let run_set = random_queries(RUN_QUERIES, 30, 60, 16);
+    let run_queries: Vec<&[u8]> = run_set.iter().map(|q| q.codes()).collect();
+    let lens: Vec<usize> = run_queries.iter().map(|q| q.len()).collect();
+    let cells = tiny.total_residues() as f64 * lens.iter().sum::<usize>() as f64;
+    for backend in Backend::available() {
+        let runs = runs_of(backend, backend.slice_fill(&tiny, tiny.whole()), &lens);
+        // The slice is shared, as it is in a search of many jobs.
+        let streams = SharedStreams::default();
+        let jobs = lens.iter().map(|&len| (len, tiny.whole()));
+        streams.share(backend, &tiny, jobs, 1);
+        let job = |q: &[u8], scratch: &mut Scratch, stats: &mut TierStats| {
+            let whole = tiny.whole();
+            let streams = Some(&streams);
+            let shape = ByteShape::Auto;
+            score_database_with(
+                backend, shape, q, &tiny, whole, &scheme, None, streams, scratch, stats,
+            )
+            .0
+        };
+        let as_jobs = |scratch: &mut Scratch| -> Vec<Vec<i32>> {
+            let mut stats = TierStats::default();
+            run_queries
+                .iter()
+                .map(|q| job(q, scratch, &mut stats))
+                .collect()
+        };
+        // As a worker scores them: a run of one task is a one-query job.
+        let as_runs = |scratch: &mut Scratch| -> Vec<Vec<i32>> {
+            let mut stats = TierStats::default();
+            let mut scores = Vec::new();
+            for run in &runs {
+                match &run_queries[run.clone()] {
+                    [q] => scores.push(job(q, scratch, &mut stats)),
+                    queries => scores.extend(
+                        score_run_with(
+                            backend,
+                            queries,
+                            &tiny,
+                            tiny.whole(),
+                            &scheme,
+                            None,
+                            scratch,
+                            &mut stats,
+                        )
+                        .0,
+                    ),
+                }
+            }
+            scores
+        };
+        assert_eq!(
+            as_runs(&mut scratch),
+            as_jobs(&mut scratch),
+            "transposed runs on {backend}"
+        );
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..RUN_ROUNDS {
+            let start = std::time::Instant::now();
+            std::hint::black_box(as_jobs(&mut scratch));
+            best[0] = best[0].min(start.elapsed().as_secs_f64());
+            let start = std::time::Instant::now();
+            std::hint::black_box(as_runs(&mut scratch));
+            best[1] = best[1].min(start.elapsed().as_secs_f64());
+        }
+        let [jobs_gcups, runs_gcups] = best.map(|s| cells / s / 1e9);
+        println!(
+            "transposed/{backend}/tiny64  q=30-60  jobs {jobs_gcups:6.2} GCUPS   runs {runs_gcups:6.2} GCUPS ({} of more than one task)   x{:.2}",
+            runs.iter().filter(|run| run.len() > 1).count(),
+            runs_gcups / jobs_gcups
+        );
+        let multi = runs.iter().filter(|run| run.len() > 1).count();
+        transposed.push((backend, jobs_gcups, runs_gcups, multi));
+    }
+
     // ---- BENCH_kernels.json ----
     let mut json = String::from("{\n  \"bench\": \"kernels\",\n  \"unit\": \"mcups\",\n");
     json.push_str(&format!(
@@ -404,6 +541,17 @@ fn main() {
         });
     }
     json.push_str("  },\n");
+    json.push_str(&format!(
+        "  \"transposed\": {{ \"subjects\": 64, \"queries\": {RUN_QUERIES}, \"query_lens\": [30, 60], \"backends\": {{\n"
+    ));
+    for (i, (backend, jobs, runs, count)) in transposed.iter().enumerate() {
+        json.push_str(&format!(
+            "    \"{backend}\": {{ \"jobs_gcups\": {jobs:.2}, \"runs_gcups\": {runs:.2}, \"multi_task_runs\": {count}, \"runs_over_jobs\": {:.3} }}{}\n",
+            runs / jobs,
+            if i + 1 < transposed.len() { "," } else { "" },
+        ));
+    }
+    json.push_str("  } },\n");
     json.push_str("  \"acceptance_striped8_speedup_floor\": 2.0\n}\n");
     write_report("kernels", &json);
 
@@ -430,6 +578,10 @@ fn main() {
                 ));
             }
         }
+    }
+    for (backend, jobs, runs, _) in &transposed {
+        pairs.push((format!("{backend}_jobs_tiny64_q30_60"), 1.0 / jobs));
+        pairs.push((format!("{backend}_runs_tiny64_q30_60"), 1.0 / runs));
     }
     let pair_refs: Vec<(&str, f64)> = pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     append_trend("kernels", "ns_per_cell", &pair_refs);

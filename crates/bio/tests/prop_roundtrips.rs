@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use swdual_bio::alphabet::Alphabet;
 use swdual_bio::seq::{Sequence, SequenceSet};
-use swdual_bio::{fasta, sqb, SqbImage};
+use swdual_bio::{fasta, sqb, Matrix, SqbImage};
 
 /// Strategy: residue text over a given alphabet (canonical letters only).
 fn residue_text(alphabet: Alphabet, max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -205,4 +205,68 @@ proptest! {
         let _ = fasta::parse_with_policy(&bytes, Alphabet::Protein, fasta::ResiduePolicy::Lossy);
         let _ = fasta::parse(&bytes, Alphabet::Dna);
     }
+
+    #[test]
+    fn ncbi_matrix_parser_never_panics_on_arbitrary_text(
+        bytes in prop::collection::vec(any::<u8>(), 0..400),
+    ) {
+        check_ncbi_matrix(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn ncbi_matrix_parser_never_panics_on_hostile_tables(text in hostile_matrix_text()) {
+        check_ncbi_matrix(&text)?;
+    }
+}
+
+/// Matrix-shaped text from hostile pieces: a header of residue letters
+/// and letters outside the alphabet (multi-byte ones too), then ragged
+/// rows of scores at and past the ends of `i32`, with comment and junk
+/// lines among them.
+fn hostile_matrix_text() -> impl Strategy<Value = String> {
+    let letters = vec!["A", "R", "N", "W", "*", "X", "B", "a", "J", "?", "é"];
+    let letter = prop::sample::select(letters.clone());
+    let number = prop::sample::select(vec![
+        "0",
+        "4",
+        "-1",
+        "+3",
+        "2147483647",
+        "-2147483648",
+        "2147483648",
+        "99999999999",
+        "1e3",
+        "x",
+        "∞",
+    ]);
+    let header = prop::collection::vec(prop::sample::select(letters), 0..26);
+    let row = (0u8..8, letter, prop::collection::vec(number, 0..28)).prop_map(
+        |(kind, letter, scores)| match kind {
+            0 => format!("# {}", scores.join(" ")),
+            1 => scores.join(" "),
+            _ => format!("{letter} {}", scores.join(" ")),
+        },
+    );
+    (header, prop::collection::vec(row, 0..26))
+        .prop_map(|(header, rows)| format!("  {}\n{}", header.join(" "), rows.join("\n")))
+}
+
+/// `text` parses to a matrix or to an error, never a panic; a matrix
+/// prints back to text that parses to the same scores.
+fn check_ncbi_matrix(text: &str) -> Result<(), TestCaseError> {
+    let Ok(matrix) = Matrix::parse_ncbi("hostile", text) else {
+        return Ok(());
+    };
+    let _ = (
+        matrix.is_symmetric(),
+        matrix.max_score(),
+        matrix.min_score(),
+    );
+    let back = Matrix::parse_ncbi("back", &matrix.to_ncbi_text());
+    prop_assert!(back.is_ok(), "{:?}", back.err());
+    let back = back.unwrap();
+    for a in 0..matrix.size() as u8 {
+        prop_assert_eq!(back.row(a), matrix.row(a));
+    }
+    Ok(())
 }

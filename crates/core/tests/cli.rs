@@ -175,6 +175,36 @@ fn one_query_is_cut_over_both_cpus_and_keeps_its_hits() {
     }
 }
 
+/// A declared rate model scaled towards zero prices every task at an
+/// infinite time: the search must say so and exit, not panic.
+#[test]
+fn a_prior_scale_that_prices_tasks_at_infinity_is_an_error() {
+    let fasta = tmp("prior_db.fasta");
+    let query = tmp("prior_q.fasta");
+    let out = swdual()
+        .args(["generate", "--sequences", "20", "--mean-len", "60"])
+        .args(["--output", fasta.to_str().unwrap(), "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let db_text = std::fs::read_to_string(&fasta).unwrap();
+    let first = db_text.split('>').nth(1).expect("20 records");
+    std::fs::write(&query, format!(">{first}")).unwrap();
+    let out = swdual()
+        .args(["search", "--db", fasta.to_str().unwrap()])
+        .args(["--queries", query.to_str().unwrap()])
+        .args(["--cpus", "2", "--gpus", "0", "--prior-scale", "0:1e-308"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("non-finite time"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for f in [&fasta, &query] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
 #[test]
 fn bad_usage_exits_nonzero() {
     let out = swdual().arg("search").output().unwrap(); // missing --db

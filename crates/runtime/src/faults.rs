@@ -169,12 +169,12 @@ impl FaultPlan {
     /// entries, where `fault` is one of
     ///
     /// * `noreg` — die before registering;
-    /// * `crash@N` — die (with notification) when picking up the job
-    ///   after completing `N`;
+    /// * `crash@N` — die (with notification) when picking up the task
+    ///   after completing `N`, wherever it falls in a run;
     /// * `vanish@N` — like `crash@N` but silent (timeout detection);
     /// * `device@K` — GPU device fails after `K` kernels;
-    /// * `straggle@MSxF` — sleep `MS` ms per job, inflate modelled
-    ///   times by factor `F`.
+    /// * `straggle@MSxF` — sleep `MS` ms per task, inflate modelled
+    ///   times by factor `F`, from 1 to 1e30.
     ///
     /// Example: `"1:crash@2,2:device@0,0:straggle@50x3"`. The empty
     /// string parses to the empty plan. [`FaultPlan`]'s `Display`
@@ -225,14 +225,14 @@ impl FaultPlan {
                     .split_once('x')
                     .ok_or_else(|| format!("straggle arg `{arg}` is not MSxF"))?;
                 let delay_ms = ms.parse().map_err(|_| format!("bad delay `{ms}`"))?;
-                let factor: f64 = factor
-                    .parse()
-                    .map_err(|_| format!("bad factor `{factor}`"))?;
-                // An infinite factor would make the modelled makespan
-                // infinite, which no journal can carry.
-                if !(factor.is_finite() && factor >= 1.0) {
+                let text = factor;
+                let factor: f64 = text.parse().map_err(|_| format!("bad factor `{text}`"))?;
+                // A factor past what a journal number may be (1e30)
+                // inflates the modelled makespan past it too, or to
+                // infinity, which no journal can carry.
+                if !(1.0..=1e30).contains(&factor) {
                     return Err(format!(
-                        "straggle factor {factor} must be a finite number >= 1"
+                        "straggle factor {text} must be a finite number >= 1 and <= 1e30"
                     ));
                 }
                 Ok(WorkerFault::Straggler { delay_ms, factor })
@@ -344,7 +344,15 @@ mod tests {
 
     #[test]
     fn parse_rejects_non_finite_straggle_factors() {
-        for factor in ["inf", "-inf", "infinity", "NaN", "1e309"] {
+        for factor in [
+            "inf",
+            "-inf",
+            "infinity",
+            "NaN",
+            "1e309",
+            "1e308",
+            "1.0000001e30",
+        ] {
             let spec = format!("0:straggle@0x{factor}");
             let err = FaultPlan::parse(&spec).unwrap_err();
             assert!(
@@ -352,7 +360,7 @@ mod tests {
                 "{spec}: {err}"
             );
         }
-        assert!(FaultPlan::parse("0:straggle@0x1e308").is_ok());
+        assert!(FaultPlan::parse("0:straggle@0x1e30").is_ok());
     }
 
     #[test]

@@ -39,19 +39,20 @@ mod core;
 
 #[cfg(test)]
 use self::core::DEATH_TIMEOUT;
-use self::core::{Action, Input, MasterState, Unit};
+use self::core::{Action, Input, Joins, MasterState, Unit};
 #[cfg(test)]
 use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
 use crate::faults::FaultPlan;
 use crate::messages::{
-    top_k, Hit, Job, JobResult, QueryHits, Registration, WorkerMsg, WorkerStats,
+    top_k, DbSlice, Hit, Job, JobResult, QueryHits, Registration, WorkerMsg, WorkerStats,
 };
 use crate::worker::{WorkerContext, WorkerSpec};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
+use swdual_align::tiered::transposes;
 use swdual_align::{Backend, SharedStreams, Subjects};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
@@ -200,6 +201,13 @@ pub enum SearchError {
         /// Dispatch attempts it consumed.
         retries: usize,
     },
+    /// The rate models the workers declared price a task at a time the
+    /// scheduler cannot plan with: not finite (a declared speed scaled
+    /// towards zero, say).
+    UnpricedTask {
+        /// The first such task.
+        task_id: usize,
+    },
 }
 
 impl std::fmt::Display for SearchError {
@@ -216,6 +224,10 @@ impl std::fmt::Display for SearchError {
             SearchError::RetriesExhausted { task_id, retries } => {
                 write!(f, "task {task_id} failed after {retries} dispatch attempts")
             }
+            SearchError::UnpricedTask { task_id } => write!(
+                f,
+                "the declared rate models price task {task_id} at a non-finite time"
+            ),
         }
     }
 }
@@ -301,6 +313,9 @@ fn build_tasks(
             (None, Some(g)) => (g * ABSENT_SPECIES_PENALTY, g),
             (None, None) => return Err(SearchError::NoWorkersRegistered),
         };
+        if !(p_cpu.is_finite() && p_gpu.is_finite()) {
+            return Err(SearchError::UnpricedTask { task_id: id });
+        }
         Ok(Task::new(id, p_cpu, p_gpu))
     });
     tasks.collect::<Result<_, _>>().map(TaskSet::new)
@@ -325,10 +340,10 @@ fn journal_dispatch(job: &Job, w: Option<usize>, obs: &Obs) {
 
 /// The master's ends of the channels to and from its workers.
 struct Links {
-    /// Per-worker job queues (static policies); `None` once closed.
-    private_tx: Vec<Option<Sender<Job>>>,
-    /// The self-scheduling queue every worker drains.
-    shared_tx: Sender<Job>,
+    /// Per-worker queues of runs (static policies); `None` once closed.
+    private_tx: Vec<Option<Sender<Vec<Job>>>>,
+    /// The self-scheduling queue every worker drains, one job a run.
+    shared_tx: Sender<Vec<Job>>,
     reg_rx: Receiver<Registration>,
     msg_rx: Receiver<WorkerMsg>,
 }
@@ -346,7 +361,7 @@ fn spawn_workers<'scope>(
 ) -> (Links, Vec<ScopedJoinHandle<'scope, ()>>) {
     let (reg_tx, reg_rx) = channel::unbounded::<Registration>();
     let (msg_tx, msg_rx) = channel::unbounded::<WorkerMsg>();
-    let (shared_tx, shared_rx) = channel::unbounded::<Job>();
+    let (shared_tx, shared_rx) = channel::unbounded::<Vec<Job>>();
     let shared_queue = matches!(config.policy, AllocationPolicy::SelfScheduling);
     let mut private_tx = Vec::with_capacity(workers.len());
     let mut threads = Vec::with_capacity(workers.len());
@@ -355,7 +370,7 @@ fn spawn_workers<'scope>(
             private_tx.push(None);
             shared_rx.clone()
         } else {
-            let (tx, rx) = channel::unbounded::<Job>();
+            let (tx, rx) = channel::unbounded::<Vec<Job>>();
             private_tx.push(Some(tx));
             rx
         };
@@ -532,9 +547,11 @@ fn allocate(
             query_index: part.parent,
             cells: query_len as f64 * database.residues_in(slice.clone()) as f64,
             slice: slice.into(),
+            joins: None,
         }
     };
-    let units: Vec<Unit> = parts.iter().map(unit_of).collect();
+    let mut units: Vec<Unit> = parts.iter().map(unit_of).collect();
+    offer_runs(&mut units, queries, database, config);
     // Journal the rate-model estimates per task: the auditor
     // reconstructs acceleration ratios (p_cpu/p_gpu) from these to
     // judge the knapsack's GPU-side ordering.
@@ -566,6 +583,50 @@ fn allocate(
     })
 }
 
+/// Mark the tasks that may join a transposed run on a CPU worker: under a
+/// static policy and a scheme that [`transposes`], each task whose query
+/// [`Backend::joins_runs`] and whose slice another such task scores.
+/// Each such slice's own fill, which a run must beat, is priced once.
+fn offer_runs(
+    units: &mut [Unit],
+    queries: &SequenceSet,
+    database: &Subjects<'_>,
+    config: &RuntimeConfig,
+) {
+    let static_plan = !matches!(config.policy, AllocationPolicy::SelfScheduling);
+    if !static_plan || !transposes(&config.scheme) {
+        return;
+    }
+    let backend = Backend::active();
+    let joins_runs = |unit: &Unit| {
+        let query = queries.get(unit.query_index)?;
+        backend
+            .joins_runs(query.codes(), &config.scheme)
+            .then_some(query.len())
+    };
+    let joining: Vec<Option<usize>> = units.iter().map(joins_runs).collect();
+    let mut on_slice: HashMap<DbSlice, usize> = HashMap::new();
+    for (unit, joins) in units.iter().zip(&joining) {
+        if joins.is_some() {
+            *on_slice.entry(unit.slice).or_default() += 1;
+        }
+    }
+    let mut fill_of: HashMap<DbSlice, f64> = HashMap::new();
+    for (unit, joins) in units.iter_mut().zip(joining) {
+        let slice = unit.slice;
+        let Some(query_len) = joins.filter(|_| on_slice[&slice] > 1) else {
+            continue;
+        };
+        let slice_fill = *fill_of
+            .entry(slice)
+            .or_insert_with(|| backend.slice_fill(database, slice.start..slice.end));
+        unit.joins = Some(Joins {
+            query_len,
+            slice_fill,
+        });
+    }
+}
+
 /// The thin shell around the pure core: it owns the channels and the
 /// clock, feeds [`MasterState::step`] and performs what comes back.
 struct Shell<'a> {
@@ -588,14 +649,20 @@ impl Shell<'_> {
         let mut pending = VecDeque::from(actions);
         while let Some(action) = pending.pop_front() {
             match action {
-                Action::Dispatch { worker, mut job } => {
-                    job.dispatch_wall = self.obs.now();
+                Action::Dispatch { worker, mut run } => {
+                    let dispatch_wall = self.obs.now();
+                    for job in &mut run {
+                        job.dispatch_wall = dispatch_wall;
+                    }
                     let tx = match worker {
                         Some(w) => self.links.private_tx[w].as_ref(),
                         None => Some(&self.links.shared_tx),
                     };
-                    if tx.is_some_and(|tx| tx.send(job).is_ok()) {
-                        journal_dispatch(&job, worker, self.obs);
+                    let journal = self.obs.is_enabled().then(|| run.clone());
+                    if tx.is_some_and(|tx| tx.send(run).is_ok()) {
+                        for job in journal.iter().flatten() {
+                            journal_dispatch(job, worker, self.obs);
+                        }
                     } else {
                         let now = self.now();
                         pending.extend(self.state.step(Input::SendFailed(worker), now));
@@ -732,7 +799,14 @@ pub fn try_run_search(
         let query_of: Vec<usize> = allocation.units.iter().map(|u| u.query_index).collect();
         let is_gpu = workers.iter().map(|w| w.is_gpu()).collect();
         let shell = Shell {
-            state: MasterState::new(allocation.tasks, allocation.units, is_gpu, alive, &config),
+            state: MasterState::new(
+                allocation.tasks,
+                allocation.units,
+                is_gpu,
+                alive,
+                Backend::active(),
+                &config,
+            ),
             links,
             obs,
             start,
@@ -822,7 +896,7 @@ mod tests {
     use super::*;
     use crate::faults::WorkerFault;
     use swdual_bio::seq::Sequence;
-    use swdual_bio::Alphabet;
+    use swdual_bio::{Alphabet, Matrix};
 
     fn db(n: usize, len: usize) -> SequenceSet {
         swdual_datagen_stub::database(n, len)
@@ -868,6 +942,137 @@ mod tests {
             set.push(s).unwrap();
         }
         set
+    }
+
+    /// The lengths of the runs the core dispatches first, for `queries`
+    /// against `database` on `workers`, all registered.
+    fn first_runs(
+        queries: &SequenceSet,
+        database: &SequenceSet,
+        workers: &[WorkerSpec],
+        config: &RuntimeConfig,
+    ) -> Vec<usize> {
+        let image = image(database);
+        let subjects = Subjects::from(&*image);
+        let registrations: Vec<Registration> = workers
+            .iter()
+            .enumerate()
+            .map(|(worker_id, spec)| Registration {
+                worker_id,
+                description: spec.description(),
+                is_gpu: spec.is_gpu(),
+                rate_model: spec.rate_model(),
+            })
+            .collect();
+        let allocation = allocate(queries, &subjects, &registrations, config).unwrap();
+        let is_gpu = workers.iter().map(|w| w.is_gpu()).collect();
+        let alive = vec![true; workers.len()];
+        let units = allocation.units;
+        let mut state = MasterState::new(
+            allocation.tasks,
+            units,
+            is_gpu,
+            alive,
+            Backend::active(),
+            config,
+        );
+        let actions = state.start(allocation.schedule.as_ref(), 0.0);
+        let runs = actions.into_iter().filter_map(|action| match action {
+            Action::Dispatch { run, .. } => Some(run.len()),
+            _ => None,
+        });
+        runs.collect()
+    }
+
+    /// Every query's exact hits under `scheme`.
+    fn gotoh_hits(
+        queries: &SequenceSet,
+        database: &SequenceSet,
+        scheme: &ScoringScheme,
+        k: usize,
+    ) -> Vec<QueryHits> {
+        let hits = queries.iter().enumerate().map(|(qi, q)| {
+            let scores: Vec<i32> = database
+                .iter()
+                .map(|d| swdual_align::gotoh_score(q.codes(), d.codes(), scheme))
+                .collect();
+            crate::messages::top_k_hits(qi, &scores, k)
+        });
+        hits.collect()
+    }
+
+    /// 64 random 30-residue queries against 40 subjects of 60: a run of
+    /// 32 of them fills every lane, on every backend, and the slice's
+    /// own stream does not.
+    fn short_queries() -> SequenceSet {
+        let mut set = SequenceSet::new(Alphabet::Protein);
+        for (i, q) in db(64, 30).iter().enumerate() {
+            let codes = q.codes().iter().map(|&c| (c + i as u8) % 20).collect();
+            set.push(Sequence::from_codes(
+                format!("q{i}"),
+                Alphabet::Protein,
+                codes,
+            ))
+            .unwrap();
+        }
+        set
+    }
+
+    #[test]
+    fn short_queries_on_one_slice_go_out_in_runs_and_keep_their_hits() {
+        let (database, queries) = (db(40, 60), short_queries());
+        let workers = vec![WorkerSpec::cpu_default(); 2];
+        let config = RuntimeConfig::default();
+        let runs = first_runs(&queries, &database, &workers, &config);
+        assert_eq!(runs.len(), 2, "one run in flight per worker");
+        assert!(runs.iter().all(|&n| n > 1), "{runs:?}");
+        let outcome = run_search(image(&database), queries.clone(), &workers, config.clone());
+        let want = gotoh_hits(&queries, &database, &config.scheme, config.top_k);
+        assert_eq!(outcome.hits, want);
+        // GPU workers and the shared queue take one task a job.
+        let gpus = vec![WorkerSpec::gpu_default(); 2];
+        assert_eq!(first_runs(&queries, &database, &gpus, &config), [1, 1]);
+        let shared = RuntimeConfig {
+            policy: AllocationPolicy::SelfScheduling,
+            ..config
+        };
+        let runs = first_runs(&queries, &database, &workers, &shared);
+        assert!(runs.iter().all(|&n| n == 1));
+    }
+
+    #[test]
+    fn an_asymmetric_matrix_never_forms_a_run() {
+        // BLOSUM62 with one pair made asymmetric: A→R scores 2, R→A −1.
+        let text = Matrix::blosum62().to_ncbi_text();
+        let text: String = text
+            .lines()
+            .map(|line| match line.strip_prefix("A 4 -1 ") {
+                Some(rest) => format!("A 4 2 {rest}\n"),
+                None => format!("{line}\n"),
+            })
+            .collect();
+        let matrix = Matrix::parse_ncbi("asymmetric", &text).unwrap();
+        assert!(!matrix.is_symmetric());
+        let scheme = ScoringScheme::new(matrix, 11, 1);
+        let (database, queries) = (db(40, 60), short_queries());
+        let workers = vec![WorkerSpec::cpu_default(); 2];
+        let config = RuntimeConfig {
+            scheme: scheme.clone(),
+            ..RuntimeConfig::default()
+        };
+        let runs = first_runs(&queries, &database, &workers, &config);
+        assert_eq!(runs, [1, 1], "each worker is sent one task");
+        let outcome = run_search(image(&database), queries.clone(), &workers, config.clone());
+        let one_task_a_job = RuntimeConfig {
+            policy: AllocationPolicy::SelfScheduling,
+            ..config.clone()
+        };
+        let single = run_search(image(&database), queries.clone(), &workers, one_task_a_job);
+        assert_eq!(outcome.hits, single.hits);
+        assert_eq!(
+            outcome.hits,
+            gotoh_hits(&queries, &database, &scheme, config.top_k)
+        );
     }
 
     #[test]

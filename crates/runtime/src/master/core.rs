@@ -9,17 +9,28 @@
 //! `sim`, which is where interleavings of completions, deaths, failed
 //! sends and deadline ticks are explored.
 //!
-//! Static policies dispatch with a window of one: the core holds each
-//! worker's ordered queue and keeps at most one job in flight per
+//! Static policies dispatch with a window of one *run*: the core holds
+//! each worker's ordered queue and keeps at most one run in flight per
 //! worker, so everything still queued is revocable. That is the raw
 //! material of the single re-plan transition ([`MasterState::replan`]):
 //! a worker's death and an observed speed skew are merely its two
 //! triggers.
+//!
+//! A run is the head of a worker's queue, plus — on a CPU worker — the
+//! queued tasks right behind it that the run pick takes
+//! ([`Backend::run_length`]): tasks on the same slice whose queries,
+//! laid out as one stream, fill its lanes better than the slice's own
+//! subjects do. The worker scores such a run transposed and answers
+//! each task on its own, so to everything but the window a run is its
+//! tasks. A death orphans at most one run, and the in-flight run's
+//! deadline prices its tasks' summed estimate and cells.
 
 use super::{AllocationPolicy, ReoptConfig, RuntimeConfig, SearchError};
 use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
 use crate::messages::{DbSlice, FailureReason, Job, JobResult, WorkerFailure};
 use std::collections::VecDeque;
+use std::iter::once;
+use swdual_align::Backend;
 use swdual_obs::{EventBody, Obs, Track};
 use swdual_sched::binsearch::BinarySearchConfig;
 use swdual_sched::remainder::{reschedule_remainder_weighted, WorkerFactors};
@@ -63,10 +74,14 @@ pub(super) enum Input {
 
 /// What the core asks the shell to do.
 pub(super) enum Action {
-    /// Send `job` to `worker`'s private queue, or to the shared
-    /// self-scheduling queue when `None`. The shell stamps
-    /// `dispatch_wall` at the moment it sends.
-    Dispatch { worker: Option<usize>, job: Job },
+    /// Send `run` — one job per task, in queue order — to `worker`'s
+    /// private queue, or, one job long, to the shared self-scheduling
+    /// queue when `None`. The shell stamps `dispatch_wall` at the moment
+    /// it sends.
+    Dispatch {
+        worker: Option<usize>,
+        run: Vec<Job>,
+    },
     /// Close a dead worker's queue so its thread, if any, exits.
     CloseQueue(usize),
     /// Every task is merged; collect [`MasterState::into_results`].
@@ -82,6 +97,17 @@ pub(super) struct Unit {
     pub(super) query_index: usize,
     pub(super) slice: DbSlice,
     pub(super) cells: f64,
+    /// What the run pick needs when the task may join a transposed run;
+    /// `None` when it may not.
+    pub(super) joins: Option<Joins>,
+}
+
+/// A task that may join a transposed run: its query's residues and the
+/// fill of its slice's own stream ([`Backend::slice_fill`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct Joins {
+    pub(super) query_len: usize,
+    pub(super) slice_fill: f64,
 }
 
 /// All state of one search run. Times are seconds since the search
@@ -93,6 +119,8 @@ pub(super) struct MasterState {
     units: Vec<Unit>,
     is_gpu: Vec<bool>,
     shared_queue: bool,
+    /// The backend CPU workers score runs on: the pick's lanes.
+    backend: Backend,
     reopt: ReoptConfig,
     max_retries: usize,
     /// `min_job_timeout` and `job_timeout_slack`, in seconds.
@@ -102,7 +130,8 @@ pub(super) struct MasterState {
 
     alive: Vec<bool>,
     queue: Vec<VecDeque<usize>>,
-    in_flight: Vec<Option<usize>>,
+    /// Each worker's in-flight run; empty when idle.
+    in_flight: Vec<Vec<usize>>,
     done: Vec<bool>,
     retries: Vec<usize>,
     results: Vec<JobResult>,
@@ -137,12 +166,14 @@ pub(super) struct MasterState {
 
 impl MasterState {
     /// State before the first dispatch. `alive[w]` says whether worker
-    /// `w` registered; `units[t]` is the work of task `t`.
+    /// `w` registered; `units[t]` is the work of task `t`; CPU workers
+    /// score runs on `backend`.
     pub(super) fn new(
         tasks: TaskSet,
         units: Vec<Unit>,
         is_gpu: Vec<bool>,
         alive: Vec<bool>,
+        backend: Backend,
         config: &RuntimeConfig,
     ) -> MasterState {
         let (n, workers) = (tasks.len(), alive.len());
@@ -151,6 +182,7 @@ impl MasterState {
             units,
             is_gpu,
             shared_queue: matches!(config.policy, AllocationPolicy::SelfScheduling),
+            backend,
             reopt: config.reopt,
             max_retries: config.max_task_retries,
             floor: config.min_job_timeout.as_secs_f64(),
@@ -158,7 +190,7 @@ impl MasterState {
             obs: config.obs.clone(),
             alive,
             queue: vec![VecDeque::new(); workers],
-            in_flight: vec![None; workers],
+            in_flight: vec![Vec::new(); workers],
             done: vec![false; n],
             retries: vec![0; n],
             results: Vec::with_capacity(n),
@@ -184,8 +216,8 @@ impl MasterState {
             Some(schedule) => self.adopt(schedule, now, &mut out),
             None => {
                 for t in 0..self.tasks.len() {
-                    let job = self.stamp(t, None);
-                    out.push(Action::Dispatch { worker: None, job });
+                    let run = vec![self.stamp(t, None)];
+                    out.push(Action::Dispatch { worker: None, run });
                 }
             }
         }
@@ -265,9 +297,7 @@ impl MasterState {
         out: &mut Vec<Action>,
     ) -> Result<(), SearchError> {
         let (w, t) = (r.worker_id, r.task_id);
-        if self.in_flight[w] == Some(t) {
-            self.in_flight[w] = None;
-        }
+        self.in_flight[w].retain(|&held| held != t);
         self.virt_done[w] += r.modelled_seconds.max(0.0);
         // Calibrate against the *estimator's* modelled time for this
         // task — the quantity deadlines are computed from. (The
@@ -305,9 +335,10 @@ impl MasterState {
         self.replan_on_skew(now, out)?;
         self.feed(w, out);
         if self.alive[w] {
-            self.deadline[w] = match self.in_flight[w] {
-                Some(_) => now + self.timeout(w),
-                None => f64::INFINITY,
+            self.deadline[w] = if self.in_flight[w].is_empty() {
+                f64::INFINITY
+            } else {
+                now + self.timeout(w)
             };
         }
         Ok(())
@@ -375,7 +406,7 @@ impl MasterState {
         out.push(Action::CloseQueue(w));
         self.obs
             .instant(Track::Faults, EventBody::WorkerDeath { worker: w, reason });
-        let mut orphans: Vec<usize> = self.in_flight[w].take().into_iter().collect();
+        let mut orphans = std::mem::take(&mut self.in_flight[w]);
         orphans.extend(self.queue[w].drain(..));
         orphans.retain(|&t| !self.done[t]);
         orphans
@@ -447,8 +478,8 @@ impl MasterState {
         self.decision += 1;
         if self.shared_queue {
             for t in orphans {
-                let job = self.stamp(t, None);
-                out.push(Action::Dispatch { worker: None, job });
+                let run = vec![self.stamp(t, None)];
+                out.push(Action::Dispatch { worker: None, run });
             }
             return Ok(());
         }
@@ -514,23 +545,44 @@ impl MasterState {
         self.refresh_deadlines(now);
     }
 
-    /// Keep the window-1 invariant for worker `w`: if it is alive and
-    /// idle, dispatch the first unfinished task of its queue.
+    /// Keep the window of one run for worker `w`: if it is alive and
+    /// idle, dispatch the run the first unfinished task of its queue
+    /// heads.
     fn feed(&mut self, w: usize, out: &mut Vec<Action>) {
-        if !self.alive[w] || self.in_flight[w].is_some() {
+        if !self.alive[w] || !self.in_flight[w].is_empty() {
             return;
         }
-        while let Some(t) = self.queue[w].pop_front() {
-            if !self.done[t] {
-                self.in_flight[w] = Some(t);
-                let job = self.stamp(t, Some(w));
+        while let Some(head) = self.queue[w].pop_front() {
+            if !self.done[head] {
+                let behind = self.run_length(w, head) - 1;
+                let run: Vec<usize> = once(head).chain(self.queue[w].drain(..behind)).collect();
+                let run_jobs = run.iter().map(|&t| self.stamp(t, Some(w))).collect();
+                self.in_flight[w] = run;
                 out.push(Action::Dispatch {
                     worker: Some(w),
-                    job,
+                    run: run_jobs,
                 });
                 return;
             }
         }
+    }
+
+    /// The tasks of the run `head` opens on worker `w`, `head` included:
+    /// on a CPU worker, as many as the run pick takes of `head` and the
+    /// unfinished tasks queued right behind it that may join a run on
+    /// `head`'s slice; one anywhere else.
+    fn run_length(&self, w: usize, head: usize) -> usize {
+        let unit = &self.units[head];
+        let Some(joins) = unit.joins.filter(|_| !self.is_gpu[w]) else {
+            return 1;
+        };
+        let behind = self.queue[w].iter().map_while(|&t| {
+            let other = &self.units[t];
+            let on_slice = other.slice == unit.slice && !self.done[t];
+            other.joins.filter(|_| on_slice).map(|j| j.query_len)
+        });
+        let lens = once(joins.query_len).chain(behind);
+        self.backend.run_length(joins.slice_fill, lens).max(1)
     }
 
     /// Stamp lineage onto a job bound for worker `w` (or the shared
@@ -594,11 +646,14 @@ impl MasterState {
             .max(self.slack * cells * self.secs_per_cell)
     }
 
-    /// Worker `w`'s whole obligation — the in-flight job plus its queue
-    /// — prices its deadline.
+    /// Worker `w`'s whole obligation — the in-flight run plus its queue
+    /// — prices its deadline. The run's tasks are answered together, so
+    /// the run is priced as one task of their summed estimate and cells.
     fn timeout(&self, w: usize) -> f64 {
-        let pending = self.in_flight[w].iter().chain(&self.queue[w]);
-        self.grant(pending.map(|&t| (self.estimate(w, t), self.units[t].cells)))
+        let price = |t: usize| (self.estimate(w, t), self.units[t].cells);
+        let run = self.in_flight[w].iter().map(|&t| price(t));
+        let run = run.fold((0.0, 0.0), |a, b| (a.0 + b.0, a.1 + b.1));
+        self.grant(once(run).chain(self.queue[w].iter().map(|&t| price(t))))
     }
 
     /// Self-scheduling: how long the whole platform may stay silent,
@@ -618,7 +673,7 @@ impl MasterState {
     fn refresh_deadlines(&mut self, now: f64) {
         for w in 0..self.alive.len() {
             self.deadline[w] = f64::INFINITY;
-            if !self.alive[w] || self.in_flight[w].is_none() {
+            if !self.alive[w] || self.in_flight[w].is_empty() {
                 continue;
             }
             let timeout = self.timeout(w);

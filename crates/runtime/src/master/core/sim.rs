@@ -5,6 +5,8 @@
 //! the policy's plan with its divisible tail cut, so a task may be a
 //! slice of a query's database pass — to the core, just another id.
 //! Virtual workers have a species, a true slowdown factor and a fate.
+//! Tasks may be offered to runs ([`Sim::with_runs`]); a CPU worker then
+//! picks up a run's tasks in order and answers each as it finishes.
 //! [`Sim::advance`] mirrors the shell's loop — wait for the next worker
 //! message, but no longer than one tick nor past the next deadline;
 //! `step`; perform the actions, feeding failed sends back — and checks
@@ -21,6 +23,7 @@ use proptest::test_runner::TestRng;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::time::Duration;
+use swdual_align::Backend;
 use swdual_sched::binsearch::dual_approx_schedule;
 use swdual_sched::dual::KnapsackMethod;
 use swdual_sched::{Part, PlatformSpec, SliceOverhead, Task};
@@ -94,10 +97,12 @@ struct Sim {
     workers: Vec<VirtualWorker>,
     /// Ground truth: the worker's thread has exited.
     gone: Vec<bool>,
-    /// Ground truth: the task the worker is executing.
-    busy: Vec<Option<usize>>,
+    /// Ground truth: the tasks of its run the worker has not answered.
+    busy: Vec<Vec<usize>>,
     picked_up: Vec<usize>,
     shared: VecDeque<Job>,
+    /// Runs of more than one task dispatched so far.
+    runs_formed: usize,
     heap: BinaryHeap<Reverse<Event>>,
     rng: TestRng,
     now: f64,
@@ -152,6 +157,7 @@ impl Sim {
             query_index: part.parent,
             slice: (position(part.lo)..position(part.hi)).into(),
             cells: task.p_cpu * 1e4,
+            joins: None,
         };
         let units = tasks.iter().zip(&parts).map(unit_of).collect();
         let n = workers.len();
@@ -161,6 +167,7 @@ impl Sim {
                 units,
                 workers.iter().map(|w| w.is_gpu).collect(),
                 workers.iter().map(registered).collect(),
+                Backend::Scalar,
                 &config,
             ),
             schedule,
@@ -171,9 +178,10 @@ impl Sim {
                 .map(|w| matches!(w.fate, Fate::NeverRegistered | Fate::DeadAtSend))
                 .collect(),
             workers,
-            busy: vec![None; n],
+            busy: vec![Vec::new(); n],
             picked_up: vec![0; n],
             shared: VecDeque::new(),
+            runs_formed: 0,
             heap: BinaryHeap::new(),
             rng: TestRng::seed_from_u64(seed),
             now: 0.0,
@@ -185,6 +193,20 @@ impl Sim {
             duplicates_delivered: 0,
             death_at: vec![None; n],
         }
+    }
+
+    /// Offer every task to runs, its slice's own stream filling
+    /// `slice_fill`: 0 lets any two tasks on one slice that fit the
+    /// backend's bound form a run, above 1 none. Query lengths of 10–259
+    /// residues are made up per query.
+    fn with_runs(mut self, slice_fill: f64) -> Sim {
+        for (unit, part) in self.state.units.iter_mut().zip(&self.parts) {
+            unit.joins = Some(Joins {
+                query_len: 10 + part.parent * 37 % 250,
+                slice_fill,
+            });
+        }
+        self
     }
 
     /// Dispatch the initial plan.
@@ -244,28 +266,33 @@ impl Sim {
         let mut pending = VecDeque::from(actions);
         while let Some(action) = pending.pop_front() {
             match action {
-                Action::Dispatch { worker, job } => {
-                    assert!(
-                        self.last_seq.is_none_or(|s| job.dispatch_seq > s),
-                        "dispatch seq must strictly increase"
-                    );
-                    self.last_seq = Some(job.dispatch_seq);
-                    assert!(job.decision <= self.state.decision);
-                    // A job names what its task stands for.
-                    let unit = self.state.units[job.task_id];
-                    assert_eq!((job.query_index, job.slice), (unit.query_index, unit.slice));
+                Action::Dispatch { worker, run } => {
+                    for job in &run {
+                        assert!(
+                            self.last_seq.is_none_or(|s| job.dispatch_seq > s),
+                            "dispatch seq must strictly increase"
+                        );
+                        self.last_seq = Some(job.dispatch_seq);
+                        assert!(job.decision <= self.state.decision);
+                        // A job names what its task stands for.
+                        let unit = self.state.units[job.task_id];
+                        assert_eq!((job.query_index, job.slice), (unit.query_index, unit.slice));
+                    }
                     let delivered = match worker {
                         Some(w) => {
                             assert!(self.state.alive[w], "dispatch to a dead worker");
-                            assert_eq!(self.state.in_flight[w], Some(job.task_id));
+                            let tasks: Vec<usize> = run.iter().map(|j| j.task_id).collect();
+                            assert_eq!(self.state.in_flight[w], tasks);
+                            self.check_run(w, &tasks);
                             !self.gone[w] && {
-                                assert_eq!(self.busy[w], None, "window of one");
-                                self.pick_up(w, job);
+                                assert!(self.busy[w].is_empty(), "window of one run");
+                                self.pick_up(w, run);
                                 true
                             }
                         }
                         None => {
-                            self.shared.push_back(job);
+                            assert_eq!(run.len(), 1, "the shared queue takes one task a run");
+                            self.shared.extend(run);
                             let anyone = self.gone.iter().any(|&g| !g);
                             self.pump_shared();
                             anyone
@@ -279,7 +306,7 @@ impl Sim {
                     assert!(!self.state.alive[w]);
                     // A real worker finishes its current job, finds its
                     // queue closed and exits.
-                    if self.busy[w].is_none() {
+                    if self.busy[w].is_empty() {
                         self.gone[w] = true;
                     }
                 }
@@ -293,53 +320,87 @@ impl Sim {
     /// Idle live workers drain the shared queue in a shuffled order.
     fn pump_shared(&mut self) {
         let mut idle: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| !self.gone[w] && self.busy[w].is_none())
+            .filter(|&w| !self.gone[w] && self.busy[w].is_empty())
             .collect();
         while !idle.is_empty() && !self.shared.is_empty() {
             let w = idle.swap_remove(self.rng.next_u64() as usize % idle.len());
             if let Some(job) = self.shared.pop_front() {
-                self.pick_up(w, job);
+                self.pick_up(w, vec![job]);
             }
         }
     }
 
-    /// Worker `w` takes `job` off its queue and meets its fate.
-    fn pick_up(&mut self, w: usize, job: Job) {
+    /// A run of more than one task goes to a CPU worker, holds tasks
+    /// offered to runs on one slice within the backend's residue bound,
+    /// and beats its slice's fill.
+    fn check_run(&mut self, w: usize, tasks: &[usize]) {
+        if tasks.len() < 2 {
+            return;
+        }
+        self.runs_formed += 1;
+        assert!(!self.state.is_gpu[w], "a run on GPU worker {w}");
+        let units = &self.state.units;
+        let head = units[tasks[0]];
+        let lens: Vec<usize> = tasks
+            .iter()
+            .map(|&t| {
+                assert_eq!(units[t].slice, head.slice, "a run spans two slices");
+                units[t]
+                    .joins
+                    .expect("every task of a run joins runs")
+                    .query_len
+            })
+            .collect();
+        assert!(lens.iter().sum::<usize>() <= Backend::Scalar.run_residues());
+        assert!(head.joins.unwrap().slice_fill < 1.0);
+    }
+
+    /// Worker `w` takes `run` off its queue, then its tasks in order,
+    /// each meeting the worker's fate; it answers each task as it
+    /// finishes.
+    fn pick_up(&mut self, w: usize, run: Vec<Job>) {
         let worker = self.workers[w];
-        let nth = self.picked_up[w];
-        self.picked_up[w] += 1;
         let latency = self.rng.unit_f64() * 2e-4;
-        let tie = self.rng.next_u64();
-        let (at, msg) = match worker.fate {
-            Fate::Vanish(n) if n == nth => {
-                self.gone[w] = true;
-                return;
-            }
-            Fate::Crash(n) if n == nth => {
-                self.gone[w] = true;
-                let failure = WorkerFailure {
-                    worker_id: w,
-                    reason: FailureReason::Crash,
-                    in_flight: Some(job.task_id),
-                };
-                (self.now + latency, Input::Failed(failure))
-            }
-            _ => {
-                self.busy[w] = Some(job.task_id);
-                let modelled = self.state.estimate(w, job.task_id) * worker.slowdown;
-                let wall = modelled * WALL_PER_MODELLED;
-                let result = JobResult {
-                    task_id: job.task_id,
-                    worker_id: w,
-                    hits: Vec::new(),
-                    wall_seconds: wall,
-                    modelled_seconds: modelled,
-                    cells: 0,
-                };
-                (self.now + wall + latency, Input::Completed(result))
-            }
-        };
-        self.heap.push(Reverse(Event { at, tie, msg }));
+        let mut at = self.now;
+        for job in run {
+            let nth = self.picked_up[w];
+            self.picked_up[w] += 1;
+            let tie = self.rng.next_u64();
+            let msg = match worker.fate {
+                Fate::Vanish(n) if n == nth => {
+                    self.gone[w] = true;
+                    return;
+                }
+                Fate::Crash(n) if n == nth => {
+                    self.gone[w] = true;
+                    let failure = WorkerFailure {
+                        worker_id: w,
+                        reason: FailureReason::Crash,
+                        in_flight: Some(job.task_id),
+                    };
+                    let at = at + latency;
+                    let msg = Input::Failed(failure);
+                    self.heap.push(Reverse(Event { at, tie, msg }));
+                    return;
+                }
+                _ => {
+                    self.busy[w].push(job.task_id);
+                    let modelled = self.state.estimate(w, job.task_id) * worker.slowdown;
+                    let wall = modelled * WALL_PER_MODELLED;
+                    at += wall;
+                    Input::Completed(JobResult {
+                        task_id: job.task_id,
+                        worker_id: w,
+                        hits: Vec::new(),
+                        wall_seconds: wall,
+                        modelled_seconds: modelled,
+                        cells: 0,
+                    })
+                }
+            };
+            let at = at + latency;
+            self.heap.push(Reverse(Event { at, tie, msg }));
+        }
     }
 
     /// The worker-side effects of `input` leaving its worker, and what
@@ -347,7 +408,7 @@ impl Sim {
     fn deliver(&mut self, input: &Input) -> Snapshot {
         let completes = match input {
             Input::Completed(r) => {
-                self.busy[r.worker_id] = None;
+                self.busy[r.worker_id].retain(|&t| t != r.task_id);
                 if self.state.done[r.task_id] {
                     self.duplicates_delivered += 1;
                 }
@@ -385,8 +446,8 @@ impl Sim {
         if !s.shared_queue {
             let mut places = vec![0usize; n];
             for w in 0..workers {
-                let held = s.in_flight[w].into_iter().chain(s.queue[w].iter().copied());
-                for t in held {
+                let held = s.in_flight[w].iter().chain(&s.queue[w]);
+                for &t in held {
                     assert!(s.alive[w], "dead worker {w} still holds task {t}");
                     places[t] += 1;
                 }
@@ -411,7 +472,7 @@ impl Sim {
             );
             assert_eq!(
                 s.deadline[w].is_finite(),
-                s.alive[w] && s.in_flight[w].is_some() && !s.shared_queue
+                s.alive[w] && !s.in_flight[w].is_empty() && !s.shared_queue
             );
         }
 
@@ -423,11 +484,11 @@ impl Sim {
         let Some(before) = before else { return };
 
         for w in 0..workers {
-            // An in-flight job is never revoked: it leaves only by
+            // An in-flight task is never revoked: it leaves only by
             // completing or with its worker.
-            if let Some(t) = before.in_flight[w] {
+            for &t in &before.in_flight[w] {
                 assert!(
-                    s.in_flight[w] == Some(t) || !s.alive[w] || before.completes == Some((w, t)),
+                    s.in_flight[w].contains(&t) || !s.alive[w] || before.completes == Some((w, t)),
                     "task {t} was revoked from live worker {w}"
                 );
             }
@@ -529,7 +590,7 @@ struct Snapshot {
     /// `(worker, task)` when the step's input is a completion.
     completes: Option<(usize, usize)>,
     alive: Vec<bool>,
-    in_flight: Vec<Option<usize>>,
+    in_flight: Vec<Vec<usize>>,
     deadline: Vec<f64>,
     decision: u64,
 }
@@ -552,6 +613,16 @@ fn policy_of(pick: usize) -> AllocationPolicy {
         0 => AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
         1 => AllocationPolicy::MultiRound { rounds: 2 },
         _ => AllocationPolicy::SelfScheduling,
+    }
+}
+
+/// No runs, runs wherever two tasks fit the bound, or none beating
+/// their slice's fill.
+fn with_runs_of(sim: Sim, pick: usize) -> Sim {
+    match pick % 3 {
+        0 => sim,
+        1 => sim.with_runs(0.0),
+        _ => sim.with_runs(1.5),
     }
 }
 
@@ -608,12 +679,14 @@ proptest! {
         n_tasks in 0usize..24,
         policy in 0usize..3,
         reopt in any::<bool>(),
+        runs in 0usize..3,
     ) {
         let mut rng = TestRng::seed_from_u64(seed);
         let workers = pool(&mut rng, true);
         prop_assume!(workers.iter().any(|w| w.fate != Fate::NeverRegistered));
         let policy = policy_of(policy);
-        let mut sim = Sim::new(workload(n_tasks, &mut rng), workers, policy, reopt_of(reopt), seed);
+        let sim = Sim::new(workload(n_tasks, &mut rng), workers, policy, reopt_of(reopt), seed);
+        let mut sim = with_runs_of(sim, runs);
         sim.step_cost = [0.0, 5e-4, 3e-3][rng.next_u64() as usize % 3];
         let verdict = sim.run();
         sim.check_verdict(&verdict);
@@ -628,6 +701,7 @@ proptest! {
         n_tasks in 1usize..24,
         multi_round in any::<bool>(),
         reopt in any::<bool>(),
+        runs in 0usize..3,
     ) {
         let mut rng = TestRng::seed_from_u64(seed);
         let workers = pool(&mut rng, false);
@@ -639,7 +713,8 @@ proptest! {
             BinarySearchConfig::default(),
         );
         let policy = policy_of(multi_round as usize);
-        let mut sim = Sim::new(tasks, workers, policy, reopt_of(reopt), seed);
+        let sim = Sim::new(tasks, workers, policy, reopt_of(reopt), seed);
+        let mut sim = with_runs_of(sim, runs);
         prop_assert_eq!(sim.run(), Ok(()));
         let schedule = sim.schedule.as_ref().unwrap();
         prop_assert_eq!(sim.state.decision, 0);
@@ -771,4 +846,77 @@ fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
     let survivor = schedule.pe_finish(swdual_sched::PeId::cpu(1 - holder));
     let expected = survivor + sim.state.estimate(1 - holder, 3);
     assert!((sim.modelled_makespan() - expected).abs() < 1e-9);
+}
+
+/// Runs form where the pick takes them, and a death orphans at most one
+/// run. Forty short tasks on one slice and two CPUs: each worker's queue
+/// goes out in runs. The second worker crashes picking up its third
+/// task, inside its first run: the two tasks before it are answered,
+/// and exactly what it held — the rest of that run and its queue — is
+/// re-dispatched to the survivor.
+#[test]
+fn a_crash_inside_a_run_orphans_that_run_and_the_queue_behind_it() {
+    let tasks = || TaskSet::new((0..40).map(|id| Task::new(id, 1.9, 1.0)).collect());
+    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
+    let healthy = vec![cpu(1.0, Fate::Healthy); 2];
+    let mut sim = Sim::new(tasks(), healthy.clone(), policy, ReoptConfig::default(), 3);
+    let mut sim_runs = Sim::new(tasks(), healthy, policy, ReoptConfig::default(), 3).with_runs(0.0);
+    assert_eq!(sim.run(), Ok(()));
+    assert_eq!(sim_runs.run(), Ok(()));
+    assert_eq!(sim.runs_formed, 0, "no task is offered to runs");
+    assert!(
+        sim_runs.runs_formed >= 2,
+        "each worker's queue goes out in runs"
+    );
+    // Each task is charged its own estimate, run or not.
+    assert_eq!(sim_runs.modelled_makespan(), sim.modelled_makespan());
+
+    let workers = vec![cpu(1.0, Fate::Healthy), cpu(1.0, Fate::Crash(2))];
+    let mut sim = Sim::new(tasks(), workers, policy, ReoptConfig::default(), 3).with_runs(0.0);
+    let mut verdict = sim.start();
+    let (first_run, queued) = (sim.state.in_flight[1].clone(), sim.state.queue[1].clone());
+    assert!(first_run.len() > 3, "the crash falls inside the first run");
+    while verdict.is_none() && sim.state.alive[1] {
+        verdict = sim.advance();
+    }
+    assert!(!sim.state.alive[1]);
+    let verdict = sim.finish(verdict);
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    let redispatched = |e: &swdual_obs::Event| match e.body {
+        EventBody::TaskRedispatch { task, .. } => Some(task),
+        _ => None,
+    };
+    let mut redispatched: Vec<usize> = sim
+        .obs
+        .events_since(0)
+        .iter()
+        .filter_map(redispatched)
+        .collect();
+    redispatched.sort_unstable();
+    let mut orphans: Vec<usize> = first_run[2..].iter().chain(&queued).copied().collect();
+    orphans.sort_unstable();
+    assert_eq!(redispatched, orphans);
+    for t in &first_run[..2] {
+        let answered = sim.state.results.iter().find(|r| r.task_id == *t).unwrap();
+        assert_eq!(
+            answered.worker_id, 1,
+            "task {t} was answered before the crash"
+        );
+    }
+}
+
+/// GPU workers keep one task per job whatever the pick would take.
+#[test]
+fn gpu_workers_take_one_task_a_run() {
+    let tasks = TaskSet::new((0..30).map(|id| Task::new(id, 1.9, 0.6)).collect());
+    let gpu = VirtualWorker {
+        is_gpu: true,
+        slowdown: 1.0,
+        fate: Fate::Healthy,
+    };
+    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
+    let mut sim = Sim::new(tasks, vec![gpu; 2], policy, ReoptConfig::default(), 9).with_runs(0.0);
+    assert_eq!(sim.run(), Ok(()));
+    assert_eq!(sim.runs_formed, 0);
 }

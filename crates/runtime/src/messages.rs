@@ -41,7 +41,7 @@ pub struct Registration {
 /// A contiguous run of positions of the database's length order
 /// (longest subject first): the part of the database one task covers.
 /// The whole order for an uncut task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DbSlice {
     /// First position covered.
     pub start: usize,
@@ -67,7 +67,10 @@ impl DbSlice {
 }
 
 /// A task sent from master to a worker: compare query `query_index`
-/// against `slice` of the database.
+/// against `slice` of the database. A worker receives its jobs in
+/// *runs* (`Vec<Job>`): one job, or — on a CPU worker — the next few
+/// tasks on one slice that the master's run pick decided to score as
+/// one transposed pass.
 ///
 /// Carries its causal lineage: which plan decision placed it, when the
 /// master handed it over (both clocks), and a global dispatch sequence

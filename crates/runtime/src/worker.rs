@@ -1,10 +1,12 @@
 //! Worker (slave) threads.
 //!
 //! A worker registers with the master, acquires the shared sequences
-//! (paper Fig. 6: "Acquire sequences"), then loops: receive a task,
-//! execute it with its engine, send the result. CPU workers run an
-//! alignment kernel in-thread; GPU workers drive a simulated device
-//! whose virtual clock supplies the modelled task time.
+//! (paper Fig. 6: "Acquire sequences"), then loops: receive a run of
+//! tasks, execute it with its engine, send one result per task. CPU
+//! workers run an alignment kernel in-thread — a run of more than one
+//! task as one transposed pass, as the master decided when it formed
+//! the run; GPU workers drive a simulated device whose virtual clock
+//! supplies the modelled task time, one task at a time.
 //!
 //! Workers honour an optional [`WorkerFault`] from the run's
 //! [`FaultPlan`](crate::faults::FaultPlan): crashing before
@@ -266,8 +268,11 @@ fn record_phase_spans(
     }
 }
 
-/// The crash/straggler knobs a worker consults per job, pre-split from
-/// the fault enum so the healthy path pays a single `None` check.
+/// The crash/straggler knobs a worker consults per run, pre-split from
+/// the fault enum so the healthy path pays a single `None` check. Both
+/// count tasks: `crash@N` dies on picking up the worker's `N`-th task,
+/// wherever it falls in a run, and the straggler's delay is paid per
+/// task.
 struct FaultKnobs {
     crash_after: Option<usize>,
     crash_notify: bool,
@@ -297,61 +302,71 @@ impl FaultKnobs {
         knobs
     }
 
-    /// Apply the pre-job fault behaviour. Returns `false` when the
-    /// worker must die instead of executing `job`.
-    fn pre_job(
-        &self,
-        jobs_done: usize,
-        job: Job,
-        worker_id: usize,
-        obs: &Obs,
-        results: &Sender<WorkerMsg>,
-    ) -> bool {
-        if self.crash_after == Some(jobs_done) {
-            obs.instant(
-                Track::Faults,
-                EventBody::WorkerCrash {
-                    worker: worker_id,
-                    task: job.task_id,
-                    notified: self.crash_notify,
-                },
-            );
-            if self.crash_notify {
-                let _ = results.send(WorkerMsg::Failed(WorkerFailure {
-                    worker_id,
-                    reason: FailureReason::Crash,
-                    in_flight: Some(job.task_id),
-                }));
-            }
-            return false;
+    /// Split `run`, whose first task is the worker's `jobs_done`-th, into
+    /// the tasks it executes and, from the task it dies on picking up,
+    /// the rest; then pay the straggler's delay for the tasks it
+    /// executes.
+    fn pre_run<'r>(&self, jobs_done: usize, run: &'r [Job]) -> (&'r [Job], &'r [Job]) {
+        let live = match self.crash_after {
+            Some(n) if n >= jobs_done => (n - jobs_done).min(run.len()),
+            _ => run.len(),
+        };
+        if self.straggle_ms > 0 && live > 0 {
+            std::thread::sleep(Duration::from_millis(self.straggle_ms * live as u64));
         }
-        if self.straggle_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(self.straggle_ms));
+        run.split_at(live)
+    }
+
+    /// Die on picking up `job`: journal the crash and, when the plan
+    /// says so, tell the master which task was in hand.
+    fn crash(&self, job: &Job, worker_id: usize, obs: &Obs, results: &Sender<WorkerMsg>) {
+        obs.instant(
+            Track::Faults,
+            EventBody::WorkerCrash {
+                worker: worker_id,
+                task: job.task_id,
+                notified: self.crash_notify,
+            },
+        );
+        if self.crash_notify {
+            let _ = results.send(WorkerMsg::Failed(WorkerFailure {
+                worker_id,
+                reason: FailureReason::Crash,
+                in_flight: Some(job.task_id),
+            }));
         }
-        true
     }
 }
 
 impl WorkerContext<'_> {
-    /// The query and the positions of the length order `job` names, or
-    /// — having told the master this worker gives up on it — `None`. A
-    /// job from a confused or hostile master must not index out of
+    /// The queries of `run` and the positions of the length order its
+    /// jobs name, one slice for all of them, or — having told the master
+    /// this worker gives up on the first job that does not fit — `None`.
+    /// A job from a confused or hostile master must not index out of
     /// bounds.
     fn inputs_of(
         &self,
-        job: &Job,
+        run: &[Job],
         results: &Sender<WorkerMsg>,
-    ) -> Option<(&Sequence, Range<usize>)> {
-        let query = self.queries.get(job.query_index);
-        let inputs = query.zip(job.slice.checked(self.database.len()));
-        if inputs.is_none() {
-            let _ = results.send(WorkerMsg::Failed(WorkerFailure {
-                worker_id: self.worker_id,
-                reason: FailureReason::InvalidJob,
-                in_flight: Some(job.task_id),
-            }));
+    ) -> Option<(Vec<&Sequence>, Range<usize>)> {
+        let mut queries = Vec::with_capacity(run.len());
+        let mut slice: Option<Range<usize>> = None;
+        for job in run {
+            let query = self.queries.get(job.query_index);
+            let own = job.slice.checked(self.database.len());
+            let own = own.filter(|own| slice.as_ref().is_none_or(|run| run == own));
+            let Some((query, own)) = query.zip(own) else {
+                let _ = results.send(WorkerMsg::Failed(WorkerFailure {
+                    worker_id: self.worker_id,
+                    reason: FailureReason::InvalidJob,
+                    in_flight: Some(job.task_id),
+                }));
+                return None;
+            };
+            slice = Some(own);
+            queries.push(query);
         }
-        inputs
+        Some((queries, slice.unwrap_or_default()))
     }
 
     /// The ranked hits a job reports for `scores` of `slice`, which are
@@ -374,7 +389,7 @@ pub fn worker_loop_registered(
     spec: WorkerSpec,
     ctx: WorkerContext<'_>,
     registration: Option<Sender<crate::messages::Registration>>,
-    jobs: Receiver<Job>,
+    jobs: Receiver<Vec<Job>>,
     results: Sender<WorkerMsg>,
 ) {
     if matches!(ctx.fault, Some(WorkerFault::CrashBeforeRegistration)) {
@@ -402,8 +417,8 @@ pub fn worker_loop_registered(
 
 /// How long a worker polls its job queue before it parks on it.
 ///
-/// The master feeds one job at a time, so between two jobs a worker
-/// waits for the master to merge its result and send the next one — a
+/// The master feeds one run at a time, so between two runs a worker
+/// waits for the master to merge its results and send the next one — a
 /// few microseconds. Parking for that idles the CPU, and how long an
 /// idle CPU takes to wake is the host's business: on the reference VM it
 /// moved `tiny_tasks` searches between 0.41 and 0.64 s from one run to
@@ -412,8 +427,8 @@ pub fn worker_loop_registered(
 /// worker parks as before.
 const POLL_BEFORE_PARK: Duration = Duration::from_micros(100);
 
-/// The next job, or `None` once the master has closed the queue.
-fn next_job(jobs: &Receiver<Job>) -> Option<Job> {
+/// The next run, or `None` once the master has closed the queue.
+fn next_run(jobs: &Receiver<Vec<Job>>) -> Option<Vec<Job>> {
     let start = Instant::now();
     loop {
         match jobs.try_recv() {
@@ -432,7 +447,7 @@ fn next_job(jobs: &Receiver<Job>) -> Option<Job> {
 pub fn worker_loop(
     spec: WorkerSpec,
     ctx: WorkerContext<'_>,
-    jobs: Receiver<Job>,
+    jobs: Receiver<Vec<Job>>,
     results: Sender<WorkerMsg>,
 ) {
     if matches!(ctx.fault, Some(WorkerFault::CrashBeforeRegistration)) {
@@ -453,69 +468,95 @@ pub fn worker_loop(
             let profile_cache = ProfileCache::default();
             let mut tiers = TierStats::default();
             let mut virt_clock = 0.0;
-            while let Some(job) = next_job(&jobs) {
-                if !knobs.pre_job(jobs_done, job, ctx.worker_id, &ctx.obs, &results) {
-                    return;
-                }
-                let Some((query, slice)) = ctx.inputs_of(&job, &results) else {
-                    return;
-                };
-                let wall_start = ctx.obs.now();
-                let start = Instant::now();
-                // Serves striped profiles from the per-worker cache
-                // (when the job needs any) and reports phase timings
-                // plus tier-resolution counts at the cost of a few clock
-                // reads per job. Scores are identical to `score_many`.
-                let (scores, timings, tier_stats) = engine.score_database(
-                    query.codes(),
-                    ctx.database,
-                    slice.clone(),
-                    &ctx.scheme,
-                    Some(&profile_cache),
-                    Some(ctx.streams),
-                    &mut scratch,
-                );
-                let hits = ctx.hits_of(slice.clone(), &scores);
-                let timings = ctx.obs.is_profiling().then_some(timings);
-                let wall = start.elapsed().as_secs_f64();
-                // A slice is charged for its own residues.
-                let residues = ctx.database.residues_in(slice);
-                let cells = query.len() as u64 * residues;
-                let modelled = model.task_seconds(query.len(), residues) * knobs.straggle_factor;
-                record_job_span(
-                    &ctx.obs,
-                    ctx.worker_id,
-                    &job,
-                    wall_start,
-                    wall,
-                    virt_clock,
-                    modelled,
-                    cells,
-                );
-                if let Some(timings) = &timings {
-                    record_phase_spans(
-                        &ctx.obs,
-                        ctx.worker_id,
-                        job.task_id,
-                        wall_start,
-                        virt_clock,
-                        modelled,
-                        timings,
+            'runs: while let Some(run) = next_run(&jobs) {
+                let (live, doomed) = knobs.pre_run(jobs_done, &run);
+                if !live.is_empty() {
+                    let Some((queries, slice)) = ctx.inputs_of(live, &results) else {
+                        return;
+                    };
+                    let wall_start = ctx.obs.now();
+                    let start = Instant::now();
+                    // Serves striped profiles from the per-worker cache
+                    // (when the run needs any) and reports phase timings
+                    // plus tier-resolution counts at the cost of a few
+                    // clock reads per run. Scores are identical to
+                    // `score_many`; a run of one task is a one-query job.
+                    let codes: Vec<&[u8]> = queries.iter().map(|q| q.codes()).collect();
+                    let (scores, timings, tier_stats) = engine.score_run(
+                        &codes,
+                        ctx.database,
+                        slice.clone(),
+                        &ctx.scheme,
+                        Some(&profile_cache),
+                        Some(ctx.streams),
+                        &mut scratch,
                     );
+                    let hits: Vec<Vec<Hit>> = scores
+                        .iter()
+                        .map(|s| ctx.hits_of(slice.clone(), s))
+                        .collect();
+                    let timings = ctx.obs.is_profiling().then_some(timings);
+                    let wall = start.elapsed().as_secs_f64();
+                    tiers.merge(&tier_stats);
+                    // A slice is charged for its own residues, each task
+                    // its own modelled seconds. The tasks of a run share
+                    // one slice, so the run's wall time and phases are
+                    // shared out by query length, its job spans tiling
+                    // the run's wall span.
+                    let residues = ctx.database.residues_in(slice);
+                    let weight = |query: &Sequence| query.len().max(1) as f64;
+                    let total_weight: f64 = queries.iter().map(|q| weight(q)).sum();
+                    let mut wall_at = wall_start;
+                    for ((job, query), hits) in live.iter().zip(&queries).zip(hits) {
+                        let share = weight(query) / total_weight;
+                        let wall = wall * share;
+                        let cells = query.len() as u64 * residues;
+                        let modelled =
+                            model.task_seconds(query.len(), residues) * knobs.straggle_factor;
+                        record_job_span(
+                            &ctx.obs,
+                            ctx.worker_id,
+                            job,
+                            wall_at,
+                            wall,
+                            virt_clock,
+                            modelled,
+                            cells,
+                        );
+                        if let Some(timings) = &timings {
+                            let timings = PhaseTimings {
+                                profile_build: timings.profile_build * share,
+                                dp_inner: timings.dp_inner * share,
+                            };
+                            record_phase_spans(
+                                &ctx.obs,
+                                ctx.worker_id,
+                                job.task_id,
+                                wall_at,
+                                virt_clock,
+                                modelled,
+                                &timings,
+                            );
+                        }
+                        virt_clock += modelled;
+                        wall_at += wall;
+                        jobs_done += 1;
+                        let send = results.send(WorkerMsg::Completed(JobResult {
+                            task_id: job.task_id,
+                            worker_id: ctx.worker_id,
+                            hits,
+                            wall_seconds: wall,
+                            modelled_seconds: modelled,
+                            cells,
+                        }));
+                        if send.is_err() {
+                            break 'runs; // master went away
+                        }
+                    }
                 }
-                tiers.merge(&tier_stats);
-                virt_clock += modelled;
-                jobs_done += 1;
-                let send = results.send(WorkerMsg::Completed(JobResult {
-                    task_id: job.task_id,
-                    worker_id: ctx.worker_id,
-                    hits,
-                    wall_seconds: wall,
-                    modelled_seconds: modelled,
-                    cells,
-                }));
-                if send.is_err() {
-                    break; // master went away
+                if let Some(job) = doomed.first() {
+                    knobs.crash(job, ctx.worker_id, &ctx.obs, &results);
+                    return;
                 }
             }
             // The queue closed: what this worker's kernels did in total.
@@ -547,82 +588,92 @@ pub fn worker_loop(
             // the chunked streaming path per kernel, re-streaming the
             // job's subjects for every task as the real tools must.
             let residency = device.upload_shared(ctx.database, true).ok();
-            while let Some(job) = next_job(&jobs) {
-                if !knobs.pre_job(jobs_done, job, ctx.worker_id, &ctx.obs, &results) {
-                    return;
-                }
-                let Some((query, slice)) = ctx.inputs_of(&job, &results) else {
-                    return;
-                };
-                let wall_start = ctx.obs.now();
-                let start = Instant::now();
-                // Tag the device's stage spans (H2D/kernel/D2H) with the
-                // task they serve: the causal link from dispatch into
-                // device activity.
-                device.set_lineage(Some(job.task_id));
-                let computed = (|| -> Result<(Vec<i32>, f64), FailureReason> {
-                    device.check_fault()?;
-                    match &residency {
-                        Some(db) => {
-                            let r =
-                                device.search_slice(query.codes(), db, slice.clone(), &ctx.scheme);
-                            Ok((r.scores, r.kernel_seconds))
-                        }
-                        None => {
-                            let on_host: Vec<&[u8]> =
-                                ctx.database.in_order(slice.clone()).collect();
-                            let r = swdual_gpusim::chunked::overlapped_search(
-                                &mut device,
-                                &on_host,
-                                query.codes(),
-                                &ctx.scheme,
-                                true,
-                            )?;
-                            Ok((r.scores, r.seconds))
-                        }
-                    }
-                })();
-                let (scores, modelled) = match computed {
-                    Ok((scores, modelled)) => (scores, modelled * knobs.straggle_factor),
-                    Err(reason) => {
-                        // The board died under us, or cannot hold even
-                        // one chunk of this database: report and exit so
-                        // the master re-plans onto the survivors. (A
-                        // fault was already logged by the device itself.)
-                        let _ = results.send(WorkerMsg::Failed(WorkerFailure {
-                            worker_id: ctx.worker_id,
-                            reason,
-                            in_flight: Some(job.task_id),
-                        }));
+            'runs: while let Some(run) = next_run(&jobs) {
+                let (live, doomed) = knobs.pre_run(jobs_done, &run);
+                for job in live {
+                    let Some((queries, slice)) = ctx.inputs_of(std::slice::from_ref(job), &results)
+                    else {
                         return;
+                    };
+                    let query = queries[0];
+                    let wall_start = ctx.obs.now();
+                    let start = Instant::now();
+                    // Tag the device's stage spans (H2D/kernel/D2H) with the
+                    // task they serve: the causal link from dispatch into
+                    // device activity.
+                    device.set_lineage(Some(job.task_id));
+                    let computed = (|| -> Result<(Vec<i32>, f64), FailureReason> {
+                        device.check_fault()?;
+                        match &residency {
+                            Some(db) => {
+                                let r = device.search_slice(
+                                    query.codes(),
+                                    db,
+                                    slice.clone(),
+                                    &ctx.scheme,
+                                );
+                                Ok((r.scores, r.kernel_seconds))
+                            }
+                            None => {
+                                let on_host: Vec<&[u8]> =
+                                    ctx.database.in_order(slice.clone()).collect();
+                                let r = swdual_gpusim::chunked::overlapped_search(
+                                    &mut device,
+                                    &on_host,
+                                    query.codes(),
+                                    &ctx.scheme,
+                                    true,
+                                )?;
+                                Ok((r.scores, r.seconds))
+                            }
+                        }
+                    })();
+                    let (scores, modelled) = match computed {
+                        Ok((scores, modelled)) => (scores, modelled * knobs.straggle_factor),
+                        Err(reason) => {
+                            // The board died under us, or cannot hold even
+                            // one chunk of this database: report and exit so
+                            // the master re-plans onto the survivors. (A
+                            // fault was already logged by the device itself.)
+                            let _ = results.send(WorkerMsg::Failed(WorkerFailure {
+                                worker_id: ctx.worker_id,
+                                reason,
+                                in_flight: Some(job.task_id),
+                            }));
+                            return;
+                        }
+                    };
+                    device.set_lineage(None);
+                    let hits = ctx.hits_of(slice.clone(), &scores);
+                    let wall = start.elapsed().as_secs_f64();
+                    let cells = query.len() as u64 * ctx.database.residues_in(slice);
+                    record_job_span(
+                        &ctx.obs,
+                        ctx.worker_id,
+                        job,
+                        wall_start,
+                        wall,
+                        virt_clock,
+                        modelled,
+                        cells,
+                    );
+                    virt_clock += modelled;
+                    jobs_done += 1;
+                    let send = results.send(WorkerMsg::Completed(JobResult {
+                        task_id: job.task_id,
+                        worker_id: ctx.worker_id,
+                        hits,
+                        wall_seconds: wall,
+                        modelled_seconds: modelled,
+                        cells,
+                    }));
+                    if send.is_err() {
+                        break 'runs;
                     }
-                };
-                device.set_lineage(None);
-                let hits = ctx.hits_of(slice.clone(), &scores);
-                let wall = start.elapsed().as_secs_f64();
-                let cells = query.len() as u64 * ctx.database.residues_in(slice);
-                record_job_span(
-                    &ctx.obs,
-                    ctx.worker_id,
-                    &job,
-                    wall_start,
-                    wall,
-                    virt_clock,
-                    modelled,
-                    cells,
-                );
-                virt_clock += modelled;
-                jobs_done += 1;
-                let send = results.send(WorkerMsg::Completed(JobResult {
-                    task_id: job.task_id,
-                    worker_id: ctx.worker_id,
-                    hits,
-                    wall_seconds: wall,
-                    modelled_seconds: modelled,
-                    cells,
-                }));
-                if send.is_err() {
-                    break;
+                }
+                if let Some(job) = doomed.first() {
+                    knobs.crash(job, ctx.worker_id, &ctx.obs, &results);
+                    return;
                 }
             }
         }
@@ -691,7 +742,7 @@ mod tests {
             fault,
         };
         for &job in jobs {
-            job_tx.send(job).unwrap();
+            job_tx.send(vec![job]).unwrap();
         }
         drop(job_tx);
         worker_loop(spec, ctx, job_rx, res_tx);
