@@ -18,7 +18,7 @@
 
 use crate::dispatch::{Backend, QueryProfiles};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use swdual_bio::matrix::Matrix;
 
 /// Default number of (query, matrix) entries kept per cache.
@@ -57,6 +57,13 @@ impl ProfileCache {
         }
     }
 
+    /// The entries, whatever a thread that unwound while holding them
+    /// left: every entry is whole between two statements that change
+    /// the list, so a job that panicked cannot fail the next lookup.
+    fn entries(&self) -> MutexGuard<'_, Vec<Entry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// FNV-1a over the query residues and the matrix identity.
     fn fingerprint(query: &[u8], matrix: &Matrix) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -91,7 +98,7 @@ impl ProfileCache {
     ) -> Arc<QueryProfiles> {
         let fp = ProfileCache::fingerprint(query, matrix);
         {
-            let mut entries = self.entries.lock().unwrap();
+            let mut entries = self.entries();
             if let Some(i) = entries.iter().position(|e| {
                 e.fingerprint == fp
                     && e.backend == backend
@@ -111,7 +118,7 @@ impl ProfileCache {
         // duplicate build is possible and harmless (last writer wins).
         let profiles = Arc::new(QueryProfiles::build_for(backend, query, matrix));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = self.entries();
         if entries.len() >= self.capacity {
             entries.remove(0); // LRU is at the front
         }
@@ -136,7 +143,7 @@ impl ProfileCache {
 
     /// Live entry count.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.entries().len()
     }
 
     /// True when no profiles are cached.
@@ -209,6 +216,24 @@ mod tests {
         assert_eq!(cache.misses(), misses_before);
         cache.get_or_build(&q2, &scheme.matrix); // rebuilt
         assert_eq!(cache.misses(), misses_before + 1);
+    }
+
+    #[test]
+    fn a_poisoned_cache_still_serves_lookups() {
+        let cache = ProfileCache::default();
+        let m = Matrix::blosum62();
+        let q = prot(b"MKVLAT");
+        cache.get_or_build(&q, m);
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = cache.entries.lock().unwrap();
+                panic!("a job unwinds while holding the cache");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.entries.is_poisoned());
+        cache.get_or_build(&q, m);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
     }
 
     #[test]

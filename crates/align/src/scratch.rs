@@ -71,6 +71,9 @@ impl Scratch {
         let (profile, rest) =
             aligned(&mut self.state, (32 + query_len * 2) * L + 32 * 32).split_at_mut(32 * L);
         let (state, rows) = rest.split_at_mut(query_len * 2 * L);
+        // `profile` is the first `32 * L` bytes and `rows` the last
+        // `32 * 32`, so both conversions below see exactly 32 chunks:
+        // neither `expect` can fire.
         let buffers = InterseqBuffers {
             profile: profile
                 .as_chunks_mut::<L>()

@@ -127,7 +127,10 @@ impl<'a> Subjects<'a> {
     /// along that order.
     ///
     /// # Panics
-    /// On more than `u32::MAX` subjects.
+    /// On more than `u32::MAX` subjects. No input file reaches that: an
+    /// SQB header declaring more records is refused as malformed, the
+    /// SQB writer refuses to write more, and FASTA reaches a search
+    /// through that writer.
     pub fn new(seqs: Vec<&'a [u8]>) -> Subjects<'a> {
         let count = u32::try_from(seqs.len()).expect("at most u32::MAX subjects");
         let mut by_length: Vec<u32> = (0..count).collect();

@@ -145,6 +145,13 @@ impl Header {
         }
         let (n_sequences, total_residues, names_len) =
             (buf.get_u64_le(), buf.get_u64_le(), buf.get_u64_le());
+        // A search orders its subjects by `u32` index.
+        if n_sequences > u64::from(u32::MAX) {
+            return Err(malformed(format!(
+                "{n_sequences} records, more than the {} a database may hold",
+                u32::MAX
+            )));
+        }
         let stored = [
             buf.get_u64_le(),
             buf.get_u64_le(),
@@ -678,11 +685,18 @@ impl<W: Write + Seek> SqbWriter<W> {
 
     /// Append one record. A record the format cannot hold — another
     /// alphabet, a residue code outside it, an id or description over
-    /// 65 535 bytes, more than `u32::MAX` residues — is refused with
-    /// [`BioError::UnencodableSqb`] and leaves the writer as it was.
+    /// 65 535 bytes, more than `u32::MAX` residues, one record past
+    /// `u32::MAX` of them — is refused with [`BioError::UnencodableSqb`]
+    /// and leaves the writer as it was.
     pub fn append(&mut self, seq: &Sequence) -> Result<(), BioError> {
         let refuse =
             |why: String| BioError::UnencodableSqb(format!("sequence {:?}: {why}", seq.id));
+        if self.index.len() / INDEX_ENTRY_LEN >= u32::MAX as usize {
+            return Err(refuse(format!(
+                "the file already holds {} records",
+                u32::MAX
+            )));
+        }
         if seq.alphabet != self.alphabet {
             return Err(refuse(format!(
                 "alphabet {:?}, writer expects {:?}",
@@ -872,6 +886,22 @@ mod tests {
             SqbImage::from_bytes(bytes),
             Err(BioError::MalformedSqb(_))
         ));
+    }
+
+    #[test]
+    fn a_header_declaring_more_records_than_a_search_orders_is_rejected() {
+        let mut bytes = sample_bytes();
+        // `n_sequences` is the u64 after magic, version, alphabet, flags.
+        bytes[8..16].copy_from_slice(&(u64::from(u32::MAX) + 1).to_le_bytes());
+        for error in [
+            decode(&bytes).unwrap_err(),
+            SqbImage::from_bytes(bytes).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&error, BioError::MalformedSqb(why) if why.contains("4294967296 records")),
+                "{error}"
+            );
+        }
     }
 
     #[test]

@@ -765,10 +765,11 @@ impl Tail {
 
 /// `swdual top EVENTS.jsonl [--refresh-ms MS]` — live per-worker
 /// dashboard. A journal file is followed as it grows, redrawn at most
-/// every `--refresh-ms`, until the master's `merge` span — which every
-/// run that reaches dispatch records, even one that fails — and what
-/// was written with it; a finished journal therefore renders once.
-/// Stdin (`-`) is read to its end and rendered once.
+/// every `--refresh-ms`, until the run's `search_end` — which every run
+/// records, whichever way it ends (a journal written before it existed:
+/// the master's `merge` span) — and what was written with it; a
+/// finished journal therefore renders once. Stdin (`-`) is read to its
+/// end and rendered once.
 fn cmd_top(args: &Args) -> Result<(), String> {
     let source = args.positionals[0];
     let refresh_ms: u64 = args.number("refresh-ms")?.unwrap_or(250);
@@ -784,11 +785,11 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     }
 
     let mut tail = Tail::open(source)?;
-    let (mut header_seen, mut merged, mut dirty) = (false, false, false);
+    let (mut header_seen, mut ended, mut dirty) = (false, false, false);
     let mut drawn: Option<std::time::Instant> = None;
     loop {
         let Some(line) = tail.next_line()? else {
-            if merged {
+            if ended {
                 break;
             }
             if dirty && drawn.is_none_or(|t| t.elapsed() >= refresh) {
@@ -810,7 +811,8 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         }
         let event =
             swdual_obs::journal::parse_event_line(line).map_err(|e| format!("{source}: {e}"))?;
-        merged |= matches!(event.body, swdual_obs::EventBody::Merge { .. });
+        use swdual_obs::EventBody::{Merge, SearchEnd};
+        ended |= matches!(event.body, Merge { .. } | SearchEnd { .. });
         dog.observe(&event);
         dirty = true;
     }

@@ -126,6 +126,49 @@ fn top_watches_a_running_search_through_its_file_and_exits_by_itself() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A search that fails before it dispatches anything — no worker
+/// registers, or the declared rate models price a task at infinity —
+/// still ends its journal with `search_end`, so `top` renders that
+/// journal once and exits instead of following it forever.
+#[test]
+fn top_exits_by_itself_for_a_search_that_fails_before_dispatch() {
+    let dir = work_dir("failed");
+    let db = smoke_db(&dir);
+    for (name, flag, value) in [
+        ("noreg", "--fault-plan", "0:noreg"),
+        ("unpriced", "--prior-scale", "0:1e-308"),
+    ] {
+        let journal = dir.join(format!("{name}.jsonl"));
+        let failed = swdual()
+            .arg("search")
+            .arg("--db")
+            .arg(&db)
+            .arg("--queries")
+            .arg(&db)
+            .args(["--cpus", "1", "--gpus", "0", flag, value])
+            .arg("--journal-out")
+            .arg(&journal)
+            .output()
+            .unwrap();
+        assert_eq!(failed.status.code(), Some(1), "{name}: {failed:?}");
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let events = swdual_obs::journal::parse_journal(&text).expect("the file parses");
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e.body, EventBody::Merge { .. })),
+            "{name}: the search never merged"
+        );
+        let last = &events.last().expect("events").body;
+        assert_eq!(last, &EventBody::SearchEnd { ok: false }, "{name}");
+        let mut top = swdual();
+        top.arg("top").arg(&journal).args(["--refresh-ms", "50"]);
+        let frames = stdout_of(finishes(top));
+        assert_eq!(frames.matches("swdual top").count(), 1, "{name}: {frames}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn tail_analyze_and_explain_read_the_file_and_stdin() {
     let dir = work_dir("readers");

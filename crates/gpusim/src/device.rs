@@ -578,9 +578,46 @@ impl GpuDevice {
             &mut self.scratch,
             &mut TierStats::default(),
         );
+        let kernel_seconds = self.launch(query.len(), db, slice, wall_start);
+        KernelResult {
+            scores,
+            kernel_seconds,
+        }
+    }
+
+    /// The kernel [`GpuDevice::search_slice`] would launch for a query of
+    /// `query_len` over `slice`, without scoring it — the scores were
+    /// computed elsewhere. Polls the injected fault first, then advances
+    /// the clock and the kernel count exactly as the search would, and
+    /// returns the kernel's modelled seconds.
+    ///
+    /// # Panics
+    /// When `slice` is not a range of positions of the length order.
+    pub fn charge_slice(
+        &mut self,
+        query_len: usize,
+        db: &ResidentDb,
+        slice: Range<usize>,
+    ) -> Result<f64, DeviceFault> {
+        self.check_fault()?;
+        let wall_start = self.obs.now();
+        Ok(self.launch(query_len, db, slice, wall_start))
+    }
+
+    /// The timing model's half of a kernel over `slice`, whose host work
+    /// began at `wall_start`: advance the clock, count and log the
+    /// launch, journal its spans. Returns the modelled seconds.
+    fn launch(
+        &mut self,
+        query_len: usize,
+        db: &ResidentDb,
+        slice: Range<usize>,
+        wall_start: f64,
+    ) -> f64 {
+        let subjects = slice.len();
         // Timing model: simulated time, from lengths alone.
         let footprint = db.footprint(slice);
-        let (useful, padded, kernel_seconds) = footprint.kernel_cost(&self.spec, query.len());
+        let (useful, padded, kernel_seconds) = footprint.kernel_cost(&self.spec, query_len);
         let start = self.clock;
         self.clock += kernel_seconds;
         self.kernels_launched += 1;
@@ -600,7 +637,7 @@ impl GpuDevice {
             EventBody::Kernel {
                 useful_cells: useful as f64,
                 padded_cells: padded as f64,
-                query_len: query.len(),
+                query_len,
                 task,
             },
         );
@@ -637,7 +674,7 @@ impl GpuDevice {
             // the roofline's byte accounting but does NOT advance the
             // device clock — profiling must never perturb the modelled
             // timing the scheduler's bounds are checked against.
-            let d2h_bytes = 4.0 * scores.len() as f64;
+            let d2h_bytes = 4.0 * subjects as f64;
             self.obs.span(
                 track,
                 wall_start + wall_dur,
@@ -652,11 +689,7 @@ impl GpuDevice {
                 },
             );
         }
-
-        KernelResult {
-            scores,
-            kernel_seconds,
-        }
+        kernel_seconds
     }
 }
 
@@ -966,6 +999,33 @@ mod tests {
         let empty = dev.search_slice(&query, &resident, 4..4, &scheme());
         assert!(empty.scores.is_empty());
         assert_eq!(empty.kernel_seconds, launch);
+    }
+
+    #[test]
+    fn a_charged_kernel_is_the_searched_kernel_without_its_scores() {
+        let database = db(&["MKVLATGGAR", "MK", "GGARMKVLAT", "WWWW", "MKVLA"]);
+        let subjects = Subjects::from(&database);
+        let query = Alphabet::Protein.encode(b"MKVLAT").unwrap();
+        let mut searched = GpuDevice::new(DeviceSpec::toy(10_000));
+        let mut charged = GpuDevice::new(DeviceSpec::toy(10_000));
+        for device in [&mut searched, &mut charged] {
+            device.inject_fault_after_kernels(2);
+        }
+        let a = searched.upload_shared(&subjects, true).unwrap();
+        let b = charged.upload_shared(&subjects, true).unwrap();
+        for slice in [0..5, 1..3] {
+            searched.check_fault().unwrap();
+            let kernel = searched.search_slice(&query, &a, slice.clone(), &scheme());
+            let seconds = charged.charge_slice(query.len(), &b, slice).unwrap();
+            assert_eq!(seconds, kernel.kernel_seconds);
+        }
+        assert_eq!(searched.events(), charged.events());
+        // The same fault fires at the same kernel count.
+        assert_eq!(
+            charged.charge_slice(query.len(), &b, 0..5),
+            searched.check_fault().map(|()| 0.0)
+        );
+        assert_eq!(searched.events(), charged.events());
     }
 
     #[test]

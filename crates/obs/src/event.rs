@@ -381,6 +381,9 @@ vocabulary! {
     Dispatch: Master, Span "dispatch", { tasks: usize }
     /// Master phase: collect results until the search ends.
     Merge: Master, Span "merge", { results: usize }
+    /// The search is over, with its hits (`ok`) or a typed error: the
+    /// last event of every run, whichever way it ended.
+    SearchEnd: Master, Instant "search_end", { ok: bool }
 
     /// One dual-approximation step of the λ bisection.
     BinsearchIter: Scheduler, Span "dual_step", {
@@ -406,6 +409,10 @@ vocabulary! {
         task: usize, cells: Option<f64>, seq: Option<u64>, decision: Option<u64>,
         queue_wait_wall: Option<f64>, queue_wait_modelled: Option<f64>
     }
+    /// An idle worker computing another worker's queued task for it:
+    /// the helper's wall time, on the helper's track. The task's job span
+    /// stays on its owner's.
+    Help: Worker(_), Span "help", { task: usize }
     /// `phase_{phase}`: a host phase subdividing a job span.
     Phase: Worker(_), Span Prefix("phase_"), { phase: HostPhase, task: usize }
     /// What a CPU worker's kernels did over the whole run, recorded

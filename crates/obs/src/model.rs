@@ -59,7 +59,8 @@ pub struct Worker {
     pub dead: bool,
     /// Jobs it completed (duplicates included).
     pub jobs: usize,
-    /// Sum of job wall durations.
+    /// Sum of job wall durations and of the wall time it spent helping
+    /// other workers with their lent tasks.
     pub busy_wall: f64,
     /// Sum of job modelled durations.
     pub busy_modelled: f64,
@@ -291,6 +292,9 @@ pub struct RunModel {
     pub placements: Vec<Placement>,
     /// `(worker, task, phase)` → seconds spent.
     pub phases: BTreeMap<(usize, usize, HostPhase), Clocked>,
+    /// `(helper, task)` → wall seconds spent computing another worker's
+    /// lent task.
+    pub helped: BTreeMap<(usize, usize), f64>,
     /// Modelled H2D seconds tagged with each task.
     pub h2d_by_task: BTreeMap<usize, f64>,
     pub devices: BTreeMap<usize, Device>,
@@ -463,6 +467,12 @@ impl RunModel {
             }
             B::Phase { phase, task } => {
                 self.phases.entry((unit, task, phase)).or_default().add(dur);
+            }
+            B::Help { task } => {
+                let state = self.worker(unit);
+                state.busy_wall += dur.wall;
+                state.last_activity_wall = state.last_activity_wall.max(wall);
+                *self.helped.entry((unit, task)).or_default() += dur.wall;
             }
             B::WorkerTotals {
                 subjects,

@@ -17,6 +17,9 @@
 //! worker:W;task-T                      ← self = task minus its phases
 //! worker:W;task-T;profile_build        ← striped query-profile setup
 //! worker:W;task-T;dp_inner             ← the DP loop proper
+//! worker:W;help;task-T                 ← another worker's lent task,
+//!                                        wall only (its owner's job
+//!                                        span carries the modelled time)
 //! device:D;h2d_transfer                ← PCIe uploads
 //! device:D;d2h_transfer                ← score readback (overlapped,
 //!                                        not on the device clock)
@@ -346,6 +349,24 @@ impl Profile {
             wp.modelled_total += modelled.max(child_virt);
             wp.modelled_end = wp.modelled_end.max(end);
         }
+        // Help: the helper's wall time, a stack of its own.
+        for (&(w, task), &wall) in &model.helped {
+            let spent = Clocked {
+                wall,
+                modelled: 0.0,
+            };
+            let task_frame = task_name(task);
+            stacks.push(StackWeight::new(
+                format!("worker:{w}"),
+                &["help", &task_frame],
+                spent,
+            ));
+            let wp = worker_fold.entry(w).or_insert(WorkerProfile {
+                worker: w,
+                ..WorkerProfile::default()
+            });
+            wp.wall_total += wall;
+        }
         // Per-worker phase totals.
         for (&(w, _, phase), spent) in phases {
             if let Some(wp) = worker_fold.get_mut(&w) {
@@ -654,6 +675,37 @@ mod tests {
             assert!((p.root_total(&worker, ProfileClock::Modelled) - w.busy_modelled).abs() < 1e-9);
         }
         assert!((p.modelled_makespan - audit.modelled_makespan).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_help_span_is_its_helpers_wall_busy_and_nobodys_modelled() {
+        let mut events = sample_events();
+        // Worker 1 spends 0.4 s computing worker 0's lent task 0.
+        let obs = Obs::enabled();
+        obs.span(
+            Track::Worker(1),
+            0.05,
+            0.4,
+            None,
+            EventBody::Help { task: 0 },
+        );
+        events.extend(obs.events_since(0));
+        let p = Profile::from_events(&events);
+        let help = p
+            .stacks
+            .iter()
+            .find(|s| s.frames == ["worker:1", "help", "task-0"]);
+        assert_eq!(help.map(|s| (s.wall, s.modelled)), Some((0.4, 0.0)));
+        assert!((p.root_total("worker:1", ProfileClock::Wall) - 0.43).abs() < 1e-12);
+        assert!((p.root_total("worker:1", ProfileClock::Modelled) - 1.5).abs() < 1e-12);
+        let audit = crate::analysis::analyze_events(&events);
+        for w in &audit.workers {
+            let worker = format!("worker:{}", w.worker);
+            assert!((p.root_total(&worker, ProfileClock::Wall) - w.busy_wall).abs() < 1e-9);
+        }
+        // The task is still one job, its owner's.
+        let model = RunModel::from_events(&events);
+        assert_eq!((model.workers[&1].jobs, model.jobs.len()), (1, 2));
     }
 
     #[test]

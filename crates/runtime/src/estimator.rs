@@ -10,13 +10,30 @@
 use serde::{Deserialize, Serialize};
 use swdual_gpusim::{DeviceClass, DeviceSpec};
 
-/// Conservative cold-host prior: 10 MCUPS (cells per second). The
-/// silent-death deadline is bounded below by pending cells at this
-/// rate, so even a grossly mis-modelled (or deliberately
-/// re-calibrated) slow host is never declared dead while it could
-/// still plausibly be computing. Re-optimization recalibrates the
-/// *planning* estimates, never this floor.
+/// Conservative cold-host prior of an optimised build: 10 MCUPS (cells
+/// per second). The silent-death deadline is bounded below by pending
+/// cells at [`cold_host_cells_per_sec`], so even a grossly mis-modelled
+/// (or deliberately re-calibrated) slow host is never declared dead
+/// while it could still plausibly be computing. Re-optimization
+/// recalibrates the *planning* estimates, never this floor.
 pub const COLD_HOST_CELLS_PER_SEC: f64 = 1.0e7;
+
+/// How many times slower an unoptimised build's kernels may run than the
+/// optimised prior promises. The lane-array backend unoptimised scores
+/// 2–5 MCUPS alone on the 2-vCPU reference host, and less when the test
+/// suite runs beside it; 0.5 MCUPS leaves it a margin.
+const UNOPTIMISED_SLOWDOWN: f64 = 20.0;
+
+/// The cold-host rate this build can promise: [`COLD_HOST_CELLS_PER_SEC`]
+/// when optimised, [`UNOPTIMISED_SLOWDOWN`] times less when built with
+/// debug assertions (an unoptimised build).
+pub(crate) fn cold_host_cells_per_sec() -> f64 {
+    if cfg!(debug_assertions) {
+        COLD_HOST_CELLS_PER_SEC / UNOPTIMISED_SLOWDOWN
+    } else {
+        COLD_HOST_CELLS_PER_SEC
+    }
+}
 
 /// Throughput model of one worker species.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -118,6 +135,17 @@ mod tests {
         assert!((job_deadline_seconds(10.0, 0.5, 4.0, 5.0) - 20.0).abs() < 1e-12);
         // Tiny estimates never dip below the floor.
         assert_eq!(job_deadline_seconds(1e-6, 1e-3, 4.0, 0.05), 0.05);
+    }
+
+    #[test]
+    fn an_unoptimised_build_promises_a_slower_cold_host() {
+        let promised = cold_host_cells_per_sec();
+        assert!(promised <= COLD_HOST_CELLS_PER_SEC);
+        if cfg!(debug_assertions) {
+            assert!(promised <= 5.0e5, "{promised}");
+        } else {
+            assert_eq!(promised, COLD_HOST_CELLS_PER_SEC);
+        }
     }
 
     #[test]

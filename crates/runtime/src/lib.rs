@@ -53,6 +53,7 @@
 //! thousands of seeded interleavings on a virtual clock and checks the
 //! scheduling invariants after every step.
 
+pub mod claims;
 pub mod estimator;
 pub mod faults;
 pub mod master;

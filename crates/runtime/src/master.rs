@@ -30,6 +30,12 @@
 //! makespan would strictly fall. A worker answers a task with the best
 //! `top_k` hits of its slice; the master folds the slices of a query.
 //!
+//! An idle worker is lent the last queued task of the busiest device
+//! queue (see [`core`]): it scores the task into the search's
+//! [`Claims`] and the owner, when it reaches the task, takes the scores
+//! from there. Lending changes which thread computes a task, never what
+//! the task's owner reports for it on the modelled clock.
+//!
 //! Faults never change results. Alignment scores are a pure function of
 //! (query, database, scheme), so any completion path — the original
 //! worker, a late straggler, a re-dispatched copy — produces the same
@@ -40,11 +46,12 @@ mod core;
 #[cfg(test)]
 use self::core::DEATH_TIMEOUT;
 use self::core::{Action, Input, Joins, MasterState, Unit};
+use crate::claims::Claims;
 #[cfg(test)]
 use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
 use crate::faults::FaultPlan;
 use crate::messages::{
-    top_k, DbSlice, Hit, Job, JobResult, QueryHits, Registration, WorkerMsg, WorkerStats,
+    top_k, DbSlice, Hit, Job, JobResult, Order, QueryHits, Registration, WorkerMsg, WorkerStats,
 };
 use crate::worker::{WorkerContext, WorkerSpec};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
@@ -53,7 +60,7 @@ use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 use swdual_align::tiered::transposes;
-use swdual_align::{Backend, SharedStreams, Subjects};
+use swdual_align::{Backend, EngineKind, SharedStreams, Subjects};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_bio::SqbImage;
@@ -340,10 +347,11 @@ fn journal_dispatch(job: &Job, w: Option<usize>, obs: &Obs) {
 
 /// The master's ends of the channels to and from its workers.
 struct Links {
-    /// Per-worker queues of runs (static policies); `None` once closed.
-    private_tx: Vec<Option<Sender<Vec<Job>>>>,
+    /// Per-worker queues of orders (static policies); `None` once
+    /// closed.
+    private_tx: Vec<Option<Sender<Order>>>,
     /// The self-scheduling queue every worker drains, one job a run.
-    shared_tx: Sender<Vec<Job>>,
+    shared_tx: Sender<Order>,
     reg_rx: Receiver<Registration>,
     msg_rx: Receiver<WorkerMsg>,
 }
@@ -356,12 +364,13 @@ fn spawn_workers<'scope>(
     workers: &[WorkerSpec],
     database: &'scope Subjects<'scope>,
     streams: &'scope SharedStreams,
+    claims: &'scope Claims,
     queries: &Arc<SequenceSet>,
     config: &RuntimeConfig,
 ) -> (Links, Vec<ScopedJoinHandle<'scope, ()>>) {
     let (reg_tx, reg_rx) = channel::unbounded::<Registration>();
     let (msg_tx, msg_rx) = channel::unbounded::<WorkerMsg>();
-    let (shared_tx, shared_rx) = channel::unbounded::<Vec<Job>>();
+    let (shared_tx, shared_rx) = channel::unbounded::<Order>();
     let shared_queue = matches!(config.policy, AllocationPolicy::SelfScheduling);
     let mut private_tx = Vec::with_capacity(workers.len());
     let mut threads = Vec::with_capacity(workers.len());
@@ -370,7 +379,7 @@ fn spawn_workers<'scope>(
             private_tx.push(None);
             shared_rx.clone()
         } else {
-            let (tx, rx) = channel::unbounded::<Vec<Job>>();
+            let (tx, rx) = channel::unbounded::<Order>();
             private_tx.push(Some(tx));
             rx
         };
@@ -383,6 +392,7 @@ fn spawn_workers<'scope>(
             top_k: config.top_k,
             obs: config.obs.clone(),
             fault: config.faults.get(worker_id),
+            claims,
         };
         let (spec, msg_tx, reg_tx) = (spec.clone(), msg_tx.clone(), reg_tx.clone());
         threads.push(scope.spawn(move || {
@@ -584,9 +594,13 @@ fn allocate(
 }
 
 /// Mark the tasks that may join a transposed run on a CPU worker: under a
-/// static policy and a scheme that [`transposes`], each task whose query
-/// [`Backend::joins_runs`] and whose slice another such task scores.
-/// Each such slice's own fill, which a run must beat, is priced once.
+/// static policy without re-optimization and a scheme that
+/// [`transposes`], each task whose query [`Backend::joins_runs`] and
+/// whose slice another such task scores. Each such slice's own fill,
+/// which a run must beat, is priced once. Re-optimization gets one-task
+/// runs: a run takes its tasks off the revocable queue and answers them
+/// only when the last ends, which is the skew it would act on, seen too
+/// late to act.
 fn offer_runs(
     units: &mut [Unit],
     queries: &SequenceSet,
@@ -594,7 +608,7 @@ fn offer_runs(
     config: &RuntimeConfig,
 ) {
     let static_plan = !matches!(config.policy, AllocationPolicy::SelfScheduling);
-    if !static_plan || !transposes(&config.scheme) {
+    if !static_plan || config.reopt.enabled || !transposes(&config.scheme) {
         return;
     }
     let backend = Backend::active();
@@ -632,6 +646,9 @@ fn offer_runs(
 struct Shell<'a> {
     state: MasterState,
     links: Links,
+    /// What each worker scores a task with: a helper scores a lent task
+    /// with its owner's.
+    scorers: Vec<EngineKind>,
     obs: &'a Obs,
     start: Instant,
 }
@@ -659,13 +676,21 @@ impl Shell<'_> {
                         None => Some(&self.links.shared_tx),
                     };
                     let journal = self.obs.is_enabled().then(|| run.clone());
-                    if tx.is_some_and(|tx| tx.send(run).is_ok()) {
+                    if tx.is_some_and(|tx| tx.send(Order::Run(run)).is_ok()) {
                         for job in journal.iter().flatten() {
                             journal_dispatch(job, worker, self.obs);
                         }
                     } else {
                         let now = self.now();
                         pending.extend(self.state.step(Input::SendFailed(worker), now));
+                    }
+                }
+                Action::Lend { job, helper, owner } => {
+                    // A helper that is gone never says it is done, and is
+                    // lent nothing more; the owner scores the task.
+                    let engine = self.scorers[owner];
+                    if let Some(tx) = &self.links.private_tx[helper] {
+                        let _ = tx.send(Order::Help { job, engine });
                     }
                 }
                 Action::CloseQueue(w) => self.links.private_tx[w] = None,
@@ -684,7 +709,7 @@ impl Shell<'_> {
         mut self,
         schedule: Option<&Schedule>,
         tick: Duration,
-    ) -> Result<Vec<JobResult>, SearchError> {
+    ) -> Result<(Vec<JobResult>, Vec<f64>), SearchError> {
         let obs = self.obs;
         let t_dispatch = obs.now();
         let now = self.now();
@@ -711,6 +736,13 @@ impl Shell<'_> {
             let input = match self.links.msg_rx.recv_timeout(wait) {
                 Ok(WorkerMsg::Completed(r)) => Input::Completed(r),
                 Ok(WorkerMsg::Failed(f)) => Input::Failed(f),
+                Ok(WorkerMsg::Helped {
+                    worker_id,
+                    wall_seconds,
+                }) => Input::Helped {
+                    worker: worker_id,
+                    wall: wall_seconds,
+                },
                 Err(RecvTimeoutError::Timeout) => Input::Tick,
                 Err(RecvTimeoutError::Disconnected) => {
                     // Every worker thread has exited with work still
@@ -741,10 +773,41 @@ impl Shell<'_> {
 /// re-planned on the survivors, results are deduplicated by task id,
 /// and the search either completes with exactly the hits a fault-free
 /// run produces or returns a typed [`SearchError`]. It cannot hang.
+/// Whichever way it ends — with hits, an error or a panic — its last
+/// journaled event is a `search_end` instant.
 ///
 /// `database` is the checked image every worker scores in place; the
 /// caller keeps its own handle to resolve the ids of the hits.
 pub fn try_run_search(
+    database: Arc<SqbImage>,
+    queries: SequenceSet,
+    workers: &[WorkerSpec],
+    config: RuntimeConfig,
+) -> Result<SearchOutcome, SearchError> {
+    let mut end = SearchEnd {
+        obs: config.obs.clone(),
+        ok: false,
+    };
+    let outcome = search(database, queries, workers, config);
+    end.ok = outcome.is_ok();
+    outcome
+}
+
+/// Journals `search_end` when dropped, unwinding included.
+struct SearchEnd {
+    obs: Obs,
+    ok: bool,
+}
+
+impl Drop for SearchEnd {
+    fn drop(&mut self) {
+        let ok = self.ok;
+        self.obs.instant(Track::Master, EventBody::SearchEnd { ok });
+    }
+}
+
+/// [`try_run_search`] up to its verdict.
+fn search(
     database: Arc<SqbImage>,
     queries: SequenceSet,
     workers: &[WorkerSpec],
@@ -761,6 +824,7 @@ pub fn try_run_search(
     // which slices, the allocation decides.
     let subjects = Subjects::from(&*database);
     let streams = SharedStreams::default();
+    let claims = Claims::default();
     let db_residues = subjects.total_residues();
     let total_cells: u64 = queries.iter().map(|q| q.len() as u64 * db_residues).sum();
     let obs = &config.obs;
@@ -770,10 +834,11 @@ pub fn try_run_search(
     // closure, so all queues shut when it returns — on success and
     // error alike — and the surviving worker threads drain out before
     // the scope joins them.
-    let (results, query_of, schedule) = std::thread::scope(|scope| {
+    let ((results, help_wall), query_of, schedule) = std::thread::scope(|scope| {
         let t_register = obs.now();
-        let (mut links, threads) =
-            spawn_workers(scope, workers, &subjects, &streams, &queries, &config);
+        let (mut links, threads) = spawn_workers(
+            scope, workers, &subjects, &streams, &claims, &queries, &config,
+        );
         let (registrations, alive) = collect_registrations(&mut links, workers, &config);
         obs.span(
             Track::Master,
@@ -808,6 +873,7 @@ pub fn try_run_search(
                 &config,
             ),
             links,
+            scorers: workers.iter().map(WorkerSpec::scorer).collect(),
             obs,
             start,
         };
@@ -841,6 +907,11 @@ pub fn try_run_search(
             cells: 0,
         })
         .collect();
+    // A helper's wall time is its own busy time; what it computed is
+    // its owner's task.
+    for (s, wall) in stats.iter_mut().zip(help_wall) {
+        s.busy_wall += wall;
+    }
     // The core merged every task exactly once. A query's hits are the
     // best `top_k` of what its tasks — one, unless it was cut — found.
     let mut found: Vec<Vec<Hit>> = vec![Vec::new(); n_queries];

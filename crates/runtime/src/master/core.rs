@@ -24,9 +24,22 @@
 //! each task on its own, so to everything but the window a run is its
 //! tasks. A death orphans at most one run, and the in-flight run's
 //! deadline prices its tasks' summed estimate and cells.
+//!
+//! Work lending: whenever a live worker has nothing queued, nothing in
+//! flight and no loan outstanding, the core lends it the last unlent
+//! queued task of the device worker with the most unlent queued cells
+//! ([`Action::Lend`], answered by [`Input::Helped`]). Only a device's
+//! queue is lent: the plan prices it at the modelled device rate, which
+//! the device's functional scorer on the host never reaches, whereas a
+//! CPU queue is priced at the rate the host's own threads run, so what
+//! is left between CPU queues is the host's noise. A loan moves no
+//! task: the owner still dispatches, stamps, charges and answers it, and
+//! only takes the helper's scores from the search's claim table. Nothing
+//! but the loans themselves reads what is lent, so the rest of the
+//! action stream is the same whether a loan is answered or never is.
 
 use super::{AllocationPolicy, ReoptConfig, RuntimeConfig, SearchError};
-use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
+use crate::estimator::{cold_host_cells_per_sec, job_deadline_seconds};
 use crate::messages::{DbSlice, FailureReason, Job, JobResult, WorkerFailure};
 use std::collections::VecDeque;
 use std::iter::once;
@@ -48,11 +61,14 @@ const DEATH_DISPATCH: f64 = 3.0;
 // derived from them alone can be arbitrarily wrong (a debug build chews
 // through a 5000-residue query orders of magnitude slower than the
 // modelled Tesla). Deadlines therefore never fire before the time a
-// 10-MCUPS host would need for the worker's largest pending task (the
-// [`COLD_HOST_CELLS_PER_SEC`] prior from `crate::estimator`) —
-// conservative enough that no real host, optimised or not, is
-// misdeclared dead, while tiny test workloads still detect silent
-// deaths within the configured floor.
+// cold host would need for the worker's largest pending task at the
+// rate this build can promise ([`cold_host_cells_per_sec`]: 10 MCUPS
+// optimised, less unoptimised) — conservative enough that no real host
+// is misdeclared dead, while tiny test workloads still detect silent
+// deaths within the configured floor. An owner waiting on a helper
+// cannot trip its deadline either: the helper started the lent task
+// before the owner was sent it, on the same host kernels, and the grant
+// prices every task of the run as if the owner computed it.
 
 /// Largest per-worker slowdown factor re-optimization will believe.
 /// Bounds both the re-planned load skew and (via the threshold-growth
@@ -68,6 +84,10 @@ pub(super) enum Input {
     /// A [`Action::Dispatch`] could not be delivered: the receiving
     /// worker (or, for `None`, every shared-queue worker) is gone.
     SendFailed(Option<usize>),
+    /// A helper finished with the task it was lent, having spent
+    /// `wall` seconds computing it (none when the owner got there
+    /// first).
+    Helped { worker: usize, wall: f64 },
     /// Nothing arrived; only the clock moved.
     Tick,
 }
@@ -81,6 +101,14 @@ pub(super) enum Action {
     Dispatch {
         worker: Option<usize>,
         run: Vec<Job>,
+    },
+    /// Ask idle worker `helper` to score `job` — queued, unstamped, on
+    /// `owner` — into the claim table. A loan that cannot be delivered
+    /// is dropped: the owner then scores the task itself.
+    Lend {
+        job: Job,
+        helper: usize,
+        owner: usize,
     },
     /// Close a dead worker's queue so its thread, if any, exits.
     CloseQueue(usize),
@@ -135,6 +163,11 @@ pub(super) struct MasterState {
     done: Vec<bool>,
     retries: Vec<usize>,
     results: Vec<JobResult>,
+    /// Tasks lent once (never again), the loan each worker has
+    /// outstanding, and the wall seconds each spent helping.
+    lent: Vec<bool>,
+    helping: Vec<Option<usize>>,
+    help_wall: Vec<f64>,
     /// Causal lineage: the global dispatch sequence, the plan decision
     /// epoch (0 = initial schedule, +1 per re-plan) and the modelled
     /// time each worker has completed so far — the virtual timestamp
@@ -148,7 +181,8 @@ pub(super) struct MasterState {
     wall_ratio: f64,
     /// Slowest observed wall-seconds per cell, seeded with the cold-host
     /// prior. Bounds every deadline from below: "no host is slower than
-    /// 10 MCUPS" holds however miscalibrated the modelled path is.
+    /// the cold-host rate" holds however miscalibrated the modelled path
+    /// is.
     secs_per_cell: f64,
     /// Per-worker maximum of observed modelled-time/estimate, and the
     /// slowdown factor each worker's current plan was drawn with.
@@ -194,11 +228,14 @@ impl MasterState {
             done: vec![false; n],
             retries: vec![0; n],
             results: Vec::with_capacity(n),
+            lent: vec![false; n],
+            helping: vec![None; workers],
+            help_wall: vec![0.0; workers],
             seq: 0,
             decision: 0,
             virt_done: vec![0.0; workers],
             wall_ratio: 0.0,
-            secs_per_cell: 1.0 / COLD_HOST_CELLS_PER_SEC,
+            secs_per_cell: 1.0 / cold_host_cells_per_sec(),
             obs_ratio: vec![0.0; workers],
             planned_factor: vec![1.0; workers],
             reopt_rounds: 0,
@@ -224,6 +261,8 @@ impl MasterState {
         self.last_activity = now;
         if self.tasks.is_empty() {
             out.push(Action::Finish);
+        } else {
+            self.lend(&mut out);
         }
         out
     }
@@ -250,12 +289,17 @@ impl MasterState {
             }
             Input::SendFailed(Some(w)) => self.on_death(w, DEATH_DISPATCH, None, now, &mut out),
             Input::SendFailed(None) => Err(self.all_workers_dead()),
+            Input::Helped { worker, wall } => {
+                self.helping[worker] = None;
+                self.help_wall[worker] += wall;
+                Ok(())
+            }
             Input::Tick => Ok(()),
         };
         match handled.and_then(|()| self.check_deadlines(now, &mut out)) {
             Err(e) => out.push(Action::Abort(e)),
             Ok(()) if self.completed() == self.total() => out.push(Action::Finish),
-            Ok(()) => {}
+            Ok(()) => self.lend(&mut out),
         }
         out
     }
@@ -285,9 +329,10 @@ impl MasterState {
         }
     }
 
-    /// The merged results, one per task, in completion order.
-    pub(super) fn into_results(self) -> Vec<JobResult> {
-        self.results
+    /// The merged results, one per task, in completion order, and the
+    /// wall seconds each worker spent helping.
+    pub(super) fn into_results(self) -> (Vec<JobResult>, Vec<f64>) {
+        (self.results, self.help_wall)
     }
 
     fn on_completed(
@@ -403,6 +448,7 @@ impl MasterState {
     fn declare_dead(&mut self, w: usize, reason: f64, out: &mut Vec<Action>) -> Vec<usize> {
         self.alive[w] = false;
         self.deadline[w] = f64::INFINITY;
+        self.helping[w] = None;
         out.push(Action::CloseQueue(w));
         self.obs
             .instant(Track::Faults, EventBody::WorkerDeath { worker: w, reason });
@@ -567,6 +613,49 @@ impl MasterState {
         }
     }
 
+    /// Lend each idle live worker the last unlent queued task of the
+    /// device worker with the most unlent queued cells (the lowest id
+    /// among equals). Static policies only; an in-flight run is never
+    /// lent.
+    fn lend(&mut self, out: &mut Vec<Action>) {
+        if self.shared_queue {
+            return;
+        }
+        for helper in 0..self.alive.len() {
+            let idle = self.alive[helper]
+                && self.in_flight[helper].is_empty()
+                && self.helping[helper].is_none()
+                && self.queue[helper].iter().all(|&t| self.done[t]);
+            if !idle {
+                continue;
+            }
+            let loanable = |t: &usize| !self.done[*t] && !self.lent[*t];
+            let owed = |w: usize| -> f64 {
+                let queued = self.queue[w].iter().filter(|t| loanable(t));
+                queued.map(|&t| self.units[t].cells).sum()
+            };
+            let busiest = (0..self.alive.len())
+                .filter(|&w| self.is_gpu[w])
+                .map(|w| (w, owed(w)))
+                .filter(|&(_, cells)| cells > 0.0)
+                .fold(None, |best: Option<(usize, f64)>, (w, cells)| match best {
+                    Some((_, most)) if most >= cells => best,
+                    _ => Some((w, cells)),
+                });
+            let Some((owner, _)) = busiest else {
+                return;
+            };
+            let Some(&task) = self.queue[owner].iter().rev().find(|t| loanable(t)) else {
+                return;
+            };
+            self.lent[task] = true;
+            self.helping[helper] = Some(task);
+            let unit = &self.units[task];
+            let job = Job::new(task, unit.query_index, unit.slice);
+            out.push(Action::Lend { job, helper, owner });
+        }
+    }
+
     /// The tasks of the run `head` opens on worker `w`, `head` included:
     /// on a CPU worker, as many as the run pick takes of `head` and the
     /// unfinished tasks queued right behind it that may join a run on
@@ -596,6 +685,7 @@ impl MasterState {
             decision: self.decision,
             dispatch_wall: 0.0,
             dispatch_virt: w.map_or(0.0, |w| self.virt_done[w]),
+            lent: self.lent[t],
         };
         self.seq += 1;
         job

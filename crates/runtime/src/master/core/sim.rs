@@ -7,6 +7,10 @@
 //! Virtual workers have a species, a true slowdown factor and a fate.
 //! Tasks may be offered to runs ([`Sim::with_runs`]); a CPU worker then
 //! picks up a run's tasks in order and answers each as it finishes.
+//! Every loan the core makes is checked and, with [`Sim::answering`],
+//! answered at a random virtual time drawn from a stream of its own —
+//! the virtual workers' timing ignores loans, so a loan answered and a
+//! loan dropped must leave the rest of the core's actions alike.
 //! [`Sim::advance`] mirrors the shell's loop — wait for the next worker
 //! message, but no longer than one tick nor past the next deadline;
 //! `step`; perform the actions, feeding failed sends back — and checks
@@ -63,6 +67,14 @@ fn cpu(slowdown: f64, fate: Fate) -> VirtualWorker {
     }
 }
 
+fn gpu(slowdown: f64, fate: Fate) -> VirtualWorker {
+    VirtualWorker {
+        is_gpu: true,
+        slowdown,
+        fate,
+    }
+}
+
 /// A worker → master message in flight.
 struct Event {
     at: f64,
@@ -103,6 +115,13 @@ struct Sim {
     shared: VecDeque<Job>,
     /// Runs of more than one task dispatched so far.
     runs_formed: usize,
+    /// Every dispatch: worker, then per job its task and lineage.
+    dispatches: Vec<Dispatched>,
+    /// Every loan: `(task, helper, owner)`.
+    lends: Vec<(usize, usize, usize)>,
+    /// Draws the virtual time at which each loan is answered; `None`
+    /// drops every loan.
+    answers: Option<TestRng>,
     heap: BinaryHeap<Reverse<Event>>,
     rng: TestRng,
     now: f64,
@@ -161,15 +180,19 @@ impl Sim {
         };
         let units = tasks.iter().zip(&parts).map(unit_of).collect();
         let n = workers.len();
+        let mut state = MasterState::new(
+            tasks,
+            units,
+            workers.iter().map(|w| w.is_gpu).collect(),
+            workers.iter().map(registered).collect(),
+            Backend::Scalar,
+            &config,
+        );
+        // Virtual workers are as fast in every build: the optimised
+        // prior, so a schedule replays alike wherever it is run.
+        state.secs_per_cell = 1.0 / crate::estimator::COLD_HOST_CELLS_PER_SEC;
         Sim {
-            state: MasterState::new(
-                tasks,
-                units,
-                workers.iter().map(|w| w.is_gpu).collect(),
-                workers.iter().map(registered).collect(),
-                Backend::Scalar,
-                &config,
-            ),
+            state,
             schedule,
             parts,
             obs,
@@ -182,6 +205,9 @@ impl Sim {
             picked_up: vec![0; n],
             shared: VecDeque::new(),
             runs_formed: 0,
+            dispatches: Vec::new(),
+            lends: Vec::new(),
+            answers: None,
             heap: BinaryHeap::new(),
             rng: TestRng::seed_from_u64(seed),
             now: 0.0,
@@ -209,9 +235,16 @@ impl Sim {
         self
     }
 
+    /// Answer each loan after a random 0–5 ms, drawn from `seed`.
+    fn answering(mut self, seed: u64) -> Sim {
+        self.answers = Some(TestRng::seed_from_u64(seed));
+        self
+    }
+
     /// Dispatch the initial plan.
     fn start(&mut self) -> Verdict {
         let actions = self.state.start(self.schedule.as_ref(), self.now);
+        self.check_lends(&actions);
         let verdict = self.perform(actions);
         self.check_invariants(None, &verdict);
         verdict
@@ -238,6 +271,12 @@ impl Sim {
         assert!(self.steps < 50_000, "the run does not terminate");
         let until_deadline = (self.state.next_deadline() - self.now).max(0.0);
         let wake = self.now + self.tick.min(until_deadline);
+        if self.gone.iter().all(|&g| g) {
+            // The channel has disconnected: an answered loan in it says
+            // nothing the master can act on.
+            self.heap
+                .retain(|Reverse(event)| !matches!(event.msg, Input::Helped { .. }));
+        }
         let input = match self.heap.pop() {
             Some(Reverse(event)) if event.at <= wake => {
                 self.now = self.now.max(event.at);
@@ -255,6 +294,7 @@ impl Sim {
         };
         let before = self.deliver(&input);
         let actions = self.state.step(input, self.now);
+        self.check_lends(&actions);
         let verdict = self.perform(actions);
         self.check_invariants(Some(before), &verdict);
         self.now += self.step_cost;
@@ -277,7 +317,13 @@ impl Sim {
                         // A job names what its task stands for.
                         let unit = self.state.units[job.task_id];
                         assert_eq!((job.query_index, job.slice), (unit.query_index, unit.slice));
+                        let lent = self.lends.iter().any(|&(t, ..)| t == job.task_id);
+                        assert_eq!(job.lent, lent, "a job says whether its task was lent");
                     }
+                    let lineage = run
+                        .iter()
+                        .map(|j| (j.task_id, j.dispatch_seq, j.decision, j.dispatch_virt));
+                    self.dispatches.push((worker, lineage.collect()));
                     let delivered = match worker {
                         Some(w) => {
                             assert!(self.state.alive[w], "dispatch to a dead worker");
@@ -299,9 +345,12 @@ impl Sim {
                         }
                     };
                     if !delivered {
-                        pending.extend(self.state.step(Input::SendFailed(worker), self.now));
+                        let actions = self.state.step(Input::SendFailed(worker), self.now);
+                        self.check_lends(&actions);
+                        pending.extend(actions);
                     }
                 }
+                Action::Lend { job, helper, owner } => self.lend(job, helper, owner),
                 Action::CloseQueue(w) => {
                     assert!(!self.state.alive[w]);
                     // A real worker finishes its current job, finds its
@@ -315,6 +364,81 @@ impl Sim {
             }
         }
         None
+    }
+
+    /// Check the loans among `actions` against the rule, on the state
+    /// the core made them from: one idle live helper each, the last
+    /// unlent queued task of the busiest device queue, no task twice.
+    fn check_lends(&self, actions: &[Action]) {
+        let s = &self.state;
+        let mut helpers = Vec::new();
+        for action in actions {
+            let Action::Lend { job, helper, owner } = *action else {
+                continue;
+            };
+            let t = job.task_id;
+            assert!(!s.shared_queue, "a loan from the shared queue");
+            assert!(s.alive[helper], "a loan to dead worker {helper}");
+            assert!(
+                s.in_flight[helper].is_empty() && s.queue[helper].iter().all(|&q| s.done[q]),
+                "a loan to busy worker {helper}"
+            );
+            assert_eq!(s.helping[helper], Some(t));
+            assert!(!helpers.contains(&helper), "two loans to worker {helper}");
+            helpers.push(helper);
+            assert!(
+                !self.lends.iter().any(|&(lent, ..)| lent == t),
+                "task {t} lent twice"
+            );
+            assert!(s.is_gpu[owner], "a loan from CPU worker {owner}'s queue");
+            assert!(s.alive[owner] && s.queue[owner].contains(&t) && !s.done[t]);
+            assert!(
+                s.in_flight.iter().all(|run| !run.contains(&t)),
+                "an in-flight task lent"
+            );
+            assert_eq!(
+                (job.query_index, job.slice),
+                (s.units[t].query_index, s.units[t].slice)
+            );
+        }
+        // The busiest device queue, by what was still unlent before these
+        // loans.
+        let lent_now: Vec<usize> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Lend { job, .. } => Some(job.task_id),
+                _ => None,
+            })
+            .collect();
+        for (k, &t) in lent_now.iter().enumerate() {
+            let unlent = |w: usize| -> Vec<usize> {
+                let queued = s.queue[w].iter().copied().filter(|&q| !s.done[q]);
+                let still = |q: usize| !s.lent[q] || lent_now[k..].contains(&q);
+                queued.filter(|&q| still(q)).collect()
+            };
+            let owed = |w: usize| unlent(w).iter().map(|&q| s.units[q].cells).sum::<f64>();
+            let owner = (0..s.alive.len())
+                .find(|&w| s.queue[w].contains(&t))
+                .unwrap();
+            let mut devices = (0..s.alive.len()).filter(|&w| s.is_gpu[w]);
+            assert!(devices.all(|w| owed(w) <= owed(owner)));
+            assert_eq!(unlent(owner).last(), Some(&t), "not the last of its queue");
+        }
+    }
+
+    /// Record a loan, and answer it when the sim answers loans and the
+    /// helper's thread is still there.
+    fn lend(&mut self, job: Job, helper: usize, owner: usize) {
+        self.lends.push((job.task_id, helper, owner));
+        if let (Some(answers), false) = (&mut self.answers, self.gone[helper]) {
+            let at = self.now + answers.unit_f64() * 5e-3;
+            let tie = answers.next_u64();
+            let msg = Input::Helped {
+                worker: helper,
+                wall: at - self.now,
+            };
+            self.heap.push(Reverse(Event { at, tie, msg }));
+        }
     }
 
     /// Idle live workers drain the shared queue in a shuffled order.
@@ -586,6 +710,11 @@ fn decision_of(event: &swdual_obs::Event) -> Option<u64> {
 /// `None` while the run is live.
 type Verdict = Option<Result<(), SearchError>>;
 
+/// A dispatch as the core stamped it: the worker (`None`: the shared
+/// queue), then each job's task, `dispatch_seq`, `decision` and
+/// `dispatch_virt`.
+type Dispatched = (Option<usize>, Vec<(usize, u64, u64, f64)>);
+
 struct Snapshot {
     /// `(worker, task)` when the step's input is a completion.
     completes: Option<(usize, usize)>,
@@ -687,9 +816,48 @@ proptest! {
         let policy = policy_of(policy);
         let sim = Sim::new(workload(n_tasks, &mut rng), workers, policy, reopt_of(reopt), seed);
         let mut sim = with_runs_of(sim, runs);
+        if seed % 2 == 0 {
+            sim = sim.answering(seed / 2);
+        }
         sim.step_cost = [0.0, 5e-4, 3e-3][rng.next_u64() as usize % 3];
         let verdict = sim.run();
         sim.check_verdict(&verdict);
+    }
+
+    /// Loans move nothing: whether each is answered at a random virtual
+    /// time or dropped, the core dispatches the same jobs to the same
+    /// workers with the same lineage, merges the same modelled seconds
+    /// and reaches the same verdict, under any policy, pool, fault plan
+    /// and re-optimization.
+    #[test]
+    fn an_answered_loan_and_a_dropped_one_dispatch_alike(
+        seed in any::<u64>(),
+        n_tasks in 0usize..24,
+        policy in 0usize..3,
+        reopt in any::<bool>(),
+        runs in 0usize..3,
+    ) {
+        let sim = |answer: bool| {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let workers = pool(&mut rng, true);
+            let tasks = workload(n_tasks, &mut rng);
+            let sim = Sim::new(tasks, workers, policy_of(policy), reopt_of(reopt), seed);
+            let sim = with_runs_of(sim, runs);
+            if answer { sim.answering(!seed) } else { sim }
+        };
+        let mut rng = TestRng::seed_from_u64(seed);
+        prop_assume!(pool(&mut rng, true).iter().any(|w| w.fate != Fate::NeverRegistered));
+        let (mut dropped, mut answered) = (sim(false), sim(true));
+        let verdict = dropped.run();
+        prop_assert_eq!(answered.run(), verdict);
+        prop_assert_eq!(&answered.dispatches, &dropped.dispatches);
+        let merged = |sim: &Sim| -> Vec<(usize, usize, f64)> {
+            let results = sim.state.results.iter();
+            results.map(|r| (r.task_id, r.worker_id, r.modelled_seconds)).collect()
+        };
+        prop_assert_eq!(merged(&answered), merged(&dropped));
+        prop_assert_eq!(answered.modelled_makespan(), dropped.modelled_makespan());
+        prop_assert!(answered.lends.len() >= dropped.lends.len());
     }
 
     /// A calibrated, fault-free pool executes the plan it was given: no
@@ -910,13 +1078,94 @@ fn a_crash_inside_a_run_orphans_that_run_and_the_queue_behind_it() {
 #[test]
 fn gpu_workers_take_one_task_a_run() {
     let tasks = TaskSet::new((0..30).map(|id| Task::new(id, 1.9, 0.6)).collect());
-    let gpu = VirtualWorker {
-        is_gpu: true,
-        slowdown: 1.0,
-        fate: Fate::Healthy,
-    };
+    let pool = vec![gpu(1.0, Fate::Healthy); 2];
     let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
-    let mut sim = Sim::new(tasks, vec![gpu; 2], policy, ReoptConfig::default(), 9).with_runs(0.0);
+    let mut sim = Sim::new(tasks, pool, policy, ReoptConfig::default(), 9).with_runs(0.0);
     assert_eq!(sim.run(), Ok(()));
     assert_eq!(sim.runs_formed, 0);
+}
+
+/// An idle worker is lent the busiest device queue's tasks from the
+/// back, one loan at a time, each as the last is answered; no task
+/// twice. Twelve equal tasks on a device three times slower than planned
+/// and a CPU: once the CPU's share is done, it takes the device's queue
+/// from the tail.
+#[test]
+fn an_idle_worker_is_lent_the_busiest_queue_from_its_tail() {
+    let tasks = TaskSet::new((0..12).map(|id| Task::new(id, 1.9, 1.0)).collect());
+    let workers = vec![gpu(3.0, Fate::Healthy), cpu(1.0, Fate::Healthy)];
+    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
+    let mut sim = Sim::new(tasks, workers, policy, ReoptConfig::default(), 4).answering(1);
+    let queued = |sim: &Sim, w: usize| sim.state.queue[w].iter().copied().collect::<Vec<_>>();
+    let mut verdict = sim.start();
+    let planned: Vec<usize> = sim.state.in_flight[0]
+        .iter()
+        .chain(&sim.state.queue[0])
+        .copied()
+        .collect();
+    let (mut tail, mut lends_seen) = (Vec::new(), 0);
+    while verdict.is_none() {
+        let idle = sim.state.in_flight[1].is_empty() && sim.state.queue[1].is_empty();
+        if idle && tail.is_empty() {
+            tail = queued(&sim, 0);
+        }
+        verdict = sim.advance();
+        lends_seen = lends_seen.max(sim.lends.len());
+    }
+    assert_eq!(verdict, Some(Ok(())));
+    assert!(
+        !tail.is_empty() && lends_seen >= 2,
+        "{tail:?}: {:?}",
+        sim.lends
+    );
+    for (k, &(task, helper, owner)) in sim.lends.iter().enumerate() {
+        assert_eq!((helper, owner), (1, 0));
+        // From the back of the queue the helper first found idle.
+        assert_eq!(Some(&task), tail.iter().rev().nth(k), "loan {k}");
+    }
+    // Whoever computed them, worker 0 answered every task planned for it.
+    for t in planned {
+        let answered = sim.state.results.iter().find(|r| r.task_id == t).unwrap();
+        assert_eq!(answered.worker_id, 0, "task {t}");
+    }
+}
+
+/// Nothing is lent under self-scheduling, to a worker with work, or to
+/// the dead, and nothing from a CPU's queue: `Sim::check_lends` holds on
+/// every loan of these pools, and the shared queue and a CPU-only pool
+/// make no loan at all.
+#[test]
+fn nothing_is_lent_to_a_dead_busy_or_shared_queue_worker() {
+    let tasks = || TaskSet::new((0..30).map(|id| Task::new(id, 1.9, 0.6)).collect());
+    let healthy = Fate::Healthy;
+    let shared = AllocationPolicy::SelfScheduling;
+    let pool = vec![gpu(4.0, healthy), cpu(1.0, healthy), cpu(1.0, healthy)];
+    let mut sim = Sim::new(tasks(), pool, shared, ReoptConfig::default(), 2).answering(3);
+    assert_eq!(sim.run(), Ok(()));
+    assert!(sim.lends.is_empty(), "the shared queue lends nothing");
+
+    // A CPU straggles four times slower than planned: its peers run dry,
+    // but a CPU's queue is never lent.
+    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
+    let pool = vec![cpu(1.0, healthy), cpu(4.0, healthy), cpu(1.0, healthy)];
+    let mut sim = Sim::new(tasks(), pool, policy, ReoptConfig::default(), 4).answering(7);
+    assert_eq!(sim.run(), Ok(()));
+    assert!(sim.lends.is_empty(), "a CPU-only pool lends nothing");
+
+    // Worker 2 dies early and the device straggles: the survivor that
+    // runs dry is lent work, the dead one never is.
+    let workers = vec![
+        cpu(1.0, Fate::Healthy),
+        gpu(4.0, Fate::Healthy),
+        cpu(1.0, Fate::Crash(1)),
+    ];
+    let mut sim = Sim::new(tasks(), workers, policy, ReoptConfig::default(), 6).answering(5);
+    assert_eq!(sim.run(), Ok(()));
+    assert!(!sim.lends.is_empty());
+    assert!(sim.lends.iter().all(|&(_, helper, _)| helper != 2));
+    let mut lent: Vec<usize> = sim.lends.iter().map(|&(t, ..)| t).collect();
+    let n = lent.len();
+    lent.sort_unstable();
+    lent.dedup();
+    assert_eq!(lent.len(), n, "no task lent twice");
 }

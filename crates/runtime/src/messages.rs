@@ -1,6 +1,7 @@
 //! Message types of the master-slave protocol (paper Figure 6).
 
 use serde::{Deserialize, Serialize};
+use swdual_align::EngineKind;
 use swdual_gpusim::memory::MemoryError;
 use swdual_gpusim::DeviceFault;
 
@@ -96,6 +97,9 @@ pub struct Job {
     /// Worker's modelled clock at hand-off (the virtual time the
     /// master has seen the worker complete so far).
     pub dispatch_virt: f64,
+    /// The task was lent to an idle worker: its scores may wait in the
+    /// search's claim table.
+    pub lent: bool,
 }
 
 impl Job {
@@ -110,8 +114,24 @@ impl Job {
             decision: 0,
             dispatch_wall: 0.0,
             dispatch_virt: 0.0,
+            lent: false,
         }
     }
+}
+
+/// What the master sends a worker.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Order {
+    /// Score a run of the worker's own tasks and answer each.
+    Run(Vec<Job>),
+    /// Score another worker's queued task as `engine` scores it, into
+    /// the claim table, and say when done.
+    Help {
+        /// The task; no lineage, since it is not dispatched.
+        job: Job,
+        /// What its owner would score it with.
+        engine: EngineKind,
+    },
 }
 
 /// A completed task reported back to the master.
@@ -200,6 +220,14 @@ pub enum WorkerMsg {
     Completed(JobResult),
     /// The worker is dead; its in-flight task needs a new home.
     Failed(WorkerFailure),
+    /// The worker is done with the task it was lent.
+    Helped {
+        /// The helper.
+        worker_id: usize,
+        /// Seconds it spent computing the task (0 when the task's owner
+        /// had taken it back first).
+        wall_seconds: f64,
+    },
 }
 
 /// Per-worker accounting the master reports at the end of a search.

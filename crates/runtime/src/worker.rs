@@ -8,6 +8,13 @@
 //! the run; GPU workers drive a simulated device whose virtual clock
 //! supplies the modelled task time, one task at a time.
 //!
+//! An idle worker may also be lent a task queued on a device worker
+//! ([`Order::Help`]): it claims the task in the search's [`Claims`],
+//! scores it as the owner's engine would, leaves the hits and tier
+//! counts there, and tells the master it is free again. Owners settle
+//! every lent task of theirs through the same table (see
+//! [`crate::claims`]).
+//!
 //! Workers honour an optional [`WorkerFault`] from the run's
 //! [`FaultPlan`](crate::faults::FaultPlan): crashing before
 //! registration, crashing on a given job (silently or with a
@@ -15,9 +22,10 @@
 //! or straggling. Fault checks sit outside the per-job compute path and
 //! cost one `Option` match when no fault is planned.
 
+use crate::claims::{Claims, Lent};
 use crate::estimator::WorkerRateModel;
 use crate::faults::WorkerFault;
-use crate::messages::{top_k, FailureReason, Hit, Job, JobResult, WorkerFailure, WorkerMsg};
+use crate::messages::{top_k, FailureReason, Hit, Job, JobResult, Order, WorkerFailure, WorkerMsg};
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use std::ops::Range;
 use std::sync::Arc;
@@ -108,6 +116,16 @@ impl WorkerSpec {
         self
     }
 
+    /// What this worker scores a task with: its kernel, or — for a
+    /// device — the tier ladder its functional scorer runs. A helper
+    /// scores a lent task with its owner's.
+    pub fn scorer(&self) -> EngineKind {
+        match &self.kind {
+            WorkerKind::Cpu { engine } => *engine,
+            WorkerKind::Gpu { .. } => EngineKind::Striped,
+        }
+    }
+
     /// Human-readable description for stats.
     pub fn description(&self) -> String {
         match &self.kind {
@@ -169,6 +187,8 @@ pub struct WorkerContext<'a> {
     pub obs: Obs,
     /// Injected fault behaviour, if this worker is in the fault plan.
     pub fault: Option<WorkerFault>,
+    /// The search's lent tasks.
+    pub claims: &'a Claims,
 }
 
 /// Record one finished job as a dual-clock span on the worker's track.
@@ -224,7 +244,9 @@ fn record_job_span(
 /// durations split the job's modelled time in the same proportions as
 /// the measured wall phases (the rate model prices whole tasks, not
 /// phases). When the job ran too fast to measure (wall total ≈ 0),
-/// everything modelled is attributed to the DP inner loop.
+/// everything modelled is attributed to the DP inner loop. Phases a
+/// helper measured (`lent`) keep their modelled split and take no wall
+/// time here: that was the helper's.
 #[allow(clippy::too_many_arguments)]
 fn record_phase_spans(
     obs: &Obs,
@@ -234,6 +256,7 @@ fn record_phase_spans(
     virt_start: f64,
     modelled: f64,
     timings: &PhaseTimings,
+    lent: bool,
 ) {
     let wall_total = timings.total();
     let phases = [
@@ -242,14 +265,15 @@ fn record_phase_spans(
     ];
     let mut wall_at = wall_start;
     let mut virt_at = virt_start;
-    for (phase, wall_dur) in phases {
+    for (phase, measured) in phases {
         let virt_dur = if wall_total > 0.0 {
-            modelled * wall_dur / wall_total
+            modelled * measured / wall_total
         } else if phase == HostPhase::DpInner {
             modelled
         } else {
             0.0
         };
+        let wall_dur = if lent { 0.0 } else { measured };
         if wall_dur <= 0.0 && virt_dur <= 0.0 {
             continue;
         }
@@ -379,6 +403,58 @@ impl WorkerContext<'_> {
         });
         top_k(candidates, self.top_k)
     }
+    /// Score `job`, which another worker owns, for it: claim the task,
+    /// score it as `engine` scores it, leave the hits and tier counts in
+    /// the claim table, record a `help` span and tell the master. A task
+    /// its owner kept, or that names nothing this worker has, is handed
+    /// back unscored. Returns false once the master has gone.
+    fn help(
+        &self,
+        job: &Job,
+        engine: EngineKind,
+        cache: &ProfileCache,
+        scratch: &mut Scratch,
+        results: &Sender<WorkerMsg>,
+    ) -> bool {
+        let query = self.queries.get(job.query_index);
+        let slice = job.slice.checked(self.database.len());
+        let claim = query
+            .zip(slice)
+            .and_then(|inputs| Some((inputs, self.claims.claim(job.task_id)?)));
+        let mut wall_seconds = 0.0;
+        if let Some(((query, slice), claim)) = claim {
+            let wall_start = self.obs.now();
+            let start = Instant::now();
+            let (scores, timings, tiers) = engine.build().score_database(
+                query.codes(),
+                self.database,
+                slice.clone(),
+                &self.scheme,
+                Some(cache),
+                Some(self.streams),
+                scratch,
+            );
+            let hits = self.hits_of(slice, &scores);
+            wall_seconds = start.elapsed().as_secs_f64();
+            claim.fulfil(Lent {
+                hits,
+                tiers,
+                timings,
+            });
+            self.obs.span(
+                Track::Worker(self.worker_id),
+                wall_start,
+                wall_seconds,
+                None,
+                EventBody::Help { task: job.task_id },
+            );
+        }
+        let helped = WorkerMsg::Helped {
+            worker_id: self.worker_id,
+            wall_seconds,
+        };
+        results.send(helped).is_ok()
+    }
 }
 
 /// Run a worker loop until the job channel closes, registering with the
@@ -389,7 +465,7 @@ pub fn worker_loop_registered(
     spec: WorkerSpec,
     ctx: WorkerContext<'_>,
     registration: Option<Sender<crate::messages::Registration>>,
-    jobs: Receiver<Vec<Job>>,
+    jobs: Receiver<Order>,
     results: Sender<WorkerMsg>,
 ) {
     if matches!(ctx.fault, Some(WorkerFault::CrashBeforeRegistration)) {
@@ -427,19 +503,30 @@ pub fn worker_loop_registered(
 /// worker parks as before.
 const POLL_BEFORE_PARK: Duration = Duration::from_micros(100);
 
-/// The next run, or `None` once the master has closed the queue.
-fn next_run(jobs: &Receiver<Vec<Job>>) -> Option<Vec<Job>> {
+/// The next order, or `None` once the master has closed the queue.
+fn next_order(orders: &Receiver<Order>) -> Option<Order> {
     let start = Instant::now();
     loop {
-        match jobs.try_recv() {
-            Ok(job) => return Some(job),
+        match orders.try_recv() {
+            Ok(order) => return Some(order),
             Err(TryRecvError::Disconnected) => return None,
             Err(TryRecvError::Empty) if start.elapsed() < POLL_BEFORE_PARK => {
                 std::hint::spin_loop()
             }
-            Err(TryRecvError::Empty) => return jobs.recv().ok(),
+            Err(TryRecvError::Empty) => return orders.recv().ok(),
         }
     }
+}
+
+/// What a CPU worker hands back for one task of a run: its hits, where
+/// its own wall time lies, and the task's phases when profiled —
+/// measured by a helper when `lent`.
+struct Answer {
+    hits: Vec<Hit>,
+    wall_start: f64,
+    wall: f64,
+    timings: Option<PhaseTimings>,
+    lent: bool,
 }
 
 /// Run a worker loop until the job channel closes (no registration
@@ -447,7 +534,7 @@ fn next_run(jobs: &Receiver<Vec<Job>>) -> Option<Vec<Job>> {
 pub fn worker_loop(
     spec: WorkerSpec,
     ctx: WorkerContext<'_>,
-    jobs: Receiver<Vec<Job>>,
+    jobs: Receiver<Order>,
     results: Sender<WorkerMsg>,
 ) {
     if matches!(ctx.fault, Some(WorkerFault::CrashBeforeRegistration)) {
@@ -468,48 +555,92 @@ pub fn worker_loop(
             let profile_cache = ProfileCache::default();
             let mut tiers = TierStats::default();
             let mut virt_clock = 0.0;
-            'runs: while let Some(run) = next_run(&jobs) {
+            'runs: while let Some(order) = next_order(&jobs) {
+                let run = match order {
+                    Order::Run(run) => run,
+                    Order::Help { job, engine } => {
+                        let cache = &profile_cache;
+                        if !ctx.help(&job, engine, cache, &mut scratch, &results) {
+                            break 'runs;
+                        }
+                        continue;
+                    }
+                };
                 let (live, doomed) = knobs.pre_run(jobs_done, &run);
                 if !live.is_empty() {
                     let Some((queries, slice)) = ctx.inputs_of(live, &results) else {
                         return;
                     };
-                    let wall_start = ctx.obs.now();
-                    let start = Instant::now();
-                    // Serves striped profiles from the per-worker cache
-                    // (when the run needs any) and reports phase timings
-                    // plus tier-resolution counts at the cost of a few
-                    // clock reads per run. Scores are identical to
-                    // `score_many`; a run of one task is a one-query job.
-                    let codes: Vec<&[u8]> = queries.iter().map(|q| q.codes()).collect();
-                    let (scores, timings, tier_stats) = engine.score_run(
-                        &codes,
-                        ctx.database,
-                        slice.clone(),
-                        &ctx.scheme,
-                        Some(&profile_cache),
-                        Some(ctx.streams),
-                        &mut scratch,
-                    );
-                    let hits: Vec<Vec<Hit>> = scores
-                        .iter()
-                        .map(|s| ctx.hits_of(slice.clone(), s))
-                        .collect();
-                    let timings = ctx.obs.is_profiling().then_some(timings);
-                    let wall = start.elapsed().as_secs_f64();
-                    tiers.merge(&tier_stats);
-                    // A slice is charged for its own residues, each task
-                    // its own modelled seconds. The tasks of a run share
-                    // one slice, so the run's wall time and phases are
+                    let mut answers: Vec<Option<Answer>> = live.iter().map(|_| None).collect();
+                    // Score the run's tasks at `which` as one run. Scores
+                    // are identical to `score_many`; a run of one task is
+                    // a one-query job. The run's wall time and phases are
                     // shared out by query length, its job spans tiling
                     // the run's wall span.
+                    let mut score = |which: &[usize], answers: &mut [Option<Answer>]| {
+                        let wall_start = ctx.obs.now();
+                        let start = Instant::now();
+                        let codes: Vec<&[u8]> = which.iter().map(|&i| queries[i].codes()).collect();
+                        let (scores, timings, tier_stats) = engine.score_run(
+                            &codes,
+                            ctx.database,
+                            slice.clone(),
+                            &ctx.scheme,
+                            Some(&profile_cache),
+                            Some(ctx.streams),
+                            &mut scratch,
+                        );
+                        let wall = start.elapsed().as_secs_f64();
+                        let weight = |i: usize| queries[i].len().max(1) as f64;
+                        let total_weight: f64 = which.iter().map(|&i| weight(i)).sum();
+                        let mut wall_at = wall_start;
+                        for (&i, scores) in which.iter().zip(scores) {
+                            let share = weight(i) / total_weight;
+                            let timings = ctx.obs.is_profiling().then_some(PhaseTimings {
+                                profile_build: timings.profile_build * share,
+                                dp_inner: timings.dp_inner * share,
+                            });
+                            answers[i] = Some(Answer {
+                                hits: ctx.hits_of(slice.clone(), &scores),
+                                wall_start: wall_at,
+                                wall: wall * share,
+                                timings,
+                                lent: false,
+                            });
+                            wall_at += wall * share;
+                        }
+                        tier_stats
+                    };
+                    // The unlent tasks first, transposed when they form a
+                    // run: a helper still at a lent one has that long to
+                    // finish it. Then each lent task: the helper's hits
+                    // and tier counts, or — when no helper started it —
+                    // scored alone.
+                    let (lent, own): (Vec<usize>, Vec<usize>) =
+                        (0..live.len()).partition(|&i| live[i].lent);
+                    if !own.is_empty() {
+                        tiers.merge(&score(&own, &mut answers));
+                    }
+                    for i in lent {
+                        match ctx.claims.settle(live[i].task_id) {
+                            Some(lent) => {
+                                tiers.merge(&lent.tiers);
+                                answers[i] = Some(Answer {
+                                    hits: lent.hits,
+                                    wall_start: ctx.obs.now(),
+                                    wall: 0.0,
+                                    timings: ctx.obs.is_profiling().then_some(lent.timings),
+                                    lent: true,
+                                });
+                            }
+                            None => tiers.merge(&score(&[i], &mut answers)),
+                        }
+                    }
+                    // A slice is charged for its own residues, each task
+                    // its own modelled seconds, whoever computed it.
                     let residues = ctx.database.residues_in(slice);
-                    let weight = |query: &Sequence| query.len().max(1) as f64;
-                    let total_weight: f64 = queries.iter().map(|q| weight(q)).sum();
-                    let mut wall_at = wall_start;
-                    for ((job, query), hits) in live.iter().zip(&queries).zip(hits) {
-                        let share = weight(query) / total_weight;
-                        let wall = wall * share;
+                    for ((job, query), answer) in live.iter().zip(&queries).zip(answers) {
+                        let Some(answer) = answer else { continue };
                         let cells = query.len() as u64 * residues;
                         let modelled =
                             model.task_seconds(query.len(), residues) * knobs.straggle_factor;
@@ -517,35 +648,31 @@ pub fn worker_loop(
                             &ctx.obs,
                             ctx.worker_id,
                             job,
-                            wall_at,
-                            wall,
+                            answer.wall_start,
+                            answer.wall,
                             virt_clock,
                             modelled,
                             cells,
                         );
-                        if let Some(timings) = &timings {
-                            let timings = PhaseTimings {
-                                profile_build: timings.profile_build * share,
-                                dp_inner: timings.dp_inner * share,
-                            };
+                        if let Some(timings) = &answer.timings {
                             record_phase_spans(
                                 &ctx.obs,
                                 ctx.worker_id,
                                 job.task_id,
-                                wall_at,
+                                answer.wall_start,
                                 virt_clock,
                                 modelled,
-                                &timings,
+                                timings,
+                                answer.lent,
                             );
                         }
                         virt_clock += modelled;
-                        wall_at += wall;
                         jobs_done += 1;
                         let send = results.send(WorkerMsg::Completed(JobResult {
                             task_id: job.task_id,
                             worker_id: ctx.worker_id,
-                            hits,
-                            wall_seconds: wall,
+                            hits: answer.hits,
+                            wall_seconds: answer.wall,
                             modelled_seconds: modelled,
                             cells,
                         }));
@@ -578,6 +705,8 @@ pub fn worker_loop(
             if let Some(WorkerFault::DeviceFault { after_kernels }) = ctx.fault {
                 device.inject_fault_after_kernels(after_kernels);
             }
+            // What helping needs beside the device, made on first use.
+            let mut helping: Option<(ProfileCache, Scratch)> = None;
             let mut virt_clock = 0.0;
             // The device is a timing model plus a functional scorer: its
             // scores come from the same tiered host kernel the CPU arm
@@ -588,7 +717,17 @@ pub fn worker_loop(
             // the chunked streaming path per kernel, re-streaming the
             // job's subjects for every task as the real tools must.
             let residency = device.upload_shared(ctx.database, true).ok();
-            'runs: while let Some(run) = next_run(&jobs) {
+            'runs: while let Some(order) = next_order(&jobs) {
+                let run = match order {
+                    Order::Run(run) => run,
+                    Order::Help { job, engine } => {
+                        let (cache, scratch) = helping.get_or_insert_with(Default::default);
+                        if !ctx.help(&job, engine, cache, scratch, &results) {
+                            break 'runs;
+                        }
+                        continue;
+                    }
+                };
                 let (live, doomed) = knobs.pre_run(jobs_done, &run);
                 for job in live {
                     let Some((queries, slice)) = ctx.inputs_of(std::slice::from_ref(job), &results)
@@ -596,25 +735,38 @@ pub fn worker_loop(
                         return;
                     };
                     let query = queries[0];
+                    // A lent task a helper scored is only charged: the
+                    // kernel the device would launch, on its clock. The
+                    // streaming path scores every task itself.
+                    let lent = residency
+                        .as_ref()
+                        .filter(|_| job.lent)
+                        .and_then(|_| ctx.claims.settle(job.task_id));
                     let wall_start = ctx.obs.now();
                     let start = Instant::now();
                     // Tag the device's stage spans (H2D/kernel/D2H) with the
                     // task they serve: the causal link from dispatch into
                     // device activity.
                     device.set_lineage(Some(job.task_id));
-                    let computed = (|| -> Result<(Vec<i32>, f64), FailureReason> {
-                        device.check_fault()?;
-                        match &residency {
-                            Some(db) => {
+                    let computed = (|| -> Result<(Vec<Hit>, f64), FailureReason> {
+                        match (&residency, lent) {
+                            (Some(db), Some(lent)) => {
+                                let seconds =
+                                    device.charge_slice(query.len(), db, slice.clone())?;
+                                Ok((lent.hits, seconds))
+                            }
+                            (Some(db), None) => {
+                                device.check_fault()?;
                                 let r = device.search_slice(
                                     query.codes(),
                                     db,
                                     slice.clone(),
                                     &ctx.scheme,
                                 );
-                                Ok((r.scores, r.kernel_seconds))
+                                Ok((ctx.hits_of(slice.clone(), &r.scores), r.kernel_seconds))
                             }
-                            None => {
+                            (None, _) => {
+                                device.check_fault()?;
                                 let on_host: Vec<&[u8]> =
                                     ctx.database.in_order(slice.clone()).collect();
                                 let r = swdual_gpusim::chunked::overlapped_search(
@@ -624,12 +776,12 @@ pub fn worker_loop(
                                     &ctx.scheme,
                                     true,
                                 )?;
-                                Ok((r.scores, r.seconds))
+                                Ok((ctx.hits_of(slice.clone(), &r.scores), r.seconds))
                             }
                         }
                     })();
-                    let (scores, modelled) = match computed {
-                        Ok((scores, modelled)) => (scores, modelled * knobs.straggle_factor),
+                    let (hits, modelled) = match computed {
+                        Ok((hits, modelled)) => (hits, modelled * knobs.straggle_factor),
                         Err(reason) => {
                             // The board died under us, or cannot hold even
                             // one chunk of this database: report and exit so
@@ -644,7 +796,6 @@ pub fn worker_loop(
                         }
                     };
                     device.set_lineage(None);
-                    let hits = ctx.hits_of(slice.clone(), &scores);
                     let wall = start.elapsed().as_secs_f64();
                     let cells = query.len() as u64 * ctx.database.residues_in(slice);
                     record_job_span(
@@ -689,6 +840,7 @@ mod tests {
     use swdual_bio::seq::Sequence;
     use swdual_bio::{Alphabet, SqbImage};
     use swdual_gpusim::memory::MemoryError;
+    use swdual_obs::model::KernelTotals;
 
     fn tiny_db() -> SequenceSet {
         let mut set = SequenceSet::new(Alphabet::Protein);
@@ -728,6 +880,21 @@ mod tests {
         obs: &Obs,
         jobs: &[Job],
     ) -> Vec<WorkerMsg> {
+        let orders = jobs.iter().map(|&job| Order::Run(vec![job])).collect();
+        let claims = Claims::default();
+        run_orders(spec, worker_id, fault, obs, &claims, orders)
+    }
+
+    /// Run worker `worker_id` over `orders` against `tiny_db`, lent tasks
+    /// settling through `claims`.
+    fn run_orders(
+        spec: WorkerSpec,
+        worker_id: usize,
+        fault: Option<WorkerFault>,
+        obs: &Obs,
+        claims: &Claims,
+        orders: Vec<Order>,
+    ) -> Vec<WorkerMsg> {
         let (job_tx, job_rx) = channel::unbounded();
         let (res_tx, res_rx) = channel::unbounded();
         let image = SqbImage::from_set(&tiny_db()).unwrap();
@@ -740,9 +907,10 @@ mod tests {
             top_k: TOP_K,
             obs: obs.clone(),
             fault,
+            claims,
         };
-        for &job in jobs {
-            job_tx.send(vec![job]).unwrap();
+        for order in orders {
+            job_tx.send(order).unwrap();
         }
         drop(job_tx);
         worker_loop(spec, ctx, job_rx, res_tx);
@@ -759,7 +927,7 @@ mod tests {
             .into_iter()
             .map(|m| match m {
                 WorkerMsg::Completed(r) => r,
-                WorkerMsg::Failed(f) => panic!("unexpected failure: {f:?}"),
+                other => panic!("unexpected message: {other:?}"),
             })
             .collect()
     }
@@ -774,6 +942,123 @@ mod tests {
             .map(|d| gotoh_score(q.get(query_index).unwrap().codes(), d.codes(), &scheme))
             .collect();
         top_k_hits(query_index, &scores, TOP_K).hits
+    }
+
+    /// A lent copy of `job`.
+    fn lent(mut job: Job) -> Job {
+        job.lent = true;
+        job
+    }
+
+    /// The completions among `msgs`.
+    fn completed(msgs: &[WorkerMsg]) -> Vec<&JobResult> {
+        let done = msgs.iter().filter_map(|m| match m {
+            WorkerMsg::Completed(r) => Some(r),
+            _ => None,
+        });
+        done.collect()
+    }
+
+    #[test]
+    fn a_lent_task_is_scored_by_its_helper_and_answered_by_its_owner() {
+        for owner in [WorkerSpec::cpu_default(), WorkerSpec::gpu_default()] {
+            let jobs = [Job::new(0, 0, WHOLE), Job::new(1, 1, WHOLE)];
+            let unlent = run_jobs(owner.clone(), 3, None, &Obs::enabled(), &jobs);
+            // Worker 5 helps with task 1, then worker 3 runs both.
+            let (claims, obs) = (Claims::default(), Obs::enabled());
+            let help = Order::Help {
+                job: lent(jobs[1]),
+                engine: owner.scorer(),
+            };
+            let helper = WorkerSpec::cpu_default();
+            let said = run_orders(helper, 5, None, &obs, &claims, vec![help]);
+            assert!(matches!(
+                said[..],
+                [WorkerMsg::Helped { worker_id: 5, wall_seconds }] if wall_seconds > 0.0
+            ));
+            let orders = vec![Order::Run(vec![jobs[0]]), Order::Run(vec![lent(jobs[1])])];
+            let msgs = run_orders(owner.clone(), 3, None, &obs, &claims, orders);
+            let (got, want) = (completed(&msgs), completed(&unlent));
+            assert_eq!(got.len(), 2);
+            for (got, want) in got.iter().zip(&want) {
+                assert_eq!(got.hits, want.hits, "{}", owner.description());
+                assert_eq!(got.modelled_seconds, want.modelled_seconds);
+                assert_eq!(
+                    (got.task_id, got.worker_id, got.cells),
+                    (want.task_id, 3, want.cells)
+                );
+            }
+            // One help span, on the helper's track; the job spans and the
+            // tier counts stay the owner's.
+            let model = swdual_obs::RunModel::from_obs(&obs);
+            let spans = |w: usize, help: bool| {
+                obs.events_since(0)
+                    .iter()
+                    .filter(|e| e.track == Track::Worker(w))
+                    .filter(|e| matches!(e.body, EventBody::Help { .. }) == help)
+                    .filter(|e| matches!(e.body, EventBody::Help { .. } | EventBody::Job { .. }))
+                    .count()
+            };
+            assert_eq!((spans(5, true), spans(5, false)), (1, 0));
+            assert_eq!((spans(3, true), spans(3, false)), (0, 2));
+            let tiers = |m: &swdual_obs::RunModel| m.workers.get(&3).and_then(|w| w.kernels);
+            if !owner.is_gpu() {
+                let before = swdual_obs::RunModel::from_obs(&{
+                    let obs = Obs::enabled();
+                    run_jobs(owner.clone(), 3, None, &obs, &jobs);
+                    obs
+                });
+                let (a, b) = (tiers(&model).unwrap(), tiers(&before).unwrap());
+                let counts = |k: KernelTotals| {
+                    (
+                        k.subjects,
+                        k.byte_resolved,
+                        k.escalated_16,
+                        k.escalated_scalar,
+                    )
+                };
+                assert_eq!(counts(a), counts(b), "the owner merges the helper's tiers");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lent_task_no_helper_reached_is_scored_by_its_owner() {
+        for owner in [WorkerSpec::cpu_default(), WorkerSpec::gpu_default()] {
+            let claims = Claims::default();
+            let job = Job::new(0, 0, WHOLE);
+            let msgs = run_orders(
+                owner.clone(),
+                3,
+                None,
+                &Obs::disabled(),
+                &claims,
+                vec![Order::Run(vec![lent(job)])],
+            );
+            assert_eq!(completed(&msgs)[0].hits, expected_hits(0));
+            // The helper arrives late and hands the task back unscored.
+            let obs = Obs::enabled();
+            let help = Order::Help {
+                job: lent(job),
+                engine: owner.scorer(),
+            };
+            let said = run_orders(
+                WorkerSpec::cpu_default(),
+                5,
+                None,
+                &obs,
+                &claims,
+                vec![help],
+            );
+            assert!(matches!(
+                said[..],
+                [WorkerMsg::Helped { worker_id: 5, wall_seconds }] if wall_seconds == 0.0
+            ));
+            assert!(!obs
+                .events_since(0)
+                .iter()
+                .any(|e| matches!(e.body, EventBody::Help { .. })));
+        }
     }
 
     #[test]

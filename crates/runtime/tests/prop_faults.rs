@@ -15,7 +15,7 @@ use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, SqbImage};
 use swdual_gpusim::DeviceSpec;
 use swdual_runtime::master::AllocationPolicy;
-use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerSpec};
+use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerFault, WorkerSpec};
 
 /// The set as the database image a search takes.
 fn image(set: &SequenceSet) -> std::sync::Arc<SqbImage> {
@@ -161,4 +161,116 @@ proptest! {
         let tasks: usize = faulted.worker_stats.iter().map(|s| s.tasks).sum();
         prop_assert_eq!(tasks, n_queries);
     }
+}
+
+/// What a faulted search's journal says lending did: tasks a helper
+/// computed (`help` spans), and of those the ones re-planned after their
+/// owner died, the ones that ended on their own helper, and the helpers
+/// that crashed on a run of their own after helping.
+#[derive(Debug, Default)]
+struct Lending {
+    helped: usize,
+    owner_died: usize,
+    on_own_helper: usize,
+    helper_crashed: usize,
+}
+
+fn lending_of(obs: &swdual_obs::Obs) -> Lending {
+    use swdual_obs::{EventBody, Track};
+    let events = obs.events_since(0);
+    let mut helper_of = std::collections::BTreeMap::new();
+    let mut lending = Lending::default();
+    for e in &events {
+        match (e.track, &e.body) {
+            (Track::Worker(w), EventBody::Help { task }) => {
+                helper_of.insert(*task, (w, e.wall_start));
+                lending.helped += 1;
+            }
+            (_, EventBody::TaskRedispatch { task, .. }) if helper_of.contains_key(task) => {
+                lending.owner_died += 1;
+            }
+            (_, EventBody::WorkerCrash { worker, .. }) => {
+                let helped_first = helper_of
+                    .values()
+                    .any(|&(w, at)| w == *worker && at < e.wall_start);
+                lending.helper_crashed += usize::from(helped_first);
+            }
+            _ => {}
+        }
+    }
+    let model = swdual_obs::RunModel::from_events(&events);
+    for job in &model.jobs {
+        if helper_of
+            .get(&job.task)
+            .is_some_and(|&(w, _)| w == job.worker)
+        {
+            lending.on_own_helper += 1;
+        }
+    }
+    lending
+}
+
+/// Loans under faults, end to end: the device owns most of the queue
+/// and dies on picking up a task, after the CPU workers ran dry and were
+/// lent its tail; one of the CPUs crashes on the first run the re-plan
+/// hands it. Lent tasks are re-planned like any orphan — some onto the
+/// helper that already computed them, which takes its own result — and
+/// the hits are the fault-free static run's every time. Which of these
+/// happen on a given search is up to the threads; over the seeds below
+/// each one does.
+#[test]
+fn loans_keep_the_hits_when_owners_and_helpers_die() {
+    let mut seen = Lending::default();
+    for seed in 1..=8u64 {
+        let db = database(40, 60, seed);
+        let queries = queries_from(&db, 12, seed ^ 0x1E4D);
+        // Declared 8x faster than it is, the device is planned most of
+        // the queue, so the CPU workers run dry early.
+        let pool = vec![
+            WorkerSpec::gpu_default().with_prior_scale(8.0),
+            WorkerSpec::cpu_default(),
+            WorkerSpec::cpu_default(),
+        ];
+        let healthy = run_search(image(&db), queries.clone(), &pool, RuntimeConfig::default());
+        // Worker 1 dies on the first task past its own plan: one a
+        // re-plan handed it, after it ran dry and helped.
+        let crash = |after_jobs| WorkerFault::Crash {
+            after_jobs,
+            notify: true,
+        };
+        let plan = FaultPlan::none()
+            .with(0, crash(healthy.worker_stats[0].tasks / 2))
+            .with(1, crash(healthy.worker_stats[1].tasks));
+        let obs = swdual_obs::Obs::enabled();
+        let faulted = run_search(
+            image(&db),
+            queries,
+            &pool,
+            RuntimeConfig {
+                obs: obs.clone(),
+                faults: plan.clone(),
+                min_job_timeout: Duration::from_millis(80),
+                max_task_retries: 10,
+                ..RuntimeConfig::default()
+            },
+        );
+        assert_eq!(faulted.hits, healthy.hits, "plan `{plan}`, seed {seed}");
+        let lending = lending_of(&obs);
+        seen.helped += lending.helped;
+        seen.owner_died += lending.owner_died;
+        seen.on_own_helper += lending.on_own_helper;
+        seen.helper_crashed += lending.helper_crashed;
+    }
+    assert!(
+        seen.owner_died > 0,
+        "{seen:?}: no lent task outlived its owner"
+    );
+    assert!(
+        seen.on_own_helper > 0,
+        "{seen:?}: no lent task went back to its helper"
+    );
+    assert!(
+        seen.helper_crashed > 0,
+        "{seen:?}: no helper crashed on a run of its own"
+    );
 }

@@ -188,3 +188,67 @@ fn a_shared_stream_finds_the_hits_of_per_job_streams() {
         oracle(&db, &queries, RuntimeConfig::default().top_k)
     );
 }
+
+/// A lent slice: the device the plan queued a piece of a cut query on
+/// straggles (50 ms of wall time before each task, its modelled clock
+/// untouched), so the CPUs run dry and are lent that piece; the hits
+/// are the oracle's. (What happens to a lent task when its owner or its
+/// helper dies is `prop_faults.rs`'s, and the simulator's.)
+#[test]
+fn a_lent_slice_keeps_the_hits() {
+    use swdual_obs::{EventBody, Track};
+    let mut lent_slices = 0;
+    for seed in 1..=4u64 {
+        let db = sequences(300, 40, 20, seed, "d");
+        let queries = sequences(4 + seed as usize % 4, 30, 20, seed ^ 0x1E4D, "q");
+        let n_queries = queries.len();
+        let workers = pool(2, 1);
+        let device = 2;
+        let top_k = RuntimeConfig::default().top_k;
+        let image = || std::sync::Arc::new(SqbImage::from_set(&db).unwrap());
+        let planned = swdual_obs::Obs::enabled();
+        let config = RuntimeConfig {
+            obs: planned.clone(),
+            ..RuntimeConfig::default()
+        };
+        let healthy = run_search(image(), queries.clone(), &workers, config);
+        assert_eq!(healthy.hits, oracle(&db, &queries, top_k));
+        // A piece cut off (an id past the queries') queued behind
+        // another task of the device.
+        let queued_piece =
+            planned
+                .events_since(0)
+                .into_iter()
+                .find_map(|e| match (e.track, e.body) {
+                    (Track::Planned(w), EventBody::Placement { task, .. })
+                        if w == device
+                            && task >= n_queries
+                            && e.virt_start.is_some_and(|start| start > 0.0) =>
+                    {
+                        Some((w, task))
+                    }
+                    _ => None,
+                });
+        let Some((owner, piece)) = queued_piece else {
+            continue;
+        };
+        let straggle = WorkerFault::Straggler {
+            delay_ms: 50,
+            factor: 1.0,
+        };
+        let obs = swdual_obs::Obs::enabled();
+        let config = RuntimeConfig {
+            obs: obs.clone(),
+            faults: FaultPlan::none().with(owner, straggle),
+            ..RuntimeConfig::default()
+        };
+        let lent = run_search(image(), queries, &workers, config);
+        assert_eq!(lent.hits, healthy.hits, "seed {seed}");
+        let helped = obs
+            .events_since(0)
+            .into_iter()
+            .any(|e| matches!(e.body, EventBody::Help { task } if task == piece));
+        lent_slices += usize::from(helped);
+    }
+    assert!(lent_slices > 0, "no piece of a cut query was lent");
+}
