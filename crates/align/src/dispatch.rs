@@ -12,9 +12,11 @@
 //! | `scalar`  | any        | 16 × u8 arrays   | 16 subjects × u8 arrays| 8 × i16 arrays   |
 //!
 //! `scalar` is the autovectorized lane-array code in [`crate::striped`] /
-//! [`crate::striped8`] / [`crate::interseq`] — always available, and the
-//! oracle the property tests pin every other backend against, and what
-//! every host without AVX2 (aarch64 included) runs. Detection runs once
+//! [`crate::striped8`] / [`crate::interseq`] (whose lane arrays add,
+//! subtract and compare with SSE2, the x86-64 baseline, on x86-64) —
+//! always available, and the oracle the property tests pin every other
+//! backend against, and what every host without AVX2 (aarch64
+//! included) runs. Detection runs once
 //! per process ([`Backend::active`], a `OnceLock`); the env var
 //! `SWDUAL_KERNEL_BACKEND=scalar|avx2` overrides it, which CI uses to
 //! force the fallback path on hosts that would dispatch wide.

@@ -12,12 +12,27 @@
 //! its slice as one *stream* of residue columns, one vector of lanes per
 //! column. The subjects are dealt out in the length order, longest
 //! first: the lane that frees first — the lowest such lane on a tie —
-//! takes the next subject at the column where its last one ended. Each
-//! hand-over is a [`Start`]: before scoring that column the kernel
-//! harvests the lane's maximum for the subject it finished, zeroes the
-//! lane's running maximum and its `H`/`E` column, and carries on with
-//! the same recurrences. No lane idles until the lineup runs dry, so a
-//! stream pads only its last columns.
+//! takes the next subject on the first [`GROUP`] boundary at or past
+//! the column where its last one ended. Each hand-over is a [`Start`]:
+//! before scoring that column the kernel harvests the lane's maximum
+//! for the subject it finished, zeroes the lane's running maximum and
+//! its `H`/`E` column, and carries on with the same recurrences. A lane
+//! pads at most three columns per subject, and no lane idles longer
+//! until the lineup runs dry.
+//!
+//! **Four columns per pass.** SWIPE scores several database residues
+//! per pass down the query, and so does this kernel: [`GROUP`] stream
+//! columns at a time. Each query row loads its `H` and `E` once, scores
+//! the group's four cells per lane in registers — `E` running along the
+//! row, each column's `F` and the row above's `H` carried from row to
+//! row in registers — and stores once: two loads and two stores per
+//! four cell vectors instead of eight and eight. Hand-overs fall on
+//! group boundaries only, so no lane changes subjects inside a pass;
+//! the pad columns between a subject's end and the boundary score
+//! `−bias` and, like a pad lane, can only decay, so no maximum moves.
+//! The per-job cursors, the shared streams, [`Lineup::columns`] and
+//! everything that sizes a stream from it (the byte tier's fill, the
+//! run pick) see that one padded layout.
 //!
 //! **Two sources, one kernel.** Per job, [`Cursors`] lay the next
 //! [`BLOCK`] columns out in the worker's [`Scratch`] as the kernel
@@ -40,12 +55,12 @@
 //!
 //! **Score profile.** The substitution scores a column needs depend on
 //! the stream's residues at that position, so the profile is built per
-//! column: for each *distinct* query residue `a`, one vector
-//! `dprof[a][l] = score(a, column[l]) + bias`, looked up from the
-//! 32-entry row [`Tables::rows`]`[a]` (two 16-entry `pshufb` tables on
-//! AVX2). Residue code [`PAD`] fills the lanes that have no subject left;
-//! its table entry is biased 0, i.e. a true score of `−bias`, so such a
-//! lane can only decay.
+//! group: for each *distinct* query residue `a` and each column `c` of
+//! the group, one vector `dprof[a][c][l] = score(a, column_c[l]) +
+//! bias`, looked up from the 32-entry row [`Tables::rows`]`[a]` (two
+//! 16-entry `pshufb` tables on AVX2). Residue code [`PAD`] fills the
+//! lanes and columns that have no subject; its table entry is biased 0,
+//! i.e. a true score of `−bias`, so such a cell can only decay.
 //!
 //! **Same escalations as the striped byte kernel.** Arithmetic is the
 //! striped kernel's: unsigned, biased, saturating, with the same `bias`
@@ -75,6 +90,10 @@ use swdual_bio::ScoringScheme;
 /// Residue code of a lane with no subject. Alphabets must leave it free
 /// (size ≤ 31).
 pub const PAD: u8 = 31;
+
+/// Stream columns the kernel scores per pass down the query. Lanes
+/// change subjects only on multiples of it.
+pub(crate) const GROUP: usize = 4;
 
 /// What the kernel needs of one (query, scheme) pair. Built per job:
 /// a few hundred table reads, not worth caching.
@@ -125,7 +144,7 @@ impl Tables {
             present,
             bias,
             limit,
-            open: (scheme.gap_open + scheme.gap_extend).min(255) as u8,
+            open: scheme.gap_first().min(255) as u8,
             ext: scheme.gap_extend.min(255) as u8,
         })
     }
@@ -153,9 +172,39 @@ pub(crate) trait ByteLanes<const L: usize>: Copy {
 /// Lanes of the lane-array instantiation.
 pub(crate) const ARRAY_LANES: usize = 16;
 
-/// The portable lane-array instantiation (autovectorised).
-// SAFETY: every method is plain safe Rust; the `unsafe` is the trait's
-// contract, which these need nothing of.
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::__m128i;
+
+/// `op` on two lane arrays as the SSE2 vectors they are the size of.
+///
+/// Written over arrays, the four-column body's dozen loop-carried lane
+/// vectors are split into single bytes and only partly put back
+/// together, which ran the lane arrays 3.3× slower at 500 residues.
+/// SSE2 is part of the x86-64 baseline, so every x86-64 host has it.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn sse2(
+    a: [u8; ARRAY_LANES],
+    b: [u8; ARRAY_LANES],
+    op: impl Fn(__m128i, __m128i) -> __m128i,
+) -> [u8; ARRAY_LANES] {
+    use std::mem::transmute;
+    type Lanes = [u8; ARRAY_LANES];
+    // SAFETY: `[u8; 16]` and `__m128i` are both 16 plain bytes, and any
+    // 16 bytes are a valid value of either.
+    unsafe {
+        let (a, b) = (
+            transmute::<Lanes, __m128i>(a),
+            transmute::<Lanes, __m128i>(b),
+        );
+        transmute::<__m128i, Lanes>(op(a, b))
+    }
+}
+
+/// The portable lane-array instantiation: plain Rust, autovectorised,
+/// but for its three arithmetic operations on x86-64 (see [`sse2`]).
+// SAFETY: every method is safe Rust or, on x86-64, SSE2, which every
+// x86-64 CPU has; the trait's contract asks nothing more of these.
 impl ByteLanes<ARRAY_LANES> for [u8; ARRAY_LANES] {
     #[inline(always)]
     unsafe fn splat(x: u8) -> Self {
@@ -171,14 +220,23 @@ impl ByteLanes<ARRAY_LANES> for [u8; ARRAY_LANES] {
     }
     #[inline(always)]
     unsafe fn adds(self, other: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        return sse2(self, other, |a, b| std::arch::x86_64::_mm_adds_epu8(a, b));
+        #[cfg(not(target_arch = "x86_64"))]
         std::array::from_fn(|l| self[l].saturating_add(other[l]))
     }
     #[inline(always)]
     unsafe fn subs(self, other: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        return sse2(self, other, |a, b| std::arch::x86_64::_mm_subs_epu8(a, b));
+        #[cfg(not(target_arch = "x86_64"))]
         std::array::from_fn(|l| self[l].saturating_sub(other[l]))
     }
     #[inline(always)]
     unsafe fn max(self, other: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        return sse2(self, other, |a, b| std::arch::x86_64::_mm_max_epu8(a, b));
+        #[cfg(not(target_arch = "x86_64"))]
         std::array::from_fn(|l| self[l].max(other[l]))
     }
     #[inline(always)]
@@ -220,7 +278,8 @@ impl<'s> Lineup<'s> {
 
 /// The number of columns of a stream on `lanes` lanes that deals out
 /// subjects of `lengths`, in that order: where the lane that frees last
-/// frees, each subject going to the lane that frees first.
+/// frees, each subject going to the lane that frees first, and a lane
+/// freeing on the [`GROUP`] boundary after its subject's last column.
 pub(crate) fn stream_columns(lengths: impl IntoIterator<Item = usize>, lanes: usize) -> usize {
     let mut free_at: BinaryHeap<Reverse<usize>> = (0..lanes).map(|_| Reverse(0)).collect();
     let mut end = 0;
@@ -228,14 +287,22 @@ pub(crate) fn stream_columns(lengths: impl IntoIterator<Item = usize>, lanes: us
         let Some(mut lane) = free_at.peek_mut() else {
             break;
         };
-        lane.0 += len;
+        lane.0 = frees_at(lane.0, len);
         end = end.max(lane.0);
     }
     end
 }
 
+/// The column where a lane that takes a subject of `len` residues at
+/// `column` frees: the first [`GROUP`] boundary at or past the
+/// subject's end.
+fn frees_at(column: usize, len: usize) -> usize {
+    (column + len).next_multiple_of(GROUP)
+}
+
 /// Deals a lineup out to lanes: the lane that frees first — the lowest
-/// such lane on a tie — takes the next subject.
+/// such lane on a tie — takes the next subject, always on a [`GROUP`]
+/// boundary.
 #[derive(Debug)]
 struct Dealer {
     /// `(column, lane)`: where each lane's current subject ends.
@@ -264,8 +331,9 @@ impl Dealer {
         if column >= before {
             return None;
         }
-        *lane_free = Reverse((column + len, lane));
-        self.end = self.end.max(column + len);
+        let free = frees_at(column, len);
+        *lane_free = Reverse((free, lane));
+        self.end = self.end.max(free);
         let start = Start {
             column,
             lane,
@@ -280,7 +348,9 @@ impl Dealer {
 /// 32 lanes, so the block stays in L1 beside the DP state and the
 /// scratch does not grow with the stream. A transposed run's stream is
 /// walked whole once per subject, so its queries hold at most one block.
+/// A whole number of [`GROUP`]s, so blocks split no group.
 pub(crate) const BLOCK: usize = 256;
+const _: () = assert!(BLOCK.is_multiple_of(GROUP));
 
 /// The per-job source: lane cursors that lay a lineup's stream out one
 /// block of columns at a time.
@@ -511,6 +581,13 @@ impl<const L: usize> Harvest<L> {
 /// is scored; each finished subject's maximum `H` goes to
 /// `maxima[subject]`.
 ///
+/// The block is scored [`GROUP`] columns per pass down the query: each
+/// row loads its `H` and `E` once, scores the group's columns in
+/// registers — `E` running along the row, each column's `F` and the
+/// row above's `H` carried down in registers — and stores once. Starts
+/// fall on group boundaries only, so no lane changes hands inside a
+/// pass.
+///
 /// # Safety
 /// `V`'s instruction set must be available on the running CPU.
 #[inline(always)]
@@ -528,6 +605,8 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
         rows,
     } = buffers;
     debug_assert_eq!(state.len(), query.len());
+    let (groups, rest) = block.columns.as_chunks::<GROUP>();
+    debug_assert!(rest.is_empty() && block.first.is_multiple_of(GROUP));
     // SAFETY (every `V` operation below): the caller guarantees `V`'s
     // instruction set; the operations touch only the references passed.
     let zero = V::splat(0);
@@ -536,7 +615,7 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
     let ext = V::splat(tables.ext);
     let mut lane_best = V::load(&harvest.best);
     let mut starts = block.starts.iter().peekable();
-    for (at, column) in (block.first..).zip(block.columns) {
+    for (at, group) in (block.first..).step_by(GROUP).zip(groups) {
         if starts.peek().is_some_and(|start| start.column == at) {
             lane_best.store(&mut harvest.best);
             while let Some(start) = starts.next_if(|start| start.column == at) {
@@ -544,26 +623,41 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
             }
             lane_best = V::load(&harvest.best);
         }
-        let residues = V::load(column);
+        debug_assert!(starts.peek().is_none_or(|start| start.column >= at + GROUP));
+        let residues = group.each_ref().map(|column| V::load(column));
         for &a in &tables.present {
-            V::lookup32(&rows[a as usize & 31], residues).store(&mut dprof[a as usize & 31]);
+            let (row, prof) = (&rows[a as usize & 31], &mut dprof[a as usize & 31]);
+            for (slot, &residues) in prof.iter_mut().zip(&residues) {
+                V::lookup32(row, residues).store(slot);
+            }
         }
-        // Down the column: `diag` is H[i-1][j-1], `f` the vertical gap
-        // state; both start from the all-zero boundary row.
+        // Down the group: `diag` is H[i-1][j0-1] for the group's first
+        // column j0, `up` H[i-1] of its first three columns, `f` each
+        // column's vertical gap state; all start from the all-zero
+        // boundary row.
         let mut diag = zero;
-        let mut f = zero;
+        let mut up = [zero; GROUP - 1];
+        let mut f = [zero; GROUP];
         for (he, &q) in state.iter_mut().zip(query) {
             let [h_slot, e_slot] = he;
-            let e = V::load(e_slot);
-            // H = max(diag + score, E, F); unsigned floor is the 0 clamp.
-            let score = V::load(&dprof[q as usize & 31]);
-            let h = diag.adds(score).subs(bias).max(e).max(f);
-            lane_best = lane_best.max(h);
-            diag = V::load(h_slot);
-            h.store(h_slot);
-            let h_open = h.subs(open);
-            e.subs(ext).max(h_open).store(e_slot);
-            f = f.subs(ext).max(h_open);
+            let score = &dprof[q as usize & 31];
+            let left = V::load(h_slot);
+            let mut e = V::load(e_slot);
+            let mut h = [zero; GROUP];
+            for c in 0..GROUP {
+                let diag = if c == 0 { diag } else { up[c - 1] };
+                // H = max(diag + score, F, E); unsigned floor is the 0
+                // clamp. `E` comes last: it is the chain along the row.
+                h[c] = diag.adds(V::load(&score[c])).subs(bias).max(f[c]).max(e);
+                let h_open = h[c].subs(open);
+                e = e.subs(ext).max(h_open);
+                f[c] = f[c].subs(ext).max(h_open);
+            }
+            lane_best = lane_best.max(h.into_iter().reduce(|a, b| a.max(b)).unwrap_or(zero));
+            h[GROUP - 1].store(h_slot);
+            e.store(e_slot);
+            diag = left;
+            up.copy_from_slice(&h[..GROUP - 1]);
         }
     }
     lane_best.store(&mut harvest.best);
@@ -951,8 +1045,10 @@ mod tests {
         assert_eq!(lineup.columns(L) * L, columns.len());
         // The oracle: each subject in the length order goes to the lane
         // that frees first, the lowest on a tie, and is written down that
-        // lane from there. Empty subjects at the very end start where the
-        // stream ends: the kernel never reaches them, and they keep 0.
+        // lane from there; the lane frees on the next multiple of four
+        // columns, pad until then. Empty subjects at the very end start
+        // where the stream ends: the kernel never reaches them, and they
+        // keep 0.
         let mut free_at = [0usize; L];
         let mut want = vec![PAD; columns.len()];
         let mut want_starts = Vec::new();
@@ -970,8 +1066,9 @@ mod tests {
                     subject,
                 });
             }
-            free_at[lane] += residues.len();
+            free_at[lane] = (column + residues.len()).next_multiple_of(4);
         }
+        assert_eq!(columns.len() % (4 * L), 0, "whole groups of columns");
         assert_eq!(columns, want, "{L} lanes: columns against the oracle");
         assert_eq!(starts, want_starts, "{L} lanes: starts against the oracle");
     }

@@ -69,8 +69,15 @@ pub fn gotoh_score(query: &[u8], subject: &[u8], scheme: &ScoringScheme) -> i32 
     if query.is_empty() || subject.is_empty() {
         return 0;
     }
-    let gs = scheme.gap_open;
-    let ge = scheme.gap_extend;
+    // A gap state is at least `-(Gs + Ge)` (each step takes the max with
+    // `H - Gs`, and H ≥ 0), so with both penalties capped at a quarter
+    // of `i32::MAX` nothing below overflows. The cap changes no score
+    // below it (2^29 is ~49 M matched residues at BLOSUM62's best): a
+    // penalty above every H keeps the gap states it prices negative,
+    // capped or not, and a negative gap state never wins.
+    const CAP: i32 = i32::MAX / 4;
+    let gs = scheme.gap_open.min(CAP);
+    let ge = scheme.gap_extend.min(CAP);
     let n = subject.len();
 
     // Rolling state per column j: h_prev[j] = H[i-1][j], f[j] = F[i-1][j].

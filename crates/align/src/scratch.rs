@@ -7,6 +7,7 @@
 //! call, so no kernel allocates per subject and the buffers stay warm
 //! in cache across blocks and jobs.
 
+use crate::interseq::GROUP;
 use crate::profile::LANES;
 use crate::striped8::LANES8;
 
@@ -22,8 +23,8 @@ pub struct Scratch {
     /// Inter-sequence kernel: a block of a job's stream, one vector of
     /// lanes per column.
     columns: Vec<u8>,
-    /// Inter-sequence kernel: the column's score profile, then `H` and
-    /// `E` per query position.
+    /// Inter-sequence kernel: the column group's score profile, then
+    /// `H` and `E` per query position, then the score rows.
     state: Vec<u8>,
     /// Striped rows of the lane-array byte kernel.
     pub(crate) rows8: Vec<[u8; LANES8]>,
@@ -37,8 +38,9 @@ pub struct Scratch {
 /// The inter-sequence kernel's DP working memory, `L` lanes wide.
 /// Contents are whatever the last call left behind.
 pub(crate) struct InterseqBuffers<'a, const L: usize> {
-    /// The current column's score profile, one vector per residue code.
-    pub profile: &'a mut [[u8; L]; 32],
+    /// The current column group's score profile: per residue code, one
+    /// vector per column of the group.
+    pub profile: &'a mut [[[u8; L]; GROUP]; 32],
     /// `[H, E]` per query position.
     pub state: &'a mut [[[u8; L]; 2]],
     /// The kernel's copy of the query's 32-entry score rows.
@@ -50,16 +52,19 @@ impl Scratch {
     /// `query_len` query positions.
     ///
     /// Profile, state and score rows share one allocation, in that
-    /// order, on purpose. At the top of every column the kernel loads
-    /// the score rows just after storing the last `H`/`E` rows, then
-    /// stores the profile just before loading the first ones; when such
-    /// a store and load agree in address bits 0–11 the CPU replays the
-    /// load ("4K aliasing"). With the three wherever the allocator and
-    /// the stack put them, that cost 30–40 % on the reference host in
-    /// an unlucky process and nothing in a lucky one. Laid out like
-    /// this, the rows sit just past the stores that precede their loads
-    /// and the profile just before the loads that follow its stores,
-    /// whatever the query length.
+    /// order, on purpose. At the top of every column group the kernel
+    /// loads the score rows just after storing the last `H`/`E` rows,
+    /// then stores the profile just before loading the first ones; when
+    /// such a store and load agree in address bits 0–11 the CPU replays
+    /// the load ("4K aliasing"). With the three wherever the allocator
+    /// and the stack put them, that cost 30–40 % on the reference host
+    /// in an unlucky process and nothing in a lucky one. Laid out like
+    /// this, the rows sit just past the stores that precede their loads,
+    /// whatever the query length. The profile is 4 KB at 32 lanes, so
+    /// the state cannot simply follow it: a gap ([`profile_gap`]) puts the
+    /// state's first rows at the 4K offsets of the profile entries of
+    /// codes [`UNSTORED`]`..32`, which no protein or DNA query holds and
+    /// the kernel therefore never stores.
     pub(crate) fn interseq<const L: usize>(
         &mut self,
         columns: usize,
@@ -68,18 +73,22 @@ impl Scratch {
         let columns = aligned(&mut self.columns, columns * L)
             .as_chunks_mut::<L>()
             .0;
-        let (profile, rest) =
-            aligned(&mut self.state, (32 + query_len * 2) * L + 32 * 32).split_at_mut(32 * L);
-        let (state, rows) = rest.split_at_mut(query_len * 2 * L);
-        // `profile` is the first `32 * L` bytes and `rows` the last
-        // `32 * 32`, so both conversions below see exactly 32 chunks:
-        // neither `expect` can fire.
+        let profile_len = 32 * GROUP * L;
+        let gap = profile_gap(L);
+        let len = profile_len + gap + query_len * 2 * L + 32 * 32;
+        let (profile, rest) = aligned(&mut self.state, len).split_at_mut(profile_len);
+        let (state, rows) = rest[gap..].split_at_mut(query_len * 2 * L);
+        // `profile` is the first `32 * GROUP * L` bytes and `rows` the
+        // last `32 * 32`, so both conversions below see exactly 32
+        // chunks: neither `expect` can fire.
         let buffers = InterseqBuffers {
             profile: profile
                 .as_chunks_mut::<L>()
                 .0
+                .as_chunks_mut::<GROUP>()
+                .0
                 .try_into()
-                .expect("32 vectors were split off"),
+                .expect("32 groups of vectors were split off"),
             state: state.as_chunks_mut::<L>().0.as_chunks_mut::<2>().0,
             rows: rows
                 .as_chunks_mut::<32>()
@@ -89,6 +98,19 @@ impl Scratch {
         };
         (columns, buffers)
     }
+}
+
+/// The first residue code past the protein alphabet (24 codes) and the
+/// DNA one: the kernel never stores the profile entries of this code
+/// or any above it.
+const UNSTORED: usize = 24;
+
+/// Bytes between the inter-sequence profile of `lanes` lanes and the
+/// `H`/`E` state: enough that the state starts at the 4K offset of the
+/// profile entry of code [`UNSTORED`].
+fn profile_gap(lanes: usize) -> usize {
+    let entry = GROUP * lanes;
+    (UNSTORED * entry + 4096 - 32 * entry % 4096) % 4096
 }
 
 /// A cache-line-aligned `len`-byte window of `buf`, growing it if
@@ -134,10 +156,20 @@ mod tests {
             buffers.state.as_ptr() as usize + 45 * 64,
             "score rows directly after the last state row"
         );
+        // The profile is 4 KB, so every state row shares its 4K offset
+        // with some profile entry; the first 16 rows share it only with
+        // the entries of codes 24..32, which no protein or DNA query
+        // stores.
+        assert_eq!(std::mem::size_of_val(buffers.profile), 4096);
+        let offset = (buffers.state.as_ptr() as usize - buffers.profile.as_ptr() as usize) % 4096;
+        assert_eq!(offset, UNSTORED * GROUP * 32);
+        assert_eq!(offset + 16 * 64, 4096);
         let grown = scratch.columns.len();
         // A smaller block fits in place.
         let (columns, buffers) = scratch.interseq::<16>(10, 3);
         assert_eq!((columns.len(), buffers.state.len()), (10, 3));
+        let offset = (buffers.state.as_ptr() as usize - buffers.profile.as_ptr() as usize) % 4096;
+        assert_eq!(offset, UNSTORED * GROUP * 16, "so on 16 lanes too");
         assert_eq!(scratch.columns.len(), grown);
     }
 

@@ -24,12 +24,10 @@
 
 use crate::interseq::{refill_body, Block, ByteLanes, Harvest, Tables};
 use crate::scratch::{striped_rows, InterseqBuffers};
+use crate::striped::{WordGaps, NEG};
 use crate::wide::{ByteProfileW, StripedProfileW, LANES8W};
 use std::arch::x86_64::*;
 use swdual_bio::ScoringScheme;
-
-/// "No gap state" sentinel, as in the portable 16-bit kernel.
-const NEG: i16 = i16::MIN / 2;
 
 /// Shift all 32 byte lanes up by one (lane `l` receives lane `l-1`),
 /// inserting 0 into lane 0 — `_mm_slli_si128(v, 1)` extended across the
@@ -101,7 +99,7 @@ pub unsafe fn striped8_score_profile_avx2(
     }
     debug_assert!(profile.alphabet_size == scheme.matrix.size());
     let seg = profile.segments;
-    let open = (scheme.gap_open + scheme.gap_extend).min(255) as u8;
+    let open = scheme.gap_first().min(255) as u8;
     let ext = scheme.gap_extend.min(255) as u8;
 
     let zero = _mm256_setzero_si256();
@@ -182,8 +180,7 @@ pub unsafe fn striped_score_profile_avx2(
     }
     debug_assert!(profile.alphabet_size == scheme.matrix.size());
     let seg = profile.segments;
-    let open = (scheme.gap_open + scheme.gap_extend) as i16;
-    let ext = scheme.gap_extend as i16;
+    let WordGaps { open, ext, limit } = WordGaps::of(scheme);
 
     let zero = _mm256_setzero_si256();
     let vneg = _mm256_set1_epi16(NEG);
@@ -237,7 +234,6 @@ pub unsafe fn striped_score_profile_avx2(
     }
 
     let best = hmax_i16(vmax_acc);
-    let limit = i16::MAX - scheme.matrix.max_score() as i16;
     if best >= limit {
         None
     } else {

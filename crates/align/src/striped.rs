@@ -32,7 +32,42 @@ type V = [i16; LANES];
 
 /// Large negative sentinel for "no gap state", safely away from
 /// `i16::MIN` so saturating subtraction cannot wrap semantics.
-const NEG: i16 = i16::MIN / 2;
+pub(crate) const NEG: i16 = i16::MIN / 2;
+
+/// The 16-bit kernels' gap penalties and saturation guard under one
+/// scheme.
+///
+/// A penalty is clamped to `−NEG`: the lazy-F loop ends once no lane's
+/// `F` beats `H − open`, and the `NEG` it shifts into lane 0 must never
+/// beat that, or the loop spins. A clamped penalty is exact below the
+/// clamp: while every `H` is under it, `H − open` is negative for the
+/// clamped and the true penalty alike, so neither ever opens a gap that
+/// moves `H`. The guard `limit` comes down to the clamp to keep it so.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WordGaps {
+    /// `Gs + Ge`: what the first residue of a gap costs.
+    pub open: i16,
+    /// `Ge`: what every further residue costs.
+    pub ext: i16,
+    /// A best score at or above this may have saturated.
+    pub limit: i16,
+}
+
+impl WordGaps {
+    pub(crate) fn of(scheme: &ScoringScheme) -> WordGaps {
+        let cap = -(NEG as i32);
+        let first = scheme.gap_first();
+        let mut limit = i16::MAX - scheme.matrix.max_score() as i16;
+        if first > cap {
+            limit = limit.min(cap as i16);
+        }
+        WordGaps {
+            open: first.min(cap) as i16,
+            ext: scheme.gap_extend.min(cap) as i16,
+            limit,
+        }
+    }
+}
 
 #[inline(always)]
 fn splat(x: i16) -> V {
@@ -94,8 +129,7 @@ pub fn striped_score_profile(
         return Some(0);
     }
     let seg = profile.segments;
-    let open = (scheme.gap_open + scheme.gap_extend) as i16;
-    let ext = scheme.gap_extend as i16;
+    let WordGaps { open, ext, limit } = WordGaps::of(scheme);
 
     let (mut h_store, mut h_load, e) = striped_rows(rows, seg, splat(0), splat(NEG));
     let mut vmax_acc = splat(0);
@@ -145,7 +179,6 @@ pub fn striped_score_profile(
     }
 
     let best = hmax(vmax_acc);
-    let limit = i16::MAX - scheme.matrix.max_score() as i16;
     if best >= limit {
         None // may have saturated; force the i32 path
     } else {

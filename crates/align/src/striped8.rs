@@ -170,7 +170,7 @@ pub fn striped8_score_profile(
     }
     debug_assert!(profile.alphabet_size == scheme.matrix.size());
     let seg = profile.segments;
-    let open = (scheme.gap_open + scheme.gap_extend).min(255) as u8;
+    let open = scheme.gap_first().min(255) as u8;
     let ext = scheme.gap_extend.min(255) as u8;
     let bias = profile.bias;
 

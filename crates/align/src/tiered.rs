@@ -39,7 +39,7 @@
 
 use crate::dispatch::{Backend, QueryProfiles};
 use crate::engine::PhaseTimings;
-use crate::interseq::{stream_columns, Lineup, SharedStreams, Tables, BLOCK, PAD};
+use crate::interseq::{stream_columns, Lineup, SharedStreams, Tables, BLOCK, GROUP, PAD};
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
@@ -455,13 +455,16 @@ impl<'a> LazyProfiles<'a> {
 /// order, dealt to `lanes` lanes, fills at least `min_fill` of its cells
 /// with residues. A stream is at least as long as its longest subject
 /// and as `residues / lanes`, and at most their sum (Graham's bound for
-/// list scheduling); those settle most slices without dealing any out.
+/// list scheduling) once each subject is counted with the pad columns
+/// up to its lane's next group boundary; those settle most slices
+/// without dealing any out.
 fn fills(db: &Subjects<'_>, positions: Range<usize>, lanes: usize, min_fill: f64) -> bool {
     let residues = db.residues_in(positions.clone()) as f64;
     let longest = db.in_order(positions.clone()).next().map_or(0, <[u8]>::len) as f64;
     let per_lane = residues / lanes as f64;
     let fills = |columns: f64| residues >= min_fill * lanes as f64 * columns;
-    if fills(per_lane + longest) {
+    let pad = (GROUP - 1) as f64;
+    if fills(per_lane + pad * positions.len() as f64 / lanes as f64 + longest + pad) {
         return true;
     }
     if !fills(per_lane.max(longest)) {
@@ -692,6 +695,7 @@ pub fn score_run_with(
 mod tests {
     use super::*;
     use crate::dispatch::Backend;
+    use proptest::prelude::*;
     use swdual_bio::{Alphabet, Matrix};
 
     fn prot(t: &[u8]) -> Vec<u8> {
@@ -798,6 +802,27 @@ mod tests {
                 );
             }
             assert_eq!(stats.subjects, subjects.len() as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_fill_bounds_decide_as_the_dealt_stream(
+            lengths in prop::collection::vec(0usize..300, 0..120),
+            // Often a few residues at most, where a group pads most.
+            longest in (0usize..2, 1usize..8).prop_map(|(kind, n)| if kind == 0 { n } else { 300 }),
+            min_fill in 0.0f64..1.0,
+        ) {
+            let seqs: Vec<Vec<u8>> = lengths.iter().map(|&n| vec![1; n % longest]).collect();
+            let db: Subjects = seqs.iter().map(Vec::as_slice).collect();
+            for lanes in [16, 32] {
+                let lineup = Lineup { seqs: db.seqs(), order: db.order() };
+                let cells = (lanes * lineup.columns(lanes)) as f64;
+                let dealt = db.residues_in(db.whole()) as f64 >= min_fill * cells;
+                prop_assert_eq!(fills(&db, db.whole(), lanes, min_fill), dealt);
+            }
         }
     }
 }

@@ -424,6 +424,83 @@ proptest! {
     }
 }
 
+/// Gap penalties over the whole range a scheme accepts, weighted
+/// towards where the kernels clamp them (the byte tiers at 255, the
+/// 16-bit tiers at 16 384), where the old 16-bit cast wrapped
+/// (32 767, 65 536) and where `Gs + Ge` leaves `i32`.
+fn any_penalty() -> impl Strategy<Value = i32> {
+    // `(first, width)` of each band; a draw picks a band, then a point.
+    const BANDS: [(i32, u32); 7] = [
+        (0, 16),
+        (250, 10),
+        (16_380, 10),
+        (32_760, 20),
+        (65_530, 30),
+        (i32::MAX - 4, 5),
+        (0, i32::MAX as u32),
+    ];
+    (0..BANDS.len(), any::<u32>()).prop_map(|(band, x)| {
+        let (first, width) = BANDS[band];
+        first + (x % width) as i32
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn tiers_exact_over_the_whole_penalty_range(
+        motif in dna_residues(40),
+        repeats in 1usize..7,
+        cuts in prop::collection::vec((0usize..240, 0usize..240), 0..12),
+        rewards in (3i32..160, -160i32..0),
+        gs in any_penalty(),
+        ge in any_penalty(),
+    ) {
+        // Subjects are stretches of the query: exact matches up to 240
+        // residues long saturate the byte tier, and at high rewards or
+        // clamped penalties the 16-bit one too.
+        let q = motif.repeat(repeats);
+        let at = |k: usize| k.min(q.len());
+        let subjects: Vec<Vec<u8>> = cuts
+            .iter()
+            .map(|&(a, b)| q[at(a.min(b))..at(a.max(b))].to_vec())
+            .collect();
+        let matrix = Matrix::match_mismatch(Alphabet::Dna, rewards.0, rewards.1);
+        assert_database_exact(&q, &subjects, &ScoringScheme::new(matrix, gs, ge))?;
+    }
+}
+
+#[test]
+fn clamped_gap_penalties_score_as_gotoh() {
+    // W30 A5 W30 against W60: the best alignment spans the five A's with
+    // a gap only while the gap costs less than 11 W's would add.
+    let sch = |gs| ScoringScheme::new(Matrix::blosum62().clone(), gs, 2);
+    let w = |n| vec![Alphabet::Protein.encode(b"W").unwrap()[0]; n];
+    let q = [w(30), Alphabet::Protein.encode(b"AAAAA").unwrap(), w(30)].concat();
+    let subjects = [w(60)];
+    for gs in [100, 65_546, 1_000_000, i32::MAX] {
+        assert_eq!(gotoh_score(&q, &subjects[0], &sch(gs)), 590, "Gs = {gs}");
+        assert_database_exact(&q, &subjects, &sch(gs)).unwrap();
+    }
+    let huge = ScoringScheme::new(Matrix::blosum62().clone(), i32::MAX, i32::MAX);
+    assert_eq!(huge.gap_first(), i32::MAX);
+    assert_eq!(gotoh_score(&q, &subjects[0], &huge), 590);
+    assert_database_exact(&q, &subjects, &huge).unwrap();
+    // Past the 16-bit clamp (16 384) a gap at the clamped price would
+    // join two runs of 120 matches (2 × 18 000 − 16 392): a best score
+    // that high must escalate. Mismatches cost too much to cross.
+    let dna = ScoringScheme::new(
+        Matrix::match_mismatch(Alphabet::Dna, 150, -20_000),
+        1_000_000,
+        2,
+    );
+    let q = [vec![0u8; 120], vec![1; 5], vec![0; 120]].concat();
+    let subjects = [vec![0u8; 240]];
+    assert_eq!(gotoh_score(&q, &subjects[0], &dna), 18_000);
+    assert_database_exact(&q, &subjects, &dna).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -484,6 +561,46 @@ fn refills_land_on_block_edges() {
     assert_database_exact(&q, &subjects, &sch).unwrap();
     let (_, stats) = striped_ladder(Backend::active(), &q, &subjects, &sch);
     assert!(stats.escalated_16 >= 24, "{stats:?}");
+}
+
+/// Subjects at the edges of the inter-sequence kernel's four-column
+/// groups (a lane takes its next subject only on a multiple of four
+/// columns, pad until then), around the 12-residue `q`: lengths ≡ 0, 1,
+/// 2 and 3 (mod 4); `q` as the last residues of subjects of each
+/// residue class, so the maximum falls in the last residue and pad
+/// columns follow; perfect matches of `q` (12 ≡ 0) handing their lanes,
+/// on a group boundary, to weak subjects that only score as Gotoh does
+/// if they start clean; and empty subjects.
+fn group_edge_subjects(q: &[u8]) -> Vec<Vec<u8>> {
+    let g = |n| vec![7u8; n];
+    let mut subjects: Vec<Vec<u8>> = (0..5).map(|i| g(200 + 13 * i)).collect();
+    for len in 20..24 {
+        let mut s = q.repeat(2);
+        s.rotate_left(len % q.len());
+        s.truncate(len);
+        subjects.push(s);
+    }
+    subjects.extend((1..5).map(|k| [g(k), q.to_vec()].concat()));
+    for _ in 0..20 {
+        subjects.push(q.to_vec());
+        subjects.push(q[q.len() - 2..].to_vec());
+    }
+    subjects.extend([vec![], vec![], vec![]]);
+    subjects
+}
+
+#[test]
+fn column_groups_lose_nothing_at_their_edges() {
+    let sch = ScoringScheme::protein_default();
+    let q = Alphabet::Protein.encode(b"MKWVTFISLLWC").unwrap();
+    let subjects = group_edge_subjects(&q);
+    // Every backend, shape and stream source.
+    assert_database_exact(&q, &subjects, &sch).unwrap();
+    // Transposed: the same sequences as a run's queries, the stream.
+    assert_run_exact(&subjects, &[q.clone(), q[..5].to_vec()], &sch).unwrap();
+    for s in &subjects {
+        assert_database_exact(s, &[q.clone(), q[..5].to_vec()], &sch).unwrap();
+    }
 }
 
 #[test]
@@ -799,9 +916,10 @@ fn a_slice_fill_is_its_residues_over_its_stream_cells() {
         let lanes = backend.interseq_lanes();
         let fill = backend.slice_fill(&db, db.whole());
         assert!(fill > 0.0 && fill <= 1.0, "{fill}");
-        // One subject holds one lane of the stream.
+        // One subject, the 49-residue longest, holds one lane of the
+        // stream, which pads it to the next multiple of four columns.
         let one = backend.slice_fill(&db, 0..1);
-        assert!((one - 1.0 / lanes as f64).abs() < 1e-12);
+        assert!((one - 49.0 / (52 * lanes) as f64).abs() < 1e-12);
         assert_eq!(backend.slice_fill(&db, 3..3), 0.0);
     }
 }

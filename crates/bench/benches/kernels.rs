@@ -119,7 +119,7 @@ struct BackendResult {
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
 
-    // The line CI greps to assert which backend dispatched.
+    // Which backend dispatched (`align/tests/backends.rs` tests the pick).
     println!("backend: {}", Backend::active().name());
     println!(
         "available: {}",

@@ -266,10 +266,11 @@ impl ScoringScheme {
         ScoringScheme::new(Matrix::match_mismatch(Alphabet::Dna, 1, -1), 0, 2)
     }
 
-    /// Cost of the first character of a gap (`Gs + Ge`).
+    /// Cost of the first character of a gap (`Gs + Ge`), saturating at
+    /// `i32::MAX`: no local alignment can pay that much for a gap.
     #[inline]
     pub fn gap_first(&self) -> i32 {
-        self.gap_open + self.gap_extend
+        self.gap_open.saturating_add(self.gap_extend)
     }
 
     /// Substitution score lookup, forwarded to the matrix.

@@ -406,6 +406,13 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
     let top: usize = flags.number("top")?.unwrap_or(10);
     let gap_open: i32 = flags.number("gap-open")?.unwrap_or(10);
     let gap_extend: i32 = flags.number("gap-extend")?.unwrap_or(2);
+    for (flag, penalty) in [("gap-open", gap_open), ("gap-extend", gap_extend)] {
+        if penalty < 0 {
+            return Err(format!(
+                "--{flag} is a penalty and must be >= 0, got {penalty}"
+            ));
+        }
+    }
     let policy = match flags.get("policy").unwrap_or("dual") {
         "dual" => AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
         "dual-dp" => AllocationPolicy::DualApprox(KnapsackMethod::Dp(DpConfig::default())),

@@ -205,6 +205,55 @@ fn a_prior_scale_that_prices_tasks_at_infinity_is_an_error() {
     }
 }
 
+/// Gap penalties anywhere in `i32`'s non-negative range score as Gotoh
+/// does, and a negative one is an error, not a panic. `W30 A5 W30`
+/// against `W60` scores 590 (30 W's, no gap) once a gap costs more than
+/// 11 W's would add.
+#[test]
+fn gap_penalties_score_as_gotoh_over_their_whole_range() {
+    let query = tmp("gap_q.fasta");
+    let db = tmp("gap_db.fasta");
+    let w = |n| "W".repeat(n);
+    std::fs::write(&query, format!(">q\n{}AAAAA{}\n", w(30), w(30))).unwrap();
+    std::fs::write(&db, format!(">s\n{}\n", w(60))).unwrap();
+    let search = |gaps: &[&str]| {
+        swdual()
+            .args(["search", "--db", db.to_str().unwrap()])
+            .args([
+                "--queries",
+                query.to_str().unwrap(),
+                "--cpus",
+                "1",
+                "--gpus",
+                "0",
+            ])
+            .args(gaps)
+            .output()
+            .unwrap()
+    };
+    for gaps in [
+        &["--gap-open", "100"][..],
+        &["--gap-open", "65546"],
+        &["--gap-open", "1000000"],
+        &["--gap-open", "2147483647", "--gap-extend", "2147483647"],
+    ] {
+        let out = search(gaps);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{gaps:?}");
+        assert!(stdout.contains("score    590"), "{gaps:?}: {stdout}");
+    }
+    for flag in ["--gap-open", "--gap-extend"] {
+        let out = search(&[flag, "-3"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("must be >= 0"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    for f in [&query, &db] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
 #[test]
 fn bad_usage_exits_nonzero() {
     let out = swdual().arg("search").output().unwrap(); // missing --db
