@@ -22,8 +22,9 @@ pub enum EngineKind {
     /// straightforward per-thread vector code, one comparison at a time).
     Scalar,
     /// The tier-ladder engine the workers run: byte lanes → 16-bit
-    /// lanes → scalar, the byte tier inter-sequence (SWIPE) for short
-    /// queries and Farrar-striped (STRIPED baseline) for long ones —
+    /// lanes → scalar, the byte tier inter-sequence (SWIPE) where the
+    /// slice's stream fills its lanes well enough for the query's length
+    /// and Farrar-striped (STRIPED baseline) for the subjects it peels —
     /// see [`crate::tiered::score_database`].
     Striped,
     /// The same ladder with the byte tier forced inter-sequence at
@@ -203,8 +204,8 @@ pub struct LadderEngine {
 }
 
 impl LadderEngine {
-    /// [`EngineKind::Striped`]: the byte-tier shape picked by query
-    /// length.
+    /// [`EngineKind::Striped`]: the byte-tier shape picked by fill
+    /// ([`crate::tiered::ByteShape::Auto`]).
     pub const AUTO: LadderEngine = LadderEngine {
         shape: ByteShape::Auto,
     };

@@ -39,10 +39,10 @@
 //! reaches them. A [`Stream`] holds all columns and starts of a slice at
 //! once, laid out by the same cursors as one block that spans the whole
 //! stream, so the two sources agree byte for byte. [`SharedStreams`]
-//! builds one per slice that more jobs score than there are workers,
-//! before the jobs run, and lends it to every job that scores the slice
-//! whole, so such a slice is laid out once per search instead of once
-//! per job.
+//! builds one per slice that more jobs of short queries score than
+//! there are workers, before the jobs run, and lends it to every job
+//! that scores the slice whole, so such a slice is laid out once per
+//! search instead of once per job.
 //!
 //! **Either side can be the stream.** Under a symmetric matrix the
 //! local score of (q, s) is that of (s, q), so the kernel does not care
@@ -474,6 +474,12 @@ impl Stream {
     }
 }
 
+/// Queries this long or longer do not count toward sharing a slice's
+/// stream: a per-job layout costs about `1/Q` of a job's kernel time for
+/// a query of `Q` residues, so for them a shared stream costs memory and
+/// buys no speed (`shared_mcups` in `BENCH_kernels.json`'s sweep).
+const SHARE_BELOW: usize = 1024;
+
 /// The streams of the slices many jobs of one search score, each laid
 /// out once and lent to every job that scores its slice whole.
 #[derive(Debug, Default)]
@@ -483,13 +489,11 @@ pub struct SharedStreams {
 }
 
 impl SharedStreams {
-    /// Lay out the stream of each slice of `db` that more
-    /// inter-sequence jobs score than there are `workers` to score them:
-    /// some worker would otherwise lay the same stream out twice. `jobs`
-    /// are the search's `(query length, slice)` pairs; a job is
-    /// inter-sequence when `backend` runs its query's byte tier that way
-    /// at all ([`Backend::interseq_min_fill`]). Only the first call
-    /// counts.
+    /// Lay out the stream of each slice of `db` that more jobs of
+    /// queries shorter than [`SHARE_BELOW`] score than there are
+    /// `workers` to score them: some worker would otherwise lay the same
+    /// stream out twice. `jobs` are the search's `(query length, slice)`
+    /// pairs. Only the first call counts.
     ///
     /// The streams are built here, on the caller's thread, before any
     /// job runs: built by whichever worker came first they would land in
@@ -504,7 +508,7 @@ impl SharedStreams {
     ) {
         let mut jobs_on: HashMap<(usize, usize), usize> = HashMap::new();
         for (query_len, slice) in jobs {
-            if backend.interseq_min_fill(query_len).is_some() {
+            if query_len < SHARE_BELOW {
                 *jobs_on.entry((slice.start, slice.end)).or_default() += 1;
             }
         }
@@ -1148,11 +1152,18 @@ mod tests {
         let streams = SharedStreams::default();
         streams.share(backend, &db, vec![(30, 15..40); 3], 1);
         assert!(streams.get(&(15..40), 16).is_none());
-        // Queries the byte tier never runs inter-sequence do not count.
-        if Backend::Avx2.is_available() {
+        // Queries at or above the share bound do not count; one just
+        // below it does.
+        for backend in Backend::available() {
+            let lanes = backend.interseq_lanes();
             let streams = SharedStreams::default();
-            streams.share(Backend::Avx2, &db, [(2000, 0..10), (2000, 0..10)], 1);
-            assert!(streams.get(&(0..10), 32).is_none());
+            let long = [(SHARE_BELOW, 0..10), (2000, 0..10)];
+            streams.share(backend, &db, long, 1);
+            assert!(streams.get(&(0..10), lanes).is_none());
+            let streams = SharedStreams::default();
+            let below = [(SHARE_BELOW - 1, 0..10), (SHARE_BELOW - 1, 0..10)];
+            streams.share(backend, &db, below, 1);
+            assert!(streams.get(&(0..10), lanes).is_some());
         }
     }
 }

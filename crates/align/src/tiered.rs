@@ -289,32 +289,27 @@ impl Backend {
     /// The pick rule of [`ByteShape::Auto`]: the smallest *fill* — real
     /// residues over `lanes × columns` cells — at which a stream is
     /// cheaper inter-sequence than through the striped kernel, for a
-    /// query of `query_len`; `None` when the byte tier should not run
-    /// inter-sequence at all.
+    /// query of `query_len`.
     ///
     /// The inter-sequence kernel's rate per cell barely depends on the
     /// query; the striped kernel's climbs with it (fewer padding lanes,
     /// lazy-F amortised over more segments). So the break-even fill
     /// rises with query length: measured on the reference AVX2 host it
     /// is 0.30 at 30 residues and grows by 0.075 per doubling (0.45 at
-    /// 120, 0.68 at 1000 — EXPERIMENTS.md, "Byte-tier shape"; the
-    /// `sweep` section of `BENCH_kernels.json` checks the pick against
-    /// both forced shapes at every point). From 1024 residues the pick
-    /// is striped outright: the inter-sequence `H`/`E` state (64 B per
-    /// query residue) has left L1 for L2, one thread on a quiet host
-    /// still measured it 7–11 % ahead on full batches, but two workers
-    /// end to end are level with the striped kernel and their rate
-    /// swings twice as far from run to run (`cpu_long`, EXPERIMENTS.md,
-    /// "Run-to-run spread"). The lane-array kernels break even at 0.45
-    /// whatever the query.
-    pub fn interseq_min_fill(self, query_len: usize) -> Option<f64> {
+    /// 120, 0.68 at 1000, 0.85 at 5000 — EXPERIMENTS.md, "Byte-tier
+    /// shape"). The rule holds at every length: since the kernel scores
+    /// four columns per pass, a filled stream runs ahead of the striped
+    /// kernel up to 5000 residues (EXPERIMENTS.md, "Inter-sequence at
+    /// every length"; the `sweep` section of `BENCH_kernels.json` checks
+    /// the pick against both forced shapes at every point). The
+    /// lane-array kernels break even at 0.45 whatever the query.
+    pub fn interseq_min_fill(self, query_len: usize) -> f64 {
         match self {
-            Backend::Avx2 if query_len >= 1024 => None,
             Backend::Avx2 => {
                 let doublings = (query_len.max(30) as f64 / 30.0).log2();
-                Some(0.30 + 0.075 * doublings)
+                0.30 + 0.075 * doublings
             }
-            Backend::Scalar => Some(0.45),
+            Backend::Scalar => 0.45,
         }
     }
 
@@ -326,11 +321,10 @@ impl Backend {
     }
 
     /// Whether `query` may join a transposed run under a scheme that
-    /// [`transposes`]: its byte tier runs inter-sequence at all
-    /// ([`Backend::interseq_min_fill`]) and its residues are in the
-    /// matrix's alphabet — together, [`Tables::build`] accepts it.
+    /// [`transposes`]: its residues are in the matrix's alphabet, so
+    /// [`Tables::build`] accepts it.
     pub fn joins_runs(self, query: &[u8], scheme: &ScoringScheme) -> bool {
-        self.interseq_min_fill(query.len()).is_some() && in_alphabet(query, scheme)
+        in_alphabet(query, scheme)
     }
 
     /// The fill of the stream of `slice` of `db` on this backend's lanes:
@@ -531,7 +525,7 @@ pub fn score_database_with(
     let min_fill = match shape {
         ByteShape::Striped => None,
         ByteShape::InterSeq => Some(0.0),
-        ByteShape::Auto => backend.interseq_min_fill(query.len()),
+        ByteShape::Auto => Some(backend.interseq_min_fill(query.len())),
     };
     let inter_sequence =
         min_fill.and_then(|fill| Tables::build(query, scheme).map(|tables| (tables, fill)));

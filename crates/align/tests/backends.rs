@@ -1,8 +1,9 @@
 //! Dispatch and exactness per backend: `SWDUAL_KERNEL_BACKEND` picks the
 //! backend every kernel call dispatches to, and on every backend this
 //! host runs, the tier ladder, the inter-sequence byte kernel and the
-//! transposed run path score the shapes of the `kernels` bench exactly
-//! as scalar Gotoh does.
+//! transposed run path score the shapes of the `kernels` bench — its
+//! smoke and timed shapes and its sweep's longest queries — exactly as
+//! scalar Gotoh does.
 
 use rand::prelude::*;
 use std::process::Command;
@@ -13,6 +14,7 @@ use swdual_align::tiered::{
 };
 use swdual_align::Scratch;
 use swdual_bio::ScoringScheme;
+use swdual_datagen::{synthetic_database, LengthModel};
 
 /// Set only in the child processes of the test below: the name
 /// [`Backend::active`] must return there.
@@ -123,6 +125,52 @@ fn every_backend_scores_the_bench_shapes_as_gotoh() {
                 assert_eq!(db.in_database_order(scores), want, "the run on {backend}");
             }
             assert_eq!(stats.subjects, (queries.len() * subjects.len()) as u64);
+        }
+    }
+}
+
+/// The `kernels` sweep's longest points, which its `--test` smoke skips:
+/// queries of 2 000 and 5 000 residues against its 64-subject set,
+/// `Auto` (which on AVX2 peels the set's long head striped) and forced
+/// inter-sequence, on every backend.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "162 M cells of Gotoh and eight kernel passes: half a minute unoptimised"
+)]
+fn every_backend_scores_the_sweeps_long_points_as_gotoh() {
+    let scheme = ScoringScheme::protein_default();
+    let set = synthetic_database("sweep", 64, LengthModel::protein_database(362.0), 13);
+    let db: Subjects = set.iter().map(|s| s.codes()).collect();
+    let scratch = &mut Scratch::default();
+    for query_len in [2000, 5000] {
+        let qset = synthetic_database("q", 1, LengthModel::Fixed(query_len), 14);
+        let query = qset.get(0).expect("query generated").codes();
+        let want: Vec<i32> = db
+            .seqs()
+            .iter()
+            .map(|s| gotoh_score(query, s, &scheme))
+            .collect();
+        for backend in Backend::available() {
+            let stats = [ByteShape::Auto, ByteShape::InterSeq].map(|shape| {
+                let mut stats = TierStats::default();
+                let (got, _) = score_database_with(
+                    backend,
+                    shape,
+                    query,
+                    &db,
+                    db.whole(),
+                    &scheme,
+                    None,
+                    None,
+                    scratch,
+                    &mut stats,
+                );
+                let name = format!("{shape:?} on {backend} at {query_len}");
+                assert_eq!(db.in_database_order(&got), want, "{name}");
+                stats
+            });
+            assert_eq!(stats[0], stats[1], "{backend} at {query_len}: tiers");
         }
     }
 }

@@ -2,6 +2,7 @@
 //! reference on arbitrary sequences and arbitrary scoring schemes.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::ops::Range;
 use swdual_align::dispatch::{Backend, QueryProfiles};
 use swdual_align::engine::EngineKind;
@@ -297,18 +298,12 @@ fn striped_ladder(
     (scores, stats)
 }
 
-/// Streams that share `slices`: each is scored by two jobs, on one
-/// worker.
-fn sharing(
-    backend: Backend,
-    db: &Subjects<'_>,
-    query_len: usize,
-    slices: &[Range<usize>],
-) -> SharedStreams {
+/// Streams that share `slices`: each is scored by two jobs of short
+/// queries, on one worker. A stream does not depend on the query, so a
+/// job of any length may score on it.
+fn sharing(backend: Backend, db: &Subjects<'_>, slices: &[Range<usize>]) -> SharedStreams {
     let streams = SharedStreams::default();
-    let jobs = slices
-        .iter()
-        .flat_map(|s| [(query_len, s.clone()), (query_len, s.clone())]);
+    let jobs = slices.iter().flat_map(|s| [(0, s.clone()), (0, s.clone())]);
     streams.share(backend, db, jobs, 1);
     streams
 }
@@ -331,7 +326,7 @@ fn assert_database_exact(
     for backend in Backend::available() {
         let (ladder, ladder_stats) = striped_ladder(backend, q, subjects, sch);
         prop_assert_eq!(&ladder, &want, "striped ladder on {}", backend);
-        let shared = sharing(backend, &db, q.len(), &slices);
+        let shared = sharing(backend, &db, &slices);
         for shape in [ByteShape::Auto, ByteShape::Striped, ByteShape::InterSeq] {
             for streams in [None, Some(&shared)] {
                 let mut score = |slice: Range<usize>, stats: &mut TierStats| {
@@ -519,7 +514,7 @@ proptest! {
         let in_slice: Vec<Vec<u8>> = ids.iter().map(|&i| db.seqs()[i as usize].to_vec()).collect();
         for backend in Backend::available() {
             let (_, ladder_stats) = striped_ladder(backend, &q, &in_slice, &sch);
-            let shared = sharing(backend, &db, q.len(), std::slice::from_ref(&slice));
+            let shared = sharing(backend, &db, std::slice::from_ref(&slice));
             for streams in [None, Some(&shared)] {
                 let mut stats = TierStats::default();
                 let (got, _) = score_database_with(
@@ -614,19 +609,44 @@ fn score_database_handles_empty_query_and_empty_database() {
 
 #[test]
 fn score_database_exact_on_long_queries() {
-    // Long enough that `Auto` peels the long head subjects striped and
-    // keeps the near-uniform rest inter-sequence: 40 subjects of 60–99
-    // residues plus outliers at both ends.
+    // Queries up to 5 000 residues (one of 1 024 unoptimised) against a
+    // database whose long head `Auto` peels striped while the rest stays
+    // inter-sequence, with a planted homolog that escalates to 16 bits.
     let sch = ScoringScheme::protein_default();
-    let residue = |i: usize| ((i * 7 + i / 13) % 20) as u8;
-    let q: Vec<u8> = (0..500).map(residue).collect();
-    let mut subjects: Vec<Vec<u8>> = (0..40)
-        .map(|n| (n..n + 60 + n).map(residue).collect())
-        .collect();
-    subjects.push((5..405).map(residue).collect());
-    subjects.push(vec![]);
-    subjects.push(q[100..130].to_vec());
-    assert_database_exact(&q, &subjects, &sch).unwrap();
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut random = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.gen_range(0..20)).collect() };
+    let (lens, background, head): (&[usize], usize, usize) = if cfg!(debug_assertions) {
+        (&[1024], 64, 600)
+    } else {
+        (&[500, 1024, 2000, 5000], 300, 2500)
+    };
+    for &len in lens {
+        let q = random(len);
+        let mut subjects: Vec<Vec<u8>> = (0..background).map(|n| random(20 + n % 41)).collect();
+        let mut homolog = q[len / 2..len / 2 + 80].to_vec();
+        for r in homolog.iter_mut().step_by(10) {
+            *r = (*r + 1) % 20;
+        }
+        subjects.push(homolog);
+        subjects.push(vec![]);
+        subjects.push(random(head));
+        let db: Subjects = subjects.iter().map(Vec::as_slice).collect();
+        for backend in Backend::available() {
+            let min_fill = backend.interseq_min_fill(len);
+            let rest = 1..db.len();
+            assert!(
+                backend.slice_fill(&db, db.whole()) < min_fill,
+                "{backend}: head peeled"
+            );
+            assert!(
+                backend.slice_fill(&db, rest) >= min_fill,
+                "{backend}: rest inter-sequence"
+            );
+        }
+        let (_, stats) = striped_ladder(Backend::active(), &q, &subjects, &sch);
+        assert_eq!((stats.escalated_16, stats.escalated_scalar), (1, 0));
+        assert_database_exact(&q, &subjects, &sch).unwrap();
+    }
 }
 
 /// A run of `mid` identical residues scores past a byte but inside 16
@@ -931,11 +951,7 @@ fn only_queries_of_the_byte_tier_join_runs() {
     for backend in Backend::available() {
         assert!(backend.joins_runs(&[3; 40], &sch));
         assert!(backend.joins_runs(&[], &sch));
-        let long = vec![3u8; 2000];
-        assert_eq!(
-            backend.joins_runs(&long, &sch),
-            backend.interseq_min_fill(long.len()).is_some()
-        );
+        assert!(backend.joins_runs(&[3; 5000], &sch), "at every length");
         assert!(
             !backend.joins_runs(&[3, 24], &sch),
             "code 24 is outside the alphabet"

@@ -19,10 +19,12 @@
 //!   the `sweep` section: query lengths 30 … 5000 against a
 //!   UniProt-shaped subject set and a 64-sequence one, byte tier forced
 //!   striped, forced inter-sequence (one refilled stream per pass, laid
-//!   out by the pass itself as a job that shares no stream does), and
-//!   picked automatically, per backend — where the constants of
-//!   `Backend::interseq_min_fill` (`align::tiered`'s pick rule) come
-//!   from — and the `transposed` section: the `tiny_tasks` shape, 2 048
+//!   out by the pass itself as a job that shares no stream does),
+//!   picked automatically, and forced inter-sequence on the set's
+//!   `SharedStreams` stream, per backend — where the constants of
+//!   `Backend::interseq_min_fill` (`align::tiered`'s pick rule) and the
+//!   query length below which a slice's stream is shared come from —
+//!   and the `transposed` section: the `tiny_tasks` shape, 2 048
 //!   queries of 30–60 residues against the 64-subject set, scored as
 //!   one-query jobs on the slice's shared stream and as the transposed
 //!   runs a CPU worker is sent (`score_run_with`, runs cut by
@@ -54,8 +56,15 @@ const SWEEP_QUERY_LENS: [usize; 8] = [30, 60, 120, 250, 500, 1000, 2000, 5000];
 /// whose longest subject holds the stream well past the rest.
 const SWEEP_SETS: [(&str, usize); 2] = [("uniprot", 1024), ("tiny64", 64)];
 
-/// The three byte-tier shapes timed at every sweep point.
-const SWEEP_SHAPES: [ByteShape; 3] = [ByteShape::Striped, ByteShape::InterSeq, ByteShape::Auto];
+/// The byte-tier shapes timed at every sweep point, and whether each
+/// scores on the set's shared stream: striped, inter-sequence, auto,
+/// and inter-sequence on a shared stream.
+const SWEEP_SHAPES: [(ByteShape, bool); 4] = [
+    (ByteShape::Striped, false),
+    (ByteShape::InterSeq, false),
+    (ByteShape::Auto, false),
+    (ByteShape::InterSeq, true),
+];
 
 /// Alternating timing rounds per sweep point.
 const SWEEP_ROUNDS: usize = 13;
@@ -80,11 +89,10 @@ fn runs_of(backend: Backend, slice_fill: f64, lens: &[usize]) -> Vec<std::ops::R
     runs
 }
 
-/// One sweep point: ns per cell with the byte tier forced striped,
-/// forced inter-sequence, and picked by `score_database`.
+/// One sweep point: ns per cell of each of [`SWEEP_SHAPES`].
 struct SweepPoint {
     query_len: usize,
-    ns_per_cell: [f64; 3],
+    ns_per_cell: [f64; 4],
 }
 
 /// One subject set's sweep: `(name, subjects, one point per query length)`.
@@ -92,18 +100,20 @@ type SweepSet = (&'static str, usize, Vec<SweepPoint>);
 
 /// One database pass through `score_database_with`, scores in the
 /// length order.
+#[allow(clippy::too_many_arguments)]
 fn pass(
     backend: Backend,
     shape: ByteShape,
     query: &[u8],
     db: &Subjects,
     scheme: &ScoringScheme,
+    streams: Option<&SharedStreams>,
     scratch: &mut Scratch,
 ) -> (Vec<i32>, TierStats) {
     let mut stats = TierStats::default();
     let whole = db.whole();
     let (scores, _) = score_database_with(
-        backend, shape, query, db, whole, scheme, None, None, scratch, &mut stats,
+        backend, shape, query, db, whole, scheme, None, streams, scratch, &mut stats,
     );
     (scores, stats)
 }
@@ -177,6 +187,7 @@ fn main() {
             &query,
             &db_plan,
             &scheme,
+            None,
             &mut scratch,
         );
         assert_eq!(
@@ -306,7 +317,8 @@ fn main() {
         if lookup_ns > 0.0 { build_ns / lookup_ns } else { 0.0 }
     );
 
-    // ---- byte-tier shape sweep: striped vs inter-sequence vs auto ----
+    // ---- byte-tier shape sweep: striped vs inter-sequence vs auto vs
+    // inter-sequence on a shared stream ----
     // sweep[backend][set] = one point per query length.
     let mut sweep: Vec<(Backend, Vec<SweepSet>)> = Vec::new();
     for backend in Backend::available() {
@@ -315,6 +327,10 @@ fn main() {
             let db = synthetic_database("sweep", n, LengthModel::protein_database(362.0), 13);
             let plan: Subjects = db.iter().map(|s| s.codes()).collect();
             let residues = db.total_residues() as f64;
+            // Laid out for two jobs of short queries on one worker; a
+            // stream does not depend on the query that scores on it.
+            let shared = SharedStreams::default();
+            shared.share(backend, &plan, [(0, plan.whole()), (0, plan.whole())], 1);
             let mut points = Vec::new();
             for query_len in SWEEP_QUERY_LENS {
                 let qset = synthetic_database("q", 1, LengthModel::Fixed(query_len), 14);
@@ -322,27 +338,37 @@ fn main() {
                 let cells = residues * query_len as f64;
                 // ~1e8 cells per timed sample, whatever the point's size.
                 let iters = ((1e8 / cells) as usize).clamp(1, 500);
+                let streams = |on_shared: bool| on_shared.then_some(&shared);
                 let want = pass(
                     backend,
-                    SWEEP_SHAPES[0],
+                    ByteShape::Striped,
                     query,
                     &plan,
                     &scheme,
+                    None,
                     &mut scratch,
                 );
-                for shape in SWEEP_SHAPES {
-                    let got = pass(backend, shape, query, &plan, &scheme, &mut scratch);
+                for (shape, on_shared) in SWEEP_SHAPES {
+                    let got = pass(
+                        backend,
+                        shape,
+                        query,
+                        &plan,
+                        &scheme,
+                        streams(on_shared),
+                        &mut scratch,
+                    );
                     assert_eq!(
                         got, want,
-                        "{shape:?} on {backend} at query length {query_len}"
+                        "{shape:?} (shared: {on_shared}) on {backend} at query length {query_len}"
                     );
                 }
-                // The three shapes are compared with each other, so they
-                // are timed in alternation and each keeps its fastest
-                // round: drift on a shared host then hits all alike.
-                let mut ns_per_cell = [f64::INFINITY; 3];
+                // The shapes are compared with each other, so they are
+                // timed in alternation and each keeps its fastest round:
+                // drift on a shared host then hits all alike.
+                let mut ns_per_cell = [f64::INFINITY; 4];
                 for _ in 0..SWEEP_ROUNDS {
-                    for (best, shape) in ns_per_cell.iter_mut().zip(SWEEP_SHAPES) {
+                    for (best, (shape, on_shared)) in ns_per_cell.iter_mut().zip(SWEEP_SHAPES) {
                         let start = std::time::Instant::now();
                         for _ in 0..iters {
                             std::hint::black_box(pass(
@@ -351,6 +377,7 @@ fn main() {
                                 query,
                                 &plan,
                                 &scheme,
+                                streams(on_shared),
                                 &mut scratch,
                             ));
                         }
@@ -359,10 +386,11 @@ fn main() {
                     }
                 }
                 println!(
-                    "sweep/{backend}/{set}  q={query_len:<5} striped {:8.1} MCUPS   interseq {:8.1} MCUPS   auto {:8.1} MCUPS",
+                    "sweep/{backend}/{set}  q={query_len:<5} striped {:8.1} MCUPS   interseq {:8.1} MCUPS   auto {:8.1} MCUPS   shared {:8.1} MCUPS",
                     1e3 / ns_per_cell[0],
                     1e3 / ns_per_cell[1],
                     1e3 / ns_per_cell[2],
+                    1e3 / ns_per_cell[3],
                 );
                 points.push(SweepPoint {
                     query_len,
@@ -517,13 +545,11 @@ fn main() {
                 "      \"{set}\": {{ \"subjects\": {n}, \"points\": [\n"
             ));
             for (k, p) in points.iter().enumerate() {
-                let [striped, interseq, auto] = p.ns_per_cell.map(|ns| 1e3 / ns);
+                let [striped, interseq, auto, shared] = p.ns_per_cell.map(|ns| 1e3 / ns);
                 json.push_str(&format!(
-                    "        {{ \"query_len\": {}, \"min_fill\": {}, \"striped_mcups\": {striped:.1}, \"interseq_mcups\": {interseq:.1}, \"auto_mcups\": {auto:.1}, \"auto_over_best\": {:.3} }}{}\n",
+                    "        {{ \"query_len\": {}, \"min_fill\": {:.2}, \"striped_mcups\": {striped:.1}, \"interseq_mcups\": {interseq:.1}, \"auto_mcups\": {auto:.1}, \"shared_mcups\": {shared:.1}, \"auto_over_best\": {:.3} }}{}\n",
                     p.query_len,
-                    backend
-                        .interseq_min_fill(p.query_len)
-                        .map_or("null".to_string(), |fill| format!("{fill:.2}")),
+                    backend.interseq_min_fill(p.query_len),
                     auto / striped.max(interseq),
                     if k + 1 < points.len() { "," } else { "" },
                 ));

@@ -88,8 +88,8 @@ impl WorkerSpec {
 
     /// The paper's CPU worker: a SWIPE-class vector kernel — the tier
     /// ladder (byte lanes → 16-bit lanes → scalar) on the fastest SIMD
-    /// backend the host supports, the byte tier inter-sequence for
-    /// short queries and striped for long ones
+    /// backend the host supports, the byte tier inter-sequence at every
+    /// query length, striped only for the subjects its fill rule peels
     /// (`swdual_align::tiered::score_database`).
     pub fn cpu_default() -> WorkerSpec {
         WorkerSpec::cpu(EngineKind::Striped)
