@@ -3,8 +3,10 @@
 //! The paper's workers each wrap a concrete implementation (SWIPE on
 //! CPUs, CUDASW++ on GPUs); this module gives the Rust reproduction the
 //! same shape. An [`AlignEngine`] scores one query against one subject
-//! or against a whole subject list; [`EngineKind`] selects the kernel
-//! dynamically (the runtime configures workers from it).
+//! or against a whole subject list. Every worker runs
+//! [`LadderEngine::AUTO`]. [`EngineKind`] names it (`benchmark/` builds
+//! it by that name) beside the scalar and forced inter-sequence variants
+//! the tests compare.
 
 use crate::dispatch::Backend;
 use crate::interseq::SharedStreams;

@@ -9,16 +9,16 @@
 //! compares and can gate on.
 
 use swdual_bench::ledger::{append_trend, measure, write_report};
+use swdual_bench::paper::{Workload, UNIPROT};
+use swdual_bench::tables::run_zoo;
 use swdual_gpusim::DeviceClass;
-use swdual_platform::run_zoo;
-use swdual_platform::workload::{DatabaseSpec, Workload};
 
 fn main() {
     // `cargo bench -- --test` (CI smoke) only checks the benches run.
     let test_mode = std::env::args().any(|a| a == "--test");
     let (samples, iters) = if test_mode { (1, 1) } else { (15, 50) };
 
-    let workload = Workload::paper_queries(DatabaseSpec::uniprot());
+    let workload = Workload::paper_queries(UNIPROT);
     let cpus = 4;
 
     // Modelled outcomes per zoo composition: each class twice, then the
@@ -33,9 +33,10 @@ fn main() {
     for (label, mix) in &compositions {
         let outcome = run_zoo(&workload, cpus, mix);
         assert!(
-            outcome.bound_holds,
+            outcome.bound_holds(),
             "2λ must HOLD for zoo {label}: realized {} vs 2λ {}",
-            outcome.realized_makespan, outcome.two_lambda_bound
+            outcome.realized_makespan,
+            outcome.two_lambda_bound
         );
         let margin = outcome.two_lambda_bound - outcome.realized_makespan;
         println!(

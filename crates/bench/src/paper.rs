@@ -1,4 +1,268 @@
-//! Reference values transcribed from the paper (ICPP 2014, §V).
+//! The paper's evaluation (ICPP 2014, §V): its workloads, the rate
+//! curves fitted to its machine, and the numbers it reports.
+//!
+//! The paper ran on *Idgraf* (2× quad-core Xeon, 8× Tesla C2050)
+//! against multi-gigacell workloads — ≈ 2·10¹³ DP cells for the
+//! UniProt runs — so [`crate::tables`] recomputes its tables in virtual
+//! time: a task takes the seconds a [`WorkerRateModel`] gives it, and
+//! the schedules come from `swdual-sched`.
+//!
+//! ## The fit
+//!
+//! The UniProt workload totals `T ≈ 1.9455e13` DP cells (Table IV:
+//! 543.28 s × 35.81 GCUPS at 2 workers; identical products at 4 and 8
+//! workers confirm the figure). Table II's single-worker times then fix
+//! each baseline's sustained rate, and its multi-worker rows expose each
+//! baseline's serial (Amdahl) component:
+//!
+//! | engine   | T(1 w) s | fitted serial s | kernel GCUPS/worker |
+//! |----------|---------:|----------------:|--------------------:|
+//! | SWPS3    | 69 208.2 |           2 136 | 0.290               |
+//! | STRIPED  |  7 190   |  0 (see note)   | 2.72                |
+//! | SWIPE    |  2 367.2 |              24 | 8.30                |
+//! | CUDASW++ |    785.3 |             128 | 29.6                |
+//!
+//! Fit check (Amdahl `T(w) = serial + parallel/w`): CUDASW++ predicts
+//! 456/347/292 s at 2/3/4 workers vs the paper's 445.6/350.1/292.2;
+//! SWIPE predicts 1195/805/610 vs 1199.5/816.6/610.2; SWPS3 predicts
+//! 35 672/24 493/18 904 vs 36 174/25 207/18 904. STRIPED's published
+//! scaling is *superlinear* (7 190 → 1 027 s on 4 workers, 7.0×) —
+//! unreproducible with any work-conserving model; its serial part is a
+//! nominal 40 s and the discrepancy is a known deviation in
+//! EXPERIMENTS.md.
+//!
+//! SWDUAL's own workers are the master's planning curves,
+//! [`WorkerRateModel::cpu_swipe`] and [`WorkerRateModel::gpu_tesla`]:
+//! the SWIPE and CUDASW++ kernel rates above (its workers embed those
+//! tools), no serial part (the binary database format removes it), and
+//! a **per-task overhead** of 1.8 s (dispatch, worker query load, result
+//! merge). That constant reproduces the database-size dependence of
+//! Table IV: small databases (Ensembl Dog, ~1.5e12 cells) reach only
+//! ~19 GCUPS at 2 workers while UniProt reaches ~36, because 40 × 1.8 s
+//! of overhead dwarfs ~1 s of per-task compute on a small database.
+//!
+//! Rates depend on query length through the saturation curve
+//! `rate(len) = peak · len / (len + half_length)`: GPU kernels need long
+//! queries to fill their pipelines (CUDASW++ 2.0 reports exactly this),
+//! CPU SIMD kernels saturate almost immediately. This length dependence
+//! is what differentiates the per-task acceleration ratios the SWDUAL
+//! knapsack sorts on.
+
+use swdual_runtime::estimator::WorkerRateModel;
+use swdual_sched::{PeKind, Task, TaskSet};
+
+/// Total residues of the synthetic UniProt database (537 505 sequences,
+/// mean length ≈ 362; product chosen so the §V workload reproduces the
+/// paper's ≈ 1.9455e13 cells with the 40-query mean of 2 500 aa).
+pub const UNIPROT_RESIDUES: u64 = 194_550_000;
+
+/// A database by its aggregate shape. Sequence counts are Table III's;
+/// residues are derived from Table IV (`cells = GCUPS × seconds` at 2
+/// workers, divided by the query set's 1e5 residues).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DatabaseSpec {
+    /// Name as in Table IV.
+    pub name: &'static str,
+    /// Number of sequences.
+    pub sequences: u64,
+    /// Total residues.
+    pub residues: u64,
+}
+
+impl DatabaseSpec {
+    /// Mean sequence length.
+    pub fn mean_length(&self) -> f64 {
+        self.residues as f64 / self.sequences as f64
+    }
+}
+
+/// The five databases of Table III, in its order: Ensembl Dog (78.36 s
+/// × 18.91 GCUPS ⇒ 1.482e12 cells), Ensembl Rat (75.85 × 22.97 ⇒
+/// 1.742e12), RefSeq Human (95.09 × 20.70 ⇒ 1.968e12), RefSeq Mouse
+/// (84.40 × 18.99 ⇒ 1.603e12) and UniProt.
+pub const DATABASES: [DatabaseSpec; 5] = [
+    DatabaseSpec {
+        name: "Ensembl Dog",
+        sequences: 25_160,
+        residues: 14_820_000,
+    },
+    DatabaseSpec {
+        name: "Ensembl Rat",
+        sequences: 32_971,
+        residues: 17_420_000,
+    },
+    DatabaseSpec {
+        name: "RefSeq Human",
+        sequences: 34_705,
+        residues: 19_680_000,
+    },
+    DatabaseSpec {
+        name: "RefSeq Mouse",
+        sequences: 29_437,
+        residues: 16_030_000,
+    },
+    UNIPROT,
+];
+
+/// UniProt, the database of Tables II and V.
+pub const UNIPROT: DatabaseSpec = DatabaseSpec {
+    name: "UniProt",
+    sequences: 537_505,
+    residues: UNIPROT_RESIDUES,
+};
+
+/// Deterministic uniform sampler (splitmix-style), so the query sets
+/// are reproducible without threading an RNG through.
+fn det_uniform(seed: u64, i: u64, lo: usize, hi: usize) -> usize {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    lo + (z % (hi - lo + 1) as u64) as usize
+}
+
+/// A query set, by its lengths, against a database: one task per query
+/// (paper §II-C: "each task is equivalent to the comparison of one
+/// \[query\] to the whole database").
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Workload {
+    /// Query lengths in task order.
+    pub query_lengths: Vec<usize>,
+    /// The database searched.
+    pub database: DatabaseSpec,
+}
+
+impl Workload {
+    /// The paper's standard query set: 40 sequences, lengths uniform in
+    /// 100–5000 ("40 real query sequences of minimum size 100 and
+    /// maximum size 5,000 amino acids"), seeded, then nudged so the
+    /// total is exactly 1e5 residues (mean 2500), matching the Table IV
+    /// cell-count derivation.
+    pub fn paper_queries(database: DatabaseSpec) -> Workload {
+        let mut lengths: Vec<usize> = (0..40)
+            .map(|i| det_uniform(0x5EED_2014, i, 100, 5000))
+            .collect();
+        let total: usize = lengths.iter().sum();
+        let target = 100_000usize;
+        for l in &mut lengths {
+            *l = ((*l as f64) * target as f64 / total as f64)
+                .round()
+                .max(100.0) as usize;
+        }
+        // The rounding's remainder goes to the longest query.
+        let diff = target as i64 - lengths.iter().sum::<usize>() as i64;
+        if let Some(longest) = lengths.iter_mut().max() {
+            *longest = (*longest as i64 + diff).max(100) as usize;
+        }
+        Workload {
+            query_lengths: lengths,
+            database,
+        }
+    }
+
+    /// §V-C homogeneous set: 40 sequences of 4500–5000 aa.
+    pub fn homogeneous_queries(database: DatabaseSpec) -> Workload {
+        Workload {
+            query_lengths: (0..40)
+                .map(|i| det_uniform(0x5EED_4500, i, 4500, 5000))
+                .collect(),
+            database,
+        }
+    }
+
+    /// §V-C heterogeneous set: 40 sequences of 4–35 213 aa (the
+    /// smallest and largest sequences in UniProt).
+    pub fn heterogeneous_queries(database: DatabaseSpec) -> Workload {
+        Workload {
+            query_lengths: (0..40)
+                .map(|i| det_uniform(0x5EED_3521, i, 4, 35_213))
+                .collect(),
+            database,
+        }
+    }
+
+    /// Total DP cells.
+    pub fn total_cells(&self) -> u64 {
+        self.query_lengths.iter().map(|&l| l as u64).sum::<u64>() * self.database.residues
+    }
+
+    /// The scheduler's instance: each task's seconds on a `cpu` and on a
+    /// `gpu` worker.
+    pub fn tasks(&self, cpu: &WorkerRateModel, gpu: &WorkerRateModel) -> TaskSet {
+        let db = self.database.residues;
+        TaskSet::new(
+            self.query_lengths
+                .iter()
+                .enumerate()
+                .map(|(id, &len)| {
+                    Task::new(id, cpu.task_seconds(len, db), gpu.task_seconds(len, db))
+                })
+                .collect(),
+        )
+    }
+}
+
+/// A standalone tool of Table II: its kernel's curve, with no per-task
+/// overhead, and the serial startup it pays once per search.
+#[derive(Debug, Clone, Copy)]
+pub struct Baseline {
+    /// Name as in Table II.
+    pub name: &'static str,
+    /// Which processing elements it runs on.
+    pub kind: PeKind,
+    /// One worker's rate curve.
+    pub curve: WorkerRateModel,
+    /// Serial startup on UniProt, in seconds (database load, sort,
+    /// result handling).
+    pub serial_uniprot: f64,
+}
+
+impl Baseline {
+    /// Serial startup on a database of `residues`, scaled linearly from
+    /// the UniProt fit.
+    pub fn serial_startup(&self, residues: u64) -> f64 {
+        self.serial_uniprot * residues as f64 / UNIPROT_RESIDUES as f64
+    }
+}
+
+const fn curve(peak_gcups: f64, half_length: f64) -> WorkerRateModel {
+    WorkerRateModel {
+        peak_gcups,
+        half_length,
+        per_task_overhead: 0.0,
+    }
+}
+
+/// The four baselines of Table II, in its order. SWPS3 is fitted to
+/// 69 208.2 s at 1 worker and 18 904.3 s at 4; STRIPED to 7 190 s at 1;
+/// SWIPE to 2 367.2 s at 1 and 610.2 s at 4; CUDASW++ 2.0 to 785.3 s at
+/// 1 (kernel rate 29.6 GCUPS at the mean query length of 2 500 aa).
+pub const BASELINES: [Baseline; 4] = [
+    Baseline {
+        name: "SWPS3",
+        kind: PeKind::Cpu,
+        curve: curve(0.293, 25.0),
+        serial_uniprot: 2136.0,
+    },
+    Baseline {
+        name: "STRIPED",
+        kind: PeKind::Cpu,
+        curve: curve(2.73, 25.0),
+        serial_uniprot: 40.0,
+    },
+    Baseline {
+        name: "SWIPE",
+        kind: PeKind::Cpu,
+        curve: curve(8.38, 25.0),
+        serial_uniprot: 24.0,
+    },
+    Baseline {
+        name: "CUDASW++",
+        kind: PeKind::Gpu,
+        curve: curve(32.9, 280.0),
+        serial_uniprot: 128.0,
+    },
+];
 
 /// Table I: the baseline applications and their command lines.
 pub const TABLE1: &[(&str, &str, &str)] = &[
@@ -45,16 +309,6 @@ pub const TABLE2_SWDUAL: &[(usize, f64)] = &[
     (6, 239.04),
     (7, 183.12),
     (8, 142.98),
-];
-
-/// Table III: the five databases (name, sequence count, paper's
-/// smallest/longest *query* lengths).
-pub const TABLE3: &[(&str, u64, usize, usize)] = &[
-    ("Ensembl Dog Proteins", 25_160, 100, 4_996),
-    ("Ensembl Rat Proteins", 32_971, 100, 4_992),
-    ("RefSeq Human Proteins", 34_705, 100, 4_981),
-    ("RefSeq Mouse Proteins", 29_437, 100, 5_000),
-    ("UniProt", 537_505, 100, 4_998),
 ];
 
 /// Rows of a per-database table: `(workers, seconds, gcups)` triples.
@@ -160,5 +414,93 @@ mod tests {
                 "{app}@{workers}: computed {computed:.1}% vs stated {pct}%"
             );
         }
+    }
+
+    /// One worker's seconds for the §V query set: serial startup plus
+    /// 40 tasks of the mean length.
+    fn one_worker_time(b: &Baseline) -> f64 {
+        b.serial_startup(UNIPROT_RESIDUES) + 40.0 * b.curve.task_seconds(2500, UNIPROT_RESIDUES)
+    }
+
+    #[test]
+    fn amdahl_fit_predicts_four_worker_rows() {
+        // serial + parallel/4 must land near the Table II 4-worker cells.
+        for (b, t4_paper, tol) in [
+            (BASELINES[0], 18_904.31, 0.03),
+            (BASELINES[2], 610.23, 0.04),
+            (BASELINES[3], 292.157, 0.08),
+        ] {
+            let serial = b.serial_startup(UNIPROT_RESIDUES);
+            let t4 = serial + (one_worker_time(&b) - serial) / 4.0;
+            assert!(
+                (t4 - t4_paper).abs() / t4_paper < tol,
+                "{}: predicted {t4}, paper {t4_paper}",
+                b.name
+            );
+        }
+    }
+
+    #[test]
+    fn serial_scales_with_database() {
+        let cudasw = BASELINES[3];
+        assert_eq!(cudasw.serial_startup(UNIPROT_RESIDUES), 128.0);
+        assert!((cudasw.serial_startup(UNIPROT_RESIDUES / 2) - 64.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn database_mean_lengths_are_plausible_proteins() {
+        for db in DATABASES {
+            let mean = db.mean_length();
+            assert!((300.0..700.0).contains(&mean), "{}: mean {mean}", db.name);
+        }
+    }
+
+    #[test]
+    fn paper_queries_match_derived_totals() {
+        let w = Workload::paper_queries(UNIPROT);
+        assert_eq!(
+            w,
+            Workload::paper_queries(UNIPROT),
+            "seeded, so deterministic"
+        );
+        assert_eq!(w.query_lengths.len(), 40);
+        assert_eq!(w.query_lengths.iter().sum::<usize>(), 100_000);
+        assert!(w.query_lengths.iter().all(|&l| (100..=5100).contains(&l)));
+        // Total cells ≈ the paper's 1.9455e13.
+        let cells = w.total_cells() as f64;
+        assert!((cells - 1.9455e13).abs() / 1.9455e13 < 0.001, "{cells}");
+    }
+
+    #[test]
+    fn homogeneous_set_is_tight() {
+        let w = Workload::homogeneous_queries(UNIPROT);
+        assert!(w.query_lengths.iter().all(|&l| (4500..=5000).contains(&l)));
+        // Total cells near the paper's 3.62e13 (998.27 s × 36.3 GCUPS).
+        let cells = w.total_cells() as f64;
+        assert!((cells - 3.62e13).abs() / 3.62e13 < 0.05, "{cells}");
+    }
+
+    #[test]
+    fn heterogeneous_set_spans_uniprot_extremes() {
+        let w = Workload::heterogeneous_queries(UNIPROT);
+        assert!(w.query_lengths.iter().all(|&l| (4..=35_213).contains(&l)));
+        assert!(w.query_lengths.iter().any(|&l| l < 2000));
+        assert!(w.query_lengths.iter().any(|&l| l > 25_000));
+        // Total cells near the paper's 1.335e14 (3554.36 s × 37.55).
+        let cells = w.total_cells() as f64;
+        assert!((cells - 1.335e14).abs() / 1.335e14 < 0.2, "{cells}");
+    }
+
+    #[test]
+    fn tasks_inherit_length_heterogeneity() {
+        let w = Workload::paper_queries(UNIPROT);
+        let tasks = w.tasks(&WorkerRateModel::cpu_swipe(), &WorkerRateModel::gpu_tesla());
+        assert_eq!(tasks.len(), 40);
+        assert!(tasks.all_accelerated());
+        // Acceleration varies: the knapsack has real choices to make.
+        let accels: Vec<f64> = tasks.iter().map(|t| t.acceleration()).collect();
+        let min = accels.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = accels.iter().cloned().fold(0.0, f64::max);
+        assert!(max / min > 1.2, "accel range {min}..{max} too flat");
     }
 }

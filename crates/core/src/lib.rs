@@ -11,8 +11,6 @@
 //!   [`swdual_sched`],
 //! * the master-slave runtime with CPU workers and simulated GPU
 //!   workers — re-exported from [`swdual_runtime`],
-//! * paper-scale virtual-time experiments — re-exported from
-//!   [`swdual_platform`],
 //! * synthetic workload generation — re-exported from
 //!   [`swdual_datagen`].
 //!
@@ -56,8 +54,6 @@ pub use swdual_datagen as datagen;
 pub use swdual_gpusim as gpusim;
 /// Re-export: structured event recording and exporters.
 pub use swdual_obs as obs;
-/// Re-export: virtual-time platform model.
-pub use swdual_platform as platform;
 /// Re-export: master-slave runtime.
 pub use swdual_runtime as runtime;
 /// Re-export: the dual-approximation scheduler.

@@ -164,7 +164,7 @@ pub fn synthetic_database(
 /// same mean length, `scale` times the sequence count (so reduced-scale
 /// *executions* stay faithful to the workload shape). `sequences` and
 /// `mean_len` come from the Table III / Table IV derivation in
-/// `swdual-platform`.
+/// `swdual_bench::paper`.
 pub fn scaled_database(
     name: &str,
     sequences: u64,

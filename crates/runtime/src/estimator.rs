@@ -3,9 +3,11 @@
 //! The master must predict each task's processing time on both worker
 //! species before any task has run (the paper's master does the same:
 //! the dual approximation consumes `pⱼ` and `p̄ⱼ`, not measurements).
-//! Estimates use the saturating-rate model shared with
-//! `swdual-platform::calib`; the defaults below describe the paper's
-//! machine (SWIPE-class CPU worker, Tesla C2050-class GPU worker).
+//! Estimates use a saturating-rate model; the defaults below describe
+//! the paper's machine (SWIPE-class CPU worker, Tesla C2050-class GPU
+//! worker), fitted to its Table II as `swdual_bench::paper` documents.
+//! The paper's tables (`swdual_bench::tables`) are recomputed on these
+//! same curves.
 
 use serde::{Deserialize, Serialize};
 use swdual_gpusim::{DeviceClass, DeviceSpec};

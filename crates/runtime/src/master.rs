@@ -60,7 +60,7 @@ use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 use swdual_align::tiered::transposes;
-use swdual_align::{Backend, EngineKind, SharedStreams, Subjects};
+use swdual_align::{Backend, SharedStreams, Subjects};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_bio::SqbImage;
@@ -646,9 +646,6 @@ fn offer_runs(
 struct Shell<'a> {
     state: MasterState,
     links: Links,
-    /// What each worker scores a task with: a helper scores a lent task
-    /// with its owner's.
-    scorers: Vec<EngineKind>,
     obs: &'a Obs,
     start: Instant,
 }
@@ -685,12 +682,11 @@ impl Shell<'_> {
                         pending.extend(self.state.step(Input::SendFailed(worker), now));
                     }
                 }
-                Action::Lend { job, helper, owner } => {
+                Action::Lend { job, helper } => {
                     // A helper that is gone never says it is done, and is
                     // lent nothing more; the owner scores the task.
-                    let engine = self.scorers[owner];
                     if let Some(tx) = &self.links.private_tx[helper] {
-                        let _ = tx.send(Order::Help { job, engine });
+                        let _ = tx.send(Order::Help(job));
                     }
                 }
                 Action::CloseQueue(w) => self.links.private_tx[w] = None,
@@ -873,7 +869,6 @@ fn search(
                 &config,
             ),
             links,
-            scorers: workers.iter().map(WorkerSpec::scorer).collect(),
             obs,
             start,
         };

@@ -103,13 +103,10 @@ pub(super) enum Action {
         run: Vec<Job>,
     },
     /// Ask idle worker `helper` to score `job` — queued, unstamped, on
-    /// `owner` — into the claim table. A loan that cannot be delivered
-    /// is dropped: the owner then scores the task itself.
-    Lend {
-        job: Job,
-        helper: usize,
-        owner: usize,
-    },
+    /// a device worker, its owner — into the claim table. A loan that
+    /// cannot be delivered is dropped: the owner then scores the task
+    /// itself.
+    Lend { job: Job, helper: usize },
     /// Close a dead worker's queue so its thread, if any, exits.
     CloseQueue(usize),
     /// Every task is merged; collect [`MasterState::into_results`].
@@ -652,7 +649,7 @@ impl MasterState {
             self.helping[helper] = Some(task);
             let unit = &self.units[task];
             let job = Job::new(task, unit.query_index, unit.slice);
-            out.push(Action::Lend { job, helper, owner });
+            out.push(Action::Lend { job, helper });
         }
     }
 

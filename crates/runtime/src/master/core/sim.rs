@@ -25,7 +25,7 @@ use crate::messages::{FailureReason, JobResult, WorkerFailure};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Duration;
 use swdual_align::Backend;
 use swdual_sched::binsearch::dual_approx_schedule;
@@ -119,6 +119,9 @@ struct Sim {
     dispatches: Vec<Dispatched>,
     /// Every loan: `(task, helper, owner)`.
     lends: Vec<(usize, usize, usize)>,
+    /// Each lent task's owner, as `check_lends` found it on the state
+    /// the core lent it from.
+    owners: HashMap<usize, usize>,
     /// Draws the virtual time at which each loan is answered; `None`
     /// drops every loan.
     answers: Option<TestRng>,
@@ -207,6 +210,7 @@ impl Sim {
             runs_formed: 0,
             dispatches: Vec::new(),
             lends: Vec::new(),
+            owners: HashMap::new(),
             answers: None,
             heap: BinaryHeap::new(),
             rng: TestRng::seed_from_u64(seed),
@@ -350,7 +354,7 @@ impl Sim {
                         pending.extend(actions);
                     }
                 }
-                Action::Lend { job, helper, owner } => self.lend(job, helper, owner),
+                Action::Lend { job, helper } => self.lend(job, helper),
                 Action::CloseQueue(w) => {
                     assert!(!self.state.alive[w]);
                     // A real worker finishes its current job, finds its
@@ -369,14 +373,19 @@ impl Sim {
     /// Check the loans among `actions` against the rule, on the state
     /// the core made them from: one idle live helper each, the last
     /// unlent queued task of the busiest device queue, no task twice.
-    fn check_lends(&self, actions: &[Action]) {
+    fn check_lends(&mut self, actions: &[Action]) {
         let s = &self.state;
         let mut helpers = Vec::new();
+        let mut owners = Vec::new();
         for action in actions {
-            let Action::Lend { job, helper, owner } = *action else {
+            let Action::Lend { job, helper } = *action else {
                 continue;
             };
             let t = job.task_id;
+            let owner = (0..s.alive.len())
+                .find(|&w| s.queue[w].contains(&t))
+                .expect("a loan of a task no queue holds");
+            owners.push((t, owner));
             assert!(!s.shared_queue, "a loan from the shared queue");
             assert!(s.alive[helper], "a loan to dead worker {helper}");
             assert!(
@@ -424,11 +433,13 @@ impl Sim {
             assert!(devices.all(|w| owed(w) <= owed(owner)));
             assert_eq!(unlent(owner).last(), Some(&t), "not the last of its queue");
         }
+        self.owners.extend(owners);
     }
 
     /// Record a loan, and answer it when the sim answers loans and the
     /// helper's thread is still there.
-    fn lend(&mut self, job: Job, helper: usize, owner: usize) {
+    fn lend(&mut self, job: Job, helper: usize) {
+        let owner = self.owners[&job.task_id];
         self.lends.push((job.task_id, helper, owner));
         if let (Some(answers), false) = (&mut self.answers, self.gone[helper]) {
             let at = self.now + answers.unit_f64() * 5e-3;

@@ -1,7 +1,6 @@
 //! Message types of the master-slave protocol (paper Figure 6).
 
 use serde::{Deserialize, Serialize};
-use swdual_align::EngineKind;
 use swdual_gpusim::memory::MemoryError;
 use swdual_gpusim::DeviceFault;
 
@@ -124,14 +123,9 @@ impl Job {
 pub enum Order {
     /// Score a run of the worker's own tasks and answer each.
     Run(Vec<Job>),
-    /// Score another worker's queued task as `engine` scores it, into
-    /// the claim table, and say when done.
-    Help {
-        /// The task; no lineage, since it is not dispatched.
-        job: Job,
-        /// What its owner would score it with.
-        engine: EngineKind,
-    },
+    /// Score another worker's queued task into the claim table, and say
+    /// when done. The job carries no lineage: it is not dispatched.
+    Help(Job),
 }
 
 /// A completed task reported back to the master.

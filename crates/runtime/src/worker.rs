@@ -10,9 +10,9 @@
 //!
 //! An idle worker may also be lent a task queued on a device worker
 //! ([`Order::Help`]): it claims the task in the search's [`Claims`],
-//! scores it as the owner's engine would, leaves the hits and tier
-//! counts there, and tells the master it is free again. Owners settle
-//! every lent task of theirs through the same table (see
+//! scores it with the tier ladder every worker runs, leaves the hits
+//! and tier counts there, and tells the master it is free again. Owners
+//! settle every lent task of theirs through the same table (see
 //! [`crate::claims`]).
 //!
 //! Workers honour an optional [`WorkerFault`] from the run's
@@ -30,7 +30,7 @@ use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swdual_align::engine::{EngineKind, PhaseTimings};
+use swdual_align::engine::{AlignEngine, LadderEngine, PhaseTimings};
 use swdual_align::{ProfileCache, Scratch, SharedStreams, Subjects, TierStats};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
@@ -40,11 +40,12 @@ use swdual_obs::{EventBody, HostPhase, Obs, Track};
 /// Worker species: which engine a worker actually runs.
 #[derive(Debug, Clone)]
 pub enum WorkerKind {
-    /// A CPU worker running the given kernel on one thread.
-    Cpu {
-        /// Which alignment kernel this worker runs.
-        engine: EngineKind,
-    },
+    /// A CPU worker: a SWIPE-class vector kernel on one thread — the
+    /// tier ladder (byte lanes → 16-bit lanes → scalar) on the fastest
+    /// SIMD backend the host supports, the byte tier inter-sequence at
+    /// every query length, striped only for the subjects its fill rule
+    /// peels (`swdual_align::tiered::score_database`).
+    Cpu,
     /// A GPU worker driving a simulated device.
     Gpu {
         /// Device description (calibrated Tesla C2050 by default).
@@ -70,14 +71,6 @@ pub struct WorkerSpec {
 }
 
 impl WorkerSpec {
-    /// A CPU worker with the given kernel.
-    pub fn cpu(engine: EngineKind) -> WorkerSpec {
-        WorkerSpec {
-            kind: WorkerKind::Cpu { engine },
-            prior_scale: 1.0,
-        }
-    }
-
     /// A GPU worker driving the given simulated device.
     pub fn gpu(device: DeviceSpec) -> WorkerSpec {
         WorkerSpec {
@@ -86,13 +79,12 @@ impl WorkerSpec {
         }
     }
 
-    /// The paper's CPU worker: a SWIPE-class vector kernel — the tier
-    /// ladder (byte lanes → 16-bit lanes → scalar) on the fastest SIMD
-    /// backend the host supports, the byte tier inter-sequence at every
-    /// query length, striped only for the subjects its fill rule peels
-    /// (`swdual_align::tiered::score_database`).
+    /// The paper's CPU worker ([`WorkerKind::Cpu`]).
     pub fn cpu_default() -> WorkerSpec {
-        WorkerSpec::cpu(EngineKind::Striped)
+        WorkerSpec {
+            kind: WorkerKind::Cpu,
+            prior_scale: 1.0,
+        }
     }
 
     /// The paper's GPU worker: a CUDASW++-class device.
@@ -116,20 +108,10 @@ impl WorkerSpec {
         self
     }
 
-    /// What this worker scores a task with: its kernel, or — for a
-    /// device — the tier ladder its functional scorer runs. A helper
-    /// scores a lent task with its owner's.
-    pub fn scorer(&self) -> EngineKind {
-        match &self.kind {
-            WorkerKind::Cpu { engine } => *engine,
-            WorkerKind::Gpu { .. } => EngineKind::Striped,
-        }
-    }
-
     /// Human-readable description for stats.
     pub fn description(&self) -> String {
         match &self.kind {
-            WorkerKind::Cpu { engine } => format!("CPU({engine})"),
+            WorkerKind::Cpu => "CPU(striped)".to_string(),
             WorkerKind::Gpu { device } => format!("GPU({})", device.name),
         }
     }
@@ -142,7 +124,7 @@ impl WorkerSpec {
     /// The zoo class of this worker's device, when it has one.
     pub fn device_class_of(&self) -> Option<DeviceClass> {
         match &self.kind {
-            WorkerKind::Cpu { .. } => None,
+            WorkerKind::Cpu => None,
             WorkerKind::Gpu { device } => DeviceClass::of_spec(device),
         }
     }
@@ -153,7 +135,7 @@ impl WorkerSpec {
     /// overhead down, so a scaled worker looks uniformly faster.
     pub fn rate_model(&self) -> WorkerRateModel {
         let honest = match &self.kind {
-            WorkerKind::Cpu { .. } => WorkerRateModel::cpu_swipe(),
+            WorkerKind::Cpu => WorkerRateModel::cpu_swipe(),
             WorkerKind::Gpu { device } => WorkerRateModel::for_device(device),
         };
         WorkerRateModel {
@@ -404,14 +386,13 @@ impl WorkerContext<'_> {
         top_k(candidates, self.top_k)
     }
     /// Score `job`, which another worker owns, for it: claim the task,
-    /// score it as `engine` scores it, leave the hits and tier counts in
-    /// the claim table, record a `help` span and tell the master. A task
-    /// its owner kept, or that names nothing this worker has, is handed
-    /// back unscored. Returns false once the master has gone.
+    /// score it, leave the hits and tier counts in the claim table,
+    /// record a `help` span and tell the master. A task its owner kept,
+    /// or that names nothing this worker has, is handed back unscored.
+    /// Returns false once the master has gone.
     fn help(
         &self,
         job: &Job,
-        engine: EngineKind,
         cache: &ProfileCache,
         scratch: &mut Scratch,
         results: &Sender<WorkerMsg>,
@@ -425,7 +406,7 @@ impl WorkerContext<'_> {
         if let Some(((query, slice), claim)) = claim {
             let wall_start = self.obs.now();
             let start = Instant::now();
-            let (scores, timings, tiers) = engine.build().score_database(
+            let (scores, timings, tiers) = LadderEngine::AUTO.score_database(
                 query.codes(),
                 self.database,
                 slice.clone(),
@@ -543,8 +524,7 @@ pub fn worker_loop(
     let knobs = FaultKnobs::from(ctx.fault);
     let mut jobs_done = 0usize;
     match spec.kind {
-        WorkerKind::Cpu { engine } => {
-            let engine = engine.build();
+        WorkerKind::Cpu => {
             // Prepared once per worker, not per job: the kernels' working
             // memory.
             let mut scratch = Scratch::default();
@@ -558,9 +538,8 @@ pub fn worker_loop(
             'runs: while let Some(order) = next_order(&jobs) {
                 let run = match order {
                     Order::Run(run) => run,
-                    Order::Help { job, engine } => {
-                        let cache = &profile_cache;
-                        if !ctx.help(&job, engine, cache, &mut scratch, &results) {
+                    Order::Help(job) => {
+                        if !ctx.help(&job, &profile_cache, &mut scratch, &results) {
                             break 'runs;
                         }
                         continue;
@@ -581,7 +560,7 @@ pub fn worker_loop(
                         let wall_start = ctx.obs.now();
                         let start = Instant::now();
                         let codes: Vec<&[u8]> = which.iter().map(|&i| queries[i].codes()).collect();
-                        let (scores, timings, tier_stats) = engine.score_run(
+                        let (scores, timings, tier_stats) = LadderEngine::AUTO.score_run(
                             &codes,
                             ctx.database,
                             slice.clone(),
@@ -720,9 +699,9 @@ pub fn worker_loop(
             'runs: while let Some(order) = next_order(&jobs) {
                 let run = match order {
                     Order::Run(run) => run,
-                    Order::Help { job, engine } => {
+                    Order::Help(job) => {
                         let (cache, scratch) = helping.get_or_insert_with(Default::default);
-                        if !ctx.help(&job, engine, cache, scratch, &results) {
+                        if !ctx.help(&job, cache, scratch, &results) {
                             break 'runs;
                         }
                         continue;
@@ -966,10 +945,7 @@ mod tests {
             let unlent = run_jobs(owner.clone(), 3, None, &Obs::enabled(), &jobs);
             // Worker 5 helps with task 1, then worker 3 runs both.
             let (claims, obs) = (Claims::default(), Obs::enabled());
-            let help = Order::Help {
-                job: lent(jobs[1]),
-                engine: owner.scorer(),
-            };
+            let help = Order::Help(lent(jobs[1]));
             let helper = WorkerSpec::cpu_default();
             let said = run_orders(helper, 5, None, &obs, &claims, vec![help]);
             assert!(matches!(
@@ -1038,10 +1014,7 @@ mod tests {
             assert_eq!(completed(&msgs)[0].hits, expected_hits(0));
             // The helper arrives late and hands the task back unscored.
             let obs = Obs::enabled();
-            let help = Order::Help {
-                job: lent(job),
-                engine: owner.scorer(),
-            };
+            let help = Order::Help(lent(job));
             let said = run_orders(
                 WorkerSpec::cpu_default(),
                 5,
@@ -1178,17 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn all_cpu_engines_work_as_workers() {
-        for engine in EngineKind::ALL {
-            let results = run_one(WorkerSpec::cpu(engine));
-            assert_eq!(results.len(), 2, "engine {engine}");
-            for r in &results {
-                assert_eq!(r.hits, expected_hits(r.task_id), "engine {engine}");
-            }
-        }
-    }
-
-    #[test]
     fn notified_crash_reports_its_in_flight_task() {
         let msgs = run_msgs(
             WorkerSpec::cpu_default(),
@@ -1276,7 +1238,7 @@ mod tests {
     fn profiled_cpu_worker_emits_phase_spans_that_tile_the_task() {
         let obs = Obs::enabled();
         obs.set_profiling(true);
-        let spec = WorkerSpec::cpu(EngineKind::Striped);
+        let spec = WorkerSpec::cpu_default();
         let results = run_jobs(spec, 0, None, &obs, &[Job::new(0, 0, WHOLE)]);
         assert_eq!(results.len(), 1);
 

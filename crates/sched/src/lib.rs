@@ -25,7 +25,7 @@
 //! * [`metrics`] — makespan, idle time, utilisation, lower bounds.
 //!
 //! Everything here is pure scheduling: processing times in, schedule
-//! out. The `swdual-platform` crate maps sequence-comparison tasks onto
+//! out. `swdual_runtime::estimator` maps sequence-comparison tasks onto
 //! processing times; the `swdual-runtime` crate executes schedules with
 //! real threads.
 

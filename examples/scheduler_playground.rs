@@ -1,26 +1,48 @@
 //! Scheduler playground: watch the dual approximation work.
 //!
-//! Builds the paper's UniProt workload (40 tasks with length-dependent
-//! CPU/GPU times), runs every allocation policy on the 4-CPU + 4-GPU
-//! configuration, and prints makespans, idle time and Gantt charts —
+//! Builds a UniProt-sized instance (40 queries of 100–5000 residues,
+//! each task timed on the master's CPU and GPU rate curves), runs the
+//! dual approximation and the baseline policies on the 4-CPU + 4-GPU
+//! configuration, and prints makespans, idle time and a Gantt chart —
 //! the paper's §III machinery made visible.
 //!
 //! Run with: `cargo run --release --example scheduler_playground`
 
-use swdual_repro::platform::calib::EngineModel;
-use swdual_repro::platform::experiment::HybridPolicy;
-use swdual_repro::platform::workload::{DatabaseSpec, Workload};
+use swdual_repro::runtime::estimator::WorkerRateModel;
 use swdual_repro::sched::binsearch::{dual_approx_schedule, BinarySearchConfig};
 use swdual_repro::sched::metrics::evaluate;
-use swdual_repro::sched::PlatformSpec;
+use swdual_repro::sched::{policies, PlatformSpec, Schedule, Task, TaskSet};
+
+/// Residues of the paper's UniProt release.
+const UNIPROT_RESIDUES: u64 = 194_550_000;
 
 fn main() {
-    let workload = Workload::paper_queries(DatabaseSpec::uniprot());
-    let tasks = workload.build_tasks(
-        &EngineModel::swdual_cpu_worker(),
-        &EngineModel::swdual_gpu_worker(),
+    let (cpu, gpu) = (WorkerRateModel::cpu_swipe(), WorkerRateModel::gpu_tesla());
+    // 40 query lengths spread over 100–5000 residues by a fixed stride.
+    let tasks = TaskSet::new(
+        (0..40)
+            .map(|i| {
+                let len = 100 + (i * 2_647) % 4_901;
+                let (p_cpu, p_gpu) = (
+                    cpu.task_seconds(len, UNIPROT_RESIDUES),
+                    gpu.task_seconds(len, UNIPROT_RESIDUES),
+                );
+                Task::new(i, p_cpu, p_gpu)
+            })
+            .collect(),
     );
     let platform = PlatformSpec::new(4, 4);
+    let dual = |tasks: &TaskSet, platform: &PlatformSpec| {
+        dual_approx_schedule(tasks, platform, BinarySearchConfig::default()).schedule
+    };
+    type Policy = fn(&TaskSet, &PlatformSpec) -> Schedule;
+    let policies: [(&str, Policy); 5] = [
+        ("SWDUAL(greedy)", dual),
+        ("self-scheduling", policies::self_scheduling),
+        ("proportional", policies::proportional_split),
+        ("equal-power", policies::equal_power_split),
+        ("heft-lite", policies::heft_lite),
+    ];
 
     println!(
         "instance: {} tasks, total CPU area {:.0} s, total GPU area {:.0} s",
@@ -41,12 +63,12 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>8} {:>9}",
         "policy", "makespan", "idle", "util", "ratio/LB"
     );
-    for policy in HybridPolicy::ALL {
-        let schedule = policy.schedule(&tasks, &platform);
+    for (name, policy) in policies {
+        let schedule = policy(&tasks, &platform);
         let m = evaluate(&schedule, &tasks, &platform);
         println!(
             "{:<18} {:>10.2} {:>10.2} {:>7.1}% {:>9.3}",
-            policy.name(),
+            name,
             m.makespan,
             m.total_idle,
             m.utilisation * 100.0,

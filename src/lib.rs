@@ -10,6 +10,5 @@ pub use swdual_bio as bio;
 pub use swdual_core as core;
 pub use swdual_datagen as datagen;
 pub use swdual_gpusim as gpusim;
-pub use swdual_platform as platform;
 pub use swdual_runtime as runtime;
 pub use swdual_sched as sched;

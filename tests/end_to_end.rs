@@ -150,3 +150,35 @@ fn worker_accounting_adds_up() {
     let schedule = report.schedule().expect("dual-approx produces a schedule");
     assert_eq!(schedule.placements.len(), 5);
 }
+
+#[test]
+fn runtime_allocation_matches_scheduler_split() {
+    // The runtime's task split (which workers got how many tasks) must
+    // reflect the scheduler's assignment computed from the same rate
+    // models.
+    let database = synthetic_database("db", 150, LengthModel::protein_database(300.0), 31);
+    let queries = queries_from_database(&database, 8, 50, 5000, &MutationProfile::homolog(), 32);
+    let report = SearchBuilder::new()
+        .database(database)
+        .unwrap()
+        .queries(queries)
+        .hybrid_workers(2, 2)
+        .run();
+    let schedule = report.schedule().expect("static schedule");
+
+    // Count per-kind tasks in the schedule and in the worker stats.
+    let sched_gpu = schedule
+        .placements
+        .iter()
+        .filter(|p| p.pe.kind == swdual_repro::sched::schedule::PeKind::Gpu)
+        .count();
+    let stats_gpu: usize = report
+        .worker_stats()
+        .iter()
+        .filter(|s| s.description.starts_with("GPU"))
+        .map(|s| s.tasks)
+        .sum();
+    assert_eq!(sched_gpu, stats_gpu);
+    // GPUs are modelled ~4x faster, so they take the majority.
+    assert!(stats_gpu >= 5, "GPUs got only {stats_gpu} of 8 tasks");
+}
