@@ -124,6 +124,14 @@ fn det_uniform(seed: u64, i: u64, lo: usize, hi: usize) -> usize {
 /// A query set, by its lengths, against a database: one task per query
 /// (paper §II-C: "each task is equivalent to the comparison of one
 /// \[query\] to the whole database").
+///
+/// ```
+/// use swdual_bench::paper::{Workload, UNIPROT};
+/// let w = Workload::paper_queries(UNIPROT);
+/// assert_eq!(w.query_lengths.len(), 40);
+/// // ≈ 1.95e13 DP cells, the paper's UniProt workload.
+/// assert!((w.total_cells() as f64 - 1.9455e13).abs() / 1.9455e13 < 0.01);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     /// Query lengths in task order.
@@ -423,6 +431,30 @@ mod tests {
     }
 
     #[test]
+    fn swps3_matches_table2_single_worker() {
+        let t = one_worker_time(&BASELINES[0]);
+        assert!((t - 69_208.2).abs() / 69_208.2 < 0.02, "got {t}");
+    }
+
+    #[test]
+    fn striped_matches_table2_single_worker() {
+        let t = one_worker_time(&BASELINES[1]);
+        assert!((t - 7190.0).abs() / 7190.0 < 0.02, "got {t}");
+    }
+
+    #[test]
+    fn swipe_matches_table2_single_worker() {
+        let t = one_worker_time(&BASELINES[2]);
+        assert!((t - 2367.24).abs() / 2367.24 < 0.02, "got {t}");
+    }
+
+    #[test]
+    fn cudasw_matches_table2_single_worker() {
+        let t = one_worker_time(&BASELINES[3]);
+        assert!((t - 785.26).abs() / 785.26 < 0.03, "got {t}");
+    }
+
+    #[test]
     fn amdahl_fit_predicts_four_worker_rows() {
         // serial + parallel/4 must land near the Table II 4-worker cells.
         for (b, t4_paper, tol) in [
@@ -448,6 +480,69 @@ mod tests {
     }
 
     #[test]
+    fn device_class_models_match_their_curves() {
+        use swdual_gpusim::DeviceClass;
+        // The C2050 class is the curve SWDUAL's GPU workers plan with.
+        let c2050 = WorkerRateModel::for_class(DeviceClass::C2050);
+        assert_eq!(c2050, WorkerRateModel::gpu_tesla());
+        // Distinct classes give distinct acceleration profiles for the
+        // same query — that is the point of the zoo.
+        let knl = WorkerRateModel::for_class(DeviceClass::Knl);
+        let bioseal = WorkerRateModel::for_class(DeviceClass::Bioseal);
+        let db = UNIPROT_RESIDUES;
+        assert!(bioseal.task_seconds(2500, db) < knl.task_seconds(2500, db));
+        assert!(knl.task_seconds(2500, db) < c2050.task_seconds(2500, db));
+    }
+
+    #[test]
+    fn gpu_rate_depends_on_query_length_more_than_cpu() {
+        let gpu = BASELINES[3].curve;
+        let cpu = BASELINES[2].curve;
+        let gpu_drop = gpu.rate_gcups(100) / gpu.rate_gcups(5000);
+        let cpu_drop = cpu.rate_gcups(100) / cpu.rate_gcups(5000);
+        assert!(
+            gpu_drop < 0.35,
+            "GPU keeps {gpu_drop} of its rate at len 100"
+        );
+        assert!(cpu_drop > 0.75, "CPU keeps only {cpu_drop} at len 100");
+    }
+
+    #[test]
+    fn acceleration_ratio_varies_with_length() {
+        // The heterogeneity the knapsack exploits: long queries are far
+        // better accelerated than short ones.
+        let gpu = WorkerRateModel::gpu_tesla();
+        let cpu = WorkerRateModel::cpu_swipe();
+        let db = UNIPROT_RESIDUES;
+        let accel = |len: usize| cpu.task_seconds(len, db) / gpu.task_seconds(len, db);
+        assert!(accel(5000) > accel(100) * 1.5);
+    }
+
+    #[test]
+    fn per_task_overhead_dominates_small_databases() {
+        // Ensembl-Dog-sized database: overhead ≈ compute, which is what
+        // caps Table IV's small-database GCUPS.
+        let gpu = WorkerRateModel::gpu_tesla();
+        let t = gpu.task_seconds(2500, DATABASES[0].residues);
+        let compute = t - gpu.per_task_overhead;
+        assert!(
+            gpu.per_task_overhead > compute * 0.5,
+            "overhead {} compute {}",
+            gpu.per_task_overhead,
+            compute
+        );
+    }
+
+    #[test]
+    fn zero_length_query_is_cheap_but_positive() {
+        // A baseline curve has no per-task overhead, yet an empty query
+        // still costs a positive time, so no schedule divides by zero.
+        let curve = BASELINES[2].curve;
+        assert!(curve.task_seconds(0, 1000) > 0.0);
+        assert_eq!(curve.rate_gcups(0), 0.0);
+    }
+
+    #[test]
     fn database_mean_lengths_are_plausible_proteins() {
         for db in DATABASES {
             let mean = db.mean_length();
@@ -456,13 +551,25 @@ mod tests {
     }
 
     #[test]
+    fn table3_counts_match_paper() {
+        let counts = DATABASES.map(|db| db.sequences);
+        assert_eq!(counts, [25_160, 32_971, 34_705, 29_437, 537_505]);
+    }
+
+    #[test]
+    fn deterministic_workloads() {
+        for make in [
+            Workload::paper_queries,
+            Workload::homogeneous_queries,
+            Workload::heterogeneous_queries,
+        ] {
+            assert_eq!(make(UNIPROT), make(UNIPROT));
+        }
+    }
+
+    #[test]
     fn paper_queries_match_derived_totals() {
         let w = Workload::paper_queries(UNIPROT);
-        assert_eq!(
-            w,
-            Workload::paper_queries(UNIPROT),
-            "seeded, so deterministic"
-        );
         assert_eq!(w.query_lengths.len(), 40);
         assert_eq!(w.query_lengths.iter().sum::<usize>(), 100_000);
         assert!(w.query_lengths.iter().all(|&l| (100..=5100).contains(&l)));

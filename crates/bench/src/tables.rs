@@ -651,6 +651,169 @@ mod tests {
     }
 
     #[test]
+    fn table2_single_worker_cells_reproduced() {
+        let w = Workload::paper_queries(UNIPROT);
+        for (b, paper) in BASELINES.iter().zip([69_208.2, 7_190.0, 2_367.24, 785.26]) {
+            let seconds = run_single_kind(&w, b, 1);
+            assert!(
+                (seconds - paper).abs() / paper < 0.03,
+                "{}: {seconds} vs paper {paper}",
+                b.name
+            );
+        }
+    }
+
+    #[test]
+    fn table2_four_worker_ordering_holds() {
+        // The paper's ranking at 4 workers:
+        // SWPS3 > STRIPED > SWIPE > CUDASW++ > SWDUAL.
+        let w = Workload::paper_queries(UNIPROT);
+        let mut times: Vec<f64> = BASELINES
+            .iter()
+            .map(|b| run_single_kind(&w, b, 4))
+            .collect();
+        times.push(run_swdual(&w, 4, 4));
+        for pair in times.windows(2) {
+            assert!(pair[0] > pair[1], "{times:?}");
+        }
+    }
+
+    #[test]
+    fn swdual_two_workers_near_paper_time() {
+        // Table II/IV: 543.28 s at 2 workers (1 GPU + 1 CPU).
+        let seconds = run_swdual(&Workload::paper_queries(UNIPROT), 2, 4);
+        assert!(
+            (seconds - 543.28).abs() / 543.28 < 0.10,
+            "simulated {seconds} vs paper 543.28"
+        );
+    }
+
+    #[test]
+    fn swdual_eight_workers_near_paper_time() {
+        // Table II/IV: 142.98 s at 8 workers (4 GPUs + 4 CPUs).
+        let seconds = run_swdual(&Workload::paper_queries(UNIPROT), 8, 4);
+        assert!(
+            (seconds - 142.98).abs() / 142.98 < 0.20,
+            "simulated {seconds} vs paper 142.98"
+        );
+    }
+
+    #[test]
+    fn swdual_dominates_its_own_components() {
+        // The hybrid must beat the CPU-only run with the same worker
+        // count — the paper's core selling point.
+        let w = Workload::paper_queries(UNIPROT);
+        let (swipe, cudasw) = (&BASELINES[2], &BASELINES[3]);
+        for workers in [2usize, 4] {
+            let hybrid = run_swdual(&w, workers, 4);
+            let cpu_only = run_single_kind(&w, swipe, workers);
+            assert!(
+                hybrid < cpu_only,
+                "{workers} workers: {hybrid} vs CPU {cpu_only}"
+            );
+        }
+        // At 2 workers the paper's own Table II has CUDASW++ (2 GPUs,
+        // 445.6 s) beating SWDUAL (1 GPU + 1 CPU, 543.3 s); the hybrid
+        // takes the lead at 4 workers (272 s vs 292 s).
+        let (gpu2, hybrid2) = (run_single_kind(&w, cudasw, 2), run_swdual(&w, 2, 4));
+        assert!(
+            gpu2 < hybrid2,
+            "2 workers: GPU-only {gpu2} vs hybrid {hybrid2}"
+        );
+        let (gpu4, hybrid4) = (run_single_kind(&w, cudasw, 4), run_swdual(&w, 4, 4));
+        assert!(
+            hybrid4 < gpu4,
+            "4 workers: hybrid {hybrid4} vs GPU-only {gpu4}"
+        );
+    }
+
+    #[test]
+    fn swdual_beats_all_baseline_policies() {
+        let w = Workload::paper_queries(UNIPROT);
+        let platform = PlatformSpec::new(4, 4);
+        let dual = run_hybrid(&w, &platform, HybridPolicy::DualGreedy).makespan();
+        for policy in [
+            HybridPolicy::SelfScheduling,
+            HybridPolicy::Proportional,
+            HybridPolicy::EqualPower,
+        ] {
+            let other = run_hybrid(&w, &platform, policy).makespan();
+            assert!(
+                dual <= other * 1.001,
+                "{}: {other} vs SWDUAL {dual}",
+                policy.name()
+            );
+        }
+    }
+
+    #[test]
+    fn small_database_gcups_capped_by_overhead() {
+        // Table IV: Ensembl Dog reaches only ~19 GCUPS at 2 workers.
+        let w = Workload::paper_queries(DATABASES[0]);
+        let seconds = run_swdual(&w, 2, 4);
+        let g = gcups(&w, seconds);
+        assert!(
+            (15.0..25.0).contains(&g),
+            "Dog GCUPS {g} out of the paper's range"
+        );
+        // And the run is tens of seconds, not hundreds (paper: 78.36 s).
+        assert!((seconds - 78.36).abs() / 78.36 < 0.3, "{seconds}");
+    }
+
+    #[test]
+    fn figure_data_blocks_are_nonempty() {
+        // Figures 7–9 plot the rows of Tables II, IV and V.
+        assert!(table2().rows.len() > 10);
+        assert!(table4().rows.len() > 10);
+        assert!(table5().rows.len() > 5);
+    }
+
+    /// Two rows, one with the paper's cells and one without.
+    fn demo() -> Table {
+        Table {
+            title: "Table X — demo",
+            rows: vec![
+                Row::new("A", 2, 100.0, 5.0).paper(Some(90.0), Some(5.5)),
+                Row::new("B", 4, 50.0, 10.0),
+            ],
+        }
+    }
+
+    #[test]
+    fn ratio_computation() {
+        let t = demo();
+        assert!((t.rows[0].seconds_ratio().unwrap() - 100.0 / 90.0).abs() < 1e-12);
+        assert!(t.rows[1].seconds_ratio().is_none());
+    }
+
+    #[test]
+    fn markdown_rendering_contains_everything() {
+        let md = demo().markdown();
+        assert!(md.contains("Table X"));
+        assert!(md.contains("100.00"));
+        assert!(md.contains("1.11×"));
+        assert!(md.contains("5.50"));
+    }
+
+    #[test]
+    fn markdown_rendering_is_a_table() {
+        let md = demo().markdown();
+        assert!(md.starts_with("### Table X"));
+        assert!(md.contains("|---"));
+        assert!(md.contains("| A | 2 |"));
+        assert!(md.contains("—")); // missing paper cells
+    }
+
+    #[test]
+    fn markdown_has_one_line_per_row() {
+        let md = demo().markdown();
+        let body = md
+            .lines()
+            .filter(|l| l.starts_with("| ") && !l.starts_with("| label"));
+        assert_eq!(body.count(), 2);
+    }
+
+    #[test]
     fn table4_reproduces_database_ordering() {
         let t4 = table4();
         assert_eq!(t4.rows.len(), 15);

@@ -1047,6 +1047,26 @@ mod tests {
     }
 
     #[test]
+    fn cpu_worker_hits_match_every_engine() {
+        // A CPU worker scores with one ladder engine; its hits are what
+        // every engine of the zoo ranks.
+        let db = tiny_db();
+        let subjects: Vec<&[u8]> = db.iter().map(|d| d.codes()).collect();
+        let queries = tiny_queries();
+        let scheme = ScoringScheme::protein_default();
+        let results = run_one(WorkerSpec::cpu_default());
+        assert_eq!(results.len(), 2);
+        for kind in swdual_align::engine::EngineKind::ALL {
+            let engine = kind.build();
+            for r in &results {
+                let query = queries.get(r.task_id).unwrap().codes();
+                let scores = engine.score_many(query, &subjects, &scheme);
+                assert_eq!(r.hits, top_k_hits(r.task_id, &scores, TOP_K).hits, "{kind}");
+            }
+        }
+    }
+
+    #[test]
     fn gpu_worker_computes_exact_scores() {
         let results = run_one(WorkerSpec::gpu_default());
         assert_eq!(results.len(), 2);

@@ -1,16 +1,56 @@
 //! Cross-crate integration tests: the full SWDUAL pipeline from files
 //! to ranked hits, across allocation policies and worker mixes.
 
-use swdual_repro::bio::{fasta, sqb, Alphabet, ScoringScheme};
+use std::sync::Arc;
+use swdual_repro::align::engine::EngineKind;
+use swdual_repro::align::scalar::gotoh_score;
+use swdual_repro::bio::{fasta, sqb, Alphabet, ScoringScheme, SequenceSet, SqbImage};
 use swdual_repro::core::SearchBuilder;
 use swdual_repro::datagen::{
-    queries_from_database, synthetic_database, LengthModel, MutationProfile,
+    queries_from_database, scaled_database, synthetic_database, LengthModel, MutationProfile,
 };
 use swdual_repro::runtime::{AllocationPolicy, WorkerSpec};
 use swdual_repro::sched::dual::KnapsackMethod;
 
-fn demo_database() -> swdual_repro::bio::SequenceSet {
+fn demo_database() -> SequenceSet {
     synthetic_database("db", 120, LengthModel::protein_database(250.0), 1001)
+}
+
+/// A `scale` slice of a synthetic UniProt (537 505 sequences of mean
+/// length 362), the same slice as a shared image, and `queries`
+/// homologs drawn from it.
+fn uniprot_slice(
+    scale: f64,
+    queries: usize,
+    seed: u64,
+) -> (SequenceSet, Arc<SqbImage>, SequenceSet) {
+    let database = scaled_database("uniprot", 537_505, 362.0, scale, seed);
+    let queries = queries_from_database(
+        &database,
+        queries,
+        30,
+        5000,
+        &MutationProfile::homolog(),
+        seed + 1,
+    );
+    let image = SqbImage::from_set(&database).expect("datagen ids fit SQB's id field");
+    (database, Arc::new(image), queries)
+}
+
+/// A dual-approximation search of `queries` against `image` on
+/// `cpus` CPU and `gpus` simulated GPU workers.
+fn hybrid_search(
+    image: &Arc<SqbImage>,
+    queries: &SequenceSet,
+    cpus: usize,
+    gpus: usize,
+) -> SearchBuilder {
+    SearchBuilder::new()
+        .database_image(Arc::clone(image))
+        .queries(queries.clone())
+        .hybrid_workers(cpus, gpus)
+        .policy(AllocationPolicy::DualApprox(KnapsackMethod::Greedy))
+        .top_k(5)
 }
 
 #[test]
@@ -181,4 +221,65 @@ fn runtime_allocation_matches_scheduler_split() {
     assert_eq!(sched_gpu, stats_gpu);
     // GPUs are modelled ~4x faster, so they take the majority.
     assert!(stats_gpu >= 5, "GPUs got only {stats_gpu} of 8 tasks");
+}
+
+#[test]
+fn reduced_execution_is_consistent() {
+    let (database, image, queries) = uniprot_slice(0.0003, 3, 77);
+    assert!(database.len() > 100);
+    // Every engine agrees with Gotoh on the first query against the
+    // first 32 subjects.
+    let scheme = ScoringScheme::protein_default();
+    let query = queries.get(0).unwrap().codes();
+    let subjects: Vec<&[u8]> = database.iter().take(32).map(|s| s.codes()).collect();
+    let expected: Vec<i32> = subjects
+        .iter()
+        .map(|d| gotoh_score(query, d, &scheme))
+        .collect();
+    for kind in EngineKind::ALL {
+        assert_eq!(
+            kind.build().score_many(query, &subjects, &scheme),
+            expected,
+            "{kind}"
+        );
+    }
+    // The real runtime returns the same hits under every worker mix.
+    let mut reference = None;
+    for (cpus, gpus) in [(1, 0), (0, 1), (1, 1), (2, 2)] {
+        let report = hybrid_search(&image, &queries, cpus, gpus).run();
+        assert!(report.total_cells() > 0);
+        assert!(report.wall_seconds() > 0.0 && report.wall_gcups() > 0.0);
+        match &reference {
+            None => reference = Some(report.hits().to_vec()),
+            Some(r) => assert_eq!(r.as_slice(), report.hits(), "{cpus} CPU + {gpus} GPU"),
+        }
+    }
+}
+
+#[test]
+fn traced_execution_produces_events() {
+    let (_, image, queries) = uniprot_slice(0.0002, 2, 5);
+    let report = hybrid_search(&image, &queries, 1, 1).observe().run();
+    assert!(report.obs().is_enabled());
+    assert!(report.obs().event_count() > 0);
+    assert!(report.timeline().contains("traceEvents"));
+}
+
+#[test]
+fn fault_demo_hits_are_identical() {
+    // Faults move work, never change scores: a seeded fault plan leaves
+    // the hits bit-identical to the fault-free run's.
+    let (_, image, queries) = uniprot_slice(0.0002, 3, 9);
+    let healthy = hybrid_search(&image, &queries, 2, 2).run();
+    let faulted = hybrid_search(&image, &queries, 2, 2)
+        .fault_seed(7)
+        .min_job_timeout(std::time::Duration::from_millis(250))
+        .run();
+    let plan = swdual_repro::runtime::FaultPlan::seeded(7, 4);
+    assert_eq!(
+        healthy.hits(),
+        faulted.hits(),
+        "plan `{plan}` changed the hits"
+    );
+    assert!(healthy.wall_seconds() > 0.0 && faulted.wall_seconds() > 0.0);
 }
