@@ -9,7 +9,6 @@
 //! the tests compare.
 
 use crate::dispatch::Backend;
-use crate::interseq::SharedStreams;
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
@@ -135,10 +134,9 @@ pub trait AlignEngine: Send + Sync {
     /// [`AlignEngine::score_many_cached`] for a caller that scores many
     /// queries against one database — a worker: `db` carries what was
     /// prepared once per database, `slice` the positions of its length
-    /// order this job covers, `streams` the inter-sequence streams the
-    /// search's jobs share, `scratch` the kernels' reusable working
+    /// order this job covers, `scratch` the kernels' reusable working
     /// memory. Scores come back in the slice's order. Engines that need
-    /// none of it delegate.
+    /// none of it gather the slice's subjects and delegate.
     #[allow(clippy::too_many_arguments)]
     fn score_database(
         &self,
@@ -147,10 +145,10 @@ pub trait AlignEngine: Send + Sync {
         slice: Range<usize>,
         scheme: &ScoringScheme,
         cache: Option<&ProfileCache>,
-        _streams: Option<&SharedStreams>,
         _scratch: &mut Scratch,
     ) -> (Vec<i32>, PhaseTimings, TierStats) {
-        let subjects: Vec<&[u8]> = db.in_order(slice).collect();
+        let gathered: Vec<Vec<u8>> = slice.map(|p| db.residues(p)).collect();
+        let subjects: Vec<&[u8]> = gathered.iter().map(Vec::as_slice).collect();
         self.score_many_cached(query, &subjects, scheme, cache)
     }
 
@@ -166,14 +164,13 @@ pub trait AlignEngine: Send + Sync {
         slice: Range<usize>,
         scheme: &ScoringScheme,
         cache: Option<&ProfileCache>,
-        streams: Option<&SharedStreams>,
         scratch: &mut Scratch,
     ) -> (Vec<Vec<i32>>, PhaseTimings, TierStats) {
         let mut timings = PhaseTimings::default();
         let mut stats = TierStats::default();
         let scores = queries.iter().map(|query| {
             let (scores, own, tiers) =
-                self.score_database(query, db, slice.clone(), scheme, cache, streams, scratch);
+                self.score_database(query, db, slice.clone(), scheme, cache, scratch);
             timings.profile_build += own.profile_build;
             timings.dp_inner += own.dp_inner;
             stats.merge(&tiers);
@@ -244,7 +241,6 @@ impl AlignEngine for LadderEngine {
             db.whole(),
             scheme,
             cache,
-            None,
             &mut Scratch::default(),
         );
         (db.in_database_order(&scores), timings, stats)
@@ -256,7 +252,6 @@ impl AlignEngine for LadderEngine {
         slice: Range<usize>,
         scheme: &ScoringScheme,
         cache: Option<&ProfileCache>,
-        streams: Option<&SharedStreams>,
         scratch: &mut Scratch,
     ) -> (Vec<i32>, PhaseTimings, TierStats) {
         let mut stats = TierStats::default();
@@ -268,7 +263,6 @@ impl AlignEngine for LadderEngine {
             slice,
             scheme,
             cache,
-            streams,
             scratch,
             &mut stats,
         );
@@ -284,12 +278,11 @@ impl AlignEngine for LadderEngine {
         slice: Range<usize>,
         scheme: &ScoringScheme,
         cache: Option<&ProfileCache>,
-        streams: Option<&SharedStreams>,
         scratch: &mut Scratch,
     ) -> (Vec<Vec<i32>>, PhaseTimings, TierStats) {
         if let [query] = queries {
             let (scores, timings, stats) =
-                self.score_database(query, db, slice, scheme, cache, streams, scratch);
+                self.score_database(query, db, slice, scheme, cache, scratch);
             return (vec![scores], timings, stats);
         }
         let mut stats = TierStats::default();

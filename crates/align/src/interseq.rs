@@ -8,17 +8,18 @@
 //! loop, no padding of the query to a lane multiple, no striped query
 //! profile — which is what makes it the faster shape on short queries.
 //!
-//! **One stream per job, lanes refilled.** A job scores the subjects of
-//! its slice as one *stream* of residue columns, one vector of lanes per
-//! column. The subjects are dealt out in the length order, longest
-//! first: the lane that frees first — the lowest such lane on a tie —
-//! takes the next subject on the first [`GROUP`] boundary at or past
-//! the column where its last one ended. Each hand-over is a [`Start`]:
-//! before scoring that column the kernel harvests the lane's maximum
-//! for the subject it finished, zeroes the lane's running maximum and
-//! its `H`/`E` column, and carries on with the same recurrences. A lane
-//! pads at most three columns per subject, and no lane idles longer
-//! until the lineup runs dry.
+//! **The database is the stream.** The kernel scores a *stream* of
+//! residue columns, one vector of lanes per column, laid out by
+//! [`swdual_bio::lanes`]: subjects dealt out longest first, the lane
+//! that frees first — the lowest such lane on a tie — taking the next
+//! subject on the first [`GROUP`] boundary at or past the column where
+//! its last one ended. Each hand-over is a [`Start`]: before scoring
+//! that column the kernel harvests the lane's maximum for the subject it
+//! finished, zeroes the lane's running maximum and its `H`/`E` column,
+//! and carries on with the same recurrences. An SQB version-3 file
+//! stores its database as such streams, one per block of 128 records of
+//! its length order, so a job scores the file's own columns in place:
+//! nothing is laid out per job or per search.
 //!
 //! **Four columns per pass.** SWIPE scores several database residues
 //! per pass down the query, and so does this kernel: [`GROUP`] stream
@@ -30,34 +31,26 @@
 //! group boundaries only, so no lane changes subjects inside a pass;
 //! the pad columns between a subject's end and the boundary score
 //! `−bias` and, like a pad lane, can only decay, so no maximum moves.
-//! The per-job cursors, the shared streams, [`Lineup::columns`] and
-//! everything that sizes a stream from it (the byte tier's fill, the
-//! run pick) see that one padded layout.
 //!
-//! **Two sources, one kernel.** Per job, [`Cursors`] lay the next
-//! [`BLOCK`] columns out in the worker's [`Scratch`] as the kernel
-//! reaches them. A [`Stream`] holds all columns and starts of a slice at
-//! once, laid out by the same cursors as one block that spans the whole
-//! stream, so the two sources agree byte for byte. [`SharedStreams`]
-//! builds one per slice that more jobs of short queries score than
-//! there are workers, before the jobs run, and lends it to every job
-//! that scores the slice whole, so such a slice is laid out once per
-//! search instead of once per job.
+//! **Every stream has 32 lanes.** A kernel of `L` lanes reads each
+//! column as `32 / L` windows of `L` cells and scores the stream once
+//! per window, each window an independent stream of its own lanes: the
+//! AVX2 instantiation reads it whole, the 16-lane arrays as two halves.
 //!
 //! **Either side can be the stream.** Under a symmetric matrix the
 //! local score of (q, s) is that of (s, q), so the kernel does not care
 //! which side plays the query: a worker's *run* of short queries on one
 //! slice lays the queries out as the stream, longest first, and runs
 //! each subject down the rows with the subject's own [`Tables`]
-//! ([`crate::tiered::score_run_with`]). The run's residues stay within
-//! one [`BLOCK`] of lanes, since that stream is walked whole once per
-//! subject.
+//! ([`crate::tiered::score_run_with`]). The run's stream is laid out
+//! like a block of the database and walked whole once per subject, so
+//! its queries stay within [`crate::tiered::RUN_COLUMNS`] columns.
 //!
 //! **Score profile.** The substitution scores a column needs depend on
 //! the stream's residues at that position, so the profile is built per
 //! group: for each *distinct* query residue `a` and each column `c` of
 //! the group, one vector `dprof[a][c][l] = score(a, column_c[l]) +
-//! bias`, looked up from the 32-entry row [`Tables::rows`]`[a]` (two
+//! bias`, looked up from the 32-entry row `Tables::rows[a]` (two
 //! 16-entry `pshufb` tables on AVX2). Residue code [`PAD`] fills the
 //! lanes and columns that have no subject; its table entry is biased 0,
 //! i.e. a true score of `−bias`, so such a cell can only decay.
@@ -80,20 +73,8 @@
 use crate::dispatch::Backend;
 use crate::scratch::{InterseqBuffers, Scratch};
 use crate::striped8::byte_range;
-use crate::tiered::Subjects;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::ops::Range;
-use std::sync::OnceLock;
+use swdual_bio::lanes::{Start, GROUP, LANES, PAD};
 use swdual_bio::ScoringScheme;
-
-/// Residue code of a lane with no subject. Alphabets must leave it free
-/// (size ≤ 31).
-pub const PAD: u8 = 31;
-
-/// Stream columns the kernel scores per pass down the query. Lanes
-/// change subjects only on multiples of it.
-pub(crate) const GROUP: usize = 4;
 
 /// What the kernel needs of one (query, scheme) pair. Built per job:
 /// a few hundred table reads, not worth caching.
@@ -245,301 +226,33 @@ impl ByteLanes<ARRAY_LANES> for [u8; ARRAY_LANES] {
     }
 }
 
-/// Where a lane takes its next subject: before column `column` of the
-/// stream is scored, lane `lane` gives up the subject it held and starts
-/// subject `subject` (a position of the stream's lineup).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Start {
-    pub column: usize,
-    pub lane: usize,
-    pub subject: usize,
-}
-
-/// The subjects a stream deals out, in the order it deals them: `order`
-/// indexes `seqs`.
+/// A stream as the kernel scores it: columns of [`LANES`] cells and
+/// each subject's start, in the order dealt.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Lineup<'s> {
-    pub seqs: &'s [&'s [u8]],
-    pub order: &'s [u32],
-}
-
-impl<'s> Lineup<'s> {
-    fn get(&self, subject: usize) -> Option<&'s [u8]> {
-        let &i = self.order.get(subject)?;
-        self.seqs.get(i as usize).copied()
-    }
-
-    /// The number of columns of the lineup's stream on `lanes` lanes.
-    pub fn columns(&self, lanes: usize) -> usize {
-        let lengths = (0..).map_while(|subject| self.get(subject).map(<[u8]>::len));
-        stream_columns(lengths, lanes)
-    }
-}
-
-/// The number of columns of a stream on `lanes` lanes that deals out
-/// subjects of `lengths`, in that order: where the lane that frees last
-/// frees, each subject going to the lane that frees first, and a lane
-/// freeing on the [`GROUP`] boundary after its subject's last column.
-pub(crate) fn stream_columns(lengths: impl IntoIterator<Item = usize>, lanes: usize) -> usize {
-    let mut free_at: BinaryHeap<Reverse<usize>> = (0..lanes).map(|_| Reverse(0)).collect();
-    let mut end = 0;
-    for len in lengths {
-        let Some(mut lane) = free_at.peek_mut() else {
-            break;
-        };
-        lane.0 = frees_at(lane.0, len);
-        end = end.max(lane.0);
-    }
-    end
-}
-
-/// The column where a lane that takes a subject of `len` residues at
-/// `column` frees: the first [`GROUP`] boundary at or past the
-/// subject's end.
-fn frees_at(column: usize, len: usize) -> usize {
-    (column + len).next_multiple_of(GROUP)
-}
-
-/// Deals a lineup out to lanes: the lane that frees first — the lowest
-/// such lane on a tie — takes the next subject, always on a [`GROUP`]
-/// boundary.
-#[derive(Debug)]
-struct Dealer {
-    /// `(column, lane)`: where each lane's current subject ends.
-    free_at: BinaryHeap<Reverse<(usize, usize)>>,
-    /// The next subject of the lineup.
-    next: usize,
-    /// The column where the last lane to free frees.
-    end: usize,
-}
-
-impl Dealer {
-    fn new(lanes: usize) -> Dealer {
-        Dealer {
-            free_at: (0..lanes).map(|lane| Reverse((0, lane))).collect(),
-            next: 0,
-            end: 0,
-        }
-    }
-
-    /// The next start, unless the lineup is dealt out or it would fall
-    /// on or after column `before`.
-    fn deal_before(&mut self, lineup: &Lineup<'_>, before: usize) -> Option<Start> {
-        let len = lineup.get(self.next)?.len();
-        let mut lane_free = self.free_at.peek_mut()?;
-        let Reverse((column, lane)) = *lane_free;
-        if column >= before {
-            return None;
-        }
-        let free = frees_at(column, len);
-        *lane_free = Reverse((free, lane));
-        self.end = self.end.max(free);
-        let start = Start {
-            column,
-            lane,
-            subject: self.next,
-        };
-        self.next += 1;
-        Some(start)
-    }
-}
-
-/// Columns laid out and scored at a time per job: 8 KB of residues at
-/// 32 lanes, so the block stays in L1 beside the DP state and the
-/// scratch does not grow with the stream. A transposed run's stream is
-/// walked whole once per subject, so its queries hold at most one block.
-/// A whole number of [`GROUP`]s, so blocks split no group.
-pub(crate) const BLOCK: usize = 256;
-const _: () = assert!(BLOCK.is_multiple_of(GROUP));
-
-/// The per-job source: lane cursors that lay a lineup's stream out one
-/// block of columns at a time.
-struct Cursors<'s, const L: usize> {
-    lineup: Lineup<'s>,
-    dealer: Dealer,
-    /// The subject each lane holds and the column it started at.
-    holds: [Option<(usize, usize)>; L],
-    /// The starts of the next block, dealt ahead.
-    ahead: Vec<Start>,
-    /// The first column of the next block.
-    first: usize,
-}
-
-impl<'s, const L: usize> Cursors<'s, L> {
-    fn new(lineup: Lineup<'s>) -> Self {
-        Cursors {
-            lineup,
-            dealer: Dealer::new(L),
-            holds: [None; L],
-            ahead: Vec::new(),
-            first: 0,
-        }
-    }
-
-    /// Lay the next block out in `columns` (at most that many columns)
-    /// and its starts in `starts`; returns the block's first column and
-    /// its width, which is 0 once the stream has ended. The block after
-    /// it is dealt ahead, and the residues its starts load are asked for.
-    fn next_block(&mut self, columns: &mut [[u8; L]], starts: &mut Vec<Start>) -> (usize, usize) {
-        let first = self.first;
-        let next = first + columns.len();
-        starts.clear();
-        starts.append(&mut self.ahead);
-        while let Some(start) = self.dealer.deal_before(&self.lineup, next) {
-            starts.push(start);
-        }
-        while let Some(start) = self.dealer.deal_before(&self.lineup, next + columns.len()) {
-            prefetch(self.lineup.get(start.subject).unwrap_or_default());
-            self.ahead.push(start);
-        }
-        // Whatever was dealt ahead starts past this block, so its lane
-        // runs on to the block's last column either way.
-        let width = self.dealer.end.saturating_sub(first).min(columns.len());
-        let columns = &mut columns[..width];
-        columns.fill([PAD; L]);
-        // What lanes still hold from earlier blocks, then what starts in
-        // this one: a lane's next subject begins where the last ended.
-        for (lane, held) in self.holds.iter().enumerate() {
-            if let &Some((subject, column)) = held {
-                let residues = self.lineup.get(subject).unwrap_or_default();
-                place(
-                    columns,
-                    0,
-                    lane,
-                    residues.get(first - column..).unwrap_or_default(),
-                );
-            }
-        }
-        for start in starts.iter() {
-            let residues = self.lineup.get(start.subject).unwrap_or_default();
-            place(columns, start.column - first, start.lane, residues);
-            self.holds[start.lane] = Some((start.subject, start.column));
-        }
-        self.first += width;
-        (first, width)
-    }
-}
-
-/// Ask for `subject`'s cache lines a block before the kernel reads them.
-///
-/// The length order scatters a stream's subjects over the database, so
-/// a block's starts open cold streams, and on a database that outgrows
-/// L2 their misses cost a fifth of a short query's time — more when the
-/// memory system is busy. Requested a block ahead, the lines arrive
-/// while the current block computes. A hint only: backends without one
-/// skip it.
-#[inline]
-fn prefetch(subject: &[u8]) {
-    #[cfg(target_arch = "x86_64")]
-    for line in subject.chunks(64) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
-        // SAFETY: a prefetch cannot fault and changes no architectural
-        // state; SSE is part of the x86_64 baseline.
-        unsafe { _mm_prefetch::<_MM_HINT_T1>(line.as_ptr() as *const i8) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = subject;
-}
-
-/// Write `residues` into lane `lane` of `columns` from column `at` on,
-/// as far as the block reaches.
-fn place<const L: usize>(columns: &mut [[u8; L]], at: usize, lane: usize, residues: &[u8]) {
-    let columns = columns.get_mut(at..).unwrap_or_default();
-    for (column, &residue) in columns.iter_mut().zip(residues) {
-        column[lane] = residue;
-    }
-}
-
-/// The shared source: every column and start of a lineup's stream.
-#[derive(Debug)]
-pub(crate) struct Stream {
-    lanes: usize,
-    /// One vector of lanes per column, flattened.
-    columns: Vec<u8>,
-    starts: Vec<Start>,
-}
-
-impl Stream {
-    /// Lay `lineup`'s stream on `L` lanes out whole: the per-job
-    /// cursors' layout, as one block.
-    fn build<const L: usize>(lineup: Lineup<'_>) -> Stream {
-        let mut columns = vec![[PAD; L]; lineup.columns(L)];
-        let mut starts = Vec::new();
-        Cursors::<L>::new(lineup).next_block(&mut columns, &mut starts);
-        Stream {
-            lanes: L,
-            columns: columns.into_flattened(),
-            starts,
-        }
-    }
-}
-
-/// Queries this long or longer do not count toward sharing a slice's
-/// stream: a per-job layout costs about `1/Q` of a job's kernel time for
-/// a query of `Q` residues, so for them a shared stream costs memory and
-/// buys no speed (`shared_mcups` in `BENCH_kernels.json`'s sweep).
-const SHARE_BELOW: usize = 1024;
-
-/// The streams of the slices many jobs of one search score, each laid
-/// out once and lent to every job that scores its slice whole.
-#[derive(Debug, Default)]
-pub struct SharedStreams {
-    /// By slice start and end; set once, by [`Self::share`].
-    streams: OnceLock<HashMap<(usize, usize), Stream>>,
-}
-
-impl SharedStreams {
-    /// Lay out the stream of each slice of `db` that more jobs of
-    /// queries shorter than [`SHARE_BELOW`] score than there are
-    /// `workers` to score them: some worker would otherwise lay the same
-    /// stream out twice. `jobs` are the search's `(query length, slice)`
-    /// pairs. Only the first call counts.
-    ///
-    /// The streams are built here, on the caller's thread, before any
-    /// job runs: built by whichever worker came first they would land in
-    /// that thread's allocator arena, and over a run of searches each
-    /// worker's arena would keep a freed copy.
-    pub fn share(
-        &self,
-        backend: Backend,
-        db: &Subjects<'_>,
-        jobs: impl IntoIterator<Item = (usize, Range<usize>)>,
-        workers: usize,
-    ) {
-        let mut jobs_on: HashMap<(usize, usize), usize> = HashMap::new();
-        for (query_len, slice) in jobs {
-            if query_len < SHARE_BELOW {
-                *jobs_on.entry((slice.start, slice.end)).or_default() += 1;
-            }
-        }
-        let shared = jobs_on.into_iter().filter(|&(_, jobs)| jobs > workers);
-        let streams = shared.filter_map(|((start, end), _)| {
-            let lineup = Lineup {
-                seqs: db.seqs(),
-                order: db.order().get(start..end)?,
-            };
-            Some(((start, end), backend.interseq_stream(lineup)))
-        });
-        let _ = self.streams.set(streams.collect());
-    }
-
-    /// The stream of all of `slice` on `lanes` lanes, if it is shared.
-    pub(crate) fn get(&self, slice: &Range<usize>, lanes: usize) -> Option<&Stream> {
-        let stream = self.streams.get()?.get(&(slice.start, slice.end))?;
-        (stream.lanes == lanes).then_some(stream)
-    }
-}
-
-/// A block of a stream as the kernel scores it: `columns` are columns
-/// `first..` of the stream, `starts` the starts that fall among them.
-pub(crate) struct Block<'a, const L: usize> {
-    pub first: usize,
-    pub columns: &'a [[u8; L]],
+pub(crate) struct StreamRef<'a> {
+    pub columns: &'a [[u8; LANES]],
     pub starts: &'a [Start],
 }
 
-/// What the kernel carries from block to block besides the DP state:
-/// each lane's running maximum and the subject it holds.
+impl<'a> StreamRef<'a> {
+    /// A stream laid out by [`swdual_bio::lanes`].
+    pub fn of(stream: &'a swdual_bio::lanes::Stream) -> StreamRef<'a> {
+        StreamRef {
+            columns: stream.columns.as_chunks::<LANES>().0,
+            starts: &stream.starts,
+        }
+    }
+}
+
+/// What one kernel call scores: window `window` of a stream's columns,
+/// lanes `window * L..(window + 1) * L`.
+pub(crate) struct Window<'a, const L: usize> {
+    pub stream: StreamRef<'a>,
+    pub window: usize,
+}
+
+/// What the kernel carries along the stream besides the DP state: each
+/// lane's running maximum and the subject it holds.
 pub(crate) struct Harvest<const L: usize> {
     best: [u8; L],
     holds: [Option<usize>; L],
@@ -553,16 +266,15 @@ impl<const L: usize> Harvest<L> {
         }
     }
 
-    /// Hand `start.lane` over: record the maximum of the subject it held,
-    /// and clear its maximum and its `H`/`E` column for the next.
+    /// Hand `lane` over to `subject`: record the maximum of the subject
+    /// it held, and clear its maximum and its `H`/`E` column for the next.
     #[inline]
-    fn start(&mut self, start: &Start, state: &mut [[[u8; L]; 2]], maxima: &mut [u8]) {
-        let lane = start.lane;
+    fn start(&mut self, lane: usize, subject: usize, state: &mut [[[u8; L]; 2]], maxima: &mut [u8]) {
         if let Some(held) = self.holds[lane] {
             maxima[held] = self.best[lane];
         }
         self.best[lane] = 0;
-        self.holds[lane] = Some(start.subject);
+        self.holds[lane] = Some(subject);
         for [h, e] in state {
             h[lane] = 0;
             e[lane] = 0;
@@ -579,13 +291,14 @@ impl<const L: usize> Harvest<L> {
     }
 }
 
-/// One block of a stream: `query` against `block.columns`, scored from
-/// `buffers.rows`, continuing from the DP state and the `harvest` the
-/// previous block left. A start hands its lane over before its column
-/// is scored; each finished subject's maximum `H` goes to
-/// `maxima[subject]`.
+/// One window of a stream: `query` against lanes of `block`'s columns,
+/// scored from `buffers.rows`, from the zeroed DP state and `harvest`.
+/// A start hands its lane over before its column is scored; each
+/// finished subject's maximum `H` goes to `maxima[subject]`, `subject`
+/// the start's position in the stream. Starts of other windows' lanes
+/// are passed over.
 ///
-/// The block is scored [`GROUP`] columns per pass down the query: each
+/// The stream is scored [`GROUP`] columns per pass down the query: each
 /// row loads its `H` and `E` once, scores the group's columns in
 /// registers — `E` running along the row, each column's `F` and the
 /// row above's `H` carried down in registers — and stores once. Starts
@@ -598,7 +311,7 @@ impl<const L: usize> Harvest<L> {
 pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
     query: &[u8],
     tables: &Tables,
-    block: Block<'_, L>,
+    block: Window<'_, L>,
     buffers: InterseqBuffers<'_, L>,
     harvest: &mut Harvest<L>,
     maxima: &mut [u8],
@@ -609,8 +322,9 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
         rows,
     } = buffers;
     debug_assert_eq!(state.len(), query.len());
-    let (groups, rest) = block.columns.as_chunks::<GROUP>();
-    debug_assert!(rest.is_empty() && block.first.is_multiple_of(GROUP));
+    let (groups, rest) = block.stream.columns.as_chunks::<GROUP>();
+    debug_assert!(rest.is_empty());
+    let (window, first_lane) = (block.window, block.window * L);
     // SAFETY (every `V` operation below): the caller guarantees `V`'s
     // instruction set; the operations touch only the references passed.
     let zero = V::splat(0);
@@ -618,17 +332,25 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
     let open = V::splat(tables.open);
     let ext = V::splat(tables.ext);
     let mut lane_best = V::load(&harvest.best);
-    let mut starts = block.starts.iter().peekable();
-    for (at, group) in (block.first..).step_by(GROUP).zip(groups) {
-        if starts.peek().is_some_and(|start| start.column == at) {
+    let mut starts = block.stream.starts.iter().enumerate().peekable();
+    let starts_at = |at: usize| move |&(_, start): &(usize, &Start)| start.column as usize == at;
+    for (at, group) in (0..).step_by(GROUP).zip(groups) {
+        if starts.peek().is_some_and(starts_at(at)) {
             lane_best.store(&mut harvest.best);
-            while let Some(start) = starts.next_if(|start| start.column == at) {
-                harvest.start(start, state, maxima);
+            while let Some((subject, start)) = starts.next_if(starts_at(at)) {
+                let lane = (start.lane as usize).wrapping_sub(first_lane);
+                if lane < L {
+                    harvest.start(lane, subject, state, maxima);
+                }
             }
             lane_best = V::load(&harvest.best);
         }
-        debug_assert!(starts.peek().is_none_or(|start| start.column >= at + GROUP));
-        let residues = group.each_ref().map(|column| V::load(column));
+        debug_assert!(starts
+            .peek()
+            .is_none_or(|(_, start)| start.column as usize >= at + GROUP));
+        let residues = group
+            .each_ref()
+            .map(|column| V::load(&column.as_chunks::<L>().0[window]));
         for &a in &tables.present {
             let (row, prof) = (&rows[a as usize & 31], &mut dprof[a as usize & 31]);
             for (slot, &residues) in prof.iter_mut().zip(&residues) {
@@ -669,12 +391,12 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
 
 /// [`refill_body`] instantiated for one backend.
 type RefillFn<const L: usize> =
-    unsafe fn(&[u8], &Tables, Block<'_, L>, InterseqBuffers<'_, L>, &mut Harvest<L>, &mut [u8]);
+    unsafe fn(&[u8], &Tables, Window<'_, L>, InterseqBuffers<'_, L>, &mut Harvest<L>, &mut [u8]);
 
 fn refill_array(
     query: &[u8],
     tables: &Tables,
-    block: Block<'_, ARRAY_LANES>,
+    block: Window<'_, ARRAY_LANES>,
     buffers: InterseqBuffers<'_, ARRAY_LANES>,
     harvest: &mut Harvest<ARRAY_LANES>,
     maxima: &mut [u8],
@@ -688,8 +410,7 @@ fn refill_array(
     }
 }
 
-/// Score the stream of `lineup` through `kernel`: the `shared` one, or
-/// else one laid out block by block in `scratch`.
+/// Score `stream` through `kernel`, one window of `L` lanes at a time.
 ///
 /// # Safety
 /// `kernel`'s instruction set must be available on the running CPU.
@@ -697,42 +418,20 @@ unsafe fn score_stream<const L: usize>(
     kernel: RefillFn<L>,
     query: &[u8],
     tables: &Tables,
-    lineup: Lineup<'_>,
-    shared: Option<&Stream>,
+    stream: StreamRef<'_>,
     scratch: &mut Scratch,
     maxima: &mut [u8],
 ) {
-    let mut harvest = Harvest::<L>::new();
-    let (_, buffers) = scratch.interseq::<L>(0, query.len());
-    buffers.state.fill([[0; L]; 2]);
-    *buffers.rows = tables.rows;
-    if let Some(stream) = shared {
-        let block = Block {
-            first: 0,
-            columns: stream.columns.as_chunks::<L>().0,
-            starts: &stream.starts,
-        };
+    for window in 0..LANES / L {
+        let mut harvest = Harvest::<L>::new();
+        let buffers = scratch.interseq::<L>(query.len());
+        buffers.state.fill([[0; L]; 2]);
+        *buffers.rows = tables.rows;
+        let block = Window { stream, window };
         // SAFETY: the caller guarantees `kernel`'s instruction set.
         kernel(query, tables, block, buffers, &mut harvest, maxima);
-    } else {
-        let mut cursors = Cursors::<L>::new(lineup);
-        let mut starts = Vec::new();
-        loop {
-            let (columns, buffers) = scratch.interseq::<L>(BLOCK, query.len());
-            let (first, width) = cursors.next_block(columns, &mut starts);
-            if width == 0 {
-                break;
-            }
-            let block = Block {
-                first,
-                columns: &columns[..width],
-                starts: &starts,
-            };
-            // SAFETY: as above.
-            kernel(query, tables, block, buffers, &mut harvest, maxima);
-        }
+        harvest.finish(maxima);
     }
-    harvest.finish(maxima);
 }
 
 impl Backend {
@@ -745,29 +444,17 @@ impl Backend {
         }
     }
 
-    /// The stream of `lineup` laid out whole on
-    /// [`Backend::interseq_lanes`] lanes.
-    pub(crate) fn interseq_stream(self, lineup: Lineup<'_>) -> Stream {
-        match self {
-            Backend::Avx2 if self.is_available() => {
-                Stream::build::<{ crate::wide::LANES8W }>(lineup)
-            }
-            _ => Stream::build::<ARRAY_LANES>(lineup),
-        }
-    }
-
-    /// The inter-sequence byte kernel: `query` against the stream of
-    /// `lineup` on [`Backend::interseq_lanes`] lanes, with the `tables`
-    /// built for that query — the `shared` stream when there is one.
-    /// Writes each subject's maximum `H` to `maxima[subject]`; a value ≥
-    /// [`Tables::limit`] may have saturated and must escalate, anything
-    /// below is the exact score.
+    /// The inter-sequence byte kernel: `query` against `stream`, with the
+    /// `tables` built for that query. Writes each subject's maximum `H`
+    /// to `maxima[subject]`, `subject` its position among the stream's
+    /// starts; a value ≥ [`Tables::limit`] may have saturated and must
+    /// escalate, anything below is the exact score. A subject the stream
+    /// never reaches (an empty one dealt where it ends) is left alone.
     pub(crate) fn interseq8(
         self,
         query: &[u8],
         tables: &Tables,
-        lineup: Lineup<'_>,
-        shared: Option<&Stream>,
+        stream: StreamRef<'_>,
         scratch: &mut Scratch,
         maxima: &mut [u8],
     ) {
@@ -776,14 +463,12 @@ impl Backend {
             Backend::Avx2 if self.is_available() => {
                 let kernel = crate::simd_avx2::refill_avx2;
                 // SAFETY: the guard just detected AVX2 on this CPU.
-                unsafe { score_stream(kernel, query, tables, lineup, shared, scratch, maxima) }
+                unsafe { score_stream(kernel, query, tables, stream, scratch, maxima) }
             }
             // Every other host runs the lane arrays.
             _ => {
                 // SAFETY: the lane arrays need no instruction set.
-                unsafe {
-                    score_stream(refill_array, query, tables, lineup, shared, scratch, maxima)
-                }
+                unsafe { score_stream(refill_array, query, tables, stream, scratch, maxima) }
             }
         }
     }
@@ -793,8 +478,8 @@ impl Backend {
 mod tests {
     use super::*;
     use crate::scalar::gotoh_score;
-    use crate::tiered::{score_database_with, ByteShape, TierStats};
-    use proptest::prelude::*;
+    use crate::tiered::{score_database_with, ByteShape, Subjects, TierStats};
+    use swdual_bio::lanes::Stream;
     use swdual_bio::{Alphabet, Matrix};
 
     fn prot(t: &[u8]) -> Vec<u8> {
@@ -802,8 +487,7 @@ mod tests {
     }
 
     /// Each subject's raw maximum, before any escalation, with the
-    /// subjects dealt out in the order given — from both sources, which
-    /// must agree.
+    /// subjects dealt out to one stream in the order given.
     fn lane_maxima(
         backend: Backend,
         q: &[u8],
@@ -811,19 +495,11 @@ mod tests {
         scheme: &ScoringScheme,
     ) -> Vec<u8> {
         let tables = Tables::build(q, scheme).unwrap();
-        let order: Vec<u32> = (0..subjects.len() as u32).collect();
-        let lineup = Lineup {
-            seqs: subjects,
-            order: &order,
-        };
-        let mut per_job = vec![0u8; subjects.len()];
+        let stream = Stream::lay_out(subjects.iter().copied());
+        let mut maxima = vec![0u8; subjects.len()];
         let scratch = &mut Scratch::default();
-        backend.interseq8(q, &tables, lineup, None, scratch, &mut per_job);
-        let mut shared = vec![0u8; subjects.len()];
-        let stream = backend.interseq_stream(lineup);
-        backend.interseq8(q, &tables, lineup, Some(&stream), scratch, &mut shared);
-        assert_eq!(per_job, shared, "{backend}: the two sources disagree");
-        per_job
+        backend.interseq8(q, &tables, StreamRef::of(&stream), scratch, &mut maxima);
+        maxima
     }
 
     /// Every backend's raw stream must equal Gotoh (all scores here fit
@@ -856,8 +532,8 @@ mod tests {
         // Every lane of each backend's vector in use, then refilled.
         let scheme = ScoringScheme::protein_default();
         let q = prot(b"MKWVTFISLLFLFSSAYSRG");
-        assert_batch_exact(&q, &rotations(&q, crate::wide::LANES8W), &scheme);
-        assert_batch_exact(&q, &rotations(&q, 3 * crate::wide::LANES8W + 5), &scheme);
+        assert_batch_exact(&q, &rotations(&q, LANES), &scheme);
+        assert_batch_exact(&q, &rotations(&q, 3 * LANES + 5), &scheme);
     }
 
     #[test]
@@ -892,8 +568,9 @@ mod tests {
     #[test]
     fn refilled_lanes_start_from_a_clean_column() {
         // A perfect match hands its lane to a subject that only scores
-        // if it does not inherit the match's `H`/`E` state or maximum —
-        // on block edges too: 600 columns, 40 lanes' worth of subjects.
+        // if it does not inherit the match's `H`/`E` state or maximum:
+        // 600 columns, 40 lanes' worth of subjects, in both halves of a
+        // 32-lane column.
         let scheme = ScoringScheme::protein_default();
         let q = prot(b"WWWWCCCC");
         let mut subjects = vec![prot(&[b'A'; 600])];
@@ -939,7 +616,6 @@ mod tests {
                 db.whole(),
                 &scheme,
                 None,
-                None,
                 &mut Scratch::default(),
                 &mut stats,
             );
@@ -956,9 +632,8 @@ mod tests {
     fn search_batches_whole_database() {
         let scheme = ScoringScheme::protein_default();
         let q = prot(b"MKVLATGGARND");
-        // 70 subjects: two refills of every AVX2 lane, four of every
-        // lane-array one.
-        let subjects: Vec<Vec<u8>> = (0..70)
+        // 300 subjects: three blocks, each refilling every lane.
+        let subjects: Vec<Vec<u8>> = (0..300)
             .map(|i| {
                 let mut v = q.clone();
                 v.rotate_left(i % 12);
@@ -979,7 +654,6 @@ mod tests {
                 &db,
                 db.whole(),
                 &scheme,
-                None,
                 None,
                 &mut Scratch::default(),
                 &mut TierStats::default(),
@@ -1011,159 +685,20 @@ mod tests {
         assert!(Tables::build(&[0, 5], &dna).is_none());
     }
 
-    /// The per-job cursors' blocks, end to end.
-    fn laid_out_by_cursors<const L: usize>(lineup: Lineup<'_>) -> (Vec<u8>, Vec<Start>) {
-        let mut cursors = Cursors::<L>::new(lineup);
-        let (mut columns, mut starts) = (Vec::new(), Vec::new());
-        let mut block = [[0u8; L]; BLOCK];
-        let mut block_starts = Vec::new();
-        loop {
-            let (first, width) = cursors.next_block(&mut block, &mut block_starts);
-            if width == 0 {
-                break;
-            }
-            assert_eq!(first * L, columns.len(), "blocks are contiguous");
-            columns.extend(block[..width].as_flattened());
-            assert!(block_starts.iter().all(|s| s.column < first + width));
-            starts.extend(&block_starts);
-        }
-        (columns, starts)
-    }
-
-    fn assert_sources_lay_out_alike<const L: usize>(lengths: &[usize]) {
-        let seqs: Vec<Vec<u8>> = lengths
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (0..n).map(|k| ((i + k) % 20) as u8).collect())
-            .collect();
-        let refs: Vec<&[u8]> = seqs.iter().map(Vec::as_slice).collect();
-        let db = Subjects::new(refs);
-        let lineup = Lineup {
-            seqs: db.seqs(),
-            order: db.order(),
-        };
-        let stream = Stream::build::<L>(lineup);
-        let (columns, starts) = laid_out_by_cursors::<L>(lineup);
-        assert_eq!(columns, stream.columns, "{L} lanes: columns");
-        assert_eq!(starts, stream.starts, "{L} lanes: starts");
-        assert_eq!(lineup.columns(L) * L, columns.len());
-        // The oracle: each subject in the length order goes to the lane
-        // that frees first, the lowest on a tie, and is written down that
-        // lane from there; the lane frees on the next multiple of four
-        // columns, pad until then. Empty subjects at the very end start
-        // where the stream ends: the kernel never reaches them, and they
-        // keep 0.
-        let mut free_at = [0usize; L];
-        let mut want = vec![PAD; columns.len()];
-        let mut want_starts = Vec::new();
-        for subject in 0..lengths.len() {
-            let lane = (0..L).min_by_key(|&l| (free_at[l], l)).unwrap();
-            let column = free_at[lane];
-            let residues = lineup.get(subject).unwrap();
-            for (k, &r) in residues.iter().enumerate() {
-                want[(column + k) * L + lane] = r;
-            }
-            if column * L < columns.len() {
-                want_starts.push(Start {
-                    column,
-                    lane,
-                    subject,
-                });
-            }
-            free_at[lane] = (column + residues.len()).next_multiple_of(4);
-        }
-        assert_eq!(columns.len() % (4 * L), 0, "whole groups of columns");
-        assert_eq!(columns, want, "{L} lanes: columns against the oracle");
-        assert_eq!(starts, want_starts, "{L} lanes: starts against the oracle");
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn cursors_and_builder_lay_out_the_same_stream(
-            lengths in prop::collection::vec(
-                // Empty, short, and long enough to cross block edges.
-                (0u8..4, 0usize..700).prop_map(|(kind, n)| match kind {
-                    0 => 0,
-                    1 | 2 => n % 40,
-                    _ => n,
-                }),
-                0..90,
-            ),
-        ) {
-            assert_sources_lay_out_alike::<16>(&lengths);
-            assert_sources_lay_out_alike::<32>(&lengths);
-        }
-    }
-
     #[test]
     fn no_count_of_subjects_makes_a_stream_panic() {
-        for lengths in [
-            vec![],
-            vec![0; 5],
-            vec![0; 100],
-            vec![3; 100],
-            vec![BLOCK; 33],
-        ] {
-            assert_sources_lay_out_alike::<16>(&lengths);
-            assert_sources_lay_out_alike::<32>(&lengths);
-        }
-    }
-
-    #[test]
-    fn a_slice_is_shared_when_more_jobs_score_it_than_there_are_workers() {
-        let backend = Backend::Scalar;
-        let seqs: Vec<Vec<u8>> = (0..20).map(|i| vec![1; i]).collect();
-        let db: Subjects = seqs.iter().map(Vec::as_slice).collect();
-        let streams = SharedStreams::default();
-        assert!(
-            streams.get(&(0..10), 16).is_none(),
-            "nothing is shared before the rule ran"
-        );
-        let jobs = [
-            (30, 0..10),
-            (30, 0..10),
-            (40, 0..10),
-            (30, 10..20),
-            (30, 10..20),
-        ];
-        streams.share(backend, &db, jobs, 2);
-        let stream = streams.get(&(0..10), 16).unwrap();
-        let order = &db.order()[0..10];
-        let lineup = Lineup {
-            seqs: db.seqs(),
-            order,
-        };
-        assert_eq!(stream.columns.len(), lineup.columns(16) * 16);
-        assert!(
-            streams.get(&(0..10), 32).is_none(),
-            "laid out on other lanes"
-        );
-        assert!(
-            streams.get(&(10..20), 16).is_none(),
-            "two jobs on two workers"
-        );
-        assert!(streams.get(&(0..20), 16).is_none());
-        // Only the first call counts, and a slice outside the database
-        // is never shared.
-        streams.share(backend, &db, vec![(30, 10..20); 3], 1);
-        assert!(streams.get(&(10..20), 16).is_none());
-        let streams = SharedStreams::default();
-        streams.share(backend, &db, vec![(30, 15..40); 3], 1);
-        assert!(streams.get(&(15..40), 16).is_none());
-        // Queries at or above the share bound do not count; one just
-        // below it does.
-        for backend in Backend::available() {
-            let lanes = backend.interseq_lanes();
-            let streams = SharedStreams::default();
-            let long = [(SHARE_BELOW, 0..10), (2000, 0..10)];
-            streams.share(backend, &db, long, 1);
-            assert!(streams.get(&(0..10), lanes).is_none());
-            let streams = SharedStreams::default();
-            let below = [(SHARE_BELOW - 1, 0..10), (SHARE_BELOW - 1, 0..10)];
-            streams.share(backend, &db, below, 1);
-            assert!(streams.get(&(0..10), lanes).is_some());
+        // Streams of none, of empty subjects only, of one lane's worth
+        // refilled many times, and of subjects filling both halves of
+        // every column: exact on every backend.
+        let scheme = ScoringScheme::protein_default();
+        let q = prot(b"MKVLATGG");
+        for lengths in [vec![], vec![0; 5], vec![0; 100], vec![3; 100], vec![256; 33]] {
+            let subjects: Vec<Vec<u8>> = lengths
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (0..n).map(|k| ((i + k) % 20) as u8).collect())
+                .collect();
+            assert_batch_exact(&q, &subjects, &scheme);
         }
     }
 }

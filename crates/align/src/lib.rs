@@ -15,7 +15,8 @@
 //! * [`interseq`] — Rognes' inter-sequence SIMD kernel [9] (the SWIPE
 //!   baseline): one query against a vector's worth of database
 //!   sequences at once, each lane taking the next sequence as soon as
-//!   its own ends, in the same biased byte arithmetic.
+//!   its own ends, in the same biased byte arithmetic — over the 32-lane
+//!   blocks an SQB version-3 file stores, in place.
 //! * [`engine`] — a common [`engine::AlignEngine`] trait plus the
 //!   database-search drivers the workers run.
 //!
@@ -36,7 +37,7 @@
 //!
 //! | tier   | kernel                                   | lanes (AVX2, scalar)                   |
 //! |--------|------------------------------------------|----------------------------------------|
-//! | byte   | inter-sequence [`interseq`] stream *or* striped [`striped8`], picked at the stream's head by fill and query length | 32 lanes or 32 × u8 / 16 × u8 (inter-sequence on lane arrays) |
+//! | byte   | inter-sequence [`interseq`] stream *or* striped [`striped8`], picked per block by fill and query length | 32 lanes or 32 × u8 / 16 × u8 (inter-sequence on lane arrays, two per 32-lane column) |
 //! | 16-bit | striped [`striped`]                      | 16 × i16 / 8 × i16                     |
 //! | scalar | Gotoh [`scalar`]                         | —                                      |
 //!
@@ -58,7 +59,6 @@ pub mod wide;
 
 pub use dispatch::{Backend, QueryProfiles};
 pub use engine::{AlignEngine, EngineKind, PhaseTimings};
-pub use interseq::SharedStreams;
 pub use profile_cache::ProfileCache;
 pub use scalar::{gotoh_score, sw_linear_score};
 pub use scratch::Scratch;

@@ -1,14 +1,14 @@
 //! Reusable kernel working memory.
 //!
 //! A database pass scores one query against thousands of subjects; the
-//! DP state of every kernel (`H`/`E` rows, the inter-sequence kernel's
-//! block of residue columns) has the same shape for each of them. A
+//! DP state of every kernel (`H`/`E` rows, a subject gathered from its
+//! lane) has the same shape for each of them. A
 //! worker owns one [`Scratch`] for its whole life and hands it to every
 //! call, so no kernel allocates per subject and the buffers stay warm
 //! in cache across blocks and jobs.
 
-use crate::interseq::GROUP;
 use crate::profile::LANES;
+use swdual_bio::lanes::GROUP;
 use crate::striped8::LANES8;
 
 /// Cache-line size the byte buffers are aligned to, so a vector load
@@ -16,13 +16,14 @@ use crate::striped8::LANES8;
 const ALIGN: usize = 64;
 
 /// Per-worker kernel working memory. Buffers grow to the largest query
-/// and widest block seen and are never shrunk; a buffer no kernel of
-/// the active backend uses stays unallocated.
+/// and subject seen and are never shrunk; a buffer no kernel of the
+/// active backend uses stays unallocated.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Inter-sequence kernel: a block of a job's stream, one vector of
-    /// lanes per column.
-    columns: Vec<u8>,
+    /// A subject gathered from its lane of the database's stream, for
+    /// the kernels that take it whole: the striped ladder and the rows
+    /// of a transposed run.
+    pub(crate) subject: Vec<u8>,
     /// Inter-sequence kernel: the column group's score profile, then
     /// `H` and `E` per query position, then the score rows.
     state: Vec<u8>,
@@ -48,8 +49,7 @@ pub(crate) struct InterseqBuffers<'a, const L: usize> {
 }
 
 impl Scratch {
-    /// A block of `columns` stream columns, and the DP buffers for
-    /// `query_len` query positions.
+    /// The DP buffers for `query_len` query positions.
     ///
     /// Profile, state and score rows share one allocation, in that
     /// order, on purpose. At the top of every column group the kernel
@@ -65,14 +65,7 @@ impl Scratch {
     /// state's first rows at the 4K offsets of the profile entries of
     /// codes [`UNSTORED`]`..32`, which no protein or DNA query holds and
     /// the kernel therefore never stores.
-    pub(crate) fn interseq<const L: usize>(
-        &mut self,
-        columns: usize,
-        query_len: usize,
-    ) -> (&mut [[u8; L]], InterseqBuffers<'_, L>) {
-        let columns = aligned(&mut self.columns, columns * L)
-            .as_chunks_mut::<L>()
-            .0;
+    pub(crate) fn interseq<const L: usize>(&mut self, query_len: usize) -> InterseqBuffers<'_, L> {
         let profile_len = 32 * GROUP * L;
         let gap = profile_gap(L);
         let len = profile_len + gap + query_len * 2 * L + 32 * 32;
@@ -81,7 +74,7 @@ impl Scratch {
         // `profile` is the first `32 * GROUP * L` bytes and `rows` the
         // last `32 * 32`, so both conversions below see exactly 32
         // chunks: neither `expect` can fire.
-        let buffers = InterseqBuffers {
+        InterseqBuffers {
             profile: profile
                 .as_chunks_mut::<L>()
                 .0
@@ -95,8 +88,7 @@ impl Scratch {
                 .0
                 .try_into()
                 .expect("32 rows remain"),
-        };
-        (columns, buffers)
+        }
     }
 }
 
@@ -147,9 +139,8 @@ mod tests {
     #[test]
     fn interseq_buffers_are_aligned_sized_and_reused() {
         let mut scratch = Scratch::default();
-        let (columns, buffers) = scratch.interseq::<32>(100, 45);
-        assert_eq!((columns.len(), buffers.state.len()), (100, 45));
-        assert_eq!(columns.as_ptr() as usize % ALIGN, 0);
+        let buffers = scratch.interseq::<32>(45);
+        assert_eq!(buffers.state.len(), 45);
         assert_eq!(buffers.profile.as_ptr() as usize % ALIGN, 0);
         assert_eq!(
             buffers.rows.as_ptr() as usize,
@@ -164,13 +155,13 @@ mod tests {
         let offset = (buffers.state.as_ptr() as usize - buffers.profile.as_ptr() as usize) % 4096;
         assert_eq!(offset, UNSTORED * GROUP * 32);
         assert_eq!(offset + 16 * 64, 4096);
-        let grown = scratch.columns.len();
-        // A smaller block fits in place.
-        let (columns, buffers) = scratch.interseq::<16>(10, 3);
-        assert_eq!((columns.len(), buffers.state.len()), (10, 3));
+        let grown = scratch.state.len();
+        // A shorter query fits in place.
+        let buffers = scratch.interseq::<16>(3);
+        assert_eq!(buffers.state.len(), 3);
         let offset = (buffers.state.as_ptr() as usize - buffers.profile.as_ptr() as usize) % 4096;
         assert_eq!(offset, UNSTORED * GROUP * 16, "so on 16 lanes too");
-        assert_eq!(scratch.columns.len(), grown);
+        assert_eq!(scratch.state.len(), grown);
     }
 
     #[test]

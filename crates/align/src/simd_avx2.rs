@@ -22,7 +22,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::interseq::{refill_body, Block, ByteLanes, Harvest, Tables};
+use crate::interseq::{refill_body, ByteLanes, Harvest, Tables, Window};
 use crate::scratch::{striped_rows, InterseqBuffers};
 use crate::striped::{WordGaps, NEG};
 use crate::wide::{ByteProfileW, StripedProfileW, LANES8W};
@@ -294,7 +294,8 @@ impl ByteLanes<LANES8W> for __m256i {
     }
 }
 
-/// One block of an inter-sequence stream on AVX2 (see
+/// One window of an inter-sequence stream on AVX2 — the whole stream
+/// (see
 /// [`crate::interseq::refill_body`]).
 ///
 /// # Safety
@@ -303,7 +304,7 @@ impl ByteLanes<LANES8W> for __m256i {
 pub(crate) unsafe fn refill_avx2(
     query: &[u8],
     tables: &Tables,
-    block: Block<'_, LANES8W>,
+    block: Window<'_, LANES8W>,
     buffers: InterseqBuffers<'_, LANES8W>,
     harvest: &mut Harvest<LANES8W>,
     maxima: &mut [u8],

@@ -11,12 +11,14 @@
 //! [`score_database`] is the one database-level entry point — the CPU
 //! worker, the simulated device's functional scorer and the engines all
 //! score a query against a database, or a slice of its length order,
-//! through it. It picks the byte tier's *shape* once per job, at the
-//! head of the slice: the slice is one refilled inter-sequence stream
-//! ([`crate::interseq`], many subjects per vector), except that head
-//! subjects go through Farrar's striped kernel one by one for as long as
-//! the stream of the rest would fill too few of its cells for the
-//! query's length ([`Backend::interseq_min_fill`], measured). Both shapes
+//! through it. The database's [`Subjects`] are the blocks of an SQB
+//! version-3 image, each a refilled inter-sequence stream
+//! ([`crate::interseq`], many subjects per vector) scored where it lies.
+//! The byte tier's *shape* is picked once per block: a block whose
+//! stream fills too few of its cells for the query's length
+//! ([`Backend::interseq_min_fill`], measured) goes through Farrar's
+//! striped kernel subject by subject instead, each subject gathered
+//! from its lane. Both shapes
 //! share one bias and one saturation limit, so they escalate exactly the
 //! same subjects and [`TierStats`] does not depend on the pick.
 //! Escalations run the striped 16-bit kernel from a [`QueryProfiles`]
@@ -39,14 +41,17 @@
 
 use crate::dispatch::{Backend, QueryProfiles};
 use crate::engine::PhaseTimings;
-use crate::interseq::{stream_columns, Lineup, SharedStreams, Tables, BLOCK, GROUP, PAD};
+use crate::interseq::{StreamRef, Tables};
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
 use crate::striped8::byte_range;
+use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
+use swdual_bio::lanes::{self, Start, Stream, BLOCK_RECORDS, LANES, PAD};
 use swdual_bio::{ScoringScheme, Sequence, SequenceSet, SqbImage};
 
 /// Where each subject of a job was resolved.
@@ -107,15 +112,29 @@ fn escalate(
     gotoh_score(&profiles.query, subject, scheme)
 }
 
-/// A database as the search scores it: the borrowed subjects, the order
-/// the inter-sequence kernel deals them to its lanes in (longest first,
-/// so the lanes of a stream end close together) and the residues that
-/// precede each position of that order. Built once per search and borrowed by every worker and
-/// device residency; a *slice* — the unit a job scores — is a range of
-/// positions of the length order.
+/// A database as the search scores it: its records in length order
+/// (longest first, ties in database order), laid out as one
+/// [`swdual_bio::lanes`] stream per block of [`BLOCK_RECORDS`] of them,
+/// with each record's database index, length and start, and the
+/// residues that precede each position of the order. Borrowed from an
+/// [`SqbImage`] — whose file holds exactly this layout, so nothing is
+/// sorted or laid out per search — or laid out here from plain slices.
+/// Built once per search and borrowed by every worker and device
+/// residency; a *slice* — the unit a job scores — is a range of
+/// positions of the length order, and one cut on multiples of
+/// [`BLOCK_RECORDS`] is a range of whole blocks.
 #[derive(Debug, Clone, Default)]
 pub struct Subjects<'a> {
-    seqs: Vec<&'a [u8]>,
+    /// Every block's stream, one after the other, [`LANES`] cells a
+    /// column.
+    columns: Cow<'a, [u8]>,
+    /// Per block: its first column and its width.
+    blocks: Vec<(usize, usize)>,
+    /// Per position: where its block's stream starts the record.
+    starts: Vec<Start>,
+    /// Per position: the record's residues.
+    lens: Vec<u32>,
+    /// Per position: the record's database index.
     by_length: Vec<u32>,
     /// `residues_before[p]`: residues of the first `p` subjects of the
     /// length order (one entry more than there are subjects).
@@ -123,45 +142,67 @@ pub struct Subjects<'a> {
 }
 
 impl<'a> Subjects<'a> {
-    /// Take `seqs`, sort their indices by length and sum the lengths
-    /// along that order.
+    /// Lay `seqs` out as an SQB version-3 file would: sort their indices
+    /// by length and deal each block of the order out to its stream.
     ///
     /// # Panics
-    /// On more than `u32::MAX` subjects. No input file reaches that: an
-    /// SQB header declaring more records is refused as malformed, the
-    /// SQB writer refuses to write more, and FASTA reaches a search
-    /// through that writer.
-    pub fn new(seqs: Vec<&'a [u8]>) -> Subjects<'a> {
+    /// On more than `u32::MAX` subjects, or a block too long for its
+    /// starts. No input file reaches either: an SQB header declaring
+    /// more records is refused as malformed, the SQB writer refuses to
+    /// write either, and FASTA reaches a search through that writer.
+    pub fn new(seqs: Vec<&[u8]>) -> Subjects<'a> {
         let count = u32::try_from(seqs.len()).expect("at most u32::MAX subjects");
         let mut by_length: Vec<u32> = (0..count).collect();
-        by_length.sort_by_key(|&i| std::cmp::Reverse(seqs[i as usize].len()));
-        let mut residues_before = Vec::with_capacity(seqs.len() + 1);
+        by_length.sort_by_key(|&i| Reverse(seqs[i as usize].len()));
+        let mut columns = Vec::new();
+        let mut blocks = Vec::with_capacity(by_length.len().div_ceil(BLOCK_RECORDS));
+        let mut starts = Vec::with_capacity(by_length.len());
+        for block in by_length.chunks(BLOCK_RECORDS) {
+            let (dealt, width) = lanes::deal(block.iter().map(|&i| seqs[i as usize].len()));
+            let first = columns.len() / LANES;
+            columns.resize(columns.len() + width * LANES, PAD);
+            for (&i, &start) in block.iter().zip(&dealt) {
+                lanes::place(&mut columns[first * LANES..], start, seqs[i as usize]);
+            }
+            blocks.push((first, width));
+            starts.extend(dealt);
+        }
+        let lens = by_length.iter().map(|&i| seqs[i as usize].len() as u32);
+        Subjects::assemble(Cow::Owned(columns), blocks, starts, lens.collect(), by_length)
+    }
+
+    fn assemble(
+        columns: Cow<'a, [u8]>,
+        blocks: Vec<(usize, usize)>,
+        starts: Vec<Start>,
+        lens: Vec<u32>,
+        by_length: Vec<u32>,
+    ) -> Subjects<'a> {
+        let mut residues_before = Vec::with_capacity(lens.len() + 1);
         let mut held = 0u64;
         residues_before.push(held);
-        for &i in &by_length {
-            held += seqs[i as usize].len() as u64;
+        for &len in &lens {
+            held += u64::from(len);
             residues_before.push(held);
         }
         Subjects {
-            seqs,
+            columns,
+            blocks,
+            starts,
+            lens,
             by_length,
             residues_before,
         }
     }
 
-    /// The subjects, in the order they were given.
-    pub fn seqs(&self) -> &[&'a [u8]] {
-        &self.seqs
-    }
-
     /// Number of subjects.
     pub fn len(&self) -> usize {
-        self.seqs.len()
+        self.lens.len()
     }
 
     /// True when there is nothing to score.
     pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
+        self.lens.is_empty()
     }
 
     /// The length order: database indices, longest subject first, ties
@@ -172,12 +213,12 @@ impl<'a> Subjects<'a> {
 
     /// The slice that is the whole database.
     pub fn whole(&self) -> Range<usize> {
-        0..self.seqs.len()
+        0..self.len()
     }
 
     /// Residues of all subjects.
     pub fn total_residues(&self) -> u64 {
-        self.residues_before[self.seqs.len()]
+        self.residues_before[self.len()]
     }
 
     /// Residues of the subjects of `slice`: a difference of two prefix
@@ -189,12 +230,74 @@ impl<'a> Subjects<'a> {
         self.residues_before[slice.end] - self.residues_before[slice.start]
     }
 
-    /// The subjects of `slice`, in the length order.
+    /// The lengths of the subjects of `slice`, in the length order.
     ///
     /// # Panics
     /// When `slice` is not a range of positions of the length order.
-    pub fn in_order(&self, slice: Range<usize>) -> impl Iterator<Item = &'a [u8]> + '_ {
-        self.by_length[slice].iter().map(|&i| self.seqs[i as usize])
+    pub fn lengths(&self, slice: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        self.lens[slice].iter().map(|&len| len as usize)
+    }
+
+    /// Every subject's length, in database order.
+    pub fn lengths_in_database_order(&self) -> Vec<usize> {
+        let mut lengths = vec![0; self.len()];
+        for (&i, &len) in self.by_length.iter().zip(&self.lens) {
+            lengths[i as usize] = len as usize;
+        }
+        lengths
+    }
+
+    /// Gather the residues of the subject at `position` of the length
+    /// order from its lane into `out`.
+    ///
+    /// # Panics
+    /// When `position` is past the end.
+    pub fn gather(&self, position: usize, out: &mut Vec<u8>) {
+        let (first, width) = self.blocks[position / BLOCK_RECORDS];
+        let columns = &self.columns[first * LANES..(first + width) * LANES];
+        lanes::gather(columns, self.starts[position], self.lens[position] as usize, out);
+    }
+
+    /// The residues of the subject at `position`, gathered.
+    ///
+    /// # Panics
+    /// When `position` is past the end.
+    pub fn residues(&self, position: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.gather(position, &mut out);
+        out
+    }
+
+    /// The blocks that hold the positions of `slice`.
+    fn blocks_of(&self, slice: &Range<usize>) -> Range<usize> {
+        if slice.is_empty() {
+            return 0..0;
+        }
+        slice.start / BLOCK_RECORDS..slice.end.div_ceil(BLOCK_RECORDS)
+    }
+
+    /// The positions block `block` holds.
+    fn positions(&self, block: usize) -> Range<usize> {
+        block * BLOCK_RECORDS..((block + 1) * BLOCK_RECORDS).min(self.len())
+    }
+
+    /// Block `block`'s stream.
+    pub(crate) fn stream(&self, block: usize) -> StreamRef<'_> {
+        let (first, width) = self.blocks[block];
+        StreamRef {
+            columns: self.columns[first * LANES..(first + width) * LANES]
+                .as_chunks::<LANES>()
+                .0,
+            starts: &self.starts[self.positions(block)],
+        }
+    }
+
+    /// The residues of block `block` over its cells.
+    fn block_fill(&self, block: usize) -> f64 {
+        fill(
+            self.residues_in(self.positions(block)) as usize,
+            self.blocks[block].1,
+        )
     }
 
     /// The position, a multiple of `align` or the end of the order, whose
@@ -202,7 +305,7 @@ impl<'a> Subjects<'a> {
     /// a slice boundary falls. Zero maps to the first position and one
     /// to the end whatever the lengths.
     pub fn cut_at(&self, fraction: f64, align: usize) -> usize {
-        let n = self.seqs.len();
+        let n = self.len();
         if fraction <= 0.0 {
             return 0;
         }
@@ -239,7 +342,7 @@ impl<'a> Subjects<'a> {
     /// # Panics
     /// When `in_length_order` is not one score per subject.
     pub fn in_database_order(&self, in_length_order: &[i32]) -> Vec<i32> {
-        assert_eq!(in_length_order.len(), self.seqs.len());
+        assert_eq!(in_length_order.len(), self.len());
         let mut scores = vec![0i32; in_length_order.len()];
         for (&i, &score) in self.by_length.iter().zip(in_length_order) {
             scores[i as usize] = score;
@@ -254,10 +357,28 @@ impl<'a> FromIterator<&'a [u8]> for Subjects<'a> {
     }
 }
 
-/// The residues of a database image, borrowed in place.
+/// The database image as it lies: its blocks' columns borrowed in
+/// place, its index read once.
 impl<'a> From<&'a SqbImage> for Subjects<'a> {
     fn from(database: &'a SqbImage) -> Self {
-        database.records().map(|record| record.residues()).collect()
+        let blocks = database.blocks().map(|block| {
+            (block.first_column as usize, block.columns as usize)
+        });
+        let n = database.len();
+        let (mut starts, mut lens, mut by_length) =
+            (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
+        for placement in database.placements() {
+            starts.push(placement.start);
+            lens.push(placement.len);
+            by_length.push(placement.original);
+        }
+        Subjects::assemble(
+            Cow::Borrowed(database.columns()),
+            blocks.collect(),
+            starts,
+            lens,
+            by_length,
+        )
     }
 }
 
@@ -272,18 +393,23 @@ impl<'a> From<&'a SequenceSet> for Subjects<'a> {
 /// property tests and the `EngineKind::InterSeq` ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByteShape {
-    /// Once per job, at the head of the stream: while the stream would
-    /// fill fewer of its cells than [`Backend::interseq_min_fill`] asks,
-    /// its head subject goes through the striped ladder instead. One rule
-    /// covers long outliers at the head of the length order, slices too
-    /// small to fill the lanes, and longer queries, for which only
-    /// fuller streams pay.
+    /// Once per block of the database: a block whose stream fills fewer
+    /// of its cells than [`Backend::interseq_min_fill`] asks goes through
+    /// the striped ladder subject by subject instead. One rule covers
+    /// long outliers at the head of the length order, blocks too small
+    /// to fill the lanes, and longer queries, for which only fuller
+    /// streams pay.
     Auto,
     /// Farrar's striped kernel for every subject.
     Striped,
     /// The inter-sequence stream for every subject, however ragged.
     InterSeq,
 }
+
+/// Columns a transposed run's stream may span: it is walked whole once
+/// per subject, so like a block of the database it stays in L1 beside
+/// the DP state (8 KB of residues).
+pub const RUN_COLUMNS: usize = 256;
 
 impl Backend {
     /// The pick rule of [`ByteShape::Auto`]: the smallest *fill* — real
@@ -313,11 +439,10 @@ impl Backend {
         }
     }
 
-    /// Query residues one transposed run may hold: one [`BLOCK`] of
-    /// lanes. A run's stream is walked whole once per subject, so it
-    /// stays in L1 like one block of a slice's stream does.
+    /// Query residues one transposed run may hold: [`RUN_COLUMNS`]
+    /// columns of lanes.
     pub fn run_residues(self) -> usize {
-        BLOCK * self.interseq_lanes()
+        RUN_COLUMNS * LANES
     }
 
     /// Whether `query` may join a transposed run under a scheme that
@@ -327,18 +452,11 @@ impl Backend {
         in_alphabet(query, scheme)
     }
 
-    /// The fill of the stream of `slice` of `db` on this backend's lanes:
-    /// residues over `lanes × columns` cells, 0 for an empty stream.
+    /// The fill of the streams `slice` of `db` is scored from: its
+    /// residues over the cells of the blocks that hold it, 0 for none.
     pub fn slice_fill(self, db: &Subjects<'_>, slice: Range<usize>) -> f64 {
-        let lineup = Lineup {
-            seqs: db.seqs(),
-            order: &db.order()[slice.clone()],
-        };
-        fill(
-            db.residues_in(slice) as usize,
-            lineup.columns(self.interseq_lanes()),
-            self,
-        )
+        let columns = db.blocks_of(&slice).map(|b| db.blocks[b].1).sum();
+        fill(db.residues_in(slice) as usize, columns)
     }
 
     /// The run pick: how many of a worker's next tasks on one slice, given
@@ -346,7 +464,7 @@ impl Backend {
     /// [`Backend::joins_runs`], form one transposed run — the longest
     /// prefix whose residues stay within [`Backend::run_residues`], when
     /// its queries, longest first, fill more of their stream's cells than
-    /// the slice's own stream does (`slice_fill`, from
+    /// the slice's own streams do (`slice_fill`, from
     /// [`Backend::slice_fill`]); otherwise the head alone. Only a
     /// symmetric scoring matrix may be scored transposed: the caller
     /// checks that.
@@ -364,8 +482,8 @@ impl Backend {
             return lens.len();
         }
         lens.sort_unstable_by(|a, b| b.cmp(a));
-        let columns = stream_columns(lens.iter().copied(), self.interseq_lanes());
-        if fill(residues, columns, self) > slice_fill {
+        let columns = lanes::stream_columns(lens.iter().copied());
+        if fill(residues, columns) > slice_fill {
             lens.len()
         } else {
             1
@@ -386,10 +504,10 @@ fn in_alphabet(query: &[u8], scheme: &ScoringScheme) -> bool {
     query.iter().all(|&q| (q as usize) < scheme.matrix.size())
 }
 
-/// Residues over the cells of a stream of `columns` columns on
-/// `backend`'s lanes; 0 for an empty stream.
-fn fill(residues: usize, columns: usize, backend: Backend) -> f64 {
-    match columns * backend.interseq_lanes() {
+/// Residues over the cells of a stream of `columns` columns; 0 for an
+/// empty stream.
+fn fill(residues: usize, columns: usize) -> f64 {
+    match columns * LANES {
         0 => 0.0,
         cells => residues as f64 / cells as f64,
     }
@@ -445,40 +563,13 @@ impl<'a> LazyProfiles<'a> {
     }
 }
 
-/// Whether the stream of the subjects at `positions` of `db`'s length
-/// order, dealt to `lanes` lanes, fills at least `min_fill` of its cells
-/// with residues. A stream is at least as long as its longest subject
-/// and as `residues / lanes`, and at most their sum (Graham's bound for
-/// list scheduling) once each subject is counted with the pad columns
-/// up to its lane's next group boundary; those settle most slices
-/// without dealing any out.
-fn fills(db: &Subjects<'_>, positions: Range<usize>, lanes: usize, min_fill: f64) -> bool {
-    let residues = db.residues_in(positions.clone()) as f64;
-    let longest = db.in_order(positions.clone()).next().map_or(0, <[u8]>::len) as f64;
-    let per_lane = residues / lanes as f64;
-    let fills = |columns: f64| residues >= min_fill * lanes as f64 * columns;
-    let pad = (GROUP - 1) as f64;
-    if fills(per_lane + pad * positions.len() as f64 / lanes as f64 + longest + pad) {
-        return true;
-    }
-    if !fills(per_lane.max(longest)) {
-        return false;
-    }
-    let lineup = Lineup {
-        seqs: db.seqs(),
-        order: &db.order()[positions],
-    };
-    fills(lineup.columns(lanes) as f64)
-}
-
 /// Score `query` against the subjects of `slice` — a range of positions
 /// of `db`'s length order, [`Subjects::whole`] for all of it — on the
 /// active backend, the byte-tier shape picked automatically. Scores are
 /// exact and in the slice's order: `scores[j]` belongs to subject
 /// `db.order()[slice.start + j]`. `stats` gains one count per subject.
 /// `profile_build` covers the inter-sequence tables and any striped
-/// profile build or cache lookup, `dp_inner` everything else. The
-/// inter-sequence stream is laid out for this job alone.
+/// profile build or cache lookup, `dp_inner` everything else.
 ///
 /// # Panics
 /// When `slice` is not a range of positions of the length order.
@@ -499,15 +590,17 @@ pub fn score_database(
         slice,
         scheme,
         cache,
-        None,
         scratch,
         stats,
     )
 }
 
 /// [`score_database`] on an explicit backend with an explicit byte-tier
-/// shape, taking the inter-sequence stream from `streams` when they
-/// share the slice's and no head subject was peeled striped.
+/// shape. Each block of the database that holds part of `slice` is
+/// scored where it lies: its stream through the inter-sequence kernel,
+/// or its subjects, gathered from their lanes, through the striped
+/// ladder. A block the slice only partly covers is scored whole and
+/// read for the slice's subjects.
 #[allow(clippy::too_many_arguments)]
 pub fn score_database_with(
     backend: Backend,
@@ -517,7 +610,6 @@ pub fn score_database_with(
     slice: Range<usize>,
     scheme: &ScoringScheme,
     cache: Option<&ProfileCache>,
-    streams: Option<&SharedStreams>,
     scratch: &mut Scratch,
     stats: &mut TierStats,
 ) -> (Vec<i32>, PhaseTimings) {
@@ -532,45 +624,39 @@ pub fn score_database_with(
     let tables_seconds = start.elapsed().as_secs_f64();
     let mut profiles = LazyProfiles::new(backend, query, scheme, cache);
 
-    let seqs = db.seqs();
-    let order = &db.by_length[slice.clone()];
-    let mut scores = vec![0i32; order.len()];
-    match inter_sequence {
-        None => {
-            let profiles = profiles.get();
-            for (score, &i) in scores.iter_mut().zip(order) {
-                *score = tiered_score(profiles, seqs[i as usize], scheme, scratch, stats);
+    let mut scores = vec![0i32; slice.len()];
+    let mut maxima = Vec::new();
+    let mut subject = std::mem::take(&mut scratch.subject);
+    for block in db.blocks_of(&slice) {
+        let held = db.positions(block);
+        let wanted = held.start.max(slice.start)..held.end.min(slice.end);
+        let scores = &mut scores[wanted.start - slice.start..wanted.end - slice.start];
+        let tables = inter_sequence
+            .as_ref()
+            .filter(|(_, min_fill)| db.block_fill(block) >= *min_fill);
+        let Some((tables, _)) = tables else {
+            for (score, position) in scores.iter_mut().zip(wanted) {
+                db.gather(position, &mut subject);
+                *score = tiered_score(profiles.get(), &subject, scheme, scratch, stats);
             }
-        }
-        Some((tables, min_fill)) => {
-            let lanes = backend.interseq_lanes();
-            let mut peeled = 0;
-            while peeled < order.len()
-                && !fills(db, slice.start + peeled..slice.end, lanes, min_fill)
-            {
-                let subject = seqs[order[peeled] as usize];
-                scores[peeled] = tiered_score(profiles.get(), subject, scheme, scratch, stats);
-                peeled += 1;
-            }
-            let order = &order[peeled..];
-            let lineup = Lineup { seqs, order };
-            // A shared stream holds the whole slice.
-            let shared = streams
-                .filter(|_| peeled == 0)
-                .and_then(|s| s.get(&slice, lanes));
-            let mut maxima = vec![0u8; order.len()];
-            backend.interseq8(query, &tables, lineup, shared, scratch, &mut maxima);
-            for ((score, &i), &best) in scores[peeled..].iter_mut().zip(order).zip(&maxima) {
-                stats.subjects += 1;
-                *score = if best < tables.limit {
-                    stats.byte_resolved += 1;
-                    best as i32
-                } else {
-                    escalate(profiles.get(), seqs[i as usize], scheme, scratch, stats)
-                };
-            }
+            continue;
+        };
+        maxima.clear();
+        maxima.resize(held.len(), 0);
+        backend.interseq8(query, tables, db.stream(block), scratch, &mut maxima);
+        for (score, position) in scores.iter_mut().zip(wanted) {
+            stats.subjects += 1;
+            let best = maxima[position - held.start];
+            *score = if best < tables.limit {
+                stats.byte_resolved += 1;
+                best as i32
+            } else {
+                db.gather(position, &mut subject);
+                escalate(profiles.get(), &subject, scheme, scratch, stats)
+            };
         }
     }
+    scratch.subject = subject;
 
     let profile_build = tables_seconds + profiles.seconds;
     let timings = PhaseTimings {
@@ -589,15 +675,16 @@ pub fn score_database_with(
 /// The local score of (q, s) equals that of (s, q) under a symmetric
 /// matrix, so a run of short queries can fill the lanes that a few
 /// subjects leave empty. The queries, longest first, are laid out once
-/// as one refilled stream; each subject, with its own [`Tables`], runs
-/// down the rows of the unchanged inter-sequence kernel against it.
-/// Subject and query tables share one bias and one saturation limit, so
-/// a pair whose byte maximum reaches that limit is exactly a pair the
-/// query's own pass would escalate, and it escalates through that
-/// query's striped ladder in the original orientation, as does every
-/// pair of a subject whose residues the tables refuse. A query the
-/// tables refuse, or every query of a scheme that does not
-/// [`transposes`], is scored through its own [`ByteShape::Auto`] pass.
+/// as one refilled stream; each subject, gathered from its lane and with
+/// its own [`Tables`], runs down the rows of the unchanged
+/// inter-sequence kernel against it. Subject and query tables share one
+/// bias and one saturation limit, so a pair whose byte maximum reaches
+/// that limit is exactly a pair the query's own pass would escalate, and
+/// it escalates through that query's striped ladder in the original
+/// orientation, as does every pair of a subject whose residues the
+/// tables refuse. A query the tables refuse, or every query of a scheme
+/// that does not [`transposes`], is scored through its own
+/// [`ByteShape::Auto`] pass.
 #[allow(clippy::too_many_arguments)]
 pub fn score_run_with(
     backend: Backend,
@@ -613,53 +700,42 @@ pub fn score_run_with(
     let transposed = transposes(scheme);
     let (mut in_stream, alone): (Vec<u32>, Vec<u32>) = (0..queries.len() as u32)
         .partition(|&k| transposed && in_alphabet(queries[k as usize], scheme));
-    in_stream.sort_by_key(|&k| std::cmp::Reverse(queries[k as usize].len()));
-    let lineup = Lineup {
-        seqs: queries,
-        order: &in_stream,
-    };
-    let stream = backend.interseq_stream(lineup);
+    in_stream.sort_by_key(|&k| Reverse(queries[k as usize].len()));
+    let stream = Stream::lay_out(in_stream.iter().map(|&k| queries[k as usize]));
     let mut profiles: Vec<LazyProfiles> = queries
         .iter()
         .map(|query| LazyProfiles::new(backend, query, scheme, cache))
         .collect();
     let mut profile_build = 0.0;
 
-    let seqs = db.seqs();
-    let order = &db.by_length[slice.clone()];
-    let mut scores = vec![vec![0i32; order.len()]; queries.len()];
+    let mut scores = vec![vec![0i32; slice.len()]; queries.len()];
     let mut maxima = vec![0u8; in_stream.len()];
-    for (j, &i) in order.iter().enumerate() {
-        let subject = seqs[i as usize];
+    let mut subject = std::mem::take(&mut scratch.subject);
+    for (j, position) in slice.clone().enumerate() {
+        db.gather(position, &mut subject);
         let built = Instant::now();
-        let tables = Tables::build(subject, scheme);
+        let tables = Tables::build(&subject, scheme);
         profile_build += built.elapsed().as_secs_f64();
         let Some(tables) = tables else {
             for &k in &in_stream {
                 let profiles = profiles[k as usize].get();
-                scores[k as usize][j] = tiered_score(profiles, subject, scheme, scratch, stats);
+                scores[k as usize][j] = tiered_score(profiles, &subject, scheme, scratch, stats);
             }
             continue;
         };
         maxima.fill(0);
-        backend.interseq8(
-            subject,
-            &tables,
-            lineup,
-            Some(&stream),
-            scratch,
-            &mut maxima,
-        );
+        backend.interseq8(&subject, &tables, StreamRef::of(&stream), scratch, &mut maxima);
         for (&k, &best) in in_stream.iter().zip(&maxima) {
             stats.subjects += 1;
             scores[k as usize][j] = if best < tables.limit {
                 stats.byte_resolved += 1;
                 best as i32
             } else {
-                escalate(profiles[k as usize].get(), subject, scheme, scratch, stats)
+                escalate(profiles[k as usize].get(), &subject, scheme, scratch, stats)
             };
         }
     }
+    scratch.subject = subject;
     profile_build += profiles.iter().map(|p| p.seconds).sum::<f64>();
 
     for k in alone.into_iter().map(|k| k as usize) {
@@ -671,7 +747,6 @@ pub fn score_run_with(
             slice.clone(),
             scheme,
             cache,
-            None,
             scratch,
             stats,
         );
@@ -803,20 +878,65 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn the_fill_bounds_decide_as_the_dealt_stream(
-            lengths in prop::collection::vec(0usize..300, 0..120),
-            // Often a few residues at most, where a group pads most.
-            longest in (0usize..2, 1usize..8).prop_map(|(kind, n)| if kind == 0 { n } else { 300 }),
-            min_fill in 0.0f64..1.0,
+        fn subjects_lay_out_and_read_back_as_the_image_does(
+            lengths in prop::collection::vec(0usize..300, 0..300),
         ) {
-            let seqs: Vec<Vec<u8>> = lengths.iter().map(|&n| vec![1; n % longest]).collect();
+            // Laid out from slices and borrowed from an image, the same
+            // database gives the same order, starts, blocks and columns,
+            // and every subject gathers back whole.
+            let seqs: Vec<Vec<u8>> = lengths
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (0..n).map(|k| ((i + k) % 20) as u8).collect())
+                .collect();
             let db: Subjects = seqs.iter().map(Vec::as_slice).collect();
-            for lanes in [16, 32] {
-                let lineup = Lineup { seqs: db.seqs(), order: db.order() };
-                let cells = (lanes * lineup.columns(lanes)) as f64;
-                let dealt = db.residues_in(db.whole()) as f64 >= min_fill * cells;
-                prop_assert_eq!(fills(&db, db.whole(), lanes, min_fill), dealt);
+            let set = SequenceSet::from_sequences(
+                Alphabet::Protein,
+                seqs.iter()
+                    .enumerate()
+                    .map(|(i, s)| Sequence::from_codes(format!("s{i}"), Alphabet::Protein, s.clone()))
+                    .collect(),
+            )
+            .unwrap();
+            let image = SqbImage::from_set(&set).unwrap();
+            let borrowed = Subjects::from(&image);
+            prop_assert_eq!(borrowed.order(), db.order());
+            prop_assert_eq!(&borrowed.starts, &db.starts);
+            prop_assert_eq!(&borrowed.blocks, &db.blocks);
+            prop_assert_eq!(&borrowed.columns[..], &db.columns[..]);
+            prop_assert_eq!(borrowed.columns.as_ptr(), image.columns().as_ptr());
+            for (p, &i) in db.order().iter().enumerate() {
+                prop_assert_eq!(db.residues(p), seqs[i as usize].clone());
             }
+            prop_assert_eq!(db.lengths_in_database_order(), lengths);
         }
+    }
+
+    #[test]
+    fn a_slice_is_a_range_of_the_image_blocks() {
+        let seqs: Vec<Vec<u8>> = (0..300).map(|i| vec![1; 40 + i % 7]).collect();
+        let db: Subjects = seqs.iter().map(Vec::as_slice).collect();
+        assert_eq!(db.blocks_of(&db.whole()), 0..3);
+        assert_eq!(db.blocks_of(&(128..256)), 1..2);
+        assert_eq!(db.blocks_of(&(100..130)), 0..2);
+        assert_eq!(db.blocks_of(&(256..300)), 2..3);
+        assert_eq!(db.blocks_of(&(7..7)), 0..0);
+        assert_eq!(db.positions(2), 256..300);
+        // A cut on the block size lands on a block boundary or the end.
+        for fraction in [0.1, 0.33, 0.5, 0.9] {
+            let cut = db.cut_at(fraction, BLOCK_RECORDS);
+            assert!(cut % BLOCK_RECORDS == 0 || cut == db.len());
+        }
+        // Each block's fill is its residues over its stream's cells.
+        for block in 0..3 {
+            let (_, width) = db.blocks[block];
+            let residues = db.residues_in(db.positions(block));
+            assert_eq!(db.block_fill(block), residues as f64 / (width * LANES) as f64);
+        }
+        // Neighbours in the length order have near-equal lengths, so a
+        // full block pads little; the last one, 44 records on 32 lanes,
+        // leaves 20 lanes half empty.
+        assert!(db.block_fill(0) > 0.85 && db.block_fill(1) > 0.85);
+        assert!(db.block_fill(2) < 0.7);
     }
 }

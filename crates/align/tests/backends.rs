@@ -98,7 +98,6 @@ fn every_backend_scores_the_bench_shapes_as_gotoh() {
                 db.whole(),
                 &scheme,
                 None,
-                None,
                 scratch,
                 &mut stats,
             );
@@ -131,7 +130,7 @@ fn every_backend_scores_the_bench_shapes_as_gotoh() {
 
 /// The `kernels` sweep's longest points, which its `--test` smoke skips:
 /// queries of 2 000 and 5 000 residues against its 64-subject set,
-/// `Auto` (which on AVX2 peels the set's long head striped) and forced
+/// `Auto` (which on AVX2 scores the set's one block striped) and forced
 /// inter-sequence, on every backend.
 #[test]
 #[cfg_attr(
@@ -146,10 +145,9 @@ fn every_backend_scores_the_sweeps_long_points_as_gotoh() {
     for query_len in [2000, 5000] {
         let qset = synthetic_database("q", 1, LengthModel::Fixed(query_len), 14);
         let query = qset.get(0).expect("query generated").codes();
-        let want: Vec<i32> = db
-            .seqs()
+        let want: Vec<i32> = set
             .iter()
-            .map(|s| gotoh_score(query, s, &scheme))
+            .map(|s| gotoh_score(query, s.codes(), &scheme))
             .collect();
         for backend in Backend::available() {
             let stats = [ByteShape::Auto, ByteShape::InterSeq].map(|shape| {
@@ -161,7 +159,6 @@ fn every_backend_scores_the_sweeps_long_points_as_gotoh() {
                     &db,
                     db.whole(),
                     &scheme,
-                    None,
                     None,
                     scratch,
                     &mut stats,

@@ -11,7 +11,8 @@ use swdual_align::striped::striped_score_exact;
 use swdual_align::tiered::{
     score_database_with, score_run_with, tiered_score, transposes, ByteShape, Subjects, TierStats,
 };
-use swdual_align::{Scratch, SharedStreams};
+use swdual_align::Scratch;
+use swdual_bio::lanes::{stream_columns, BLOCK_RECORDS, LANES};
 use swdual_bio::{Alphabet, Matrix, ScoringScheme};
 
 /// Random protein residues (codes 0..20, the unambiguous amino acids).
@@ -75,7 +76,6 @@ proptest! {
                 &db,
                 db.whole(),
                 &sch,
-                None,
                 None,
                 &mut Scratch::default(),
                 &mut TierStats::default(),
@@ -298,19 +298,10 @@ fn striped_ladder(
     (scores, stats)
 }
 
-/// Streams that share `slices`: each is scored by two jobs of short
-/// queries, on one worker. A stream does not depend on the query, so a
-/// job of any length may score on it.
-fn sharing(backend: Backend, db: &Subjects<'_>, slices: &[Range<usize>]) -> SharedStreams {
-    let streams = SharedStreams::default();
-    let jobs = slices.iter().flat_map(|s| [(0, s.clone()), (0, s.clone())]);
-    streams.share(backend, db, jobs, 1);
-    streams
-}
-
-/// Every backend × every byte-tier shape × both stream sources against
-/// Gotoh and the per-subject ladder, on the whole database and cut in
-/// two at 40 % of its residues.
+/// Every backend × every byte-tier shape against Gotoh and the
+/// per-subject ladder, on the whole database and cut in two at 40 % of
+/// its residues — anywhere, which splits a block, and on a block
+/// boundary, which a search's cuts keep to.
 fn assert_database_exact(
     q: &[u8],
     subjects: &[Vec<u8>],
@@ -318,66 +309,46 @@ fn assert_database_exact(
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let want: Vec<i32> = subjects.iter().map(|s| gotoh_score(q, s, sch)).collect();
     let db: Subjects = subjects.iter().map(|s| s.as_slice()).collect();
-    let cut = db.cut_at(0.4, 1);
-    let slices = [db.whole(), 0..cut, cut..db.len()];
-    // One scratch across every call: leftovers of one stream, shape or
+    let cuts = [db.cut_at(0.4, 1), db.cut_at(0.4, BLOCK_RECORDS)];
+    // One scratch across every call: leftovers of one block, shape or
     // lane width must never leak into the next.
     let scratch = &mut Scratch::default();
     for backend in Backend::available() {
         let (ladder, ladder_stats) = striped_ladder(backend, q, subjects, sch);
         prop_assert_eq!(&ladder, &want, "striped ladder on {}", backend);
-        let shared = sharing(backend, &db, &slices);
         for shape in [ByteShape::Auto, ByteShape::Striped, ByteShape::InterSeq] {
-            for streams in [None, Some(&shared)] {
-                let mut score = |slice: Range<usize>, stats: &mut TierStats| {
-                    score_database_with(
-                        backend, shape, q, &db, slice, sch, None, streams, scratch, stats,
-                    )
-                    .0
-                };
-                let source = if streams.is_some() {
-                    "shared"
-                } else {
-                    "per job"
-                };
-                let mut stats = TierStats::default();
-                let whole = score(db.whole(), &mut stats);
-                prop_assert_eq!(
-                    &db.in_database_order(&whole),
-                    &want,
-                    "{:?} on {}, {}",
-                    shape,
-                    backend,
-                    source
-                );
-                prop_assert_eq!(
-                    stats,
-                    ladder_stats,
-                    "tiers of {:?} on {}, {}",
-                    shape,
-                    backend,
-                    source
-                );
-                // Cut anywhere, the slices score and resolve as the whole.
+            let mut score = |slice: Range<usize>, stats: &mut TierStats| {
+                score_database_with(backend, shape, q, &db, slice, sch, None, scratch, stats).0
+            };
+            let mut stats = TierStats::default();
+            let whole = score(db.whole(), &mut stats);
+            prop_assert_eq!(
+                &db.in_database_order(&whole),
+                &want,
+                "{:?} on {}",
+                shape,
+                backend
+            );
+            prop_assert_eq!(stats, ladder_stats, "tiers of {:?} on {}", shape, backend);
+            // Cut anywhere, the slices score and resolve as the whole.
+            for cut in cuts {
                 let mut stats = TierStats::default();
                 let mut sliced = score(0..cut, &mut stats);
                 sliced.extend(score(cut..db.len(), &mut stats));
                 prop_assert_eq!(
                     &sliced,
                     &whole,
-                    "{:?} on {}, {}, cut at {}",
+                    "{:?} on {}, cut at {}",
                     shape,
                     backend,
-                    source,
                     cut
                 );
                 prop_assert_eq!(
                     stats,
                     ladder_stats,
-                    "sliced tiers of {:?} on {}, {}",
+                    "sliced tiers of {:?} on {}",
                     shape,
-                    backend,
-                    source
+                    backend
                 );
             }
         }
@@ -415,6 +386,17 @@ proptest! {
         // Rewards of 60–160: many matrices cannot be biased into a byte
         // at all (the inter-sequence tier must stand aside), the rest
         // saturate within a few matches.
+        assert_database_exact(&q, &subjects, &sch)?;
+    }
+
+    #[test]
+    fn score_database_exact_over_several_blocks(
+        q in residues(40),
+        subjects in prop::collection::vec(any_residues(30), 129..300),
+        sch in blosum_scheme(),
+    ) {
+        // Two or three blocks: the cuts fall on a block boundary and
+        // inside a block.
         assert_database_exact(&q, &subjects, &sch)?;
     }
 }
@@ -500,7 +482,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn both_sources_exact_on_a_slice_that_starts_mid_order(
+    fn partial_blocks_exact_on_a_slice_that_starts_mid_order(
         q in residues(60),
         subjects in uneven_subjects(),
         bounds in (0usize..71, 0usize..71),
@@ -509,39 +491,34 @@ proptest! {
         let db: Subjects = subjects.iter().map(|s| s.as_slice()).collect();
         let (a, b) = (bounds.0.min(db.len()), bounds.1.min(db.len()));
         let slice = a.min(b)..a.max(b);
-        let ids = &db.order()[slice.clone()];
-        let want: Vec<i32> = ids.iter().map(|&i| gotoh_score(&q, db.seqs()[i as usize], &sch)).collect();
-        let in_slice: Vec<Vec<u8>> = ids.iter().map(|&i| db.seqs()[i as usize].to_vec()).collect();
+        let in_slice: Vec<Vec<u8>> = slice.clone().map(|p| db.residues(p)).collect();
+        let want: Vec<i32> = in_slice.iter().map(|s| gotoh_score(&q, s, &sch)).collect();
         for backend in Backend::available() {
             let (_, ladder_stats) = striped_ladder(backend, &q, &in_slice, &sch);
-            let shared = sharing(backend, &db, std::slice::from_ref(&slice));
-            for streams in [None, Some(&shared)] {
-                let mut stats = TierStats::default();
-                let (got, _) = score_database_with(
-                    backend,
-                    ByteShape::InterSeq,
-                    &q,
-                    &db,
-                    slice.clone(),
-                    &sch,
-                    None,
-                    streams,
-                    &mut Scratch::default(),
-                    &mut stats,
-                );
-                prop_assert_eq!(&got, &want, "{} {:?}, shared: {}", backend, slice, streams.is_some());
-                prop_assert_eq!(stats, ladder_stats, "tiers on {}", backend);
-            }
+            let mut stats = TierStats::default();
+            let (got, _) = score_database_with(
+                backend,
+                ByteShape::InterSeq,
+                &q,
+                &db,
+                slice.clone(),
+                &sch,
+                None,
+                &mut Scratch::default(),
+                &mut stats,
+            );
+            prop_assert_eq!(&got, &want, "{} {:?}", backend, slice);
+            prop_assert_eq!(stats, ladder_stats, "tiers on {}", backend);
         }
     }
 }
 
 #[test]
 fn refills_land_on_block_edges() {
-    // Every lane but the first frees at column 256, the edge of the
-    // per-job source's first block, and the 600-residue head runs across
-    // two edges; a third of the subjects score exactly at the byte
-    // limit (+5/−5: 49 matches = 245) and must escalate.
+    // Every lane but the first refills at column 256, and the
+    // 600-residue head runs on past two more such refills; a third of
+    // the subjects score exactly at the byte limit (+5/−5: 49 matches =
+    // 245) and must escalate.
     let sch = ScoringScheme::new(Matrix::match_mismatch(Alphabet::Protein, 5, -5), 10, 2);
     let q = vec![2u8; 60];
     let mut subjects = vec![vec![3u8; 600]];
@@ -589,7 +566,7 @@ fn column_groups_lose_nothing_at_their_edges() {
     let sch = ScoringScheme::protein_default();
     let q = Alphabet::Protein.encode(b"MKWVTFISLLWC").unwrap();
     let subjects = group_edge_subjects(&q);
-    // Every backend, shape and stream source.
+    // Every backend and shape.
     assert_database_exact(&q, &subjects, &sch).unwrap();
     // Transposed: the same sequences as a run's queries, the stream.
     assert_run_exact(&subjects, &[q.clone(), q[..5].to_vec()], &sch).unwrap();
@@ -609,14 +586,15 @@ fn score_database_handles_empty_query_and_empty_database() {
 
 #[test]
 fn score_database_exact_on_long_queries() {
-    // Queries up to 5 000 residues (one of 1 024 unoptimised) against a
-    // database whose long head `Auto` peels striped while the rest stays
-    // inter-sequence, with a planted homolog that escalates to 16 bits.
+    // Queries up to 5 000 residues (one of 300 unoptimised) against a
+    // database whose head block, long outliers among ordinary subjects,
+    // `Auto` scores striped while the next stays inter-sequence, with a
+    // planted homolog that escalates to 16 bits.
     let sch = ScoringScheme::protein_default();
     let mut rng = StdRng::seed_from_u64(21);
     let mut random = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.gen_range(0..20)).collect() };
     let (lens, background, head): (&[usize], usize, usize) = if cfg!(debug_assertions) {
-        (&[1024], 64, 600)
+        (&[300], 256, 600)
     } else {
         (&[500, 1024, 2000, 5000], 300, 2500)
     };
@@ -633,14 +611,13 @@ fn score_database_exact_on_long_queries() {
         let db: Subjects = subjects.iter().map(Vec::as_slice).collect();
         for backend in Backend::available() {
             let min_fill = backend.interseq_min_fill(len);
-            let rest = 1..db.len();
             assert!(
-                backend.slice_fill(&db, db.whole()) < min_fill,
-                "{backend}: head peeled"
+                backend.slice_fill(&db, 0..BLOCK_RECORDS) < min_fill,
+                "{backend}: head block striped"
             );
             assert!(
-                backend.slice_fill(&db, rest) >= min_fill,
-                "{backend}: rest inter-sequence"
+                backend.slice_fill(&db, BLOCK_RECORDS..2 * BLOCK_RECORDS) >= min_fill,
+                "{backend}: next block inter-sequence"
             );
         }
         let (_, stats) = striped_ladder(Backend::active(), &q, &subjects, &sch);
@@ -762,7 +739,6 @@ fn assert_run_exact(
                         &db,
                         slice.clone(),
                         sch,
-                        None,
                         None,
                         scratch,
                         &mut job_stats,
@@ -907,7 +883,8 @@ fn a_run_escalates_exactly_the_pairs_its_jobs_escalate() {
 #[test]
 fn the_run_pick_takes_runs_that_fill_better_than_their_slice() {
     for backend in Backend::available() {
-        let lanes = backend.interseq_lanes();
+        // Every stream has 32 lanes, whatever the backend reads at once.
+        let lanes = LANES;
         let bound = backend.run_residues();
         assert_eq!(bound, 256 * lanes);
         // Enough 40-residue queries fill every lane; against a slice
@@ -930,16 +907,26 @@ fn the_run_pick_takes_runs_that_fill_better_than_their_slice() {
 
 #[test]
 fn a_slice_fill_is_its_residues_over_its_stream_cells() {
-    let seqs: Vec<Vec<u8>> = (0..40).map(|i| vec![1u8; 10 + i]).collect();
+    // 200 subjects: a full block and one of 72.
+    let seqs: Vec<Vec<u8>> = (0..200).map(|i| vec![1u8; 10 + i % 40]).collect();
     let db: Subjects = seqs.iter().map(Vec::as_slice).collect();
+    let width = |positions: std::ops::Range<usize>| {
+        let mut lengths: Vec<usize> = positions.map(|p| db.residues(p).len()).collect();
+        lengths.sort_unstable_by(|a, b| b.cmp(a));
+        stream_columns(lengths)
+    };
+    let (first, second) = (width(0..128), width(128..200));
     for backend in Backend::available() {
-        let lanes = backend.interseq_lanes();
         let fill = backend.slice_fill(&db, db.whole());
+        let residues = db.residues_in(db.whole()) as f64;
+        assert_eq!(fill, residues / ((first + second) * LANES) as f64);
         assert!(fill > 0.0 && fill <= 1.0, "{fill}");
-        // One subject, the 49-residue longest, holds one lane of the
-        // stream, which pads it to the next multiple of four columns.
+        // A slice is scored from the blocks that hold it: one subject
+        // of the first block counts that block's every cell.
         let one = backend.slice_fill(&db, 0..1);
-        assert!((one - 49.0 / (52 * lanes) as f64).abs() < 1e-12);
+        assert_eq!(one, db.residues_in(0..1) as f64 / (first * LANES) as f64);
+        let tail = backend.slice_fill(&db, 128..200);
+        assert_eq!(tail, db.residues_in(128..200) as f64 / (second * LANES) as f64);
         assert_eq!(backend.slice_fill(&db, 3..3), 0.0);
     }
 }

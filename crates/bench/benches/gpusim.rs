@@ -22,7 +22,6 @@
 
 use swdual_align::dispatch::Backend;
 use swdual_align::scalar::gotoh_score;
-use swdual_align::Subjects;
 use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
@@ -64,7 +63,7 @@ fn main() {
         assert_eq!(device.search(query, &resident, &scheme).scores, oracle(&db));
         let chunked = chunked_search(
             &mut chunk_device(),
-            Subjects::from(&uniform).seqs(),
+            &uniform.iter().map(|s| s.codes()).collect::<Vec<_>>(),
             query,
             &scheme,
             true,
@@ -96,7 +95,7 @@ fn main() {
             std::hint::black_box(
                 chunked_search(
                     &mut device,
-                    Subjects::from(&uniform).seqs(),
+                    &uniform.iter().map(|s| s.codes()).collect::<Vec<_>>(),
                     q,
                     &scheme,
                     true,

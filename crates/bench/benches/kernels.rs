@@ -17,18 +17,16 @@
 //! * `BENCH_kernels.json` at the workspace root (or `$SWDUAL_BENCH_DIR`):
 //!   per-backend MCUPS, ns/cell, speedups vs scalar, cache timings, and
 //!   the `sweep` section: query lengths 30 … 5000 against a
-//!   UniProt-shaped subject set and a 64-sequence one, byte tier forced
-//!   striped, forced inter-sequence (one refilled stream per pass, laid
-//!   out by the pass itself as a job that shares no stream does),
-//!   picked automatically, and forced inter-sequence on the set's
-//!   `SharedStreams` stream, per backend — where the constants of
-//!   `Backend::interseq_min_fill` (`align::tiered`'s pick rule) and the
-//!   query length below which a slice's stream is shared come from —
-//!   and the `transposed` section: the `tiny_tasks` shape, 2 048
-//!   queries of 30–60 residues against the 64-subject set, scored as
-//!   one-query jobs on the slice's shared stream and as the transposed
-//!   runs a CPU worker is sent (`score_run_with`, runs cut by
-//!   `Backend::run_length`), per backend.
+//!   UniProt-shaped subject set and a 64-sequence one, laid out as an
+//!   SQB version-3 image lays them out (one 32-lane stream per block of
+//!   128 records, scored in place), byte tier forced striped, forced
+//!   inter-sequence and picked automatically, per backend — where the
+//!   constants of `Backend::interseq_min_fill` (`align::tiered`'s pick
+//!   rule) come from — and the `transposed` section: the `tiny_tasks`
+//!   shape, 2 048 queries of 30–60 residues against the 64-subject set,
+//!   scored as one-query jobs and as the transposed runs a CPU worker is
+//!   sent (`score_run_with`, runs cut by `Backend::run_length`), per
+//!   backend.
 //! * One `kernels` entry appended to the `BENCH_trend.json` ledger
 //!   (ns/cell, lower is better) for `swdual diff --bench` to gate on.
 //!
@@ -42,7 +40,7 @@ use swdual_align::scalar::gotoh_score;
 use swdual_align::tiered::{
     score_database_with, score_run_with, tiered_score, ByteShape, Subjects, TierStats,
 };
-use swdual_align::{Scratch, SharedStreams};
+use swdual_align::Scratch;
 use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{random_queries, synthetic_database, LengthModel};
@@ -56,15 +54,9 @@ const SWEEP_QUERY_LENS: [usize; 8] = [30, 60, 120, 250, 500, 1000, 2000, 5000];
 /// whose longest subject holds the stream well past the rest.
 const SWEEP_SETS: [(&str, usize); 2] = [("uniprot", 1024), ("tiny64", 64)];
 
-/// The byte-tier shapes timed at every sweep point, and whether each
-/// scores on the set's shared stream: striped, inter-sequence, auto,
-/// and inter-sequence on a shared stream.
-const SWEEP_SHAPES: [(ByteShape, bool); 4] = [
-    (ByteShape::Striped, false),
-    (ByteShape::InterSeq, false),
-    (ByteShape::Auto, false),
-    (ByteShape::InterSeq, true),
-];
+/// The byte-tier shapes timed at every sweep point: striped,
+/// inter-sequence and auto.
+const SWEEP_SHAPES: [ByteShape; 3] = [ByteShape::Striped, ByteShape::InterSeq, ByteShape::Auto];
 
 /// Alternating timing rounds per sweep point.
 const SWEEP_ROUNDS: usize = 13;
@@ -92,7 +84,7 @@ fn runs_of(backend: Backend, slice_fill: f64, lens: &[usize]) -> Vec<std::ops::R
 /// One sweep point: ns per cell of each of [`SWEEP_SHAPES`].
 struct SweepPoint {
     query_len: usize,
-    ns_per_cell: [f64; 4],
+    ns_per_cell: [f64; 3],
 }
 
 /// One subject set's sweep: `(name, subjects, one point per query length)`.
@@ -107,14 +99,12 @@ fn pass(
     query: &[u8],
     db: &Subjects,
     scheme: &ScoringScheme,
-    streams: Option<&SharedStreams>,
     scratch: &mut Scratch,
 ) -> (Vec<i32>, TierStats) {
     let mut stats = TierStats::default();
     let whole = db.whole();
-    let (scores, _) = score_database_with(
-        backend, shape, query, db, whole, scheme, None, streams, scratch, &mut stats,
-    );
+    let (scores, _) =
+        score_database_with(backend, shape, query, db, whole, scheme, None, scratch, &mut stats);
     (scores, stats)
 }
 
@@ -187,7 +177,6 @@ fn main() {
             &query,
             &db_plan,
             &scheme,
-            None,
             &mut scratch,
         );
         assert_eq!(
@@ -317,8 +306,7 @@ fn main() {
         if lookup_ns > 0.0 { build_ns / lookup_ns } else { 0.0 }
     );
 
-    // ---- byte-tier shape sweep: striped vs inter-sequence vs auto vs
-    // inter-sequence on a shared stream ----
+    // ---- byte-tier shape sweep: striped vs inter-sequence vs auto ----
     // sweep[backend][set] = one point per query length.
     let mut sweep: Vec<(Backend, Vec<SweepSet>)> = Vec::new();
     for backend in Backend::available() {
@@ -327,10 +315,6 @@ fn main() {
             let db = synthetic_database("sweep", n, LengthModel::protein_database(362.0), 13);
             let plan: Subjects = db.iter().map(|s| s.codes()).collect();
             let residues = db.total_residues() as f64;
-            // Laid out for two jobs of short queries on one worker; a
-            // stream does not depend on the query that scores on it.
-            let shared = SharedStreams::default();
-            shared.share(backend, &plan, [(0, plan.whole()), (0, plan.whole())], 1);
             let mut points = Vec::new();
             for query_len in SWEEP_QUERY_LENS {
                 let qset = synthetic_database("q", 1, LengthModel::Fixed(query_len), 14);
@@ -338,37 +322,27 @@ fn main() {
                 let cells = residues * query_len as f64;
                 // ~1e8 cells per timed sample, whatever the point's size.
                 let iters = ((1e8 / cells) as usize).clamp(1, 500);
-                let streams = |on_shared: bool| on_shared.then_some(&shared);
                 let want = pass(
                     backend,
                     ByteShape::Striped,
                     query,
                     &plan,
                     &scheme,
-                    None,
                     &mut scratch,
                 );
-                for (shape, on_shared) in SWEEP_SHAPES {
-                    let got = pass(
-                        backend,
-                        shape,
-                        query,
-                        &plan,
-                        &scheme,
-                        streams(on_shared),
-                        &mut scratch,
-                    );
+                for shape in SWEEP_SHAPES {
+                    let got = pass(backend, shape, query, &plan, &scheme, &mut scratch);
                     assert_eq!(
                         got, want,
-                        "{shape:?} (shared: {on_shared}) on {backend} at query length {query_len}"
+                        "{shape:?} on {backend} at query length {query_len}"
                     );
                 }
                 // The shapes are compared with each other, so they are
                 // timed in alternation and each keeps its fastest round:
                 // drift on a shared host then hits all alike.
-                let mut ns_per_cell = [f64::INFINITY; 4];
+                let mut ns_per_cell = [f64::INFINITY; 3];
                 for _ in 0..SWEEP_ROUNDS {
-                    for (best, (shape, on_shared)) in ns_per_cell.iter_mut().zip(SWEEP_SHAPES) {
+                    for (best, shape) in ns_per_cell.iter_mut().zip(SWEEP_SHAPES) {
                         let start = std::time::Instant::now();
                         for _ in 0..iters {
                             std::hint::black_box(pass(
@@ -377,7 +351,6 @@ fn main() {
                                 query,
                                 &plan,
                                 &scheme,
-                                streams(on_shared),
                                 &mut scratch,
                             ));
                         }
@@ -386,11 +359,10 @@ fn main() {
                     }
                 }
                 println!(
-                    "sweep/{backend}/{set}  q={query_len:<5} striped {:8.1} MCUPS   interseq {:8.1} MCUPS   auto {:8.1} MCUPS   shared {:8.1} MCUPS",
+                    "sweep/{backend}/{set}  q={query_len:<5} striped {:8.1} MCUPS   interseq {:8.1} MCUPS   auto {:8.1} MCUPS",
                     1e3 / ns_per_cell[0],
                     1e3 / ns_per_cell[1],
                     1e3 / ns_per_cell[2],
-                    1e3 / ns_per_cell[3],
                 );
                 points.push(SweepPoint {
                     query_len,
@@ -413,18 +385,9 @@ fn main() {
     let cells = tiny.total_residues() as f64 * lens.iter().sum::<usize>() as f64;
     for backend in Backend::available() {
         let runs = runs_of(backend, backend.slice_fill(&tiny, tiny.whole()), &lens);
-        // The slice is shared, as it is in a search of many jobs.
-        let streams = SharedStreams::default();
-        let jobs = lens.iter().map(|&len| (len, tiny.whole()));
-        streams.share(backend, &tiny, jobs, 1);
         let job = |q: &[u8], scratch: &mut Scratch, stats: &mut TierStats| {
-            let whole = tiny.whole();
-            let streams = Some(&streams);
-            let shape = ByteShape::Auto;
-            score_database_with(
-                backend, shape, q, &tiny, whole, &scheme, None, streams, scratch, stats,
-            )
-            .0
+            let (whole, shape) = (tiny.whole(), ByteShape::Auto);
+            score_database_with(backend, shape, q, &tiny, whole, &scheme, None, scratch, stats).0
         };
         let as_jobs = |scratch: &mut Scratch| -> Vec<Vec<i32>> {
             let mut stats = TierStats::default();
@@ -545,9 +508,9 @@ fn main() {
                 "      \"{set}\": {{ \"subjects\": {n}, \"points\": [\n"
             ));
             for (k, p) in points.iter().enumerate() {
-                let [striped, interseq, auto, shared] = p.ns_per_cell.map(|ns| 1e3 / ns);
+                let [striped, interseq, auto] = p.ns_per_cell.map(|ns| 1e3 / ns);
                 json.push_str(&format!(
-                    "        {{ \"query_len\": {}, \"min_fill\": {:.2}, \"striped_mcups\": {striped:.1}, \"interseq_mcups\": {interseq:.1}, \"auto_mcups\": {auto:.1}, \"shared_mcups\": {shared:.1}, \"auto_over_best\": {:.3} }}{}\n",
+                    "        {{ \"query_len\": {}, \"min_fill\": {:.2}, \"striped_mcups\": {striped:.1}, \"interseq_mcups\": {interseq:.1}, \"auto_mcups\": {auto:.1}, \"auto_over_best\": {:.3} }}{}\n",
                     p.query_len,
                     backend.interseq_min_fill(p.query_len),
                     auto / striped.max(interseq),

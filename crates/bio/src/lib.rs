@@ -8,7 +8,11 @@
 //! * [`fasta`] — a streaming FASTA reader/writer ([17] in the paper),
 //! * [`sqb`] — the paper's custom *binary database format* with an index
 //!   allowing random access to any sequence (paper §IV, last paragraphs);
-//!   [`SqbImage`] is the checked, borrowed view the search runs on,
+//!   version 3 stores the records in length order, their residues as the
+//!   32-lane streams the inter-sequence kernel scores in place, and
+//!   [`SqbImage`] is the checked view the search runs on,
+//! * [`lanes`] — that lane layout: how a run of sequences is dealt out to
+//!   the lanes of one stream, shared by the writer and the kernels,
 //! * [`matrix`] — substitution matrices (BLOSUM / PAM families plus simple
 //!   match/mismatch scoring as in the paper's Figure 1 example),
 //! * [`stats`] — residue-composition and cell-update (CUPS) accounting.
@@ -21,6 +25,7 @@ pub mod alphabet;
 pub mod error;
 pub mod fasta;
 pub mod karlin;
+pub mod lanes;
 pub mod matrix;
 pub mod seq;
 pub mod sqb;

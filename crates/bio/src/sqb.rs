@@ -1,4 +1,4 @@
-//! SQB — the paper's binary sequence-database format, version 2.
+//! SQB — the paper's binary sequence-database format, version 3.
 //!
 //! Paper §IV: *"Sequence database files created using the Fasta format are
 //! in fact text files, with sequences placed one after the other. For that
@@ -9,49 +9,65 @@
 //! memory allocation process is simplified due to the fact that all the
 //! sequences sizes are known beforehand."*
 //!
-//! Layout (all integers little-endian; DESIGN.md, "SQB version 2", is the
+//! Version 3 also prepares the database for the inter-sequence kernel
+//! once, when it is written, as SWAPHI does in its preprocessing: the
+//! records are stored in *length order* (longest first, ties by their
+//! original index), and their residues as one block per
+//! [`BLOCK_RECORDS`] records of that order. Each block is the
+//! [`crate::lanes`] stream of its records — 32 lanes, refilled on
+//! four-column boundaries — so a search scores the file's columns where
+//! they lie, and a slice of the length order cut on a multiple of
+//! [`BLOCK_RECORDS`] is a range of whole blocks.
+//!
+//! Layout (all integers little-endian; DESIGN.md, "SQB version 3", is the
 //! byte-level specification):
 //!
 //! ```text
 //! +---------------------------------------------------------------+
-//! | magic "SQB1" | version u16 = 2 | alphabet u8 | flags u8 = 0    |   header,
-//! | n_sequences u64 | total_residues u64 | names_len u64           |   64 bytes
-//! | residues_offset u64 | names_offset u64 | index_offset u64      |
-//! | file_len u64                                                   |
+//! | magic "SQB1" | version u16 = 3 | alphabet u8 | flags u8 = 0    |   header,
+//! | n_sequences u64 | total_residues u64 | names_len u64           |   80 bytes
+//! | columns u64 | residues_offset u64 | names_offset u64           |
+//! | index_offset u64 | blocks_offset u64 | file_len u64            |
 //! +---------------------------------------------------------------+
-//! | residues of record 0 | residues of record 1 | ...              |   residue block
+//! | block 0: columns × 32 cells | block 1 | ...                    |   residue area
 //! +---------------------------------------------------------------+
-//! | id 0 | description 0 | id 1 | description 1 | ...              |   names block
+//! | id 0 | description 0 | id 1 | description 1 | ...              |   names, in
+//! +---------------------------------------------------------------+   length order
+//! | (name_offset u64, residue_len u32, original u32, column u32,  |   index, in
+//! |  lane u32, id_len u16, desc_len u16) * n_sequences             |   length order
 //! +---------------------------------------------------------------+
-//! | (residue_offset u64, name_offset u64, residue_len u32,         |   index,
-//! |  id_len u16, desc_len u16) * n_sequences                       |   24 bytes each
+//! | (first_column u64, columns u64, residues u64) * n_blocks       |   block table
 //! +---------------------------------------------------------------+
 //! ```
 //!
-//! The blocks follow one another without gaps and the index entries tile
-//! them in record order, so a reader checks a file without decoding it:
-//! [`SqbImage`] reads it into one allocation, makes one pass over the
-//! index, one range check over the residue block and one UTF-8 check of
-//! the names block, and from then on hands out borrowed `&[u8]` residues.
-//! [`SqbFile`] is the owned, streaming decode of the same file and
-//! [`SqbWriter`] the streaming encoder; all three share one header and
-//! index codec.
+//! Nothing in a file is left to trust: a reader re-deals each block from
+//! its records' lengths and requires the stored starts and widths, checks
+//! that the original indices are a permutation and that the order is the
+//! length order, and checks every cell of the residue area ([`SqbImage`]
+//! at open, [`SqbFile::read_all`] block by block). [`SqbImage`] then
+//! hands out the columns in place; [`SqbFile`] is the owned, streaming
+//! decode of the same file and [`SqbWriter`] the encoder. All three give
+//! records by their original index.
 
 use crate::alphabet::Alphabet;
 use crate::error::BioError;
+use crate::lanes::{self, Start, BLOCK_RECORDS, LANES, PAD};
 use crate::seq::{Sequence, SequenceSet};
 use bytes::{Buf, BufMut};
 use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::io::{Read, Seek, SeekFrom, Write};
 
 /// File magic, first four bytes of every SQB file of any version.
 pub const MAGIC: &[u8; 4] = b"SQB1";
 /// Format version written and read by this build.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Size of the fixed header in bytes.
-pub const HEADER_LEN: usize = 64;
+pub const HEADER_LEN: usize = 80;
 /// Size of one index entry in bytes.
-pub const INDEX_ENTRY_LEN: usize = 8 + 8 + 4 + 2 + 2;
+pub const INDEX_ENTRY_LEN: usize = 8 + 4 + 4 + 4 + 4 + 2 + 2;
+/// Size of one block-table entry in bytes.
+pub const BLOCK_ENTRY_LEN: usize = 3 * 8;
 /// Buffer of the file reader and writer [`SqbFile::open`] and
 /// [`SqbWriter::create`] set up: a whole-database pass makes one system
 /// call per 64 KiB, not per 8 KiB.
@@ -61,9 +77,9 @@ fn malformed(msg: impl Into<String>) -> BioError {
     BioError::MalformedSqb(msg.into())
 }
 
-/// Parsed and checked SQB header. The three block offsets and the file
-/// length follow from the three sizes; a header is accepted only when
-/// the stored values are the derived ones.
+/// Parsed and checked SQB header. The block offsets and the file length
+/// follow from the four sizes; a header is accepted only when the stored
+/// values are the derived ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
     /// Format version of the file.
@@ -72,51 +88,64 @@ pub struct Header {
     pub alphabet: Alphabet,
     /// Number of sequence records.
     pub n_sequences: u64,
-    /// Sum of residue counts over all records: the residue block's length.
+    /// Sum of residue counts over all records.
     pub total_residues: u64,
     /// Length of the names block in bytes.
     pub names_len: u64,
-    /// Byte offset of the residue block (always [`HEADER_LEN`]).
+    /// Columns of all blocks together: the residue area holds
+    /// `columns × 32` cells.
+    pub columns: u64,
+    /// Byte offset of the residue area (always [`HEADER_LEN`]).
     pub residues_offset: u64,
     /// Byte offset of the names block.
     pub names_offset: u64,
     /// Byte offset of the index.
     pub index_offset: u64,
+    /// Byte offset of the block table.
+    pub blocks_offset: u64,
     /// Length of the whole file.
     pub file_len: u64,
 }
 
 impl Header {
-    /// The header of a file whose blocks have these sizes; `None` when
+    /// The header of a file whose parts have these sizes; `None` when
     /// the file would outgrow 64-bit offsets.
     fn for_blocks(
         alphabet: Alphabet,
         n_sequences: u64,
         total_residues: u64,
         names_len: u64,
+        columns: u64,
     ) -> Option<Header> {
         let residues_offset = HEADER_LEN as u64;
-        let names_offset = residues_offset.checked_add(total_residues)?;
+        let cells = columns.checked_mul(LANES as u64)?;
+        let names_offset = residues_offset.checked_add(cells)?;
         let index_offset = names_offset.checked_add(names_len)?;
-        let file_len = n_sequences
+        let blocks_offset = n_sequences
             .checked_mul(INDEX_ENTRY_LEN as u64)
             .and_then(|index_len| index_offset.checked_add(index_len))?;
+        let file_len = n_sequences
+            .div_ceil(BLOCK_RECORDS as u64)
+            .checked_mul(BLOCK_ENTRY_LEN as u64)
+            .and_then(|table_len| blocks_offset.checked_add(table_len))?;
         Some(Header {
             version: VERSION,
             alphabet,
             n_sequences,
             total_residues,
             names_len,
+            columns,
             residues_offset,
             names_offset,
             index_offset,
+            blocks_offset,
             file_len,
         })
     }
 
     /// Parse the first bytes of a file. Magic and version are judged
-    /// before the length, so a version-1 file (32-byte header) is
-    /// reported as such.
+    /// before the length, so a file of an older version (with a shorter
+    /// header) is reported as such.
     fn parse(bytes: &[u8]) -> Result<Header, BioError> {
         let too_short = || malformed("file shorter than header");
         let mut buf = bytes;
@@ -143,8 +172,12 @@ impl Header {
         if buf.get_u8() != 0 {
             return Err(malformed("reserved flags are set"));
         }
-        let (n_sequences, total_residues, names_len) =
-            (buf.get_u64_le(), buf.get_u64_le(), buf.get_u64_le());
+        let (n_sequences, total_residues, names_len, columns) = (
+            buf.get_u64_le(),
+            buf.get_u64_le(),
+            buf.get_u64_le(),
+            buf.get_u64_le(),
+        );
         // A search orders its subjects by `u32` index.
         if n_sequences > u64::from(u32::MAX) {
             return Err(malformed(format!(
@@ -152,23 +185,21 @@ impl Header {
                 u32::MAX
             )));
         }
-        let stored = [
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-            buf.get_u64_le(),
-        ];
-        Header::for_blocks(alphabet, n_sequences, total_residues, names_len)
-            .filter(|h| {
-                stored
-                    == [
-                        h.residues_offset,
-                        h.names_offset,
-                        h.index_offset,
-                        h.file_len,
-                    ]
-            })
+        let stored = [(); 5].map(|()| buf.get_u64_le());
+        Header::for_blocks(alphabet, n_sequences, total_residues, names_len, columns)
+            .filter(|h| stored == h.offsets())
             .ok_or_else(|| malformed("block offsets disagree with the record count and sizes"))
+    }
+
+    /// The stored offsets and length, in header order.
+    fn offsets(&self) -> [u64; 5] {
+        [
+            self.residues_offset,
+            self.names_offset,
+            self.index_offset,
+            self.blocks_offset,
+            self.file_len,
+        ]
     }
 
     fn put(&self, out: &mut Vec<u8>) {
@@ -176,16 +207,28 @@ impl Header {
         out.put_u16_le(self.version);
         out.put_u8(self.alphabet.tag());
         out.put_u8(0); // flags, reserved
-        for field in [
+        let sizes = [
             self.n_sequences,
             self.total_residues,
             self.names_len,
-            self.residues_offset,
-            self.names_offset,
-            self.index_offset,
-            self.file_len,
-        ] {
+            self.columns,
+        ];
+        for field in sizes.into_iter().chain(self.offsets()) {
             out.put_u64_le(field);
+        }
+    }
+
+    /// Number of blocks: one per [`BLOCK_RECORDS`] records.
+    pub fn n_blocks(&self) -> u64 {
+        self.n_sequences.div_ceil(BLOCK_RECORDS as u64)
+    }
+
+    /// Cells of the residue area that hold no residue, as a share of
+    /// the residues; 0 for an empty database.
+    pub fn padding(&self) -> f64 {
+        match self.total_residues {
+            0 => 0.0,
+            residues => (self.columns * LANES as u64 - residues) as f64 / residues as f64,
         }
     }
 
@@ -205,16 +248,19 @@ impl Header {
     }
 }
 
-/// One index entry: where a record's residues and names start inside
-/// their blocks, and how long they are.
+/// One index entry: a record of the length order — where its names
+/// start, its length, its index in the order it was written in, and
+/// where its block's stream starts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IndexEntry {
-    /// Offset of the residues within the residue block.
-    residue_offset: u64,
     /// Offset of the id (the description follows it) within the names block.
     name_offset: u64,
     /// Residue count of the record (enables pre-allocation).
     residue_len: u32,
+    /// Index of the record in the order it was written in.
+    original: u32,
+    /// Where the record's lane takes it, within its block.
+    start: Start,
     /// Length of the id in bytes.
     id_len: u16,
     /// Length of the description in bytes.
@@ -225,18 +271,24 @@ impl IndexEntry {
     /// Parse one entry from exactly [`INDEX_ENTRY_LEN`] bytes.
     fn parse(mut buf: &[u8]) -> IndexEntry {
         IndexEntry {
-            residue_offset: buf.get_u64_le(),
             name_offset: buf.get_u64_le(),
             residue_len: buf.get_u32_le(),
+            original: buf.get_u32_le(),
+            start: Start {
+                column: buf.get_u32_le(),
+                lane: buf.get_u32_le(),
+            },
             id_len: buf.get_u16_le(),
             desc_len: buf.get_u16_le(),
         }
     }
 
     fn put(&self, out: &mut Vec<u8>) {
-        out.put_u64_le(self.residue_offset);
         out.put_u64_le(self.name_offset);
         out.put_u32_le(self.residue_len);
+        out.put_u32_le(self.original);
+        out.put_u32_le(self.start.column);
+        out.put_u32_le(self.start.lane);
         out.put_u16_le(self.id_len);
         out.put_u16_le(self.desc_len);
     }
@@ -245,35 +297,127 @@ impl IndexEntry {
         u64::from(self.id_len) + u64::from(self.desc_len)
     }
 
-    /// Entry `i` of a raw index; `None` past its end.
-    fn at(index: &[u8], i: usize) -> Option<IndexEntry> {
-        let start = i.checked_mul(INDEX_ENTRY_LEN)?;
+    fn len(&self) -> usize {
+        self.residue_len as usize
+    }
+
+    /// Entry `p` of a raw index; `None` past its end.
+    fn at(index: &[u8], p: usize) -> Option<IndexEntry> {
+        let start = p.checked_mul(INDEX_ENTRY_LEN)?;
         let end = start.checked_add(INDEX_ENTRY_LEN)?;
         index.get(start..end).map(IndexEntry::parse)
     }
 
-    /// Every entry of a raw index, in record order.
+    /// Every entry of a raw index, in length order.
     fn all(index: &[u8]) -> impl ExactSizeIterator<Item = IndexEntry> + '_ {
         index.chunks_exact(INDEX_ENTRY_LEN).map(IndexEntry::parse)
     }
 }
 
-/// Walk the index once, handing every entry to `each`, and check that
-/// the entries tile both blocks: each record starts where the previous
-/// one ended and the last ones end at the header's totals. An index
-/// that passes cannot point outside its blocks or at overlapping
-/// ranges.
-fn check_index(
-    index: &[u8],
-    header: &Header,
-    mut each: impl FnMut(IndexEntry) -> Result<(), BioError>,
-) -> Result<(), BioError> {
-    let (mut residues, mut names) = (0u64, 0u64);
-    for entry in IndexEntry::all(index) {
-        if entry.residue_offset != residues || entry.name_offset != names {
-            return Err(malformed("index entries do not tile their blocks"));
+/// One block-table entry: where a block's stream lies in the residue
+/// area, and how many of its cells are residues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockEntry {
+    /// Column of the residue area the block's stream starts at.
+    pub first_column: u64,
+    /// Columns of the block's stream.
+    pub columns: u64,
+    /// Residues of the block's records.
+    pub residues: u64,
+}
+
+impl BlockEntry {
+    fn parse(mut buf: &[u8]) -> BlockEntry {
+        BlockEntry {
+            first_column: buf.get_u64_le(),
+            columns: buf.get_u64_le(),
+            residues: buf.get_u64_le(),
         }
-        each(entry)?;
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.put_u64_le(self.first_column);
+        out.put_u64_le(self.columns);
+        out.put_u64_le(self.residues);
+    }
+
+    fn all(table: &[u8]) -> impl ExactSizeIterator<Item = BlockEntry> + '_ {
+        table.chunks_exact(BLOCK_ENTRY_LEN).map(BlockEntry::parse)
+    }
+
+    /// Entry `b` of a raw block table; `None` past its end.
+    fn at(table: &[u8], b: usize) -> Option<BlockEntry> {
+        let start = b.checked_mul(BLOCK_ENTRY_LEN)?;
+        table.get(start..start.checked_add(BLOCK_ENTRY_LEN)?).map(BlockEntry::parse)
+    }
+
+    /// The byte range of the block's cells within the residue area.
+    fn cells(&self) -> std::ops::Range<usize> {
+        // Checked against the header's columns, which fit the file.
+        let first = self.first_column as usize * LANES;
+        first..first + self.columns as usize * LANES
+    }
+
+    /// Residues over the block's cells: how full its lanes are; 0 for a
+    /// block of no columns.
+    pub fn fill(&self) -> f64 {
+        match self.columns * LANES as u64 {
+            0 => 0.0,
+            cells => self.residues as f64 / cells as f64,
+        }
+    }
+}
+
+/// The most residues one block may hold: every start column of its
+/// stream stays below `u32::MAX` (a lane pads at most three columns per
+/// record).
+fn block_fits(residues: u64) -> bool {
+    residues + 4 * BLOCK_RECORDS as u64 <= u64::from(u32::MAX)
+}
+
+/// Walk the index and the block table once and check that they describe
+/// the file's layout: the names tile their block, the records come in
+/// length order and their original indices are a permutation, and each
+/// block's stored starts, width and residues are those its records
+/// deal out to, tiling the residue area. `each` sees every entry. Returns
+/// each original index's position in the length order.
+fn check_layout(
+    index: &[u8],
+    table: &[u8],
+    header: &Header,
+    mut each: impl FnMut(&IndexEntry) -> Result<(), BioError>,
+) -> Result<Vec<u32>, BioError> {
+    let n = IndexEntry::all(index).len();
+    let mut position_of = vec![u32::MAX; n];
+    let (mut residues, mut names) = (0u64, 0u64);
+    let mut previous: Option<(Reverse<u32>, u32)> = None;
+    for (p, entry) in IndexEntry::all(index).enumerate() {
+        if entry.name_offset != names {
+            return Err(malformed("index entries do not tile the names block"));
+        }
+        let key = (Reverse(entry.residue_len), entry.original);
+        if previous.is_some_and(|previous| previous >= key) {
+            return Err(malformed(format!(
+                "record {p} breaks the length order"
+            )));
+        }
+        previous = Some(key);
+        match position_of.get_mut(entry.original as usize) {
+            Some(slot) if *slot == u32::MAX => *slot = p as u32,
+            Some(_) => {
+                return Err(malformed(format!(
+                    "original index {} appears twice",
+                    entry.original
+                )))
+            }
+            None => {
+                return Err(malformed(format!(
+                    "original index {} of {n} records",
+                    entry.original
+                )))
+            }
+        }
+        each(&entry)?;
         // Each sum stays below the next check's bound only if the file
         // is sound, so an overflowing one is corrupt.
         residues = residues
@@ -286,17 +430,46 @@ fn check_index(
     if residues != header.total_residues || names != header.names_len {
         return Err(malformed("index totals disagree with the header"));
     }
-    Ok(())
+    let mut column = 0u64;
+    let records = index.chunks(BLOCK_RECORDS * INDEX_ENTRY_LEN);
+    for (b, (block, records)) in BlockEntry::all(table).zip(records).enumerate() {
+        let entries: Vec<IndexEntry> = IndexEntry::all(records).collect();
+        let held: u64 = entries.iter().map(|e| u64::from(e.residue_len)).sum();
+        if block.first_column != column || block.residues != held || !block_fits(held) {
+            return Err(malformed(format!(
+                "block {b} disagrees with its records"
+            )));
+        }
+        let (starts, width) = lanes::deal(entries.iter().map(IndexEntry::len));
+        if block.columns != width as u64 || entries.iter().map(|e| e.start).ne(starts) {
+            return Err(malformed(format!(
+                "block {b}'s stream is not the one its records deal out to"
+            )));
+        }
+        column += block.columns;
+    }
+    if column != header.columns {
+        return Err(malformed("the blocks do not tile the residue area"));
+    }
+    Ok(position_of)
+}
+
+/// Whether the cells of `block`, whose records are `entries`, hold
+/// residues of `alphabet` exactly where the records lie.
+fn block_is_sound(cells: &[u8], entries: &[IndexEntry], alphabet: Alphabet) -> bool {
+    let starts: Vec<Start> = entries.iter().map(|e| e.start).collect();
+    let lengths: Vec<usize> = entries.iter().map(IndexEntry::len).collect();
+    lanes::cells_are_sound(cells, &starts, &lengths, alphabet.size())
+}
+
+fn bad_cells() -> BioError {
+    malformed("residue area holds a code out of range for the alphabet, or a pad inside a record")
 }
 
 /// Every code is a residue of `alphabet`. A max-fold, not `all`: it
-/// vectorises, and a sound file is scanned to the end either way.
+/// vectorises.
 fn codes_in_range(codes: &[u8], alphabet: Alphabet) -> bool {
     (codes.iter().fold(0u8, |max, &c| max.max(c)) as usize) < alphabet.size()
-}
-
-fn bad_code() -> BioError {
-    malformed("residue code out of range for alphabet")
 }
 
 /// The id and description `entry` names in the names block; `None`
@@ -319,43 +492,50 @@ fn names_not_utf8() -> BioError {
 /// A whole SQB database held as the bytes of its file, checked once.
 ///
 /// This is the database type of the search path: the CPU workers and
-/// the simulated devices score the residues in place, and the report
-/// resolves the ids of the hits it prints from the names block. It is
-/// the paper's "read sequences in any position inside the file,
+/// the simulated devices score its blocks' columns in place, and the
+/// report resolves the ids of the hits it prints from the names block.
+/// It is the paper's "read sequences in any position inside the file,
 /// directly" with "all the sequences sizes known beforehand": after
-/// [`SqbImage::open`] nothing is decoded or copied, and every view is a
-/// slice of the one allocation.
+/// [`SqbImage::open`] nothing is decoded or copied; a record's residues
+/// are gathered from its lane only when asked for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SqbImage {
     bytes: Vec<u8>,
     header: Header,
+    /// Each original index's position in the length order.
+    position_of: Vec<u32>,
 }
 
 /// One record of an [`SqbImage`], borrowed from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record<'a> {
-    residues: &'a [u8],
+    /// The stream of the record's block.
+    columns: &'a [u8],
+    start: Start,
+    len: usize,
     id: &'a [u8],
     description: &'a [u8],
 }
 
 impl<'a> Record<'a> {
-    /// The encoded residues (what the kernels consume).
-    #[inline]
-    pub fn residues(&self) -> &'a [u8] {
-        self.residues
+    /// The encoded residues (what the kernels consume), gathered from
+    /// the record's lane.
+    pub fn residues(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        lanes::gather(self.columns, self.start, self.len, &mut out);
+        out
     }
 
     /// Number of residues.
     #[inline]
     pub fn len(&self) -> usize {
-        self.residues.len()
+        self.len
     }
 
     /// True when the record holds no residues.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.residues.is_empty()
+        self.len == 0
     }
 
     /// Record identifier.
@@ -375,6 +555,19 @@ fn checked_str(bytes: &[u8]) -> &str {
     std::str::from_utf8(bytes).expect("SqbImage names were checked when the image was opened")
 }
 
+/// One record of the length order, as the kernels need it: its index
+/// in the order written, its length and where its block's stream
+/// starts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// Index of the record in the order it was written in.
+    pub original: u32,
+    /// Residues of the record.
+    pub len: u32,
+    /// Column (within its block) and lane of the record's first residue.
+    pub start: Start,
+}
+
 impl SqbImage {
     /// Read a file into one allocation and check it.
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<SqbImage, BioError> {
@@ -382,25 +575,34 @@ impl SqbImage {
     }
 
     /// Take the bytes of an SQB file and check them: header, exact
-    /// length, index tiling, residue range, UTF-8 names. Everything an
-    /// accessor relies on is established here.
+    /// length, index, permutation, block table, every cell of the
+    /// residue area, UTF-8 names. Everything an accessor relies on is
+    /// established here.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<SqbImage, BioError> {
         let header = Header::parse(&bytes)?;
         header.check_file_len(bytes.len() as u64)?;
-        let image = SqbImage { bytes, header };
-        if !codes_in_range(image.residue_block(), header.alphabet) {
-            return Err(bad_code());
-        }
+        let mut image = SqbImage {
+            bytes,
+            header,
+            position_of: Vec::new(),
+        };
         let names = std::str::from_utf8(image.names_block()).map_err(|_| names_not_utf8())?;
-        check_index(image.index_block(), &header, |entry| {
-            names_of(names, &entry).map(drop).ok_or_else(bad_name)
+        image.position_of = check_layout(image.index_block(), image.block_table(), &header, |entry| {
+            names_of(names, entry).map(drop).ok_or_else(bad_name)
         })?;
+        let records = image.index_block().chunks(BLOCK_RECORDS * INDEX_ENTRY_LEN);
+        for (block, records) in image.blocks().zip(records) {
+            let entries: Vec<IndexEntry> = IndexEntry::all(records).collect();
+            if !block_is_sound(&image.columns()[block.cells()], &entries, header.alphabet) {
+                return Err(bad_cells());
+            }
+        }
         Ok(image)
     }
 
-    /// Encode records into an image — how a FASTA file or an in-memory
-    /// set becomes a database. The result passes through
-    /// [`SqbImage::from_bytes`] like any file.
+    /// Encode records, in the order given, into an image — how a FASTA
+    /// file or an in-memory set becomes a database. The result passes
+    /// through [`SqbImage::from_bytes`] like any file.
     pub fn from_records<S: Borrow<Sequence>>(
         alphabet: Alphabet,
         records: impl IntoIterator<Item = Result<S, BioError>>,
@@ -430,14 +632,13 @@ impl SqbImage {
     /// Number of records.
     #[inline]
     pub fn len(&self) -> usize {
-        // The index holds `n_sequences` entries and lies inside `bytes`.
-        self.header.n_sequences as usize
+        self.position_of.len()
     }
 
     /// True when the database holds no records.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.header.n_sequences == 0
+        self.position_of.is_empty()
     }
 
     /// Total residue count, from the header.
@@ -453,7 +654,9 @@ impl SqbImage {
 
     // `from_bytes` made `file_len == bytes.len()`, so the offsets below
     // fit `usize` and lie inside `bytes`.
-    fn residue_block(&self) -> &[u8] {
+    /// The residue area: every block's stream, one after the other, one
+    /// [`LANES`]-cell column at a time.
+    pub fn columns(&self) -> &[u8] {
         &self.bytes[self.header.residues_offset as usize..self.header.names_offset as usize]
     }
 
@@ -462,43 +665,60 @@ impl SqbImage {
     }
 
     fn index_block(&self) -> &[u8] {
-        &self.bytes[self.header.index_offset as usize..]
+        &self.bytes[self.header.index_offset as usize..self.header.blocks_offset as usize]
     }
 
-    fn record(&self, entry: IndexEntry) -> Record<'_> {
+    fn block_table(&self) -> &[u8] {
+        &self.bytes[self.header.blocks_offset as usize..]
+    }
+
+    /// Every block, in length order: block `b` holds records
+    /// `b * BLOCK_RECORDS..` of it.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = BlockEntry> + '_ {
+        BlockEntry::all(self.block_table())
+    }
+
+    /// Every record of the length order, as the kernels place it.
+    pub fn placements(&self) -> impl ExactSizeIterator<Item = Placement> + '_ {
+        IndexEntry::all(self.index_block()).map(|entry| Placement {
+            original: entry.original,
+            len: entry.residue_len,
+            start: entry.start,
+        })
+    }
+
+    /// Record `i` of the order the records were written in; `None` past
+    /// the end.
+    pub fn get(&self, i: usize) -> Option<Record<'_>> {
+        let p = *self.position_of.get(i)? as usize;
+        let entry = IndexEntry::at(self.index_block(), p)?;
+        let block = BlockEntry::at(self.block_table(), p / BLOCK_RECORDS)?;
         let names = &self.names_block()[entry.name_offset as usize..];
         let (id, rest) = names.split_at(usize::from(entry.id_len));
-        Record {
-            residues: &self.residue_block()[entry.residue_offset as usize..]
-                [..entry.residue_len as usize],
+        Some(Record {
+            columns: &self.columns()[block.cells()],
+            start: entry.start,
+            len: entry.len(),
             id,
             description: &rest[..usize::from(entry.desc_len)],
-        }
+        })
     }
 
-    /// Randomly access record `i`; `None` past the end.
-    pub fn get(&self, i: usize) -> Option<Record<'_>> {
-        IndexEntry::at(self.index_block(), i).map(|entry| self.record(entry))
-    }
-
-    /// Every record, in file order.
+    /// Every record, in the order they were written in.
     pub fn records(&self) -> impl ExactSizeIterator<Item = Record<'_>> + '_ {
-        IndexEntry::all(self.index_block()).map(|entry| self.record(entry))
+        (0..self.len()).map(|i| {
+            self.get(i)
+                .expect("every original index has a checked position")
+        })
     }
 }
 
 /// Serialise a [`SequenceSet`] into SQB bytes. Fails on a record the
 /// format cannot hold (see [`SqbWriter::append`]).
 pub fn encode(set: &SequenceSet) -> Result<Vec<u8>, BioError> {
-    let names: usize = set
-        .iter()
-        .map(|s| s.id.len() + s.description.len() + INDEX_ENTRY_LEN)
-        .sum();
-    let capacity = HEADER_LEN + set.total_residues() as usize + names;
-    let sink = std::io::Cursor::new(Vec::with_capacity(capacity));
-    Ok(SqbWriter::new(sink, set.alphabet)?
-        .write_set(set)?
-        .into_inner())
+    let mut out = Vec::new();
+    write_set(&mut out, set)?;
+    Ok(out)
 }
 
 /// Decode a full SQB byte buffer into an owned [`SequenceSet`].
@@ -506,18 +726,22 @@ pub fn decode(bytes: &[u8]) -> Result<SequenceSet, BioError> {
     SqbFile::from_seekable(std::io::Cursor::new(bytes))?.read_all()
 }
 
-/// Owned decode of an SQB *file*: loads header + index eagerly and
-/// checks them, then reads records on demand — one at a time by seeking
-/// ([`SqbFile::read_sequence`]: master and workers each fetch only the
-/// sequences their tasks need), or all of them with the residue block
-/// streamed front to back ([`SqbFile::read_all`]). Residues and names
-/// are checked as they are read. Never holds more of the file than the
-/// index, the names block and one record.
+/// Owned decode of an SQB *file*: loads header, index and block table
+/// eagerly and checks them, then reads records on demand — one at a time
+/// by seeking ([`SqbFile::read_sequence`]: a record's columns, from its
+/// lane), or all of them with the residue area streamed front to back,
+/// one block at a time ([`SqbFile::read_all`]). Residues and names are
+/// checked as they are read. Never holds more of the file than the
+/// index, the block table, the names block and one block.
 pub struct SqbFile<F: Read + Seek> {
     file: F,
     header: Header,
     /// The index as stored, checked at open.
     index: Vec<u8>,
+    /// The block table as stored, checked at open.
+    table: Vec<u8>,
+    /// Each original index's position in the length order.
+    position_of: Vec<u32>,
 }
 
 impl SqbFile<std::io::BufReader<std::fs::File>> {
@@ -528,20 +752,15 @@ impl SqbFile<std::io::BufReader<std::fs::File>> {
     }
 }
 
-fn read_residues(file: &mut impl Read, len: u32, alphabet: Alphabet) -> Result<Vec<u8>, BioError> {
-    let mut residues = vec![0u8; len as usize];
-    file.read_exact(&mut residues)?;
-    if codes_in_range(&residues, alphabet) {
-        Ok(residues)
-    } else {
-        Err(bad_code())
-    }
+fn read_bytes(file: &mut impl Read, len: usize) -> Result<Vec<u8>, BioError> {
+    let mut bytes = vec![0u8; len];
+    file.read_exact(&mut bytes)?;
+    Ok(bytes)
 }
 
-fn read_name(file: &mut impl Read, len: u16, what: &str) -> Result<String, BioError> {
-    let mut name = vec![0u8; usize::from(len)];
-    file.read_exact(&mut name)?;
-    String::from_utf8(name).map_err(|_| malformed(format!("record {what} is not UTF-8")))
+fn read_text(file: &mut impl Read, len: u16, what: &str) -> Result<String, BioError> {
+    String::from_utf8(read_bytes(file, usize::from(len))?)
+        .map_err(|_| malformed(format!("record {what} is not UTF-8")))
 }
 
 impl<F: Read + Seek> SqbFile<F> {
@@ -556,17 +775,21 @@ impl<F: Read + Seek> SqbFile<F> {
         header.check_file_len(file.seek(SeekFrom::End(0))?)?;
 
         file.seek(SeekFrom::Start(header.index_offset))?;
-        // The index lies inside the file just measured, so its size is
-        // bounded by real bytes, not by a number the header claims.
-        let index_len = usize::try_from(header.file_len - header.index_offset)
-            .map_err(|_| malformed("index exceeds the address space"))?;
-        let mut index = vec![0u8; index_len];
-        file.read_exact(&mut index)?;
-        check_index(&index, &header, |_| Ok(()))?;
+        // Index and table lie inside the file just measured, so their
+        // sizes are bounded by real bytes, not by a number the header
+        // claims.
+        let len = |from: u64, to: u64| {
+            usize::try_from(to - from).map_err(|_| malformed("index exceeds the address space"))
+        };
+        let index = read_bytes(&mut file, len(header.index_offset, header.blocks_offset)?)?;
+        let table = read_bytes(&mut file, len(header.blocks_offset, header.file_len)?)?;
+        let position_of = check_layout(&index, &table, &header, |_| Ok(()))?;
         Ok(SqbFile {
             file,
             header,
             index,
+            table,
+            position_of,
         })
     }
 
@@ -577,62 +800,100 @@ impl<F: Read + Seek> SqbFile<F> {
 
     /// Number of sequences in the file.
     pub fn len(&self) -> usize {
-        self.index.len() / INDEX_ENTRY_LEN
+        self.position_of.len()
     }
 
     /// True when the file holds no sequences.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.position_of.is_empty()
+    }
+
+    /// Record `i` of the order written, its index entry and its block.
+    fn entry(&self, i: usize) -> Option<(IndexEntry, BlockEntry)> {
+        let p = *self.position_of.get(i)? as usize;
+        let entry = IndexEntry::at(&self.index, p)?;
+        let block = BlockEntry::at(&self.table, p / BLOCK_RECORDS)?;
+        Some((entry, block))
     }
 
     /// Residue length of record `i` without any file I/O.
     pub fn residue_len(&self, i: usize) -> Option<u32> {
-        IndexEntry::at(&self.index, i).map(|e| e.residue_len)
+        self.entry(i).map(|(entry, _)| entry.residue_len)
     }
 
-    /// Seek to and read record `i`.
+    /// Seek to and read record `i` of the order written: the columns its
+    /// lane runs through, then its names.
     pub fn read_sequence(&mut self, i: usize) -> Result<Sequence, BioError> {
-        let entry = IndexEntry::at(&self.index, i)
+        let (entry, block) = self
+            .entry(i)
             .ok_or_else(|| malformed(format!("record {i} out of range")))?;
         let alphabet = self.header.alphabet;
+        let column = block.first_column + u64::from(entry.start.column);
         self.file.seek(SeekFrom::Start(
-            self.header.residues_offset + entry.residue_offset,
+            self.header.residues_offset + column * LANES as u64,
         ))?;
-        let residues = read_residues(&mut self.file, entry.residue_len, alphabet)?;
+        // The block check at open put the record's columns inside the
+        // residue area.
+        let rows = read_bytes(&mut self.file, entry.len() * LANES)?;
+        let lane = Start {
+            column: 0,
+            lane: entry.start.lane,
+        };
+        let mut residues = Vec::with_capacity(entry.len());
+        lanes::gather(&rows, lane, entry.len(), &mut residues);
+        if !codes_in_range(&residues, alphabet) {
+            return Err(bad_cells());
+        }
         self.file.seek(SeekFrom::Start(
             self.header.names_offset + entry.name_offset,
         ))?;
-        let id = read_name(&mut self.file, entry.id_len, "id")?;
-        let description = read_name(&mut self.file, entry.desc_len, "description")?;
+        let id = read_text(&mut self.file, entry.id_len, "id")?;
+        let description = read_text(&mut self.file, entry.desc_len, "description")?;
         Ok(Sequence::from_codes(id, alphabet, residues).with_description(description))
     }
 
-    /// Materialise every record, in order, with two seeks in all: the
-    /// names block is read whole first (a few percent of the file, one
-    /// UTF-8 check), then the residue block streams front to back and
-    /// every record is built complete as its residues arrive. Residues,
-    /// id and description of a record are therefore allocated together:
-    /// a set laid out as two long runs (all residues, then all names)
-    /// left freed memory the allocator could not give to the next
-    /// database image (DESIGN.md §18).
+    /// Materialise every record, in the order written, with two seeks in
+    /// all: the names block is read whole first (a few percent of the
+    /// file, one UTF-8 check) and every record is allocated complete, in
+    /// the order written — residues, id and description together
+    /// (DESIGN.md §18) — then the residue area streams front to back one
+    /// block at a time, each block's cells checked and each of its
+    /// records' residues gathered from its lane into its place.
     pub fn read_all(&mut self) -> Result<SequenceSet, BioError> {
         let header = self.header;
         // Bounded by the file length `from_seekable` measured.
         let names_len = usize::try_from(header.names_len)
             .map_err(|_| malformed("names block exceeds the address space"))?;
         self.file.seek(SeekFrom::Start(header.names_offset))?;
-        let mut names = vec![0u8; names_len];
-        self.file.read_exact(&mut names)?;
-        let names = String::from_utf8(names).map_err(|_| names_not_utf8())?;
-
-        self.file.seek(SeekFrom::Start(header.residues_offset))?;
+        let names = String::from_utf8(read_bytes(&mut self.file, names_len)?)
+            .map_err(|_| names_not_utf8())?;
         let mut sequences = Vec::with_capacity(self.len());
-        for entry in IndexEntry::all(&self.index) {
-            let residues = read_residues(&mut self.file, entry.residue_len, header.alphabet)?;
+        for &p in &self.position_of {
+            // `check_layout` made every original index a position.
+            let entry = IndexEntry::at(&self.index, p as usize)
+                .ok_or_else(|| malformed("a record is missing"))?;
             let (id, description) = names_of(&names, &entry).ok_or_else(bad_name)?;
+            let residues = Vec::with_capacity(entry.len());
             sequences.push(
                 Sequence::from_codes(id, header.alphabet, residues).with_description(description),
             );
+        }
+        drop(names);
+
+        self.file.seek(SeekFrom::Start(header.residues_offset))?;
+        let mut cells = Vec::new();
+        let records = self.index.chunks(BLOCK_RECORDS * INDEX_ENTRY_LEN);
+        for (block, records) in BlockEntry::all(&self.table).zip(records) {
+            let entries: Vec<IndexEntry> = IndexEntry::all(records).collect();
+            cells.resize(block.cells().len(), 0);
+            self.file.read_exact(&mut cells)?;
+            if !block_is_sound(&cells, &entries, header.alphabet) {
+                return Err(bad_cells());
+            }
+            for entry in &entries {
+                let residues = &mut sequences[entry.original as usize].residues;
+                lanes::gather(&cells, entry.start, entry.len(), residues);
+            }
         }
         SequenceSet::from_sequences(header.alphabet, sequences)
     }
@@ -640,26 +901,180 @@ impl<F: Read + Seek> SqbFile<F> {
 
 /// Write a sequence set to an SQB file on disk.
 pub fn write_file(set: &SequenceSet, path: impl AsRef<std::path::Path>) -> Result<(), BioError> {
-    SqbWriter::create(path, set.alphabet)?.write_set(set)?;
+    let file = std::fs::File::create(path)?;
+    write_set(&mut std::io::BufWriter::with_capacity(FILE_BUFFER, file), set)
+}
+
+/// Check `set` record by record and write it to `out`.
+fn write_set(out: &mut impl Write, set: &SequenceSet) -> Result<(), BioError> {
+    let sizes = set
+        .iter()
+        .enumerate()
+        .map(|(count, seq)| sizes_of(seq, set.alphabet, count))
+        .collect::<Result<Vec<_>, _>>()?;
+    let codes = |i: usize| set.as_slice()[i].codes();
+    let names = |i: usize| {
+        let seq = &set.as_slice()[i];
+        (seq.id.as_bytes(), seq.description.as_bytes())
+    };
+    put_database(out, set.alphabet, &sizes, codes, names)
+}
+
+/// The residue, id and description lengths of `seq`, the `count`th
+/// record of a file of `alphabet`; refused with
+/// [`BioError::UnencodableSqb`] when the format cannot hold it.
+fn sizes_of(seq: &Sequence, alphabet: Alphabet, count: usize) -> Result<Sizes, BioError> {
+    let refuse = |why: String| BioError::UnencodableSqb(format!("sequence {:?}: {why}", seq.id));
+    if count >= u32::MAX as usize {
+        return Err(refuse(format!(
+            "the file already holds {} records",
+            u32::MAX
+        )));
+    }
+    if seq.alphabet != alphabet {
+        return Err(refuse(format!(
+            "alphabet {:?}, writer expects {alphabet:?}",
+            seq.alphabet
+        )));
+    }
+    if !codes_in_range(&seq.residues, alphabet) {
+        return Err(refuse(format!("residue code out of range for {alphabet:?}")));
+    }
+    let too_long = |what: &str, len: usize, max: u64| {
+        refuse(format!(
+            "{what} of {len} bytes exceeds the format's {max}-byte field"
+        ))
+    };
+    Ok(Sizes {
+        residues: u32::try_from(seq.len())
+            .map_err(|_| too_long("residues", seq.len(), u32::MAX.into()))?,
+        id: u16::try_from(seq.id.len())
+            .map_err(|_| too_long("id", seq.id.len(), u16::MAX.into()))?,
+        description: u16::try_from(seq.description.len())
+            .map_err(|_| too_long("description", seq.description.len(), u16::MAX.into()))?,
+    })
+}
+
+/// What the index records of a record's size.
+#[derive(Debug, Clone, Copy)]
+struct Sizes {
+    residues: u32,
+    id: u16,
+    description: u16,
+}
+
+/// Write a whole file: records `0..sizes.len()`, whose residues and
+/// names `codes` and `names` give, put in length order and laid out one
+/// block of [`BLOCK_RECORDS`] at a time.
+fn put_database<'r>(
+    out: &mut impl Write,
+    alphabet: Alphabet,
+    sizes: &[Sizes],
+    codes: impl Fn(usize) -> &'r [u8],
+    names: impl Fn(usize) -> (&'r [u8], &'r [u8]),
+) -> Result<(), BioError> {
+    // Longest first; a stable sort keeps ties in the order written.
+    let mut order: Vec<u32> = (0..sizes.len() as u32).collect();
+    order.sort_by_key(|&i| Reverse(sizes[i as usize].residues));
+    let len = |i: &u32| sizes[*i as usize].residues as usize;
+    let mut deals = Vec::with_capacity(order.len().div_ceil(BLOCK_RECORDS));
+    for block in order.chunks(BLOCK_RECORDS) {
+        let residues: u64 = block.iter().map(|i| len(i) as u64).sum();
+        if !block_fits(residues) {
+            return Err(BioError::UnencodableSqb(format!(
+                "a block of {} records holds {residues} residues, more than its stream can start",
+                block.len()
+            )));
+        }
+        deals.push((lanes::deal(block.iter().map(len)), residues));
+    }
+    let columns: usize = deals.iter().map(|((_, width), _)| width).sum();
+    let total_residues: u64 = deals.iter().map(|(_, residues)| residues).sum();
+    let names_len: u64 = sizes
+        .iter()
+        .map(|s| u64::from(s.id) + u64::from(s.description))
+        .sum();
+    let header = Header::for_blocks(
+        alphabet,
+        sizes.len() as u64,
+        total_residues,
+        names_len,
+        columns as u64,
+    )
+    .ok_or_else(|| BioError::UnencodableSqb("database outgrows 64-bit offsets".into()))?;
+    let mut head = Vec::with_capacity(HEADER_LEN);
+    header.put(&mut head);
+    out.write_all(&head)?;
+
+    let mut cells = Vec::new();
+    for (block, ((starts, width), _)) in order.chunks(BLOCK_RECORDS).zip(&deals) {
+        cells.clear();
+        cells.resize(width * LANES, PAD);
+        for (&i, &start) in block.iter().zip(starts) {
+            lanes::place(&mut cells, start, codes(i as usize));
+        }
+        out.write_all(&cells)?;
+    }
+    let mut block = Vec::with_capacity(names_len as usize);
+    for &i in &order {
+        let (id, description) = names(i as usize);
+        block.extend_from_slice(id);
+        block.extend_from_slice(description);
+    }
+    out.write_all(&block)?;
+    drop(block);
+    let mut index = Vec::with_capacity(order.len() * INDEX_ENTRY_LEN);
+    let mut name_offset = 0u64;
+    let starts = deals.iter().flat_map(|((starts, _), _)| starts);
+    for (&i, &start) in order.iter().zip(starts) {
+        let size = sizes[i as usize];
+        IndexEntry {
+            name_offset,
+            residue_len: size.residues,
+            original: i,
+            start,
+            id_len: size.id,
+            desc_len: size.description,
+        }
+        .put(&mut index);
+        name_offset += u64::from(size.id) + u64::from(size.description);
+    }
+    out.write_all(&index)?;
+    let mut table = Vec::with_capacity(deals.len() * BLOCK_ENTRY_LEN);
+    let mut first_column = 0u64;
+    for ((_, width), residues) in &deals {
+        let columns = *width as u64;
+        BlockEntry {
+            first_column,
+            columns,
+            residues: *residues,
+        }
+        .put(&mut table);
+        first_column += columns;
+    }
+    out.write_all(&table)?;
+    out.flush()?;
     Ok(())
 }
 
-/// Streaming SQB writer: residues go to the sink as records are
-/// appended, names and index entries (a few dozen bytes per record)
-/// are kept and written on [`SqbWriter::finish`], which then patches
-/// the header — so a database conversion never needs the whole set in
-/// memory, the property that makes the format practical for the
-/// paper's 537k-sequence UniProt.
-pub struct SqbWriter<W: Write + Seek> {
+/// SQB writer for records that arrive one at a time (a FASTA file read
+/// record by record): [`SqbWriter::append`] checks each record and keeps
+/// its residues and names, [`SqbWriter::finish`] sorts them into length
+/// order and writes the file. A version-3 file lays its blocks out in
+/// length order, so the writer holds the residues until then — one byte
+/// per residue, beside a few dozen bytes per record.
+pub struct SqbWriter<W: Write> {
     out: W,
     alphabet: Alphabet,
+    residues: Vec<u8>,
     names: Vec<u8>,
-    index: Vec<u8>,
-    total_residues: u64,
+    /// Per record: where its residues and names start in the buffers,
+    /// and its sizes.
+    records: Vec<(usize, usize, Sizes)>,
 }
 
 impl SqbWriter<std::io::BufWriter<std::fs::File>> {
-    /// Create a streaming writer at a filesystem path.
+    /// Create a writer at a filesystem path.
     pub fn create(path: impl AsRef<std::path::Path>, alphabet: Alphabet) -> Result<Self, BioError> {
         let file = std::fs::File::create(path)?;
         Self::new(
@@ -669,17 +1084,15 @@ impl SqbWriter<std::io::BufWriter<std::fs::File>> {
     }
 }
 
-impl<W: Write + Seek> SqbWriter<W> {
-    /// Wrap any seekable sink. A placeholder header is written
-    /// immediately and patched by [`SqbWriter::finish`].
-    pub fn new(mut out: W, alphabet: Alphabet) -> Result<Self, BioError> {
-        out.write_all(&[0u8; HEADER_LEN])?;
+impl<W: Write> SqbWriter<W> {
+    /// Wrap any sink. Nothing is written before [`SqbWriter::finish`].
+    pub fn new(out: W, alphabet: Alphabet) -> Result<Self, BioError> {
         Ok(SqbWriter {
             out,
             alphabet,
+            residues: Vec::new(),
             names: Vec::new(),
-            index: Vec::new(),
-            total_residues: 0,
+            records: Vec::new(),
         })
     }
 
@@ -689,84 +1102,39 @@ impl<W: Write + Seek> SqbWriter<W> {
     /// `u32::MAX` of them — is refused with [`BioError::UnencodableSqb`]
     /// and leaves the writer as it was.
     pub fn append(&mut self, seq: &Sequence) -> Result<(), BioError> {
-        let refuse =
-            |why: String| BioError::UnencodableSqb(format!("sequence {:?}: {why}", seq.id));
-        if self.index.len() / INDEX_ENTRY_LEN >= u32::MAX as usize {
-            return Err(refuse(format!(
-                "the file already holds {} records",
-                u32::MAX
-            )));
-        }
-        if seq.alphabet != self.alphabet {
-            return Err(refuse(format!(
-                "alphabet {:?}, writer expects {:?}",
-                seq.alphabet, self.alphabet
-            )));
-        }
-        if !codes_in_range(&seq.residues, self.alphabet) {
-            return Err(refuse(format!(
-                "residue code out of range for {:?}",
-                self.alphabet
-            )));
-        }
-        let too_long = |what: &str, len: usize, max: u64| {
-            refuse(format!(
-                "{what} of {len} bytes exceeds the format's {max}-byte field"
-            ))
-        };
-        let entry = IndexEntry {
-            residue_offset: self.total_residues,
-            name_offset: self.names.len() as u64,
-            residue_len: u32::try_from(seq.len())
-                .map_err(|_| too_long("residues", seq.len(), u32::MAX.into()))?,
-            id_len: u16::try_from(seq.id.len())
-                .map_err(|_| too_long("id", seq.id.len(), u16::MAX.into()))?,
-            desc_len: u16::try_from(seq.description.len())
-                .map_err(|_| too_long("description", seq.description.len(), u16::MAX.into()))?,
-        };
-        self.out.write_all(&seq.residues)?;
-        entry.put(&mut self.index);
+        let sizes = sizes_of(seq, self.alphabet, self.records.len())?;
+        self.records
+            .push((self.residues.len(), self.names.len(), sizes));
+        self.residues.extend_from_slice(&seq.residues);
         self.names.extend_from_slice(seq.id.as_bytes());
         self.names.extend_from_slice(seq.description.as_bytes());
-        self.total_residues += u64::from(entry.residue_len);
         Ok(())
-    }
-
-    /// Append every record of `set` and finish.
-    fn write_set(mut self, set: &SequenceSet) -> Result<W, BioError> {
-        for seq in set {
-            self.append(seq)?;
-        }
-        self.finish()
     }
 
     /// Number of records appended so far.
     pub fn len(&self) -> usize {
-        self.index.len() / INDEX_ENTRY_LEN
+        self.records.len()
     }
 
     /// True when nothing has been appended.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.records.is_empty()
     }
 
-    /// Write the names block and the index, patch the header, flush,
-    /// and return the sink.
+    /// Write the file, flush, and return the sink.
     pub fn finish(mut self) -> Result<W, BioError> {
-        let header = Header::for_blocks(
-            self.alphabet,
-            self.len() as u64,
-            self.total_residues,
-            self.names.len() as u64,
-        )
-        .ok_or_else(|| BioError::UnencodableSqb("database outgrows 64-bit offsets".into()))?;
-        self.out.write_all(&self.names)?;
-        self.out.write_all(&self.index)?;
-        let mut head = Vec::with_capacity(HEADER_LEN);
-        header.put(&mut head);
-        self.out.seek(SeekFrom::Start(0))?;
-        self.out.write_all(&head)?;
-        self.out.flush()?;
+        let (records, residues, names) = (&self.records, &self.residues, &self.names);
+        let sizes: Vec<Sizes> = records.iter().map(|&(_, _, sizes)| sizes).collect();
+        let codes = |i: usize| {
+            let (at, _, sizes) = records[i];
+            &residues[at..at + sizes.residues as usize]
+        };
+        let names = |i: usize| {
+            let (_, at, sizes) = records[i];
+            let mid = at + usize::from(sizes.id);
+            (&names[at..mid], &names[mid..mid + usize::from(sizes.description)])
+        };
+        put_database(&mut self.out, self.alphabet, &sizes, codes, names)?;
         Ok(self.out)
     }
 }
@@ -793,9 +1161,33 @@ mod tests {
         encode(&sample_set()).unwrap()
     }
 
+    /// A protein set of `lengths`, ids numbering the records.
+    fn set_of(lengths: &[usize]) -> SequenceSet {
+        let records = lengths.iter().enumerate().map(|(i, &n)| {
+            let codes = (0..n).map(|k| ((i * 7 + k) % 20) as u8).collect();
+            Sequence::from_codes(format!("s{i}"), Alphabet::Protein, codes)
+        });
+        SequenceSet::from_sequences(Alphabet::Protein, records.collect()).unwrap()
+    }
+
     /// Overwrite the little-endian `u64` at `at`.
     fn patch_u64(bytes: &mut [u8], at: usize, value: u64) {
         bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// Overwrite the little-endian `u32` at `at`.
+    fn patch_u32(bytes: &mut [u8], at: usize, value: u32) {
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// Both readers refuse `bytes` as malformed.
+    fn assert_malformed(bytes: &[u8], what: &str) {
+        for error in [
+            SqbImage::from_bytes(bytes.to_vec()).unwrap_err(),
+            decode(bytes).unwrap_err(),
+        ] {
+            assert!(matches!(error, BioError::MalformedSqb(_)), "{what}: {error}");
+        }
     }
 
     #[test]
@@ -816,17 +1208,57 @@ mod tests {
         assert_eq!(header.alphabet, Alphabet::Protein);
         assert_eq!(header.version, VERSION);
         assert_eq!(header.residues_offset, HEADER_LEN as u64);
-        assert_eq!(header.names_offset, header.residues_offset + 32);
-        // "q1first" + "q2" + "q3third one"
-        assert_eq!(header.names_len, 7 + 2 + 11);
+        // Three records on three lanes: the longest, 20 residues, sets
+        // the width.
+        assert_eq!(header.columns, 20);
+        assert_eq!(header.names_offset, header.residues_offset + 20 * 32);
+        // "q3third one" + "q1first" + "q2", in length order.
+        assert_eq!(header.names_len, 11 + 7 + 2);
         assert_eq!(header.index_offset, header.names_offset + 20);
-        assert_eq!(header.file_len, image.as_bytes().len() as u64);
         assert_eq!(
-            header.file_len,
+            header.blocks_offset,
             header.index_offset + 3 * INDEX_ENTRY_LEN as u64
         );
+        assert_eq!(
+            header.file_len,
+            header.blocks_offset + BLOCK_ENTRY_LEN as u64
+        );
+        assert_eq!(header.file_len, image.as_bytes().len() as u64);
+        assert_eq!(header.n_blocks(), 1);
+        assert_eq!(header.padding(), (640.0 - 32.0) / 32.0);
         assert_eq!(image.len(), 3);
         assert_eq!(image.total_residues(), 32);
+    }
+
+    #[test]
+    fn records_are_stored_in_length_order_as_blocks_of_128() {
+        // 300 records: three blocks, the last of 44; ties among lengths.
+        let lengths: Vec<usize> = (0..300).map(|i| (i * 37) % 50).collect();
+        let set = set_of(&lengths);
+        let image = SqbImage::from_set(&set).unwrap();
+        let placements: Vec<Placement> = image.placements().collect();
+        let mut want: Vec<u32> = (0..300).collect();
+        want.sort_by_key(|&i| Reverse(lengths[i as usize]));
+        let order: Vec<u32> = placements.iter().map(|p| p.original).collect();
+        assert_eq!(order, want, "longest first, ties in the order written");
+        let blocks: Vec<BlockEntry> = image.blocks().collect();
+        assert_eq!(blocks.len(), 3);
+        let mut column = 0;
+        for (block, records) in blocks.iter().zip(placements.chunks(BLOCK_RECORDS)) {
+            let lens = records.iter().map(|p| p.len as usize);
+            let (starts, width) = lanes::deal(lens);
+            assert_eq!(block.first_column, column);
+            assert_eq!(block.columns, width as u64);
+            assert!(records.iter().map(|p| p.start).eq(starts));
+            let residues: u64 = records.iter().map(|p| u64::from(p.len)).sum();
+            assert_eq!(block.residues, residues);
+            assert!(block.fill() <= 1.0);
+            column += block.columns;
+        }
+        assert_eq!(column, image.header().columns);
+        for (i, seq) in set.iter().enumerate() {
+            assert_eq!(image.get(i).unwrap().residues(), seq.codes());
+        }
     }
 
     #[test]
@@ -836,7 +1268,7 @@ mod tests {
         let r = image.get(1).unwrap();
         assert_eq!(r.id(), "q2");
         assert_eq!(r.description(), "");
-        assert_eq!(Alphabet::Protein.decode(r.residues()), "MK");
+        assert_eq!(Alphabet::Protein.decode(&r.residues()), "MK");
         // Lengths known without touching the residues.
         assert_eq!(image.get(0).unwrap().len(), 10);
         assert_eq!(image.get(2).unwrap().len(), 20);
@@ -854,13 +1286,15 @@ mod tests {
             assert_eq!(record.description(), seq.description);
             assert_eq!(record.residues(), seq.codes());
         }
-        // Residues are slices of the one allocation, back to back.
-        let base = image.as_bytes().as_ptr() as usize + HEADER_LEN;
-        let mut at = base;
-        for record in image.records() {
-            assert_eq!(record.residues().as_ptr() as usize, at);
-            at += record.len();
-        }
+        // The columns are the residue area of the one allocation.
+        let columns = image.columns();
+        assert_eq!(
+            columns.as_ptr() as usize,
+            image.as_bytes().as_ptr() as usize + HEADER_LEN
+        );
+        assert_eq!(columns.len(), 20 * LANES);
+        let first = |i: usize| set.get(i).unwrap().codes()[0];
+        assert_eq!(columns[..3], [first(2), first(0), first(1)]);
     }
 
     #[test]
@@ -881,11 +1315,7 @@ mod tests {
     fn bad_magic_is_rejected() {
         let mut bytes = sample_bytes();
         bytes[0] = b'X';
-        assert!(matches!(decode(&bytes), Err(BioError::MalformedSqb(_))));
-        assert!(matches!(
-            SqbImage::from_bytes(bytes),
-            Err(BioError::MalformedSqb(_))
-        ));
+        assert_malformed(&bytes, "magic");
     }
 
     #[test]
@@ -921,7 +1351,7 @@ mod tests {
     #[test]
     fn version_1_file_is_rejected_by_its_version() {
         // The version-1 header of an empty protein database: 32 bytes,
-        // shorter than a version-2 header.
+        // shorter than a version-3 header.
         let mut v1 = Vec::new();
         v1.put_slice(MAGIC);
         v1.put_u16_le(1);
@@ -937,6 +1367,33 @@ mod tests {
         let err = decode(&v1).unwrap_err();
         assert!(matches!(err, BioError::UnsupportedSqbVersion(1)));
         assert!(err.to_string().contains("swdual convert"), "{err}");
+    }
+
+    #[test]
+    fn version_2_file_is_rejected_by_its_version() {
+        // The version-2 file of one record "MK": a 64-byte header, the
+        // residues in the order written, names, a 24-byte index entry.
+        let mut v2 = Vec::new();
+        v2.put_slice(MAGIC);
+        v2.put_u16_le(2);
+        v2.put_u8(Alphabet::Protein.tag());
+        v2.put_u8(0);
+        for field in [1, 2, 1, 64, 66, 67, 91] {
+            v2.put_u64_le(field);
+        }
+        v2.put_slice(&[10, 11, b'a']);
+        v2.put_slice(&[0; 16]);
+        v2.put_u32_le(2);
+        v2.put_u16_le(1);
+        v2.put_u16_le(0);
+        assert_eq!(v2.len(), 91);
+        assert!(matches!(
+            SqbImage::from_bytes(v2.clone()),
+            Err(BioError::UnsupportedSqbVersion(2))
+        ));
+        let err = decode(&v2).unwrap_err();
+        assert!(matches!(err, BioError::UnsupportedSqbVersion(2)));
+        assert!(err.to_string().contains("re-run `swdual convert`"), "{err}");
     }
 
     #[test]
@@ -962,8 +1419,9 @@ mod tests {
     #[test]
     fn corrupt_residue_code_is_rejected() {
         let mut bytes = sample_bytes();
-        // Third residue of the first record.
-        bytes[HEADER_LEN + 2] = 250;
+        // Third residue of the first record written, "q1": the second
+        // longest, so lane 1 from column 0.
+        bytes[HEADER_LEN + 2 * LANES + 1] = 25;
         assert!(SqbImage::from_bytes(bytes.clone()).is_err());
         let mut file = SqbFile::from_seekable(std::io::Cursor::new(bytes)).unwrap();
         assert!(file.read_sequence(0).is_err());
@@ -972,9 +1430,26 @@ mod tests {
     }
 
     #[test]
+    fn a_pad_inside_a_record_or_a_residue_in_a_pad_cell_is_rejected() {
+        let good = sample_bytes();
+        // A pad inside "q3" (lane 0), a residue where lane 2 ("q2", two
+        // residues) has ended, and both at once: the count of pads is
+        // then right, the cells are not.
+        let inside = HEADER_LEN + 5 * LANES;
+        let after = HEADER_LEN + 7 * LANES + 2;
+        for cells in [vec![inside], vec![after], vec![inside, after]] {
+            let mut bytes = good.clone();
+            for at in cells {
+                bytes[at] = if at == inside { PAD } else { 3 };
+            }
+            assert_malformed(&bytes, "cells");
+        }
+    }
+
+    #[test]
     fn every_header_field_is_checked() {
         let good = sample_bytes();
-        // alphabet tag, flags, then the seven u64 fields.
+        // alphabet tag, flags, then the nine u64 fields.
         let mut flipped = vec![(6, 0xEE), (7, 1)];
         flipped.extend((8..HEADER_LEN).step_by(8).map(|at| (at, 1)));
         for (at, xor) in flipped {
@@ -988,24 +1463,71 @@ mod tests {
     #[test]
     fn index_that_does_not_tile_is_rejected() {
         let good = sample_bytes();
-        let index = SqbImage::from_bytes(good.clone())
-            .unwrap()
-            .header()
-            .index_offset as usize;
-        let second = index + INDEX_ENTRY_LEN;
-        // Record 1 pointed back at record 0's residues (overlap), at
-        // record 0's names, and past the block.
-        for (at, value) in [(second, 0), (second + 8, 0), (second, u64::MAX - 3)] {
+        let header = *SqbImage::from_bytes(good.clone()).unwrap().header();
+        let second = header.index_offset as usize + INDEX_ENTRY_LEN;
+        // Record 1 of the length order pointed back at record 0's names,
+        // and past the block.
+        for value in [0, u64::MAX - 3] {
             let mut bytes = good.clone();
-            patch_u64(&mut bytes, at, value);
-            assert!(SqbImage::from_bytes(bytes.clone()).is_err());
-            assert!(decode(&bytes).is_err());
+            patch_u64(&mut bytes, second, value);
+            assert_malformed(&bytes, "name offset");
         }
         // A length that no longer adds up to the header's total.
         let mut bytes = good.clone();
-        bytes[second + 16] += 1;
-        assert!(SqbImage::from_bytes(bytes.clone()).is_err());
-        assert!(decode(&bytes).is_err());
+        bytes[second + 8] += 1;
+        assert_malformed(&bytes, "length");
+    }
+
+    #[test]
+    fn duplicate_or_out_of_range_positions_are_rejected() {
+        let good = sample_bytes();
+        let header = *SqbImage::from_bytes(good.clone()).unwrap().header();
+        let original = |p: usize| header.index_offset as usize + p * INDEX_ENTRY_LEN + 12;
+        // Records 0 and 1 of the length order both claim one original
+        // index; one claims an index past the end; two swap theirs, which
+        // breaks the tie order only where lengths tie (here they do not,
+        // so the swap is a different, sound permutation of names).
+        for (p, value) in [(0, 0), (1, 2), (2, 3), (2, u32::MAX)] {
+            let mut bytes = good.clone();
+            patch_u32(&mut bytes, original(p), value);
+            assert_malformed(&bytes, "original index");
+        }
+    }
+
+    #[test]
+    fn ties_must_keep_the_order_written() {
+        let set = set_of(&[5, 5, 5]);
+        let good = encode(&set).unwrap();
+        let header = *SqbImage::from_bytes(good.clone()).unwrap().header();
+        let original = |p: usize| header.index_offset as usize + p * INDEX_ENTRY_LEN + 12;
+        let mut bytes = good;
+        patch_u32(&mut bytes, original(0), 1);
+        patch_u32(&mut bytes, original(1), 0);
+        assert_malformed(&bytes, "tie order");
+    }
+
+    #[test]
+    fn a_block_table_or_start_the_dealer_would_not_write_is_rejected() {
+        let good = encode(&set_of(&[9, 9, 7, 3, 0, 2])).unwrap();
+        let header = *SqbImage::from_bytes(good.clone()).unwrap().header();
+        let entry = |p: usize| header.index_offset as usize + p * INDEX_ENTRY_LEN;
+        let table = header.blocks_offset as usize;
+        let mut cases = Vec::new();
+        // A start moved to another column, to another lane, off the lanes.
+        for (at, value) in [(entry(2) + 16, 4), (entry(2) + 20, 7), (entry(3) + 20, 40)] {
+            let mut bytes = good.clone();
+            patch_u32(&mut bytes, at, value);
+            cases.push(bytes);
+        }
+        // The block's first column, width and residues.
+        for (at, value) in [(table, 1), (table + 8, 8), (table + 16, 29)] {
+            let mut bytes = good.clone();
+            patch_u64(&mut bytes, at, value);
+            cases.push(bytes);
+        }
+        for bytes in cases {
+            assert_malformed(&bytes, "layout");
+        }
     }
 
     #[test]
@@ -1025,8 +1547,8 @@ mod tests {
         // id_len 2 -> 1 and desc_len 2 -> 3: the totals still add up,
         // but the id would end inside a character.
         let mut bytes = good.clone();
-        bytes[index + 20] = 1;
-        bytes[index + 22] = 3;
+        bytes[index + 24] = 1;
+        bytes[index + 26] = 3;
         assert!(SqbImage::from_bytes(bytes.clone()).is_err());
         assert!(decode(&bytes).is_err());
 
@@ -1049,6 +1571,7 @@ mod tests {
         assert!(image.is_empty());
         assert_eq!(image.alphabet(), Alphabet::Dna);
         assert_eq!(image.records().len(), 0);
+        assert_eq!(image.header().padding(), 0.0);
     }
 
     #[test]
@@ -1087,7 +1610,7 @@ mod tests {
 
     #[test]
     fn read_all_streams_without_a_seek_per_record() {
-        let set = sample_set();
+        let set = set_of(&(0..300).map(|i| i % 40).collect::<Vec<_>>());
         let source = CountingSeeks {
             inner: std::io::Cursor::new(encode(&set).unwrap()),
             seeks: 0,
@@ -1098,7 +1621,7 @@ mod tests {
         assert_eq!(
             file.file.seeks - after_open,
             2,
-            "names block, residue block"
+            "names block, residue area"
         );
     }
 
@@ -1118,13 +1641,13 @@ mod tests {
 
     #[test]
     fn streaming_writer_matches_batch_encoder() {
-        let set = sample_set();
+        let set = set_of(&(0..200).map(|i| (i * 13) % 70).collect::<Vec<_>>());
         let cursor = std::io::Cursor::new(Vec::new());
         let mut writer = SqbWriter::new(cursor, Alphabet::Protein).unwrap();
         for seq in &set {
             writer.append(seq).unwrap();
         }
-        assert_eq!(writer.len(), 3);
+        assert_eq!(writer.len(), 200);
         let cursor = writer.finish().unwrap();
         let streamed = cursor.into_inner();
         // Byte-identical to the in-memory encoder.

@@ -128,10 +128,16 @@ impl LengthStats {
     /// Compute length statistics of a set. Returns `None` for an empty
     /// set.
     pub fn of_set(set: &SequenceSet) -> Option<LengthStats> {
-        if set.is_empty() {
+        LengthStats::of_lengths(set.iter().map(Sequence::len))
+    }
+
+    /// Length statistics of records of these lengths. Returns `None`
+    /// for no records.
+    pub fn of_lengths(lengths: impl IntoIterator<Item = usize>) -> Option<LengthStats> {
+        let mut lengths: Vec<usize> = lengths.into_iter().collect();
+        if lengths.is_empty() {
             return None;
         }
-        let mut lengths: Vec<usize> = set.iter().map(Sequence::len).collect();
         lengths.sort_unstable();
         let count = lengths.len();
         let total: u64 = lengths.iter().map(|&l| l as u64).sum();

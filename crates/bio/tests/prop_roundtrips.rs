@@ -51,18 +51,13 @@ fn check_reader(bytes: &[u8]) -> Result<(), TestCaseError> {
     let inside = image.as_bytes().as_ptr_range();
     let (mut residues, mut names) = (0u64, 0u64);
     for record in image.records() {
-        for part in [
-            record.residues(),
-            record.id().as_bytes(),
-            record.description().as_bytes(),
-        ] {
+        for part in [record.id().as_bytes(), record.description().as_bytes()] {
             let part = part.as_ptr_range();
             prop_assert!(inside.start <= part.start && part.end <= inside.end);
         }
-        prop_assert!(record
-            .residues()
-            .iter()
-            .all(|&c| (c as usize) < header.alphabet.size()));
+        let codes = record.residues();
+        prop_assert_eq!(codes.len(), record.len());
+        prop_assert!(codes.iter().all(|&c| (c as usize) < header.alphabet.size()));
         residues += record.len() as u64;
         names += (record.id().len() + record.description().len()) as u64;
     }
@@ -81,6 +76,24 @@ fn check_reader(bytes: &[u8]) -> Result<(), TestCaseError> {
         prop_assert_eq!(seq.codes(), record.residues());
     }
     Ok(())
+}
+
+/// Strategy: a protein set whose lengths tie often and run from empty
+/// to a few hundred, of `0..max_seqs` records — past one block of 128.
+fn tied_set(max_seqs: usize) -> impl Strategy<Value = SequenceSet> {
+    let length = (0u8..4, 0usize..300).prop_map(|(kind, n)| match kind {
+        0 => 0,
+        1 => n % 4,
+        2 => 17,
+        _ => n,
+    });
+    prop::collection::vec(length, 0..max_seqs).prop_map(|lengths| {
+        let records = lengths.iter().enumerate().map(|(i, &n)| {
+            let codes = (0..n).map(|k| ((i * 3 + k) % 24) as u8).collect();
+            Sequence::from_codes(format!("r{i}"), Alphabet::Protein, codes)
+        });
+        SequenceSet::from_sequences(Alphabet::Protein, records.collect()).unwrap()
+    })
 }
 
 proptest! {
@@ -119,7 +132,7 @@ proptest! {
         for (record, seq) in image.records().zip(&set) {
             prop_assert_eq!(record.id(), seq.id.as_str());
             prop_assert_eq!(record.description(), seq.description.as_str());
-            prop_assert_eq!(record.residues(), seq.codes());
+            prop_assert_eq!(record.residues(), seq.codes().to_vec());
         }
         prop_assert_eq!(image, SqbImage::from_set(&set).unwrap());
     }
@@ -138,7 +151,7 @@ proptest! {
             prop_assert_eq!(file.residue_len(i), Some(expected.len() as u32));
             let record = image.get(i).unwrap();
             prop_assert_eq!(record.id(), expected.id.as_str());
-            prop_assert_eq!(record.residues(), expected.codes());
+            prop_assert_eq!(record.residues(), expected.codes().to_vec());
         }
         prop_assert!(image.get(set.len()).is_none());
     }
@@ -148,9 +161,52 @@ proptest! {
         // Arbitrary bytes, also behind a valid magic and version: a
         // typed error or a sound image, never a panic.
         check_reader(&bytes)?;
-        let mut prefixed = b"SQB1\x02\x00".to_vec();
+        let mut prefixed = b"SQB1\x03\x00".to_vec();
         prefixed.extend_from_slice(&bytes);
         check_reader(&prefixed)?;
+    }
+
+    #[test]
+    fn sqb_write_file_then_read_all_gives_the_records_in_the_order_written(
+        set in tied_set(300),
+    ) {
+        // Empty records, length ties, and 0, 1 or more than one block
+        // of records.
+        let path = std::env::temp_dir().join(format!(
+            "swdual_prop_v3_{}_{}.sqb",
+            std::process::id(),
+            set.len()
+        ));
+        sqb::write_file(&set, &path).unwrap();
+        let back = sqb::SqbFile::open(&path).unwrap().read_all();
+        let image = SqbImage::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(back.unwrap(), set.clone());
+        prop_assert_eq!(image.header().n_blocks(), set.len().div_ceil(128) as u64);
+        let lengths: Vec<u32> = image.placements().map(|p| p.len).collect();
+        prop_assert!(lengths.windows(2).all(|w| w[0] >= w[1]), "length order");
+        for (record, seq) in image.records().zip(&set) {
+            prop_assert_eq!(record.residues(), seq.codes().to_vec());
+        }
+    }
+
+    #[test]
+    fn sqb_hostile_index_block_table_and_starts_are_typed_errors(
+        set in tied_set(200),
+        writes in prop::collection::vec((any::<u64>(), any::<u8>()), 1..6),
+    ) {
+        // Overwrite bytes of the index and block table only: original
+        // indices (duplicated, out of range), starts, widths, lengths.
+        let valid = sqb::encode(&set).unwrap();
+        let header = *SqbImage::from_bytes(valid.clone()).unwrap().header();
+        let tail = (header.file_len - header.index_offset) as usize;
+        if tail > 0 {
+            let mut bytes = valid.clone();
+            for (at, value) in writes {
+                bytes[header.index_offset as usize + (at % tail as u64) as usize] = value;
+            }
+            check_reader(&bytes)?;
+        }
     }
 
     #[test]
@@ -162,6 +218,7 @@ proptest! {
             sqb::HEADER_LEN as u64,
             header.names_offset,
             header.index_offset,
+            header.blocks_offset,
             header.file_len - 1,
         ];
         for cut in boundaries.into_iter().filter(|&cut| cut < header.file_len) {

@@ -404,6 +404,9 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
     let cpus: usize = flags.number("cpus")?.unwrap_or(1);
     let gpus: usize = flags.number("gpus")?.unwrap_or(1);
     let top: usize = flags.number("top")?.unwrap_or(10);
+    if top == 0 {
+        return Err(format!("--top must be >= 1, got {top}"));
+    }
     let gap_open: i32 = flags.number("gap-open")?.unwrap_or(10);
     let gap_extend: i32 = flags.number("gap-extend")?.unwrap_or(2);
     for (flag, penalty) in [("gap-open", gap_open), ("gap-extend", gap_extend)] {
@@ -987,6 +990,11 @@ fn cmd_generate(flags: &Args) -> Result<(), String> {
         .number("sequences")?
         .ok_or("--sequences is required")?;
     let mean: f64 = flags.number("mean-len")?.ok_or("--mean-len is required")?;
+    if !(mean.is_finite() && mean > 0.0) {
+        return Err(format!(
+            "--mean-len must be a positive finite number, got {mean}"
+        ));
+    }
     let output = flags.required("output")?;
     let seed: u64 = flags.number("seed")?.unwrap_or(2014);
     let set = synthetic_database("synth", n, LengthModel::protein_database(mean), seed);
@@ -1001,12 +1009,15 @@ fn cmd_generate(flags: &Args) -> Result<(), String> {
 
 fn cmd_info(flags: &Args) -> Result<(), String> {
     let path = flags.required("db")?;
-    let set = load_set(path)?;
+    // FASTA is described as the SQB image a search encodes it to.
+    let image = load_database(path)?;
+    let header = image.header();
     outln!("file:      {path}");
-    outln!("alphabet:  {:?}", set.alphabet);
-    outln!("sequences: {}", set.len());
-    outln!("residues:  {}", set.total_residues());
-    if let Some(stats) = LengthStats::of_set(&set) {
+    outln!("alphabet:  {:?}", image.alphabet());
+    outln!("sequences: {}", image.len());
+    outln!("residues:  {}", image.total_residues());
+    let lengths = image.placements().map(|p| p.len as usize);
+    if let Some(stats) = LengthStats::of_lengths(lengths) {
         outln!(
             "lengths:   min {} / median {} / mean {:.1} / max {} (sd {:.1})",
             stats.min,
@@ -1016,6 +1027,15 @@ fn cmd_info(flags: &Args) -> Result<(), String> {
             stats.std_dev
         );
     }
+    outln!(
+        "layout:    SQB v{}, {} blocks of up to {} records on {} lanes, padding {:.2} % of residues, {} bytes",
+        header.version,
+        header.n_blocks(),
+        swdual_bio::lanes::BLOCK_RECORDS,
+        swdual_bio::lanes::LANES,
+        100.0 * header.padding(),
+        image.as_bytes().len()
+    );
     Ok(())
 }
 

@@ -308,3 +308,140 @@ fn help_succeeds() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("swdual"));
 }
+
+/// `--top 0` would keep no hits; it is refused as a negative gap
+/// penalty is, not raised to one.
+#[test]
+fn a_top_of_zero_is_refused() {
+    let query = tmp("top0_q.fasta");
+    let db = tmp("top0_db.fasta");
+    std::fs::write(&query, ">q\nMKVLATGG\n").unwrap();
+    std::fs::write(&db, ">s\nMKVLATGG\n>t\nWWWW\n").unwrap();
+    let search = |top: &str| {
+        swdual()
+            .args(["search", "--db", db.to_str().unwrap()])
+            .args(["--queries", query.to_str().unwrap()])
+            .args(["--cpus", "1", "--gpus", "0", "--top", top])
+            .output()
+            .unwrap()
+    };
+    let out = search("0");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: --top must be >= 1, got 0"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+    assert!(search("1").status.success());
+    for f in [&query, &db] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+/// `generate --mean-len VALUE` for a value no length distribution has:
+/// an error naming the flag, exit 1, no panic and no file.
+fn assert_generate_refuses_mean_len(value: &str) {
+    let output = tmp(&format!("mean_len_{}.fasta", value.replace('-', "minus")));
+    std::fs::remove_file(&output).ok();
+    let out = swdual()
+        .args(["generate", "--sequences", "5", "--mean-len", value])
+        .args(["--output", output.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{value}: {stderr}");
+    assert!(
+        stderr.contains("--mean-len must be a positive finite number"),
+        "{value}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{value}: {stderr}");
+    assert!(!output.exists(), "{value}");
+}
+
+#[test]
+fn generate_refuses_a_mean_len_of_zero() {
+    assert_generate_refuses_mean_len("0");
+}
+
+#[test]
+fn generate_refuses_a_negative_mean_len() {
+    assert_generate_refuses_mean_len("-5");
+}
+
+#[test]
+fn generate_refuses_a_mean_len_that_is_not_a_number() {
+    assert_generate_refuses_mean_len("NaN");
+}
+
+#[test]
+fn generate_refuses_an_infinite_mean_len() {
+    assert_generate_refuses_mean_len("inf");
+}
+
+/// `info` describes the SQB version-3 layout, for an `.sqb` file and for
+/// the image a FASTA file is encoded to alike.
+#[test]
+fn info_reports_the_v3_layout() {
+    let fasta = tmp("info_v3.fasta");
+    let sqb = tmp("info_v3.sqb");
+    let run = |args: &[&str]| swdual().args(args).output().unwrap();
+    let (fasta_arg, sqb_arg) = (fasta.to_str().unwrap(), sqb.to_str().unwrap());
+    assert!(run(&["generate", "--sequences", "300", "--mean-len", "120", "--output", fasta_arg])
+        .status
+        .success());
+    assert!(run(&["convert", "--input", fasta_arg, "--output", sqb_arg])
+        .status
+        .success());
+    let bytes = std::fs::metadata(&sqb).unwrap().len();
+    let layout = |path: &str| {
+        let out = run(&["info", "--db", path]);
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        stdout
+            .lines()
+            .find(|line| line.starts_with("layout:"))
+            .unwrap_or_else(|| panic!("no layout line: {stdout}"))
+            .to_string()
+    };
+    let line = layout(sqb_arg);
+    assert!(
+        line.contains("SQB v3, 3 blocks of up to 128 records on 32 lanes, padding "),
+        "{line}"
+    );
+    assert!(line.ends_with(&format!("% of residues, {bytes} bytes")), "{line}");
+    assert_eq!(layout(fasta_arg), line);
+    for f in [&fasta, &sqb] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+/// A version-2 file (one record, "MK") is refused with the re-convert
+/// message, exit 1.
+#[test]
+fn info_on_a_version_2_file_asks_for_a_reconvert() {
+    let path = tmp("info_v2.sqb");
+    let mut v2 = b"SQB1".to_vec();
+    v2.extend(2u16.to_le_bytes());
+    v2.extend([2, 0]); // protein, no flags
+    for field in [1u64, 2, 1, 64, 66, 67, 91] {
+        v2.extend(field.to_le_bytes());
+    }
+    v2.extend([10, 11, b'a']);
+    v2.extend([0; 16]);
+    v2.extend(2u32.to_le_bytes());
+    v2.extend([1, 0, 0, 0]);
+    std::fs::write(&path, &v2).unwrap();
+    let out = swdual()
+        .args(["info", "--db", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unsupported SQB format version 2"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("re-run `swdual convert`"), "{stderr}");
+    std::fs::remove_file(&path).ok();
+}

@@ -156,6 +156,11 @@ mod tests {
         ScoringScheme::protein_default()
     }
 
+    /// The residues of every record of `db`, in order.
+    fn codes(db: &SequenceSet) -> Vec<&[u8]> {
+        db.iter().map(Sequence::codes).collect()
+    }
+
     /// A toy database of `n` sequences of `len` residues.
     fn uniform_database(n: usize, len: usize, alphabet: Alphabet) -> SequenceSet {
         let mut set = SequenceSet::new(alphabet);
@@ -178,8 +183,8 @@ mod tests {
     #[test]
     fn splitting_respects_chunk_size_and_order() {
         let db = uniform_database(20, 50, Alphabet::Protein);
-        let subjects = Subjects::from(&db);
-        let chunks = split_into_chunks(subjects.seqs(), 200).unwrap();
+        let subjects = codes(&db);
+        let chunks = split_into_chunks(&subjects, 200).unwrap();
         // 50 residues each, 200-residue chunks -> 4 sequences per chunk.
         assert_eq!(chunks.len(), 5);
         for c in &chunks {
@@ -194,7 +199,7 @@ mod tests {
     #[test]
     fn oversized_single_sequence_is_an_error() {
         let db = uniform_database(1, 500, Alphabet::Protein);
-        assert!(split_into_chunks(Subjects::from(&db).seqs(), 100).is_err());
+        assert!(split_into_chunks(&codes(&db), 100).is_err());
     }
 
     #[test]
@@ -206,7 +211,7 @@ mod tests {
         let query = query.get(0).unwrap().codes().to_vec();
         let result = chunked_search(
             &mut device,
-            Subjects::from(&db).seqs(),
+            &codes(&db),
             &query,
             &scheme(),
             true,
@@ -238,7 +243,7 @@ mod tests {
         let mut serial_dev = GpuDevice::new(spec.clone());
         let serial = chunked_search(
             &mut serial_dev,
-            Subjects::from(&db).seqs(),
+            &codes(&db),
             &query,
             &scheme(),
             true,
@@ -249,7 +254,7 @@ mod tests {
         let mut overlap_dev = GpuDevice::new(big);
         let overlap = overlapped_search(
             &mut overlap_dev,
-            Subjects::from(&db).seqs(),
+            &codes(&db),
             &query,
             &scheme(),
             true,
@@ -277,7 +282,7 @@ mod tests {
         let query = vec![0u8; 30];
         let result = chunked_search(
             &mut device,
-            Subjects::from(&db).seqs(),
+            &codes(&db),
             &query,
             &scheme(),
             false,
@@ -294,7 +299,7 @@ mod tests {
         let query = vec![1u8; 50];
         chunked_search(
             &mut device,
-            Subjects::from(&db).seqs(),
+            &codes(&db),
             &query,
             &scheme(),
             true,

@@ -179,8 +179,7 @@ impl ResidentDb<'_> {
                 padded_residues: self.padded_before[warps.end] - self.padded_before[warps.start],
             }
         } else {
-            let lengths = self.subjects.in_order(slice).map(<[u8]>::len);
-            Footprint::of(lengths, warp_size).0
+            Footprint::of(self.subjects.lengths(slice), warp_size).0
         }
     }
 }
@@ -427,8 +426,8 @@ impl GpuDevice {
     /// residues `database` borrows — an [`SqbImage`](swdual_bio::SqbImage),
     /// a [`SequenceSet`](swdual_bio::SequenceSet) or one chunk of either —
     /// and takes every length from their slices; nothing is copied on
-    /// the host. It owns the length order built here: a search that has
-    /// one already hands it to [`GpuDevice::upload_shared`].
+    /// the host. It owns the [`Subjects`] built here: a search that has
+    /// them already hands them to [`GpuDevice::upload_shared`].
     pub fn upload<'a>(
         &mut self,
         database: impl Into<Subjects<'a>>,
@@ -437,14 +436,14 @@ impl GpuDevice {
         self.make_resident(Cow::Owned(database.into()), sort_by_length)
     }
 
-    /// [`GpuDevice::upload`] of subjects whose length order the caller
-    /// keeps: the residency borrows it and sorts nothing.
+    /// [`GpuDevice::upload`] of subjects the caller keeps — a search's,
+    /// borrowed from its image: the residency borrows them, in their
+    /// length order, and lays nothing out.
     pub fn upload_shared<'a>(
         &mut self,
         subjects: &'a Subjects<'a>,
-        sort_by_length: bool,
     ) -> Result<ResidentDb<'a>, MemoryError> {
-        self.make_resident(Cow::Borrowed(subjects), sort_by_length)
+        self.make_resident(Cow::Borrowed(subjects), true)
     }
 
     fn make_resident<'a>(
@@ -457,10 +456,9 @@ impl GpuDevice {
         let (footprint, padded_before) = if sort_by_length {
             // Descending length: warps see near-equal neighbours. The
             // order is the one the host kernel batches in.
-            let lengths = subjects.in_order(subjects.whole()).map(<[u8]>::len);
-            Footprint::of(lengths, warp_size)
+            Footprint::of(subjects.lengths(subjects.whole()), warp_size)
         } else {
-            Footprint::of(subjects.seqs().iter().map(|s| s.len()), warp_size)
+            Footprint::of(subjects.lengths_in_database_order(), warp_size)
         };
         let bytes = footprint.total_residues;
         let allocation = self.memory.alloc(bytes)?;
@@ -970,7 +968,7 @@ mod tests {
         let subjects = Subjects::from(&database);
         let query = Alphabet::Protein.encode(b"MKVLAT").unwrap();
         let mut dev = GpuDevice::new(DeviceSpec::toy(10_000));
-        let resident = dev.upload_shared(&subjects, true).unwrap();
+        let resident = dev.upload_shared(&subjects).unwrap();
         let whole = dev.search_slice(&query, &resident, 0..10, &scheme());
         assert_eq!(
             subjects.in_database_order(&whole.scores),
@@ -1011,8 +1009,8 @@ mod tests {
         for device in [&mut searched, &mut charged] {
             device.inject_fault_after_kernels(2);
         }
-        let a = searched.upload_shared(&subjects, true).unwrap();
-        let b = charged.upload_shared(&subjects, true).unwrap();
+        let a = searched.upload_shared(&subjects).unwrap();
+        let b = charged.upload_shared(&subjects).unwrap();
         for slice in [0..5, 1..3] {
             searched.check_fault().unwrap();
             let kernel = searched.search_slice(&query, &a, slice.clone(), &scheme());
@@ -1033,16 +1031,14 @@ mod tests {
         let database = db(&["MKVLATGGAR", "MK", "GGARMKVLAT", "WWWW", "MKVLA"]);
         let subjects = Subjects::from(&database);
         let query = Alphabet::Protein.encode(b"MKVLAT").unwrap();
-        for sort in [true, false] {
-            let mut owned = GpuDevice::new(DeviceSpec::toy(10_000));
-            let mut shared = GpuDevice::new(DeviceSpec::toy(10_000));
-            let a = owned.upload(&database, sort).unwrap();
-            let b = shared.upload_shared(&subjects, sort).unwrap();
-            assert_eq!(
-                owned.search(&query, &a, &scheme()),
-                shared.search(&query, &b, &scheme())
-            );
-            assert_eq!(owned.events(), shared.events());
-        }
+        let mut owned = GpuDevice::new(DeviceSpec::toy(10_000));
+        let mut shared = GpuDevice::new(DeviceSpec::toy(10_000));
+        let a = owned.upload(&database, true).unwrap();
+        let b = shared.upload_shared(&subjects).unwrap();
+        assert_eq!(
+            owned.search(&query, &a, &scheme()),
+            shared.search(&query, &b, &scheme())
+        );
+        assert_eq!(owned.events(), shared.events());
     }
 }

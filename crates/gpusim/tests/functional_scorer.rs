@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 use swdual_align::scalar::gotoh_score;
-use swdual_align::Subjects;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, ScoringScheme};
 use swdual_gpusim::chunked::{chunked_search, overlapped_search};
@@ -52,7 +51,7 @@ fn check_every_entry_point(subjects: &[Vec<u8>], query: &[u8], sort: bool) -> Re
     let mut device = GpuDevice::new(DeviceSpec::toy(capacity));
     let serial = chunked_search(
         &mut device,
-        Subjects::from(&database).seqs(),
+        &database.iter().map(|s| s.codes()).collect::<Vec<_>>(),
         query,
         &scheme,
         sort,
@@ -61,7 +60,7 @@ fn check_every_entry_point(subjects: &[Vec<u8>], query: &[u8], sort: bool) -> Re
     let mut device = GpuDevice::new(DeviceSpec::toy(capacity));
     let overlapped = overlapped_search(
         &mut device,
-        Subjects::from(&database).seqs(),
+        &database.iter().map(|s| s.codes()).collect::<Vec<_>>(),
         query,
         &scheme,
         sort,
@@ -138,7 +137,7 @@ fn a_four_chunk_search_builds_the_query_profiles_once() {
     let scheme = ScoringScheme::protein_default();
     let result = chunked_search(
         &mut device,
-        Subjects::from(&database).seqs(),
+        &database.iter().map(|s| s.codes()).collect::<Vec<_>>(),
         query,
         &scheme,
         true,
@@ -152,7 +151,7 @@ fn a_four_chunk_search_builds_the_query_profiles_once() {
     let other = vec![3u8; 40];
     chunked_search(
         &mut device,
-        Subjects::from(&database).seqs(),
+        &database.iter().map(|s| s.codes()).collect::<Vec<_>>(),
         &other,
         &scheme,
         true,

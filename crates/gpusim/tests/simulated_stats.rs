@@ -4,7 +4,6 @@
 //! whose device still scored through the lane-array inter-sequence
 //! kernel; every one must reproduce bit for bit.
 
-use swdual_align::Subjects;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, ScoringScheme};
 use swdual_gpusim::chunked::{chunked_search, overlapped_search};
@@ -110,7 +109,7 @@ fn streamed_search_times_equal_the_parent_commit_bit_for_bit() {
     let mut device = GpuDevice::new(DeviceSpec::toy(20_000));
     let serial = chunked_search(
         &mut device,
-        Subjects::from(&database).seqs(),
+        &database.iter().map(|s| s.codes()).collect::<Vec<_>>(),
         &query,
         &scheme,
         true,
@@ -123,7 +122,7 @@ fn streamed_search_times_equal_the_parent_commit_bit_for_bit() {
     let mut device = GpuDevice::new(DeviceSpec::toy(20_000));
     let overlapped = overlapped_search(
         &mut device,
-        Subjects::from(&database).seqs(),
+        &database.iter().map(|s| s.codes()).collect::<Vec<_>>(),
         &query,
         &scheme,
         false,

@@ -60,7 +60,7 @@ use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 use swdual_align::tiered::transposes;
-use swdual_align::{Backend, SharedStreams, Subjects};
+use swdual_align::{Backend, Subjects};
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::ScoringScheme;
 use swdual_bio::SqbImage;
@@ -291,9 +291,9 @@ const ABSENT_SPECIES_PENALTY: f64 = 1.0e6;
 /// Slice boundaries fall on multiples of this many positions of the
 /// length order (or at its end): a multiple of every zoo device's warp,
 /// so a device batches and pads a slice's subjects exactly as it does
-/// in an uncut run. (The CPU kernel's stream deals a slice's subjects
-/// to its lanes afresh, wherever the slice starts.)
-const SLICE_ALIGN: usize = 128;
+/// in an uncut run, and one block of the SQB image, so a CPU worker's
+/// slice is a range of whole blocks, scored where they lie.
+const SLICE_ALIGN: usize = swdual_bio::lanes::BLOCK_RECORDS;
 
 /// Build the scheduler instance from the rate models the workers
 /// declared at registration: one task per query against the whole
@@ -363,7 +363,6 @@ fn spawn_workers<'scope>(
     scope: &'scope Scope<'scope, '_>,
     workers: &[WorkerSpec],
     database: &'scope Subjects<'scope>,
-    streams: &'scope SharedStreams,
     claims: &'scope Claims,
     queries: &Arc<SequenceSet>,
     config: &RuntimeConfig,
@@ -386,7 +385,6 @@ fn spawn_workers<'scope>(
         let ctx = WorkerContext {
             worker_id,
             database,
-            streams,
             queries: Arc::clone(queries),
             scheme: config.scheme.clone(),
             top_k: config.top_k,
@@ -814,12 +812,9 @@ fn search(
     }
     let n_queries = queries.len();
     let queries = Arc::new(queries);
-    // The length order and its prefix sums: built once, borrowed by the
-    // allocator and every worker. Beside them, the inter-sequence streams
-    // of the slices that more jobs score than there are CPU workers —
-    // which slices, the allocation decides.
+    // The image's blocks, length order and prefix sums: read once,
+    // borrowed by the allocator and every worker.
     let subjects = Subjects::from(&*database);
-    let streams = SharedStreams::default();
     let claims = Claims::default();
     let db_residues = subjects.total_residues();
     let total_cells: u64 = queries.iter().map(|q| q.len() as u64 * db_residues).sum();
@@ -833,7 +828,7 @@ fn search(
     let ((results, help_wall), query_of, schedule) = std::thread::scope(|scope| {
         let t_register = obs.now();
         let (mut links, threads) = spawn_workers(
-            scope, workers, &subjects, &streams, &claims, &queries, &config,
+            scope, workers, &subjects, &claims, &queries, &config,
         );
         let (registrations, alive) = collect_registrations(&mut links, workers, &config);
         obs.span(
@@ -851,12 +846,6 @@ fn search(
         }
 
         let allocation = allocate(&queries, &subjects, &registrations, &config)?;
-        let cpu_workers = registrations.iter().filter(|r| !r.is_gpu).count();
-        let jobs = allocation.units.iter().map(|unit| {
-            let query_len = queries.get(unit.query_index).map_or(0, |q| q.len());
-            (query_len, unit.slice.start..unit.slice.end)
-        });
-        streams.share(Backend::active(), &subjects, jobs, cpu_workers);
         let query_of: Vec<usize> = allocation.units.iter().map(|u| u.query_index).collect();
         let is_gpu = workers.iter().map(|w| w.is_gpu()).collect();
         let shell = Shell {

@@ -229,7 +229,7 @@ pub enum WorkerMsg {
 pub struct WorkerStats {
     /// Worker id (registration order).
     pub worker_id: usize,
-    /// Human-readable description ("CPU(striped)", "GPU(Tesla ...)").
+    /// Human-readable description ("CPU", "GPU(Tesla ...)").
     pub description: String,
     /// Tasks executed.
     pub tasks: usize,

@@ -31,7 +31,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swdual_align::engine::{AlignEngine, LadderEngine, PhaseTimings};
-use swdual_align::{ProfileCache, Scratch, SharedStreams, Subjects, TierStats};
+use swdual_align::{ProfileCache, Scratch, Subjects, TierStats};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
 use swdual_gpusim::{DeviceClass, DeviceSpec, GpuDevice};
@@ -111,7 +111,7 @@ impl WorkerSpec {
     /// Human-readable description for stats.
     pub fn description(&self) -> String {
         match &self.kind {
-            WorkerKind::Cpu => "CPU(striped)".to_string(),
+            WorkerKind::Cpu => "CPU".to_string(),
             WorkerKind::Gpu { device } => format!("GPU({})", device.name),
         }
     }
@@ -150,13 +150,10 @@ impl WorkerSpec {
 pub struct WorkerContext<'a> {
     /// Worker id assigned at registration.
     pub worker_id: usize,
-    /// The database: the residues of one checked image, its length
-    /// order and that order's residue prefix sums, built once per search
-    /// and borrowed by every worker.
+    /// The database: the blocks of one checked image, scored in place,
+    /// with its length order and that order's residue prefix sums, read
+    /// once per search and borrowed by every worker.
     pub database: &'a Subjects<'a>,
-    /// The inter-sequence streams of the slices the search shares, lent
-    /// to every CPU worker.
-    pub streams: &'a SharedStreams,
     /// The query set (shared).
     pub queries: Arc<SequenceSet>,
     /// Scoring parameters.
@@ -412,7 +409,6 @@ impl WorkerContext<'_> {
                 slice.clone(),
                 &self.scheme,
                 Some(cache),
-                Some(self.streams),
                 scratch,
             );
             let hits = self.hits_of(slice, &scores);
@@ -566,7 +562,6 @@ pub fn worker_loop(
                             slice.clone(),
                             &ctx.scheme,
                             Some(&profile_cache),
-                            Some(ctx.streams),
                             &mut scratch,
                         );
                         let wall = start.elapsed().as_secs_f64();
@@ -695,7 +690,7 @@ pub fn worker_loop(
             // order; oversized ones stay on the host and fall back to
             // the chunked streaming path per kernel, re-streaming the
             // job's subjects for every task as the real tools must.
-            let residency = device.upload_shared(ctx.database, true).ok();
+            let residency = device.upload_shared(ctx.database).ok();
             'runs: while let Some(order) = next_order(&jobs) {
                 let run = match order {
                     Order::Run(run) => run,
@@ -746,8 +741,10 @@ pub fn worker_loop(
                             }
                             (None, _) => {
                                 device.check_fault()?;
+                                let gathered: Vec<Vec<u8>> =
+                                    slice.clone().map(|p| ctx.database.residues(p)).collect();
                                 let on_host: Vec<&[u8]> =
-                                    ctx.database.in_order(slice.clone()).collect();
+                                    gathered.iter().map(Vec::as_slice).collect();
                                 let r = swdual_gpusim::chunked::overlapped_search(
                                     &mut device,
                                     &on_host,
@@ -880,7 +877,6 @@ mod tests {
         let ctx = WorkerContext {
             worker_id,
             database: &Subjects::from(&image),
-            streams: &SharedStreams::default(),
             queries: Arc::new(tiny_queries()),
             scheme: ScoringScheme::protein_default(),
             top_k: TOP_K,

@@ -159,32 +159,31 @@ fn empty_databases_stay_schedulable() {
     }
 }
 
-/// Twelve queries on two CPU workers score every slice more often than
-/// there are workers, so the search shares each slice's inter-sequence
-/// stream; two queries at a time on the same pool never do, and lay every
-/// stream out per job. The hits agree query by query, and with the
-/// oracle.
+/// Twelve queries on two CPU workers, and the same queries two at a
+/// time on the same pool: a search of 300 subjects is cut, plans and
+/// forms runs differently each way, and every job scores the image's
+/// blocks in place. The hits agree query by query, and with the oracle.
 #[test]
-fn a_shared_stream_finds_the_hits_of_per_job_streams() {
+fn queries_searched_together_or_two_at_a_time_find_the_same_hits() {
     let db = sequences(300, 60, 20, 41, "d");
     let queries = sequences(12, 50, 20, 42, "q");
     let workers = pool(2, 0);
-    let (shared, _) = search(&db, &queries, &workers, RuntimeConfig::default());
-    let mut per_job = Vec::new();
+    let (together, _) = search(&db, &queries, &workers, RuntimeConfig::default());
+    let mut in_pairs = Vec::new();
     for first in (0..queries.len()).step_by(2) {
         let mut two = SequenceSet::new(Alphabet::Protein);
         for q in first..first + 2 {
             two.push(queries.get(q).unwrap().clone()).unwrap();
         }
         let (hits, _) = search(&db, &two, &workers, RuntimeConfig::default());
-        per_job.extend(hits.into_iter().map(|h| QueryHits {
+        in_pairs.extend(hits.into_iter().map(|h| QueryHits {
             query_index: h.query_index + first,
             ..h
         }));
     }
-    assert_eq!(shared, per_job);
+    assert_eq!(together, in_pairs);
     assert_eq!(
-        shared,
+        together,
         oracle(&db, &queries, RuntimeConfig::default().top_k)
     );
 }
