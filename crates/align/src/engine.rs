@@ -23,10 +23,10 @@ pub enum EngineKind {
     /// straightforward per-thread vector code, one comparison at a time).
     Scalar,
     /// The tier-ladder engine the workers run: byte lanes → 16-bit
-    /// lanes → scalar, the byte tier inter-sequence (SWIPE) where the
-    /// slice's stream fills its lanes well enough for the query's length
-    /// and Farrar-striped (STRIPED baseline) for the subjects it peels —
-    /// see [`crate::tiered::score_database`].
+    /// lanes → scalar, the byte tier inter-sequence (SWIPE) on each block
+    /// whose stream fills its lanes well enough for the query's length
+    /// and Farrar-striped (STRIPED baseline) on the others — see
+    /// [`crate::tiered::score_database`].
     Striped,
     /// The same ladder with the byte tier forced inter-sequence at
     /// every query length (the SWIPE ablation of Table II).

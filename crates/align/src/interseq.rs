@@ -269,7 +269,13 @@ impl<const L: usize> Harvest<L> {
     /// Hand `lane` over to `subject`: record the maximum of the subject
     /// it held, and clear its maximum and its `H`/`E` column for the next.
     #[inline]
-    fn start(&mut self, lane: usize, subject: usize, state: &mut [[[u8; L]; 2]], maxima: &mut [u8]) {
+    fn start(
+        &mut self,
+        lane: usize,
+        subject: usize,
+        state: &mut [[[u8; L]; 2]],
+        maxima: &mut [u8],
+    ) {
         if let Some(held) = self.holds[lane] {
             maxima[held] = self.best[lane];
         }
@@ -692,7 +698,13 @@ mod tests {
         // every column: exact on every backend.
         let scheme = ScoringScheme::protein_default();
         let q = prot(b"MKVLATGG");
-        for lengths in [vec![], vec![0; 5], vec![0; 100], vec![3; 100], vec![256; 33]] {
+        for lengths in [
+            vec![],
+            vec![0; 5],
+            vec![0; 100],
+            vec![3; 100],
+            vec![256; 33],
+        ] {
             let subjects: Vec<Vec<u8>> = lengths
                 .iter()
                 .enumerate()

@@ -8,8 +8,8 @@
 //! in cache across blocks and jobs.
 
 use crate::profile::LANES;
-use swdual_bio::lanes::GROUP;
 use crate::striped8::LANES8;
+use swdual_bio::lanes::GROUP;
 
 /// Cache-line size the byte buffers are aligned to, so a vector load
 /// never straddles two lines.

@@ -158,17 +158,19 @@ impl<'a> Subjects<'a> {
         let mut blocks = Vec::with_capacity(by_length.len().div_ceil(BLOCK_RECORDS));
         let mut starts = Vec::with_capacity(by_length.len());
         for block in by_length.chunks(BLOCK_RECORDS) {
-            let (dealt, width) = lanes::deal(block.iter().map(|&i| seqs[i as usize].len()));
-            let first = columns.len() / LANES;
-            columns.resize(columns.len() + width * LANES, PAD);
-            for (&i, &start) in block.iter().zip(&dealt) {
-                lanes::place(&mut columns[first * LANES..], start, seqs[i as usize]);
-            }
-            blocks.push((first, width));
-            starts.extend(dealt);
+            let stream = Stream::lay_out(block.iter().map(|&i| seqs[i as usize]));
+            blocks.push((columns.len() / LANES, stream.columns.len() / LANES));
+            columns.extend_from_slice(&stream.columns);
+            starts.extend(stream.starts);
         }
         let lens = by_length.iter().map(|&i| seqs[i as usize].len() as u32);
-        Subjects::assemble(Cow::Owned(columns), blocks, starts, lens.collect(), by_length)
+        Subjects::assemble(
+            Cow::Owned(columns),
+            blocks,
+            starts,
+            lens.collect(),
+            by_length,
+        )
     }
 
     fn assemble(
@@ -255,7 +257,12 @@ impl<'a> Subjects<'a> {
     pub fn gather(&self, position: usize, out: &mut Vec<u8>) {
         let (first, width) = self.blocks[position / BLOCK_RECORDS];
         let columns = &self.columns[first * LANES..(first + width) * LANES];
-        lanes::gather(columns, self.starts[position], self.lens[position] as usize, out);
+        lanes::gather(
+            columns,
+            self.starts[position],
+            self.lens[position] as usize,
+            out,
+        );
     }
 
     /// The residues of the subject at `position`, gathered.
@@ -361,12 +368,15 @@ impl<'a> FromIterator<&'a [u8]> for Subjects<'a> {
 /// place, its index read once.
 impl<'a> From<&'a SqbImage> for Subjects<'a> {
     fn from(database: &'a SqbImage) -> Self {
-        let blocks = database.blocks().map(|block| {
-            (block.first_column as usize, block.columns as usize)
-        });
+        let blocks = database
+            .blocks()
+            .map(|block| (block.first_column as usize, block.columns as usize));
         let n = database.len();
-        let (mut starts, mut lens, mut by_length) =
-            (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut starts, mut lens, mut by_length) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
         for placement in database.placements() {
             starts.push(placement.start);
             lens.push(placement.len);
@@ -482,7 +492,7 @@ impl Backend {
             return lens.len();
         }
         lens.sort_unstable_by(|a, b| b.cmp(a));
-        let columns = lanes::stream_columns(lens.iter().copied());
+        let (_, columns) = lanes::deal(lens.iter().copied());
         if fill(residues, columns) > slice_fill {
             lens.len()
         } else {
@@ -724,7 +734,13 @@ pub fn score_run_with(
             continue;
         };
         maxima.fill(0);
-        backend.interseq8(&subject, &tables, StreamRef::of(&stream), scratch, &mut maxima);
+        backend.interseq8(
+            &subject,
+            &tables,
+            StreamRef::of(&stream),
+            scratch,
+            &mut maxima,
+        );
         for (&k, &best) in in_stream.iter().zip(&maxima) {
             stats.subjects += 1;
             scores[k as usize][j] = if best < tables.limit {
@@ -925,13 +941,16 @@ mod tests {
         // A cut on the block size lands on a block boundary or the end.
         for fraction in [0.1, 0.33, 0.5, 0.9] {
             let cut = db.cut_at(fraction, BLOCK_RECORDS);
-            assert!(cut % BLOCK_RECORDS == 0 || cut == db.len());
+            assert!(cut.is_multiple_of(BLOCK_RECORDS) || cut == db.len());
         }
         // Each block's fill is its residues over its stream's cells.
         for block in 0..3 {
             let (_, width) = db.blocks[block];
             let residues = db.residues_in(db.positions(block));
-            assert_eq!(db.block_fill(block), residues as f64 / (width * LANES) as f64);
+            assert_eq!(
+                db.block_fill(block),
+                residues as f64 / (width * LANES) as f64
+            );
         }
         // Neighbours in the length order have near-equal lengths, so a
         // full block pads little; the last one, 44 records on 32 lanes,

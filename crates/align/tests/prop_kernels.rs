@@ -12,7 +12,7 @@ use swdual_align::tiered::{
     score_database_with, score_run_with, tiered_score, transposes, ByteShape, Subjects, TierStats,
 };
 use swdual_align::Scratch;
-use swdual_bio::lanes::{stream_columns, BLOCK_RECORDS, LANES};
+use swdual_bio::lanes::{deal, BLOCK_RECORDS, LANES};
 use swdual_bio::{Alphabet, Matrix, ScoringScheme};
 
 /// Random protein residues (codes 0..20, the unambiguous amino acids).
@@ -913,7 +913,7 @@ fn a_slice_fill_is_its_residues_over_its_stream_cells() {
     let width = |positions: std::ops::Range<usize>| {
         let mut lengths: Vec<usize> = positions.map(|p| db.residues(p).len()).collect();
         lengths.sort_unstable_by(|a, b| b.cmp(a));
-        stream_columns(lengths)
+        deal(lengths).1
     };
     let (first, second) = (width(0..128), width(128..200));
     for backend in Backend::available() {
@@ -926,7 +926,10 @@ fn a_slice_fill_is_its_residues_over_its_stream_cells() {
         let one = backend.slice_fill(&db, 0..1);
         assert_eq!(one, db.residues_in(0..1) as f64 / (first * LANES) as f64);
         let tail = backend.slice_fill(&db, 128..200);
-        assert_eq!(tail, db.residues_in(128..200) as f64 / (second * LANES) as f64);
+        assert_eq!(
+            tail,
+            db.residues_in(128..200) as f64 / (second * LANES) as f64
+        );
         assert_eq!(backend.slice_fill(&db, 3..3), 0.0);
     }
 }

@@ -7,16 +7,20 @@
 //!   checked, borrowed [`SqbImage`] against the streaming owned decode
 //!   of the same file ([`SqbFile::read_all`]) against parsing the same
 //!   database as FASTA.
-//! * **Random access** — 64 records of 2 000: views of an open image,
-//!   owned records sought in the file, and the full FASTA parse a tool
-//!   without an index must make.
+//! * **Random access** — 64 records of 2 000: records of an open image
+//!   (each residue gathered from its lane of the record's block, since
+//!   SQB version 3 stores the kernel's 32-lane streams), owned records
+//!   sought in the file, and the full FASTA parse a tool without an
+//!   index must make.
 //!
 //! Outputs of a full run (`cargo bench -p swdual-bench --bench formats`):
 //!
-//! * `BENCH_formats.json` at the workspace root (or `$SWDUAL_BENCH_DIR`).
+//! * `BENCH_formats.json` at the workspace root (or `$SWDUAL_BENCH_DIR`),
+//!   stamped with the SQB version it measured.
 //! * One `formats` entry appended to the `BENCH_trend.json` ledger
 //!   (ns per residue loaded, ns per record picked; lower is better) for
-//!   `swdual diff --bench --bench-name formats` to gate on.
+//!   `swdual diff --bench --bench-name formats` to gate on — against the
+//!   previous entry, across format versions too.
 //!
 //! `cargo bench ... -- --test` is the CI smoke mode: every path is
 //! checked against the generated set once on a small database, and the
@@ -166,13 +170,14 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"formats\",\n  \
+        "{{\n  \"bench\": \"formats\",\n  \"sqb_version\": {},\n  \
          \"load\": {{ \"sequences\": {}, \"residues\": {}, \"sqb_mb\": {sqb_mb:.3}, \"fasta_mb\": {fasta_mb:.3},\n    \
          \"image_open_ms\": {:.3}, \"image_open_mbps\": {:.1},\n    \
          \"sqb_owned_decode_ms\": {:.3}, \"sqb_owned_decode_mbps\": {:.1},\n    \
          \"fasta_parse_ms\": {:.3}, \"fasta_parse_mbps\": {:.1} }},\n  \
          \"random_access_64_of_2000\": {{ \"unit\": \"ns_per_record\",\n    \
          \"image_views\": {:.1}, \"sqb_file_records\": {:.1}, \"fasta_full_parse\": {:.1} }}\n}}\n",
+        sqb::VERSION,
         db.len(),
         db.total_residues(),
         image_open_ns / 1e6,

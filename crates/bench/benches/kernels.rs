@@ -103,8 +103,9 @@ fn pass(
 ) -> (Vec<i32>, TierStats) {
     let mut stats = TierStats::default();
     let whole = db.whole();
-    let (scores, _) =
-        score_database_with(backend, shape, query, db, whole, scheme, None, scratch, &mut stats);
+    let (scores, _) = score_database_with(
+        backend, shape, query, db, whole, scheme, None, scratch, &mut stats,
+    );
     (scores, stats)
 }
 
@@ -387,7 +388,10 @@ fn main() {
         let runs = runs_of(backend, backend.slice_fill(&tiny, tiny.whole()), &lens);
         let job = |q: &[u8], scratch: &mut Scratch, stats: &mut TierStats| {
             let (whole, shape) = (tiny.whole(), ByteShape::Auto);
-            score_database_with(backend, shape, q, &tiny, whole, &scheme, None, scratch, stats).0
+            score_database_with(
+                backend, shape, q, &tiny, whole, &scheme, None, scratch, stats,
+            )
+            .0
         };
         let as_jobs = |scratch: &mut Scratch| -> Vec<Vec<i32>> {
             let mut stats = TierStats::default();

@@ -80,21 +80,7 @@ pub fn deal(lengths: impl IntoIterator<Item = usize>) -> (Vec<Start>, usize) {
     (starts, end)
 }
 
-/// The width of the stream of subjects of `lengths`: [`deal`]'s second
-/// half, without the starts.
-pub fn stream_columns(lengths: impl IntoIterator<Item = usize>) -> usize {
-    let mut free_at: BinaryHeap<Reverse<usize>> = (0..LANES).map(|_| Reverse(0)).collect();
-    let mut end = 0;
-    for len in lengths {
-        if let Some(mut lane) = free_at.peek_mut() {
-            lane.0 = frees_at(lane.0, len);
-            end = end.max(lane.0);
-        }
-    }
-    end
-}
-
-/// One stream laid out whole: `width` columns of [`LANES`] cells each,
+/// One stream laid out whole: columns of [`LANES`] cells each,
 /// flattened, and each subject's start.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stream {
@@ -102,8 +88,6 @@ pub struct Stream {
     pub columns: Vec<u8>,
     /// One per subject, in the order dealt.
     pub starts: Vec<Start>,
-    /// Columns of the stream.
-    pub width: usize,
 }
 
 impl Stream {
@@ -115,18 +99,16 @@ impl Stream {
         for (residues, start) in subjects.into_iter().zip(&starts) {
             place(&mut columns, *start, residues);
         }
-        Stream {
-            columns,
-            starts,
-            width,
-        }
+        Stream { columns, starts }
     }
 }
 
 /// Write `residues` down lane `start.lane` of `columns` from column
 /// `start.column` on.
 pub fn place(columns: &mut [u8], start: Start, residues: &[u8]) {
-    let rows = columns.get_mut(start.column as usize * LANES..).unwrap_or_default();
+    let rows = columns
+        .get_mut(start.column as usize * LANES..)
+        .unwrap_or_default();
     let lane = start.lane as usize % LANES;
     for (row, &residue) in rows.as_chunks_mut::<LANES>().0.iter_mut().zip(residues) {
         row[lane] = residue;
@@ -146,16 +128,20 @@ pub fn gather(columns: &[u8], start: Start, len: usize, out: &mut Vec<u8>) {
     out.extend(rows.iter().map(|row| row[lane]));
 }
 
-/// Whether `columns`, a stream of subjects with these `starts` and
-/// `lengths` (as [`deal`] dealt them), holds residues below `alphabet`
-/// in every subject's cells and [`PAD`] in every other cell.
+/// Whether `columns`, a stream of subjects with these starts and
+/// lengths (as [`deal`] dealt them), holds residues below `alphabet` in
+/// every subject's cells and [`PAD`] in every other cell.
 ///
 /// One vectorisable pass counts the pad cells and looks for a code that
 /// is neither a residue nor the pad; the few pad cells each lane holds
 /// between and after its subjects are then checked one by one. When
 /// those are all [`PAD`] and their number is every pad in the stream,
 /// no subject's cell holds one.
-pub fn cells_are_sound(columns: &[u8], starts: &[Start], lengths: &[usize], alphabet: usize) -> bool {
+pub(crate) fn cells_are_sound(
+    columns: &[u8],
+    subjects: impl IntoIterator<Item = (Start, usize)>,
+    alphabet: usize,
+) -> bool {
     let (mut pads, mut highest) = (0usize, 0u8);
     // Byte counters, emptied before they can wrap: the inner loop then
     // runs on whole vectors of cells.
@@ -182,7 +168,7 @@ pub fn cells_are_sound(columns: &[u8], starts: &[Start], lengths: &[usize], alph
         gaps += to - from;
         (from..to).all(|column| columns[column * LANES + lane] == PAD)
     };
-    for (start, &len) in starts.iter().zip(lengths) {
+    for (start, len) in subjects {
         let (lane, column) = (start.lane as usize, start.column as usize);
         if !gap_is_pad(lane, lane_end[lane], column) {
             return false;
@@ -215,9 +201,9 @@ mod tests {
     fn assert_lays_out_as_the_oracle(lengths: &[usize]) {
         let seqs = subjects(lengths);
         let stream = Stream::lay_out(seqs.iter().map(Vec::as_slice));
-        assert_eq!(stream.width, stream_columns(lengths.iter().copied()));
-        assert_eq!(stream.columns.len(), stream.width * LANES);
-        assert_eq!(stream.width % GROUP, 0, "whole groups of columns");
+        let width = deal(lengths.iter().copied()).1;
+        assert_eq!(stream.columns.len(), width * LANES);
+        assert_eq!(width % GROUP, 0, "whole groups of columns");
         // The oracle: each subject goes to the lane that frees first, the
         // lowest on a tie, and is written down that lane from there; the
         // lane frees on the next multiple of four columns, pad until then.
@@ -245,12 +231,8 @@ mod tests {
             gather(&stream.columns, start, residues.len(), &mut out);
             assert_eq!(&out, residues);
         }
-        assert!(cells_are_sound(
-            &stream.columns,
-            &stream.starts,
-            lengths,
-            20
-        ));
+        let subjects = stream.starts.iter().copied().zip(lengths.iter().copied());
+        assert!(cells_are_sound(&stream.columns, subjects, 20));
     }
 
     proptest! {
@@ -274,7 +256,13 @@ mod tests {
 
     #[test]
     fn no_count_of_subjects_makes_a_layout_panic() {
-        for lengths in [vec![], vec![0; 5], vec![0; 200], vec![3; 100], vec![256; 33]] {
+        for lengths in [
+            vec![],
+            vec![0; 5],
+            vec![0; 200],
+            vec![3; 100],
+            vec![256; 33],
+        ] {
             assert_lays_out_as_the_oracle(&lengths);
         }
     }
@@ -284,9 +272,11 @@ mod tests {
         let lengths = [9, 5, 0, 3];
         let seqs = subjects(&lengths);
         let stream = Stream::lay_out(seqs.iter().map(Vec::as_slice));
-        let sound = |columns: &[u8]| cells_are_sound(columns, &stream.starts, &lengths, 20);
+        let subjects = || stream.starts.iter().copied().zip(lengths);
+        let sound = |columns: &[u8]| cells_are_sound(columns, subjects(), 20);
         assert!(sound(&stream.columns));
-        let first = |s: usize| stream.starts[s].column as usize * LANES + stream.starts[s].lane as usize;
+        let first =
+            |s: usize| stream.starts[s].column as usize * LANES + stream.starts[s].lane as usize;
         // A residue code above the alphabet, a pad inside a subject, a
         // residue in a pad cell, and both at once (the counts agree).
         let mut corrupt = stream.columns.clone();

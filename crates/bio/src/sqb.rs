@@ -348,7 +348,9 @@ impl BlockEntry {
     /// Entry `b` of a raw block table; `None` past its end.
     fn at(table: &[u8], b: usize) -> Option<BlockEntry> {
         let start = b.checked_mul(BLOCK_ENTRY_LEN)?;
-        table.get(start..start.checked_add(BLOCK_ENTRY_LEN)?).map(BlockEntry::parse)
+        table
+            .get(start..start.checked_add(BLOCK_ENTRY_LEN)?)
+            .map(BlockEntry::parse)
     }
 
     /// The byte range of the block's cells within the residue area.
@@ -357,15 +359,16 @@ impl BlockEntry {
         let first = self.first_column as usize * LANES;
         first..first + self.columns as usize * LANES
     }
+}
 
-    /// Residues over the block's cells: how full its lanes are; 0 for a
-    /// block of no columns.
-    pub fn fill(&self) -> f64 {
-        match self.columns * LANES as u64 {
-            0 => 0.0,
-            cells => self.residues as f64 / cells as f64,
-        }
-    }
+/// Each block of a raw block table with the index entries of its
+/// records.
+fn blocks_of<'a>(
+    index: &'a [u8],
+    table: &'a [u8],
+) -> impl Iterator<Item = (BlockEntry, Vec<IndexEntry>)> + 'a {
+    let records = index.chunks(BLOCK_RECORDS * INDEX_ENTRY_LEN);
+    BlockEntry::all(table).zip(records.map(|records| IndexEntry::all(records).collect()))
 }
 
 /// The most residues one block may hold: every start column of its
@@ -397,9 +400,7 @@ fn check_layout(
         }
         let key = (Reverse(entry.residue_len), entry.original);
         if previous.is_some_and(|previous| previous >= key) {
-            return Err(malformed(format!(
-                "record {p} breaks the length order"
-            )));
+            return Err(malformed(format!("record {p} breaks the length order")));
         }
         previous = Some(key);
         match position_of.get_mut(entry.original as usize) {
@@ -431,14 +432,10 @@ fn check_layout(
         return Err(malformed("index totals disagree with the header"));
     }
     let mut column = 0u64;
-    let records = index.chunks(BLOCK_RECORDS * INDEX_ENTRY_LEN);
-    for (b, (block, records)) in BlockEntry::all(table).zip(records).enumerate() {
-        let entries: Vec<IndexEntry> = IndexEntry::all(records).collect();
+    for (b, (block, entries)) in blocks_of(index, table).enumerate() {
         let held: u64 = entries.iter().map(|e| u64::from(e.residue_len)).sum();
         if block.first_column != column || block.residues != held || !block_fits(held) {
-            return Err(malformed(format!(
-                "block {b} disagrees with its records"
-            )));
+            return Err(malformed(format!("block {b} disagrees with its records")));
         }
         let (starts, width) = lanes::deal(entries.iter().map(IndexEntry::len));
         if block.columns != width as u64 || entries.iter().map(|e| e.start).ne(starts) {
@@ -457,9 +454,8 @@ fn check_layout(
 /// Whether the cells of `block`, whose records are `entries`, hold
 /// residues of `alphabet` exactly where the records lie.
 fn block_is_sound(cells: &[u8], entries: &[IndexEntry], alphabet: Alphabet) -> bool {
-    let starts: Vec<Start> = entries.iter().map(|e| e.start).collect();
-    let lengths: Vec<usize> = entries.iter().map(IndexEntry::len).collect();
-    lanes::cells_are_sound(cells, &starts, &lengths, alphabet.size())
+    let records = entries.iter().map(|entry| (entry.start, entry.len()));
+    lanes::cells_are_sound(cells, records, alphabet.size())
 }
 
 fn bad_cells() -> BioError {
@@ -587,12 +583,11 @@ impl SqbImage {
             position_of: Vec::new(),
         };
         let names = std::str::from_utf8(image.names_block()).map_err(|_| names_not_utf8())?;
-        image.position_of = check_layout(image.index_block(), image.block_table(), &header, |entry| {
-            names_of(names, entry).map(drop).ok_or_else(bad_name)
-        })?;
-        let records = image.index_block().chunks(BLOCK_RECORDS * INDEX_ENTRY_LEN);
-        for (block, records) in image.blocks().zip(records) {
-            let entries: Vec<IndexEntry> = IndexEntry::all(records).collect();
+        image.position_of =
+            check_layout(image.index_block(), image.block_table(), &header, |entry| {
+                names_of(names, entry).map(drop).ok_or_else(bad_name)
+            })?;
+        for (block, entries) in blocks_of(image.index_block(), image.block_table()) {
             if !block_is_sound(&image.columns()[block.cells()], &entries, header.alphabet) {
                 return Err(bad_cells());
             }
@@ -882,9 +877,7 @@ impl<F: Read + Seek> SqbFile<F> {
 
         self.file.seek(SeekFrom::Start(header.residues_offset))?;
         let mut cells = Vec::new();
-        let records = self.index.chunks(BLOCK_RECORDS * INDEX_ENTRY_LEN);
-        for (block, records) in BlockEntry::all(&self.table).zip(records) {
-            let entries: Vec<IndexEntry> = IndexEntry::all(records).collect();
+        for (block, entries) in blocks_of(&self.index, &self.table) {
             cells.resize(block.cells().len(), 0);
             self.file.read_exact(&mut cells)?;
             if !block_is_sound(&cells, &entries, header.alphabet) {
@@ -902,7 +895,10 @@ impl<F: Read + Seek> SqbFile<F> {
 /// Write a sequence set to an SQB file on disk.
 pub fn write_file(set: &SequenceSet, path: impl AsRef<std::path::Path>) -> Result<(), BioError> {
     let file = std::fs::File::create(path)?;
-    write_set(&mut std::io::BufWriter::with_capacity(FILE_BUFFER, file), set)
+    write_set(
+        &mut std::io::BufWriter::with_capacity(FILE_BUFFER, file),
+        set,
+    )
 }
 
 /// Check `set` record by record and write it to `out`.
@@ -938,7 +934,9 @@ fn sizes_of(seq: &Sequence, alphabet: Alphabet, count: usize) -> Result<Sizes, B
         )));
     }
     if !codes_in_range(&seq.residues, alphabet) {
-        return Err(refuse(format!("residue code out of range for {alphabet:?}")));
+        return Err(refuse(format!(
+            "residue code out of range for {alphabet:?}"
+        )));
     }
     let too_long = |what: &str, len: usize, max: u64| {
         refuse(format!(
@@ -1132,7 +1130,10 @@ impl<W: Write> SqbWriter<W> {
         let names = |i: usize| {
             let (_, at, sizes) = records[i];
             let mid = at + usize::from(sizes.id);
-            (&names[at..mid], &names[mid..mid + usize::from(sizes.description)])
+            (
+                &names[at..mid],
+                &names[mid..mid + usize::from(sizes.description)],
+            )
         };
         put_database(&mut self.out, self.alphabet, &sizes, codes, names)?;
         Ok(self.out)
@@ -1186,7 +1187,10 @@ mod tests {
             SqbImage::from_bytes(bytes.to_vec()).unwrap_err(),
             decode(bytes).unwrap_err(),
         ] {
-            assert!(matches!(error, BioError::MalformedSqb(_)), "{what}: {error}");
+            assert!(
+                matches!(error, BioError::MalformedSqb(_)),
+                "{what}: {error}"
+            );
         }
     }
 
@@ -1252,7 +1256,6 @@ mod tests {
             assert!(records.iter().map(|p| p.start).eq(starts));
             let residues: u64 = records.iter().map(|p| u64::from(p.len)).sum();
             assert_eq!(block.residues, residues);
-            assert!(block.fill() <= 1.0);
             column += block.columns;
         }
         assert_eq!(column, image.header().columns);
@@ -1618,11 +1621,7 @@ mod tests {
         let mut file = SqbFile::from_seekable(source).unwrap();
         let after_open = file.file.seeks;
         assert_eq!(file.read_all().unwrap(), set);
-        assert_eq!(
-            file.file.seeks - after_open,
-            2,
-            "names block, residue area"
-        );
+        assert_eq!(file.file.seeks - after_open, 2, "names block, residue area");
     }
 
     #[test]

@@ -387,9 +387,17 @@ fn info_reports_the_v3_layout() {
     let sqb = tmp("info_v3.sqb");
     let run = |args: &[&str]| swdual().args(args).output().unwrap();
     let (fasta_arg, sqb_arg) = (fasta.to_str().unwrap(), sqb.to_str().unwrap());
-    assert!(run(&["generate", "--sequences", "300", "--mean-len", "120", "--output", fasta_arg])
-        .status
-        .success());
+    assert!(run(&[
+        "generate",
+        "--sequences",
+        "300",
+        "--mean-len",
+        "120",
+        "--output",
+        fasta_arg
+    ])
+    .status
+    .success());
     assert!(run(&["convert", "--input", fasta_arg, "--output", sqb_arg])
         .status
         .success());
@@ -409,7 +417,10 @@ fn info_reports_the_v3_layout() {
         line.contains("SQB v3, 3 blocks of up to 128 records on 32 lanes, padding "),
         "{line}"
     );
-    assert!(line.ends_with(&format!("% of residues, {bytes} bytes")), "{line}");
+    assert!(
+        line.ends_with(&format!("% of residues, {bytes} bytes")),
+        "{line}"
+    );
     assert_eq!(layout(fasta_arg), line);
     for f in [&fasta, &sqb] {
         std::fs::remove_file(f).ok();

@@ -209,14 +209,7 @@ mod tests {
         let mut device = GpuDevice::new(DeviceSpec::toy(260));
         let query = uniform_database(1, 80, Alphabet::Protein);
         let query = query.get(0).unwrap().codes().to_vec();
-        let result = chunked_search(
-            &mut device,
-            &codes(&db),
-            &query,
-            &scheme(),
-            true,
-        )
-        .unwrap();
+        let result = chunked_search(&mut device, &codes(&db), &query, &scheme(), true).unwrap();
         assert!(result.chunks > 1, "database must not fit in one chunk");
         assert_eq!(result.scores.len(), 24);
         for (i, seq) in db.iter().enumerate() {
@@ -241,25 +234,12 @@ mod tests {
         let query = query.get(0).unwrap().codes().to_vec();
 
         let mut serial_dev = GpuDevice::new(spec.clone());
-        let serial = chunked_search(
-            &mut serial_dev,
-            &codes(&db),
-            &query,
-            &scheme(),
-            true,
-        )
-        .unwrap();
+        let serial = chunked_search(&mut serial_dev, &codes(&db), &query, &scheme(), true).unwrap();
         let mut big = spec.clone();
         big.global_memory = 2000;
         let mut overlap_dev = GpuDevice::new(big);
-        let overlap = overlapped_search(
-            &mut overlap_dev,
-            &codes(&db),
-            &query,
-            &scheme(),
-            true,
-        )
-        .unwrap();
+        let overlap =
+            overlapped_search(&mut overlap_dev, &codes(&db), &query, &scheme(), true).unwrap();
 
         assert_eq!(serial.scores, overlap.scores);
         assert_eq!(serial.chunks, overlap.chunks);
@@ -280,14 +260,7 @@ mod tests {
         let db = uniform_database(4, 20, Alphabet::Protein);
         let mut device = GpuDevice::new(DeviceSpec::toy(10_000));
         let query = vec![0u8; 30];
-        let result = chunked_search(
-            &mut device,
-            &codes(&db),
-            &query,
-            &scheme(),
-            false,
-        )
-        .unwrap();
+        let result = chunked_search(&mut device, &codes(&db), &query, &scheme(), false).unwrap();
         assert_eq!(result.chunks, 1);
         assert_eq!(result.scores.len(), 4);
     }
@@ -297,14 +270,7 @@ mod tests {
         let db = uniform_database(30, 40, Alphabet::Protein);
         let mut device = GpuDevice::new(DeviceSpec::toy(300));
         let query = vec![1u8; 50];
-        chunked_search(
-            &mut device,
-            &codes(&db),
-            &query,
-            &scheme(),
-            true,
-        )
-        .unwrap();
+        chunked_search(&mut device, &codes(&db), &query, &scheme(), true).unwrap();
         assert_eq!(device.memory().used(), 0);
         // Peak usage stayed within one chunk (90% of capacity).
         assert!(device.memory().peak() <= 270);

@@ -827,9 +827,8 @@ fn search(
     // the scope joins them.
     let ((results, help_wall), query_of, schedule) = std::thread::scope(|scope| {
         let t_register = obs.now();
-        let (mut links, threads) = spawn_workers(
-            scope, workers, &subjects, &claims, &queries, &config,
-        );
+        let (mut links, threads) =
+            spawn_workers(scope, workers, &subjects, &claims, &queries, &config);
         let (registrations, alive) = collect_registrations(&mut links, workers, &config);
         obs.span(
             Track::Master,

@@ -42,9 +42,10 @@ use swdual_obs::{EventBody, HostPhase, Obs, Track};
 pub enum WorkerKind {
     /// A CPU worker: a SWIPE-class vector kernel on one thread — the
     /// tier ladder (byte lanes → 16-bit lanes → scalar) on the fastest
-    /// SIMD backend the host supports, the byte tier inter-sequence at
-    /// every query length, striped only for the subjects its fill rule
-    /// peels (`swdual_align::tiered::score_database`).
+    /// SIMD backend the host supports, the byte tier inter-sequence over
+    /// the image's blocks at every query length, striped only for the
+    /// blocks its fill rule sends there
+    /// (`swdual_align::tiered::score_database`).
     Cpu,
     /// A GPU worker driving a simulated device.
     Gpu {

@@ -2,10 +2,11 @@
 //!
 //! §IV: FASTA files cannot be read at arbitrary positions, so SWDUAL
 //! introduces a binary format with an index. This example writes a
-//! synthetic database as FASTA, converts it to SQB, and demonstrates
-//! both readers: the checked image a search borrows its residues from,
-//! and random access on disk — one record without touching the rest,
-//! with sizes known before allocation.
+//! synthetic database as FASTA, converts it to SQB (version 3: records
+//! in length order, residues stored as the inter-sequence kernel's
+//! 32-lane blocks), and demonstrates both readers: the checked image a
+//! search scores in place, and random access on disk — one record
+//! without touching the rest, with sizes known before allocation.
 //!
 //! Run with: `cargo run --release --example format_convert`
 
@@ -35,17 +36,29 @@ fn main() {
     );
 
     // The whole database as the search holds it: one read, one check,
-    // nothing decoded. Sizes come from the header, records are views.
+    // nothing decoded. Sizes come from the header and the index; the
+    // residues lie in blocks of 128 records of the length order, each
+    // the 32-lane stream the kernel scores where it lies.
     let image = sqb::SqbImage::open(&sqb_path).expect("open SQB image");
+    let header = image.header();
     println!(
         "SQB header: {} sequences, {} residues, alphabet {:?}",
-        image.header().n_sequences,
-        image.header().total_residues,
-        image.header().alphabet
+        header.n_sequences, header.total_residues, header.alphabet
+    );
+    println!(
+        "layout: {} blocks of up to 128 records on 32 lanes, {} columns, padding {:.2} % of residues",
+        header.n_blocks(),
+        header.columns,
+        100.0 * header.padding()
+    );
+    let longest = image.placements().next().expect("a record");
+    println!(
+        "longest record: {} residues, originally record {}",
+        longest.len, longest.original
     );
     let view = image.get(742).expect("record 742 exists");
     println!(
-        "record 742: id {:?}, {} residues, borrowed from the image",
+        "record 742: id {:?}, {} residues, gathered from its lane",
         view.id(),
         view.len()
     );
