@@ -417,8 +417,8 @@ pub enum ByteShape {
 }
 
 /// Columns a transposed run's stream may span: it is walked whole once
-/// per subject, so like a block of the database it stays in L1 beside
-/// the DP state (8 KB of residues).
+/// per subject, so it stays in L1 beside the DP state (8 KB of
+/// residues).
 pub const RUN_COLUMNS: usize = 256;
 
 impl Backend {

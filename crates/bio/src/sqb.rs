@@ -228,7 +228,10 @@ impl Header {
     pub fn padding(&self) -> f64 {
         match self.total_residues {
             0 => 0.0,
-            residues => (self.columns * LANES as u64 - residues) as f64 / residues as f64,
+            residues => {
+                let cells = self.columns.saturating_mul(LANES as u64);
+                cells.saturating_sub(residues) as f64 / residues as f64
+            }
         }
     }
 
