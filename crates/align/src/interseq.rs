@@ -34,8 +34,9 @@
 //!
 //! **Every stream has 32 lanes.** A kernel of `L` lanes reads each
 //! column as `32 / L` windows of `L` cells and scores the stream once
-//! per window, each window an independent stream of its own lanes: the
-//! AVX2 instantiation reads it whole, the 16-lane arrays as two halves.
+//! per window, each window an independent stream of its own lanes, up
+//! to its own last residue: the AVX2 instantiation reads it whole, the
+//! 16-lane arrays as two halves.
 //!
 //! **Either side can be the stream.** Under a symmetric matrix the
 //! local score of (q, s) is that of (s, q), so the kernel does not care
@@ -416,7 +417,8 @@ fn refill_array(
     }
 }
 
-/// Score `stream` through `kernel`, one window of `L` lanes at a time.
+/// Score `stream` through `kernel`, one window of `L` lanes at a time,
+/// each up to its own last residue.
 ///
 /// # Safety
 /// `kernel`'s instruction set must be available on the running CPU.
@@ -429,6 +431,20 @@ unsafe fn score_stream<const L: usize>(
     maxima: &mut [u8],
 ) {
     for window in 0..LANES / L {
+        // Past a window's last residue every cell is a pad, which moves
+        // no maximum: a window ends at the group that holds it.
+        let holds_residues = |column: &[u8; LANES]| {
+            column.as_chunks::<L>().0[window]
+                .iter()
+                .any(|&cell| cell != PAD)
+        };
+        let width = (stream.columns.iter())
+            .rposition(holds_residues)
+            .map_or(0, |last| (last + 1).next_multiple_of(GROUP));
+        let stream = StreamRef {
+            columns: &stream.columns[..width],
+            ..stream
+        };
         let mut harvest = Harvest::<L>::new();
         let buffers = scratch.interseq::<L>(query.len());
         buffers.state.fill([[0; L]; 2]);
@@ -569,6 +585,16 @@ mod tests {
         // 300 more. Pad columns must not move lane 0's maximum.
         let w4 = prot(b"WWWW");
         assert_batch_exact(&w4, &[w4.clone(), prot(&[b'A'; 304])], &scheme);
+        // One long subject keeps lane 0 busy while the rest end by
+        // column 16: the lanes' upper half ends there, and so does the
+        // 16-lane kernels' pass over it; empty subjects follow.
+        let mut ragged = vec![prot(&[b'W'; 300])];
+        ragged.extend(rotations(&q, 39).into_iter().map(|mut s| {
+            s.truncate(8);
+            s
+        }));
+        ragged.extend([vec![], vec![], vec![]]);
+        assert_batch_exact(&q, &ragged, &scheme);
     }
 
     #[test]
