@@ -660,11 +660,11 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
 /// `--what-if`) a counterfactual replay of the recorded schedule.
 fn cmd_explain(args: &Args) -> Result<(), String> {
     let json = json_not_text(args)?;
-    let report = swdual_obs::explain::explain(&read_model(args.positionals[0])?);
+    let model = read_model(args.positionals[0])?;
     let rendered = match args.get("what-if") {
         Some(spec) => {
             let spec = swdual_core::whatif::WhatIf::parse(spec)?;
-            let answer = swdual_core::whatif::what_if(&report.replay, &spec)?;
+            let answer = swdual_core::whatif::what_if(&model, &spec)?;
             if json {
                 answer.to_json()
             } else {
@@ -672,6 +672,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
             }
         }
         None => {
+            let report = swdual_obs::explain::explain(&model);
             if json {
                 report.to_json()
             } else {

@@ -155,7 +155,7 @@ fn follow(obs: &Obs, sinks: Sinks, stop: &AtomicBool) {
 
 /// Render the watchdog's model as a terminal dashboard: run header,
 /// per-worker utilization bars with queue depth and observed/estimate
-/// ratio, then the alerts it fired. Pure string rendering — `swdual
+/// ratio (1.00 until a worker has one), then the alerts it fired. Pure string rendering — `swdual
 /// top` redraws it, tests assert on it.
 pub fn render_dashboard(dog: &Watchdog) -> String {
     let model = dog.model();
@@ -185,13 +185,13 @@ pub fn render_dashboard(dog: &Watchdog) -> String {
         let bar: String = std::iter::repeat_n('#', filled)
             .chain(std::iter::repeat_n('-', 20 - filled))
             .collect();
-        let species = if w.is_gpu() { "gpu" } else { "cpu" };
+        let species = w.species();
         let state = if w.dead { " DEAD" } else { "" };
         out.push_str(&format!(
             "  worker {id:<3} [{species}] [{bar}] {:3.0}% · q {:<2} · ratio {:4.2} · {} job(s){state}\n",
             util * 100.0,
             w.outstanding.len(),
-            w.observed_ratio(),
+            w.ratio().unwrap_or(1.0),
             w.jobs,
         ));
     }

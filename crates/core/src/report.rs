@@ -193,12 +193,11 @@ impl SearchReport {
     /// Explain the run causally: the true critical path on both
     /// clocks, blame attribution of the whole modelled makespan
     /// (compute / transfer / queue wait / straggle / recovery /
-    /// re-plan / imbalance) per run, worker and query-length bucket,
-    /// and the [`ReplayInput`] that
-    /// [`whatif::what_if`](crate::whatif::what_if) replays
-    /// counterfactuals from. Quiet when tracing was off.
+    /// re-plan / imbalance) per run, worker and query-length bucket.
+    /// Quiet when tracing was off. [`whatif::what_if`](crate::whatif::what_if)
+    /// replays counterfactuals from the same [`RunModel`].
     ///
-    /// [`ReplayInput`]: swdual_obs::explain::ReplayInput
+    /// [`RunModel`]: swdual_obs::RunModel
     pub fn explain(&self) -> swdual_obs::explain::ExplainReport {
         swdual_obs::explain::explain(self.model())
     }
@@ -467,8 +466,8 @@ mod tests {
             e.modelled_makespan
         );
         assert!(!e.critical_path.is_empty());
-        // The replay input feeds the what-if engine end to end.
-        let wi = crate::whatif::what_if(&e.replay, &crate::whatif::WhatIf::PerfectCalibration)
+        // The run's model feeds the what-if engine end to end.
+        let wi = crate::whatif::what_if(r.model(), &crate::whatif::WhatIf::PerfectCalibration)
             .expect("replay from a live run");
         assert!(wi.counterfactual_makespan > 0.0);
     }

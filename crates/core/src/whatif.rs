@@ -1,10 +1,13 @@
-//! Counterfactual what-if replay over an explained run.
+//! Counterfactual what-if replay over a folded run.
 //!
-//! `swdual explain` extracts a [`ReplayInput`] from the journal: every
+//! The replay reads the [`RunModel`] every journal view reads: every
 //! task's `(p_cpu, p_gpu)` model, each worker's observed
-//! duration/estimate ratio, the GPU transfer share and the original λ.
-//! This module replays the schedule on the modelled clock under an
-//! edited premise and reports the counterfactual makespan:
+//! duration/estimate ratio over its counted jobs
+//! ([`Worker::ratio`](swdual_obs::model::Worker::ratio)),
+//! the faulted workers and the original λ; `zero-transfer` takes the
+//! GPU transfer share from the explanation's worker blame. This module
+//! replays the schedule on the modelled clock under an edited premise
+//! and reports the counterfactual makespan:
 //!
 //! * `drop-worker:N` — the run without worker `N`;
 //! * `perfect-calibration` — the planner knows every worker's *true*
@@ -26,7 +29,7 @@
 //! runtime's conservative [`WorkerFactors::new`] would clamp away).
 
 use swdual_gpusim::DeviceClass;
-use swdual_obs::explain::ReplayInput;
+use swdual_obs::RunModel;
 use swdual_runtime::estimator::WorkerRateModel;
 use swdual_sched::binsearch::BinarySearchConfig;
 use swdual_sched::remainder::{reschedule_remainder_weighted, WorkerFactors};
@@ -127,26 +130,23 @@ struct SpeciesFactors {
     gpu_ids: Vec<usize>,
 }
 
-fn species_factors(replay: &ReplayInput) -> SpeciesFactors {
+fn species_factors(model: &RunModel) -> SpeciesFactors {
     let mut sf = SpeciesFactors {
         cpu: Vec::new(),
         gpu: Vec::new(),
         cpu_ids: Vec::new(),
         gpu_ids: Vec::new(),
     };
-    for w in &replay.workers {
+    for (id, w) in model.participants() {
         // A worker with no usable observations replays at its prior.
-        let f = if w.ratio > 0.0 && w.ratio.is_finite() {
-            w.ratio
-        } else {
-            1.0
-        };
-        if w.is_gpu {
+        let ratio = w.ratio().filter(|r| *r > 0.0 && r.is_finite());
+        let f = ratio.unwrap_or(1.0);
+        if w.is_gpu() {
             sf.gpu.push(f);
-            sf.gpu_ids.push(w.id);
+            sf.gpu_ids.push(id);
         } else {
             sf.cpu.push(f);
-            sf.cpu_ids.push(w.id);
+            sf.cpu_ids.push(id);
         }
     }
     sf
@@ -187,20 +187,19 @@ fn replay_makespan(tasks: &TaskSet, cpu: Vec<f64>, gpu: Vec<f64>) -> Result<f64,
     Ok(schedule.makespan())
 }
 
-/// Replay `replay` under the counterfactual `spec`.
-pub fn what_if(replay: &ReplayInput, spec: &WhatIf) -> Result<WhatIfReport, String> {
-    if replay.tasks.is_empty() {
+/// Replay the run `model` folded under the counterfactual `spec`.
+pub fn what_if(model: &RunModel, spec: &WhatIf) -> Result<WhatIfReport, String> {
+    if model.tasks.is_empty() {
         return Err("journal has no task models to replay (is it a v1 journal?)".to_string());
     }
+    let tasks = || model.tasks.values();
     let task_set = TaskSet::new(
-        replay
-            .tasks
-            .iter()
+        tasks()
             .enumerate()
             .map(|(local, t)| Task::new(local, t.p_cpu.max(1e-12), t.p_gpu.max(1e-12)))
             .collect(),
     );
-    let sf = species_factors(replay);
+    let sf = species_factors(model);
 
     let baseline_replay = replay_makespan(&task_set, sf.cpu.clone(), sf.gpu.clone())?;
 
@@ -219,11 +218,10 @@ pub fn what_if(replay: &ReplayInput, spec: &WhatIf) -> Result<WhatIfReport, Stri
             replay_makespan(&task_set, cpu, gpu)?
         }
         WhatIf::ZeroTransfer => {
-            let shrink = (1.0 - replay.gpu_transfer_fraction).clamp(0.0, 1.0);
+            let transfer = swdual_obs::explain::explain(model).gpu_transfer_fraction();
+            let shrink = (1.0 - transfer).clamp(0.0, 1.0);
             let free = TaskSet::new(
-                replay
-                    .tasks
-                    .iter()
+                tasks()
                     .enumerate()
                     .map(|(local, t)| {
                         Task::new(local, t.p_cpu.max(1e-12), (t.p_gpu * shrink).max(1e-12))
@@ -236,14 +234,12 @@ pub fn what_if(replay: &ReplayInput, spec: &WhatIf) -> Result<WhatIfReport, Stri
             // Price the new GPU by its calibrated estimator curve,
             // expressed as a factor relative to the journal's p_gpu
             // units (median over tasks, robust to outliers).
-            let model = WorkerRateModel::for_class(*class);
-            let mut ratios: Vec<f64> = replay
-                .tasks
-                .iter()
+            let rates = WorkerRateModel::for_class(*class);
+            let mut ratios: Vec<f64> = tasks()
                 .filter(|t| t.query_len > 0 && t.cells > 0.0 && t.p_gpu > 0.0)
                 .map(|t| {
                     let db_residues = (t.cells / t.query_len as f64).round() as u64;
-                    model.task_seconds(t.query_len, db_residues) / t.p_gpu
+                    rates.task_seconds(t.query_len, db_residues) / t.p_gpu
                 })
                 .collect();
             if ratios.is_empty() {
@@ -265,14 +261,7 @@ pub fn what_if(replay: &ReplayInput, spec: &WhatIf) -> Result<WhatIfReport, Stri
             let heal = |ids: &[usize], factors: &[f64], best: f64| -> Vec<f64> {
                 ids.iter()
                     .zip(factors)
-                    .map(|(id, &f)| {
-                        let faulted = replay.workers.iter().any(|w| w.id == *id && w.faulted);
-                        if faulted {
-                            best
-                        } else {
-                            f
-                        }
-                    })
+                    .map(|(id, &f)| if model.faulted.contains(id) { best } else { f })
                     .collect()
             };
             replay_makespan(
@@ -283,19 +272,20 @@ pub fn what_if(replay: &ReplayInput, spec: &WhatIf) -> Result<WhatIfReport, Stri
         }
     };
 
-    let observed = replay.modelled_makespan;
-    let two_lambda = 2.0 * replay.lambda;
-    let bound_verdict = if replay.lambda <= 0.0 {
+    let observed = model.makespan;
+    let two_lambda = model.two_lambda_bound();
+    let bound_verdict = if model.lambda <= 0.0 {
         "NO BOUND"
-    } else if counterfactual <= two_lambda * (1.0 + 1e-9) + 1e-12 {
+    } else if model.within_bound(counterfactual) {
         "HOLDS"
     } else {
         "VIOLATED"
     };
+    let workers = sf.cpu.len() + sf.gpu.len();
     let workers = match spec {
-        WhatIf::DropWorker(_) => replay.workers.len() - 1,
-        WhatIf::PlusGpu(_) => replay.workers.len() + 1,
-        _ => replay.workers.len(),
+        WhatIf::DropWorker(_) => workers - 1,
+        WhatIf::PlusGpu(_) => workers + 1,
+        _ => workers,
     };
     Ok(WhatIfReport {
         spec: spec.label(),
@@ -308,18 +298,18 @@ pub fn what_if(replay: &ReplayInput, spec: &WhatIf) -> Result<WhatIfReport, Stri
         } else {
             0.0
         },
-        lambda: replay.lambda,
+        lambda: model.lambda,
         two_lambda_bound: two_lambda,
         bound_verdict: bound_verdict.to_string(),
         workers,
-        tasks: replay.tasks.len(),
+        tasks: model.tasks.len(),
     })
 }
 
 impl WhatIfReport {
     /// Pretty-printed JSON rendering.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialises")
+        swdual_obs::json(self, true)
     }
 
     /// Human-readable rendering for terminals.
@@ -359,51 +349,104 @@ impl WhatIfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swdual_obs::explain::{ReplayTask, ReplayWorker};
+    use swdual_obs::analysis::analyze;
+    use swdual_obs::explain::explain;
+    use swdual_obs::watch::{WatchConfig, Watchdog};
+    use swdual_obs::{Event, EventBody, Obs, Track};
 
-    fn replay_fixture() -> ReplayInput {
-        // 6 tasks, 2 CPUs + 1 GPU. Worker 1 observed at 2× (straggler,
-        // faulted); the GPU on estimate.
-        let tasks = (0..6)
-            .map(|i| ReplayTask {
-                id: i,
-                p_cpu: 2.0 + (i % 3) as f64,
-                p_gpu: 0.5 + 0.1 * i as f64,
-                query_len: 100 + 50 * i,
-                cells: (100 + 50 * i) as f64 * 1e5,
-                worker: (i % 3) as i64,
-                observed_modelled: 1.0,
+    fn job(task: usize) -> EventBody {
+        EventBody::Job {
+            task,
+            cells: None,
+            seq: None,
+            decision: None,
+            queue_wait_wall: None,
+            queue_wait_modelled: None,
+        }
+    }
+
+    /// Register `workers` as `(id, is_gpu)` and estimate `tasks` as
+    /// `(p_cpu, p_gpu, query_len)`; a zero `query_len` journals neither
+    /// it nor a cell count, as a v1 build did.
+    fn planned(workers: &[(usize, bool)], tasks: &[(f64, f64, usize)]) -> Obs {
+        let obs = Obs::enabled();
+        for &(worker, is_gpu) in workers {
+            obs.instant(
+                Track::Master,
+                EventBody::WorkerRegistered { worker, is_gpu },
+            );
+        }
+        for (task, &(p_cpu, p_gpu, query_len)) in tasks.iter().enumerate() {
+            let known = (query_len > 0).then_some(query_len);
+            obs.instant(
+                Track::Master,
+                EventBody::TaskModel {
+                    task,
+                    p_cpu,
+                    p_gpu,
+                    query_len: known,
+                    cells: known.map(|len| len as f64 * 1e5),
+                },
+            );
+        }
+        obs
+    }
+
+    /// 6 tasks, 2 CPUs + 1 GPU, task `i` on worker `i % 3`, back to
+    /// back. Worker 1 runs at 2× its estimates and crashed once; the
+    /// others run on estimate, the GPU spending 20% of each task in H2D
+    /// transfer. Without `v2`, no query lengths or cell counts.
+    fn run_fixture(v2: bool) -> RunModel {
+        let tasks: Vec<(f64, f64, usize)> = (0..6)
+            .map(|i| {
+                (
+                    2.0 + (i % 3) as f64,
+                    0.5 + 0.1 * i as f64,
+                    v2 as usize * (100 + 50 * i),
+                )
             })
             .collect();
-        ReplayInput {
-            tasks,
-            workers: vec![
-                ReplayWorker {
-                    id: 0,
-                    is_gpu: false,
-                    device_class: "cpu".to_string(),
-                    ratio: 1.0,
-                    faulted: false,
-                },
-                ReplayWorker {
-                    id: 1,
-                    is_gpu: false,
-                    device_class: "cpu".to_string(),
-                    ratio: 2.0,
-                    faulted: true,
-                },
-                ReplayWorker {
-                    id: 2,
-                    is_gpu: true,
-                    device_class: "c2050".to_string(),
-                    ratio: 1.0,
-                    faulted: false,
-                },
-            ],
-            gpu_transfer_fraction: 0.2,
-            lambda: 6.0,
-            modelled_makespan: 9.0,
+        let obs = planned(&[(0, false), (1, false), (2, true)], &tasks);
+        let lambda = 6.0;
+        obs.instant(
+            Track::Scheduler,
+            EventBody::BinsearchDone {
+                iterations: 5,
+                lower_bound: 3.0,
+                upper_bound: lambda,
+                makespan: lambda,
+                lambda: Some(lambda),
+                two_lambda_bound: Some(2.0 * lambda),
+                decision: None,
+            },
+        );
+        let mut ends = [0.0; 3];
+        for (task, &(p_cpu, p_gpu, _)) in tasks.iter().enumerate() {
+            let worker = task % 3;
+            let (start, dur) = (ends[worker], [p_cpu, 2.0 * p_cpu, p_gpu][worker]);
+            obs.span(
+                Track::Worker(worker),
+                0.0,
+                0.01,
+                Some((start, dur)),
+                job(task),
+            );
+            if worker == 2 {
+                let h2d = EventBody::H2d {
+                    bytes: 1e6,
+                    task: Some(task),
+                };
+                obs.span(Track::Device(0), 0.0, 0.0, Some((start, 0.2 * dur)), h2d);
+            }
+            ends[worker] = start + dur;
         }
+        let crash = EventBody::WorkerCrash {
+            worker: 1,
+            task: 4,
+            notified: true,
+        };
+        obs.instant(Track::Faults, crash);
+        RunModel::from_obs(&obs)
     }
 
     #[test]
@@ -425,7 +468,7 @@ mod tests {
 
     #[test]
     fn perfect_calibration_equals_the_baseline_replay() {
-        let r = what_if(&replay_fixture(), &WhatIf::PerfectCalibration).unwrap();
+        let r = what_if(&run_fixture(true), &WhatIf::PerfectCalibration).unwrap();
         assert_eq!(r.counterfactual_makespan, r.baseline_replay);
         assert!(r.counterfactual_makespan > 0.0);
         // Knowing the straggler up front beats the observed makespan.
@@ -435,7 +478,7 @@ mod tests {
 
     #[test]
     fn dropping_a_straggler_can_help_dropping_a_good_worker_hurts() {
-        let replay = replay_fixture();
+        let replay = run_fixture(true);
         let baseline = what_if(&replay, &WhatIf::PerfectCalibration)
             .unwrap()
             .counterfactual_makespan;
@@ -450,7 +493,7 @@ mod tests {
 
     #[test]
     fn zero_transfer_never_slows_the_replay() {
-        let replay = replay_fixture();
+        let replay = run_fixture(true);
         let base = what_if(&replay, &WhatIf::PerfectCalibration).unwrap();
         let zt = what_if(&replay, &WhatIf::ZeroTransfer).unwrap();
         assert!(zt.counterfactual_makespan <= base.counterfactual_makespan + 1e-12);
@@ -458,7 +501,7 @@ mod tests {
 
     #[test]
     fn plus_gpu_adds_capacity() {
-        let replay = replay_fixture();
+        let replay = run_fixture(true);
         let base = what_if(&replay, &WhatIf::PerfectCalibration).unwrap();
         let plus = what_if(&replay, &WhatIf::PlusGpu(DeviceClass::Knl)).unwrap();
         assert_eq!(plus.workers, 4);
@@ -467,18 +510,14 @@ mod tests {
 
     #[test]
     fn plus_gpu_requires_v2_task_models() {
-        let mut replay = replay_fixture();
-        for t in replay.tasks.iter_mut() {
-            t.query_len = 0;
-            t.cells = 0.0;
-        }
+        let replay = run_fixture(false);
         let err = what_if(&replay, &WhatIf::PlusGpu(DeviceClass::C2050)).unwrap_err();
         assert!(err.contains("v2"), "{err}");
     }
 
     #[test]
     fn no_faults_heals_the_straggler() {
-        let replay = replay_fixture();
+        let replay = run_fixture(true);
         let base = what_if(&replay, &WhatIf::PerfectCalibration).unwrap();
         let nf = what_if(&replay, &WhatIf::NoFaults).unwrap();
         // With the faulted 2× CPU healed to 1×, the replay can only
@@ -488,7 +527,7 @@ mod tests {
 
     #[test]
     fn renders_name_the_verdict_and_delta() {
-        let r = what_if(&replay_fixture(), &WhatIf::PerfectCalibration).unwrap();
+        let r = what_if(&run_fixture(true), &WhatIf::PerfectCalibration).unwrap();
         let text = r.to_text();
         assert!(text.contains("what-if: perfect-calibration"), "{text}");
         assert!(text.contains("counterfactual"), "{text}");
@@ -500,8 +539,65 @@ mod tests {
 
     #[test]
     fn empty_replay_is_a_typed_error() {
-        let mut replay = replay_fixture();
-        replay.tasks.clear();
-        assert!(what_if(&replay, &WhatIf::PerfectCalibration).is_err());
+        let err = what_if(&RunModel::default(), &WhatIf::PerfectCalibration).unwrap_err();
+        assert!(err.contains("no task models"), "{err}");
+    }
+
+    /// Two CPU workers, three unit tasks, task 0 planned to end at 1.0
+    /// s. Task 0 runs twice when `duplicate`: worker 0 finishes it first
+    /// at 0.5 s, worker 1 again at 3.0 s.
+    fn rerun(duplicate: bool) -> Vec<Event> {
+        let obs = planned(&[(0, false), (1, false)], &[(1.0, 0.5, 0); 3]);
+        let placement = EventBody::Placement {
+            task: 0,
+            decision: None,
+        };
+        obs.virtual_span(Track::Planned(0), 0.0, 1.0, placement);
+        if duplicate {
+            obs.span(Track::Worker(0), 0.0, 0.01, Some((0.0, 0.5)), job(0));
+        }
+        obs.span(Track::Worker(0), 0.01, 0.01, Some((0.5, 1.0)), job(2));
+        obs.span(Track::Worker(1), 0.0, 0.01, Some((0.0, 1.0)), job(1));
+        obs.span(Track::Worker(1), 0.01, 0.01, Some((1.0, 2.0)), job(0));
+        obs.events_since(0)
+    }
+
+    #[test]
+    fn a_task_run_twice_counts_its_later_finisher_in_every_view() {
+        let events = rerun(true);
+        let model = RunModel::from_events(&events);
+        assert_eq!((model.jobs.len(), model.counted.len()), (4, 3));
+
+        // explain: the earlier finisher is recovery, the later counts.
+        let explained = explain(&model);
+        let blame = |w: usize| &explained.worker_blame[w];
+        assert_eq!(blame(0).blame.recovery, 0.5);
+        assert_eq!(blame(1).blame.recovery, 0.0);
+        // analyze: the skew compares the plan with the later finisher.
+        let audit = analyze(&model);
+        assert_eq!((audit.skew.max_task, audit.skew.max_abs), (0, 2.0));
+        assert_eq!((audit.critical_task, audit.critical_worker), (0, 1));
+
+        // top / watch: the watchdog's ratio is explain's, duplicate
+        // left out (worker 0's counted job ran on estimate).
+        let mut dog = Watchdog::new(WatchConfig::default());
+        for event in &events {
+            dog.observe(event);
+        }
+        for (id, w) in &dog.model().workers {
+            assert_eq!(w.ratio(), Some(blame(*id).ratio), "worker {id}");
+        }
+        assert_eq!(blame(0).ratio, 1.0);
+        let dashboard = crate::live::render_dashboard(&dog);
+        let worker0 = dashboard.lines().find(|l| l.contains("worker 0")).unwrap();
+        assert!(worker0.contains("ratio 1.00"), "{dashboard}");
+
+        // what-if: the replay sees only counted observations, so the
+        // recovery duplicate changes nothing.
+        let without = RunModel::from_events(&rerun(false));
+        for spec in [WhatIf::PerfectCalibration, WhatIf::DropWorker(1)] {
+            let replay = |model: &RunModel| what_if(model, &spec).unwrap().to_json();
+            assert_eq!(replay(&model), replay(&without), "{}", spec.label());
+        }
     }
 }

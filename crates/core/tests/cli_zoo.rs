@@ -230,6 +230,30 @@ fn reopt_improves_the_miscalibrated_straggler_by_fifteen_percent() {
     run(&static_journal, false);
     run(&reopt_journal, true);
 
+    // `swdual explain --what-if drop-worker:1` on the static run: the
+    // replay without the 6x-slow straggler predicts a shorter makespan
+    // than the one observed.
+    let drop = swdual()
+        .arg("explain")
+        .arg(&static_journal)
+        .args(["--what-if", "drop-worker:1", "--json"])
+        .output()
+        .expect("run swdual explain --what-if");
+    assert!(drop.status.success(), "what-if failed: {drop:?}");
+    let drop: serde_json::Value =
+        serde_json::from_str(&String::from_utf8(drop.stdout).unwrap()).unwrap();
+    let seconds = |report: &serde_json::Value, key: &str| {
+        let value = report.get(key).and_then(|v| v.as_f64());
+        value.unwrap_or_else(|| panic!("{key} field"))
+    };
+    let observed = seconds(&analyze_json(&static_journal), "modelled_makespan");
+    assert!((seconds(&drop, "observed_makespan") - observed).abs() < 1e-6);
+    let predicted = seconds(&drop, "counterfactual_makespan");
+    assert!(
+        predicted < observed,
+        "drop-worker:1 predicts {predicted} s >= observed {observed} s"
+    );
+
     // The re-opt journal records at least one re-plan, and the audit
     // reports it.
     let report = analyze_json(&reopt_journal);

@@ -170,11 +170,11 @@ fn profile_exports_match_the_goldens() {
         // The CLI folds flamegraphs on the modelled clock only; the
         // wall-clock rendering comes from the library.
         let text = std::fs::read_to_string(journal(j)).expect("fixture journal");
-        let events = swdual_obs::journal::parse_journal(&text).expect("fixture parses");
+        let model = swdual_obs::RunModel::from_journal(&text).expect("fixture folds");
         g.check(
             &format!("{j}.flame-wall.folded"),
             &swdual_obs::export::flamegraph_folded(
-                &Profile::from_events(&events),
+                &Profile::from_model(&model),
                 ProfileClock::Wall,
             ),
         );

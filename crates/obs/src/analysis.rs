@@ -21,8 +21,7 @@
 //! is rejected with a typed [`JournalError`] instead of garbage
 //! output.
 
-use crate::model::{ratio_or, Exec, RunModel, Worker};
-use crate::Event;
+use crate::model::{ratio_or, species, RunModel, Worker};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -190,38 +189,18 @@ pub struct RunReport {
     pub alerts: Vec<FaultCount>,
 }
 
-/// Fold an event stream and audit it.
-pub fn analyze_events(events: &[Event]) -> RunReport {
-    analyze(&RunModel::from_events(events))
-}
-
 /// The audit: everything below is derived from the model's facts.
 pub fn analyze(model: &RunModel) -> RunReport {
     let jobs = &model.jobs;
     let wall_makespan = model.wall_makespan();
     let modelled_makespan = model.makespan;
     let two_lambda_bound = model.two_lambda_bound();
-
-    // The critical job: the first to reach the latest modelled end.
-    let mut critical: Option<(f64, &Exec)> = None;
-    // task → latest actual completion on the modelled clock
-    let mut actual_end: BTreeMap<usize, f64> = BTreeMap::new();
-    for (exec, (start, dur)) in jobs.iter().filter_map(|e| e.virt.map(|v| (e, v))) {
-        let end = start + dur;
-        let latest = actual_end.entry(exec.task).or_insert(end);
-        *latest = latest.max(end);
-        if critical.is_none_or(|(e, _)| end > e) {
-            critical = Some((end, exec));
-        }
-    }
+    let critical = model.critical.map(|i| &jobs[i]);
 
     let workers: Vec<(usize, &Worker)> = model.participants().collect();
-    let mean_busy =
-        workers.iter().map(|(_, w)| w.busy_modelled).sum::<f64>() / workers.len().max(1) as f64;
-    let max_busy = workers
-        .iter()
-        .map(|(_, w)| w.busy_modelled)
-        .fold(0.0, f64::max);
+    let busy = || workers.iter().map(|(_, w)| w.busy_modelled);
+    let mean_busy = busy().sum::<f64>() / workers.len().max(1) as f64;
+    let max_busy = busy().fold(0.0, f64::max);
     let load_imbalance = ratio_or(1.0, max_busy, mean_busy);
     let worker_audits: Vec<WorkerAudit> = workers
         .iter()
@@ -254,10 +233,13 @@ pub fn analyze(model: &RunModel) -> RunReport {
         }
     }
 
-    // Skew: tasks with both a planned and an actual completion.
+    // Skew: tasks with both a planned and a counted completion.
     let abs_skews: Vec<(f64, usize)> = planned_end
         .iter()
-        .filter_map(|(task, planned)| Some(((actual_end.get(task)? - planned).abs(), *task)))
+        .filter_map(|(task, planned)| {
+            let (_, actual) = jobs[*model.counted.get(task)?].span()?;
+            Some(((actual - planned).abs(), *task))
+        })
         .collect();
     let skew = if abs_skews.is_empty() {
         SkewStats::default()
@@ -298,12 +280,8 @@ pub fn analyze(model: &RunModel) -> RunReport {
         good as f64 / pairs as f64
     };
 
-    let moved: BTreeSet<usize> = model
-        .placements
-        .iter()
-        .filter(|p| p.recovered)
-        .map(|p| p.task)
-        .collect();
+    let recovered = model.placements.iter().filter(|p| p.recovered);
+    let moved: BTreeSet<usize> = recovered.map(|p| p.task).collect();
     let mut alerts: BTreeMap<&str, usize> = BTreeMap::new();
     for alert in &model.alerts {
         *alerts.entry(alert.kind.label()).or_insert(0) += 1;
@@ -312,6 +290,7 @@ pub fn analyze(model: &RunModel) -> RunReport {
         name: name.to_string(),
         count,
     };
+    let faults = model.faults.iter().map(|(name, n)| count((name, *n)));
 
     RunReport {
         schema: JOURNAL_SCHEMA.to_string(),
@@ -328,8 +307,8 @@ pub fn analyze(model: &RunModel) -> RunReport {
         bound_margin: two_lambda_bound - modelled_makespan,
         binsearch_iterations: model.binsearch_iterations,
         load_imbalance,
-        critical_task: critical.map_or(-1, |(_, e)| e.task as i64),
-        critical_worker: critical.map_or(-1, |(_, e)| e.worker as i64),
+        critical_task: critical.map_or(-1, |e| e.task as i64),
+        critical_worker: critical.map_or(-1, |e| e.worker as i64),
         wall_latency: LatencyStats::from_durations(jobs.iter().map(|e| e.wall_dur).collect()),
         modelled_latency: LatencyStats::from_durations(
             jobs.iter().filter_map(|e| Some(e.virt?.1)).collect(),
@@ -338,11 +317,7 @@ pub fn analyze(model: &RunModel) -> RunReport {
         gpu_ordering_quality,
         moved_tasks: moved.len(),
         reopt_replans: model.reopt_replans,
-        faults: model
-            .faults
-            .iter()
-            .map(|(name, n)| count((name, *n)))
-            .collect(),
+        faults: faults.collect(),
         alerts: alerts.into_iter().map(count).collect(),
     }
 }
@@ -350,7 +325,7 @@ pub fn analyze(model: &RunModel) -> RunReport {
 impl RunReport {
     /// Pretty-printed JSON rendering.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialises")
+        crate::json(self, true)
     }
 
     /// Human-readable rendering for terminals.
@@ -375,15 +350,14 @@ impl RunReport {
                 "  dual approximation     λ = {:.6} s · 2λ bound = {:.6} s · lower bound = {:.6} s",
                 self.lambda, self.two_lambda_bound, self.lower_bound
             ));
+            let verdict = if self.bound_holds {
+                "HOLDS"
+            } else {
+                "VIOLATED"
+            };
             line(format!(
-                "  2λ guarantee           {} (margin {:.6} s, {} binary-search iterations)",
-                if self.bound_holds {
-                    "HOLDS"
-                } else {
-                    "VIOLATED"
-                },
-                self.bound_margin,
-                self.binsearch_iterations
+                "  2λ guarantee           {verdict} (margin {:.6} s, {} binary-search iterations)",
+                self.bound_margin, self.binsearch_iterations
             ));
         } else {
             line("  dual approximation     no λ in journal (self-scheduling run?)".to_string());
@@ -398,20 +372,16 @@ impl RunReport {
                 self.critical_task, self.critical_worker
             ));
         }
-        line(format!(
-            "  job latency (wall)     p50 {:.6} s · p95 {:.6} s · p99 {:.6} s · max {:.6} s",
-            self.wall_latency.p50,
-            self.wall_latency.p95,
-            self.wall_latency.p99,
-            self.wall_latency.max
-        ));
-        line(format!(
-            "  job latency (modelled) p50 {:.6} s · p95 {:.6} s · p99 {:.6} s · max {:.6} s",
-            self.modelled_latency.p50,
-            self.modelled_latency.p95,
-            self.modelled_latency.p99,
-            self.modelled_latency.max
-        ));
+        for (clock, l) in [
+            ("wall", &self.wall_latency),
+            ("modelled", &self.modelled_latency),
+        ] {
+            let (p50, p95, p99, max) = (l.p50, l.p95, l.p99, l.max);
+            line(format!(
+                "  {:<22} p50 {p50:.6} s · p95 {p95:.6} s · p99 {p99:.6} s · max {max:.6} s",
+                format!("job latency ({clock})")
+            ));
+        }
         if self.skew.tasks_compared > 0 {
             line(format!(
                 "  plan-vs-actual skew    mean |Δ| {:.6} s · max |Δ| {:.6} s (task {})",
@@ -428,41 +398,31 @@ impl RunReport {
                 self.reopt_replans
             ));
         }
-        if !self.alerts.is_empty() {
-            let alert_list = self
-                .alerts
+        // `2×worker_death, 1×task_redispatch`, or `none`.
+        let listed = |counts: &[FaultCount]| {
+            let list: Vec<String> = counts
                 .iter()
-                .map(|a| format!("{}×{}", a.count, a.name))
-                .collect::<Vec<_>>()
-                .join(", ");
-            line(format!("  watchdog alerts        {alert_list}"));
+                .map(|c| format!("{}×{}", c.count, c.name))
+                .collect();
+            if list.is_empty() {
+                "none".to_string()
+            } else {
+                list.join(", ")
+            }
+        };
+        if !self.alerts.is_empty() {
+            line(format!("  watchdog alerts        {}", listed(&self.alerts)));
         }
         if self.moved_tasks > 0 || !self.faults.is_empty() {
-            let fault_list = self
-                .faults
-                .iter()
-                .map(|f| format!("{}×{}", f.count, f.name))
-                .collect::<Vec<_>>()
-                .join(", ");
             line(format!(
                 "  fault recovery         {} task(s) re-planned · events: {}",
                 self.moved_tasks,
-                if fault_list.is_empty() {
-                    "none".to_string()
-                } else {
-                    fault_list
-                }
+                listed(&self.faults)
             ));
         }
         line("  workers:".to_string());
         for w in &self.workers {
-            let species = if w.device_class.is_empty() {
-                if w.is_gpu { "gpu" } else { "cpu" }.to_string()
-            } else if w.is_gpu {
-                format!("gpu[{}]", w.device_class)
-            } else {
-                w.device_class.clone()
-            };
+            let species = species(w.is_gpu, &w.device_class);
             let queue = if w.queue_wait_wall > 0.0 || w.queue_wait_modelled > 0.0 {
                 format!(
                     " · queued {:.6} s wall / {:.6} s modelled",
@@ -720,7 +680,7 @@ mod tests {
 
     #[test]
     fn empty_run_yields_a_quiet_report() {
-        let r = analyze_events(&[]);
+        let r = analyze(&RunModel::default());
         assert_eq!(r.tasks, 0);
         assert_eq!(r.critical_task, -1);
         assert!(!r.has_bound);

@@ -643,7 +643,7 @@ impl DiffReport {
 
     /// Pretty-printed JSON rendering.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("diff report serialises")
+        crate::json(self, true)
     }
 
     /// Human-readable rendering: headline counts, then every

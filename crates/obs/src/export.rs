@@ -41,11 +41,8 @@ fn args_value(event: &Event) -> Value {
 /// one that renders it at the end; [`crate::journal::journal_schema`]
 /// still reads headers that carry one.
 pub fn journal_header() -> String {
-    serde_json::to_string(&Value::Object(vec![(
-        "schema".to_string(),
-        Value::Str(crate::journal::JOURNAL_SCHEMA.to_string()),
-    )]))
-    .expect("journal header serialises")
+    let schema = Value::Str(crate::journal::JOURNAL_SCHEMA.to_string());
+    crate::json(&Value::Object(vec![("schema".to_string(), schema)]), false)
 }
 
 /// Render one event as a journal JSON line (no trailing newline).
@@ -77,7 +74,7 @@ pub fn journal_event_line(event: &Event) -> String {
     if args.as_object().is_some_and(|fields| !fields.is_empty()) {
         fields.push(("args".to_string(), args));
     }
-    serde_json::to_string(&Value::Object(fields)).expect("journal event serialises")
+    crate::json(&Value::Object(fields), false)
 }
 
 /// Render all events as JSON lines: a schema header, then one event
@@ -485,11 +482,8 @@ fn chrome_trace_of(events: &[Event]) -> String {
         }
     }
 
-    serde_json::to_string_pretty(&Value::Object(vec![(
-        "traceEvents".to_string(),
-        Value::Array(trace),
-    )]))
-    .expect("trace serialises")
+    let trace = Value::Object(vec![("traceEvents".to_string(), Value::Array(trace))]);
+    crate::json(&trace, true)
 }
 
 /// Render a folded [`Profile`] as collapsed-stack flamegraph text on
@@ -568,7 +562,7 @@ pub fn speedscope_json(profile: &Profile) -> String {
         ])
     };
 
-    serde_json::to_string_pretty(&Value::Object(vec![
+    let document = Value::Object(vec![
         (
             "$schema".to_string(),
             Value::Str("https://www.speedscope.app/file-format-schema.json".to_string()),
@@ -587,8 +581,8 @@ pub fn speedscope_json(profile: &Profile) -> String {
                 sampled("modelled clock", ProfileClock::Modelled),
             ]),
         ),
-    ]))
-    .expect("speedscope document serialises")
+    ]);
+    crate::json(&document, true)
 }
 
 #[cfg(test)]
@@ -1018,7 +1012,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_are_semicolon_frames_and_integer_micros() {
-        let profile = Profile::from_events(&profiled_obs().events_since(0));
+        let profile = Profile::from_model(&RunModel::from_obs(&profiled_obs()));
         let folded = flamegraph_folded(&profile, ProfileClock::Wall);
         let lines: Vec<&str> = folded.lines().collect();
         assert!(!lines.is_empty());
@@ -1049,7 +1043,7 @@ mod tests {
 
     #[test]
     fn speedscope_document_parses_and_reconciles() {
-        let profile = Profile::from_events(&profiled_obs().events_since(0));
+        let profile = Profile::from_model(&RunModel::from_obs(&profiled_obs()));
         let doc = speedscope_json(&profile);
         let value: Value = serde_json::from_str(&doc).expect("speedscope JSON parses");
         assert_eq!(
@@ -1090,7 +1084,7 @@ mod tests {
 
     #[test]
     fn empty_profile_exports_are_valid() {
-        let profile = Profile::from_events(&[]);
+        let profile = Profile::from_model(&RunModel::default());
         assert!(flamegraph_folded(&profile, ProfileClock::Wall).is_empty());
         let value: Value =
             serde_json::from_str(&speedscope_json(&profile)).expect("empty speedscope parses");

@@ -45,6 +45,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+/// `value` as JSON text, two-space indented when `pretty`: every report,
+/// export and ledger renders through here. The `expect` cannot fire:
+/// the vendored `serde_json::to_string` and `to_string_pretty`
+/// (`shims/serde_json/src/lib.rs`) return `Ok` for every value.
+pub fn json<T: serde::Serialize>(value: &T, pretty: bool) -> String {
+    let text = if pretty {
+        serde_json::to_string_pretty(value)
+    } else {
+        serde_json::to_string(value)
+    };
+    text.expect("the vendored serde_json renders every value")
+}
+
 /// Which timeline an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Track {

@@ -64,9 +64,12 @@ pub struct Worker {
     pub busy_wall: f64,
     /// Sum of job modelled durations.
     pub busy_modelled: f64,
-    /// Sum of the rate models' estimates for those jobs, priced as the
-    /// species it had registered as when each completed.
-    pub est_modelled: f64,
+    /// Modelled busy time and estimate summed over its counted jobs
+    /// that have a positive estimate, and how many of them there are:
+    /// the terms of [`Worker::ratio`].
+    counted_busy: f64,
+    counted_estimate: f64,
+    counted_estimated: usize,
     /// Sum of job cell counts.
     pub cells: f64,
     /// Sum of dispatch→start gaps, wall clock.
@@ -103,9 +106,20 @@ impl Worker {
         self.registered == Some(true)
     }
 
-    /// Observed over estimated modelled time (1.0 without estimates).
-    pub fn observed_ratio(&self) -> f64 {
-        ratio_or(1.0, self.busy_modelled, self.est_modelled)
+    /// Observed over estimated modelled time: modelled busy time over
+    /// the rate models' estimate, summed over its counted jobs (see
+    /// [`RunModel::counted`]) that have a positive estimate. `None`
+    /// when it has none; each view states its own default.
+    pub fn ratio(&self) -> Option<f64> {
+        (self.counted_estimated > 0 && self.counted_estimate > 0.0)
+            .then(|| self.counted_busy / self.counted_estimate)
+    }
+
+    /// The label every view prints for the worker: `gpu` or `cpu`,
+    /// with a GPU's journaled device class in brackets (`gpu[c2050]`);
+    /// a host worker's class is `cpu` itself.
+    pub fn species(&self) -> String {
+        species(self.is_gpu(), &self.class)
     }
 
     /// Whether the worker was part of the platform the run was
@@ -113,6 +127,17 @@ impl Worker {
     /// journal merely mentions (a dispatch to it, its death) is not.
     pub fn participated(&self) -> bool {
         self.registered.is_some() || self.jobs > 0
+    }
+}
+
+/// [`Worker::species`] of a worker a report has already flattened to
+/// its species and class.
+pub(crate) fn species(is_gpu: bool, class: &str) -> String {
+    match (class, is_gpu) {
+        ("", true) => "gpu".to_string(),
+        ("", false) => "cpu".to_string(),
+        (class, true) => format!("gpu[{class}]"),
+        (class, false) => class.to_string(),
     }
 }
 
@@ -140,6 +165,16 @@ pub struct Exec {
     pub decision: u64,
     pub queue_wait_wall: f64,
     pub queue_wait_modelled: f64,
+    /// The rate models' estimate for the task, priced as the worker's
+    /// species when the job completed (0 without one).
+    pub estimate: f64,
+}
+
+impl Exec {
+    /// `(start, end)` on the modelled clock.
+    pub(crate) fn span(&self) -> Option<(f64, f64)> {
+        self.virt.map(|(start, dur)| (start, start + dur))
+    }
 }
 
 /// Where a plan decision put a task.
@@ -278,6 +313,9 @@ pub struct RunModel {
     pub has_bound: bool,
     /// Latest modelled job completion seen.
     pub makespan: f64,
+    /// Index in `jobs` of the critical job: the first job to reach
+    /// `makespan` (`None` until a job with modelled times completes).
+    pub critical: Option<usize>,
     /// Longest job wall duration seen.
     pub max_job_wall: f64,
     /// Whether any dispatch edge was journaled (v2 lineage).
@@ -288,6 +326,11 @@ pub struct RunModel {
     pub done: BTreeSet<usize>,
     /// Every executed job span, in event order.
     pub jobs: Vec<Exec>,
+    /// Task → index in `jobs` of its counted execution: the first job
+    /// to reach the task's latest modelled end. Every other execution
+    /// of the task is recovery; a job without modelled times never
+    /// counts.
+    pub counted: BTreeMap<usize, usize>,
     /// Every planned or recovered placement, in event order.
     pub placements: Vec<Placement>,
     /// `(worker, task, phase)` → seconds spent.
@@ -339,29 +382,25 @@ impl RunModel {
         all.filter(|(_, w)| w.participated())
     }
 
+    /// Whether `jobs[index]` is its task's counted execution.
+    pub(crate) fn counts(&self, index: usize) -> bool {
+        self.counted.get(&self.jobs[index].task) == Some(&index)
+    }
+
     /// Wall-clock execution window: latest job end − earliest job start.
     pub fn wall_makespan(&self) -> f64 {
         let starts = self.jobs.iter().map(|e| e.wall_start);
         let ends = self.jobs.iter().map(|e| e.wall_start + e.wall_dur);
-        let (lo, hi) = (
-            starts.fold(f64::INFINITY, f64::min),
-            ends.fold(f64::NEG_INFINITY, f64::max),
-        );
-        if hi > lo {
-            hi - lo
-        } else {
-            0.0
-        }
+        let lo = starts.fold(f64::INFINITY, f64::min);
+        let hi = ends.fold(f64::NEG_INFINITY, f64::max);
+        (hi - lo).max(0.0)
     }
 
     /// Crude modelled-clock ETA: the running makespan scaled by the
     /// share of tasks still to complete (0 until the first completes).
     pub fn eta_modelled(&self) -> f64 {
-        if self.done.is_empty() {
-            0.0
-        } else {
-            self.makespan * self.tasks.len() as f64 / self.done.len() as f64
-        }
+        let scaled = self.makespan * self.tasks.len() as f64;
+        ratio_or(0.0, scaled, self.done.len() as f64)
     }
 
     /// Tasks planned for and not yet completed by anyone.
@@ -380,10 +419,46 @@ impl RunModel {
         2.0 * self.lambda
     }
 
-    /// Whether the modelled makespan respects the 2λ guarantee (false
-    /// without a bound).
+    /// Whether `makespan` respects the 2λ guarantee (false without a
+    /// bound).
+    pub fn within_bound(&self, makespan: f64) -> bool {
+        self.has_bound && makespan <= self.two_lambda_bound() * (1.0 + 1e-9) + 1e-12
+    }
+
+    /// Whether the modelled makespan respects the 2λ guarantee.
     pub fn bound_holds(&self) -> bool {
-        self.has_bound && self.makespan <= self.two_lambda_bound() * (1.0 + 1e-9) + 1e-12
+        self.within_bound(self.makespan)
+    }
+
+    /// Add `jobs[index]` to (`sign` 1) or take it back from (−1) its
+    /// worker's ratio terms.
+    fn tally(&mut self, index: usize, sign: isize) {
+        let job = &self.jobs[index];
+        let span = job.span().filter(|_| job.estimate > 0.0);
+        if let (Some((start, end)), Some(w)) = (span, self.workers.get_mut(&job.worker)) {
+            w.counted_busy += sign as f64 * (end - start);
+            w.counted_estimate += sign as f64 * job.estimate;
+            w.counted_estimated = w.counted_estimated.wrapping_add_signed(sign);
+        }
+    }
+
+    /// Settle whether a completed job is now the critical job and its
+    /// task's counted execution: ties keep the first finisher.
+    fn settle(&mut self, index: usize) {
+        let end = |model: &RunModel, i: usize| model.jobs[i].span().map(|(_, end)| end);
+        let Some(this) = end(self, index) else { return };
+        if self.critical.is_none_or(|c| end(self, c) < Some(this)) {
+            self.critical = Some(index);
+        }
+        let task = self.jobs[index].task;
+        let previous = self.counted.get(&task).copied();
+        if previous.is_none_or(|p| end(self, p) < Some(this)) {
+            if let Some(previous) = previous {
+                self.tally(previous, -1);
+            }
+            self.counted.insert(task, index);
+            self.tally(index, 1);
+        }
     }
 
     fn worker(&mut self, w: usize) -> &mut Worker {
@@ -438,7 +513,7 @@ impl RunModel {
             } => {
                 let is_gpu = self.workers.get(&unit).is_some_and(Worker::is_gpu);
                 let estimate = self.tasks.get(&task);
-                let est = estimate.map_or(0.0, |t| if is_gpu { t.p_gpu } else { t.p_cpu });
+                let estimate = estimate.map_or(0.0, |t| if is_gpu { t.p_gpu } else { t.p_cpu });
                 let exec = Exec {
                     worker: unit,
                     task,
@@ -448,12 +523,12 @@ impl RunModel {
                     decision: decision.unwrap_or(0),
                     queue_wait_wall: queue_wait_wall.unwrap_or(0.0),
                     queue_wait_modelled: queue_wait_modelled.unwrap_or(0.0),
+                    estimate,
                 };
                 let state = self.worker(unit);
                 state.jobs += 1;
                 state.busy_wall += dur.wall;
                 state.busy_modelled += dur.modelled;
-                state.est_modelled += est;
                 state.cells += cells.unwrap_or(0.0);
                 state.queue_wait_wall += exec.queue_wait_wall;
                 state.queue_wait_modelled += exec.queue_wait_modelled;
@@ -463,6 +538,7 @@ impl RunModel {
                 self.max_job_wall = self.max_job_wall.max(dur.wall);
                 self.makespan = self.makespan.max(span.1);
                 self.jobs.push(exec);
+                self.settle(self.jobs.len() - 1);
                 return Step::JobDone { worker: unit };
             }
             B::Phase { phase, task } => {

@@ -31,9 +31,10 @@
 //! Leaf weights are *self* times: a parent's self time is its span
 //! minus its children (clamped at zero), so summing every stack that
 //! starts with `worker:W` reproduces worker W's busy time exactly —
-//! the same number `analysis::analyze_events` reports as `busy_wall` /
-//! `busy_modelled`. That identity is what lets the CI smoke test
-//! reconcile `swdual profile` against `swdual analyze` within 1%.
+//! the same number [`analysis::analyze`](crate::analysis::analyze)
+//! reports as `busy_wall` / `busy_modelled`. That identity is what lets
+//! `crates/core/tests/cli_profile.rs` reconcile `swdual profile`
+//! against `swdual analyze` within 1%.
 //!
 //! Device rows are a second *view* of the same execution (a GPU
 //! worker's task time is its kernels' time), so device stacks are kept
@@ -47,7 +48,7 @@
 
 use crate::event::{task_name, D2H_TRANSFER, H2D_TRANSFER, KERNEL};
 use crate::model::{ratio_or, Clocked, RunModel};
-use crate::{Event, HostPhase};
+use crate::HostPhase;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -114,10 +115,6 @@ pub struct WorkerProfile {
     pub wall_total: f64,
     /// Total modelled seconds attributed to this worker's stacks.
     pub modelled_total: f64,
-    /// Latest modelled completion on this worker (start + duration of
-    /// its last job). Equals `modelled_total` when jobs are packed
-    /// back-to-back from 0, as the runtime's workers are.
-    pub modelled_end: f64,
     /// Phase totals, sorted by name.
     pub phases: Vec<PhaseTotal>,
 }
@@ -297,29 +294,24 @@ fn fold_segments(mut intervals: Vec<(f64, f64)>) -> (Vec<TimelineSegment>, f64) 
 }
 
 impl Profile {
-    /// Fold an event stream (e.g. one parsed back from a journal with
-    /// [`parse_journal`](crate::journal::parse_journal)) and stack it.
-    pub fn from_events(events: &[Event]) -> Profile {
-        Profile::from_model(&RunModel::from_events(events))
-    }
-
     /// Stack a run's jobs, phases and device spans.
     pub fn from_model(model: &RunModel) -> Profile {
-        // (worker, task) → (wall, modelled, modelled_end)
-        let mut tasks: BTreeMap<(usize, usize), (f64, f64, f64)> = BTreeMap::new();
+        // (worker, task) → its jobs' time on both clocks
+        let mut tasks: BTreeMap<(usize, usize), Clocked> = BTreeMap::new();
         for e in &model.jobs {
-            let (virt_start, virt_dur) = e.virt.unwrap_or((0.0, 0.0));
-            let total = tasks.entry((e.worker, e.task)).or_insert((0.0, 0.0, 0.0));
-            total.0 += e.wall_dur;
-            total.1 += virt_dur;
-            total.2 = total.2.max(virt_start + virt_dur);
+            let modelled = e.virt.map_or(0.0, |(_, dur)| dur);
+            let wall = e.wall_dur;
+            tasks
+                .entry((e.worker, e.task))
+                .or_default()
+                .add(Clocked { wall, modelled });
         }
         let phases = &model.phases;
 
         // Build stacks. Worker: task self = task − Σ its phases.
         let mut stacks: Vec<StackWeight> = Vec::new();
         let mut worker_fold: BTreeMap<usize, WorkerProfile> = BTreeMap::new();
-        for (&(w, task), &(wall, modelled, end)) in &tasks {
+        for (&(w, task), &span) in &tasks {
             let root = || format!("worker:{w}");
             let task_frame = task_name(task);
             let mut children = Clocked::default();
@@ -333,7 +325,6 @@ impl Profile {
             // Phases may slightly over- or under-shoot the parent from
             // separate clock reads; the parent keeps the (clamped)
             // remainder so root totals always equal the span sums.
-            let span = Clocked { wall, modelled };
             stacks.push(StackWeight::new(
                 root(),
                 &[&task_frame],
@@ -345,9 +336,8 @@ impl Profile {
                 ..WorkerProfile::default()
             });
             wp.tasks += 1;
-            wp.wall_total += wall.max(child_wall);
-            wp.modelled_total += modelled.max(child_virt);
-            wp.modelled_end = wp.modelled_end.max(end);
+            wp.wall_total += span.wall.max(child_wall);
+            wp.modelled_total += span.modelled.max(child_virt);
         }
         // Help: the helper's wall time, a stack of its own.
         for (&(w, task), &wall) in &model.helped {
@@ -461,14 +451,13 @@ impl Profile {
         let workers: Vec<WorkerProfile> = worker_fold.into_values().collect();
         let wall_total = workers.iter().map(|w| w.wall_total).sum();
         let modelled_total = workers.iter().map(|w| w.modelled_total).sum();
-        let modelled_makespan = workers.iter().map(|w| w.modelled_end).fold(0.0, f64::max);
         Profile {
             stacks,
             workers,
             devices: device_fold,
             wall_total,
             modelled_total,
-            modelled_makespan,
+            modelled_makespan: model.makespan,
         }
     }
 
@@ -495,7 +484,7 @@ impl Profile {
 
     /// Pretty-printed JSON of the whole profile.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("profile serialises")
+        crate::json(self, true)
     }
 }
 
@@ -517,7 +506,7 @@ pub struct RooflineReport {
 impl RooflineReport {
     /// Pretty-printed JSON rendering.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("roofline serialises")
+        crate::json(self, true)
     }
 
     /// Human-readable rendering for terminals.
@@ -588,8 +577,17 @@ impl RooflineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{analyze, RunReport};
     use crate::testkit::job;
-    use crate::{EventBody, Obs, Track};
+    use crate::{Event, EventBody, Obs, Track};
+
+    fn profile(events: &[Event]) -> Profile {
+        Profile::from_model(&RunModel::from_events(events))
+    }
+
+    fn audit(events: &[Event]) -> RunReport {
+        analyze(&RunModel::from_events(events))
+    }
 
     /// A hand-built profiled run: one CPU worker with phase spans, one
     /// device with kernel phases, transfers and a spec instant.
@@ -663,12 +661,12 @@ mod tests {
 
     #[test]
     fn worker_root_totals_equal_task_spans() {
-        let p = Profile::from_events(&sample_events());
+        let p = profile(&sample_events());
         assert!((p.root_total("worker:0", ProfileClock::Wall) - 1.0).abs() < 1e-12);
         assert!((p.root_total("worker:0", ProfileClock::Modelled) - 2.0).abs() < 1e-12);
         assert!((p.root_total("worker:1", ProfileClock::Modelled) - 1.5).abs() < 1e-12);
         // Root totals agree with the auditor on the same events.
-        let audit = crate::analysis::analyze_events(&sample_events());
+        let audit = audit(&sample_events());
         for w in &audit.workers {
             let worker = format!("worker:{}", w.worker);
             assert!((p.root_total(&worker, ProfileClock::Wall) - w.busy_wall).abs() < 1e-9);
@@ -690,7 +688,7 @@ mod tests {
             EventBody::Help { task: 0 },
         );
         events.extend(obs.events_since(0));
-        let p = Profile::from_events(&events);
+        let p = profile(&events);
         let help = p
             .stacks
             .iter()
@@ -698,7 +696,7 @@ mod tests {
         assert_eq!(help.map(|s| (s.wall, s.modelled)), Some((0.4, 0.0)));
         assert!((p.root_total("worker:1", ProfileClock::Wall) - 0.43).abs() < 1e-12);
         assert!((p.root_total("worker:1", ProfileClock::Modelled) - 1.5).abs() < 1e-12);
-        let audit = crate::analysis::analyze_events(&events);
+        let audit = audit(&events);
         for w in &audit.workers {
             let worker = format!("worker:{}", w.worker);
             assert!((p.root_total(&worker, ProfileClock::Wall) - w.busy_wall).abs() < 1e-9);
@@ -710,7 +708,7 @@ mod tests {
 
     #[test]
     fn phase_stacks_carry_self_times() {
-        let p = Profile::from_events(&sample_events());
+        let p = profile(&sample_events());
         let stack = |frames: &[&str]| {
             p.stacks
                 .iter()
@@ -735,7 +733,7 @@ mod tests {
 
     #[test]
     fn roofline_folds_bytes_and_cells() {
-        let p = Profile::from_events(&sample_events());
+        let p = profile(&sample_events());
         assert_eq!(p.devices.len(), 1);
         let d = &p.devices[0];
         assert_eq!(d.kernels, 1);
@@ -768,7 +766,7 @@ mod tests {
 
     #[test]
     fn empty_events_yield_an_empty_profile() {
-        let p = Profile::from_events(&[]);
+        let p = profile(&[]);
         assert!(p.stacks.is_empty());
         assert!(p.workers.is_empty());
         assert!(p.devices.is_empty());
@@ -784,7 +782,7 @@ mod tests {
         // Without phase spans (profiling off), tasks become leaves.
         let obs = Obs::enabled();
         obs.span(Track::Worker(2), 0.0, 0.5, Some((0.0, 1.0)), job(7, None));
-        let p = Profile::from_events(&obs.events_since(0));
+        let p = profile(&obs.events_since(0));
         assert_eq!(p.stacks.len(), 1);
         assert_eq!(p.stacks[0].frames, vec!["worker:2", "task-7"]);
         assert!((p.root_total("worker:2", ProfileClock::Modelled) - 1.0).abs() < 1e-12);
@@ -792,7 +790,7 @@ mod tests {
 
     #[test]
     fn roofline_text_never_prints_nan() {
-        let p = Profile::from_events(&sample_events());
+        let p = profile(&sample_events());
         let text = p.roofline().to_text();
         assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
         assert!(text.contains("transfer-bound"));

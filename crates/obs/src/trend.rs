@@ -105,7 +105,7 @@ impl TrendLedger {
 
     /// Pretty-printed JSON rendering.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("trend ledger serialises")
+        crate::json(self, true)
     }
 
     /// Append an entry and write the ledger back.
@@ -139,10 +139,14 @@ impl TrendLedger {
     }
 }
 
+/// Metric names ending so are throughputs, where higher is better;
+/// every other bench number is a time per operation or an overhead
+/// ratio, where lower is better.
+const HIGHER_IS_BETTER: &str = "_gcups";
+
 /// Diff the last two entries of each bench (or just `bench`, when
 /// given): metric names become `BENCH.METRIC`, judged under the
-/// wall-clock tolerance with lower-is-better polarity (bench medians
-/// are ns/op and overhead ratios).
+/// wall-clock tolerance with the polarity [`HIGHER_IS_BETTER`] names.
 pub fn diff_trend(
     ledger: &TrendLedger,
     bench: Option<&str>,
@@ -175,7 +179,7 @@ pub fn diff_trend(
                     format!("{name}.{}", m.name),
                     p.value,
                     m.value,
-                    true,
+                    !m.name.ends_with(HIGHER_IS_BETTER),
                     Tolerance::Wall,
                     opts,
                 )),
@@ -243,6 +247,27 @@ mod tests {
             .find(|m| m.name == "obs_overhead.per_job_enabled")
             .unwrap();
         assert_eq!(per_job.class, DiffClass::Neutral);
+    }
+
+    #[test]
+    fn more_gcups_is_an_improvement() {
+        let mut l = TrendLedger::new();
+        for (at, gcups, ns) in [(1.0, 10.0, 100.0), (2.0, 12.0, 120.0)] {
+            let metrics = [("c2050_gcups", gcups), ("dp_ns", ns)];
+            l.entries
+                .push(TrendEntry::new("zoo", at, "mixed", &metrics));
+        }
+        let report = diff_trend(&l, None, &DiffOptions::default()).expect("diffs");
+        let class = |name: &str| {
+            report
+                .metrics
+                .iter()
+                .find(|m| m.name == name)
+                .unwrap()
+                .class
+        };
+        assert_eq!(class("zoo.c2050_gcups"), DiffClass::Improved);
+        assert_eq!(class("zoo.dp_ns"), DiffClass::Regressed);
     }
 
     #[test]

@@ -200,14 +200,15 @@ impl Watchdog {
     /// judgements, each at most once.
     fn judge_job(&mut self, w: usize) {
         let state = &self.model.workers[&w];
-        if !self.fired_straggler.contains(&w)
-            && state.jobs >= self.cfg.straggler_min_jobs
-            && state.est_modelled > 0.0
-            && state.observed_ratio() >= self.cfg.straggler_ratio
-        {
-            self.fired_straggler.insert(w);
-            let (value, threshold) = (state.observed_ratio(), self.cfg.straggler_ratio);
-            self.fire(AlertKind::Straggler, Some(w), value, threshold);
+        // A worker without estimates to judge by never straggles.
+        let ratio = state
+            .ratio()
+            .filter(|_| state.jobs >= self.cfg.straggler_min_jobs);
+        let threshold = self.cfg.straggler_ratio;
+        if let Some(value) = ratio.filter(|r| *r >= threshold) {
+            if self.fired_straggler.insert(w) {
+                self.fire(AlertKind::Straggler, Some(w), value, threshold);
+            }
         }
         let makespan = self.model.makespan;
         let guard = self.cfg.bound_risk_fraction * 2.0 * self.model.lambda;
@@ -308,7 +309,7 @@ mod tests {
         let model = dog.model();
         assert_eq!(model.done.len(), 2);
         assert_eq!(model.tasks.len(), 2);
-        assert!((model.workers[&0].observed_ratio() - 1.0).abs() < 1e-9);
+        assert!((model.workers[&0].ratio().unwrap() - 1.0).abs() < 1e-9);
         assert!(model.workers[&0].outstanding.is_empty());
     }
 

@@ -346,7 +346,7 @@ proptest! {
         assert_renders_numbers("diff --json", &diff.to_json())?;
         assert_renders_numbers("diff --text", &diff.to_text())?;
         for w in model.workers.values() {
-            prop_assert!(w.observed_ratio().is_finite());
+            prop_assert!(w.ratio().is_none_or(f64::is_finite));
         }
         prop_assert!(model.eta_modelled().is_finite());
     }
