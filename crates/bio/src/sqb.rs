@@ -46,8 +46,8 @@
 //! length order, and checks every cell of the residue area ([`SqbImage`]
 //! at open, [`SqbFile::read_all`] block by block). [`SqbImage`] then
 //! hands out the columns in place; [`SqbFile`] is the owned, streaming
-//! decode of the same file and [`SqbWriter`] the encoder. All three give
-//! records by their original index.
+//! decode of the same file. Both give records by their original index.
+//! [`encode`], [`write_file`] and [`SqbImage::from_records`] write it.
 
 use crate::alphabet::Alphabet;
 use crate::error::BioError;
@@ -69,8 +69,8 @@ pub const INDEX_ENTRY_LEN: usize = 8 + 4 + 4 + 4 + 4 + 2 + 2;
 /// Size of one block-table entry in bytes.
 pub const BLOCK_ENTRY_LEN: usize = 3 * 8;
 /// Buffer of the file reader and writer [`SqbFile::open`] and
-/// [`SqbWriter::create`] set up: a whole-database pass makes one system
-/// call per 64 KiB, not per 8 KiB.
+/// [`write_file`] set up: a whole-database pass makes one system call
+/// per 64 KiB, not per 8 KiB.
 const FILE_BUFFER: usize = 1 << 16;
 
 fn malformed(msg: impl Into<String>) -> BioError {
@@ -599,17 +599,35 @@ impl SqbImage {
     }
 
     /// Encode records, in the order given, into an image — how a FASTA
-    /// file or an in-memory set becomes a database. The result passes
+    /// file read record by record becomes a database. Each record is
+    /// checked as it arrives (see [`encode`]) and only its residues and
+    /// names are kept, one byte per residue beside a few dozen bytes per
+    /// record, until the length order is known. The result passes
     /// through [`SqbImage::from_bytes`] like any file.
     pub fn from_records<S: Borrow<Sequence>>(
         alphabet: Alphabet,
         records: impl IntoIterator<Item = Result<S, BioError>>,
     ) -> Result<SqbImage, BioError> {
-        let mut writer = SqbWriter::new(std::io::Cursor::new(Vec::new()), alphabet)?;
+        let (mut residues, mut names) = (Vec::new(), Vec::new());
+        // Per record: its sizes, and where its residues and names start.
+        let (mut sizes, mut starts) = (Vec::new(), Vec::new());
         for record in records {
-            writer.append(record?.borrow())?;
+            let record = record?;
+            let seq = record.borrow();
+            sizes.push(sizes_of(seq, alphabet, sizes.len())?);
+            starts.push((residues.len(), names.len()));
+            residues.extend_from_slice(&seq.residues);
+            names.extend_from_slice(seq.id.as_bytes());
+            names.extend_from_slice(seq.description.as_bytes());
         }
-        SqbImage::from_bytes(writer.finish()?.into_inner())
+        let codes = |i: usize| &residues[starts[i].0..][..sizes[i].residues as usize];
+        let names = |i: usize| {
+            let (id, rest) = names[starts[i].1..].split_at(usize::from(sizes[i].id));
+            (id, &rest[..usize::from(sizes[i].description)])
+        };
+        let mut out = Vec::new();
+        put_database(&mut out, alphabet, &sizes, codes, names)?;
+        SqbImage::from_bytes(out)
     }
 
     /// Encode an in-memory set into an image.
@@ -711,8 +729,11 @@ impl SqbImage {
     }
 }
 
-/// Serialise a [`SequenceSet`] into SQB bytes. Fails on a record the
-/// format cannot hold (see [`SqbWriter::append`]).
+/// Serialise a [`SequenceSet`] into SQB bytes. A record the format
+/// cannot hold — another alphabet, a residue code outside it, an id or
+/// description over 65 535 bytes, more than `u32::MAX` residues, one
+/// record past `u32::MAX` of them — is refused with
+/// [`BioError::UnencodableSqb`].
 pub fn encode(set: &SequenceSet) -> Result<Vec<u8>, BioError> {
     let mut out = Vec::new();
     write_set(&mut out, set)?;
@@ -1056,91 +1077,6 @@ fn put_database<'r>(
     out.write_all(&table)?;
     out.flush()?;
     Ok(())
-}
-
-/// SQB writer for records that arrive one at a time (a FASTA file read
-/// record by record): [`SqbWriter::append`] checks each record and keeps
-/// its residues and names, [`SqbWriter::finish`] sorts them into length
-/// order and writes the file. A version-3 file lays its blocks out in
-/// length order, so the writer holds the residues until then — one byte
-/// per residue, beside a few dozen bytes per record.
-pub struct SqbWriter<W: Write> {
-    out: W,
-    alphabet: Alphabet,
-    residues: Vec<u8>,
-    names: Vec<u8>,
-    /// Per record: where its residues and names start in the buffers,
-    /// and its sizes.
-    records: Vec<(usize, usize, Sizes)>,
-}
-
-impl SqbWriter<std::io::BufWriter<std::fs::File>> {
-    /// Create a writer at a filesystem path.
-    pub fn create(path: impl AsRef<std::path::Path>, alphabet: Alphabet) -> Result<Self, BioError> {
-        let file = std::fs::File::create(path)?;
-        Self::new(
-            std::io::BufWriter::with_capacity(FILE_BUFFER, file),
-            alphabet,
-        )
-    }
-}
-
-impl<W: Write> SqbWriter<W> {
-    /// Wrap any sink. Nothing is written before [`SqbWriter::finish`].
-    pub fn new(out: W, alphabet: Alphabet) -> Result<Self, BioError> {
-        Ok(SqbWriter {
-            out,
-            alphabet,
-            residues: Vec::new(),
-            names: Vec::new(),
-            records: Vec::new(),
-        })
-    }
-
-    /// Append one record. A record the format cannot hold — another
-    /// alphabet, a residue code outside it, an id or description over
-    /// 65 535 bytes, more than `u32::MAX` residues, one record past
-    /// `u32::MAX` of them — is refused with [`BioError::UnencodableSqb`]
-    /// and leaves the writer as it was.
-    pub fn append(&mut self, seq: &Sequence) -> Result<(), BioError> {
-        let sizes = sizes_of(seq, self.alphabet, self.records.len())?;
-        self.records
-            .push((self.residues.len(), self.names.len(), sizes));
-        self.residues.extend_from_slice(&seq.residues);
-        self.names.extend_from_slice(seq.id.as_bytes());
-        self.names.extend_from_slice(seq.description.as_bytes());
-        Ok(())
-    }
-
-    /// Number of records appended so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Write the file, flush, and return the sink.
-    pub fn finish(mut self) -> Result<W, BioError> {
-        let (records, residues, names) = (&self.records, &self.residues, &self.names);
-        let sizes: Vec<Sizes> = records.iter().map(|&(_, _, sizes)| sizes).collect();
-        let codes = |i: usize| {
-            let (at, _, sizes) = records[i];
-            &residues[at..at + sizes.residues as usize]
-        };
-        let names = |i: usize| {
-            let (_, at, sizes) = records[i];
-            let mid = at + usize::from(sizes.id);
-            (
-                &names[at..mid],
-                &names[mid..mid + usize::from(sizes.description)],
-            )
-        };
-        put_database(&mut self.out, self.alphabet, &sizes, codes, names)?;
-        Ok(self.out)
-    }
 }
 
 #[cfg(test)]
@@ -1643,30 +1579,24 @@ mod tests {
 
     #[test]
     fn streaming_writer_matches_batch_encoder() {
+        // Records that arrive one at a time encode byte for byte as the
+        // whole set does.
         let set = set_of(&(0..200).map(|i| (i * 13) % 70).collect::<Vec<_>>());
-        let cursor = std::io::Cursor::new(Vec::new());
-        let mut writer = SqbWriter::new(cursor, Alphabet::Protein).unwrap();
-        for seq in &set {
-            writer.append(seq).unwrap();
-        }
-        assert_eq!(writer.len(), 200);
-        let cursor = writer.finish().unwrap();
-        let streamed = cursor.into_inner();
-        // Byte-identical to the in-memory encoder.
-        assert_eq!(streamed, encode(&set).unwrap());
-        assert_eq!(decode(&streamed).unwrap(), set);
+        let streamed = SqbImage::from_records(Alphabet::Protein, set.iter().map(Ok)).unwrap();
+        assert_eq!(
+            streamed,
+            SqbImage::from_bytes(encode(&set).unwrap()).unwrap()
+        );
+        assert_eq!(streamed.len(), 200);
     }
 
     #[test]
     fn streaming_writer_rejects_wrong_alphabet() {
-        let cursor = std::io::Cursor::new(Vec::new());
-        let mut writer = SqbWriter::new(cursor, Alphabet::Dna).unwrap();
         let prot = Sequence::from_text("p", Alphabet::Protein, b"MKV").unwrap();
         assert!(matches!(
-            writer.append(&prot),
+            SqbImage::from_records(Alphabet::Dna, [Ok(&prot)]),
             Err(BioError::UnencodableSqb(_))
         ));
-        assert!(writer.is_empty());
     }
 
     #[test]
@@ -1679,28 +1609,13 @@ mod tests {
 
     #[test]
     fn streaming_writer_empty_file_is_valid() {
-        let cursor = std::io::Cursor::new(Vec::new());
-        let writer = SqbWriter::new(cursor, Alphabet::Rna).unwrap();
-        let bytes = writer.finish().unwrap().into_inner();
-        let set = decode(&bytes).unwrap();
+        let none: [Result<Sequence, BioError>; 0] = [];
+        let image = SqbImage::from_records(Alphabet::Rna, none).unwrap();
+        assert!(image.is_empty());
+        assert_eq!(image.header().alphabet, Alphabet::Rna);
+        let set = decode(&encode(&SequenceSet::new(Alphabet::Rna)).unwrap()).unwrap();
         assert!(set.is_empty());
         assert_eq!(set.alphabet, Alphabet::Rna);
-    }
-
-    #[test]
-    fn streaming_writer_to_disk() {
-        let dir = std::env::temp_dir().join("swdual_sqb_stream");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s.sqb");
-        let set = sample_set();
-        let mut writer = SqbWriter::create(&path, Alphabet::Protein).unwrap();
-        for seq in &set {
-            writer.append(seq).unwrap();
-        }
-        writer.finish().unwrap();
-        let mut file = SqbFile::open(&path).unwrap();
-        assert_eq!(file.read_all().unwrap(), set);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1712,15 +1627,12 @@ mod tests {
             .unwrap()
             .with_description(long);
         for seq in [by_id, by_description] {
-            // The streaming writer refuses the record and stays usable.
-            let cursor = std::io::Cursor::new(Vec::new());
-            let mut writer = SqbWriter::new(cursor, Alphabet::Protein).unwrap();
+            // Every writer refuses the record: record by record, the
+            // batch encoder and the file writer.
             assert!(matches!(
-                writer.append(&seq),
+                SqbImage::from_records(Alphabet::Protein, [Ok(&seq)]),
                 Err(BioError::UnencodableSqb(_))
             ));
-            assert!(writer.is_empty());
-            // So do the batch encoder and the file writer.
             let set = SequenceSet::from_sequences(Alphabet::Protein, vec![seq]).unwrap();
             assert!(matches!(encode(&set), Err(BioError::UnencodableSqb(_))));
             let path = std::env::temp_dir().join("swdual_sqb_oversized.sqb");

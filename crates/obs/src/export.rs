@@ -1,6 +1,6 @@
 //! Exporters over a recorded event stream.
 //!
-//! Three formats:
+//! Five formats:
 //!
 //! * [`journal_jsonl`] — one JSON object per line per event, in
 //!   recording order; the raw material for ad-hoc analysis.

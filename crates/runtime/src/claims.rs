@@ -8,8 +8,11 @@
 //! helper can claim it. Exactly one of them computes it, and the result
 //! is the same either way: scores are a pure function of the task.
 //!
-//! A helper that unwinds mid-task releases its claim ([`Claim`]'s
-//! `Drop`), so a settling owner never waits on a helper that is gone.
+//! `Slots` is that rule as plain transitions, which answer
+//! `Settled::Wait` where an owner must wait; [`Claims`] wraps them in
+//! a `Mutex` and a `Condvar`. A helper that unwinds mid-task releases
+//! its claim ([`Claim`]'s `Drop`), so a settling owner never waits on a
+//! helper that is gone.
 
 use crate::messages::Hit;
 use std::collections::HashMap;
@@ -37,29 +40,72 @@ enum Slot {
     Kept,
 }
 
+/// What settling a lent task gives its owner.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Settled {
+    /// The helper's result.
+    Lent(Lent),
+    /// The task is the owner's to compute.
+    Own,
+    /// A helper is computing it: settle again once it is done.
+    Wait,
+}
+
+/// The claim rule over lent tasks by id, without a lock.
+#[derive(Debug, Default)]
+pub(crate) struct Slots(HashMap<usize, Slot>);
+
+impl Slots {
+    /// A helper claims `task`: false when its owner kept it or another
+    /// helper claimed it first.
+    pub(crate) fn claim(&mut self, task: usize) -> bool {
+        !self.0.contains_key(&task) && self.0.insert(task, Slot::Helping).is_none()
+    }
+
+    /// The helper leaves its result for `task`, or hands it back.
+    pub(crate) fn fulfil(&mut self, task: usize, result: Option<Lent>) {
+        match result {
+            Some(lent) => self.0.insert(task, Slot::Helped(lent)),
+            None => self.0.remove(&task),
+        };
+    }
+
+    /// The owner's side of `task`. A result is taken once: a second
+    /// settle (a re-dispatch) keeps the task.
+    pub(crate) fn settle(&mut self, task: usize) -> Settled {
+        match self.0.remove(&task) {
+            Some(Slot::Helping) => {
+                self.0.insert(task, Slot::Helping);
+                Settled::Wait
+            }
+            Some(Slot::Helped(lent)) => Settled::Lent(lent),
+            Some(Slot::Kept) | None => {
+                self.0.insert(task, Slot::Kept);
+                Settled::Own
+            }
+        }
+    }
+}
+
 /// Lent tasks by id. See the module docs.
 #[derive(Debug, Default)]
 pub struct Claims {
-    slots: Mutex<HashMap<usize, Slot>>,
+    slots: Mutex<Slots>,
     changed: Condvar,
 }
 
 impl Claims {
     /// The table, whatever a thread that panicked while holding it left:
     /// every slot is whole between two statements that change it.
-    fn slots(&self) -> MutexGuard<'_, HashMap<usize, Slot>> {
+    fn slots(&self) -> MutexGuard<'_, Slots> {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A helper's claim on `task`, or `None` when its owner kept it or
     /// another helper claimed it first.
     pub(crate) fn claim(&self, task: usize) -> Option<Claim<'_>> {
-        let mut slots = self.slots();
-        if slots.contains_key(&task) {
-            return None;
-        }
-        slots.insert(task, Slot::Helping);
-        Some(Claim { claims: self, task })
+        let claimed = self.slots().claim(task);
+        claimed.then(|| Claim { claims: self, task })
     }
 
     /// The owner's side: the helper's result for `task` — after waiting
@@ -68,30 +114,21 @@ impl Claims {
     pub(crate) fn settle(&self, task: usize) -> Option<Lent> {
         let mut slots = self.slots();
         loop {
-            match slots.remove(&task) {
-                Some(Slot::Helping) => {
-                    slots.insert(task, Slot::Helping);
+            match slots.settle(task) {
+                Settled::Lent(lent) => return Some(lent),
+                Settled::Own => return None,
+                Settled::Wait => {
                     slots = self
                         .changed
                         .wait(slots)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(Slot::Helped(lent)) => return Some(lent),
-                Some(Slot::Kept) | None => {
-                    slots.insert(task, Slot::Kept);
-                    return None;
+                        .unwrap_or_else(PoisonError::into_inner)
                 }
             }
         }
     }
 
     fn finish(&self, task: usize, result: Option<Lent>) {
-        let mut slots = self.slots();
-        match result {
-            Some(lent) => slots.insert(task, Slot::Helped(lent)),
-            None => slots.remove(&task),
-        };
-        drop(slots);
+        self.slots().fulfil(task, result);
         self.changed.notify_all();
     }
 }
@@ -150,6 +187,13 @@ mod tests {
 
     #[test]
     fn an_owner_waits_for_the_helper_computing_its_task() {
+        let mut slots = Slots::default();
+        assert!(slots.claim(1));
+        assert_eq!(slots.settle(1), Settled::Wait);
+        assert_eq!(slots.settle(1), Settled::Wait, "waiting changes nothing");
+        slots.fulfil(1, Some(lent(9)));
+        assert_eq!(slots.settle(1), Settled::Lent(lent(9)));
+
         let claims = Claims::default();
         let claim = claims.claim(1).unwrap();
         std::thread::scope(|scope| {

@@ -48,10 +48,10 @@
 //! completions, death notices, failed sends and clock ticks — that owns
 //! all run state and touches no thread, channel or clock; the shell
 //! spawns the workers and moves messages between them and the core.
-//! The core's deterministic simulator (`src/master/core/sim.rs`, run by
-//! `cargo test`) is the place concurrency bugs are hunted: it replays
-//! thousands of seeded interleavings on a virtual clock and checks the
-//! scheduling invariants after every step.
+//! Workers are split the same way ([`worker`]). The deterministic
+//! simulator (`src/master/core/sim.rs`, run by `cargo test`) drives the
+//! master core and the real worker cores: it replays thousands of seeded
+//! interleavings on a virtual clock and checks the invariants each step.
 
 pub mod claims;
 pub mod estimator;

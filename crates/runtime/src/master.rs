@@ -10,10 +10,10 @@
 //! it spawns worker threads, collects registrations, draws the initial
 //! plan, then loops *receive (or time out) → `step` → perform the
 //! actions* over channels and the wall clock. Concurrency bugs are
-//! hunted in the core's deterministic simulator (`core::sim`: virtual
-//! clock, seeded event heap, thousands of interleavings per second),
-//! not by thread-timing luck; the threaded tests below check the shell
-//! wiring end to end.
+//! hunted in the deterministic simulator (`core::sim`: the core and the
+//! real worker cores, a virtual clock, a seeded event heap), not by
+//! thread-timing luck; the threaded tests below check the shell wiring
+//! end to end.
 //!
 //! The merge loop guarantees [`try_run_search`] always returns: every
 //! worker either answers, notifies its death, or blows a deadline
@@ -53,7 +53,7 @@ use crate::faults::FaultPlan;
 use crate::messages::{
     top_k, DbSlice, Hit, Job, JobResult, Order, QueryHits, Registration, WorkerMsg, WorkerStats,
 };
-use crate::worker::{WorkerContext, WorkerSpec};
+use crate::worker::{worker_loop, WorkerContext, WorkerSpec};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -79,14 +79,6 @@ pub enum AllocationPolicy {
     DualApprox(KnapsackMethod),
     /// Dynamic self-scheduling: all workers drain one shared queue.
     SelfScheduling,
-    /// Iterative allocation (paper §IV's "iteratively until all tasks
-    /// are executed"): the task list is released in `rounds` batches,
-    /// each scheduled by the dual approximation on top of the loads the
-    /// previous batches left.
-    MultiRound {
-        /// Number of release batches.
-        rounds: usize,
-    },
 }
 
 /// Online re-optimization knobs.
@@ -390,12 +382,9 @@ fn spawn_workers<'scope>(
             top_k: config.top_k,
             obs: config.obs.clone(),
             fault: config.faults.get(worker_id),
-            claims,
         };
         let (spec, msg_tx, reg_tx) = (spec.clone(), msg_tx.clone(), reg_tx.clone());
-        threads.push(scope.spawn(move || {
-            crate::worker::worker_loop_registered(spec, ctx, Some(reg_tx), job_rx, msg_tx)
-        }));
+        threads.push(scope.spawn(move || worker_loop(spec, ctx, claims, reg_tx, job_rx, msg_tx)));
     }
     let links = Links {
         private_tx,
@@ -483,17 +472,14 @@ fn initial_plan(
     snap: impl Fn(f64) -> f64,
     obs: &Obs,
 ) -> Option<SplitPlan> {
-    let config = BinarySearchConfig::default();
-    let whole = match policy {
-        AllocationPolicy::DualApprox(method) => {
-            let config = BinarySearchConfig { method, ..config };
-            dual_approx_schedule_observed(tasks, platform, config, obs).schedule
-        }
-        AllocationPolicy::SelfScheduling => return None,
-        AllocationPolicy::MultiRound { rounds } => {
-            swdual_sched::multiround::multi_round_schedule(tasks, platform, rounds, config)
-        }
+    let AllocationPolicy::DualApprox(method) = policy else {
+        return None;
     };
+    let config = BinarySearchConfig {
+        method,
+        ..BinarySearchConfig::default()
+    };
+    let whole = dual_approx_schedule_observed(tasks, platform, config, obs).schedule;
     Some(split_tail(tasks, whole, platform, overhead, snap))
 }
 
@@ -1232,32 +1218,6 @@ mod tests {
             .map(|s| s.tasks)
             .sum();
         assert!(gpu_tasks >= 3, "GPUs only got {gpu_tasks} of 5 tasks");
-    }
-
-    #[test]
-    fn multi_round_policy_gives_identical_hits() {
-        let database = db(18, 70);
-        let queries = queries_from(&database, &[2, 6, 10, 14]);
-        let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
-        let one = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        let multi = run_search(
-            image(&database),
-            queries,
-            &workers,
-            RuntimeConfig {
-                policy: AllocationPolicy::MultiRound { rounds: 2 },
-                ..RuntimeConfig::default()
-            },
-        );
-        assert_eq!(one.hits, multi.hits);
-        assert!(multi.schedule.is_some());
-        let tasks: usize = multi.worker_stats.iter().map(|s| s.tasks).sum();
-        assert_eq!(tasks, 4);
     }
 
     #[test]

@@ -1,85 +1,200 @@
-//! Deterministic simulation of the master core: no threads, a virtual
-//! clock, and a seeded event heap whose ties are shuffled.
+//! Deterministic simulation of the master and its workers: no threads,
+//! a virtual clock, and a seeded event heap whose ties are shuffled.
+//!
+//! The master core meets the real workers: each simulated worker is a
+//! [`WorkerCore`] scoring a tiny real database ([`database`]), so every
+//! run's hits are checked against Gotoh, and lent tasks settle through
+//! the search's real [`Claims`]. A worker's fault is the [`WorkerFault`]
+//! its core honours; only a thread gone before the first send reaches
+//! it ([`Member::dead_at_send`]) belongs to the sim's transport.
 //!
 //! The run's tasks are what the shell's allocator would hand the core:
 //! the policy's plan with its divisible tail cut, so a task may be a
-//! slice of a query's database pass — to the core, just another id.
-//! Virtual workers have a species, a true slowdown factor and a fate.
-//! Tasks may be offered to runs ([`Sim::with_runs`]); a CPU worker then
-//! picks up a run's tasks in order and answers each as it finishes.
-//! Every loan the core makes is checked and, with [`Sim::answering`],
-//! answered at a random virtual time drawn from a stream of its own —
-//! the virtual workers' timing ignores loans, so a loan answered and a
-//! loan dropped must leave the rest of the core's actions alike.
-//! [`Sim::advance`] mirrors the shell's loop — wait for the next worker
-//! message, but no longer than one tick nor past the next deadline;
-//! `step`; perform the actions, feeding failed sends back — and checks
-//! the core's invariants after every step. This is where concurrency
-//! bugs in the master are hunted: thousands of interleavings of
-//! completions, notified and silent deaths, failed sends and deadline
-//! ticks run per second, and every failure replays from its seed.
+//! slice of a query's database pass — to the core, just another id. The
+//! plan prices a task at what a core charges for it: a CPU at the rate
+//! model it declares, a device at the timing model of the sim's
+//! [`device`], whose kernel time is linear in the residues it covers;
+//! any record boundary may cut the database. A worker's core executes
+//! an order at once, and each answer reaches the master after the
+//! virtual wall time its modelled seconds take (`WALL_PER_MODELLED`),
+//! a straggler's delay included. Tasks may be offered to runs
+//! ([`Sim::with_runs`]). Every loan the core makes is checked and, with
+//! [`Sim::answering`], reaches its helper's core at a random virtual
+//! time drawn from a stream of its own: the helper scores the task into
+//! the claim table, or finds its owner kept it. An owner's answers are
+//! paced by its modelled clock whoever scored its task, so a loan
+//! answered and a loan dropped must leave the rest of the core's actions
+//! alike. [`Sim::advance`] mirrors the shell's loop — wait for the next
+//! worker message, but no longer than one tick nor past the next
+//! deadline; `step`; perform the actions, feeding failed sends back —
+//! and checks the core's invariants after every step. This is where
+//! concurrency bugs in the master and its workers are hunted: thousands
+//! of interleavings of completions, notified and silent deaths, device
+//! faults, failed sends, loans and deadline ticks run per second, and
+//! every failure replays from its seed.
 
-use super::super::initial_plan;
+use super::super::{build_tasks, initial_plan};
 use super::*;
-use crate::messages::{FailureReason, JobResult, WorkerFailure};
+use crate::claims::Claims;
+use crate::estimator::WorkerRateModel;
+use crate::faults::WorkerFault;
+use crate::messages::{top_k, top_k_hits, Hit, Order, WorkerMsg};
+use crate::worker::{hello, WorkerContext, WorkerCore, WorkerSpec};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use swdual_align::Backend;
+use swdual_align::{gotoh_score, Subjects};
+use swdual_bio::seq::{Sequence, SequenceSet};
+use swdual_bio::{Alphabet, ScoringScheme};
+use swdual_gpusim::DeviceSpec;
 use swdual_sched::binsearch::dual_approx_schedule;
 use swdual_sched::dual::KnapsackMethod;
-use swdual_sched::{Part, PlatformSpec, SliceOverhead, Task};
+use swdual_sched::knapsack::DpConfig;
+use swdual_sched::{Part, PlatformSpec, SliceOverhead};
 
 /// Virtual wall seconds per modelled second of work.
 const WALL_PER_MODELLED: f64 = 1e-3;
 /// `min_job_timeout` of every simulated run.
 const FLOOR: Duration = Duration::from_millis(60);
-/// The indivisible seconds of every task of [`workload`], per species.
-const OVERHEAD: SliceOverhead = SliceOverhead { cpu: 1.8, gpu: 0.5 };
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Fate {
-    Healthy,
-    /// Dies on picking up its `n`-th job (0-based) and says so.
-    Crash(usize),
-    /// Dies on picking up its `n`-th job and says nothing.
-    Vanish(usize),
+/// `lens.len()` protein sequences of the given lengths, their residues
+/// drawn from `seed`.
+fn sequences(prefix: &str, lens: &[usize], seed: u64) -> SequenceSet {
+    let mut rng = TestRng::seed_from_u64(seed);
+    let mut set = SequenceSet::new(Alphabet::Protein);
+    for (i, &len) in lens.iter().enumerate() {
+        let codes = (0..len).map(|_| (rng.next_u64() % 20) as u8).collect();
+        let sequence = Sequence::from_codes(format!("{prefix}{i}"), Alphabet::Protein, codes);
+        set.push(sequence).unwrap();
+    }
+    set
+}
+
+/// Query `i` of `len` residues: one of three fixed sequences of that
+/// length, so its Gotoh scores against [`database_set`] are computed
+/// once per process.
+fn query(len: usize, i: usize) -> (Sequence, Arc<Vec<i32>>) {
+    type Known = HashMap<(usize, usize), (Sequence, Arc<Vec<i32>>)>;
+    static KNOWN: OnceLock<std::sync::Mutex<Known>> = OnceLock::new();
+    let key = (len, i % 3);
+    let mut known = KNOWN.get_or_init(Default::default).lock().unwrap();
+    let (query, scores) = known.entry(key).or_insert_with(|| {
+        let query = sequences("q", &[len], (len * 3 + key.1) as u64)
+            .get(0)
+            .unwrap()
+            .clone();
+        let scheme = ScoringScheme::protein_default();
+        let db = database_set().iter();
+        let scores = db
+            .map(|d| gotoh_score(query.codes(), d.codes(), &scheme))
+            .collect();
+        (query, Arc::new(scores))
+    });
+    (query.clone(), Arc::clone(scores))
+}
+
+/// The database every simulated search scores: twelve subjects of 3–13
+/// residues, 91 in all.
+fn database_set() -> &'static SequenceSet {
+    static SET: OnceLock<SequenceSet> = OnceLock::new();
+    let lens: Vec<usize> = (0..12).map(|i| 3 + i * 5 % 11).collect();
+    SET.get_or_init(|| sequences("d", &lens, 0x5EED))
+}
+
+/// [`database_set`] as the workers score it.
+fn database() -> &'static Subjects<'static> {
+    static SUBJECTS: OnceLock<Subjects<'static>> = OnceLock::new();
+    SUBJECTS.get_or_init(|| Subjects::from(database_set()))
+}
+
+/// The sim's device: one lane a warp, so a kernel's time is linear in
+/// the residues it covers; 0.5 s a launch, then about a second per 13
+/// query residues against the whole database — against a CPU task's
+/// 1.8 s, cheaper for short queries and dearer for long ones.
+fn device() -> DeviceSpec {
+    DeviceSpec {
+        name: "SimGPU".into(),
+        sm_count: 1,
+        cores_per_sm: 1,
+        clock_ghz: 1.0,
+        warp_size: 1,
+        global_memory: 1 << 20,
+        pcie_bytes_per_sec: 1e9,
+        kernel_launch_latency: 0.5,
+        peak_gcups: 1.2e-6,
+        query_half_length: 0.0,
+    }
+}
+
+/// [`device`]'s timing model as a rate model: bit for bit what its
+/// worker charges a task.
+fn device_model() -> WorkerRateModel {
+    let spec = device();
+    WorkerRateModel {
+        peak_gcups: spec.peak_gcups,
+        half_length: spec.query_half_length,
+        per_task_overhead: spec.kernel_launch_latency,
+    }
+}
+
+/// A simulated worker: the spec its core runs, the fault it honours,
+/// and whether its thread is gone before the first send reaches it.
+#[derive(Debug, Clone)]
+struct Member {
+    spec: WorkerSpec,
+    fault: Option<WorkerFault>,
     /// Registered, then exited: the first send to it fails.
-    DeadAtSend,
-    NeverRegistered,
+    dead_at_send: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct VirtualWorker {
-    is_gpu: bool,
-    /// Multiplies both its modelled and its wall time per task.
-    slowdown: f64,
-    fate: Fate,
-}
-
-fn cpu(slowdown: f64, fate: Fate) -> VirtualWorker {
-    VirtualWorker {
-        is_gpu: false,
-        slowdown,
-        fate,
+fn cpu(fault: Option<WorkerFault>) -> Member {
+    Member {
+        spec: WorkerSpec::cpu_default(),
+        fault,
+        dead_at_send: false,
     }
 }
 
-fn gpu(slowdown: f64, fate: Fate) -> VirtualWorker {
-    VirtualWorker {
-        is_gpu: true,
-        slowdown,
-        fate,
+fn gpu(fault: Option<WorkerFault>) -> Member {
+    Member {
+        spec: WorkerSpec::gpu(device()),
+        fault,
+        dead_at_send: false,
     }
 }
 
-/// A worker → master message in flight.
+/// Modelled, and so virtual wall, times `factor` times the honest ones.
+fn slow(factor: f64) -> Option<WorkerFault> {
+    let delay_ms = 0;
+    Some(WorkerFault::Straggler { delay_ms, factor })
+}
+
+/// Dies on picking up its `n`-th job (0-based) and says so.
+fn crash(n: usize) -> Option<WorkerFault> {
+    let (after_jobs, notify) = (n, true);
+    Some(WorkerFault::Crash { after_jobs, notify })
+}
+
+/// Dies on picking up its `n`-th job and says nothing.
+fn vanish(n: usize) -> Option<WorkerFault> {
+    let (after_jobs, notify) = (n, false);
+    Some(WorkerFault::Crash { after_jobs, notify })
+}
+
+/// What the heap holds: a worker → master message in flight, or a loan
+/// on its way to its helper, sent at `sent`.
+enum Post {
+    Master(Input),
+    Loan { helper: usize, job: Job, sent: f64 },
+}
+
 struct Event {
     at: f64,
     tie: u64,
-    msg: Input,
+    post: Post,
 }
 
 impl PartialEq for Event {
@@ -101,17 +216,21 @@ impl Ord for Event {
 
 struct Sim {
     state: MasterState,
-    /// The initial plan (none under self-scheduling) and what each of
-    /// its tasks stands for.
+    /// The uncut tasks, the registered pool, the initial plan (none
+    /// under self-scheduling) and what each of its tasks stands for.
+    whole: TaskSet,
+    platform: PlatformSpec,
     schedule: Option<Schedule>,
     parts: Vec<Part>,
+    queries: Arc<SequenceSet>,
     obs: Obs,
-    workers: Vec<VirtualWorker>,
+    /// Each worker's core; `None` when it never registered.
+    cores: Vec<Option<WorkerCore<'static>>>,
+    claims: Claims,
     /// Ground truth: the worker's thread has exited.
     gone: Vec<bool>,
     /// Ground truth: the tasks of its run the worker has not answered.
     busy: Vec<Vec<usize>>,
-    picked_up: Vec<usize>,
     shared: VecDeque<Job>,
     /// Runs of more than one task dispatched so far.
     runs_formed: usize,
@@ -143,9 +262,11 @@ struct Sim {
 }
 
 impl Sim {
+    /// One [`query`] of each of `lens` residues against [`database`], on
+    /// `members`; `seed` draws the interleaving.
     fn new(
-        tasks: TaskSet,
-        workers: Vec<VirtualWorker>,
+        lens: &[usize],
+        members: Vec<Member>,
         policy: AllocationPolicy,
         reopt: ReoptConfig,
         seed: u64,
@@ -158,54 +279,90 @@ impl Sim {
             min_job_timeout: FLOOR,
             ..RuntimeConfig::default()
         };
-        let registered = |w: &VirtualWorker| w.fate != Fate::NeverRegistered;
-        let pool = workers.iter().filter(|w| registered(w));
-        let gpus = pool.clone().filter(|w| w.is_gpu).count();
-        let platform = PlatformSpec::new(pool.count() - gpus, gpus);
-        // What the shell would draw for the registered pool; any
-        // fraction of a task can be cut.
-        let plan = initial_plan(&tasks, &platform, policy, OVERHEAD, |f| f, &Obs::disabled());
+        let db = database();
+        let mut queries = SequenceSet::new(Alphabet::Protein);
+        for (i, &len) in lens.iter().enumerate() {
+            queries.push(query(len, i).0).unwrap();
+        }
+        let queries = Arc::new(queries);
+        let cores: Vec<Option<WorkerCore>> = (members.iter().enumerate())
+            .map(|(worker_id, member)| {
+                let ctx = WorkerContext {
+                    worker_id,
+                    database: db,
+                    queries: Arc::clone(&queries),
+                    scheme: config.scheme.clone(),
+                    top_k: config.top_k,
+                    obs: obs.clone(),
+                    fault: member.fault,
+                };
+                hello(&member.spec, &ctx)?;
+                Some(WorkerCore::new(member.spec.clone(), ctx))
+            })
+            .collect();
+        let registered = |w: &usize| cores[*w].is_some();
+        let pool: Vec<usize> = (0..members.len()).filter(registered).collect();
+        let gpus = pool.iter().filter(|&&w| members[w].spec.is_gpu()).count();
+        let platform = PlatformSpec::new(pool.len() - gpus, gpus);
+        // The first registered CPU's declared model prices every CPU, as
+        // in the shell; a device prices at its timing model.
+        let first_cpu = pool.iter().find(|&&w| !members[w].spec.is_gpu());
+        let cpu_model = first_cpu.map(|&w| members[w].spec.rate_model());
+        let gpu_model = (gpus > 0).then(device_model);
+        let whole = build_tasks(&queries, db.total_residues(), cpu_model, gpu_model).unwrap();
+        let overhead_of =
+            |m: Option<WorkerRateModel>| m.map_or(f64::INFINITY, |m| m.per_task_overhead);
+        let overhead = SliceOverhead {
+            cpu: overhead_of(cpu_model),
+            gpu: overhead_of(gpu_model),
+        };
+        let cut_at = |fraction: f64| db.cut_at(fraction, 1);
+        let snap = |fraction: f64| db.fraction_before(cut_at(fraction));
+        let plan = initial_plan(&whole, &platform, policy, overhead, snap, &Obs::disabled());
         let (tasks, parts, schedule) = match plan {
             Some(plan) => (plan.tasks, plan.parts, Some(plan.schedule)),
             None => {
-                let whole = (0..tasks.len()).map(Part::whole).collect();
-                (tasks, whole, None)
+                let uncut = (0..whole.len()).map(Part::whole).collect();
+                (whole.clone(), uncut, None)
             }
         };
-        // Cells sized so the cold-host floor stays below FLOOR until the
-        // run calibrates itself; a part's share of a million positions.
-        let position = |fraction: f64| (fraction * 1e6) as usize;
-        let unit_of = |(task, part): (&Task, &Part)| Unit {
-            query_index: part.parent,
-            slice: (position(part.lo)..position(part.hi)).into(),
-            cells: task.p_cpu * 1e4,
-            joins: None,
+        let unit_of = |part: &Part| {
+            let slice = cut_at(part.lo)..cut_at(part.hi);
+            let query_len = queries.get(part.parent).map_or(0, |q| q.len());
+            Unit {
+                query_index: part.parent,
+                cells: query_len as f64 * db.residues_in(slice.clone()) as f64,
+                slice: slice.into(),
+                joins: None,
+            }
         };
-        let units = tasks.iter().zip(&parts).map(unit_of).collect();
-        let n = workers.len();
+        let units = parts.iter().map(unit_of).collect();
+        let n = members.len();
         let mut state = MasterState::new(
             tasks,
             units,
-            workers.iter().map(|w| w.is_gpu).collect(),
-            workers.iter().map(registered).collect(),
+            members.iter().map(|m| m.spec.is_gpu()).collect(),
+            (0..n).map(|w| registered(&w)).collect(),
             Backend::Scalar,
             &config,
         );
-        // Virtual workers are as fast in every build: the optimised
-        // prior, so a schedule replays alike wherever it is run.
+        // The cold-host floor of the optimised build, so a schedule
+        // replays alike wherever it is run.
         state.secs_per_cell = 1.0 / crate::estimator::COLD_HOST_CELLS_PER_SEC;
         Sim {
             state,
+            whole,
+            platform,
             schedule,
             parts,
+            queries,
             obs,
-            gone: workers
-                .iter()
-                .map(|w| matches!(w.fate, Fate::NeverRegistered | Fate::DeadAtSend))
+            gone: (0..n)
+                .map(|w| !registered(&w) || members[w].dead_at_send)
                 .collect(),
-            workers,
+            cores,
+            claims: Claims::default(),
             busy: vec![Vec::new(); n],
-            picked_up: vec![0; n],
             shared: VecDeque::new(),
             runs_formed: 0,
             dispatches: Vec::new(),
@@ -227,12 +384,12 @@ impl Sim {
 
     /// Offer every task to runs, its slice's own stream filling
     /// `slice_fill`: 0 lets any two tasks on one slice that fit the
-    /// backend's bound form a run, above 1 none. Query lengths of 10–259
-    /// residues are made up per query.
+    /// backend's bound form a run, above 1 none.
     fn with_runs(mut self, slice_fill: f64) -> Sim {
-        for (unit, part) in self.state.units.iter_mut().zip(&self.parts) {
+        for unit in &mut self.state.units {
+            let query_len = self.queries.get(unit.query_index).map_or(0, |q| q.len());
             unit.joins = Some(Joins {
-                query_len: 10 + part.parent * 37 % 250,
+                query_len,
                 slice_fill,
             });
         }
@@ -268,7 +425,6 @@ impl Sim {
         let verdict = self.start();
         self.finish(verdict)
     }
-
     /// One turn of the shell's loop on the virtual clock.
     fn advance(&mut self) -> Verdict {
         self.steps += 1;
@@ -277,23 +433,30 @@ impl Sim {
         let wake = self.now + self.tick.min(until_deadline);
         if self.gone.iter().all(|&g| g) {
             // The channel has disconnected: an answered loan in it says
-            // nothing the master can act on.
-            self.heap
-                .retain(|Reverse(event)| !matches!(event.msg, Input::Helped { .. }));
+            // nothing the master can act on, and no helper is left.
+            let dropped = |post: &Post| {
+                !matches!(post, Post::Master(Input::Helped { .. }) | Post::Loan { .. })
+            };
+            self.heap.retain(|Reverse(event)| dropped(&event.post));
         }
-        let input = match self.heap.pop() {
-            Some(Reverse(event)) if event.at <= wake => {
-                self.now = self.now.max(event.at);
-                event.msg
-            }
-            // Every worker thread has exited: the channel disconnects.
-            None if self.gone.iter().all(|&g| g) => {
-                return Some(Err(self.state.all_workers_dead()));
-            }
-            later => {
-                self.heap.extend(later);
-                self.now = wake;
-                Input::Tick
+        let input = loop {
+            match self.heap.pop() {
+                Some(Reverse(event)) if event.at <= wake => {
+                    self.now = self.now.max(event.at);
+                    match event.post {
+                        Post::Master(input) => break input,
+                        Post::Loan { helper, job, sent } => self.help(helper, job, sent),
+                    }
+                }
+                // Every worker thread has exited: the channel disconnects.
+                None if self.gone.iter().all(|&g| g) => {
+                    return Some(Err(self.state.all_workers_dead()));
+                }
+                later => {
+                    self.heap.extend(later);
+                    self.now = wake;
+                    break Input::Tick;
+                }
             }
         };
         let before = self.deliver(&input);
@@ -305,7 +468,7 @@ impl Sim {
         verdict
     }
 
-    /// Mirror of the shell's `perform`, against virtual workers.
+    /// Mirror of the shell's `perform`, against the workers' cores.
     fn perform(&mut self, actions: Vec<Action>) -> Verdict {
         let mut pending = VecDeque::from(actions);
         while let Some(action) = pending.pop_front() {
@@ -336,7 +499,7 @@ impl Sim {
                             self.check_run(w, &tasks);
                             !self.gone[w] && {
                                 assert!(self.busy[w].is_empty(), "window of one run");
-                                self.pick_up(w, run);
+                                self.hand(w, Order::Run(run));
                                 true
                             }
                         }
@@ -436,31 +599,51 @@ impl Sim {
         self.owners.extend(owners);
     }
 
-    /// Record a loan, and answer it when the sim answers loans and the
-    /// helper's thread is still there.
+    /// Record a loan and, when the sim answers loans, post it to its
+    /// helper, which receives it after a random 0–5 ms.
     fn lend(&mut self, job: Job, helper: usize) {
         let owner = self.owners[&job.task_id];
         self.lends.push((job.task_id, helper, owner));
-        if let (Some(answers), false) = (&mut self.answers, self.gone[helper]) {
-            let at = self.now + answers.unit_f64() * 5e-3;
-            let tie = answers.next_u64();
-            let msg = Input::Helped {
-                worker: helper,
-                wall: at - self.now,
-            };
-            self.heap.push(Reverse(Event { at, tie, msg }));
+        if let Some(answers) = &mut self.answers {
+            let (at, tie) = (self.now + answers.unit_f64() * 5e-3, answers.next_u64());
+            let sent = self.now;
+            let post = Post::Loan { helper, job, sent };
+            self.heap.push(Reverse(Event { at, tie, post }));
         }
+    }
+
+    /// A loan reaches its helper: if its thread is still there, its core
+    /// scores the task into the claim table — unless the owner kept it
+    /// first — and says it is free again.
+    fn help(&mut self, helper: usize, job: Job, sent: f64) {
+        if self.gone[helper] {
+            return;
+        }
+        let core = self.cores[helper].as_mut().expect("a helper registered");
+        let mut said = Vec::new();
+        assert!(core.answer(Order::Help(job), &self.claims, &mut said));
+        assert!(matches!(said[..], [WorkerMsg::Helped { worker_id, .. }] if worker_id == helper));
+        let answers = self
+            .answers
+            .as_mut()
+            .expect("only an answering sim posts loans");
+        let (at, tie) = (self.now, answers.next_u64());
+        let post = Post::Master(Input::Helped {
+            worker: helper,
+            wall: self.now - sent,
+        });
+        self.heap.push(Reverse(Event { at, tie, post }));
     }
 
     /// Idle live workers drain the shared queue in a shuffled order.
     fn pump_shared(&mut self) {
-        let mut idle: Vec<usize> = (0..self.workers.len())
+        let mut idle: Vec<usize> = (0..self.cores.len())
             .filter(|&w| !self.gone[w] && self.busy[w].is_empty())
             .collect();
         while !idle.is_empty() && !self.shared.is_empty() {
             let w = idle.swap_remove(self.rng.next_u64() as usize % idle.len());
             if let Some(job) = self.shared.pop_front() {
-                self.pick_up(w, vec![job]);
+                self.hand(w, Order::Run(vec![job]));
             }
         }
     }
@@ -490,51 +673,32 @@ impl Sim {
         assert!(head.joins.unwrap().slice_fill < 1.0);
     }
 
-    /// Worker `w` takes `run` off its queue, then its tasks in order,
-    /// each meeting the worker's fate; it answers each task as it
-    /// finishes.
-    fn pick_up(&mut self, w: usize, run: Vec<Job>) {
-        let worker = self.workers[w];
+    /// Worker `w`'s core executes `order` at once. Each answer reaches
+    /// the master after the straggler's delay, the virtual wall time of
+    /// the modelled seconds answered before it and its own, and a random
+    /// latency; a core that dies leaves its thread gone.
+    fn hand(&mut self, w: usize, order: Order) {
+        let core = self.cores[w].as_mut().expect("a registered worker");
+        let mut at = self.now + core.delay(&order).as_secs_f64();
+        let mut answers = Vec::new();
+        if !core.answer(order, &self.claims, &mut answers) {
+            self.gone[w] = true;
+        }
         let latency = self.rng.unit_f64() * 2e-4;
-        let mut at = self.now;
-        for job in run {
-            let nth = self.picked_up[w];
-            self.picked_up[w] += 1;
-            let tie = self.rng.next_u64();
-            let msg = match worker.fate {
-                Fate::Vanish(n) if n == nth => {
-                    self.gone[w] = true;
-                    return;
+        for answer in answers {
+            let msg = match answer {
+                WorkerMsg::Completed(mut r) => {
+                    r.wall_seconds = r.modelled_seconds * WALL_PER_MODELLED;
+                    at += r.wall_seconds;
+                    self.busy[w].push(r.task_id);
+                    Input::Completed(r)
                 }
-                Fate::Crash(n) if n == nth => {
-                    self.gone[w] = true;
-                    let failure = WorkerFailure {
-                        worker_id: w,
-                        reason: FailureReason::Crash,
-                        in_flight: Some(job.task_id),
-                    };
-                    let at = at + latency;
-                    let msg = Input::Failed(failure);
-                    self.heap.push(Reverse(Event { at, tie, msg }));
-                    return;
-                }
-                _ => {
-                    self.busy[w].push(job.task_id);
-                    let modelled = self.state.estimate(w, job.task_id) * worker.slowdown;
-                    let wall = modelled * WALL_PER_MODELLED;
-                    at += wall;
-                    Input::Completed(JobResult {
-                        task_id: job.task_id,
-                        worker_id: w,
-                        hits: Vec::new(),
-                        wall_seconds: wall,
-                        modelled_seconds: modelled,
-                        cells: 0,
-                    })
-                }
+                WorkerMsg::Failed(f) => Input::Failed(f),
+                WorkerMsg::Helped { .. } => unreachable!("a run is answered per task"),
             };
-            let at = at + latency;
-            self.heap.push(Reverse(Event { at, tie, msg }));
+            let tie = self.rng.next_u64();
+            let (at, post) = (at + latency, Post::Master(msg));
+            self.heap.push(Reverse(Event { at, tie, post }));
         }
     }
 
@@ -681,6 +845,16 @@ impl Sim {
                 let journaled = swdual_obs::RunModel::from_obs(&self.obs).faults;
                 let counted = journaled.get("duplicate_result").copied().unwrap_or(0);
                 assert_eq!(counted, self.duplicates_delivered);
+                // The hits are the fault-free ones: Gotoh's.
+                let mut found: Vec<Vec<Hit>> = vec![Vec::new(); self.queries.len()];
+                for r in &s.results {
+                    found[s.units[r.task_id].query_index].extend(&r.hits);
+                }
+                let k = RuntimeConfig::default().top_k;
+                for (q, (sequence, found)) in self.queries.iter().zip(found).enumerate() {
+                    let scores = query(sequence.len(), q).1;
+                    assert_eq!(top_k(found, k), top_k_hits(q, &scores, k).hits, "query {q}");
+                }
             }
             Err(SearchError::AllWorkersDead { completed, total }) => {
                 assert_eq!((completed, total), (s.completed(), s.total()));
@@ -702,7 +876,7 @@ impl Sim {
 
     /// Modelled busy seconds of the busiest worker.
     fn modelled_makespan(&self) -> f64 {
-        let mut busy = vec![0.0f64; self.workers.len()];
+        let mut busy = vec![0.0f64; self.cores.len()];
         for r in &self.state.results {
             busy[r.worker_id] += r.modelled_seconds;
         }
@@ -735,25 +909,22 @@ struct Snapshot {
     decision: u64,
 }
 
-/// `n` tasks with query-length-like spread: CPU seconds 2–40, GPU
-/// seconds 0.5–4.5 (acceleration grows with length).
-fn workload(n: usize, rng: &mut TestRng) -> TaskSet {
-    TaskSet::new(
-        (0..n)
-            .map(|id| {
-                let len = 16.0 + rng.unit_f64() * 4000.0;
-                Task::new(id, 1.8 + len * 0.01, 0.5 + len * 0.001)
-            })
-            .collect(),
-    )
+/// `n` query lengths of 4–35 residues: on [`device`], from half a CPU
+/// task's price to twice it.
+fn workload(n: usize, rng: &mut TestRng) -> Vec<usize> {
+    (0..n).map(|_| 4 + rng.next_u64() as usize % 32).collect()
 }
 
 fn policy_of(pick: usize) -> AllocationPolicy {
     match pick % 3 {
         0 => AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
-        1 => AllocationPolicy::MultiRound { rounds: 2 },
+        1 => AllocationPolicy::DualApprox(KnapsackMethod::Dp(DpConfig { resolution: 64 })),
         _ => AllocationPolicy::SelfScheduling,
     }
+}
+
+fn greedy() -> AllocationPolicy {
+    policy_of(0)
 }
 
 /// No runs, runs wherever two tasks fit the bound, or none beating
@@ -774,37 +945,44 @@ fn reopt_of(enabled: bool) -> ReoptConfig {
     }
 }
 
-/// A random pool of 1–5 workers with random slowdowns and fates.
-fn pool(rng: &mut TestRng, faulty: bool) -> Vec<VirtualWorker> {
+/// A random pool of 1–5 workers, each healthy, slow or given a fault.
+fn pool(rng: &mut TestRng, faulty: bool) -> Vec<Member> {
     let n = 1 + rng.next_u64() as usize % 5;
     (0..n)
         .map(|_| {
             let is_gpu = rng.next_u64().is_multiple_of(3);
+            let member = if is_gpu { gpu } else { cpu };
             if !faulty {
-                return VirtualWorker {
-                    is_gpu,
-                    slowdown: 1.0,
-                    fate: Fate::Healthy,
-                };
+                return member(None);
             }
             // 20× is slow enough to be (wrongly) timed out and answer
             // late, which is how duplicates arise.
-            let slowdown = [1.0, 1.0, 1.0, 2.0, 4.0, 20.0][rng.next_u64() as usize % 6];
+            let factor = [1.0, 1.0, 1.0, 2.0, 4.0, 20.0][rng.next_u64() as usize % 6];
             let after = rng.next_u64() as usize % 4;
-            let fate = match rng.next_u64() % 10 {
-                0 => Fate::Crash(after),
-                1 => Fate::Vanish(after),
-                2 => Fate::DeadAtSend,
-                3 => Fate::NeverRegistered,
-                _ => Fate::Healthy,
+            let fault = match rng.next_u64() % 11 {
+                0 => crash(after),
+                1 => vanish(after),
+                2 => {
+                    let mut dead = member(None);
+                    dead.dead_at_send = true;
+                    return dead;
+                }
+                3 => Some(WorkerFault::CrashBeforeRegistration),
+                4 => Some(WorkerFault::DeviceFault {
+                    after_kernels: after as u64,
+                }),
+                _ if factor > 1.0 => slow(factor),
+                _ => None,
             };
-            VirtualWorker {
-                is_gpu,
-                slowdown,
-                fate,
-            }
+            member(fault)
         })
         .collect()
+}
+
+/// Whether any member of `pool` registers.
+fn registers(pool: &[Member]) -> bool {
+    let noreg = Some(WorkerFault::CrashBeforeRegistration);
+    pool.iter().any(|m| m.fault != noreg)
 }
 
 proptest! {
@@ -812,7 +990,8 @@ proptest! {
 
     /// Whatever the policy, pool, fault plan and interleaving, the core
     /// keeps its invariants after every step and ends in `Finish` with
-    /// every task merged once, or in a truthful typed error.
+    /// every task merged once and Gotoh's hits, or in a truthful typed
+    /// error.
     #[test]
     fn any_schedule_keeps_the_invariants(
         seed in any::<u64>(),
@@ -823,9 +1002,9 @@ proptest! {
     ) {
         let mut rng = TestRng::seed_from_u64(seed);
         let workers = pool(&mut rng, true);
-        prop_assume!(workers.iter().any(|w| w.fate != Fate::NeverRegistered));
-        let policy = policy_of(policy);
-        let sim = Sim::new(workload(n_tasks, &mut rng), workers, policy, reopt_of(reopt), seed);
+        prop_assume!(registers(&workers));
+        let lens = workload(n_tasks, &mut rng);
+        let sim = Sim::new(&lens, workers, policy_of(policy), reopt_of(reopt), seed);
         let mut sim = with_runs_of(sim, runs);
         if seed % 2 == 0 {
             sim = sim.answering(seed / 2);
@@ -835,11 +1014,11 @@ proptest! {
         sim.check_verdict(&verdict);
     }
 
-    /// Loans move nothing: whether each is answered at a random virtual
-    /// time or dropped, the core dispatches the same jobs to the same
-    /// workers with the same lineage, merges the same modelled seconds
-    /// and reaches the same verdict, under any policy, pool, fault plan
-    /// and re-optimization.
+    /// Loans move nothing: whether each is scored by its helper and
+    /// answered at a random virtual time or dropped, the core dispatches
+    /// the same jobs to the same workers with the same lineage, merges
+    /// the same modelled seconds and reaches the same verdict, under any
+    /// policy, pool, fault plan and re-optimization.
     #[test]
     fn an_answered_loan_and_a_dropped_one_dispatch_alike(
         seed in any::<u64>(),
@@ -851,20 +1030,20 @@ proptest! {
         let sim = |answer: bool| {
             let mut rng = TestRng::seed_from_u64(seed);
             let workers = pool(&mut rng, true);
-            let tasks = workload(n_tasks, &mut rng);
-            let sim = Sim::new(tasks, workers, policy_of(policy), reopt_of(reopt), seed);
+            let lens = workload(n_tasks, &mut rng);
+            let sim = Sim::new(&lens, workers, policy_of(policy), reopt_of(reopt), seed);
             let sim = with_runs_of(sim, runs);
             if answer { sim.answering(!seed) } else { sim }
         };
         let mut rng = TestRng::seed_from_u64(seed);
-        prop_assume!(pool(&mut rng, true).iter().any(|w| w.fate != Fate::NeverRegistered));
+        prop_assume!(registers(&pool(&mut rng, true)));
         let (mut dropped, mut answered) = (sim(false), sim(true));
         let verdict = dropped.run();
         prop_assert_eq!(answered.run(), verdict);
         prop_assert_eq!(&answered.dispatches, &dropped.dispatches);
-        let merged = |sim: &Sim| -> Vec<(usize, usize, f64)> {
+        let merged = |sim: &Sim| -> Vec<(usize, usize, f64, Vec<Hit>)> {
             let results = sim.state.results.iter();
-            results.map(|r| (r.task_id, r.worker_id, r.modelled_seconds)).collect()
+            results.map(|r| (r.task_id, r.worker_id, r.modelled_seconds, r.hits.clone())).collect()
         };
         prop_assert_eq!(merged(&answered), merged(&dropped));
         prop_assert_eq!(answered.modelled_makespan(), dropped.modelled_makespan());
@@ -878,52 +1057,52 @@ proptest! {
     fn fault_free_calibrated_pools_never_replan(
         seed in any::<u64>(),
         n_tasks in 1usize..24,
-        multi_round in any::<bool>(),
         reopt in any::<bool>(),
         runs in 0usize..3,
     ) {
         let mut rng = TestRng::seed_from_u64(seed);
         let workers = pool(&mut rng, false);
-        let tasks = workload(n_tasks, &mut rng);
-        let (gpus, n) = (workers.iter().filter(|w| w.is_gpu).count(), workers.len());
-        let first = dual_approx_schedule(
-            &tasks,
-            &PlatformSpec::new(n - gpus, gpus),
-            BinarySearchConfig::default(),
-        );
-        let policy = policy_of(multi_round as usize);
-        let sim = Sim::new(tasks, workers, policy, reopt_of(reopt), seed);
+        let lens = workload(n_tasks, &mut rng);
+        let sim = Sim::new(&lens, workers, greedy(), reopt_of(reopt), seed);
         let mut sim = with_runs_of(sim, runs);
         prop_assert_eq!(sim.run(), Ok(()));
+        sim.check_verdict(&Ok(()));
+        let first = dual_approx_schedule(&sim.whole, &sim.platform, BinarySearchConfig::default());
         let schedule = sim.schedule.as_ref().unwrap();
         prop_assert_eq!(sim.state.decision, 0);
         prop_assert!(sim.state.alive.iter().all(|&a| a));
         let realised = sim.modelled_makespan();
         prop_assert!(realised <= schedule.makespan() * (1.0 + 1e-12));
-        if !multi_round {
-            // Cutting the tail never costs the plan anything.
-            prop_assert!(schedule.makespan() <= first.schedule.makespan());
-            prop_assert!(realised <= 2.0 * first.upper_bound);
-        }
+        // Cutting the tail never costs the plan anything.
+        prop_assert!(schedule.makespan() <= first.schedule.makespan());
+        prop_assert!(realised <= 2.0 * first.upper_bound);
     }
+}
+
+/// The results each worker answered, by worker id.
+fn answered(sim: &Sim) -> Vec<usize> {
+    let mut tasks = vec![0; sim.cores.len()];
+    for r in &sim.state.results {
+        tasks[r.worker_id] += 1;
+    }
+    tasks
+}
+
+/// Whether the journal holds an event `is` picks.
+fn journaled(sim: &Sim, is: impl Fn(&swdual_obs::Event) -> bool) -> bool {
+    sim.obs.events_since(0).iter().any(is)
 }
 
 /// Satellite regression: deadlines used to be examined only after a
 /// whole tick without any message, so survivors busy with sub-tick
 /// tasks hid a silent death until they ran dry. Here two healthy
-/// workers complete 2 ms tasks as fast as a master needing 1.5 ms per
-/// message can feed them — its receive never times out — while the
-/// third vanishes on its second job.
+/// workers complete 1.8 ms tasks about as fast as a master needing
+/// 1.5 ms per message can feed them — its receive never times out —
+/// while the third vanishes on its second job.
 #[test]
 fn a_silent_death_is_noticed_within_a_tick_of_its_deadline() {
-    let tasks = TaskSet::new((0..600).map(|id| Task::new(id, 2.0, 2.0)).collect());
-    let workers = vec![
-        cpu(1.0, Fate::Healthy),
-        cpu(1.0, Fate::Healthy),
-        cpu(1.0, Fate::Vanish(1)),
-    ];
-    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
-    let mut sim = Sim::new(tasks, workers, policy, ReoptConfig::default(), 7);
+    let workers = vec![cpu(None), cpu(None), cpu(vanish(1))];
+    let mut sim = Sim::new(&[5; 600], workers, greedy(), ReoptConfig::default(), 7);
     sim.step_cost = 1.5e-3;
     assert_eq!(sim.run(), Ok(()));
     let (died, deadline) = sim.death_at[2].expect("the vanished worker is declared dead");
@@ -947,14 +1126,8 @@ fn a_silent_death_is_noticed_within_a_tick_of_its_deadline() {
 /// must be strictly below the healthy CPU's.
 #[test]
 fn a_fault_replan_remembers_the_calibration() {
-    let tasks = TaskSet::new((0..60).map(|id| Task::new(id, 2.0, 2.0)).collect());
-    let workers = vec![
-        cpu(1.0, Fate::Healthy),
-        cpu(4.0, Fate::Healthy),
-        cpu(1.0, Fate::Crash(6)),
-    ];
-    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
-    let mut sim = Sim::new(tasks, workers, policy, ReoptConfig::enabled(), 11);
+    let workers = vec![cpu(None), cpu(slow(4.0)), cpu(crash(6))];
+    let mut sim = Sim::new(&[5; 60], workers, greedy(), ReoptConfig::enabled(), 11);
     let mut verdict = sim.start();
     while verdict.is_none() && sim.state.alive[2] {
         verdict = sim.advance();
@@ -978,20 +1151,21 @@ fn a_fault_replan_remembers_the_calibration() {
         replanned(1),
         replanned(0)
     );
-    assert_eq!(sim.finish(verdict), Ok(()));
+    let verdict = sim.finish(verdict);
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
 }
 
 /// To the fault path a slice is one more task id. Three equal tasks on
-/// two CPUs: the plan cuts one and queues the piece cut off (task 3)
-/// behind the whole task of the less loaded worker — which crashes
+/// two devices: the plan cuts one and queues the piece cut off (task 3)
+/// behind the whole task of the less loaded device — which crashes
 /// picking the piece up. The survivor runs it, and every share of every
-/// query is still merged exactly once.
+/// query is still merged exactly once, with Gotoh's hits.
 #[test]
 fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
-    let tasks = || TaskSet::new((0..3).map(|id| Task::new(id, 11.8, 5.0)).collect());
-    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
-    let healthy = vec![cpu(1.0, Fate::Healthy); 2];
-    let planned = Sim::new(tasks(), healthy.clone(), policy, ReoptConfig::default(), 5);
+    let lens = [40; 3];
+    let healthy = vec![gpu(None); 2];
+    let planned = Sim::new(&lens, healthy.clone(), greedy(), ReoptConfig::default(), 5);
     assert_eq!(planned.state.total(), 4, "one task is cut in two");
     let cut_off = planned.parts[3];
     assert!(cut_off.lo > 0.0 && cut_off.hi == 1.0);
@@ -1005,8 +1179,8 @@ fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
         .index;
 
     let mut workers = healthy;
-    workers[holder].fate = Fate::Crash(1);
-    let mut sim = Sim::new(tasks(), workers, policy, ReoptConfig::default(), 5);
+    workers[holder].fault = crash(1);
+    let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 5);
     let verdict = sim.run();
     assert_eq!(verdict, Ok(()));
     sim.check_verdict(&verdict);
@@ -1022,7 +1196,7 @@ fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
     assert_eq!(slice.worker_id, 1 - holder, "the survivor ran the slice");
     // The survivor's realised load: its own share of the plan plus the
     // slice, which costs it what the plan said it would cost the dead.
-    let survivor = schedule.pe_finish(swdual_sched::PeId::cpu(1 - holder));
+    let survivor = schedule.pe_finish(swdual_sched::PeId::gpu(1 - holder));
     let expected = survivor + sim.state.estimate(1 - holder, 3);
     assert!((sim.modelled_makespan() - expected).abs() < 1e-9);
 }
@@ -1035,13 +1209,13 @@ fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
 /// re-dispatched to the survivor.
 #[test]
 fn a_crash_inside_a_run_orphans_that_run_and_the_queue_behind_it() {
-    let tasks = || TaskSet::new((0..40).map(|id| Task::new(id, 1.9, 1.0)).collect());
-    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
-    let healthy = vec![cpu(1.0, Fate::Healthy); 2];
-    let mut sim = Sim::new(tasks(), healthy.clone(), policy, ReoptConfig::default(), 3);
-    let mut sim_runs = Sim::new(tasks(), healthy, policy, ReoptConfig::default(), 3).with_runs(0.0);
+    let lens = [6; 40];
+    let healthy = vec![cpu(None); 2];
+    let mut sim = Sim::new(&lens, healthy.clone(), greedy(), ReoptConfig::default(), 3);
+    let mut sim_runs = Sim::new(&lens, healthy, greedy(), ReoptConfig::default(), 3).with_runs(0.0);
     assert_eq!(sim.run(), Ok(()));
     assert_eq!(sim_runs.run(), Ok(()));
+    sim_runs.check_verdict(&Ok(()));
     assert_eq!(sim.runs_formed, 0, "no task is offered to runs");
     assert!(
         sim_runs.runs_formed >= 2,
@@ -1050,8 +1224,8 @@ fn a_crash_inside_a_run_orphans_that_run_and_the_queue_behind_it() {
     // Each task is charged its own estimate, run or not.
     assert_eq!(sim_runs.modelled_makespan(), sim.modelled_makespan());
 
-    let workers = vec![cpu(1.0, Fate::Healthy), cpu(1.0, Fate::Crash(2))];
-    let mut sim = Sim::new(tasks(), workers, policy, ReoptConfig::default(), 3).with_runs(0.0);
+    let workers = vec![cpu(None), cpu(crash(2))];
+    let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 3).with_runs(0.0);
     let mut verdict = sim.start();
     let (first_run, queued) = (sim.state.in_flight[1].clone(), sim.state.queue[1].clone());
     assert!(first_run.len() > 3, "the crash falls inside the first run");
@@ -1088,10 +1262,8 @@ fn a_crash_inside_a_run_orphans_that_run_and_the_queue_behind_it() {
 /// GPU workers keep one task per job whatever the pick would take.
 #[test]
 fn gpu_workers_take_one_task_a_run() {
-    let tasks = TaskSet::new((0..30).map(|id| Task::new(id, 1.9, 0.6)).collect());
-    let pool = vec![gpu(1.0, Fate::Healthy); 2];
-    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
-    let mut sim = Sim::new(tasks, pool, policy, ReoptConfig::default(), 9).with_runs(0.0);
+    let pool = vec![gpu(None); 2];
+    let mut sim = Sim::new(&[6; 30], pool, greedy(), ReoptConfig::default(), 9).with_runs(0.0);
     assert_eq!(sim.run(), Ok(()));
     assert_eq!(sim.runs_formed, 0);
 }
@@ -1100,13 +1272,13 @@ fn gpu_workers_take_one_task_a_run() {
 /// back, one loan at a time, each as the last is answered; no task
 /// twice. Twelve equal tasks on a device three times slower than planned
 /// and a CPU: once the CPU's share is done, it takes the device's queue
-/// from the tail.
+/// from the tail, and the device takes the CPU's scores from the claim
+/// table.
 #[test]
 fn an_idle_worker_is_lent_the_busiest_queue_from_its_tail() {
-    let tasks = TaskSet::new((0..12).map(|id| Task::new(id, 1.9, 1.0)).collect());
-    let workers = vec![gpu(3.0, Fate::Healthy), cpu(1.0, Fate::Healthy)];
-    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
-    let mut sim = Sim::new(tasks, workers, policy, ReoptConfig::default(), 4).answering(1);
+    let workers = vec![gpu(slow(3.0)), cpu(None)];
+    let policy = greedy();
+    let mut sim = Sim::new(&[21; 12], workers, policy, ReoptConfig::default(), 4).answering(1);
     let queued = |sim: &Sim, w: usize| sim.state.queue[w].iter().copied().collect::<Vec<_>>();
     let mut verdict = sim.start();
     let planned: Vec<usize> = sim.state.in_flight[0]
@@ -1124,11 +1296,14 @@ fn an_idle_worker_is_lent_the_busiest_queue_from_its_tail() {
         lends_seen = lends_seen.max(sim.lends.len());
     }
     assert_eq!(verdict, Some(Ok(())));
+    sim.check_verdict(&Ok(()));
     assert!(
         !tail.is_empty() && lends_seen >= 2,
         "{tail:?}: {:?}",
         sim.lends
     );
+    let helped = |e: &swdual_obs::Event| matches!(e.body, EventBody::Help { .. });
+    assert!(journaled(&sim, helped), "the CPU scored a lent task");
     for (k, &(task, helper, owner)) in sim.lends.iter().enumerate() {
         assert_eq!((helper, owner), (1, 0));
         // From the back of the queue the helper first found idle.
@@ -1147,31 +1322,26 @@ fn an_idle_worker_is_lent_the_busiest_queue_from_its_tail() {
 /// make no loan at all.
 #[test]
 fn nothing_is_lent_to_a_dead_busy_or_shared_queue_worker() {
-    let tasks = || TaskSet::new((0..30).map(|id| Task::new(id, 1.9, 0.6)).collect());
-    let healthy = Fate::Healthy;
+    let lens = [8; 30];
     let shared = AllocationPolicy::SelfScheduling;
-    let pool = vec![gpu(4.0, healthy), cpu(1.0, healthy), cpu(1.0, healthy)];
-    let mut sim = Sim::new(tasks(), pool, shared, ReoptConfig::default(), 2).answering(3);
+    let pool = vec![gpu(slow(4.0)), cpu(None), cpu(None)];
+    let mut sim = Sim::new(&lens, pool, shared, ReoptConfig::default(), 2).answering(3);
     assert_eq!(sim.run(), Ok(()));
     assert!(sim.lends.is_empty(), "the shared queue lends nothing");
 
     // A CPU straggles four times slower than planned: its peers run dry,
     // but a CPU's queue is never lent.
-    let policy = AllocationPolicy::DualApprox(KnapsackMethod::Greedy);
-    let pool = vec![cpu(1.0, healthy), cpu(4.0, healthy), cpu(1.0, healthy)];
-    let mut sim = Sim::new(tasks(), pool, policy, ReoptConfig::default(), 4).answering(7);
+    let pool = vec![cpu(None), cpu(slow(4.0)), cpu(None)];
+    let mut sim = Sim::new(&lens, pool, greedy(), ReoptConfig::default(), 4).answering(7);
     assert_eq!(sim.run(), Ok(()));
     assert!(sim.lends.is_empty(), "a CPU-only pool lends nothing");
 
     // Worker 2 dies early and the device straggles: the survivor that
     // runs dry is lent work, the dead one never is.
-    let workers = vec![
-        cpu(1.0, Fate::Healthy),
-        gpu(4.0, Fate::Healthy),
-        cpu(1.0, Fate::Crash(1)),
-    ];
-    let mut sim = Sim::new(tasks(), workers, policy, ReoptConfig::default(), 6).answering(5);
+    let workers = vec![cpu(None), gpu(slow(4.0)), cpu(crash(1))];
+    let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 6).answering(5);
     assert_eq!(sim.run(), Ok(()));
+    sim.check_verdict(&Ok(()));
     assert!(!sim.lends.is_empty());
     assert!(sim.lends.iter().all(|&(_, helper, _)| helper != 2));
     let mut lent: Vec<usize> = sim.lends.iter().map(|&(t, ..)| t).collect();
@@ -1179,4 +1349,114 @@ fn nothing_is_lent_to_a_dead_busy_or_shared_queue_worker() {
     lent.sort_unstable();
     lent.dedup();
     assert_eq!(lent.len(), n, "no task lent twice");
+}
+
+/// The simulated twin of `master::tests::straggler_is_timed_out_and_work_rerouted`:
+/// a CPU that stalls 250 ms before each task is declared dead at its
+/// 60-ms deadline, its work re-routed to the other; its late answers
+/// are duplicates, and the hits are Gotoh's.
+#[test]
+fn straggler_is_timed_out_and_work_rerouted() {
+    let straggle = Some(WorkerFault::Straggler {
+        delay_ms: 250,
+        factor: 2.0,
+    });
+    let workers = vec![cpu(straggle), cpu(None)];
+    let mut sim = Sim::new(&[30, 45, 12], workers, greedy(), ReoptConfig::default(), 1);
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    assert!(journaled(&sim, |e| matches!(
+        e.body,
+        EventBody::WorkerDeath { worker: 0, reason } if reason == DEATH_TIMEOUT
+    )));
+    assert_eq!(answered(&sim)[0], 0, "the survivor answered every task");
+}
+
+/// The simulated twin of `master::tests::silent_crash_is_detected_by_deadline`.
+#[test]
+fn silent_crash_is_detected_by_deadline() {
+    let workers = vec![cpu(None), cpu(vanish(0))];
+    let mut sim = Sim::new(
+        &[30, 45, 12, 60],
+        workers,
+        greedy(),
+        ReoptConfig::default(),
+        2,
+    );
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    assert_eq!(answered(&sim)[1], 0);
+    // The death was found by deadline, not notification.
+    assert!(journaled(&sim, |e| matches!(
+        e.body,
+        EventBody::WorkerDeath { worker: 1, reason } if reason == DEATH_TIMEOUT
+    )));
+}
+
+/// The simulated twin of
+/// `master::tests::gpu_device_fault_mid_run_recovers_with_identical_hits`:
+/// the device dies after its first kernel, its orphans are re-planned on
+/// the CPU, and the hits are Gotoh's. Death, re-dispatches and the
+/// recovery plan are journaled.
+#[test]
+fn gpu_device_fault_mid_run_recovers_with_identical_hits() {
+    let fault = Some(WorkerFault::DeviceFault { after_kernels: 1 });
+    let workers = vec![cpu(None), gpu(fault)];
+    let mut sim = Sim::new(
+        &[8, 10, 6, 12, 9],
+        workers,
+        greedy(),
+        ReoptConfig::default(),
+        3,
+    );
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    let total = sim.state.total();
+    assert_eq!(
+        answered(&sim),
+        [total - 1, 1],
+        "the device answered its one kernel"
+    );
+    assert!(journaled(&sim, |e| matches!(
+        e.body,
+        EventBody::WorkerDeath { worker: 1, .. }
+    )));
+    assert!(journaled(&sim, |e| matches!(
+        e.body,
+        EventBody::TaskRedispatch { .. }
+    )));
+    assert!(journaled(&sim, |e| e.track == Track::Recovered(0)));
+}
+
+/// The simulated twin of
+/// `master::tests::reopt_improves_modelled_makespan_on_miscalibrated_straggler`,
+/// with no wall-clock premise: CPU worker 1 declares itself twice as
+/// fast as it is and straggles three times slower than honest.
+/// Re-optimization improves the modelled makespan by at least 15 %.
+#[test]
+fn reopt_improves_modelled_makespan_on_miscalibrated_straggler() {
+    let mut bragger = cpu(slow(3.0));
+    bragger.spec = bragger.spec.with_prior_scale(2.0);
+    let workers = vec![gpu(None), bragger, cpu(None)];
+    let lens = [20, 26, 33, 18, 41, 24, 30, 22, 37, 28, 19, 35];
+    let makespan = |reopt: ReoptConfig| {
+        let mut sim = Sim::new(&lens, workers.clone(), greedy(), reopt, 8);
+        let verdict = sim.run();
+        assert_eq!(verdict, Ok(()));
+        sim.check_verdict(&verdict);
+        sim.modelled_makespan()
+    };
+    let (static_plan, reopt) = (
+        makespan(ReoptConfig::default()),
+        makespan(ReoptConfig::enabled()),
+    );
+    let improvement = 1.0 - reopt / static_plan;
+    assert!(
+        improvement >= 0.15,
+        "static {static_plan:.3} s, re-optimized {reopt:.3} s ({:.1} %)",
+        improvement * 100.0
+    );
 }

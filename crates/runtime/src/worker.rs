@@ -8,8 +8,14 @@
 //! the run; GPU workers drive a simulated device whose virtual clock
 //! supplies the modelled task time, one task at a time.
 //!
+//! Like the master, a worker is a **core** (`WorkerCore`: one
+//! [`Order`] in, the [`WorkerMsg`]s it answers with out; a species
+//! differs only in how it scores and charges a task) and a thin
+//! **shell** (`worker_loop`) that waits for orders and sends answers.
+//! The master's deterministic simulator drives the same core.
+//!
 //! An idle worker may also be lent a task queued on a device worker
-//! ([`Order::Help`]): it claims the task in the search's [`Claims`],
+//! ([`Order::Help`]): it claims the task in the search's claim table,
 //! scores it with the tier ladder every worker runs, leaves the hits
 //! and tier counts there, and tells the master it is free again. Owners
 //! settle every lent task of theirs through the same table (see
@@ -25,7 +31,9 @@
 use crate::claims::{Claims, Lent};
 use crate::estimator::WorkerRateModel;
 use crate::faults::WorkerFault;
-use crate::messages::{top_k, FailureReason, Hit, Job, JobResult, Order, WorkerFailure, WorkerMsg};
+use crate::messages::{
+    top_k, FailureReason, Hit, Job, JobResult, Order, Registration, WorkerFailure, WorkerMsg,
+};
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use std::ops::Range;
 use std::sync::Arc;
@@ -34,6 +42,8 @@ use swdual_align::engine::{AlignEngine, LadderEngine, PhaseTimings};
 use swdual_align::{ProfileCache, Scratch, Subjects, TierStats};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
+use swdual_gpusim::chunked::overlapped_search;
+use swdual_gpusim::device::ResidentDb;
 use swdual_gpusim::{DeviceClass, DeviceSpec, GpuDevice};
 use swdual_obs::{EventBody, HostPhase, Obs, Track};
 
@@ -147,326 +157,568 @@ impl WorkerSpec {
     }
 }
 
-/// Everything a worker needs to execute tasks.
-pub struct WorkerContext<'a> {
+/// Everything a worker needs to execute tasks, beside the search's
+/// claim table.
+pub(crate) struct WorkerContext<'a> {
     /// Worker id assigned at registration.
-    pub worker_id: usize,
+    pub(crate) worker_id: usize,
     /// The database: the blocks of one checked image, scored in place,
     /// with its length order and that order's residue prefix sums, read
     /// once per search and borrowed by every worker.
-    pub database: &'a Subjects<'a>,
+    pub(crate) database: &'a Subjects<'a>,
     /// The query set (shared).
-    pub queries: Arc<SequenceSet>,
+    pub(crate) queries: Arc<SequenceSet>,
     /// Scoring parameters.
-    pub scheme: ScoringScheme,
+    pub(crate) scheme: ScoringScheme,
     /// Hits a job reports: the best this many of its slice.
-    pub top_k: usize,
+    pub(crate) top_k: usize,
     /// Event recorder; disabled by default. When disabled, the per-job
     /// hot path below records nothing, takes no locks and allocates
     /// nothing for tracing.
-    pub obs: Obs,
+    pub(crate) obs: Obs,
     /// Injected fault behaviour, if this worker is in the fault plan.
-    pub fault: Option<WorkerFault>,
-    /// The search's lent tasks.
-    pub claims: &'a Claims,
+    pub(crate) fault: Option<WorkerFault>,
 }
 
-/// Record one finished job as a dual-clock span on the worker's track.
-///
-/// `virt_start` is the worker's cumulative modelled busy time before
-/// this job — the modelled clock all planned placements are stated in.
-///
-/// The span echoes the job's lineage (dispatch sequence, plan decision)
-/// and the dispatch→exec-start queue-wait gap on both clocks, so the
-/// journal's causal chain closes without consumers re-deriving it. The
-/// wall gap is real master→worker hand-off latency; the modelled gap is
-/// ~0 by construction (a worker's virtual clock only advances while it
-/// computes) except when a re-plan hands a task to a worker whose
-/// modelled clock already ran past the dispatch stamp.
-#[allow(clippy::too_many_arguments)]
-fn record_job_span(
-    obs: &Obs,
-    worker_id: usize,
-    job: &Job,
+/// What a worker hands back for one task of a run: its hits, where its
+/// own wall time lies, its modelled seconds before any straggling, and
+/// the task's phases when profiled — measured by a helper when `lent`.
+struct Answer {
+    hits: Vec<Hit>,
     wall_start: f64,
-    wall_dur: f64,
-    virt_start: f64,
+    wall: f64,
     modelled: f64,
-    cells: u64,
-) {
-    if !obs.is_enabled() {
-        return;
-    }
-    let task_id = job.task_id;
-    let queue_wait_wall = (wall_start - job.dispatch_wall).max(0.0);
-    let queue_wait_modelled = (virt_start - job.dispatch_virt).max(0.0);
-    obs.span(
-        Track::Worker(worker_id),
-        wall_start,
-        wall_dur,
-        Some((virt_start, modelled)),
-        EventBody::Job {
-            task: task_id,
-            cells: Some(cells as f64),
-            seq: Some(job.dispatch_seq),
-            decision: Some(job.decision),
-            queue_wait_wall: Some(queue_wait_wall),
-            queue_wait_modelled: Some(queue_wait_modelled),
-        },
-    );
-}
-
-/// Record the host phase spans of one CPU job (profile build, DP inner
-/// loop) under its task span.
-///
-/// Attribution rules: phase spans tile the job sequentially on both
-/// clocks. Wall durations are the measured [`PhaseTimings`]; modelled
-/// durations split the job's modelled time in the same proportions as
-/// the measured wall phases (the rate model prices whole tasks, not
-/// phases). When the job ran too fast to measure (wall total ≈ 0),
-/// everything modelled is attributed to the DP inner loop. Phases a
-/// helper measured (`lent`) keep their modelled split and take no wall
-/// time here: that was the helper's.
-#[allow(clippy::too_many_arguments)]
-fn record_phase_spans(
-    obs: &Obs,
-    worker_id: usize,
-    task_id: usize,
-    wall_start: f64,
-    virt_start: f64,
-    modelled: f64,
-    timings: &PhaseTimings,
+    timings: Option<PhaseTimings>,
     lent: bool,
-) {
-    let wall_total = timings.total();
-    let phases = [
-        (HostPhase::ProfileBuild, timings.profile_build),
-        (HostPhase::DpInner, timings.dp_inner),
-    ];
-    let mut wall_at = wall_start;
-    let mut virt_at = virt_start;
-    for (phase, measured) in phases {
-        let virt_dur = if wall_total > 0.0 {
-            modelled * measured / wall_total
-        } else if phase == HostPhase::DpInner {
-            modelled
-        } else {
-            0.0
-        };
-        let wall_dur = if lent { 0.0 } else { measured };
-        if wall_dur <= 0.0 && virt_dur <= 0.0 {
-            continue;
+}
+
+impl Answer {
+    /// Record the answered `job` as a dual-clock span on the worker's
+    /// track, and its host phases (profile build, DP inner loop) under
+    /// it when profiled.
+    ///
+    /// `virt_start` is the worker's cumulative modelled busy time before
+    /// this job — the modelled clock all planned placements are stated
+    /// in. The span echoes the job's lineage (dispatch sequence, plan
+    /// decision) and the dispatch→exec-start queue-wait gap on both
+    /// clocks, so the journal's causal chain closes without consumers
+    /// re-deriving it. The wall gap is real master→worker hand-off
+    /// latency; the modelled gap is ~0 by construction (a worker's
+    /// virtual clock only advances while it computes) except when a
+    /// re-plan hands a task to a worker whose modelled clock already ran
+    /// past the dispatch stamp.
+    ///
+    /// Phase spans tile the job sequentially on both clocks. Wall
+    /// durations are the measured [`PhaseTimings`]; modelled durations
+    /// split the job's modelled time in the same proportions (the rate
+    /// model prices whole tasks, not phases). When the job ran too fast
+    /// to measure, everything modelled is attributed to the DP inner
+    /// loop. Phases a helper measured keep their modelled split and take
+    /// no wall time here: that was the helper's.
+    fn record(
+        &self,
+        obs: &Obs,
+        track: Track,
+        job: &Job,
+        virt_start: f64,
+        modelled: f64,
+        cells: u64,
+    ) {
+        if !obs.is_enabled() {
+            return;
         }
         obs.span(
-            Track::Worker(worker_id),
-            wall_at,
-            wall_dur,
-            Some((virt_at, virt_dur)),
-            EventBody::Phase {
-                phase,
-                task: task_id,
+            track,
+            self.wall_start,
+            self.wall,
+            Some((virt_start, modelled)),
+            EventBody::Job {
+                task: job.task_id,
+                cells: Some(cells as f64),
+                seq: Some(job.dispatch_seq),
+                decision: Some(job.decision),
+                queue_wait_wall: Some((self.wall_start - job.dispatch_wall).max(0.0)),
+                queue_wait_modelled: Some((virt_start - job.dispatch_virt).max(0.0)),
             },
         );
-        wall_at += wall_dur;
-        virt_at += virt_dur;
+        let Some(timings) = &self.timings else {
+            return;
+        };
+        let wall_total = timings.total();
+        let phases = [
+            (HostPhase::ProfileBuild, timings.profile_build),
+            (HostPhase::DpInner, timings.dp_inner),
+        ];
+        let (mut wall_at, mut virt_at) = (self.wall_start, virt_start);
+        for (phase, measured) in phases {
+            let virt_dur = if wall_total > 0.0 {
+                modelled * measured / wall_total
+            } else if phase == HostPhase::DpInner {
+                modelled
+            } else {
+                0.0
+            };
+            let wall_dur = if self.lent { 0.0 } else { measured };
+            if wall_dur <= 0.0 && virt_dur <= 0.0 {
+                continue;
+            }
+            let task = job.task_id;
+            let span = Some((virt_at, virt_dur));
+            obs.span(
+                track,
+                wall_at,
+                wall_dur,
+                span,
+                EventBody::Phase { phase, task },
+            );
+            wall_at += wall_dur;
+            virt_at += virt_dur;
+        }
     }
 }
 
-/// The crash/straggler knobs a worker consults per run, pre-split from
-/// the fault enum so the healthy path pays a single `None` check. Both
-/// count tasks: `crash@N` dies on picking up the worker's `N`-th task,
-/// wherever it falls in a run, and the straggler's delay is paid per
-/// task.
-struct FaultKnobs {
-    crash_after: Option<usize>,
-    crash_notify: bool,
-    straggle_ms: u64,
-    straggle_factor: f64,
+/// What a task failed with: its id and the reason the worker dies of.
+type Failure = (usize, FailureReason);
+
+/// How a species scores and charges a task.
+enum Species<'a> {
+    /// The tier ladder on the host, charged by the CPU rate model.
+    Cpu {
+        model: WorkerRateModel,
+        /// What this worker's kernels did in total.
+        tiers: TierStats,
+    },
+    /// A simulated device: scores from the same tiered host kernel the
+    /// CPU runs (host time), task time from the device's clock alone.
+    /// Databases that fit stay resident across tasks (the CUDASW++
+    /// pattern), borrowing the search's length order; oversized ones
+    /// stay on the host and fall back to the chunked streaming path per
+    /// kernel, re-streaming the job's subjects for every task as the
+    /// real tools must.
+    Gpu {
+        device: Box<GpuDevice>,
+        residency: Option<ResidentDb<'a>>,
+    },
 }
 
-impl FaultKnobs {
-    fn from(fault: Option<WorkerFault>) -> FaultKnobs {
-        let mut knobs = FaultKnobs {
-            crash_after: None,
-            crash_notify: false,
-            straggle_ms: 0,
-            straggle_factor: 1.0,
+/// One worker between two orders, whoever drives it: the thread shell
+/// ([`worker_loop`]) or the master's deterministic simulator.
+pub(crate) struct WorkerCore<'a> {
+    ctx: WorkerContext<'a>,
+    species: Species<'a>,
+    /// Per-worker profile cache: jobs that share a query (chunked
+    /// databases, repeated searches) reuse the built profiles, so
+    /// profile_build collapses to a lookup after the first job.
+    cache: ProfileCache,
+    /// The kernels' working memory, prepared once per worker.
+    scratch: Scratch,
+    jobs_done: usize,
+    /// Modelled seconds of the tasks answered so far.
+    virt_clock: f64,
+}
+
+/// The worker's hello (paper Figure 6: "Register with master"), or —
+/// journaling the crash — `None` when its fault kills it first.
+pub(crate) fn hello(spec: &WorkerSpec, ctx: &WorkerContext<'_>) -> Option<Registration> {
+    if matches!(ctx.fault, Some(WorkerFault::CrashBeforeRegistration)) {
+        let worker = ctx.worker_id;
+        let crash = EventBody::WorkerCrashBeforeRegistration { worker };
+        ctx.obs.instant(Track::Faults, crash);
+        return None;
+    }
+    Some(Registration {
+        worker_id: ctx.worker_id,
+        description: spec.description(),
+        is_gpu: spec.is_gpu(),
+        rate_model: spec.rate_model(),
+    })
+}
+
+/// The queries of `run` and the positions of the length order its jobs
+/// name, one slice for all of them, or the task of the first job that
+/// does not fit. A job from a confused or hostile master must not index
+/// out of bounds.
+fn inputs_of<'q>(
+    queries: &'q SequenceSet,
+    database: &Subjects<'_>,
+    run: &[Job],
+) -> Result<(Vec<&'q Sequence>, Range<usize>), usize> {
+    let mut found = Vec::with_capacity(run.len());
+    let mut slice: Option<Range<usize>> = None;
+    for job in run {
+        let query = queries.get(job.query_index);
+        let own = job.slice.checked(database.len());
+        let own = own.filter(|own| slice.as_ref().is_none_or(|run| run == own));
+        let (query, own) = query.zip(own).ok_or(job.task_id)?;
+        slice = Some(own);
+        found.push(query);
+    }
+    Ok((found, slice.unwrap_or_default()))
+}
+
+/// The ranked hits a job reports for `scores` of `slice`, which are in
+/// the slice's order.
+fn hits_of(database: &Subjects<'_>, k: usize, slice: Range<usize>, scores: &[i32]) -> Vec<Hit> {
+    let subjects = database.order()[slice].iter();
+    let candidates = subjects.zip(scores).map(|(&subject, &score)| Hit {
+        db_index: subject as usize,
+        score,
+    });
+    top_k(candidates, k)
+}
+
+impl<'a> WorkerCore<'a> {
+    /// The worker after registration, its device (if any) brought up
+    /// with the database resident when it fits.
+    pub(crate) fn new(spec: WorkerSpec, ctx: WorkerContext<'a>) -> WorkerCore<'a> {
+        let species = match spec.kind {
+            WorkerKind::Cpu => Species::Cpu {
+                model: WorkerRateModel::cpu_swipe(),
+                tiers: TierStats::default(),
+            },
+            WorkerKind::Gpu { device } => {
+                let mut device = Box::new(GpuDevice::new(device));
+                device.attach_obs(ctx.obs.clone(), ctx.worker_id);
+                if let Some(WorkerFault::DeviceFault { after_kernels }) = ctx.fault {
+                    device.inject_fault_after_kernels(after_kernels);
+                }
+                let residency = device.upload_shared(ctx.database).ok();
+                Species::Gpu { device, residency }
+            }
         };
-        match fault {
-            Some(WorkerFault::Crash { after_jobs, notify }) => {
-                knobs.crash_after = Some(after_jobs);
-                knobs.crash_notify = notify;
-            }
-            Some(WorkerFault::Straggler { delay_ms, factor }) => {
-                knobs.straggle_ms = delay_ms;
-                knobs.straggle_factor = factor;
-            }
-            _ => {}
+        WorkerCore {
+            ctx,
+            species,
+            cache: ProfileCache::default(),
+            scratch: Scratch::default(),
+            jobs_done: 0,
+            virt_clock: 0.0,
         }
-        knobs
     }
 
     /// Split `run`, whose first task is the worker's `jobs_done`-th, into
     /// the tasks it executes and, from the task it dies on picking up,
-    /// the rest; then pay the straggler's delay for the tasks it
-    /// executes.
-    fn pre_run<'r>(&self, jobs_done: usize, run: &'r [Job]) -> (&'r [Job], &'r [Job]) {
-        let live = match self.crash_after {
-            Some(n) if n >= jobs_done => (n - jobs_done).min(run.len()),
+    /// the rest: `crash@N` dies on the worker's `N`-th task, wherever it
+    /// falls in a run.
+    fn split<'r>(&self, run: &'r [Job]) -> (&'r [Job], &'r [Job]) {
+        let live = match self.ctx.fault {
+            Some(WorkerFault::Crash { after_jobs: n, .. }) if n >= self.jobs_done => {
+                (n - self.jobs_done).min(run.len())
+            }
             _ => run.len(),
         };
-        if self.straggle_ms > 0 && live > 0 {
-            std::thread::sleep(Duration::from_millis(self.straggle_ms * live as u64));
-        }
         run.split_at(live)
     }
 
-    /// Die on picking up `job`: journal the crash and, when the plan
-    /// says so, tell the master which task was in hand.
-    fn crash(&self, job: &Job, worker_id: usize, obs: &Obs, results: &Sender<WorkerMsg>) {
-        obs.instant(
-            Track::Faults,
-            EventBody::WorkerCrash {
-                worker: worker_id,
-                task: job.task_id,
-                notified: self.crash_notify,
-            },
-        );
-        if self.crash_notify {
-            let _ = results.send(WorkerMsg::Failed(WorkerFailure {
+    /// A straggler's wall delay per task, in milliseconds, and the factor
+    /// on its modelled times.
+    fn straggle(&self) -> (u64, f64) {
+        match self.ctx.fault {
+            Some(WorkerFault::Straggler { delay_ms, factor }) => (delay_ms, factor),
+            _ => (0, 1.0),
+        }
+    }
+
+    /// The wall time a straggler stalls before executing `order`: the
+    /// shell sleeps it, the simulator adds it to its clock.
+    pub(crate) fn delay(&self, order: &Order) -> Duration {
+        let Order::Run(run) = order else {
+            return Duration::ZERO;
+        };
+        let live = self.split(run).0.len() as u64;
+        Duration::from_millis(self.straggle().0 * live)
+    }
+
+    /// Execute `order`, pushing its answers onto `out` in the order they
+    /// are sent; lent tasks settle through `claims`. False once the
+    /// worker is dead.
+    pub(crate) fn answer(
+        &mut self,
+        order: Order,
+        claims: &Claims,
+        out: &mut Vec<WorkerMsg>,
+    ) -> bool {
+        let run = match order {
+            Order::Run(run) => run,
+            Order::Help(job) => {
+                out.push(self.help(&job, claims));
+                return true;
+            }
+        };
+        let (live, doomed) = self.split(&run);
+        let (task, reason, notify) = match (self.run(live, claims, out), doomed.first()) {
+            (Err((task, reason)), _) => (task, reason, true),
+            (Ok(()), None) => return true,
+            // Die on picking up `job`, telling the master which task was
+            // in hand when the plan says so.
+            (Ok(()), Some(job)) => {
+                let notified = matches!(
+                    self.ctx.fault,
+                    Some(WorkerFault::Crash { notify: true, .. })
+                );
+                let (worker, task) = (self.ctx.worker_id, job.task_id);
+                let crash = EventBody::WorkerCrash {
+                    worker,
+                    task,
+                    notified,
+                };
+                self.ctx.obs.instant(Track::Faults, crash);
+                (task, FailureReason::Crash, notified)
+            }
+        };
+        if notify {
+            let (worker_id, in_flight) = (self.ctx.worker_id, Some(task));
+            out.push(WorkerMsg::Failed(WorkerFailure {
                 worker_id,
-                reason: FailureReason::Crash,
-                in_flight: Some(job.task_id),
+                reason,
+                in_flight,
             }));
         }
+        false
     }
-}
 
-impl WorkerContext<'_> {
-    /// The queries of `run` and the positions of the length order its
-    /// jobs name, one slice for all of them, or — having told the master
-    /// this worker gives up on the first job that does not fit — `None`.
-    /// A job from a confused or hostile master must not index out of
-    /// bounds.
-    fn inputs_of(
-        &self,
-        run: &[Job],
-        results: &Sender<WorkerMsg>,
-    ) -> Option<(Vec<&Sequence>, Range<usize>)> {
-        let mut queries = Vec::with_capacity(run.len());
-        let mut slice: Option<Range<usize>> = None;
-        for job in run {
-            let query = self.queries.get(job.query_index);
-            let own = job.slice.checked(self.database.len());
-            let own = own.filter(|own| slice.as_ref().is_none_or(|run| run == own));
-            let Some((query, own)) = query.zip(own) else {
-                let _ = results.send(WorkerMsg::Failed(WorkerFailure {
-                    worker_id: self.worker_id,
-                    reason: FailureReason::InvalidJob,
-                    in_flight: Some(job.task_id),
-                }));
-                return None;
-            };
-            slice = Some(own);
-            queries.push(query);
+    /// The queue closed: journal what this worker's kernels did in total.
+    pub(crate) fn close(self) {
+        if let Species::Cpu { tiers, .. } = self.species {
+            self.ctx.obs.instant(
+                Track::Worker(self.ctx.worker_id),
+                EventBody::WorkerTotals {
+                    subjects: tiers.subjects,
+                    byte_resolved: tiers.byte_resolved,
+                    escalated_16: tiers.escalated_16,
+                    escalated_scalar: tiers.escalated_scalar,
+                    profile_cache_hits: self.cache.hits(),
+                    profile_cache_misses: self.cache.misses(),
+                },
+            );
         }
-        Some((queries, slice.unwrap_or_default()))
     }
 
-    /// The ranked hits a job reports for `scores` of `slice`, which are
-    /// in the slice's order.
-    fn hits_of(&self, slice: Range<usize>, scores: &[i32]) -> Vec<Hit> {
-        let subjects = self.database.order()[slice].iter();
-        let candidates = subjects.zip(scores).map(|(&subject, &score)| Hit {
-            db_index: subject as usize,
-            score,
-        });
-        top_k(candidates, self.top_k)
+    /// Execute the tasks of a run this worker lives to execute, and
+    /// answer each: a slice is charged for its own residues, each task
+    /// its own modelled seconds, whoever computed it.
+    fn run(
+        &mut self,
+        run: &[Job],
+        claims: &Claims,
+        out: &mut Vec<WorkerMsg>,
+    ) -> Result<(), Failure> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        let queries = Arc::clone(&self.ctx.queries);
+        let (queries, slice) = inputs_of(&queries, self.ctx.database, run)
+            .map_err(|task| (task, FailureReason::InvalidJob))?;
+        // The unlent tasks first, transposed when they form a run: a
+        // helper still at a lent one has that long to finish it. Then
+        // each lent task: the helper's hits, or — when no helper
+        // started it — scored alone. A device streaming the database
+        // scores every task itself.
+        let mut answers: Vec<Option<Answer>> = run.iter().map(|_| None).collect();
+        let (lent, own): (Vec<usize>, Vec<usize>) = (0..run.len()).partition(|&i| run[i].lent);
+        self.score(&own, run, &queries, &slice, &mut answers)?;
+        let streams = matches!(
+            self.species,
+            Species::Gpu {
+                residency: None,
+                ..
+            }
+        );
+        for i in lent {
+            match (!streams).then(|| claims.settle(run[i].task_id)).flatten() {
+                Some(lent) => answers[i] = Some(self.take(lent, &run[i], queries[i], &slice)?),
+                None => self.score(&[i], run, &queries, &slice, &mut answers)?,
+            }
+        }
+        let residues = self.ctx.database.residues_in(slice);
+        let track = Track::Worker(self.ctx.worker_id);
+        for ((job, query), answer) in run.iter().zip(&queries).zip(answers.into_iter().flatten()) {
+            let cells = query.len() as u64 * residues;
+            let modelled = answer.modelled * self.straggle().1;
+            answer.record(&self.ctx.obs, track, job, self.virt_clock, modelled, cells);
+            self.virt_clock += modelled;
+            self.jobs_done += 1;
+            out.push(WorkerMsg::Completed(JobResult {
+                task_id: job.task_id,
+                worker_id: self.ctx.worker_id,
+                hits: answer.hits,
+                wall_seconds: answer.wall,
+                modelled_seconds: modelled,
+                cells,
+            }));
+        }
+        Ok(())
     }
-    /// Score `job`, which another worker owns, for it: claim the task,
-    /// score it, leave the hits and tier counts in the claim table,
-    /// record a `help` span and tell the master. A task its owner kept,
-    /// or that names nothing this worker has, is handed back unscored.
-    /// Returns false once the master has gone.
-    fn help(
-        &self,
+
+    /// Score the tasks of `run` at `which` into `answers`.
+    fn score(
+        &mut self,
+        which: &[usize],
+        run: &[Job],
+        queries: &[&Sequence],
+        slice: &Range<usize>,
+        answers: &mut [Option<Answer>],
+    ) -> Result<(), Failure> {
+        let ctx = &self.ctx;
+        let hits = |scores: &[i32]| hits_of(ctx.database, ctx.top_k, slice.clone(), scores);
+        match &mut self.species {
+            // As one run. Scores are identical to `score_many`; a run of
+            // one task is a one-query job. The run's wall time and phases
+            // are shared out by query length, its job spans tiling the
+            // run's wall span.
+            Species::Cpu { model, tiers } if !which.is_empty() => {
+                let wall_start = ctx.obs.now();
+                let start = Instant::now();
+                let codes: Vec<&[u8]> = which.iter().map(|&i| queries[i].codes()).collect();
+                let (scores, timings, tier_stats) = LadderEngine::AUTO.score_run(
+                    &codes,
+                    ctx.database,
+                    slice.clone(),
+                    &ctx.scheme,
+                    Some(&self.cache),
+                    &mut self.scratch,
+                );
+                let wall = start.elapsed().as_secs_f64();
+                tiers.merge(&tier_stats);
+                let residues = ctx.database.residues_in(slice.clone());
+                let weight = |i: usize| queries[i].len().max(1) as f64;
+                let total_weight: f64 = which.iter().map(|&i| weight(i)).sum();
+                let mut wall_at = wall_start;
+                for (&i, scores) in which.iter().zip(scores) {
+                    let share = weight(i) / total_weight;
+                    let timings = ctx.obs.is_profiling().then_some(PhaseTimings {
+                        profile_build: timings.profile_build * share,
+                        dp_inner: timings.dp_inner * share,
+                    });
+                    answers[i] = Some(Answer {
+                        hits: hits(&scores),
+                        wall_start: wall_at,
+                        wall: wall * share,
+                        modelled: model.task_seconds(queries[i].len(), residues),
+                        timings,
+                        lent: false,
+                    });
+                    wall_at += wall * share;
+                }
+            }
+            Species::Cpu { .. } => {}
+            // One kernel per task. Each tags the device's stage spans
+            // (H2D/kernel/D2H) with the task they serve: the causal link
+            // from dispatch into device activity.
+            Species::Gpu { device, residency } => {
+                for &i in which {
+                    let (task, query) = (run[i].task_id, queries[i]);
+                    let (wall_start, start) = (ctx.obs.now(), Instant::now());
+                    device.set_lineage(Some(task));
+                    device.check_fault().map_err(|f| (task, f.into()))?;
+                    let (scores, seconds) = match residency {
+                        Some(db) => {
+                            let r =
+                                device.search_slice(query.codes(), db, slice.clone(), &ctx.scheme);
+                            (r.scores, r.kernel_seconds)
+                        }
+                        None => {
+                            let gathered: Vec<Vec<u8>> =
+                                slice.clone().map(|p| ctx.database.residues(p)).collect();
+                            let on_host: Vec<&[u8]> = gathered.iter().map(Vec::as_slice).collect();
+                            let codes = query.codes();
+                            let r = overlapped_search(device, &on_host, codes, &ctx.scheme, true)
+                                .map_err(|e| (task, e.into()))?;
+                            (r.scores, r.seconds)
+                        }
+                    };
+                    device.set_lineage(None);
+                    answers[i] = Some(Answer {
+                        hits: hits(&scores),
+                        wall_start,
+                        wall: start.elapsed().as_secs_f64(),
+                        modelled: seconds,
+                        timings: None,
+                        lent: false,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Answer a lent task with what its helper computed: a CPU takes
+    /// its tier counts; a device charges the kernel it would launch, on
+    /// its clock.
+    fn take(
+        &mut self,
+        lent: Lent,
         job: &Job,
-        cache: &ProfileCache,
-        scratch: &mut Scratch,
-        results: &Sender<WorkerMsg>,
-    ) -> bool {
-        let query = self.queries.get(job.query_index);
-        let slice = job.slice.checked(self.database.len());
+        query: &Sequence,
+        slice: &Range<usize>,
+    ) -> Result<Answer, Failure> {
+        let (wall_start, start) = (self.ctx.obs.now(), Instant::now());
+        let (modelled, wall, timings) = match &mut self.species {
+            Species::Cpu { model, tiers } => {
+                tiers.merge(&lent.tiers);
+                let residues = self.ctx.database.residues_in(slice.clone());
+                let timings = self.ctx.obs.is_profiling().then_some(lent.timings);
+                (model.task_seconds(query.len(), residues), 0.0, timings)
+            }
+            Species::Gpu { device, residency } => {
+                let db = residency.as_ref().expect("only a resident device settles");
+                device.set_lineage(Some(job.task_id));
+                let charged = device.charge_slice(query.len(), db, slice.clone());
+                device.set_lineage(None);
+                let seconds = charged.map_err(|f| (job.task_id, f.into()))?;
+                (seconds, start.elapsed().as_secs_f64(), None)
+            }
+        };
+        Ok(Answer {
+            hits: lent.hits,
+            wall_start,
+            wall,
+            modelled,
+            timings,
+            lent: true,
+        })
+    }
+
+    /// Score `job`, which another worker owns, for it: claim the task,
+    /// score it, leave the hits and tier counts in the claim table and
+    /// record a `help` span. A task its owner kept, or that names
+    /// nothing this worker has, is handed back unscored. Either way the
+    /// master hears that this worker is free again.
+    fn help(&mut self, job: &Job, claims: &Claims) -> WorkerMsg {
+        let ctx = &self.ctx;
+        let query = ctx.queries.get(job.query_index);
+        let slice = job.slice.checked(ctx.database.len());
         let claim = query
             .zip(slice)
-            .and_then(|inputs| Some((inputs, self.claims.claim(job.task_id)?)));
+            .and_then(|inputs| Some((inputs, claims.claim(job.task_id)?)));
         let mut wall_seconds = 0.0;
         if let Some(((query, slice), claim)) = claim {
-            let wall_start = self.obs.now();
+            let wall_start = ctx.obs.now();
             let start = Instant::now();
             let (scores, timings, tiers) = LadderEngine::AUTO.score_database(
                 query.codes(),
-                self.database,
+                ctx.database,
                 slice.clone(),
-                &self.scheme,
-                Some(cache),
-                scratch,
+                &ctx.scheme,
+                Some(&self.cache),
+                &mut self.scratch,
             );
-            let hits = self.hits_of(slice, &scores);
+            let hits = hits_of(ctx.database, ctx.top_k, slice, &scores);
             wall_seconds = start.elapsed().as_secs_f64();
             claim.fulfil(Lent {
                 hits,
                 tiers,
                 timings,
             });
-            self.obs.span(
-                Track::Worker(self.worker_id),
-                wall_start,
-                wall_seconds,
-                None,
-                EventBody::Help { task: job.task_id },
-            );
+            let help = EventBody::Help { task: job.task_id };
+            let track = Track::Worker(ctx.worker_id);
+            ctx.obs.span(track, wall_start, wall_seconds, None, help);
         }
-        let helped = WorkerMsg::Helped {
-            worker_id: self.worker_id,
-            wall_seconds,
-        };
-        results.send(helped).is_ok()
-    }
-}
-
-/// Run a worker loop until the job channel closes, registering with the
-/// master first when a registration channel is supplied (the paper's
-/// Figure 6 "Register with master" step). This is the body of each
-/// worker thread; it is public so tests can drive workers synchronously.
-pub fn worker_loop_registered(
-    spec: WorkerSpec,
-    ctx: WorkerContext<'_>,
-    registration: Option<Sender<crate::messages::Registration>>,
-    jobs: Receiver<Order>,
-    results: Sender<WorkerMsg>,
-) {
-    if matches!(ctx.fault, Some(WorkerFault::CrashBeforeRegistration)) {
-        ctx.obs.instant(
-            Track::Faults,
-            EventBody::WorkerCrashBeforeRegistration {
-                worker: ctx.worker_id,
-            },
-        );
-        return; // dies without saying hello
-    }
-    if let Some(reg) = registration {
-        let hello = crate::messages::Registration {
+        WorkerMsg::Helped {
             worker_id: ctx.worker_id,
-            description: spec.description(),
-            is_gpu: spec.is_gpu(),
-            rate_model: spec.rate_model(),
-        };
-        if reg.send(hello).is_err() {
-            return; // master went away before registration
+            wall_seconds,
         }
     }
-    worker_loop(spec, ctx, jobs, results)
 }
 
 /// How long a worker polls its job queue before it parks on it.
@@ -496,316 +748,37 @@ fn next_order(orders: &Receiver<Order>) -> Option<Order> {
     }
 }
 
-/// What a CPU worker hands back for one task of a run: its hits, where
-/// its own wall time lies, and the task's phases when profiled —
-/// measured by a helper when `lent`.
-struct Answer {
-    hits: Vec<Hit>,
-    wall_start: f64,
-    wall: f64,
-    timings: Option<PhaseTimings>,
-    lent: bool,
-}
-
-/// Run a worker loop until the job channel closes (no registration
-/// step; used by tests that drive workers directly).
-pub fn worker_loop(
+/// The body of each worker thread: register with the master, then
+/// answer orders until the queue closes, the worker dies or the master
+/// has gone.
+pub(crate) fn worker_loop(
     spec: WorkerSpec,
     ctx: WorkerContext<'_>,
-    jobs: Receiver<Order>,
+    claims: &Claims,
+    registration: Sender<Registration>,
+    orders: Receiver<Order>,
     results: Sender<WorkerMsg>,
 ) {
-    if matches!(ctx.fault, Some(WorkerFault::CrashBeforeRegistration)) {
-        return;
+    let Some(hello) = hello(&spec, &ctx) else {
+        return; // dies without saying hello
+    };
+    if registration.send(hello).is_err() {
+        return; // master went away before registration
     }
-    let knobs = FaultKnobs::from(ctx.fault);
-    let mut jobs_done = 0usize;
-    match spec.kind {
-        WorkerKind::Cpu => {
-            // Prepared once per worker, not per job: the kernels' working
-            // memory.
-            let mut scratch = Scratch::default();
-            let model = WorkerRateModel::cpu_swipe();
-            // Per-worker profile cache: jobs that share a query (chunked
-            // databases, repeated searches) reuse the built profiles, so
-            // profile_build collapses to a lookup after the first job.
-            let profile_cache = ProfileCache::default();
-            let mut tiers = TierStats::default();
-            let mut virt_clock = 0.0;
-            'runs: while let Some(order) = next_order(&jobs) {
-                let run = match order {
-                    Order::Run(run) => run,
-                    Order::Help(job) => {
-                        if !ctx.help(&job, &profile_cache, &mut scratch, &results) {
-                            break 'runs;
-                        }
-                        continue;
-                    }
-                };
-                let (live, doomed) = knobs.pre_run(jobs_done, &run);
-                if !live.is_empty() {
-                    let Some((queries, slice)) = ctx.inputs_of(live, &results) else {
-                        return;
-                    };
-                    let mut answers: Vec<Option<Answer>> = live.iter().map(|_| None).collect();
-                    // Score the run's tasks at `which` as one run. Scores
-                    // are identical to `score_many`; a run of one task is
-                    // a one-query job. The run's wall time and phases are
-                    // shared out by query length, its job spans tiling
-                    // the run's wall span.
-                    let mut score = |which: &[usize], answers: &mut [Option<Answer>]| {
-                        let wall_start = ctx.obs.now();
-                        let start = Instant::now();
-                        let codes: Vec<&[u8]> = which.iter().map(|&i| queries[i].codes()).collect();
-                        let (scores, timings, tier_stats) = LadderEngine::AUTO.score_run(
-                            &codes,
-                            ctx.database,
-                            slice.clone(),
-                            &ctx.scheme,
-                            Some(&profile_cache),
-                            &mut scratch,
-                        );
-                        let wall = start.elapsed().as_secs_f64();
-                        let weight = |i: usize| queries[i].len().max(1) as f64;
-                        let total_weight: f64 = which.iter().map(|&i| weight(i)).sum();
-                        let mut wall_at = wall_start;
-                        for (&i, scores) in which.iter().zip(scores) {
-                            let share = weight(i) / total_weight;
-                            let timings = ctx.obs.is_profiling().then_some(PhaseTimings {
-                                profile_build: timings.profile_build * share,
-                                dp_inner: timings.dp_inner * share,
-                            });
-                            answers[i] = Some(Answer {
-                                hits: ctx.hits_of(slice.clone(), &scores),
-                                wall_start: wall_at,
-                                wall: wall * share,
-                                timings,
-                                lent: false,
-                            });
-                            wall_at += wall * share;
-                        }
-                        tier_stats
-                    };
-                    // The unlent tasks first, transposed when they form a
-                    // run: a helper still at a lent one has that long to
-                    // finish it. Then each lent task: the helper's hits
-                    // and tier counts, or — when no helper started it —
-                    // scored alone.
-                    let (lent, own): (Vec<usize>, Vec<usize>) =
-                        (0..live.len()).partition(|&i| live[i].lent);
-                    if !own.is_empty() {
-                        tiers.merge(&score(&own, &mut answers));
-                    }
-                    for i in lent {
-                        match ctx.claims.settle(live[i].task_id) {
-                            Some(lent) => {
-                                tiers.merge(&lent.tiers);
-                                answers[i] = Some(Answer {
-                                    hits: lent.hits,
-                                    wall_start: ctx.obs.now(),
-                                    wall: 0.0,
-                                    timings: ctx.obs.is_profiling().then_some(lent.timings),
-                                    lent: true,
-                                });
-                            }
-                            None => tiers.merge(&score(&[i], &mut answers)),
-                        }
-                    }
-                    // A slice is charged for its own residues, each task
-                    // its own modelled seconds, whoever computed it.
-                    let residues = ctx.database.residues_in(slice);
-                    for ((job, query), answer) in live.iter().zip(&queries).zip(answers) {
-                        let Some(answer) = answer else { continue };
-                        let cells = query.len() as u64 * residues;
-                        let modelled =
-                            model.task_seconds(query.len(), residues) * knobs.straggle_factor;
-                        record_job_span(
-                            &ctx.obs,
-                            ctx.worker_id,
-                            job,
-                            answer.wall_start,
-                            answer.wall,
-                            virt_clock,
-                            modelled,
-                            cells,
-                        );
-                        if let Some(timings) = &answer.timings {
-                            record_phase_spans(
-                                &ctx.obs,
-                                ctx.worker_id,
-                                job.task_id,
-                                answer.wall_start,
-                                virt_clock,
-                                modelled,
-                                timings,
-                                answer.lent,
-                            );
-                        }
-                        virt_clock += modelled;
-                        jobs_done += 1;
-                        let send = results.send(WorkerMsg::Completed(JobResult {
-                            task_id: job.task_id,
-                            worker_id: ctx.worker_id,
-                            hits: answer.hits,
-                            wall_seconds: answer.wall,
-                            modelled_seconds: modelled,
-                            cells,
-                        }));
-                        if send.is_err() {
-                            break 'runs; // master went away
-                        }
-                    }
-                }
-                if let Some(job) = doomed.first() {
-                    knobs.crash(job, ctx.worker_id, &ctx.obs, &results);
-                    return;
-                }
-            }
-            // The queue closed: what this worker's kernels did in total.
-            ctx.obs.instant(
-                Track::Worker(ctx.worker_id),
-                EventBody::WorkerTotals {
-                    subjects: tiers.subjects,
-                    byte_resolved: tiers.byte_resolved,
-                    escalated_16: tiers.escalated_16,
-                    escalated_scalar: tiers.escalated_scalar,
-                    profile_cache_hits: profile_cache.hits(),
-                    profile_cache_misses: profile_cache.misses(),
-                },
-            );
+    let mut core = WorkerCore::new(spec, ctx);
+    let mut answers = Vec::new();
+    while let Some(order) = next_order(&orders) {
+        std::thread::sleep(core.delay(&order));
+        let lives = core.answer(order, claims, &mut answers);
+        let master_gone = answers.drain(..).any(|msg| results.send(msg).is_err());
+        if !lives {
+            return;
         }
-        WorkerKind::Gpu { device } => {
-            let mut device = GpuDevice::new(device);
-            device.attach_obs(ctx.obs.clone(), ctx.worker_id);
-            if let Some(WorkerFault::DeviceFault { after_kernels }) = ctx.fault {
-                device.inject_fault_after_kernels(after_kernels);
-            }
-            // What helping needs beside the device, made on first use.
-            let mut helping: Option<(ProfileCache, Scratch)> = None;
-            let mut virt_clock = 0.0;
-            // The device is a timing model plus a functional scorer: its
-            // scores come from the same tiered host kernel the CPU arm
-            // runs (host time), its task time from the device's simulated
-            // clock alone. Databases that fit stay resident across tasks
-            // (the CUDASW++ pattern), borrowing the search's length
-            // order; oversized ones stay on the host and fall back to
-            // the chunked streaming path per kernel, re-streaming the
-            // job's subjects for every task as the real tools must.
-            let residency = device.upload_shared(ctx.database).ok();
-            'runs: while let Some(order) = next_order(&jobs) {
-                let run = match order {
-                    Order::Run(run) => run,
-                    Order::Help(job) => {
-                        let (cache, scratch) = helping.get_or_insert_with(Default::default);
-                        if !ctx.help(&job, cache, scratch, &results) {
-                            break 'runs;
-                        }
-                        continue;
-                    }
-                };
-                let (live, doomed) = knobs.pre_run(jobs_done, &run);
-                for job in live {
-                    let Some((queries, slice)) = ctx.inputs_of(std::slice::from_ref(job), &results)
-                    else {
-                        return;
-                    };
-                    let query = queries[0];
-                    // A lent task a helper scored is only charged: the
-                    // kernel the device would launch, on its clock. The
-                    // streaming path scores every task itself.
-                    let lent = residency
-                        .as_ref()
-                        .filter(|_| job.lent)
-                        .and_then(|_| ctx.claims.settle(job.task_id));
-                    let wall_start = ctx.obs.now();
-                    let start = Instant::now();
-                    // Tag the device's stage spans (H2D/kernel/D2H) with the
-                    // task they serve: the causal link from dispatch into
-                    // device activity.
-                    device.set_lineage(Some(job.task_id));
-                    let computed = (|| -> Result<(Vec<Hit>, f64), FailureReason> {
-                        match (&residency, lent) {
-                            (Some(db), Some(lent)) => {
-                                let seconds =
-                                    device.charge_slice(query.len(), db, slice.clone())?;
-                                Ok((lent.hits, seconds))
-                            }
-                            (Some(db), None) => {
-                                device.check_fault()?;
-                                let r = device.search_slice(
-                                    query.codes(),
-                                    db,
-                                    slice.clone(),
-                                    &ctx.scheme,
-                                );
-                                Ok((ctx.hits_of(slice.clone(), &r.scores), r.kernel_seconds))
-                            }
-                            (None, _) => {
-                                device.check_fault()?;
-                                let gathered: Vec<Vec<u8>> =
-                                    slice.clone().map(|p| ctx.database.residues(p)).collect();
-                                let on_host: Vec<&[u8]> =
-                                    gathered.iter().map(Vec::as_slice).collect();
-                                let r = swdual_gpusim::chunked::overlapped_search(
-                                    &mut device,
-                                    &on_host,
-                                    query.codes(),
-                                    &ctx.scheme,
-                                    true,
-                                )?;
-                                Ok((ctx.hits_of(slice.clone(), &r.scores), r.seconds))
-                            }
-                        }
-                    })();
-                    let (hits, modelled) = match computed {
-                        Ok((hits, modelled)) => (hits, modelled * knobs.straggle_factor),
-                        Err(reason) => {
-                            // The board died under us, or cannot hold even
-                            // one chunk of this database: report and exit so
-                            // the master re-plans onto the survivors. (A
-                            // fault was already logged by the device itself.)
-                            let _ = results.send(WorkerMsg::Failed(WorkerFailure {
-                                worker_id: ctx.worker_id,
-                                reason,
-                                in_flight: Some(job.task_id),
-                            }));
-                            return;
-                        }
-                    };
-                    device.set_lineage(None);
-                    let wall = start.elapsed().as_secs_f64();
-                    let cells = query.len() as u64 * ctx.database.residues_in(slice);
-                    record_job_span(
-                        &ctx.obs,
-                        ctx.worker_id,
-                        job,
-                        wall_start,
-                        wall,
-                        virt_clock,
-                        modelled,
-                        cells,
-                    );
-                    virt_clock += modelled;
-                    jobs_done += 1;
-                    let send = results.send(WorkerMsg::Completed(JobResult {
-                        task_id: job.task_id,
-                        worker_id: ctx.worker_id,
-                        hits,
-                        wall_seconds: wall,
-                        modelled_seconds: modelled,
-                        cells,
-                    }));
-                    if send.is_err() {
-                        break 'runs;
-                    }
-                }
-                if let Some(job) = doomed.first() {
-                    knobs.crash(job, ctx.worker_id, &ctx.obs, &results);
-                    return;
-                }
-            }
+        if master_gone {
+            break;
         }
     }
+    core.close();
 }
 
 #[cfg(test)]
@@ -874,23 +847,58 @@ mod tests {
     ) -> Vec<WorkerMsg> {
         let (job_tx, job_rx) = channel::unbounded();
         let (res_tx, res_rx) = channel::unbounded();
+        let (reg_tx, _reg_rx) = channel::unbounded();
         let image = SqbImage::from_set(&tiny_db()).unwrap();
-        let ctx = WorkerContext {
+        let subjects = Subjects::from(&image);
+        let ctx = context(worker_id, &subjects, fault, obs);
+        for order in orders {
+            job_tx.send(order).unwrap();
+        }
+        drop(job_tx);
+        worker_loop(spec, ctx, claims, reg_tx, job_rx, res_tx);
+        res_rx.iter().collect()
+    }
+
+    /// What worker `worker_id` knows of a search over `tiny_db`.
+    fn context<'a>(
+        worker_id: usize,
+        database: &'a Subjects<'a>,
+        fault: Option<WorkerFault>,
+        obs: &Obs,
+    ) -> WorkerContext<'a> {
+        WorkerContext {
             worker_id,
-            database: &Subjects::from(&image),
+            database,
             queries: Arc::new(tiny_queries()),
             scheme: ScoringScheme::protein_default(),
             top_k: TOP_K,
             obs: obs.clone(),
             fault,
-            claims,
-        };
-        for order in orders {
-            job_tx.send(order).unwrap();
         }
-        drop(job_tx);
-        worker_loop(spec, ctx, job_rx, res_tx);
-        res_rx.iter().collect()
+    }
+
+    /// What [`WorkerCore::answer`] says to `orders` against `tiny_db`,
+    /// driven straight, without a thread or a channel.
+    fn core_answers(
+        spec: WorkerSpec,
+        fault: Option<WorkerFault>,
+        claims: &Claims,
+        orders: Vec<Order>,
+    ) -> Vec<WorkerMsg> {
+        let image = SqbImage::from_set(&tiny_db()).unwrap();
+        let subjects = Subjects::from(&image);
+        let ctx = context(3, &subjects, fault, &Obs::disabled());
+        let mut out = Vec::new();
+        if hello(&spec, &ctx).is_none() {
+            return out;
+        }
+        let mut core = WorkerCore::new(spec, ctx);
+        for order in orders {
+            if !core.answer(order, claims, &mut out) {
+                break;
+            }
+        }
+        out
     }
 
     fn run_msgs(spec: WorkerSpec, fault: Option<WorkerFault>) -> Vec<WorkerMsg> {
@@ -933,6 +941,69 @@ mod tests {
             _ => None,
         });
         done.collect()
+    }
+
+    /// The thread shell is a loop of receive → core → send: for either
+    /// species and under every fault, it answers an order sequence —
+    /// single tasks, a run, a loan and its settling — with the same
+    /// tasks, hits, modelled seconds, cells and failures as the core
+    /// driven straight.
+    #[test]
+    fn the_shell_answers_as_its_core_does() {
+        let head = DbSlice { start: 0, end: 2 };
+        let jobs = [
+            Job::new(0, 0, WHOLE),
+            Job::new(1, 1, head),
+            Job::new(2, 0, head),
+            Job::new(3, 1, WHOLE),
+        ];
+        let orders = || {
+            vec![
+                Order::Run(vec![jobs[0]]),
+                Order::Help(lent(jobs[3])),
+                Order::Run(vec![jobs[1], jobs[2]]),
+                Order::Run(vec![lent(jobs[3])]),
+            ]
+        };
+        let faults = [
+            None,
+            Some(WorkerFault::CrashBeforeRegistration),
+            Some(WorkerFault::Crash {
+                after_jobs: 2,
+                notify: true,
+            }),
+            Some(WorkerFault::Crash {
+                after_jobs: 1,
+                notify: false,
+            }),
+            Some(WorkerFault::DeviceFault { after_kernels: 2 }),
+            Some(WorkerFault::Straggler {
+                delay_ms: 1,
+                factor: 3.0,
+            }),
+        ];
+        // What each message says, its wall time aside.
+        let said = |msgs: Vec<WorkerMsg>| -> Vec<String> {
+            let said = msgs.into_iter().map(|msg| match msg {
+                WorkerMsg::Completed(r) => {
+                    let (hits, modelled) = (r.hits, r.modelled_seconds);
+                    format!("{} {hits:?} {modelled:?} {}", r.task_id, r.cells)
+                }
+                WorkerMsg::Failed(f) => format!("{f:?}"),
+                WorkerMsg::Helped { worker_id, .. } => format!("helped {worker_id}"),
+            });
+            said.collect()
+        };
+        for spec in [WorkerSpec::cpu_default(), WorkerSpec::gpu_default()] {
+            for fault in faults {
+                let (obs, claims) = (Obs::disabled(), Claims::default());
+                let shell = run_orders(spec.clone(), 3, fault, &obs, &claims, orders());
+                let core = core_answers(spec.clone(), fault, &Claims::default(), orders());
+                let what = format!("{} under {fault:?}", spec.description());
+                assert!(!core.is_empty() || fault.is_some(), "{what}");
+                assert_eq!(said(shell), said(core), "{what}");
+            }
+        }
     }
 
     #[test]
@@ -1029,6 +1100,24 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e.body, EventBody::Help { .. })));
         }
+    }
+
+    #[test]
+    fn a_streaming_device_scores_a_lent_task_itself() {
+        // 25 bytes of device memory: nothing stays resident, so there is
+        // no kernel to charge a helper's scores to, and the owner leaves
+        // the claim table alone.
+        let (claims, obs, job) = (Claims::default(), Obs::disabled(), Job::new(0, 0, WHOLE));
+        let help = vec![Order::Help(lent(job))];
+        run_orders(WorkerSpec::cpu_default(), 5, None, &obs, &claims, help);
+        let owner = WorkerSpec::gpu(DeviceSpec::toy(25));
+        let run = vec![Order::Run(vec![lent(job)])];
+        let msgs = run_orders(owner, 3, None, &obs, &claims, run);
+        assert_eq!(completed(&msgs)[0].hits, expected_hits(0));
+        assert!(
+            claims.settle(0).is_some(),
+            "the helper's scores are untaken"
+        );
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod dual;
 pub mod exact;
 pub mod knapsack;
 pub mod metrics;
-pub mod multiround;
 pub mod platform;
 pub mod policies;
 pub mod remainder;

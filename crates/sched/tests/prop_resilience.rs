@@ -1,10 +1,9 @@
 //! Property tests for the resilience-adjacent scheduler modules:
-//! multi-round allocation, remainder re-planning (the recovery path of
-//! the fault-tolerant runtime) and robustness replay.
+//! remainder re-planning (the recovery path of the fault-tolerant
+//! runtime) and robustness replay.
 
 use proptest::prelude::*;
 use swdual_sched::binsearch::{dual_approx_schedule, BinarySearchConfig};
-use swdual_sched::multiround::multi_round_schedule;
 use swdual_sched::remainder::reschedule_remainder;
 use swdual_sched::robustness::{replay_static, ActualTimes};
 use swdual_sched::{PlatformSpec, TaskSet};
@@ -24,64 +23,6 @@ fn platform() -> impl Strategy<Value = PlatformSpec> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn one_round_multiround_equals_one_shot(tasks in task_set(40), pf in platform()) {
-        // rounds = 1 releases everything at once: it must be the
-        // one-shot dual-approximation schedule, makespan included.
-        let one_shot = dual_approx_schedule(&tasks, &pf, BinarySearchConfig::default()).schedule;
-        let multi = multi_round_schedule(&tasks, &pf, 1, BinarySearchConfig::default());
-        prop_assert!(
-            (one_shot.makespan() - multi.makespan()).abs() < 1e-9,
-            "one-shot {} vs rounds=1 {}",
-            one_shot.makespan(),
-            multi.makespan()
-        );
-    }
-
-    #[test]
-    fn multiround_places_each_task_exactly_once(
-        tasks in task_set(40),
-        pf in platform(),
-        rounds in 1usize..6,
-    ) {
-        let sched = multi_round_schedule(&tasks, &pf, rounds, BinarySearchConfig::default());
-        let mut placed: Vec<usize> = sched.placements.iter().map(|p| p.task).collect();
-        placed.sort_unstable();
-        let expect: Vec<usize> = (0..tasks.len()).collect();
-        prop_assert_eq!(placed, expect, "every task exactly once, rounds={}", rounds);
-        // No machine runs two tasks at the same time and every PE index
-        // exists on the platform.
-        prop_assert!(sched.makespan() >= 0.0);
-        for p in &sched.placements {
-            prop_assert!(p.end >= p.start);
-        }
-    }
-
-    #[test]
-    fn multiround_never_misplaces_time(
-        tasks in task_set(30),
-        pf in platform(),
-        rounds in 1usize..5,
-    ) {
-        // Per-machine, placements are back to back and non-overlapping.
-        let sched = multi_round_schedule(&tasks, &pf, rounds, BinarySearchConfig::default());
-        let mut by_pe: std::collections::HashMap<_, Vec<(f64, f64)>> =
-            std::collections::HashMap::new();
-        for p in &sched.placements {
-            by_pe.entry(p.pe).or_default().push((p.start, p.end));
-        }
-        for (pe, mut spans) in by_pe {
-            spans.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            for w in spans.windows(2) {
-                prop_assert!(
-                    w[0].1 <= w[1].0 + 1e-9,
-                    "overlap on {:?}: {:?} then {:?}",
-                    pe, w[0], w[1]
-                );
-            }
-        }
-    }
 
     #[test]
     fn exact_replay_reproduces_planned_makespan(tasks in task_set(40), pf in platform()) {
