@@ -15,11 +15,15 @@
 //! subject on the first [`GROUP`] boundary at or past the column where
 //! its last one ended. Each hand-over is a [`Start`]: before scoring
 //! that column the kernel harvests the lane's maximum for the subject it
-//! finished, zeroes the lane's running maximum and its `H`/`E` column,
-//! and carries on with the same recurrences. An SQB version-3 file
-//! stores its database as such streams, one per block of 128 records of
-//! its length order, so a job scores the file's own columns in place:
-//! nothing is laid out per job or per search.
+//! finished, zeroes the lane's running maximum, and clears the lane in a
+//! mask that the next pass ANDs its `H`/`E` loads with, so the lane's
+//! column reads as zero and is stored back clean without a write of its
+//! own; then it carries on with the same recurrences. The stream's first
+//! pass reads every lane as zero, so nothing zeroes the DP state up
+//! front either. An SQB version-3 file stores its database as such
+//! streams, one per block of 128 records of its length order, so a job
+//! scores the file's own columns in place: nothing is laid out per job
+//! or per search.
 //!
 //! **Four columns per pass.** SWIPE scores several database residues
 //! per pass down the query, and so does this kernel: [`GROUP`] stream
@@ -147,6 +151,8 @@ pub(crate) trait ByteLanes<const L: usize>: Copy {
     /// Lane-wise saturating subtract.
     unsafe fn subs(self, other: Self) -> Self;
     unsafe fn max(self, other: Self) -> Self;
+    /// Lane-wise bitwise AND.
+    unsafe fn and(self, other: Self) -> Self;
     /// `row[idx[l]]` per lane; every lane of `idx` is below 32.
     unsafe fn lookup32(row: &[u8; 32], idx: Self) -> Self;
 }
@@ -184,7 +190,7 @@ fn sse2(
 }
 
 /// The portable lane-array instantiation: plain Rust, autovectorised,
-/// but for its three arithmetic operations on x86-64 (see [`sse2`]).
+/// but for its four lane-wise operations on x86-64 (see [`sse2`]).
 // SAFETY: every method is safe Rust or, on x86-64, SSE2, which every
 // x86-64 CPU has; the trait's contract asks nothing more of these.
 impl ByteLanes<ARRAY_LANES> for [u8; ARRAY_LANES] {
@@ -222,6 +228,13 @@ impl ByteLanes<ARRAY_LANES> for [u8; ARRAY_LANES] {
         std::array::from_fn(|l| self[l].max(other[l]))
     }
     #[inline(always)]
+    unsafe fn and(self, other: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        return sse2(self, other, |a, b| std::arch::x86_64::_mm_and_si128(a, b));
+        #[cfg(not(target_arch = "x86_64"))]
+        std::array::from_fn(|l| self[l] & other[l])
+    }
+    #[inline(always)]
     unsafe fn lookup32(row: &[u8; 32], idx: Self) -> Self {
         std::array::from_fn(|l| row[idx[l] as usize & 31])
     }
@@ -253,10 +266,16 @@ pub(crate) struct Window<'a, const L: usize> {
 }
 
 /// What the kernel carries along the stream besides the DP state: each
-/// lane's running maximum and the subject it holds.
+/// lane's running maximum, the subject it holds, and which lanes keep
+/// their `H`/`E` state into the next group.
 pub(crate) struct Harvest<const L: usize> {
     best: [u8; L],
     holds: [Option<usize>; L],
+    /// All-ones on a lane whose state the next group reads as stored,
+    /// zero on one handed over since then. All clear at the stream's
+    /// start, so its first group, which always holds starts (the first
+    /// subject dealt starts at column 0), reads every row as zero.
+    keep: [u8; L],
 }
 
 impl<const L: usize> Harvest<L> {
@@ -264,28 +283,21 @@ impl<const L: usize> Harvest<L> {
         Harvest {
             best: [0; L],
             holds: [None; L],
+            keep: [0; L],
         }
     }
 
     /// Hand `lane` over to `subject`: record the maximum of the subject
-    /// it held, and clear its maximum and its `H`/`E` column for the next.
+    /// it held, clear its maximum, and mark its `H`/`E` state to be read
+    /// as zero by the next group, which clears it as it passes.
     #[inline]
-    fn start(
-        &mut self,
-        lane: usize,
-        subject: usize,
-        state: &mut [[[u8; L]; 2]],
-        maxima: &mut [u8],
-    ) {
+    fn start(&mut self, lane: usize, subject: usize, maxima: &mut [u8]) {
         if let Some(held) = self.holds[lane] {
             maxima[held] = self.best[lane];
         }
         self.best[lane] = 0;
         self.holds[lane] = Some(subject);
-        for [h, e] in state {
-            h[lane] = 0;
-            e[lane] = 0;
-        }
+        self.keep[lane] = 0;
     }
 
     /// The stream has ended: record what every lane still holds.
@@ -299,18 +311,24 @@ impl<const L: usize> Harvest<L> {
 }
 
 /// One window of a stream: `query` against lanes of `block`'s columns,
-/// scored from `buffers.rows`, from the zeroed DP state and `harvest`.
-/// A start hands its lane over before its column is scored; each
-/// finished subject's maximum `H` goes to `maxima[subject]`, `subject`
-/// the start's position in the stream. Starts of other windows' lanes
-/// are passed over.
+/// scored from `buffers.rows` and `harvest`, whatever the DP state held
+/// on entry. A start hands its lane over before its column is scored;
+/// each finished subject's maximum `H` goes to `maxima[subject]`,
+/// `subject` the start's position in the stream. Starts of other
+/// windows' lanes are passed over.
 ///
 /// The stream is scored [`GROUP`] columns per pass down the query: each
 /// row loads its `H` and `E` once, scores the group's columns in
 /// registers — `E` running along the row, each column's `F` and the
 /// row above's `H` carried down in registers — and stores once. Starts
 /// fall on group boundaries only, so no lane changes hands inside a
-/// pass.
+/// pass. Those two loads are the only reads of the previous group's
+/// state, so a lane is cleared for its new subject there: a pass that
+/// holds starts ANDs them with the harvest's `keep` mask, all-ones but
+/// on the lanes handed over at this group, and every other pass with
+/// all-ones. Whatever the DP state held before, each subject thus
+/// starts from a zero column; a lane that never holds one scores only
+/// pads, whose values no maximum reads.
 ///
 /// # Safety
 /// `V`'s instruction set must be available on the running CPU.
@@ -335,6 +353,7 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
     // SAFETY (every `V` operation below): the caller guarantees `V`'s
     // instruction set; the operations touch only the references passed.
     let zero = V::splat(0);
+    let ones = V::splat(u8::MAX);
     let bias = V::splat(tables.bias);
     let open = V::splat(tables.open);
     let ext = V::splat(tables.ext);
@@ -342,15 +361,18 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
     let mut starts = block.stream.starts.iter().enumerate().peekable();
     let starts_at = |at: usize| move |&(_, start): &(usize, &Start)| start.column as usize == at;
     for (at, group) in (0..).step_by(GROUP).zip(groups) {
+        let mut keep = ones;
         if starts.peek().is_some_and(starts_at(at)) {
             lane_best.store(&mut harvest.best);
             while let Some((subject, start)) = starts.next_if(starts_at(at)) {
                 let lane = (start.lane as usize).wrapping_sub(first_lane);
                 if lane < L {
-                    harvest.start(lane, subject, state, maxima);
+                    harvest.start(lane, subject, maxima);
                 }
             }
             lane_best = V::load(&harvest.best);
+            keep = V::load(&harvest.keep);
+            harvest.keep = [u8::MAX; L];
         }
         debug_assert!(starts
             .peek()
@@ -374,8 +396,8 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
         for (he, &q) in state.iter_mut().zip(query) {
             let [h_slot, e_slot] = he;
             let score = &dprof[q as usize & 31];
-            let left = V::load(h_slot);
-            let mut e = V::load(e_slot);
+            let left = V::load(h_slot).and(keep);
+            let mut e = V::load(e_slot).and(keep);
             let mut h = [zero; GROUP];
             for c in 0..GROUP {
                 let diag = if c == 0 { diag } else { up[c - 1] };
@@ -447,7 +469,6 @@ unsafe fn score_stream<const L: usize>(
         };
         let mut harvest = Harvest::<L>::new();
         let buffers = scratch.interseq::<L>(query.len());
-        buffers.state.fill([[0; L]; 2]);
         *buffers.rows = tables.rows;
         let block = Window { stream, window };
         // SAFETY: the caller guarantees `kernel`'s instruction set.
@@ -516,10 +537,20 @@ mod tests {
         subjects: &[&[u8]],
         scheme: &ScoringScheme,
     ) -> Vec<u8> {
+        maxima_in(&mut Scratch::default(), backend, q, subjects, scheme)
+    }
+
+    /// [`lane_maxima`] in the working memory `scratch`.
+    fn maxima_in(
+        scratch: &mut Scratch,
+        backend: Backend,
+        q: &[u8],
+        subjects: &[&[u8]],
+        scheme: &ScoringScheme,
+    ) -> Vec<u8> {
         let tables = Tables::build(q, scheme).unwrap();
         let stream = Stream::lay_out(subjects.iter().copied());
         let mut maxima = vec![0u8; subjects.len()];
-        let scratch = &mut Scratch::default();
         backend.interseq8(q, &tables, StreamRef::of(&stream), scratch, &mut maxima);
         maxima
     }
@@ -616,6 +647,36 @@ mod tests {
         }
         subjects.sort_by_key(|s| std::cmp::Reverse(s.len()));
         assert_batch_exact(&q, &subjects, &scheme);
+    }
+
+    #[test]
+    fn a_reused_scratch_scores_as_a_fresh_one() {
+        // Nothing zeroes the DP state between calls: 300 W's against
+        // themselves in every lane leave `H`/`E` bytes at the ceiling
+        // in every row, and a shorter query against another stream then
+        // reads those rows first. Its first pass must clear them.
+        let scheme = ScoringScheme::protein_default();
+        let long = prot(&[b'W'; 300]);
+        let q = prot(b"MKWVTFISLLFLFSSAYSRG");
+        let subjects = rotations(&q, 2 * LANES + 5);
+        let refs: Vec<&[u8]> = subjects.iter().map(|s| s.as_slice()).collect();
+        let want: Vec<u8> = refs
+            .iter()
+            .map(|s| gotoh_score(&q, s, &scheme) as u8)
+            .collect();
+        let limit = Tables::build(&long, &scheme).unwrap().limit;
+        for backend in Backend::available() {
+            let scratch = &mut Scratch::default();
+            let saturated = maxima_in(scratch, backend, &long, &[long.as_slice(); LANES], &scheme);
+            assert!(saturated.iter().all(|&m| m >= limit), "{backend}");
+            let reused = maxima_in(scratch, backend, &q, &refs, &scheme);
+            assert_eq!(
+                reused,
+                lane_maxima(backend, &q, &refs, &scheme),
+                "{backend}"
+            );
+            assert_eq!(reused, want, "{backend}");
+        }
     }
 
     #[test]

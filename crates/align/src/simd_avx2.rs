@@ -272,6 +272,10 @@ impl ByteLanes<LANES8W> for __m256i {
     unsafe fn max(self, other: Self) -> Self {
         _mm256_max_epu8(self, other)
     }
+    #[inline(always)]
+    unsafe fn and(self, other: Self) -> Self {
+        _mm256_and_si256(self, other)
+    }
     /// Two `vpshufb`, one per 16-entry half of `row`, each with the
     /// lanes that belong to the other half forced to 0 (index bit 7
     /// set), OR-ed together. The index vectors depend on `idx` alone,

@@ -881,6 +881,64 @@ fn a_run_escalates_exactly_the_pairs_its_jobs_escalate() {
 }
 
 #[test]
+fn a_run_down_long_subjects_hands_its_lanes_over_clean() {
+    // The transposed twin of the kernel's clean-column test, with rows
+    // past L1: subjects of 1 300 and 1 200 residues (81 and 75 KB of
+    // `H`/`E` at 32 lanes) run down a stream of 1–60-residue queries.
+    // Twelve perfect matches of pieces of the first subject are the
+    // longest queries, so each starts at column 0 and hands its lane,
+    // with bytes at or near the limit in every row, to a shorter query
+    // that scores as Gotoh only if the lane starts clean. The last
+    // hundred queries hold 1–4 residues, so lanes change hands in
+    // consecutive groups; one query is empty. The second subject's
+    // column-0 hand-overs read the rows the first one left behind.
+    let sch = ScoringScheme::protein_default();
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut random = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.gen_range(0..20)).collect() };
+    let subjects = vec![random(1300), random(1200)];
+    let mut queries: Vec<Vec<u8>> = (0..12)
+        .map(|k| subjects[0][100 * k..100 * k + 50 + k].to_vec())
+        .collect();
+    queries.extend((0..60).map(|n| random(5 + n % 35)));
+    queries.extend((0..100).map(|n| random(1 + n % 4)));
+    queries.push(vec![]);
+    assert_run_exact(&queries, &subjects, &sch).unwrap();
+
+    let db: Subjects = subjects.iter().map(|s| s.as_slice()).collect();
+    let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+    let want: Vec<Vec<i32>> = refs
+        .iter()
+        .map(|q| {
+            db.order()
+                .iter()
+                .map(|&i| gotoh_score(q, &subjects[i as usize], &sch))
+                .collect()
+        })
+        .collect();
+    assert!(want[..12]
+        .iter()
+        .all(|scores| scores.iter().max() > Some(&200)));
+    for backend in Backend::available() {
+        let mut stats = TierStats::default();
+        let (got, _) = score_run_with(
+            backend,
+            &refs,
+            &db,
+            db.whole(),
+            &sch,
+            None,
+            &mut Scratch::default(),
+            &mut stats,
+        );
+        assert_eq!(got, want, "run on {backend}");
+        assert!(
+            stats.escalated_16 > 0 && stats.byte_resolved > 0,
+            "{backend}: {stats:?}"
+        );
+    }
+}
+
+#[test]
 fn the_run_pick_takes_runs_that_fill_better_than_their_slice() {
     for backend in Backend::available() {
         // Every stream has 32 lanes, whatever the backend reads at once.
