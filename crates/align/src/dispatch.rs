@@ -4,20 +4,21 @@
 //! The ladder, fastest first. The byte tier has two shapes — Farrar's
 //! striped kernel (lanes = query positions) and the inter-sequence
 //! kernel of [`crate::interseq`] (lanes = subjects); [`crate::tiered`]
-//! picks between them by query length:
+//! picks between them per block, by the block's stored fill against
+//! [`Backend::interseq_min_fill`] of the query's length:
 //!
 //! | backend   | ISA        | striped byte     | inter-sequence byte   | word kernel       |
 //! |-----------|------------|------------------|-----------------------|-------------------|
 //! | `avx2`    | x86-64 AVX2| 32 × u8 (256-bit)| 32 subjects × u8      | 16 × i16 (256-bit)|
 //! | `scalar`  | any        | 16 × u8 arrays   | 16 subjects × u8 arrays| 8 × i16 arrays   |
 //!
-//! `scalar` is the autovectorized lane-array code in [`crate::striped`] /
-//! [`crate::striped8`] / [`crate::interseq`] (whose lane arrays add,
-//! subtract and compare with SSE2, the x86-64 baseline, on x86-64) —
-//! always available, and the oracle the property tests pin every other
-//! backend against, and what every host without AVX2 (aarch64
-//! included) runs. Detection runs once
-//! per process ([`Backend::active`], a `OnceLock`); the env var
+//! Both backends run the same kernel bodies, written once over the lane
+//! operations of [`crate::lanes`]: `scalar` instantiates them on
+//! 128-bit lane arrays (SSE2, the x86-64 baseline, on x86-64; plain
+//! Rust elsewhere), `avx2` on `__m256i`. `scalar` is always available,
+//! the oracle the property tests pin every other backend against, and
+//! what every host without AVX2 (aarch64 included) runs. Detection runs
+//! once per process ([`Backend::active`], a `OnceLock`); the env var
 //! `SWDUAL_KERNEL_BACKEND=scalar|avx2` overrides it, which CI uses to
 //! force the fallback path on hosts that would dispatch wide.
 //!
@@ -26,10 +27,11 @@
 //! per-cell arithmetic, and the saturation guards compare the same final
 //! maximum against the same limit.
 
-use crate::profile::StripedProfile;
+use crate::lanes::ARRAY_LANES;
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::AVX2_LANES;
 use crate::scratch::Scratch;
-use crate::striped8::ByteProfile;
-use crate::wide::{ByteProfileW, StripedProfileW};
+use crate::striped::{byte_array, word_array, ByteProfile, StripedProfile};
 use std::sync::OnceLock;
 use swdual_bio::matrix::Matrix;
 use swdual_bio::ScoringScheme;
@@ -104,12 +106,6 @@ impl Backend {
             Backend::resolve(std::env::var("SWDUAL_KERNEL_BACKEND").ok().as_deref())
         })
     }
-
-    /// Does this backend score through the wide (256-bit) profile
-    /// layouts instead of the narrow 128-bit ones?
-    pub fn wants_wide_profiles(self) -> bool {
-        matches!(self, Backend::Avx2)
-    }
 }
 
 impl std::fmt::Display for Backend {
@@ -118,35 +114,37 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// The profile bundle one backend scores a query with: the narrow
-/// layouts always (they are the 16-bit/byte inputs of the scalar
-/// backend *and* the escalation oracle), the wide layouts
-/// only when the backend consumes them. `byte` layouts are `None` when
-/// the matrix cannot be biased into a byte — every subject then starts
-/// at the 16-bit tier.
+/// The striped profiles one backend scores a query with: the 16-bit
+/// layout and, when the matrix can be biased into a byte, the byte
+/// layout, each in the lane width of that backend's kernels. Without a
+/// byte layout every subject starts at the 16-bit tier.
 ///
-/// Non-exhaustive so that only [`QueryProfiles::build_for`] constructs
-/// a bundle: its availability check is what `score8`/`score16` rely on.
+/// Only [`QueryProfiles::build_for`] makes one: its availability check
+/// is what `score8`/`score16` rely on.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct QueryProfiles {
-    /// Backend these profiles were built for.
-    pub backend: Backend,
     /// The query itself (the scalar-fallback tier and cache-key
     /// verification both need the original residues).
-    pub query: Vec<u8>,
-    /// Narrow 8-lane 16-bit striped profile.
-    pub striped: StripedProfile,
-    /// Narrow 16-lane biased byte profile.
-    pub byte: Option<ByteProfile>,
-    /// Wide 16-lane 16-bit profile (AVX2 backends only).
-    pub wide16: Option<StripedProfileW>,
-    /// Wide 32-lane byte profile (AVX2 backends only).
-    pub wide8: Option<ByteProfileW>,
+    query: Vec<u8>,
+    layouts: Layouts,
+}
+
+/// One backend's profile layouts.
+#[derive(Debug, Clone)]
+enum Layouts {
+    #[cfg(target_arch = "x86_64")]
+    Avx2 {
+        word: StripedProfile<i16, { AVX2_LANES / 2 }>,
+        byte: Option<ByteProfile<AVX2_LANES>>,
+    },
+    Arrays {
+        word: StripedProfile<i16, { ARRAY_LANES / 2 }>,
+        byte: Option<ByteProfile<ARRAY_LANES>>,
+    },
 }
 
 impl QueryProfiles {
-    /// Build every layout the active backend needs.
+    /// Build the layouts the active backend needs.
     pub fn build(query: &[u8], matrix: &Matrix) -> QueryProfiles {
         QueryProfiles::build_for(Backend::active(), query, matrix)
     }
@@ -154,34 +152,30 @@ impl QueryProfiles {
     /// Build for an explicit backend (tests and benches iterate these).
     ///
     /// # Panics
-    /// When `backend` is not available on this host: the bundle's
-    /// `backend` tag is what licenses the ISA-specific kernels.
+    /// When `backend` is not available on this host: the layouts built
+    /// for it are what license the ISA-specific kernels.
     pub fn build_for(backend: Backend, query: &[u8], matrix: &Matrix) -> QueryProfiles {
         assert!(backend.is_available(), "backend {backend} is not available");
-        let (wide16, wide8) = if backend.wants_wide_profiles() {
-            (
-                Some(StripedProfileW::build(query, matrix)),
-                ByteProfileW::build(query, matrix),
-            )
-        } else {
-            (None, None)
+        let layouts = match backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => Layouts::Avx2 {
+                word: StripedProfile::word(query, matrix),
+                byte: ByteProfile::build(query, matrix),
+            },
+            _ => Layouts::Arrays {
+                word: StripedProfile::word(query, matrix),
+                byte: ByteProfile::build(query, matrix),
+            },
         };
         QueryProfiles {
-            backend,
             query: query.to_vec(),
-            striped: StripedProfile::build(query, matrix),
-            byte: ByteProfile::build(query, matrix),
-            wide16,
-            wide8,
+            layouts,
         }
     }
 
-    /// Approximate heap footprint in bytes (cache accounting).
-    pub fn approx_bytes(&self) -> usize {
-        let per_pos = 2 * self.striped.alphabet_size; // i16 per residue row
-        let narrow = self.striped.query_len.max(1) * per_pos * 2; // 16-bit + byte
-        let wide = if self.wide16.is_some() { narrow } else { 0 };
-        self.query.len() + narrow + wide
+    /// The query these profiles were built from.
+    pub fn query(&self) -> &[u8] {
+        &self.query
     }
 
     /// Striped byte-tier score via this bundle's backend. `None` = the
@@ -194,18 +188,17 @@ impl QueryProfiles {
         scheme: &ScoringScheme,
         scratch: &mut Scratch,
     ) -> Option<i32> {
-        match self.backend {
+        match &self.layouts {
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => {
-                let p = self.wide8.as_ref()?;
+            Layouts::Avx2 { byte, .. } => {
+                let byte = byte.as_ref()?;
                 let rows = &mut scratch.rows_avx2;
-                // SAFETY: `build_for` refuses a backend that is not
-                // available, so an `Avx2` bundle means AVX2 was detected.
-                unsafe { crate::simd_avx2::striped8_score_profile_avx2(p, subject, scheme, rows) }
+                // SAFETY: `build_for` builds AVX2 layouts only once AVX2
+                // was detected.
+                unsafe { crate::simd_avx2::byte_avx2(byte, subject, scheme, rows) }
             }
-            _ => {
-                let p = self.byte.as_ref()?;
-                crate::striped8::striped8_score_profile(p, subject, scheme, &mut scratch.rows8)
+            Layouts::Arrays { byte, .. } => {
+                byte_array(byte.as_ref()?, subject, scheme, &mut scratch.rows8)
             }
         }
     }
@@ -219,21 +212,14 @@ impl QueryProfiles {
         scheme: &ScoringScheme,
         scratch: &mut Scratch,
     ) -> Option<i32> {
-        match self.backend {
+        match &self.layouts {
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => {
-                let p = self.wide16.as_ref()?;
+            Layouts::Avx2 { word, .. } => {
                 let rows = &mut scratch.rows_avx2;
-                // SAFETY: `build_for` refuses a backend that is not
-                // available, so an `Avx2` bundle means AVX2 was detected.
-                unsafe { crate::simd_avx2::striped_score_profile_avx2(p, subject, scheme, rows) }
+                // SAFETY: as in `score8`.
+                unsafe { crate::simd_avx2::word_avx2(word, subject, scheme, rows) }
             }
-            _ => crate::striped::striped_score_profile(
-                &self.striped,
-                subject,
-                scheme,
-                &mut scratch.rows16,
-            ),
+            Layouts::Arrays { word, .. } => word_array(word, subject, scheme, &mut scratch.rows16),
         }
     }
 }
@@ -303,15 +289,18 @@ mod tests {
 
     #[test]
     fn wide_profiles_only_built_when_wanted() {
+        // Each backend builds its own layouts and no other's.
         let scheme = ScoringScheme::protein_default();
         let q = prot(b"MKVLAT");
         let scalar = QueryProfiles::build_for(Backend::Scalar, &q, &scheme.matrix);
-        assert!(scalar.wide16.is_none() && scalar.wide8.is_none());
-        assert!(scalar.byte.is_some());
-        assert!(scalar.approx_bytes() > 0);
+        assert!(matches!(
+            scalar.layouts,
+            Layouts::Arrays { byte: Some(_), .. }
+        ));
+        #[cfg(target_arch = "x86_64")]
         if Backend::Avx2.is_available() {
             let wide = QueryProfiles::build_for(Backend::Avx2, &q, &scheme.matrix);
-            assert!(wide.wide16.is_some() && wide.wide8.is_some());
+            assert!(matches!(wide.layouts, Layouts::Avx2 { byte: Some(_), .. }));
         }
     }
 

@@ -62,7 +62,7 @@
 //!
 //! **Same escalations as the striped byte kernel.** Arithmetic is the
 //! striped kernel's: unsigned, biased, saturating, with the same `bias`
-//! and the same guard `limit` ([`crate::striped8::byte_range`]). An add
+//! and the same guard `limit` ([`crate::striped::byte_range`]). An add
 //! can only saturate when its `H` input is already ≥ `limit`, so while
 //! every cell is below `limit` both kernels compute exact values, and
 //! the first cell to reach it is computed exactly by both. A subject's
@@ -76,8 +76,9 @@
 //! runs) 16.
 
 use crate::dispatch::Backend;
+use crate::lanes::{ByteLanes, ARRAY_LANES, AVX2_LANES};
 use crate::scratch::{InterseqBuffers, Scratch};
-use crate::striped8::byte_range;
+use crate::striped::byte_range;
 use swdual_bio::lanes::{Start, GROUP, LANES, PAD};
 use swdual_bio::ScoringScheme;
 
@@ -133,110 +134,6 @@ impl Tables {
             open: scheme.gap_first().min(255) as u8,
             ext: scheme.gap_extend.min(255) as u8,
         })
-    }
-}
-
-/// The vector operations the kernel body is written over: `L` unsigned
-/// byte lanes.
-///
-/// # Safety
-/// Every method requires the implementing backend's instruction set on
-/// the running CPU.
-pub(crate) trait ByteLanes<const L: usize>: Copy {
-    unsafe fn splat(x: u8) -> Self;
-    unsafe fn load(src: &[u8; L]) -> Self;
-    unsafe fn store(self, dst: &mut [u8; L]);
-    /// Lane-wise saturating add.
-    unsafe fn adds(self, other: Self) -> Self;
-    /// Lane-wise saturating subtract.
-    unsafe fn subs(self, other: Self) -> Self;
-    unsafe fn max(self, other: Self) -> Self;
-    /// Lane-wise bitwise AND.
-    unsafe fn and(self, other: Self) -> Self;
-    /// `row[idx[l]]` per lane; every lane of `idx` is below 32.
-    unsafe fn lookup32(row: &[u8; 32], idx: Self) -> Self;
-}
-
-/// Lanes of the lane-array instantiation.
-pub(crate) const ARRAY_LANES: usize = 16;
-
-#[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::__m128i;
-
-/// `op` on two lane arrays as the SSE2 vectors they are the size of.
-///
-/// Written over arrays, the four-column body's dozen loop-carried lane
-/// vectors are split into single bytes and only partly put back
-/// together, which ran the lane arrays 3.3× slower at 500 residues.
-/// SSE2 is part of the x86-64 baseline, so every x86-64 host has it.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn sse2(
-    a: [u8; ARRAY_LANES],
-    b: [u8; ARRAY_LANES],
-    op: impl Fn(__m128i, __m128i) -> __m128i,
-) -> [u8; ARRAY_LANES] {
-    use std::mem::transmute;
-    type Lanes = [u8; ARRAY_LANES];
-    // SAFETY: `[u8; 16]` and `__m128i` are both 16 plain bytes, and any
-    // 16 bytes are a valid value of either.
-    unsafe {
-        let (a, b) = (
-            transmute::<Lanes, __m128i>(a),
-            transmute::<Lanes, __m128i>(b),
-        );
-        transmute::<__m128i, Lanes>(op(a, b))
-    }
-}
-
-/// The portable lane-array instantiation: plain Rust, autovectorised,
-/// but for its four lane-wise operations on x86-64 (see [`sse2`]).
-// SAFETY: every method is safe Rust or, on x86-64, SSE2, which every
-// x86-64 CPU has; the trait's contract asks nothing more of these.
-impl ByteLanes<ARRAY_LANES> for [u8; ARRAY_LANES] {
-    #[inline(always)]
-    unsafe fn splat(x: u8) -> Self {
-        [x; ARRAY_LANES]
-    }
-    #[inline(always)]
-    unsafe fn load(src: &[u8; ARRAY_LANES]) -> Self {
-        *src
-    }
-    #[inline(always)]
-    unsafe fn store(self, dst: &mut [u8; ARRAY_LANES]) {
-        *dst = self;
-    }
-    #[inline(always)]
-    unsafe fn adds(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        return sse2(self, other, |a, b| std::arch::x86_64::_mm_adds_epu8(a, b));
-        #[cfg(not(target_arch = "x86_64"))]
-        std::array::from_fn(|l| self[l].saturating_add(other[l]))
-    }
-    #[inline(always)]
-    unsafe fn subs(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        return sse2(self, other, |a, b| std::arch::x86_64::_mm_subs_epu8(a, b));
-        #[cfg(not(target_arch = "x86_64"))]
-        std::array::from_fn(|l| self[l].saturating_sub(other[l]))
-    }
-    #[inline(always)]
-    unsafe fn max(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        return sse2(self, other, |a, b| std::arch::x86_64::_mm_max_epu8(a, b));
-        #[cfg(not(target_arch = "x86_64"))]
-        std::array::from_fn(|l| self[l].max(other[l]))
-    }
-    #[inline(always)]
-    unsafe fn and(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        return sse2(self, other, |a, b| std::arch::x86_64::_mm_and_si128(a, b));
-        #[cfg(not(target_arch = "x86_64"))]
-        std::array::from_fn(|l| self[l] & other[l])
-    }
-    #[inline(always)]
-    unsafe fn lookup32(row: &[u8; 32], idx: Self) -> Self {
-        std::array::from_fn(|l| row[idx[l] as usize & 31])
     }
 }
 
@@ -430,8 +327,8 @@ fn refill_array(
     harvest: &mut Harvest<ARRAY_LANES>,
     maxima: &mut [u8],
 ) {
-    // SAFETY: the lane-array operations are plain Rust; they need no
-    // instruction set.
+    // SAFETY: the lane arrays need no instruction set beyond the
+    // target's baseline.
     unsafe {
         refill_body::<[u8; ARRAY_LANES], ARRAY_LANES>(
             query, tables, block, buffers, harvest, maxima,
@@ -482,7 +379,7 @@ impl Backend {
     /// host.
     pub fn interseq_lanes(self) -> usize {
         match self {
-            Backend::Avx2 if self.is_available() => crate::wide::LANES8W,
+            Backend::Avx2 if self.is_available() => AVX2_LANES,
             _ => ARRAY_LANES,
         }
     }
@@ -510,7 +407,7 @@ impl Backend {
             }
             // Every other host runs the lane arrays.
             _ => {
-                // SAFETY: the lane arrays need no instruction set.
+                // SAFETY: as in `refill_array`.
                 unsafe { score_stream(refill_array, query, tables, stream, scratch, maxima) }
             }
         }
@@ -690,7 +587,7 @@ mod tests {
         let scheme = ScoringScheme::protein_default();
         let w = prot(&[b'W'; 60]);
         let tables = Tables::build(&w, &scheme).unwrap();
-        assert_eq!(tables.limit, 240); // 255 − (11 + 4), as striped8
+        assert_eq!(tables.limit, 240); // 255 − (11 + 4), as the striped byte kernel
         let subjects: [&[u8]; 4] = [&w, &w[..21], &w[..22], &prot(b"MKV")];
         for backend in Backend::available() {
             let got = lane_maxima(backend, &w, &subjects, &scheme);

@@ -102,7 +102,7 @@ impl ProfileCache {
             if let Some(i) = entries.iter().position(|e| {
                 e.fingerprint == fp
                     && e.backend == backend
-                    && e.profiles.query == query
+                    && e.profiles.query() == query
                     && e.matrix == *matrix
             }) {
                 // Move to MRU position.
@@ -248,7 +248,7 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 let q = q.clone();
                 let m = scheme.matrix.clone();
-                std::thread::spawn(move || cache.get_or_build(&q, &m).query.len())
+                std::thread::spawn(move || cache.get_or_build(&q, &m).query().len())
             })
             .collect();
         for h in handles {

@@ -7,8 +7,7 @@
 //! call, so no kernel allocates per subject and the buffers stay warm
 //! in cache across blocks and jobs.
 
-use crate::profile::LANES;
-use crate::striped8::LANES8;
+use crate::lanes::ARRAY_LANES;
 use swdual_bio::lanes::GROUP;
 
 /// Cache-line size the byte buffers are aligned to, so a vector load
@@ -28,9 +27,9 @@ pub struct Scratch {
     /// `H` and `E` per query position, then the score rows.
     state: Vec<u8>,
     /// Striped rows of the lane-array byte kernel.
-    pub(crate) rows8: Vec<[u8; LANES8]>,
+    pub(crate) rows8: Vec<[u8; ARRAY_LANES]>,
     /// Striped rows of the lane-array 16-bit kernel.
-    pub(crate) rows16: Vec<[i16; LANES]>,
+    pub(crate) rows16: Vec<[i16; ARRAY_LANES / 2]>,
     /// Striped rows of both AVX2 kernels.
     #[cfg(target_arch = "x86_64")]
     pub(crate) rows_avx2: Vec<std::arch::x86_64::__m256i>,

@@ -45,7 +45,7 @@ use crate::interseq::{StreamRef, Tables};
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
-use crate::striped8::byte_range;
+use crate::striped::byte_range;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -109,7 +109,7 @@ fn escalate(
         return score;
     }
     stats.escalated_scalar += 1;
-    gotoh_score(&profiles.query, subject, scheme)
+    gotoh_score(profiles.query(), subject, scheme)
 }
 
 /// A database as the search scores it: its records in length order
@@ -437,8 +437,9 @@ impl Backend {
     /// four columns per pass, a filled stream runs ahead of the striped
     /// kernel up to 5000 residues (EXPERIMENTS.md, "Inter-sequence at
     /// every length"; the `sweep` section of `BENCH_kernels.json` checks
-    /// the pick against both forced shapes at every point). The
-    /// lane-array kernels break even at 0.45 whatever the query.
+    /// the pick against both forced shapes at every point). The lane
+    /// arrays take a flat 0.45, which their sweep no longer supports:
+    /// it puts striped ahead on the small database at every length.
     pub fn interseq_min_fill(self, query_len: usize) -> f64 {
         match self {
             Backend::Avx2 => {
@@ -839,7 +840,7 @@ mod tests {
         let scheme = ScoringScheme::new(m, 10, 2);
         let q: Vec<u8> = vec![0, 1, 2, 3, 0, 1, 2, 3];
         let p = QueryProfiles::build(&q, &scheme.matrix);
-        assert!(p.byte.is_none());
+        assert_eq!(p.score8(&q, &scheme, &mut Scratch::default()), None);
         let mut stats = TierStats::default();
         let got = tiered_score(&p, &q, &scheme, &mut Scratch::default(), &mut stats);
         assert_eq!(got, gotoh_score(&q, &q, &scheme));

@@ -7,7 +7,6 @@ use std::ops::Range;
 use swdual_align::dispatch::{Backend, QueryProfiles};
 use swdual_align::engine::EngineKind;
 use swdual_align::scalar::{gotoh_score, sw_linear_score};
-use swdual_align::striped::striped_score_exact;
 use swdual_align::tiered::{
     score_database_with, score_run_with, tiered_score, transposes, ByteShape, Subjects, TierStats,
 };
@@ -48,17 +47,49 @@ fn adversarial_scheme() -> impl Strategy<Value = ScoringScheme> {
     })
 }
 
+/// The 16-bit tier, and the scalar kernel where it saturates, score
+/// Gotoh on every backend.
+fn assert_word_ladder(
+    q: &[u8],
+    s: &[u8],
+    sch: &ScoringScheme,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let want = gotoh_score(q, s, sch);
+    for backend in Backend::available() {
+        let p = QueryProfiles::build_for(backend, q, &sch.matrix);
+        let got = p.score16(s, sch, &mut Scratch::default());
+        prop_assert_eq!(got.unwrap_or(want), want, "backend {}", backend);
+    }
+    Ok(())
+}
+
+/// The whole ladder from the byte tier up scores Gotoh on every backend.
+fn assert_tier_ladder(
+    q: &[u8],
+    s: &[u8],
+    sch: &ScoringScheme,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let want = gotoh_score(q, s, sch);
+    for backend in Backend::available() {
+        let p = QueryProfiles::build_for(backend, q, &sch.matrix);
+        let stats = &mut TierStats::default();
+        let got = tiered_score(&p, s, sch, &mut Scratch::default(), stats);
+        prop_assert_eq!(got, want, "backend {}", backend);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn striped_agrees_with_scalar(q in residues(120), s in residues(160), sch in scheme()) {
-        prop_assert_eq!(striped_score_exact(&q, &s, &sch), gotoh_score(&q, &s, &sch));
+        assert_word_ladder(&q, &s, &sch)?;
     }
 
     #[test]
     fn striped_agrees_on_blosum(q in residues(120), s in residues(160), sch in blosum_scheme()) {
-        prop_assert_eq!(striped_score_exact(&q, &s, &sch), gotoh_score(&q, &s, &sch));
+        assert_word_ladder(&q, &s, &sch)?;
     }
 
     #[test]
@@ -102,18 +133,12 @@ proptest! {
         s in residues(140),
         sch in scheme(),
     ) {
-        prop_assert_eq!(
-            swdual_align::striped8::striped8_score_exact(&q, &s, &sch),
-            gotoh_score(&q, &s, &sch)
-        );
+        assert_tier_ladder(&q, &s, &sch)?;
     }
 
     #[test]
     fn byte_kernel_on_blosum(q in residues(100), s in residues(140), sch in blosum_scheme()) {
-        prop_assert_eq!(
-            swdual_align::striped8::striped8_score_exact(&q, &s, &sch),
-            gotoh_score(&q, &s, &sch)
-        );
+        assert_tier_ladder(&q, &s, &sch)?;
     }
 
     #[test]
