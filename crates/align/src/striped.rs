@@ -624,11 +624,17 @@ mod tests {
         let scheme = ScoringScheme::new(m, 1, 1);
         let q = pseudo_random(30, 3);
         assert!(ByteProfile::<ARRAY_LANES>::build(&q, &scheme.matrix).is_none());
-        assert!(ByteProfile::<{ 2 * ARRAY_LANES }>::build(&q, &scheme.matrix).is_none());
         // The exact pipeline still answers via the 16-bit/scalar path.
         let s = pseudo_random(30, 4);
         assert_eq!(byte(&q, &s, &scheme), None);
         assert_eq!(exact(&q, &s, &scheme), gotoh_score(&q, &s, &scheme));
+    }
+
+    #[test]
+    fn wide8_rejects_unbiasable_matrices() {
+        // The 32-lane byte profile refuses what the 16-lane one refuses.
+        let m = Matrix::match_mismatch(Alphabet::Protein, 1, -500);
+        assert!(ByteProfile::<32>::build(&prot(b"MKV"), &m).is_none());
     }
 
     #[test]
@@ -710,12 +716,88 @@ mod tests {
 
     #[test]
     fn striped_layout_interleaves_positions() {
-        // 21 positions: 3, 2, 2 and 1 segments at 8, 16, 16 and 32 lanes.
+        // 10 positions at 8 lanes: 2 segments, lane l of vector v holds
+        // position v + 2l. 21 positions: 3, 2, 2 and 1 segments at 8,
+        // 16, 16 and 32 lanes.
+        let m = Matrix::blosum62();
+        let q = prot(b"MKVLATGGAR");
+        let p = StripedProfile::<i16, 8>::word(&q, m);
+        assert_eq!(p.segments, 2);
+        assert_striped(&p, &q, m, NEG, |s| s as i16);
         assert_layouts(&prot(b"MKVLATGGARNDCEQWYHPST"));
-        assert_eq!(
-            StripedProfile::<i16, 8>::word(&prot(b"MKVLATGGAR"), Matrix::blosum62()).segments,
-            2
-        );
+    }
+
+    #[test]
+    fn position_mapping_is_bijective_over_valid_cells() {
+        // Twenty distinct residues under a match/mismatch matrix: row `r`
+        // holds the match score in exactly the lanes whose position is
+        // residue `r`, so each position must sit in one lane of one vector.
+        let m = Matrix::match_mismatch(Alphabet::Protein, 5, -1);
+        let q = prot(b"ARNDCQEGHILKMFPSTWYV");
+        fn matches<T: Copy + PartialEq, const L: usize>(
+            p: &StripedProfile<T, L>,
+            r: u8,
+            hit: T,
+        ) -> usize {
+            p.row(r)
+                .iter()
+                .flatten()
+                .filter(|&&lane| lane == hit)
+                .count()
+        }
+        let word8 = StripedProfile::<i16, 8>::word(&q, &m);
+        let word16 = StripedProfile::<i16, 16>::word(&q, &m);
+        let byte16 = ByteProfile::<16>::build(&q, &m).unwrap();
+        let byte32 = ByteProfile::<32>::build(&q, &m).unwrap();
+        let hit = (5 + byte16.bias as i32) as u8;
+        assert_eq!(hit, (5 + byte32.bias as i32) as u8);
+        for r in 0..m.size() as u8 {
+            let want = usize::from(q.contains(&r));
+            assert_eq!(matches(&word8, r, 5), want, "residue {r} at 8 lanes");
+            assert_eq!(matches(&word16, r, 5), want, "residue {r} at 16 lanes");
+            assert_eq!(
+                matches(&byte16.profile, r, hit),
+                want,
+                "residue {r}, 16 bytes"
+            );
+            assert_eq!(
+                matches(&byte32.profile, r, hit),
+                want,
+                "residue {r}, 32 bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn wide16_layout_interleaves_positions() {
+        // 21 positions at 16 lanes: 2 segments; at 32 byte lanes: 1.
+        let m = Matrix::blosum62();
+        let q = prot(b"MKVLATGGARNDCEQWYHPST");
+        let word = StripedProfile::<i16, 16>::word(&q, m);
+        assert_eq!(word.segments, 2);
+        assert_striped(&word, &q, m, NEG, |s| s as i16);
+        let byte = ByteProfile::<32>::build(&q, m).unwrap();
+        assert_eq!(byte.profile.segments, 1);
+        let bias = byte.bias as i32;
+        assert_striped(&byte.profile, &q, m, 0, |s| (s + bias) as u8);
+    }
+
+    #[test]
+    fn wide8_bias_matches_narrow_rules() {
+        let m = Matrix::blosum62();
+        let q = prot(b"MKVLATGG");
+        let wide = ByteProfile::<32>::build(&q, m).expect("BLOSUM62 biases into a byte");
+        let narrow = ByteProfile::<16>::build(&q, m).unwrap();
+        assert_eq!((wide.bias, wide.limit), (narrow.bias, narrow.limit));
+        assert_eq!((wide.bias, wide.limit), byte_range(m).unwrap());
+        assert_eq!(wide.profile.segments, 1);
+        // Lane 0 of each row: position 0's biased score.
+        for r in 0..m.size() as u8 {
+            assert_eq!(
+                wide.profile.row(r)[0][0],
+                (m.score(q[0], r) + wide.bias as i32) as u8
+            );
+        }
     }
 
     #[test]
