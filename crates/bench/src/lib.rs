@@ -8,6 +8,8 @@
 //! * [`ledger`] — the timing loop and `BENCH_*.json` / trend-ledger
 //!   writers shared by the benches under `benches/`.
 
+#![forbid(unsafe_code)]
+
 pub mod ledger;
 pub mod paper;
 pub mod tables;

@@ -21,6 +21,8 @@
 //! consumes sequences already *encoded* as small integers so that
 //! substitution-matrix lookups are simple array indexing in the hot loops.
 
+#![forbid(unsafe_code)]
+
 pub mod alphabet;
 pub mod error;
 pub mod fasta;

@@ -4,6 +4,8 @@
 //! [`SUBCOMMANDS`] is the one list of subcommands and of what each
 //! accepts; `swdual help` prints it.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::process::ExitCode;
 use swdual_bio::karlin;

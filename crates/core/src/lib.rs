@@ -38,6 +38,8 @@
 //! assert!(report.modelled_gcups() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod live;
 pub mod progress;

@@ -228,15 +228,14 @@ impl SearchReport {
 
     /// Render the hit lists like a classic search tool report.
     pub fn render_hits(&self, per_query: usize) -> String {
+        use std::fmt::Write;
         let mut out = String::new();
         for qh in &self.outcome.hits {
-            out.push_str(&format!("Query {}:\n", self.query_ids[qh.query_index]));
+            // Writing to a `String` cannot fail.
+            let _ = writeln!(out, "Query {}:", self.query_ids[qh.query_index]);
             for hit in qh.hits.iter().take(per_query) {
-                out.push_str(&format!(
-                    "  {:>8}  score {}\n",
-                    self.database_id(hit.db_index),
-                    hit.score
-                ));
+                let id = self.database_id(hit.db_index);
+                let _ = writeln!(out, "  {id:>8}  score {}", hit.score);
             }
         }
         out
@@ -280,11 +279,22 @@ mod tests {
 
     #[test]
     fn render_hits_names_queries_and_subjects() {
+        // The bytes of a fixed report, pinned.
         let r = report();
-        let text = r.render_hits(3);
-        assert!(text.contains("Query query_0:"));
-        assert!(text.contains("score"));
-        assert!(text.contains("db_"));
+        let three = "\
+Query query_0:
+      db_1  score 189
+      db_2  score 24
+      db_3  score 22
+Query query_1:
+     db_10  score 186
+      db_9  score 34
+      db_7  score 25
+";
+        assert_eq!(r.render_hits(3), three);
+        let one = "Query query_0:\n      db_1  score 189\nQuery query_1:\n     db_10  score 186\n";
+        assert_eq!(r.render_hits(1), one);
+        assert_eq!(r.render_hits(0), "Query query_0:\nQuery query_1:\n");
     }
 
     #[test]

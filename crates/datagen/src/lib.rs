@@ -15,6 +15,8 @@
 //! from database sequences with point substitutions and indels — the
 //! paper likewise took its queries from the database.
 
+#![forbid(unsafe_code)]
+
 pub mod generator;
 pub mod queries;
 

@@ -24,6 +24,8 @@
 //! * [`device`] — the simulated device: upload databases, launch
 //!   batched SW kernels, read the virtual clock and counters.
 
+#![forbid(unsafe_code)]
+
 pub mod chunked;
 pub mod device;
 pub mod memory;

@@ -27,6 +27,8 @@
 //! (Perfetto) JSON timeline that overlays the planned schedule against
 //! actual per-worker execution.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod diff;
 pub mod event;

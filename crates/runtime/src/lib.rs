@@ -26,6 +26,8 @@
 //! speed. The modelled clock is what corresponds to the paper's tables;
 //! the wall clock is what proves the machinery actually works.
 
+#![forbid(unsafe_code)]
+
 //!
 //! Faults are first-class: a [`FaultPlan`] injects deterministic worker
 //! crashes, GPU device failures and straggler slowdowns; the master

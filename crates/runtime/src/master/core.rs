@@ -20,10 +20,13 @@
 //! queued tasks right behind it that the run pick takes
 //! ([`Backend::run_length`]): tasks on the same slice whose queries,
 //! laid out as one stream, fill its lanes better than the slice's own
-//! subjects do. The worker scores such a run transposed and answers
-//! each task on its own, so to everything but the window a run is its
-//! tasks. A death orphans at most one run, and the in-flight run's
-//! deadline prices its tasks' summed estimate and cells.
+//! subjects do. The worker scores such a run transposed and answers it
+//! in one message carrying each task's result; the core settles each
+//! task on its own, then revisits the plan, feeds the worker and
+//! restarts its deadline once for the message. To everything but the
+//! window and that message a run is its tasks. A death orphans at most
+//! one run, and the in-flight run's deadline prices its tasks' summed
+//! estimate and cells.
 //!
 //! Work lending: whenever a live worker has nothing queued, nothing in
 //! flight and no loan outstanding, the core lends it the last unlent
@@ -77,8 +80,9 @@ const MAX_REOPT_FACTOR: f64 = 32.0;
 
 /// What the shell feeds the core.
 pub(super) enum Input {
-    /// A worker finished a task.
-    Completed(JobResult),
+    /// A worker finished the tasks of a run (all of them, or those
+    /// before the one it died on), in run order.
+    Completed(Vec<JobResult>),
     /// A worker announced its own death.
     Failed(WorkerFailure),
     /// A [`Action::Dispatch`] could not be delivered: the receiving
@@ -332,14 +336,42 @@ impl MasterState {
         (self.results, self.help_wall)
     }
 
+    /// Settle the answered tasks of one of `w`'s runs, each on its own,
+    /// then — once for the message — revisit the plan, feed the worker
+    /// its next run and restart its deadline.
     fn on_completed(
         &mut self,
-        r: JobResult,
+        results: Vec<JobResult>,
         now: f64,
         out: &mut Vec<Action>,
     ) -> Result<(), SearchError> {
+        let Some(w) = results.first().map(|r| r.worker_id) else {
+            return Ok(());
+        };
+        let answered = |t: &usize| results.iter().any(|r| r.task_id == *t);
+        self.in_flight[w].retain(|t| !answered(t));
+        for r in results {
+            self.settle(r);
+        }
+        if self.shared_queue {
+            return Ok(());
+        }
+        self.replan_on_skew(now, out)?;
+        self.feed(w, out);
+        if self.alive[w] {
+            self.deadline[w] = if self.in_flight[w].is_empty() {
+                f64::INFINITY
+            } else {
+                now + self.timeout(w)
+            };
+        }
+        Ok(())
+    }
+
+    /// Settle one answered task: advance its worker's modelled clock,
+    /// calibrate, and merge its hits unless another answer came first.
+    fn settle(&mut self, r: JobResult) {
         let (w, t) = (r.worker_id, r.task_id);
-        self.in_flight[w].retain(|&held| held != t);
         self.virt_done[w] += r.modelled_seconds.max(0.0);
         // Calibrate against the *estimator's* modelled time for this
         // task — the quantity deadlines are computed from. (The
@@ -371,19 +403,6 @@ impl MasterState {
             self.done[t] = true;
             self.results.push(r);
         }
-        if self.shared_queue {
-            return Ok(());
-        }
-        self.replan_on_skew(now, out)?;
-        self.feed(w, out);
-        if self.alive[w] {
-            self.deadline[w] = if self.in_flight[w].is_empty() {
-                f64::INFINITY
-            } else {
-                now + self.timeout(w)
-            };
-        }
-        Ok(())
     }
 
     /// Worker `w` is gone for `reason`: declare it dead and re-plan what

@@ -15,9 +15,10 @@
 //! model it declares, a device at the timing model of the sim's
 //! [`device`], whose kernel time is linear in the residues it covers;
 //! any record boundary may cut the database. A worker's core executes
-//! an order at once, and each answer reaches the master after the
-//! virtual wall time its modelled seconds take (`WALL_PER_MODELLED`),
-//! a straggler's delay included. Tasks may be offered to runs
+//! an order at once, and its answer — one message per run, as the
+//! thread shell sends it — reaches the master after the virtual wall
+//! time the run's modelled seconds take (`WALL_PER_MODELLED`), a
+//! straggler's delay included. Tasks may be offered to runs
 //! ([`Sim::with_runs`]). Every loan the core makes is checked and, with
 //! [`Sim::answering`], reaches its helper's core at a random virtual
 //! time drawn from a stream of its own: the helper scores the task into
@@ -673,9 +674,9 @@ impl Sim {
         assert!(head.joins.unwrap().slice_fill < 1.0);
     }
 
-    /// Worker `w`'s core executes `order` at once. Each answer reaches
-    /// the master after the straggler's delay, the virtual wall time of
-    /// the modelled seconds answered before it and its own, and a random
+    /// Worker `w`'s core executes `order` at once. Its answer reaches
+    /// the master at the run's end — after the straggler's delay and the
+    /// virtual wall time of the run's modelled seconds — plus a random
     /// latency; a core that dies leaves its thread gone.
     fn hand(&mut self, w: usize, order: Order) {
         let core = self.cores[w].as_mut().expect("a registered worker");
@@ -685,18 +686,24 @@ impl Sim {
             self.gone[w] = true;
         }
         let latency = self.rng.unit_f64() * 2e-4;
-        for answer in answers {
+        // One channel: the master reads a worker's answers in the order
+        // they were sent, even at one virtual time.
+        let mut ties: Vec<u64> = answers.iter().map(|_| self.rng.next_u64()).collect();
+        ties.sort_unstable();
+        for (answer, tie) in answers.into_iter().zip(ties) {
             let msg = match answer {
-                WorkerMsg::Completed(mut r) => {
-                    r.wall_seconds = r.modelled_seconds * WALL_PER_MODELLED;
-                    at += r.wall_seconds;
-                    self.busy[w].push(r.task_id);
-                    Input::Completed(r)
+                WorkerMsg::Completed(mut results) => {
+                    assert!(!results.is_empty(), "an empty answer");
+                    for r in &mut results {
+                        r.wall_seconds = r.modelled_seconds * WALL_PER_MODELLED;
+                        at += r.wall_seconds;
+                        self.busy[w].push(r.task_id);
+                    }
+                    Input::Completed(results)
                 }
                 WorkerMsg::Failed(f) => Input::Failed(f),
-                WorkerMsg::Helped { .. } => unreachable!("a run is answered per task"),
+                WorkerMsg::Helped { .. } => unreachable!("a run is answered by its results"),
             };
-            let tie = self.rng.next_u64();
             let (at, post) = (at + latency, Post::Master(msg));
             self.heap.push(Reverse(Event { at, tie, post }));
         }
@@ -706,15 +713,17 @@ impl Sim {
     /// the invariants need to remember of the state before the step.
     fn deliver(&mut self, input: &Input) -> Snapshot {
         let completes = match input {
-            Input::Completed(r) => {
-                self.busy[r.worker_id].retain(|&t| t != r.task_id);
-                if self.state.done[r.task_id] {
-                    self.duplicates_delivered += 1;
+            Input::Completed(results) => {
+                let w = results[0].worker_id;
+                let tasks: Vec<usize> = results.iter().map(|r| r.task_id).collect();
+                assert!(results.iter().all(|r| r.worker_id == w), "one worker's run");
+                self.busy[w].retain(|t| !tasks.contains(t));
+                let duplicates = tasks.iter().filter(|&&t| self.state.done[t]).count();
+                self.duplicates_delivered += duplicates;
+                if !self.state.alive[w] {
+                    self.gone[w] = true; // its queue is closed
                 }
-                if !self.state.alive[r.worker_id] {
-                    self.gone[r.worker_id] = true; // its queue is closed
-                }
-                Some((r.worker_id, r.task_id))
+                Some((w, tasks))
             }
             _ => None,
         };
@@ -786,8 +795,12 @@ impl Sim {
             // An in-flight task is never revoked: it leaves only by
             // completing or with its worker.
             for &t in &before.in_flight[w] {
+                let answered = before
+                    .completes
+                    .as_ref()
+                    .is_some_and(|(v, tasks)| *v == w && tasks.contains(&t));
                 assert!(
-                    s.in_flight[w].contains(&t) || !s.alive[w] || before.completes == Some((w, t)),
+                    s.in_flight[w].contains(&t) || !s.alive[w] || answered,
                     "task {t} was revoked from live worker {w}"
                 );
             }
@@ -901,8 +914,9 @@ type Verdict = Option<Result<(), SearchError>>;
 type Dispatched = (Option<usize>, Vec<(usize, u64, u64, f64)>);
 
 struct Snapshot {
-    /// `(worker, task)` when the step's input is a completion.
-    completes: Option<(usize, usize)>,
+    /// The worker and the tasks it answered when the step's input is a
+    /// completion.
+    completes: Option<(usize, Vec<usize>)>,
     alive: Vec<bool>,
     in_flight: Vec<Vec<usize>>,
     deadline: Vec<f64>,
@@ -1203,10 +1217,11 @@ fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
 
 /// Runs form where the pick takes them, and a death orphans at most one
 /// run. Forty short tasks on one slice and two CPUs: each worker's queue
-/// goes out in runs. The second worker crashes picking up its third
-/// task, inside its first run: the two tasks before it are answered,
-/// and exactly what it held — the rest of that run and its queue — is
-/// re-dispatched to the survivor.
+/// goes out in runs. The second worker crashes picking up its `n`-th
+/// task, inside its first run: it answers the `n` tasks before it in one
+/// message, then its death, and exactly what it held — the rest of that
+/// run and its queue — is re-dispatched to the survivor. The hits are
+/// the fault-free run's.
 #[test]
 fn a_crash_inside_a_run_orphans_that_run_and_the_queue_behind_it() {
     let lens = [6; 40];
@@ -1223,40 +1238,121 @@ fn a_crash_inside_a_run_orphans_that_run_and_the_queue_behind_it() {
     );
     // Each task is charged its own estimate, run or not.
     assert_eq!(sim_runs.modelled_makespan(), sim.modelled_makespan());
+    let hits = |sim: &Sim| {
+        let results = sim.state.results.iter();
+        let mut hits: Vec<(usize, Vec<Hit>)> =
+            results.map(|r| (r.task_id, r.hits.clone())).collect();
+        hits.sort_by_key(|&(t, _)| t);
+        hits
+    };
 
-    let workers = vec![cpu(None), cpu(crash(2))];
-    let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 3).with_runs(0.0);
-    let mut verdict = sim.start();
-    let (first_run, queued) = (sim.state.in_flight[1].clone(), sim.state.queue[1].clone());
-    assert!(first_run.len() > 3, "the crash falls inside the first run");
-    while verdict.is_none() && sim.state.alive[1] {
-        verdict = sim.advance();
+    for n in [1, 2, 3] {
+        let workers = vec![cpu(None), cpu(crash(n))];
+        let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 3).with_runs(0.0);
+        let mut verdict = sim.start();
+        let (first_run, queued) = (sim.state.in_flight[1].clone(), sim.state.queue[1].clone());
+        assert!(first_run.len() > n, "the crash falls inside the first run");
+        let answer = (vec![first_run[..n].to_vec()], vec![Some(first_run[n])]);
+        assert_eq!(posted(&sim, 1), answer, "crash@{n}");
+        while verdict.is_none() && sim.state.alive[1] {
+            verdict = sim.advance();
+        }
+        assert!(!sim.state.alive[1]);
+        let verdict = sim.finish(verdict);
+        assert_eq!(verdict, Ok(()));
+        sim.check_verdict(&verdict);
+        let redispatched = |e: &swdual_obs::Event| match e.body {
+            EventBody::TaskRedispatch { task, .. } => Some(task),
+            _ => None,
+        };
+        let mut redispatched: Vec<usize> = sim
+            .obs
+            .events_since(0)
+            .iter()
+            .filter_map(redispatched)
+            .collect();
+        redispatched.sort_unstable();
+        let mut orphans: Vec<usize> = first_run[n..].iter().chain(&queued).copied().collect();
+        orphans.sort_unstable();
+        assert_eq!(redispatched, orphans, "crash@{n}");
+        for t in &first_run[..n] {
+            let answered = sim.state.results.iter().find(|r| r.task_id == *t).unwrap();
+            assert_eq!(
+                answered.worker_id, 1,
+                "task {t} was answered before the crash"
+            );
+        }
+        assert_eq!(hits(&sim), hits(&sim_runs), "crash@{n}");
     }
-    assert!(!sim.state.alive[1]);
+}
+
+/// Worker `w`'s answers waiting in the heap: the tasks of each
+/// completion, and each failure's in-flight task.
+fn posted(sim: &Sim, w: usize) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
+    let (mut completions, mut failures) = (Vec::new(), Vec::new());
+    let mut events: Vec<&Event> = sim.heap.iter().map(|Reverse(e)| e).collect();
+    events.sort();
+    for event in events {
+        match &event.post {
+            Post::Master(Input::Completed(results)) if results[0].worker_id == w => {
+                completions.push(results.iter().map(|r| r.task_id).collect());
+            }
+            Post::Master(Input::Failed(f)) if f.worker_id == w => failures.push(f.in_flight),
+            _ => {}
+        }
+    }
+    (completions, failures)
+}
+
+/// One answer settles a whole run: a CPU worker's run of several tasks
+/// comes back as one `Completed`, and that one step dispatches exactly
+/// the worker's next run — the head of its queue and the tasks the run
+/// pick takes behind it — with a finite deadline while it is in flight.
+#[test]
+fn one_answer_settles_a_run_and_dispatches_the_next() {
+    let workers = vec![cpu(None); 2];
+    let mut sim = Sim::new(&[60; 300], workers, greedy(), ReoptConfig::default(), 3).with_runs(0.0);
+    assert_eq!(sim.start(), None);
+    let run = sim.state.in_flight[0].clone();
+    assert!(run.len() > 1, "the first run holds several tasks");
+    assert_eq!(posted(&sim, 0), (vec![run.clone()], vec![]));
+    // Deliver worker 0's answer, and only that.
+    let mut others = Vec::new();
+    let input = loop {
+        let Reverse(event) = sim.heap.pop().expect("worker 0 answers");
+        match event.post {
+            Post::Master(Input::Completed(results)) if results[0].worker_id == 0 => {
+                sim.now = event.at;
+                break Input::Completed(results);
+            }
+            _ => others.push(Reverse(event)),
+        }
+    };
+    sim.heap.extend(others);
+    let queued: Vec<usize> = sim.state.queue[0].iter().copied().collect();
+    let before = sim.deliver(&input);
+    let actions = sim.state.step(input, sim.now);
+    let dispatched: Vec<(Option<usize>, Vec<usize>)> = actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Dispatch { worker, run } => {
+                Some((*worker, run.iter().map(|j| j.task_id).collect()))
+            }
+            _ => None,
+        })
+        .collect();
+    let next = sim.state.in_flight[0].clone();
+    assert!(next.len() > 1, "the next run holds several tasks");
+    assert_eq!(dispatched, vec![(Some(0), next.clone())]);
+    assert_eq!(next[..], queued[..next.len()], "the head of the queue");
+    assert!(run.iter().all(|&t| sim.state.done[t]), "the run is merged");
+    let deadline = sim.state.deadline[0];
+    assert!(deadline.is_finite() && deadline > sim.now);
+    let verdict = sim.perform(actions);
+    sim.check_invariants(Some(before), &verdict);
     let verdict = sim.finish(verdict);
     assert_eq!(verdict, Ok(()));
     sim.check_verdict(&verdict);
-    let redispatched = |e: &swdual_obs::Event| match e.body {
-        EventBody::TaskRedispatch { task, .. } => Some(task),
-        _ => None,
-    };
-    let mut redispatched: Vec<usize> = sim
-        .obs
-        .events_since(0)
-        .iter()
-        .filter_map(redispatched)
-        .collect();
-    redispatched.sort_unstable();
-    let mut orphans: Vec<usize> = first_run[2..].iter().chain(&queued).copied().collect();
-    orphans.sort_unstable();
-    assert_eq!(redispatched, orphans);
-    for t in &first_run[..2] {
-        let answered = sim.state.results.iter().find(|r| r.task_id == *t).unwrap();
-        assert_eq!(
-            answered.worker_id, 1,
-            "task {t} was answered before the crash"
-        );
-    }
 }
 
 /// GPU workers keep one task per job whatever the pick would take.

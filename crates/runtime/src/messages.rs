@@ -121,7 +121,7 @@ impl Job {
 /// What the master sends a worker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Order {
-    /// Score a run of the worker's own tasks and answer each.
+    /// Score a run of the worker's own tasks and answer them together.
     Run(Vec<Job>),
     /// Score another worker's queued task into the claim table, and say
     /// when done. The job carries no lineage: it is not dispatched.
@@ -210,8 +210,10 @@ pub struct WorkerFailure {
 /// What flows from workers back to the master.
 #[derive(Debug, Clone)]
 pub enum WorkerMsg {
-    /// A finished task.
-    Completed(JobResult),
+    /// The tasks of one run the worker finished, in run order: the whole
+    /// run, or — when the worker dies inside it — the tasks before the
+    /// one it dies on. Never empty.
+    Completed(Vec<JobResult>),
     /// The worker is dead; its in-flight task needs a new home.
     Failed(WorkerFailure),
     /// The worker is done with the task it was lent.

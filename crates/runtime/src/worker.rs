@@ -2,7 +2,8 @@
 //!
 //! A worker registers with the master, acquires the shared sequences
 //! (paper Fig. 6: "Acquire sequences"), then loops: receive a run of
-//! tasks, execute it with its engine, send one result per task. CPU
+//! tasks, execute it with its engine, send the run's results back in
+//! one message, one result per task in run order. CPU
 //! workers run an alignment kernel in-thread — a run of more than one
 //! task as one transposed pass, as the master decided when it formed
 //! the run; GPU workers drive a simulated device whose virtual clock
@@ -495,8 +496,8 @@ impl<'a> WorkerCore<'a> {
     }
 
     /// Execute the tasks of a run this worker lives to execute, and
-    /// answer each: a slice is charged for its own residues, each task
-    /// its own modelled seconds, whoever computed it.
+    /// answer them in one message: a slice is charged for its own
+    /// residues, each task its own modelled seconds, whoever computed it.
     fn run(
         &mut self,
         run: &[Job],
@@ -532,21 +533,23 @@ impl<'a> WorkerCore<'a> {
         }
         let residues = self.ctx.database.residues_in(slice);
         let track = Track::Worker(self.ctx.worker_id);
+        let mut results = Vec::with_capacity(run.len());
         for ((job, query), answer) in run.iter().zip(&queries).zip(answers.into_iter().flatten()) {
             let cells = query.len() as u64 * residues;
             let modelled = answer.modelled * self.straggle().1;
             answer.record(&self.ctx.obs, track, job, self.virt_clock, modelled, cells);
             self.virt_clock += modelled;
             self.jobs_done += 1;
-            out.push(WorkerMsg::Completed(JobResult {
+            results.push(JobResult {
                 task_id: job.task_id,
                 worker_id: self.ctx.worker_id,
                 hits: answer.hits,
                 wall_seconds: answer.wall,
                 modelled_seconds: modelled,
                 cells,
-            }));
+            });
         }
+        out.push(WorkerMsg::Completed(results));
         Ok(())
     }
 
@@ -724,13 +727,15 @@ impl<'a> WorkerCore<'a> {
 /// How long a worker polls its job queue before it parks on it.
 ///
 /// The master feeds one run at a time, so between two runs a worker
-/// waits for the master to merge its results and send the next one — a
-/// few microseconds. Parking for that idles the CPU, and how long an
-/// idle CPU takes to wake is the host's business: on the reference VM it
-/// moved `tiny_tasks` searches between 0.41 and 0.64 s from one run to
-/// the next. Polling across the gap keeps the hand-over inside the
-/// process; a queue that stays empty this long is a real wait, and the
-/// worker parks as before.
+/// waits for the master to settle its answer — one message per run —
+/// and send the next run: on `tiny_tasks` (2 vCPUs, AVX2) 10–320 µs a
+/// hand-over on average over a search, the longest 0.1–3 ms (see
+/// EXPERIMENTS.md, "One answer per run"). Parking for that idles the
+/// CPU, and how long an idle CPU takes to wake is the host's business:
+/// on the reference VM it moved `tiny_tasks` searches between 0.41 and
+/// 0.64 s from one run to the next. Polling across the gap keeps the
+/// hand-over inside the process; a queue that stays empty this long is
+/// a real wait, and the worker parks as before.
 const POLL_BEFORE_PARK: Duration = Duration::from_micros(100);
 
 /// The next order, or `None` once the master has closed the queue.
@@ -909,11 +914,19 @@ mod tests {
     fn run_one(spec: WorkerSpec) -> Vec<JobResult> {
         run_msgs(spec, None)
             .into_iter()
-            .map(|m| match m {
-                WorkerMsg::Completed(r) => r,
+            .flat_map(|m| match m {
+                WorkerMsg::Completed(results) => results,
                 other => panic!("unexpected message: {other:?}"),
             })
             .collect()
+    }
+
+    /// The one result a message answering a one-task run carries.
+    fn only(msg: &WorkerMsg) -> &JobResult {
+        match msg {
+            WorkerMsg::Completed(results) if results.len() == 1 => &results[0],
+            other => panic!("expected one completion, got {other:?}"),
+        }
     }
 
     /// Every subject of `tiny_db` with its Gotoh score, ranked.
@@ -936,9 +949,9 @@ mod tests {
 
     /// The completions among `msgs`.
     fn completed(msgs: &[WorkerMsg]) -> Vec<&JobResult> {
-        let done = msgs.iter().filter_map(|m| match m {
-            WorkerMsg::Completed(r) => Some(r),
-            _ => None,
+        let done = msgs.iter().flat_map(|m| match m {
+            WorkerMsg::Completed(results) => &results[..],
+            _ => &[],
         });
         done.collect()
     }
@@ -985,9 +998,12 @@ mod tests {
         // What each message says, its wall time aside.
         let said = |msgs: Vec<WorkerMsg>| -> Vec<String> {
             let said = msgs.into_iter().map(|msg| match msg {
-                WorkerMsg::Completed(r) => {
-                    let (hits, modelled) = (r.hits, r.modelled_seconds);
-                    format!("{} {hits:?} {modelled:?} {}", r.task_id, r.cells)
+                WorkerMsg::Completed(results) => {
+                    let said = results.into_iter().map(|r| {
+                        let (hits, modelled) = (r.hits, r.modelled_seconds);
+                        format!("{} {hits:?} {modelled:?} {}", r.task_id, r.cells)
+                    });
+                    said.collect::<Vec<_>>().join("; ")
                 }
                 WorkerMsg::Failed(f) => format!("{f:?}"),
                 WorkerMsg::Helped { worker_id, .. } => format!("helped {worker_id}"),
@@ -1004,6 +1020,40 @@ mod tests {
                 assert_eq!(said(shell), said(core), "{what}");
             }
         }
+    }
+
+    /// A run is answered in one message, its results in run order; a
+    /// worker that dies inside a run first answers the tasks before the
+    /// one it dies on, in one message, and sends no empty answer.
+    #[test]
+    fn a_run_is_answered_in_one_message() {
+        let run: Vec<Job> = (0..3).map(|t| Job::new(t, t % 2, WHOLE)).collect();
+        let answers = |fault: Option<WorkerFault>| {
+            let orders = vec![Order::Run(run.clone())];
+            core_answers(WorkerSpec::cpu_default(), fault, &Claims::default(), orders)
+        };
+        let said = |msgs: &[WorkerMsg]| -> Vec<String> {
+            let said = msgs.iter().map(|msg| match msg {
+                WorkerMsg::Completed(results) => {
+                    let tasks = results.iter().map(|r| r.task_id.to_string());
+                    tasks.collect::<Vec<_>>().join(",")
+                }
+                WorkerMsg::Failed(f) => format!("failed {:?}", f.in_flight),
+                WorkerMsg::Helped { .. } => "helped".into(),
+            });
+            said.collect()
+        };
+        let crash = |after_jobs| {
+            let notify = true;
+            Some(WorkerFault::Crash { after_jobs, notify })
+        };
+        let healthy = answers(None);
+        assert_eq!(said(&healthy), ["0,1,2"]);
+        for r in completed(&healthy) {
+            assert_eq!(r.hits, expected_hits(r.task_id % 2));
+        }
+        assert_eq!(said(&answers(crash(2))), ["0,1", "failed Some(2)"]);
+        assert_eq!(said(&answers(crash(0))), ["failed Some(0)"]);
     }
 
     #[test]
@@ -1266,7 +1316,7 @@ mod tests {
             }),
         );
         assert_eq!(msgs.len(), 2);
-        assert!(matches!(&msgs[0], WorkerMsg::Completed(r) if r.task_id == 0));
+        assert_eq!(only(&msgs[0]).task_id, 0);
         match &msgs[1] {
             WorkerMsg::Failed(f) => {
                 assert_eq!(f.worker_id, 3);
@@ -1296,7 +1346,7 @@ mod tests {
             Some(WorkerFault::DeviceFault { after_kernels: 1 }),
         );
         assert_eq!(msgs.len(), 2);
-        assert!(matches!(&msgs[0], WorkerMsg::Completed(r) if r.task_id == 0));
+        assert_eq!(only(&msgs[0]).task_id, 0);
         match &msgs[1] {
             WorkerMsg::Failed(f) => {
                 assert_eq!(f.reason, FailureReason::DeviceFault { after_kernels: 1 });
@@ -1327,16 +1377,11 @@ mod tests {
         );
         assert_eq!(msgs.len(), 2);
         for (m, h) in msgs.iter().zip(&healthy) {
-            match m {
-                WorkerMsg::Completed(r) => {
-                    assert_eq!(r.hits, h.hits, "straggling must not change hits");
-                    assert!(
-                        (r.modelled_seconds - 3.0 * h.modelled_seconds).abs()
-                            <= 1e-9 * h.modelled_seconds
-                    );
-                }
-                other => panic!("expected completion, got {other:?}"),
-            }
+            let r = only(m);
+            assert_eq!(r.hits, h.hits, "straggling must not change hits");
+            assert!(
+                (r.modelled_seconds - 3.0 * h.modelled_seconds).abs() <= 1e-9 * h.modelled_seconds
+            );
         }
     }
 
@@ -1396,10 +1441,7 @@ mod tests {
         let results = run_jobs(WorkerSpec::cpu_default(), 7, None, &obs, &jobs);
         assert_eq!(results.len(), 3);
         for m in &results {
-            match m {
-                WorkerMsg::Completed(r) => assert_eq!(r.hits, expected_hits(0)),
-                other => panic!("expected completion, got {other:?}"),
-            }
+            assert_eq!(only(m).hits, expected_hits(0));
         }
         let model = swdual_obs::RunModel::from_obs(&obs);
         let totals = model.workers[&7].kernels.expect("totals at queue close");
@@ -1443,13 +1485,7 @@ mod tests {
                 Job::new(6, 0, empty),
             ];
             let msgs = run_jobs(spec.clone(), 3, None, &Obs::disabled(), &jobs);
-            let parts: Vec<&JobResult> = msgs
-                .iter()
-                .map(|m| match m {
-                    WorkerMsg::Completed(r) => r,
-                    other => panic!("expected completion, got {other:?}"),
-                })
-                .collect();
+            let parts: Vec<&JobResult> = msgs.iter().map(only).collect();
             let ids = |r: &JobResult| r.hits.iter().map(|h| h.db_index).collect::<Vec<_>>();
             assert_eq!(ids(parts[0]).len(), 2);
             assert!(ids(parts[0]).iter().all(|&i| i < 2), "the head is d0, d1");
@@ -1484,7 +1520,7 @@ mod tests {
                 let jobs = [Job::new(0, 0, WHOLE), bad, Job::new(1, 1, WHOLE)];
                 let msgs = run_jobs(spec.clone(), 3, None, &Obs::disabled(), &jobs);
                 assert_eq!(msgs.len(), 2, "{bad:?}: the worker gives up at the bad job");
-                assert!(matches!(&msgs[0], WorkerMsg::Completed(r) if r.task_id == 0));
+                assert_eq!(only(&msgs[0]).task_id, 0);
                 match &msgs[1] {
                     WorkerMsg::Failed(f) => {
                         assert_eq!(f.reason, FailureReason::InvalidJob);
@@ -1506,10 +1542,7 @@ mod tests {
             Job::new(1, 0, DbSlice { start: 2, end: 4 }),
         ];
         let msgs = run_jobs(spec, 3, None, &Obs::disabled(), &jobs);
-        let hits = msgs.iter().flat_map(|m| match m {
-            WorkerMsg::Completed(r) => r.hits.clone(),
-            other => panic!("expected completion, got {other:?}"),
-        });
+        let hits = msgs.iter().flat_map(|m| only(m).hits.clone());
         assert_eq!(top_k(hits, TOP_K), expected_hits(0));
     }
 }

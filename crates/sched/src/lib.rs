@@ -29,6 +29,8 @@
 //! processing times; the `swdual-runtime` crate executes schedules with
 //! real threads.
 
+#![forbid(unsafe_code)]
+
 pub mod binsearch;
 pub mod dual;
 pub mod exact;
