@@ -728,7 +728,7 @@ impl<'a> WorkerCore<'a> {
 ///
 /// The master feeds one run at a time, so between two runs a worker
 /// waits for the master to settle its answer — one message per run —
-/// and send the next run: on `tiny_tasks` (2 vCPUs, AVX2) 10–320 µs a
+/// and send the next run: on `tiny_tasks` (2 vCPUs, AVX2) 9–320 µs a
 /// hand-over on average over a search, the longest 0.1–3 ms (see
 /// EXPERIMENTS.md, "One answer per run"). Parking for that idles the
 /// CPU, and how long an idle CPU takes to wake is the host's business:
