@@ -141,9 +141,9 @@ pub const H2D_TRANSFER: &str = "h2d_transfer";
 pub const D2H_TRANSFER: &str = "d2h_transfer";
 pub const KERNEL: &str = "kernel";
 
-/// A worker id that may be absent (a dispatch to the self-scheduling
-/// shared queue, an alert about the whole run). Args are numbers, so
-/// the journal writes −1 for "none".
+/// A worker id that may be absent (an alert about the whole run, or a
+/// dispatch an old journal made to a shared queue). Args are numbers,
+/// so the journal writes −1 for "none".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptWorker(pub Option<usize>);
 
@@ -368,8 +368,9 @@ vocabulary! {
     TaskModel: Master, Instant "task_model", {
         task: usize, p_cpu: f64, p_gpu: f64, query_len: Option<usize>, cells: Option<f64>
     }
-    /// A job was handed to a worker (or the shared queue): the causal
-    /// edge from plan decision to execution.
+    /// A job was handed to a worker: the causal edge from plan decision
+    /// to execution. Only journals written before self-scheduling drew
+    /// from the master's pool name no worker (−1).
     TaskDispatch: Master, Instant "task_dispatch", {
         task: usize, worker: OptWorker, seq: u64, decision: u64, virt: f64
     }
@@ -457,8 +458,6 @@ vocabulary! {
     WorkerDeath: Faults, Instant "worker_death", { worker: usize, reason: f64 }
     /// A task lost its worker and was planned again.
     TaskRedispatch: Faults, Instant "task_redispatch", { task: usize, retry: usize }
-    /// The shared queue stalled; everything undone was re-queued.
-    StallRedispatch: Faults, Instant "stall_redispatch", { outstanding: usize }
     /// A second result for a task arrived and was dropped.
     DuplicateResult: Faults, Instant "duplicate_result", { task: usize, worker: usize }
     /// Observed skew crossed the threshold; the remainder was re-planned.

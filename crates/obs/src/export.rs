@@ -449,8 +449,9 @@ fn chrome_trace_of(events: &[Event]) -> String {
 
     // Causal flow arrows along the lineage edges: planned (or
     // recovered) placement → task_dispatch instant(s) → actual
-    // execution. One flow per task id; journals without lineage
-    // (v1, self-scheduling) simply contribute fewer arrows.
+    // execution. One flow per task id; journals without lineage (v1)
+    // or without a plan (self-scheduling) simply contribute fewer
+    // arrows.
     let mut started: Vec<usize> = Vec::new();
     for event in events {
         let tid = trace_tid(event.track);

@@ -162,7 +162,6 @@ const SHAPES: &[(&str, &str, &str, &[&str])] = &[
     ),
     ("faults", "worker_death", "instant", &["worker", "reason"]),
     ("faults", "task_redispatch", "instant", &["task", "retry"]),
-    ("faults", "stall_redispatch", "instant", &["outstanding"]),
     ("faults", "duplicate_result", "instant", &["task", "worker"]),
     (
         "faults",

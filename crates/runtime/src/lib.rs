@@ -18,8 +18,9 @@
 //!
 //! Allocation policies: the SWDUAL **one-round dual-approximation**
 //! (static schedule computed upfront from modelled task times, then
-//! dispatched per worker) and dynamic **self-scheduling** (a shared
-//! task queue workers drain — the baseline the paper contrasts with).
+//! dispatched per worker) and dynamic **self-scheduling** (an idle
+//! worker takes the next tasks from a pool the master holds — the
+//! baseline the paper contrasts with).
 //!
 //! Timing is reported on two clocks: the real wall clock of this
 //! process, and the *modelled* clock in which GPU workers run at Tesla

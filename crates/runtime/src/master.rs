@@ -1,19 +1,18 @@
 //! The master: task generation, allocation, dispatch and result
 //! merging (paper Figure 6, left column) — plus fault tolerance.
 //!
-//! The master is split in two. The **core** ([`core`]'s `MasterState`)
-//! owns every piece of run state — who is alive, each worker's queue
-//! and in-flight job, what is done, retry counts, dispatch lineage,
-//! calibration and deadlines — and advances it through one pure
-//! function, `step(input, now) -> actions`. The **shell**
-//! ([`try_run_search`]) is everything that touches the outside world:
-//! it spawns worker threads, collects registrations, draws the initial
-//! plan, then loops *receive (or time out) → `step` → perform the
-//! actions* over channels and the wall clock. Concurrency bugs are
-//! hunted in the deterministic simulator (`core::sim`: the core and the
-//! real worker cores, a virtual clock, a seeded event heap), not by
-//! thread-timing luck; the threaded tests below check the shell wiring
-//! end to end.
+//! The master is split in two. The **core** ([`core`]'s `MasterState`) owns
+//! every piece of run state — who is alive, each worker's queue and
+//! in-flight run, self-scheduling's pool, what is done, retry counts,
+//! dispatch lineage, calibration and deadlines — and advances it through
+//! one pure function, `step(input, now) -> actions`. The **shell**
+//! ([`try_run_search`]) is everything that touches the outside world: it
+//! spawns worker threads, collects registrations, draws the initial plan,
+//! then loops *receive (or time out) → `step` → perform the actions* over
+//! channels and the wall clock. Concurrency bugs are hunted in the
+//! deterministic simulator (`core::sim`: the core and the real worker
+//! cores, a virtual clock, a seeded event heap), not by thread-timing luck;
+//! the threaded tests below check the shell wiring end to end.
 //!
 //! The merge loop guarantees [`try_run_search`] always returns: every
 //! worker either answers, notifies its death, or blows a deadline
@@ -77,7 +76,9 @@ pub enum AllocationPolicy {
     /// the dual-approximation algorithm, then send each worker its
     /// ordered task list upfront.
     DualApprox(KnapsackMethod),
-    /// Dynamic self-scheduling: all workers drain one shared queue.
+    /// Dynamic self-scheduling: no plan; an idle worker takes the next
+    /// run from one pool the master holds, at most its share of what
+    /// is left.
     SelfScheduling,
 }
 
@@ -93,9 +94,10 @@ pub enum AllocationPolicy {
 /// is executing was drawn, and at least `min_remaining` tasks are still
 /// undispatched, the remaining work is re-planned on the re-calibrated
 /// platform via the weighted remainder scheduler. Dispatch runs with a
-/// window of one job in flight per worker, so "remaining" is genuinely
-/// revocable. Deadlines (and their conservative 10-MCUPS floor) are
-/// untouched by re-calibration.
+/// window of one run in flight per worker, and re-optimization keeps
+/// runs one task long, so "remaining" is genuinely revocable. Deadlines
+/// (and their conservative 10-MCUPS floor) are untouched by
+/// re-calibration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReoptConfig {
     /// Master switch; `false` reproduces the static one-round planner
@@ -320,16 +322,15 @@ fn build_tasks(
     tasks.collect::<Result<_, _>>().map(TaskSet::new)
 }
 
-/// Journal the `task_dispatch` causal edge of a *successfully sent*
-/// job: plan decision → dispatch, the parent link the explain module
-/// and the Chrome-trace flow arrows follow. `worker` is −1 when the
-/// job went to the self-scheduling shared queue (receiver unknown).
-fn journal_dispatch(job: &Job, w: Option<usize>, obs: &Obs) {
+/// Journal the `task_dispatch` causal edge of a job *successfully sent*
+/// to worker `w`: plan decision → dispatch, the parent link the explain
+/// module and the Chrome-trace flow arrows follow.
+fn journal_dispatch(job: &Job, w: usize, obs: &Obs) {
     obs.instant(
         Track::Master,
         EventBody::TaskDispatch {
             task: job.task_id,
-            worker: OptWorker(w),
+            worker: OptWorker(Some(w)),
             seq: job.dispatch_seq,
             decision: job.decision,
             virt: job.dispatch_virt,
@@ -339,11 +340,8 @@ fn journal_dispatch(job: &Job, w: Option<usize>, obs: &Obs) {
 
 /// The master's ends of the channels to and from its workers.
 struct Links {
-    /// Per-worker queues of orders (static policies); `None` once
-    /// closed.
+    /// Per-worker queues of orders; `None` once closed.
     private_tx: Vec<Option<Sender<Order>>>,
-    /// The self-scheduling queue every worker drains, one job a run.
-    shared_tx: Sender<Order>,
     reg_rx: Receiver<Registration>,
     msg_rx: Receiver<WorkerMsg>,
 }
@@ -361,19 +359,11 @@ fn spawn_workers<'scope>(
 ) -> (Links, Vec<ScopedJoinHandle<'scope, ()>>) {
     let (reg_tx, reg_rx) = channel::unbounded::<Registration>();
     let (msg_tx, msg_rx) = channel::unbounded::<WorkerMsg>();
-    let (shared_tx, shared_rx) = channel::unbounded::<Order>();
-    let shared_queue = matches!(config.policy, AllocationPolicy::SelfScheduling);
     let mut private_tx = Vec::with_capacity(workers.len());
     let mut threads = Vec::with_capacity(workers.len());
     for (worker_id, spec) in workers.iter().enumerate() {
-        let job_rx = if shared_queue {
-            private_tx.push(None);
-            shared_rx.clone()
-        } else {
-            let (tx, rx) = channel::unbounded::<Order>();
-            private_tx.push(Some(tx));
-            rx
-        };
+        let (tx, job_rx) = channel::unbounded::<Order>();
+        private_tx.push(Some(tx));
         let ctx = WorkerContext {
             worker_id,
             database,
@@ -388,7 +378,6 @@ fn spawn_workers<'scope>(
     }
     let links = Links {
         private_tx,
-        shared_tx,
         reg_rx,
         msg_rx,
     };
@@ -577,22 +566,20 @@ fn allocate(
     })
 }
 
-/// Mark the tasks that may join a transposed run on a CPU worker: under a
-/// static policy without re-optimization and a scheme that
-/// [`transposes`], each task whose query [`Backend::joins_runs`] and
-/// whose slice another such task scores. Each such slice's own fill,
-/// which a run must beat, is priced once. Re-optimization gets one-task
-/// runs: a run takes its tasks off the revocable queue and answers them
-/// only when the last ends, which is the skew it would act on, seen too
-/// late to act.
+/// Mark the tasks that may join a transposed run on a CPU worker: without
+/// re-optimization and under a scheme that [`transposes`], each task whose
+/// query [`Backend::joins_runs`] and whose slice another such task scores.
+/// Each such slice's own fill, which a run must beat, is priced once.
+/// Re-optimization gets one-task runs: a run takes its tasks off the
+/// revocable queue and answers them only when the last ends, which is the
+/// skew it would act on, seen too late to act.
 fn offer_runs(
     units: &mut [Unit],
     queries: &SequenceSet,
     database: &Subjects<'_>,
     config: &RuntimeConfig,
 ) {
-    let static_plan = !matches!(config.policy, AllocationPolicy::SelfScheduling);
-    if !static_plan || config.reopt.enabled || !transposes(&config.scheme) {
+    if config.reopt.enabled || !transposes(&config.scheme) {
         return;
     }
     let backend = Backend::active();
@@ -652,10 +639,7 @@ impl Shell<'_> {
                     for job in &mut run {
                         job.dispatch_wall = dispatch_wall;
                     }
-                    let tx = match worker {
-                        Some(w) => self.links.private_tx[w].as_ref(),
-                        None => Some(&self.links.shared_tx),
-                    };
+                    let tx = self.links.private_tx[worker].as_ref();
                     let journal = self.obs.is_enabled().then(|| run.clone());
                     if tx.is_some_and(|tx| tx.send(Order::Run(run)).is_ok()) {
                         for job in journal.iter().flatten() {
@@ -1069,15 +1053,22 @@ mod tests {
         let outcome = run_search(image(&database), queries.clone(), &workers, config.clone());
         let want = gotoh_hits(&queries, &database, &config.scheme, config.top_k);
         assert_eq!(outcome.hits, want);
-        // GPU workers and the shared queue take one task a job.
+        // GPU workers take one task a job.
         let gpus = vec![WorkerSpec::gpu_default(); 2];
         assert_eq!(first_runs(&queries, &database, &gpus, &config), [1, 1]);
-        let shared = RuntimeConfig {
+        // Self-scheduling's pool goes out in runs too, each at most its
+        // share of what the pool still holds.
+        let pooled = RuntimeConfig {
             policy: AllocationPolicy::SelfScheduling,
             ..config
         };
-        let runs = first_runs(&queries, &database, &workers, &shared);
-        assert!(runs.iter().all(|&n| n == 1));
+        let runs = first_runs(&queries, &database, &workers, &pooled);
+        assert_eq!(runs.len(), 2, "one run in flight per worker");
+        let share = queries.len().div_ceil(2);
+        assert!(runs[0] > 1 && runs[0] <= share, "{runs:?}");
+        let share = (queries.len() - runs[0]).div_ceil(2);
+        assert!(runs[1] > 1 && runs[1] <= share, "{runs:?}");
+        assert_eq!(first_runs(&queries, &database, &gpus, &pooled), [1, 1]);
     }
 
     #[test]
@@ -1643,25 +1634,23 @@ mod tests {
 
     #[test]
     fn retry_budget_converts_livelock_into_error() {
-        // Self-scheduling with one extreme straggler: the stall
-        // detector re-queues the task faster than the worker finishes
-        // it; the retry bound turns that into a typed error instead of
-        // an unbounded loop.
+        // Self-scheduling on three extreme stragglers: each outlives its
+        // deadline on the one task, which goes back to the pool for the
+        // next; the retry bound turns that into a typed error instead
+        // of an unbounded loop.
         let database = db(8, 40);
         let queries = queries_from(&database, &[1]);
+        let straggler = WorkerFault::Straggler {
+            delay_ms: 400,
+            factor: 1.0,
+        };
         let err = try_run_search(
             image(&database),
             queries,
-            &[WorkerSpec::cpu_default()],
+            &vec![WorkerSpec::cpu_default(); 3],
             RuntimeConfig {
                 policy: AllocationPolicy::SelfScheduling,
-                faults: FaultPlan::none().with(
-                    0,
-                    WorkerFault::Straggler {
-                        delay_ms: 400,
-                        factor: 1.0,
-                    },
-                ),
+                faults: (0..3).fold(FaultPlan::none(), |plan, w| plan.with(w, straggler)),
                 min_job_timeout: Duration::from_millis(25),
                 max_task_retries: 1,
                 ..RuntimeConfig::default()

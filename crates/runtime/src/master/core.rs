@@ -9,37 +9,45 @@
 //! `sim`, which is where interleavings of completions, deaths, failed
 //! sends and deadline ticks are explored.
 //!
-//! Static policies dispatch with a window of one *run*: the core holds
-//! each worker's ordered queue and keeps at most one run in flight per
-//! worker, so everything still queued is revocable. That is the raw
-//! material of the single re-plan transition ([`MasterState::replan`]):
-//! a worker's death and an observed speed skew are merely its two
-//! triggers.
+//! The policy decides two things only: where tasks start and where a
+//! dead worker's orphans go. A static policy's plan fills per-worker
+//! queues, and orphans are re-planned with the rest of them;
+//! self-scheduling puts every task in one *pool*, and orphans go back
+//! to its front. Everything else is one path. Every worker gets a
+//! window of one *run*, drawn from its own queue or, once that is
+//! empty, from the pool; everything still queued or pooled is
+//! revocable. That is the raw material of the single re-plan transition
+//! ([`MasterState::replan`]): a worker's death and an observed speed
+//! skew are merely its two triggers.
 //!
-//! A run is the head of a worker's queue, plus — on a CPU worker — the
-//! queued tasks right behind it that the run pick takes
+//! A run is the head of a worker's queue (or of the pool), plus — on a
+//! CPU worker — the tasks right behind it that the run pick takes
 //! ([`Backend::run_length`]): tasks on the same slice whose queries,
 //! laid out as one stream, fill its lanes better than the slice's own
-//! subjects do. The worker scores such a run transposed and answers it
-//! in one message carrying each task's result; the core settles each
-//! task on its own, then revisits the plan, feeds the worker and
-//! restarts its deadline once for the message. To everything but the
-//! window and that message a run is its tasks. A death orphans at most
-//! one run, and the in-flight run's deadline prices its tasks' summed
-//! estimate and cells.
+//! subjects do. A run drawn from the pool takes at most its share of
+//! it, the pool's length over the live workers rounded up (guided
+//! self-scheduling), so one worker cannot take a small search whole.
+//! The worker scores such a run transposed and answers it in one
+//! message carrying each task's result; the core settles each task on
+//! its own, then revisits the plan, feeds the worker and restarts its
+//! deadline once for the message. To everything but the window and that
+//! message a run is its tasks. A death orphans at most one run, and the
+//! in-flight run's deadline prices its tasks' summed estimate and
+//! cells.
 //!
 //! Work lending: whenever a live worker has nothing queued, nothing in
 //! flight and no loan outstanding, the core lends it the last unlent
 //! queued task of the device worker with the most unlent queued cells
 //! ([`Action::Lend`], answered by [`Input::Helped`]). Only a device's
-//! queue is lent: the plan prices it at the modelled device rate, which
-//! the device's functional scorer on the host never reaches, whereas a
-//! CPU queue is priced at the rate the host's own threads run, so what
-//! is left between CPU queues is the host's noise. A loan moves no
-//! task: the owner still dispatches, stamps, charges and answers it, and
-//! only takes the helper's scores from the search's claim table. Nothing
-//! but the loans themselves reads what is lent, so the rest of the
-//! action stream is the same whether a loan is answered or never is.
+//! queue is lent, never the pool: the plan prices a device's queue at
+//! the modelled device rate, which the device's functional scorer on
+//! the host never reaches, whereas a CPU queue is priced at the rate
+//! the host's own threads run, so what is left between CPU queues is
+//! the host's noise. A loan moves no task: the owner still dispatches,
+//! stamps, charges and answers it, and only takes the helper's scores
+//! from the search's claim table. Nothing but the loans themselves
+//! reads what is lent, so the rest of the action stream is the same
+//! whether a loan is answered or never is.
 
 use super::{AllocationPolicy, ReoptConfig, RuntimeConfig, SearchError};
 use crate::estimator::{cold_host_cells_per_sec, job_deadline_seconds};
@@ -86,8 +94,8 @@ pub(super) enum Input {
     /// A worker announced its own death.
     Failed(WorkerFailure),
     /// A [`Action::Dispatch`] could not be delivered: the receiving
-    /// worker (or, for `None`, every shared-queue worker) is gone.
-    SendFailed(Option<usize>),
+    /// worker is gone.
+    SendFailed(usize),
     /// A helper finished with the task it was lent, having spent
     /// `wall` seconds computing it (none when the owner got there
     /// first).
@@ -98,14 +106,9 @@ pub(super) enum Input {
 
 /// What the core asks the shell to do.
 pub(super) enum Action {
-    /// Send `run` — one job per task, in queue order — to `worker`'s
-    /// private queue, or, one job long, to the shared self-scheduling
-    /// queue when `None`. The shell stamps `dispatch_wall` at the moment
-    /// it sends.
-    Dispatch {
-        worker: Option<usize>,
-        run: Vec<Job>,
-    },
+    /// Send `run` — one job per task, in queue order — to `worker`.
+    /// The shell stamps `dispatch_wall` at the moment it sends.
+    Dispatch { worker: usize, run: Vec<Job> },
     /// Ask idle worker `helper` to score `job` — queued, unstamped, on
     /// a device worker, its owner — into the claim table. A loan that
     /// cannot be delivered is dropped: the owner then scores the task
@@ -141,13 +144,15 @@ pub(super) struct Joins {
 
 /// All state of one search run. Times are seconds since the search
 /// started; a worker's `deadline` is infinite unless it is alive with a
-/// job in flight.
+/// run in flight.
 pub(super) struct MasterState {
     tasks: TaskSet,
     /// The work behind each task id.
     units: Vec<Unit>,
     is_gpu: Vec<bool>,
-    shared_queue: bool,
+    /// Whether tasks start in, and orphans return to, the pool rather
+    /// than a plan.
+    self_scheduling: bool,
     /// The backend CPU workers score runs on: the pick's lanes.
     backend: Backend,
     reopt: ReoptConfig,
@@ -159,6 +164,8 @@ pub(super) struct MasterState {
 
     alive: Vec<bool>,
     queue: Vec<VecDeque<usize>>,
+    /// Self-scheduling's tasks not yet handed out, in task order.
+    pool: VecDeque<usize>,
     /// Each worker's in-flight run; empty when idle.
     in_flight: Vec<Vec<usize>>,
     done: Vec<bool>,
@@ -195,8 +202,6 @@ pub(super) struct MasterState {
     /// watchdog needs the magnitude, not every refresh, so a new one is
     /// published only on a >10% change.
     published_deadline: Vec<f64>,
-    /// When a worker last spoke (self-scheduling's stall detector).
-    last_activity: f64,
 }
 
 impl MasterState {
@@ -216,7 +221,7 @@ impl MasterState {
             tasks,
             units,
             is_gpu,
-            shared_queue: matches!(config.policy, AllocationPolicy::SelfScheduling),
+            self_scheduling: matches!(config.policy, AllocationPolicy::SelfScheduling),
             backend,
             reopt: config.reopt,
             max_retries: config.max_task_retries,
@@ -225,6 +230,7 @@ impl MasterState {
             obs: config.obs.clone(),
             alive,
             queue: vec![VecDeque::new(); workers],
+            pool: VecDeque::new(),
             in_flight: vec![Vec::new(); workers],
             done: vec![false; n],
             retries: vec![0; n],
@@ -242,24 +248,20 @@ impl MasterState {
             reopt_rounds: 0,
             deadline: vec![f64::INFINITY; workers],
             published_deadline: vec![0.0; workers],
-            last_activity: 0.0,
         }
     }
 
     /// Dispatch the initial plan: `schedule` for the static policies,
-    /// every task onto the shared queue for self-scheduling.
+    /// every task into the pool for self-scheduling.
     pub(super) fn start(&mut self, schedule: Option<&Schedule>, now: f64) -> Vec<Action> {
         let mut out = Vec::new();
         match schedule {
             Some(schedule) => self.adopt(schedule, now, &mut out),
             None => {
-                for t in 0..self.tasks.len() {
-                    let run = vec![self.stamp(t, None)];
-                    out.push(Action::Dispatch { worker: None, run });
-                }
+                self.pool.extend(0..self.tasks.len());
+                self.feed_idle(now, &mut out);
             }
         }
-        self.last_activity = now;
         if self.tasks.is_empty() {
             out.push(Action::Finish);
         } else {
@@ -274,9 +276,6 @@ impl MasterState {
     /// however busy the survivors keep the result channel.
     pub(super) fn step(&mut self, input: Input, now: f64) -> Vec<Action> {
         let mut out = Vec::new();
-        if !matches!(input, Input::Tick) {
-            self.last_activity = now;
-        }
         let handled = match input {
             Input::Completed(r) => self.on_completed(r, now, &mut out),
             Input::Failed(f) => {
@@ -288,8 +287,7 @@ impl MasterState {
                 };
                 self.on_death(f.worker_id, reason, f.in_flight, now, &mut out)
             }
-            Input::SendFailed(Some(w)) => self.on_death(w, DEATH_DISPATCH, None, now, &mut out),
-            Input::SendFailed(None) => Err(self.all_workers_dead()),
+            Input::SendFailed(w) => self.on_death(w, DEATH_DISPATCH, None, now, &mut out),
             Input::Helped { worker, wall } => {
                 self.helping[worker] = None;
                 self.help_wall[worker] += wall;
@@ -306,8 +304,7 @@ impl MasterState {
     }
 
     /// Earliest time at which a [`Input::Tick`] would declare a worker
-    /// dead (infinite when no worker has a job in flight, and under
-    /// self-scheduling, whose stall detector needs a quiet channel).
+    /// dead (infinite when no live worker has a run in flight).
     pub(super) fn next_deadline(&self) -> f64 {
         self.deadline.iter().copied().fold(f64::INFINITY, f64::min)
     }
@@ -352,9 +349,6 @@ impl MasterState {
         self.in_flight[w].retain(|t| !answered(t));
         for r in results {
             self.settle(r);
-        }
-        if self.shared_queue {
-            return Ok(());
         }
         self.replan_on_skew(now, out)?;
         self.feed(w, out);
@@ -426,27 +420,10 @@ impl MasterState {
         self.replan(orphans, now, out)
     }
 
-    /// Act on every expired deadline. Static policies: each alive
-    /// worker whose in-flight job has outlived its deadline is declared
-    /// dead and its load re-planned. Self-scheduling: the master cannot
-    /// know which worker holds which task, so a global stall re-queues
-    /// everything not done (duplicates are deduped on merge).
+    /// Act on every expired deadline: each alive worker whose in-flight
+    /// run has outlived its deadline is declared dead and what it held
+    /// re-planned.
     fn check_deadlines(&mut self, now: f64, out: &mut Vec<Action>) -> Result<(), SearchError> {
-        if self.shared_queue {
-            let quiet = now - self.last_activity;
-            if quiet < self.floor || quiet < self.stall_timeout() {
-                return Ok(());
-            }
-            let undone: Vec<usize> = (0..self.tasks.len()).filter(|&t| !self.done[t]).collect();
-            self.obs.instant(
-                Track::Faults,
-                EventBody::StallRedispatch {
-                    outstanding: undone.len(),
-                },
-            );
-            self.last_activity = now;
-            return self.replan(undone, now, out);
-        }
         let mut orphans = Vec::new();
         for w in 0..self.alive.len() {
             if self.deadline[w] <= now {
@@ -507,12 +484,12 @@ impl MasterState {
     }
 
     /// The single re-plan transition. `orphans` (unfinished tasks that
-    /// lost their worker or, under self-scheduling, may have) each cost
-    /// one retry. Static policies re-plan them together with every
-    /// still-queued task — in-flight jobs are never revoked — on the
-    /// live workers' current slowdown factors; self-scheduling pushes
-    /// them back onto the shared queue. One new plan decision either
-    /// way.
+    /// lost their worker) each cost one retry. Static policies re-plan
+    /// them together with every still-queued task — in-flight runs are
+    /// never revoked — on the live workers' current slowdown factors;
+    /// self-scheduling puts them back at the front of the pool, in task
+    /// order, and feeds every idle live worker. One new plan decision
+    /// either way.
     fn replan(
         &mut self,
         mut orphans: Vec<usize>,
@@ -538,20 +515,20 @@ impl MasterState {
             );
         }
         self.decision += 1;
-        if self.shared_queue {
-            for t in orphans {
-                let run = vec![self.stamp(t, None)];
-                out.push(Action::Dispatch { worker: None, run });
+        let (cpus, gpus) = self.live_by_species();
+        if cpus.is_empty() && gpus.is_empty() {
+            return Err(self.all_workers_dead());
+        }
+        if self.self_scheduling {
+            for &t in orphans.iter().rev() {
+                self.pool.push_front(t);
             }
+            self.feed_idle(now, out);
             return Ok(());
         }
         let mut remainder = orphans;
         for q in &mut self.queue {
             remainder.extend(q.drain(..).filter(|&t| !self.done[t]));
-        }
-        let (cpus, gpus) = self.live_by_species();
-        if cpus.is_empty() && gpus.is_empty() {
-            return Err(self.all_workers_dead());
         }
         for &w in cpus.iter().chain(&gpus) {
             self.planned_factor[w] = self.factor(w);
@@ -602,6 +579,14 @@ impl MasterState {
         for (w, mut list) in per_worker.into_iter().enumerate() {
             list.sort_by(|a, b| a.0.total_cmp(&b.0));
             self.queue[w].extend(list.into_iter().map(|(_, t)| t));
+        }
+        self.feed_idle(now, out);
+    }
+
+    /// Feed every idle live worker, then restart every busy worker's
+    /// deadline from `now`.
+    fn feed_idle(&mut self, now: f64, out: &mut Vec<Action>) {
+        for w in 0..self.alive.len() {
             self.feed(w, out);
         }
         self.refresh_deadlines(now);
@@ -609,34 +594,45 @@ impl MasterState {
 
     /// Keep the window of one run for worker `w`: if it is alive and
     /// idle, dispatch the run the first unfinished task of its queue
-    /// heads.
+    /// heads — or, when its queue holds none, the pool's first, the run
+    /// then taking at most its share of the pool.
     fn feed(&mut self, w: usize, out: &mut Vec<Action>) {
         if !self.alive[w] || !self.in_flight[w].is_empty() {
             return;
         }
-        while let Some(head) = self.queue[w].pop_front() {
-            if !self.done[head] {
-                let behind = self.run_length(w, head) - 1;
-                let run: Vec<usize> = once(head).chain(self.queue[w].drain(..behind)).collect();
-                let run_jobs = run.iter().map(|&t| self.stamp(t, Some(w))).collect();
-                self.in_flight[w] = run;
-                out.push(Action::Dispatch {
-                    worker: Some(w),
-                    run: run_jobs,
-                });
-                return;
+        let done = &self.done;
+        let skip_done = |source: &mut VecDeque<usize>| {
+            while source.front().is_some_and(|&t| done[t]) {
+                source.pop_front();
             }
-        }
+        };
+        skip_done(&mut self.queue[w]);
+        let (source, share) = if self.queue[w].is_empty() {
+            skip_done(&mut self.pool);
+            let live = self.alive.iter().filter(|&&a| a).count();
+            let share = self.pool.len().div_ceil(live);
+            (&mut self.pool, share)
+        } else {
+            (&mut self.queue[w], usize::MAX)
+        };
+        let Some(head) = source.pop_front() else {
+            return;
+        };
+        let cpu = !self.is_gpu[w];
+        let length = run_length(&self.units, done, self.backend, cpu, head, source).min(share);
+        let run: Vec<usize> = once(head).chain(source.drain(..length - 1)).collect();
+        let run_jobs = run.iter().map(|&t| self.stamp(t, w)).collect();
+        self.in_flight[w] = run;
+        out.push(Action::Dispatch {
+            worker: w,
+            run: run_jobs,
+        });
     }
 
     /// Lend each idle live worker the last unlent queued task of the
     /// device worker with the most unlent queued cells (the lowest id
-    /// among equals). Static policies only; an in-flight run is never
-    /// lent.
+    /// among equals). An in-flight run is never lent, nor is the pool.
     fn lend(&mut self, out: &mut Vec<Action>) {
-        if self.shared_queue {
-            return;
-        }
         for helper in 0..self.alive.len() {
             let idle = self.alive[helper]
                 && self.in_flight[helper].is_empty()
@@ -672,27 +668,8 @@ impl MasterState {
         }
     }
 
-    /// The tasks of the run `head` opens on worker `w`, `head` included:
-    /// on a CPU worker, as many as the run pick takes of `head` and the
-    /// unfinished tasks queued right behind it that may join a run on
-    /// `head`'s slice; one anywhere else.
-    fn run_length(&self, w: usize, head: usize) -> usize {
-        let unit = &self.units[head];
-        let Some(joins) = unit.joins.filter(|_| !self.is_gpu[w]) else {
-            return 1;
-        };
-        let behind = self.queue[w].iter().map_while(|&t| {
-            let other = &self.units[t];
-            let on_slice = other.slice == unit.slice && !self.done[t];
-            other.joins.filter(|_| on_slice).map(|j| j.query_len)
-        });
-        let lens = once(joins.query_len).chain(behind);
-        self.backend.run_length(joins.slice_fill, lens).max(1)
-    }
-
-    /// Stamp lineage onto a job bound for worker `w` (or the shared
-    /// queue, `w = None`).
-    fn stamp(&mut self, t: usize, w: Option<usize>) -> Job {
+    /// Stamp lineage onto a job bound for worker `w`.
+    fn stamp(&mut self, t: usize, w: usize) -> Job {
         let job = Job {
             task_id: t,
             query_index: self.units[t].query_index,
@@ -700,7 +677,7 @@ impl MasterState {
             dispatch_seq: self.seq,
             decision: self.decision,
             dispatch_wall: 0.0,
-            dispatch_virt: w.map_or(0.0, |w| self.virt_done[w]),
+            dispatch_virt: self.virt_done[w],
             lent: self.lent[t],
         };
         self.seq += 1;
@@ -762,19 +739,6 @@ impl MasterState {
         self.grant(once(run).chain(self.queue[w].iter().map(|&t| price(t))))
     }
 
-    /// Self-scheduling: how long the whole platform may stay silent,
-    /// any undone task being possibly held by any live species.
-    fn stall_timeout(&self) -> f64 {
-        let (cpus, gpus) = self.live_by_species();
-        let undone = (0..self.tasks.len()).filter(|&t| !self.done[t]);
-        self.grant(undone.map(|t| {
-            let task = self.tasks.tasks()[t];
-            let on_cpu = if cpus.is_empty() { 0.0 } else { task.p_cpu };
-            let on_gpu = if gpus.is_empty() { 0.0 } else { task.p_gpu };
-            (on_cpu.max(on_gpu), self.units[t].cells)
-        }))
-    }
-
     /// Restart every busy worker's deadline from `now`.
     fn refresh_deadlines(&mut self, now: f64) {
         for w in 0..self.alive.len() {
@@ -793,6 +757,31 @@ impl MasterState {
             self.deadline[w] = now + timeout;
         }
     }
+}
+
+/// The tasks of the run `head` opens, `head` included: on a CPU worker
+/// (`cpu`), as many as the run pick takes of `head` and the unfinished
+/// tasks right `behind` it that may join a run on `head`'s slice; one
+/// anywhere else.
+fn run_length(
+    units: &[Unit],
+    done: &[bool],
+    backend: Backend,
+    cpu: bool,
+    head: usize,
+    behind: &VecDeque<usize>,
+) -> usize {
+    let unit = &units[head];
+    let Some(joins) = unit.joins.filter(|_| cpu) else {
+        return 1;
+    };
+    let behind = behind.iter().map_while(|&t| {
+        let other = &units[t];
+        let on_slice = other.slice == unit.slice && !done[t];
+        other.joins.filter(|_| on_slice).map(|j| j.query_len)
+    });
+    let lens = once(joins.query_len).chain(behind);
+    backend.run_length(joins.slice_fill, lens).max(1)
 }
 
 #[cfg(test)]

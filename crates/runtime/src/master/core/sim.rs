@@ -232,7 +232,6 @@ struct Sim {
     gone: Vec<bool>,
     /// Ground truth: the tasks of its run the worker has not answered.
     busy: Vec<Vec<usize>>,
-    shared: VecDeque<Job>,
     /// Runs of more than one task dispatched so far.
     runs_formed: usize,
     /// Every dispatch: worker, then per job its task and lineage.
@@ -364,7 +363,6 @@ impl Sim {
             cores,
             claims: Claims::default(),
             busy: vec![Vec::new(); n],
-            shared: VecDeque::new(),
             runs_formed: 0,
             dispatches: Vec::new(),
             lends: Vec::new(),
@@ -474,7 +472,7 @@ impl Sim {
         let mut pending = VecDeque::from(actions);
         while let Some(action) = pending.pop_front() {
             match action {
-                Action::Dispatch { worker, run } => {
+                Action::Dispatch { worker: w, run } => {
                     for job in &run {
                         assert!(
                             self.last_seq.is_none_or(|s| job.dispatch_seq > s),
@@ -491,31 +489,18 @@ impl Sim {
                     let lineage = run
                         .iter()
                         .map(|j| (j.task_id, j.dispatch_seq, j.decision, j.dispatch_virt));
-                    self.dispatches.push((worker, lineage.collect()));
-                    let delivered = match worker {
-                        Some(w) => {
-                            assert!(self.state.alive[w], "dispatch to a dead worker");
-                            let tasks: Vec<usize> = run.iter().map(|j| j.task_id).collect();
-                            assert_eq!(self.state.in_flight[w], tasks);
-                            self.check_run(w, &tasks);
-                            !self.gone[w] && {
-                                assert!(self.busy[w].is_empty(), "window of one run");
-                                self.hand(w, Order::Run(run));
-                                true
-                            }
-                        }
-                        None => {
-                            assert_eq!(run.len(), 1, "the shared queue takes one task a run");
-                            self.shared.extend(run);
-                            let anyone = self.gone.iter().any(|&g| !g);
-                            self.pump_shared();
-                            anyone
-                        }
-                    };
-                    if !delivered {
-                        let actions = self.state.step(Input::SendFailed(worker), self.now);
+                    self.dispatches.push((w, lineage.collect()));
+                    assert!(self.state.alive[w], "dispatch to a dead worker");
+                    let tasks: Vec<usize> = run.iter().map(|j| j.task_id).collect();
+                    assert_eq!(self.state.in_flight[w], tasks);
+                    self.check_run(w, &tasks);
+                    if self.gone[w] {
+                        let actions = self.state.step(Input::SendFailed(w), self.now);
                         self.check_lends(&actions);
                         pending.extend(actions);
+                    } else {
+                        assert!(self.busy[w].is_empty(), "window of one run");
+                        self.hand(w, Order::Run(run));
                     }
                 }
                 Action::Lend { job, helper } => self.lend(job, helper),
@@ -550,7 +535,6 @@ impl Sim {
                 .find(|&w| s.queue[w].contains(&t))
                 .expect("a loan of a task no queue holds");
             owners.push((t, owner));
-            assert!(!s.shared_queue, "a loan from the shared queue");
             assert!(s.alive[helper], "a loan to dead worker {helper}");
             assert!(
                 s.in_flight[helper].is_empty() && s.queue[helper].iter().all(|&q| s.done[q]),
@@ -636,19 +620,6 @@ impl Sim {
         self.heap.push(Reverse(Event { at, tie, post }));
     }
 
-    /// Idle live workers drain the shared queue in a shuffled order.
-    fn pump_shared(&mut self) {
-        let mut idle: Vec<usize> = (0..self.cores.len())
-            .filter(|&w| !self.gone[w] && self.busy[w].is_empty())
-            .collect();
-        while !idle.is_empty() && !self.shared.is_empty() {
-            let w = idle.swap_remove(self.rng.next_u64() as usize % idle.len());
-            if let Some(job) = self.shared.pop_front() {
-                self.hand(w, Order::Run(vec![job]));
-            }
-        }
-    }
-
     /// A run of more than one task goes to a CPU worker, holds tasks
     /// offered to runs on one slice within the backend's residue bound,
     /// and beats its slice's fill.
@@ -727,9 +698,6 @@ impl Sim {
             }
             _ => None,
         };
-        if completes.is_some() && self.state.shared_queue {
-            self.pump_shared();
-        }
         Snapshot {
             completes,
             alive: self.state.alive.clone(),
@@ -749,22 +717,31 @@ impl Sim {
         let s = &self.state;
         let (n, workers) = (s.total(), s.alive.len());
 
-        // Every unfinished task is in exactly one place; the dead hold
-        // nothing; no task blew its retry budget and lived.
-        if !s.shared_queue {
-            let mut places = vec![0usize; n];
-            for w in 0..workers {
-                let held = s.in_flight[w].iter().chain(&s.queue[w]);
-                for &t in held {
-                    assert!(s.alive[w], "dead worker {w} still holds task {t}");
-                    places[t] += 1;
-                }
+        // Every unfinished task is in exactly one place, the pool
+        // counting as one; the dead hold nothing; no task blew its retry
+        // budget and lived.
+        let mut places = vec![0usize; n];
+        for w in 0..workers {
+            let held = s.in_flight[w].iter().chain(&s.queue[w]);
+            for &t in held {
+                assert!(s.alive[w], "dead worker {w} still holds task {t}");
+                places[t] += 1;
             }
-            for (t, &count) in places.iter().enumerate() {
-                assert!(
-                    s.done[t] || count == 1,
-                    "unfinished task {t} is in {count} places"
-                );
+        }
+        for &t in &s.pool {
+            assert!(s.self_scheduling, "task {t} pooled under a plan");
+            places[t] += 1;
+        }
+        for (t, &count) in places.iter().enumerate() {
+            assert!(
+                s.done[t] || count == 1,
+                "unfinished task {t} is in {count} places"
+            );
+        }
+        // No live worker is idle while the pool holds an unfinished task.
+        if s.pool.iter().any(|&t| !s.done[t]) {
+            for w in (0..workers).filter(|&w| s.alive[w]) {
+                assert!(!s.in_flight[w].is_empty(), "worker {w} idles by the pool");
             }
         }
         assert!(s.retries.iter().all(|&r| r <= s.max_retries + 1));
@@ -780,7 +757,7 @@ impl Sim {
             );
             assert_eq!(
                 s.deadline[w].is_finite(),
-                s.alive[w] && !s.in_flight[w].is_empty() && !s.shared_queue
+                s.alive[w] && !s.in_flight[w].is_empty()
             );
         }
 
@@ -811,11 +788,9 @@ impl Sim {
         }
 
         // `decision` grows by exactly one per re-plan, and a re-plan
-        // needs a trigger: a death, a skew observation or a stall.
+        // needs a trigger: a death or a skew observation.
         let replans = s.decision - before.decision;
-        let triggers = count(|b| matches!(b, EventBody::WorkerDeath { .. }))
-            + replanned
-            + count(|b| matches!(b, EventBody::StallRedispatch { .. }));
+        let triggers = count(|b| matches!(b, EventBody::WorkerDeath { .. })) + replanned;
         assert!(
             replans <= triggers,
             "{replans} re-plans, {triggers} triggers"
@@ -823,7 +798,7 @@ impl Sim {
         if count(|b| matches!(b, EventBody::TaskRedispatch { .. })) + replanned > 0 {
             assert!(replans >= 1, "a re-plan must open a new decision");
         }
-        if !s.shared_queue {
+        if !s.self_scheduling {
             let mut placed: Vec<u64> = events
                 .iter()
                 .filter(|e| matches!(e.track, Track::Recovered(_)))
@@ -908,10 +883,9 @@ fn decision_of(event: &swdual_obs::Event) -> Option<u64> {
 /// `None` while the run is live.
 type Verdict = Option<Result<(), SearchError>>;
 
-/// A dispatch as the core stamped it: the worker (`None`: the shared
-/// queue), then each job's task, `dispatch_seq`, `decision` and
-/// `dispatch_virt`.
-type Dispatched = (Option<usize>, Vec<(usize, u64, u64, f64)>);
+/// A dispatch as the core stamped it: the worker, then each job's task,
+/// `dispatch_seq`, `decision` and `dispatch_virt`.
+type Dispatched = (usize, Vec<(usize, u64, u64, f64)>);
 
 struct Snapshot {
     /// The worker and the tasks it answered when the step's input is a
@@ -1133,6 +1107,77 @@ fn a_silent_death_is_noticed_within_a_tick_of_its_deadline() {
     );
 }
 
+/// Under self-scheduling a worker's silent death is caught by its own
+/// deadline too, not once the whole platform falls quiet: one CPU
+/// vanishes on its second task while its peer keeps taking 1.8-ms tasks
+/// from the pool about as fast as the master can answer them. The hits
+/// are the fault-free run's.
+#[test]
+fn a_self_scheduled_silent_death_is_noticed_within_a_tick_of_its_deadline() {
+    let pooled = AllocationPolicy::SelfScheduling;
+    let run = |workers: Vec<Member>| {
+        let mut sim = Sim::new(&[5; 600], workers, pooled, ReoptConfig::default(), 7);
+        sim.step_cost = 1.5e-3;
+        assert_eq!(sim.run(), Ok(()));
+        sim.check_verdict(&Ok(()));
+        sim
+    };
+    let sim = run(vec![cpu(None), cpu(vanish(1))]);
+    let (died, deadline) = sim.death_at[1].expect("the vanished worker is declared dead");
+    assert!(
+        died <= deadline + sim.tick,
+        "declared dead at {died}, deadline was {deadline}"
+    );
+    assert!(
+        died < 0.1 && sim.now > 0.4,
+        "died {died}, ended {}",
+        sim.now
+    );
+    let hits = |sim: &Sim| {
+        let mut hits: Vec<(usize, Vec<Hit>)> = (sim.state.results.iter())
+            .map(|r| (r.task_id, r.hits.clone()))
+            .collect();
+        hits.sort_by_key(|&(t, _)| t);
+        hits
+    };
+    assert_eq!(hits(&sim), hits(&run(vec![cpu(None), cpu(None)])));
+}
+
+/// A self-scheduled job waits for nothing on the modelled clock: each is
+/// stamped with its worker's modelled clock, as under a plan, so every
+/// job's modelled queue wait — and each worker's total in `analyze` — is
+/// 0, and every worker takes a task.
+#[test]
+fn self_scheduled_jobs_wait_for_nothing_on_the_modelled_clock() {
+    let mut rng = TestRng::seed_from_u64(9);
+    let lens = workload(24, &mut rng);
+    let workers = vec![cpu(None), gpu(None), cpu(None)];
+    let pooled = AllocationPolicy::SelfScheduling;
+    let mut sim = Sim::new(&lens, workers, pooled, ReoptConfig::default(), 9);
+    assert_eq!(sim.run(), Ok(()));
+    sim.check_verdict(&Ok(()));
+    assert!(
+        answered(&sim).iter().all(|&n| n > 0),
+        "{:?}",
+        answered(&sim)
+    );
+    let events = sim.obs.events_since(0);
+    let waits = events.iter().filter_map(|e| match e.body {
+        EventBody::Job {
+            queue_wait_modelled,
+            ..
+        } => Some(queue_wait_modelled),
+        _ => None,
+    });
+    let waits: Vec<Option<f64>> = waits.collect();
+    assert_eq!(waits.len(), 24);
+    assert!(waits.iter().all(|&w| w == Some(0.0)), "{waits:?}");
+    let report = swdual_obs::analysis::analyze(&swdual_obs::RunModel::from_obs(&sim.obs));
+    for worker in &report.workers {
+        assert_eq!(worker.queue_wait_modelled, 0.0, "worker {}", worker.worker);
+    }
+}
+
 /// Satellite regression: a fault re-plan used to spread the orphans
 /// uniformly and leave `planned_factor` stale, forgetting what
 /// re-optimization had learned. Observe a 4× CPU straggler, then kill
@@ -1332,7 +1377,7 @@ fn one_answer_settles_a_run_and_dispatches_the_next() {
     let queued: Vec<usize> = sim.state.queue[0].iter().copied().collect();
     let before = sim.deliver(&input);
     let actions = sim.state.step(input, sim.now);
-    let dispatched: Vec<(Option<usize>, Vec<usize>)> = actions
+    let dispatched: Vec<(usize, Vec<usize>)> = actions
         .iter()
         .filter_map(|a| match a {
             Action::Dispatch { worker, run } => {
@@ -1343,7 +1388,7 @@ fn one_answer_settles_a_run_and_dispatches_the_next() {
         .collect();
     let next = sim.state.in_flight[0].clone();
     assert!(next.len() > 1, "the next run holds several tasks");
-    assert_eq!(dispatched, vec![(Some(0), next.clone())]);
+    assert_eq!(dispatched, vec![(0, next.clone())]);
     assert_eq!(next[..], queued[..next.len()], "the head of the queue");
     assert!(run.iter().all(|&t| sim.state.done[t]), "the run is merged");
     let deadline = sim.state.deadline[0];
@@ -1414,16 +1459,16 @@ fn an_idle_worker_is_lent_the_busiest_queue_from_its_tail() {
 
 /// Nothing is lent under self-scheduling, to a worker with work, or to
 /// the dead, and nothing from a CPU's queue: `Sim::check_lends` holds on
-/// every loan of these pools, and the shared queue and a CPU-only pool
-/// make no loan at all.
+/// every loan of these pools, and self-scheduling's pool and a CPU-only
+/// pool make no loan at all.
 #[test]
-fn nothing_is_lent_to_a_dead_busy_or_shared_queue_worker() {
+fn nothing_is_lent_to_a_dead_busy_or_self_scheduled_worker() {
     let lens = [8; 30];
-    let shared = AllocationPolicy::SelfScheduling;
+    let pooled = AllocationPolicy::SelfScheduling;
     let pool = vec![gpu(slow(4.0)), cpu(None), cpu(None)];
-    let mut sim = Sim::new(&lens, pool, shared, ReoptConfig::default(), 2).answering(3);
+    let mut sim = Sim::new(&lens, pool, pooled, ReoptConfig::default(), 2).answering(3);
     assert_eq!(sim.run(), Ok(()));
-    assert!(sim.lends.is_empty(), "the shared queue lends nothing");
+    assert!(sim.lends.is_empty(), "self-scheduling lends nothing");
 
     // A CPU straggles four times slower than planned: its peers run dry,
     // but a CPU's queue is never lent.
