@@ -13,7 +13,7 @@
 //! | `scalar`  | any        | 16 × u8 arrays   | 16 subjects × u8 arrays| 8 × i16 arrays   |
 //!
 //! Both backends run the same kernel bodies, written once over the lane
-//! operations of [`crate::lanes`]: `scalar` instantiates them on
+//! operations of `crate::lanes`: `scalar` instantiates them on
 //! 128-bit lane arrays (SSE2, the x86-64 baseline, on x86-64; plain
 //! Rust elsewhere), `avx2` on `__m256i`. `scalar` is always available,
 //! the oracle the property tests pin every other backend against, and

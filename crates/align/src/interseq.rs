@@ -1,4 +1,4 @@
-//! Inter-sequence byte kernel (`interseq8`) — Rognes' SWIPE scheme [9],
+//! Inter-sequence byte kernel (`interseq8`) — Rognes' SWIPE scheme \[9\],
 //! with its lanes refilled.
 //!
 //! Where Farrar's kernel vectorises *within* one comparison (lanes =
@@ -62,7 +62,7 @@
 //!
 //! **Same escalations as the striped byte kernel.** Arithmetic is the
 //! striped kernel's: unsigned, biased, saturating, with the same `bias`
-//! and the same guard `limit` ([`crate::striped::byte_range`]). An add
+//! and the same guard `limit` (`crate::striped::byte_range`). An add
 //! can only saturate when its `H` input is already ≥ `limit`, so while
 //! every cell is below `limit` both kernels compute exact values, and
 //! the first cell to reach it is computed exactly by both. A subject's
@@ -70,7 +70,7 @@
 //! two shapes escalate the same subjects, whatever lane or column a
 //! subject lands on.
 //!
-//! The kernel body is written once over [`ByteLanes`]; the AVX2
+//! The kernel body is written once over `ByteLanes`; the AVX2
 //! instantiation runs 32 lanes per vector, the lane-array one (the
 //! oracle, and what every backend without an instantiation of its own
 //! runs) 16.

@@ -4,7 +4,7 @@
 //!
 //! * [`sw_linear_score`] — Smith-Waterman with a constant gap cost,
 //!   Eq. (1): `H[i][j] = max(H[i-1][j-1] + S, H[i][j-1] + g, H[i-1][j] + g, 0)`.
-//! * [`gotoh_score`] — Gotoh's affine-gap variant [14], Eqs. (2)–(4),
+//! * [`gotoh_score`] — Gotoh's affine-gap variant \[14\], Eqs. (2)–(4),
 //!   with three matrices `H`, `E`, `F`; opening a gap costs `Gs + Ge`,
 //!   each extension `Ge`.
 //!

@@ -1,7 +1,7 @@
 //! SWIPE-style tiered scoring pipeline: byte lanes first, 16-bit lanes
 //! on saturation, scalar `i32` Gotoh as the last resort.
 //!
-//! SWIPE [9] scores every subject with saturated byte arithmetic and
+//! SWIPE \[9\] scores every subject with saturated byte arithmetic and
 //! only re-scores the (rare, high-scoring) sequences whose score could
 //! have clamped. The byte kernel does twice the cells per vector of the
 //! 16-bit kernel, and for a typical database >99% of subjects resolve
@@ -9,8 +9,8 @@
 //! throughput with an escalation tax proportional to the hit rate.
 //!
 //! [`score_database`] is the one database-level entry point — the CPU
-//! worker, the simulated device's functional scorer and the engines all
-//! score a query against a database, or a slice of its length order,
+//! worker and the simulated device's functional scorer both score a
+//! query against a database, or a slice of its length order,
 //! through it. The database's [`Subjects`] are the blocks of an SQB
 //! version-3 image, each a refilled inter-sequence stream
 //! ([`crate::interseq`], many subjects per vector) scored where it lies.
@@ -40,7 +40,6 @@
 //! escalation rate can be read back from a journal.
 
 use crate::dispatch::{Backend, QueryProfiles};
-use crate::engine::PhaseTimings;
 use crate::interseq::{StreamRef, Tables};
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
@@ -74,6 +73,26 @@ impl TierStats {
         self.byte_resolved += other.byte_resolved;
         self.escalated_16 += other.escalated_16;
         self.escalated_scalar += other.escalated_scalar;
+    }
+}
+
+/// Wall-clock seconds a scoring call spent in each host phase.
+/// The profiler's phase taxonomy for CPU workers: query-profile setup
+/// and the DP inner loop (the search is score-only).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseTimings {
+    /// Seconds of per-query setup: the inter-sequence score tables and
+    /// any striped profile build or cache lookup.
+    pub profile_build: f64,
+    /// Seconds in the DP recurrences: laying out the inter-sequence
+    /// stream, every tier's kernel, escalations.
+    pub dp_inner: f64,
+}
+
+impl PhaseTimings {
+    /// Total seconds across all phases.
+    pub fn total(&self) -> f64 {
+        self.profile_build + self.dp_inner
     }
 }
 
@@ -399,8 +418,8 @@ impl<'a> From<&'a SequenceSet> for Subjects<'a> {
 }
 
 /// Which shape the byte tier runs. Production callers always pass
-/// `Auto`; the forced shapes exist for the `kernels` bench's sweep, the
-/// property tests and the `EngineKind::InterSeq` ablation.
+/// `Auto`; the forced shapes exist for the `kernels` bench's sweep and
+/// the tests that check every shape against Gotoh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByteShape {
     /// Once per block of the database: a block whose stream fills fewer
@@ -604,6 +623,25 @@ pub fn score_database(
         scratch,
         stats,
     )
+}
+
+/// [`score_database`] over a plain list of subjects, each scored
+/// whole: `scores[i]` belongs to `subjects[i]`. Lays out a throwaway
+/// [`Subjects`] and [`Scratch`] per call, so it suits callers that
+/// score a list once — tests and benches; a worker scores the search's
+/// own [`Subjects`] with its own [`Scratch`].
+pub fn score_subjects(
+    query: &[u8],
+    subjects: &[&[u8]],
+    scheme: &ScoringScheme,
+    cache: Option<&ProfileCache>,
+) -> (Vec<i32>, PhaseTimings, TierStats) {
+    let db = Subjects::new(subjects.to_vec());
+    let mut stats = TierStats::default();
+    let scratch = &mut Scratch::default();
+    let (scores, timings) =
+        score_database(query, &db, db.whole(), scheme, cache, scratch, &mut stats);
+    (db.in_database_order(&scores), timings, stats)
 }
 
 /// [`score_database`] on an explicit backend with an explicit byte-tier

@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::ops::Range;
 use swdual_align::dispatch::{Backend, QueryProfiles};
-use swdual_align::engine::EngineKind;
 use swdual_align::scalar::{gotoh_score, sw_linear_score};
 use swdual_align::tiered::{
     score_database_with, score_run_with, tiered_score, transposes, ByteShape, Subjects, TierStats,
@@ -115,15 +114,6 @@ proptest! {
             for (l, s) in subjects.iter().enumerate() {
                 prop_assert_eq!(got[l], gotoh_score(&q, s, &sch), "{} lane {}", backend, l);
             }
-        }
-    }
-
-    #[test]
-    fn all_engines_agree(q in residues(60), s in residues(90), sch in blosum_scheme()) {
-        let expected = gotoh_score(&q, &s, &sch);
-        for kind in EngineKind::ALL {
-            let engine = kind.build();
-            prop_assert_eq!(engine.score(&q, &s, &sch), expected, "engine {}", kind);
         }
     }
 

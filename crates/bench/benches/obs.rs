@@ -8,17 +8,18 @@
 //! records the medians to `BENCH_obs.json` at the workspace root so
 //! later PRs can diff the overhead.
 //!
-//! A second section times a *realistic CPU job* (striped score_many
-//! over a small database chunk) with the profiler off and on, and
-//! records the wall-time overhead ratio to `BENCH_profile.json` — the
-//! `--profile` acceptance budget is ≤ 2% over an unprofiled job.
+//! A second section times a *realistic CPU job* (the tier ladder over
+//! a small database chunk, `tiered::score_subjects`) with the profiler
+//! off and on, and records the wall-time overhead ratio to
+//! `BENCH_profile.json` — the `--profile` acceptance budget is ≤ 2% over
+//! an unprofiled job.
 //!
 //! Every full run also appends one stamped entry per bench to the
 //! `BENCH_trend.json` ledger at the workspace root, which
 //! `swdual diff --bench` compares (last two entries per bench) and can
 //! gate on.
 
-use swdual_align::engine::{AlignEngine, LadderEngine, PhaseTimings};
+use swdual_align::tiered::{score_subjects, PhaseTimings};
 use swdual_bench::ledger::{append_trend, measure, write_report};
 use swdual_bio::ScoringScheme;
 use swdual_datagen::{synthetic_database, LengthModel};
@@ -56,23 +57,18 @@ fn per_job(obs: &Obs, worker_id: usize, task_id: usize) {
 }
 
 /// Mirror of the CPU worker's per-job path with profiling hooks (see
-/// `swdual_runtime::worker`): phased scoring when the profiler is on,
-/// the task span, then the phase spans that subdivide it.
+/// `swdual_runtime::worker`): scoring, the task span, then, when the
+/// profiler is on, the phase spans that subdivide it.
 fn profiled_job(
     obs: &Obs,
-    engine: &LadderEngine,
     query: &[u8],
     subjects: &[&[u8]],
     scheme: &ScoringScheme,
     task_id: usize,
 ) -> i32 {
     let wall_start = obs.now();
-    let (scores, timings) = if obs.is_profiling() {
-        let (scores, timings, _) = engine.score_many_cached(query, subjects, scheme, None);
-        (scores, Some(timings))
-    } else {
-        (engine.score_many(query, subjects, scheme), None)
-    };
+    let (scores, timings, _) = score_subjects(query, subjects, scheme, None);
+    let timings = obs.is_profiling().then_some(timings);
     let wall_end = obs.now();
     if obs.is_enabled() {
         obs.span(
@@ -202,7 +198,7 @@ fn main() {
 
     // ---- profiler overhead on a realistic job ----
     //
-    // A striped score_many over a 32-sequence chunk, the shape of one
+    // The tier ladder over a 32-sequence chunk, the shape of one
     // CPU worker job. Three configurations: no observability at all,
     // tracing without the profiler, and tracing with the profiler.
     // The acceptance budget is profiling ≤ 2% over the unprofiled job.
@@ -211,7 +207,6 @@ fn main() {
     let chunk: Vec<&[u8]> = db.iter().map(|s| s.residues.as_slice()).collect();
     let query = db.get(0).expect("non-empty db").residues.clone();
     let scheme = ScoringScheme::protein_default();
-    let engine = LadderEngine::AUTO;
 
     let mut profile_results: Vec<(&str, f64)> = Vec::new();
     let mut job_bench = |name: &'static str, obs: Obs, profiling: bool| {
@@ -219,7 +214,7 @@ fn main() {
         let mut task = 0usize;
         let ns = measure(job_samples, job_iters, || {
             task = task.wrapping_add(1);
-            std::hint::black_box(profiled_job(&obs, &engine, &query, &chunk, &scheme, task));
+            std::hint::black_box(profiled_job(&obs, &query, &chunk, &scheme, task));
         });
         println!("profile_overhead/{name}  median {ns:.1} ns/op");
         profile_results.push((name, ns));

@@ -1,6 +1,6 @@
 //! Streaming FASTA reader and writer.
 //!
-//! FASTA ([17] in the paper) is a plain-text format: a `>` header line
+//! FASTA (\[17\] in the paper) is a plain-text format: a `>` header line
 //! followed by residue lines, records placed one after another. As the
 //! paper notes (§IV), this makes it impossible to read a *specific*
 //! sequence without scanning the whole file — the motivation for the SQB
@@ -34,7 +34,6 @@ pub struct FastaReader<R: BufRead> {
     /// the input), if any.
     pending_header: Option<String>,
     line: String,
-    records_read: usize,
     started: bool,
 }
 
@@ -47,7 +46,6 @@ impl<R: BufRead> FastaReader<R> {
             policy: ResiduePolicy::Strict,
             pending_header: None,
             line: String::new(),
-            records_read: 0,
             started: false,
         }
     }
@@ -56,11 +54,6 @@ impl<R: BufRead> FastaReader<R> {
     pub fn with_policy(mut self, policy: ResiduePolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Number of complete records returned so far.
-    pub fn records_read(&self) -> usize {
-        self.records_read
     }
 
     fn parse_header(line: &str) -> (String, String) {
@@ -135,7 +128,6 @@ impl<R: BufRead> FastaReader<R> {
                 s
             }
         };
-        self.records_read += 1;
         Ok(Some(sequence))
     }
 }
@@ -199,7 +191,7 @@ pub fn read_image(
     SqbImage::from_records(alphabet, file_reader(path, alphabet, policy)?)
 }
 
-/// Width at which [`write`] wraps residue lines (the conventional 60).
+/// Width at which [`write()`] wraps residue lines (the conventional 60).
 pub const LINE_WIDTH: usize = 60;
 
 /// Serialise a sequence set as FASTA text.
@@ -332,7 +324,6 @@ M
             n += 1;
         }
         assert_eq!(n, 3);
-        assert_eq!(reader.records_read(), 3);
     }
 
     #[test]

@@ -1,29 +1,14 @@
-//! Karlin–Altschul statistics: λ, H, bit scores and E-values.
+//! Karlin–Altschul statistics: bit scores and E-values.
 //!
 //! Production Smith-Waterman search tools (SWIPE, SSEARCH, BLAST) rank
-//! hits by statistical significance, not raw score. For an ungapped
-//! scoring system with residue background frequencies `pᵢ`, the scale
-//! parameter λ is the unique positive solution of
-//!
-//! ```text
-//! Σᵢ Σⱼ pᵢ pⱼ exp(λ·s(i,j)) = 1
-//! ```
-//!
-//! and the relative entropy `H = λ · Σ pᵢ pⱼ s(i,j) exp(λ·s(i,j))`.
-//! The expected number of alignments scoring ≥ S in a search of a
-//! query of length `m` against a database of `n` residues is
-//! `E = K·m·n·exp(−λS)` (the Karlin–Altschul equation).
-//!
-//! λ and H are computed exactly (Newton iteration); `K` uses the
-//! standard high-score regime approximation `K ≈ H/λ · exp(−λ·δ)`-free
-//! simplified estimate documented at [`karlin_k_estimate`] — exact `K`
-//! requires the full Karlin–Altschul renewal computation, which matters
-//! only as a constant factor on E-values. For *gapped* searches the
-//! canonical practice (followed by BLAST itself) is lookup tables of
-//! empirically fitted (λ, K); [`gapped_params`] embeds the BLOSUM62
-//! table used by NCBI BLAST.
-
-use crate::matrix::Matrix;
+//! hits by statistical significance, not raw score. The expected number
+//! of alignments scoring ≥ S in a search of a query of length `m`
+//! against a database of `n` residues is `E = K·m·n·exp(−λS)` (the
+//! Karlin–Altschul equation), with λ the scale of the scoring system
+//! and `K` a constant. For *gapped* searches the canonical practice
+//! (followed by BLAST itself) is lookup tables of empirically fitted
+//! (λ, K); [`gapped_params`] embeds the BLOSUM62 table used by NCBI
+//! BLAST.
 
 /// Statistical parameters of a scoring system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,131 +31,6 @@ impl KarlinParams {
     pub fn evalue(&self, raw_score: i32, query_len: usize, db_residues: u64) -> f64 {
         self.k * query_len as f64 * db_residues as f64 * (-self.lambda * raw_score as f64).exp()
     }
-
-    /// The raw score needed to reach E-value `e` in a given search
-    /// space (inverse of [`KarlinParams::evalue`]).
-    pub fn score_for_evalue(&self, e: f64, query_len: usize, db_residues: u64) -> i32 {
-        let mn = query_len as f64 * db_residues as f64;
-        ((self.k * mn / e).ln() / self.lambda).ceil() as i32
-    }
-}
-
-/// Expected score per pair under backgrounds `p` and `q`:
-/// `Σ pᵢ qⱼ s(i,j)`. Must be negative for local alignment statistics to
-/// exist.
-pub fn expected_score(matrix: &Matrix, p: &[f64], q: &[f64]) -> f64 {
-    let mut e = 0.0;
-    for (i, &pi) in p.iter().enumerate() {
-        for (j, &qj) in q.iter().enumerate() {
-            e += pi * qj * matrix.score(i as u8, j as u8) as f64;
-        }
-    }
-    e
-}
-
-/// Solve for the ungapped λ of `matrix` under background frequencies
-/// `p` (query side) and `q` (subject side) by Newton iteration on
-/// `f(λ) = Σ pᵢqⱼ exp(λ sᵢⱼ) − 1`.
-///
-/// Returns `None` when no positive λ exists (expected score ≥ 0 or no
-/// positive score in the table) — such systems have no local-alignment
-/// statistics.
-pub fn solve_lambda(matrix: &Matrix, p: &[f64], q: &[f64]) -> Option<f64> {
-    if expected_score(matrix, p, q) >= 0.0 {
-        return None;
-    }
-    let has_positive = p.iter().enumerate().any(|(i, &pi)| {
-        pi > 0.0
-            && q.iter()
-                .enumerate()
-                .any(|(j, &qj)| qj > 0.0 && matrix.score(i as u8, j as u8) > 0)
-    });
-    if !has_positive {
-        return None;
-    }
-
-    // f is convex with f(0) = 0, f'(0) < 0 and f(∞) = ∞: bracket the
-    // positive root then Newton from the right.
-    let f_and_df = |lambda: f64| -> (f64, f64) {
-        let mut f = -1.0;
-        let mut df = 0.0;
-        for (i, &pi) in p.iter().enumerate() {
-            if pi == 0.0 {
-                continue;
-            }
-            for (j, &qj) in q.iter().enumerate() {
-                if qj == 0.0 {
-                    continue;
-                }
-                let s = matrix.score(i as u8, j as u8) as f64;
-                let w = pi * qj * (lambda * s).exp();
-                f += w;
-                df += w * s;
-            }
-        }
-        (f, df)
-    };
-
-    let mut hi = 0.5;
-    while f_and_df(hi).0 < 0.0 {
-        hi *= 2.0;
-        if hi > 100.0 {
-            return None;
-        }
-    }
-    let mut lambda = hi;
-    for _ in 0..100 {
-        let (f, df) = f_and_df(lambda);
-        if df <= 0.0 {
-            break;
-        }
-        let next = lambda - f / df;
-        if next.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            break;
-        }
-        if (next - lambda).abs() < 1e-12 * lambda {
-            return Some(next);
-        }
-        lambda = next;
-    }
-    Some(lambda)
-}
-
-/// Relative entropy `H` of the scoring system at scale `lambda`.
-pub fn entropy(matrix: &Matrix, p: &[f64], q: &[f64], lambda: f64) -> f64 {
-    let mut h = 0.0;
-    for (i, &pi) in p.iter().enumerate() {
-        for (j, &qj) in q.iter().enumerate() {
-            let s = matrix.score(i as u8, j as u8) as f64;
-            h += pi * qj * s * (lambda * s).exp();
-        }
-    }
-    lambda * h
-}
-
-/// Simplified estimate of the Karlin–Altschul `K` constant:
-/// `K ≈ H / (λ · s̄₊²)`-style estimates vary; we use the common
-/// practitioners' approximation `K ≈ 0.1` scaled by entropy relative to
-/// BLOSUM62's (whose exact ungapped K is 0.1337). The constant enters
-/// E-values only as a scale factor; order-of-magnitude correctness is
-/// what hit filtering needs. For exact gapped statistics use
-/// [`gapped_params`].
-pub fn karlin_k_estimate(matrix: &Matrix, p: &[f64], q: &[f64], lambda: f64) -> f64 {
-    const BLOSUM62_H: f64 = 0.4012; // nats, NCBI value
-    const BLOSUM62_K: f64 = 0.1337; // NCBI ungapped K
-    let h = entropy(matrix, p, q, lambda);
-    (BLOSUM62_K * h / BLOSUM62_H).clamp(0.001, 1.0)
-}
-
-/// Full ungapped parameter computation.
-pub fn ungapped_params(matrix: &Matrix, p: &[f64], q: &[f64]) -> Option<KarlinParams> {
-    let lambda = solve_lambda(matrix, p, q)?;
-    let h = entropy(matrix, p, q, lambda);
-    Some(KarlinParams {
-        lambda,
-        entropy: h,
-        k: karlin_k_estimate(matrix, p, q, lambda),
-    })
 }
 
 /// Empirically fitted gapped (λ, K) for BLOSUM62 at common gap
@@ -198,74 +58,10 @@ pub fn gapped_params(gap_open: i32, gap_extend: i32) -> Option<KarlinParams> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alphabet::Alphabet;
-    use crate::matrix::Matrix;
-
-    /// Robinson background over the 24-letter alphabet (zeros for
-    /// ambiguity codes).
-    fn background() -> Vec<f64> {
-        let mut p = vec![0.0; 24];
-        let freqs = [
-            0.07805, 0.05129, 0.04487, 0.05364, 0.01925, 0.04264, 0.06295, 0.07377, 0.02199,
-            0.05142, 0.09019, 0.05744, 0.02243, 0.03856, 0.05203, 0.07120, 0.05841, 0.01330,
-            0.03216, 0.06441,
-        ];
-        let total: f64 = freqs.iter().sum();
-        for (i, f) in freqs.iter().enumerate() {
-            p[i] = f / total;
-        }
-        p
-    }
-
-    #[test]
-    fn blosum62_lambda_matches_ncbi() {
-        // NCBI's ungapped λ for BLOSUM62 with Robinson frequencies is
-        // 0.3176.
-        let p = background();
-        let lambda = solve_lambda(Matrix::blosum62(), &p, &p).unwrap();
-        assert!(
-            (lambda - 0.3176).abs() < 0.004,
-            "λ = {lambda}, expected ≈ 0.3176"
-        );
-    }
-
-    #[test]
-    fn blosum62_entropy_matches_ncbi() {
-        let p = background();
-        let lambda = solve_lambda(Matrix::blosum62(), &p, &p).unwrap();
-        let h = entropy(Matrix::blosum62(), &p, &p, lambda);
-        // NCBI reports H ≈ 0.40 nats.
-        assert!((h - 0.40).abs() < 0.02, "H = {h}");
-    }
-
-    #[test]
-    fn expected_score_is_negative_for_blosum62() {
-        let p = background();
-        assert!(expected_score(Matrix::blosum62(), &p, &p) < 0.0);
-    }
-
-    #[test]
-    fn positive_expected_score_has_no_lambda() {
-        // An all-positive matrix cannot have local statistics.
-        let m = Matrix::match_mismatch(Alphabet::Dna, 2, 1);
-        let p = vec![0.25, 0.25, 0.25, 0.25, 0.0];
-        assert!(solve_lambda(&m, &p, &p).is_none());
-    }
-
-    #[test]
-    fn match_mismatch_lambda_closed_form() {
-        // For +1/-1 uniform DNA: Σ p² e^λ over matches + mismatches:
-        // 0.25 e^λ + 0.75 e^{-λ} = 1 ⇒ e^λ = 3 ⇒ λ = ln 3.
-        let m = Matrix::match_mismatch(Alphabet::Dna, 1, -1);
-        let p = vec![0.25, 0.25, 0.25, 0.25, 0.0];
-        let lambda = solve_lambda(&m, &p, &p).unwrap();
-        assert!((lambda - 3.0f64.ln()).abs() < 1e-9, "λ = {lambda}");
-    }
 
     #[test]
     fn evalue_decreases_with_score_and_increases_with_space() {
-        let p = background();
-        let params = ungapped_params(Matrix::blosum62(), &p, &p).unwrap();
+        let params = gapped_params(10, 2).unwrap();
         let e50 = params.evalue(50, 300, 1_000_000);
         let e100 = params.evalue(100, 300, 1_000_000);
         assert!(e100 < e50);
@@ -274,20 +70,10 @@ mod tests {
     }
 
     #[test]
-    fn score_for_evalue_inverts_evalue() {
-        let p = background();
-        let params = ungapped_params(Matrix::blosum62(), &p, &p).unwrap();
-        let s = params.score_for_evalue(1e-3, 500, 10_000_000);
-        assert!(params.evalue(s, 500, 10_000_000) <= 1e-3);
-        assert!(params.evalue(s - 1, 500, 10_000_000) > 1e-3);
-    }
-
-    #[test]
     fn bit_scores_are_monotone() {
-        let p = background();
-        let params = ungapped_params(Matrix::blosum62(), &p, &p).unwrap();
+        let params = gapped_params(10, 2).unwrap();
         assert!(params.bit_score(100) > params.bit_score(50));
-        // ~0.46 bits per raw score unit for BLOSUM62.
+        // λ / ln 2 bits per raw score unit: ~0.37 for BLOSUM62 at 10/2.
         let per_unit = params.bit_score(101) - params.bit_score(100);
         assert!((per_unit - params.lambda / std::f64::consts::LN_2).abs() < 1e-12);
     }

@@ -1,5 +1,5 @@
 //! The lane layout: how a run of sequences becomes one *stream* of
-//! residue columns for the inter-sequence kernel (Rognes' SWIPE [9],
+//! residue columns for the inter-sequence kernel (Rognes' SWIPE \[9\],
 //! with its lanes refilled).
 //!
 //! A stream has [`LANES`] lanes. Its subjects are dealt out in the

@@ -5,7 +5,7 @@
 //!
 //! * [`alphabet`] — DNA / RNA / protein alphabets and residue encoding,
 //! * [`seq`] — the owned [`Sequence`] record type and borrowed views,
-//! * [`fasta`] — a streaming FASTA reader/writer ([17] in the paper),
+//! * [`fasta`] — a streaming FASTA reader/writer (\[17\] in the paper),
 //! * [`sqb`] — the paper's custom *binary database format* with an index
 //!   allowing random access to any sequence (paper §IV, last paragraphs);
 //!   version 3 stores the records in length order, their residues as the
@@ -15,7 +15,7 @@
 //!   the lanes of one stream, shared by the writer and the kernels,
 //! * [`matrix`] — substitution matrices (BLOSUM / PAM families plus simple
 //!   match/mismatch scoring as in the paper's Figure 1 example),
-//! * [`stats`] — residue-composition and cell-update (CUPS) accounting.
+//! * [`stats`] — residue-composition and sequence-length statistics.
 //!
 //! Everything downstream (`swdual-align`, `swdual-gpusim`, the runtime)
 //! consumes sequences already *encoded* as small integers so that

@@ -4,7 +4,7 @@
 //! match/mismatch/gap values (`ma`, `mi`, `g`); protein database search in
 //! practice uses a substitution matrix (BLOSUM62 is the default of both
 //! SWIPE and CUDASW++, the engines SWDUAL integrates) and the affine-gap
-//! model of Gotoh [14] with gap-open (`Gs`) and gap-extend (`Ge`)
+//! model of Gotoh \[14\] with gap-open (`Gs`) and gap-extend (`Ge`)
 //! penalties (paper Eqs. 2–4).
 //!
 //! A [`Matrix`] is a dense `size × size` table indexed by the *encoded*
@@ -64,17 +64,6 @@ impl Matrix {
             }
         }
         Matrix::from_scores(format!("match/mismatch({ma:+}/{mi:+})"), alphabet, scores)
-    }
-
-    /// The NCBI BLASTN default nucleotide scheme (+5/-4).
-    pub fn blastn(alphabet: Alphabet) -> Self {
-        assert!(
-            matches!(alphabet, Alphabet::Dna | Alphabet::Rna),
-            "blastn scheme is for nucleotide alphabets"
-        );
-        let mut m = Matrix::match_mismatch(alphabet, 5, -4);
-        m.name = "blastn(+5/-4)".into();
-        m
     }
 
     /// The embedded BLOSUM62 matrix (protein alphabet).
@@ -357,21 +346,6 @@ mod tests {
         // Wildcard never matches, not even itself.
         assert_eq!(m.score(n, n), -1);
         assert!(m.is_symmetric());
-    }
-
-    #[test]
-    fn blastn_scheme() {
-        let m = Matrix::blastn(Alphabet::Dna);
-        let a = Alphabet::Dna.encode_byte(b'A').unwrap();
-        let t = Alphabet::Dna.encode_byte(b'T').unwrap();
-        assert_eq!(m.score(a, a), 5);
-        assert_eq!(m.score(a, t), -4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn blastn_rejects_protein() {
-        let _ = Matrix::blastn(Alphabet::Protein);
     }
 
     #[test]

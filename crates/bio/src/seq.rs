@@ -185,11 +185,6 @@ impl SequenceSet {
         &self.sequences
     }
 
-    /// Consume the set and return the member vector.
-    pub fn into_sequences(self) -> Vec<Sequence> {
-        self.sequences
-    }
-
     /// Length of the shortest member, `None` when empty.
     pub fn min_len(&self) -> Option<usize> {
         self.sequences.iter().map(Sequence::len).min()
@@ -207,13 +202,6 @@ impl SequenceSet {
         } else {
             self.total_residues as f64 / self.sequences.len() as f64
         }
-    }
-
-    /// Sort members by descending length. CUDASW++-style GPU batch kernels
-    /// want equal-length work grouped together; the SQB writer offers the
-    /// same option.
-    pub fn sort_by_length_desc(&mut self) {
-        self.sequences.sort_by_key(|s| std::cmp::Reverse(s.len()));
     }
 }
 
@@ -271,24 +259,6 @@ mod tests {
         let mut set = SequenceSet::new(Alphabet::Protein);
         let dna = Sequence::from_text("d", Alphabet::Dna, b"ACGT").unwrap();
         assert!(set.push(dna).is_err());
-    }
-
-    #[test]
-    fn sort_by_length_desc_orders_members() {
-        let mut set = SequenceSet::from_sequences(
-            Alphabet::Protein,
-            vec![
-                prot("short", b"MK"),
-                prot("long", b"MKVLATGG"),
-                prot("mid", b"MKVL"),
-            ],
-        )
-        .unwrap();
-        set.sort_by_length_desc();
-        let lens: Vec<usize> = set.iter().map(Sequence::len).collect();
-        assert_eq!(lens, vec![8, 4, 2]);
-        // Total residues unaffected by sorting.
-        assert_eq!(set.total_residues(), 14);
     }
 
     #[test]

@@ -1,44 +1,6 @@
-//! Residue-composition statistics and cell-update (CUPS) accounting.
-//!
-//! The paper reports throughput in **GCUPS** — billions of dynamic
-//! programming *cell updates per second*. One pairwise comparison of a
-//! query of length `m` with a database sequence of length `n` updates
-//! `m · n` cells; a database search of `q` queries against database `d`
-//! updates `Σ|qᵢ| · Σ|dⱼ|` cells. These helpers centralise that
-//! arithmetic so every engine and every experiment reports comparable
-//! numbers.
+//! Residue-composition and sequence-length statistics of sequence sets.
 
 use crate::seq::{Sequence, SequenceSet};
-
-/// Number of DP cells of one pairwise comparison.
-#[inline]
-pub fn pair_cells(query_len: usize, subject_len: usize) -> u64 {
-    query_len as u64 * subject_len as u64
-}
-
-/// Number of DP cells of one query against a whole database — the size of
-/// one SWDUAL *task* (paper §II-C: "Each task is equivalent to the
-/// comparison of one [sequence] of the query set to the whole database").
-#[inline]
-pub fn task_cells(query_len: usize, database_residues: u64) -> u64 {
-    query_len as u64 * database_residues
-}
-
-/// Total DP cells of a full search: every query against every database
-/// sequence.
-pub fn search_cells(queries: &SequenceSet, database: &SequenceSet) -> u64 {
-    queries.total_residues() * database.total_residues()
-}
-
-/// Convert a cell count and a duration (seconds) to GCUPS.
-#[inline]
-pub fn gcups(cells: u64, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        0.0
-    } else {
-        cells as f64 / seconds / 1e9
-    }
-}
 
 /// Residue composition (counts per residue code) of sequences.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,24 +45,6 @@ impl Composition {
         } else {
             self.counts[code as usize] as f64 / self.total as f64
         }
-    }
-
-    /// Shannon entropy of the composition in bits. Random protein is
-    /// ≈ 4.19 bits; low-complexity regions are much lower.
-    pub fn entropy_bits(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let total = self.total as f64;
-        -self
-            .counts
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| {
-                let p = c as f64 / total;
-                p * p.log2()
-            })
-            .sum::<f64>()
     }
 }
 
@@ -179,38 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_and_task_cells() {
-        assert_eq!(pair_cells(100, 350), 35_000);
-        assert_eq!(task_cells(2500, 193_000_000), 482_500_000_000);
-        // Overflow-safe: lengths near u32 max still fit in u64.
-        assert_eq!(pair_cells(4_000_000, 4_000_000), 16_000_000_000_000);
-    }
-
-    #[test]
-    fn search_cells_is_product_of_totals() {
-        let q = set_of(&["MKVL", "MK"]); // 6 residues
-        let d = set_of(&["MKVLATGGAR", "ARNDC"]); // 15 residues
-        assert_eq!(search_cells(&q, &d), 6 * 15);
-    }
-
-    #[test]
-    fn gcups_arithmetic() {
-        assert!((gcups(2_000_000_000, 1.0) - 2.0).abs() < 1e-12);
-        assert!((gcups(1_000_000_000, 2.0) - 0.5).abs() < 1e-12);
-        assert_eq!(gcups(123, 0.0), 0.0);
-        assert_eq!(gcups(123, -1.0), 0.0);
-    }
-
-    #[test]
-    fn paper_scale_gcups_sanity() {
-        // Table IV Uniprot/8 workers: 142.98 s at 136.06 GCUPS implies
-        // ~1.95e13 cells. Check our arithmetic reproduces the GCUPS figure.
-        let cells = (136.06e9_f64 * 142.98) as u64;
-        let g = gcups(cells, 142.98);
-        assert!((g - 136.06).abs() < 0.01, "got {g}");
-    }
-
-    #[test]
     fn composition_counts_and_frequency() {
         let s = Sequence::from_text("x", Alphabet::Protein, b"AARA").unwrap();
         let comp = Composition::of_sequence(&s);
@@ -229,19 +141,6 @@ mod tests {
         let a = Alphabet::Protein.encode_byte(b'A').unwrap();
         assert_eq!(comp.counts[a as usize], 3);
         assert_eq!(comp.total, 4);
-    }
-
-    #[test]
-    fn entropy_extremes() {
-        let uniform = Sequence::from_text("u", Alphabet::Dna, b"ACGT").unwrap();
-        let comp = Composition::of_sequence(&uniform);
-        assert!((comp.entropy_bits() - 2.0).abs() < 1e-12);
-
-        let constant = Sequence::from_text("c", Alphabet::Dna, b"AAAA").unwrap();
-        assert_eq!(Composition::of_sequence(&constant).entropy_bits(), 0.0);
-
-        let empty = Sequence::from_text("e", Alphabet::Dna, b"").unwrap();
-        assert_eq!(Composition::of_sequence(&empty).entropy_bits(), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The `--progress` line of a long search.
 //!
-//! [`Progress`] is one sink of the journal follower ([`crate::live`]):
+//! `Progress` is one sink of the journal follower ([`crate::live`]):
 //! it folds each new event into a [`RunModel`] — the model `swdual top`
 //! renders from — and redraws its one-line stderr status when new events
 //! arrived (at most once per 250 ms) and on a 1 s heartbeat even when

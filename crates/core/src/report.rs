@@ -119,31 +119,6 @@ impl SearchReport {
         &self.query_ids[index]
     }
 
-    /// Annotate one query's hits with Karlin–Altschul statistics: each
-    /// hit becomes `(db_index, raw score, bit score, E-value)`.
-    /// `query_len`/`db_residues` define the search space; `params`
-    /// usually comes from [`swdual_bio::karlin::gapped_params`].
-    pub fn hits_with_statistics(
-        &self,
-        query_index: usize,
-        query_len: usize,
-        db_residues: u64,
-        params: &swdual_bio::karlin::KarlinParams,
-    ) -> Vec<(usize, i32, f64, f64)> {
-        self.outcome.hits[query_index]
-            .hits
-            .iter()
-            .map(|h| {
-                (
-                    h.db_index,
-                    h.score,
-                    params.bit_score(h.score),
-                    params.evalue(h.score, query_len, db_residues),
-                )
-            })
-            .collect()
-    }
-
     /// The event recorder the search ran with. Empty (disabled) unless
     /// the search was built with `SearchBuilder::observe`.
     pub fn obs(&self) -> &Obs {
@@ -309,16 +284,19 @@ Query query_1:
     #[test]
     fn statistics_annotation_is_monotone() {
         let r = report();
+        // What `swdual search --evalues` prints beside each hit.
         let params = swdual_bio::karlin::gapped_params(10, 2).unwrap();
-        let annotated = r.hits_with_statistics(0, 60, 720, &params);
+        let annotated: Vec<(f64, f64)> = (r.hits()[0].hits.iter())
+            .map(|h| (params.bit_score(h.score), params.evalue(h.score, 60, 720)))
+            .collect();
         assert!(!annotated.is_empty());
         for w in annotated.windows(2) {
             // Hits are score-sorted, so bit scores fall and E-values rise.
-            assert!(w[0].2 >= w[1].2);
-            assert!(w[0].3 <= w[1].3);
+            assert!(w[0].0 >= w[1].0);
+            assert!(w[0].1 <= w[1].1);
         }
         // The top hit is the (near-)identical source: tiny E-value.
-        assert!(annotated[0].3 < 1e-6, "E = {}", annotated[0].3);
+        assert!(annotated[0].1 < 1e-6, "E = {}", annotated[0].1);
     }
 
     #[test]

@@ -163,11 +163,6 @@ impl DeviceSpec {
     pub fn transfer_time(&self, bytes: u64) -> f64 {
         bytes as f64 / self.pcie_bytes_per_sec
     }
-
-    /// Total CUDA cores.
-    pub fn total_cores(&self) -> usize {
-        self.sm_count * self.cores_per_sm
-    }
 }
 
 /// Named calibrated accelerator classes — the device zoo.
@@ -302,7 +297,7 @@ mod tests {
     #[test]
     fn c2050_architecture() {
         let d = DeviceSpec::tesla_c2050();
-        assert_eq!(d.total_cores(), 448); // the C2050's CUDA core count
+        assert_eq!(d.sm_count * d.cores_per_sm, 448); // the C2050's CUDA core count
         assert_eq!(d.warp_size, 32);
         assert!(d.global_memory >= 3 * 1024 * 1024 * 1024);
     }

@@ -18,7 +18,7 @@
 //!
 //! Journals start with a `{"schema":"swdual-journal/2",...}` header
 //! line (the previous `swdual-journal/1` still parses); anything else
-//! is rejected with a typed [`JournalError`] instead of garbage
+//! is rejected with a typed [`JournalError`](crate::journal::JournalError) instead of garbage
 //! output.
 
 use crate::model::{ratio_or, species, RunModel, Worker};

@@ -6,7 +6,7 @@
 //! root. The ledger keeps the full history, so a PR can show its
 //! before/after and CI can gate on the last two entries of a bench.
 //! Bench numbers are wall-clock medians, so trend diffs always use the
-//! relative [`Tolerance::Wall`](crate::diff::Tolerance::Wall) class —
+//! relative [`crate::diff::Tolerance::Wall`] class —
 //! there is no exact lane here.
 
 use crate::diff::{classify, DiffOptions, DiffReport, MetricDiff, Tolerance};
@@ -146,7 +146,7 @@ const HIGHER_IS_BETTER: &str = "_gcups";
 
 /// Diff the last two entries of each bench (or just `bench`, when
 /// given): metric names become `BENCH.METRIC`, judged under the
-/// wall-clock tolerance with the polarity [`HIGHER_IS_BETTER`] names.
+/// wall-clock tolerance with the polarity `HIGHER_IS_BETTER` names.
 pub fn diff_trend(
     ledger: &TrendLedger,
     bench: Option<&str>,

@@ -11,7 +11,7 @@
 //! `Slots` is that rule as plain transitions, which answer
 //! `Settled::Wait` where an owner must wait; [`Claims`] wraps them in
 //! a `Mutex` and a `Condvar`. A helper that unwinds mid-task releases
-//! its claim ([`Claim`]'s `Drop`), so a settling owner never waits on a
+//! its claim (`Claim`'s `Drop`), so a settling owner never waits on a
 //! helper that is gone.
 
 use crate::messages::Hit;

@@ -14,7 +14,7 @@ use swdual_gpusim::{DeviceClass, DeviceSpec};
 
 /// Conservative cold-host prior of an optimised build: 10 MCUPS (cells
 /// per second). The silent-death deadline is bounded below by pending
-/// cells at [`cold_host_cells_per_sec`], so even a grossly mis-modelled
+/// cells at `cold_host_cells_per_sec`, so even a grossly mis-modelled
 /// (or deliberately re-calibrated) slow host is never declared dead
 /// while it could still plausibly be computing. Re-optimization
 /// recalibrates the *planning* estimates, never this floor.

@@ -1,7 +1,7 @@
 //! The master: task generation, allocation, dispatch and result
 //! merging (paper Figure 6, left column) — plus fault tolerance.
 //!
-//! The master is split in two. The **core** ([`core`]'s `MasterState`) owns
+//! The master is split in two. The **core** (`core`'s `MasterState`) owns
 //! every piece of run state — who is alive, each worker's queue and
 //! in-flight run, self-scheduling's pool, what is done, retry counts,
 //! dispatch lineage, calibration and deadlines — and advances it through
@@ -30,7 +30,7 @@
 //! `top_k` hits of its slice; the master folds the slices of a query.
 //!
 //! An idle worker is lent the last queued task of the busiest device
-//! queue (see [`core`]): it scores the task into the search's
+//! queue (see `core`): it scores the task into the search's
 //! [`Claims`] and the owner, when it reaches the task, takes the scores
 //! from there. Lending changes which thread computes a task, never what
 //! the task's owner reports for it on the modelled clock.

@@ -39,8 +39,8 @@ use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swdual_align::engine::{AlignEngine, LadderEngine, PhaseTimings};
-use swdual_align::{ProfileCache, Scratch, Subjects, TierStats};
+use swdual_align::tiered::{score_database, score_run_with, PhaseTimings};
+use swdual_align::{Backend, ProfileCache, Scratch, Subjects, TierStats};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
 use swdual_gpusim::chunked::overlapped_search;
@@ -198,16 +198,18 @@ impl Answer {
     /// track, and its host phases (profile build, DP inner loop) under
     /// it when profiled.
     ///
-    /// `virt_start` is the worker's cumulative modelled busy time before
-    /// this job — the modelled clock all planned placements are stated
-    /// in. The span echoes the job's lineage (dispatch sequence, plan
-    /// decision) and the dispatch→exec-start queue-wait gap on both
-    /// clocks, so the journal's causal chain closes without consumers
-    /// re-deriving it. The wall gap is real master→worker hand-off
-    /// latency; the modelled gap is ~0 by construction (a worker's
-    /// virtual clock only advances while it computes) except when a
-    /// re-plan hands a task to a worker whose modelled clock already ran
-    /// past the dispatch stamp.
+    /// `virt` is the job's modelled start — the worker's cumulative
+    /// modelled busy time before it, the clock all planned placements
+    /// are stated in — and its modelled seconds. The span echoes the
+    /// job's lineage (dispatch sequence, plan decision) and its queue
+    /// wait on both clocks, so the journal's causal chain closes without
+    /// consumers re-deriving it. A job waits from `ready` to its start:
+    /// `ready` is the later of its dispatch and the end of its run's
+    /// previous task, so no task is charged for its run mates' compute.
+    /// The wall wait is real master→worker hand-off latency; the
+    /// modelled wait is ~0 by construction (a worker's virtual clock only
+    /// advances while it computes) except when a re-plan hands a task to
+    /// a worker whose modelled clock already ran past the dispatch stamp.
     ///
     /// Phase spans tile the job sequentially on both clocks. Wall
     /// durations are the measured [`PhaseTimings`]; modelled durations
@@ -221,8 +223,8 @@ impl Answer {
         obs: &Obs,
         track: Track,
         job: &Job,
-        virt_start: f64,
-        modelled: f64,
+        ready: (f64, f64),
+        (virt_start, modelled): (f64, f64),
         cells: u64,
     ) {
         if !obs.is_enabled() {
@@ -238,8 +240,8 @@ impl Answer {
                 cells: Some(cells as f64),
                 seq: Some(job.dispatch_seq),
                 decision: Some(job.decision),
-                queue_wait_wall: Some((self.wall_start - job.dispatch_wall).max(0.0)),
-                queue_wait_modelled: Some((virt_start - job.dispatch_virt).max(0.0)),
+                queue_wait_wall: Some((self.wall_start - ready.0).max(0.0)),
+                queue_wait_modelled: Some((virt_start - ready.1).max(0.0)),
             },
         );
         let Some(timings) = &self.timings else {
@@ -534,11 +536,19 @@ impl<'a> WorkerCore<'a> {
         let residues = self.ctx.database.residues_in(slice);
         let track = Track::Worker(self.ctx.worker_id);
         let mut results = Vec::with_capacity(run.len());
+        // Where the run's previous task ended, on both clocks.
+        let mut previous = (f64::NEG_INFINITY, f64::NEG_INFINITY);
         for ((job, query), answer) in run.iter().zip(&queries).zip(answers.into_iter().flatten()) {
             let cells = query.len() as u64 * residues;
             let modelled = answer.modelled * self.straggle().1;
-            answer.record(&self.ctx.obs, track, job, self.virt_clock, modelled, cells);
+            let ready = (
+                job.dispatch_wall.max(previous.0),
+                job.dispatch_virt.max(previous.1),
+            );
+            let virt = (self.virt_clock, modelled);
+            answer.record(&self.ctx.obs, track, job, ready, virt, cells);
             self.virt_clock += modelled;
+            previous = (answer.wall_start + answer.wall, self.virt_clock);
             self.jobs_done += 1;
             results.push(JobResult {
                 task_id: job.task_id,
@@ -565,24 +575,29 @@ impl<'a> WorkerCore<'a> {
         let ctx = &self.ctx;
         let hits = |scores: &[i32]| hits_of(ctx.database, ctx.top_k, slice.clone(), scores);
         match &mut self.species {
-            // As one run. Scores are identical to `score_many`; a run of
-            // one task is a one-query job. The run's wall time and phases
-            // are shared out by query length, its job spans tiling the
-            // run's wall span.
+            // As one run, scored transposed; a run of one task is a
+            // one-query job. Both score and escalate alike. The run's
+            // wall time and phases are shared out by query length, its
+            // job spans tiling the run's wall span.
             Species::Cpu { model, tiers } if !which.is_empty() => {
                 let wall_start = ctx.obs.now();
                 let start = Instant::now();
                 let codes: Vec<&[u8]> = which.iter().map(|&i| queries[i].codes()).collect();
-                let (scores, timings, tier_stats) = LadderEngine::AUTO.score_run(
-                    &codes,
-                    ctx.database,
-                    slice.clone(),
-                    &ctx.scheme,
-                    Some(&self.cache),
-                    &mut self.scratch,
-                );
+                let (db, cache, scheme) = (ctx.database, Some(&self.cache), &ctx.scheme);
+                let scratch = &mut self.scratch;
+                let (scores, timings) = match codes[..] {
+                    [query] => {
+                        let (scores, timings) =
+                            score_database(query, db, slice.clone(), scheme, cache, scratch, tiers);
+                        (vec![scores], timings)
+                    }
+                    _ => {
+                        let backend = Backend::active();
+                        let slice = slice.clone();
+                        score_run_with(backend, &codes, db, slice, scheme, cache, scratch, tiers)
+                    }
+                };
                 let wall = start.elapsed().as_secs_f64();
-                tiers.merge(&tier_stats);
                 let residues = ctx.database.residues_in(slice.clone());
                 let weight = |i: usize| queries[i].len().max(1) as f64;
                 let total_weight: f64 = which.iter().map(|&i| weight(i)).sum();
@@ -698,13 +713,15 @@ impl<'a> WorkerCore<'a> {
         if let Some(((query, slice), claim)) = claim {
             let wall_start = ctx.obs.now();
             let start = Instant::now();
-            let (scores, timings, tiers) = LadderEngine::AUTO.score_database(
+            let mut tiers = TierStats::default();
+            let (scores, timings) = score_database(
                 query.codes(),
                 ctx.database,
                 slice.clone(),
                 &ctx.scheme,
                 Some(&self.cache),
                 &mut self.scratch,
+                &mut tiers,
             );
             let hits = hits_of(ctx.database, ctx.top_k, slice, &scores);
             wall_seconds = start.elapsed().as_secs_f64();
@@ -792,6 +809,7 @@ mod tests {
     use crate::messages::{top_k_hits, DbSlice};
     use crossbeam::channel;
     use swdual_align::scalar::gotoh_score;
+    use swdual_align::tiered::{score_database_with, ByteShape};
     use swdual_bio::seq::Sequence;
     use swdual_bio::{Alphabet, SqbImage};
     use swdual_gpusim::memory::MemoryError;
@@ -1056,6 +1074,45 @@ mod tests {
         assert_eq!(said(&answers(crash(0))), ["failed Some(0)"]);
     }
 
+    /// The tasks of a run wait for their dispatch, not for each other:
+    /// each is ready when the run's previous task ends, so the run's
+    /// summed wall wait is at most its wall span, and its later tasks
+    /// wait no modelled time.
+    #[test]
+    fn run_mates_charge_each_other_no_queue_wait() {
+        let image = SqbImage::from_set(&tiny_db()).unwrap();
+        let subjects = Subjects::from(&image);
+        let obs = Obs::enabled();
+        let mut core =
+            WorkerCore::new(WorkerSpec::cpu_default(), context(3, &subjects, None, &obs));
+        let dispatch_wall = obs.now();
+        let run: Vec<Job> = (0..6)
+            .map(|t| Job {
+                dispatch_wall,
+                ..Job::new(t, t % 2, WHOLE)
+            })
+            .collect();
+        let mut out = Vec::new();
+        assert!(core.answer(Order::Run(run), &Claims::default(), &mut out));
+        let events = obs.events_since(0);
+        let jobs: Vec<(f64, f64, f64)> = (events.iter())
+            .filter_map(|e| match e.body {
+                EventBody::Job {
+                    queue_wait_wall: Some(wall),
+                    queue_wait_modelled: Some(modelled),
+                    ..
+                } => Some((e.wall_start + e.wall_dur, wall, modelled)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(jobs.len(), 6);
+        let span = jobs.iter().map(|j| j.0).fold(0.0, f64::max) - dispatch_wall;
+        let waited: f64 = jobs.iter().map(|j| j.1).sum();
+        assert!(waited <= span, "waited {waited} s in a {span}-s run");
+        let later: Vec<f64> = jobs[1..].iter().map(|j| j.2).collect();
+        assert_eq!(later, [0.0; 5]);
+    }
+
     #[test]
     fn a_lent_task_is_scored_by_its_helper_and_answered_by_its_owner() {
         for owner in [WorkerSpec::cpu_default(), WorkerSpec::gpu_default()] {
@@ -1184,20 +1241,31 @@ mod tests {
 
     #[test]
     fn cpu_worker_hits_match_every_engine() {
-        // A CPU worker scores with one ladder engine; its hits are what
-        // every engine of the zoo ranks.
+        // A CPU worker's byte tier picks its shape per block; its hits
+        // are what every shape ranks.
         let db = tiny_db();
-        let subjects: Vec<&[u8]> = db.iter().map(|d| d.codes()).collect();
+        let subjects = Subjects::from(&db);
         let queries = tiny_queries();
         let scheme = ScoringScheme::protein_default();
         let results = run_one(WorkerSpec::cpu_default());
         assert_eq!(results.len(), 2);
-        for kind in swdual_align::engine::EngineKind::ALL {
-            let engine = kind.build();
+        for shape in [ByteShape::Auto, ByteShape::InterSeq, ByteShape::Striped] {
             for r in &results {
                 let query = queries.get(r.task_id).unwrap().codes();
-                let scores = engine.score_many(query, &subjects, &scheme);
-                assert_eq!(r.hits, top_k_hits(r.task_id, &scores, TOP_K).hits, "{kind}");
+                let (scores, _) = score_database_with(
+                    Backend::active(),
+                    shape,
+                    query,
+                    &subjects,
+                    subjects.whole(),
+                    &scheme,
+                    None,
+                    &mut Scratch::default(),
+                    &mut TierStats::default(),
+                );
+                let scores = subjects.in_database_order(&scores);
+                let want = top_k_hits(r.task_id, &scores, TOP_K).hits;
+                assert_eq!(r.hits, want, "{shape:?}");
             }
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! A *g*-dual-approximation algorithm takes a guess `λ` and either
 //! returns a schedule of makespan at most `g·λ` or answers — correctly —
-//! that no schedule of makespan `λ` exists [15]. The paper instantiates
-//! `g = 2` with the greedy knapsack; the DP variant of [13] tightens the
+//! that no schedule of makespan `λ` exists \[15\]. The paper instantiates
+//! `g = 2` with the greedy knapsack; the DP variant of \[13\] tightens the
 //! packing to `g = 3/2`.
 //!
 //! A step proceeds exactly as in the paper:

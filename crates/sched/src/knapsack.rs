@@ -9,12 +9,12 @@
 //!   the area reaches `kλ` (the final task `j_last` is allowed to
 //!   overflow, Figure 4). This is what gives the 2-approximation.
 //! * [`dp_knapsack`] — the dynamic-programming variant the paper
-//!   attributes to [13] for the 3/2-approximation: GPU areas are
+//!   attributes to \[13\] for the 3/2-approximation: GPU areas are
 //!   discretised onto a grid and a DP additionally bounds the number of
 //!   *big* tasks (processing time > λ/2) per resource class, which is
 //!   what allows the tighter `3λ/2` packing argument. The grid makes it
 //!   a `(1+ε)`-relaxation of the exact DP — the exact dynamic program
-//!   of [13] runs on integral processing times, which real (fractional)
+//!   of \[13\] runs on integral processing times, which real (fractional)
 //!   sequence-comparison timings do not have.
 
 use crate::task::TaskSet;
@@ -109,7 +109,7 @@ impl Default for DpConfig {
 ///
 /// The big-task bounds come from the structure of an optimal schedule of
 /// length `λ`: no PE can run two tasks longer than `λ/2`, so at most one
-/// per machine exists ([13]). They are what lets the caller place big
+/// per machine exists (\[13\]). They are what lets the caller place big
 /// tasks one-per-machine and list-schedule the small ones within
 /// `3λ/2`.
 ///
@@ -252,6 +252,21 @@ mod tests {
         assert_eq!(sol.cpu_ids, vec![2]);
         assert!((sol.gpu_area - 5.0).abs() < 1e-12);
         assert!((sol.cpu_area - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn acceleration_order_is_descending_with_stable_ties() {
+        let set = TaskSet::from_times(&[
+            (4.0, 4.0),  // ratio 1.0
+            (10.0, 2.0), // ratio 5.0
+            (6.0, 3.0),  // ratio 2.0
+            (8.0, 8.0),  // ratio 1.0 (ties with task 0 -> id order)
+        ]);
+        // An unbounded budget takes every task, in priority order.
+        let all = greedy_knapsack(&set, &[0, 1, 2, 3], f64::INFINITY);
+        assert_eq!(all.gpu_ids, vec![1, 2, 0, 3]);
+        let none = greedy_knapsack(&TaskSet::default(), &[], f64::INFINITY);
+        assert!(none.gpu_ids.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! This crate is the paper's primary algorithmic contribution (§III): an
 //! allocator that decides which tasks run on GPUs and which on CPUs so
 //! that the global completion time (makespan) is minimised, using the
-//! *dual approximation* technique of Hochbaum & Shmoys [15].
+//! *dual approximation* technique of Hochbaum & Shmoys \[15\].
 //!
 //! * [`task`] — the task model: every task `Tⱼ` has two processing
 //!   times, `pⱼ` on a CPU and `p̄ⱼ` on a GPU.
@@ -16,8 +16,8 @@
 //!   build a schedule of makespan ≤ 2λ (Proposition 1) or answer NO.
 //! * [`binsearch`] — the binary search over `λ` (§III, *Binary Search*).
 //! * [`policies`] — the baseline allocation strategies the paper
-//!   compares against: self-scheduling [10], equal-power [11],
-//!   proportional-power [12], plus LPT and a HEFT-flavoured insertion
+//!   compares against: self-scheduling \[10\], equal-power \[11\],
+//!   proportional-power \[12\], plus LPT and a HEFT-flavoured insertion
 //!   heuristic.
 //! * [`split`] — the divisible tail: after the static plan, cut the
 //!   critical element's largest task along its divisible part when the

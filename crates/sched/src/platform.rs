@@ -23,12 +23,6 @@ impl PlatformSpec {
         self.cpus + self.gpus
     }
 
-    /// The Idgraf node of the paper's §V: 8 CPU cores and 8 Tesla C2050
-    /// GPUs (2× quad-core Xeon hosts).
-    pub fn idgraf() -> PlatformSpec {
-        PlatformSpec { cpus: 8, gpus: 8 }
-    }
-
     /// The worker mix SWDUAL used for `w` total workers in the paper's
     /// §V-A: GPUs are filled first ("the first four workers used on the
     /// SWDUAL execution were GPUs and the last four workers were CPUs"),
@@ -54,7 +48,7 @@ mod tests {
     #[test]
     fn totals() {
         assert_eq!(PlatformSpec::new(4, 2).total(), 6);
-        assert_eq!(PlatformSpec::idgraf().total(), 16);
+        assert_eq!(PlatformSpec::new(8, 8).total(), 16);
     }
 
     #[test]

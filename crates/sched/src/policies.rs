@@ -3,14 +3,14 @@
 //!
 //! * [`self_scheduling`] — dynamic self-scheduling: tasks are handed out
 //!   one at a time to whichever worker becomes free first, in arrival
-//!   order (the "assign one work unit at a time" strategy of [10] and
+//!   order (the "assign one work unit at a time" strategy of \[10\] and
 //!   the natural policy of every master-worker code without a model of
 //!   task costs).
 //! * [`equal_power_split`] — static split assuming CPUs and GPUs have
-//!   the *same* processing power ([11]): tasks are dealt round-robin
+//!   the *same* processing power (\[11\]): tasks are dealt round-robin
 //!   over all PEs regardless of type.
 //! * [`proportional_split`] — static split proportional to *theoretical
-//!   computing power* ([12]): the task list is cut so the share of work
+//!   computing power* (\[12\]): the task list is cut so the share of work
 //!   (measured in task count-weighted time) matches each side's
 //!   aggregate speed.
 //! * [`lpt_single_kind`] — classic LPT on a single PE class; models the
@@ -62,7 +62,7 @@ pub fn self_scheduling(tasks: &TaskSet, platform: &PlatformSpec) -> Schedule {
     Schedule { placements }
 }
 
-/// Static equal-power split ([11]): deal tasks round-robin over every
+/// Static equal-power split (\[11\]): deal tasks round-robin over every
 /// PE as if CPUs and GPUs were interchangeable.
 pub fn equal_power_split(tasks: &TaskSet, platform: &PlatformSpec) -> Schedule {
     let pes: Vec<PeId> = (0..platform.gpus)
@@ -90,7 +90,7 @@ pub fn equal_power_split(tasks: &TaskSet, platform: &PlatformSpec) -> Schedule {
     Schedule { placements }
 }
 
-/// Static proportional split ([12]): estimate each side's aggregate
+/// Static proportional split (\[12\]): estimate each side's aggregate
 /// speed from the task set itself (`Σp / Σp̄` gives the mean per-task
 /// acceleration), give the GPU side the matching fraction of the task
 /// *work*, then list-schedule each side.

@@ -124,21 +124,6 @@ impl WorkerFactors {
     pub fn platform(&self) -> PlatformSpec {
         PlatformSpec::new(self.cpu.len(), self.gpu.len())
     }
-
-    /// Largest skew between two same-species PEs — the quantity the
-    /// re-optimization threshold is compared against.
-    pub fn max_skew(&self) -> f64 {
-        let species_skew = |v: &[f64]| {
-            let max = v.iter().copied().fold(f64::NAN, f64::max);
-            let min = v.iter().copied().fold(f64::NAN, f64::min);
-            if max.is_finite() && min > 0.0 {
-                max / min
-            } else {
-                1.0
-            }
-        };
-        species_skew(&self.cpu).max(species_skew(&self.gpu))
-    }
 }
 
 /// Re-plan `remaining` on a platform whose PEs run at *observed*
@@ -380,10 +365,8 @@ mod tests {
         let f = WorkerFactors::new(vec![0.2, f64::NAN, 3.0], vec![f64::INFINITY]);
         assert_eq!(f.cpu, vec![1.0, 1.0, 3.0]);
         assert_eq!(f.gpu, vec![1.0]);
-        assert!((f.max_skew() - 3.0).abs() < 1e-12);
-        assert_eq!(WorkerFactors::uniform(3, 2).max_skew(), 1.0);
-        // Empty species contributes no skew.
-        assert_eq!(WorkerFactors::new(vec![2.0], vec![]).max_skew(), 1.0);
+        assert_eq!(WorkerFactors::uniform(3, 2).cpu, vec![1.0; 3]);
+        assert_eq!(WorkerFactors::new(vec![2.0], vec![]).platform().gpus, 0);
     }
 
     #[test]

@@ -107,38 +107,11 @@ impl TaskSet {
         self.tasks.iter().map(|t| t.p_gpu).sum()
     }
 
-    /// Sum over tasks of the *faster* of the two times: an optimistic
-    /// total work measure used in makespan lower bounds.
-    pub fn total_min_area(&self) -> f64 {
-        self.tasks.iter().map(Task::min_time).sum()
-    }
-
-    /// Largest `min_time` over tasks: no schedule can beat it.
-    pub fn max_min_time(&self) -> f64 {
-        self.tasks.iter().map(Task::min_time).fold(0.0, f64::max)
-    }
-
     /// True when every task is accelerated by the GPU (`p̄ⱼ ≤ pⱼ`) —
     /// the paper's "special instance", which holds for sequence
     /// comparison and lowers the 3/2 variant's complexity.
     pub fn all_accelerated(&self) -> bool {
         self.tasks.iter().all(|t| t.p_gpu <= t.p_cpu)
-    }
-
-    /// Task ids sorted by decreasing acceleration factor `pⱼ/p̄ⱼ` — the
-    /// priority order of the greedy knapsack (§III: "the most prioritary
-    /// tasks are those with the best relative processing times on
-    /// GPUs"). Ties break by id for determinism.
-    pub fn ids_by_acceleration_desc(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.tasks.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ra = self.tasks[a].acceleration();
-            let rb = self.tasks[b].acceleration();
-            rb.partial_cmp(&ra)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        order
     }
 
     /// Fetch a task by id (ids are dense indices).
@@ -187,8 +160,6 @@ mod tests {
         assert_eq!(set.len(), 3);
         assert!((set.total_cpu_area() - 20.0).abs() < 1e-12);
         assert!((set.total_gpu_area() - 13.0).abs() < 1e-12);
-        assert!((set.total_min_area() - (2.0 + 3.0 + 4.0)).abs() < 1e-12);
-        assert_eq!(set.max_min_time(), 4.0);
         assert!(!set.all_accelerated());
     }
 
@@ -199,23 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn acceleration_order_is_descending_with_stable_ties() {
-        let set = TaskSet::from_times(&[
-            (4.0, 4.0),  // ratio 1.0
-            (10.0, 2.0), // ratio 5.0
-            (6.0, 3.0),  // ratio 2.0
-            (8.0, 8.0),  // ratio 1.0 (ties with task 0 -> id order)
-        ]);
-        assert_eq!(set.ids_by_acceleration_desc(), vec![1, 2, 0, 3]);
-    }
-
-    #[test]
     fn empty_set_behaviour() {
         let set = TaskSet::default();
         assert!(set.is_empty());
         assert_eq!(set.total_cpu_area(), 0.0);
-        assert_eq!(set.max_min_time(), 0.0);
         assert!(set.all_accelerated());
-        assert!(set.ids_by_acceleration_desc().is_empty());
     }
 }

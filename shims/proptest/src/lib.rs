@@ -163,7 +163,7 @@ pub mod prop {
             VecStrategy { element, size }
         }
 
-        /// Output of [`vec`].
+        /// Output of [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: Range<usize>,

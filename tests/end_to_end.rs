@@ -2,8 +2,9 @@
 //! to ranked hits, across allocation policies and worker mixes.
 
 use std::sync::Arc;
-use swdual_repro::align::engine::EngineKind;
 use swdual_repro::align::scalar::gotoh_score;
+use swdual_repro::align::tiered::{score_database_with, ByteShape};
+use swdual_repro::align::{Backend, Scratch, Subjects, TierStats};
 use swdual_repro::bio::{fasta, sqb, Alphabet, ScoringScheme, SequenceSet, SqbImage};
 use swdual_repro::core::SearchBuilder;
 use swdual_repro::datagen::{
@@ -227,21 +228,27 @@ fn runtime_allocation_matches_scheduler_split() {
 fn reduced_execution_is_consistent() {
     let (database, image, queries) = uniprot_slice(0.0003, 3, 77);
     assert!(database.len() > 100);
-    // Every engine agrees with Gotoh on the first query against the
-    // first 32 subjects.
+    // Every byte-tier shape agrees with Gotoh on the first query against
+    // the first 32 subjects.
     let scheme = ScoringScheme::protein_default();
     let query = queries.get(0).unwrap().codes();
-    let subjects: Vec<&[u8]> = database.iter().take(32).map(|s| s.codes()).collect();
-    let expected: Vec<i32> = subjects
-        .iter()
-        .map(|d| gotoh_score(query, d, &scheme))
+    let subjects: Subjects = database.iter().take(32).map(|s| s.codes()).collect();
+    let expected: Vec<i32> = (database.iter().take(32))
+        .map(|d| gotoh_score(query, d.codes(), &scheme))
         .collect();
-    for kind in EngineKind::ALL {
-        assert_eq!(
-            kind.build().score_many(query, &subjects, &scheme),
-            expected,
-            "{kind}"
+    for shape in [ByteShape::Auto, ByteShape::InterSeq, ByteShape::Striped] {
+        let (scores, _) = score_database_with(
+            Backend::active(),
+            shape,
+            query,
+            &subjects,
+            subjects.whole(),
+            &scheme,
+            None,
+            &mut Scratch::default(),
+            &mut TierStats::default(),
         );
+        assert_eq!(subjects.in_database_order(&scores), expected, "{shape:?}");
     }
     // The real runtime returns the same hits under every worker mix.
     let mut reference = None;
