@@ -1,9 +1,12 @@
 //! The scheduler itself: the paper claims `O(n log n)` per
 //! binary-search step for the greedy variant; this bench measures the
 //! real cost of one step and of the full binary search across instance
-//! sizes, plus the DP variant's overhead and the divisible-tail pass
-//! that follows the plan (`tail_split_*`: one call on the search's
-//! schedule, handed over by clone), in ns per task.
+//! sizes, the DP variant's overhead, and the function the master calls
+//! for every plan, `plan`: a search's first plan on an idle uniform
+//! pool (`plan_first_*`: the search, the list pass and the divisible
+//! tail) and a re-plan of half the tasks, some already cut, on a pool
+//! of non-unit factors and non-zero loads (`plan_replan_*`), in ns per
+//! task.
 //!
 //! Outputs of a full run (`cargo bench -p swdual-bench --bench scheduler`):
 //!
@@ -18,10 +21,14 @@
 
 use std::hint::black_box;
 use swdual_bench::ledger::{append_trend, measure, write_report};
+use swdual_obs::Obs;
 use swdual_sched::binsearch::{dual_approx_schedule, lower_bound, BinarySearchConfig};
 use swdual_sched::dual::{dual_step, KnapsackMethod};
 use swdual_sched::knapsack::DpConfig;
-use swdual_sched::{split_tail, PlatformSpec, SliceOverhead, Task, TaskSet};
+use swdual_sched::schedule::PeKind;
+use swdual_sched::{
+    plan, Decision, Part, PeState, PlatformSpec, Pool, SliceOverhead, SplitPlan, Task, TaskSet,
+};
 
 const SIZES: [usize; 3] = [40, 400, 4000];
 
@@ -46,6 +53,57 @@ fn instance(n: usize) -> TaskSet {
 
 /// What the runtime's workers declare per task.
 const OVERHEAD: SliceOverhead = SliceOverhead { cpu: 1.8, gpu: 1.8 };
+
+/// The master's plan of `parts` of `tasks` on `pool`, journaled nowhere.
+fn planned(tasks: &TaskSet, parts: &[Part], pool: &Pool) -> SplitPlan {
+    let obs = Obs::disabled();
+    let decision = Decision {
+        id: 0,
+        config: BinarySearchConfig::default(),
+        obs: &obs,
+    };
+    plan(tasks, parts, &[], pool, OVERHEAD, |f| f, decision)
+}
+
+/// A re-plan's remainder: every other task, every fourth of them only
+/// its last two thirds; and `platform` as a pool whose elements run at
+/// 1–2.75× the reference price and are busy for 0–7 s already.
+fn remainder(tasks: &TaskSet, platform: &PlatformSpec) -> (Vec<Part>, Pool) {
+    let parts = (0..tasks.len()).step_by(2).map(|parent| match parent % 8 {
+        0 => Part {
+            parent,
+            lo: 1.0 / 3.0,
+            hi: 1.0,
+        },
+        _ => Part::whole(parent),
+    });
+    let pe = |i: usize| PeState {
+        factor: 1.0 + 0.25 * (i % 8) as f64,
+        load: (i % 4) as f64 * 2.3,
+    };
+    let pool = Pool {
+        cpus: (0..platform.cpus).map(pe).collect(),
+        gpus: (0..platform.gpus).map(|i| pe(i + 3)).collect(),
+    };
+    (parts.collect(), pool)
+}
+
+/// Each task of `planned` placed once, for its time at its element's
+/// factor, after the element's load.
+fn check_plan(planned: &SplitPlan, pool: &Pool) {
+    let mut placed: Vec<usize> = planned.schedule.placements.iter().map(|p| p.task).collect();
+    placed.sort_unstable();
+    assert_eq!(placed, (0..planned.tasks.len()).collect::<Vec<_>>());
+    for p in &planned.schedule.placements {
+        let (pe, task) = (pool.get(p.pe), planned.tasks.tasks()[p.task]);
+        let time = match p.pe.kind {
+            PeKind::Cpu => task.p_cpu,
+            PeKind::Gpu => task.p_gpu,
+        };
+        assert!(p.start >= pe.load);
+        assert!((p.end - p.start - time * pe.factor).abs() <= 1e-9 * p.end);
+    }
+}
 
 fn dp512() -> BinarySearchConfig {
     BinarySearchConfig {
@@ -72,12 +130,19 @@ fn main() {
         let found = dual_approx_schedule(tasks, &wide, BinarySearchConfig::default());
         found.schedule.validate(tasks, &wide).expect("valid search");
         assert!(found.schedule.makespan() <= 2.0 * found.upper_bound * (1.0 + 1e-9));
-        // The tail cut: a valid schedule of the cut instance, never
-        // longer than the one it was cut from — so still within 2λ.
-        let cut = split_tail(tasks, found.schedule.clone(), &wide, OVERHEAD, |f| f);
-        cut.schedule.validate(&cut.tasks, &wide).expect("valid cut");
-        assert!(cut.schedule.makespan() <= found.schedule.makespan());
-        assert!(cut.tasks.len() - tasks.len() <= wide.total() * wide.total());
+        // The first plan: a valid schedule of the cut instance, never
+        // longer than the search's — so still within 2λ.
+        let wholes: Vec<Part> = (0..tasks.len()).map(Part::whole).collect();
+        let first = planned(tasks, &wholes, &Pool::uniform(&wide));
+        first
+            .schedule
+            .validate(&first.tasks, &wide)
+            .expect("valid plan");
+        assert!(first.schedule.makespan() <= found.schedule.makespan());
+        assert!(first.tasks.len() - tasks.len() <= wide.total() * wide.total());
+        // A re-plan from loads at factors.
+        let (parts, pool) = remainder(tasks, &wide);
+        check_plan(&planned(tasks, &parts, &pool), &pool);
     }
     for config in [BinarySearchConfig::default(), dp512()] {
         let found = dual_approx_schedule(&instances[0], &narrow, config);
@@ -116,11 +181,19 @@ fn main() {
         record(format!("binary_search_full_{n}"), n, ns);
     }
     for (tasks, &n) in instances.iter().zip(&SIZES) {
-        let planned = dual_approx_schedule(tasks, &wide, BinarySearchConfig::default()).schedule;
-        let ns = measure(15, (40_000 / n).max(1), || {
-            black_box(split_tail(tasks, planned.clone(), &wide, OVERHEAD, |f| f));
+        let wholes: Vec<Part> = (0..n).map(Part::whole).collect();
+        let idle = Pool::uniform(&wide);
+        let ns = measure(11, (4_000 / n).max(1), || {
+            black_box(planned(tasks, &wholes, &idle));
         });
-        record(format!("tail_split_{n}"), n, ns);
+        record(format!("plan_first_{n}"), n, ns);
+    }
+    for (tasks, &n) in instances.iter().zip(&SIZES) {
+        let (parts, pool) = remainder(tasks, &wide);
+        let ns = measure(11, (4_000 / n).max(1), || {
+            black_box(planned(tasks, &parts, &pool));
+        });
+        record(format!("plan_replan_{n}"), parts.len(), ns);
     }
     for (name, config) in [
         ("knapsack_greedy_40", BinarySearchConfig::default()),

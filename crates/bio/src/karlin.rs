@@ -15,8 +15,6 @@
 pub struct KarlinParams {
     /// Scale parameter λ (nats per score unit).
     pub lambda: f64,
-    /// Relative entropy H (nats per aligned pair).
-    pub entropy: f64,
     /// The K constant of the E-value formula.
     pub k: f64,
 }
@@ -37,22 +35,22 @@ impl KarlinParams {
 /// penalties — the table NCBI BLAST ships (`blast_stat.c`). Keys are
 /// `(gap_open, gap_extend)` in our penalty convention.
 pub fn gapped_params(gap_open: i32, gap_extend: i32) -> Option<KarlinParams> {
-    // (open, extend, lambda, K, H)
-    const TABLE: &[(i32, i32, f64, f64, f64)] = &[
-        (10, 2, 0.255, 0.035, 0.31),
-        (11, 2, 0.253, 0.035, 0.25),
-        (12, 2, 0.243, 0.034, 0.22),
-        (9, 2, 0.266, 0.041, 0.31),
-        (8, 2, 0.270, 0.047, 0.35),
-        (11, 1, 0.267, 0.041, 0.14),
-        (12, 1, 0.258, 0.035, 0.12),
-        (10, 1, 0.243, 0.024, 0.10),
-        (13, 1, 0.267, 0.041, 0.14),
+    // (open, extend, lambda, K)
+    const TABLE: &[(i32, i32, f64, f64)] = &[
+        (10, 2, 0.255, 0.035),
+        (11, 2, 0.253, 0.035),
+        (12, 2, 0.243, 0.034),
+        (9, 2, 0.266, 0.041),
+        (8, 2, 0.270, 0.047),
+        (11, 1, 0.267, 0.041),
+        (12, 1, 0.258, 0.035),
+        (10, 1, 0.243, 0.024),
+        (13, 1, 0.267, 0.041),
     ];
     TABLE
         .iter()
         .find(|&&(o, e, ..)| o == gap_open && e == gap_extend)
-        .map(|&(_, _, lambda, k, entropy)| KarlinParams { lambda, k, entropy })
+        .map(|&(_, _, lambda, k)| KarlinParams { lambda, k })
 }
 
 #[cfg(test)]

@@ -20,20 +20,20 @@
 //! * `no-faults` — faulted workers run at their species' best observed
 //!   rate instead.
 //!
-//! The replay reuses the paper's own machinery: the dual-approximation
-//! species split plus weighted LPT
-//! ([`reschedule_remainder_weighted`]) — the same planner the master
-//! runs at re-plan time — so counterfactuals are statements about the
-//! *schedule*, not a separate model. Worker speed factors are taken as
-//! observed (faster-than-prior workers keep factors below 1, which the
-//! runtime's conservative [`WorkerFactors::new`] would clamp away).
+//! The replay runs the master's own planner, [`plan()`] — the species
+//! split by the binary search at each species' fastest worker, then list
+//! scheduling at each worker's factor — so counterfactuals are
+//! statements about the *schedule*, not a separate model. The journal's
+//! tasks are replayed as they ran, pieces included, and none is cut
+//! again. Worker speed factors are taken as observed: a worker faster
+//! than its prior keeps a factor below 1.
 
 use swdual_gpusim::DeviceClass;
-use swdual_obs::RunModel;
+use swdual_obs::{Obs, RunModel};
 use swdual_runtime::estimator::WorkerRateModel;
 use swdual_sched::binsearch::BinarySearchConfig;
-use swdual_sched::remainder::{reschedule_remainder_weighted, WorkerFactors};
 use swdual_sched::task::{Task, TaskSet};
+use swdual_sched::{plan, Decision, Part, PeState, Pool, SliceOverhead};
 
 use serde::Serialize;
 
@@ -121,70 +121,46 @@ pub struct WhatIfReport {
     pub tasks: usize,
 }
 
-/// Observed speed factors split by species, in worker-id order, with
-/// the id maps back to journal worker ids.
-struct SpeciesFactors {
-    cpu: Vec<f64>,
-    gpu: Vec<f64>,
-    cpu_ids: Vec<usize>,
-    gpu_ids: Vec<usize>,
-}
+/// A worker as the replay sees it: its journal id, whether it is a GPU,
+/// and its observed speed factor.
+type Replayed = (usize, bool, f64);
 
-fn species_factors(model: &RunModel) -> SpeciesFactors {
-    let mut sf = SpeciesFactors {
-        cpu: Vec::new(),
-        gpu: Vec::new(),
-        cpu_ids: Vec::new(),
-        gpu_ids: Vec::new(),
-    };
-    for (id, w) in model.participants() {
-        // A worker with no usable observations replays at its prior.
-        let ratio = w.ratio().filter(|r| *r > 0.0 && r.is_finite());
-        let f = ratio.unwrap_or(1.0);
-        if w.is_gpu() {
-            sf.gpu.push(f);
-            sf.gpu_ids.push(id);
-        } else {
-            sf.cpu.push(f);
-            sf.cpu_ids.push(id);
-        }
-    }
-    sf
-}
-
-/// Best (smallest) positive factor of a species, 1.0 when empty.
-fn best_of(v: &[f64]) -> f64 {
-    let best = v
-        .iter()
-        .copied()
-        .filter(|f| *f > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    if best.is_finite() {
-        best
-    } else {
-        1.0
-    }
-}
-
-/// Replay the task set on a platform with the given per-PE factors;
-/// returns the modelled makespan. Factors below 1 are legitimate here
-/// (a worker observed *faster* than its prior), so the [`WorkerFactors`]
-/// struct is built directly rather than through its clamping `new`.
-fn replay_makespan(tasks: &TaskSet, cpu: Vec<f64>, gpu: Vec<f64>) -> Result<f64, String> {
-    if cpu.is_empty() && gpu.is_empty() {
+/// Replay the task set on `workers`; returns the modelled makespan.
+fn replay_makespan(tasks: &TaskSet, workers: &[Replayed]) -> Result<f64, String> {
+    if workers.is_empty() {
         return Err("counterfactual platform has no workers left".to_string());
     }
-    if cpu.is_empty() {
+    let species = |gpu: bool| -> Vec<PeState> {
+        let of = workers.iter().filter(|w| w.1 == gpu);
+        of.map(|w| PeState {
+            factor: w.2,
+            load: 0.0,
+        })
+        .collect()
+    };
+    let pool = Pool {
+        cpus: species(false),
+        gpus: species(true),
+    };
+    if pool.cpus.is_empty() {
         return Err(
             "counterfactual platform has no CPU workers; the scheduler needs at least one"
                 .to_string(),
         );
     }
-    let factors = WorkerFactors { cpu, gpu };
-    let all: Vec<usize> = (0..tasks.len()).collect();
-    let schedule =
-        reschedule_remainder_weighted(tasks, &all, &factors, BinarySearchConfig::default());
-    Ok(schedule.makespan())
+    let wholes: Vec<Part> = (0..tasks.len()).map(Part::whole).collect();
+    let uncut = SliceOverhead {
+        cpu: f64::INFINITY,
+        gpu: f64::INFINITY,
+    };
+    let obs = Obs::disabled();
+    let decision = Decision {
+        id: 0,
+        config: BinarySearchConfig::default(),
+        obs: &obs,
+    };
+    let replay = plan(tasks, &wholes, &[], &pool, uncut, |f| f, decision);
+    Ok(replay.schedule.makespan())
 }
 
 /// Replay the run `model` folded under the counterfactual `spec`.
@@ -199,23 +175,22 @@ pub fn what_if(model: &RunModel, spec: &WhatIf) -> Result<WhatIfReport, String> 
             .map(|(local, t)| Task::new(local, t.p_cpu.max(1e-12), t.p_gpu.max(1e-12)))
             .collect(),
     );
-    let sf = species_factors(model);
+    // A worker with no usable observations replays at its prior.
+    let observed = |w: &swdual_obs::model::Worker| w.ratio().filter(|r| *r > 0.0 && r.is_finite());
+    let workers: Vec<Replayed> = (model.participants())
+        .map(|(id, w)| (id, w.is_gpu(), observed(w).unwrap_or(1.0)))
+        .collect();
 
-    let baseline_replay = replay_makespan(&task_set, sf.cpu.clone(), sf.gpu.clone())?;
+    let baseline_replay = replay_makespan(&task_set, &workers)?;
 
-    let counterfactual = match spec {
-        WhatIf::PerfectCalibration => baseline_replay,
+    let (counterfactual, replayed) = match spec {
+        WhatIf::PerfectCalibration => (baseline_replay, workers.len()),
         WhatIf::DropWorker(n) => {
-            let mut cpu = sf.cpu.clone();
-            let mut gpu = sf.gpu.clone();
-            if let Some(i) = sf.cpu_ids.iter().position(|id| id == n) {
-                cpu.remove(i);
-            } else if let Some(i) = sf.gpu_ids.iter().position(|id| id == n) {
-                gpu.remove(i);
-            } else {
+            let rest: Vec<Replayed> = workers.iter().copied().filter(|w| w.0 != *n).collect();
+            if rest.len() == workers.len() {
                 return Err(format!("worker {n} is not in the journal"));
             }
-            replay_makespan(&task_set, cpu, gpu)?
+            (replay_makespan(&task_set, &rest)?, rest.len())
         }
         WhatIf::ZeroTransfer => {
             let transfer = swdual_obs::explain::explain(model).gpu_transfer_fraction();
@@ -228,7 +203,7 @@ pub fn what_if(model: &RunModel, spec: &WhatIf) -> Result<WhatIfReport, String> 
                     })
                     .collect(),
             );
-            replay_makespan(&free, sf.cpu.clone(), sf.gpu.clone())?
+            (replay_makespan(&free, &workers)?, workers.len())
         }
         WhatIf::PlusGpu(class) => {
             // Price the new GPU by its calibrated estimator curve,
@@ -251,24 +226,23 @@ pub fn what_if(model: &RunModel, spec: &WhatIf) -> Result<WhatIfReport, String> 
             }
             ratios.sort_by(f64::total_cmp);
             let factor = ratios[ratios.len() / 2];
-            let mut gpu = sf.gpu.clone();
-            gpu.push(factor.max(1e-9));
-            replay_makespan(&task_set, sf.cpu.clone(), gpu)?
+            let mut more = workers.clone();
+            more.push((usize::MAX, true, factor.max(1e-9)));
+            (replay_makespan(&task_set, &more)?, more.len())
         }
         WhatIf::NoFaults => {
-            let best_cpu = best_of(&sf.cpu);
-            let best_gpu = best_of(&sf.gpu);
-            let heal = |ids: &[usize], factors: &[f64], best: f64| -> Vec<f64> {
-                ids.iter()
-                    .zip(factors)
-                    .map(|(id, &f)| if model.faulted.contains(id) { best } else { f })
-                    .collect()
+            // Faulted workers run at their species' best observed factor.
+            let best = |gpu: bool| {
+                let of = workers.iter().filter(|w| w.1 == gpu && w.2 > 0.0);
+                of.map(|w| w.2).fold(f64::INFINITY, f64::min)
             };
-            replay_makespan(
-                &task_set,
-                heal(&sf.cpu_ids, &sf.cpu, best_cpu),
-                heal(&sf.gpu_ids, &sf.gpu, best_gpu),
-            )?
+            let healed: Vec<Replayed> = (workers.iter())
+                .map(|&(id, gpu, f)| match model.faulted.contains(&id) {
+                    true => (id, gpu, best(gpu)),
+                    false => (id, gpu, f),
+                })
+                .collect();
+            (replay_makespan(&task_set, &healed)?, workers.len())
         }
     };
 
@@ -280,12 +254,6 @@ pub fn what_if(model: &RunModel, spec: &WhatIf) -> Result<WhatIfReport, String> 
         "HOLDS"
     } else {
         "VIOLATED"
-    };
-    let workers = sf.cpu.len() + sf.gpu.len();
-    let workers = match spec {
-        WhatIf::DropWorker(_) => workers - 1,
-        WhatIf::PlusGpu(_) => workers + 1,
-        _ => workers,
     };
     Ok(WhatIfReport {
         spec: spec.label(),
@@ -301,7 +269,7 @@ pub fn what_if(model: &RunModel, spec: &WhatIf) -> Result<WhatIfReport, String> 
         lambda: model.lambda,
         two_lambda_bound: two_lambda,
         bound_verdict: bound_verdict.to_string(),
-        workers,
+        workers: replayed,
         tasks: model.tasks.len(),
     })
 }

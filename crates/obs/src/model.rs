@@ -622,11 +622,14 @@ impl RunModel {
             B::BinsearchIter { .. } => self.dual_steps += 1,
             B::Knapsack { .. } => self.knapsack_runs += 1,
             B::DualStepNo { .. } => self.no_certificates += 1,
+            // The 2λ audit is the first plan's: a re-plan's search
+            // carries a later decision.
             B::BinsearchDone {
                 iterations,
                 lower_bound,
                 upper_bound,
                 lambda,
+                decision: None | Some(0),
                 ..
             } => {
                 self.has_bound = true;

@@ -7,9 +7,12 @@
 //! dispatch lineage, calibration and deadlines — and advances it through
 //! one pure function, `step(input, now) -> actions`. The **shell**
 //! ([`try_run_search`]) is everything that touches the outside world: it
-//! spawns worker threads, collects registrations, draws the initial plan,
-//! then loops *receive (or time out) → `step` → perform the actions* over
-//! channels and the wall clock. Concurrency bugs are hunted in the
+//! spawns worker threads, collects registrations, hands the core the rate
+//! model each registered worker declared, the query lengths and the
+//! database, then loops *receive (or time out) → `step` → perform the
+//! actions* over channels and the wall clock. The core prices every task,
+//! draws the first plan and every re-plan through one function,
+//! [`swdual_sched::plan()`]. Concurrency bugs are hunted in the
 //! deterministic simulator (`core::sim`: the core and the real worker
 //! cores, a virtual clock, a seeded event heap), not by thread-timing luck;
 //! the threaded tests below check the shell wiring end to end.
@@ -23,7 +26,7 @@
 //! hang.
 //!
 //! A task is a query against a *slice* of the database's length order —
-//! the whole order unless the plan's post-pass
+//! the whole order unless a plan's post-pass
 //! ([`swdual_sched::split_tail`]) cut the critical worker's task along
 //! the database because the declared rate models said the planned
 //! makespan would strictly fall. A worker answers a task with the best
@@ -44,30 +47,26 @@ mod core;
 
 #[cfg(test)]
 use self::core::DEATH_TIMEOUT;
-use self::core::{Action, Input, Joins, MasterState, Unit};
+use self::core::{Action, Input, MasterState, Merged, Query, Search};
 use crate::claims::Claims;
 #[cfg(test)]
 use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
 use crate::faults::FaultPlan;
-use crate::messages::{
-    top_k, DbSlice, Hit, Job, JobResult, Order, QueryHits, Registration, WorkerMsg, WorkerStats,
-};
+use crate::messages::{top_k, Hit, Job, Order, QueryHits, Registration, WorkerMsg, WorkerStats};
 use crate::worker::{worker_loop, WorkerContext, WorkerSpec};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 use swdual_align::tiered::transposes;
 use swdual_align::{Backend, Subjects};
-use swdual_bio::seq::SequenceSet;
+use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
 use swdual_bio::SqbImage;
 use swdual_obs::{EventBody, Obs, OptWorker, Track};
-use swdual_sched::binsearch::{dual_approx_schedule_observed, BinarySearchConfig};
 use swdual_sched::dual::KnapsackMethod;
 use swdual_sched::schedule::Schedule;
-use swdual_sched::{split_tail, Part, PlatformSpec, SliceOverhead, SplitPlan, Task, TaskSet};
 
 /// How the master allocates tasks to workers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +92,8 @@ pub enum AllocationPolicy {
 /// worker's factor has grown by at least `threshold` since the plan it
 /// is executing was drawn, and at least `min_remaining` tasks are still
 /// undispatched, the remaining work is re-planned on the re-calibrated
-/// platform via the weighted remainder scheduler. Dispatch runs with a
+/// platform, from each worker's modelled clock, by the planner that drew
+/// the first plan ([`swdual_sched::plan()`]). Dispatch runs with a
 /// window of one run in flight per worker, and re-optimization keeps
 /// runs one task long, so "remaining" is genuinely revocable. Deadlines
 /// (and their conservative 10-MCUPS floor) are untouched by
@@ -273,53 +273,33 @@ impl SearchOutcome {
     }
 }
 
-/// Penalty factor applied to the present species' time to stand in for
-/// an absent species. Large enough that the knapsack never prefers the
-/// absent side, small enough that sums over any realistic task count
-/// stay finite — unlike the previous `f64::MAX / 4.0` sentinel, whose
-/// area sums overflowed to infinity and poisoned the scheduler's
-/// lower-bound and ratio-to-lower-bound diagnostics on single-species
-/// platforms.
-const ABSENT_SPECIES_PENALTY: f64 = 1.0e6;
-
-/// Slice boundaries fall on multiples of this many positions of the
-/// length order (or at its end): a multiple of every zoo device's warp,
-/// so a device batches and pads a slice's subjects exactly as it does
-/// in an uncut run, and one block of the SQB image, so a CPU worker's
-/// slice is a range of whole blocks, scored where they lie.
-const SLICE_ALIGN: usize = swdual_bio::lanes::BLOCK_RECORDS;
-
-/// Build the scheduler instance from the rate models the workers
-/// declared at registration: one task per query against the whole
-/// database.
-fn build_tasks(
+/// What the core prices and plans a search from. Slices are cut on
+/// blocks of the SQB image: a multiple of every zoo device's warp, so a
+/// device pads a slice as it pads an uncut run, and a CPU worker scores
+/// a slice's whole blocks where they lie.
+fn search_of<'a>(
+    workers: &[WorkerSpec],
+    registrations: &[Registration],
     queries: &SequenceSet,
-    db_residues: u64,
-    cpu_model: Option<crate::estimator::WorkerRateModel>,
-    gpu_model: Option<crate::estimator::WorkerRateModel>,
-) -> Result<TaskSet, SearchError> {
-    // A model may declare no overhead and the database may be empty:
-    // the scheduler still needs a positive time.
-    let seconds = |m: crate::estimator::WorkerRateModel, len| {
-        m.task_seconds(len, db_residues).max(f64::MIN_POSITIVE)
+    database: &'a Subjects<'a>,
+    scheme: &ScoringScheme,
+) -> Search<'a> {
+    let mut models = vec![None; workers.len()];
+    for r in registrations {
+        models[r.worker_id] = Some(r.rate_model);
+    }
+    let (backend, runs) = (Backend::active(), transposes(scheme));
+    let query = |q: &Sequence| Query {
+        len: q.len(),
+        joins_runs: runs && backend.joins_runs(q.codes(), scheme),
     };
-    let tasks = queries.iter().enumerate().map(|(id, q)| {
-        let cpu = cpu_model.map(|m| seconds(m, q.len()));
-        let gpu = gpu_model.map(|m| seconds(m, q.len()));
-        // With a species absent, derive a prohibitive but finite time
-        // from the species that is present.
-        let (p_cpu, p_gpu) = match (cpu, gpu) {
-            (Some(c), Some(g)) => (c, g),
-            (Some(c), None) => (c, c * ABSENT_SPECIES_PENALTY),
-            (None, Some(g)) => (g * ABSENT_SPECIES_PENALTY, g),
-            (None, None) => return Err(SearchError::NoWorkersRegistered),
-        };
-        if !(p_cpu.is_finite() && p_gpu.is_finite()) {
-            return Err(SearchError::UnpricedTask { task_id: id });
-        }
-        Ok(Task::new(id, p_cpu, p_gpu))
-    });
-    tasks.collect::<Result<_, _>>().map(TaskSet::new)
+    Search {
+        models,
+        is_gpu: workers.iter().map(|w| w.is_gpu()).collect(),
+        queries: queries.iter().map(query).collect(),
+        database,
+        align: swdual_bio::lanes::BLOCK_RECORDS,
+    }
 }
 
 /// Journal the `task_dispatch` causal edge of a job *successfully sent*
@@ -387,13 +367,12 @@ fn spawn_workers<'scope>(
 /// Phase 2 — collect registrations ("Register slaves") until everyone
 /// answered, every hello sender is gone (each worker either registered
 /// or died trying), or the deadline passed. Returns them in worker-id
-/// order, with who is alive; queues of workers that never registered
-/// are closed.
+/// order; queues of workers that never registered are closed.
 fn collect_registrations(
     links: &mut Links,
     workers: &[WorkerSpec],
     config: &RuntimeConfig,
-) -> (Vec<Registration>, Vec<bool>) {
+) -> Vec<Registration> {
     let obs = &config.obs;
     let mut registrations: Vec<Registration> = Vec::new();
     let reg_deadline = Instant::now() + config.registration_timeout;
@@ -404,11 +383,8 @@ fn collect_registrations(
         }
     }
     registrations.sort_by_key(|r| r.worker_id);
-    let mut alive = vec![false; workers.len()];
-    for r in &registrations {
-        alive[r.worker_id] = true;
-    }
-    for w in (0..workers.len()).filter(|&w| !alive[w]) {
+    let registered = |w: usize| registrations.iter().any(|r| r.worker_id == w);
+    for w in (0..workers.len()).filter(|&w| !registered(w)) {
         // Dead at (or before) registration: close its queue so the
         // thread — if it is somehow still there — exits.
         links.private_tx[w] = None;
@@ -446,176 +422,13 @@ fn collect_registrations(
             );
         }
     }
-    (registrations, alive)
-}
-
-/// The initial plan `policy` draws for `tasks` on `platform`, its
-/// divisible tail cut ([`split_tail`]: `overhead` prices a piece, `snap`
-/// moves a cut to where the database can be cut); `None` for
-/// self-scheduling, which has no plan.
-fn initial_plan(
-    tasks: &TaskSet,
-    platform: &PlatformSpec,
-    policy: AllocationPolicy,
-    overhead: SliceOverhead,
-    snap: impl Fn(f64) -> f64,
-    obs: &Obs,
-) -> Option<SplitPlan> {
-    let AllocationPolicy::DualApprox(method) = policy else {
-        return None;
-    };
-    let config = BinarySearchConfig {
-        method,
-        ..BinarySearchConfig::default()
-    };
-    let whole = dual_approx_schedule_observed(tasks, platform, config, obs).schedule;
-    Some(split_tail(tasks, whole, platform, overhead, snap))
-}
-
-/// What allocation hands the core: the tasks, the work behind each, and
-/// the static plan when the policy draws one.
-struct Allocation {
-    tasks: TaskSet,
-    units: Vec<Unit>,
-    schedule: Option<Schedule>,
-}
-
-/// Phase 3 — allocate from the *declared* rate models of the workers
-/// that actually registered: one task per query, the policy's plan, and
-/// then the plan's divisible tail — the critical worker's task cut along
-/// the database wherever those models say the planned makespan strictly
-/// falls (nowhere, when loads already differ by less than a per-task
-/// overhead).
-fn allocate(
-    queries: &SequenceSet,
-    database: &Subjects<'_>,
-    registrations: &[Registration],
-    config: &RuntimeConfig,
-) -> Result<Allocation, SearchError> {
-    let obs = &config.obs;
-    let t_allocate = obs.now();
-    let db_residues = database.total_residues();
-    let model_of = |gpu: bool| {
-        registrations
-            .iter()
-            .find(|r| r.is_gpu == gpu)
-            .map(|r| r.rate_model)
-    };
-    let gpus = registrations.iter().filter(|r| r.is_gpu).count();
-    let platform = PlatformSpec::new(registrations.len() - gpus, gpus);
-    let whole = build_tasks(queries, db_residues, model_of(false), model_of(true))?;
-    // A slice pays its species' whole declared overhead; a species
-    // nobody registered takes none.
-    let overhead_of = |gpu: bool| model_of(gpu).map_or(f64::INFINITY, |m| m.per_task_overhead);
-    let overhead = SliceOverhead {
-        cpu: overhead_of(false),
-        gpu: overhead_of(true),
-    };
-    let cut_at = |fraction: f64| database.cut_at(fraction, SLICE_ALIGN);
-    let snap = |fraction: f64| database.fraction_before(cut_at(fraction));
-    let plan = initial_plan(&whole, &platform, config.policy, overhead, snap, obs);
-    let (tasks, parts, schedule) = match plan {
-        Some(plan) => (plan.tasks, plan.parts, Some(plan.schedule)),
-        None => {
-            let uncut = (0..whole.len()).map(Part::whole).collect();
-            (whole, uncut, None)
-        }
-    };
-    // What each task asks of a worker: its query (a piece's is its
-    // parent's) against its share of the length order.
-    let unit_of = |part: &Part| {
-        let slice = cut_at(part.lo)..cut_at(part.hi);
-        let query_len = queries.get(part.parent).map_or(0, |q| q.len());
-        Unit {
-            query_index: part.parent,
-            cells: query_len as f64 * database.residues_in(slice.clone()) as f64,
-            slice: slice.into(),
-            joins: None,
-        }
-    };
-    let mut units: Vec<Unit> = parts.iter().map(unit_of).collect();
-    offer_runs(&mut units, queries, database, config);
-    // Journal the rate-model estimates per task: the auditor
-    // reconstructs acceleration ratios (p_cpu/p_gpu) from these to
-    // judge the knapsack's GPU-side ordering.
-    if obs.is_enabled() {
-        for (task, unit) in tasks.iter().zip(&units) {
-            obs.instant(
-                Track::Master,
-                EventBody::TaskModel {
-                    task: task.id,
-                    p_cpu: task.p_cpu,
-                    p_gpu: task.p_gpu,
-                    query_len: queries.get(unit.query_index).map(|q| q.len()),
-                    cells: Some(unit.cells),
-                },
-            );
-        }
-    }
-    obs.span(
-        Track::Master,
-        t_allocate,
-        obs.now() - t_allocate,
-        None,
-        EventBody::Allocate { tasks: tasks.len() },
-    );
-    Ok(Allocation {
-        tasks,
-        units,
-        schedule,
-    })
-}
-
-/// Mark the tasks that may join a transposed run on a CPU worker: without
-/// re-optimization and under a scheme that [`transposes`], each task whose
-/// query [`Backend::joins_runs`] and whose slice another such task scores.
-/// Each such slice's own fill, which a run must beat, is priced once.
-/// Re-optimization gets one-task runs: a run takes its tasks off the
-/// revocable queue and answers them only when the last ends, which is the
-/// skew it would act on, seen too late to act.
-fn offer_runs(
-    units: &mut [Unit],
-    queries: &SequenceSet,
-    database: &Subjects<'_>,
-    config: &RuntimeConfig,
-) {
-    if config.reopt.enabled || !transposes(&config.scheme) {
-        return;
-    }
-    let backend = Backend::active();
-    let joins_runs = |unit: &Unit| {
-        let query = queries.get(unit.query_index)?;
-        backend
-            .joins_runs(query.codes(), &config.scheme)
-            .then_some(query.len())
-    };
-    let joining: Vec<Option<usize>> = units.iter().map(joins_runs).collect();
-    let mut on_slice: HashMap<DbSlice, usize> = HashMap::new();
-    for (unit, joins) in units.iter().zip(&joining) {
-        if joins.is_some() {
-            *on_slice.entry(unit.slice).or_default() += 1;
-        }
-    }
-    let mut fill_of: HashMap<DbSlice, f64> = HashMap::new();
-    for (unit, joins) in units.iter_mut().zip(joining) {
-        let slice = unit.slice;
-        let Some(query_len) = joins.filter(|_| on_slice[&slice] > 1) else {
-            continue;
-        };
-        let slice_fill = *fill_of
-            .entry(slice)
-            .or_insert_with(|| backend.slice_fill(database, slice.start..slice.end));
-        unit.joins = Some(Joins {
-            query_len,
-            slice_fill,
-        });
-    }
+    registrations
 }
 
 /// The thin shell around the pure core: it owns the channels and the
 /// clock, feeds [`MasterState::step`] and performs what comes back.
 struct Shell<'a> {
-    state: MasterState,
+    state: MasterState<'a>,
     links: Links,
     obs: &'a Obs,
     start: Instant,
@@ -669,15 +482,11 @@ impl Shell<'_> {
     /// as they stream in: wait for a worker message, but never past the
     /// next silent-death deadline nor longer than one `tick`; hand the
     /// core what happened; do what it says.
-    fn run(
-        mut self,
-        schedule: Option<&Schedule>,
-        tick: Duration,
-    ) -> Result<(Vec<JobResult>, Vec<f64>), SearchError> {
+    fn run(mut self, tick: Duration) -> Result<Merged, SearchError> {
         let obs = self.obs;
         let t_dispatch = obs.now();
         let now = self.now();
-        let initial = self.state.start(schedule, now);
+        let initial = self.state.start(now);
         let mut verdict = self.perform(initial);
         obs.span(
             Track::Master,
@@ -795,11 +604,11 @@ fn search(
     // closure, so all queues shut when it returns — on success and
     // error alike — and the surviving worker threads drain out before
     // the scope joins them.
-    let ((results, help_wall), query_of, schedule) = std::thread::scope(|scope| {
+    let ((results, query_of, help_wall), schedule) = std::thread::scope(|scope| {
         let t_register = obs.now();
         let (mut links, threads) =
             spawn_workers(scope, workers, &subjects, &claims, &queries, &config);
-        let (registrations, alive) = collect_registrations(&mut links, workers, &config);
+        let registrations = collect_registrations(&mut links, workers, &config);
         obs.span(
             Track::Master,
             t_register,
@@ -814,18 +623,22 @@ fn search(
             return Err(SearchError::NoWorkersRegistered);
         }
 
-        let allocation = allocate(&queries, &subjects, &registrations, &config)?;
-        let query_of: Vec<usize> = allocation.units.iter().map(|u| u.query_index).collect();
-        let is_gpu = workers.iter().map(|w| w.is_gpu()).collect();
+        // Phase 3 — the core prices every task from the declared rate
+        // models of the workers that registered and draws the first plan.
+        let t_allocate = obs.now();
+        let search = search_of(workers, &registrations, &queries, &subjects, &config.scheme);
+        let state = MasterState::new(search, Backend::active(), &config)?;
+        let tasks = state.total();
+        obs.span(
+            Track::Master,
+            t_allocate,
+            obs.now() - t_allocate,
+            None,
+            EventBody::Allocate { tasks },
+        );
+        let schedule = state.initial().cloned();
         let shell = Shell {
-            state: MasterState::new(
-                allocation.tasks,
-                allocation.units,
-                is_gpu,
-                alive,
-                Backend::active(),
-                &config,
-            ),
+            state,
             links,
             obs,
             start,
@@ -833,7 +646,7 @@ fn search(
         let tick = (config.min_job_timeout / 8)
             .min(Duration::from_millis(25))
             .max(Duration::from_millis(1));
-        let results = shell.run(allocation.schedule.as_ref(), tick);
+        let results = shell.run(tick);
         // `run` dropped the queues, so the workers are on their way
         // out. Wait for the threads themselves: the scope only waits
         // for their closures, and a thread still exiting holds its
@@ -844,7 +657,7 @@ fn search(
                 std::panic::resume_unwind(panic);
             }
         }
-        Ok((results?, query_of, allocation.schedule))
+        Ok((results?, schedule))
     })?;
     let wall_seconds = start.elapsed().as_secs_f64();
 
@@ -968,16 +781,13 @@ mod tests {
         set
     }
 
-    /// The lengths of the runs the core dispatches first, for `queries`
-    /// against `database` on `workers`, all registered.
-    fn first_runs(
+    /// The core of a search of `queries` on `workers`, all registered.
+    fn core<'a>(
         queries: &SequenceSet,
-        database: &SequenceSet,
+        subjects: &'a Subjects<'a>,
         workers: &[WorkerSpec],
         config: &RuntimeConfig,
-    ) -> Vec<usize> {
-        let image = image(database);
-        let subjects = Subjects::from(&*image);
+    ) -> MasterState<'a> {
         let registrations: Vec<Registration> = workers
             .iter()
             .enumerate()
@@ -988,19 +798,22 @@ mod tests {
                 rate_model: spec.rate_model(),
             })
             .collect();
-        let allocation = allocate(queries, &subjects, &registrations, config).unwrap();
-        let is_gpu = workers.iter().map(|w| w.is_gpu()).collect();
-        let alive = vec![true; workers.len()];
-        let units = allocation.units;
-        let mut state = MasterState::new(
-            allocation.tasks,
-            units,
-            is_gpu,
-            alive,
-            Backend::active(),
-            config,
-        );
-        let actions = state.start(allocation.schedule.as_ref(), 0.0);
+        let search = search_of(workers, &registrations, queries, subjects, &config.scheme);
+        MasterState::new(search, Backend::active(), config).unwrap()
+    }
+
+    /// The lengths of the runs the core dispatches first, for `queries`
+    /// against `database` on `workers`, all registered.
+    fn first_runs(
+        queries: &SequenceSet,
+        database: &SequenceSet,
+        workers: &[WorkerSpec],
+        config: &RuntimeConfig,
+    ) -> Vec<usize> {
+        let image = image(database);
+        let subjects = Subjects::from(&*image);
+        let mut state = core(queries, &subjects, workers, config);
+        let actions = state.start(0.0);
         let runs = actions.into_iter().filter_map(|action| match action {
             Action::Dispatch { run, .. } => Some(run.len()),
             _ => None,
@@ -1255,37 +1068,44 @@ mod tests {
         // Regression: the old absent-species sentinel (`f64::MAX / 4.0`)
         // made area sums overflow to infinity on single-species
         // platforms, poisoning the scheduler's lower bound. The penalty
-        // must be prohibitive yet keep every derived quantity finite.
+        // must be prohibitive yet keep every derived quantity finite, as
+        // the core journals them.
         let database = db(10, 60);
         let queries = queries_from(&database, &[0, 3, 6, 9]);
-        let db_residues = database.total_residues();
-        for (cpu, gpu) in [
-            (Some(crate::estimator::WorkerRateModel::cpu_swipe()), None),
-            (None, Some(crate::estimator::WorkerRateModel::gpu_tesla())),
-        ] {
-            let tasks = build_tasks(&queries, db_residues, cpu, gpu).unwrap();
+        let image = image(&database);
+        let subjects = Subjects::from(&*image);
+        for workers in [[WorkerSpec::cpu_default()], [WorkerSpec::gpu_default()]] {
+            let obs = Obs::enabled();
+            let config = RuntimeConfig {
+                obs: obs.clone(),
+                ..RuntimeConfig::default()
+            };
+            core(&queries, &subjects, &workers, &config);
+            let events = obs.events_since(0);
             let mut area = 0.0;
-            for t in tasks.iter() {
-                assert!(t.p_cpu.is_finite() && t.p_cpu > 0.0);
-                assert!(t.p_gpu.is_finite() && t.p_gpu > 0.0);
-                area += t.p_cpu + t.p_gpu;
+            for event in &events {
+                let EventBody::TaskModel { p_cpu, p_gpu, .. } = event.body else {
+                    continue;
+                };
+                assert!(p_cpu.is_finite() && p_cpu > 0.0);
+                assert!(p_gpu.is_finite() && p_gpu > 0.0);
+                area += p_cpu + p_gpu;
+                // The absent side is prohibitive, not just slightly worse.
+                let ratio = (p_cpu / p_gpu).max(p_gpu / p_cpu);
+                assert!(ratio >= 1.0e5, "penalty too mild: ratio {ratio}");
             }
-            assert!(area.is_finite(), "area sum must not overflow");
-            // The absent side is prohibitive, not just slightly worse.
-            let t0 = tasks.iter().next().unwrap();
-            let ratio = (t0.p_cpu / t0.p_gpu).max(t0.p_gpu / t0.p_cpu);
-            assert!(ratio >= 1.0e5, "penalty too mild: ratio {ratio}");
+            assert!(area > 0.0 && area.is_finite(), "area sum must not overflow");
             // And the scheduler's diagnostics stay usable.
-            let platform = PlatformSpec::new(1, 1);
-            let outcome = dual_approx_schedule_observed(
-                &tasks,
-                &platform,
-                BinarySearchConfig::default(),
-                &Obs::disabled(),
-            );
-            assert!(outcome.lower_bound.is_finite());
-            assert!(outcome.upper_bound.is_finite());
-            assert!(outcome.schedule.makespan().is_finite());
+            let done = events.iter().find_map(|e| match e.body {
+                EventBody::BinsearchDone {
+                    lower_bound,
+                    upper_bound,
+                    makespan,
+                    ..
+                } => Some([lower_bound, upper_bound, makespan]),
+                _ => None,
+            });
+            assert!(done.unwrap().iter().all(|x| x.is_finite()));
         }
     }
 

@@ -9,6 +9,13 @@
 //! `sim`, which is where interleavings of completions, deaths, failed
 //! sends and deadline ticks are explored.
 //!
+//! The core also prices and plans: [`MasterState::new`] prices each task
+//! at its species' fastest declared worker and each worker against it,
+//! then draws the first plan with [`swdual_sched::plan()`] from zero
+//! loads; [`MasterState::replan`] calls the same function from the
+//! survivors' modelled clocks. One price per worker serves the plans,
+//! the deadlines and the calibration ([`MasterState::estimate`]).
+//!
 //! The policy decides two things only: where tasks start and where a
 //! dead worker's orphans go. A static policy's plan fills per-worker
 //! queues, and orphans are re-planned with the rest of them;
@@ -50,16 +57,15 @@
 //! whether a loan is answered or never is.
 
 use super::{AllocationPolicy, ReoptConfig, RuntimeConfig, SearchError};
-use crate::estimator::{cold_host_cells_per_sec, job_deadline_seconds};
+use crate::estimator::{cold_host_cells_per_sec, job_deadline_seconds, WorkerRateModel};
 use crate::messages::{DbSlice, FailureReason, Job, JobResult, WorkerFailure};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::iter::once;
-use swdual_align::Backend;
+use swdual_align::{Backend, Subjects};
 use swdual_obs::{EventBody, Obs, Track};
 use swdual_sched::binsearch::BinarySearchConfig;
-use swdual_sched::remainder::{reschedule_remainder_weighted, WorkerFactors};
 use swdual_sched::schedule::{PeKind, Schedule};
-use swdual_sched::TaskSet;
+use swdual_sched::{plan, Decision, Part, PeState, Pool, SliceOverhead, SplitPlan, Task, TaskSet};
 
 // `reason` argument values on `worker_death` fault events.
 const DEATH_CRASH: f64 = 0.0;
@@ -80,6 +86,10 @@ const DEATH_DISPATCH: f64 = 3.0;
 // cannot trip its deadline either: the helper started the lent task
 // before the owner was sent it, on the same host kernels, and the grant
 // prices every task of the run as if the owner computed it.
+
+/// Penalty factor on the present species' time that stands in for an
+/// absent species: prohibitive, yet finite in any sum of task times.
+const ABSENT_SPECIES_PENALTY: f64 = 1.0e6;
 
 /// Largest per-worker slowdown factor re-optimization will believe.
 /// Bounds both the re-planned load skew and (via the threshold-growth
@@ -122,37 +132,65 @@ pub(super) enum Action {
     Abort(SearchError),
 }
 
-/// What a task asks of a worker: which query against which slice of the
-/// database, and the DP cells that is.
+/// What a task asks of a worker: which query (and its residues) against
+/// which slice of the database, and the DP cells that is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) struct Unit {
     pub(super) query_index: usize,
+    pub(super) query_len: usize,
     pub(super) slice: DbSlice,
     pub(super) cells: f64,
-    /// What the run pick needs when the task may join a transposed run;
-    /// `None` when it may not.
-    pub(super) joins: Option<Joins>,
+    /// When the task may join a transposed run, the fill of its slice's
+    /// own stream ([`Backend::slice_fill`]) that a run must beat.
+    pub(super) fill: Option<f64>,
 }
 
-/// A task that may join a transposed run: its query's residues and the
-/// fill of its slice's own stream ([`Backend::slice_fill`]).
+/// A query's residues, and whether it may join a transposed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(super) struct Joins {
-    pub(super) query_len: usize,
-    pub(super) slice_fill: f64,
+pub(super) struct Query {
+    pub(super) len: usize,
+    pub(super) joins_runs: bool,
+}
+
+/// The results, each task's query, and each worker's wall helping.
+pub(super) type Merged = (Vec<JobResult>, Vec<usize>, Vec<f64>);
+
+/// What the shell hands the core to price and plan a search: each
+/// worker's declared rate model (`None` when it did not register), the
+/// queries, the database and the multiple of positions a slice boundary
+/// falls on.
+pub(super) struct Search<'a> {
+    pub(super) models: Vec<Option<WorkerRateModel>>,
+    pub(super) is_gpu: Vec<bool>,
+    pub(super) queries: Vec<Query>,
+    pub(super) database: &'a Subjects<'a>,
+    pub(super) align: usize,
 }
 
 /// All state of one search run. Times are seconds since the search
 /// started; a worker's `deadline` is infinite unless it is alive with a
-/// run in flight.
-pub(super) struct MasterState {
-    tasks: TaskSet,
-    /// The work behind each task id.
+/// run in flight. Every per-task vector only grows: a piece a re-plan
+/// cuts off is a new task id.
+pub(super) struct MasterState<'a> {
+    /// One task per query at the reference prices, what each plan prices
+    /// against; then each task, what it stands for and its work.
+    original: TaskSet,
+    tasks: Vec<Task>,
+    parts: Vec<Part>,
     units: Vec<Unit>,
+    /// Each worker's declared model against its species' reference.
+    price: Vec<f64>,
+    overhead: SliceOverhead,
+    queries: Vec<Query>,
+    database: &'a Subjects<'a>,
+    align: usize,
+    /// The first plan until `start` dispatches it; `None` under
+    /// self-scheduling.
+    initial: Option<Schedule>,
     is_gpu: Vec<bool>,
-    /// Whether tasks start in, and orphans return to, the pool rather
-    /// than a plan.
-    self_scheduling: bool,
+    /// How a plan's binary search runs; `None` under self-scheduling,
+    /// whose tasks start in, and whose orphans return to, the pool.
+    search: Option<BinarySearchConfig>,
     /// The backend CPU workers score runs on: the pick's lanes.
     backend: Backend,
     reopt: ReoptConfig,
@@ -174,6 +212,10 @@ pub(super) struct MasterState {
     /// Tasks lent once (never again), the loan each worker has
     /// outstanding, and the wall seconds each spent helping.
     lent: Vec<bool>,
+    /// Tasks a re-plan never cuts: their id may name their slice to a
+    /// worker — dispatched (a late answer) or queued on a device (a
+    /// claim) — whether or not a loan was answered.
+    named: Vec<bool>,
     helping: Vec<Option<usize>>,
     help_wall: Vec<f64>,
     /// Causal lineage: the global dispatch sequence, the plan decision
@@ -204,38 +246,106 @@ pub(super) struct MasterState {
     published_deadline: Vec<f64>,
 }
 
-impl MasterState {
-    /// State before the first dispatch. `alive[w]` says whether worker
-    /// `w` registered; `units[t]` is the work of task `t`; CPU workers
-    /// score runs on `backend`.
+impl<'a> MasterState<'a> {
+    /// State before the first dispatch: every task priced and, under a
+    /// static policy, the first plan drawn. A worker whose model is
+    /// `None` did not register; CPU workers score runs on `backend`.
     pub(super) fn new(
-        tasks: TaskSet,
-        units: Vec<Unit>,
-        is_gpu: Vec<bool>,
-        alive: Vec<bool>,
+        search: Search<'a>,
         backend: Backend,
         config: &RuntimeConfig,
-    ) -> MasterState {
-        let (n, workers) = (tasks.len(), alive.len());
-        MasterState {
-            tasks,
-            units,
-            is_gpu,
-            self_scheduling: matches!(config.policy, AllocationPolicy::SelfScheduling),
+    ) -> Result<MasterState<'a>, SearchError> {
+        let db_residues = search.database.total_residues();
+        let seconds =
+            |m: &WorkerRateModel, len| m.task_seconds(len, db_residues).max(f64::MIN_POSITIVE);
+        // What each registered worker's model prices the whole search at;
+        // a task it cannot price fails the search.
+        let mut totals = vec![f64::NAN; search.models.len()];
+        for (w, model) in search.models.iter().enumerate() {
+            let Some(model) = model else { continue };
+            let times = search.queries.iter().map(|q| seconds(model, q.len));
+            if let Some(task_id) = times.clone().position(|t| !t.is_finite()) {
+                return Err(SearchError::UnpricedTask { task_id });
+            }
+            totals[w] = times.sum();
+        }
+        // Each species' reference is its fastest registered worker (the
+        // lowest id among equals); a worker's price is its total over
+        // its reference's, 1 where there is nothing to price.
+        let reference = |gpu: bool| {
+            let species = (0..search.models.len())
+                .filter(|&w| search.models[w].is_some() && search.is_gpu[w] == gpu);
+            species.min_by(|&a, &b| totals[a].total_cmp(&totals[b]))
+        };
+        let (cpu, gpu) = (reference(false), reference(true));
+        let price = (0..search.models.len()).map(|w| {
+            let reference = if search.is_gpu[w] { gpu } else { cpu };
+            let price = totals[w] / reference.map_or(f64::NAN, |r| totals[r]);
+            Some(price).filter(|p| p.is_finite()).unwrap_or(1.0)
+        });
+        let price = price.collect();
+        let model = |r: Option<usize>| r.and_then(|r| search.models[r]);
+        let (cpu, gpu) = (model(cpu), model(gpu));
+        let tasks = search.queries.iter().enumerate().map(|(id, q)| {
+            let time = |m: Option<WorkerRateModel>| m.map(|m| seconds(&m, q.len));
+            // With a species absent, a prohibitive but finite time from
+            // the species that is present.
+            let (p_cpu, p_gpu) = match (time(cpu), time(gpu)) {
+                (Some(c), Some(g)) => (c, g),
+                (Some(c), None) => (c, c * ABSENT_SPECIES_PENALTY),
+                (None, Some(g)) => (g * ABSENT_SPECIES_PENALTY, g),
+                (None, None) => return Err(SearchError::NoWorkersRegistered),
+            };
+            match p_cpu.is_finite() && p_gpu.is_finite() {
+                true => Ok(Task::new(id, p_cpu, p_gpu)),
+                false => Err(SearchError::UnpricedTask { task_id: id }),
+            }
+        });
+        let original = TaskSet::new(tasks.collect::<Result<_, _>>()?);
+        // A slice pays its species' whole declared overhead; a species
+        // nobody registered takes none.
+        let overhead_of =
+            |m: Option<WorkerRateModel>| m.map_or(f64::INFINITY, |m| m.per_task_overhead);
+        let overhead = SliceOverhead {
+            cpu: overhead_of(cpu),
+            gpu: overhead_of(gpu),
+        };
+        let bisection = match config.policy {
+            AllocationPolicy::DualApprox(method) => Some(BinarySearchConfig {
+                method,
+                ..BinarySearchConfig::default()
+            }),
+            AllocationPolicy::SelfScheduling => None,
+        };
+        let (n, workers) = (original.len(), search.models.len());
+        let mut state = MasterState {
+            original,
+            tasks: Vec::with_capacity(n),
+            parts: Vec::with_capacity(n),
+            units: Vec::with_capacity(n),
+            price,
+            overhead,
+            queries: search.queries,
+            database: search.database,
+            align: search.align,
+            initial: None,
+            is_gpu: search.is_gpu,
+            search: bisection,
             backend,
             reopt: config.reopt,
             max_retries: config.max_task_retries,
             floor: config.min_job_timeout.as_secs_f64(),
             slack: config.job_timeout_slack,
             obs: config.obs.clone(),
-            alive,
+            alive: search.models.iter().map(Option::is_some).collect(),
             queue: vec![VecDeque::new(); workers],
             pool: VecDeque::new(),
             in_flight: vec![Vec::new(); workers],
-            done: vec![false; n],
-            retries: vec![0; n],
+            done: Vec::with_capacity(n),
+            retries: Vec::with_capacity(n),
             results: Vec::with_capacity(n),
-            lent: vec![false; n],
+            lent: Vec::with_capacity(n),
+            named: Vec::with_capacity(n),
             helping: vec![None; workers],
             help_wall: vec![0.0; workers],
             seq: 0,
@@ -248,15 +358,34 @@ impl MasterState {
             reopt_rounds: 0,
             deadline: vec![f64::INFINITY; workers],
             published_deadline: vec![0.0; workers],
-        }
+        };
+        // Every task joins the search as the first plan hands it over:
+        // cut, or whole under self-scheduling.
+        let wholes: Vec<Part> = (0..n).map(Part::whole).collect();
+        let first = match state.search {
+            Some(_) => state.plan(&wholes, &[], &state.pool(&state.live_by_species())),
+            None => SplitPlan {
+                tasks: state.original.clone(),
+                parts: wholes,
+                schedule: Schedule::default(),
+            },
+        };
+        let schedule = state.take(first, &[]);
+        state.initial = state.search.map(|_| schedule);
+        Ok(state)
     }
 
-    /// Dispatch the initial plan: `schedule` for the static policies,
-    /// every task into the pool for self-scheduling.
-    pub(super) fn start(&mut self, schedule: Option<&Schedule>, now: f64) -> Vec<Action> {
+    /// The plan the search starts with; `None` under self-scheduling.
+    pub(super) fn initial(&self) -> Option<&Schedule> {
+        self.initial.as_ref()
+    }
+
+    /// Dispatch the initial plan under the static policies, or every task
+    /// into the pool under self-scheduling.
+    pub(super) fn start(&mut self, now: f64) -> Vec<Action> {
         let mut out = Vec::new();
-        match schedule {
-            Some(schedule) => self.adopt(schedule, now, &mut out),
+        match self.initial.take() {
+            Some(schedule) => self.adopt(&schedule, now, &mut out),
             None => {
                 self.pool.extend(0..self.tasks.len());
                 self.feed_idle(now, &mut out);
@@ -327,10 +456,11 @@ impl MasterState {
         }
     }
 
-    /// The merged results, one per task, in completion order, and the
-    /// wall seconds each worker spent helping.
-    pub(super) fn into_results(self) -> (Vec<JobResult>, Vec<f64>) {
-        (self.results, self.help_wall)
+    /// The merged results, one per task, in completion order; each
+    /// task's query; and the wall seconds each worker spent helping.
+    pub(super) fn into_results(self) -> Merged {
+        let queries = self.units.iter().map(|u| u.query_index).collect();
+        (self.results, queries, self.help_wall)
     }
 
     /// Settle the answered tasks of one of `w`'s runs, each on its own,
@@ -519,7 +649,7 @@ impl MasterState {
         if cpus.is_empty() && gpus.is_empty() {
             return Err(self.all_workers_dead());
         }
-        if self.self_scheduling {
+        if self.search.is_none() {
             for &t in orphans.iter().rev() {
                 self.pool.push_front(t);
             }
@@ -533,15 +663,123 @@ impl MasterState {
         for &w in cpus.iter().chain(&gpus) {
             self.planned_factor[w] = self.factor(w);
         }
-        let factors_of = |ids: &[usize]| ids.iter().map(|&w| self.planned_factor[w]).collect();
-        let plan = reschedule_remainder_weighted(
-            &self.tasks,
-            &remainder,
-            &WorkerFactors::new(factors_of(&cpus), factors_of(&gpus)),
-            BinarySearchConfig::default(),
-        );
-        self.adopt(&plan, now, out);
+        let pool = self.pool(&(cpus, gpus));
+        let parts: Vec<Part> = remainder.iter().map(|&t| self.parts[t]).collect();
+        let rigid: Vec<bool> = remainder.iter().map(|&t| self.named[t]).collect();
+        let plan = self.plan(&parts, &rigid, &pool);
+        let schedule = self.take(plan, &remainder);
+        self.adopt(&schedule, now, out);
         Ok(())
+    }
+
+    /// The live workers `cpus` and `gpus` as a plan's pool: each priced
+    /// at its declared price times its slowdown, and busy until its
+    /// modelled clock plus the priced run it has in flight.
+    fn pool(&self, (cpus, gpus): &(Vec<usize>, Vec<usize>)) -> Pool {
+        let pe = |&w: &usize| {
+            let run = self.in_flight[w].iter().map(|&t| self.estimate(w, t));
+            PeState {
+                factor: self.price[w] * self.planned_factor[w],
+                load: self.virt_done[w] + run.sum::<f64>() * self.planned_factor[w],
+            }
+        };
+        Pool {
+            cpus: cpus.iter().map(pe).collect(),
+            gpus: gpus.iter().map(pe).collect(),
+        }
+    }
+
+    /// The plan of `parts` on `pool` under the current decision, cut
+    /// only where the database can be.
+    fn plan(&self, parts: &[Part], rigid: &[bool], pool: &Pool) -> SplitPlan {
+        let (db, align) = (self.database, self.align);
+        let snap = |fraction: f64| db.fraction_before(db.cut_at(fraction, align));
+        let decision = Decision {
+            id: self.decision,
+            config: self.search.unwrap_or_default(),
+            obs: &self.obs,
+        };
+        plan(
+            &self.original,
+            parts,
+            rigid,
+            pool,
+            self.overhead,
+            snap,
+            decision,
+        )
+    }
+
+    /// Take `plan`, drawn for the tasks `ids`, as the search's: task `i`
+    /// of the plan is `ids[i]`, every other one is appended (a piece with
+    /// the retries of the task it was cut from), and each task priced
+    /// anew is journaled. Returns the schedule over task ids.
+    fn take(&mut self, plan: SplitPlan, ids: &[usize]) -> Schedule {
+        let before: Vec<Part> = ids.iter().map(|&t| self.parts[t]).collect();
+        let mut global = ids.to_vec();
+        let mut fills = HashMap::new();
+        for (i, (&task, &part)) in plan.tasks.iter().zip(&plan.parts).enumerate() {
+            if ids.get(i).is_some_and(|&t| self.parts[t] == part) {
+                continue;
+            }
+            let unit = self.unit(part, &mut fills);
+            let t = match ids.get(i) {
+                Some(&t) => t,
+                None => {
+                    let within =
+                        |p: &Part| p.parent == part.parent && p.lo <= part.lo && part.hi <= p.hi;
+                    let from = before.iter().position(within).map(|from| ids[from]);
+                    self.retries.push(from.map_or(0, |from| self.retries[from]));
+                    self.done.push(false);
+                    self.lent.push(false);
+                    self.named.push(false);
+                    self.tasks.push(task);
+                    self.parts.push(part);
+                    self.units.push(unit);
+                    global.push(self.tasks.len() - 1);
+                    self.tasks.len() - 1
+                }
+            };
+            (self.tasks[t], self.parts[t], self.units[t]) = (Task { id: t, ..task }, part, unit);
+            // The auditor reconstructs acceleration ratios from these.
+            let (p_cpu, p_gpu, cells) = (task.p_cpu, task.p_gpu, Some(unit.cells));
+            let query_len = Some(unit.query_len);
+            let model = EventBody::TaskModel {
+                task: t,
+                p_cpu,
+                p_gpu,
+                query_len,
+                cells,
+            };
+            self.obs.instant(Track::Master, model);
+        }
+        let mut schedule = plan.schedule;
+        for p in &mut schedule.placements {
+            p.task = global[p.task];
+        }
+        schedule
+    }
+
+    /// What `part` asks of a worker: its query against its share of the
+    /// length order. `fills` caches each slice's fill.
+    fn unit(&self, part: Part, fills: &mut HashMap<DbSlice, f64>) -> Unit {
+        let db = self.database;
+        let slice = db.cut_at(part.lo, self.align)..db.cut_at(part.hi, self.align);
+        let query = self.queries[part.parent];
+        // Re-optimization gets one-task runs: a run takes its tasks off
+        // the revocable queue and answers them only when the last ends,
+        // which is the skew it would act on, seen too late to act.
+        let fill = (query.joins_runs && !self.reopt.enabled).then(|| {
+            let fill = fills.entry(slice.clone().into());
+            *fill.or_insert_with(|| self.backend.slice_fill(db, slice.clone()))
+        });
+        Unit {
+            query_index: part.parent,
+            query_len: query.len,
+            cells: query.len as f64 * db.residues_in(slice.clone()) as f64,
+            slice: slice.into(),
+            fill,
+        }
     }
 
     /// Take `schedule` as the plan in force: placements become
@@ -574,6 +812,7 @@ impl MasterState {
                     },
                 );
             }
+            self.named[p.task] |= self.is_gpu[w];
             per_worker[w].push((p.start, p.task));
         }
         for (w, mut list) in per_worker.into_iter().enumerate() {
@@ -670,6 +909,7 @@ impl MasterState {
 
     /// Stamp lineage onto a job bound for worker `w`.
     fn stamp(&mut self, t: usize, w: usize) -> Job {
+        self.named[t] = true;
         let job = Job {
             task_id: t,
             query_index: self.units[t].query_index,
@@ -684,14 +924,17 @@ impl MasterState {
         job
     }
 
-    /// The estimator's modelled seconds for task `t` on worker `w`.
+    /// The modelled seconds worker `w` declared task `t` takes: the
+    /// task's reference price at `w`'s declared price. Deadlines,
+    /// calibration and every plan read this one price.
     fn estimate(&self, w: usize, t: usize) -> f64 {
-        let task = self.tasks.tasks()[t];
-        if self.is_gpu[w] {
+        let task = self.tasks[t];
+        let reference = if self.is_gpu[w] {
             task.p_gpu
         } else {
             task.p_cpu
-        }
+        };
+        reference * self.price[w]
     }
 
     /// Live workers split by species, each in id order.
@@ -772,16 +1015,17 @@ fn run_length(
     behind: &VecDeque<usize>,
 ) -> usize {
     let unit = &units[head];
-    let Some(joins) = unit.joins.filter(|_| cpu) else {
+    let Some(fill) = unit.fill.filter(|_| cpu) else {
         return 1;
     };
     let behind = behind.iter().map_while(|&t| {
         let other = &units[t];
         let on_slice = other.slice == unit.slice && !done[t];
-        other.joins.filter(|_| on_slice).map(|j| j.query_len)
+        other.fill.filter(|_| on_slice).map(|_| other.query_len)
     });
-    let lens = once(joins.query_len).chain(behind);
-    backend.run_length(joins.slice_fill, lens).max(1)
+    backend
+        .run_length(fill, once(unit.query_len).chain(behind))
+        .max(1)
 }
 
 #[cfg(test)]

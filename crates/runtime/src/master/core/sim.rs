@@ -8,13 +8,12 @@
 //! its core honours; only a thread gone before the first send reaches
 //! it ([`Member::dead_at_send`]) belongs to the sim's transport.
 //!
-//! The run's tasks are what the shell's allocator would hand the core:
-//! the policy's plan with its divisible tail cut, so a task may be a
-//! slice of a query's database pass — to the core, just another id. The
-//! plan prices a task at what a core charges for it: a CPU at the rate
-//! model it declares, a device at the timing model of the sim's
-//! [`device`], whose kernel time is linear in the residues it covers;
-//! any record boundary may cut the database. A worker's core executes
+//! The core prices and plans the run itself, as under the shell: each
+//! member declares what its core charges for a task — a CPU the rate
+//! model its spec declares, a device the timing model of the sim's
+//! [`device`], whose kernel time is linear in the residues it covers —
+//! and any record boundary may cut the database, so a task may be a
+//! slice of a query's database pass: to the core, just another id. A worker's core executes
 //! an order at once, and its answer — one message per run, as the
 //! thread shell sends it — reaches the master after the virtual wall
 //! time the run's modelled seconds take (`WALL_PER_MODELLED`), a
@@ -34,7 +33,6 @@
 //! faults, failed sends, loans and deadline ticks run per second, and
 //! every failure replays from its seed.
 
-use super::super::{build_tasks, initial_plan};
 use super::*;
 use crate::claims::Claims;
 use crate::estimator::WorkerRateModel;
@@ -51,10 +49,8 @@ use swdual_align::{gotoh_score, Subjects};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, ScoringScheme};
 use swdual_gpusim::DeviceSpec;
-use swdual_sched::binsearch::dual_approx_schedule;
 use swdual_sched::dual::KnapsackMethod;
 use swdual_sched::knapsack::DpConfig;
-use swdual_sched::{Part, PlatformSpec, SliceOverhead};
 
 /// Virtual wall seconds per modelled second of work.
 const WALL_PER_MODELLED: f64 = 1e-3;
@@ -216,13 +212,7 @@ impl Ord for Event {
 }
 
 struct Sim {
-    state: MasterState,
-    /// The uncut tasks, the registered pool, the initial plan (none
-    /// under self-scheduling) and what each of its tasks stands for.
-    whole: TaskSet,
-    platform: PlatformSpec,
-    schedule: Option<Schedule>,
-    parts: Vec<Part>,
+    state: MasterState<'static>,
     queries: Arc<SequenceSet>,
     obs: Obs,
     /// Each worker's core; `None` when it never registered.
@@ -301,60 +291,33 @@ impl Sim {
             })
             .collect();
         let registered = |w: &usize| cores[*w].is_some();
-        let pool: Vec<usize> = (0..members.len()).filter(registered).collect();
-        let gpus = pool.iter().filter(|&&w| members[w].spec.is_gpu()).count();
-        let platform = PlatformSpec::new(pool.len() - gpus, gpus);
-        // The first registered CPU's declared model prices every CPU, as
-        // in the shell; a device prices at its timing model.
-        let first_cpu = pool.iter().find(|&&w| !members[w].spec.is_gpu());
-        let cpu_model = first_cpu.map(|&w| members[w].spec.rate_model());
-        let gpu_model = (gpus > 0).then(device_model);
-        let whole = build_tasks(&queries, db.total_residues(), cpu_model, gpu_model).unwrap();
-        let overhead_of =
-            |m: Option<WorkerRateModel>| m.map_or(f64::INFINITY, |m| m.per_task_overhead);
-        let overhead = SliceOverhead {
-            cpu: overhead_of(cpu_model),
-            gpu: overhead_of(gpu_model),
-        };
-        let cut_at = |fraction: f64| db.cut_at(fraction, 1);
-        let snap = |fraction: f64| db.fraction_before(cut_at(fraction));
-        let plan = initial_plan(&whole, &platform, policy, overhead, snap, &Obs::disabled());
-        let (tasks, parts, schedule) = match plan {
-            Some(plan) => (plan.tasks, plan.parts, Some(plan.schedule)),
-            None => {
-                let uncut = (0..whole.len()).map(Part::whole).collect();
-                (whole.clone(), uncut, None)
-            }
-        };
-        let unit_of = |part: &Part| {
-            let slice = cut_at(part.lo)..cut_at(part.hi);
-            let query_len = queries.get(part.parent).map_or(0, |q| q.len());
-            Unit {
-                query_index: part.parent,
-                cells: query_len as f64 * db.residues_in(slice.clone()) as f64,
-                slice: slice.into(),
-                joins: None,
-            }
-        };
-        let units = parts.iter().map(unit_of).collect();
         let n = members.len();
-        let mut state = MasterState::new(
-            tasks,
-            units,
-            members.iter().map(|m| m.spec.is_gpu()).collect(),
-            (0..n).map(|w| registered(&w)).collect(),
-            Backend::Scalar,
-            &config,
-        );
+        // What a member registers as: a device declares the timing model
+        // its core charges.
+        let declared = |m: &Member| match m.spec.is_gpu() {
+            true => device_model(),
+            false => m.spec.rate_model(),
+        };
+        let search = Search {
+            models: (0..n)
+                .map(|w| registered(&w).then(|| declared(&members[w])))
+                .collect(),
+            is_gpu: members.iter().map(|m| m.spec.is_gpu()).collect(),
+            queries: (queries.iter())
+                .map(|q| Query {
+                    len: q.len(),
+                    joins_runs: false,
+                })
+                .collect(),
+            database: db,
+            align: 1,
+        };
+        let mut state = MasterState::new(search, Backend::Scalar, &config).unwrap();
         // The cold-host floor of the optimised build, so a schedule
         // replays alike wherever it is run.
         state.secs_per_cell = 1.0 / crate::estimator::COLD_HOST_CELLS_PER_SEC;
         Sim {
             state,
-            whole,
-            platform,
-            schedule,
-            parts,
             queries,
             obs,
             gone: (0..n)
@@ -386,11 +349,7 @@ impl Sim {
     /// backend's bound form a run, above 1 none.
     fn with_runs(mut self, slice_fill: f64) -> Sim {
         for unit in &mut self.state.units {
-            let query_len = self.queries.get(unit.query_index).map_or(0, |q| q.len());
-            unit.joins = Some(Joins {
-                query_len,
-                slice_fill,
-            });
+            unit.fill = Some(slice_fill);
         }
         self
     }
@@ -403,7 +362,7 @@ impl Sim {
 
     /// Dispatch the initial plan.
     fn start(&mut self) -> Verdict {
-        let actions = self.state.start(self.schedule.as_ref(), self.now);
+        let actions = self.state.start(self.now);
         self.check_lends(&actions);
         let verdict = self.perform(actions);
         self.check_invariants(None, &verdict);
@@ -635,14 +594,12 @@ impl Sim {
             .iter()
             .map(|&t| {
                 assert_eq!(units[t].slice, head.slice, "a run spans two slices");
-                units[t]
-                    .joins
-                    .expect("every task of a run joins runs")
-                    .query_len
+                assert!(units[t].fill.is_some(), "every task of a run joins runs");
+                units[t].query_len
             })
             .collect();
         assert!(lens.iter().sum::<usize>() <= Backend::Scalar.run_residues());
-        assert!(head.joins.unwrap().slice_fill < 1.0);
+        assert!(head.fill.unwrap() < 1.0);
     }
 
     /// Worker `w`'s core executes `order` at once. Its answer reaches
@@ -729,7 +686,7 @@ impl Sim {
             }
         }
         for &t in &s.pool {
-            assert!(s.self_scheduling, "task {t} pooled under a plan");
+            assert!(s.search.is_none(), "task {t} pooled under a plan");
             places[t] += 1;
         }
         for (t, &count) in places.iter().enumerate() {
@@ -798,7 +755,7 @@ impl Sim {
         if count(|b| matches!(b, EventBody::TaskRedispatch { .. })) + replanned > 0 {
             assert!(replans >= 1, "a re-plan must open a new decision");
         }
-        if !s.self_scheduling {
+        if s.search.is_some() {
             let mut placed: Vec<u64> = events
                 .iter()
                 .filter(|e| matches!(e.track, Track::Recovered(_)))
@@ -821,7 +778,7 @@ impl Sim {
                 assert_eq!(merged, all, "every task merged exactly once");
                 // ... and the tasks of a query are its database pass,
                 // cut or not, exactly once.
-                let mut shares: Vec<&Part> = self.parts.iter().collect();
+                let mut shares: Vec<&Part> = s.parts.iter().collect();
                 shares.sort_by(|a, b| a.parent.cmp(&b.parent).then(a.lo.total_cmp(&b.lo)));
                 for query in shares.chunk_by(|a, b| a.parent == b.parent) {
                     assert_eq!(query[0].lo, 0.0);
@@ -1053,18 +1010,34 @@ proptest! {
         let lens = workload(n_tasks, &mut rng);
         let sim = Sim::new(&lens, workers, greedy(), reopt_of(reopt), seed);
         let mut sim = with_runs_of(sim, runs);
+        let schedule = sim.state.initial.clone().unwrap();
         prop_assert_eq!(sim.run(), Ok(()));
         sim.check_verdict(&Ok(()));
-        let first = dual_approx_schedule(&sim.whole, &sim.platform, BinarySearchConfig::default());
-        let schedule = sim.schedule.as_ref().unwrap();
+        let (searched, lambda) = first_search(&sim);
         prop_assert_eq!(sim.state.decision, 0);
         prop_assert!(sim.state.alive.iter().all(|&a| a));
         let realised = sim.modelled_makespan();
         prop_assert!(realised <= schedule.makespan() * (1.0 + 1e-12));
         // Cutting the tail never costs the plan anything.
-        prop_assert!(schedule.makespan() <= first.schedule.makespan());
-        prop_assert!(realised <= 2.0 * first.upper_bound);
+        prop_assert!(schedule.makespan() <= searched);
+        prop_assert!(realised <= 2.0 * lambda);
     }
+}
+
+/// The makespan and λ of the binary search behind the first plan, as
+/// journaled.
+fn first_search(sim: &Sim) -> (f64, f64) {
+    let events = sim.obs.events_since(0);
+    let found = events.iter().find_map(|e| match e.body {
+        EventBody::BinsearchDone {
+            makespan,
+            lambda,
+            decision: Some(0),
+            ..
+        } => Some((makespan, lambda.unwrap())),
+        _ => None,
+    });
+    found.expect("the first plan's binary search is journaled")
 }
 
 /// The results each worker answered, by worker id.
@@ -1210,6 +1183,25 @@ fn a_fault_replan_remembers_the_calibration() {
         replanned(1),
         replanned(0)
     );
+    // The re-plan starts each survivor where its modelled clock stands,
+    // its run in flight included, not at zero.
+    for w in [0, 1] {
+        let events = sim.obs.events_since(0);
+        let last_plan = events.iter().filter(|e| {
+            e.track == Track::Recovered(w) && decision_of(e) == Some(sim.state.decision)
+        });
+        let first = last_plan
+            .filter_map(|e| e.virt_start)
+            .fold(f64::INFINITY, f64::min);
+        let in_flight = sim.state.in_flight[w]
+            .iter()
+            .map(|&t| sim.state.estimate(w, t));
+        let clock = sim.state.virt_done[w] + in_flight.sum::<f64>() * sim.state.planned_factor[w];
+        assert!(
+            clock > 0.0 && (first - clock).abs() < 1e-9,
+            "worker {w}: {first} vs {clock}"
+        );
+    }
     let verdict = sim.finish(verdict);
     assert_eq!(verdict, Ok(()));
     sim.check_verdict(&verdict);
@@ -1226,9 +1218,9 @@ fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
     let healthy = vec![gpu(None); 2];
     let planned = Sim::new(&lens, healthy.clone(), greedy(), ReoptConfig::default(), 5);
     assert_eq!(planned.state.total(), 4, "one task is cut in two");
-    let cut_off = planned.parts[3];
+    let cut_off = planned.state.parts[3];
     assert!(cut_off.lo > 0.0 && cut_off.hi == 1.0);
-    let schedule = planned.schedule.as_ref().unwrap();
+    let schedule = planned.state.initial.as_ref().unwrap();
     let holder = schedule
         .placements
         .iter()
@@ -1599,5 +1591,89 @@ fn reopt_improves_modelled_makespan_on_miscalibrated_straggler() {
         improvement >= 0.15,
         "static {static_plan:.3} s, re-optimized {reopt:.3} s ({:.1} %)",
         improvement * 100.0
+    );
+}
+
+/// A re-plan cuts too, and a piece it cuts off is a task like any other.
+/// Seven long queries on a CPU and two devices: the CPU dies on its first
+/// job, and the re-plan of its queue, from the devices' modelled clocks,
+/// cuts one orphan (task 6) and queues the piece cut off (task 7, which
+/// inherits task 6's retry) on worker 2. Worker 2 dies picking it up;
+/// the survivor runs it, and every share of every query is merged once,
+/// with Gotoh's hits. The re-plans journal their binary searches under
+/// their own decisions, and the 2λ audit still reads the first plan's.
+#[test]
+fn a_crash_of_the_worker_holding_a_piece_cut_at_a_re_plan_keeps_the_hits() {
+    let lens = [35; 7];
+    let run = |holder: Option<WorkerFault>| {
+        let workers = vec![cpu(crash(0)), gpu(None), gpu(holder)];
+        let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 5);
+        let verdict = sim.run();
+        assert_eq!(verdict, Ok(()));
+        sim.check_verdict(&verdict);
+        sim
+    };
+    let cut = run(None);
+    assert_eq!(cut.state.total(), 8, "the re-plan cut one orphan in two");
+    let (piece, cut_from) = (cut.state.parts[7], cut.state.parts[6]);
+    assert_eq!((piece.parent, piece.lo, piece.hi), (6, cut_from.hi, 1.0));
+    let jobs: Vec<(usize, u64)> = (cut.dispatches.iter())
+        .filter(|(w, _)| *w == 2)
+        .flat_map(|(_, run)| run.iter().map(|&(task, _, decision, _)| (task, decision)))
+        .collect();
+    assert_eq!(jobs.last(), Some(&(7, 1)), "worker 2 runs the piece last");
+
+    let sim = run(crash(jobs.len() - 1));
+    assert!(!sim.state.alive[2]);
+    assert_eq!(
+        sim.state.retries[7], 2,
+        "the piece inherits its parent's retry"
+    );
+    let answered = sim.state.results.iter().find(|r| r.task_id == 7).unwrap();
+    assert_eq!(answered.worker_id, 1, "the survivor ran the piece");
+    let decisions: Vec<Option<u64>> = (sim.obs.events_since(0).iter())
+        .filter_map(|e| match e.body {
+            EventBody::BinsearchDone { decision, .. } => Some(decision),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(decisions, [Some(0), Some(1), Some(2)]);
+    let model = swdual_obs::RunModel::from_obs(&sim.obs);
+    assert_eq!(model.lambda, first_search(&sim).1);
+}
+
+/// Each worker is priced at the model it declared, against its species'
+/// fastest: CPU worker 1 declares itself twice as fast as it is, and only
+/// it pays for the lie. The honest CPU (worker 2) realises exactly what
+/// the static plan gave it; the bragger realises twice its share.
+#[test]
+fn a_bragging_cpu_prices_only_itself() {
+    let mut bragger = cpu(None);
+    bragger.spec = bragger.spec.with_prior_scale(2.0);
+    let workers = vec![gpu(None), bragger, cpu(None)];
+    let lens = [20, 26, 33, 18, 41, 24, 30, 22, 37, 28, 19, 35];
+    let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 8);
+    assert_eq!(
+        sim.state.price[1], 1.0,
+        "the bragger is the CPUs' reference"
+    );
+    assert!((sim.state.price[2] - 2.0).abs() < 1e-9);
+    let schedule = sim.state.initial.clone().unwrap();
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    let mut busy = [0.0f64; 3];
+    for r in &sim.state.results {
+        busy[r.worker_id] += r.modelled_seconds;
+    }
+    let planned = |cpu: usize| schedule.pe_finish(swdual_sched::PeId::cpu(cpu));
+    assert!(planned(1) > 0.0 && planned(0) > 0.0);
+    assert!(
+        (busy[2] - planned(1)).abs() <= 1e-9 * planned(1),
+        "{busy:?}"
+    );
+    assert!(
+        (busy[1] - 2.0 * planned(0)).abs() <= 1e-6 * planned(0),
+        "{busy:?}"
     );
 }

@@ -4,18 +4,20 @@
 //!    prior miscalibration, a re-opt-enabled run returns top-k hits
 //!    bit-identical to the static fault-free run — re-planning only
 //!    moves work between workers, never changes what is computed.
-//! 2. At the scheduler level, repeated remainder re-plans under random
-//!    observed-factor re-calibrations place every remaining task
-//!    exactly once, every time — the invariant the master's queue
-//!    surgery relies on.
+//! 2. At the scheduler level, repeated re-plans of a shrinking remainder
+//!    with [`plan`], under random observed factors and loads, place
+//!    every remaining task — or the pieces it is cut into — exactly once,
+//!    every time, and the pieces of a query tile it: the invariants the
+//!    master's queue surgery relies on.
 
 use proptest::prelude::*;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, SqbImage};
+use swdual_obs::Obs;
 use swdual_runtime::master::ReoptConfig;
 use swdual_runtime::{run_search, FaultPlan, RuntimeConfig, WorkerFault, WorkerSpec};
 use swdual_sched::binsearch::BinarySearchConfig;
-use swdual_sched::{reschedule_remainder_weighted, Task, TaskSet, WorkerFactors};
+use swdual_sched::{plan, Decision, Part, PeState, Pool, SliceOverhead, Task, TaskSet};
 
 /// The set as the database image a search takes.
 fn image(set: &SequenceSet) -> std::sync::Arc<SqbImage> {
@@ -195,42 +197,59 @@ proptest! {
 
         // Simulate the master's life: after each round a random subset
         // of tasks completes, and the rest is re-planned on a freshly
-        // re-calibrated platform.
-        let mut remaining: Vec<usize> = (0..n_tasks).collect();
+        // re-calibrated, loaded pool; a piece cut off joins the remainder
+        // as a task of its own.
+        let overhead = SliceOverhead { cpu: 1.8, gpu: 0.5 };
+        let obs = Obs::disabled();
+        let mut remaining: Vec<Part> = (0..n_tasks).map(Part::whole).collect();
+        let mut done: Vec<Part> = Vec::new();
         for round in 0..rounds {
             if remaining.is_empty() {
                 break;
             }
-            let factors = WorkerFactors::new(
-                (0..cpus).map(|_| 1.0 + rand01() * 8.0).collect(),
-                (0..gpus).map(|_| 1.0 + rand01() * 8.0).collect(),
-            );
-            let plan = reschedule_remainder_weighted(
-                &tasks,
-                &remaining,
-                &factors,
-                BinarySearchConfig::default(),
-            );
+            let mut pe = || PeState {
+                factor: 1.0 + rand01() * 8.0,
+                load: rand01() * 20.0,
+            };
+            let pool = Pool {
+                cpus: (0..cpus).map(|_| pe()).collect(),
+                gpus: (0..gpus).map(|_| pe()).collect(),
+            };
+            let decision = Decision {
+                id: round as u64,
+                config: BinarySearchConfig::default(),
+                obs: &obs,
+            };
+            let planned = plan(&tasks, &remaining, &[], &pool, overhead, |f| f, decision);
 
-            // Exactly-once: the re-plan covers precisely the remainder.
-            let mut placed: Vec<usize> = plan.placements.iter().map(|p| p.task).collect();
+            // Exactly-once: the re-plan places each task it returns once.
+            let mut placed: Vec<usize> =
+                planned.schedule.placements.iter().map(|p| p.task).collect();
             placed.sort_unstable();
-            let mut expect = remaining.clone();
-            expect.sort_unstable();
             prop_assert_eq!(
-                placed, expect,
+                placed, (0..planned.tasks.len()).collect::<Vec<_>>(),
                 "round {} re-plan lost or duplicated tasks", round
             );
 
-            // Retire a random prefix of the plan (what "completed"
+            // Retire a random subset of the plan (what "completed"
             // before the next skew observation).
-            let keep: Vec<usize> = plan
-                .placements
-                .iter()
-                .filter(|_| rand01() < 0.5)
-                .map(|p| p.task)
-                .collect();
-            remaining = keep;
+            remaining.clear();
+            for p in &planned.schedule.placements {
+                let part = planned.parts[p.task];
+                match rand01() < 0.5 {
+                    true => remaining.push(part),
+                    false => done.push(part),
+                }
+            }
         }
+        // Whatever ran and whatever is left tile every query exactly.
+        done.extend(remaining);
+        done.sort_by(|a, b| a.parent.cmp(&b.parent).then(a.lo.total_cmp(&b.lo)));
+        for query in done.chunk_by(|a, b| a.parent == b.parent) {
+            prop_assert_eq!(query[0].lo, 0.0);
+            prop_assert_eq!(query[query.len() - 1].hi, 1.0);
+            prop_assert!(query.windows(2).all(|w| w[0].hi == w[1].lo && w[0].lo < w[0].hi));
+        }
+        prop_assert_eq!(done.iter().map(|p| p.parent).max(), n_tasks.checked_sub(1));
     }
 }

@@ -128,29 +128,16 @@ pub fn dual_approx_schedule(
     platform: &PlatformSpec,
     config: BinarySearchConfig,
 ) -> BinarySearchOutcome {
-    dual_approx_schedule_observed(tasks, platform, config, &Obs::disabled())
+    dual_approx_schedule_observed_decision(tasks, platform, config, &Obs::disabled(), 0)
 }
 
 /// [`dual_approx_schedule`] with every binary-search iteration recorded
 /// on the scheduler track of `obs`: one wall-clock span per dual step
 /// annotated with the probed λ, the bracketing interval and the
 /// feasibility answer, plus a closing instant with the final bounds.
-/// Scheduler events carry decision id 0 (the initial plan); re-planners
-/// use [`dual_approx_schedule_observed_decision`].
-pub fn dual_approx_schedule_observed(
-    tasks: &TaskSet,
-    platform: &PlatformSpec,
-    config: BinarySearchConfig,
-    obs: &Obs,
-) -> BinarySearchOutcome {
-    dual_approx_schedule_observed_decision(tasks, platform, config, obs, 0)
-}
-
-/// [`dual_approx_schedule_observed`] tagged with the plan decision that
-/// requested this search: every `dual_step` span and the closing
-/// `binsearch_done` instant carry a `decision` arg, tying scheduler
-/// work into the journal's causal lineage (0 = initial plan, each
-/// re-plan counts up).
+/// Every event carries the plan decision that requested the search
+/// (0 = a search's first plan, each re-plan counts up), tying scheduler
+/// work into the journal's causal lineage.
 pub fn dual_approx_schedule_observed_decision(
     tasks: &TaskSet,
     platform: &PlatformSpec,

@@ -20,7 +20,9 @@
 //!    C*max").
 //! 4. *List scheduling.* CPUs and GPUs are filled with list scheduling;
 //!    on the GPU side the overflow task `j_last` is placed last, which
-//!    is what Proposition 1's case analysis (Eq. 11) relies on.
+//!    is what Proposition 1's case analysis (Eq. 11) relies on. The
+//!    schedule lists its placements in that order, the GPU side's
+//!    first, so a later pass can list them again ([`crate::plan()`]).
 
 use crate::knapsack::{dp_knapsack, greedy_knapsack, DpConfig};
 use crate::platform::PlatformSpec;

@@ -22,6 +22,10 @@
 //! * [`split`] — the divisible tail: after the static plan, cut the
 //!   critical element's largest task along its divisible part when the
 //!   rate models say the planned makespan strictly falls.
+//! * [`plan`](mod@plan) — the one planning function a search calls, for its first
+//!   plan and for every re-plan of its remainder: the species split by
+//!   the binary search, list scheduling from each element's load at its
+//!   factor, and the divisible tail.
 //! * [`metrics`] — makespan, idle time, utilisation, lower bounds.
 //!
 //! Everything here is pure scheduling: processing times in, schedule
@@ -36,20 +40,18 @@ pub mod dual;
 pub mod exact;
 pub mod knapsack;
 pub mod metrics;
+pub mod plan;
 pub mod platform;
 pub mod policies;
-pub mod remainder;
 pub mod robustness;
 pub mod schedule;
 pub mod split;
 pub mod task;
 
-pub use binsearch::{
-    dual_approx_schedule, dual_approx_schedule_observed, BinarySearchConfig, BinarySearchOutcome,
-};
+pub use binsearch::{dual_approx_schedule, BinarySearchConfig, BinarySearchOutcome};
 pub use dual::{dual_step, dual_step_observed, DualStepResult, KnapsackMethod};
+pub use plan::{plan, Decision, Pool};
 pub use platform::PlatformSpec;
-pub use remainder::{reschedule_remainder, reschedule_remainder_weighted, WorkerFactors};
-pub use schedule::{Assignment, PeId, PeKind, Schedule};
+pub use schedule::{Assignment, PeId, PeKind, PeState, Schedule};
 pub use split::{split_tail, Part, SliceOverhead, SplitPlan};
 pub use task::{Task, TaskSet};

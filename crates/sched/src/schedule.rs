@@ -288,6 +288,24 @@ impl Schedule {
     }
 }
 
+/// One processing element as a plan sees it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PeState {
+    /// What a task costs it, as a multiple of the task's time — its
+    /// reference price, what its species' fastest declared worker charges.
+    pub factor: f64,
+    /// Modelled seconds it is busy before its first task.
+    pub load: f64,
+}
+
+impl PeState {
+    /// An idle element at the reference price.
+    pub const IDLE: PeState = PeState {
+        factor: 1.0,
+        load: 0.0,
+    };
+}
+
 /// List-schedule a sequence of tasks onto `count` identical PEs of the
 /// given kind: each task goes to the currently least-loaded PE (§III:
 /// "a list scheduling algorithm assigning the tasks on an available
@@ -299,34 +317,44 @@ pub fn list_schedule(
     kind: PeKind,
     count: usize,
 ) -> (Vec<Placement>, Vec<f64>) {
+    list_onto(task_ids, tasks, kind, &vec![PeState::IDLE; count])
+}
+
+/// [`list_schedule`] onto elements that are busy until their `load` and
+/// charge their `factor` times a task's time: each task goes to the one
+/// that finishes it first, ties to the less loaded, then the lower index
+/// (so idle elements at the reference price take the least loaded).
+pub fn list_onto(
+    task_ids: &[usize],
+    tasks: &TaskSet,
+    kind: PeKind,
+    pes: &[PeState],
+) -> (Vec<Placement>, Vec<f64>) {
     assert!(
-        count > 0 || task_ids.is_empty(),
+        !pes.is_empty() || task_ids.is_empty(),
         "no PEs for nonempty task list"
     );
-    let mut loads = vec![0.0f64; count];
+    let mut loads: Vec<f64> = pes.iter().map(|pe| pe.load).collect();
     let mut placements = Vec::with_capacity(task_ids.len());
     for &id in task_ids {
-        // Least-loaded PE; ties to the lowest index for determinism.
-        let (pe_idx, _) = loads
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .expect("count > 0");
         let task = &tasks.tasks()[id];
         let dur = match kind {
             PeKind::Cpu => task.p_cpu,
             PeKind::Gpu => task.p_gpu,
         };
-        let start = loads[pe_idx];
-        loads[pe_idx] += dur;
+        let end = |i: usize| loads[i] + dur * pes[i].factor;
+        let by_end = |a: &usize, b: &usize| {
+            let order = end(*a).total_cmp(&end(*b));
+            order.then(loads[*a].total_cmp(&loads[*b])).then(a.cmp(b))
+        };
+        let index = (0..pes.len()).min_by(by_end).expect("pes is not empty");
+        let (start, end) = (loads[index], end(index));
+        loads[index] = end;
         placements.push(Placement {
             task: id,
-            pe: PeId {
-                kind,
-                index: pe_idx,
-            },
+            pe: PeId { kind, index },
             start,
-            end: start + dur,
+            end,
         });
     }
     (placements, loads)

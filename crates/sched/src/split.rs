@@ -21,7 +21,7 @@
 //! original task it stands for. Re-planners and executors need nothing
 //! else.
 
-use crate::platform::PlatformSpec;
+use crate::plan::Pool;
 use crate::schedule::{PeId, PeKind, Placement, Schedule};
 use crate::task::{Task, TaskSet};
 
@@ -57,47 +57,57 @@ impl Part {
             hi: 1.0,
         }
     }
+
+    fn is_whole(&self) -> bool {
+        (self.lo, self.hi) == (0.0, 1.0)
+    }
 }
 
 /// A plan whose tasks may be pieces of the original ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitPlan {
-    /// The cut instance. Ids below the original task count keep their
-    /// task (or its first piece); pieces cut off are appended.
+    /// The cut instance, at the reference prices. Ids below the number
+    /// of parts planned keep their task (or its first piece); pieces cut
+    /// off are appended.
     pub tasks: TaskSet,
     /// `parts[id]`: what task `id` of the cut instance stands for.
     pub parts: Vec<Part>,
-    /// A schedule of the cut instance, valid for it.
+    /// A schedule of the cut instance: each placement lasts its task's
+    /// time at its element's factor and starts no earlier than the
+    /// element's load.
     pub schedule: Schedule,
 }
 
 /// The original instance, against which every piece is priced.
-struct Pricing<'a> {
-    original: &'a TaskSet,
-    overhead: SliceOverhead,
+pub(crate) struct Pricing<'a> {
+    pub(crate) original: &'a TaskSet,
+    pub(crate) overhead: SliceOverhead,
 }
 
 impl Pricing<'_> {
-    /// The `(fixed, divisible)` seconds of original task `parent` on
-    /// `kind`: an overhead above the task's whole time leaves nothing
-    /// to divide.
+    /// Original task `parent`'s seconds on `kind`, and the part of them
+    /// every piece pays in full: an overhead above the task's whole time
+    /// leaves nothing to divide.
     fn split(&self, parent: usize, kind: PeKind) -> (f64, f64) {
         let task = self.original.tasks()[parent];
         let (time, overhead) = match kind {
             PeKind::Cpu => (task.p_cpu, self.overhead.cpu),
             PeKind::Gpu => (task.p_gpu, self.overhead.gpu),
         };
-        let fixed = overhead.clamp(0.0, time);
-        (fixed, time - fixed)
+        (time, overhead.clamp(0.0, time))
     }
 
-    /// Seconds of `part` on `kind`.
+    /// Seconds of `part` on `kind`: an uncut task's own time.
     fn seconds(&self, part: Part, kind: PeKind) -> f64 {
-        let (fixed, divisible) = self.split(part.parent, kind);
-        (fixed + (part.hi - part.lo) * divisible).max(f64::MIN_POSITIVE)
+        let (time, fixed) = self.split(part.parent, kind);
+        match part.is_whole() {
+            true => time,
+            false => (fixed + (part.hi - part.lo) * (time - fixed)).max(f64::MIN_POSITIVE),
+        }
     }
 
-    fn task(&self, id: usize, part: Part) -> Task {
+    /// Task `id` of the cut instance, standing for `part`.
+    pub(crate) fn task(&self, id: usize, part: Part) -> Task {
         Task::new(
             id,
             self.seconds(part, PeKind::Cpu),
@@ -126,35 +136,39 @@ fn water_level(shares: &[(f64, f64)]) -> f64 {
     level
 }
 
-/// Cut `schedule`'s tail. `tasks` and `platform` are the instance the
-/// schedule was drawn for; `overhead` prices a piece; `snap` maps a cut
-/// point — a fraction of a task's divisible work — to the nearest one
-/// the executor can realise (monotone, with 0 and 1 fixed; the identity
-/// when any fraction will do). Returns the instance, parts and schedule
-/// after at most one adopted cut per processing element; the inputs
-/// unchanged, every part whole, when no cut strictly lowers the planned
-/// makespan.
+/// Cut `schedule`'s tail. Its task `id` stands for `parts[id]` of the
+/// `original` instance, priced against it; `pool` gives each element's
+/// factor and load; tasks `rigid` marks are never cut; `overhead` prices
+/// a piece; `snap` moves a cut point (a fraction of a task's divisible
+/// work) to the nearest one the executor can realise (monotone, 0 and 1
+/// fixed). A piece of a piece is a sub-range of the same parent. At most
+/// one cut per element is adopted, each only if the planned makespan
+/// strictly falls; without one, parts and schedule come back as given.
 pub fn split_tail(
-    tasks: &TaskSet,
+    original: &TaskSet,
+    parts: &[Part],
+    rigid: &[bool],
     schedule: Schedule,
-    platform: &PlatformSpec,
+    pool: &Pool,
     overhead: SliceOverhead,
     snap: impl Fn(f64) -> f64,
 ) -> SplitPlan {
-    let pricing = Pricing {
-        original: tasks,
-        overhead,
-    };
-    // Processing elements in a fixed order: CPUs, then GPUs.
-    let pes: Vec<PeId> = (0..platform.cpus)
-        .map(PeId::cpu)
-        .chain((0..platform.gpus).map(PeId::gpu))
+    let pricing = Pricing { original, overhead };
+    let mut cut: Vec<Task> = (parts.iter().enumerate())
+        .map(|(id, &part)| pricing.task(id, part))
         .collect();
-    let mut cut = tasks.tasks().to_vec();
-    let mut parts: Vec<Part> = (0..tasks.len()).map(Part::whole).collect();
+    let mut parts = parts.to_vec();
     let mut placements = schedule.placements;
-    for _ in 0..pes.len() {
-        if !cut_once(&mut cut, &mut parts, &mut placements, &pes, &pricing, &snap) {
+    for _ in pool.ids() {
+        if !cut_once(
+            &mut cut,
+            &mut parts,
+            &mut placements,
+            pool,
+            &pricing,
+            rigid,
+            &snap,
+        ) {
             break;
         }
     }
@@ -170,16 +184,20 @@ fn cut_once(
     tasks: &mut Vec<Task>,
     parts: &mut Vec<Part>,
     placements: &mut Vec<Placement>,
-    pes: &[PeId],
+    pool: &Pool,
     pricing: &Pricing<'_>,
+    rigid: &[bool],
     snap: &impl Fn(f64) -> f64,
 ) -> bool {
-    let cpus = pes.iter().filter(|pe| pe.kind == PeKind::Cpu).count();
+    // Processing elements in a fixed order: CPUs, then GPUs.
+    let pes: Vec<PeId> = pool.ids().collect();
+    let cpus = pool.cpus.len();
     let slot = |pe: PeId| match pe.kind {
         PeKind::Cpu => pe.index,
         PeKind::Gpu => cpus + pe.index,
     };
-    let mut finish = vec![0.0f64; pes.len()];
+    let factor = |i: usize| pool.get(pes[i]).factor;
+    let mut finish: Vec<f64> = pes.iter().map(|&pe| pool.get(pe).load).collect();
     for p in placements.iter() {
         finish[slot(p.pe)] = finish[slot(p.pe)].max(p.end);
     }
@@ -189,11 +207,15 @@ fn cut_once(
     };
 
     // The critical element's task with the most to divide.
-    let divisible =
-        |part: Part, kind: PeKind| (part.hi - part.lo) * pricing.split(part.parent, kind).1;
-    let on_critical = placements.iter().filter(|p| slot(p.pe) == critical);
+    let divisible = |part: Part, kind: PeKind| {
+        let (time, fixed) = pricing.split(part.parent, kind);
+        (part.hi - part.lo) * (time - fixed)
+    };
+    let on_critical = placements
+        .iter()
+        .filter(|p| slot(p.pe) == critical && !rigid.get(p.task).is_some_and(|&r| r));
     let Some((held, poured)) = on_critical
-        .map(|p| (*p, divisible(parts[p.task], p.pe.kind)))
+        .map(|p| (*p, divisible(parts[p.task], p.pe.kind) * factor(critical)))
         .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.task.cmp(&a.0.task)))
         .filter(|&(_, seconds)| seconds > 0.0)
     else {
@@ -201,13 +223,13 @@ fn cut_once(
     };
     let part = parts[held.task];
 
-    // Who takes a share: the critical element, relieved of the part, and
-    // every other one that would still finish earlier after paying its
-    // overhead — and can divide the task at all.
+    // Who takes a share: the critical element, relieved of the part,
+    // and every other one that would still finish earlier after
+    // paying its overhead — and can divide the task at all.
     let mut takers = vec![(critical, makespan - poured, poured)];
     for (i, &pe) in pes.iter().enumerate() {
-        let base = finish[i] + pricing.split(part.parent, pe.kind).0;
-        let whole = divisible(part, pe.kind);
+        let base = finish[i] + pricing.split(part.parent, pe.kind).1 * factor(i);
+        let whole = divisible(part, pe.kind) * factor(i);
         if i != critical && base < makespan && whole > 0.0 {
             takers.push((i, base, whole));
         }
@@ -221,8 +243,9 @@ fn cut_once(
         .collect();
     let level = water_level(&shares);
 
-    // Cut points along the part, in taker order (the critical element
-    // keeps the head), each moved to where the executor can cut.
+    // Cut points along the part, in taker order (the critical
+    // element keeps the head), each moved to where the executor can
+    // cut.
     let mut pieces: Vec<(usize, Part)> = Vec::with_capacity(takers.len());
     let (mut at, mut poured_so_far) = (part.lo, 0.0);
     for (k, &(pe, base, whole)) in takers.iter().enumerate() {
@@ -247,10 +270,11 @@ fn cut_once(
     }
 
     // Adopt only a strictly lower planned makespan.
+    let seconds = |&(pe, piece): &(usize, Part)| pricing.seconds(piece, pes[pe].kind) * factor(pe);
     let mut after = finish.clone();
     after[critical] -= held.end - held.start;
     for piece in &pieces {
-        after[piece.0] += pricing.seconds(piece.1, pes[piece.0].kind);
+        after[piece.0] += seconds(piece);
     }
     if after.iter().copied().fold(0.0, f64::max) >= makespan {
         return false;
@@ -260,7 +284,6 @@ fn cut_once(
     // follows it moves up; every other piece goes to the end of its
     // element. The first piece keeps the task's id; the rest are new
     // tasks.
-    let seconds = |&(pe, piece): &(usize, Part)| pricing.seconds(piece, pes[pe].kind);
     let kept = pieces.iter().find(|(pe, _)| *pe == critical);
     let freed = held.end - held.start - kept.map_or(0.0, seconds);
     placements.retain(|p| p.task != held.task);
@@ -298,6 +321,20 @@ fn cut_once(
 mod tests {
     use super::*;
     use crate::binsearch::{dual_approx_schedule, BinarySearchConfig};
+    use crate::platform::PlatformSpec;
+
+    /// [`split_tail`] of a whole instance on an idle uniform platform.
+    fn cut(
+        tasks: &TaskSet,
+        schedule: Schedule,
+        platform: &PlatformSpec,
+        overhead: SliceOverhead,
+        snap: impl Fn(f64) -> f64,
+    ) -> SplitPlan {
+        let wholes: Vec<Part> = (0..tasks.len()).map(Part::whole).collect();
+        let pool = Pool::uniform(platform);
+        split_tail(tasks, &wholes, &[], schedule, &pool, overhead, snap)
+    }
 
     const OVERHEAD: SliceOverhead = SliceOverhead {
         cpu: 1.8,
@@ -326,7 +363,7 @@ mod tests {
         let (tasks, platform) = three_on_two();
         let schedule = planned(&tasks, &platform);
         let before = schedule.makespan();
-        let plan = split_tail(&tasks, schedule, &platform, OVERHEAD, |f| f);
+        let plan = cut(&tasks, schedule, &platform, OVERHEAD, |f| f);
         plan.schedule.validate(&plan.tasks, &platform).unwrap();
         assert_eq!(plan.tasks.len(), 4, "exactly one task is cut in two");
         let after = plan.schedule.makespan();
@@ -350,7 +387,7 @@ mod tests {
         let tasks = TaskSet::from_times(&[(3.0, 9.0), (2.5, 9.0), (2.0, 9.0), (2.2, 9.0)]);
         let platform = PlatformSpec::new(2, 0);
         let schedule = planned(&tasks, &platform);
-        let plan = split_tail(&tasks, schedule.clone(), &platform, OVERHEAD, |f| f);
+        let plan = cut(&tasks, schedule.clone(), &platform, OVERHEAD, |f| f);
         assert_eq!(plan.schedule, schedule);
         assert_eq!(plan.tasks, tasks);
         assert!(plan.parts.iter().all(|p| (p.lo, p.hi) == (0.0, 1.0)));
@@ -361,7 +398,7 @@ mod tests {
         let tasks = TaskSet::from_times(&[(21.8, 1e7)]);
         let platform = PlatformSpec::new(4, 0);
         let schedule = planned(&tasks, &platform);
-        let plan = split_tail(&tasks, schedule, &platform, OVERHEAD, |f| f);
+        let plan = cut(&tasks, schedule, &platform, OVERHEAD, |f| f);
         plan.schedule.validate(&plan.tasks, &platform).unwrap();
         assert_eq!(plan.tasks.len(), 4);
         // 20 s of divisible work over four workers, each paying 1.8 s.
@@ -373,7 +410,7 @@ mod tests {
         let (tasks, platform) = three_on_two();
         let schedule = planned(&tasks, &platform);
         // Only "nothing" and "everything" can be realised.
-        let plan = split_tail(&tasks, schedule.clone(), &platform, OVERHEAD, f64::round);
+        let plan = cut(&tasks, schedule.clone(), &platform, OVERHEAD, f64::round);
         assert_eq!(plan.schedule, schedule);
         assert_eq!(plan.tasks, tasks);
     }
@@ -383,7 +420,7 @@ mod tests {
         let (tasks, platform) = three_on_two();
         let schedule = planned(&tasks, &platform);
         let eighths = |f: f64| (f * 8.0).round() / 8.0;
-        let plan = split_tail(&tasks, schedule, &platform, OVERHEAD, eighths);
+        let plan = cut(&tasks, schedule, &platform, OVERHEAD, eighths);
         plan.schedule.validate(&plan.tasks, &platform).unwrap();
         assert_eq!(plan.tasks.len(), 4);
         for part in &plan.parts {
@@ -414,11 +451,11 @@ mod tests {
                 },
             ],
         };
-        let plan = split_tail(&tasks, schedule.clone(), &platform, OVERHEAD, |f| f);
+        let plan = cut(&tasks, schedule.clone(), &platform, OVERHEAD, |f| f);
         assert_eq!(plan.schedule, schedule);
         // With a finite overhead it does.
         let both = SliceOverhead { cpu: 1.8, gpu: 1.8 };
-        let plan = split_tail(&tasks, schedule, &platform, both, |f| f);
+        let plan = cut(&tasks, schedule, &platform, both, |f| f);
         plan.schedule.validate(&plan.tasks, &platform).unwrap();
         assert_eq!(plan.tasks.len(), 3);
         assert!(plan.schedule.makespan() < 12.0);
@@ -428,7 +465,7 @@ mod tests {
     fn empty_instances_and_platforms_are_fine() {
         let none = TaskSet::default();
         let platform = PlatformSpec::new(2, 1);
-        let plan = split_tail(&none, Schedule::default(), &platform, OVERHEAD, |f| f);
+        let plan = cut(&none, Schedule::default(), &platform, OVERHEAD, |f| f);
         assert!(plan.tasks.is_empty() && plan.parts.is_empty());
     }
 }

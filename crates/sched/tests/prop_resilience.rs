@@ -1,12 +1,12 @@
 //! Property tests for the resilience-adjacent scheduler modules:
-//! remainder re-planning (the recovery path of the fault-tolerant
-//! runtime) and robustness replay.
+//! re-planning a remainder with [`plan`] (the recovery path of the
+//! fault-tolerant runtime) and robustness replay.
 
 use proptest::prelude::*;
+use swdual_obs::Obs;
 use swdual_sched::binsearch::{dual_approx_schedule, BinarySearchConfig};
-use swdual_sched::remainder::reschedule_remainder;
 use swdual_sched::robustness::{replay_static, ActualTimes};
-use swdual_sched::{PlatformSpec, TaskSet};
+use swdual_sched::{plan, Decision, Part, PlatformSpec, Pool, SliceOverhead, SplitPlan, TaskSet};
 
 /// Random task set: GPU time in (0.1, 5.0), acceleration in (0.2, 12) —
 /// includes GPU-averse tasks (acceleration < 1).
@@ -19,6 +19,28 @@ fn task_set(max_n: usize) -> impl Strategy<Value = TaskSet> {
 
 fn platform() -> impl Strategy<Value = PlatformSpec> {
     (1usize..6, 1usize..6).prop_map(|(m, k)| PlatformSpec::new(m, k))
+}
+
+/// The re-plan of `parents`, whole, on the idle uniform `pf`, with the
+/// divisible tail priced at 1.8 s a piece on either species.
+fn replan(tasks: &TaskSet, parents: &[usize], pf: &PlatformSpec) -> SplitPlan {
+    let parts: Vec<Part> = parents.iter().map(|&t| Part::whole(t)).collect();
+    let overhead = SliceOverhead { cpu: 1.8, gpu: 1.8 };
+    let obs = Obs::disabled();
+    let decision = Decision {
+        id: 1,
+        config: BinarySearchConfig::default(),
+        obs: &obs,
+    };
+    plan(
+        tasks,
+        &parts,
+        &[],
+        &Pool::uniform(pf),
+        overhead,
+        |f| f,
+        decision,
+    )
 }
 
 proptest! {
@@ -70,15 +92,16 @@ proptest! {
         keep_mask in prop::collection::vec(any::<bool>(), 40..41),
     ) {
         // The recovery path: an arbitrary subset of tasks is orphaned
-        // and re-planned. Each orphan must appear exactly once, nothing
-        // else may appear at all.
+        // and re-planned. Each orphan, or the pieces it is cut into,
+        // must appear exactly once, nothing else may appear at all.
         let remaining: Vec<usize> = (0..tasks.len())
             .filter(|&t| keep_mask.get(t).copied().unwrap_or(false))
             .collect();
-        let plan = reschedule_remainder(&tasks, &remaining, &pf, BinarySearchConfig::default());
-        let mut placed: Vec<usize> = plan.placements.iter().map(|p| p.task).collect();
-        placed.sort_unstable();
-        prop_assert_eq!(placed, remaining);
+        let plan = replan(&tasks, &remaining, &pf);
+        prop_assert!(plan.schedule.validate(&plan.tasks, &pf).is_ok());
+        let parents: Vec<usize> = plan.parts.iter().map(|p| p.parent).collect();
+        prop_assert_eq!(&parents[..remaining.len()], &remaining[..]);
+        prop_assert!(parents[remaining.len()..].iter().all(|t| remaining.contains(t)));
     }
 
     #[test]
@@ -90,9 +113,10 @@ proptest! {
         // platform; the re-plan must still place everything.
         let remaining: Vec<usize> = (0..tasks.len()).collect();
         let pf = PlatformSpec::new(cpus, 0);
-        let plan = reschedule_remainder(&tasks, &remaining, &pf, BinarySearchConfig::default());
-        prop_assert_eq!(plan.placements.len(), tasks.len());
-        for p in &plan.placements {
+        let plan = replan(&tasks, &remaining, &pf);
+        prop_assert_eq!(plan.schedule.placements.len(), plan.tasks.len());
+        prop_assert!(plan.tasks.len() >= tasks.len());
+        for p in &plan.schedule.placements {
             prop_assert_eq!(p.pe.kind, swdual_sched::schedule::PeKind::Cpu);
         }
     }

@@ -1,9 +1,12 @@
 //! Property tests for the dual-approximation scheduler: the 2λ
 //! guarantee (per step, and against the exact optimum of small
-//! instances), NO-answer soundness, knapsack invariants and schedule
-//! validity for every policy on arbitrary instances.
+//! instances), NO-answer soundness, knapsack invariants, schedule
+//! validity for every policy on arbitrary instances, and [`plan`] — the
+//! first plan and every re-plan — against the search and the cut it is
+//! made of.
 
 use proptest::prelude::*;
+use swdual_obs::Obs;
 use swdual_sched::binsearch::{dual_approx_schedule, lower_bound, BinarySearchConfig};
 use swdual_sched::dual::{dual_step, DualStepResult, KnapsackMethod};
 use swdual_sched::exact::optimal_schedule;
@@ -11,7 +14,10 @@ use swdual_sched::knapsack::{greedy_knapsack, DpConfig};
 use swdual_sched::policies;
 use swdual_sched::robustness::{replay_static, ActualTimes};
 use swdual_sched::schedule::PeKind;
-use swdual_sched::{split_tail, PlatformSpec, SliceOverhead, SplitPlan, Task, TaskSet};
+use swdual_sched::{
+    plan, split_tail, Decision, Part, PeState, PlatformSpec, Pool, SliceOverhead, SplitPlan, Task,
+    TaskSet,
+};
 
 /// Random task set: GPU time in (0.1, 5.0), acceleration in (0.2, 12) —
 /// includes GPU-averse tasks (acceleration < 1).
@@ -214,6 +220,41 @@ fn snap_to(cells: usize) -> impl Fn(f64) -> f64 {
     }
 }
 
+/// [`split_tail`] of the whole instance on the idle uniform `pf`.
+fn cut_whole(
+    tasks: &TaskSet,
+    schedule: swdual_sched::Schedule,
+    pf: &PlatformSpec,
+    overhead: SliceOverhead,
+    snap: impl Fn(f64) -> f64,
+) -> SplitPlan {
+    let pool = Pool::uniform(pf);
+    split_tail(tasks, &wholes(tasks), &[], schedule, &pool, overhead, snap)
+}
+
+fn wholes(tasks: &TaskSet) -> Vec<Part> {
+    (0..tasks.len()).map(Part::whole).collect()
+}
+
+/// A decision journaled nowhere, with the default search.
+fn quiet(obs: &Obs) -> Decision<'_> {
+    Decision {
+        id: 0,
+        config: BinarySearchConfig::default(),
+        obs,
+    }
+}
+
+/// A pool of `pf`'s shape, its elements' `(factor, load)` drawn from
+/// `pes` (one per element at least).
+fn loaded(pf: PlatformSpec, pes: &[(f64, f64)]) -> Pool {
+    let mut pes = pes.iter().map(|&(factor, load)| PeState { factor, load });
+    Pool {
+        cpus: pes.by_ref().take(pf.cpus).collect(),
+        gpus: pes.take(pf.gpus).collect(),
+    }
+}
+
 /// What must hold of any cut plan against the plan it was cut from.
 fn check_split(
     tasks: &TaskSet,
@@ -279,7 +320,7 @@ proptest! {
     ) {
         let found = dual_approx_schedule(&tasks, &pf, BinarySearchConfig::default());
         let before = found.schedule.makespan();
-        let plan = split_tail(&tasks, found.schedule.clone(), &pf, overhead, snap_to(grid));
+        let plan = cut_whole(&tasks, found.schedule.clone(), &pf, overhead, snap_to(grid));
         check_split(&tasks, &pf, before, overhead, &plan)?;
         // 2λ survives: the pass only ever lowers the makespan.
         prop_assert!(plan.schedule.makespan() <= 2.0 * found.upper_bound + 1e-6);
@@ -293,9 +334,9 @@ proptest! {
         }
         // Where nothing can be cut, nothing is.
         let rigid = SliceOverhead { cpu: f64::INFINITY, gpu: f64::INFINITY };
-        let kept = split_tail(&tasks, found.schedule.clone(), &pf, rigid, snap_to(grid));
+        let kept = cut_whole(&tasks, found.schedule.clone(), &pf, rigid, snap_to(grid));
         prop_assert_eq!(&kept.schedule, &found.schedule);
-        let nowhere = split_tail(&tasks, found.schedule.clone(), &pf, overhead, f64::round);
+        let nowhere = cut_whole(&tasks, found.schedule.clone(), &pf, overhead, f64::round);
         prop_assert_eq!(&nowhere.schedule, &found.schedule);
     }
 
@@ -314,7 +355,7 @@ proptest! {
             policies::lpt_single_kind(&tasks, &pf, PeKind::Gpu),
         ] {
             let before = sched.makespan();
-            let plan = split_tail(&tasks, sched, &pf, overhead, snap_to(0));
+            let plan = cut_whole(&tasks, sched, &pf, overhead, snap_to(0));
             check_split(&tasks, &pf, before, overhead, &plan)?;
         }
     }
@@ -332,8 +373,96 @@ proptest! {
         let opt = optimal_schedule(&tasks, &pf).expect("nine tasks at most").makespan();
         let config = BinarySearchConfig::default();
         let found = dual_approx_schedule(&tasks, &pf, config).schedule;
-        let cut = split_tail(&tasks, found, &pf, overhead, snap_to(0)).schedule.makespan();
+        let cut = cut_whole(&tasks, found, &pf, overhead, snap_to(0)).schedule.makespan();
         prop_assert!(cut <= 2.0 * opt / (1.0 - config.relative_precision) + 1e-9, "{cut} > 2 x {opt}");
+        // The plan the master draws is that cut plan: within 2·OPT too.
+        let obs = Obs::disabled();
+        let pool = Pool::uniform(&pf);
+        let planned = plan(&tasks, &wholes(&tasks), &[], &pool, overhead, snap_to(0), quiet(&obs));
+        let planned = planned.schedule.makespan();
+        prop_assert!(planned <= 2.0 * opt / (1.0 - config.relative_precision) + 1e-9, "{planned} > 2 x {opt}");
+    }
+
+    #[test]
+    fn a_uniform_idle_plan_is_the_search_then_the_cut_to_the_bit(
+        tasks in task_set(40),
+        pf in platform(),
+        overhead in overhead(),
+        grid in prop::sample::select(vec![0usize, 1, 7, 1000]),
+        dp in any::<bool>(),
+    ) {
+        // What keeps the modelled clocks of a uniform pool where they
+        // were: the list pass re-places every task where the dual step
+        // put it.
+        let config = match dp {
+            false => BinarySearchConfig::default(),
+            true => BinarySearchConfig {
+                method: KnapsackMethod::Dp(DpConfig { resolution: 64 }),
+                ..BinarySearchConfig::default()
+            },
+        };
+        let found = dual_approx_schedule(&tasks, &pf, config).schedule;
+        let want = cut_whole(&tasks, found, &pf, overhead, snap_to(grid));
+        let obs = Obs::disabled();
+        let decision = Decision { id: 0, config, obs: &obs };
+        let got = plan(&tasks, &wholes(&tasks), &[], &Pool::uniform(&pf), overhead, snap_to(grid), decision);
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_re_plan_places_each_part_once_and_its_pieces_tile_their_parent(
+        tasks in task_set(24),
+        pf in platform(),
+        overhead in overhead(),
+        keep in prop::collection::vec((any::<bool>(), 0.0f64..0.6, any::<bool>()), 24..25),
+        pes in prop::collection::vec((1.0f64..4.0, 0.0f64..6.0), 10..11),
+    ) {
+        // A remainder: some tasks whole, some already pieces of
+        // themselves, some of them rigid; a pool with loads and factors.
+        let mut parts = Vec::new();
+        let mut rigid = Vec::new();
+        for (id, &(kept, lo, fixed)) in keep.iter().enumerate().take(tasks.len()) {
+            if kept {
+                let part = match lo > 0.3 {
+                    true => Part { parent: id, lo, hi: 1.0 },
+                    false => Part::whole(id),
+                };
+                parts.push(part);
+                rigid.push(fixed);
+            }
+        }
+        let pool = loaded(pf, &pes);
+        let obs = Obs::disabled();
+        let planned = plan(&tasks, &parts, &rigid, &pool, overhead, |f| f, quiet(&obs));
+        prop_assert_eq!(planned.parts.len(), planned.tasks.len());
+        // Every task of the plan is placed exactly once.
+        let mut placed: Vec<usize> = planned.schedule.placements.iter().map(|p| p.task).collect();
+        placed.sort_unstable();
+        prop_assert_eq!(placed, (0..planned.tasks.len()).collect::<Vec<_>>());
+        // A rigid part is as it was; a cut part keeps its head, and its
+        // pieces tile what it stood for.
+        for (id, part) in parts.iter().enumerate() {
+            if rigid[id] {
+                prop_assert_eq!(planned.parts[id], *part);
+            }
+            let mut pieces: Vec<(f64, f64)> = planned.parts.iter().enumerate()
+                .filter(|&(k, p)| p.parent == part.parent && (k == id || k >= parts.len()))
+                .map(|(_, p)| (p.lo, p.hi))
+                .collect();
+            pieces.sort_by(|a, b| a.0.total_cmp(&b.0));
+            prop_assert_eq!(pieces[0], (part.lo, planned.parts[id].hi));
+            prop_assert_eq!(pieces[pieces.len() - 1].1, part.hi);
+            prop_assert!(pieces.windows(2).all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
+        }
+        // Each element starts after its load, and each placement lasts
+        // its task's time at the element's factor.
+        for p in &planned.schedule.placements {
+            let pe = pool.get(p.pe);
+            let task = planned.tasks.tasks()[p.task];
+            let time = match p.pe.kind { PeKind::Cpu => task.p_cpu, PeKind::Gpu => task.p_gpu };
+            prop_assert!(p.start >= pe.load - 1e-9);
+            prop_assert!((p.end - p.start - time * pe.factor).abs() <= 1e-9 * (1.0 + time * pe.factor));
+        }
     }
 }
 
