@@ -77,7 +77,7 @@ impl Subcommand {
     }
 }
 
-static SUBCOMMANDS: [Subcommand; 10] = [
+static SUBCOMMANDS: [Subcommand; 8] = [
     Subcommand {
         synopsis: "search   --db FILE --queries FILE [--cpus N] [--gpus N]
                   [--device-class SPEC] [--prior-scale W:F[,W:F...]]
@@ -94,23 +94,10 @@ static SUBCOMMANDS: [Subcommand; 10] = [
         run: cmd_search,
     },
     Subcommand {
-        synopsis: "analyze  EVENTS.jsonl [--json|--text] [-o FILE]",
-        positionals: 1..=1,
-        dash: true,
-        run: cmd_analyze,
-    },
-    Subcommand {
         synopsis: "explain  EVENTS.jsonl [--what-if SPEC] [--json|--text] [-o FILE]",
         positionals: 1..=1,
         dash: true,
         run: cmd_explain,
-    },
-    Subcommand {
-        synopsis: "profile  EVENTS.jsonl [--flame OUT.folded] [--speedscope OUT.json]
-                  [--roofline] [--json] [-o FILE]",
-        positionals: 1..=1,
-        dash: false,
-        run: cmd_profile,
     },
     Subcommand {
         synopsis: "top      EVENTS.jsonl [--refresh-ms MS]",
@@ -163,7 +150,7 @@ fn usage() -> String {
     text.push_str(
         "
 Database/query files may be FASTA (.fasta/.fa) or SQB (.sqb). The
-journal readers (`analyze`, `explain`, `tail`) accept `-` to read the
+journal readers (`explain`, `top`, `tail`) accept `-` to read the
 journal from stdin.
 
 Watching a run live:
@@ -186,17 +173,21 @@ Watching a run live:
                        --follow keeps reading as it grows,
                        --alerts-only prints just the watchdog alerts
 
-`swdual analyze` audits a `--journal-out` journal: achieved makespan
-vs the dual-approximation λ and its 2λ guarantee, per-worker
-utilization, load imbalance, latency quantiles and plan skew.
-
-`swdual explain` reconstructs a run's causal lineage from a v2
-journal: the true critical path (planned → dispatched → executed, on
-both clocks) and a blame decomposition that attributes 100% of the
-modelled makespan to compute / transfer / queue-wait / straggle /
-re-plan / recovery / imbalance, per run, per worker and per
-query-length bucket. `--what-if SPEC` replays the recorded schedule on
-the modelled clock under a counterfactual premise and reports the
+`swdual explain` is the one report on a `--journal-out` journal
+(`--json` for one document): the modelled and wall makespans against
+the dual approximation's λ and its 2λ guarantee, latency quantiles,
+plan skew and fault counts; the run's causal lineage (v2 journals) —
+the true critical path, planned → dispatched → executed, on both
+clocks, and a blame decomposition that attributes 100% of the modelled
+makespan to compute / transfer / queue-wait / straggle / re-plan /
+recovery / imbalance, per run, per worker and per query-length bucket;
+one row per worker (utilization, MCUPS, queue wait, and self-times per
+host phase when the search ran with `--profile`); and one roofline per
+simulated device — achieved vs attainable GCUPS and a transfer- vs
+compute-bound verdict per query-length bucket. For a timeline, run the
+search with `--trace-out`: Perfetto and speedscope both open that
+Chrome trace. `--what-if SPEC` replays the recorded schedule on the
+modelled clock under a counterfactual premise and reports the
 predicted makespan against the 2λ guarantee:
   drop-worker:N        remove worker N from the platform
   perfect-calibration  plan with the speeds the run actually observed
@@ -204,17 +195,10 @@ predicted makespan against the 2λ guarantee:
   plus-gpu:CLASS       add one GPU of a device class (c2050|phi|knl|bioseal)
   no-faults            faulted workers run at their species' best speed
 
-`swdual profile` folds a journal (ideally recorded with `search
---profile` for phase-level detail) into a profile: `--flame` writes
-collapsed stacks for flamegraph.pl / inferno, `--speedscope` writes a
-speedscope.app document with one profile per clock, and `--roofline`
-(the default) prints the per-device roofline report — achieved vs
-attainable GCUPS and a transfer- vs compute-bound verdict per
-query-length bucket.
-
-`swdual diff` compares two journals (base, then head): makespans on
-both clocks, the λ/2λ bound margin, per-worker utilization, latency
-quantiles, throughput and fault counts — each delta classified
+`swdual diff` compares two journals' `explain` reports (base, then
+head): makespans on both clocks, the λ/2λ bound margin, per-worker
+utilization, latency quantiles, throughput and fault counts — each
+delta classified
 IMPROVED / REGRESSED / neutral. Modelled-clock metrics are judged
 exactly; wall-clock metrics get `--threshold PCT` slack (default 5%);
 histogram quantiles additionally honor the one-bucket relative error.
@@ -643,23 +627,9 @@ fn emit(rendered: &str, out: Option<&str>, what: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `swdual analyze EVENTS.jsonl [--json|--text] [-o FILE]` — audit a
-/// recorded journal against the scheduler's promises.
-fn cmd_analyze(args: &Args) -> Result<(), String> {
-    let json = json_not_text(args)?;
-    let report = swdual_obs::analysis::analyze(&read_model(args.positionals[0])?);
-    let rendered = if json {
-        report.to_json()
-    } else {
-        report.to_text()
-    };
-    emit(&rendered, args.get("out"), "analyze")
-}
-
 /// `swdual explain EVENTS.jsonl [--what-if SPEC] [--json|--text]
-/// [-o FILE]` — reconstruct a run's causal lineage: critical path,
-/// blame attribution over the modelled makespan, and (with
-/// `--what-if`) a counterfactual replay of the recorded schedule.
+/// [-o FILE]` — the one report on a recorded run, or (with
+/// `--what-if`) a counterfactual replay of its schedule.
 fn cmd_explain(args: &Args) -> Result<(), String> {
     let json = json_not_text(args)?;
     let model = read_model(args.positionals[0])?;
@@ -683,40 +653,6 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         }
     };
     emit(&rendered, args.get("out"), "explain")
-}
-
-/// `swdual profile EVENTS.jsonl [--flame OUT] [--speedscope OUT]
-/// [--roofline] [--json] [-o FILE]` — fold a journal into flamegraph /
-/// speedscope / roofline views.
-fn cmd_profile(args: &Args) -> Result<(), String> {
-    let (flame, speedscope, out) = (args.get("flame"), args.get("speedscope"), args.get("out"));
-    let (roofline, json) = (args.has("roofline"), args.has("json"));
-    let profile = swdual_obs::profile::Profile::from_model(&read_model(args.positionals[0])?);
-    if let Some(out) = flame {
-        let folded = swdual_obs::export::flamegraph_folded(
-            &profile,
-            swdual_obs::profile::ProfileClock::Modelled,
-        );
-        std::fs::write(out, folded).map_err(|e| format!("{out}: {e}"))?;
-        eprintln!("flame: wrote collapsed stacks (modelled clock) to {out}");
-    }
-    if let Some(out) = speedscope {
-        let doc = swdual_obs::export::speedscope_json(&profile);
-        std::fs::write(out, doc).map_err(|e| format!("{out}: {e}"))?;
-        eprintln!("speedscope: wrote profile document to {out}");
-    }
-    // The roofline report is the default view when no export was
-    // requested, and can always be asked for explicitly.
-    if roofline || json || out.is_some() || (flame.is_none() && speedscope.is_none()) {
-        let report = profile.roofline();
-        let rendered = if json {
-            report.to_json()
-        } else {
-            report.to_text()
-        };
-        emit(&rendered, out, "profile")?;
-    }
-    Ok(())
 }
 
 /// Print the dashboard for the watchdog's current model. On a TTY the
@@ -1116,13 +1052,7 @@ mod tests {
         let expect = |name, switches: &[&str], valued: &[&str]| {
             assert_eq!(declared(name), (switches.to_vec(), valued.to_vec()));
         };
-        expect("analyze", &["json", "text"], &["out"]);
         expect("explain", &["json", "text"], &["what-if", "out"]);
-        expect(
-            "profile",
-            &["roofline", "json"],
-            &["flame", "speedscope", "out"],
-        );
         expect("top", &[], &["refresh-ms"]);
         expect("tail", &["follow", "alerts-only"], &[]);
         expect(
@@ -1156,14 +1086,14 @@ mod tests {
         assert!(problem(&["--bogus", "1"], "info")
             .starts_with("unknown flag \"--bogus\"\nusage: swdual info"));
         assert!(problem(&["--cpu", "8"], "search").starts_with("unknown flag \"--cpu\""));
-        assert!(problem(&["-"], "profile").starts_with("unknown flag \"-\""));
-        assert!(problem(&["a", "-o"], "analyze").starts_with("flag -o needs a value"));
+        assert!(problem(&["-"], "diff").starts_with("unknown flag \"-\""));
+        assert!(problem(&["a", "-o"], "explain").starts_with("flag -o needs a value"));
         assert!(problem(&[], "tail").starts_with("0 positional argument(s) given"));
         assert!(problem(&["a", "b", "c"], "diff").starts_with("3 positional argument(s) given"));
 
         let list = args(&["-", "--out", "x", "--json", "-o", "y"]);
         let parsed =
-            Args::parse(&list, sub("analyze")).unwrap_or_else(|e| panic!("{}", String::from(e)));
+            Args::parse(&list, sub("explain")).unwrap_or_else(|e| panic!("{}", String::from(e)));
         assert_eq!(parsed.positionals, ["-"]);
         assert!(parsed.has("json") && !parsed.has("text"));
         assert_eq!(parsed.get("out"), Some("y"), "the last value wins");

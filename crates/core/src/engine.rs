@@ -12,7 +12,6 @@ use swdual_bio::error::BioError;
 use swdual_bio::fasta::ResiduePolicy;
 use swdual_bio::seq::SequenceSet;
 use swdual_bio::{Alphabet, ScoringScheme, SqbImage};
-use swdual_gpusim::DeviceClass;
 use swdual_obs::Obs;
 use swdual_runtime::{
     try_run_search, AllocationPolicy, FaultPlan, ReoptConfig, RuntimeConfig, SearchError,
@@ -138,36 +137,6 @@ impl SearchBuilder {
             workers.push(WorkerSpec::cpu_default());
         }
         self.workers = workers;
-        self
-    }
-
-    /// Device-zoo pool: `cpus` CPU workers plus one GPU worker per
-    /// entry of `classes` (see [`DeviceClass`]). GPU workers come
-    /// first, matching [`SearchBuilder::hybrid_workers`].
-    pub fn zoo_workers(mut self, cpus: usize, classes: &[DeviceClass]) -> Self {
-        let mut workers = Vec::with_capacity(cpus + classes.len());
-        for &class in classes {
-            workers.push(WorkerSpec::device_class(class));
-        }
-        for _ in 0..cpus {
-            workers.push(WorkerSpec::cpu_default());
-        }
-        self.workers = workers;
-        self
-    }
-
-    /// Skew the *declared* rate model of specific workers by
-    /// `(worker index, factor)` — a deliberate miscalibration for
-    /// re-optimization experiments. The workers' true speed is
-    /// untouched; only the estimates the planner consumes are wrong.
-    /// Out-of-range indices are ignored. Configure the worker pool
-    /// first.
-    pub fn prior_scales(mut self, scales: &[(usize, f64)]) -> Self {
-        for &(w, s) in scales {
-            if let Some(spec) = self.workers.get_mut(w) {
-                *spec = spec.clone().with_prior_scale(s);
-            }
-        }
         self
     }
 
@@ -359,6 +328,7 @@ impl SearchBuilder {
 mod tests {
     use super::*;
     use swdual_datagen::{queries_from_database, synthetic_database, LengthModel, MutationProfile};
+    use swdual_gpusim::DeviceClass;
 
     fn demo_sets() -> (SequenceSet, SequenceSet) {
         let db = synthetic_database("db", 20, LengthModel::Fixed(80), 21);
@@ -459,7 +429,10 @@ mod tests {
                 .database(db.clone())
                 .unwrap()
                 .queries(q.clone())
-                .zoo_workers(1, &[class])
+                .workers(vec![
+                    WorkerSpec::device_class(class),
+                    WorkerSpec::cpu_default(),
+                ])
                 .run();
             assert_eq!(
                 report.hits(),
@@ -473,8 +446,12 @@ mod tests {
             .database(db)
             .unwrap()
             .queries(q)
-            .zoo_workers(2, &[DeviceClass::Knl, DeviceClass::Bioseal])
-            .prior_scales(&[(2, 2.0)])
+            .workers(vec![
+                WorkerSpec::device_class(DeviceClass::Knl),
+                WorkerSpec::device_class(DeviceClass::Bioseal),
+                WorkerSpec::cpu_default().with_prior_scale(2.0),
+                WorkerSpec::cpu_default(),
+            ])
             .reopt(ReoptConfig::enabled())
             .run();
         assert_eq!(mixed.hits(), baseline.hits());

@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use swdual_obs::analysis::LatencyStats;
+use swdual_obs::model::LatencyStats;
 use swdual_obs::{Event, RunModel};
 
 /// Redraw at most this often while new events arrive.

@@ -317,7 +317,6 @@ impl WhatIfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swdual_obs::analysis::analyze;
     use swdual_obs::explain::explain;
     use swdual_obs::watch::{WatchConfig, Watchdog};
     use swdual_obs::{Event, EventBody, Obs, Track};
@@ -536,15 +535,17 @@ mod tests {
         let model = RunModel::from_events(&events);
         assert_eq!((model.jobs.len(), model.counted.len()), (4, 3));
 
-        // explain: the earlier finisher is recovery, the later counts.
+        // explain: the earlier finisher is recovery, the later counts;
+        // the skew compares the plan with the later finisher, which is
+        // also where the critical path ends.
         let explained = explain(&model);
-        let blame = |w: usize| &explained.worker_blame[w];
+        let blame = |w: usize| &explained.workers[w];
         assert_eq!(blame(0).blame.recovery, 0.5);
         assert_eq!(blame(1).blame.recovery, 0.0);
-        // analyze: the skew compares the plan with the later finisher.
-        let audit = analyze(&model);
-        assert_eq!((audit.skew.max_task, audit.skew.max_abs), (0, 2.0));
-        assert_eq!((audit.critical_task, audit.critical_worker), (0, 1));
+        let skew = &explained.skew;
+        assert_eq!((skew.max_task, skew.max_abs), (0, 2.0));
+        let last = explained.critical_path.last().map(|s| (s.task, s.worker));
+        assert_eq!(last, Some((0, 1)));
 
         // top / watch: the watchdog's ratio is explain's, duplicate
         // left out (worker 0's counted job ran on estimate).

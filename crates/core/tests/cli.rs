@@ -260,8 +260,14 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--db"));
 
-    let out = swdual().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
+    // `explain` absorbed `analyze` and `profile`: both names are now
+    // as unknown as any other.
+    for name in ["frobnicate", "analyze", "profile"] {
+        let out = swdual().args([name, "x.jsonl"]).output().unwrap();
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown command {name:?}")), "{err}");
+    }
 
     let out = swdual().output().unwrap(); // no command -> usage
     assert!(!out.status.success());
@@ -281,8 +287,7 @@ fn unknown_flags_and_missing_values_are_rejected_by_every_subcommand() {
         assert!(err.contains(&format!("usage: swdual {}", args[0])), "{err}");
     };
     for subcommand in [
-        "search", "analyze", "explain", "profile", "top", "tail", "diff", "convert", "generate",
-        "info",
+        "search", "explain", "top", "tail", "diff", "convert", "generate", "info",
     ] {
         rejected(
             &[subcommand, "x.jsonl", "--bogus-flag", "1"],
@@ -294,7 +299,7 @@ fn unknown_flags_and_missing_values_are_rejected_by_every_subcommand() {
         "--cpu",
     );
     rejected(&["generate", "--sequences", "5", "--output"], "--output");
-    rejected(&["analyze", "x.jsonl", "-o"], "-o");
+    rejected(&["explain", "x.jsonl", "-o"], "-o");
     rejected(
         &["diff", "a.jsonl", "b.jsonl", "--threshold"],
         "--threshold",

@@ -1,6 +1,6 @@
-//! End-to-end `swdual analyze` smoke: a real search journal audits
-//! cleanly (the 2λ guarantee is reported and holds), and incompatible
-//! journals are rejected with a clear error.
+//! End-to-end `swdual explain` smoke on the audit it absorbed: a real
+//! search journal reports the 2λ guarantee and it holds, and
+//! incompatible journals are rejected with a clear error.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -54,16 +54,16 @@ fn analyze_reports_the_two_lambda_bound_from_a_search_journal() {
     assert!(search.status.success(), "search failed: {search:?}");
 
     // JSON output: machine-checkable bound fields.
-    let analyze = swdual()
-        .arg("analyze")
+    let explain = swdual()
+        .arg("explain")
         .arg(&journal)
         .arg("--json")
         .output()
-        .expect("run swdual analyze");
-    assert!(analyze.status.success(), "analyze failed: {analyze:?}");
-    let stdout = String::from_utf8(analyze.stdout).unwrap();
+        .expect("run swdual explain");
+    assert!(explain.status.success(), "explain failed: {explain:?}");
+    let stdout = String::from_utf8(explain.stdout).unwrap();
     let report: serde_json::Value =
-        serde_json::from_str(&stdout).expect("analyze --json emits valid JSON");
+        serde_json::from_str(&stdout).expect("explain --json emits valid JSON");
     assert_eq!(
         report.get("schema").and_then(|v| v.as_str()),
         Some("swdual-journal/2")
@@ -92,10 +92,10 @@ fn analyze_reports_the_two_lambda_bound_from_a_search_journal() {
 
     // Default text output mentions the guarantee, for humans.
     let text = swdual()
-        .arg("analyze")
+        .arg("explain")
         .arg(&journal)
         .output()
-        .expect("run swdual analyze (text)");
+        .expect("run swdual explain (text)");
     assert!(text.status.success());
     let text = String::from_utf8(text.stdout).unwrap();
     assert!(text.contains("2λ guarantee"), "{text}");
@@ -123,14 +123,14 @@ fn analyze_dash_o_writes_the_report_to_a_file() {
     assert!(search.status.success(), "search failed: {search:?}");
 
     let out = swdual()
-        .arg("analyze")
+        .arg("explain")
         .arg(&journal)
         .arg("--json")
         .arg("-o")
         .arg(&out_path)
         .output()
-        .expect("run swdual analyze -o");
-    assert!(out.status.success(), "analyze failed: {out:?}");
+        .expect("run swdual explain -o");
+    assert!(out.status.success(), "explain failed: {out:?}");
     assert!(
         out.stdout.is_empty(),
         "-o must redirect the report off stdout"
@@ -188,18 +188,18 @@ fn journal_readers_accept_stdin_via_dash() {
         String::from_utf8(out.stdout).unwrap()
     };
 
-    let piped = pipe(&["analyze", "-", "--json"]);
-    let report: serde_json::Value = serde_json::from_str(&piped).expect("analyze - emits JSON");
+    let piped = pipe(&["explain", "-", "--json"]);
+    let report: serde_json::Value = serde_json::from_str(&piped).expect("explain - emits JSON");
     assert_eq!(
         report.get("schema").and_then(|v| v.as_str()),
         Some("swdual-journal/2")
     );
     let from_file = swdual()
-        .arg("analyze")
+        .arg("explain")
         .arg(&journal)
         .arg("--json")
         .output()
-        .expect("run swdual analyze");
+        .expect("run swdual explain");
     assert_eq!(piped, String::from_utf8(from_file.stdout).unwrap());
 
     let explained = pipe(&["explain", "-"]);
@@ -225,10 +225,10 @@ fn analyze_rejects_incompatible_journals() {
     )
     .unwrap();
     let out = swdual()
-        .arg("analyze")
+        .arg("explain")
         .arg(&headerless)
         .output()
-        .expect("run swdual analyze");
+        .expect("run swdual explain");
     assert!(!out.status.success(), "headerless journal must be rejected");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("header"), "unhelpful error: {err}");
@@ -237,10 +237,10 @@ fn analyze_rejects_incompatible_journals() {
     let wrong = dir.join("wrong.jsonl");
     std::fs::write(&wrong, "{\"schema\":\"swdual-journal/99\",\"events\":0}\n").unwrap();
     let out = swdual()
-        .arg("analyze")
+        .arg("explain")
         .arg(&wrong)
         .output()
-        .expect("run swdual analyze");
+        .expect("run swdual explain");
     assert!(!out.status.success(), "wrong schema must be rejected");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("swdual-journal/99"), "unhelpful error: {err}");

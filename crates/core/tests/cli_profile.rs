@@ -1,9 +1,10 @@
-//! End-to-end `swdual profile` smoke: a `search --profile` journal
-//! folds into valid collapsed stacks, a speedscope document whose
-//! frame totals reconcile with `swdual analyze`'s makespan, and a
-//! roofline report — on both fault-free and faulted runs.
+//! End-to-end smoke of what `swdual explain` took over from the
+//! `profile` subcommand: the per-device roofline of a `search
+//! --profile` journal, as JSON and on a file, and `profile` itself
+//! gone. That each worker's self-times sum to its busy time is checked
+//! inside the fold (`crates/obs/tests/reconcile.rs`).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 
 fn swdual() -> Command {
@@ -16,225 +17,45 @@ fn work_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn generate_db(db: &PathBuf) {
+/// Generate a database and run `search --profile --journal-out` on two
+/// CPU workers and one GPU; returns the journal's path.
+fn profiled_journal(dir: &std::path::Path) -> PathBuf {
+    let db = dir.join("db.fasta");
+    let journal = dir.join("events.jsonl");
     let out = swdual()
-        .args([
-            "generate",
-            "--sequences",
-            "24",
-            "--mean-len",
-            "80",
-            "--seed",
-            "3",
-        ])
-        .arg("--output")
-        .arg(db)
+        .args(["generate", "--sequences", "24", "--mean-len", "80"])
+        .args(["--seed", "3", "--output"])
+        .arg(&db)
         .output()
         .expect("run swdual generate");
     assert!(out.status.success(), "generate failed: {out:?}");
-}
-
-/// Run `search --profile --journal-out`, optionally with a fault plan.
-fn profiled_search(db: &PathBuf, journal: &PathBuf, fault_plan: Option<&str>) {
-    let mut cmd = swdual();
-    cmd.arg("search")
+    let out = swdual()
+        .arg("search")
         .arg("--db")
-        .arg(db)
+        .arg(&db)
         .arg("--queries")
-        .arg(db)
+        .arg(&db)
         .args(["--cpus", "2", "--gpus", "1", "--top", "3", "--profile"])
         .arg("--journal-out")
-        .arg(journal);
-    if let Some(plan) = fault_plan {
-        cmd.args(["--fault-plan", plan, "--min-job-timeout-ms", "60"]);
-    }
-    let out = cmd.output().expect("run swdual search");
+        .arg(&journal)
+        .output()
+        .expect("run swdual search");
     assert!(out.status.success(), "search failed: {out:?}");
-}
-
-/// Fold `journal` into all three views and check them; returns the
-/// parsed speedscope document.
-fn profile_and_check(dir: &Path, journal: &PathBuf) -> serde_json::Value {
-    let folded_path = dir.join("out.folded");
-    let speedscope_path = dir.join("out.speedscope.json");
-    let out = swdual()
-        .arg("profile")
-        .arg(journal)
-        .arg("--flame")
-        .arg(&folded_path)
-        .arg("--speedscope")
-        .arg(&speedscope_path)
-        .arg("--roofline")
-        .output()
-        .expect("run swdual profile");
-    assert!(out.status.success(), "profile failed: {out:?}");
-
-    // Roofline text on stdout, finite throughout.
-    let roofline = String::from_utf8(out.stdout).unwrap();
-    assert!(roofline.contains("roofline report"), "{roofline}");
-    assert!(roofline.contains("device 0"), "{roofline}");
-    assert!(
-        !roofline.contains("NaN") && !roofline.contains("inf"),
-        "{roofline}"
-    );
-
-    // Collapsed stacks: `frame;frame <integer µs>` lines with phase
-    // detail from `--profile`.
-    let folded = std::fs::read_to_string(&folded_path).unwrap();
-    assert!(!folded.is_empty(), "empty folded output");
-    for line in folded.lines() {
-        let (stack, weight) = line.rsplit_once(' ').expect("folded line shape");
-        assert!(!stack.is_empty());
-        let weight: u64 = weight.parse().expect("integer microseconds");
-        assert!(weight > 0, "zero-weight stacks must be dropped: {line}");
-    }
-    assert!(
-        folded.lines().any(|l| l.contains(";dp_inner ")),
-        "phase frames missing from a --profile run:\n{folded}"
-    );
-
-    // Speedscope document parses and carries both clocks.
-    let doc: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&speedscope_path).unwrap())
-            .expect("speedscope JSON parses");
-    assert_eq!(
-        doc.get("$schema").and_then(|v| v.as_str()),
-        Some("https://www.speedscope.app/file-format-schema.json")
-    );
-    let profiles = doc.get("profiles").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(profiles.len(), 2, "one profile per clock");
-    doc
-}
-
-/// Sum the self-weights of every speedscope sample rooted at a
-/// `worker:` frame in the named profile.
-fn worker_seconds(doc: &serde_json::Value, profile_name: &str) -> f64 {
-    let frames = doc
-        .get("shared")
-        .and_then(|s| s.get("frames"))
-        .and_then(|v| v.as_array())
-        .unwrap();
-    let frame_name = |idx: u64| -> &str {
-        frames[idx as usize]
-            .get("name")
-            .and_then(|v| v.as_str())
-            .unwrap()
-    };
-    let profile = doc
-        .get("profiles")
-        .and_then(|v| v.as_array())
-        .unwrap()
-        .iter()
-        .find(|p| p.get("name").and_then(|v| v.as_str()) == Some(profile_name))
-        .unwrap_or_else(|| panic!("no profile named {profile_name:?}"));
-    let samples = profile.get("samples").and_then(|v| v.as_array()).unwrap();
-    let weights = profile.get("weights").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(samples.len(), weights.len());
-    let mut total = 0.0;
-    for (sample, weight) in samples.iter().zip(weights) {
-        let root = sample.as_array().unwrap()[0].as_u64().unwrap();
-        if frame_name(root).starts_with("worker:") {
-            total += weight.as_f64().unwrap();
-        }
-    }
-    total
-}
-
-/// `swdual analyze --json` on the same journal, for reconciliation.
-fn analyze_json(journal: &PathBuf) -> serde_json::Value {
-    let out = swdual()
-        .arg("analyze")
-        .arg(journal)
-        .arg("--json")
-        .output()
-        .expect("run swdual analyze");
-    assert!(out.status.success(), "analyze failed: {out:?}");
-    serde_json::from_str(&String::from_utf8(out.stdout).unwrap()).unwrap()
-}
-
-/// The acceptance criterion: total time attributed to worker stacks
-/// reconciles with the auditor's per-worker busy totals within 1%, on
-/// both clocks, and the profile's modelled makespan matches.
-fn assert_reconciles(doc: &serde_json::Value, audit: &serde_json::Value) {
-    let workers = audit.get("workers").and_then(|v| v.as_array()).unwrap();
-    let busy_wall: f64 = workers
-        .iter()
-        .map(|w| w.get("busy_wall").and_then(|v| v.as_f64()).unwrap())
-        .sum();
-    let busy_modelled: f64 = workers
-        .iter()
-        .map(|w| w.get("busy_modelled").and_then(|v| v.as_f64()).unwrap())
-        .sum();
-    let wall = worker_seconds(doc, "wall clock");
-    let modelled = worker_seconds(doc, "modelled clock");
-    assert!(
-        (wall - busy_wall).abs() <= 1e-9 + 0.01 * busy_wall.abs(),
-        "wall: profile {wall} vs audit {busy_wall}"
-    );
-    assert!(
-        (modelled - busy_modelled).abs() <= 1e-9 + 0.01 * busy_modelled.abs(),
-        "modelled: profile {modelled} vs audit {busy_modelled}"
-    );
-}
-
-#[test]
-fn profile_exports_reconcile_on_a_fault_free_run() {
-    let dir = work_dir("clean");
-    let db = dir.join("db.fasta");
-    let journal = dir.join("events.jsonl");
-    generate_db(&db);
-    profiled_search(&db, &journal, None);
-    let doc = profile_and_check(&dir, &journal);
-    assert_reconciles(&doc, &analyze_json(&journal));
-}
-
-#[test]
-fn profile_exports_reconcile_across_a_device_fault() {
-    let dir = work_dir("faulted");
-    let db = dir.join("db.fasta");
-    let journal = dir.join("events.jsonl");
-    generate_db(&db);
-    // Worker 0 is the GPU; fail its device after one kernel so work
-    // re-routes to the CPU workers mid-run.
-    profiled_search(&db, &journal, Some("0:device@1"));
-    let doc = profile_and_check(&dir, &journal);
-    assert_reconciles(&doc, &analyze_json(&journal));
-}
-
-#[test]
-fn profile_without_exports_defaults_to_roofline_text() {
-    let dir = work_dir("default");
-    let db = dir.join("db.fasta");
-    let journal = dir.join("events.jsonl");
-    generate_db(&db);
-    profiled_search(&db, &journal, None);
-    let out = swdual()
-        .arg("profile")
-        .arg(journal)
-        .output()
-        .expect("run swdual profile");
-    assert!(out.status.success(), "profile failed: {out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("roofline report"), "{text}");
-    assert!(text.contains("GCUPS"), "{text}");
+    journal
 }
 
 #[test]
 fn profile_json_emits_a_machine_readable_roofline() {
-    let dir = work_dir("json");
-    let db = dir.join("db.fasta");
-    let journal = dir.join("events.jsonl");
-    generate_db(&db);
-    profiled_search(&db, &journal, None);
+    let journal = profiled_journal(&work_dir("json"));
     let out = swdual()
-        .arg("profile")
+        .arg("explain")
         .arg(journal)
         .arg("--json")
         .output()
-        .expect("run swdual profile");
-    assert!(out.status.success(), "profile failed: {out:?}");
+        .expect("run swdual explain");
+    assert!(out.status.success(), "explain failed: {out:?}");
     let doc: serde_json::Value = serde_json::from_str(&String::from_utf8(out.stdout).unwrap())
-        .expect("roofline --json parses");
+        .expect("explain --json parses");
     let devices = doc.get("devices").and_then(|v| v.as_array()).unwrap();
     assert!(!devices.is_empty());
     for dev in devices {
@@ -250,6 +71,12 @@ fn profile_json_emits_a_machine_readable_roofline() {
         let buckets = dev.get("buckets").and_then(|v| v.as_array()).unwrap();
         assert!(!buckets.is_empty(), "length buckets missing");
     }
+    // The CPU workers' rows carry the phases `--profile` recorded.
+    let workers = doc.get("workers").and_then(|v| v.as_array()).unwrap();
+    let phases = |w: &serde_json::Value| w.get("phases").and_then(|v| v.as_array()).cloned();
+    assert!(workers
+        .iter()
+        .any(|w| phases(w).is_some_and(|p| !p.is_empty())));
     let makespan = doc
         .get("modelled_makespan")
         .and_then(|v| v.as_f64())
@@ -260,42 +87,42 @@ fn profile_json_emits_a_machine_readable_roofline() {
 #[test]
 fn profile_dash_o_writes_the_roofline_to_a_file() {
     let dir = work_dir("outfile");
-    let db = dir.join("db.fasta");
-    let journal = dir.join("events.jsonl");
-    let out_path = dir.join("roofline.txt");
-    generate_db(&db);
-    profiled_search(&db, &journal, None);
+    let journal = profiled_journal(&dir);
+    let out_path = dir.join("report.txt");
     let out = swdual()
-        .arg("profile")
+        .arg("explain")
         .arg(journal)
         .arg("-o")
         .arg(&out_path)
         .output()
-        .expect("run swdual profile -o");
-    assert!(out.status.success(), "profile failed: {out:?}");
+        .expect("run swdual explain -o");
+    assert!(out.status.success(), "explain failed: {out:?}");
     assert!(
         out.stdout.is_empty(),
         "-o must redirect the report off stdout"
     );
     let written = std::fs::read_to_string(&out_path).unwrap();
-    assert!(written.contains("roofline report"), "{written}");
+    for needle in ["device 0", "roofline", "GCUPS", "self-times"] {
+        assert!(written.contains(needle), "{needle}: {written}");
+    }
+    assert!(
+        !written.contains("NaN") && !written.contains("inf"),
+        "{written}"
+    );
 }
 
 #[test]
 fn profile_rejects_bad_arguments() {
-    let out = swdual()
-        .arg("profile")
-        .output()
-        .expect("run swdual profile");
-    assert!(!out.status.success(), "missing path must fail");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("usage"), "unhelpful error: {err}");
-
-    let out = swdual()
-        .args(["profile", "a.jsonl", "--bogus"])
-        .output()
-        .expect("run swdual profile");
-    assert!(!out.status.success(), "unknown flag must fail");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--bogus"), "unhelpful error: {err}");
+    // The subcommand is gone; its old flags do not make it run.
+    for args in [
+        &["profile"][..],
+        &["profile", "a.jsonl", "--flame", "out.folded"],
+        &["profile", "a.jsonl", "--speedscope", "out.json"],
+        &["profile", "a.jsonl", "--roofline"],
+    ] {
+        let out = swdual().args(args).output().expect("run swdual profile");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("unknown command \"profile\""), "{err}");
+    }
 }

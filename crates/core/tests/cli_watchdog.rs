@@ -1,6 +1,6 @@
 //! The watchdog on the canonical seeded fault run, through the CLI: a
 //! straggling worker must be reported while the run is going (stderr),
-//! in the journal, in `analyze --json` and in the Prometheus export —
+//! in the journal, in `explain --json` and in the Prometheus export —
 //! and that export must be a pure view of the journal written beside
 //! it.
 
@@ -102,15 +102,15 @@ fn watchdog_reports_the_straggler_everywhere() {
     ] {
         assert!(metrics.contains(series), "{series} missing:\n{metrics}");
     }
-    // Surfaced by the analyze report, apart from recovery faults.
-    let analyzed = swdual()
-        .arg("analyze")
+    // Surfaced by the explain report, apart from recovery faults.
+    let explained = swdual()
+        .arg("explain")
         .arg(dir.join("events.jsonl"))
         .arg("--json")
         .output()
-        .expect("run swdual analyze");
-    assert!(analyzed.status.success(), "analyze failed: {analyzed:?}");
-    let report = String::from_utf8(analyzed.stdout).unwrap();
+        .expect("run swdual explain");
+    assert!(explained.status.success(), "explain failed: {explained:?}");
+    let report = String::from_utf8(explained.stdout).unwrap();
     let report: serde_json::Value = serde_json::from_str(&report).unwrap();
     let alerts = report.get("alerts").and_then(|a| a.as_array()).unwrap();
     let stragglers = alerts

@@ -37,16 +37,16 @@ fn generate(path: &Path, sequences: usize, mean_len: usize, seed: u64) {
     assert!(out.status.success(), "generate failed: {out:?}");
 }
 
-fn analyze_json(journal: &Path) -> serde_json::Value {
+fn explain_json(journal: &Path) -> serde_json::Value {
     let out = swdual()
-        .arg("analyze")
+        .arg("explain")
         .arg(journal)
         .arg("--json")
         .output()
-        .expect("run swdual analyze --json");
-    assert!(out.status.success(), "analyze failed: {out:?}");
+        .expect("run swdual explain --json");
+    assert!(out.status.success(), "explain failed: {out:?}");
     serde_json::from_str(&String::from_utf8(out.stdout).unwrap())
-        .expect("analyze --json emits valid JSON")
+        .expect("explain --json emits valid JSON")
 }
 
 /// The set of device classes the audit names for GPU workers.
@@ -102,7 +102,7 @@ fn every_zoo_class_searches_cleanly_and_holds_the_two_lambda_bound() {
             "search({class}) failed: {search:?}"
         );
 
-        let report = analyze_json(&journal);
+        let report = explain_json(&journal);
         assert_bound_holds(&report, class);
         assert_eq!(
             gpu_classes(&report),
@@ -112,10 +112,10 @@ fn every_zoo_class_searches_cleanly_and_holds_the_two_lambda_bound() {
 
         // The human-readable audit names the class too.
         let text = swdual()
-            .arg("analyze")
+            .arg("explain")
             .arg(&journal)
             .output()
-            .expect("run swdual analyze");
+            .expect("run swdual explain");
         assert!(text.status.success());
         let text = String::from_utf8(text.stdout).unwrap();
         assert!(
@@ -146,7 +146,7 @@ fn mixed_zoo_runs_one_gpu_per_class_and_holds_the_bound() {
         .expect("run swdual search");
     assert!(search.status.success(), "mixed search failed: {search:?}");
 
-    let report = analyze_json(&journal);
+    let report = explain_json(&journal);
     assert_bound_holds(&report, "the mixed zoo");
     assert_eq!(
         gpu_classes(&report),
@@ -246,7 +246,7 @@ fn reopt_improves_the_miscalibrated_straggler_by_fifteen_percent() {
         let value = report.get(key).and_then(|v| v.as_f64());
         value.unwrap_or_else(|| panic!("{key} field"))
     };
-    let observed = seconds(&analyze_json(&static_journal), "modelled_makespan");
+    let observed = seconds(&explain_json(&static_journal), "modelled_makespan");
     assert!((seconds(&drop, "observed_makespan") - observed).abs() < 1e-6);
     let predicted = seconds(&drop, "counterfactual_makespan");
     assert!(
@@ -256,7 +256,7 @@ fn reopt_improves_the_miscalibrated_straggler_by_fifteen_percent() {
 
     // The re-opt journal records at least one re-plan, and the audit
     // reports it.
-    let report = analyze_json(&reopt_journal);
+    let report = explain_json(&reopt_journal);
     let replans = report
         .get("reopt_replans")
         .and_then(|v| v.as_u64())
@@ -296,7 +296,7 @@ fn reopt_improves_the_miscalibrated_straggler_by_fifteen_percent() {
     // Both runs complete every task exactly once: re-planning moves
     // work, it never changes what is computed.
     let tasks = |journal: &Path| {
-        analyze_json(journal)
+        explain_json(journal)
             .get("tasks")
             .and_then(|v| v.as_u64())
             .expect("tasks field")

@@ -5,8 +5,8 @@
 //! --cpus 2 --gpus 1 --top 3 --profile`), the same search under
 //! `--fault-plan '1:straggle@0x3,2:crash@3' --reopt --watchdog`, and
 //! the canonical journal hand-stripped to what a v1 build wrote.
-//! `tests/fixtures/golden/` holds what `analyze`, `explain`, `profile`,
-//! `diff`, `top` and `tail` printed for them when they were recorded.
+//! `tests/fixtures/golden/` holds what `explain`, `diff`, `top` and
+//! `tail` printed for them when they were recorded.
 //! Any change to the readers must reproduce those bytes — float
 //! summation order inside the folds included. A mismatch leaves the
 //! actual output under `$CARGO_TARGET_TMPDIR/golden_reports/`.
@@ -60,26 +60,12 @@ impl Goldens {
         }
     }
 
-    /// A scratch path for a command that writes a file.
-    fn out(&self, name: &str) -> String {
-        self.scratch
-            .join(name)
-            .to_str()
-            .expect("utf-8 path")
-            .to_string()
-    }
-
     fn check(&mut self, name: &str, actual: &str) {
         let golden = fixtures().join("golden").join(name);
         if std::fs::read_to_string(&golden).ok().as_deref() != Some(actual) {
             std::fs::write(self.scratch.join(name), actual).expect("save actual output");
             self.mismatched.push(name.to_string());
         }
-    }
-
-    fn check_file(&mut self, name: &str) {
-        let actual = std::fs::read_to_string(self.scratch.join(name)).expect("command output");
-        self.check(name, &actual);
     }
 
     fn finish(self) {
@@ -90,22 +76,6 @@ impl Goldens {
             self.mismatched
         );
     }
-}
-
-#[test]
-fn analyze_matches_the_goldens() {
-    let mut g = Goldens::new("analyze");
-    for j in JOURNALS {
-        g.check(
-            &format!("{j}.analyze.json"),
-            &swdual(&["analyze", &journal(j), "--json"]),
-        );
-        g.check(
-            &format!("{j}.analyze.txt"),
-            &swdual(&["analyze", &journal(j), "--text"]),
-        );
-    }
-    g.finish();
 }
 
 #[test]
@@ -140,45 +110,6 @@ fn explain_and_what_if_match_the_goldens() {
             "--json",
         ]),
     );
-    g.finish();
-}
-
-#[test]
-fn profile_exports_match_the_goldens() {
-    use swdual_obs::profile::{Profile, ProfileClock};
-
-    let mut g = Goldens::new("profile");
-    for j in JOURNALS {
-        let flame = format!("{j}.flame-modelled.folded");
-        let speedscope = format!("{j}.speedscope.json");
-        let roofline = swdual(&[
-            "profile",
-            &journal(j),
-            "--flame",
-            &g.out(&flame),
-            "--speedscope",
-            &g.out(&speedscope),
-            "--roofline",
-        ]);
-        g.check(&format!("{j}.roofline.txt"), &roofline);
-        g.check_file(&flame);
-        g.check_file(&speedscope);
-        g.check(
-            &format!("{j}.roofline.json"),
-            &swdual(&["profile", &journal(j), "--json"]),
-        );
-        // The CLI folds flamegraphs on the modelled clock only; the
-        // wall-clock rendering comes from the library.
-        let text = std::fs::read_to_string(journal(j)).expect("fixture journal");
-        let model = swdual_obs::RunModel::from_journal(&text).expect("fixture folds");
-        g.check(
-            &format!("{j}.flame-wall.folded"),
-            &swdual_obs::export::flamegraph_folded(
-                &Profile::from_model(&model),
-                ProfileClock::Wall,
-            ),
-        );
-    }
     g.finish();
 }
 

@@ -187,8 +187,8 @@ fn tail_analyze_and_explain_read_the_file_and_stdin() {
     let all = stdout_of(swdual().args(["tail", path]).output().unwrap());
     assert!(all.lines().count() > 10, "{all}");
     assert!(with_stdin(&["tail", "-", "--alerts-only"], &text).contains("alert[straggler]"));
-    let analyzed = with_stdin(&["analyze", "-", "--json"], &text);
-    assert!(serde_json::from_str::<serde_json::Value>(&analyzed).is_ok());
+    let explained = with_stdin(&["explain", "-", "--json"], &text);
+    assert!(serde_json::from_str::<serde_json::Value>(&explained).is_ok());
     assert!(with_stdin(&["explain", "-"], &text).contains("2λ bound"));
     // `top` renders a finished journal's end-of-run dashboard once.
     let top = stdout_of(swdual().args(["top", path]).output().unwrap());
@@ -217,8 +217,8 @@ fn a_search_killed_mid_run_leaves_a_file_analyze_and_tail_accept() {
     file.write_all(b"{\"track\":\"worker:0\",\"na").unwrap();
     drop(file);
     let path = journal.to_str().unwrap();
-    let analyzed = stdout_of(swdual().args(["analyze", path]).output().unwrap());
-    assert!(!analyzed.is_empty());
+    let explained = stdout_of(swdual().args(["explain", path]).output().unwrap());
+    assert!(!explained.is_empty());
     let tailed = stdout_of(swdual().args(["tail", path]).output().unwrap());
     assert!(tailed.contains("worker:"), "{tailed}");
     std::fs::remove_dir_all(&dir).ok();

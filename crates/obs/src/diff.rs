@@ -1,9 +1,8 @@
 //! Differential run analysis: fold two runs into a [`DiffReport`].
 //!
-//! The auditor ([`crate::analysis`]) and the profiler
-//! ([`crate::profile`]) describe *one* run; this module compares two —
-//! a baseline and a head — and classifies every shared metric as
-//! IMPROVED, REGRESSED or NEUTRAL. The point is machine-checkable
+//! [`explain`] reports on *one* run; this module reads two such
+//! reports — a baseline and a head — and classifies every shared
+//! metric as IMPROVED, REGRESSED or NEUTRAL. The point is machine-checkable
 //! before/after evidence: a kernel PR shows its GCUPS moved, a
 //! scheduler PR shows its λ margin moved, and CI can gate on the
 //! result.
@@ -33,10 +32,9 @@
 //! run diffed against itself is all-NEUTRAL with zero deltas — both
 //! properties are proptested in `tests/prop_diff.rs`.
 
-use crate::analysis::{analyze, LatencyStats, RunReport, WorkerAudit};
+use crate::explain::{explain, DeviceRow, ExplainReport, WorkerRow};
 use crate::export::HISTOGRAM_GAMMA;
-use crate::model::{ratio_or, RunModel};
-use crate::profile::{DeviceProfile, Profile};
+use crate::model::{ratio_or, LatencyStats, RunModel};
 use serde::Serialize;
 use std::collections::BTreeSet;
 
@@ -150,8 +148,8 @@ impl VerdictFlip {
 pub struct DiffOptions {
     /// Relative tolerance for [`Tolerance::Wall`] metrics.
     pub wall_tolerance: f64,
-    /// Also fold both runs' [`Profile`]s into the diff (per-phase
-    /// self-times, per-device busy time, roofline verdicts).
+    /// Also compare the reports' host-phase self-times, device rows
+    /// and roofline verdicts.
     pub include_profile: bool,
 }
 
@@ -287,17 +285,15 @@ pub fn classify(
 
 use Tolerance::{Exact, Quantile, Wall};
 
-/// Diff two runs: audit both (and, with
-/// [`DiffOptions::include_profile`], stack both) and compare.
+/// Diff two runs: explain both and compare the reports (their
+/// self-times and device rows only with
+/// [`DiffOptions::include_profile`]).
 pub fn diff_models(base: &RunModel, head: &RunModel, opts: &DiffOptions) -> DiffReport {
     let mut b = DiffBuilder::new(opts);
-    fold_run_reports(&mut b, &analyze(base), &analyze(head));
+    let (base, head) = (explain(base), explain(head));
+    fold_run_reports(&mut b, &base, &head);
     let flips = if opts.include_profile {
-        fold_profiles(
-            &mut b,
-            &Profile::from_model(base),
-            &Profile::from_model(head),
-        )
+        fold_profiles(&mut b, &base, &head)
     } else {
         Vec::new()
     };
@@ -312,19 +308,19 @@ type Read<T> = fn(&T) -> f64;
 type Row<T> = (&'static str, Read<T>, bool, Tolerance);
 
 /// Busy-weighted aggregate throughput (MCUPS).
-fn mcups(r: &RunReport) -> f64 {
+fn mcups(r: &ExplainReport) -> f64 {
     let busy: f64 = r.workers.iter().map(|w| w.busy_wall).sum();
     let cells: f64 = r.workers.iter().map(|w| w.mcups * w.busy_wall).sum();
     ratio_or(0.0, cells, busy)
 }
 
-const RUN_ROWS: [Row<RunReport>; 3] = [
+const RUN_ROWS: [Row<ExplainReport>; 3] = [
     ("makespan.wall", |r| r.wall_makespan, true, Wall),
     ("makespan.modelled", |r| r.modelled_makespan, true, Exact),
     ("makespan.planned", |r| r.planned_makespan, true, Exact),
 ];
 
-const BOUND_ROWS: [Row<RunReport>; 5] = [
+const BOUND_ROWS: [Row<ExplainReport>; 5] = [
     ("bound.lambda", |r| r.lambda, true, Exact),
     ("bound.two_lambda", |r| r.two_lambda_bound, true, Exact),
     ("bound.margin", |r| r.bound_margin, false, Exact),
@@ -342,7 +338,7 @@ const BOUND_ROWS: [Row<RunReport>; 5] = [
     ),
 ];
 
-const BALANCE_ROWS: [Row<RunReport>; 5] = [
+const BALANCE_ROWS: [Row<ExplainReport>; 5] = [
     ("balance.load_imbalance", |r| r.load_imbalance, true, Exact),
     ("balance.moved_tasks", |r| r.moved_tasks as f64, true, Exact),
     (
@@ -363,7 +359,7 @@ const LATENCY_ROWS: [(&str, Read<LatencyStats>); 5] = [
     ("mean", |l| l.mean),
 ];
 
-const WORKER_ROWS: [Row<WorkerAudit>; 4] = [
+const WORKER_ROWS: [Row<WorkerRow>; 4] = [
     ("busy_modelled", |w| w.busy_modelled, true, Exact),
     (
         "utilization_modelled",
@@ -377,7 +373,7 @@ const WORKER_ROWS: [Row<WorkerAudit>; 4] = [
 
 /// Per-device busy-time accounting — all on the device's virtual
 /// clock, hence exact.
-const DEVICE_ROWS: [Row<DeviceProfile>; 8] = [
+const DEVICE_ROWS: [Row<DeviceRow>; 8] = [
     ("kernel_seconds", |d| d.kernel_seconds, true, Exact),
     ("launch_seconds", |d| d.launch_seconds, true, Exact),
     ("transfer_seconds", |d| d.transfer_seconds, true, Exact),
@@ -399,7 +395,7 @@ impl DiffBuilder<'_> {
     }
 }
 
-fn fold_run_reports(b: &mut DiffBuilder<'_>, base: &RunReport, head: &RunReport) {
+fn fold_run_reports(b: &mut DiffBuilder<'_>, base: &ExplainReport, head: &ExplainReport) {
     if base.tasks != head.tasks {
         b.incomparable(format!(
             "task counts differ ({} vs {}): the runs did different work, \
@@ -469,13 +465,13 @@ fn fold_run_reports(b: &mut DiffBuilder<'_>, base: &RunReport, head: &RunReport)
         .chain(head.faults.iter())
         .map(|f| f.name.as_str())
         .collect();
-    let count = |r: &RunReport, name: &str| {
+    let count = |r: &ExplainReport, name: &str| {
         r.faults
             .iter()
             .find(|f| f.name == name)
             .map_or(0.0, |f| f.count as f64)
     };
-    let total = |r: &RunReport| r.faults.iter().map(|f| f.count as f64).sum::<f64>();
+    let total = |r: &ExplainReport| r.faults.iter().map(|f| f.count as f64).sum::<f64>();
     if !names.is_empty() {
         b.push("fault.total", total(base), total(head), true, Exact);
     }
@@ -490,7 +486,11 @@ fn fold_run_reports(b: &mut DiffBuilder<'_>, base: &RunReport, head: &RunReport)
     }
 }
 
-fn fold_profiles(b: &mut DiffBuilder<'_>, base: &Profile, head: &Profile) -> Vec<VerdictFlip> {
+fn fold_profiles(
+    b: &mut DiffBuilder<'_>,
+    base: &ExplainReport,
+    head: &ExplainReport,
+) -> Vec<VerdictFlip> {
     // Per-phase self-times summed across workers, on both clocks.
     let phase_names: BTreeSet<String> = base
         .workers
@@ -498,7 +498,7 @@ fn fold_profiles(b: &mut DiffBuilder<'_>, base: &Profile, head: &Profile) -> Vec
         .chain(head.workers.iter())
         .flat_map(|w| w.phases.iter().map(|p| p.name.clone()))
         .collect();
-    let phase_total = |p: &Profile, name: &str| -> (f64, f64) {
+    let phase_total = |p: &ExplainReport, name: &str| -> (f64, f64) {
         p.workers
             .iter()
             .flat_map(|w| w.phases.iter())
@@ -636,11 +636,6 @@ impl DiffReport {
         out
     }
 
-    /// Whether the gate should fail.
-    pub fn has_regressions(&self, exact_only: bool) -> bool {
-        !self.regressions(exact_only).is_empty()
-    }
-
     /// Pretty-printed JSON rendering.
     pub fn to_json(&self) -> String {
         crate::json(self, true)
@@ -737,7 +732,7 @@ mod tests {
             assert_eq!(m.class, DiffClass::Neutral, "{}", m.name);
             assert_eq!(m.delta, 0.0, "{}", m.name);
         }
-        assert!(!report.has_regressions(false));
+        assert!(report.regressions(false).is_empty());
     }
 
     #[test]
@@ -752,7 +747,10 @@ mod tests {
             .unwrap();
         assert_eq!(makespan.class, DiffClass::Regressed);
         assert!((makespan.delta - 4.0).abs() < 1e-12);
-        assert!(report.has_regressions(true), "exact-only gate must fire");
+        assert!(
+            !report.regressions(true).is_empty(),
+            "exact-only gate must fire"
+        );
         assert!(report
             .regressions(true)
             .iter()

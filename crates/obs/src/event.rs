@@ -123,7 +123,7 @@ pub enum HostPhase {
 impl HostPhase {
     pub const ALL: [HostPhase; 2] = [HostPhase::ProfileBuild, HostPhase::DpInner];
 
-    /// The profile frame this phase is reported as.
+    /// The name this phase is reported under.
     pub fn label(&self) -> &'static str {
         &self.event_name()["phase_".len()..]
     }
@@ -136,7 +136,7 @@ impl HostPhase {
     }
 }
 
-/// Wire names of the device spans, which are also their profile frames.
+/// Wire names of the device spans.
 pub const H2D_TRANSFER: &str = "h2d_transfer";
 pub const D2H_TRANSFER: &str = "d2h_transfer";
 pub const KERNEL: &str = "kernel";
@@ -471,7 +471,7 @@ vocabulary! {
 const TASK: Prefix = Prefix("task-");
 
 /// How a task is named wherever one is: the wire name of its job and
-/// placement spans, its profile frame, its trace flow.
+/// placement spans, its trace flow.
 pub fn task_name(task: usize) -> String {
     format!("{}{task}", TASK.0)
 }

@@ -1,27 +1,21 @@
 //! Exporters over a recorded event stream.
 //!
-//! Five formats:
+//! Three formats:
 //!
 //! * [`journal_jsonl`] — one JSON object per line per event, in
 //!   recording order; the raw material for ad-hoc analysis.
 //! * [`metrics_text`] — Prometheus-style text exposition of a
 //!   [`RunModel`]: run-wide counts, per-track busy time, per-worker
 //!   and per-device series, log-bucketed latency histograms.
-//! * [`chrome_trace`] — Chrome-trace (Perfetto / `chrome://tracing`)
-//!   JSON. Three synthetic processes separate the clocks: pid 1 holds
-//!   wall-clock spans, pid 2 holds modelled-clock *actual* execution,
-//!   pid 3 holds the *planned* schedule — so loading the file shows
-//!   plan vs reality side by side on the same modelled time axis.
-//! * [`flamegraph_folded`] — collapsed-stack text over a folded
-//!   [`Profile`], one `frame;frame;frame weight` line per stack, the
-//!   format `inferno-flamegraph` / `flamegraph.pl` consume.
-//! * [`speedscope_json`] — the <https://www.speedscope.app> file
-//!   format, carrying the wall and modelled clocks as two sampled
-//!   profiles over a shared frame table.
+//! * [`chrome_trace`] — Chrome-trace JSON, which Perfetto,
+//!   `chrome://tracing` and speedscope all open. Synthetic processes
+//!   separate the clocks: pid 1 holds wall-clock spans, pid 2 holds
+//!   modelled-clock *actual* execution, pid 3 the *planned* schedule and
+//!   pid 4 the *recovered* one — so loading the file shows plan vs
+//!   reality side by side on the same modelled time axis.
 
 use crate::event::task_name;
 use crate::model::{Device, Exec, KernelTotals, TrackBusy};
-use crate::profile::{Profile, ProfileClock};
 use crate::{Event, EventBody, EventKind, Obs, RunModel, Track};
 use serde::Value;
 use std::collections::BTreeMap;
@@ -487,110 +481,10 @@ fn chrome_trace_of(events: &[Event]) -> String {
     crate::json(&trace, true)
 }
 
-/// Render a folded [`Profile`] as collapsed-stack flamegraph text on
-/// the chosen clock: one `root;child;leaf <µs>` line per stack, weights
-/// in integer microseconds (the unit `inferno-flamegraph` and
-/// `flamegraph.pl` default to). Stacks that round to zero are dropped.
-/// Lines are emitted in the profile's stable frame order, so output is
-/// deterministic for a given journal.
-pub fn flamegraph_folded(profile: &Profile, clock: ProfileClock) -> String {
-    let mut out = String::new();
-    for stack in &profile.stacks {
-        let micros = (stack.weight(clock) * 1e6).round() as u64;
-        if micros == 0 {
-            continue;
-        }
-        out.push_str(&stack.frames.join(";"));
-        out.push(' ');
-        out.push_str(&micros.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Render a folded [`Profile`] as speedscope JSON: a shared frame
-/// table plus two `sampled` profiles — "wall clock" and "modelled
-/// clock" — whose samples are the profile's stacks (root-first frame
-/// indices) and whose weights are self seconds. Open the file at
-/// <https://www.speedscope.app> and switch between the two clocks with
-/// the profile selector.
-pub fn speedscope_json(profile: &Profile) -> String {
-    // Shared frame table: dedup frame names, stable first-seen order.
-    let mut frames: Vec<String> = Vec::new();
-    let mut index_of = std::collections::BTreeMap::new();
-    for stack in &profile.stacks {
-        for frame in &stack.frames {
-            if !index_of.contains_key(frame) {
-                index_of.insert(frame.clone(), frames.len() as u64);
-                frames.push(frame.clone());
-            }
-        }
-    }
-    let frame_table = Value::Array(
-        frames
-            .iter()
-            .map(|name| Value::Object(vec![("name".to_string(), Value::Str(name.clone()))]))
-            .collect(),
-    );
-
-    let sampled = |name: &str, clock: ProfileClock| -> Value {
-        let mut samples: Vec<Value> = Vec::new();
-        let mut weights: Vec<Value> = Vec::new();
-        let mut total = 0.0;
-        for stack in &profile.stacks {
-            let weight = stack.weight(clock);
-            if weight <= 0.0 {
-                continue;
-            }
-            samples.push(Value::Array(
-                stack
-                    .frames
-                    .iter()
-                    .map(|f| Value::UInt(index_of[f]))
-                    .collect(),
-            ));
-            weights.push(Value::Float(weight));
-            total += weight;
-        }
-        Value::Object(vec![
-            ("type".to_string(), Value::Str("sampled".to_string())),
-            ("name".to_string(), Value::Str(name.to_string())),
-            ("unit".to_string(), Value::Str("seconds".to_string())),
-            ("startValue".to_string(), Value::Float(0.0)),
-            ("endValue".to_string(), Value::Float(total)),
-            ("samples".to_string(), Value::Array(samples)),
-            ("weights".to_string(), Value::Array(weights)),
-        ])
-    };
-
-    let document = Value::Object(vec![
-        (
-            "$schema".to_string(),
-            Value::Str("https://www.speedscope.app/file-format-schema.json".to_string()),
-        ),
-        ("name".to_string(), Value::Str("swdual profile".to_string())),
-        ("exporter".to_string(), Value::Str("swdual".to_string())),
-        ("activeProfileIndex".to_string(), Value::UInt(0)),
-        (
-            "shared".to_string(),
-            Value::Object(vec![("frames".to_string(), frame_table)]),
-        ),
-        (
-            "profiles".to_string(),
-            Value::Array(vec![
-                sampled("wall clock", ProfileClock::Wall),
-                sampled("modelled clock", ProfileClock::Modelled),
-            ]),
-        ),
-    ]);
-    crate::json(&document, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::{death, dispatched, job, job_placed_by, placed};
-    use crate::HostPhase;
 
     fn sample_obs() -> Obs {
         let obs = Obs::enabled();
@@ -968,134 +862,5 @@ mod tests {
             .iter()
             .any(|e| e.get("cat").and_then(Value::as_str) == Some("lineage")
                 && e.get("ph").and_then(Value::as_str) == Some("t")));
-    }
-
-    /// A profiled run: task span with phase children on a worker plus
-    /// device kernel/transfer spans.
-    fn profiled_obs() -> Obs {
-        let obs = Obs::enabled();
-        obs.set_profiling(true);
-        let cpu = Track::Worker(0);
-        let phase = |phase| EventBody::Phase { phase, task: 0 };
-        obs.span(cpu, 0.0, 1.0, Some((0.0, 2.0)), job(0, None));
-        obs.span(
-            cpu,
-            0.0,
-            0.25,
-            Some((0.0, 0.5)),
-            phase(HostPhase::ProfileBuild),
-        );
-        obs.span(cpu, 0.25, 0.7, Some((0.5, 1.4)), phase(HostPhase::DpInner));
-        obs.span(
-            Track::Device(1),
-            0.0,
-            0.01,
-            Some((0.0, 0.5)),
-            EventBody::H2d {
-                bytes: 1e6,
-                task: None,
-            },
-        );
-        obs.span(
-            Track::Device(1),
-            0.01,
-            0.02,
-            Some((0.5, 1.0)),
-            EventBody::Kernel {
-                useful_cells: 1e9,
-                padded_cells: 1.25e9,
-                query_len: 200,
-                task: None,
-            },
-        );
-        obs
-    }
-
-    #[test]
-    fn folded_stacks_are_semicolon_frames_and_integer_micros() {
-        let profile = Profile::from_model(&RunModel::from_obs(&profiled_obs()));
-        let folded = flamegraph_folded(&profile, ProfileClock::Wall);
-        let lines: Vec<&str> = folded.lines().collect();
-        assert!(!lines.is_empty());
-        for line in &lines {
-            let (stack, weight) = line.rsplit_once(' ').expect("stack <weight>");
-            assert!(!stack.is_empty());
-            let w: u64 = weight.parse().expect("integer microsecond weight");
-            assert!(w > 0, "zero-weight stacks must be dropped");
-        }
-        // The phase leaf carries its self time: 0.7 s = 700000 µs.
-        assert!(
-            lines.contains(&"worker:0;task-0;dp_inner 700000"),
-            "{folded}"
-        );
-        // Folded totals reconcile with the profile's root totals.
-        let worker_micros: u64 = lines
-            .iter()
-            .filter(|l| l.starts_with("worker:0"))
-            .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
-            .sum();
-        let expect = (profile.root_total("worker:0", ProfileClock::Wall) * 1e6).round() as u64;
-        assert!(worker_micros.abs_diff(expect) <= lines.len() as u64);
-        // The modelled clock is a different rendering of the same stacks.
-        let modelled = flamegraph_folded(&profile, ProfileClock::Modelled);
-        assert!(modelled.contains("worker:0;task-0;dp_inner 1400000"));
-        assert!(modelled.contains("device:1;kernel 1000000"));
-    }
-
-    #[test]
-    fn speedscope_document_parses_and_reconciles() {
-        let profile = Profile::from_model(&RunModel::from_obs(&profiled_obs()));
-        let doc = speedscope_json(&profile);
-        let value: Value = serde_json::from_str(&doc).expect("speedscope JSON parses");
-        assert_eq!(
-            value.get("$schema").and_then(Value::as_str),
-            Some("https://www.speedscope.app/file-format-schema.json")
-        );
-        let frames = value
-            .get("shared")
-            .and_then(|s| s.get("frames"))
-            .and_then(Value::as_array)
-            .expect("shared.frames");
-        assert!(frames
-            .iter()
-            .all(|f| f.get("name").and_then(Value::as_str).is_some()));
-        let profiles = value
-            .get("profiles")
-            .and_then(Value::as_array)
-            .expect("profiles");
-        assert_eq!(profiles.len(), 2, "wall + modelled");
-        for p in profiles {
-            assert_eq!(p.get("type").and_then(Value::as_str), Some("sampled"));
-            assert_eq!(p.get("unit").and_then(Value::as_str), Some("seconds"));
-            let samples = p.get("samples").and_then(Value::as_array).unwrap();
-            let weights = p.get("weights").and_then(Value::as_array).unwrap();
-            assert_eq!(samples.len(), weights.len());
-            // Every sample indexes into the shared frame table.
-            for sample in samples {
-                for idx in sample.as_array().unwrap() {
-                    assert!((idx.as_u64().unwrap() as usize) < frames.len());
-                }
-            }
-            // endValue equals the sum of weights.
-            let total: f64 = weights.iter().filter_map(Value::as_f64).sum();
-            let end = p.get("endValue").and_then(Value::as_f64).unwrap();
-            assert!((total - end).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn empty_profile_exports_are_valid() {
-        let profile = Profile::from_model(&RunModel::default());
-        assert!(flamegraph_folded(&profile, ProfileClock::Wall).is_empty());
-        let value: Value =
-            serde_json::from_str(&speedscope_json(&profile)).expect("empty speedscope parses");
-        let profiles = value.get("profiles").and_then(Value::as_array).unwrap();
-        assert_eq!(profiles.len(), 2);
-        for p in profiles {
-            assert_eq!(
-                p.get("samples").and_then(Value::as_array).map(Vec::len),
-                Some(0)
-            );
-        }
     }
 }

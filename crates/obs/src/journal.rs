@@ -1,10 +1,10 @@
 //! Journal parsing shared by every journal consumer.
 //!
-//! `swdual analyze`, `swdual profile` and `swdual diff` all read the
-//! same JSON-lines format: a `{"schema":"swdual-journal/1",...}` header
-//! line followed by one event object per line. This module owns the
-//! schema tag, the header check and the line parser so the three
-//! consumers cannot drift apart on what a valid journal is.
+//! `swdual explain`, `diff`, `top` and `tail` all read the same
+//! JSON-lines format: a `{"schema":"swdual-journal/2"}` header line
+//! followed by one event object per line. This module owns the schema
+//! tag, the header check and the line parser so the consumers cannot
+//! drift apart on what a valid journal is.
 
 use crate::{Event, EventBody, EventKind, Track};
 use serde::Value;
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_names_both_versions() {
-        // Every consumer (analyze/profile/diff) funnels through this
+        // Every consumer (explain/diff/top/tail) funnels through this
         // helper, so the message must carry both the found and the
         // supported tag — this is the regression test for that contract.
         let err = journal_schema("{\"schema\":\"swdual-journal/99\"}").unwrap_err();

@@ -20,7 +20,8 @@
 //! watched search runs keeps a cursor into the journal and hands what
 //! is new to the journal file, the watchdog and the progress line, so it
 //! can fall behind but never miss an event. Every number a report or an
-//! export shows is a view of the [`RunModel`] folded from it.
+//! export shows is a view of the [`RunModel`] folded from it; the one
+//! report on a run is [`explain::explain`].
 //!
 //! Exports live in [`export`]: a JSON-lines journal, a
 //! Prometheus-style text rendering of the model, and a Chrome-trace
@@ -29,14 +30,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod diff;
 pub mod event;
 pub mod explain;
 pub mod export;
 pub mod journal;
 pub mod model;
-pub mod profile;
 pub mod trend;
 pub mod watch;
 
@@ -97,7 +96,7 @@ impl Track {
     }
 
     /// Parse a label produced by [`Track::label`] back into a track.
-    /// Used by the journal auditor; returns `None` for unknown labels.
+    /// Used by the journal parser; returns `None` for unknown labels.
     pub fn from_label(label: &str) -> Option<Track> {
         match label {
             "master" => return Some(Track::Master),

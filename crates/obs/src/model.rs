@@ -5,11 +5,10 @@
 //! rate models promised per task, what was dispatched where, which
 //! jobs ran when on both clocks, where the plans put them, λ and its
 //! bounds, what each device did, which faults and alerts fired — and
-//! every report is a view that reads those facts and never looks at an
-//! event again: [`analysis`](crate::analysis) audits them,
-//! [`explain`](crate::explain) blames them, [`profile`](crate::profile)
-//! stacks them, and the [`watch`](crate::watch)dog judges them against
-//! thresholds after each event. Fed a whole journal or one event at a
+//! every view reads those facts and never looks at an event again:
+//! [`explain`](crate::explain) reports on them, [`diff`](crate::diff)
+//! compares two such reports, and the [`watch`](crate::watch)dog judges
+//! them against thresholds after each event. Fed a whole journal or one event at a
 //! time, the model ends up the same.
 //!
 //! Sums are accumulated in event order and the views keep that order,
@@ -19,6 +18,7 @@ use crate::event::{Event, EventBody, EventKind, HostPhase};
 use crate::journal::{read_journal, JournalError, JOURNAL_SCHEMA_V1};
 use crate::watch::Alert;
 use crate::{Obs, Track};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `part / whole`, or `otherwise` when there is no whole: every rate
@@ -29,6 +29,46 @@ pub(crate) fn ratio_or(otherwise: f64, part: f64, whole: f64) -> f64 {
         part / whole
     } else {
         otherwise
+    }
+}
+
+/// Exact latency quantiles over completed jobs.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct LatencyStats {
+    /// Number of jobs observed.
+    pub count: usize,
+    /// Median job duration (seconds).
+    pub p50: f64,
+    /// 95th-percentile job duration (seconds).
+    pub p95: f64,
+    /// 99th-percentile job duration (seconds).
+    pub p99: f64,
+    /// Slowest job (seconds).
+    pub max: f64,
+    /// Mean job duration (seconds).
+    pub mean: f64,
+}
+
+impl LatencyStats {
+    /// Exact order statistics of `durations` (rank `⌈q·n⌉`).
+    pub fn from_durations(mut durations: Vec<f64>) -> LatencyStats {
+        if durations.is_empty() {
+            return LatencyStats::default();
+        }
+        durations.sort_by(f64::total_cmp);
+        let n = durations.len();
+        let at = |q: f64| {
+            let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+            durations[rank - 1]
+        };
+        LatencyStats {
+            count: n,
+            p50: at(0.50),
+            p95: at(0.95),
+            p99: at(0.99),
+            max: durations[n - 1],
+            mean: durations.iter().sum::<f64>() / n as f64,
+        }
     }
 }
 
@@ -189,7 +229,7 @@ pub struct Placement {
 }
 
 /// Seconds on both clocks.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct Clocked {
     pub wall: f64,
     pub modelled: f64,

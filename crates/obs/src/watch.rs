@@ -9,7 +9,7 @@
 //! [`Watchdog::model`] — λ and the running modelled makespan against
 //! the paper's 2λ bound, per-worker queue depth and observed/estimate
 //! ratio, ETA — and [`Watchdog::alerts`]. The model is the one
-//! `analyze` and `explain` read after the run: feeding the watchdog a
+//! `explain` reads after the run: feeding the watchdog a
 //! whole journal leaves it equal to [`RunModel::from_events`] of it.
 //!
 //! Alert taxonomy (one [`AlertKind`] each):

@@ -18,14 +18,10 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use swdual_obs::analysis::analyze;
 use swdual_obs::diff::{diff_models, DiffOptions};
 use swdual_obs::explain::explain;
-use swdual_obs::export::{
-    flamegraph_folded, journal_event_line, journal_jsonl, metrics_text, speedscope_json,
-};
+use swdual_obs::export::{journal_event_line, journal_jsonl, metrics_text};
 use swdual_obs::journal::parse_event_line;
-use swdual_obs::profile::{Profile, ProfileClock};
 use swdual_obs::watch::{WatchConfig, Watchdog};
 use swdual_obs::{Event, EventBody, EventKind, Obs, RunModel, Track};
 
@@ -326,20 +322,9 @@ proptest! {
         }
         prop_assert_eq!(dog.model(), &model);
 
-        let report = analyze(&model);
-        assert_renders_numbers("analyze --json", &report.to_json())?;
-        assert_renders_numbers("analyze --text", &report.to_text())?;
         let explained = explain(&model);
         assert_renders_numbers("explain --json", &explained.to_json())?;
         assert_renders_numbers("explain --text", &explained.to_text())?;
-        let profile = Profile::from_model(&model);
-        assert_renders_numbers("profile --json", &profile.to_json())?;
-        assert_renders_numbers("roofline --json", &profile.roofline().to_json())?;
-        assert_renders_numbers("roofline --text", &profile.roofline().to_text())?;
-        assert_renders_numbers("speedscope", &speedscope_json(&profile))?;
-        for clock in [ProfileClock::Wall, ProfileClock::Modelled] {
-            assert_renders_numbers("flamegraph", &flamegraph_folded(&profile, clock))?;
-        }
         let opts = DiffOptions { include_profile: true, ..DiffOptions::default() };
         let diff = diff_models(&RunModel::default(), &model, &opts);
         assert_renders_numbers("diff --json", &diff.to_json())?;
@@ -384,9 +369,9 @@ proptest! {
                 job(i),
             );
         }
-        let report = analyze(&RunModel::from_obs(&obs));
+        let report = explain(&RunModel::from_obs(&obs));
 
-        // Same fold, straight from the events: the auditor must agree
+        // Same fold, straight from the events: the report must agree
         // bit-for-bit with the recorder's spans.
         let mut wall_lo = f64::INFINITY;
         let mut wall_hi = f64::NEG_INFINITY;
@@ -403,15 +388,15 @@ proptest! {
         prop_assert_eq!(report.tasks, jobs.len());
 
         // Worker busy time is additive over that worker's spans.
-        for audit in &report.workers {
+        for row in &report.workers {
             let busy: f64 = jobs
                 .iter()
-                .filter(|(.., w)| *w == audit.worker)
+                .filter(|(.., w)| *w == row.worker)
                 .map(|(_, wall_dur, ..)| *wall_dur)
                 .sum();
             prop_assert!(
-                (audit.busy_wall - busy).abs() < 1e-9,
-                "worker {} busy {} != {}", audit.worker, audit.busy_wall, busy
+                (row.busy_wall - busy).abs() < 1e-9,
+                "worker {} busy {} != {}", row.worker, row.busy_wall, busy
             );
         }
     }

@@ -1,7 +1,6 @@
 //! The journal wire format is a contract with every journal already
 //! written: a line read and written back is the same line.
 
-use swdual_obs::analysis::analyze;
 use swdual_obs::explain::explain;
 use swdual_obs::export::journal_event_line;
 use swdual_obs::journal::parse_event_line;
@@ -156,8 +155,7 @@ fn is_gpu_is_decoded_one_way() {
         }
         let model: &RunModel = dog.model();
         assert_eq!(model.workers[&0].registered.is_some(), registered, "{flag}");
-        assert_eq!(analyze(model).workers[0].is_gpu, gpu, "{flag}");
-        assert_eq!(explain(model).worker_blame[0].is_gpu, gpu, "{flag}");
+        assert_eq!(explain(model).workers[0].is_gpu, gpu, "{flag}");
         assert_eq!(model.workers[&0].is_gpu(), gpu, "{flag}");
     }
 }

@@ -1118,7 +1118,7 @@ fn a_self_scheduled_silent_death_is_noticed_within_a_tick_of_its_deadline() {
 
 /// A self-scheduled job waits for nothing on the modelled clock: each is
 /// stamped with its worker's modelled clock, as under a plan, so every
-/// job's modelled queue wait — and each worker's total in `analyze` — is
+/// job's modelled queue wait — and each worker's total in `explain` — is
 /// 0, and every worker takes a task.
 #[test]
 fn self_scheduled_jobs_wait_for_nothing_on_the_modelled_clock() {
@@ -1145,7 +1145,7 @@ fn self_scheduled_jobs_wait_for_nothing_on_the_modelled_clock() {
     let waits: Vec<Option<f64>> = waits.collect();
     assert_eq!(waits.len(), 24);
     assert!(waits.iter().all(|&w| w == Some(0.0)), "{waits:?}");
-    let report = swdual_obs::analysis::analyze(&swdual_obs::RunModel::from_obs(&sim.obs));
+    let report = swdual_obs::explain::explain(&swdual_obs::RunModel::from_obs(&sim.obs));
     for worker in &report.workers {
         assert_eq!(worker.queue_wait_modelled, 0.0, "worker {}", worker.worker);
     }

@@ -2,7 +2,7 @@
 //! workloads, scheduled with the dual approximation on a conservative
 //! two-species view (every GPU priced as the slowest class in the mix),
 //! then replayed on each device's true class curve and audited through
-//! `swdual_obs::analysis`.
+//! `swdual_obs::explain`.
 //!
 //! Properties:
 //! * the 2λ guarantee HOLDS on the replayed (true-curve) makespan for
@@ -13,11 +13,11 @@
 //!   the top of the ratio order;
 //! * per-class acceleration ratios are themselves monotone in query
 //!   length (the ordering invariant the knapsack's argument rests on);
-//! * worker audits carry the device class the journal declared.
+//! * worker rows carry the device class the journal declared.
 
 use proptest::prelude::*;
 use swdual_gpusim::DeviceClass;
-use swdual_obs::analysis::analyze;
+use swdual_obs::explain::explain;
 use swdual_obs::{EventBody, Obs, RunModel, Track};
 use swdual_sched::binsearch::{dual_approx_schedule, BinarySearchConfig};
 use swdual_sched::schedule::PeKind;
@@ -173,7 +173,7 @@ proptest! {
             clock[w] += actual;
         }
 
-        let report = analyze(&RunModel::from_obs(&obs));
+        let report = explain(&RunModel::from_obs(&obs));
         prop_assert!(report.has_bound);
         prop_assert!(
             report.bound_holds,
@@ -195,7 +195,7 @@ proptest! {
             report.modelled_makespan,
             outcome.schedule.makespan()
         );
-        // Audits name every worker's class.
+        // The rows name every worker's class.
         prop_assert_eq!(report.workers.len(), k + cpus);
         for audit in &report.workers {
             if audit.worker < k {
