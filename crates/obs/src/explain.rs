@@ -698,31 +698,23 @@ impl<'a> Blamer<'a> {
 
         // Self-times: each task's phases, and what of its jobs' time
         // the phases leave (clamped, as phases read separate clocks).
-        let mut phases: Vec<PhaseTotal> = Vec::new();
-        for (&(_, _, phase), spent) in model.phases.iter().filter(|(k, _)| k.0 == w) {
-            match phases.iter_mut().find(|p| p.name == phase.label()) {
-                Some(p) => {
-                    p.wall += spent.wall;
-                    p.modelled += spent.modelled;
-                }
-                None => phases.push(PhaseTotal {
-                    name: phase.label().to_string(),
-                    wall: spent.wall,
-                    modelled: spent.modelled,
-                }),
-            }
-        }
-        phases.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut phases: BTreeMap<&str, Clocked> = BTreeMap::new();
         let mut task_self = Clocked::default();
         for (&(_, task), &span) in self.spans.range((w, 0)..=(w, usize::MAX)) {
             let mut children = Clocked::default();
             for phase in HostPhase::ALL {
                 if let Some(&spent) = model.phases.get(&(w, task, phase)) {
                     children.add(spent);
+                    phases.entry(phase.label()).or_default().add(spent);
                 }
             }
             task_self.add(span.minus(children));
         }
+        let phases = phases.into_iter().map(|(name, spent)| PhaseTotal {
+            name: name.to_string(),
+            wall: spent.wall,
+            modelled: spent.modelled,
+        });
         let helped = model.helped.range((w, 0)..=(w, usize::MAX));
 
         WorkerRow {
@@ -739,7 +731,7 @@ impl<'a> Blamer<'a> {
             queue_wait_modelled: state.queue_wait_modelled,
             ratio: state.ratio().unwrap_or(0.0),
             blame: b,
-            phases,
+            phases: phases.collect(),
             task_self,
             help_wall: helped.fold(0.0, |sum, (_, wall)| sum + wall),
         }
