@@ -22,10 +22,14 @@
 //! `SWDUAL_KERNEL_BACKEND=scalar|avx2` overrides it, which CI uses to
 //! force the fallback path on hosts that would dispatch wide.
 //!
-//! All backends return bit-identical `Option<i32>` results: the striped
-//! interleave changes which DP cells share a register, never the
-//! per-cell arithmetic, and the saturation guards compare the same final
-//! maximum against the same limit.
+//! All backends return bit-identical `Option<i32>` results. In the
+//! striped kernels the interleave changes which DP cells share a
+//! register, never the per-cell arithmetic, and the saturation guards
+//! compare the same final maximum against the same limit. The
+//! inter-sequence kernel holds its cells in each backend's own
+//! representation (signed on AVX2, biased unsigned on the lane arrays);
+//! both are exact below the same limit, so they escalate the same
+//! subjects and agree on every score.
 
 use crate::lanes::ARRAY_LANES;
 #[cfg(target_arch = "x86_64")]

@@ -16,7 +16,7 @@
 //! its last one ended. Each hand-over is a [`Start`]: before scoring
 //! that column the kernel harvests the lane's maximum for the subject it
 //! finished, zeroes the lane's running maximum, and clears the lane in a
-//! mask that the next pass ANDs its `H`/`E` loads with, so the lane's
+//! mask that the next pass applies to its `H`/`E` loads, so the lane's
 //! column reads as zero and is stored back clean without a write of its
 //! own; then it carries on with the same recurrences. The stream's first
 //! pass reads every lane as zero, so nothing zeroes the DP state up
@@ -34,7 +34,8 @@
 //! four cell vectors instead of eight and eight. Hand-overs fall on
 //! group boundaries only, so no lane changes subjects inside a pass;
 //! the pad columns between a subject's end and the boundary score
-//! `−bias` and, like a pad lane, can only decay, so no maximum moves.
+//! [`PAD`]'s −128 and, like a pad lane, can only decay, so no maximum
+//! moves.
 //!
 //! **Every stream has 32 lanes.** A kernel of `L` lanes reads each
 //! column as `32 / L` windows of `L` cells and scores the stream once
@@ -54,26 +55,32 @@
 //! **Score profile.** The substitution scores a column needs depend on
 //! the stream's residues at that position, so the profile is built per
 //! group: for each *distinct* query residue `a` and each column `c` of
-//! the group, one vector `dprof[a][c][l] = score(a, column_c[l]) +
-//! bias`, looked up from the 32-entry row `Tables::rows[a]` (two
+//! the group, one vector `dprof[a][c][l]`, the entry of `score(a,
+//! column_c[l])`, looked up from the kernel's 32-entry row for `a` (two
 //! 16-entry `pshufb` tables on AVX2). Residue code [`PAD`] fills the
-//! lanes and columns that have no subject; its table entry is biased 0,
-//! i.e. a true score of `−bias`, so such a cell can only decay.
+//! lanes and columns that have no subject; its score is −128, below
+//! every matrix score, so such a cell can only decay.
 //!
-//! **Same escalations as the striped byte kernel.** Arithmetic is the
-//! striped kernel's: unsigned, biased, saturating, with the same `bias`
-//! and the same guard `limit` (`crate::striped::byte_range`). An add
-//! can only saturate when its `H` input is already ≥ `limit`, so while
-//! every cell is below `limit` both kernels compute exact values, and
-//! the first cell to reach it is computed exactly by both. A subject's
-//! maximum is therefore ≥ `limit` here iff the striped kernel's is: the
-//! two shapes escalate the same subjects, whatever lane or column a
-//! subject lands on.
+//! **Two representations, one limit.** The kernel body is written once
+//! over `ByteLanes`, and each lane type holds the recurrences' cells in
+//! its own form: the AVX2 instantiation (32 lanes per vector) as `H −
+//! 128` in signed bytes, added to true scores; the lane arrays (16
+//! lanes, what every host without AVX2 runs) as unsigned bytes, added
+//! to scores biased by the matrix's `bias` and the bias subtracted
+//! again, as the striped byte kernel does. The score rows, a handed-over
+//! lane's cleared state and the harvest's conversion back to a score
+//! follow the lane type; [`Tables`] is the same for both.
 //!
-//! The kernel body is written once over `ByteLanes`; the AVX2
-//! instantiation runs 32 lanes per vector, the lane-array one (the
-//! oracle, and what every backend without an instantiation of its own
-//! runs) 16.
+//! **Same escalations as the striped byte kernel.** Both
+//! representations saturate only at the top, and an add reaches the top
+//! only when its `H` input is already ≥ `limit`, the striped kernel's
+//! guard (`crate::striped::byte_range`: 255 minus the largest score and
+//! the bias). So while every cell is below `limit` each representation
+//! computes exact values, and the first cell to reach it is computed
+//! exactly by both. A subject's maximum is therefore ≥ `limit` under
+//! either iff the striped kernel's is, and below it the maximum is the
+//! Gotoh score: every shape and every lane type escalates the same
+//! subjects, whatever lane or column a subject lands on.
 
 use crate::dispatch::Backend;
 use crate::lanes::{ByteLanes, ARRAY_LANES, AVX2_LANES};
@@ -82,14 +89,19 @@ use crate::striped::byte_range;
 use swdual_bio::lanes::{Start, GROUP, LANES, PAD};
 use swdual_bio::ScoringScheme;
 
+/// The largest gap penalty the kernel takes: one signed-byte subtract
+/// takes at most 127.
+const MAX_GAP: i32 = i8::MAX as i32;
+
 /// What the kernel needs of one (query, scheme) pair. Built per job:
 /// a few hundred table reads, not worth caching.
 #[derive(Debug, Clone)]
 pub struct Tables {
-    /// `rows[a][b]` = biased score of query residue `a` against subject
-    /// residue `b`; 0 (true score `−bias`) for `b` outside the alphabet,
-    /// [`PAD`] included.
-    rows: [[u8; 32]; 32],
+    /// `rows[a][b]` = score of query residue `a` against subject
+    /// residue `b`; [`i8::MIN`] for `b` outside the alphabet, [`PAD`]
+    /// included. Each lane type writes its own copy as entries
+    /// (`ByteLanes::entry`).
+    rows: [[i8; 32]; 32],
     /// The distinct residue codes of the query.
     present: Vec<u8>,
     bias: u8,
@@ -101,17 +113,12 @@ pub struct Tables {
 
 impl Tables {
     /// Tables for `query` under `scheme`; `None` when the byte tier
-    /// cannot run inter-sequence — the matrix does not fit a biased
-    /// byte (the striped ladder then starts at 16 bits too), the
-    /// alphabet leaves no pad code, or the query holds a code outside
-    /// the alphabet.
+    /// cannot run inter-sequence — the scheme fails `byte_scheme`'s
+    /// checks — or the query holds a code outside the alphabet.
     pub fn build(query: &[u8], scheme: &ScoringScheme) -> Option<Tables> {
         let matrix = &scheme.matrix;
         let size = matrix.size();
-        let (bias, limit) = byte_range(matrix)?;
-        if size > PAD as usize {
-            return None;
-        }
+        let (bias, limit) = byte_scheme(scheme)?;
         let mut seen = [false; 32];
         for &q in query {
             if q as usize >= size {
@@ -120,10 +127,11 @@ impl Tables {
             seen[q as usize] = true;
         }
         let present: Vec<u8> = (0..size as u8).filter(|&a| seen[a as usize]).collect();
-        let mut rows = [[0u8; 32]; 32];
+        let mut rows = [[i8::MIN; 32]; 32];
         for &a in &present {
             for (b, &s) in matrix.row(a).iter().enumerate() {
-                rows[a as usize][b] = (s + bias as i32) as u8;
+                // `byte_range` bounds every score to −120..=120.
+                rows[a as usize][b] = s as i8;
             }
         }
         Some(Tables {
@@ -131,10 +139,23 @@ impl Tables {
             present,
             bias,
             limit,
-            open: scheme.gap_first().min(255) as u8,
-            ext: scheme.gap_extend.min(255) as u8,
+            // `byte_scheme` bounds both by `MAX_GAP`, and `gap_extend`
+            // is at most `gap_first`.
+            open: scheme.gap_first() as u8,
+            ext: scheme.gap_extend as u8,
         })
     }
+}
+
+/// The striped byte kernel's `(bias, limit)` for `scheme`
+/// ([`byte_range`]), when the inter-sequence kernel can score under it:
+/// the matrix fits a biased byte (otherwise the striped ladder starts at
+/// 16 bits too), the alphabet leaves [`PAD`] free, and both gap
+/// penalties are at most 127, which one signed-byte subtract takes. A
+/// scheme that fails is scored by the striped ladder alone.
+pub(crate) fn byte_scheme(scheme: &ScoringScheme) -> Option<(u8, u8)> {
+    let fits = scheme.matrix.size() <= PAD as usize && scheme.gap_first() <= MAX_GAP;
+    byte_range(&scheme.matrix).filter(|_| fits)
 }
 
 /// A stream as the kernel scores it: columns of [`LANES`] cells and
@@ -163,56 +184,65 @@ pub(crate) struct Window<'a, const L: usize> {
 }
 
 /// What the kernel carries along the stream besides the DP state: each
-/// lane's running maximum, the subject it holds, and which lanes keep
-/// their `H`/`E` state into the next group.
-pub(crate) struct Harvest<const L: usize> {
+/// lane's running maximum, as a cell of the lane type whose `ZERO` is
+/// `zero`, the subject it holds, and which lanes keep their `H`/`E`
+/// state into the next group.
+struct Harvest<const L: usize> {
+    zero: u8,
     best: [u8; L],
     holds: [Option<usize>; L],
     /// All-ones on a lane whose state the next group reads as stored,
     /// zero on one handed over since then. All clear at the stream's
     /// start, so its first group, which always holds starts (the first
-    /// subject dealt starts at column 0), reads every row as zero.
+    /// subject dealt starts at column 0), reads every row as the cell 0.
     keep: [u8; L],
 }
 
 impl<const L: usize> Harvest<L> {
-    fn new() -> Self {
+    fn new(zero: u8) -> Self {
         Harvest {
-            best: [0; L],
+            zero,
+            best: [zero; L],
             holds: [None; L],
             keep: [0; L],
         }
     }
 
+    /// Record the maximum `lane` holds for `subject`, converted back to
+    /// a score.
+    fn record(&self, lane: usize, subject: usize, maxima: &mut [u8]) {
+        maxima[subject] = self.best[lane].wrapping_sub(self.zero);
+    }
+
     /// Hand `lane` over to `subject`: record the maximum of the subject
     /// it held, clear its maximum, and mark its `H`/`E` state to be read
-    /// as zero by the next group, which clears it as it passes.
+    /// as the cell 0 by the next group, which clears it as it passes.
     #[inline]
     fn start(&mut self, lane: usize, subject: usize, maxima: &mut [u8]) {
         if let Some(held) = self.holds[lane] {
-            maxima[held] = self.best[lane];
+            self.record(lane, held, maxima);
         }
-        self.best[lane] = 0;
+        self.best[lane] = self.zero;
         self.holds[lane] = Some(subject);
         self.keep[lane] = 0;
     }
 
     /// The stream has ended: record what every lane still holds.
     fn finish(self, maxima: &mut [u8]) {
-        for (held, best) in self.holds.into_iter().zip(self.best) {
-            if let Some(held) = held {
-                maxima[held] = best;
+        for (lane, held) in self.holds.iter().enumerate() {
+            if let Some(held) = *held {
+                self.record(lane, held, maxima);
             }
         }
     }
 }
 
 /// One window of a stream: `query` against lanes of `block`'s columns,
-/// scored from `buffers.rows` and `harvest`, whatever the DP state held
-/// on entry. A start hands its lane over before its column is scored;
-/// each finished subject's maximum `H` goes to `maxima[subject]`,
-/// `subject` the start's position in the stream. Starts of other
-/// windows' lanes are passed over.
+/// in `V`'s cell representation, whatever `buffers` held on entry. A
+/// start hands its lane over before its column is scored; each
+/// subject's maximum `H` goes to `maxima[subject]`, `subject` the
+/// start's position in the stream. Starts of other windows' lanes are
+/// passed over.
 ///
 /// The stream is scored [`GROUP`] columns per pass down the query: each
 /// row loads its `H` and `E` once, scores the group's columns in
@@ -221,11 +251,11 @@ impl<const L: usize> Harvest<L> {
 /// fall on group boundaries only, so no lane changes hands inside a
 /// pass. Those two loads are the only reads of the previous group's
 /// state, so a lane is cleared for its new subject there: a pass that
-/// holds starts ANDs them with the harvest's `keep` mask, all-ones but
+/// holds starts masks them with the harvest's `keep` mask, all-ones but
 /// on the lanes handed over at this group, and every other pass with
 /// all-ones. Whatever the DP state held before, each subject thus
-/// starts from a zero column; a lane that never holds one scores only
-/// pads, whose values no maximum reads.
+/// starts from a column of cell 0s; a lane that never holds one scores
+/// only pads, whose values no maximum reads.
 ///
 /// # Safety
 /// `V`'s instruction set must be available on the running CPU.
@@ -235,7 +265,6 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
     tables: &Tables,
     block: Window<'_, L>,
     buffers: InterseqBuffers<'_, L>,
-    harvest: &mut Harvest<L>,
     maxima: &mut [u8],
 ) {
     let InterseqBuffers {
@@ -244,12 +273,19 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
         rows,
     } = buffers;
     debug_assert_eq!(state.len(), query.len());
+    for &a in &tables.present {
+        let (row, scores) = (&mut rows[a as usize & 31], &tables.rows[a as usize & 31]);
+        for (entry, &score) in row.iter_mut().zip(scores) {
+            *entry = V::entry(score, tables.bias);
+        }
+    }
     let (groups, rest) = block.stream.columns.as_chunks::<GROUP>();
     debug_assert!(rest.is_empty());
     let (window, first_lane) = (block.window, block.window * L);
+    let mut harvest = Harvest::<L>::new(V::ZERO);
     // SAFETY (every `V` operation below): the caller guarantees `V`'s
     // instruction set; the operations touch only the references passed.
-    let zero = V::splat(0);
+    let zero = V::splat(V::ZERO);
     let ones = V::splat(u8::MAX);
     let bias = V::splat(tables.bias);
     let open = V::splat(tables.open);
@@ -285,27 +321,29 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
         }
         // Down the group: `diag` is H[i-1][j0-1] for the group's first
         // column j0, `up` H[i-1] of its first three columns, `f` each
-        // column's vertical gap state; all start from the all-zero
-        // boundary row.
+        // column's vertical gap state; all start from the boundary row
+        // of cell 0s.
         let mut diag = zero;
         let mut up = [zero; GROUP - 1];
         let mut f = [zero; GROUP];
         for (he, &q) in state.iter_mut().zip(query) {
             let [h_slot, e_slot] = he;
             let score = &dprof[q as usize & 31];
-            let left = V::load(h_slot).and(keep);
-            let mut e = V::load(e_slot).and(keep);
+            let left = V::load(h_slot).kept(keep);
+            let mut e = V::load(e_slot).kept(keep);
             let mut h = [zero; GROUP];
             for c in 0..GROUP {
                 let diag = if c == 0 { diag } else { up[c - 1] };
-                // H = max(diag + score, F, E); unsigned floor is the 0
-                // clamp. `E` comes last: it is the chain along the row.
-                h[c] = diag.adds(V::load(&score[c])).subs(bias).max(f[c]).max(e);
-                let h_open = h[c].subs(open);
-                e = e.subs(ext).max(h_open);
-                f[c] = f[c].subs(ext).max(h_open);
+                // H = max(diag + score, F, E); the add's floor is the
+                // 0 clamp. `E` comes last: it is the chain along the row.
+                let score = V::load(&score[c]);
+                h[c] = diag.add_score(score, bias).max_cell(f[c]).max_cell(e);
+                let h_open = h[c].sub_gap(open);
+                e = e.sub_gap(ext).max_cell(h_open);
+                f[c] = f[c].sub_gap(ext).max_cell(h_open);
             }
-            lane_best = lane_best.max(h.into_iter().reduce(|a, b| a.max(b)).unwrap_or(zero));
+            let group_best = h.into_iter().reduce(|a, b| a.max_cell(b));
+            lane_best = lane_best.max_cell(group_best.unwrap_or(zero));
             h[GROUP - 1].store(h_slot);
             e.store(e_slot);
             diag = left;
@@ -313,27 +351,23 @@ pub(crate) unsafe fn refill_body<V: ByteLanes<L>, const L: usize>(
         }
     }
     lane_best.store(&mut harvest.best);
+    harvest.finish(maxima);
 }
 
 /// [`refill_body`] instantiated for one backend.
 type RefillFn<const L: usize> =
-    unsafe fn(&[u8], &Tables, Window<'_, L>, InterseqBuffers<'_, L>, &mut Harvest<L>, &mut [u8]);
+    unsafe fn(&[u8], &Tables, Window<'_, L>, InterseqBuffers<'_, L>, &mut [u8]);
 
 fn refill_array(
     query: &[u8],
     tables: &Tables,
     block: Window<'_, ARRAY_LANES>,
     buffers: InterseqBuffers<'_, ARRAY_LANES>,
-    harvest: &mut Harvest<ARRAY_LANES>,
     maxima: &mut [u8],
 ) {
     // SAFETY: the lane arrays need no instruction set beyond the
     // target's baseline.
-    unsafe {
-        refill_body::<[u8; ARRAY_LANES], ARRAY_LANES>(
-            query, tables, block, buffers, harvest, maxima,
-        )
-    }
+    unsafe { refill_body::<[u8; ARRAY_LANES], ARRAY_LANES>(query, tables, block, buffers, maxima) }
 }
 
 /// Score `stream` through `kernel`, one window of `L` lanes at a time,
@@ -364,13 +398,10 @@ unsafe fn score_stream<const L: usize>(
             columns: &stream.columns[..width],
             ..stream
         };
-        let mut harvest = Harvest::<L>::new();
         let buffers = scratch.interseq::<L>(query.len());
-        *buffers.rows = tables.rows;
         let block = Window { stream, window };
         // SAFETY: the caller guarantees `kernel`'s instruction set.
-        kernel(query, tables, block, buffers, &mut harvest, maxima);
-        harvest.finish(maxima);
+        kernel(query, tables, block, buffers, maxima);
     }
 }
 
@@ -573,6 +604,149 @@ mod tests {
                 "{backend}"
             );
             assert_eq!(reused, want, "{backend}");
+        }
+    }
+
+    /// Each subject's raw maximum in both cell representations — the
+    /// lane arrays' biased unsigned bytes and, where the host has AVX2,
+    /// its offset signed ones — pinned against each other and against
+    /// Gotoh: below [`Tables::limit`] on one iff on the other, and
+    /// there the Gotoh score on both; at or above it only when the
+    /// Gotoh score is.
+    fn assert_representations_agree(q: &[u8], subjects: &[Vec<u8>], scheme: &ScoringScheme) {
+        let refs: Vec<&[u8]> = subjects.iter().map(|s| s.as_slice()).collect();
+        let limit = Tables::build(q, scheme).unwrap().limit;
+        // `None`: at or above the limit, so the subject escalates.
+        let exact = |m: u8| (m < limit).then_some(m as i32);
+        let arrays = lane_maxima(Backend::Scalar, q, &refs, scheme);
+        let avx2 =
+            (Backend::Avx2.is_available()).then(|| lane_maxima(Backend::Avx2, q, &refs, scheme));
+        for (i, s) in refs.iter().enumerate() {
+            let gotoh = gotoh_score(q, s, scheme);
+            let want = (gotoh < limit as i32).then_some(gotoh);
+            assert_eq!(exact(arrays[i]), want, "lane arrays, subject {i}");
+            if let Some(avx2) = &avx2 {
+                assert_eq!(exact(avx2[i]), exact(arrays[i]), "AVX2, subject {i}");
+            }
+        }
+    }
+
+    /// `len` residues below `below`, from a fixed seed.
+    fn pseudo_random(len: usize, below: u8, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) % below as u64) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn both_representations_agree_on_raw_maxima() {
+        let blosum = |open, ext| ScoringScheme::new(Matrix::blosum62().clone(), open, ext);
+        let scheme = blosum(10, 2);
+        let w = |n: usize| prot(&vec![b'W'; n]);
+        // C W21 H: its C W21 scores 240 = the limit, its W21 H 239.
+        let q = [prot(b"C"), w(21), prot(b"H")].concat();
+        assert_eq!(Tables::build(&q, &scheme).unwrap().limit, 240);
+        let at_limit = [prot(b"C"), w(21)].concat();
+        let below = [w(21), prot(b"H")].concat();
+        assert_eq!(gotoh_score(&q, &at_limit, &scheme), 240);
+        assert_eq!(gotoh_score(&q, &below, &scheme), 239);
+        // Every lane at the limit, below it or past it, then handed over
+        // to short unrelated subjects that score 0 (W against D, E, G,
+        // N, P is negative), some ending mid-group: pad columns. A
+        // subject that inherited the saturated state would read high.
+        let mismatch = prot(b"DEGNPDEGNP");
+        let mut subjects = Vec::new();
+        for i in 0..LANES {
+            subjects.push(match i % 4 {
+                0 => at_limit.clone(),
+                1 => below.clone(),
+                2 => [q.clone(), w(30)].concat(),
+                _ => q.clone(),
+            });
+        }
+        subjects.extend((1..=2 * LANES).map(|n| mismatch[..1 + n % 10].to_vec()));
+        assert_representations_agree(&q, &subjects, &scheme);
+        // Three subjects: 29 lanes that only ever hold pads.
+        assert_representations_agree(&q, &[below, at_limit, mismatch], &scheme);
+        // Random streams, with the query's own stretches among them, under
+        // gaps up to the largest the kernel takes — 127, which a cell at
+        // 239 can still afford — and a matrix at the edge of the byte
+        // range (bias 120, limit 15).
+        let dna_edge = ScoringScheme::new(Matrix::match_mismatch(Alphabet::Dna, 120, -120), 0, 0);
+        let cases = [
+            (scheme.clone(), 24),
+            (blosum(126, 1), 24),
+            (blosum(0, 127), 24),
+            (blosum(1, 0), 24),
+            (dna_edge, 5),
+        ];
+        for (seed, (scheme, letters)) in cases.into_iter().enumerate() {
+            let seed = seed as u64;
+            let q = pseudo_random(40, letters, seed);
+            let mut subjects: Vec<Vec<u8>> = (0..90)
+                .map(|i| pseudo_random(i * 7 % 61, letters, seed * 1000 + i as u64))
+                .collect();
+            subjects.extend(rotations(&q, 40));
+            subjects.extend((0..8).map(|k| [q.repeat(k), q[..k * 3].to_vec()].concat()));
+            assert_representations_agree(&q, &subjects, &scheme);
+        }
+    }
+
+    #[test]
+    fn gaps_past_127_leave_the_kernel_and_score_exactly() {
+        // One signed-byte subtract takes at most 127; a dearer first or
+        // extending gap — 128, 255, or `i32::MAX` from the saturating
+        // sum — builds no tables, and the striped ladder scores the
+        // query under every shape, resolving and escalating alike.
+        let q = prot(b"MKWVTFISLLFLFSSAYSRGWWWWWWWWWWWWWWWWWWWWWWWW");
+        let subjects: Vec<&[u8]> = vec![&q, &q[3..30], &q[20..], b"", &q[..5]];
+        let db = Subjects::new(subjects.clone());
+        for (open, ext) in [
+            (127, 1),
+            (0, 128),
+            (128, 127),
+            (0, 255),
+            (i32::MAX, 0),
+            (i32::MAX, i32::MAX),
+        ] {
+            let scheme = ScoringScheme::new(Matrix::blosum62().clone(), open, ext);
+            assert!(scheme.gap_first() > MAX_GAP);
+            assert!(Tables::build(&q, &scheme).is_none(), "{open}/{ext}");
+            let want: Vec<i32> = subjects
+                .iter()
+                .map(|s| gotoh_score(&q, s, &scheme))
+                .collect();
+            for backend in Backend::available() {
+                let mut tiers = Vec::new();
+                for shape in [ByteShape::InterSeq, ByteShape::Striped] {
+                    let mut stats = TierStats::default();
+                    let (got, _) = score_database_with(
+                        backend,
+                        shape,
+                        &q,
+                        &db,
+                        db.whole(),
+                        &scheme,
+                        None,
+                        &mut Scratch::default(),
+                        &mut stats,
+                    );
+                    assert_eq!(db.in_database_order(&got), want, "{open}/{ext} {backend}");
+                    tiers.push(stats);
+                }
+                assert_eq!(tiers[0], tiers[1], "{open}/{ext} {backend}");
+            }
+        }
+        // At 127 both gaps still run inter-sequence.
+        for (open, ext) in [(126, 1), (0, 127)] {
+            let scheme = ScoringScheme::new(Matrix::blosum62().clone(), open, ext);
+            assert!(Tables::build(&q, &scheme).is_some(), "{open}/{ext}");
         }
     }
 

@@ -4,9 +4,15 @@
 //! ([`crate::striped`]) and the inter-sequence byte kernel
 //! ([`crate::interseq`]) — is one body generic over a lane type: the
 //! AVX2 instantiation runs it on `__m256i` ([`crate::simd_avx2`]), the
-//! lane-array one — the oracle, and what every host without AVX2 runs —
-//! on the 128-bit arrays below. A new vector width is an impl of these
-//! two traits and nothing else.
+//! lane-array one — what every host without AVX2 runs — on the 128-bit
+//! arrays below. A new vector width is an impl of these two traits and
+//! nothing else.
+//!
+//! The striped kernels share one arithmetic on every lane type. The
+//! inter-sequence recurrences do not: each lane type holds their cells
+//! in a representation of its own ([`ByteLanes::ZERO`] and the cell
+//! operations below it), so the two instantiations of that body check
+//! each other only through the scores they produce.
 
 /// Byte lanes of one lane array: one 128-bit register. A vector holds
 /// half as many 16-bit lanes.
@@ -15,12 +21,37 @@ pub(crate) const ARRAY_LANES: usize = 16;
 /// Byte lanes of one AVX2 register.
 pub(crate) const AVX2_LANES: usize = 32;
 
-/// `L` unsigned byte lanes.
+/// `L` byte lanes: unsigned for the striped kernel, in the lane type's
+/// own cell representation for the inter-sequence recurrences.
+///
+/// A *cell* is a local-alignment value `H` (or `E`, `F`) in `0..=255`,
+/// held as the byte `H + ZERO`, wrapping: plain unsigned where `ZERO`
+/// is 0, `H − 128` as a signed byte where it is `0x80`. In the signed
+/// form a saturating add of a signed score floors at −128, which is the
+/// cell 0, so the local-alignment floor costs no operation of its own.
 ///
 /// # Safety
 /// Every method requires the implementing backend's instruction set on
 /// the running CPU.
 pub(crate) trait ByteLanes<const L: usize>: Copy {
+    /// The byte that holds the cell 0.
+    const ZERO: u8;
+    /// The score-table entry of a true substitution score `score`,
+    /// under the matrix's `bias` (its −minimum score): `score` is in
+    /// `−bias..=127`, or [`i8::MIN`] for a code with no score, whose
+    /// cells must only decay.
+    fn entry(score: i8, bias: u8) -> u8;
+    /// Cell `H + s` for `entry` the entry of `s` (`bias` splat),
+    /// floored at 0; exact unless it passes 255 − `bias`.
+    unsafe fn add_score(self, entry: Self, bias: Self) -> Self;
+    /// Cell `H − gap` for a splat `gap` of at most 127, floored at 0.
+    unsafe fn sub_gap(self, gap: Self) -> Self;
+    /// The larger cell, lane-wise.
+    unsafe fn max_cell(self, other: Self) -> Self;
+    /// `self` on the lanes where `keep` is all-ones, the cell 0 where
+    /// it is zero.
+    unsafe fn kept(self, keep: Self) -> Self;
+
     unsafe fn splat(x: u8) -> Self;
     unsafe fn load(src: &[u8; L]) -> Self;
     unsafe fn store(self, dst: &mut [u8; L]);
@@ -29,8 +60,6 @@ pub(crate) trait ByteLanes<const L: usize>: Copy {
     /// Lane-wise saturating subtract.
     unsafe fn subs(self, other: Self) -> Self;
     unsafe fn max(self, other: Self) -> Self;
-    /// Lane-wise bitwise AND.
-    unsafe fn and(self, other: Self) -> Self;
     /// `row[idx[l]]` per lane; every lane of `idx` is below 32.
     unsafe fn lookup32(row: &[u8; 32], idx: Self) -> Self;
     /// Lane `l` receives lane `l − 1`; lane 0 receives 0.
@@ -102,10 +131,37 @@ fn sse2<A: Sse2>(a: A, b: A, op: impl Fn(__m128i, __m128i) -> __m128i) -> A {
 }
 
 /// The byte lane arrays: plain Rust but, on x86-64, for the lane-wise
-/// operations, which are SSE2 there.
+/// operations, which are SSE2 there. Their cells are plain unsigned
+/// bytes, with every score biased non-negative: SSE2 has no signed byte
+/// maximum. An add of a biased score subtracts the bias again, and that
+/// subtract's floor is the local-alignment one.
 // SAFETY: every method is safe Rust or, on x86-64, SSE2, which every
 // x86-64 CPU has; the trait's contract asks nothing more of these.
 impl ByteLanes<ARRAY_LANES> for Bytes {
+    const ZERO: u8 = 0;
+    #[inline(always)]
+    fn entry(score: i8, bias: u8) -> u8 {
+        (score as i16 + bias as i16).max(0) as u8
+    }
+    #[inline(always)]
+    unsafe fn add_score(self, entry: Self, bias: Self) -> Self {
+        self.adds(entry).subs(bias)
+    }
+    #[inline(always)]
+    unsafe fn sub_gap(self, gap: Self) -> Self {
+        self.subs(gap)
+    }
+    #[inline(always)]
+    unsafe fn max_cell(self, other: Self) -> Self {
+        ByteLanes::max(self, other)
+    }
+    #[inline(always)]
+    unsafe fn kept(self, keep: Self) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        return sse2(self, keep, |a, b| _mm_and_si128(a, b));
+        #[cfg(not(target_arch = "x86_64"))]
+        std::array::from_fn(|l| self[l] & keep[l])
+    }
     #[inline(always)]
     unsafe fn splat(x: u8) -> Self {
         [x; ARRAY_LANES]
@@ -138,13 +194,6 @@ impl ByteLanes<ARRAY_LANES> for Bytes {
         return sse2(self, other, |a, b| _mm_max_epu8(a, b));
         #[cfg(not(target_arch = "x86_64"))]
         std::array::from_fn(|l| self[l].max(other[l]))
-    }
-    #[inline(always)]
-    unsafe fn and(self, other: Self) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        return sse2(self, other, |a, b| _mm_and_si128(a, b));
-        #[cfg(not(target_arch = "x86_64"))]
-        std::array::from_fn(|l| self[l] & other[l])
     }
     #[inline(always)]
     unsafe fn lookup32(row: &[u8; 32], idx: Self) -> Self {

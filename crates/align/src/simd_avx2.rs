@@ -2,11 +2,18 @@
 //! [`crate::lanes`] on 256-bit `__m256i`, and one entry point per
 //! kernel body instantiated over them.
 //!
-//! A vector holds 32 unsigned byte lanes or 16 signed word lanes;
-//! saturated adds and subtracts are the `vpaddusb`/`vpaddsw` family,
-//! and the lazy-F exit is a `vpmovmskb` test instead of a scalar lane
-//! scan. The striped interleave crosses the 128-bit lane boundary, so
-//! the one-lane shift uses the `vperm2i128` + `vpalignr` idiom. The
+//! A vector holds 32 byte lanes or 16 signed word lanes. The striped
+//! byte kernel runs unsigned (`vpaddusb`/`vpsubusb`/`vpmaxub`), the
+//! 16-bit one signed (`vpaddsw` and its family), and the lazy-F exit is
+//! a `vpmovmskb` test instead of a scalar lane scan. The inter-sequence
+//! recurrences hold each cell `H` as `H − 128` in a signed byte:
+//! `vpaddsb` of a signed score floors at −128, the cell 0, so a cell
+//! costs one add, three subtracts and five maxima, the lane's running
+//! one included (`vpaddsb`/`vpsubsb`/`vpmaxsb`), where biased unsigned
+//! bytes need a tenth op to take the bias back off.
+//!
+//! The striped interleave crosses the 128-bit lane boundary, so the
+//! one-lane shift uses the `vperm2i128` + `vpalignr` idiom. The
 //! inter-sequence kernel's 32-entry score lookup is two `vpshufb`.
 //!
 //! Each kernel body is `#[inline(always)]` and generic; it becomes AVX2
@@ -18,7 +25,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::interseq::{refill_body, Harvest, Tables, Window};
+use crate::interseq::{refill_body, Tables, Window};
 use crate::lanes::{ByteLanes, WordLanes, AVX2_LANES};
 use crate::scratch::InterseqBuffers;
 use crate::striped::{byte_kernel, word_kernel, ByteProfile, StripedProfile};
@@ -38,11 +45,36 @@ unsafe fn carry(a: __m256i) -> __m256i {
     _mm256_permute2x128_si256(a, a, 0x08)
 }
 
-/// The AVX2 instantiation of the inter-sequence kernel's lane
-/// operations: 32 lanes per vector.
+/// The AVX2 byte lane operations: 32 lanes per vector, cells offset
+/// by −128 into signed bytes.
 // SAFETY: every method is AVX2 intrinsics alone; the trait's contract
 // makes each caller guarantee AVX2 on the running CPU.
 impl ByteLanes<AVX2_LANES> for __m256i {
+    const ZERO: u8 = 0x80;
+    #[inline(always)]
+    fn entry(score: i8, _bias: u8) -> u8 {
+        score as u8
+    }
+    #[inline(always)]
+    unsafe fn add_score(self, entry: Self, _bias: Self) -> Self {
+        _mm256_adds_epi8(self, entry)
+    }
+    #[inline(always)]
+    unsafe fn sub_gap(self, gap: Self) -> Self {
+        _mm256_subs_epi8(self, gap)
+    }
+    #[inline(always)]
+    unsafe fn max_cell(self, other: Self) -> Self {
+        _mm256_max_epi8(self, other)
+    }
+    #[inline(always)]
+    unsafe fn kept(self, keep: Self) -> Self {
+        // The cleared lanes become the cell 0's byte. Two bitwise ops
+        // on the load (the ANDNOT depends on `keep` alone and is
+        // hoisted), which port 5 can take as well as ports 0 and 1.
+        let zero = _mm256_andnot_si256(keep, _mm256_set1_epi8(Self::ZERO as i8));
+        _mm256_or_si256(_mm256_and_si256(self, keep), zero)
+    }
     #[inline(always)]
     unsafe fn splat(x: u8) -> Self {
         _mm256_set1_epi8(x as i8)
@@ -68,10 +100,6 @@ impl ByteLanes<AVX2_LANES> for __m256i {
     #[inline(always)]
     unsafe fn max(self, other: Self) -> Self {
         _mm256_max_epu8(self, other)
-    }
-    #[inline(always)]
-    unsafe fn and(self, other: Self) -> Self {
-        _mm256_and_si256(self, other)
     }
     /// Two `vpshufb`, one per 16-entry half of `row`, each with the
     /// lanes that belong to the other half forced to 0 (index bit 7
@@ -203,12 +231,11 @@ pub(crate) unsafe fn refill_avx2(
     tables: &Tables,
     block: Window<'_, AVX2_LANES>,
     buffers: InterseqBuffers<'_, AVX2_LANES>,
-    harvest: &mut Harvest<AVX2_LANES>,
     maxima: &mut [u8],
 ) {
     // SAFETY: this function's own `avx2` feature is what the `__m256i`
     // lane operations require.
-    refill_body::<__m256i, AVX2_LANES>(query, tables, block, buffers, harvest, maxima)
+    refill_body::<__m256i, AVX2_LANES>(query, tables, block, buffers, maxima)
 }
 
 #[cfg(test)]

@@ -40,17 +40,16 @@
 //! escalation rate can be read back from a journal.
 
 use crate::dispatch::{Backend, QueryProfiles};
-use crate::interseq::{StreamRef, Tables};
+use crate::interseq::{byte_scheme, StreamRef, Tables};
 use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
-use crate::striped::byte_range;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use swdual_bio::lanes::{self, Start, Stream, BLOCK_RECORDS, LANES, PAD};
+use swdual_bio::lanes::{self, Start, Stream, BLOCK_RECORDS, LANES};
 use swdual_bio::{ScoringScheme, Sequence, SequenceSet, SqbImage};
 
 /// Where each subject of a job was resolved.
@@ -525,8 +524,7 @@ impl Backend {
 /// is symmetric, so the local score of (q, s) is that of (s, q), and the
 /// inter-sequence tables can be built for it. Check once per search.
 pub fn transposes(scheme: &ScoringScheme) -> bool {
-    let matrix = &scheme.matrix;
-    matrix.is_symmetric() && byte_range(matrix).is_some() && matrix.size() <= PAD as usize
+    scheme.matrix.is_symmetric() && byte_scheme(scheme).is_some()
 }
 
 /// Whether every residue of `query` is in `scheme`'s alphabet.

@@ -319,11 +319,6 @@ impl GpuDevice {
         self.fail_after_kernels = Some(n);
     }
 
-    /// Whether an injected fault has fired.
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// Poll the injected fault. The first failing call appends a
     /// [`DeviceEvent::Fault`] to the event log and records an obs
     /// instant; every later call keeps failing without re-logging.
@@ -493,33 +488,6 @@ impl GpuDevice {
     /// Release a resident database.
     pub fn release(&mut self, db: ResidentDb) -> Result<(), MemoryError> {
         self.memory.release(db.allocation)
-    }
-
-    /// Predict (without executing) the kernel time for a query of
-    /// `query_len` against a resident database. The scheduler's
-    /// processing-time estimates `p̄ⱼ` use exactly this function, so
-    /// estimate and simulation agree by construction.
-    pub fn predict_kernel_seconds(&self, query_len: usize, db: &ResidentDb) -> f64 {
-        let whole = db.footprint(db.subjects.whole());
-        whole.kernel_cost(&self.spec, query_len).2
-    }
-
-    /// Prediction from lengths in device order, without a device.
-    pub fn predict_from_lengths(
-        spec: &DeviceSpec,
-        query_len: usize,
-        subject_lengths_sorted_desc: &[usize],
-    ) -> f64 {
-        let lengths = subject_lengths_sorted_desc.iter().copied();
-        let (footprint, _) = Footprint::of(lengths, spec.warp_size.max(1));
-        footprint.kernel_cost(spec, query_len).2
-    }
-
-    /// The scorer's profile-cache `(hits, misses)`; a miss is a build.
-    /// A kernel looks the striped profiles up only when its byte tier
-    /// runs striped or a subject escalates.
-    pub fn profile_lookups(&self) -> (u64, u64) {
-        (self.profiles.hits(), self.profiles.misses())
     }
 
     /// Fault-aware kernel launch: polls the injected fault first, then
@@ -714,6 +682,31 @@ mod tests {
     }
 
     #[test]
+    fn a_four_chunk_search_builds_the_query_profiles_once() {
+        let mut database = SequenceSet::new(Alphabet::Protein);
+        for i in 0..16u8 {
+            let codes = vec![i % 20; 50];
+            let sequence = Sequence::from_codes(format!("s{i}"), Alphabet::Protein, codes);
+            database.push(sequence).unwrap();
+        }
+        let codes: Vec<&[u8]> = database.iter().map(|s| s.codes()).collect();
+        let query = &[9u8; 80];
+        // 0.9 × 223 B = 200 B per chunk: four 50-residue subjects each —
+        // too few to fill an inter-sequence vector, so every chunk goes
+        // through the striped ladder and looks the query's profiles up.
+        let mut dev = GpuDevice::new(DeviceSpec::toy(223));
+        let result = crate::chunked::chunked_search(&mut dev, &codes, query, &scheme(), true);
+        assert_eq!(result.unwrap().chunks, 4);
+        let lookups = |dev: &GpuDevice| (dev.profiles.hits(), dev.profiles.misses());
+        assert_eq!(lookups(&dev), (3, 1), "one build, three reuses");
+
+        // The next task evicts it: the cache holds one query.
+        let other = vec![3u8; 40];
+        crate::chunked::chunked_search(&mut dev, &codes, &other, &scheme(), true).unwrap();
+        assert_eq!(lookups(&dev), (6, 2));
+    }
+
+    #[test]
     fn upload_charges_transfer_and_memory() {
         let mut dev = GpuDevice::new(DeviceSpec::toy(1000));
         let database = db(&["MKVLAT", "GGAR"]);
@@ -788,17 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn prediction_matches_execution() {
-        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
-        let database = db(&["MKVLATGGAR", "MKVL", "GGARMKVLATAAAA"]);
-        let resident = dev.upload(&database, true).unwrap();
-        let query = Alphabet::Protein.encode(b"MKVLATGGARNDCEQ").unwrap();
-        let predicted = dev.predict_kernel_seconds(query.len(), &resident);
-        let result = dev.search(&query, &resident, &scheme());
-        assert!((predicted - result.kernel_seconds).abs() < 1e-15);
-    }
-
-    #[test]
     fn injected_fault_fires_after_threshold_and_is_logged_once() {
         let mut dev = GpuDevice::new(DeviceSpec::toy(10_000));
         dev.inject_fault_after_kernels(2);
@@ -811,7 +793,7 @@ mod tests {
         // The third fails — and keeps failing.
         let err = dev.try_search(&query, &resident, &scheme()).unwrap_err();
         assert_eq!(err.after_kernels, 2);
-        assert!(dev.is_failed());
+        assert!(dev.check_fault().is_err());
         assert!(dev.try_search(&query, &resident, &scheme()).is_err());
         // Exactly one Fault entry in the log, folded into stats.
         let faults = dev
@@ -937,8 +919,11 @@ mod tests {
         let database = db(&refs);
         let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
         let resident = dev.upload(&database, true).unwrap();
-        let short = dev.predict_kernel_seconds(100, &resident);
-        let long = dev.predict_kernel_seconds(1000, &resident);
+        let mut seconds = |len| {
+            dev.search(&vec![4u8; len], &resident, &scheme())
+                .kernel_seconds
+        };
+        let (short, long) = (seconds(100), seconds(1000));
         let launch = dev.spec().kernel_launch_latency;
         assert!(long - launch < 10.0 * (short - launch));
     }

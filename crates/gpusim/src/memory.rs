@@ -111,14 +111,6 @@ impl DeviceMemory {
         self.used -= bytes;
         Ok(())
     }
-
-    /// Size of a live allocation.
-    pub fn size_of(&self, handle: Allocation) -> Result<u64, MemoryError> {
-        self.live
-            .get(&handle.0)
-            .copied()
-            .ok_or(MemoryError::InvalidHandle)
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +128,8 @@ mod tests {
         mem.release(a).unwrap();
         assert_eq!(mem.used(), 500);
         assert_eq!(mem.peak(), 900); // peak sticks
-        assert_eq!(mem.size_of(b).unwrap(), 500);
+        mem.release(b).unwrap();
+        assert_eq!(mem.used(), 0, "b held its 500 bytes");
     }
 
     #[test]
@@ -160,7 +153,7 @@ mod tests {
         let a = mem.alloc(10).unwrap();
         mem.release(a).unwrap();
         assert_eq!(mem.release(a), Err(MemoryError::InvalidHandle));
-        assert_eq!(mem.size_of(a), Err(MemoryError::InvalidHandle));
+        assert_eq!(mem.used(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The device's functional scorer: whatever host kernel produces them,
 //! scores must equal the scalar Gotoh oracle, in the database's
 //! *original* order, on every entry point — resident, chunked and
-//! double-buffered — and the query's profiles are built once per task.
+//! double-buffered.
 
 use proptest::prelude::*;
 use swdual_align::scalar::gotoh_score;
@@ -123,39 +123,4 @@ fn scores_beyond_sixteen_bits_fall_through_to_the_scalar_tier() {
     for sort in [false, true] {
         check_every_entry_point(&subjects, &long, sort).unwrap();
     }
-}
-
-#[test]
-fn a_four_chunk_search_builds_the_query_profiles_once() {
-    let subjects: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i % 20; 50]).collect();
-    let database = sequence_set(&subjects);
-    let query = &[9u8; 80];
-    // 0.9 × 223 B = 200 B per chunk: four 50-residue subjects each —
-    // too few to fill an inter-sequence vector, so every chunk goes
-    // through the striped ladder and looks the query's profiles up.
-    let mut device = GpuDevice::new(DeviceSpec::toy(223));
-    let scheme = ScoringScheme::protein_default();
-    let result = chunked_search(
-        &mut device,
-        &database.iter().map(|s| s.codes()).collect::<Vec<_>>(),
-        query,
-        &scheme,
-        true,
-    )
-    .unwrap();
-    assert_eq!(result.chunks, 4);
-    let (hits, misses) = device.profile_lookups();
-    assert_eq!((hits, misses), (3, 1), "one build, three reuses");
-
-    // The next task evicts it: the cache holds one query.
-    let other = vec![3u8; 40];
-    chunked_search(
-        &mut device,
-        &database.iter().map(|s| s.codes()).collect::<Vec<_>>(),
-        &other,
-        &scheme,
-        true,
-    )
-    .unwrap();
-    assert_eq!(device.profile_lookups(), (6, 2));
 }

@@ -54,7 +54,7 @@ fn occupancy_gauges_freeze_after_device_fault() {
     for _ in 0..3 {
         assert!(dev.try_search(&query, &resident, &scheme).is_err());
     }
-    assert!(dev.is_failed());
+    assert!(dev.check_fault().is_err());
 
     // No busy time accrued, clock frozen, no new Kernel log entries.
     assert_eq!(dev.clock(), clock_before);

@@ -62,14 +62,9 @@ fn simulated_statistics_equal_the_parent_commit_bit_for_bit() {
     let mut device = GpuDevice::new(DeviceSpec::tesla_c2050());
     let resident = device.upload(&database, true).unwrap();
 
-    let mut lengths: Vec<usize> = database.iter().map(|s| s.len()).collect();
-    lengths.sort_unstable_by(|a, b| b.cmp(a));
-
     let mut state = 0x5EEDu64;
     for (i, &len) in QUERY_LENS.iter().enumerate() {
         let query: Vec<u8> = (0..len).map(|_| (next(&mut state) % 20) as u8).collect();
-        let predicted = device.predict_kernel_seconds(len, &resident);
-        let from_lengths = GpuDevice::predict_from_lengths(device.spec(), len, &lengths);
         let result = device.search(&query, &resident, &scheme);
         assert_eq!(result.scores.len(), database.len());
         assert_eq!(
@@ -78,8 +73,6 @@ fn simulated_statistics_equal_the_parent_commit_bit_for_bit() {
             "query {i} (len {len}): kernel_seconds {:e}",
             result.kernel_seconds
         );
-        assert_eq!(predicted.to_bits(), result.kernel_seconds.to_bits());
-        assert_eq!(from_lengths.to_bits(), result.kernel_seconds.to_bits());
     }
 
     let stats = device.stats();

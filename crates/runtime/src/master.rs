@@ -887,15 +887,14 @@ mod tests {
     #[test]
     fn an_asymmetric_matrix_never_forms_a_run() {
         // BLOSUM62 with one pair made asymmetric: A→R scores 2, R→A −1.
-        let text = Matrix::blosum62().to_ncbi_text();
-        let text: String = text
-            .lines()
-            .map(|line| match line.strip_prefix("A 4 -1 ") {
-                Some(rest) => format!("A 4 2 {rest}\n"),
-                None => format!("{line}\n"),
-            })
+        let blosum = Matrix::blosum62();
+        let mut scores: Vec<i32> = (0..blosum.size() as u8)
+            .flat_map(|a| blosum.row(a).to_vec())
             .collect();
-        let matrix = Matrix::parse_ncbi("asymmetric", &text).unwrap();
+        let code = |c| Alphabet::Protein.encode_byte(c).unwrap() as usize;
+        let (a, r) = (code(b'A'), code(b'R'));
+        scores[a * blosum.size() + r] = 2;
+        let matrix = Matrix::from_scores("asymmetric", Alphabet::Protein, scores);
         assert!(!matrix.is_symmetric());
         let scheme = ScoringScheme::new(matrix, 11, 1);
         let (database, queries) = (db(40, 60), short_queries());
