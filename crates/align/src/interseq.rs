@@ -733,7 +733,6 @@ mod tests {
                         &db,
                         db.whole(),
                         &scheme,
-                        None,
                         &mut Scratch::default(),
                         &mut stats,
                     );
@@ -779,7 +778,6 @@ mod tests {
                 &db,
                 db.whole(),
                 &scheme,
-                None,
                 &mut Scratch::default(),
                 &mut stats,
             );
@@ -818,7 +816,6 @@ mod tests {
                 &db,
                 db.whole(),
                 &scheme,
-                None,
                 &mut Scratch::default(),
                 &mut TierStats::default(),
             );

@@ -31,10 +31,9 @@
 //! Each SIMD kernel is one body written over the lane operations of a
 //! private `lanes` module; the runtime [`dispatch`] layer detects the
 //! host ISA once and routes through its AVX2 instantiation or its
-//! lane-array one (the `scalar` backend). Beside them sit a
-//! [`profile_cache`] that reuses built query profiles across jobs,
-//! per-worker kernel working memory ([`scratch`]), and the [`tiered`]
-//! SWIPE-style pipeline that is the default database scoring path:
+//! lane-array one (the `scalar` backend). Beside them sit per-worker
+//! kernel working memory ([`scratch`]) and the [`tiered`] SWIPE-style
+//! pipeline that is the default database scoring path:
 //!
 //! | tier   | kernel                                   | lanes (AVX2, scalar)                   |
 //! |--------|------------------------------------------|----------------------------------------|
@@ -51,7 +50,6 @@ pub mod dispatch;
 pub mod engine;
 pub mod interseq;
 mod lanes;
-pub mod profile_cache;
 pub mod scalar;
 pub mod scratch;
 mod simd_avx2;
@@ -59,8 +57,7 @@ mod striped;
 pub mod tiered;
 
 pub use dispatch::{Backend, QueryProfiles};
-pub use engine::EngineKind;
-pub use profile_cache::ProfileCache;
+pub use engine::{EngineKind, ProfileCache};
 pub use scalar::{gotoh_score, sw_linear_score};
 pub use scratch::Scratch;
 pub use tiered::{score_database, tiered_score, PhaseTimings, Subjects, TierStats};

@@ -22,8 +22,9 @@
 //! share one bias and one saturation limit, so they escalate exactly the
 //! same subjects and [`TierStats`] does not depend on the pick.
 //! Escalations run the striped 16-bit kernel from a [`QueryProfiles`]
-//! bundle that is built (or fetched from the [`ProfileCache`]) only when
-//! first needed.
+//! bundle that is built only when first needed, at most once per call:
+//! every task is one query against the database or a slice of it, so
+//! no worker scores the same query twice.
 //!
 //! [`score_run_with`] is the entry point for a CPU worker's *run*: its
 //! next tasks on one slice, scored transposed — the queries as the
@@ -41,13 +42,11 @@
 
 use crate::dispatch::{Backend, QueryProfiles};
 use crate::interseq::{byte_scheme, StreamRef, Tables};
-use crate::profile_cache::ProfileCache;
 use crate::scalar::gotoh_score;
 use crate::scratch::Scratch;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 use swdual_bio::lanes::{self, Start, Stream, BLOCK_RECORDS, LANES};
 use swdual_bio::{ScoringScheme, Sequence, SequenceSet, SqbImage};
@@ -81,7 +80,7 @@ impl TierStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Seconds of per-query setup: the inter-sequence score tables and
-    /// any striped profile build or cache lookup.
+    /// any striped profile build.
     pub profile_build: f64,
     /// Seconds in the DP recurrences: laying out the inter-sequence
     /// stream, every tier's kernel, escalations.
@@ -541,30 +540,22 @@ fn fill(residues: usize, columns: usize) -> f64 {
     }
 }
 
-/// The query's striped profiles, built (or fetched from the cache) on
-/// first use: a job the inter-sequence byte tier resolves completely
-/// never pays for them.
+/// The query's striped profiles, built on first use: a job the
+/// inter-sequence byte tier resolves completely never pays for them.
 struct LazyProfiles<'a> {
     backend: Backend,
     query: &'a [u8],
     scheme: &'a ScoringScheme,
-    cache: Option<&'a ProfileCache>,
-    built: Option<Arc<QueryProfiles>>,
+    built: Option<QueryProfiles>,
     seconds: f64,
 }
 
 impl<'a> LazyProfiles<'a> {
-    fn new(
-        backend: Backend,
-        query: &'a [u8],
-        scheme: &'a ScoringScheme,
-        cache: Option<&'a ProfileCache>,
-    ) -> Self {
+    fn new(backend: Backend, query: &'a [u8], scheme: &'a ScoringScheme) -> Self {
         LazyProfiles {
             backend,
             query,
             scheme,
-            cache,
             built: None,
             seconds: 0.0,
         }
@@ -575,16 +566,12 @@ impl<'a> LazyProfiles<'a> {
             backend,
             query,
             scheme,
-            cache,
             built,
             seconds,
         } = self;
         built.get_or_insert_with(|| {
             let start = Instant::now();
-            let profiles = match cache {
-                Some(cache) => cache.get_or_build_for(*backend, query, &scheme.matrix),
-                None => Arc::new(QueryProfiles::build_for(*backend, query, &scheme.matrix)),
-            };
+            let profiles = QueryProfiles::build_for(*backend, query, &scheme.matrix);
             *seconds += start.elapsed().as_secs_f64();
             profiles
         })
@@ -597,7 +584,7 @@ impl<'a> LazyProfiles<'a> {
 /// exact and in the slice's order: `scores[j]` belongs to subject
 /// `db.order()[slice.start + j]`. `stats` gains one count per subject.
 /// `profile_build` covers the inter-sequence tables and any striped
-/// profile build or cache lookup, `dp_inner` everything else.
+/// profile build, `dp_inner` everything else.
 ///
 /// # Panics
 /// When `slice` is not a range of positions of the length order.
@@ -606,7 +593,6 @@ pub fn score_database(
     db: &Subjects<'_>,
     slice: Range<usize>,
     scheme: &ScoringScheme,
-    cache: Option<&ProfileCache>,
     scratch: &mut Scratch,
     stats: &mut TierStats,
 ) -> (Vec<i32>, PhaseTimings) {
@@ -617,7 +603,6 @@ pub fn score_database(
         db,
         slice,
         scheme,
-        cache,
         scratch,
         stats,
     )
@@ -632,13 +617,11 @@ pub fn score_subjects(
     query: &[u8],
     subjects: &[&[u8]],
     scheme: &ScoringScheme,
-    cache: Option<&ProfileCache>,
 ) -> (Vec<i32>, PhaseTimings, TierStats) {
     let db = Subjects::new(subjects.to_vec());
     let mut stats = TierStats::default();
     let scratch = &mut Scratch::default();
-    let (scores, timings) =
-        score_database(query, &db, db.whole(), scheme, cache, scratch, &mut stats);
+    let (scores, timings) = score_database(query, &db, db.whole(), scheme, scratch, &mut stats);
     (db.in_database_order(&scores), timings, stats)
 }
 
@@ -656,7 +639,6 @@ pub fn score_database_with(
     db: &Subjects<'_>,
     slice: Range<usize>,
     scheme: &ScoringScheme,
-    cache: Option<&ProfileCache>,
     scratch: &mut Scratch,
     stats: &mut TierStats,
 ) -> (Vec<i32>, PhaseTimings) {
@@ -669,7 +651,7 @@ pub fn score_database_with(
     let inter_sequence =
         min_fill.and_then(|fill| Tables::build(query, scheme).map(|tables| (tables, fill)));
     let tables_seconds = start.elapsed().as_secs_f64();
-    let mut profiles = LazyProfiles::new(backend, query, scheme, cache);
+    let mut profiles = LazyProfiles::new(backend, query, scheme);
 
     let mut scores = vec![0i32; slice.len()];
     let mut maxima = Vec::new();
@@ -739,7 +721,6 @@ pub fn score_run_with(
     db: &Subjects<'_>,
     slice: Range<usize>,
     scheme: &ScoringScheme,
-    cache: Option<&ProfileCache>,
     scratch: &mut Scratch,
     stats: &mut TierStats,
 ) -> (Vec<Vec<i32>>, PhaseTimings) {
@@ -751,7 +732,7 @@ pub fn score_run_with(
     let stream = Stream::lay_out(in_stream.iter().map(|&k| queries[k as usize]));
     let mut profiles: Vec<LazyProfiles> = queries
         .iter()
-        .map(|query| LazyProfiles::new(backend, query, scheme, cache))
+        .map(|query| LazyProfiles::new(backend, query, scheme))
         .collect();
     let mut profile_build = 0.0;
 
@@ -799,7 +780,6 @@ pub fn score_run_with(
             db,
             slice.clone(),
             scheme,
-            cache,
             scratch,
             stats,
         );

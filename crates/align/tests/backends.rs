@@ -97,7 +97,6 @@ fn every_backend_scores_the_bench_shapes_as_gotoh() {
                 &db,
                 db.whole(),
                 &scheme,
-                None,
                 scratch,
                 &mut stats,
             );
@@ -112,7 +111,6 @@ fn every_backend_scores_the_bench_shapes_as_gotoh() {
                 &db,
                 db.whole(),
                 &scheme,
-                None,
                 scratch,
                 &mut stats,
             );
@@ -159,7 +157,6 @@ fn every_backend_scores_the_sweeps_long_points_as_gotoh() {
                     &db,
                     db.whole(),
                     &scheme,
-                    None,
                     scratch,
                     &mut stats,
                 );

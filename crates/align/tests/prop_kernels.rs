@@ -106,7 +106,6 @@ proptest! {
                 &db,
                 db.whole(),
                 &sch,
-                None,
                 &mut Scratch::default(),
                 &mut TierStats::default(),
             );
@@ -333,7 +332,7 @@ fn assert_database_exact(
         prop_assert_eq!(&ladder, &want, "striped ladder on {}", backend);
         for shape in [ByteShape::Auto, ByteShape::Striped, ByteShape::InterSeq] {
             let mut score = |slice: Range<usize>, stats: &mut TierStats| {
-                score_database_with(backend, shape, q, &db, slice, sch, None, scratch, stats).0
+                score_database_with(backend, shape, q, &db, slice, sch, scratch, stats).0
             };
             let mut stats = TierStats::default();
             let whole = score(db.whole(), &mut stats);
@@ -518,7 +517,6 @@ proptest! {
                 &db,
                 slice.clone(),
                 &sch,
-                None,
                 &mut Scratch::default(),
                 &mut stats,
             );
@@ -754,7 +752,6 @@ fn assert_run_exact(
                         &db,
                         slice.clone(),
                         sch,
-                        None,
                         scratch,
                         &mut job_stats,
                     );
@@ -768,7 +765,6 @@ fn assert_run_exact(
                 &db,
                 slice.clone(),
                 sch,
-                None,
                 scratch,
                 &mut run_stats,
             );
@@ -876,7 +872,6 @@ fn a_run_escalates_exactly_the_pairs_its_jobs_escalate() {
         &db,
         db.whole(),
         &sch,
-        None,
         scratch,
         &mut stats,
     );
@@ -941,7 +936,6 @@ fn a_run_down_long_subjects_hands_its_lanes_over_clean() {
             &db,
             db.whole(),
             &sch,
-            None,
             &mut Scratch::default(),
             &mut stats,
         );

@@ -1,6 +1,5 @@
 //! Kernel throughput: per-backend MCUPS of the striped byte and 16-bit
-//! kernels, the tiered pipeline, the profile-cache amortization, and a
-//! query-length sweep of the byte tier's two shapes (striped vs
+//! kernels, the tiered pipeline, and a query-length sweep of the byte tier's two shapes (striped vs
 //! inter-sequence) through `score_database`.
 //!
 //! For every SIMD backend reachable on this host (AVX2 / scalar — see
@@ -15,8 +14,8 @@
 //! Outputs of a full run (`cargo bench -p swdual-bench --bench kernels`):
 //!
 //! * `BENCH_kernels.json` at the workspace root (or `$SWDUAL_BENCH_DIR`):
-//!   per-backend MCUPS, ns/cell, speedups vs scalar, cache timings, and
-//!   the `sweep` section: query lengths 30 … 5000 against a
+//!   per-backend MCUPS, ns/cell, speedups vs scalar, and the `sweep`
+//!   section: query lengths 30 … 5000 against a
 //!   UniProt-shaped subject set and a 64-sequence one, laid out as an
 //!   SQB version-3 image lays them out (one 32-lane stream per block of
 //!   128 records, scored in place), byte tier forced striped, forced
@@ -35,7 +34,6 @@
 //! correctness, and skips the timed passes and file writes.
 
 use swdual_align::dispatch::{Backend, QueryProfiles};
-use swdual_align::profile_cache::ProfileCache;
 use swdual_align::scalar::gotoh_score;
 use swdual_align::tiered::{
     score_database_with, score_run_with, tiered_score, ByteShape, Subjects, TierStats,
@@ -104,7 +102,7 @@ fn pass(
     let mut stats = TierStats::default();
     let whole = db.whole();
     let (scores, _) = score_database_with(
-        backend, shape, query, db, whole, scheme, None, scratch, &mut stats,
+        backend, shape, query, db, whole, scheme, scratch, &mut stats,
     );
     (scores, stats)
 }
@@ -201,7 +199,6 @@ fn main() {
             &db_plan,
             db_plan.whole(),
             &scheme,
-            None,
             &mut scratch,
             &mut run_stats,
         );
@@ -225,11 +222,6 @@ fn main() {
     }
 
     if test_mode {
-        // Smoke also covers the cache round trip.
-        let cache = ProfileCache::default();
-        cache.get_or_build(&query, &scheme.matrix);
-        cache.get_or_build(&query, &scheme.matrix);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         println!("smoke ok");
         return;
     }
@@ -292,20 +284,6 @@ fn main() {
         .expect("scalar backend always available");
     let scalar8_ns = scalar.striped8_ns;
     let scalar16_ns = scalar.striped16_ns;
-
-    // ---- profile build vs cache lookup ----
-    let build_ns = measure(samples, 4, || {
-        std::hint::black_box(QueryProfiles::build(&query, &scheme.matrix));
-    });
-    let cache = ProfileCache::default();
-    cache.get_or_build(&query, &scheme.matrix); // warm
-    let lookup_ns = measure(samples, 100, || {
-        std::hint::black_box(cache.get_or_build(&query, &scheme.matrix));
-    });
-    println!(
-        "profile_cache/build {build_ns:.0} ns   cached_lookup {lookup_ns:.0} ns   amortization {:.0}x",
-        if lookup_ns > 0.0 { build_ns / lookup_ns } else { 0.0 }
-    );
 
     // ---- byte-tier shape sweep: striped vs inter-sequence vs auto ----
     // sweep[backend][set] = one point per query length.
@@ -388,10 +366,7 @@ fn main() {
         let runs = runs_of(backend, backend.slice_fill(&tiny, tiny.whole()), &lens);
         let job = |q: &[u8], scratch: &mut Scratch, stats: &mut TierStats| {
             let (whole, shape) = (tiny.whole(), ByteShape::Auto);
-            score_database_with(
-                backend, shape, q, &tiny, whole, &scheme, None, scratch, stats,
-            )
-            .0
+            score_database_with(backend, shape, q, &tiny, whole, &scheme, scratch, stats).0
         };
         let as_jobs = |scratch: &mut Scratch| -> Vec<Vec<i32>> {
             let mut stats = TierStats::default();
@@ -414,7 +389,6 @@ fn main() {
                             &tiny,
                             tiny.whole(),
                             &scheme,
-                            None,
                             scratch,
                             &mut stats,
                         )
@@ -492,9 +466,6 @@ fn main() {
         ));
     }
     json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"profile_cache\": {{ \"build_ns\": {build_ns:.0}, \"cached_lookup_ns\": {lookup_ns:.0} }},\n"
-    ));
     json.push_str("  \"sweep\": {\n");
     for (i, (backend, sets)) in sweep.iter().enumerate() {
         // Where striped first catches up on the set whose stream fills.

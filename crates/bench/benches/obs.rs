@@ -67,7 +67,7 @@ fn profiled_job(
     task_id: usize,
 ) -> i32 {
     let wall_start = obs.now();
-    let (scores, timings, _) = score_subjects(query, subjects, scheme, None);
+    let (scores, timings, _) = score_subjects(query, subjects, scheme);
     let timings = obs.is_profiling().then_some(timings);
     let wall_end = obs.now();
     if obs.is_enabled() {

@@ -23,7 +23,6 @@ use swdual_runtime::estimator::WorkerRateModel;
 use swdual_sched::binsearch::{dual_approx_schedule, BinarySearchConfig};
 use swdual_sched::dual::KnapsackMethod;
 use swdual_sched::knapsack::DpConfig;
-use swdual_sched::robustness::{replay_self_scheduling, replay_static, ActualTimes};
 use swdual_sched::{policies, PeKind, PlatformSpec, Schedule, Task, TaskSet};
 
 /// Allocation policy of a hybrid run.
@@ -531,10 +530,29 @@ pub fn ablation_binsearch() -> Table {
     }
 }
 
+/// `tasks` as they actually run: every time scaled by a factor drawn
+/// uniformly from `[1 − amplitude, 1 + amplitude]` by one LCG seeded
+/// with `seed`, every task's CPU factor first, then every GPU factor.
+fn with_noise(tasks: &TaskSet, amplitude: f64, seed: u64) -> TaskSet {
+    let mut state = seed | 1;
+    let mut factor = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let u = ((state >> 33) as f64) / (u32::MAX as f64);
+        1.0 - amplitude + 2.0 * amplitude * u
+    };
+    let p_cpu: Vec<f64> = tasks.iter().map(|t| t.p_cpu * factor()).collect();
+    let p_gpu: Vec<f64> = tasks.iter().map(|t| t.p_gpu * factor()).collect();
+    let times: Vec<(f64, f64)> = p_cpu.into_iter().zip(p_gpu).collect();
+    TaskSet::from_times(&times)
+}
+
 /// Ablation A4 — robustness of the one-round static schedule to task
-/// time estimation error (±amplitude multiplicative noise), compared to
-/// dynamic self-scheduling replayed under the *same* noise: the paper's
-/// §IV choice of a one-round allocation.
+/// time estimation error (±amplitude multiplicative noise): the plan
+/// replayed under the actual times, against dynamic self-scheduling of
+/// the *same* actual times, which it reacts to: the paper's §IV choice
+/// of a one-round allocation.
 pub fn ablation_robustness() -> Table {
     let tasks = swdual_tasks(&Workload::paper_queries(UNIPROT));
     let platform = PlatformSpec::new(4, 4);
@@ -548,12 +566,12 @@ pub fn ablation_robustness() -> Table {
         let mut dynamic_total = 0.0;
         for seed in 0..SEEDS {
             let actual = if percent == 0 {
-                ActualTimes::exact(&tasks)
+                tasks.clone()
             } else {
-                ActualTimes::with_noise(&tasks, amplitude, 1000 + seed)
+                with_noise(&tasks, amplitude, 1000 + seed)
             };
-            static_total += replay_static(&planned, &actual).makespan();
-            dynamic_total += replay_self_scheduling(&tasks, &platform, &actual).makespan();
+            static_total += planned.replay(&actual).makespan();
+            dynamic_total += policies::self_scheduling(&actual, &platform).makespan();
         }
         for (label, total) in [
             ("SWDUAL static", static_total),
@@ -988,6 +1006,19 @@ mod tests {
             );
             // Within the greedy step's guarantee (ratio-to-LB <= 2).
             assert!(greedy.gcups <= 2.0 + 1e-6);
+        }
+    }
+
+    #[test]
+    fn noise_is_deterministic_and_bounded() {
+        let tasks = TaskSet::from_times(&[(3.0, 1.0), (8.0, 2.0), (1.5, 0.5), (9.0, 0.25)]);
+        let a = with_noise(&tasks, 0.2, 9);
+        assert_eq!(a, with_noise(&tasks, 0.2, 9));
+        assert_ne!(a, with_noise(&tasks, 0.2, 10));
+        for (t, n) in tasks.iter().zip(a.iter()) {
+            assert_eq!(t.id, n.id);
+            assert!(n.p_cpu >= t.p_cpu * 0.8 - 1e-12 && n.p_cpu <= t.p_cpu * 1.2 + 1e-12);
+            assert!(n.p_gpu >= t.p_gpu * 0.8 - 1e-12 && n.p_gpu <= t.p_gpu * 1.2 + 1e-12);
         }
     }
 

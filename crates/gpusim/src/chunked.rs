@@ -14,10 +14,9 @@
 //! Both take the sequences to stream as a list — a whole database in
 //! its own order, or the subjects of one slice of its length order — and
 //! return exact scores in the list's order (every chunk is really
-//! searched, in place: chunks are runs of the borrowed residue slices, and the
-//! device's one-entry profile cache builds the query's profiles once
-//! for all of them) and the modelled time, so tests can quantify the
-//! overlap win.
+//! searched, in place: chunks are runs of the borrowed residue slices,
+//! and each chunk builds the query's profiles anew if its subjects need
+//! them) and the modelled time, so tests can quantify the overlap win.
 
 use crate::device::GpuDevice;
 use crate::memory::MemoryError;

@@ -30,7 +30,7 @@ use crate::spec::DeviceSpec;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::ops::Range;
-use swdual_align::{score_database, ProfileCache, Scratch, Subjects, TierStats};
+use swdual_align::{score_database, Scratch, Subjects, TierStats};
 use swdual_bio::ScoringScheme;
 use swdual_obs::{EventBody, Obs, Track};
 
@@ -276,9 +276,6 @@ pub struct GpuDevice {
     /// (H2D / kernel / D2H) as causal lineage. `None` outside a task
     /// (e.g. the resident-database upload shared by all tasks).
     lineage_task: Option<usize>,
-    /// Query profiles of the task being served: chunked searches score
-    /// one query against many residencies and build them once.
-    profiles: ProfileCache,
     /// The functional scorer's kernel working memory.
     scratch: Scratch,
 }
@@ -299,7 +296,6 @@ impl GpuDevice {
             kernels_launched: 0,
             failed: false,
             lineage_task: None,
-            profiles: ProfileCache::new(1),
             scratch: Scratch::default(),
         }
     }
@@ -540,7 +536,6 @@ impl GpuDevice {
             &db.subjects,
             slice.clone(),
             scheme,
-            Some(&self.profiles),
             &mut self.scratch,
             &mut TierStats::default(),
         );
@@ -679,31 +674,6 @@ mod tests {
 
     fn scheme() -> ScoringScheme {
         ScoringScheme::protein_default()
-    }
-
-    #[test]
-    fn a_four_chunk_search_builds_the_query_profiles_once() {
-        let mut database = SequenceSet::new(Alphabet::Protein);
-        for i in 0..16u8 {
-            let codes = vec![i % 20; 50];
-            let sequence = Sequence::from_codes(format!("s{i}"), Alphabet::Protein, codes);
-            database.push(sequence).unwrap();
-        }
-        let codes: Vec<&[u8]> = database.iter().map(|s| s.codes()).collect();
-        let query = &[9u8; 80];
-        // 0.9 × 223 B = 200 B per chunk: four 50-residue subjects each —
-        // too few to fill an inter-sequence vector, so every chunk goes
-        // through the striped ladder and looks the query's profiles up.
-        let mut dev = GpuDevice::new(DeviceSpec::toy(223));
-        let result = crate::chunked::chunked_search(&mut dev, &codes, query, &scheme(), true);
-        assert_eq!(result.unwrap().chunks, 4);
-        let lookups = |dev: &GpuDevice| (dev.profiles.hits(), dev.profiles.misses());
-        assert_eq!(lookups(&dev), (3, 1), "one build, three reuses");
-
-        // The next task evicts it: the cache holds one query.
-        let other = vec![3u8; 40];
-        crate::chunked::chunked_search(&mut dev, &codes, &other, &scheme(), true).unwrap();
-        assert_eq!(lookups(&dev), (6, 2));
     }
 
     #[test]

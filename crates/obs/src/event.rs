@@ -418,10 +418,9 @@ vocabulary! {
     Phase: Worker(_), Span Prefix("phase_"), { phase: HostPhase, task: usize }
     /// What a CPU worker's kernels did over the whole run, recorded
     /// once when its queue closes: where the tier ladder resolved its
-    /// subjects and how its profile cache fared.
+    /// subjects.
     WorkerTotals: Worker(_), Instant "worker_totals", {
-        subjects: u64, byte_resolved: u64, escalated_16: u64, escalated_scalar: u64,
-        profile_cache_hits: u64, profile_cache_misses: u64
+        subjects: u64, byte_resolved: u64, escalated_16: u64, escalated_scalar: u64
     }
     /// `task-{task}` on a planned or recovered track: where a plan
     /// decision put the task, on the modelled clock.

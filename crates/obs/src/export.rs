@@ -264,29 +264,24 @@ pub fn metrics_text(model: &RunModel) -> String {
         out.family(name, "gauge", FOLDED, "", planned);
     }
 
-    // Per worker: the cells it computed, and what its kernels and
-    // profile cache did.
+    // Per worker: the cells it computed, and what its kernels did.
     let ran = model.workers.iter().filter(|(_, w)| w.jobs > 0);
     let cells = ran.map(|(id, w)| (id, w.cells));
     out.family("worker_cells_total", "counter", FOLDED, "worker", cells);
     type KernelValue = fn(&KernelTotals) -> u64;
-    let per_kernel: [(&str, &str, KernelValue); 6] = [
-        ("kernel_subjects_total", "counter", |k| k.subjects),
-        ("kernel_byte_resolved_total", "counter", |k| k.byte_resolved),
-        ("kernel_escalated_16_total", "counter", |k| k.escalated_16),
-        ("kernel_escalated_scalar_total", "counter", |k| {
-            k.escalated_scalar
-        }),
-        ("profile_cache_hits", "gauge", |k| k.profile_cache_hits),
-        ("profile_cache_misses", "gauge", |k| k.profile_cache_misses),
+    let per_kernel: [(&str, KernelValue); 4] = [
+        ("kernel_subjects_total", |k| k.subjects),
+        ("kernel_byte_resolved_total", |k| k.byte_resolved),
+        ("kernel_escalated_16_total", |k| k.escalated_16),
+        ("kernel_escalated_scalar_total", |k| k.escalated_scalar),
     ];
-    for (name, kind, value) in per_kernel {
+    for (name, value) in per_kernel {
         let closed = model
             .workers
             .iter()
             .filter_map(|(id, w)| Some((id, w.kernels?)));
         let totals = closed.map(|(id, k)| (id, value(&k) as f64));
-        out.family(name, kind, FOLDED, "worker", totals);
+        out.family(name, "counter", FOLDED, "worker", totals);
     }
 
     // Per device: the share of its clock spent in kernels and uploads.
@@ -566,8 +561,6 @@ mod tests {
             byte_resolved: 11,
             escalated_16: 1,
             escalated_scalar: 0,
-            profile_cache_hits: 2,
-            profile_cache_misses: 1,
         };
         obs.instant(Track::Worker(0), totals);
         let text = metrics_of(&obs);
@@ -608,7 +601,6 @@ mod tests {
         assert!(text.contains("\nswdual_queue_depth 0\n"));
         assert!(text.contains("\nswdual_workers_alive 1\n"));
         assert!(text.contains("swdual_kernel_byte_resolved_total{worker=\"0\"} 11"));
-        assert!(text.contains("swdual_profile_cache_hits{worker=\"0\"} 2"));
 
         // Histogram: cumulative buckets end at +Inf == _count.
         let bucket_lines: Vec<&str> = lines

@@ -125,7 +125,7 @@ pub struct Worker {
     pub kernels: Option<KernelTotals>,
 }
 
-/// A CPU worker's cumulative tier-ladder and profile-cache counts.
+/// A CPU worker's cumulative tier-ladder counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelTotals {
     /// Subjects scored.
@@ -136,8 +136,6 @@ pub struct KernelTotals {
     pub escalated_16: u64,
     /// Escalated all the way to the scalar kernel.
     pub escalated_scalar: u64,
-    pub profile_cache_hits: u64,
-    pub profile_cache_misses: u64,
 }
 
 impl Worker {
@@ -595,16 +593,12 @@ impl RunModel {
                 byte_resolved,
                 escalated_16,
                 escalated_scalar,
-                profile_cache_hits,
-                profile_cache_misses,
             } => {
                 self.worker(unit).kernels = Some(KernelTotals {
                     subjects,
                     byte_resolved,
                     escalated_16,
                     escalated_scalar,
-                    profile_cache_hits,
-                    profile_cache_misses,
                 });
             }
             B::Placement { task, .. } if virt.is_some() => self.placements.push(Placement {

@@ -189,6 +189,14 @@ pub fn diff_trend(
                 )),
             }
         }
+        for p in &previous.metrics {
+            if !latest.metrics.iter().any(|m| m.name == p.name) {
+                warnings.push(format!(
+                    "bench {name:?} metric {:?} was dropped; the latest entry has no value",
+                    p.name
+                ));
+            }
+        }
     }
     Ok(DiffReport::from_metrics(metrics, warnings, opts))
 }
@@ -278,6 +286,34 @@ mod tests {
         let report = diff_trend(&l, None, &DiffOptions::default()).expect("diffs");
         assert!(report.metrics.is_empty());
         assert!(!report.warnings.is_empty());
+    }
+
+    #[test]
+    fn new_and_dropped_metrics_both_warn() {
+        let mut l = TrendLedger::new();
+        l.entries.push(TrendEntry::new(
+            "kernels",
+            1.0,
+            "ns_per_op",
+            &[("kept", 5.0), ("old", 7.0)],
+        ));
+        l.entries.push(TrendEntry::new(
+            "kernels",
+            2.0,
+            "ns_per_op",
+            &[("kept", 5.0), ("fresh", 3.0)],
+        ));
+        let report = diff_trend(&l, None, &DiffOptions::default()).expect("diffs");
+        let names: Vec<&str> = report.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["kernels.kept"]);
+        let warned = |text: &str| report.warnings.iter().any(|w| w.contains(text));
+        assert!(warned("metric \"fresh\" is new"), "{:?}", report.warnings);
+        assert!(
+            warned("metric \"old\" was dropped"),
+            "{:?}",
+            report.warnings
+        );
+        assert_eq!(report.warnings.len(), 2);
     }
 
     #[test]

@@ -120,8 +120,6 @@ const SHAPES: &[(&str, &str, &str, &[&str])] = &[
             "byte_resolved",
             "escalated_16",
             "escalated_scalar",
-            "profile_cache_hits",
-            "profile_cache_misses",
         ],
     ),
     ("planned:0", "task-0", "span", &["task", "decision"]),

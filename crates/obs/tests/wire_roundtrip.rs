@@ -117,6 +117,34 @@ fn names_that_carry_data_keep_their_wire_form() {
 }
 
 #[test]
+fn retired_worker_totals_args_ride_in_extra() {
+    // Builds with a per-worker profile cache journalled its counters in
+    // every `worker_totals` line (this one is from a `cpu_long` search).
+    let old = round_trip(
+        "{\"track\":\"worker:0\",\"name\":\"worker_totals\",\"kind\":\"instant\",\
+         \"wall_start\":1.2777126509999999,\"wall_dur\":0,\"args\":{\"subjects\":20956,\
+         \"byte_resolved\":20952,\"escalated_16\":4,\"escalated_scalar\":0,\
+         \"profile_cache_hits\":0,\"profile_cache_misses\":4}}",
+    );
+    assert_eq!(
+        old.body,
+        EventBody::WorkerTotals {
+            subjects: 20956,
+            byte_resolved: 20952,
+            escalated_16: 4,
+            escalated_scalar: 0,
+        }
+    );
+    assert_eq!(
+        old.extra,
+        vec![
+            ("profile_cache_hits".to_string(), 0.0),
+            ("profile_cache_misses".to_string(), 4.0),
+        ]
+    );
+}
+
+#[test]
 fn a_retired_name_reads_as_an_unknown_one() {
     // Builds before the traceback phase was dropped could write this
     // line (none ever did: the phase was always zero and zero phases

@@ -40,7 +40,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swdual_align::tiered::{score_database, score_run_with, PhaseTimings};
-use swdual_align::{Backend, ProfileCache, Scratch, Subjects, TierStats};
+use swdual_align::{Backend, Scratch, Subjects, TierStats};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
 use swdual_gpusim::chunked::overlapped_search;
@@ -309,10 +309,6 @@ enum Species<'a> {
 pub(crate) struct WorkerCore<'a> {
     ctx: WorkerContext<'a>,
     species: Species<'a>,
-    /// Per-worker profile cache: jobs that share a query (chunked
-    /// databases, repeated searches) reuse the built profiles, so
-    /// profile_build collapses to a lookup after the first job.
-    cache: ProfileCache,
     /// The kernels' working memory, prepared once per worker.
     scratch: Scratch,
     jobs_done: usize,
@@ -392,7 +388,6 @@ impl<'a> WorkerCore<'a> {
         WorkerCore {
             ctx,
             species,
-            cache: ProfileCache::default(),
             scratch: Scratch::default(),
             jobs_done: 0,
             virt_clock: 0.0,
@@ -490,8 +485,6 @@ impl<'a> WorkerCore<'a> {
                     byte_resolved: tiers.byte_resolved,
                     escalated_16: tiers.escalated_16,
                     escalated_scalar: tiers.escalated_scalar,
-                    profile_cache_hits: self.cache.hits(),
-                    profile_cache_misses: self.cache.misses(),
                 },
             );
         }
@@ -583,18 +576,18 @@ impl<'a> WorkerCore<'a> {
                 let wall_start = ctx.obs.now();
                 let start = Instant::now();
                 let codes: Vec<&[u8]> = which.iter().map(|&i| queries[i].codes()).collect();
-                let (db, cache, scheme) = (ctx.database, Some(&self.cache), &ctx.scheme);
+                let (db, scheme) = (ctx.database, &ctx.scheme);
                 let scratch = &mut self.scratch;
                 let (scores, timings) = match codes[..] {
                     [query] => {
                         let (scores, timings) =
-                            score_database(query, db, slice.clone(), scheme, cache, scratch, tiers);
+                            score_database(query, db, slice.clone(), scheme, scratch, tiers);
                         (vec![scores], timings)
                     }
                     _ => {
                         let backend = Backend::active();
                         let slice = slice.clone();
-                        score_run_with(backend, &codes, db, slice, scheme, cache, scratch, tiers)
+                        score_run_with(backend, &codes, db, slice, scheme, scratch, tiers)
                     }
                 };
                 let wall = start.elapsed().as_secs_f64();
@@ -719,7 +712,6 @@ impl<'a> WorkerCore<'a> {
                 ctx.database,
                 slice.clone(),
                 &ctx.scheme,
-                Some(&self.cache),
                 &mut self.scratch,
                 &mut tiers,
             );
@@ -1259,7 +1251,6 @@ mod tests {
                     &subjects,
                     subjects.whole(),
                     &scheme,
-                    None,
                     &mut Scratch::default(),
                     &mut TierStats::default(),
                 );
@@ -1501,10 +1492,8 @@ mod tests {
     }
 
     #[test]
-    fn repeated_queries_hit_the_profile_cache_and_export_tier_metrics() {
+    fn repeated_queries_export_tier_metrics() {
         let obs = Obs::enabled();
-        // Three jobs for the same query: the second and third lookups of
-        // query 0's profiles must be cache hits.
         let jobs = [0, 1, 2].map(|task_id| Job::new(task_id, 0, WHOLE));
         let results = run_jobs(WorkerSpec::cpu_default(), 7, None, &obs, &jobs);
         assert_eq!(results.len(), 3);
@@ -1519,11 +1508,6 @@ mod tests {
             totals.subjects,
             "tiers partition subjects"
         );
-        assert!(
-            totals.profile_cache_hits >= 2,
-            "jobs 2 and 3 reuse job 1's profiles"
-        );
-        assert_eq!(totals.profile_cache_misses, 1);
         // One instant per worker, after its last job.
         let last = obs.events_since(0).pop().expect("events");
         assert!(matches!(last.body, EventBody::WorkerTotals { .. }));

@@ -8,7 +8,8 @@
 //! * [`task`] — the task model: every task `Tⱼ` has two processing
 //!   times, `pⱼ` on a CPU and `p̄ⱼ` on a GPU.
 //! * [`platform`] — how many CPUs (`m`) and GPUs (`k`) exist.
-//! * [`schedule`] — assignments, schedules, Gantt charts, validity.
+//! * [`schedule`] — assignments, schedules, Gantt charts, validity, and
+//!   replaying a schedule under actual task times.
 //! * [`knapsack`] — the greedy minimisation knapsack (Eqs. 5–7) that
 //!   fills the GPUs with the best-accelerated tasks, and the dynamic
 //!   programming variant used by the 3/2-approximation.
@@ -43,7 +44,6 @@ pub mod metrics;
 pub mod plan;
 pub mod platform;
 pub mod policies;
-pub mod robustness;
 pub mod schedule;
 pub mod split;
 pub mod task;

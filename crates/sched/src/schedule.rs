@@ -254,6 +254,36 @@ impl Schedule {
         Ok(())
     }
 
+    /// This schedule as it runs when each task takes its `actual` times
+    /// instead of the planned ones: every PE runs its tasks in the
+    /// planned start order, back to back. A static plan cannot react to
+    /// estimation error; this is what it then realises.
+    pub fn replay(&self, actual: &TaskSet) -> Schedule {
+        let mut order: Vec<&Placement> = self.placements.iter().collect();
+        order.sort_by(|a, b| a.start.total_cmp(&b.start));
+        let mut clocks = std::collections::HashMap::new();
+        let placements = order
+            .into_iter()
+            .map(|p| {
+                let task = actual.tasks()[p.task];
+                let dur = match p.pe.kind {
+                    PeKind::Cpu => task.p_cpu,
+                    PeKind::Gpu => task.p_gpu,
+                };
+                let clock = clocks.entry(p.pe).or_insert(0.0);
+                let start = *clock;
+                *clock += dur;
+                Placement {
+                    task: p.task,
+                    pe: p.pe,
+                    start,
+                    end: start + dur,
+                }
+            })
+            .collect();
+        Schedule { placements }
+    }
+
     /// Render an ASCII Gantt chart (one row per PE), `width` characters
     /// wide — handy in examples and experiment logs.
     pub fn gantt(&self, platform: &PlatformSpec, width: usize) -> String {
@@ -376,6 +406,26 @@ mod tests {
         assert!((a.gpu_area(&tasks) - 3.0).abs() < 1e-12); // 1 + 2
         assert_eq!(a.ids_of(PeKind::Gpu), vec![0, 2]);
         assert_eq!(a.kind_of(1), PeKind::Cpu);
+    }
+
+    #[test]
+    fn exact_replay_reproduces_the_plan() {
+        let tasks = demo_tasks();
+        let platform = PlatformSpec::new(2, 1);
+        let (mut placements, _) = list_schedule(&[1, 3], &tasks, PeKind::Cpu, 2);
+        placements.extend(list_schedule(&[0, 2], &tasks, PeKind::Gpu, 1).0);
+        let plan = Schedule { placements };
+        let replayed = plan.replay(&tasks);
+        replayed.validate(&tasks, &platform).unwrap();
+        assert_eq!(replayed.makespan(), plan.makespan());
+        // Slower actual times keep each PE's order and stretch its tasks.
+        let doubled: Vec<(f64, f64)> = tasks
+            .iter()
+            .map(|t| (2.0 * t.p_cpu, 2.0 * t.p_gpu))
+            .collect();
+        let slowed = plan.replay(&TaskSet::from_times(&doubled));
+        assert_eq!(slowed.makespan(), 2.0 * plan.makespan());
+        assert_eq!(slowed.pe_finish(PeId::gpu(0)), 6.0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Property tests for the resilience-adjacent scheduler modules:
+//! Property tests for the resilience-adjacent scheduler code:
 //! re-planning a remainder with [`plan`] (the recovery path of the
-//! fault-tolerant runtime) and robustness replay.
+//! fault-tolerant runtime) and replaying a plan under actual times
+//! ([`Schedule::replay`](swdual_sched::Schedule::replay)).
 
 use proptest::prelude::*;
 use swdual_obs::Obs;
 use swdual_sched::binsearch::{dual_approx_schedule, BinarySearchConfig};
-use swdual_sched::robustness::{replay_static, ActualTimes};
 use swdual_sched::{plan, Decision, Part, PlatformSpec, Pool, SliceOverhead, SplitPlan, TaskSet};
 
 /// Random task set: GPU time in (0.1, 5.0), acceleration in (0.2, 12) —
@@ -49,10 +49,10 @@ proptest! {
     #[test]
     fn exact_replay_reproduces_planned_makespan(tasks in task_set(40), pf in platform()) {
         // Replaying a schedule under the estimates themselves must
-        // reproduce the planned makespan exactly (the zero-noise fixed
-        // point of the robustness model).
+        // reproduce the planned makespan exactly (the zero-noise point
+        // of ablation A4).
         let sched = dual_approx_schedule(&tasks, &pf, BinarySearchConfig::default()).schedule;
-        let replayed = replay_static(&sched, &ActualTimes::exact(&tasks));
+        let replayed = sched.replay(&tasks);
         prop_assert!(
             (replayed.makespan() - sched.makespan()).abs() < 1e-9,
             "replayed {} vs planned {}",
@@ -71,12 +71,9 @@ proptest! {
         // makespan — and by exactly the scale factor, since every
         // machine's finish time is a sum of scaled durations.
         let sched = dual_approx_schedule(&tasks, &pf, BinarySearchConfig::default()).schedule;
-        let base = replay_static(&sched, &ActualTimes::exact(&tasks)).makespan();
-        let scaled = ActualTimes {
-            p_cpu: tasks.iter().map(|t| t.p_cpu * scale).collect(),
-            p_gpu: tasks.iter().map(|t| t.p_gpu * scale).collect(),
-        };
-        let slowed = replay_static(&sched, &scaled).makespan();
+        let base = sched.replay(&tasks).makespan();
+        let scaled: Vec<(f64, f64)> = tasks.iter().map(|t| (t.p_cpu * scale, t.p_gpu * scale)).collect();
+        let slowed = sched.replay(&TaskSet::from_times(&scaled)).makespan();
         prop_assert!(slowed >= base - 1e-9, "slowdown shrank the makespan");
         prop_assert!(
             (slowed - scale * base).abs() <= 1e-6 * base.max(1.0),

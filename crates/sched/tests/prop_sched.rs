@@ -12,7 +12,6 @@ use swdual_sched::dual::{dual_step, DualStepResult, KnapsackMethod};
 use swdual_sched::exact::optimal_schedule;
 use swdual_sched::knapsack::{greedy_knapsack, DpConfig};
 use swdual_sched::policies;
-use swdual_sched::robustness::{replay_static, ActualTimes};
 use swdual_sched::schedule::PeKind;
 use swdual_sched::{
     plan, split_tail, Decision, Part, PeState, PlatformSpec, Pool, SliceOverhead, SplitPlan, Task,
@@ -481,7 +480,7 @@ fn a_nan_time_is_ordered_not_a_panic() {
         policies::heft_lite(&tasks, &pf),
     ] {
         assert_eq!(schedule.placements.len(), tasks.len());
-        let replayed = replay_static(&schedule, &ActualTimes::exact(&tasks));
+        let replayed = schedule.replay(&tasks);
         assert_eq!(replayed.placements.len(), tasks.len());
         // Whether a NaN interval validates is not the point; returning is.
         let _ = replayed.validate(&tasks, &pf);

@@ -244,7 +244,6 @@ fn reduced_execution_is_consistent() {
             &subjects,
             subjects.whole(),
             &scheme,
-            None,
             &mut Scratch::default(),
             &mut TierStats::default(),
         );
