@@ -15,8 +15,6 @@ use swdual_core::SearchBuilder;
 use swdual_datagen::{synthetic_database, LengthModel};
 use swdual_gpusim::DeviceClass;
 use swdual_runtime::{AllocationPolicy, FaultPlan, ReoptConfig, WorkerSpec};
-use swdual_sched::dual::KnapsackMethod;
-use swdual_sched::knapsack::DpConfig;
 
 /// Print to stdout, exiting quietly when the reader has gone away
 /// (`swdual info db | head` must not panic on the broken pipe).
@@ -82,13 +80,13 @@ static SUBCOMMANDS: [Subcommand; 8] = [
         synopsis: "search   --db FILE --queries FILE [--cpus N] [--gpus N]
                   [--device-class SPEC] [--prior-scale W:F[,W:F...]]
                   [--reopt] [--reopt-threshold F] [--reopt-min-remaining N]
-                  [--policy dual|dual-dp|self] [--top K]
+                  [--policy dual|self] [--top K]
                   [--gap-open N] [--gap-extend N] [--evalues]
                   [--trace-out TRACE.json] [--metrics-out METRICS.prom]
                   [--journal-out EVENTS.jsonl] [--progress] [--profile]
                   [--watchdog]
                   [--fault-plan SPEC | --fault-seed N]
-                  [--job-timeout-slack F] [--min-job-timeout-ms MS]",
+                  [--min-job-timeout-ms MS]",
         positionals: 0..=0,
         dash: false,
         run: cmd_search,
@@ -403,10 +401,9 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
         }
     }
     let policy = match flags.get("policy").unwrap_or("dual") {
-        "dual" => AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
-        "dual-dp" => AllocationPolicy::DualApprox(KnapsackMethod::Dp(DpConfig::default())),
+        "dual" => AllocationPolicy::DualApprox,
         "self" => AllocationPolicy::SelfScheduling,
-        other => return Err(format!("unknown policy {other:?} (dual|dual-dp|self)")),
+        other => return Err(format!("unknown policy {other:?} (dual|self)")),
     };
     // Device zoo: which class each simulated GPU worker belongs to.
     let gpu_classes: Vec<DeviceClass> = match flags.get("device-class") {
@@ -514,9 +511,6 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
             builder = builder.fault_seed(seed);
         }
         (None, None) => {}
-    }
-    if let Some(slack) = flags.number("job-timeout-slack")? {
-        builder = builder.job_timeout_slack(slack);
     }
     if let Some(ms) = flags.number("min-job-timeout-ms")? {
         builder = builder.min_job_timeout(std::time::Duration::from_millis(ms));
@@ -1045,7 +1039,6 @@ mod tests {
                 "journal-out",
                 "fault-plan",
                 "fault-seed",
-                "job-timeout-slack",
                 "min-job-timeout-ms",
             ]
         );

@@ -17,7 +17,6 @@ use swdual_runtime::{
     try_run_search, AllocationPolicy, FaultPlan, ReoptConfig, RuntimeConfig, SearchError,
     WorkerSpec,
 };
-use swdual_sched::dual::KnapsackMethod;
 
 /// Builder for one database search — the programmatic equivalent of the
 /// paper's command line ("Receive parameters" in Figure 6).
@@ -30,7 +29,6 @@ pub struct SearchBuilder {
     top_k: usize,
     obs: Obs,
     faults: FaultPlan,
-    job_timeout_slack: Option<f64>,
     min_job_timeout: Option<std::time::Duration>,
     reopt: Option<ReoptConfig>,
     sinks: Sinks,
@@ -52,11 +50,10 @@ impl SearchBuilder {
             queries: None,
             scheme: ScoringScheme::protein_default(),
             workers: vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()],
-            policy: AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
+            policy: AllocationPolicy::DualApprox,
             top_k: 10,
             obs: Obs::disabled(),
             faults: FaultPlan::none(),
-            job_timeout_slack: None,
             min_job_timeout: None,
             reopt: None,
             sinks: Sinks::default(),
@@ -244,13 +241,6 @@ impl SearchBuilder {
         self
     }
 
-    /// Stretch factor on the modelled-time-derived per-worker job
-    /// deadlines the master uses to detect silent deaths.
-    pub fn job_timeout_slack(mut self, slack: f64) -> Self {
-        self.job_timeout_slack = Some(slack.max(1.0));
-        self
-    }
-
     /// Floor of the per-worker job deadline — silent deaths cannot be
     /// detected faster than this. Mostly useful to speed up tests and
     /// fault demos.
@@ -270,9 +260,6 @@ impl SearchBuilder {
             faults: self.faults,
             ..RuntimeConfig::default()
         };
-        if let Some(slack) = self.job_timeout_slack {
-            config.job_timeout_slack = slack;
-        }
         if let Some(floor) = self.min_job_timeout {
             config.min_job_timeout = floor;
         }

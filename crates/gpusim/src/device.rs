@@ -34,43 +34,6 @@ use swdual_align::{score_database, Scratch, Subjects, TierStats};
 use swdual_bio::ScoringScheme;
 use swdual_obs::{EventBody, Obs, Track};
 
-/// One entry in the device's event log.
-///
-/// The log is the source of truth: [`GpuDevice::stats`] is a fold over
-/// these events rather than a separately maintained set of counters, so
-/// the aggregate view can never drift from the recorded history.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DeviceEvent {
-    /// A host→device transfer.
-    Transfer {
-        /// Bytes moved over PCIe.
-        bytes: u64,
-        /// Simulated-clock start time in seconds.
-        start: f64,
-        /// Modelled transfer duration in simulated seconds.
-        seconds: f64,
-    },
-    /// One kernel launch.
-    Kernel {
-        /// Query × subject residues actually compared.
-        useful_cells: u64,
-        /// Cells charged including warp padding.
-        padded_cells: u64,
-        /// Simulated-clock start time in seconds.
-        start: f64,
-        /// Modelled kernel duration in simulated seconds.
-        seconds: f64,
-    },
-    /// The device failed (an injected fault fired). No further kernels
-    /// or transfers execute after this entry.
-    Fault {
-        /// Virtual-clock time at which the failure surfaced.
-        at: f64,
-        /// Kernels completed before the failure.
-        after_kernels: u64,
-    },
-}
-
 /// Error surfaced when an injected device fault fires: the board is
 /// gone and every subsequent kernel or transfer fails. Mirrors what a
 /// real accelerator runtime reports when a device drops off the bus
@@ -93,8 +56,8 @@ impl std::fmt::Display for DeviceFault {
 
 impl std::error::Error for DeviceFault {}
 
-/// Counters accumulated over the device's lifetime, derived from the
-/// event log.
+/// Counters accumulated over the device's lifetime, each transfer,
+/// kernel and fault added as it happens.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DeviceStats {
     /// Kernels launched.
@@ -264,14 +227,12 @@ pub struct GpuDevice {
     spec: DeviceSpec,
     memory: DeviceMemory,
     clock: f64,
-    log: Vec<DeviceEvent>,
+    stats: DeviceStats,
     obs: Obs,
     obs_device_id: usize,
     /// Injected fault: the device dies once this many kernels have
     /// completed. `None` = healthy forever.
     fail_after_kernels: Option<u64>,
-    kernels_launched: u64,
-    failed: bool,
     /// Task currently being served, stamped onto every stage span
     /// (H2D / kernel / D2H) as causal lineage. `None` outside a task
     /// (e.g. the resident-database upload shared by all tasks).
@@ -289,12 +250,10 @@ impl GpuDevice {
             spec,
             memory,
             clock: 0.0,
-            log: Vec::new(),
+            stats: DeviceStats::default(),
             obs: Obs::disabled(),
             obs_device_id: 0,
             fail_after_kernels: None,
-            kernels_launched: 0,
-            failed: false,
             lineage_task: None,
             scratch: Scratch::default(),
         }
@@ -315,28 +274,21 @@ impl GpuDevice {
         self.fail_after_kernels = Some(n);
     }
 
-    /// Poll the injected fault. The first failing call appends a
-    /// [`DeviceEvent::Fault`] to the event log and records an obs
-    /// instant; every later call keeps failing without re-logging.
+    /// Poll the injected fault. The first failing call counts the
+    /// fault in [`GpuDevice::stats`] and records an obs instant; every
+    /// later call keeps failing without counting it again.
     pub fn check_fault(&mut self) -> Result<(), DeviceFault> {
-        let fault = DeviceFault {
-            after_kernels: self.kernels_launched,
-        };
-        if self.failed {
+        let after_kernels = self.stats.kernels;
+        let fault = DeviceFault { after_kernels };
+        if self.stats.faults > 0 {
             return Err(fault);
         }
         match self.fail_after_kernels {
-            Some(n) if self.kernels_launched >= n => {
-                self.failed = true;
-                self.log.push(DeviceEvent::Fault {
-                    at: self.clock,
-                    after_kernels: self.kernels_launched,
-                });
+            Some(n) if after_kernels >= n => {
+                self.stats.faults += 1;
                 self.obs.instant(
                     Track::Device(self.obs_device_id),
-                    EventBody::DeviceFault {
-                        after_kernels: self.kernels_launched,
-                    },
+                    EventBody::DeviceFault { after_kernels },
                 );
                 Err(fault)
             }
@@ -345,7 +297,7 @@ impl GpuDevice {
     }
 
     /// Route this device's kernel/transfer events to `obs` as spans on
-    /// [`Track::Device`]`(device_id)`, in addition to the internal log.
+    /// [`Track::Device`]`(device_id)`.
     /// Announces the spec (peak rate, PCIe bandwidth, launch latency)
     /// as a `device_spec` instant so post-hoc profilers can draw the
     /// roofline for this device from the journal alone.
@@ -373,37 +325,9 @@ impl GpuDevice {
         self.clock
     }
 
-    /// The full event history, in execution order.
-    pub fn events(&self) -> &[DeviceEvent] {
-        &self.log
-    }
-
-    /// Lifetime counters, folded from the event log.
+    /// Lifetime counters.
     pub fn stats(&self) -> DeviceStats {
-        let mut stats = DeviceStats::default();
-        for event in &self.log {
-            match *event {
-                DeviceEvent::Transfer { bytes, seconds, .. } => {
-                    stats.bytes_h2d += bytes;
-                    stats.busy_seconds += seconds;
-                }
-                DeviceEvent::Kernel {
-                    useful_cells,
-                    padded_cells,
-                    seconds,
-                    ..
-                } => {
-                    stats.kernels += 1;
-                    stats.useful_cells += useful_cells;
-                    stats.padded_cells += padded_cells;
-                    stats.busy_seconds += seconds;
-                }
-                DeviceEvent::Fault { .. } => {
-                    stats.faults += 1;
-                }
-            }
-        }
-        stats
+        self.stats
     }
 
     /// Device memory state.
@@ -457,11 +381,8 @@ impl GpuDevice {
         let t = self.spec.transfer_time(bytes);
         let start = self.clock;
         self.clock += t;
-        self.log.push(DeviceEvent::Transfer {
-            bytes,
-            start,
-            seconds: t,
-        });
+        self.stats.bytes_h2d += bytes;
+        self.stats.busy_seconds += t;
         self.obs.span(
             Track::Device(self.obs_device_id),
             wall_start,
@@ -566,8 +487,8 @@ impl GpuDevice {
     }
 
     /// The timing model's half of a kernel over `slice`, whose host work
-    /// began at `wall_start`: advance the clock, count and log the
-    /// launch, journal its spans. Returns the modelled seconds.
+    /// began at `wall_start`: advance the clock, count the launch,
+    /// journal its spans. Returns the modelled seconds.
     fn launch(
         &mut self,
         query_len: usize,
@@ -581,13 +502,10 @@ impl GpuDevice {
         let (useful, padded, kernel_seconds) = footprint.kernel_cost(&self.spec, query_len);
         let start = self.clock;
         self.clock += kernel_seconds;
-        self.kernels_launched += 1;
-        self.log.push(DeviceEvent::Kernel {
-            useful_cells: useful,
-            padded_cells: padded,
-            start,
-            seconds: kernel_seconds,
-        });
+        self.stats.kernels += 1;
+        self.stats.useful_cells += useful;
+        self.stats.padded_cells += padded;
+        self.stats.busy_seconds += kernel_seconds;
         let wall_dur = self.obs.now() - wall_start;
         let task = self.lineage_task;
         self.obs.span(
@@ -752,7 +670,7 @@ mod tests {
 
     #[test]
     fn injected_fault_fires_after_threshold_and_is_logged_once() {
-        let mut dev = GpuDevice::new(DeviceSpec::toy(10_000));
+        let (mut dev, obs) = journaled(DeviceSpec::toy(10_000));
         dev.inject_fault_after_kernels(2);
         let database = db(&["MKVLAT", "GGAR"]);
         let resident = dev.upload(&database, false).unwrap();
@@ -765,11 +683,9 @@ mod tests {
         assert_eq!(err.after_kernels, 2);
         assert!(dev.check_fault().is_err());
         assert!(dev.try_search(&query, &resident, &scheme()).is_err());
-        // Exactly one Fault entry in the log, folded into stats.
-        let faults = dev
-            .events()
-            .iter()
-            .filter(|e| matches!(e, DeviceEvent::Fault { .. }))
+        // Exactly one fault journaled, and counted in the stats.
+        let faults = (obs.events_since(0).iter())
+            .filter(|e| matches!(e.body, EventBody::DeviceFault { .. }))
             .count();
         assert_eq!(faults, 1);
         assert_eq!(dev.stats().faults, 1);
@@ -898,17 +814,31 @@ mod tests {
         assert!(long - launch < 10.0 * (short - launch));
     }
 
-    /// The kernels the device has launched: `(useful, padded)` cells.
-    fn kernel_cells(dev: &GpuDevice) -> Vec<(u64, u64)> {
-        let cells = |e: &DeviceEvent| match *e {
-            DeviceEvent::Kernel {
+    /// The kernels a device journaled to `obs`: `(useful, padded)` cells.
+    fn kernel_cells(obs: &Obs) -> Vec<(u64, u64)> {
+        let cells = |e: &swdual_obs::Event| match e.body {
+            EventBody::Kernel {
                 useful_cells,
                 padded_cells,
                 ..
-            } => Some((useful_cells, padded_cells)),
+            } => Some((useful_cells as u64, padded_cells as u64)),
             _ => None,
         };
-        dev.events().iter().filter_map(cells).collect()
+        obs.events_since(0).iter().filter_map(cells).collect()
+    }
+
+    /// What a device journaled to `obs` on the modelled clock: each
+    /// event's modelled start and duration and its body.
+    fn modelled(obs: &Obs) -> Vec<(Option<f64>, Option<f64>, EventBody)> {
+        let events = obs.events_since(0).into_iter();
+        events.map(|e| (e.virt_start, e.virt_dur, e.body)).collect()
+    }
+
+    /// A device journaling to an enabled recorder of its own.
+    fn journaled(spec: DeviceSpec) -> (GpuDevice, Obs) {
+        let (mut dev, obs) = (GpuDevice::new(spec), Obs::enabled());
+        dev.attach_obs(obs.clone(), 0);
+        (dev, obs)
     }
 
     #[test]
@@ -922,7 +852,7 @@ mod tests {
         let database = db(&refs);
         let subjects = Subjects::from(&database);
         let query = Alphabet::Protein.encode(b"MKVLAT").unwrap();
-        let mut dev = GpuDevice::new(DeviceSpec::toy(10_000));
+        let (mut dev, obs) = journaled(DeviceSpec::toy(10_000));
         let resident = dev.upload_shared(&subjects).unwrap();
         let whole = dev.search_slice(&query, &resident, 0..10, &scheme());
         assert_eq!(
@@ -935,7 +865,7 @@ mod tests {
         let head = dev.search_slice(&query, &resident, 0..4, &scheme());
         let tail = dev.search_slice(&query, &resident, 4..10, &scheme());
         assert_eq!([&head.scores[..], &tail.scores[..]].concat(), whole.scores);
-        let cells = kernel_cells(&dev);
+        let cells = kernel_cells(&obs);
         assert_eq!(cells[0], (6 * 75, 6 * (48 + 32 + 8)));
         assert_eq!(cells[2], (6 * 42, 6 * 48));
         assert_eq!(cells[3], (6 * 33, 6 * (32 + 8)));
@@ -947,7 +877,7 @@ mod tests {
         // subject: [11 10 9 8] [7 6].
         let ragged = dev.search_slice(&query, &resident, 1..7, &scheme());
         assert_eq!(ragged.scores, whole.scores[1..7]);
-        assert_eq!(kernel_cells(&dev)[4], (6 * 51, 6 * (44 + 14)));
+        assert_eq!(kernel_cells(&obs)[4], (6 * 51, 6 * (44 + 14)));
         // And an empty slice is a launch and nothing else.
         let empty = dev.search_slice(&query, &resident, 4..4, &scheme());
         assert!(empty.scores.is_empty());
@@ -959,8 +889,8 @@ mod tests {
         let database = db(&["MKVLATGGAR", "MK", "GGARMKVLAT", "WWWW", "MKVLA"]);
         let subjects = Subjects::from(&database);
         let query = Alphabet::Protein.encode(b"MKVLAT").unwrap();
-        let mut searched = GpuDevice::new(DeviceSpec::toy(10_000));
-        let mut charged = GpuDevice::new(DeviceSpec::toy(10_000));
+        let (mut searched, searched_obs) = journaled(DeviceSpec::toy(10_000));
+        let (mut charged, charged_obs) = journaled(DeviceSpec::toy(10_000));
         for device in [&mut searched, &mut charged] {
             device.inject_fault_after_kernels(2);
         }
@@ -972,13 +902,15 @@ mod tests {
             let seconds = charged.charge_slice(query.len(), &b, slice).unwrap();
             assert_eq!(seconds, kernel.kernel_seconds);
         }
-        assert_eq!(searched.events(), charged.events());
+        assert_eq!(modelled(&searched_obs), modelled(&charged_obs));
+        assert_eq!(searched.stats(), charged.stats());
         // The same fault fires at the same kernel count.
         assert_eq!(
             charged.charge_slice(query.len(), &b, 0..5),
             searched.check_fault().map(|()| 0.0)
         );
-        assert_eq!(searched.events(), charged.events());
+        assert_eq!(modelled(&searched_obs), modelled(&charged_obs));
+        assert_eq!(searched.stats(), charged.stats());
     }
 
     #[test]
@@ -986,14 +918,15 @@ mod tests {
         let database = db(&["MKVLATGGAR", "MK", "GGARMKVLAT", "WWWW", "MKVLA"]);
         let subjects = Subjects::from(&database);
         let query = Alphabet::Protein.encode(b"MKVLAT").unwrap();
-        let mut owned = GpuDevice::new(DeviceSpec::toy(10_000));
-        let mut shared = GpuDevice::new(DeviceSpec::toy(10_000));
+        let (mut owned, owned_obs) = journaled(DeviceSpec::toy(10_000));
+        let (mut shared, shared_obs) = journaled(DeviceSpec::toy(10_000));
         let a = owned.upload(&database, true).unwrap();
         let b = shared.upload_shared(&subjects).unwrap();
         assert_eq!(
             owned.search(&query, &a, &scheme()),
             shared.search(&query, &b, &scheme())
         );
-        assert_eq!(owned.events(), shared.events());
+        assert_eq!(modelled(&owned_obs), modelled(&shared_obs));
+        assert_eq!(owned.stats(), shared.stats());
     }
 }

@@ -31,5 +31,5 @@ pub mod device;
 pub mod memory;
 pub mod spec;
 
-pub use device::{DeviceEvent, DeviceFault, DeviceStats, GpuDevice, KernelResult};
+pub use device::{DeviceFault, DeviceStats, GpuDevice, KernelResult};
 pub use spec::{DeviceClass, DeviceSpec};

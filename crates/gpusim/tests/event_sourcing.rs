@@ -1,11 +1,13 @@
-//! Event-sourced `DeviceStats`: the fold over the device's event log
-//! must agree with hand-accumulated counters on arbitrary workloads,
-//! and `warp_efficiency` must behave at its edges.
+//! `DeviceStats` against the device's journal: the counters must agree
+//! with hand-accumulated ones on arbitrary workloads, the transfer and
+//! kernel spans the device journals must tile its modelled clock, and
+//! `warp_efficiency` must behave at its edges.
 
 use proptest::prelude::*;
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, ScoringScheme};
-use swdual_gpusim::{DeviceEvent, DeviceSpec, DeviceStats, GpuDevice};
+use swdual_gpusim::{DeviceSpec, DeviceStats, GpuDevice};
+use swdual_obs::{EventBody, Obs};
 
 #[test]
 fn warp_efficiency_is_one_without_padding() {
@@ -44,8 +46,14 @@ fn warp_efficiency_of_uniform_lengths_is_one() {
 
 #[test]
 fn fresh_device_has_empty_log_and_zero_stats() {
-    let dev = GpuDevice::new(DeviceSpec::toy(1000));
-    assert!(dev.events().is_empty());
+    let obs = Obs::enabled();
+    let mut dev = GpuDevice::new(DeviceSpec::toy(1000));
+    dev.attach_obs(obs.clone(), 0);
+    // Nothing but the spec's announcement is journaled.
+    let events = obs.events_since(0);
+    assert!(events
+        .iter()
+        .all(|e| matches!(e.body, EventBody::DeviceSpec { .. })));
     assert_eq!(dev.stats(), DeviceStats::default());
 }
 
@@ -66,9 +74,9 @@ fn sequence_set(lengths: &[usize]) -> SequenceSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Replaying a random upload/search workload, the stats folded from
-    /// `events()` must equal counters accumulated by hand from the
-    /// individual operations' observable results.
+    /// Replaying a random upload/search workload, `stats()` must equal
+    /// counters accumulated by hand from the individual operations'
+    /// observable results.
     #[test]
     fn folded_stats_match_hand_accumulation(
         db_lens in prop::collection::vec(1usize..60, 1..12),
@@ -76,10 +84,12 @@ proptest! {
         sort in any::<bool>(),
     ) {
         let scheme = ScoringScheme::protein_default();
+        let obs = Obs::enabled();
         let mut dev = GpuDevice::new(DeviceSpec::toy(100_000));
+        dev.attach_obs(obs.clone(), 0);
         let db = sequence_set(&db_lens);
 
-        // Hand accumulation, the way the pre-event-log device did it.
+        // Hand accumulation, from each operation's result.
         let mut expected = DeviceStats::default();
         let before = dev.clock();
         let resident = dev.upload(&db, sort).unwrap();
@@ -106,18 +116,22 @@ proptest! {
         // Padding can only add to the useful work.
         prop_assert!(folded.padded_cells >= folded.useful_cells);
 
-        // The log itself is consistent: one transfer + one kernel per
-        // search, events contiguous on the virtual clock.
-        prop_assert_eq!(dev.events().len(), 1 + query_lens.len());
+        // The journal agrees: one transfer, then one kernel per search,
+        // spans contiguous on the virtual clock.
+        let spans: Vec<(f64, f64, bool)> = (obs.events_since(0).iter())
+            .filter_map(|e| {
+                let is_kernel = match e.body {
+                    EventBody::H2d { .. } => false,
+                    EventBody::Kernel { .. } => true,
+                    _ => return None,
+                };
+                Some((e.virt_start?, e.virt_dur?, is_kernel))
+            })
+            .collect();
+        prop_assert_eq!(spans.len(), 1 + query_lens.len());
+        prop_assert!(!spans[0].2 && spans[1..].iter().all(|s| s.2));
         let mut clock = 0.0;
-        for event in dev.events() {
-            let (start, seconds) = match *event {
-                DeviceEvent::Transfer { start, seconds, .. } => (start, seconds),
-                DeviceEvent::Kernel { start, seconds, .. } => (start, seconds),
-                // No faults are injected in this workload; a fault is an
-                // instant on the virtual clock anyway.
-                DeviceEvent::Fault { at, .. } => (at, 0.0),
-            };
+        for &(start, seconds, _) in &spans {
             prop_assert!((start - clock).abs() <= 1e-9 * clock.max(1.0));
             clock = start + seconds;
         }

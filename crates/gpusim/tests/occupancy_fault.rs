@@ -1,12 +1,12 @@
-//! Occupancy accounting across an injected device fault: once
-//! `DeviceEvent::Fault` fires, the board is gone — no further kernels
+//! Occupancy accounting across an injected device fault: once the
+//! fault fires, the board is gone — no further kernels
 //! execute, so no busy time accrues, the virtual clock stops, and the
 //! occupancy gauges freeze at their last pre-fault values.
 
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, ScoringScheme};
-use swdual_gpusim::{DeviceEvent, DeviceSpec, GpuDevice};
-use swdual_obs::{Obs, RunModel};
+use swdual_gpusim::{DeviceSpec, GpuDevice};
+use swdual_obs::{EventBody, Obs, RunModel};
 
 fn database(texts: &[&str]) -> SequenceSet {
     let mut set = SequenceSet::new(Alphabet::Protein);
@@ -56,15 +56,13 @@ fn occupancy_gauges_freeze_after_device_fault() {
     }
     assert!(dev.check_fault().is_err());
 
-    // No busy time accrued, clock frozen, no new Kernel log entries.
+    // No busy time accrued, clock frozen, no new kernel spans.
     assert_eq!(dev.clock(), clock_before);
     assert_eq!(dev.stats().busy_seconds, busy_before);
     assert_eq!(dev.stats().kernels, kernels_before);
     assert_eq!(dev.stats().faults, 1);
-    let kernels_logged = dev
-        .events()
-        .iter()
-        .filter(|e| matches!(e, DeviceEvent::Kernel { .. }))
+    let kernels_logged = (obs.events_since(0).iter())
+        .filter(|e| matches!(e.body, EventBody::Kernel { .. }))
         .count();
     assert_eq!(kernels_logged as u64, kernels_before);
 

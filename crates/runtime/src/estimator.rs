@@ -115,13 +115,17 @@ impl WorkerRateModel {
     }
 }
 
+/// How far the master stretches what a worker's pending work should
+/// take before declaring it dead.
+pub const JOB_TIMEOUT_SLACK: f64 = 4.0;
+
 /// Wall-clock seconds the master grants a worker for its pending work
 /// before declaring it dead: the modelled estimate mapped to wall time
-/// by the observed wall/modelled ratio, stretched by `slack`, floored
-/// at `floor` so a cold start (ratio still zero) never times anyone
-/// out instantly.
-pub fn job_deadline_seconds(modelled_est: f64, observed_ratio: f64, slack: f64, floor: f64) -> f64 {
-    (slack * modelled_est * observed_ratio).max(floor)
+/// by the observed wall/modelled ratio, stretched by
+/// [`JOB_TIMEOUT_SLACK`], floored at `floor` so a cold start (ratio
+/// still zero) never times anyone out instantly.
+pub fn job_deadline_seconds(modelled_est: f64, observed_ratio: f64, floor: f64) -> f64 {
+    (JOB_TIMEOUT_SLACK * modelled_est * observed_ratio).max(floor)
 }
 
 #[cfg(test)]
@@ -131,12 +135,12 @@ mod tests {
     #[test]
     fn deadline_floors_and_scales() {
         // Cold start: no observed ratio yet — the floor rules.
-        assert_eq!(job_deadline_seconds(100.0, 0.0, 4.0, 5.0), 5.0);
+        assert_eq!(job_deadline_seconds(100.0, 0.0, 5.0), 5.0);
         // Warm: modelled 10s at an observed wall/modelled ratio of 0.5,
         // slack 4 => 20s, above the floor.
-        assert!((job_deadline_seconds(10.0, 0.5, 4.0, 5.0) - 20.0).abs() < 1e-12);
+        assert!((job_deadline_seconds(10.0, 0.5, 5.0) - 20.0).abs() < 1e-12);
         // Tiny estimates never dip below the floor.
-        assert_eq!(job_deadline_seconds(1e-6, 1e-3, 4.0, 0.05), 0.05);
+        assert_eq!(job_deadline_seconds(1e-6, 1e-3, 0.05), 0.05);
     }
 
     #[test]

@@ -49,8 +49,6 @@ mod core;
 use self::core::DEATH_TIMEOUT;
 use self::core::{Action, Input, MasterState, Merged, Query, Search};
 use crate::claims::Claims;
-#[cfg(test)]
-use crate::estimator::{job_deadline_seconds, COLD_HOST_CELLS_PER_SEC};
 use crate::faults::FaultPlan;
 use crate::messages::{top_k, Hit, Job, Order, QueryHits, Registration, WorkerMsg, WorkerStats};
 use crate::worker::{worker_loop, WorkerContext, WorkerSpec};
@@ -65,21 +63,26 @@ use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::ScoringScheme;
 use swdual_bio::SqbImage;
 use swdual_obs::{EventBody, Obs, OptWorker, Track};
-use swdual_sched::dual::KnapsackMethod;
 use swdual_sched::schedule::Schedule;
 
 /// How the master allocates tasks to workers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AllocationPolicy {
     /// SWDUAL's one-round allocation: compute a static schedule with
-    /// the dual-approximation algorithm, then send each worker its
-    /// ordered task list upfront.
-    DualApprox(KnapsackMethod),
+    /// the dual-approximation algorithm (its greedy knapsack), then send
+    /// each worker its ordered task list upfront.
+    DualApprox,
     /// Dynamic self-scheduling: no plan; an idle worker takes the next
     /// run from one pool the master holds, at most its share of what
     /// is left.
     SelfScheduling,
 }
+
+/// How long the master waits for registrations before proceeding with
+/// whoever answered. Healthy runs never pay this: the wait also ends as
+/// soon as every spawned worker has either registered or demonstrably
+/// died.
+const REGISTRATION_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Online re-optimization knobs.
 ///
@@ -145,17 +148,9 @@ pub struct RuntimeConfig {
     pub obs: Obs,
     /// Injected faults (empty by default — every worker healthy).
     pub faults: FaultPlan,
-    /// How long the master waits for registrations before proceeding
-    /// with whoever answered. Healthy runs never pay this: the wait
-    /// also ends as soon as every spawned worker has either registered
-    /// or demonstrably died.
-    pub registration_timeout: Duration,
     /// Floor of the per-worker job deadline. Detection of silent
     /// worker deaths can never be faster than this.
     pub min_job_timeout: Duration,
-    /// Slack factor stretching the modelled-time-derived deadline (see
-    /// [`crate::estimator::job_deadline_seconds`]).
-    pub job_timeout_slack: f64,
     /// How many times one task may be re-dispatched before the search
     /// gives up with [`SearchError::RetriesExhausted`].
     pub max_task_retries: usize,
@@ -167,13 +162,11 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             scheme: ScoringScheme::protein_default(),
-            policy: AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
+            policy: AllocationPolicy::DualApprox,
             top_k: 10,
             obs: Obs::disabled(),
             faults: FaultPlan::none(),
-            registration_timeout: Duration::from_secs(5),
             min_job_timeout: Duration::from_secs(5),
-            job_timeout_slack: 4.0,
             max_task_retries: 3,
             reopt: ReoptConfig::default(),
         }
@@ -375,7 +368,7 @@ fn collect_registrations(
 ) -> Vec<Registration> {
     let obs = &config.obs;
     let mut registrations: Vec<Registration> = Vec::new();
-    let reg_deadline = Instant::now() + config.registration_timeout;
+    let reg_deadline = Instant::now() + REGISTRATION_TIMEOUT;
     while registrations.len() < workers.len() {
         match links.reg_rx.recv_deadline(reg_deadline) {
             Ok(r) => registrations.push(r),
@@ -1201,7 +1194,13 @@ mod tests {
         assert_eq!(outcome.total_cells, 0);
     }
 
-    // ---- fault-tolerance tests ----
+    // ---- thread-shell smokes ----
+    //
+    // The master core's fault recovery and re-optimization are checked in
+    // the deterministic simulator (`core::sim`). What stays here is what
+    // only the thread shell does: registration over channels, a silent
+    // death found on the wall clock, and a re-optimized search with real
+    // threads.
 
     fn fault_config(faults: FaultPlan) -> RuntimeConfig {
         RuntimeConfig {
@@ -1211,87 +1210,6 @@ mod tests {
             min_job_timeout: Duration::from_millis(60),
             ..RuntimeConfig::default()
         }
-    }
-
-    #[test]
-    fn gpu_device_fault_mid_run_recovers_with_identical_hits() {
-        // The acceptance scenario: a GPU worker's device dies mid-job;
-        // the master re-plans its orphans on the surviving CPU worker,
-        // the search completes, and the hits are bit-identical to a
-        // fault-free run. Fault + re-dispatch events land on the
-        // faults track, the recovery plan on the recovered tracks.
-        let database = db(20, 100);
-        let queries = queries_from(&database, &[1, 5, 9, 13, 17]);
-        let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()];
-        let healthy = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        let obs = Obs::enabled();
-        let faulted = run_search(
-            image(&database),
-            queries,
-            &workers,
-            RuntimeConfig {
-                obs: obs.clone(),
-                ..fault_config(
-                    FaultPlan::none().with(1, WorkerFault::DeviceFault { after_kernels: 1 }),
-                )
-            },
-        );
-        assert_eq!(faulted.hits, healthy.hits, "faults must not change hits");
-        // The GPU completed exactly its one kernel before dying.
-        assert_eq!(faulted.worker_stats[1].tasks, 1);
-        assert_eq!(faulted.worker_stats[0].tasks, 4);
-        let events = obs.events_since(0);
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e.body, EventBody::WorkerDeath { .. })),
-            "death must be recorded"
-        );
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e.body, EventBody::TaskRedispatch { .. })),
-            "re-dispatches must be recorded"
-        );
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e.track, Track::Recovered(0))),
-            "recovery plan must be recorded on the survivor's track"
-        );
-    }
-
-    #[test]
-    fn notified_crash_recovers() {
-        let database = db(16, 80);
-        let queries = queries_from(&database, &[0, 4, 8, 12]);
-        let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
-        let healthy = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        let faulted = run_search(
-            image(&database),
-            queries,
-            &workers,
-            fault_config(FaultPlan::none().with(
-                0,
-                WorkerFault::Crash {
-                    after_jobs: 0,
-                    notify: true,
-                },
-            )),
-        );
-        assert_eq!(faulted.hits, healthy.hits);
-        assert_eq!(faulted.worker_stats[0].tasks, 0);
-        assert_eq!(faulted.worker_stats[1].tasks, 4);
     }
 
     #[test]
@@ -1330,34 +1248,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_is_timed_out_and_work_rerouted() {
-        let database = db(12, 60);
-        let queries = queries_from(&database, &[0, 3, 6]);
-        let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
-        let healthy = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        let faulted = run_search(
-            image(&database),
-            queries,
-            &workers,
-            fault_config(FaultPlan::none().with(
-                0,
-                WorkerFault::Straggler {
-                    delay_ms: 250,
-                    factor: 2.0,
-                },
-            )),
-        );
-        // Whether the straggler's own late results or the re-dispatched
-        // copies land first, the hits are identical.
-        assert_eq!(faulted.hits, healthy.hits);
-    }
-
-    #[test]
     fn crash_before_registration_degrades_gracefully() {
         let database = db(12, 60);
         let queries = queries_from(&database, &[2, 7]);
@@ -1382,62 +1272,6 @@ mod tests {
     }
 
     #[test]
-    fn all_gpus_dead_degrades_to_cpu_only() {
-        // Both GPUs die; the re-plan runs on a zero-GPU platform.
-        let database = db(16, 80);
-        let queries = queries_from(&database, &[0, 4, 8, 12]);
-        let workers = vec![
-            WorkerSpec::cpu_default(),
-            WorkerSpec::gpu_default(),
-            WorkerSpec::gpu_default(),
-        ];
-        let healthy = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        let faulted = run_search(
-            image(&database),
-            queries,
-            &workers,
-            fault_config(
-                FaultPlan::none()
-                    .with(1, WorkerFault::DeviceFault { after_kernels: 0 })
-                    .with(2, WorkerFault::DeviceFault { after_kernels: 0 }),
-            ),
-        );
-        assert_eq!(faulted.hits, healthy.hits);
-        assert_eq!(faulted.worker_stats[0].tasks, 4, "CPU carried everything");
-    }
-
-    #[test]
-    fn all_workers_dead_is_a_typed_error() {
-        let database = db(8, 40);
-        let queries = queries_from(&database, &[0, 2]);
-        let err = try_run_search(
-            image(&database),
-            queries,
-            &[WorkerSpec::cpu_default()],
-            fault_config(FaultPlan::none().with(
-                0,
-                WorkerFault::Crash {
-                    after_jobs: 0,
-                    notify: true,
-                },
-            )),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            SearchError::AllWorkersDead {
-                completed: 0,
-                total: 2
-            }
-        ));
-    }
-
-    #[test]
     fn nobody_registers_is_a_typed_error() {
         let database = db(8, 40);
         let queries = queries_from(&database, &[0]);
@@ -1451,365 +1285,43 @@ mod tests {
         assert_eq!(err, SearchError::NoWorkersRegistered);
     }
 
+    /// One GPU and two CPUs, where CPU worker 1 declares itself twice as
+    /// fast as it is and straggles three times slower than honest.
+    /// Whether a re-plan fires before the queues run dry is up to the
+    /// threads; the hits are the static run's either way, and every task
+    /// is answered once. The simulator pins the re-plan itself
+    /// (`core::sim::reopt_replans_miscalibrated_straggler_and_keeps_hits`).
     #[test]
-    fn retry_budget_converts_livelock_into_error() {
-        // Self-scheduling on three extreme stragglers: each outlives its
-        // deadline on the one task, which goes back to the pool for the
-        // next; the retry bound turns that into a typed error instead
-        // of an unbounded loop.
-        let database = db(8, 40);
-        let queries = queries_from(&database, &[1]);
-        let straggler = WorkerFault::Straggler {
-            delay_ms: 400,
-            factor: 1.0,
-        };
-        let err = try_run_search(
-            image(&database),
-            queries,
-            &vec![WorkerSpec::cpu_default(); 3],
-            RuntimeConfig {
-                policy: AllocationPolicy::SelfScheduling,
-                faults: (0..3).fold(FaultPlan::none(), |plan, w| plan.with(w, straggler)),
-                min_job_timeout: Duration::from_millis(25),
-                max_task_retries: 1,
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            SearchError::RetriesExhausted { task_id: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn self_scheduling_survives_a_silent_crash() {
-        let database = db(16, 80);
-        let queries = queries_from(&database, &[0, 4, 8, 12]);
-        let workers = vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()];
-        let healthy = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        let faulted = run_search(
-            image(&database),
-            queries,
-            &workers,
-            RuntimeConfig {
-                policy: AllocationPolicy::SelfScheduling,
-                ..fault_config(FaultPlan::none().with(
-                    0,
-                    WorkerFault::Crash {
-                        after_jobs: 1,
-                        notify: false,
-                    },
-                ))
-            },
-        );
-        assert_eq!(faulted.hits, healthy.hits);
-    }
-
-    #[test]
-    fn seeded_fault_plans_preserve_hits() {
-        // A few seeds through the full stack: whatever the plan does,
-        // hits must match the fault-free run.
-        let database = db(14, 70);
-        let queries = queries_from(&database, &[0, 3, 6, 9]);
+    fn a_reopt_search_keeps_its_hits() {
+        let database = db(24, 110);
+        let queries = queries_from(&database, &[0, 2, 5, 8, 11, 14, 17, 20]);
         let workers = vec![
-            WorkerSpec::cpu_default(),
-            WorkerSpec::cpu_default(),
-            WorkerSpec::gpu_default(),
-        ];
-        let healthy = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        for seed in [1u64, 7, 23] {
-            let plan = FaultPlan::seeded(seed, workers.len());
-            let faulted = run_search(
-                image(&database),
-                queries.clone(),
-                &workers,
-                fault_config(plan.clone()),
-            );
-            assert_eq!(faulted.hits, healthy.hits, "seed {seed} plan {plan}");
-        }
-    }
-
-    // ---- online re-optimization tests ----
-
-    /// The acceptance scenario: one GPU + two CPUs, where CPU worker 1
-    /// both straggles (modelled clock ×3) and declared a 2× optimistic
-    /// rate model. Returns (workers, miscalibrated
-    /// config-with-reopt-choice closure inputs).
-    fn miscalibrated_zoo() -> Vec<WorkerSpec> {
-        vec![
             WorkerSpec::gpu_default(),
             WorkerSpec::cpu_default().with_prior_scale(2.0),
             WorkerSpec::cpu_default(),
-        ]
-    }
-
-    /// The straggler's factor inflates only its modelled clock; the
-    /// wall delay makes its *wall* completions trail the other workers'
-    /// too, so which tasks are still revocable when the skew is first
-    /// observed follows the modelled order instead of a thread race
-    /// (all workers score at the same host speed, the simulated device
-    /// included). It assumes a task takes well under 30 ms of wall time,
-    /// which holds on every backend in release builds and on the SIMD
-    /// backends in debug builds; the structural fix is a master that
-    /// re-plans on the modelled clock alone (ROADMAP item 4).
-    ///
-    /// Default (5 s) death deadlines, not `fault_config`'s 60 ms: nobody
-    /// dies silently here, and a straggler that sleeps must not be
-    /// mistaken for one that did.
-    fn miscalibrated_config(reopt_enabled: bool, obs: Obs) -> RuntimeConfig {
-        RuntimeConfig {
-            obs,
-            reopt: ReoptConfig {
-                enabled: reopt_enabled,
-                ..ReoptConfig::default()
-            },
-            faults: FaultPlan::none().with(
-                1,
-                WorkerFault::Straggler {
-                    delay_ms: 30,
-                    factor: 3.0,
-                },
-            ),
-            ..RuntimeConfig::default()
-        }
-    }
-
-    #[test]
-    fn reopt_on_calibrated_run_changes_nothing() {
-        // Honest priors, no faults: observed ratios are uniform, skew
-        // stays below threshold, and no re-plan ever fires.
-        let database = db(20, 100);
-        let queries = queries_from(&database, &[1, 4, 7, 10, 13, 16]);
-        let workers = vec![
-            WorkerSpec::gpu_default(),
-            WorkerSpec::cpu_default(),
-            WorkerSpec::cpu_default(),
         ];
-        let off = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        let obs = Obs::enabled();
-        let on = run_search(
-            image(&database),
-            queries,
-            &workers,
-            RuntimeConfig {
-                obs: obs.clone(),
-                reopt: ReoptConfig::enabled(),
-                ..RuntimeConfig::default()
-            },
-        );
-        assert_eq!(on.hits, off.hits);
-        assert!(
-            !obs.events_since(0)
-                .iter()
-                .any(|e| matches!(e.body, EventBody::ReoptReplan { .. })),
-            "a calibrated run must not trigger re-planning"
-        );
-        // Same static plan executed either way.
-        for (a, b) in off.worker_stats.iter().zip(on.worker_stats.iter()) {
-            assert_eq!(a.tasks, b.tasks);
-        }
-    }
-
-    #[test]
-    fn reopt_replans_miscalibrated_straggler_and_keeps_hits() {
-        let database = db(24, 110);
-        let queries = queries_from(&database, &[0, 2, 5, 8, 11, 14, 17, 20]);
-        let workers = miscalibrated_zoo();
         let healthy = run_search(
             image(&database),
             queries.clone(),
             &workers,
             RuntimeConfig::default(),
         );
-        let obs = Obs::enabled();
+        let straggler = WorkerFault::Straggler {
+            delay_ms: 0,
+            factor: 3.0,
+        };
         let reopt = run_search(
             image(&database),
             queries,
             &workers,
-            miscalibrated_config(true, obs.clone()),
+            RuntimeConfig {
+                reopt: ReoptConfig::enabled(),
+                faults: FaultPlan::none().with(1, straggler),
+                ..RuntimeConfig::default()
+            },
         );
         assert_eq!(reopt.hits, healthy.hits, "re-planning must not change hits");
-        let events = obs.events_since(0);
-        // Every re-plan is journaled with the skew that triggered it.
-        let skews: Vec<f64> = events
-            .iter()
-            .filter_map(|e| match e.body {
-                EventBody::ReoptReplan { skew, .. } if e.track == Track::Faults => Some(skew),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            !skews.is_empty(),
-            "the 3x-slow 2x-overrated worker must trigger a re-plan"
-        );
-        assert!(skews.iter().all(|skew| *skew >= 1.5), "{skews:?}");
-        // All tasks ran exactly once in total accounting terms: no task
-        // is double-counted by the re-plan (duplicates would inflate
-        // the per-worker task counts beyond the query count unless a
-        // fault forced a retry, and this plan has no deaths).
         let total: usize = reopt.worker_stats.iter().map(|s| s.tasks).sum();
         assert_eq!(total, 8);
-    }
-
-    #[test]
-    fn reopt_improves_modelled_makespan_on_miscalibrated_straggler() {
-        // The issue's acceptance bar: on the deliberately miscalibrated
-        // scenario, re-optimization improves modelled makespan by at
-        // least 15% over the static plan.
-        let database = db(24, 110);
-        let queries = queries_from(&database, &[0, 2, 5, 8, 11, 14, 17, 20]);
-        let workers = miscalibrated_zoo();
-        let static_run = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            miscalibrated_config(false, Obs::disabled()),
-        );
-        let reopt_run = run_search(
-            image(&database),
-            queries,
-            &workers,
-            miscalibrated_config(true, Obs::disabled()),
-        );
-        assert_eq!(reopt_run.hits, static_run.hits);
-        let improvement = 1.0 - reopt_run.modelled_makespan / static_run.modelled_makespan;
-        assert!(
-            improvement >= 0.15,
-            "re-opt must improve modelled makespan by >= 15%: static {:.4}s, reopt {:.4}s ({:.1}%)",
-            static_run.modelled_makespan,
-            reopt_run.modelled_makespan,
-            improvement * 100.0
-        );
-    }
-
-    #[test]
-    fn reopt_survives_worker_death_after_replan() {
-        // Re-planning and fault recovery compose: the straggler is
-        // re-planned around, then a CPU dies; hits still match.
-        let database = db(18, 90);
-        let queries = queries_from(&database, &[0, 3, 6, 9, 12, 15]);
-        let workers = miscalibrated_zoo();
-        let healthy = run_search(
-            image(&database),
-            queries.clone(),
-            &workers,
-            RuntimeConfig::default(),
-        );
-        let faulted = run_search(
-            image(&database),
-            queries,
-            &workers,
-            RuntimeConfig {
-                reopt: ReoptConfig::enabled(),
-                ..fault_config(
-                    FaultPlan::none()
-                        .with(
-                            1,
-                            WorkerFault::Straggler {
-                                delay_ms: 0,
-                                factor: 3.0,
-                            },
-                        )
-                        .with(
-                            2,
-                            WorkerFault::Crash {
-                                after_jobs: 1,
-                                notify: true,
-                            },
-                        ),
-                )
-            },
-        );
-        assert_eq!(faulted.hits, healthy.hits);
-
-        // The fault re-plan keeps what re-optimization learned. With a
-        // healthy CPU (worker 3) beside the straggler and enough tasks
-        // for every CPU to hold a queue, the straggler's factor is seen
-        // on first completions; when worker 2 then dies, its orphans
-        // and the whole revocable remainder are split on that factor,
-        // so the straggler ends up with strictly less base work than
-        // the healthy CPU. (The simulator pins the re-plan itself:
-        // `a_fault_replan_remembers_the_calibration`.)
-        let database = db(18, 90);
-        let picks: Vec<usize> = (0..48).map(|i| i % 18).collect();
-        let queries = queries_from(&database, &picks);
-        let mut workers = miscalibrated_zoo();
-        workers.push(WorkerSpec::cpu_default());
-        let faulted = run_search(
-            image(&database),
-            queries,
-            &workers,
-            RuntimeConfig {
-                reopt: ReoptConfig::enabled(),
-                ..fault_config(
-                    FaultPlan::none()
-                        .with(
-                            1,
-                            WorkerFault::Straggler {
-                                delay_ms: 0,
-                                factor: 3.0,
-                            },
-                        )
-                        .with(
-                            2,
-                            WorkerFault::Crash {
-                                after_jobs: 3,
-                                notify: true,
-                            },
-                        ),
-                )
-            },
-        );
-        let stats = &faulted.worker_stats;
-        assert_eq!(stats.iter().map(|s| s.tasks).sum::<usize>(), 48);
-        assert_eq!(stats[2].tasks, 3);
-        assert!(
-            stats[1].cells < stats[3].cells,
-            "straggler ran {} tasks, healthy CPU {}",
-            stats[1].tasks,
-            stats[3].tasks
-        );
-    }
-
-    #[test]
-    fn reopt_recalibration_never_lowers_the_cold_host_deadline_floor() {
-        // Regression guard for the PR 2 invariant: the silent-death
-        // deadline is floored by the 10-MCUPS cold-host prior, and
-        // re-calibration touches planning estimates only. Whatever the
-        // re-opt machinery does to the rate models, the deadline for a
-        // given amount of pending cells can never drop below the time a
-        // 10-MCUPS host would need (divided by nothing — slack only
-        // stretches it).
-        let cells = 5.0e8; // half a giga-cell
-        let slack = RuntimeConfig::default().job_timeout_slack;
-        let floor_seconds = slack * cells / COLD_HOST_CELLS_PER_SEC;
-        // A wildly optimistic re-calibrated estimate (estimates say the
-        // task takes microseconds) with an equally optimistic observed
-        // wall ratio still cannot undercut the cells-based floor the
-        // master applies alongside job_deadline_seconds.
-        let optimistic = job_deadline_seconds(1e-6, 1e-3, slack, 0.05);
-        let deadline = optimistic.max(slack * cells * (1.0 / COLD_HOST_CELLS_PER_SEC));
-        assert!(
-            deadline >= floor_seconds,
-            "deadline {deadline} fell below the 10-MCUPS floor {floor_seconds}"
-        );
-        // And the constant itself is the documented 10 MCUPS.
-        assert_eq!(COLD_HOST_CELLS_PER_SEC, 1.0e7);
     }
 }

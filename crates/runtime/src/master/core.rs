@@ -57,7 +57,9 @@
 //! whether a loan is answered or never is.
 
 use super::{AllocationPolicy, ReoptConfig, RuntimeConfig, SearchError};
-use crate::estimator::{cold_host_cells_per_sec, job_deadline_seconds, WorkerRateModel};
+use crate::estimator::{
+    cold_host_cells_per_sec, job_deadline_seconds, WorkerRateModel, JOB_TIMEOUT_SLACK,
+};
 use crate::messages::{DbSlice, FailureReason, Job, JobResult, WorkerFailure};
 use std::collections::{HashMap, VecDeque};
 use std::iter::once;
@@ -188,16 +190,15 @@ pub(super) struct MasterState<'a> {
     /// self-scheduling.
     initial: Option<Schedule>,
     is_gpu: Vec<bool>,
-    /// How a plan's binary search runs; `None` under self-scheduling,
-    /// whose tasks start in, and whose orphans return to, the pool.
-    search: Option<BinarySearchConfig>,
+    /// Whether tasks run from plans; not under self-scheduling, whose
+    /// tasks start in, and whose orphans return to, the pool.
+    planned: bool,
     /// The backend CPU workers score runs on: the pick's lanes.
     backend: Backend,
     reopt: ReoptConfig,
     max_retries: usize,
-    /// `min_job_timeout` and `job_timeout_slack`, in seconds.
+    /// `min_job_timeout`, in seconds.
     floor: f64,
-    slack: f64,
     obs: Obs,
 
     alive: Vec<bool>,
@@ -310,13 +311,6 @@ impl<'a> MasterState<'a> {
             cpu: overhead_of(cpu),
             gpu: overhead_of(gpu),
         };
-        let bisection = match config.policy {
-            AllocationPolicy::DualApprox(method) => Some(BinarySearchConfig {
-                method,
-                ..BinarySearchConfig::default()
-            }),
-            AllocationPolicy::SelfScheduling => None,
-        };
         let (n, workers) = (original.len(), search.models.len());
         let mut state = MasterState {
             original,
@@ -330,12 +324,11 @@ impl<'a> MasterState<'a> {
             align: search.align,
             initial: None,
             is_gpu: search.is_gpu,
-            search: bisection,
+            planned: config.policy == AllocationPolicy::DualApprox,
             backend,
             reopt: config.reopt,
             max_retries: config.max_task_retries,
             floor: config.min_job_timeout.as_secs_f64(),
-            slack: config.job_timeout_slack,
             obs: config.obs.clone(),
             alive: search.models.iter().map(Option::is_some).collect(),
             queue: vec![VecDeque::new(); workers],
@@ -362,16 +355,16 @@ impl<'a> MasterState<'a> {
         // Every task joins the search as the first plan hands it over:
         // cut, or whole under self-scheduling.
         let wholes: Vec<Part> = (0..n).map(Part::whole).collect();
-        let first = match state.search {
-            Some(_) => state.plan(&wholes, &[], &state.pool(&state.live_by_species())),
-            None => SplitPlan {
+        let first = match state.planned {
+            true => state.plan(&wholes, &[], &state.pool(&state.live_by_species())),
+            false => SplitPlan {
                 tasks: state.original.clone(),
                 parts: wholes,
                 schedule: Schedule::default(),
             },
         };
         let schedule = state.take(first, &[]);
-        state.initial = state.search.map(|_| schedule);
+        state.initial = state.planned.then_some(schedule);
         Ok(state)
     }
 
@@ -649,7 +642,7 @@ impl<'a> MasterState<'a> {
         if cpus.is_empty() && gpus.is_empty() {
             return Err(self.all_workers_dead());
         }
-        if self.search.is_none() {
+        if !self.planned {
             for &t in orphans.iter().rev() {
                 self.pool.push_front(t);
             }
@@ -696,7 +689,7 @@ impl<'a> MasterState<'a> {
         let snap = |fraction: f64| db.fraction_before(db.cut_at(fraction, align));
         let decision = Decision {
             id: self.decision,
-            config: self.search.unwrap_or_default(),
+            config: BinarySearchConfig::default(),
             obs: &self.obs,
         };
         plan(
@@ -968,8 +961,8 @@ impl<'a> MasterState<'a> {
     /// the cold-host rate. Re-optimization never touches this.
     fn grant(&self, pending: impl Iterator<Item = (f64, f64)>) -> f64 {
         let (est, cells) = pending.fold((0.0f64, 0.0f64), |a, b| (a.0.max(b.0), a.1.max(b.1)));
-        job_deadline_seconds(est, self.wall_ratio, self.slack, self.floor)
-            .max(self.slack * cells * self.secs_per_cell)
+        job_deadline_seconds(est, self.wall_ratio, self.floor)
+            .max(JOB_TIMEOUT_SLACK * cells * self.secs_per_cell)
     }
 
     /// Worker `w`'s whole obligation — the in-flight run plus its queue

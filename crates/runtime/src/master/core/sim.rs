@@ -49,8 +49,6 @@ use swdual_align::{gotoh_score, Subjects};
 use swdual_bio::seq::{Sequence, SequenceSet};
 use swdual_bio::{Alphabet, ScoringScheme};
 use swdual_gpusim::DeviceSpec;
-use swdual_sched::dual::KnapsackMethod;
-use swdual_sched::knapsack::DpConfig;
 
 /// Virtual wall seconds per modelled second of work.
 const WALL_PER_MODELLED: f64 = 1e-3;
@@ -686,7 +684,7 @@ impl Sim {
             }
         }
         for &t in &s.pool {
-            assert!(s.search.is_none(), "task {t} pooled under a plan");
+            assert!(!s.planned, "task {t} pooled under a plan");
             places[t] += 1;
         }
         for (t, &count) in places.iter().enumerate() {
@@ -755,7 +753,7 @@ impl Sim {
         if count(|b| matches!(b, EventBody::TaskRedispatch { .. })) + replanned > 0 {
             assert!(replans >= 1, "a re-plan must open a new decision");
         }
-        if s.search.is_some() {
+        if s.planned {
             let mut placed: Vec<u64> = events
                 .iter()
                 .filter(|e| matches!(e.track, Track::Recovered(_)))
@@ -860,16 +858,14 @@ fn workload(n: usize, rng: &mut TestRng) -> Vec<usize> {
     (0..n).map(|_| 4 + rng.next_u64() as usize % 32).collect()
 }
 
+/// The paper's one-round plan.
+const DUAL: AllocationPolicy = AllocationPolicy::DualApprox;
+
 fn policy_of(pick: usize) -> AllocationPolicy {
-    match pick % 3 {
-        0 => AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
-        1 => AllocationPolicy::DualApprox(KnapsackMethod::Dp(DpConfig { resolution: 64 })),
+    match pick % 2 {
+        0 => DUAL,
         _ => AllocationPolicy::SelfScheduling,
     }
-}
-
-fn greedy() -> AllocationPolicy {
-    policy_of(0)
 }
 
 /// No runs, runs wherever two tasks fit the bound, or none beating
@@ -941,7 +937,7 @@ proptest! {
     fn any_schedule_keeps_the_invariants(
         seed in any::<u64>(),
         n_tasks in 0usize..24,
-        policy in 0usize..3,
+        policy in 0usize..2,
         reopt in any::<bool>(),
         runs in 0usize..3,
     ) {
@@ -968,7 +964,7 @@ proptest! {
     fn an_answered_loan_and_a_dropped_one_dispatch_alike(
         seed in any::<u64>(),
         n_tasks in 0usize..24,
-        policy in 0usize..3,
+        policy in 0usize..2,
         reopt in any::<bool>(),
         runs in 0usize..3,
     ) {
@@ -1008,7 +1004,7 @@ proptest! {
         let mut rng = TestRng::seed_from_u64(seed);
         let workers = pool(&mut rng, false);
         let lens = workload(n_tasks, &mut rng);
-        let sim = Sim::new(&lens, workers, greedy(), reopt_of(reopt), seed);
+        let sim = Sim::new(&lens, workers, DUAL, reopt_of(reopt), seed);
         let mut sim = with_runs_of(sim, runs);
         let schedule = sim.state.initial.clone().unwrap();
         prop_assert_eq!(sim.run(), Ok(()));
@@ -1049,6 +1045,14 @@ fn answered(sim: &Sim) -> Vec<usize> {
     tasks
 }
 
+/// Each task's merged hits, by task id.
+fn hits(sim: &Sim) -> Vec<(usize, Vec<Hit>)> {
+    let results = sim.state.results.iter();
+    let mut hits: Vec<(usize, Vec<Hit>)> = results.map(|r| (r.task_id, r.hits.clone())).collect();
+    hits.sort_by_key(|&(t, _)| t);
+    hits
+}
+
 /// Whether the journal holds an event `is` picks.
 fn journaled(sim: &Sim, is: impl Fn(&swdual_obs::Event) -> bool) -> bool {
     sim.obs.events_since(0).iter().any(is)
@@ -1063,7 +1067,7 @@ fn journaled(sim: &Sim, is: impl Fn(&swdual_obs::Event) -> bool) -> bool {
 #[test]
 fn a_silent_death_is_noticed_within_a_tick_of_its_deadline() {
     let workers = vec![cpu(None), cpu(None), cpu(vanish(1))];
-    let mut sim = Sim::new(&[5; 600], workers, greedy(), ReoptConfig::default(), 7);
+    let mut sim = Sim::new(&[5; 600], workers, DUAL, ReoptConfig::default(), 7);
     sim.step_cost = 1.5e-3;
     assert_eq!(sim.run(), Ok(()));
     let (died, deadline) = sim.death_at[2].expect("the vanished worker is declared dead");
@@ -1106,13 +1110,6 @@ fn a_self_scheduled_silent_death_is_noticed_within_a_tick_of_its_deadline() {
         "died {died}, ended {}",
         sim.now
     );
-    let hits = |sim: &Sim| {
-        let mut hits: Vec<(usize, Vec<Hit>)> = (sim.state.results.iter())
-            .map(|r| (r.task_id, r.hits.clone()))
-            .collect();
-        hits.sort_by_key(|&(t, _)| t);
-        hits
-    };
     assert_eq!(hits(&sim), hits(&run(vec![cpu(None), cpu(None)])));
 }
 
@@ -1159,7 +1156,7 @@ fn self_scheduled_jobs_wait_for_nothing_on_the_modelled_clock() {
 #[test]
 fn a_fault_replan_remembers_the_calibration() {
     let workers = vec![cpu(None), cpu(slow(4.0)), cpu(crash(6))];
-    let mut sim = Sim::new(&[5; 60], workers, greedy(), ReoptConfig::enabled(), 11);
+    let mut sim = Sim::new(&[5; 60], workers, DUAL, ReoptConfig::enabled(), 11);
     let mut verdict = sim.start();
     while verdict.is_none() && sim.state.alive[2] {
         verdict = sim.advance();
@@ -1216,7 +1213,7 @@ fn a_fault_replan_remembers_the_calibration() {
 fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
     let lens = [40; 3];
     let healthy = vec![gpu(None); 2];
-    let planned = Sim::new(&lens, healthy.clone(), greedy(), ReoptConfig::default(), 5);
+    let planned = Sim::new(&lens, healthy.clone(), DUAL, ReoptConfig::default(), 5);
     assert_eq!(planned.state.total(), 4, "one task is cut in two");
     let cut_off = planned.state.parts[3];
     assert!(cut_off.lo > 0.0 && cut_off.hi == 1.0);
@@ -1231,7 +1228,7 @@ fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
 
     let mut workers = healthy;
     workers[holder].fault = crash(1);
-    let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 5);
+    let mut sim = Sim::new(&lens, workers, DUAL, ReoptConfig::default(), 5);
     let verdict = sim.run();
     assert_eq!(verdict, Ok(()));
     sim.check_verdict(&verdict);
@@ -1263,8 +1260,8 @@ fn the_death_of_the_worker_holding_a_slice_redispatches_the_slice() {
 fn a_crash_inside_a_run_orphans_that_run_and_the_queue_behind_it() {
     let lens = [6; 40];
     let healthy = vec![cpu(None); 2];
-    let mut sim = Sim::new(&lens, healthy.clone(), greedy(), ReoptConfig::default(), 3);
-    let mut sim_runs = Sim::new(&lens, healthy, greedy(), ReoptConfig::default(), 3).with_runs(0.0);
+    let mut sim = Sim::new(&lens, healthy.clone(), DUAL, ReoptConfig::default(), 3);
+    let mut sim_runs = Sim::new(&lens, healthy, DUAL, ReoptConfig::default(), 3).with_runs(0.0);
     assert_eq!(sim.run(), Ok(()));
     assert_eq!(sim_runs.run(), Ok(()));
     sim_runs.check_verdict(&Ok(()));
@@ -1275,17 +1272,9 @@ fn a_crash_inside_a_run_orphans_that_run_and_the_queue_behind_it() {
     );
     // Each task is charged its own estimate, run or not.
     assert_eq!(sim_runs.modelled_makespan(), sim.modelled_makespan());
-    let hits = |sim: &Sim| {
-        let results = sim.state.results.iter();
-        let mut hits: Vec<(usize, Vec<Hit>)> =
-            results.map(|r| (r.task_id, r.hits.clone())).collect();
-        hits.sort_by_key(|&(t, _)| t);
-        hits
-    };
-
     for n in [1, 2, 3] {
         let workers = vec![cpu(None), cpu(crash(n))];
-        let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 3).with_runs(0.0);
+        let mut sim = Sim::new(&lens, workers, DUAL, ReoptConfig::default(), 3).with_runs(0.0);
         let mut verdict = sim.start();
         let (first_run, queued) = (sim.state.in_flight[1].clone(), sim.state.queue[1].clone());
         assert!(first_run.len() > n, "the crash falls inside the first run");
@@ -1348,7 +1337,7 @@ fn posted(sim: &Sim, w: usize) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
 #[test]
 fn one_answer_settles_a_run_and_dispatches_the_next() {
     let workers = vec![cpu(None); 2];
-    let mut sim = Sim::new(&[60; 300], workers, greedy(), ReoptConfig::default(), 3).with_runs(0.0);
+    let mut sim = Sim::new(&[60; 300], workers, DUAL, ReoptConfig::default(), 3).with_runs(0.0);
     assert_eq!(sim.start(), None);
     let run = sim.state.in_flight[0].clone();
     assert!(run.len() > 1, "the first run holds several tasks");
@@ -1396,7 +1385,7 @@ fn one_answer_settles_a_run_and_dispatches_the_next() {
 #[test]
 fn gpu_workers_take_one_task_a_run() {
     let pool = vec![gpu(None); 2];
-    let mut sim = Sim::new(&[6; 30], pool, greedy(), ReoptConfig::default(), 9).with_runs(0.0);
+    let mut sim = Sim::new(&[6; 30], pool, DUAL, ReoptConfig::default(), 9).with_runs(0.0);
     assert_eq!(sim.run(), Ok(()));
     assert_eq!(sim.runs_formed, 0);
 }
@@ -1410,8 +1399,7 @@ fn gpu_workers_take_one_task_a_run() {
 #[test]
 fn an_idle_worker_is_lent_the_busiest_queue_from_its_tail() {
     let workers = vec![gpu(slow(3.0)), cpu(None)];
-    let policy = greedy();
-    let mut sim = Sim::new(&[21; 12], workers, policy, ReoptConfig::default(), 4).answering(1);
+    let mut sim = Sim::new(&[21; 12], workers, DUAL, ReoptConfig::default(), 4).answering(1);
     let queued = |sim: &Sim, w: usize| sim.state.queue[w].iter().copied().collect::<Vec<_>>();
     let mut verdict = sim.start();
     let planned: Vec<usize> = sim.state.in_flight[0]
@@ -1465,14 +1453,14 @@ fn nothing_is_lent_to_a_dead_busy_or_self_scheduled_worker() {
     // A CPU straggles four times slower than planned: its peers run dry,
     // but a CPU's queue is never lent.
     let pool = vec![cpu(None), cpu(slow(4.0)), cpu(None)];
-    let mut sim = Sim::new(&lens, pool, greedy(), ReoptConfig::default(), 4).answering(7);
+    let mut sim = Sim::new(&lens, pool, DUAL, ReoptConfig::default(), 4).answering(7);
     assert_eq!(sim.run(), Ok(()));
     assert!(sim.lends.is_empty(), "a CPU-only pool lends nothing");
 
     // Worker 2 dies early and the device straggles: the survivor that
     // runs dry is lent work, the dead one never is.
     let workers = vec![cpu(None), gpu(slow(4.0)), cpu(crash(1))];
-    let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 6).answering(5);
+    let mut sim = Sim::new(&lens, workers, DUAL, ReoptConfig::default(), 6).answering(5);
     assert_eq!(sim.run(), Ok(()));
     sim.check_verdict(&Ok(()));
     assert!(!sim.lends.is_empty());
@@ -1484,8 +1472,7 @@ fn nothing_is_lent_to_a_dead_busy_or_self_scheduled_worker() {
     assert_eq!(lent.len(), n, "no task lent twice");
 }
 
-/// The simulated twin of `master::tests::straggler_is_timed_out_and_work_rerouted`:
-/// a CPU that stalls 250 ms before each task is declared dead at its
+/// A CPU that stalls 250 ms before each task is declared dead at its
 /// 60-ms deadline, its work re-routed to the other; its late answers
 /// are duplicates, and the hits are Gotoh's.
 #[test]
@@ -1495,7 +1482,7 @@ fn straggler_is_timed_out_and_work_rerouted() {
         factor: 2.0,
     });
     let workers = vec![cpu(straggle), cpu(None)];
-    let mut sim = Sim::new(&[30, 45, 12], workers, greedy(), ReoptConfig::default(), 1);
+    let mut sim = Sim::new(&[30, 45, 12], workers, DUAL, ReoptConfig::default(), 1);
     let verdict = sim.run();
     assert_eq!(verdict, Ok(()));
     sim.check_verdict(&verdict);
@@ -1506,17 +1493,13 @@ fn straggler_is_timed_out_and_work_rerouted() {
     assert_eq!(answered(&sim)[0], 0, "the survivor answered every task");
 }
 
-/// The simulated twin of `master::tests::silent_crash_is_detected_by_deadline`.
+/// A CPU that dies silently on its first job is found by its deadline,
+/// and the survivor answers every task with Gotoh's hits. The thread
+/// shell's wall-clock twin is `master::tests::silent_crash_is_detected_by_deadline`.
 #[test]
 fn silent_crash_is_detected_by_deadline() {
     let workers = vec![cpu(None), cpu(vanish(0))];
-    let mut sim = Sim::new(
-        &[30, 45, 12, 60],
-        workers,
-        greedy(),
-        ReoptConfig::default(),
-        2,
-    );
+    let mut sim = Sim::new(&[30, 45, 12, 60], workers, DUAL, ReoptConfig::default(), 2);
     let verdict = sim.run();
     assert_eq!(verdict, Ok(()));
     sim.check_verdict(&verdict);
@@ -1528,22 +1511,14 @@ fn silent_crash_is_detected_by_deadline() {
     )));
 }
 
-/// The simulated twin of
-/// `master::tests::gpu_device_fault_mid_run_recovers_with_identical_hits`:
-/// the device dies after its first kernel, its orphans are re-planned on
+/// The device dies after its first kernel, its orphans are re-planned on
 /// the CPU, and the hits are Gotoh's. Death, re-dispatches and the
 /// recovery plan are journaled.
 #[test]
 fn gpu_device_fault_mid_run_recovers_with_identical_hits() {
     let fault = Some(WorkerFault::DeviceFault { after_kernels: 1 });
     let workers = vec![cpu(None), gpu(fault)];
-    let mut sim = Sim::new(
-        &[8, 10, 6, 12, 9],
-        workers,
-        greedy(),
-        ReoptConfig::default(),
-        3,
-    );
+    let mut sim = Sim::new(&[8, 10, 6, 12, 9], workers, DUAL, ReoptConfig::default(), 3);
     let verdict = sim.run();
     assert_eq!(verdict, Ok(()));
     sim.check_verdict(&verdict);
@@ -1564,27 +1539,158 @@ fn gpu_device_fault_mid_run_recovers_with_identical_hits() {
     assert!(journaled(&sim, |e| e.track == Track::Recovered(0)));
 }
 
-/// The simulated twin of
-/// `master::tests::reopt_improves_modelled_makespan_on_miscalibrated_straggler`,
-/// with no wall-clock premise: CPU worker 1 declares itself twice as
-/// fast as it is and straggles three times slower than honest.
-/// Re-optimization improves the modelled makespan by at least 15 %.
+/// A CPU that dies on its first job and says so leaves every task to
+/// the other, with Gotoh's hits.
+#[test]
+fn notified_crash_recovers() {
+    let workers = vec![cpu(crash(0)), cpu(None)];
+    let mut sim = Sim::new(&[30, 45, 12, 60], workers, DUAL, ReoptConfig::default(), 2);
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    assert_eq!(answered(&sim), [0, sim.state.total()]);
+}
+
+/// Both devices die before their first kernel: the re-plan runs on a
+/// platform without devices, and the CPU carries everything.
+#[test]
+fn all_gpus_dead_degrades_to_cpu_only() {
+    let dead = Some(WorkerFault::DeviceFault { after_kernels: 0 });
+    let workers = vec![cpu(None), gpu(dead), gpu(dead)];
+    let mut sim = Sim::new(&[8, 10, 6, 12], workers, DUAL, ReoptConfig::default(), 4);
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    assert_eq!(
+        answered(&sim),
+        [sim.state.total(), 0, 0],
+        "CPU carried everything"
+    );
+}
+
+/// The only worker dies on its first job: a typed error that says how
+/// far the search got.
+#[test]
+fn all_workers_dead_is_a_typed_error() {
+    let mut sim = Sim::new(
+        &[30, 45],
+        vec![cpu(crash(0))],
+        DUAL,
+        ReoptConfig::default(),
+        1,
+    );
+    let verdict = sim.run();
+    assert_eq!(
+        verdict,
+        Err(SearchError::AllWorkersDead {
+            completed: 0,
+            total: 2
+        })
+    );
+    sim.check_verdict(&verdict);
+}
+
+/// Self-scheduling on three extreme stragglers: each outlives its
+/// deadline on the one task, which goes back to the pool for the next;
+/// the retry bound turns that into a typed error instead of an
+/// unbounded loop.
+#[test]
+fn retry_budget_converts_livelock_into_error() {
+    let straggler = Some(WorkerFault::Straggler {
+        delay_ms: 400,
+        factor: 1.0,
+    });
+    let pooled = AllocationPolicy::SelfScheduling;
+    let mut sim = Sim::new(
+        &[30],
+        vec![cpu(straggler); 3],
+        pooled,
+        ReoptConfig::default(),
+        1,
+    );
+    sim.state.max_retries = 1;
+    let verdict = sim.run();
+    assert!(
+        matches!(
+            verdict,
+            Err(SearchError::RetriesExhausted { task_id: 0, .. })
+        ),
+        "{verdict:?}"
+    );
+    sim.check_verdict(&verdict);
+}
+
+/// Under self-scheduling, a CPU that dies silently on its second job
+/// leaves the hits Gotoh's.
+#[test]
+fn self_scheduling_survives_a_silent_crash() {
+    let workers = vec![cpu(vanish(1)), cpu(None)];
+    let pooled = AllocationPolicy::SelfScheduling;
+    let mut sim = Sim::new(
+        &[30, 45, 12, 60],
+        workers,
+        pooled,
+        ReoptConfig::default(),
+        4,
+    );
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    assert!(!sim.state.alive[0]);
+}
+
+/// The plans `FaultPlan::seeded` draws (crashes, silent deaths, device
+/// faults, stragglers, lost registrations, always sparing one worker)
+/// leave the hits Gotoh's, for a few seeds.
+#[test]
+fn seeded_fault_plans_preserve_hits() {
+    for seed in [1u64, 7, 23] {
+        let plan = crate::faults::FaultPlan::seeded(seed, 3);
+        let workers = vec![cpu(plan.get(0)), cpu(plan.get(1)), gpu(plan.get(2))];
+        let mut sim = Sim::new(
+            &[9, 14, 21, 30],
+            workers,
+            DUAL,
+            ReoptConfig::default(),
+            seed,
+        );
+        let verdict = sim.run();
+        assert_eq!(verdict, Ok(()), "seed {seed} plan {plan}");
+        sim.check_verdict(&verdict);
+    }
+}
+
+/// The miscalibrated-straggler scenario's queries.
+const MISCALIBRATED_LENS: [usize; 12] = [20, 26, 33, 18, 41, 24, 30, 22, 37, 28, 19, 35];
+
+/// The miscalibrated-straggler scenario's pool: a device, CPU worker 1
+/// declaring itself twice as fast as it is and honouring `fault`, and
+/// CPU worker 2 honouring `other`.
+fn miscalibrated(fault: Option<WorkerFault>, other: Option<WorkerFault>) -> Vec<Member> {
+    let mut bragger = cpu(fault);
+    bragger.spec = bragger.spec.with_prior_scale(2.0);
+    vec![gpu(None), bragger, cpu(other)]
+}
+
+/// The miscalibrated straggler — CPU worker 1 declares itself twice as
+/// fast as it is and runs three times slower than honest — run to its
+/// end, statically or re-optimized.
+fn miscalibrated_run(reopt: ReoptConfig) -> Sim {
+    let workers = miscalibrated(slow(3.0), None);
+    let mut sim = Sim::new(&MISCALIBRATED_LENS, workers, DUAL, reopt, 8);
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    sim
+}
+
+/// Re-optimization improves the miscalibrated straggler's modelled
+/// makespan by at least 15 %.
 #[test]
 fn reopt_improves_modelled_makespan_on_miscalibrated_straggler() {
-    let mut bragger = cpu(slow(3.0));
-    bragger.spec = bragger.spec.with_prior_scale(2.0);
-    let workers = vec![gpu(None), bragger, cpu(None)];
-    let lens = [20, 26, 33, 18, 41, 24, 30, 22, 37, 28, 19, 35];
-    let makespan = |reopt: ReoptConfig| {
-        let mut sim = Sim::new(&lens, workers.clone(), greedy(), reopt, 8);
-        let verdict = sim.run();
-        assert_eq!(verdict, Ok(()));
-        sim.check_verdict(&verdict);
-        sim.modelled_makespan()
-    };
     let (static_plan, reopt) = (
-        makespan(ReoptConfig::default()),
-        makespan(ReoptConfig::enabled()),
+        miscalibrated_run(ReoptConfig::default()).modelled_makespan(),
+        miscalibrated_run(ReoptConfig::enabled()).modelled_makespan(),
     );
     let improvement = 1.0 - reopt / static_plan;
     assert!(
@@ -1592,6 +1698,157 @@ fn reopt_improves_modelled_makespan_on_miscalibrated_straggler() {
         "static {static_plan:.3} s, re-optimized {reopt:.3} s ({:.1} %)",
         improvement * 100.0
     );
+}
+
+/// Every re-plan of the miscalibrated straggler is journaled with the
+/// skew that triggered it, never below the threshold; the hits are
+/// Gotoh's, and no task is answered twice.
+#[test]
+fn reopt_replans_miscalibrated_straggler_and_keeps_hits() {
+    let sim = miscalibrated_run(ReoptConfig::enabled());
+    let skews: Vec<f64> = (sim.obs.events_since(0).iter())
+        .filter_map(|e| match e.body {
+            EventBody::ReoptReplan { skew, .. } if e.track == Track::Faults => Some(skew),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !skews.is_empty(),
+        "the 3x-slow 2x-overrated worker must trigger a re-plan"
+    );
+    let threshold = ReoptConfig::enabled().threshold;
+    assert!(skews.iter().all(|skew| *skew >= threshold), "{skews:?}");
+    let total: usize = answered(&sim).iter().sum();
+    assert_eq!(total, sim.state.total());
+    assert_eq!(
+        sim.duplicates_delivered, 0,
+        "nobody died, nothing is answered twice"
+    );
+}
+
+/// What `explain --what-if perfect-calibration` predicts from the static
+/// run's journal is what re-optimization achieves: on the miscalibrated
+/// straggler, the replay with every worker's observed speed known up
+/// front lands within 10 % of the re-optimized run's modelled makespan.
+#[test]
+fn perfect_calibration_predicts_the_reopt_makespan_within_ten_percent() {
+    use swdual_core::whatif::{what_if, WhatIf};
+    let static_run = miscalibrated_run(ReoptConfig::default());
+    let reopt = miscalibrated_run(ReoptConfig::enabled()).modelled_makespan();
+    let model = swdual_obs::RunModel::from_obs(&static_run.obs);
+    assert_eq!(model.makespan, static_run.modelled_makespan());
+    let report = what_if(&model, &WhatIf::PerfectCalibration).unwrap();
+    let predicted = report.counterfactual_makespan;
+    assert!(
+        (predicted - reopt).abs() <= 0.10 * reopt,
+        "static {:.3} s, perfect-calibration predicts {predicted:.3} s, \
+         re-optimized {reopt:.3} s",
+        model.makespan
+    );
+}
+
+/// Re-calibration touches planning estimates only: once re-optimization
+/// has re-planned around the miscalibrated straggler, the master still
+/// grants half a giga-cell of pending work at least the time a 10-MCUPS
+/// cold host would need, stretched by the slack — however optimistic
+/// the task's estimate and the observed wall ratio.
+#[test]
+fn reopt_recalibration_never_lowers_the_cold_host_deadline_floor() {
+    use crate::estimator::{COLD_HOST_CELLS_PER_SEC, JOB_TIMEOUT_SLACK};
+    let workers = miscalibrated(slow(3.0), None);
+    let mut sim = Sim::new(
+        &MISCALIBRATED_LENS,
+        workers,
+        DUAL,
+        ReoptConfig::enabled(),
+        8,
+    );
+    let replanned = |sim: &Sim| journaled(sim, |e| matches!(e.body, EventBody::ReoptReplan { .. }));
+    let mut verdict = sim.start();
+    while verdict.is_none() && !replanned(&sim) {
+        verdict = sim.advance();
+    }
+    assert!(verdict.is_none() && sim.state.planned_factor[1] > 1.0);
+    assert!(sim.state.wall_ratio > 0.0, "the wall ratio is observed");
+    let cells = 5.0e8; // half a giga-cell
+    let floor_seconds = JOB_TIMEOUT_SLACK * cells / COLD_HOST_CELLS_PER_SEC;
+    let deadline = sim.state.grant(std::iter::once((1e-6, cells)));
+    assert!(
+        deadline >= floor_seconds,
+        "deadline {deadline} fell below the 10-MCUPS floor {floor_seconds}"
+    );
+    // And the constant itself is the documented 10 MCUPS.
+    assert_eq!(COLD_HOST_CELLS_PER_SEC, 1.0e7);
+    let verdict = sim.finish(verdict);
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+}
+
+/// Re-planning and fault recovery compose. With the straggler re-planned
+/// around, a CPU dies on its second job, and the hits are Gotoh's. The
+/// fault re-plan keeps what re-optimization learned: beside a healthy
+/// CPU (worker 3), with enough tasks for every CPU to hold a queue, the
+/// straggler's factor is seen on first completions, and when worker 2
+/// dies on its fourth job its orphans and the whole revocable remainder
+/// are split on that factor, so the straggler computes strictly fewer
+/// cells than the healthy CPU.
+#[test]
+fn reopt_survives_worker_death_after_replan() {
+    let workers = miscalibrated(slow(3.0), crash(1));
+    let mut sim = Sim::new(
+        &MISCALIBRATED_LENS,
+        workers,
+        DUAL,
+        ReoptConfig::enabled(),
+        8,
+    );
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    assert!(!sim.state.alive[2]);
+
+    let mut workers = miscalibrated(slow(3.0), crash(3));
+    workers.push(cpu(None));
+    let mut sim = Sim::new(&[20; 48], workers, DUAL, ReoptConfig::enabled(), 8);
+    let verdict = sim.run();
+    assert_eq!(verdict, Ok(()));
+    sim.check_verdict(&verdict);
+    let tasks = answered(&sim);
+    assert_eq!(tasks.iter().sum::<usize>(), sim.state.total());
+    assert_eq!(tasks[2], 3);
+    let mut cells = [0u64; 4];
+    for r in &sim.state.results {
+        cells[r.worker_id] += r.cells;
+    }
+    assert!(
+        cells[1] < cells[3],
+        "straggler ran {} tasks, healthy CPU {}",
+        tasks[1],
+        tasks[3]
+    );
+}
+
+/// Honest priors, no faults: observed ratios are uniform, skew stays
+/// below the threshold, and no re-plan ever fires; each worker answers
+/// the tasks of the static plan, with Gotoh's hits, re-optimization on
+/// or off.
+#[test]
+fn reopt_on_calibrated_run_changes_nothing() {
+    let run = |reopt: ReoptConfig| {
+        let workers = vec![gpu(None), cpu(None), cpu(None)];
+        let mut sim = Sim::new(&[22, 30, 17, 41, 26, 35], workers, DUAL, reopt, 6);
+        let verdict = sim.run();
+        assert_eq!(verdict, Ok(()));
+        sim.check_verdict(&verdict);
+        sim
+    };
+    let (off, on) = (run(ReoptConfig::default()), run(ReoptConfig::enabled()));
+    assert!(
+        !journaled(&on, |e| matches!(e.body, EventBody::ReoptReplan { .. })),
+        "a calibrated run must not trigger re-planning"
+    );
+    assert_eq!(answered(&on), answered(&off));
+    assert_eq!(hits(&on), hits(&off));
 }
 
 /// A re-plan cuts too, and a piece it cuts off is a task like any other.
@@ -1607,7 +1864,7 @@ fn a_crash_of_the_worker_holding_a_piece_cut_at_a_re_plan_keeps_the_hits() {
     let lens = [35; 7];
     let run = |holder: Option<WorkerFault>| {
         let workers = vec![cpu(crash(0)), gpu(None), gpu(holder)];
-        let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 5);
+        let mut sim = Sim::new(&lens, workers, DUAL, ReoptConfig::default(), 5);
         let verdict = sim.run();
         assert_eq!(verdict, Ok(()));
         sim.check_verdict(&verdict);
@@ -1648,11 +1905,14 @@ fn a_crash_of_the_worker_holding_a_piece_cut_at_a_re_plan_keeps_the_hits() {
 /// the static plan gave it; the bragger realises twice its share.
 #[test]
 fn a_bragging_cpu_prices_only_itself() {
-    let mut bragger = cpu(None);
-    bragger.spec = bragger.spec.with_prior_scale(2.0);
-    let workers = vec![gpu(None), bragger, cpu(None)];
-    let lens = [20, 26, 33, 18, 41, 24, 30, 22, 37, 28, 19, 35];
-    let mut sim = Sim::new(&lens, workers, greedy(), ReoptConfig::default(), 8);
+    let workers = miscalibrated(None, None);
+    let mut sim = Sim::new(
+        &MISCALIBRATED_LENS,
+        workers,
+        DUAL,
+        ReoptConfig::default(),
+        8,
+    );
     assert_eq!(
         sim.state.price[1], 1.0,
         "the bragger is the CPUs' reference"

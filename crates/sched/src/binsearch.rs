@@ -306,6 +306,25 @@ mod tests {
     }
 
     #[test]
+    fn dual_approx_beats_self_scheduling_on_a_skewed_instance() {
+        // The paper claims SWDUAL leaves "almost no idle time"; at
+        // minimum it must not be worse than naive self-scheduling on a
+        // skewed instance.
+        let tasks = TaskSet::from_times(&[
+            (100.0, 2.0),
+            (100.0, 2.0),
+            (100.0, 2.5),
+            (100.0, 2.5),
+            (3.0, 2.9),
+            (3.0, 2.9),
+        ]);
+        let platform = PlatformSpec::new(2, 2);
+        let dual = dual_approx_schedule(&tasks, &platform, BinarySearchConfig::default());
+        let selfs = crate::policies::self_scheduling(&tasks, &platform);
+        assert!(dual.schedule.makespan() <= selfs.makespan() + 1e-9);
+    }
+
+    #[test]
     fn ratio_to_lower_bound_is_reasonable() {
         // Empirically the dual-approx + LPT combination lands well under
         // its worst-case factor on random instances.

@@ -27,7 +27,6 @@
 //!   plan and for every re-plan of its remainder: the species split by
 //!   the binary search, list scheduling from each element's load at its
 //!   factor, and the divisible tail.
-//! * [`metrics`] — makespan, idle time, utilisation, lower bounds.
 //!
 //! Everything here is pure scheduling: processing times in, schedule
 //! out. `swdual_runtime::estimator` maps sequence-comparison tasks onto
@@ -40,7 +39,6 @@ pub mod binsearch;
 pub mod dual;
 pub mod exact;
 pub mod knapsack;
-pub mod metrics;
 pub mod plan;
 pub mod platform;
 pub mod policies;

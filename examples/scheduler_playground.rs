@@ -9,8 +9,7 @@
 //! Run with: `cargo run --release --example scheduler_playground`
 
 use swdual_repro::runtime::estimator::WorkerRateModel;
-use swdual_repro::sched::binsearch::{dual_approx_schedule, BinarySearchConfig};
-use swdual_repro::sched::metrics::evaluate;
+use swdual_repro::sched::binsearch::{dual_approx_schedule, lower_bound, BinarySearchConfig};
 use swdual_repro::sched::{policies, PlatformSpec, Schedule, Task, TaskSet};
 
 /// Residues of the paper's UniProt release.
@@ -63,16 +62,16 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>8} {:>9}",
         "policy", "makespan", "idle", "util", "ratio/LB"
     );
+    let lb = lower_bound(&tasks, &platform);
     for (name, policy) in policies {
         let schedule = policy(&tasks, &platform);
-        let m = evaluate(&schedule, &tasks, &platform);
         println!(
             "{:<18} {:>10.2} {:>10.2} {:>7.1}% {:>9.3}",
             name,
-            m.makespan,
-            m.total_idle,
-            m.utilisation * 100.0,
-            m.ratio_to_lb
+            schedule.makespan(),
+            schedule.total_idle(&platform),
+            schedule.utilisation(&platform) * 100.0,
+            schedule.makespan() / lb
         );
     }
 

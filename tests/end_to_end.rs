@@ -11,7 +11,6 @@ use swdual_repro::datagen::{
     queries_from_database, scaled_database, synthetic_database, LengthModel, MutationProfile,
 };
 use swdual_repro::runtime::{AllocationPolicy, WorkerSpec};
-use swdual_repro::sched::dual::KnapsackMethod;
 
 fn demo_database() -> SequenceSet {
     synthetic_database("db", 120, LengthModel::protein_database(250.0), 1001)
@@ -50,7 +49,7 @@ fn hybrid_search(
         .database_image(Arc::clone(image))
         .queries(queries.clone())
         .hybrid_workers(cpus, gpus)
-        .policy(AllocationPolicy::DualApprox(KnapsackMethod::Greedy))
+        .policy(AllocationPolicy::DualApprox)
         .top_k(5)
 }
 
@@ -102,11 +101,11 @@ fn hits_invariant_across_policies_and_workers() {
     let queries = queries_from_database(&database, 3, 50, 5000, &MutationProfile::distant(), 7);
     let configs: Vec<(AllocationPolicy, Vec<WorkerSpec>)> = vec![
         (
-            AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
+            AllocationPolicy::DualApprox,
             vec![WorkerSpec::cpu_default(), WorkerSpec::gpu_default()],
         ),
         (
-            AllocationPolicy::DualApprox(KnapsackMethod::Greedy),
+            AllocationPolicy::DualApprox,
             vec![
                 WorkerSpec::gpu_default(),
                 WorkerSpec::gpu_default(),
