@@ -533,12 +533,9 @@ fn cmd_search(flags: &Args) -> Result<(), String> {
         builder = builder.reopt(reopt);
     }
     if flags.has("watchdog") {
-        let cfg = swdual_obs::watch::WatchConfig::default();
-        eprintln!(
-            "watchdog: on (straggler x{}, bound risk at {}x2\u{3bb})",
-            cfg.straggler_ratio, cfg.bound_risk_fraction
-        );
-        builder = builder.watchdog(cfg);
+        use swdual_obs::watch::{BOUND_RISK_FRACTION, STRAGGLER_RATIO};
+        eprintln!("watchdog: on (straggler x{STRAGGLER_RATIO}, bound risk at {BOUND_RISK_FRACTION}x2\u{3bb})");
+        builder = builder.watchdog(true);
     }
     if let Some(path) = journal_out {
         builder = builder
@@ -717,7 +714,7 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     let source = args.positionals[0];
     let refresh_ms: u64 = args.number("refresh-ms")?.unwrap_or(250);
     let refresh = std::time::Duration::from_millis(refresh_ms.max(1));
-    let mut dog = swdual_obs::watch::Watchdog::new(swdual_obs::watch::WatchConfig::default());
+    let mut dog = swdual_obs::watch::Watchdog::new();
     if source == "-" {
         swdual_obs::journal::read_journal(&read_input(source)?, |event| {
             dog.observe(&event);

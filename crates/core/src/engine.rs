@@ -184,8 +184,8 @@ impl SearchBuilder {
     /// moment they trip. Implies an enabled recorder; read the results
     /// live via [`Obs::events_since`] or post-hoc via
     /// [`SearchReport::alerts`](crate::report::SearchReport::alerts).
-    pub fn watchdog(mut self, cfg: swdual_obs::watch::WatchConfig) -> Self {
-        self.sinks.watchdog = Some(cfg);
+    pub fn watchdog(mut self, on: bool) -> Self {
+        self.sinks.watchdog = on;
         self
     }
 

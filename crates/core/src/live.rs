@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use crate::progress::Progress;
 use swdual_obs::export::{journal_event_line, journal_header};
-use swdual_obs::watch::{record_alert, Alert, WatchConfig, Watchdog};
+use swdual_obs::watch::{record_alert, Alert, Watchdog};
 use swdual_obs::Obs;
 
 /// Poll slice of the follower: short enough that alerts land within
@@ -41,14 +41,14 @@ pub struct Sinks {
     /// trips is journaled (`alert_<kind>` fault instants, which is where
     /// the export's `swdual_alerts_total{kind=...}` counts them) and
     /// echoed to stderr.
-    pub watchdog: Option<WatchConfig>,
+    pub watchdog: bool,
     /// The `--progress` line on stderr.
     pub progress: bool,
 }
 
 impl Sinks {
     pub(crate) fn is_empty(&self) -> bool {
-        self.journal.is_none() && self.watchdog.is_none() && !self.progress
+        self.journal.is_none() && !self.watchdog && !self.progress
     }
 }
 
@@ -104,7 +104,7 @@ impl Drop for Follower {
 
 fn follow(obs: &Obs, sinks: Sinks, stop: &AtomicBool) {
     let mut file = sinks.journal;
-    let mut dog = sinks.watchdog.map(Watchdog::new);
+    let mut dog = sinks.watchdog.then(Watchdog::new);
     let mut progress = sinks.progress.then(Progress::new);
     let mut lines = format!("{}\n", journal_header());
     let mut cursor = 0;
@@ -243,7 +243,7 @@ pub(crate) mod tests {
 
     fn watchdog() -> Sinks {
         Sinks {
-            watchdog: Some(WatchConfig::default()),
+            watchdog: true,
             ..Sinks::default()
         }
     }
@@ -304,7 +304,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dashboard_renders_bars_and_alerts() {
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         let event = |track, kind, wall_dur, virt, body| Event {
             track,
             kind,

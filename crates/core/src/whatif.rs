@@ -318,7 +318,7 @@ impl WhatIfReport {
 mod tests {
     use super::*;
     use swdual_obs::explain::explain;
-    use swdual_obs::watch::{WatchConfig, Watchdog};
+    use swdual_obs::watch::Watchdog;
     use swdual_obs::{Event, EventBody, Obs, Track};
 
     fn job(task: usize) -> EventBody {
@@ -549,7 +549,7 @@ mod tests {
 
         // top / watch: the watchdog's ratio is explain's, duplicate
         // left out (worker 0's counted job ran on estimate).
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         for event in &events {
             dog.observe(event);
         }

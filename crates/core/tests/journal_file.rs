@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 use swdual_core::prelude::*;
 use swdual_core::{Follower, Sinks};
 use swdual_obs::export::journal_jsonl;
-use swdual_obs::watch::WatchConfig;
 use swdual_obs::EventBody;
 use swdual_runtime::FaultPlan;
 
@@ -295,7 +294,7 @@ fn the_file_equals_the_report_journal_byte_for_byte() {
         .queries(queries)
         .workers(vec![WorkerSpec::cpu_default(), WorkerSpec::cpu_default()])
         .fault_plan(FaultPlan::parse("0:straggle@0x3").unwrap())
-        .watchdog(WatchConfig::default())
+        .watchdog(true)
         .journal_out(&path)
         .unwrap()
         .run();
@@ -310,7 +309,7 @@ fn the_file_equals_the_report_journal_byte_for_byte() {
         &obs,
         Sinks {
             journal: Some(std::fs::File::create(&path).unwrap()),
-            watchdog: Some(WatchConfig::default()),
+            watchdog: true,
             progress: false,
         },
     );

@@ -73,7 +73,7 @@ fn straggler_alert_reaches_a_live_follower_before_the_run_completes() {
         .top_k(3)
         .observability(obs.clone())
         .fault_plan(FaultPlan::parse("0:straggle@100x3").unwrap())
-        .watchdog(swdual_obs::watch::WatchConfig::default())
+        .watchdog(true)
         .run();
     run_done.store(true, Ordering::SeqCst);
     let events_at_stop = obs.event_count();

@@ -15,9 +15,9 @@
 //! Alert taxonomy (one [`AlertKind`] each):
 //!
 //! * **straggler** — a worker's observed modelled time per unit of
-//!   estimate exceeds the configured ratio;
-//! * **bound-at-risk** — the running modelled makespan crosses a
-//!   fraction of the guaranteed 2λ bound;
+//!   estimate reaches [`STRAGGLER_RATIO`];
+//! * **bound-at-risk** — the running modelled makespan crosses
+//!   [`BOUND_RISK_FRACTION`] of the guaranteed 2λ bound;
 //! * **worker-dead** — the master detected a worker death;
 //! * **queue-stall** — a worker with dispatched-but-uncompleted work
 //!   has been silent long enough to approach its death deadline;
@@ -35,39 +35,24 @@ use crate::model::{RunModel, Step};
 use crate::{Event, EventBody, Obs, OptWorker, Track};
 use std::collections::BTreeSet;
 
-/// Thresholds for the watchdog; the defaults are deliberately
-/// conservative (modelled durations are deterministic given the rate
-/// models, so a healthy worker's ratio sits at 1.0).
-#[derive(Debug, Clone)]
-pub struct WatchConfig {
-    /// Fire `straggler` when observed/estimated modelled time ≥ this.
-    pub straggler_ratio: f64,
-    /// Jobs a worker must complete before its ratio is judged.
-    pub straggler_min_jobs: usize,
-    /// Fire `bound-at-risk` when running makespan ≥ fraction × 2λ.
-    pub bound_risk_fraction: f64,
-    /// Fire `queue-stall` when a worker with outstanding work has been
-    /// silent ≥ this fraction of its master-published death deadline.
-    pub stall_deadline_fraction: f64,
-    /// Without a published deadline, fire `queue-stall` after silence
-    /// ≥ max(`stall_min_secs`, `stall_factor` × longest job wall).
-    pub stall_factor: f64,
-    /// Floor on the silence threshold (seconds, wall clock).
-    pub stall_min_secs: f64,
-}
+// The watchdog's thresholds, deliberately conservative: modelled
+// durations are deterministic given the rate models, so a healthy
+// worker's ratio sits at 1.0.
 
-impl Default for WatchConfig {
-    fn default() -> WatchConfig {
-        WatchConfig {
-            straggler_ratio: 2.0,
-            straggler_min_jobs: 1,
-            bound_risk_fraction: 0.9,
-            stall_deadline_fraction: 0.8,
-            stall_factor: 4.0,
-            stall_min_secs: 0.25,
-        }
-    }
-}
+/// Fire `straggler` when observed/estimated modelled time ≥ this.
+pub const STRAGGLER_RATIO: f64 = 2.0;
+/// Jobs a worker must complete before its ratio is judged.
+const STRAGGLER_MIN_JOBS: usize = 1;
+/// Fire `bound-at-risk` when running makespan ≥ this fraction × 2λ.
+pub const BOUND_RISK_FRACTION: f64 = 0.9;
+/// Fire `queue-stall` when a worker with outstanding work has been
+/// silent ≥ this fraction of its master-published death deadline.
+const STALL_DEADLINE_FRACTION: f64 = 0.8;
+/// Without a published deadline, fire `queue-stall` after silence ≥
+/// max([`STALL_MIN_SECS`], this × longest job wall).
+const STALL_FACTOR: f64 = 4.0;
+/// Floor on the silence threshold (seconds, wall clock).
+const STALL_MIN_SECS: f64 = 0.25;
 
 /// One fired anomaly.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,10 +130,10 @@ pub fn record_alert(obs: &Obs, alert: &Alert) {
     );
 }
 
-/// A [`RunModel`], thresholds, and which alarms already rang. Create
-/// once, feed every event in stream order.
+/// A [`RunModel`] and which alarms already rang. Create once, feed
+/// every event in stream order.
+#[derive(Default)]
 pub struct Watchdog {
-    cfg: WatchConfig,
     model: RunModel,
     fired_straggler: BTreeSet<usize>,
     fired_stall: BTreeSet<usize>,
@@ -157,15 +142,8 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    pub fn new(cfg: WatchConfig) -> Watchdog {
-        Watchdog {
-            cfg,
-            model: RunModel::default(),
-            fired_straggler: BTreeSet::new(),
-            fired_stall: BTreeSet::new(),
-            fired_bound: false,
-            alerts: Vec::new(),
-        }
+    pub fn new() -> Watchdog {
+        Watchdog::default()
     }
 
     /// The model as of the last observed event.
@@ -201,17 +179,15 @@ impl Watchdog {
     fn judge_job(&mut self, w: usize) {
         let state = &self.model.workers[&w];
         // A worker without estimates to judge by never straggles.
-        let ratio = state
-            .ratio()
-            .filter(|_| state.jobs >= self.cfg.straggler_min_jobs);
-        let threshold = self.cfg.straggler_ratio;
+        let ratio = state.ratio().filter(|_| state.jobs >= STRAGGLER_MIN_JOBS);
+        let threshold = STRAGGLER_RATIO;
         if let Some(value) = ratio.filter(|r| *r >= threshold) {
             if self.fired_straggler.insert(w) {
                 self.fire(AlertKind::Straggler, Some(w), value, threshold);
             }
         }
         let makespan = self.model.makespan;
-        let guard = self.cfg.bound_risk_fraction * 2.0 * self.model.lambda;
+        let guard = BOUND_RISK_FRACTION * 2.0 * self.model.lambda;
         if !self.fired_bound && self.model.lambda > 0.0 && makespan >= guard {
             self.fired_bound = true;
             self.fire(AlertKind::BoundAtRisk, None, makespan, guard);
@@ -230,9 +206,9 @@ impl Watchdog {
             }
             let silence = self.model.wall - state.last_activity_wall;
             let threshold = if state.deadline_secs > 0.0 {
-                self.cfg.stall_deadline_fraction * state.deadline_secs
+                STALL_DEADLINE_FRACTION * state.deadline_secs
             } else {
-                (self.cfg.stall_factor * self.model.max_job_wall).max(self.cfg.stall_min_secs)
+                (STALL_FACTOR * self.model.max_job_wall).max(STALL_MIN_SECS)
             };
             if silence >= threshold && threshold > 0.0 {
                 to_fire.push((*w, silence, threshold));
@@ -293,7 +269,7 @@ mod tests {
 
     #[test]
     fn healthy_run_fires_nothing() {
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         let fired = feed(
             &mut dog,
             &[
@@ -315,7 +291,7 @@ mod tests {
 
     #[test]
     fn straggler_fires_once_and_names_the_worker() {
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         let fired = feed(
             &mut dog,
             &[
@@ -341,7 +317,7 @@ mod tests {
     /// Makespan 1.5 < 0.9 × 2λ = 1.8 is quiet; 1.9 fires, carrying
     /// both numbers.
     fn assert_bound_at_risk_fires_at_two_lambda(done: EventBody) {
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         dog.observe(&instant(Track::Scheduler, 0.0, done));
         assert!(
             feed(&mut dog, &[model(0, 1.0, 1.0), job(0, 0, 0.0, 0.01, 1.5)])
@@ -382,7 +358,7 @@ mod tests {
 
     #[test]
     fn worker_death_and_reopt_map_to_alerts() {
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         let died = EventBody::WorkerDeath {
             worker: 1,
             reason: 2.0,
@@ -408,14 +384,10 @@ mod tests {
 
     #[test]
     fn queue_stall_fires_on_silence_and_rearms_on_activity() {
-        let cfg = WatchConfig {
-            stall_min_secs: 0.1,
-            ..WatchConfig::default()
-        };
-        let mut dog = Watchdog::new(cfg);
+        let mut dog = Watchdog::new();
         feed(&mut dog, &[model(0, 1.0, 1.0), dispatch(0, 0)]);
         // A later event on another track advances the clock past the
-        // silence threshold while worker 0 still owes task 0.
+        // 0.25-s silence threshold while worker 0 still owes task 0.
         let fired = dog.observe(&tick(0.5));
         let stalls: Vec<&Alert> = fired
             .iter()
@@ -432,7 +404,7 @@ mod tests {
 
     #[test]
     fn deadline_proximity_prefers_published_deadlines() {
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         let deadline = EventBody::WorkerDeadline {
             worker: 0,
             timeout: 1.0,
@@ -445,7 +417,7 @@ mod tests {
                 instant(Track::Master, 0.0, deadline),
             ],
         );
-        // Silence 0.5 < 0.8 × 1.0: quiet despite default stall_min 0.25
+        // Silence 0.5 < 0.8 × 1.0: quiet despite the 0.25-s silence floor
         // (the published deadline wins over the fallback heuristic).
         assert!(dog.observe(&tick(0.5)).is_empty());
         // Silence 0.85 ≥ 0.8: deadline proximity.
@@ -487,7 +459,7 @@ mod tests {
 
     #[test]
     fn watchdog_ignores_its_own_alerts() {
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         feed(&mut dog, &[model(0, 1.0, 1.0), dispatch(0, 0)]);
         let obs = Obs::enabled();
         let straggler = Alert {
@@ -515,7 +487,7 @@ mod tests {
             instant(Track::Faults, 0.5, death(2)),
             tick(0.9),
         ];
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         let fired = feed(&mut dog, &events);
         assert!(!fired.is_empty());
         assert_eq!(dog.model(), &RunModel::from_events(&events));

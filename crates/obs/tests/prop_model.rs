@@ -22,7 +22,7 @@ use swdual_obs::diff::{diff_models, DiffOptions};
 use swdual_obs::explain::explain;
 use swdual_obs::export::{journal_event_line, journal_jsonl, metrics_text};
 use swdual_obs::journal::parse_event_line;
-use swdual_obs::watch::{WatchConfig, Watchdog};
+use swdual_obs::watch::Watchdog;
 use swdual_obs::{Event, EventBody, EventKind, Obs, RunModel, Track};
 
 /// (track, name, kind, arg keys) of every event the workspace records,
@@ -303,7 +303,7 @@ proptest! {
     ) {
         let mut dice = Dice(rolls.iter());
         let mut model = RunModel::default();
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         while dice.0.len() > 0 {
             let text = line(&mut dice);
             let event = parse_event_line(&text);

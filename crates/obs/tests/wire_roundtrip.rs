@@ -4,7 +4,7 @@
 use swdual_obs::explain::explain;
 use swdual_obs::export::journal_event_line;
 use swdual_obs::journal::parse_event_line;
-use swdual_obs::watch::{WatchConfig, Watchdog};
+use swdual_obs::watch::Watchdog;
 use swdual_obs::{Event, EventBody, RunModel, Track};
 
 fn round_trip(line: &str) -> Event {
@@ -177,7 +177,7 @@ fn is_gpu_is_decoded_one_way() {
              \"args\":{\"task\":0}}"
                 .to_string(),
         ];
-        let mut dog = Watchdog::new(WatchConfig::default());
+        let mut dog = Watchdog::new();
         for line in &lines {
             dog.observe(&round_trip(line));
         }

@@ -13,11 +13,10 @@ use serde::{Deserialize, Serialize};
 use swdual_gpusim::{DeviceClass, DeviceSpec};
 
 /// Conservative cold-host prior of an optimised build: 10 MCUPS (cells
-/// per second). The silent-death deadline is bounded below by pending
-/// cells at `cold_host_cells_per_sec`, so even a grossly mis-modelled
-/// (or deliberately re-calibrated) slow host is never declared dead
-/// while it could still plausibly be computing. Re-optimization
-/// recalibrates the *planning* estimates, never this floor.
+/// per second). Until a search's first answer shows the host's own wall
+/// rate, the master prices every silent-death deadline at this rate, so
+/// no host is declared dead before it could plausibly have answered;
+/// the first answer replaces it.
 pub const COLD_HOST_CELLS_PER_SEC: f64 = 1.0e7;
 
 /// How many times slower an unoptimised build's kernels may run than the
@@ -115,33 +114,13 @@ impl WorkerRateModel {
     }
 }
 
-/// How far the master stretches what a worker's pending work should
-/// take before declaring it dead.
+/// How far the master stretches what a worker's obligation takes at its
+/// observed wall rate before declaring it dead.
 pub const JOB_TIMEOUT_SLACK: f64 = 4.0;
-
-/// Wall-clock seconds the master grants a worker for its pending work
-/// before declaring it dead: the modelled estimate mapped to wall time
-/// by the observed wall/modelled ratio, stretched by
-/// [`JOB_TIMEOUT_SLACK`], floored at `floor` so a cold start (ratio
-/// still zero) never times anyone out instantly.
-pub fn job_deadline_seconds(modelled_est: f64, observed_ratio: f64, floor: f64) -> f64 {
-    (JOB_TIMEOUT_SLACK * modelled_est * observed_ratio).max(floor)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deadline_floors_and_scales() {
-        // Cold start: no observed ratio yet — the floor rules.
-        assert_eq!(job_deadline_seconds(100.0, 0.0, 5.0), 5.0);
-        // Warm: modelled 10s at an observed wall/modelled ratio of 0.5,
-        // slack 4 => 20s, above the floor.
-        assert!((job_deadline_seconds(10.0, 0.5, 5.0) - 20.0).abs() < 1e-12);
-        // Tiny estimates never dip below the floor.
-        assert_eq!(job_deadline_seconds(1e-6, 1e-3, 0.05), 0.05);
-    }
 
     #[test]
     fn an_unoptimised_build_promises_a_slower_cold_host() {

@@ -19,7 +19,7 @@
 //!
 //! The merge loop guarantees [`try_run_search`] always returns: every
 //! worker either answers, notifies its death, or blows a deadline
-//! derived from its own declared rate model; whatever a dead worker
+//! priced at its own observed wall rate; whatever a dead worker
 //! held is re-planned, together with the rest of the revocable
 //! remainder, on the survivors; and a bounded retry count converts
 //! pathological fault storms into a typed [`SearchError`] instead of a
@@ -99,8 +99,8 @@ const REGISTRATION_TIMEOUT: Duration = Duration::from_secs(5);
 /// the first plan ([`swdual_sched::plan()`]). Dispatch runs with a
 /// window of one run in flight per worker, and re-optimization keeps
 /// runs one task long, so "remaining" is genuinely revocable. Deadlines
-/// (and their conservative 10-MCUPS floor) are untouched by
-/// re-calibration.
+/// read only the wall clock (each worker's observed wall seconds per
+/// cell), so re-calibration never moves them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReoptConfig {
     /// Master switch; `false` reproduces the static one-round planner

@@ -13,8 +13,8 @@
 //! at its species' fastest declared worker and each worker against it,
 //! then draws the first plan with [`swdual_sched::plan()`] from zero
 //! loads; [`MasterState::replan`] calls the same function from the
-//! survivors' modelled clocks. One price per worker serves the plans,
-//! the deadlines and the calibration ([`MasterState::estimate`]).
+//! survivors' modelled clocks. One price per worker serves the plans
+//! and the calibration ([`MasterState::estimate`]).
 //!
 //! The policy decides two things only: where tasks start and where a
 //! dead worker's orphans go. A static policy's plan fills per-worker
@@ -38,9 +38,22 @@
 //! message carrying each task's result; the core settles each task on
 //! its own, then revisits the plan, feeds the worker and restarts its
 //! deadline once for the message. To everything but the window and that
-//! message a run is its tasks. A death orphans at most one run, and the
-//! in-flight run's deadline prices its tasks' summed estimate and
-//! cells.
+//! message a run is its tasks. A death orphans at most one run.
+//!
+//! Deadlines: a busy worker's is `now + max(floor, JOB_TIMEOUT_SLACK ×
+//! cells × rate)`, restarted whenever it answers and at every re-plan.
+//! `cells` is its obligation: the larger of its in-flight run's summed
+//! cells and any one queued task's. `rate` is the wall seconds per cell
+//! of its own latest answered run — a latest value, so one slow answer
+//! prices only what follows it — or, before it has answered, the
+//! search's latest; before any answer, the cold-host prior
+//! ([`cold_host_cells_per_sec`]). The first answer replaces the prior
+//! for every busy worker at once, so a worker that dies inside its
+//! first run is caught at the observed rate too. A lent task is no
+//! observation: its wall is the owner's take, not its compute. An owner
+//! waiting on a helper cannot trip its deadline: the helper started the
+//! lent task before the owner was sent it, on the same host kernels, and
+//! the obligation counts every task of the run as the owner's.
 //!
 //! Work lending: whenever a live worker has nothing queued, nothing in
 //! flight and no loan outstanding, the core lends it the last unlent
@@ -57,9 +70,7 @@
 //! whether a loan is answered or never is.
 
 use super::{AllocationPolicy, ReoptConfig, RuntimeConfig, SearchError};
-use crate::estimator::{
-    cold_host_cells_per_sec, job_deadline_seconds, WorkerRateModel, JOB_TIMEOUT_SLACK,
-};
+use crate::estimator::{cold_host_cells_per_sec, WorkerRateModel, JOB_TIMEOUT_SLACK};
 use crate::messages::{DbSlice, FailureReason, Job, JobResult, WorkerFailure};
 use std::collections::{HashMap, VecDeque};
 use std::iter::once;
@@ -74,20 +85,6 @@ const DEATH_CRASH: f64 = 0.0;
 const DEATH_DEVICE: f64 = 1.0;
 pub(super) const DEATH_TIMEOUT: f64 = 2.0;
 const DEATH_DISPATCH: f64 = 3.0;
-
-// Note on deadlines: modelled estimates describe the *paper's*
-// hardware; until the first completion calibrates this host, a deadline
-// derived from them alone can be arbitrarily wrong (a debug build chews
-// through a 5000-residue query orders of magnitude slower than the
-// modelled Tesla). Deadlines therefore never fire before the time a
-// cold host would need for the worker's largest pending task at the
-// rate this build can promise ([`cold_host_cells_per_sec`]: 10 MCUPS
-// optimised, less unoptimised) — conservative enough that no real host
-// is misdeclared dead, while tiny test workloads still detect silent
-// deaths within the configured floor. An owner waiting on a helper
-// cannot trip its deadline either: the helper started the lent task
-// before the owner was sent it, on the same host kernels, and the grant
-// prices every task of the run as if the owner computed it.
 
 /// Penalty factor on the present species' time that stands in for an
 /// absent species: prohibitive, yet finite in any sum of task times.
@@ -226,24 +223,18 @@ pub(super) struct MasterState<'a> {
     seq: u64,
     decision: u64,
     virt_done: Vec<f64>,
-    /// Largest observed wall-seconds per estimated-modelled-second:
-    /// converts modelled estimates into wall deadlines as the run
-    /// calibrates itself.
-    wall_ratio: f64,
-    /// Slowest observed wall-seconds per cell, seeded with the cold-host
-    /// prior. Bounds every deadline from below: "no host is slower than
-    /// the cold-host rate" holds however miscalibrated the modelled path
-    /// is.
-    secs_per_cell: f64,
+    /// Wall seconds per cell of each worker's latest answered run, and
+    /// of the search's: what deadlines price an obligation at. `latest`
+    /// is the cold-host prior until the first answer.
+    rate: Vec<Option<f64>>,
+    latest: f64,
     /// Per-worker maximum of observed modelled-time/estimate, and the
     /// slowdown factor each worker's current plan was drawn with.
     obs_ratio: Vec<f64>,
     planned_factor: Vec<f64>,
     reopt_rounds: usize,
     deadline: Vec<f64>,
-    /// Last `worker_deadline` timeout journaled per worker; the
-    /// watchdog needs the magnitude, not every refresh, so a new one is
-    /// published only on a >10% change.
+    /// Last `worker_deadline` timeout journaled per worker.
     published_deadline: Vec<f64>,
 }
 
@@ -344,8 +335,8 @@ impl<'a> MasterState<'a> {
             seq: 0,
             decision: 0,
             virt_done: vec![0.0; workers],
-            wall_ratio: 0.0,
-            secs_per_cell: 1.0 / cold_host_cells_per_sec(),
+            rate: vec![None; workers],
+            latest: 1.0 / cold_host_cells_per_sec(),
             obs_ratio: vec![0.0; workers],
             planned_factor: vec![1.0; workers],
             reopt_rounds: 0,
@@ -457,8 +448,9 @@ impl<'a> MasterState<'a> {
     }
 
     /// Settle the answered tasks of one of `w`'s runs, each on its own,
-    /// then — once for the message — revisit the plan, feed the worker
-    /// its next run and restart its deadline.
+    /// then — once for the message — take the run's wall rate, revisit
+    /// the plan, feed the worker its next run and restart its deadline
+    /// (every busy worker's, when this is the search's first rate).
     fn on_completed(
         &mut self,
         results: Vec<JobResult>,
@@ -470,17 +462,24 @@ impl<'a> MasterState<'a> {
         };
         let answered = |t: &usize| results.iter().any(|r| r.task_id == *t);
         self.in_flight[w].retain(|t| !answered(t));
+        // A lent task's wall is its owner's take, not its compute.
+        let own = results.iter().filter(|r| !self.lent[r.task_id]);
+        let (wall, cells) = own.fold((0.0, 0.0), |(wall, cells), r| {
+            (wall + r.wall_seconds, cells + self.units[r.task_id].cells)
+        });
+        let first = self.rate.iter().all(Option::is_none);
+        if cells > 0.0 {
+            self.latest = wall / cells;
+            self.rate[w] = Some(self.latest);
+        }
         for r in results {
             self.settle(r);
         }
         self.replan_on_skew(now, out)?;
         self.feed(w, out);
-        if self.alive[w] {
-            self.deadline[w] = if self.in_flight[w].is_empty() {
-                f64::INFINITY
-            } else {
-                now + self.timeout(w)
-            };
+        match first && self.rate[w].is_some() {
+            true => self.refresh_deadlines(now),
+            false => self.restart_deadline(w, now),
         }
         Ok(())
     }
@@ -491,22 +490,14 @@ impl<'a> MasterState<'a> {
         let (w, t) = (r.worker_id, r.task_id);
         self.virt_done[w] += r.modelled_seconds.max(0.0);
         // Calibrate against the *estimator's* modelled time for this
-        // task — the quantity deadlines are computed from. (The
-        // worker-reported modelled clock is a different animal: GPU
-        // workers report kernel-only virtual seconds, orders of
-        // magnitude away from both the estimate and the wall clock.)
+        // task. Within one species the modelled clocks are
+        // commensurable, so the relative spread of these ratios is
+        // exactly the slowdown skew re-optimization acts on. (GPU
+        // workers report kernel-only virtual seconds, which is why
+        // species never mix.)
         let est = self.estimate(w, t);
-        if est > 0.0 {
-            self.wall_ratio = self.wall_ratio.max(r.wall_seconds / est);
-            // Within one species the modelled clocks are commensurable,
-            // so the relative spread of these ratios is exactly the
-            // slowdown skew re-optimization acts on.
-            if r.modelled_seconds > 0.0 {
-                self.obs_ratio[w] = self.obs_ratio[w].max(r.modelled_seconds / est);
-            }
-        }
-        if self.units[t].cells > 0.0 {
-            self.secs_per_cell = self.secs_per_cell.max(r.wall_seconds / self.units[t].cells);
+        if est > 0.0 && r.modelled_seconds > 0.0 {
+            self.obs_ratio[w] = self.obs_ratio[w].max(r.modelled_seconds / est);
         }
         if self.done[t] {
             // A straggler or an undetected-dead worker finished a task
@@ -918,8 +909,8 @@ impl<'a> MasterState<'a> {
     }
 
     /// The modelled seconds worker `w` declared task `t` takes: the
-    /// task's reference price at `w`'s declared price. Deadlines,
-    /// calibration and every plan read this one price.
+    /// task's reference price at `w`'s declared price. Calibration and
+    /// every plan read this one price.
     fn estimate(&self, w: usize, t: usize) -> f64 {
         let task = self.tasks[t];
         let reference = if self.is_gpu[w] {
@@ -955,42 +946,41 @@ impl<'a> MasterState<'a> {
         (self.obs_ratio[w] / baseline).clamp(1.0, MAX_REOPT_FACTOR)
     }
 
-    /// Seconds granted for a pending obligation, given each of its
-    /// tasks as (modelled estimate, cells): the calibrated modelled path
-    /// for the largest estimate, floored by the largest cell count at
-    /// the cold-host rate. Re-optimization never touches this.
-    fn grant(&self, pending: impl Iterator<Item = (f64, f64)>) -> f64 {
-        let (est, cells) = pending.fold((0.0f64, 0.0f64), |a, b| (a.0.max(b.0), a.1.max(b.1)));
-        job_deadline_seconds(est, self.wall_ratio, self.floor)
-            .max(JOB_TIMEOUT_SLACK * cells * self.secs_per_cell)
+    /// Wall seconds granted worker `w` for an obligation of `cells`: the
+    /// slack times their price at its own latest rate — the search's
+    /// before it has answered — never less than the floor.
+    fn grant(&self, w: usize, cells: f64) -> f64 {
+        let rate = self.rate[w].unwrap_or(self.latest);
+        (JOB_TIMEOUT_SLACK * cells * rate).max(self.floor)
     }
 
-    /// Worker `w`'s whole obligation — the in-flight run plus its queue
-    /// — prices its deadline. The run's tasks are answered together, so
-    /// the run is priced as one task of their summed estimate and cells.
-    fn timeout(&self, w: usize) -> f64 {
-        let price = |t: usize| (self.estimate(w, t), self.units[t].cells);
-        let run = self.in_flight[w].iter().map(|&t| price(t));
-        let run = run.fold((0.0, 0.0), |a, b| (a.0 + b.0, a.1 + b.1));
-        self.grant(once(run).chain(self.queue[w].iter().map(|&t| price(t))))
+    /// Restart worker `w`'s deadline from `now`: its obligation's grant
+    /// while it is alive with a run in flight, none otherwise. The grant
+    /// is journaled when it moved by more than 10% of the last one
+    /// journaled; the watchdog needs its magnitude, not every restart.
+    fn restart_deadline(&mut self, w: usize, now: f64) {
+        self.deadline[w] = f64::INFINITY;
+        if !self.alive[w] || self.in_flight[w].is_empty() {
+            return;
+        }
+        let cells = |t: &usize| self.units[*t].cells;
+        let run: f64 = self.in_flight[w].iter().map(cells).sum();
+        let queued = self.queue[w].iter().map(cells).fold(0.0, f64::max);
+        let timeout = self.grant(w, run.max(queued));
+        if (timeout - self.published_deadline[w]).abs() > 0.1 * self.published_deadline[w] {
+            self.published_deadline[w] = timeout;
+            self.obs.instant(
+                Track::Master,
+                EventBody::WorkerDeadline { worker: w, timeout },
+            );
+        }
+        self.deadline[w] = now + timeout;
     }
 
-    /// Restart every busy worker's deadline from `now`.
+    /// Restart every worker's deadline from `now`.
     fn refresh_deadlines(&mut self, now: f64) {
         for w in 0..self.alive.len() {
-            self.deadline[w] = f64::INFINITY;
-            if !self.alive[w] || self.in_flight[w].is_empty() {
-                continue;
-            }
-            let timeout = self.timeout(w);
-            if (timeout - self.published_deadline[w]).abs() > 0.1 * self.published_deadline[w] {
-                self.published_deadline[w] = timeout;
-                self.obs.instant(
-                    Track::Master,
-                    EventBody::WorkerDeadline { worker: w, timeout },
-                );
-            }
-            self.deadline[w] = now + timeout;
+            self.restart_deadline(w, now);
         }
     }
 }

@@ -35,7 +35,7 @@
 
 use super::*;
 use crate::claims::Claims;
-use crate::estimator::WorkerRateModel;
+use crate::estimator::{WorkerRateModel, COLD_HOST_CELLS_PER_SEC};
 use crate::faults::WorkerFault;
 use crate::messages::{top_k, top_k_hits, Hit, Order, WorkerMsg};
 use crate::worker::{hello, WorkerContext, WorkerCore, WorkerSpec};
@@ -245,8 +245,13 @@ struct Sim {
     last_seq: Option<u64>,
     journal_cursor: usize,
     duplicates_delivered: usize,
-    /// When each worker was declared dead, and the deadline it had.
-    death_at: Vec<Option<(f64, f64)>>,
+    /// When each worker was declared dead, the deadline it had and the
+    /// cells it held then: the larger of its in-flight run's and any
+    /// one queued task's.
+    death_at: Vec<Option<(f64, f64, f64)>>,
+    /// Every answer the master read: when, whose, and its run's wall
+    /// seconds per cell, lent tasks left out (`None` when all were lent).
+    rates: Vec<(f64, usize, Option<f64>)>,
 }
 
 impl Sim {
@@ -311,9 +316,9 @@ impl Sim {
             align: 1,
         };
         let mut state = MasterState::new(search, Backend::Scalar, &config).unwrap();
-        // The cold-host floor of the optimised build, so a schedule
+        // The cold-host prior of the optimised build, so a schedule
         // replays alike wherever it is run.
-        state.secs_per_cell = 1.0 / crate::estimator::COLD_HOST_CELLS_PER_SEC;
+        state.latest = 1.0 / COLD_HOST_CELLS_PER_SEC;
         Sim {
             state,
             queries,
@@ -339,6 +344,7 @@ impl Sim {
             journal_cursor: 0,
             duplicates_delivered: 0,
             death_at: vec![None; n],
+            rates: Vec::new(),
         }
     }
 
@@ -646,6 +652,15 @@ impl Sim {
                 self.busy[w].retain(|t| !tasks.contains(t));
                 let duplicates = tasks.iter().filter(|&&t| self.state.done[t]).count();
                 self.duplicates_delivered += duplicates;
+                let own = results.iter().filter(|r| !self.state.lent[r.task_id]);
+                let (wall, cells) = own.fold((0.0, 0.0), |(wall, cells), r| {
+                    (
+                        wall + r.wall_seconds,
+                        cells + self.state.units[r.task_id].cells,
+                    )
+                });
+                let rate = (cells > 0.0).then(|| wall / cells);
+                self.rates.push((self.now, w, rate));
                 if !self.state.alive[w] {
                     self.gone[w] = true; // its queue is closed
                 }
@@ -653,8 +668,15 @@ impl Sim {
             }
             _ => None,
         };
+        let s = &self.state;
+        let cells = |t: &usize| s.units[*t].cells;
+        let held = (0..s.alive.len()).map(|w| {
+            let run: f64 = s.in_flight[w].iter().map(cells).sum();
+            run.max(s.queue[w].iter().map(cells).fold(0.0, f64::max))
+        });
         Snapshot {
             completes,
+            held: held.collect(),
             alive: self.state.alive.clone(),
             in_flight: self.state.in_flight.clone(),
             deadline: self.state.deadline.clone(),
@@ -737,7 +759,7 @@ impl Sim {
                 );
             }
             if before.alive[w] && !s.alive[w] {
-                self.death_at[w] = Some((self.now, before.deadline[w]));
+                self.death_at[w] = Some((self.now, before.deadline[w], before.held[w]));
             }
             assert!(before.alive[w] || !s.alive[w], "the dead stay dead");
         }
@@ -789,14 +811,11 @@ impl Sim {
                 let counted = journaled.get("duplicate_result").copied().unwrap_or(0);
                 assert_eq!(counted, self.duplicates_delivered);
                 // The hits are the fault-free ones: Gotoh's.
-                let mut found: Vec<Vec<Hit>> = vec![Vec::new(); self.queries.len()];
-                for r in &s.results {
-                    found[s.units[r.task_id].query_index].extend(&r.hits);
-                }
                 let k = RuntimeConfig::default().top_k;
+                let found = self.query_hits();
                 for (q, (sequence, found)) in self.queries.iter().zip(found).enumerate() {
                     let scores = query(sequence.len(), q).1;
-                    assert_eq!(top_k(found, k), top_k_hits(q, &scores, k).hits, "query {q}");
+                    assert_eq!(found, top_k_hits(q, &scores, k).hits, "query {q}");
                 }
             }
             Err(SearchError::AllWorkersDead { completed, total }) => {
@@ -815,6 +834,17 @@ impl Sim {
             }
             Err(e) => panic!("the core cannot fail with {e:?}"),
         }
+    }
+
+    /// Each query's merged hits, whatever its tasks were cut into.
+    fn query_hits(&self) -> Vec<Vec<Hit>> {
+        let s = &self.state;
+        let mut found: Vec<Vec<Hit>> = vec![Vec::new(); self.queries.len()];
+        for r in &s.results {
+            found[s.units[r.task_id].query_index].extend(&r.hits);
+        }
+        let k = RuntimeConfig::default().top_k;
+        found.into_iter().map(|hits| top_k(hits, k)).collect()
     }
 
     /// Modelled busy seconds of the busiest worker.
@@ -846,6 +876,9 @@ struct Snapshot {
     /// The worker and the tasks it answered when the step's input is a
     /// completion.
     completes: Option<(usize, Vec<usize>)>,
+    /// The cells each worker held: its in-flight run's, or any one
+    /// queued task's when that is more.
+    held: Vec<f64>,
     alive: Vec<bool>,
     in_flight: Vec<Vec<usize>>,
     deadline: Vec<f64>,
@@ -1020,6 +1053,64 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The deadline rule's bound: whatever the pool, policy and runs, a
+    /// worker that vanishes on its `k`-th job is declared dead no later
+    /// than `t₀ + max(floor, slack × the cells it held × the largest wall
+    /// per cell any answer showed)` and a tick, where `t₀` is the later of
+    /// its last answer and the search's first. No healthy worker is
+    /// declared dead, and the hits are the fault-free run's.
+    #[test]
+    fn a_silent_death_is_declared_within_the_rule_s_bound(
+        seed in any::<u64>(),
+        n_tasks in 1usize..24,
+        policy in 0usize..2,
+        runs in 0usize..3,
+        victim in 0usize..5,
+        k in 0usize..4,
+    ) {
+        let mut rng = TestRng::seed_from_u64(seed);
+        let mut workers = pool(&mut rng, false);
+        let lens = workload(n_tasks, &mut rng);
+        let victim = victim % workers.len();
+        let sim = |workers: Vec<Member>| {
+            let sim = Sim::new(&lens, workers, policy_of(policy), ReoptConfig::default(), seed);
+            with_runs_of(sim, runs)
+        };
+        let mut fault_free = sim(workers.clone());
+        prop_assert_eq!(fault_free.run(), Ok(()));
+        workers[victim].fault = vanish(k);
+        let mut sim = sim(workers);
+        let verdict = sim.run();
+        sim.check_verdict(&verdict);
+        match verdict {
+            Ok(()) => prop_assert_eq!(sim.query_hits(), fault_free.query_hits()),
+            Err(e) => prop_assert!(
+                sim.cores.len() == 1 && matches!(e, SearchError::AllWorkersDead { .. }),
+                "{:?}", e
+            ),
+        }
+        for w in (0..sim.cores.len()).filter(|&w| w != victim) {
+            prop_assert!(sim.death_at[w].is_none(), "healthy worker {} declared dead", w);
+        }
+        if let Some((died, _, held)) = sim.death_at[victim] {
+            let observed = sim.rates.iter().filter_map(|&(at, _, rate)| Some((at, rate?)));
+            let first = observed.clone().next().map_or(0.0, |(at, _)| at);
+            let last = sim.rates.iter().filter(|&&(at, w, _)| w == victim && at <= died);
+            let t0 = last.fold(first, |t0, &(at, ..)| t0.max(at));
+            // The prior stands in while nothing has answered.
+            let rate = observed.fold(1.0 / COLD_HOST_CELLS_PER_SEC, |r, (_, o)| r.max(o));
+            let grant = (JOB_TIMEOUT_SLACK * held * rate).max(FLOOR.as_secs_f64());
+            prop_assert!(
+                died <= t0 + grant + sim.tick,
+                "declared dead at {}, t0 {}, grant {} for {} cells", died, t0, grant, held
+            );
+        }
+    }
+}
+
 /// The makespan and λ of the binary search behind the first plan, as
 /// journaled.
 fn first_search(sim: &Sim) -> (f64, f64) {
@@ -1070,7 +1161,7 @@ fn a_silent_death_is_noticed_within_a_tick_of_its_deadline() {
     let mut sim = Sim::new(&[5; 600], workers, DUAL, ReoptConfig::default(), 7);
     sim.step_cost = 1.5e-3;
     assert_eq!(sim.run(), Ok(()));
-    let (died, deadline) = sim.death_at[2].expect("the vanished worker is declared dead");
+    let (died, deadline, _) = sim.death_at[2].expect("the vanished worker is declared dead");
     assert!(
         died <= deadline + sim.tick,
         "declared dead at {died}, deadline was {deadline}"
@@ -1100,7 +1191,7 @@ fn a_self_scheduled_silent_death_is_noticed_within_a_tick_of_its_deadline() {
         sim
     };
     let sim = run(vec![cpu(None), cpu(vanish(1))]);
-    let (died, deadline) = sim.death_at[1].expect("the vanished worker is declared dead");
+    let (died, deadline, _) = sim.death_at[1].expect("the vanished worker is declared dead");
     assert!(
         died <= deadline + sim.tick,
         "declared dead at {died}, deadline was {deadline}"
@@ -1747,41 +1838,191 @@ fn perfect_calibration_predicts_the_reopt_makespan_within_ten_percent() {
     );
 }
 
-/// Re-calibration touches planning estimates only: once re-optimization
-/// has re-planned around the miscalibrated straggler, the master still
-/// grants half a giga-cell of pending work at least the time a 10-MCUPS
-/// cold host would need, stretched by the slack — however optimistic
-/// the task's estimate and the observed wall ratio.
+/// `grant` prices an obligation: at a cold start the prior prices a
+/// small one under the floor, so the floor rules; warm, the slack times
+/// its cells at the worker's own observed rate; a tiny obligation never
+/// dips below the floor.
 #[test]
-fn reopt_recalibration_never_lowers_the_cold_host_deadline_floor() {
-    use crate::estimator::{COLD_HOST_CELLS_PER_SEC, JOB_TIMEOUT_SLACK};
-    let workers = miscalibrated(slow(3.0), None);
-    let mut sim = Sim::new(
-        &MISCALIBRATED_LENS,
-        workers,
-        DUAL,
-        ReoptConfig::enabled(),
-        8,
-    );
-    let replanned = |sim: &Sim| journaled(sim, |e| matches!(e.body, EventBody::ReoptReplan { .. }));
+fn a_grant_is_the_slack_times_the_obligation_at_the_rate_over_the_floor() {
+    let workers = vec![cpu(None), cpu(None)];
+    let mut state = Sim::new(&[5, 5], workers, DUAL, ReoptConfig::default(), 1).state;
+    let floor = FLOOR.as_secs_f64();
+    // 1 000 cells at the 10-MCUPS prior: 0.4 ms.
+    assert_eq!(state.grant(0, 1000.0), floor);
+    // 1 ms a cell observed: 1 000 cells are 1 s, stretched to 4 s.
+    state.rate[0] = Some(1e-3);
+    assert_eq!(state.grant(0, 1000.0), JOB_TIMEOUT_SLACK * 1000.0 * 1e-3);
+    assert_eq!(state.grant(0, 1.0), floor);
+}
+
+/// The prior is only a prior: the search's first answer replaces it for
+/// every worker, and the deadline of every busy one is re-priced at that
+/// step. After it, half a giga-cell is priced at the observed wall rate —
+/// a worker's own, or the search's latest before it has answered.
+#[test]
+fn after_the_first_answer_an_obligation_is_priced_at_the_observed_rate() {
+    let workers = vec![cpu(None), cpu(None), gpu(None)];
+    let mut sim = Sim::new(&[20; 9], workers, DUAL, ReoptConfig::default(), 8);
+    let cells = 5.0e8; // half a giga-cell
+    let prior = 1.0 / COLD_HOST_CELLS_PER_SEC;
     let mut verdict = sim.start();
-    while verdict.is_none() && !replanned(&sim) {
+    for w in 0..3 {
+        assert_eq!(sim.state.grant(w, cells), JOB_TIMEOUT_SLACK * cells * prior);
+    }
+    while verdict.is_none() && sim.rates.is_empty() {
         verdict = sim.advance();
     }
-    assert!(verdict.is_none() && sim.state.planned_factor[1] > 1.0);
-    assert!(sim.state.wall_ratio > 0.0, "the wall ratio is observed");
-    let cells = 5.0e8; // half a giga-cell
-    let floor_seconds = JOB_TIMEOUT_SLACK * cells / COLD_HOST_CELLS_PER_SEC;
-    let deadline = sim.state.grant(std::iter::once((1e-6, cells)));
-    assert!(
-        deadline >= floor_seconds,
-        "deadline {deadline} fell below the 10-MCUPS floor {floor_seconds}"
-    );
-    // And the constant itself is the documented 10 MCUPS.
-    assert_eq!(COLD_HOST_CELLS_PER_SEC, 1.0e7);
+    assert!(verdict.is_none());
+    let (_, answered, observed) = sim.rates[0];
+    let observed = observed.expect("an unlent run");
+    assert_ne!(observed, prior);
+    assert_eq!(sim.state.rate[answered], Some(observed));
+    let s = &sim.state;
+    for w in 0..3 {
+        assert_eq!(s.grant(w, cells), JOB_TIMEOUT_SLACK * cells * observed);
+        if w != answered && !s.in_flight[w].is_empty() {
+            let run: f64 = s.in_flight[w].iter().map(|&t| s.units[t].cells).sum();
+            assert_eq!(s.deadline[w], sim.now + s.grant(w, run), "worker {w}");
+        }
+    }
     let verdict = sim.finish(verdict);
     assert_eq!(verdict, Ok(()));
     sim.check_verdict(&verdict);
+}
+
+/// A lent task's answer is no rate observation: its wall is the time its
+/// owner took to collect the helper's scores, not a computation. A
+/// device three times slower than planned is lent its queue's tail; each
+/// answer of a task it computed sets its rate, each lent one leaves it.
+#[test]
+fn a_lent_answer_does_not_set_the_rate() {
+    let workers = vec![gpu(slow(3.0)), cpu(None)];
+    let lens = [21, 30, 12, 25, 33, 8, 27, 17, 29, 14, 35, 10];
+    let mut sim = Sim::new(&lens, workers, DUAL, ReoptConfig::default(), 4).answering(1);
+    let mut verdict = sim.start();
+    let (mut seen, mut lent) = (0, 0);
+    while verdict.is_none() {
+        let before = sim.state.rate[0];
+        verdict = sim.advance();
+        let s = &sim.state;
+        let device: Vec<&JobResult> = s.results.iter().filter(|r| r.worker_id == 0).collect();
+        if device.len() == seen {
+            continue;
+        }
+        seen = device.len();
+        let r = device[seen - 1];
+        if s.lent[r.task_id] {
+            lent += 1;
+            let own = r.wall_seconds / s.units[r.task_id].cells;
+            assert!(
+                before.is_some_and(|b| b != own),
+                "a rate like the lent task's"
+            );
+            assert_eq!(s.rate[0], before, "lent task {} set the rate", r.task_id);
+        } else {
+            let own = r.wall_seconds / s.units[r.task_id].cells;
+            assert_eq!(s.rate[0], Some(own), "task {}", r.task_id);
+        }
+    }
+    assert_eq!(verdict, Some(Ok(())));
+    sim.check_verdict(&Ok(()));
+    assert!(lent >= 2, "{lent} lent answers");
+}
+
+/// A CPU beside a device: a device that vanishes on its second job is
+/// declared dead in a fraction of a second, not at a deadline priced at
+/// the cold-host prior. Here the prior is about a thousand times slower
+/// than the simulated host's 1–4 µs a cell, as 10 MCUPS is to a real
+/// host, so before any answer the device's deadline is many times the
+/// whole search (on `cpu_long`'s inputs with three CPUs and a device it
+/// was 3 892.8 s). After the first answer every grant is priced at the
+/// observed rate, and the hits are the fault-free run's.
+#[test]
+fn a_vanished_device_is_found_at_the_observed_rate_not_the_prior() {
+    let mut rng = TestRng::seed_from_u64(50);
+    let lens = workload(16, &mut rng);
+    let run = |device: Option<WorkerFault>| {
+        let workers = vec![gpu(device), cpu(None), cpu(None), cpu(None)];
+        let mut sim = Sim::new(&lens, workers, DUAL, ReoptConfig::default(), 50);
+        sim.state.latest = 1e-3;
+        assert_eq!(sim.run(), Ok(()));
+        sim.check_verdict(&Ok(()));
+        sim
+    };
+    let sim = run(vanish(1));
+    let (died, _, held) = sim.death_at[0].expect("the device is declared dead");
+    let first = sim.rates[0].0;
+    let largest = sim.rates.iter().filter_map(|&(.., rate)| rate);
+    let largest = largest.fold(0.0, f64::max);
+    let bound = JOB_TIMEOUT_SLACK * held * largest;
+    let bound = bound.max(FLOOR.as_secs_f64()) + sim.tick;
+    assert!(
+        died <= first + bound,
+        "dead at {died}: answered {first}, bound {bound}"
+    );
+    assert!(died < 0.2, "dead at {died}");
+    let deadlines: Vec<(f64, f64)> = (sim.obs.events_since(0).iter())
+        .filter_map(|e| match e.body {
+            EventBody::WorkerDeadline { worker: 0, timeout } => Some((e.wall_start, timeout)),
+            _ => None,
+        })
+        .collect();
+    assert!(deadlines[0].1 > 20.0 * sim.now, "{deadlines:?}");
+    assert!(
+        deadlines[1..].iter().all(|&(_, t)| t < 1.0),
+        "{deadlines:?}"
+    );
+    assert_eq!(sim.query_hits(), run(None).query_hits());
+}
+
+/// A worker that vanishes holding a transposed run is declared dead at
+/// the rule's bound, long before the survivors run their own queues dry.
+/// Three CPUs score 1 200 short tasks in runs of up to thirty-two (every
+/// thirty-second task joins no run); worker 2 vanishes on its second job,
+/// inside its first run, holding thirty tasks. The prior is about a thousand times slower than
+/// the simulated host, as 10 MCUPS is to a real one, so a deadline priced
+/// at it would outlast the search: on 12 000 × 50 residues with three
+/// CPUs the death came at 10.23 s of a 10.29-s search. The hits are the
+/// fault-free run's.
+#[test]
+fn a_run_s_holder_is_found_long_before_the_survivors_run_dry() {
+    let run = |fault: Option<WorkerFault>| {
+        let workers = vec![cpu(None), cpu(None), cpu(fault)];
+        let sim = Sim::new(&[5; 1200], workers, DUAL, ReoptConfig::default(), 14);
+        let mut sim = sim.with_runs(0.0);
+        for unit in sim.state.units.iter_mut().skip(31).step_by(32) {
+            unit.fill = None;
+        }
+        sim.state.latest = 1e-3;
+        assert_eq!(sim.run(), Ok(()));
+        sim.check_verdict(&Ok(()));
+        sim
+    };
+    let sim = run(vanish(1));
+    assert!(sim.runs_formed > 0);
+    let (died, _, held) = sim.death_at[2].expect("worker 2 is declared dead");
+    let t0 = sim
+        .rates
+        .iter()
+        .filter(|&&(_, w, _)| w == 2)
+        .map(|&(at, ..)| at);
+    let t0 = t0.fold(sim.rates[0].0, f64::max);
+    let largest = sim.rates.iter().filter_map(|&(.., rate)| rate);
+    let grant = JOB_TIMEOUT_SLACK * held * largest.fold(0.0, f64::max);
+    let grant = grant.max(FLOOR.as_secs_f64());
+    assert!(
+        died <= t0 + grant + sim.tick,
+        "dead at {died}: t0 {t0}, grant {grant}"
+    );
+    // The run, not the floor, was priced; each survivor's own 400 tasks
+    // take 0.7 s.
+    assert!(died - t0 > FLOOR.as_secs_f64(), "dead at {died}, t0 {t0}");
+    assert!(
+        died < 0.35 && sim.now > 0.7,
+        "dead at {died}, ended {}",
+        sim.now
+    );
+    assert_eq!(sim.query_hits(), run(None).query_hits());
 }
 
 /// Re-planning and fault recovery compose. With the straggler re-planned

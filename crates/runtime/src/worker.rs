@@ -513,16 +513,9 @@ impl<'a> WorkerCore<'a> {
         let mut answers: Vec<Option<Answer>> = run.iter().map(|_| None).collect();
         let (lent, own): (Vec<usize>, Vec<usize>) = (0..run.len()).partition(|&i| run[i].lent);
         self.score(&own, run, &queries, &slice, &mut answers)?;
-        let streams = matches!(
-            self.species,
-            Species::Gpu {
-                residency: None,
-                ..
-            }
-        );
         for i in lent {
-            match (!streams).then(|| claims.settle(run[i].task_id)).flatten() {
-                Some(lent) => answers[i] = Some(self.take(lent, &run[i], queries[i], &slice)?),
+            match self.take(claims, &run[i], queries[i], &slice)? {
+                Some(answer) => answers[i] = Some(answer),
                 None => self.score(&[i], run, &queries, &slice, &mut answers)?,
             }
         }
@@ -653,41 +646,59 @@ impl<'a> WorkerCore<'a> {
         Ok(())
     }
 
-    /// Answer a lent task with what its helper computed: a CPU takes
-    /// its tier counts; a device charges the kernel it would launch, on
-    /// its clock.
+    /// Answer a lent task with what its helper computed, when one did
+    /// (`None`: the task is this worker's to score): a CPU takes its tier
+    /// counts; a device charges the kernel it would launch, on its
+    /// clock. A device streaming the database scores every task itself.
     fn take(
         &mut self,
-        lent: Lent,
+        claims: &Claims,
         job: &Job,
         query: &Sequence,
         slice: &Range<usize>,
-    ) -> Result<Answer, Failure> {
-        let (wall_start, start) = (self.ctx.obs.now(), Instant::now());
-        let (modelled, wall, timings) = match &mut self.species {
+    ) -> Result<Option<Answer>, Failure> {
+        // The owner's time on a lent task starts once it is settled.
+        let settle = || {
+            let lent = claims.settle(job.task_id)?;
+            Some((lent, self.ctx.obs.now(), Instant::now()))
+        };
+        let (lent, wall_start, modelled, wall, timings) = match &mut self.species {
+            Species::Gpu {
+                residency: None, ..
+            } => return Ok(None),
             Species::Cpu { model, tiers } => {
+                let Some((lent, wall_start, _)) = settle() else {
+                    return Ok(None);
+                };
                 tiers.merge(&lent.tiers);
                 let residues = self.ctx.database.residues_in(slice.clone());
+                let modelled = model.task_seconds(query.len(), residues);
                 let timings = self.ctx.obs.is_profiling().then_some(lent.timings);
-                (model.task_seconds(query.len(), residues), 0.0, timings)
+                (lent, wall_start, modelled, 0.0, timings)
             }
-            Species::Gpu { device, residency } => {
-                let db = residency.as_ref().expect("only a resident device settles");
+            Species::Gpu {
+                device,
+                residency: Some(db),
+            } => {
+                let Some((lent, wall_start, start)) = settle() else {
+                    return Ok(None);
+                };
                 device.set_lineage(Some(job.task_id));
                 let charged = device.charge_slice(query.len(), db, slice.clone());
                 device.set_lineage(None);
                 let seconds = charged.map_err(|f| (job.task_id, f.into()))?;
-                (seconds, start.elapsed().as_secs_f64(), None)
+                let wall = start.elapsed().as_secs_f64();
+                (lent, wall_start, seconds, wall, None)
             }
         };
-        Ok(Answer {
+        Ok(Some(Answer {
             hits: lent.hits,
             wall_start,
             wall,
             modelled,
             timings,
             lent: true,
-        })
+        }))
     }
 
     /// Score `job`, which another worker owns, for it: claim the task,
